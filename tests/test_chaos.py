@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from repro.service.chaos import ChaosResult, run_case, run_chaos, summarize
 
+from .chaos_pins import assert_pinned
+
 
 class TestChaosChecker:
     def test_smoke_cases_hold_the_robustness_contract(self):
@@ -25,6 +27,12 @@ class TestChaosChecker:
         assert a.digest == b.digest
         assert (a.committed, a.aborted, a.retries, a.io_faults) == (
             b.committed, b.aborted, b.retries, b.io_faults
+        )
+
+    def test_pinned_digests_do_not_move(self):
+        assert_pinned(
+            "service",
+            {str(s): run_case(s, check_determinism=False) for s in range(25)},
         )
 
     def test_faults_are_actually_injected_somewhere(self):

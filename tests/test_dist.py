@@ -31,6 +31,8 @@ from repro.oql import Catalog, OQLEngine
 from repro.recovery import TransientFaultInjector
 from repro.service import CooperativeScheduler
 
+from .chaos_pins import assert_pinned
+
 TINY = 0.00001   # 10 providers / 30 patients
 SMALL = 0.0002   # 200 providers / 600 patients
 
@@ -495,6 +497,13 @@ def test_for_node_fault_streams_are_independent():
 def test_2pc_chaos_cases_pass(seed):
     result = run_2pc_case(seed, check_determinism=True)
     assert result.ok, result.failures
+
+
+def test_2pc_chaos_pinned_digests_do_not_move():
+    assert_pinned(
+        "2pc",
+        {str(s): run_2pc_case(s, check_determinism=False) for s in range(25)},
+    )
 
 
 # -- stats export --------------------------------------------------------

@@ -20,6 +20,8 @@ from repro.storage.page import EMPTY_PAGE_IMAGE, Page
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager, WriteAheadLog
 
+from .chaos_pins import assert_pinned
+
 _PAD = "p" * 40
 
 
@@ -466,6 +468,10 @@ class TestFuzz:
         assert len(results) == 2 * len(CRASH_POINTS)
         bad = [r for r in results if not r.ok]
         assert not bad, bad[0].failures if bad else None
+
+    def test_pinned_digests_do_not_move(self):
+        results = run_fuzz(range(5), check_determinism=False)
+        assert_pinned("recovery", {f"{r.seed}/{r.point}": r for r in results})
 
     def test_recovery_csv_shape(self):
         from types import SimpleNamespace

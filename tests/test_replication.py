@@ -27,6 +27,8 @@ from repro.service.governor import RetryPolicy
 from repro.simtime import Bucket
 from repro.txn.log import COMMIT_RECORD_BYTES
 
+from .chaos_pins import assert_pinned
+
 TINY = 0.00001  # 10 providers / 30 patients
 
 
@@ -425,6 +427,19 @@ def test_failover_chaos_sync_cases_pass(seed):
 def test_failover_chaos_async_cases_pass(seed):
     result = run_failover_case(seed, ship_mode="async")
     assert result.ok, result.failures
+
+
+@pytest.mark.parametrize("ship_mode", ["sync", "async"])
+def test_failover_chaos_pinned_digests_do_not_move(ship_mode):
+    assert_pinned(
+        f"failover-{ship_mode}",
+        {
+            str(s): run_failover_case(
+                s, ship_mode=ship_mode, check_determinism=False
+            )
+            for s in range(25)
+        },
+    )
 
 
 # -- stats export --------------------------------------------------------
