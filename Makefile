@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline recover chaos shell analyze optimizer shard failover mvcc artifacts clean
+.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -44,16 +44,18 @@ mix:
 pipeline:
 	$(PYTHON) benchmarks/bench_pipeline.py
 
-# Crash-recovery fuzz: 40 seeds x 5 crash points = 200 cases, each
+# One seeded chaos suite through the shared harness, every case
 # double-run for determinism; exits nonzero on any contract violation.
-recover:
-	$(PYTHON) -m repro crash fuzz --seeds 40
-
-# Transient-fault chaos: 200 seeded fault-injected mixes (flaky reads,
-# lock-timeout storms, governors), each double-run for determinism,
-# then the overload sweep -> results/governor_overload.txt.
+# CI's `chaos` matrix job runs: recovery 40 (x 5 crash points),
+# service 100, 2pc 25, failover 50, failover 25 with
+# CHAOS_FLAGS="--ship-mode async".
+SUITE ?= service
+CASES ?= 100
 chaos:
-	$(PYTHON) -m repro chaos --cases 200
+	$(PYTHON) -m repro chaos --suite $(SUITE) --cases $(CASES) $(CHAOS_FLAGS)
+
+# Admission control under overload -> results/governor_overload.txt.
+governor:
 	$(PYTHON) benchmarks/bench_governor.py
 
 # Collect optimizer statistics (ANALYZE) and persist them through the
@@ -68,19 +70,18 @@ optimizer:
 	$(PYTHON) benchmarks/bench_optimizer.py
 
 # Sharded scaling benchmark (1..32 shards, gated on semantic
-# equivalence + >=4x scan speedup at 8 shards) plus the seeded 2PC
-# crash/recovery chaos oracle -> results/sharding_scaling.txt.
+# equivalence + >=4x scan speedup at 8 shards, 2PC chaos cases clean)
+# -> results/sharding_scaling.txt.  The chaos CLI: make chaos SUITE=2pc.
 shard:
 	$(PYTHON) benchmarks/bench_sharding.py
-	$(PYTHON) -m repro shard chaos --cases 25
 
 # Replication availability benchmark (13-query semantic equivalence vs
 # an unreplicated cluster, windowed throughput through a primary kill,
-# 200 sync + 50 async seeded chaos kills) plus the failover chaos CLI
+# 200 sync + 50 async seeded chaos kills)
 # -> BENCH_replication.json + results/replication_availability.txt.
+# The chaos CLI: make chaos SUITE=failover.
 failover:
 	$(PYTHON) benchmarks/bench_replication.py
-	$(PYTHON) -m repro failover chaos --cases 25
 
 # Snapshot isolation vs strict 2PL on the same contended mix, gated on
 # zero reader lock waits, SI throughput > 2PL and identical committed

@@ -61,15 +61,15 @@ from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate
 from repro.dist import (
+    FAILOVER,
     REPLICATION_KILL_POINTS,
     Coordinator,
     ShardedMixConfig,
     ShardedWorkload,
     failover_coverage,
     load_sharded,
-    run_failover_chaos,
-    summarize_failover,
 )
+from repro.recovery import run_suite
 from repro.stats import replication_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -531,21 +531,21 @@ def main(argv: list[str] | None = None) -> int:
     equiv = run_equivalence(config, logical)
     avail, csv_rows = run_availability(config, logical)
     print(f"running {n_sync} sync chaos cases ...", file=sys.stderr)
-    chaos_sync = run_failover_chaos(n_sync, base_seed=0, ship_mode="sync")
+    chaos_sync = run_suite(FAILOVER, n_sync, ship_mode="sync")
     print(f"running {n_async} async chaos cases ...", file=sys.stderr)
-    chaos_async = run_failover_chaos(
-        n_async, base_seed=10_000, ship_mode="async"
+    chaos_async = run_suite(
+        FAILOVER, n_async, base_seed=10_000, ship_mode="async"
     )
 
     summary = summarize(equiv, avail, chaos_sync, chaos_async)
     table = build_table(equiv, avail, summary)
     print(table)
-    print(summarize_failover(chaos_sync + chaos_async))
+    print(FAILOVER.summarize(chaos_sync + chaos_async))
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
     out.write_text(
-        str(table) + "\n" + str(summarize_failover(chaos_sync + chaos_async))
+        str(table) + "\n" + str(FAILOVER.summarize(chaos_sync + chaos_async))
     )
     pathlib.Path(args.csv).write_text(replication_to_csv(csv_rows))
     payload = {

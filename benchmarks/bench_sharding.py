@@ -54,17 +54,17 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate
 from repro.dist import (
+    TWOPC,
     TWOPC_CRASH_POINTS,
     Coordinator,
     ShardedMixConfig,
     ShardedWorkload,
     load_sharded,
     point_coverage,
-    run_2pc_chaos,
-    summarize_2pc,
 )
 from repro.dist.exchange import ROW_WIRE_BYTES
 from repro.oql import Catalog, OQLEngine
+from repro.recovery import run_suite
 from repro.stats import sharding_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -267,7 +267,7 @@ def run_benchmark(
         mix_runs.append(_run_mix(cluster))
 
     print(f"running {CHAOS_CASES} seeded 2PC chaos cases ...", file=sys.stderr)
-    chaos = run_2pc_chaos(cases=CHAOS_CASES, base_seed=0)
+    chaos = run_suite(TWOPC, CHAOS_CASES)
     return query_runs, mix_runs, csv_rows, chaos
 
 
@@ -419,11 +419,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(query_runs, mix_runs, chaos)
     table = build_table(query_runs, mix_runs, summary, shard_counts)
     print(table)
-    print(summarize_2pc(chaos))
+    print(TWOPC.summarize(chaos))
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
-    out.write_text(str(table) + "\n" + str(summarize_2pc(chaos)))
+    out.write_text(str(table) + "\n" + str(TWOPC.summarize(chaos)))
     pathlib.Path(args.csv).write_text(sharding_to_csv(csv_rows))
     payload = {
         "benchmark": "sharding_scaling",

@@ -19,24 +19,21 @@ Commands
     scanners + updaters) through the query service and print
     per-session latency/throughput plus the aggregate.
 ``crash``
-    Crash-recovery tooling: ``crash demo`` kills a running mix at a
-    named crash point and restarts it through ARIES-lite;
-    ``crash fuzz`` runs the seeded (workload x crash point) checker
-    grid and exits nonzero on any recovery-contract violation.
+    ``crash demo`` kills a running mix at a named crash point and
+    restarts it through ARIES-lite.
 ``shard``
-    Horizontal-sharding tooling: ``shard demo`` partitions a database
-    across N simulated nodes, runs a distributed query through the
-    coordinator and a sharded workload mix (``--replicas 1`` pairs
-    every shard with a warm standby); ``shard chaos`` runs the seeded
-    two-phase-commit crash/recovery checker and exits nonzero on any
-    atomic-commitment violation.
+    ``shard demo`` partitions a database across N simulated nodes, runs
+    a distributed query through the coordinator and a sharded workload
+    mix (``--replicas 1`` pairs every shard with a warm standby).
 ``failover``
-    Per-shard replication tooling: ``failover demo`` kills a primary
-    under load and narrates detection, fenced promotion and the
-    availability window; ``failover chaos`` runs the seeded
-    primary-kill checker (zero acked loss in sync mode, fenced
-    promotion, clean retry accounting) and exits nonzero on any
-    violation.
+    ``failover demo`` kills a primary under load and narrates
+    detection, fenced promotion and the availability window.
+``chaos``
+    The one entry to the seeded fault checkers: ``chaos --suite
+    {recovery,service,2pc,failover}`` runs that suite's cases through
+    the shared harness (every case twice, digests compared) and exits
+    nonzero on any contract violation, printing each failing seed and
+    the command that reproduces it.
 ``analyze``
     Collect optimizer statistics (extent cardinalities, equi-depth
     histograms, association fan-out) over a freshly built database,
@@ -450,61 +447,43 @@ def cmd_crash_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_crash_fuzz(args: argparse.Namespace) -> int:
-    """Run the seeded crash/recovery checker grid."""
-    from repro.recovery import CRASH_POINTS, run_fuzz, summarize
-    from repro.stats import recovery_to_csv
+# ------------------------------------------------------------------ chaos
 
-    points = tuple(args.points) if args.points else CRASH_POINTS
-    results = run_fuzz(
-        range(args.seeds),
-        points=points,
-        txns=args.txns,
-        checkpoint_every=args.checkpoint_every,
-        check_determinism=not args.no_determinism,
-    )
-    print(summarize(results))
-    if args.csv:
-        from types import SimpleNamespace
-
-        rows = [
-            SimpleNamespace(
-                label=f"fuzz-{r.seed}",
-                crash_point=r.point,
-                checkpoint_every=args.checkpoint_every,
-                txns=r.txns_started,
-                committed=r.durable_commits,
-                lost=r.losers,
-                recovery_s=r.report.seconds,
-                log_records_scanned=r.report.log_records_scanned,
-                log_pages_read=r.report.log_pages_read,
-                pages_redone=r.report.pages_redone,
-                records_redone=r.report.records_redone,
-                txns_undone=r.report.txns_undone,
-                records_undone=r.report.records_undone,
-                durability_ok=int(r.ok),
-            )
-            for r in results
-        ]
-        with open(args.csv, "w") as fh:
-            fh.write(recovery_to_csv(rows))
-        print(f"wrote {args.csv}")
-    return 0 if all(r.ok for r in results) else 1
+#: The seeded fault suites ``chaos --suite`` can run.
+CHAOS_SUITES = ("recovery", "service", "2pc", "failover")
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the seeded transient-fault chaos checker."""
-    from repro.service.chaos import run_chaos, summarize
+    """Run one seeded chaos suite through the shared harness."""
+    from repro.dist.chaos import FAILOVER, TWOPC
+    from repro.recovery import RECOVERY, run_suite
+    from repro.service.chaos import SERVICE
 
-    results = run_chaos(
+    suite = {
+        s.name: s for s in (RECOVERY, SERVICE, TWOPC, FAILOVER)
+    }[args.suite]
+    params = {}
+    if args.ship_mode is not None:
+        if args.suite != "failover":
+            print("--ship-mode applies to --suite failover only",
+                  file=sys.stderr)
+            return 2
+        params["ship_mode"] = args.ship_mode
+    results = run_suite(
+        suite,
         args.cases,
         base_seed=args.seed,
         check_determinism=not args.no_determinism,
+        **params,
     )
-    print(summarize(results))
+    print(suite.summarize(results))
     for r in results:
         for failure in r.failures:
             print(f"seed {r.seed}: {failure}", file=sys.stderr)
+    mode = f" --ship-mode {args.ship_mode}" if args.ship_mode else ""
+    for seed in sorted({r.seed for r in results if not r.ok}):
+        print(f"reproduce: python -m repro chaos --suite {args.suite}"
+              f"{mode} --seed {seed} --cases 1", file=sys.stderr)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -575,22 +554,6 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shard_chaos(args: argparse.Namespace) -> int:
-    """Run the seeded 2PC crash/recovery chaos checker."""
-    from repro.dist import run_2pc_chaos, summarize_2pc
-
-    results = run_2pc_chaos(
-        args.cases,
-        base_seed=args.seed,
-        check_determinism=not args.no_determinism,
-    )
-    print(summarize_2pc(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
-
-
 # ------------------------------------------------------------------ failover
 
 def cmd_failover_demo(args: argparse.Namespace) -> int:
@@ -635,23 +598,6 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
     print(f"shard {victim} serving again from the promoted standby "
           f"(epoch {serving.epoch})")
     return 0
-
-
-def cmd_failover_chaos(args: argparse.Namespace) -> int:
-    """Run the seeded primary-kill failover chaos checker."""
-    from repro.dist import run_failover_chaos, summarize_failover
-
-    results = run_failover_chaos(
-        args.cases,
-        base_seed=args.seed,
-        ship_mode=args.ship_mode,
-        check_determinism=not args.no_determinism,
-    )
-    print(summarize_failover(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
 
 
 # ------------------------------------------------------------------ layout
@@ -850,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
     mix.set_defaults(func=cmd_mix)
 
     crash = sub.add_parser(
-        "crash", help="crash-recovery demo and fuzz checker"
+        "crash", help="crash-recovery demo"
     )
     crash_sub = crash.add_subparsers(dest="action", required=True)
 
@@ -869,39 +815,27 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=1)
     demo.set_defaults(func=cmd_crash_demo)
 
-    fuzz = crash_sub.add_parser(
-        "fuzz", help="seeded (workload x crash point) recovery checker"
-    )
-    fuzz.add_argument("--seeds", type=int, default=8,
-                      help="seeds per crash point (cases = seeds x points)")
-    fuzz.add_argument("--points", nargs="*", choices=_POINTS, default=None,
-                      help="crash points to cover (default: all)")
-    fuzz.add_argument("--txns", type=int, default=10,
-                      help="transactions per two-slot workload case")
-    fuzz.add_argument("--checkpoint-every", type=int, default=3,
-                      help="checkpoint every n started transactions "
-                      "(0: never)")
-    fuzz.add_argument("--no-determinism", action="store_true",
-                      help="skip the double-run determinism check")
-    fuzz.add_argument("--csv", default=None,
-                      help="export per-case recovery rows as CSV")
-    fuzz.set_defaults(func=cmd_crash_fuzz)
-
     chaos = sub.add_parser(
         "chaos",
-        help="seeded transient-fault chaos checker (flaky reads, "
-             "lock-timeout storms, governors)",
+        help="seeded chaos suites: crash-recovery fuzz, transient-fault "
+             "mixes, 2PC cluster crashes, primary-kill failover",
     )
-    chaos.add_argument("--cases", type=int, default=50,
-                       help="seeded fault-injected mix cases to run")
+    chaos.add_argument("--suite", choices=CHAOS_SUITES, required=True,
+                       help="which suite's cases and invariants to run "
+                            "(recovery runs every seed at each crash point)")
+    chaos.add_argument("--cases", type=int, default=25,
+                       help="seeded cases to run")
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed (case i uses seed base+i)")
+    chaos.add_argument("--ship-mode", choices=("sync", "async"), default=None,
+                       help="WAL shipping mode of the failover suite "
+                            "(default: sync)")
     chaos.add_argument("--no-determinism", action="store_true",
                        help="skip the double-run determinism check")
     chaos.set_defaults(func=cmd_chaos)
 
     shard = sub.add_parser(
-        "shard", help="horizontal-sharding demo and 2PC chaos checker"
+        "shard", help="horizontal-sharding demo"
     )
     shard_sub = shard.add_subparsers(dest="action", required=True)
 
@@ -930,21 +864,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="WAL shipping mode when replicated")
     shard_demo.set_defaults(func=cmd_shard_demo)
 
-    shard_chaos = shard_sub.add_parser(
-        "chaos",
-        help="seeded 2PC crash/recovery checker over sharded clusters",
-    )
-    shard_chaos.add_argument("--cases", type=int, default=25,
-                             help="seeded crash-injected cases to run")
-    shard_chaos.add_argument("--seed", type=int, default=0,
-                             help="base seed (case i uses seed base+i)")
-    shard_chaos.add_argument("--no-determinism", action="store_true",
-                             help="skip the double-run determinism check")
-    shard_chaos.set_defaults(func=cmd_shard_chaos)
-
     failover = sub.add_parser(
         "failover",
-        help="per-shard replication tooling: failover demo and chaos",
+        help="per-shard replication failover demo",
     )
     failover_sub = failover.add_subparsers(dest="action", required=True)
 
@@ -969,21 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="operations per client")
     failover_demo.add_argument("--seed", type=int, default=1)
     failover_demo.set_defaults(func=cmd_failover_demo)
-
-    failover_chaos = failover_sub.add_parser(
-        "chaos",
-        help="seeded primary-kill checker: zero acked loss (sync), "
-        "fenced promotion, clean retries",
-    )
-    failover_chaos.add_argument("--cases", type=int, default=25,
-                                help="seeded kill-injected cases to run")
-    failover_chaos.add_argument("--seed", type=int, default=0,
-                                help="base seed (case i uses seed base+i)")
-    failover_chaos.add_argument("--ship-mode", choices=("sync", "async"),
-                                default="sync", help="WAL shipping mode")
-    failover_chaos.add_argument("--no-determinism", action="store_true",
-                                help="skip the double-run determinism check")
-    failover_chaos.set_defaults(func=cmd_failover_chaos)
 
     layout = sub.add_parser(
         "layout", help="print the Figure 2 view of a database's files"

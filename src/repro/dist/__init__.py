@@ -23,22 +23,22 @@ transactions on its own timeline:
 * :class:`GlobalLockTable` — cross-shard deadlock detection by unioning
   the per-shard waits-for graphs;
 * :class:`ShardedWorkload` — deterministic multi-client mixes over the
-  cluster, and :mod:`repro.dist.chaos` — seeded 2PC crash/recovery
-  checking across all five protocol points.
+  cluster;
+* :mod:`repro.dist.chaos` — the :data:`TWOPC` (cluster crash at all
+  five protocol points) and :data:`FAILOVER` (primary kills under
+  replication) chaos suites, run by the shared harness in
+  :mod:`repro.recovery.harness` (``python -m repro chaos --suite
+  {2pc,failover}``).
 """
 
 from repro.dist.chaos import (
+    FAILOVER,
     FAILOVER_KILL_KINDS,
+    TWOPC,
     FailoverChaosResult,
     TwoPCChaosResult,
     failover_coverage,
     point_coverage,
-    run_2pc_case,
-    run_2pc_chaos,
-    run_failover_case,
-    run_failover_chaos,
-    summarize_2pc,
-    summarize_failover,
 )
 from repro.dist.cluster import ShardedCluster, load_sharded
 from repro.dist.coordinator import SHIP_STRATEGIES, Coordinator, DistPlan
@@ -96,11 +96,9 @@ __all__ = [
     "ShardedMixReport",
     "ShardedSessionReport",
     "ShardedWorkload",
+    "TWOPC",
     "TwoPCChaosResult",
     "point_coverage",
-    "run_2pc_case",
-    "run_2pc_chaos",
-    "summarize_2pc",
     "RouteTable",
     "HEALTH_STATES",
     "FailureDetector",
@@ -109,10 +107,8 @@ __all__ = [
     "REPLICATION_KILL_POINTS",
     "ReplicaLink",
     "ReplicationInjector",
+    "FAILOVER",
     "FAILOVER_KILL_KINDS",
     "FailoverChaosResult",
     "failover_coverage",
-    "run_failover_case",
-    "run_failover_chaos",
-    "summarize_failover",
 ]

@@ -1,10 +1,16 @@
-"""Seeded 2PC chaos: crash the cluster mid-protocol, recover, verify.
+"""The ``2pc`` and ``failover`` chaos suites over sharded clusters.
 
-The sharded analogue of :mod:`repro.service.chaos`.  Each case builds a
-fresh tiny cluster, draws a shard count, partition scheme, workload
-shape and a :class:`~repro.dist.twopc.TwoPCInjector` crash point from
-one seeded stream, runs the mix until the injector kills the cluster,
-then runs :meth:`~repro.dist.cluster.ShardedCluster.crash` /
+Both are :class:`~repro.recovery.harness.Suite` instances — a seeded
+case generator plus invariants, double-run by the shared harness — and
+share their cluster-level evidence gathering (hot homes, durable ages,
+decided transactions) and two invariants (:func:`_cluster_leaks`,
+:func:`_last_writer`).
+
+**2pc** — crash the *cluster* mid-protocol, recover, verify.  Each case
+draws a shard count, partition scheme, workload shape and a
+:class:`~repro.dist.twopc.TwoPCInjector` crash point from one seeded
+stream, runs the mix until the injector kills the cluster, then runs
+:meth:`~repro.dist.cluster.ShardedCluster.crash` /
 :meth:`~repro.dist.cluster.ShardedCluster.recover` and asserts the
 atomic-commitment contract **across all shards**:
 
@@ -25,12 +31,28 @@ atomic-commitment contract **across all shards**:
 A drawn occurrence can exceed the number of times the run reaches the
 crash point; those cases simply complete crash-free and are verified
 against the same oracle (with an empty decided-but-unacked set).
+
+**failover** — instead of the cluster, each case kills one shard's
+*primary*: at a drawn simulated time, at a drawn WAL-ship protocol
+point, or as a double failure (primary killed, then the replica killed
+mid promotion).  The failure detector and fenced failover run, and the
+replicated atomic-commitment contract must hold:
+
+* sync mode: *zero acknowledged loss* — the post-failover durable
+  state matches exactly the last-writer oracle over every acked write
+  plus every decided- or replica-committed-but-unacked write;
+* async mode: losses are confined to shards whose link reported a
+  non-zero loss window (bounded by ``max_lag_records``), and every
+  durable value was legally written (no dirty write ever survives);
+* fenced promotion (a promoted node serves, under the route's epoch,
+  with recorded downtime), zero leaks, and digest-identical re-runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from types import SimpleNamespace
 
 from repro.bench.report import Table
 from repro.derby import DerbyConfig
@@ -41,10 +63,109 @@ from repro.dist.replication import (
 )
 from repro.dist.twopc import TWOPC_CRASH_POINTS, TwoPCInjector
 from repro.dist.workload import ShardedMixConfig, ShardedWorkload
+from repro.recovery.harness import Suite, check_last_writer
 from repro.simtime import Bucket
 
 #: Scale of the per-case database: ~30 patients, loads in milliseconds.
 _SCALE = 0.00001
+
+
+# -- shared evidence gathering and invariants ----------------------------
+
+
+def _hot_homes(
+    cluster: ShardedCluster, config: ShardedMixConfig
+) -> list[tuple[int, object]]:
+    """``(shard, rid)`` of every hot patient the updaters can touch."""
+    part = cluster.part
+    hot = min(config.hot_set, len(part.patient_shard))
+    homes = []
+    for idx in range(hot):
+        sid, local = part.patient_home(idx)
+        homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
+    return homes
+
+
+def _durable_ages(
+    cluster: ShardedCluster, hot_homes: list[tuple[int, object]]
+) -> dict[tuple[int, object], int]:
+    """Age per hot home, read at the shard's serving node; homes whose
+    shard has no serving node are unreadable and absent."""
+    return {
+        (sid, rid): int(
+            cluster.nodes[sid].db.manager.get_attr_at(rid, "age")
+        )
+        for sid, rid in hot_homes
+        if not cluster.nodes[sid].down
+    }
+
+
+def _decided_globals(cluster: ShardedCluster) -> set[int]:
+    """Distributed transactions with a durable commit decision: their
+    commit *won* even if no client heard the ack."""
+    return {
+        record.txn_id
+        for record in cluster.decision_log.durable_records()
+        if record.kind == "commit"
+    }
+
+
+def _cluster_leaks(ev) -> list[str]:
+    """Nothing leaks: no locks, waiters, open branch transactions on a
+    live node, or registered distributed transactions."""
+    cluster = ev.cluster
+    failures: list[str] = []
+    if cluster.lock_table.lock_count:
+        failures.append(f"{cluster.lock_table.lock_count} locks leaked")
+    if cluster.lock_table.waiting_count:
+        failures.append(
+            f"{cluster.lock_table.waiting_count} lock waiters leaked"
+        )
+    for node in cluster.nodes:
+        if not node.down and node.txm.active_count:
+            failures.append(
+                f"shard {node.shard_id}: {node.txm.active_count} "
+                "transactions left open"
+            )
+    if cluster.active_count:
+        failures.append(
+            f"{cluster.active_count} distributed transactions registered"
+        )
+    return failures
+
+
+def _last_writer(ev) -> list[str]:
+    """Committed-visible / uncommitted-gone over the hot homes, counting
+    the writes of every unacked-but-won transaction as committed."""
+    return check_last_writer(
+        ev.preload,
+        ev.workload.write_log,
+        ev.final,
+        staged=[
+            write
+            for global_id in ev.unacked
+            for write in ev.workload.staged.get(global_id, [])
+        ],
+        exact=lambda home: home[0] not in ev.lossy_shards,
+        describe=lambda home: f"shard {home[0]} rid {tuple(home[1])}",
+    )
+
+
+def _session_digest(report, last_field: str) -> tuple:
+    return tuple(
+        (
+            s.name, s.committed, s.aborted, s.retries, s.deadlocks,
+            s.timeouts, s.gave_up, getattr(s, last_field),
+        )
+        for s in report.sessions
+    )
+
+
+def _ages_digest(final: dict) -> tuple:
+    return tuple(sorted((sid, tuple(rid), v) for (sid, rid), v in final.items()))
+
+
+# -- the 2pc suite -------------------------------------------------------
 
 
 @dataclass
@@ -71,7 +192,7 @@ class TwoPCChaosResult:
         return not self.failures
 
 
-def _draw_case(
+def _draw_2pc_case(
     seed: int,
 ) -> tuple[int, str, float | None, ShardedMixConfig, TwoPCInjector]:
     """The case generator: cluster + mix + crash point from one seed."""
@@ -93,31 +214,15 @@ def _draw_case(
     return n_shards, scheme, lock_timeout_s, config, injector
 
 
-def _durable_ages(
-    cluster: ShardedCluster, hot_homes: list[tuple[int, object]]
-) -> dict[tuple[int, object], int]:
-    return {
-        (sid, rid): int(
-            cluster.nodes[sid].db.manager.get_attr_at(rid, "age")
-        )
-        for sid, rid in hot_homes
-    }
-
-
-def _run_once(seed: int) -> TwoPCChaosResult:
-    n_shards, scheme, lock_timeout_s, config, injector = _draw_case(seed)
+def _execute_2pc(seed: int):
+    n_shards, scheme, lock_timeout_s, config, injector = _draw_2pc_case(seed)
     cluster = load_sharded(
         DerbyConfig.db_1to3(scale=_SCALE),
         n_shards,
         scheme=scheme,
         lock_timeout_s=lock_timeout_s,
     )
-    part = cluster.part
-    hot = min(config.hot_set, len(part.patient_shard))
-    hot_homes = []
-    for idx in range(hot):
-        sid, local = part.patient_home(idx)
-        hot_homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
+    hot_homes = _hot_homes(cluster, config)
     # Preload ages *before* the run — the uncommitted-gone baseline.
     preload = _durable_ages(cluster, hot_homes)
 
@@ -125,95 +230,29 @@ def _run_once(seed: int) -> TwoPCChaosResult:
     injector.arm(cluster)
     report = workload.run()
 
-    failures: list[str] = []
     resolved_commit = 0
     resolved_abort = 0
     decided_unacked: list[int] = []
     if report.crashed:
-        if not injector.fired:
-            failures.append("run crashed but the 2PC injector never fired")
         cluster.crash()
-        # The durable decision records name the distributed transactions
-        # whose commit *won* even if no client heard the ack.
-        decided_globals = {
-            record.txn_id
-            for record in cluster.decision_log.durable_records()
-            if record.kind == "commit"
-        }
-        decided_unacked = sorted(decided_globals - workload.acked_globals)
+        decided_unacked = sorted(
+            _decided_globals(cluster) - workload.acked_globals
+        )
         recovery = cluster.recover()
         resolved_commit = sum(r.txns_resolved_commit for r in recovery)
         resolved_abort = sum(r.txns_resolved_abort for r in recovery)
-    elif injector.fired:
-        failures.append("injector fired but the run did not crash")
-
-    # -- nothing leaks --------------------------------------------------
-    if cluster.lock_table.lock_count:
-        failures.append(f"{cluster.lock_table.lock_count} locks leaked")
-    if cluster.lock_table.waiting_count:
-        failures.append(
-            f"{cluster.lock_table.waiting_count} lock waiters leaked"
-        )
-    for node in cluster.nodes:
-        if node.txm.active_count:
-            failures.append(
-                f"shard {node.shard_id}: {node.txm.active_count} "
-                "transactions left open"
-            )
-    if cluster.active_count:
-        failures.append(
-            f"{cluster.active_count} distributed transactions registered"
-        )
-
-    # -- committed-visible / uncommitted-gone ---------------------------
-    expected = dict(preload)
-    for home, value in workload.write_log:
-        expected[home] = value
-    for global_id in decided_unacked:
-        for home, value in workload.staged.get(global_id, []):
-            expected[home] = value
-    legal = {home: {preload[home]} for home in preload}
-    for home, value in workload.write_log:
-        legal[home].add(value)
-    for global_id in decided_unacked:
-        for home, value in workload.staged.get(global_id, []):
-            legal[home].add(value)
     final = _durable_ages(cluster, hot_homes)
-    for home, value in final.items():
-        sid, rid = home
-        if value != expected[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: expected {expected[home]}, "
-                f"durable value {value} (lost update)"
-            )
-        if value not in legal[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: durable value {value} was "
-                "never committed (dirty write survived)"
-            )
 
-    digest = tuple(
-        (
-            s.name,
-            s.committed,
-            s.aborted,
-            s.retries,
-            s.deadlocks,
-            s.timeouts,
-            s.gave_up,
-            s.io_failures,
-        )
-        for s in report.sessions
-    ) + (
+    digest = _session_digest(report, "io_failures") + (
         round(report.elapsed_s, 9),
         report.context_switches,
         report.crashed,
         tuple(decided_unacked),
         resolved_commit,
         resolved_abort,
-        tuple(sorted((sid, tuple(rid), v) for (sid, rid), v in final.items())),
+        _ages_digest(final),
     )
-    return TwoPCChaosResult(
+    result = TwoPCChaosResult(
         seed=seed,
         n_shards=n_shards,
         scheme=scheme,
@@ -225,32 +264,27 @@ def _run_once(seed: int) -> TwoPCChaosResult:
         crashed=report.crashed,
         resolved_commit=resolved_commit,
         resolved_abort=resolved_abort,
-        failures=failures,
         digest=digest,
     )
+    evidence = SimpleNamespace(
+        result=result,
+        cluster=cluster,
+        workload=workload,
+        injector=injector,
+        preload=preload,
+        final=final,
+        unacked=decided_unacked,
+        lossy_shards=frozenset(),
+    )
+    return result, evidence
 
 
-def run_2pc_case(seed: int, check_determinism: bool = True) -> TwoPCChaosResult:
-    """Run one seeded 2PC chaos case (twice when determinism-checked)."""
-    result = _run_once(seed)
-    if check_determinism:
-        again = _run_once(seed)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
-            )
-    return result
-
-
-def run_2pc_chaos(
-    cases: int, base_seed: int = 0, check_determinism: bool = True
-) -> list[TwoPCChaosResult]:
-    """Run ``cases`` seeded 2PC chaos cases; see the module docstring."""
-    return [
-        run_2pc_case(base_seed + i, check_determinism=check_determinism)
-        for i in range(cases)
-    ]
+def _crash_was_injected(ev) -> list[str]:
+    if ev.result.crashed and not ev.injector.fired:
+        return ["run crashed but the 2PC injector never fired"]
+    if ev.injector.fired and not ev.result.crashed:
+        return ["injector fired but the run did not crash"]
+    return []
 
 
 def point_coverage(results: list[TwoPCChaosResult]) -> dict[str, int]:
@@ -262,22 +296,33 @@ def point_coverage(results: list[TwoPCChaosResult]) -> dict[str, int]:
     return coverage
 
 
-# -- failover chaos ------------------------------------------------------
-#
-# The replication analogue of the 2PC checker above: instead of killing
-# the *cluster* mid-protocol, each case kills one shard's *primary* —
-# at a drawn simulated time, at a drawn WAL-ship protocol point, or as
-# a double failure (primary killed, then the replica killed mid
-# promotion) — lets the failure detector and fenced failover run, and
-# verifies the replicated atomic-commitment contract:
-#
-# * sync mode: *zero acknowledged loss* — the post-failover durable
-#   state matches exactly the last-writer oracle over every acked write
-#   plus every decided- or replica-committed-but-unacked write;
-# * async mode: losses are confined to shards whose link reported a
-#   non-zero loss window (bounded by ``max_lag_records``), and every
-#   durable value was legally written (no dirty write ever survives);
-# * zero leaks, and digest-identical re-runs.
+def summarize_2pc(results: list[TwoPCChaosResult]) -> Table:
+    """Render a per-case summary table with an aggregate note."""
+    table = Table(
+        f"2PC chaos: {len(results)} seeded crash-injected sharded runs",
+        ["Seed", "Shards", "Scheme", "CrashPoint", "Occ", "Committed",
+         "Aborted", "Crashed", "ResolvedC", "ResolvedA", "OK"],
+    )
+    for r in results:
+        table.add(
+            r.seed, r.n_shards, r.scheme, r.point, r.occurrence,
+            r.committed, r.aborted, "yes" if r.crashed else "no",
+            r.resolved_commit, r.resolved_abort, "ok" if r.ok else "FAIL",
+        )
+    bad = [r for r in results if not r.ok]
+    crashed = sum(1 for r in results if r.crashed)
+    covered = sum(1 for n in point_coverage(results).values() if n)
+    table.note(
+        f"{len(results) - len(bad)}/{len(results)} cases clean; "
+        f"{crashed} crashed ({covered}/{len(TWOPC_CRASH_POINTS)} protocol "
+        "points covered); invariants: committed-visible (incl. "
+        "decided-but-unacked), uncommitted-gone, zero leaks, "
+        "deterministic re-runs"
+    )
+    return table
+
+
+# -- the failover suite --------------------------------------------------
 
 #: How each failover chaos case kills the primary.
 FAILOVER_KILL_KINDS = ("timed", "ship", "double")
@@ -364,7 +409,7 @@ def _settle_failover(cluster: ShardedCluster) -> None:
         cluster.clock.charge_s(Bucket.BACKOFF, step_s)
 
 
-def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
+def _execute_failover(seed: int, ship_mode: str = "sync"):
     (
         n_shards, scheme, config, kind, point, victim, occurrence,
         kill_at_s, max_lag,
@@ -377,12 +422,7 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
         ship_mode=ship_mode,
         max_lag_records=max_lag,
     )
-    part = cluster.part
-    hot = min(config.hot_set, len(part.patient_shard))
-    hot_homes = []
-    for idx in range(hot):
-        sid, local = part.patient_home(idx)
-        hot_homes.append((sid, cluster.nodes[sid].derby.patient_rids[local]))
+    hot_homes = _hot_homes(cluster, config)
     preload = _durable_ages(cluster, hot_homes)
 
     workload = ShardedWorkload(cluster, config)
@@ -400,65 +440,12 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
     _settle_failover(cluster)
 
     killed = cluster.kills > 0
-    killed_shards = {
-        sid
-        for sid in range(cluster.n_shards)
-        if cluster.route.failovers[sid] or cluster.route.node_for(sid).down
-    }
     failed_over = any(cluster.route.failovers)
-    failures: list[str] = []
 
-    # -- protocol sanity -------------------------------------------------
-    if kind == "ship" and injector is not None and injector.fired:
-        if not killed:
-            failures.append("ship injector fired but no primary died")
-    if kind == "double" and killed and injector is not None and injector.fired:
-        sid = injector.fired_shard
-        if sid is not None and cluster.route.failovers[sid]:
-            failures.append(
-                f"shard {sid} failed over after its replica was killed "
-                f"at {point}"
-            )
-    for sid in range(cluster.n_shards):
-        if cluster.route.failovers[sid]:
-            node = cluster.route.node_for(sid)
-            if node.down or node.role != "primary":
-                failures.append(f"shard {sid} promoted a non-serving node")
-            if node.epoch != cluster.route.epoch_of(sid):
-                failures.append(f"shard {sid} epoch mismatch after failover")
-            if cluster.shard_unavailable_s(sid) <= 0:
-                failures.append(
-                    f"shard {sid} failed over with zero recorded downtime"
-                )
-
-    # -- nothing leaks ---------------------------------------------------
-    if cluster.lock_table.lock_count:
-        failures.append(f"{cluster.lock_table.lock_count} locks leaked")
-    if cluster.lock_table.waiting_count:
-        failures.append(
-            f"{cluster.lock_table.waiting_count} lock waiters leaked"
-        )
-    for node in cluster.nodes:
-        if not node.down and node.txm.active_count:
-            failures.append(
-                f"shard {node.shard_id}: {node.txm.active_count} "
-                "transactions left open"
-            )
-    if cluster.active_count:
-        failures.append(
-            f"{cluster.active_count} distributed transactions registered"
-        )
-
-    # -- committed-visible / uncommitted-gone ----------------------------
     # Unacked-but-won commits come from two places: durable decision
     # records (multi-shard 2PC), and branch commit records that reached
     # a promoted replica's durable log (one-phase commits whose ack
     # died with the primary).
-    decided_globals = {
-        record.txn_id
-        for record in cluster.decision_log.durable_records()
-        if record.kind == "commit"
-    }
     replica_committed: set[int] = set()
     for sid in range(cluster.n_shards):
         if not cluster.route.failovers[sid]:
@@ -470,66 +457,16 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
                 if global_id is not None:
                     replica_committed.add(global_id)
     extras = sorted(
-        (decided_globals | replica_committed) - workload.acked_globals
+        (_decided_globals(cluster) | replica_committed)
+        - workload.acked_globals
     )
 
-    expected = dict(preload)
-    for home, value in workload.write_log:
-        expected[home] = value
-    for global_id in extras:
-        for home, value in workload.staged.get(global_id, []):
-            expected[home] = value
-    legal = {home: {preload[home]} for home in preload}
-    for home, value in workload.write_log:
-        legal[home].add(value)
-    for global_id in extras:
-        for home, value in workload.staged.get(global_id, []):
-            legal[home].add(value)
-
     loss_window = max(cluster.loss_windows.values(), default=0)
-    if ship_mode == "sync" and loss_window:
-        failures.append(
-            f"sync link reported a {loss_window}-record loss window"
-        )
-    lossy_shards = {
-        sid for sid, window in cluster.loss_windows.items() if window
-    }
-    readable = [
-        home for home in hot_homes
-        if not cluster.route.node_for(home[0]).down
-    ]
-    final = {
-        home: int(
-            cluster.route.node_for(home[0]).db.manager.get_attr_at(
-                home[1], "age"
-            )
-        )
-        for home in readable
-    }
-    for home, value in final.items():
-        sid, rid = home
-        exact = ship_mode == "sync" or sid not in lossy_shards
-        if exact and value != expected[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: expected {expected[home]}, "
-                f"durable value {value} (acked write lost)"
-            )
-        if value not in legal[home]:
-            failures.append(
-                f"shard {sid} rid {tuple(rid)}: durable value {value} was "
-                "never committed (dirty write survived)"
-            )
-
+    final = _durable_ages(cluster, hot_homes)
     total_unavailable_s = sum(
         cluster.shard_unavailable_s(sid) for sid in range(cluster.n_shards)
     )
-    digest = tuple(
-        (
-            s.name, s.committed, s.aborted, s.retries, s.deadlocks,
-            s.timeouts, s.gave_up, s.unavailable,
-        )
-        for s in report.sessions
-    ) + (
+    digest = _session_digest(report, "unavailable") + (
         round(report.elapsed_s, 9),
         report.context_switches,
         killed,
@@ -538,9 +475,9 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
         tuple(sorted(cluster.loss_windows.items())),
         tuple(extras),
         round(total_unavailable_s, 9),
-        tuple(sorted((sid, tuple(rid), v) for (sid, rid), v in final.items())),
+        _ages_digest(final),
     )
-    return FailoverChaosResult(
+    result = FailoverChaosResult(
         seed=seed,
         ship_mode=ship_mode,
         n_shards=n_shards,
@@ -555,40 +492,60 @@ def _run_failover_once(seed: int, ship_mode: str) -> FailoverChaosResult:
         unavailable=report.unavailable,
         loss_window=loss_window,
         unavailable_s=total_unavailable_s,
-        failures=failures,
         digest=digest,
     )
+    evidence = SimpleNamespace(
+        result=result,
+        cluster=cluster,
+        workload=workload,
+        injector=injector,
+        preload=preload,
+        final=final,
+        unacked=extras,
+        # Async shipping may lose acked writes, but only on a shard
+        # whose link reported a loss window; sync never may.
+        lossy_shards=frozenset(
+            sid
+            for sid, window in cluster.loss_windows.items()
+            if window and ship_mode == "async"
+        ),
+    )
+    return result, evidence
 
 
-def run_failover_case(
-    seed: int, ship_mode: str = "sync", check_determinism: bool = True
-) -> FailoverChaosResult:
-    """Run one seeded primary-kill case (twice when determinism-checked)."""
-    result = _run_failover_once(seed, ship_mode)
-    if check_determinism:
-        again = _run_failover_once(seed, ship_mode)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
+def _failover_protocol(ev) -> list[str]:
+    """Kills land where they were aimed and promotions are fenced."""
+    cluster, injector, case = ev.cluster, ev.injector, ev.result
+    failures: list[str] = []
+    fired = injector is not None and injector.fired
+    if case.kind == "ship" and fired and not case.killed:
+        failures.append("ship injector fired but no primary died")
+    if case.kind == "double" and case.killed and fired:
+        sid = injector.fired_shard
+        if sid is not None and cluster.route.failovers[sid]:
+            failures.append(
+                f"shard {sid} failed over after its replica was killed "
+                f"at {case.point}"
             )
-    return result
+    for sid in range(cluster.n_shards):
+        if cluster.route.failovers[sid]:
+            node = cluster.route.node_for(sid)
+            if node.down or node.role != "primary":
+                failures.append(f"shard {sid} promoted a non-serving node")
+            if node.epoch != cluster.route.epoch_of(sid):
+                failures.append(f"shard {sid} epoch mismatch after failover")
+            if cluster.shard_unavailable_s(sid) <= 0:
+                failures.append(
+                    f"shard {sid} failed over with zero recorded downtime"
+                )
+    return failures
 
 
-def run_failover_chaos(
-    cases: int,
-    base_seed: int = 0,
-    ship_mode: str = "sync",
-    check_determinism: bool = True,
-) -> list[FailoverChaosResult]:
-    """Run ``cases`` seeded primary-kill chaos cases."""
-    return [
-        run_failover_case(
-            base_seed + i, ship_mode=ship_mode,
-            check_determinism=check_determinism,
-        )
-        for i in range(cases)
-    ]
+def _sync_loses_nothing(ev) -> list[str]:
+    case = ev.result
+    if case.ship_mode == "sync" and case.loss_window:
+        return [f"sync link reported a {case.loss_window}-record loss window"]
+    return []
 
 
 def failover_coverage(results: list[FailoverChaosResult]) -> dict[str, int]:
@@ -628,27 +585,18 @@ def summarize_failover(results: list[FailoverChaosResult]) -> Table:
     return table
 
 
-def summarize_2pc(results: list[TwoPCChaosResult]) -> Table:
-    """Render a per-case summary table with an aggregate note."""
-    table = Table(
-        f"2PC chaos: {len(results)} seeded crash-injected sharded runs",
-        ["Seed", "Shards", "Scheme", "CrashPoint", "Occ", "Committed",
-         "Aborted", "Crashed", "ResolvedC", "ResolvedA", "OK"],
-    )
-    for r in results:
-        table.add(
-            r.seed, r.n_shards, r.scheme, r.point, r.occurrence,
-            r.committed, r.aborted, "yes" if r.crashed else "no",
-            r.resolved_commit, r.resolved_abort, "ok" if r.ok else "FAIL",
-        )
-    bad = [r for r in results if not r.ok]
-    crashed = sum(1 for r in results if r.crashed)
-    covered = sum(1 for n in point_coverage(results).values() if n)
-    table.note(
-        f"{len(results) - len(bad)}/{len(results)} cases clean; "
-        f"{crashed} crashed ({covered}/{len(TWOPC_CRASH_POINTS)} protocol "
-        "points covered); invariants: committed-visible (incl. "
-        "decided-but-unacked), uncommitted-gone, zero leaks, "
-        "deterministic re-runs"
-    )
-    return table
+TWOPC = Suite(
+    name="2pc",
+    execute=_execute_2pc,
+    invariants=[_crash_was_injected, _cluster_leaks, _last_writer],
+    summarize=summarize_2pc,
+)
+
+FAILOVER = Suite(
+    name="failover",
+    execute=_execute_failover,
+    invariants=[
+        _failover_protocol, _cluster_leaks, _sync_loses_nothing, _last_writer,
+    ],
+    summarize=summarize_failover,
+)

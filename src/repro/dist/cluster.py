@@ -32,15 +32,11 @@ from repro.dist.deadlock import GlobalLockTable
 from repro.dist.failure import FailureDetector
 from repro.dist.node import ShardNode
 from repro.dist.partition import PartitionMap, RouteTable, split_logical
-from repro.dist.replication import (
-    EPOCH_RECORD_BYTES,
-    ReplicaLink,
-    ReplicationInjector,
-)
-from repro.dist.twopc import DistTransaction, TwoPCInjector
+from repro.dist.replication import EPOCH_RECORD_BYTES, ReplicaLink
+from repro.dist.twopc import DistTransaction
 from repro.errors import ShardUnavailableError, StaleEpochError
 from repro.recovery.aries import RecoveryReport, restart
-from repro.recovery.crash import crash_database
+from repro.recovery.crash import NamedPointInjector, crash_database
 from repro.simtime import Bucket, SimClock
 from repro.txn.log import WriteAheadLog
 
@@ -62,8 +58,10 @@ class ShardedCluster:
         self.params = nodes[0].db.params
         self.decision_log = WriteAheadLog(self.clock, self.params)
         self.lock_table = GlobalLockTable(nodes)
-        #: Optional :class:`~repro.dist.twopc.TwoPCInjector`.
-        self.injector: TwoPCInjector | None = None
+        #: The one injector slot: an armed
+        #: :class:`~repro.dist.twopc.TwoPCInjector` or
+        #: :class:`~repro.dist.replication.ReplicationInjector`.
+        self.injector: NamedPointInjector | None = None
         self._next_global = 1
         self._active: dict[int, DistTransaction] = {}
         self.msgs = 0
@@ -87,8 +85,6 @@ class ShardedCluster:
         #: they are no longer routed to).
         self.retired: list[ShardNode] = []
         self.detector: FailureDetector | None = None
-        #: Optional :class:`~repro.dist.replication.ReplicationInjector`.
-        self.repl_injector: ReplicationInjector | None = None
         #: Scheduled primary kills: (at_s, shard_id, partition), sorted.
         self._kill_plan: list[tuple[float, int, bool]] = []
         self.kills = 0
@@ -202,15 +198,13 @@ class ShardedCluster:
         else:
             self.aborted += 1
 
-    def reached(self, point: str, detail: str = "") -> None:
-        """Report a 2PC protocol step to the armed injector, if any."""
+    def reached(self, point: str, detail) -> None:
+        """Report a named protocol step (2PC, WAL shipping, promotion)
+        to the armed injector, if any.  ``detail`` says what was in
+        flight: the global transaction for a 2PC step, the shard id for
+        a replication step."""
         if self.injector is not None:
             self.injector.reached(point, detail)
-
-    def reached_repl(self, point: str, shard_id: int) -> None:
-        """Report a replication protocol step to the armed injector."""
-        if self.repl_injector is not None:
-            self.repl_injector.reached(point, shard_id)
 
     # -- replication ----------------------------------------------------
 
@@ -318,7 +312,7 @@ class ShardedCluster:
         replays to its durable ship prefix, in-doubt 2PC branches
         resolve against the decision log (presumed abort), and the route
         rewrite installs the new primary under the new epoch."""
-        self.reached_repl("repl-before-promote", shard_id)
+        self.reached("repl-before-promote", shard_id)
         replica = self.standbys.get(shard_id)
         if replica is None or replica.down:
             return False
@@ -327,7 +321,7 @@ class ShardedCluster:
             0, "epoch", EPOCH_RECORD_BYTES, att=((shard_id, epoch),)
         )
         self.decision_log.flush()
-        self.reached_repl("repl-mid-promote", shard_id)
+        self.reached("repl-mid-promote", shard_id)
         if replica.down:
             # Double failure: the epoch is burned but no routing changed
             # — the shard simply has no promotable node left.
@@ -401,7 +395,6 @@ class ShardedCluster:
         self._active.clear()
         self.lock_table.clear()
         self.injector = None
-        self.repl_injector = None
 
     def recover(self) -> list[RecoveryReport]:
         """Restart every shard, resolving in-doubt 2PC branches against

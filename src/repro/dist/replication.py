@@ -37,8 +37,8 @@ window**): clients ack sooner, but a primary kill loses at most
 ``max_lag_records`` acked log records, and the link reports the exact
 window it lost (:attr:`ReplicaLink.loss_window_records`).
 
-**Kill points.**  :class:`ReplicationInjector` mirrors the 2PC injector
-but kills a *single node*, not the cluster: the three ship points kill
+**Kill points.**  :class:`ReplicationInjector` is the *single-node* kind
+of :class:`~repro.recovery.NamedPointInjector`: the three ship points kill
 the shipping primary (the client's call surfaces
 :class:`~repro.errors.ShardUnavailableError` and the session retries
 through its backoff policy), the two promote points kill the replica
@@ -50,9 +50,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import RecoveryError, ReplicationError, ShardUnavailableError
+from repro.errors import ReplicationError, ShardUnavailableError
 from repro.recovery.aries import redo_apply
-from repro.recovery.crash import crash_database
+from repro.recovery.crash import NamedPointInjector, crash_database
 from repro.simtime import Bucket
 from repro.txn.log import PHYSICAL_KINDS
 from repro.units import PAGE_SIZE, pages_for_bytes
@@ -208,7 +208,7 @@ class ReplicaLink:
         if not records:
             return
         cluster = self.cluster
-        cluster.reached_repl("repl-before-ship", self.shard_id)
+        cluster.reached("repl-before-ship", self.shard_id)
         clock = cluster.clock
         params = cluster.params
         nbytes = SHIP_HEADER_BYTES + sum(r.nbytes for r in records)
@@ -227,7 +227,7 @@ class ReplicaLink:
         if delta > 0:
             clock.charge_s(Bucket.REMOTE, delta)
             self.replica.remote_wait_s += delta
-        cluster.reached_repl("repl-mid-ship", self.shard_id)
+        cluster.reached("repl-mid-ship", self.shard_id)
         # The ack.
         clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
         cluster._note_msg(self.primary, SHIP_ACK_BYTES)
@@ -238,7 +238,7 @@ class ReplicaLink:
         self.shipped_bytes += nbytes
         self.acks += 1
         self.ack_wait_s += clock.elapsed_s - t_ship
-        cluster.reached_repl("repl-after-ship", self.shard_id)
+        cluster.reached("repl-after-ship", self.shard_id)
 
     def note_primary_down(self) -> None:
         """Snapshot the acknowledged-loss window and stop shipping.
@@ -293,7 +293,7 @@ class ReplicaLink:
             db.system.client_cache.drop(key)
 
 
-class ReplicationInjector:
+class ReplicationInjector(NamedPointInjector):
     """Kills one node the ``occurrence``-th time ``point`` is reached.
 
     Unlike :class:`~repro.dist.twopc.TwoPCInjector` this is a *partial*
@@ -302,42 +302,23 @@ class ReplicationInjector:
     primary and surface :class:`~repro.errors.ShardUnavailableError`
     from the in-flight call; promote points kill the shard's replica
     and let :meth:`~repro.dist.cluster.ShardedCluster.failover` discover
-    the double failure on its own.
+    the double failure on its own.  The detail every protocol step
+    reports is the shard id it concerns.
     """
 
+    POINTS = REPLICATION_KILL_POINTS
+
     def __init__(self, point: str, occurrence: int = 1):
-        if point not in REPLICATION_KILL_POINTS:
-            raise RecoveryError(
-                f"unknown replication kill point {point!r}; choose from "
-                f"{REPLICATION_KILL_POINTS}"
-            )
-        if occurrence < 1:
-            raise RecoveryError(f"occurrence must be >= 1, got {occurrence}")
-        self.point = point
-        self.occurrence = occurrence
-        self.seen = 0
-        self.fired = False
+        super().__init__(point, occurrence)
         self.fired_shard: int | None = None
-        self._cluster: "ShardedCluster | None" = None
 
     def arm(self, cluster: "ShardedCluster") -> None:
         self._cluster = cluster
-        cluster.repl_injector = self
+        cluster.injector = self
 
-    def reached(self, point: str, shard_id: int) -> None:
-        """Called by :class:`ReplicaLink` and failover at each step."""
-        if self.fired or point != self.point:
-            return
-        self.seen += 1
-        if self.seen == self.occurrence:
-            self.fire(shard_id)
-
-    def fire(self, shard_id: int) -> None:
-        self.fired = True
+    def kill(self, shard_id: int) -> None:
         self.fired_shard = shard_id
         cluster = self._cluster
-        if cluster is None:
-            raise RecoveryError("replication injector fired while unarmed")
         if self.point.endswith("-promote"):
             # Kill the replica mid-failover; failover re-checks `down`
             # after every reached() call and reports the shard
@@ -352,3 +333,9 @@ class ReplicationInjector:
             f"shard {shard_id} primary killed at {self.point} "
             f"(occurrence {self.seen})"
         )
+
+    def _down(self) -> None:
+        # The rest of the cluster outlives a single-node kill: later
+        # protocol steps carry on, and the victim's death is discovered
+        # through the route table.
+        pass

@@ -26,21 +26,18 @@ skips phase 1 entirely (the one-phase optimization — the participant's
 own commit record is the decision).
 
 :class:`TwoPCInjector` crashes the cluster at the protocol's five
-interesting points, mirroring :class:`~repro.recovery.CrashInjector`:
-after it fires, every shard WAL and disk refuses service so the rest of
-the workload cannot mutate durable state "after" the crash.
+interesting points — the whole-cluster kind of
+:class:`~repro.recovery.NamedPointInjector`: after it fires, every shard
+WAL and disk refuses service so the rest of the workload cannot mutate
+durable state "after" the crash.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import (
-    RecoveryError,
-    ShardUnavailableError,
-    SimulatedCrashError,
-    TwoPCError,
-)
+from repro.errors import ShardUnavailableError, TwoPCError
+from repro.recovery.crash import NamedPointInjector
 from repro.txn.log import (
     ABORT_RECORD_BYTES,
     BEGIN_RECORD_BYTES,
@@ -73,82 +70,28 @@ TWOPC_CRASH_POINTS = (
 )
 
 
-class TwoPCInjector:
+class TwoPCInjector(NamedPointInjector):
     """Kills the cluster the ``occurrence``-th time ``point`` is reached.
 
-    Reuses the single-node injector's hook protocol (``on_append`` /
-    ``on_flush`` / ``on_page_write`` / ``on_checkpoint`` / ``disarm``)
-    so that, once fired, it can be installed on every shard's WAL and
-    disk as a pure down-detector: any later durable mutation raises
-    :class:`~repro.errors.SimulatedCrashError` until
-    :meth:`ShardedCluster.crash` performs the actual loss.
+    A whole-cluster kill: on firing it installs itself on every shard's
+    WAL and disk (and the decision log) as a down-detector, so any later
+    durable mutation raises :class:`~repro.errors.SimulatedCrashError`
+    until :meth:`ShardedCluster.crash` performs the actual loss.
     """
 
-    def __init__(self, point: str, occurrence: int = 1):
-        if point not in TWOPC_CRASH_POINTS:
-            raise RecoveryError(
-                f"unknown 2PC crash point {point!r}; choose from "
-                f"{TWOPC_CRASH_POINTS}"
-            )
-        if occurrence < 1:
-            raise RecoveryError(f"occurrence must be >= 1, got {occurrence}")
-        self.point = point
-        self.occurrence = occurrence
-        self.seen = 0
-        self.fired = False
-        self._cluster: "ShardedCluster | None" = None
+    POINTS = TWOPC_CRASH_POINTS
+    SCOPE = "cluster"
 
     def arm(self, cluster: "ShardedCluster") -> None:
         self._cluster = cluster
         cluster.injector = self
 
-    def reached(self, point: str, detail: str = "") -> None:
-        """Called by :class:`DistTransaction` at each protocol step."""
-        self._down()
-        if point != self.point:
-            return
-        self.seen += 1
-        if self.seen == self.occurrence:
-            self.fire(detail or point)
-
-    def fire(self, detail: str) -> None:
-        self.fired = True
-        if self._cluster is not None:
-            for node in self._cluster.all_nodes():
-                node.txm.log.injector = self
-                node.db.disk.injector = self
-            self._cluster.decision_log.injector = self
-        raise SimulatedCrashError(
-            f"simulated crash at {self.point} (occurrence {self.seen}: "
-            f"{detail})"
-        )
-
-    def _down(self) -> None:
-        if self.fired:
-            raise SimulatedCrashError(
-                f"cluster is down (crashed at {self.point})"
-            )
-
-    # -- down-detector hooks (post-fire only) ---------------------------
-
-    def disarm(self, db, wal) -> None:
-        if wal.injector is self:
-            wal.injector = None
-        if db.disk.injector is self:
-            db.disk.injector = None
-
-    def on_append(self, record) -> None:
-        self._down()
-
-    def on_flush(self, pages_needed: int) -> int | None:
-        self._down()
-        return None
-
-    def on_page_write(self, page_key: tuple[int, int]) -> None:
-        self._down()
-
-    def on_checkpoint(self) -> None:
-        self._down()
+    def kill(self, detail) -> None:
+        for node in self._cluster.all_nodes():
+            node.txm.log.injector = self
+            node.db.disk.injector = self
+        self._cluster.decision_log.injector = self
+        super().kill(detail)
 
 
 class DistTransaction:

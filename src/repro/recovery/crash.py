@@ -45,13 +45,31 @@ CRASH_POINTS = (
 )
 
 
-class CrashInjector:
-    """Kills the system the ``occurrence``-th time ``point`` is reached."""
+class NamedPointInjector:
+    """Fires the ``occurrence``-th time its named ``point`` is reached.
+
+    The base of every named-point injector.  It owns what they share —
+    point validation, the ``seen`` / ``occurrence`` / ``fired`` counting
+    and the WAL / disk hook protocol (``on_append`` / ``on_flush`` /
+    ``on_page_write`` / ``on_checkpoint`` / ``disarm``), under which an
+    installed injector is a pure *down-detector*: once fired, every
+    further durable mutation is refused with
+    :class:`~repro.errors.SimulatedCrashError` until the actual loss of
+    volatile state is performed.  A subclass names its :attr:`POINTS`;
+    the kinds differ only in :meth:`kill` — what dies: the whole system
+    (the default), the whole cluster or a single node.
+    """
+
+    #: The points this kind of injector can be armed at.
+    POINTS: tuple[str, ...] = ()
+    #: What a fired injector has taken down, for messages.
+    SCOPE = "system"
 
     def __init__(self, point: str, occurrence: int = 1):
-        if point not in CRASH_POINTS:
+        if point not in self.POINTS:
             raise RecoveryError(
-                f"unknown crash point {point!r}; choose from {CRASH_POINTS}"
+                f"unknown {type(self).__name__} point {point!r}; choose "
+                f"from {self.POINTS}"
             )
         if occurrence < 1:
             raise RecoveryError(f"occurrence must be >= 1, got {occurrence}")
@@ -60,10 +78,24 @@ class CrashInjector:
         self.seen = 0
         self.fired = False
 
-    def arm(self, db, wal) -> None:
-        """Attach to a database's log and disk."""
-        wal.injector = self
-        db.disk.injector = self
+    def reached(self, point: str, detail) -> None:
+        """Report one arrival at ``point``; the ``occurrence``-th
+        arrival at the armed point fires, passing ``detail`` (what was
+        in flight) on to :meth:`kill`."""
+        self._down()
+        if self._due(point):
+            self.fire(detail)
+
+    def fire(self, detail) -> None:
+        """Mark the injector fired and kill.  Called by :meth:`reached`,
+        and by the WAL itself once a torn flush wrote its page budget."""
+        self.fired = True
+        self.kill(detail)
+
+    def kill(self, detail) -> None:
+        raise SimulatedCrashError(
+            f"simulated crash at {self.point} (occurrence {self.seen}: {detail})"
+        )
 
     def disarm(self, db, wal) -> None:
         if wal.injector is self:
@@ -71,52 +103,66 @@ class CrashInjector:
         if db.disk.injector is self:
             db.disk.injector = None
 
-    def fire(self, detail: str) -> None:
-        self.fired = True
-        raise SimulatedCrashError(
-            f"simulated crash at {self.point} (occurrence {self.seen}: {detail})"
-        )
+    def _due(self, point: str) -> bool:
+        """Count one arrival; true on exactly the ``occurrence``-th."""
+        if self.fired or point != self.point:
+            return False
+        self.seen += 1
+        return self.seen == self.occurrence
 
     def _down(self) -> None:
         if self.fired:
             raise SimulatedCrashError(
-                f"system is down (crashed at {self.point})"
+                f"{self.SCOPE} is down (crashed at {self.point})"
             )
 
     # -- hooks (called by WriteAheadLog / DiskManager / checkpoint) ------
 
     def on_append(self, record) -> None:
         self._down()
-        if self.point in ("log-append", "mix-run"):
-            self.seen += 1
-            if self.seen == self.occurrence:
-                self.fire(f"record lsn={record.lsn} kind={record.kind}")
 
     def on_flush(self, pages_needed: int) -> int | None:
         """Return a page budget to tear the flush, or ``None`` to let it
-        complete.  The log writes the budgeted pages and then calls
-        :meth:`fire`, so a durable record prefix survives."""
+        complete."""
         self._down()
-        if self.point != "commit-flush" or pages_needed < 1:
-            return None
-        self.seen += 1
-        if self.seen == self.occurrence:
-            return pages_needed // 2  # 0 for single-page flushes
         return None
 
     def on_page_write(self, page_key: tuple[int, int]) -> None:
         self._down()
-        if self.point == "flush-write-gap":
-            self.seen += 1
-            if self.seen == self.occurrence:
-                self.fire(f"page {page_key} never written")
 
     def on_checkpoint(self) -> None:
         self._down()
-        if self.point == "checkpoint":
-            self.seen += 1
-            if self.seen == self.occurrence:
-                self.fire("pages flushed, checkpoint record lost")
+
+
+class CrashInjector(NamedPointInjector):
+    """Kills the system the ``occurrence``-th time ``point`` is reached:
+    its points *are* the WAL / disk hooks."""
+
+    POINTS = CRASH_POINTS
+
+    def arm(self, db, wal) -> None:
+        """Attach to a database's log and disk."""
+        wal.injector = self
+        db.disk.injector = self
+
+    def on_append(self, record) -> None:
+        # A mix-run crash is a log append landing mid concurrent run.
+        point = "mix-run" if self.point == "mix-run" else "log-append"
+        self.reached(point, f"record lsn={record.lsn} kind={record.kind}")
+
+    def on_flush(self, pages_needed: int) -> int | None:
+        """The log writes the budgeted pages and then calls
+        :meth:`fire`, so a durable record prefix survives."""
+        self._down()
+        if pages_needed >= 1 and self._due("commit-flush"):
+            return pages_needed // 2  # 0 for single-page flushes
+        return None
+
+    def on_page_write(self, page_key: tuple[int, int]) -> None:
+        self.reached("flush-write-gap", f"page {page_key} never written")
+
+    def on_checkpoint(self) -> None:
+        self.reached("checkpoint", "pages flushed, checkpoint record lost")
 
 
 def crash_database(db, txm=None) -> None:

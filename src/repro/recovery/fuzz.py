@@ -1,4 +1,4 @@
-"""Seeded crash-recovery fuzz checker.
+"""The ``recovery`` chaos suite: seeded crash-recovery fuzz cases.
 
 Each case builds a small durably-loaded database, runs a seeded random
 transactional workload with a :class:`CrashInjector` armed at one of the
@@ -12,7 +12,8 @@ simulated system:
   durably-committed transactions, applied in commit-LSN order;
 * every object created by a loser transaction is gone;
 * recovery is deterministic: re-running the same (seed, crash point)
-  case reproduces the identical recovered state and report;
+  case reproduces the identical recovered state and report (the
+  harness's double run, :func:`repro.recovery.harness.run_case`);
 * **snapshot consistency** (``mix-run`` cases): a snapshot-isolation
   reader runs alongside the writers, and every value it reads must
   equal the committed state of that record *at the reader's begin
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from types import SimpleNamespace
 
 from repro.errors import (
     LockConflictError,
@@ -41,11 +43,15 @@ from repro.errors import (
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery.aries import RecoveryReport, restart, take_checkpoint
 from repro.recovery.crash import CRASH_POINTS, CrashInjector, crash_database
+from repro.recovery.harness import Suite
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
 
 #: Fixed-width filler so base records spread over several pages.
 _PAD = "x" * 96
+
+#: The two-slot workload checkpoints every n-th started transaction.
+_CHECKPOINT_EVERY = 3
 
 #: How many times each crash point can plausibly be reached in one case;
 #: the occurrence is drawn from this range so crashes land early, late
@@ -111,13 +117,9 @@ def _read_x(db: Database, rid: Rid):
         return None
 
 
-def run_case(
-    seed: int,
-    point: str,
-    txns: int = 10,
-    checkpoint_every: int = 3,
-) -> FuzzResult:
-    """Run one seeded workload, crash at ``point``, recover and verify."""
+def _execute(seed: int, point: str, txns: int = 10):
+    """Run one seeded workload, crash at ``point`` and recover; returns
+    the case's result and the evidence its invariants inspect."""
     rng = Random(seed * 1_000_003 + CRASH_POINTS.index(point))
     db, rids = _make_db()
     txm = TransactionManager(db, recovery=True)
@@ -139,8 +141,7 @@ def run_case(
             )
         else:
             started = _two_slot_workload(
-                db, txm, rids, rng, txn_writes, txn_creates, acked,
-                txns, checkpoint_every,
+                db, txm, rids, rng, txn_writes, txn_creates, acked, txns
             )
     except SimulatedCrashError:
         started = len(txn_writes)
@@ -149,12 +150,7 @@ def run_case(
     commit_order = [r.txn_id for r in txm.log.records if r.kind == "commit"]
     report = restart(db, txm)
 
-    failures: list[str] = list(snapshot_failures)
     durable = set(commit_order)
-    for txn_id in acked:
-        if txn_id not in durable:
-            failures.append(f"txn {txn_id}: commit acked but not durable")
-
     expected = dict(base)
     for txn_id in commit_order:
         expected.update(txn_writes.get(txn_id, {}))
@@ -164,30 +160,18 @@ def run_case(
         if txn_id not in durable
         for rid in created
     ]
-    for rid in sorted(expected):
-        value = _read_x(db, rid)
-        if value != expected[rid]:
-            failures.append(
-                f"rid {tuple(rid)}: expected {expected[rid]}, found {value}"
-            )
-    for rid in sorted(loser_creates):
-        value = _read_x(db, rid)
-        if value is not None:
-            failures.append(
-                f"rid {tuple(rid)}: loser-created object survived ({value})"
-            )
-
-    digest = tuple(
-        (tuple(rid), _read_x(db, rid))
+    found = {
+        rid: _read_x(db, rid)
         for rid in sorted(set(expected) | set(loser_creates))
-    ) + (
+    }
+    digest = tuple((tuple(rid), value) for rid, value in found.items()) + (
         report.log_records_scanned,
         report.records_redone,
         report.records_undone,
         report.txns_undone,
         round(report.seconds, 9),
     )
-    return FuzzResult(
+    result = FuzzResult(
         seed=seed,
         point=point,
         occurrence=occurrence,
@@ -196,14 +180,54 @@ def run_case(
         acked=len(acked),
         durable_commits=len(durable),
         losers=report.txns_undone,
-        failures=failures,
         report=report,
         digest=digest,
     )
+    evidence = SimpleNamespace(
+        snapshot_failures=snapshot_failures,
+        acked=acked,
+        durable=durable,
+        expected=expected,
+        loser_creates=loser_creates,
+        found=found,
+    )
+    return result, evidence
+
+
+# -- invariants ----------------------------------------------------------
+
+
+def _snapshot_consistent(ev) -> list[str]:
+    """Collected live by the mix-run cases' snapshot reader."""
+    return ev.snapshot_failures
+
+
+def _acks_durable(ev) -> list[str]:
+    return [
+        f"txn {txn_id}: commit acked but not durable"
+        for txn_id in ev.acked
+        if txn_id not in ev.durable
+    ]
+
+
+def _committed_visible(ev) -> list[str]:
+    return [
+        f"rid {tuple(rid)}: expected {ev.expected[rid]}, found {ev.found[rid]}"
+        for rid in sorted(ev.expected)
+        if ev.found[rid] != ev.expected[rid]
+    ]
+
+
+def _losers_gone(ev) -> list[str]:
+    return [
+        f"rid {tuple(rid)}: loser-created object survived ({ev.found[rid]})"
+        for rid in sorted(ev.loser_creates)
+        if ev.found[rid] is not None
+    ]
 
 
 def _two_slot_workload(
-    db, txm, rids, rng, txn_writes, txn_creates, acked, txns, checkpoint_every
+    db, txm, rids, rng, txn_writes, txn_creates, acked, txns
 ) -> int:
     """Up to two interleaved transactions over disjoint rid pools, so a
     crash can leave several losers and checkpoints see a live ATT."""
@@ -217,7 +241,7 @@ def _two_slot_workload(
             if started >= txns:
                 i = next(j for j, s in enumerate(slots) if s is not None)
             else:
-                if checkpoint_every and started and started % checkpoint_every == 0:
+                if started and started % _CHECKPOINT_EVERY == 0:
                     take_checkpoint(db, txm)
                 txn = txm.begin()
                 txn_writes[txn.txn_id] = {}
@@ -359,32 +383,6 @@ def _mix_workload(
     return len(txn_writes)
 
 
-def run_fuzz(
-    seeds,
-    points=CRASH_POINTS,
-    txns: int = 10,
-    checkpoint_every: int = 3,
-    check_determinism: bool = True,
-) -> list[FuzzResult]:
-    """Run the full (seed × crash point) grid; each case is independent.
-
-    With ``check_determinism`` every case runs twice and the recovered
-    state digests must match exactly.
-    """
-    results = []
-    for point in points:
-        for seed in seeds:
-            result = run_case(seed, point, txns, checkpoint_every)
-            if check_determinism:
-                rerun = run_case(seed, point, txns, checkpoint_every)
-                if rerun.digest != result.digest:
-                    result.failures.append(
-                        f"non-deterministic recovery for seed={seed} point={point}"
-                    )
-            results.append(result)
-    return results
-
-
 def summarize(results) -> str:
     """Human-readable per-point summary of a fuzz run."""
     lines = []
@@ -406,10 +404,18 @@ def summarize(results) -> str:
             f"{sum(r.losers for r in rs):>6} "
             f"{sum(len(r.failures) for r in rs):>8}"
         )
-    total = len(results)
-    bad = [r for r in results if not r.ok]
-    lines.append(
-        f"{total} cases, {len(bad)} failed"
-        + ("" if not bad else f" (first: {bad[0].failures[0]})")
-    )
+    bad = sum(1 for r in results if not r.ok)
+    lines.append(f"{len(results)} cases, {bad} failed")
     return "\n".join(lines)
+
+
+#: The suite: every seed runs once per crash point.
+RECOVERY = Suite(
+    name="recovery",
+    execute=_execute,
+    invariants=[
+        _snapshot_consistent, _acks_durable, _committed_visible, _losers_gone,
+    ],
+    summarize=summarize,
+    variants=tuple((point,) for point in CRASH_POINTS),
+)

@@ -22,8 +22,8 @@ workload's randomness):
   depend on what the workload does, which keeps runs deterministic.
 
 Determinism: same seed + same workload ⇒ the same faults hit the same
-reads, so a chaos run (:func:`repro.service.chaos.run_chaos`) reproduces
-bit-for-bit.
+reads, so a chaos run (the :data:`repro.service.chaos.SERVICE` suite)
+reproduces bit-for-bit.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Seeded chaos checker: workload mixes under injected transient faults.
+"""The ``service`` chaos suite: workload mixes under transient faults.
 
 :mod:`repro.recovery.fuzz` crashes random workloads and verifies
-restart; this checker covers the *survivable* fault family.  Each case
+restart; this suite covers the *survivable* fault family.  Each case
 builds a fresh tiny Derby database, draws a mix shape, governor
 configuration and a :class:`~repro.recovery.TransientFaultInjector`
 (flaky page reads, lock-timeout storms) from one seeded stream, runs the
@@ -14,10 +14,11 @@ mix, and asserts the robustness contract:
   in the durable state; since the single timeline totally orders
   commits, the last acked write per rid must equal the value read back;
 * **uncommitted-gone** — an age that was never committed never shows:
-  every hot-set age equals either its preload value or some acked write;
+  every hot-set age equals either its preload value or some acked write
+  (both clauses: :func:`repro.recovery.harness.check_last_writer`);
 * **determinism** — re-running the same seed on a fresh database
   reproduces an identical digest (per-session outcome counters, elapsed
-  simulated time, final ages).
+  simulated time, final ages) — the harness's double run.
 
 Lives in the service layer (not :mod:`repro.recovery`) because it
 drives the :class:`~repro.service.WorkloadMixer`; the layering rule
@@ -28,10 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
+from types import SimpleNamespace
 
 from repro.bench.report import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
+from repro.recovery.harness import Suite, check_last_writer
 from repro.recovery.transient import TransientFaultInjector
 from repro.service.workload import MixConfig, WorkloadMixer
 
@@ -94,83 +97,27 @@ def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
     return config, faults
 
 
-def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
+def _execute(seed: int):
+    """Run one seeded fault-injected mix; returns the case's result and
+    the evidence its invariants inspect."""
     derby = load_derby(DerbyConfig.db_1to3(scale=_SCALE))
     config, faults = _draw_case(seed)
     # Preload ages *before* the run — the baseline the uncommitted-gone
     # check compares against (deterministic: same reads every run).
     hot = min(config.hot_set, len(derby.patient_rids))
     hot_rids = derby.patient_rids[:hot]
-    preload = {
-        rid: int(derby.db.manager.get_attr_at(rid, "age")) for rid in hot_rids
-    }
+
+    def ages() -> dict:
+        return {
+            rid: int(derby.db.manager.get_attr_at(rid, "age"))
+            for rid in hot_rids
+        }
+
+    preload = ages()
     mixer = WorkloadMixer(derby, config, faults=faults)
     report = mixer.run()
-    service = mixer.service
-    assert service is not None
-
-    failures: list[str] = []
-
-    # -- nothing leaks --------------------------------------------------
-    locks = service.txm.locks
-    if locks.lock_count:
-        failures.append(f"{locks.lock_count} locks leaked")
-    if locks.waiting_count:
-        failures.append(f"{locks.waiting_count} lock waiters leaked")
-    if service.txm.active_count:
-        failures.append(f"{service.txm.active_count} transactions left open")
-    for session in service.sessions:
-        if session.handles.live_count:
-            failures.append(
-                f"session {session.name}: {session.handles.live_count} "
-                "live handles leaked"
-            )
-    gate = service.governor.gate
-    if gate is not None and gate.queue_depth:
-        failures.append(f"{gate.queue_depth} sessions stuck in admission")
-
-    # -- SI reads are lock-free -----------------------------------------
-    # Under snapshot isolation the reader profiles resolve version
-    # chains instead of taking S locks; a single blocked read would
-    # falsify the tentpole claim, so the chaos contract pins it to zero.
-    if config.isolation == "si":
-        for report_session in report.sessions:
-            if report_session.profile == "updater":
-                continue
-            if report_session.metrics.lock_waits:
-                failures.append(
-                    f"session {report_session.name} ({report_session.profile})"
-                    f" blocked on locks {report_session.metrics.lock_waits}x"
-                    " under si (snapshot reads must be lock-free)"
-                )
-
-    # -- committed-visible / uncommitted-gone ---------------------------
-    acked: dict = {}
-    for rid, value in mixer.write_log:
-        acked[rid] = value
-    legal: dict = {}
-    for rid in hot_rids:
-        legal[rid] = {preload[rid]} | {
-            v for r, v in mixer.write_log if r == rid
-        }
-    final = dict(preload)
-    for rid in acked:
-        if rid not in final:
-            failures.append(f"acked write to non-hot rid {tuple(rid)}")
-    for rid in hot_rids:
-        value = int(derby.db.manager.get_attr_at(rid, "age"))
-        final[rid] = value
-        expected = acked.get(rid)
-        if expected is not None and value != expected:
-            failures.append(
-                f"rid {tuple(rid)}: last acked write {expected}, "
-                f"durable value {value} (lost update)"
-            )
-        if value not in legal[rid]:
-            failures.append(
-                f"rid {tuple(rid)}: durable value {value} was never "
-                "committed (dirty write survived)"
-            )
+    assert mixer.service is not None
+    final = ages()
 
     digest = tuple(
         (
@@ -206,34 +153,64 @@ def _run_once(seed: int) -> tuple[ChaosResult, "WorkloadMixer"]:
         retries=report.retries,
         conflicts=report.conflicts,
         io_faults=faults.faults_injected,
-        failures=failures,
         digest=digest,
     )
-    return result, mixer
+    evidence = SimpleNamespace(
+        result=result,
+        service=mixer.service,
+        report=report,
+        preload=preload,
+        write_log=mixer.write_log,
+        final=final,
+    )
+    return result, evidence
 
 
-def run_case(seed: int, check_determinism: bool = True) -> ChaosResult:
-    """Run one seeded chaos case (twice when determinism-checked)."""
-    result, __ = _run_once(seed)
-    if check_determinism:
-        again, __ = _run_once(seed)
-        if again.digest != result.digest:
-            result.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
+# -- invariants ----------------------------------------------------------
+
+
+def _nothing_leaks(ev) -> list[str]:
+    service = ev.service
+    failures: list[str] = []
+    locks = service.txm.locks
+    if locks.lock_count:
+        failures.append(f"{locks.lock_count} locks leaked")
+    if locks.waiting_count:
+        failures.append(f"{locks.waiting_count} lock waiters leaked")
+    if service.txm.active_count:
+        failures.append(f"{service.txm.active_count} transactions left open")
+    for session in service.sessions:
+        if session.handles.live_count:
+            failures.append(
+                f"session {session.name}: {session.handles.live_count} "
+                "live handles leaked"
             )
-    return result
+    gate = service.governor.gate
+    if gate is not None and gate.queue_depth:
+        failures.append(f"{gate.queue_depth} sessions stuck in admission")
+    return failures
 
 
-def run_chaos(
-    cases: int, base_seed: int = 0, check_determinism: bool = True
-) -> list[ChaosResult]:
-    """Run ``cases`` seeded chaos cases; see the module docstring for
-    what each asserts."""
+def _si_reads_lock_free(ev) -> list[str]:
+    """Under snapshot isolation the reader profiles resolve version
+    chains instead of taking S locks; a single blocked read would
+    falsify the MVCC claim, so the contract pins it to zero."""
+    if ev.result.isolation != "si":
+        return []
     return [
-        run_case(base_seed + i, check_determinism=check_determinism)
-        for i in range(cases)
+        f"session {s.name} ({s.profile}) blocked on locks "
+        f"{s.metrics.lock_waits}x under si (snapshot reads must be "
+        "lock-free)"
+        for s in ev.report.sessions
+        if s.profile != "updater" and s.metrics.lock_waits
     ]
+
+
+def _last_writer(ev) -> list[str]:
+    return check_last_writer(
+        ev.preload, ev.write_log, ev.final,
+        describe=lambda rid: f"rid {tuple(rid)}",
+    )
 
 
 def summarize(results: list[ChaosResult]) -> Table:
@@ -260,3 +237,11 @@ def summarize(results: list[ChaosResult]) -> Table:
         "uncommitted-gone, lock-free si reads, deterministic re-runs"
     )
     return table
+
+
+SERVICE = Suite(
+    name="service",
+    execute=_execute,
+    invariants=[_nothing_leaks, _si_reads_lock_free, _last_writer],
+    summarize=summarize,
+)

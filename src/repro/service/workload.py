@@ -377,8 +377,12 @@ class WorkloadMixer:
                     if task.error is not None:
                         raise task.error
         finally:
-            # The disk and derby outlive this service; leaving transient
-            # faults armed would corrupt later runs on the same derby.
+            # The disk and derby outlive this service; leaving either
+            # injector armed would corrupt later runs on the same derby
+            # (a crash point never reached keeps counting page writes).
+            # After a crash ``service.crash()`` already disarmed it.
+            if self.injector is not None:
+                self.injector.disarm(service.db, service.txm.log)
             if self.faults is not None:
                 self.faults.disarm(service.db, service.txm.locks)
         gate = service.governor.gate

@@ -11,6 +11,30 @@ from typing import Iterable, Sequence
 
 from repro.stats.store import StatRow
 
+
+def _csv(columns: Sequence[str], value_rows: Iterable[Sequence]) -> str:
+    """The one row renderer behind every exporter: a header line, then
+    one comma-joined line per row with floats fixed at four decimals."""
+    out = io.StringIO()
+    out.write(",".join(columns) + "\n")
+    for values in value_rows:
+        out.write(
+            ",".join(
+                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
+            )
+            + "\n"
+        )
+    return out.getvalue()
+
+
+def _attrs_csv(columns: Sequence[str], rows: Iterable) -> str:
+    """Duck-typed rows: any object carrying the column attributes works,
+    missing ones render empty."""
+    return _csv(
+        columns, ([getattr(row, col, "") for col in columns] for row in rows)
+    )
+
+
 _CSV_COLUMNS = (
     "numtest",
     "algo",
@@ -36,17 +60,10 @@ _CSV_COLUMNS = (
 
 def to_csv(rows: Iterable[StatRow]) -> str:
     """Render rows as CSV text (header + one line per Stat)."""
-    out = io.StringIO()
-    out.write(",".join(_CSV_COLUMNS) + "\n")
-    for row in rows:
-        values = [getattr(row, col) for col in _CSV_COLUMNS]
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    return _csv(
+        _CSV_COLUMNS,
+        ([getattr(row, col) for col in _CSV_COLUMNS] for row in rows),
+    )
 
 
 _MIX_COLUMNS = (
@@ -81,11 +98,9 @@ def mix_to_csv(report) -> str:
     """Render a :class:`repro.service.MixReport`'s per-session metrics
     as CSV (duck-typed so this module never imports ``repro.service``,
     which imports us)."""
-    out = io.StringIO()
-    out.write(",".join(_MIX_COLUMNS) + "\n")
-    for sr in report.sessions:
+    def flatten(sr) -> tuple:
         m = sr.metrics
-        values = (
+        return (
             sr.name,
             sr.profile,
             m.committed,
@@ -111,13 +126,8 @@ def mix_to_csv(report) -> str:
             m.over_budget,
             m.queue_wait_s * 1_000.0,
         )
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+
+    return _csv(_MIX_COLUMNS, map(flatten, report.sessions))
 
 
 _RECOVERY_COLUMNS = (
@@ -143,17 +153,7 @@ def recovery_to_csv(rows) -> str:
     """Render recovery-run rows as CSV in the same spirit as the Figure 3
     stats schema (duck-typed like :func:`mix_to_csv`: any object carrying
     the column attributes works — missing attributes render empty)."""
-    out = io.StringIO()
-    out.write(",".join(_RECOVERY_COLUMNS) + "\n")
-    for row in rows:
-        values = [getattr(row, col, "") for col in _RECOVERY_COLUMNS]
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    return _attrs_csv(_RECOVERY_COLUMNS, rows)
 
 
 _OPTIMIZER_COLUMNS = (
@@ -181,17 +181,7 @@ def optimizer_to_csv(rows) -> str:
     per-query records) as CSV — duck-typed like :func:`mix_to_csv`:
     any object carrying the column attributes works, missing ones
     render empty."""
-    out = io.StringIO()
-    out.write(",".join(_OPTIMIZER_COLUMNS) + "\n")
-    for row in rows:
-        values = [getattr(row, col, "") for col in _OPTIMIZER_COLUMNS]
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    return _attrs_csv(_OPTIMIZER_COLUMNS, rows)
 
 
 _SHARDING_COLUMNS = (
@@ -218,17 +208,7 @@ def sharding_to_csv(rows) -> str:
     waits) as CSV.  Duck-typed like :func:`mix_to_csv` so this module
     never imports ``repro.dist``; any object carrying the column
     attributes works, missing ones render empty."""
-    out = io.StringIO()
-    out.write(",".join(_SHARDING_COLUMNS) + "\n")
-    for row in rows:
-        values = [getattr(row, col, "") for col in _SHARDING_COLUMNS]
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    return _attrs_csv(_SHARDING_COLUMNS, rows)
 
 
 _REPLICATION_COLUMNS = (
@@ -254,17 +234,7 @@ def replication_to_csv(rows) -> str:
     ack latency, failover counts, downtime, acked-loss windows) as CSV.
     Duck-typed like :func:`sharding_to_csv`; any object carrying the
     column attributes works, missing ones render empty."""
-    out = io.StringIO()
-    out.write(",".join(_REPLICATION_COLUMNS) + "\n")
-    for row in rows:
-        values = [getattr(row, col, "") for col in _REPLICATION_COLUMNS]
-        out.write(
-            ",".join(
-                f"{v:.4f}" if isinstance(v, float) else str(v) for v in values
-            )
-            + "\n"
-        )
-    return out.getvalue()
+    return _attrs_csv(_REPLICATION_COLUMNS, rows)
 
 
 def to_gnuplot(

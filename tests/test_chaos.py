@@ -1,8 +1,11 @@
-"""Tests for the seeded transient-fault chaos checker."""
+"""Tests for the chaos harness and the seeded transient-fault suite."""
 
 from __future__ import annotations
 
-from repro.service.chaos import ChaosResult, run_case, run_chaos, summarize
+from types import SimpleNamespace
+
+from repro.recovery import Suite, check_last_writer, run_case, run_suite
+from repro.service.chaos import SERVICE, ChaosResult, summarize
 
 from .chaos_pins import assert_pinned
 
@@ -12,7 +15,7 @@ class TestChaosChecker:
         # Each case injects seeded faults into a fresh mix and asserts
         # zero leaked locks/handles, committed-visible, uncommitted-gone
         # and a bit-identical double run.
-        results = run_chaos(8, base_seed=0)
+        results = run_suite(SERVICE, 8, base_seed=0)
         assert len(results) == 8
         for r in results:
             assert r.ok, f"seed {r.seed}: {r.failures}"
@@ -21,8 +24,8 @@ class TestChaosChecker:
         assert any(r.storms for r in results)
 
     def test_case_digest_is_reproducible(self):
-        a = run_case(3, check_determinism=False)
-        b = run_case(3, check_determinism=False)
+        a = run_case(SERVICE, 3, check_determinism=False)
+        b = run_case(SERVICE, 3, check_determinism=False)
         assert a.ok and b.ok
         assert a.digest == b.digest
         assert (a.committed, a.aborted, a.retries, a.io_faults) == (
@@ -32,11 +35,14 @@ class TestChaosChecker:
     def test_pinned_digests_do_not_move(self):
         assert_pinned(
             "service",
-            {str(s): run_case(s, check_determinism=False) for s in range(25)},
+            {
+                str(s): run_case(SERVICE, s, check_determinism=False)
+                for s in range(25)
+            },
         )
 
     def test_faults_are_actually_injected_somewhere(self):
-        results = run_chaos(8, base_seed=0, check_determinism=False)
+        results = run_suite(SERVICE, 8, base_seed=0, check_determinism=False)
         assert sum(r.io_faults for r in results) >= 1
 
     def test_summarize_reports_the_aggregate(self):
@@ -56,3 +62,93 @@ class TestChaosChecker:
         assert "1/2 cases clean" in text
         assert "9 commits" in text
         assert "FAIL" in text
+
+
+def _toy_suite(digests, invariants=()):
+    """A suite whose successive executions report ``digests`` in turn."""
+    stream = iter(digests)
+
+    def execute(seed):
+        result = SimpleNamespace(seed=seed, failures=[], digest=next(stream))
+        return result, f"evidence-{seed}"
+
+    return Suite("toy", execute, list(invariants), summarize=str)
+
+
+class TestHarness:
+    def test_differing_rerun_digest_is_a_determinism_failure(self):
+        result = run_case(_toy_suite([(1,), (2,)]), 7)
+        assert result.failures == [
+            "seed 7: re-run produced a different digest "
+            "(determinism violated)"
+        ]
+
+    def test_identical_rerun_digest_is_clean(self):
+        assert run_case(_toy_suite([(1,), (1,)]), 7).failures == []
+        # Without the check the case runs once (one digest suffices).
+        single = run_case(_toy_suite([(1,)]), 7, check_determinism=False)
+        assert single.failures == []
+
+    def test_every_invariant_sees_the_evidence_of_every_seed(self):
+        seen = []
+
+        def leaky(evidence):
+            seen.append(evidence)
+            return [f"{evidence} leaked"]
+
+        suite = _toy_suite([()] * 3, invariants=[leaky, lambda ev: []])
+        results = run_suite(suite, 3, base_seed=5, check_determinism=False)
+        assert [r.seed for r in results] == [5, 6, 7]
+        assert seen == ["evidence-5", "evidence-6", "evidence-7"]
+        assert results[1].failures == ["evidence-6 leaked"]
+
+
+class TestLastWriterOracle:
+    """The oracle must kill the bug classes it exists for."""
+
+    PRELOAD = {"a": 10, "b": 20}
+
+    def test_last_acked_and_staged_writes_are_the_expected_state(self):
+        assert check_last_writer(
+            self.PRELOAD,
+            write_log=[("a", 11), ("a", 12)],
+            staged=[("b", 21)],
+            final={"a": 12, "b": 21},
+        ) == []
+
+    def test_lost_acked_write(self):
+        assert check_last_writer(
+            self.PRELOAD, [("a", 11)], final={"a": 10, "b": 20}
+        ) == ["'a': expected 11, durable value 10 (lost update)"]
+
+    def test_never_committed_value(self):
+        failures = check_last_writer(
+            self.PRELOAD, [("a", 11)], final={"a": 11, "b": 99}
+        )
+        assert (
+            "'b': durable value 99 was never committed (dirty write survived)"
+            in failures
+        )
+
+    def test_missing_decided_but_unacked_write(self):
+        assert check_last_writer(
+            self.PRELOAD, [], final={"a": 10, "b": 20}, staged=[("b", 21)]
+        ) == ["'b': expected 21, durable value 20 (lost update)"]
+
+    def test_lossy_shard_tolerates_loss_but_never_a_dirty_write(self):
+        def lossy(key):
+            return key != "a"  # "a" sits on an async shard that lost records
+
+        # The acked write to "a" is gone: the documented bounded loss.
+        assert check_last_writer(
+            self.PRELOAD, [("a", 11)], final={"a": 10, "b": 20}, exact=lossy
+        ) == []
+        # A value nobody ever committed is not a loss, it is corruption.
+        assert check_last_writer(
+            self.PRELOAD, [("a", 11)], final={"a": 99, "b": 20}, exact=lossy
+        ) == ["'a': durable value 99 was never committed (dirty write survived)"]
+
+    def test_write_outside_the_watched_set_is_reported(self):
+        assert check_last_writer(
+            self.PRELOAD, [("z", 1)], final=dict(self.PRELOAD)
+        ) == ["'z': acked write outside the watched set"]

@@ -84,6 +84,41 @@ class TestCommands:
         assert "Physical organization: composition" in out
         assert "@" in out
 
+    @pytest.mark.parametrize(
+        "suite", ["recovery", "service", "2pc", "failover"]
+    )
+    def test_chaos_suites_pass(self, suite):
+        assert main(["chaos", "--suite", suite, "--cases", "2"]) == 0
+
+    def test_chaos_failure_names_the_seed_and_how_to_reproduce(
+        self, capsys, monkeypatch
+    ):
+        from repro.service.chaos import SERVICE
+
+        def broken(evidence):
+            return ["seeded bug"] if evidence.result.seed == 5 else []
+
+        monkeypatch.setattr(
+            SERVICE, "invariants", [*SERVICE.invariants, broken]
+        )
+        assert main(
+            ["chaos", "--suite", "service", "--seed", "4", "--cases", "3"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "2/3 cases clean" in captured.out
+        assert "seed 5: seeded bug" in captured.err
+        assert (
+            "python -m repro chaos --suite service --seed 5 --cases 1"
+            in captured.err
+        )
+        assert "--seed 4" not in captured.err
+
+    def test_old_chaos_entries_are_gone(self):
+        for argv in (["crash", "fuzz"], ["shard", "chaos"],
+                     ["failover", "chaos"], ["chaos"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
     def test_analyze(self, capsys):
         assert main(["analyze", "--db", "1to3", "--scale", "0.001"]) == 0
         out = capsys.readouterr().out

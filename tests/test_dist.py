@@ -9,6 +9,7 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate
 from repro.dist import (
+    TWOPC,
     TWOPC_CRASH_POINTS,
     Coordinator,
     ShardedMixConfig,
@@ -17,7 +18,6 @@ from repro.dist import (
     hash_shard,
     load_sharded,
     range_shard,
-    run_2pc_case,
     split_logical,
 )
 from repro.errors import (
@@ -28,7 +28,7 @@ from repro.errors import (
     TwoPCError,
 )
 from repro.oql import Catalog, OQLEngine
-from repro.recovery import TransientFaultInjector
+from repro.recovery import TransientFaultInjector, run_case
 from repro.service import CooperativeScheduler
 
 from .chaos_pins import assert_pinned
@@ -495,14 +495,17 @@ def test_for_node_fault_streams_are_independent():
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_2pc_chaos_cases_pass(seed):
-    result = run_2pc_case(seed, check_determinism=True)
+    result = run_case(TWOPC, seed, check_determinism=True)
     assert result.ok, result.failures
 
 
 def test_2pc_chaos_pinned_digests_do_not_move():
     assert_pinned(
         "2pc",
-        {str(s): run_2pc_case(s, check_determinism=False) for s in range(25)},
+        {
+            str(s): run_case(TWOPC, s, check_determinism=False)
+            for s in range(25)
+        },
     )
 
 

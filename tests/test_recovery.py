@@ -8,11 +8,12 @@ from repro.errors import RecoveryError, ServiceError, SimulatedCrashError
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery import (
     CRASH_POINTS,
+    RECOVERY,
     CrashInjector,
     crash_database,
     restart,
     run_case,
-    run_fuzz,
+    run_suite,
     take_checkpoint,
 )
 from repro.simtime import CostParams, SimClock
@@ -455,22 +456,43 @@ class TestServiceRecovery:
         assert not report.crashed
         assert mixer.service.recovery is False
 
+    def test_unreached_crash_point_does_not_outlive_the_run(self):
+        """The derby's disk outlives the service: an injector whose
+        point was never reached must not stay armed on it, counting the
+        page writes of every later workload."""
+        from repro.cluster import load_derby
+        from repro.derby import DerbyConfig
+        from repro.service import MixConfig, WorkloadMixer
+
+        derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
+        injector = CrashInjector("flush-write-gap", occurrence=10**6)
+        mixer = WorkloadMixer(
+            derby, MixConfig.from_clients(3, seed=1), injector=injector
+        )
+        report = mixer.run()
+        assert not report.crashed and not injector.fired
+        assert derby.db.disk.injector is None
+        assert mixer.service.txm.log.injector is None
+        seen = injector.seen
+        WorkloadMixer(derby, MixConfig.from_clients(3, seed=2)).run()
+        assert injector.seen == seen
+
 
 # ------------------------------------------------------------- fuzz + export
 
 class TestFuzz:
     def test_single_case_passes(self):
-        result = run_case(0, "log-append")
+        result = run_case(RECOVERY, 0, "log-append")
         assert result.ok, result.failures
 
     def test_grid_smoke_with_determinism(self):
-        results = run_fuzz(range(2), points=CRASH_POINTS, txns=6)
+        results = run_suite(RECOVERY, 2, txns=6)
         assert len(results) == 2 * len(CRASH_POINTS)
         bad = [r for r in results if not r.ok]
         assert not bad, bad[0].failures if bad else None
 
     def test_pinned_digests_do_not_move(self):
-        results = run_fuzz(range(5), check_determinism=False)
+        results = run_suite(RECOVERY, 5, check_determinism=False)
         assert_pinned("recovery", {f"{r.seed}/{r.point}": r for r in results})
 
     def test_recovery_csv_shape(self):

@@ -7,13 +7,13 @@ import pytest
 
 from repro.derby import DerbyConfig
 from repro.dist import (
+    FAILOVER,
     REPLICATION_KILL_POINTS,
     FailureDetector,
     ReplicationInjector,
     ShardedMixConfig,
     ShardedWorkload,
     load_sharded,
-    run_failover_case,
 )
 from repro.errors import (
     QueryCancelledError,
@@ -22,7 +22,7 @@ from repro.errors import (
     ShardUnavailableError,
     StaleEpochError,
 )
-from repro.recovery import TransientFaultInjector
+from repro.recovery import TransientFaultInjector, run_case
 from repro.service.governor import RetryPolicy
 from repro.simtime import Bucket
 from repro.txn.log import COMMIT_RECORD_BYTES
@@ -418,14 +418,14 @@ def test_double_failure_fails_fast_with_clean_accounting():
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
 def test_failover_chaos_sync_cases_pass(seed):
-    result = run_failover_case(seed, ship_mode="sync")
+    result = run_case(FAILOVER, seed, ship_mode="sync")
     assert result.ok, result.failures
     assert result.loss_window in (None, 0)
 
 
 @pytest.mark.parametrize("seed", [100, 104])
 def test_failover_chaos_async_cases_pass(seed):
-    result = run_failover_case(seed, ship_mode="async")
+    result = run_case(FAILOVER, seed, ship_mode="async")
     assert result.ok, result.failures
 
 
@@ -434,8 +434,8 @@ def test_failover_chaos_pinned_digests_do_not_move(ship_mode):
     assert_pinned(
         f"failover-{ship_mode}",
         {
-            str(s): run_failover_case(
-                s, ship_mode=ship_mode, check_determinism=False
+            str(s): run_case(
+                FAILOVER, s, ship_mode=ship_mode, check_determinism=False
             )
             for s in range(25)
         },
