@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc artifacts clean
+.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -88,6 +88,18 @@ failover:
 # end states -> BENCH_mvcc.json + results/mvcc_mix.txt.
 mvcc:
 	$(PYTHON) benchmarks/bench_mvcc.py
+
+# The two-clock benchmark (BENCHMARK.json; benchmarks/wallclock/README.md):
+# four workloads, calibrated host seconds and exact call counts beside
+# the simulated clock, every simulated digest checked against
+# expected.json (~80 s).  `wallclock-smoke` is CI's job: a tenth of the
+# scale (~6 s) plus the harness's own tests.
+wallclock:
+	$(PYTHON) benchmarks/wallclock/run.py
+
+wallclock-smoke:
+	$(PYTHON) benchmarks/wallclock/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/wallclock -q
 
 shell:
 	$(PYTHON) -m repro shell

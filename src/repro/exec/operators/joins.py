@@ -20,6 +20,7 @@ unchanged; only the live-handle high-water mark drops from 2 to 1.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.exec.hash_table import (
@@ -187,14 +188,14 @@ class HashChildrenJoin(TreeJoinOperator):
                     om.get_attr(child, q.child_project),
                 )
         self._parents = q.selected_parents()
-        self._pending: list = []
+        self._pending: deque = deque()
 
     def _next(self, n: int) -> list:
         q, om = self.q, self.db.manager
         out: list = []
         while len(out) < n:
             if self._pending:
-                row = self._pending.pop(0)
+                row = self._pending.popleft()
                 self.ctx.note_released(1)
                 self._charge_row()
                 out.append(row)
@@ -214,7 +215,7 @@ class HashChildrenJoin(TreeJoinOperator):
 
     def _close(self) -> None:
         self.ctx.note_released(len(self._pending))
-        self._pending = []
+        self._pending = deque()
         self._table = None
         self._parents = iter(())
 

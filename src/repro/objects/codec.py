@@ -6,7 +6,10 @@ Record layout::
 
 Scalars (ints, reals, chars, bools, fixed-width strings, refs) live at
 offsets precomputed per class, so a query can decode a single attribute
-without materializing the whole object.  Set attributes come last and are
+without materializing the whole object: a :class:`RecordCodec` compiles
+one ``reader(record)`` per attribute when it is built, with the offset,
+width and ``struct`` already bound, and every decode goes through those
+readers.  Set attributes come last and are
 either *inline* (small sets: the rids follow the count) or *overflow*
 (large sets: only a head rid pointing into the large-collection file) —
 O2 stores collections beyond a page threshold in a separate file (paper,
@@ -18,9 +21,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.errors import SchemaError
-from repro.objects.header import ObjectHeader
+from repro.objects.header import (
+    FIXED_SIZE,
+    SLOT_BYTES,
+    SLOT_COUNT_BYTE,
+    ObjectHeader,
+)
 from repro.objects.model import AttrKind, AttributeDef, ClassDef
 from repro.storage.rid import NIL_RID, Rid
 
@@ -43,9 +53,14 @@ def encode_rid(rid: Rid) -> bytes:
     return _RID.pack(rid.file_id, rid.page_no, rid.slot)
 
 
+#: ``Rid`` from its three unpacked fields, with no Python-level call:
+#: ``Rid(*fields)`` and ``Rid._make`` both run the named tuple's own
+#: Python ``__new__`` first.
+_rid_of = partial(tuple.__new__, Rid)
+
+
 def decode_rid(buf: bytes, offset: int = 0) -> Rid:
-    file_id, page_no, slot = _RID.unpack_from(buf, offset)
-    return Rid(file_id, page_no, slot)
+    return _rid_of(_RID.unpack_from(buf, offset))
 
 
 @dataclass(frozen=True)
@@ -67,18 +82,92 @@ class OverflowSet:
     count: int
 
 
+#: ``record -> value`` of one attribute, compiled per class version.
+Reader = Callable[[bytes], object]
+
+
+def _scalar_reader(attr: AttributeDef, at: int) -> Reader:
+    """Reader of the scalar stored ``at`` bytes past the record's index
+    slots (only the record knows how many it has)."""
+    kind = attr.kind
+    if kind is AttrKind.STRING:
+        width = attr.width
+
+        def read(record: bytes) -> object:
+            start = at + SLOT_BYTES * record[SLOT_COUNT_BYTE]
+            raw = record[start : start + width]
+            return raw.rstrip(b"\x00").decode("utf-8", errors="replace")
+
+    elif kind is AttrKind.CHAR:
+
+        def read(record: bytes) -> object:
+            start = at + SLOT_BYTES * record[SLOT_COUNT_BYTE]
+            return record[start : start + 1].decode("latin-1")
+
+    elif kind is AttrKind.REF:
+        unpack = _RID.unpack_from
+
+        def read(record: bytes) -> object:
+            fields = unpack(record, at + SLOT_BYTES * record[SLOT_COUNT_BYTE])
+            return None if fields == NIL_RID else _rid_of(fields)
+
+    else:
+        unpack = _SCALAR_STRUCTS[kind].unpack_from
+
+        def read(record: bytes) -> object:
+            return unpack(record, at + SLOT_BYTES * record[SLOT_COUNT_BYTE])[0]
+
+    return read
+
+
+def _set_reader(position: int, at: int) -> Reader:
+    """Reader of the ``position``-th set attribute; the sets start
+    ``at`` bytes past the index slots and are variable-size, so the
+    ones before it are walked."""
+
+    def read(record: bytes) -> object:
+        offset = at + SLOT_BYTES * record[SLOT_COUNT_BYTE]
+        for __ in range(position):
+            offset = _decode_set(record, offset)[1]
+        return _decode_set(record, offset)[0]
+
+    return read
+
+
+def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, int]:
+    """The set at ``offset`` and the offset just past it."""
+    tag, count = _SET_PREFIX.unpack_from(record, offset)
+    offset += _SET_PREFIX.size
+    if tag == 1:
+        return OverflowSet(decode_rid(record, offset), count), offset + _RID.size
+    end = offset + count * _RID.size
+    if end > len(record):  # a slice would silently stop short
+        raise struct.error(f"inline set of {count} rids overruns its record")
+    rids = tuple(map(_rid_of, _RID.iter_unpack(record[offset:end])))
+    return InlineSet(rids), end
+
+
 class RecordCodec:
-    """Encodes/decodes instances of one class."""
+    """Encodes/decodes instances of one class version."""
 
     def __init__(self, class_def: ClassDef):
         self.class_def = class_def
+        self._scalar_attrs = class_def.scalar_attributes()
+        self._set_attrs = class_def.set_attributes()
         self._offsets: dict[str, int] = {}
+        #: Attribute name -> compiled reader, in storage order (scalars,
+        #: then sets).  The one decoding path: :meth:`decode`,
+        #: :meth:`decode_attr` and ``ObjectManager.get_attr`` all call
+        #: these.
+        self.readers: dict[str, Reader] = {}
         offset = 0
-        for attr in class_def.scalar_attributes():
+        for attr in self._scalar_attrs:
             self._offsets[attr.name] = offset
+            self.readers[attr.name] = _scalar_reader(attr, FIXED_SIZE + offset)
             offset += attr.fixed_size  # type: ignore[operator]
         self.scalar_size = offset
-        self._set_attrs = class_def.set_attributes()
+        for position, attr in enumerate(self._set_attrs):
+            self.readers[attr.name] = _set_reader(position, FIXED_SIZE + offset)
 
     # -- encoding -----------------------------------------------------------
 
@@ -88,7 +177,7 @@ class RecordCodec:
         :class:`OverflowSet`, or a plain sequence of rids (encoded
         inline; the caller must have checked the inline limit)."""
         parts = [header.encode()]
-        for attr in self.class_def.scalar_attributes():
+        for attr in self._scalar_attrs:
             parts.append(
                 self._encode_scalar(attr, values.get(attr.name, attr.default))
             )
@@ -134,29 +223,12 @@ class RecordCodec:
 
     def decode_attr(self, record: bytes, name: str) -> object:
         """Decode a single attribute without touching the others."""
-        attr = self.class_def.attribute(name)
-        base = ObjectHeader.peek_size(record)
-        if not attr.is_variable:
-            return self._decode_scalar(record, base + self._offsets[name], attr)
-        offset = base + self.scalar_size
-        for set_attr in self._set_attrs:
-            value, offset = self._decode_set(record, offset)
-            if set_attr.name == name:
-                return value
-        raise SchemaError(f"attribute {name!r} not found while decoding")
+        self.class_def.attribute(name)  # SchemaError for an unknown name
+        return self.readers[name](record)
 
     def decode(self, record: bytes) -> dict[str, object]:
         """Decode every attribute."""
-        base = ObjectHeader.peek_size(record)
-        out: dict[str, object] = {}
-        for attr in self.class_def.scalar_attributes():
-            out[attr.name] = self._decode_scalar(
-                record, base + self._offsets[attr.name], attr
-            )
-        offset = base + self.scalar_size
-        for attr in self._set_attrs:
-            out[attr.name], offset = self._decode_set(record, offset)
-        return out
+        return {name: read(record) for name, read in self.readers.items()}
 
     def update_scalar(self, record: bytes, name: str, value: object) -> bytes:
         """Return a copy of ``record`` with one scalar attribute replaced
@@ -175,32 +247,8 @@ class RecordCodec:
         offset = base + self.scalar_size
         for attr in self._set_attrs:
             start = offset
-            __, offset = self._decode_set(record, offset)
+            __, offset = _decode_set(record, offset)
             if attr.name == name:
                 encoded = self._encode_set(attr, value)
                 return record[:start] + encoded + record[offset:]
         raise SchemaError(f"class {self.class_def.name!r} has no set {name!r}")
-
-    def _decode_scalar(self, record: bytes, offset: int, attr: AttributeDef) -> object:
-        kind = attr.kind
-        if kind is AttrKind.STRING:
-            raw = record[offset : offset + attr.width]
-            return raw.rstrip(b"\x00").decode("utf-8", errors="replace")
-        if kind is AttrKind.CHAR:
-            return record[offset : offset + 1].decode("latin-1")
-        if kind is AttrKind.REF:
-            rid = decode_rid(record, offset)
-            return None if rid == NIL_RID else rid
-        return _SCALAR_STRUCTS[kind].unpack_from(record, offset)[0]
-
-    @staticmethod
-    def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, int]:
-        tag, count = _SET_PREFIX.unpack_from(record, offset)
-        offset += _SET_PREFIX.size
-        if tag == 1:
-            head = decode_rid(record, offset)
-            return OverflowSet(head, count), offset + _RID.size
-        rids = tuple(
-            decode_rid(record, offset + i * _RID.size) for i in range(count)
-        )
-        return InlineSet(rids), offset + count * _RID.size

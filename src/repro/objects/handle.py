@@ -133,6 +133,40 @@ class HandleTable:
         self._versioned: dict[tuple[Rid, int], Handle] = {}
         self.peak_live = 0
 
+    @property
+    def mode(self) -> HandleMode:
+        return self._mode
+
+    @mode.setter
+    def mode(self, mode: HandleMode) -> None:
+        """Switch regime (the Section 4.4 ablation flips it between
+        runs) and work out, once, what each handle operation costs
+        under it: the charges are constants of ``(params, mode)``."""
+        self._mode = mode
+        params = self.params
+        self._alloc_us = params.handle_get_us
+        self._touch_us = params.handle_get_us * _TOUCH_FRACTION
+        self._unref_us = params.handle_unref_us
+        full_pair = params.handle_get_us + params.handle_unref_us
+        compact_pair = (
+            params.compact_handle_get_us + params.compact_handle_unref_us
+        )
+        if mode is HandleMode.FULL:
+            fixed = variable = full_pair
+        elif mode is HandleMode.COMPACT_LITERALS:
+            fixed = variable = compact_pair
+        elif mode is HandleMode.INLINE_TUPLES:
+            # Fixed-size literals are embedded in their owner's tuple.
+            fixed, variable = None, compact_pair
+        else:  # BULK
+            self._alloc_us *= params.bulk_handle_factor
+            self._touch_us *= params.bulk_handle_factor
+            self._unref_us *= params.bulk_handle_factor
+            fixed = variable = full_pair * params.bulk_handle_factor
+        #: ``fixed_size`` -> microseconds for a literal's handle get +
+        #: unreference pair; ``None``: the literal gets no handle.
+        self._literal_us = {True: fixed, False: variable}
+
     # -- object handles -------------------------------------------------
 
     def get(
@@ -151,23 +185,36 @@ class HandleTable:
         is cached separately from live-record handles."""
         if version is not None:
             return self._get_versioned(rid, loader, version)
-        handle = self._live.get(rid)
-        if handle is not None:
+        handle = self.reference(rid)
+        if handle is None:
+            handle = self.allocate(rid, *loader())
+        return handle
+
+    def reference(self, rid: Rid) -> Handle | None:
+        """The hit path of :meth:`get`: re-reference the handle ``rid``
+        already has, live or parked; ``None`` when it has none and the
+        caller must read the record and :meth:`allocate`."""
+        live = self._live
+        if rid in live:
+            handle = live[rid]
             handle.refcount += 1
-            self._charge_alloc(_TOUCH_FRACTION)
-            return handle
-        handle = self._parked.pop(rid, None)
-        if handle is not None:
+        elif rid in self._parked:
+            handle = live[rid] = self._parked.pop(rid)
             handle.refcount = 1
-            self._live[rid] = handle
-            self._charge_alloc(_TOUCH_FRACTION)
-            return handle
-        record, class_def = loader()
+        else:
+            return None
+        self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+        return handle
+
+    def allocate(self, rid: Rid, record: bytes, class_def: ClassDef) -> Handle:
+        """The miss path of :meth:`get`: a fresh handle, referenced once."""
         handle = Handle(rid, record, class_def)
         self._live[rid] = handle
-        self.peak_live = max(self.peak_live, len(self._live))
+        live_now = len(self._live)
+        if live_now > self.peak_live:
+            self.peak_live = live_now
         self.counters.handles_allocated += 1
-        self._charge_alloc(1.0)
+        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
         return handle
 
     def _get_versioned(
@@ -180,14 +227,14 @@ class HandleTable:
         handle = self._versioned.get(key)
         if handle is not None:
             handle.refcount += 1
-            self._charge_alloc(_TOUCH_FRACTION)
+            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
             return handle
         record, class_def = loader()
         handle = Handle(rid, record, class_def)
         handle.version = version
         self._versioned[key] = handle
         self.counters.handles_allocated += 1
-        self._charge_alloc(1.0)
+        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
         return handle
 
     def unreference(self, handle: Handle) -> None:
@@ -198,7 +245,7 @@ class HandleTable:
             raise HandleError(f"double unreference of {handle!r}")
         handle.refcount -= 1
         self.counters.handles_unreferenced += 1
-        self._charge_unref()
+        self.clock.charge_us(Bucket.HANDLE, self._unref_us)
         if handle.refcount == 0:
             if handle.version is not None:
                 self._versioned.pop((handle.rid, handle.version), None)
@@ -218,19 +265,9 @@ class HandleTable:
         and the compact pair for variable-size ones; BULK pays the
         amortized full pair.
         """
-        params = self.params
-        if self.mode is HandleMode.FULL:
-            us = params.handle_get_us + params.handle_unref_us
-        elif self.mode is HandleMode.COMPACT_LITERALS:
-            us = params.compact_handle_get_us + params.compact_handle_unref_us
-        elif self.mode is HandleMode.INLINE_TUPLES:
-            if fixed_size:
-                return
-            us = params.compact_handle_get_us + params.compact_handle_unref_us
-        else:  # BULK
-            us = (
-                params.handle_get_us + params.handle_unref_us
-            ) * params.bulk_handle_factor
+        us = self._literal_us[fixed_size]
+        if us is None:
+            return
         self.counters.handles_allocated += 1
         self.counters.handles_unreferenced += 1
         self.clock.charge_us(Bucket.HANDLE, us)
@@ -279,18 +316,6 @@ class HandleTable:
             del self._versioned[key]
 
     # -- internals -------------------------------------------------------
-
-    def _charge_alloc(self, fraction: float) -> None:
-        us = self.params.handle_get_us * fraction
-        if self.mode is HandleMode.BULK:
-            us *= self.params.bulk_handle_factor
-        self.clock.charge_us(Bucket.HANDLE, us)
-
-    def _charge_unref(self) -> None:
-        us = self.params.handle_unref_us
-        if self.mode is HandleMode.BULK:
-            us *= self.params.bulk_handle_factor
-        self.clock.charge_us(Bucket.HANDLE, us)
 
     def _park(self, handle: Handle) -> None:
         if self.delayed_free_capacity == 0:

@@ -35,6 +35,13 @@ INDEX_SLOT_BLOCK = 8
 #: Struct for the fixed part: flags, class_id, slot count, schema version.
 _FIXED = struct.Struct("<BHBB")
 
+#: Where a record's payload starts, for readers compiled once per class
+#: (:mod:`repro.objects.codec`) that cannot afford a call per read:
+#: ``FIXED_SIZE + SLOT_BYTES * record[SLOT_COUNT_BYTE]``.
+FIXED_SIZE = _FIXED.size
+SLOT_BYTES = 2
+SLOT_COUNT_BYTE = 3
+
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02
 FLAG_DELETED = 0x04
@@ -130,7 +137,7 @@ class ObjectHeader:
 
     @property
     def size(self) -> int:
-        return _FIXED.size + 2 * self.slot_count
+        return FIXED_SIZE + SLOT_BYTES * self.slot_count
 
     def encode(self) -> bytes:
         slots = self.index_ids + [0] * (self.slot_count - len(self.index_ids))
@@ -158,8 +165,7 @@ class ObjectHeader:
     @staticmethod
     def peek_size(record: bytes) -> int:
         """Header size without a full decode (for payload offsets)."""
-        slot_count = record[3]
-        return _FIXED.size + 2 * slot_count
+        return FIXED_SIZE + SLOT_BYTES * record[SLOT_COUNT_BYTE]
 
     def __repr__(self) -> str:
         return (

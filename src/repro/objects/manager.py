@@ -9,11 +9,8 @@ strings and complex values (Section 4.4).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.errors import DanglingReferenceError, ObjectError
-from repro.objects.codec import InlineSet, OverflowSet, RecordCodec
+from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
 from repro.objects.header import ObjectHeader
 from repro.objects.model import AttrKind, ClassDef, Schema
@@ -21,6 +18,28 @@ from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
+
+
+#: Attribute kinds O2 materializes as separate literals with handles of
+#: their own (Section 4.4), mapped to ``charge_literal``'s ``fixed_size``.
+_LITERAL_FIXED_SIZE = {AttrKind.STRING: True, AttrKind.REF_SET: False}
+
+
+class _Borrow:
+    """The ``with`` bracket :meth:`ObjectManager.borrow` returns."""
+
+    __slots__ = ("_manager", "_rid", "_handle")
+
+    def __init__(self, manager: "ObjectManager", rid: Rid):
+        self._manager = manager
+        self._rid = rid
+
+    def __enter__(self) -> Handle:
+        self._handle = handle = self._manager.load(self._rid)
+        return handle
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._manager.unref(self._handle)
 
 
 class ObjectManager:
@@ -31,7 +50,16 @@ class ObjectManager:
         self.disk = disk
         self.handles = handles
         self._files: dict[int, StorageFile] = {}
-        self._codecs: dict[int, RecordCodec] = {}
+        self._codecs: dict[tuple[int, int], RecordCodec] = {}
+        #: ``(class_id, schema_version)`` -> attribute name -> (compiled
+        #: reader, literal charge or ``None``): everything ``get_attr``
+        #: needs, resolved once per class version.  Never invalidated: a
+        #: class version is immutable and ``Schema.evolve`` makes a new
+        #: key.  Names a version lacks are *not* entered, so an
+        #: attribute evolved in later is seen by the very next read.
+        self._attr_tables: dict[
+            tuple[int, int], dict[str, tuple[Reader, bool | None]]
+        ] = {}
         #: Duck-typed MVCC hook (``objects`` sits below ``txn`` in the
         #: layer order, so the type is never imported): while a
         #: snapshot-isolation transaction is the active session, the
@@ -85,24 +113,23 @@ class ObjectManager:
         *version* of the object, which may differ from the live record."""
         if self.read_view is not None:
             return self.read_view.load(self, rid)
-        return self.handles.get(rid, lambda: self.read_record(rid))
+        handle = self.handles.reference(rid)
+        if handle is None:
+            handle = self.handles.allocate(rid, *self.read_record(rid))
+        return handle
 
     def unref(self, handle: Handle) -> None:
         """"unreference h" in Figure 8."""
         self.handles.unreference(handle)
 
-    @contextmanager
-    def borrow(self, rid: Rid) -> Iterator[Handle]:
+    def borrow(self, rid: Rid) -> _Borrow:
         """``load`` + guaranteed ``unref``: the exception-safe form of
-        Figure 8's get-handle/unreference bracket.  Charges exactly what
-        the load/unref pair charges; exists so a predicate or projection
+        Figure 8's get-handle/unreference bracket, used as ``with
+        om.borrow(rid) as handle:``.  Charges exactly what the
+        load/unref pair charges; exists so a predicate or projection
         raising mid-bracket (transaction abort, injected crash) cannot
         leak the handle and pin its page frame."""
-        handle = self.load(rid)
-        try:
-            yield handle
-        finally:
-            self.unref(handle)
+        return _Borrow(self, rid)
 
     # -- attribute access -------------------------------------------------------
 
@@ -114,18 +141,32 @@ class ObjectManager:
         attribute added by schema evolution *after* this record was
         written, the attribute's declared default is returned.
         """
-        params = self.handles.params
-        self.handles.clock.charge_us(Bucket.CPU, params.attr_decode_us)
-        if not handle.class_def.has_attribute(name):
-            latest = self.schema.by_id(handle.class_def.class_id)
-            if latest.has_attribute(name):
-                return latest.attribute(name).default
-        attr = handle.class_def.attribute(name)
-        if attr.kind is AttrKind.STRING:
-            self.handles.charge_literal(fixed_size=True)
-        elif attr.kind is AttrKind.REF_SET:
-            self.handles.charge_literal(fixed_size=False)
-        return self.codec(handle.class_def).decode_attr(handle.record, name)
+        handles = self.handles
+        handles.clock.charge_us(Bucket.CPU, handles.params.attr_decode_us)
+        class_def = handle.class_def
+        key = (class_def.class_id, class_def.schema_version)
+        try:
+            table = self._attr_tables[key]
+        except KeyError:
+            table = self._attr_tables[key] = self._compile_attr_table(class_def)
+        try:
+            read, literal_fixed_size = table[name]
+        except KeyError:
+            # Not in the record's version: the latest one's default, or
+            # its SchemaError when no version has the name.
+            return self.schema.by_id(class_def.class_id).attribute(name).default
+        if literal_fixed_size is not None:
+            handles.charge_literal(literal_fixed_size)
+        return read(handle.record)
+
+    def _compile_attr_table(
+        self, class_def: ClassDef
+    ) -> dict[str, tuple[Reader, bool | None]]:
+        readers = self.codec(class_def).readers
+        return {
+            attr.name: (readers[attr.name], _LITERAL_FIXED_SIZE.get(attr.kind))
+            for attr in class_def.all_attributes()
+        }
 
     def get_attr_at(self, rid: Rid, name: str) -> object:
         """Convenience: load, read one attribute, unreference."""

@@ -19,6 +19,11 @@ from repro.storage.rid import Rid
 class AttrKind(enum.Enum):
     """Storage type of an attribute."""
 
+    #: Identity hash, in C (``Enum.__hash__`` is a Python-level call and
+    #: the codec keys its per-kind tables with members); see
+    #: :class:`repro.simtime.Bucket` for what that asks of sets.
+    __hash__ = object.__hash__
+
     INT32 = "int32"
     REAL64 = "real64"
     CHAR = "char"
@@ -90,13 +95,16 @@ class ClassDef:
     schema_version: int = 0
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        #: name -> attribute, inherited ones included.  A class version
+        #: never changes once built (``Schema.evolve`` makes a new
+        #: ``ClassDef``), so lookups by name resolve here, once.
+        self._by_name: dict[str, AttributeDef] = {}
         for attr in self.all_attributes():
-            if attr.name in seen:
+            if attr.name in self._by_name:
                 raise SchemaError(
                     f"class {self.name!r}: duplicate attribute {attr.name!r}"
                 )
-            seen.add(attr.name)
+            self._by_name[attr.name] = attr
 
     def all_attributes(self) -> list[AttributeDef]:
         """Inherited attributes first, then own (stable storage layout)."""
@@ -104,13 +112,15 @@ class ClassDef:
         return inherited + self.attributes
 
     def attribute(self, name: str) -> AttributeDef:
-        for attr in self.all_attributes():
-            if attr.name == name:
-                return attr
-        raise SchemaError(f"class {self.name!r} has no attribute {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise SchemaError(
+                f"class {self.name!r} has no attribute {name!r}"
+            ) from None
 
     def has_attribute(self, name: str) -> bool:
-        return any(a.name == name for a in self.all_attributes())
+        return name in self._by_name
 
     def is_subclass_of(self, other: "ClassDef") -> bool:
         """Reflexive subclass test (exact-type info lives in headers)."""

@@ -9,13 +9,22 @@ standard scan vs sorted index scan).
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.units import MS_PER_S, US_PER_S
 
 
 class Bucket(enum.Enum):
-    """Where a slice of simulated time was spent."""
+    """Where a slice of simulated time was spent.
+
+    Members hash by identity, in C: ``Enum.__hash__`` is a Python-level
+    call, and every charge keys a dict with a member.  A dict keeps
+    insertion order whatever the hash, but a *set* of buckets iterates
+    in address order -- sort before iterating one (``SimClock.since``).
+    """
+
+    __hash__ = object.__hash__
 
     IO = "io"                # disk page reads/writes
     TRANSFER = "transfer"    # server cache -> client cache pages
@@ -38,27 +47,35 @@ class SimClock:
 
     The clock is deliberately dumb: it never decides *what* costs, only
     adds up what components charge.  All mutating methods return ``None``.
+
+    ``_buckets`` holds buckets in the order they were first charged, and
+    ``elapsed_s`` sums in that order: float addition does not associate,
+    so the order is part of every pinned simulated output.  It is a
+    ``defaultdict`` so that a charge is one in-place add, first charge
+    or not; everything else reads it with ``get`` and inserts nothing.
     """
 
-    _buckets: dict[Bucket, float] = field(default_factory=dict)
+    _buckets: defaultdict[Bucket, float] = field(
+        default_factory=lambda: defaultdict(float)
+    )
 
     def charge_ms(self, bucket: Bucket, ms: float) -> None:
         """Add ``ms`` milliseconds of simulated time to ``bucket``."""
         if ms < 0:
             raise ValueError(f"negative charge: {ms} ms")
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + ms / MS_PER_S
+        self._buckets[bucket] += ms / MS_PER_S
 
     def charge_us(self, bucket: Bucket, us: float) -> None:
         """Add ``us`` microseconds of simulated time to ``bucket``."""
         if us < 0:
             raise ValueError(f"negative charge: {us} us")
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + us / US_PER_S
+        self._buckets[bucket] += us / US_PER_S
 
     def charge_s(self, bucket: Bucket, seconds: float) -> None:
         """Add ``seconds`` of simulated time to ``bucket``."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds} s")
-        self._buckets[bucket] = self._buckets.get(bucket, 0.0) + seconds
+        self._buckets[bucket] += seconds
 
     @property
     def elapsed_s(self) -> float:

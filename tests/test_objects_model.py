@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IndexSlotOverflowError, SchemaError
+from repro.objects import Database
 from repro.objects.codec import (
     InlineSet,
     OverflowSet,
@@ -334,3 +337,219 @@ class TestRecordCodec:
         ) or decoded_name == name
         assert codec.decode_attr(record, "mrn") == mrn
         assert codec.decode_attr(record, "age") == age
+
+
+# ------------------------------------------------------------- compiled readers
+
+def every_kind_schema() -> Schema:
+    """One attribute of every :class:`AttrKind`, two of the variable
+    one (the second set's reader has to walk past the first)."""
+    schema = Schema()
+    schema.define(
+        "Everything",
+        [
+            AttributeDef("label", AttrKind.STRING, width=5),
+            AttributeDef("count", AttrKind.INT32),
+            AttributeDef("ratio", AttrKind.REAL64),
+            AttributeDef("grade", AttrKind.CHAR),
+            AttributeDef("flag", AttrKind.BOOL),
+            AttributeDef("owner", AttrKind.REF),
+            AttributeDef("nobody", AttrKind.REF),
+            AttributeDef("small", AttrKind.REF_SET),
+            AttributeDef("large", AttrKind.REF_SET),
+        ],
+    )
+    return schema
+
+
+EVERYTHING = {
+    "label": "héllo"[:4],  # 5 bytes of utf-8: fills the width exactly
+    "count": -123456,
+    "ratio": 0.1 + 0.2,
+    "grade": "B",
+    "flag": True,
+    "owner": Rid(3, 70000, 12),
+    "nobody": None,
+    "small": InlineSet((Rid(1, 2, 3), Rid(4, 5, 6), Rid(0, 0, 0))),
+    "large": OverflowSet(Rid(9, 8, 7), 1000),
+}
+
+
+class TestCompiledReaders:
+    """The per-attribute readers a codec compiles when it is built."""
+
+    def record(self, slot_count: int) -> tuple[RecordCodec, bytes]:
+        cls = every_kind_schema().cls("Everything")
+        header = ObjectHeader(
+            cls.class_id,
+            slot_count=slot_count,
+            index_ids=list(range(1, slot_count + 1)),
+        )
+        codec = RecordCodec(cls)
+        return codec, codec.encode(header, EVERYTHING)
+
+    def test_there_is_a_reader_per_attribute_in_storage_order(self):
+        codec, __ = self.record(0)
+        assert {kind for kind in AttrKind} == {
+            attr.kind for attr in codec.class_def.all_attributes()
+        }
+        assert list(codec.readers) == list(EVERYTHING)
+
+    @pytest.mark.parametrize("slot_count", [0, 1, 3])
+    def test_reader_reads_what_was_encoded(self, slot_count):
+        """Index slots sit between the fixed header and the payload, so
+        every slot count shifts every attribute."""
+        codec, record = self.record(slot_count)
+        assert ObjectHeader.peek_size(record) == 5 + 2 * slot_count
+        for name, expected in EVERYTHING.items():
+            assert codec.readers[name](record) == expected, name
+
+    @pytest.mark.parametrize("slot_count", [0, 1, 3])
+    def test_reader_decode_and_decode_attr_agree(self, slot_count):
+        codec, record = self.record(slot_count)
+        full = codec.decode(record)
+        assert list(full) == list(EVERYTHING)
+        for name, read in codec.readers.items():
+            assert read(record) == full[name] == codec.decode_attr(record, name)
+
+    def test_payload_sits_where_the_layout_says(self):
+        """Independent of the codec: unpack by hand at the documented
+        offsets (string 5, int32 4, real64 8, char 1, bool 1, rid 8)."""
+        __, record = self.record(3)
+        base = 5 + 2 * 3
+        assert record[base : base + 5] == "héll".encode("utf-8")
+        assert struct.unpack_from("<i", record, base + 5) == (-123456,)
+        assert struct.unpack_from("<d", record, base + 9) == (0.1 + 0.2,)
+        assert record[base + 17 : base + 19] == b"B\x01"
+        assert struct.unpack_from("<hih", record, base + 19) == (3, 70000, 12)
+        assert struct.unpack_from("<hih", record, base + 27) == (-1, -1, -1)
+        assert struct.unpack_from("<BI", record, base + 35) == (0, 3)
+
+    def test_nil_ref_reads_as_none_and_rids_as_rids(self):
+        codec, record = self.record(1)
+        assert codec.readers["nobody"](record) is None
+        owner = codec.readers["owner"](record)
+        assert type(owner) is Rid and owner.page_no == 70000
+        small = codec.readers["small"](record)
+        assert all(type(rid) is Rid for rid in small.rids)
+
+    def test_short_string_is_stripped_of_padding(self):
+        cls = every_kind_schema().cls("Everything")
+        codec = RecordCodec(cls)
+        record = codec.encode(ObjectHeader(cls.class_id), {"label": "ab"})
+        assert codec.readers["label"](record) == "ab"
+        assert codec.readers["small"](record) == InlineSet(())
+
+    def test_truncated_inline_set_raises(self):
+        codec, record = self.record(0)
+        cut = record[: -(12 + 8)]  # drop the overflow set and one inline rid
+        with pytest.raises(struct.error):
+            codec.readers["small"](cut)
+
+    def test_unknown_attribute_has_no_reader(self):
+        codec, record = self.record(0)
+        assert "missing" not in codec.readers
+        with pytest.raises(SchemaError, match="no attribute 'missing'"):
+            codec.decode_attr(record, "missing")
+
+
+class TestClassDefLookup:
+    def test_attribute_lookup_covers_inherited_names(self):
+        schema = Schema()
+        schema.define("Person", [AttributeDef("name", AttrKind.STRING)])
+        doctor = schema.define(
+            "Doctor", [AttributeDef("upin", AttrKind.INT32)], superclass="Person"
+        )
+        assert doctor.has_attribute("name") and doctor.has_attribute("upin")
+        assert doctor.attribute("name").kind is AttrKind.STRING
+        assert not doctor.has_attribute("age")
+        with pytest.raises(SchemaError, match="'Doctor' has no attribute 'age'"):
+            doctor.attribute("age")
+
+    def test_each_version_answers_for_itself(self):
+        schema = patient_schema()
+        v0 = schema.cls("Patient")
+        v1 = schema.evolve("Patient", [AttributeDef("num", AttrKind.INT32)])
+        assert not v0.has_attribute("num")
+        assert v1.attribute("num").kind is AttrKind.INT32
+
+
+class TestGetAttrAcrossVersions:
+    """``get_attr`` resolves a class version's attributes once; what it
+    remembers must never hide a later ``evolve``."""
+
+    def make(self) -> tuple[Database, Rid]:
+        schema = Schema()
+        schema.define(
+            "Patient",
+            [
+                AttributeDef("name", AttrKind.STRING),
+                AttributeDef("mrn", AttrKind.INT32),
+            ],
+        )
+        db = Database(schema)
+        db.create_file("patients")
+        return db, db.create_object("Patient", {"name": "a", "mrn": 1}, "patients")
+
+    AGE = [AttributeDef("age", AttrKind.INT32, default=-1)]
+
+    def test_attribute_added_before_the_first_read(self):
+        db, rid = self.make()
+        db.schema.evolve("Patient", self.AGE)
+        assert db.manager.get_attr_at(rid, "age") == -1
+        assert db.manager.get_attr_at(rid, "mrn") == 1
+
+    def test_attribute_added_after_the_first_read(self):
+        db, rid = self.make()
+        assert db.manager.get_attr_at(rid, "mrn") == 1
+        db.schema.evolve("Patient", self.AGE)
+        assert db.manager.get_attr_at(rid, "age") == -1
+        assert db.manager.get_attr_at(rid, "mrn") == 1
+
+    def test_a_miss_is_not_remembered(self):
+        db, rid = self.make()
+        for __ in range(2):
+            with pytest.raises(SchemaError, match="no attribute 'age'"):
+                db.manager.get_attr_at(rid, "age")
+        db.schema.evolve("Patient", self.AGE)
+        assert db.manager.get_attr_at(rid, "age") == -1
+        db.schema.evolve(
+            "Patient", [AttributeDef("ward", AttrKind.STRING, default="none")]
+        )
+        assert db.manager.get_attr_at(rid, "ward") == "none"
+
+    def test_upgraded_record_reads_the_stored_value(self):
+        db, rid = self.make()
+        assert db.manager.get_attr_at(rid, "mrn") == 1
+        db.schema.evolve("Patient", self.AGE)
+        assert db.manager.get_attr_at(rid, "age") == -1
+        rid = db.manager.upgrade_record(rid)
+        db.manager.update_scalar(rid, "age", 44)
+        assert db.manager.get_attr_at(rid, "age") == 44
+        assert db.manager.get_attr_at(rid, "name") == "a"
+
+    def test_live_handle_follows_an_upgrade(self):
+        db, rid = self.make()
+        db.schema.evolve("Patient", self.AGE)
+        with db.manager.borrow(rid) as handle:
+            assert db.manager.get_attr(handle, "age") == -1
+            db.manager.upgrade_record(rid)
+            db.manager.update_scalar(rid, "age", 9)
+            assert handle.class_def.schema_version == 1
+            assert db.manager.get_attr(handle, "age") == 9
+
+    def test_a_default_read_still_charges_the_decode(self):
+        db, rid = self.make()
+        db.schema.evolve("Patient", self.AGE)
+        with db.manager.borrow(rid) as handle:
+            before = db.clock.elapsed_s
+            db.manager.get_attr(handle, "age")
+            assert db.clock.elapsed_s - before == pytest.approx(
+                db.params.attr_decode_us / 1e6
+            )
+
+    def test_unknown_attribute_still_raises(self):
+        db, rid = self.make()
+        db.schema.evolve("Patient", self.AGE)
+        with pytest.raises(SchemaError, match="'Patient' has no attribute 'nope'"):
+            db.manager.get_attr_at(rid, "nope")

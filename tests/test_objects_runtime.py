@@ -131,6 +131,76 @@ class TestHandleTable:
         assert table.memory_bytes == 0
 
 
+    @pytest.mark.parametrize("mode", list(HandleMode))
+    def test_charges_are_the_per_mode_formulas_bit_for_bit(self, mode):
+        """The table prices each operation once per ``(params, mode)``;
+        the price must be the float the paper's formula gives."""
+        p = CostParams()
+        factor = p.bulk_handle_factor if mode is HandleMode.BULK else None
+
+        def scaled(us):
+            return us if factor is None else us * factor
+
+        def charged(step):
+            clock, table = self.make(mode)
+            step(table)
+            return clock.breakdown()
+
+        def hit(table):
+            handle = table.get(Rid(0, 0, 0), self.loader())
+            table.clock.reset()
+            table.get(Rid(0, 0, 0), self.loader())
+            return handle
+
+        def unref(table):
+            handle = table.get(Rid(0, 0, 0), self.loader())
+            table.clock.reset()
+            table.unreference(handle)
+
+        miss = charged(lambda t: t.get(Rid(0, 0, 0), self.loader()))
+        assert miss == {"handle": scaled(p.handle_get_us * 1.0) / 1e6}
+        assert charged(hit) == {"handle": scaled(p.handle_get_us * 0.1) / 1e6}
+        assert charged(unref) == {"handle": scaled(p.handle_unref_us) / 1e6}
+        full_pair = p.handle_get_us + p.handle_unref_us
+        compact_pair = p.compact_handle_get_us + p.compact_handle_unref_us
+        fixed, variable = {
+            HandleMode.FULL: (full_pair, full_pair),
+            HandleMode.COMPACT_LITERALS: (compact_pair, compact_pair),
+            HandleMode.INLINE_TUPLES: (None, compact_pair),
+            HandleMode.BULK: (full_pair * factor if factor else None,) * 2,
+        }[mode]
+        for fixed_size, us in ((True, fixed), (False, variable)):
+            got = charged(lambda t: t.charge_literal(fixed_size=fixed_size))
+            assert got == ({} if us is None else {"handle": us / 1e6})
+
+    def test_switching_mode_reprices_an_existing_table(self):
+        """The Section 4.4 ablation flips ``mode`` on a loaded database."""
+        clock, table = self.make(HandleMode.FULL)
+        assert table.mode is HandleMode.FULL
+        table.mode = HandleMode.BULK
+        assert table.mode is HandleMode.BULK
+        table.get(Rid(0, 0, 0), self.loader())
+        p = CostParams()
+        assert clock.breakdown() == {
+            "handle": p.handle_get_us * 1.0 * p.bulk_handle_factor / 1e6
+        }
+        table.mode = HandleMode.INLINE_TUPLES
+        clock.reset()
+        table.charge_literal(fixed_size=True)
+        assert clock.breakdown() == {}
+
+    def test_get_is_reference_or_allocate(self):
+        clock, table = self.make()
+        rid = Rid(0, 0, 0)
+        assert table.reference(rid) is None
+        assert clock.breakdown() == {}  # a miss charges nothing by itself
+        handle = table.allocate(rid, *self.loader()())
+        assert table.reference(rid) is handle and handle.refcount == 2
+        assert table.get(rid, self.loader()) is handle
+        assert table.counters.handles_allocated == 1
+        assert table.peak_live == 1
+
+
 # ------------------------------------------------------------- ObjectManager
 
 class TestObjectManager:
@@ -202,6 +272,123 @@ class TestObjectManager:
         assert header.is_indexed
         assert header.slot_count == 8
         db.manager.unref(handle)
+
+
+class TestBorrow:
+    """``with om.borrow(rid) as h:`` -- Figure 8's get/unreference
+    bracket, exception-safe."""
+
+    def make(self):
+        db = make_db()
+        rid = db.create_object("Patient", {"name": "Daisy", "mrn": 44}, "patients")
+        db.reset_meters()
+        return db, rid
+
+    def test_bracket_loads_then_parks(self):
+        db, rid = self.make()
+        with db.manager.borrow(rid) as handle:
+            assert handle.refcount == 1
+            assert db.handles.live_count == 1
+            assert db.manager.get_attr(handle, "mrn") == 44
+        assert handle.refcount == 0
+        assert (db.handles.live_count, db.handles.parked_count) == (0, 1)
+        assert db.counters.handles_unreferenced == 1
+
+    def test_bracket_charges_what_load_and_unref_charge(self):
+        db, rid = self.make()
+        with db.manager.borrow(rid):
+            pass
+        bracket = db.clock.breakdown()
+        other, other_rid = self.make()
+        other.manager.unref(other.manager.load(other_rid))
+        assert bracket == other.clock.breakdown()
+        assert db.counters.snapshot() == other.counters.snapshot()
+
+    def test_body_raising_still_unreferences(self):
+        db, rid = self.make()
+        with pytest.raises(ZeroDivisionError):
+            with db.manager.borrow(rid) as handle:
+                1 / 0
+        assert handle.refcount == 0
+        assert (db.handles.live_count, db.handles.parked_count) == (0, 1)
+        assert db.counters.handles_unreferenced == 1
+        # The parked handle is the one a later bracket revives.
+        with db.manager.borrow(rid) as again:
+            assert again is handle
+
+    def test_load_raising_propagates_and_leaks_nothing(self):
+        db, __ = self.make()
+        with pytest.raises(DanglingReferenceError):
+            with db.manager.borrow(Rid(99, 0, 0)):
+                raise AssertionError("the body must not run")
+        assert (db.handles.live_count, db.handles.parked_count) == (0, 0)
+        assert db.counters.handles_unreferenced == 0
+
+    def test_nested_brackets_share_one_handle(self):
+        db, rid = self.make()
+        with db.manager.borrow(rid) as outer:
+            with db.manager.borrow(rid) as inner:
+                assert inner is outer
+                assert outer.refcount == 2
+            assert outer.refcount == 1
+            assert db.handles.live_count == 1
+        assert outer.refcount == 0
+        assert db.counters.handles_allocated == 1
+        assert db.counters.handles_unreferenced == 2
+
+    def test_each_call_is_its_own_bracket(self):
+        db, rid = self.make()
+        other = db.create_object("Patient", {"mrn": 45}, "patients")
+        first, second = db.manager.borrow(rid), db.manager.borrow(other)
+        with first as a, second as b:
+            assert (a.rid, b.rid) == (rid, other)
+        assert db.handles.live_count == 0
+
+    def test_bracket_resolves_through_an_installed_read_view(self):
+        from repro.txn import TransactionManager
+
+        db, rid = self.make()
+        db.shutdown()
+        txm = TransactionManager(db, recovery=True)
+        reader = txm.begin(isolation="si")
+        with txm.begin() as writer:
+            writer.update_scalar(rid, "mrn", 100)
+        om = db.manager
+        with om.borrow(rid) as live:
+            assert om.get_attr(live, "mrn") == 100
+            assert live.version is None
+        om.read_view = reader.view
+        try:
+            with om.borrow(rid) as seen:
+                assert seen.version is not None
+                assert om.get_attr(seen, "mrn") == 44
+                assert db.handles.live_count == 1
+            assert seen.refcount == 0
+            assert db.handles.live_count == 0  # version handles are freed
+        finally:
+            om.read_view = None
+        reader.commit()
+
+    def test_simlint_still_polices_the_bracket(self):
+        """ESCAPE and PAIR match ``borrow``/``load``/``unref`` by name:
+        the fixtures must still fire, and the bracket's own
+        implementation must still be clean."""
+        from pathlib import Path
+
+        from repro.lint import LintConfig, lint_paths
+
+        here = Path(__file__).resolve().parent
+
+        def lint(path, rule):
+            config = LintConfig(select=(rule,))
+            return lint_paths((str(path),), config).findings
+
+        fixtures = here / "lint_fixtures"
+        assert len(lint(fixtures / "escape" / "escape_bad.py", "ESCAPE")) == 5
+        assert len(lint(fixtures / "pair_leak.py", "PAIR")) == 1
+        manager = here.parent / "src" / "repro" / "objects" / "manager.py"
+        assert lint(manager, "PAIR") == []
+        assert lint(manager, "ESCAPE") == []
 
 
 # ------------------------------------------------------------- Database

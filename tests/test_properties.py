@@ -140,6 +140,25 @@ class TestCodecProperties:
         for attr in ("name", "mrn", "score", "flag", "friends"):
             assert codec.decode_attr(record, attr) == full[attr]
 
+    @given(values=_VALUE_STRATEGY, slot_count=st.sampled_from([0, 1, 3]))
+    @settings(max_examples=100)
+    def test_compiled_readers_equal_full_decode(self, values, slot_count):
+        """Whatever the values and however many index slots push the
+        payload along, each attribute's compiled reader, ``decode_attr``
+        and the full ``decode`` return the same thing -- and it is what
+        was encoded."""
+        codec, cls = self.make_codec()
+        header = ObjectHeader(cls.class_id, slot_count=slot_count)
+        friends = InlineSet(tuple(values["friends"]))
+        record = codec.encode(header, dict(values, friends=friends))
+        full = codec.decode(record)
+        assert list(codec.readers) == list(full)
+        for name, read in codec.readers.items():
+            assert read(record) == full[name] == codec.decode_attr(record, name)
+        assert (full["mrn"], full["flag"], full["friends"]) == (
+            values["mrn"], values["flag"], friends,
+        )
+
 
 # ------------------------------------------------------------- collections
 
