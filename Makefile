@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke artifacts clean
+.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke profile artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -100,6 +100,14 @@ wallclock:
 wallclock-smoke:
 	$(PYTHON) benchmarks/wallclock/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/wallclock -q
+
+# One warmed pass of a wall-clock workload (bulk_load, tree_join,
+# oql_selection, client_mix) under cProfile: total calls -- that run's
+# host_calls -- calls per layer, and the top 40 functions by self time
+# and by call count.  Finds candidates; `make wallclock` measures them.
+WORKLOAD ?= bulk_load
+profile:
+	PYTHONHASHSEED=0 $(PYTHON) benchmarks/profile_workload.py $(WORKLOAD) $(PROFILE_FLAGS)
 
 shell:
 	$(PYTHON) -m repro shell

@@ -84,6 +84,9 @@ class ClientServerSystem:
 
     # -- Pager protocol ---------------------------------------------------
 
+    #: Dirty pages stay cached and are written back on eviction or flush.
+    write_back = True
+
     def get_page(self, file_id: int, page_no: int) -> Page:
         """Fetch a page through both cache tiers, charging all traffic."""
         key = (file_id, page_no)

@@ -19,13 +19,13 @@ import bisect
 import math
 import struct
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator
 
 from repro.errors import IndexError_
-from repro.objects.codec import decode_rid, encode_rid
 from repro.simtime import Bucket
 from repro.storage.file import StorageFile
-from repro.storage.rid import Rid
+from repro.storage.rid import Rid, rid_of
 
 #: Entries per leaf: 330 * (8 + 8) bytes ~ 5.2 KB... too big for a page;
 #: with int keys an entry is 16 bytes, so 200 entries ~ 3.2 KB fits one
@@ -33,8 +33,26 @@ from repro.storage.rid import Rid
 LEAF_CAPACITY = 200
 
 _COUNT = struct.Struct("<I")
-_INT_KEY = struct.Struct("<q")
 _STR_KEY_WIDTH = 16
+
+
+def _text_field(key: object) -> bytes:
+    return str(key).encode("utf-8")
+
+
+def _field_text(raw: bytes) -> str:
+    return raw.rstrip(b"\x00").decode("utf-8", "replace")
+
+
+#: Key type -> (struct of one leaf entry: the fixed-width key, then the
+#: rid's three fields; key -> what the key's code packs; what it unpacks
+#: -> key).  ``16s`` cuts a long string key at 16 bytes and NUL-pads a
+#: short one.  A leaf is its entry count and the entries back to back, so
+#: it packs in one struct call and unpacks in one ``iter_unpack``.
+_LEAF_FORMATS = {
+    int: (struct.Struct("<qhih"), int, int),
+    str: (struct.Struct(f"<{_STR_KEY_WIDTH}shih"), _text_field, _field_text),
+}
 
 
 @dataclass(frozen=True)
@@ -43,29 +61,6 @@ class IndexEntry:
 
     key: object
     rid: Rid
-
-
-class _KeyCodec:
-    """Fixed-width key serialization (ints or strings)."""
-
-    def __init__(self, key_type: type):
-        if key_type not in (int, str):
-            raise IndexError_(f"unsupported index key type: {key_type.__name__}")
-        self.key_type = key_type
-        self.width = _INT_KEY.size if key_type is int else _STR_KEY_WIDTH
-
-    def encode(self, key: object) -> bytes:
-        if self.key_type is int:
-            return _INT_KEY.pack(int(key))  # type: ignore[arg-type]
-        raw = str(key).encode("utf-8")[: self.width]
-        return raw.ljust(self.width, b"\x00")
-
-    def decode(self, buf: bytes, offset: int) -> object:
-        if self.key_type is int:
-            return _INT_KEY.unpack_from(buf, offset)[0]
-        return buf[offset : offset + self.width].rstrip(b"\x00").decode(
-            "utf-8", "replace"
-        )
 
 
 class BTreeIndex:
@@ -84,7 +79,12 @@ class BTreeIndex:
         self.name = name
         self.index_id = index_id
         self.file = index_file
-        self.codec = _KeyCodec(key_type)
+        try:
+            self._entry, self._to_field, self._to_key = _LEAF_FORMATS[key_type]
+        except KeyError:
+            raise IndexError_(
+                f"unsupported index key type: {key_type.__name__}"
+            ) from None
         self.leaf_capacity = leaf_capacity
         #: Parallel arrays: first key of each leaf / (first key, first
         #: rid) pair of each leaf (placement among duplicate keys) / rid
@@ -107,7 +107,7 @@ class BTreeIndex:
         Sorting the pairs is charged to the clock; each leaf is written
         once, sequentially, into the index file.
         """
-        items = sorted(pairs, key=lambda kv: (kv[0], kv[1]))
+        items = sorted(pairs)  # by key, then rid: the pairs are the sort key
         self._charge_sort(len(items))
         self._first_keys.clear()
         self._first_pairs.clear()
@@ -256,23 +256,23 @@ class BTreeIndex:
     # -- internals --------------------------------------------------------
 
     def _encode_leaf(self, entries: list[tuple[object, Rid]]) -> bytes:
-        parts = [_COUNT.pack(len(entries))]
-        for key, rid in entries:
-            parts.append(self.codec.encode(key))
-            parts.append(encode_rid(rid))
-        return b"".join(parts)
+        to_field = self._to_field
+        return struct.pack(
+            "<I" + self._entry.format[1:] * len(entries),
+            len(entries),
+            *[field for key, rid in entries for field in (to_field(key), *rid)],
+        )
 
     def _decode_leaf(self, record: bytes) -> list[tuple[object, Rid]]:
         (count,) = _COUNT.unpack_from(record, 0)
-        entries: list[tuple[object, Rid]] = []
-        offset = _COUNT.size
-        stride = self.codec.width + Rid.DISK_SIZE
-        for __ in range(count):
-            key = self.codec.decode(record, offset)
-            rid = decode_rid(record, offset + self.codec.width)
-            entries.append((key, rid))
-            offset += stride
-        return entries
+        end = _COUNT.size + count * self._entry.size
+        if end > len(record):  # a slice would silently stop short
+            raise struct.error(f"leaf of {count} entries overruns its record")
+        to_key = self._to_key
+        return [
+            (to_key(field), rid_of(rid))
+            for field, *rid in self._entry.iter_unpack(record[_COUNT.size:end])
+        ]
 
     def _read_leaf(self, leaf_no: int) -> list[tuple[object, Rid]]:
         return self._decode_leaf(self.file.read(self._leaf_rids[leaf_no]))
@@ -324,9 +324,5 @@ def _clustering_ratio(sorted_items: list[tuple[object, Rid]]) -> float:
     """
     if len(sorted_items) < 2:
         return 1.0
-    in_order = sum(
-        1
-        for (__, a), (___, b) in zip(sorted_items, sorted_items[1:])
-        if a <= b
-    )
-    return in_order / (len(sorted_items) - 1)
+    rids = [rid for __, rid in sorted_items]
+    return sum(map(le, rids, rids[1:])) / (len(rids) - 1)

@@ -9,7 +9,10 @@ offsets precomputed per class, so a query can decode a single attribute
 without materializing the whole object: a :class:`RecordCodec` compiles
 one ``reader(record)`` per attribute when it is built, with the offset,
 width and ``struct`` already bound, and every decode goes through those
-readers.  Set attributes come last and are
+readers.  Beside them it compiles the writer: one ``struct.Struct`` for
+the whole scalar block and one coercer per attribute, so a record body
+is a single ``pack`` and every encode goes through those coercers.  Set
+attributes come last and are
 either *inline* (small sets: the rids follow the count) or *overflow*
 (large sets: only a head rid pointing into the large-collection file) —
 O2 stores collections beyond a page threshold in a separate file (paper,
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Sequence
 
 from repro.errors import SchemaError
 from repro.objects.header import (
@@ -32,7 +35,7 @@ from repro.objects.header import (
     ObjectHeader,
 )
 from repro.objects.model import AttrKind, AttributeDef, ClassDef
-from repro.storage.rid import NIL_RID, Rid
+from repro.storage.rid import NIL_RID, Rid, rid_of
 
 #: A set whose rids would exceed this many bytes moves to the
 #: large-collection file (O2's threshold is the 4 KB page; records also
@@ -48,19 +51,23 @@ _SCALAR_STRUCTS = {
     AttrKind.BOOL: struct.Struct("<?"),
 }
 
+_RID_FORMAT = _RID.format[1:]  # without the byte-order mark
+_NIL_RID_BYTES = _RID.pack(*NIL_RID)
+
 
 def encode_rid(rid: Rid) -> bytes:
     return _RID.pack(rid.file_id, rid.page_no, rid.slot)
 
 
-#: ``Rid`` from its three unpacked fields, with no Python-level call:
-#: ``Rid(*fields)`` and ``Rid._make`` both run the named tuple's own
-#: Python ``__new__`` first.
-_rid_of = partial(tuple.__new__, Rid)
+def encode_rids(rids: Sequence[Rid]) -> bytes:
+    """The rids back to back, 8 bytes each, in one ``pack``."""
+    return struct.pack(
+        "<" + _RID_FORMAT * len(rids), *chain.from_iterable(rids)
+    )
 
 
 def decode_rid(buf: bytes, offset: int = 0) -> Rid:
-    return _rid_of(_RID.unpack_from(buf, offset))
+    return rid_of(_RID.unpack_from(buf, offset))
 
 
 @dataclass(frozen=True)
@@ -109,7 +116,7 @@ def _scalar_reader(attr: AttributeDef, at: int) -> Reader:
 
         def read(record: bytes) -> object:
             fields = unpack(record, at + SLOT_BYTES * record[SLOT_COUNT_BYTE])
-            return None if fields == NIL_RID else _rid_of(fields)
+            return None if fields == NIL_RID else rid_of(fields)
 
     else:
         unpack = _SCALAR_STRUCTS[kind].unpack_from
@@ -143,8 +150,71 @@ def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, in
     end = offset + count * _RID.size
     if end > len(record):  # a slice would silently stop short
         raise struct.error(f"inline set of {count} rids overruns its record")
-    rids = tuple(map(_rid_of, _RID.iter_unpack(record[offset:end])))
+    rids = tuple(map(rid_of, _RID.iter_unpack(record[offset:end])))
     return InlineSet(rids), end
+
+
+def _encode_set(name: str, value: object) -> bytes:
+    if value is None:
+        value = InlineSet(())
+    if isinstance(value, OverflowSet):
+        return _SET_PREFIX.pack(1, value.count) + encode_rid(value.head)
+    rids = value.rids if isinstance(value, InlineSet) else tuple(value)
+    if len(rids) * _RID.size > INLINE_SET_LIMIT_BYTES:
+        raise SchemaError(
+            f"set attribute {name!r} with {len(rids)} elements "
+            "exceeds the inline limit; store it through the database, "
+            "which spills large sets to the collection file"
+        )
+    return _SET_PREFIX.pack(0, len(rids)) + encode_rids(rids)
+
+
+#: ``python value -> what the attribute's struct code packs``.  Each
+#: maps ``None`` (an omitted attribute with no declared default) to the
+#: kind's zero.
+Coercer = Callable[[object], object]
+
+
+def _to_int(value: object) -> int:
+    return int(value or 0)  # type: ignore[call-overload]
+
+
+def _to_real(value: object) -> float:
+    return float(value or 0.0)  # type: ignore[arg-type]
+
+
+def _to_text(value: object) -> bytes:
+    return str(value or "").encode("utf-8")
+
+
+def _to_char(value: object) -> bytes:
+    return str(value or "\x00").encode("latin-1")
+
+
+def _to_rid_bytes(value: object) -> bytes:
+    return _RID.pack(*value) if isinstance(value, Rid) else _NIL_RID_BYTES
+
+
+#: Scalar kind -> (struct code, coercer).  ``Ns`` cuts an over-long
+#: value at ``N`` bytes and NUL-pads a short one, exactly the slice +
+#: ``ljust`` a fixed-width field asks for, so STRING is ``{width}s`` and
+#: CHAR is ``1s`` (an empty one packs as NUL).
+_SCALAR_WRITERS: dict[AttrKind, tuple[str, Coercer]] = {
+    AttrKind.INT32: ("i", _to_int),
+    AttrKind.REAL64: ("d", _to_real),
+    AttrKind.BOOL: ("?", bool),
+    AttrKind.CHAR: ("1s", _to_char),
+    AttrKind.REF: (f"{_RID.size}s", _to_rid_bytes),
+}
+
+
+def _scalar_writer(attr: AttributeDef) -> tuple[str, Coercer]:
+    if attr.kind is AttrKind.STRING:
+        return f"{attr.width}s", _to_text
+    try:
+        return _SCALAR_WRITERS[attr.kind]
+    except KeyError:
+        raise SchemaError(f"cannot encode attribute kind {attr.kind}") from None
 
 
 class RecordCodec:
@@ -152,72 +222,58 @@ class RecordCodec:
 
     def __init__(self, class_def: ClassDef):
         self.class_def = class_def
-        self._scalar_attrs = class_def.scalar_attributes()
-        self._set_attrs = class_def.set_attributes()
-        self._offsets: dict[str, int] = {}
+        scalar_attrs = class_def.scalar_attributes()
+        #: Names of the set attributes, in storage order.
+        self.set_names = tuple(a.name for a in class_def.set_attributes())
         #: Attribute name -> compiled reader, in storage order (scalars,
         #: then sets).  The one decoding path: :meth:`decode`,
         #: :meth:`decode_attr` and ``ObjectManager.get_attr`` all call
         #: these.
         self.readers: dict[str, Reader] = {}
+        #: Scalar name -> (offset in the scalar block, its one-field
+        #: struct, coercer), in storage order.  The one encoding path:
+        #: :meth:`encode_body` packs the whole block through these
+        #: coercers, :meth:`update_scalar` one field.
+        self._writers: dict[str, tuple[int, struct.Struct, Coercer]] = {}
+        #: What an omitted scalar is encoded from.
+        self._defaults = {a.name: a.default for a in scalar_attrs}
+        #: (name, coercer) per scalar, in the order the block packs them.
+        self._coercers: list[tuple[str, Coercer]] = []
+        codes = []
         offset = 0
-        for attr in self._scalar_attrs:
-            self._offsets[attr.name] = offset
+        for attr in scalar_attrs:
+            code, coerce = _scalar_writer(attr)
+            codes.append(code)
+            field = struct.Struct("<" + code)
+            self._writers[attr.name] = (offset, field, coerce)
+            self._coercers.append((attr.name, coerce))
             self.readers[attr.name] = _scalar_reader(attr, FIXED_SIZE + offset)
-            offset += attr.fixed_size  # type: ignore[operator]
+            offset += field.size
         self.scalar_size = offset
-        for position, attr in enumerate(self._set_attrs):
-            self.readers[attr.name] = _set_reader(position, FIXED_SIZE + offset)
+        self._scalar_block = struct.Struct("<" + "".join(codes))
+        for position, name in enumerate(self.set_names):
+            self.readers[name] = _set_reader(position, FIXED_SIZE + offset)
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, header: ObjectHeader, values: dict[str, object]) -> bytes:
         """Serialize ``values`` (attribute name -> python value) behind
-        ``header``.  Set attributes accept an :class:`InlineSet`, an
+        ``header``."""
+        return header.encode() + self.encode_body(values)
+
+    def encode_body(self, values: dict[str, object]) -> bytes:
+        """Everything after the object header: the scalar block in one
+        ``pack``, then the sets.  An omitted scalar takes its declared
+        default.  Set attributes accept an :class:`InlineSet`, an
         :class:`OverflowSet`, or a plain sequence of rids (encoded
         inline; the caller must have checked the inline limit)."""
-        parts = [header.encode()]
-        for attr in self._scalar_attrs:
-            parts.append(
-                self._encode_scalar(attr, values.get(attr.name, attr.default))
-            )
-        for attr in self._set_attrs:
-            parts.append(self._encode_set(attr, values.get(attr.name)))
-        return b"".join(parts)
-
-    def _encode_scalar(self, attr: AttributeDef, value: object) -> bytes:
-        kind = attr.kind
-        if kind is AttrKind.STRING:
-            raw = str(value or "").encode("utf-8")[: attr.width]
-            return raw.ljust(attr.width, b"\x00")
-        if kind is AttrKind.CHAR:
-            text = str(value or "\x00")
-            return text.encode("latin-1")[:1] or b"\x00"
-        if kind is AttrKind.REF:
-            return encode_rid(value if isinstance(value, Rid) else NIL_RID)
-        s = _SCALAR_STRUCTS.get(kind)
-        if s is None:
-            raise SchemaError(f"cannot encode attribute kind {kind}")
-        if kind is AttrKind.INT32:
-            return s.pack(int(value or 0))
-        if kind is AttrKind.REAL64:
-            return s.pack(float(value or 0.0))
-        return s.pack(bool(value))
-
-    def _encode_set(self, attr: AttributeDef, value: object) -> bytes:
-        if value is None:
-            value = InlineSet(())
-        if isinstance(value, OverflowSet):
-            return _SET_PREFIX.pack(1, value.count) + encode_rid(value.head)
-        rids = value.rids if isinstance(value, InlineSet) else tuple(value)
-        body = b"".join(encode_rid(r) for r in rids)
-        if len(body) > INLINE_SET_LIMIT_BYTES:
-            raise SchemaError(
-                f"set attribute {attr.name!r} with {len(rids)} elements "
-                "exceeds the inline limit; store it through the database, "
-                "which spills large sets to the collection file"
-            )
-        return _SET_PREFIX.pack(0, len(rids)) + body
+        given = {**self._defaults, **values}
+        body = self._scalar_block.pack(
+            *[coerce(given[name]) for name, coerce in self._coercers]
+        )
+        for name in self.set_names:
+            body += _encode_set(name, values.get(name))
+        return body
 
     # -- decoding -------------------------------------------------------------
 
@@ -236,19 +292,21 @@ class RecordCodec:
         attr = self.class_def.attribute(name)
         if attr.is_variable:
             raise SchemaError(f"{name!r} is a set attribute; use update_set")
-        offset = ObjectHeader.peek_size(record) + self._offsets[name]
-        encoded = self._encode_scalar(attr, value)
-        return record[:offset] + encoded + record[offset + len(encoded):]
+        at, field, coerce = self._writers[name]
+        offset = ObjectHeader.peek_size(record) + at
+        return (
+            record[:offset] + field.pack(coerce(value))
+            + record[offset + field.size:]
+        )
 
     def update_set(self, record: bytes, name: str, value: object) -> bytes:
         """Return a copy of ``record`` with one set attribute replaced
         (the record may change size and therefore move on disk)."""
         base = ObjectHeader.peek_size(record)
         offset = base + self.scalar_size
-        for attr in self._set_attrs:
+        for set_name in self.set_names:
             start = offset
             __, offset = _decode_set(record, offset)
-            if attr.name == name:
-                encoded = self._encode_set(attr, value)
-                return record[:start] + encoded + record[offset:]
+            if set_name == name:
+                return record[:start] + _encode_set(name, value) + record[offset:]
         raise SchemaError(f"class {self.class_def.name!r} has no set {name!r}")

@@ -22,13 +22,15 @@ from repro.objects.codec import (
     INLINE_SET_LIMIT_BYTES,
     InlineSet,
     OverflowSet,
+    RecordCodec,
     decode_rid,
     encode_rid,
+    encode_rids,
 )
 from repro.objects.handle import HandleMode, HandleTable
 from repro.objects.header import ObjectHeader
 from repro.objects.manager import ObjectManager
-from repro.objects.model import Schema
+from repro.objects.model import ClassDef, Schema
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
@@ -101,11 +103,7 @@ class PersistentCollection:
 
 
 def _encode_chunk(rids: list[Rid], next_rid: Rid) -> bytes:
-    return (
-        _CHUNK_PREFIX.pack(len(rids))
-        + encode_rid(next_rid)
-        + b"".join(encode_rid(r) for r in rids)
-    )
+    return _CHUNK_PREFIX.pack(len(rids)) + encode_rid(next_rid) + encode_rids(rids)
 
 
 def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
@@ -114,6 +112,17 @@ def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
     base = _CHUNK_PREFIX.size + Rid.DISK_SIZE
     rids = [decode_rid(record, base + i * Rid.DISK_SIZE) for i in range(count)]
     return rids, next_rid
+
+
+def _new_object_header(
+    class_def: ClassDef, indexed: bool, index_ids: tuple[int, ...]
+) -> bytes:
+    header = ObjectHeader.for_new_object(
+        class_def.class_id, indexed, schema_version=class_def.schema_version
+    )
+    for index_id in index_ids:
+        header.add_index(index_id)
+    return header.encode()
 
 
 class Database:
@@ -141,6 +150,13 @@ class Database:
         self.version_manager = None
         self._files: dict[str, StorageFile] = {}
         self._names: dict[str, PersistentCollection] = {}
+        #: ``(codec, indexed, index_ids)`` -> encoded header of a new
+        #: object: the codec stands for the class version (id and schema
+        #: version), the rest for the slots reserved and stamped.  Built
+        #: (and range-checked) once through :class:`ObjectHeader`.
+        self._new_headers: dict[
+            tuple[RecordCodec, bool, tuple[int, ...]], bytes
+        ] = {}
 
     # -- files ---------------------------------------------------------------
 
@@ -209,17 +225,19 @@ class Database:
         """
         class_def = self.schema.cls(class_name)
         codec = self.manager.codec(class_def)
-        prepared = dict(values)
-        for attr in class_def.set_attributes():
-            prepared[attr.name] = self.prepare_set(prepared.get(attr.name))
-        header = ObjectHeader.for_new_object(
-            class_def.class_id,
-            indexed or bool(index_ids),
-            schema_version=class_def.schema_version,
-        )
-        for index_id in index_ids:
-            header.add_index(index_id)
-        record = codec.encode(header, prepared)
+        indexed = bool(indexed or index_ids)
+        key = (codec, indexed, index_ids)
+        try:
+            header = self._new_headers[key]
+        except KeyError:
+            header = self._new_headers[key] = _new_object_header(
+                class_def, indexed, index_ids
+            )
+        if codec.set_names:
+            values = dict(values)
+            for name in codec.set_names:
+                values[name] = self.prepare_set(values.get(name))
+        record = header + codec.encode_body(values)
         self.clock.charge_us(Bucket.LOAD, self.params.object_create_us)
         return self.file(file_name).insert(record)
 

@@ -141,9 +141,11 @@ class ObjectHeader:
 
     def encode(self) -> bytes:
         slots = self.index_ids + [0] * (self.slot_count - len(self.index_ids))
-        return _FIXED.pack(
-            self.flags, self.class_id, self.slot_count, self.schema_version
-        ) + struct.pack(f"<{self.slot_count}H", *slots)
+        return struct.pack(
+            f"{_FIXED.format}{self.slot_count}H",
+            self.flags, self.class_id, self.slot_count, self.schema_version,
+            *slots,
+        )
 
     @classmethod
     def decode(cls, record: bytes, offset: int = 0) -> "ObjectHeader":

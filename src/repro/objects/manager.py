@@ -86,11 +86,11 @@ class ObjectManager:
 
     def codec(self, class_def: ClassDef) -> RecordCodec:
         key = (class_def.class_id, class_def.schema_version)
-        codec = self._codecs.get(key)
-        if codec is None:
-            codec = RecordCodec(class_def)
-            self._codecs[key] = codec
-        return codec
+        try:
+            return self._codecs[key]
+        except KeyError:
+            codec = self._codecs[key] = RecordCodec(class_def)
+            return codec
 
     # -- loading ----------------------------------------------------------
 

@@ -25,6 +25,14 @@ from repro.units import PAGE_SIZE
 class Pager(Protocol):
     """What the record layer needs from a page source."""
 
+    #: ``True`` for a pager that keeps the pages it hands out and writes
+    #: the dirty ones back later: a page just returned by ``get_page`` is
+    #: then resident and most recently used, and ``Page.dirty`` (which
+    #: every ``Page`` mutator sets) is all the notice it needs, so the
+    #: caller may skip ``mark_dirty`` for it.  A freshly allocated page
+    #: is unknown to the pager and must always be announced.
+    write_back: bool
+
     def get_page(self, file_id: int, page_no: int) -> Page:
         """Return the page, charging whatever traffic that implies."""
         ...
@@ -220,6 +228,9 @@ class DirectPager:
     Used by unit tests and as the degenerate baseline configuration
     ("what if O2 had no client cache").
     """
+
+    #: Write-through: ``mark_dirty`` *is* the disk write.
+    write_back = False
 
     def __init__(self, disk: DiskManager):
         self.disk = disk

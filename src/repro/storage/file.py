@@ -15,8 +15,8 @@ from typing import Iterator
 from repro.errors import RecordNotFoundError
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager, Pager
-from repro.storage.page import Page
-from repro.storage.rid import Rid
+from repro.storage.page import PAGE_HEADER_SIZE, SLOT_OVERHEAD, Page
+from repro.storage.rid import Rid, rid_of
 
 #: Fraction of a page usable by records before growth slack kicks in.
 DEFAULT_FILL_FACTOR = 0.85
@@ -38,6 +38,11 @@ class StorageFile:
         self.pager = pager
         self.file_id = disk.create_file() if file_id is None else file_id
         self.fill_factor = fill_factor
+        #: Bytes of growth slack an append leaves free on a page that
+        #: already holds records (every page of a file has one size).
+        self._slack = int(
+            (disk.page_size - PAGE_HEADER_SIZE) * (1.0 - fill_factor)
+        )
         self._record_count = 0
 
     # -- sizing ----------------------------------------------------------
@@ -52,21 +57,16 @@ class StorageFile:
         once, at their new location)."""
         return self._record_count
 
-    def _slack(self, page: Page) -> int:
-        """Bytes of growth slack to preserve on ``page`` at insert time."""
-        return int(page.capacity * (1.0 - self.fill_factor))
-
     # -- record operations -------------------------------------------------
 
     def insert(self, record: bytes) -> Rid:
         """Append ``record`` at the end of the file; return its rid."""
-        page = self._tail_page()
-        if page is None or not page.fits(record, self._slack(page)):
-            page = self.disk.allocate_page(self.file_id)
-        slot = page.insert(record, self._slack(page))
-        self.pager.mark_dirty(self.file_id, page.page_no)
+        page, resident = self._append_page(len(record) + SLOT_OVERHEAD)
+        slot = page.insert(record)
+        if not (resident and self.pager.write_back):
+            self.pager.mark_dirty(self.file_id, page.page_no)
         self._record_count += 1
-        return Rid(self.file_id, page.page_no, slot)
+        return rid_of((self.file_id, page.page_no, slot))
 
     def read(self, rid: Rid) -> bytes:
         """Fetch the record at ``rid``, transparently following at most
@@ -151,20 +151,32 @@ class StorageFile:
 
     # -- internals ---------------------------------------------------------
 
-    def _tail_page(self) -> Page | None:
-        n = self.num_pages
-        if n == 0:
-            return None
-        return self.pager.get_page(self.file_id, n - 1)
+    def _append_page(self, need: int, avoid: int = -1) -> tuple[Page, bool]:
+        """The page an append of ``need`` bytes (slot entry included)
+        goes to, and whether the pager already holds it: the file's last
+        page, fetched through the pager, when it has room; otherwise a
+        freshly allocated one the pager has not seen.  ``avoid`` names a
+        page the record must not land on (the one it is moving off).
+
+        Room means ``need`` plus the growth slack -- but slack is only
+        ever reserved beside records: an empty page takes whatever fits
+        it, or a record between ``fill_factor`` and a full page could be
+        stored nowhere.
+        """
+        n = self.disk.num_pages(self.file_id)
+        if n:
+            page = self.pager.get_page(self.file_id, n - 1)
+            used = page.used_bytes
+            if n - 1 != avoid and (
+                not used or need + self._slack <= page.capacity - used
+            ):
+                return page, True
+        return self.disk.allocate_page(self.file_id), False
 
     def _move(self, rid: Rid, page: Page, record: bytes) -> Rid:
-        tail = self._tail_page()
-        if tail is None or tail.page_no == rid.page_no or not tail.fits(
-            record, self._slack(tail)
-        ):
-            tail = self.disk.allocate_page(self.file_id)
-        slot = tail.insert(record, self._slack(tail))
-        new_rid = Rid(self.file_id, tail.page_no, slot)
+        tail, __ = self._append_page(len(record) + SLOT_OVERHEAD, rid.page_no)
+        slot = tail.insert(record)
+        new_rid = rid_of((self.file_id, tail.page_no, slot))
         page.forward(rid.slot, new_rid)
         self.pager.mark_dirty(rid.file_id, rid.page_no)
         self.pager.mark_dirty(new_rid.file_id, new_rid.page_no)

@@ -57,7 +57,7 @@ class Page:
         "file_id",
         "page_no",
         "_slots",
-        "_used",
+        "used_bytes",
         "capacity",
         "dirty",
         "page_lsn",
@@ -69,7 +69,8 @@ class Page:
         self.file_id = file_id
         self.page_no = page_no
         self._slots: list[bytes | _Forward | None] = []
-        self._used = 0
+        #: Bytes consumed by live records and their slot entries.
+        self.used_bytes = 0
         self.capacity = page_size - PAGE_HEADER_SIZE
         self.dirty = False
         #: LSN of the last log record whose change touched this page
@@ -80,14 +81,9 @@ class Page:
     # -- space accounting ---------------------------------------------
 
     @property
-    def used_bytes(self) -> int:
-        """Bytes consumed by live records and their slot entries."""
-        return self._used
-
-    @property
     def free_bytes(self) -> int:
         """Bytes still available for new records (incl. slot overhead)."""
-        return self.capacity - self._used
+        return self.capacity - self.used_bytes
 
     @property
     def record_count(self) -> int:
@@ -113,15 +109,16 @@ class Page:
                 f"record of {len(record)} bytes exceeds page capacity "
                 f"{self.capacity}"
             )
-        if not self.fits(record, slack):
+        if need + slack > self.capacity - self.used_bytes:
             raise PageFullError(
                 f"page {self.file_id}:{self.page_no} has {self.free_bytes} "
                 f"free bytes, record needs {need} (+{slack} slack)"
             )
-        self._slots.append(record)
-        self._used += need
+        slots = self._slots
+        slots.append(record)
+        self.used_bytes += need
         self.dirty = True
-        return len(self._slots) - 1
+        return len(slots) - 1
 
     def read(self, slot: int) -> bytes:
         """Return the record at ``slot``.
@@ -154,7 +151,7 @@ class Page:
         if delta > self.free_bytes:
             return False
         self._slots[slot] = record
-        self._used += delta
+        self.used_bytes += delta
         self.dirty = True
         return True
 
@@ -163,7 +160,7 @@ class Page:
         entry = self._entry(slot)
         size = entry.target.DISK_SIZE if isinstance(entry, _Forward) else len(entry)
         self._slots[slot] = None
-        self._used -= size + SLOT_OVERHEAD
+        self.used_bytes -= size + SLOT_OVERHEAD
         self.dirty = True
 
     def forward(self, slot: int, target: Rid) -> None:
@@ -175,8 +172,8 @@ class Page:
                 f"slot {slot} of page {self.file_id}:{self.page_no} is "
                 "already forwarded"
             )
-        self._used -= len(entry) + SLOT_OVERHEAD
-        self._used += Rid.DISK_SIZE + SLOT_OVERHEAD
+        self.used_bytes -= len(entry) + SLOT_OVERHEAD
+        self.used_bytes += Rid.DISK_SIZE + SLOT_OVERHEAD
         self._slots[slot] = _Forward(target)
         self.dirty = True
 
@@ -206,12 +203,11 @@ class Page:
 
     def capture(self) -> PageImage:
         """Snapshot the page's logical content as an immutable image."""
+        slots = self._slots
+        if _Forward in map(type, slots):  # rare: most pages hold none
+            slots = [s.target if type(s) is _Forward else s for s in slots]
         return PageImage(
-            slots=tuple(
-                s.target if isinstance(s, _Forward) else s for s in self._slots
-            ),
-            used=self._used,
-            page_lsn=self.page_lsn,
+            slots=tuple(slots), used=self.used_bytes, page_lsn=self.page_lsn
         )
 
     def restore(self, image: PageImage) -> None:
@@ -220,7 +216,7 @@ class Page:
         self._slots = [
             _Forward(s) if isinstance(s, Rid) else s for s in image.slots
         ]
-        self._used = image.used
+        self.used_bytes = image.used
         self.page_lsn = image.page_lsn
         self.dirty = False
 
@@ -257,7 +253,7 @@ class Page:
                 used += len(s) + SLOT_OVERHEAD
             elif isinstance(s, _Forward):
                 used += Rid.DISK_SIZE + SLOT_OVERHEAD
-        self._used = used
+        self.used_bytes = used
 
     # -- internals -----------------------------------------------------
 

@@ -8,6 +8,7 @@ rids therefore sorts by physical position — the property the paper's
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 
@@ -30,6 +31,12 @@ class Rid(NamedTuple):
     def __repr__(self) -> str:  # compact, log-friendly
         return f"@{self.file_id}:{self.page_no}.{self.slot}"
 
+
+#: ``Rid`` from an iterable of its three fields, with no Python-level
+#: call: ``Rid(*fields)`` and ``Rid._make`` both run the named tuple's own
+#: Python ``__new__`` first, which the record and leaf decoders and
+#: ``StorageFile.insert`` cannot afford per rid.
+rid_of = partial(tuple.__new__, Rid)
 
 #: A rid that is never allocated; used as the encoding of a nil reference.
 NIL_RID = Rid(-1, -1, -1)

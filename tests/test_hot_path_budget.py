@@ -1,5 +1,5 @@
-"""Ratchet on the read hot path: Python calls per attribute read and per
-``borrow`` bracket.
+"""Ratchet on the hot paths: Python calls per attribute read and per
+``borrow`` bracket, per object created and per record inserted.
 
 The paper's Section 4.4 finding is that per-object bookkeeping, not the
 join algorithm, dominates a cold tree query.  The simulator must not
@@ -10,6 +10,13 @@ scale under ``cProfile`` and holds the counts to a budget about 10 %
 above what they measure today.  A count is exact and repeats, so a
 failure here is a real regression, not noise -- and the message lists
 the callees that grew.
+
+The write path has the same contract (the paper's Section 3: loading is
+what eats a benchmarking campaign): the record writer, the header bytes
+and the slack arithmetic are resolved once per class version or per
+file, so a create is a few dozen calls however the class is declared.
+One tiny ``load_derby`` under ``cProfile`` holds the calls beneath one
+``Transaction.create_object`` and one ``StorageFile.insert`` to budget.
 """
 
 from __future__ import annotations
@@ -31,6 +38,17 @@ GET_ATTR_BUDGET = 5.0
 #: not counting the record read on a handle miss (measured: 14.72, of
 #: which the 86 % of brackets that miss spend 4 allocating the handle).
 BRACKET_BUDGET = 16.2
+
+#: Calls made by one ``Transaction.create_object`` of an unlogged load,
+#: itself included, down through the record writer, the storage file and
+#: the page caches (measured: 40.99; 108.56 when every create re-derived
+#: the attribute lists, built and encoded an ``ObjectHeader`` and packed
+#: attribute by attribute).
+CREATE_OBJECT_BUDGET = 45.0
+#: Calls made by one ``StorageFile.insert``, itself included -- objects,
+#: collection chunks and index leaves alike (measured: 15.65; 31.91 with
+#: two cache probes and the slack computed twice per insert).
+INSERT_BUDGET = 17.2
 
 MANAGER = "repro/objects/manager.py"
 BRACKET_ROOTS = (
@@ -157,4 +175,32 @@ def test_calls_per_borrow_bracket(graph):
             for line in [_name(root).rsplit("/", 1)[-1],
                          *graph.callees(root, loader, 1)]
         )
+    )
+
+
+# ------------------------------------------------------------ write path
+
+@pytest.fixture(scope="module")
+def load_graph() -> CallGraph:
+    config = DerbyConfig.db_1to3(scale=0.0003)
+    load_derby(config)  # struct formats cached, modules warm
+    profile = cProfile.Profile()
+    profile.enable()
+    derby = load_derby(config)
+    profile.disable()
+    assert derby.load_report.objects_created == 1200
+    return CallGraph(profile.getstats())
+
+
+@pytest.mark.parametrize("file_suffix, qualname, budget", [
+    ("repro/txn/manager.py", "Transaction.create_object", CREATE_OBJECT_BUDGET),
+    ("repro/storage/file.py", "StorageFile.insert", INSERT_BUDGET),
+])
+def test_calls_per_write(load_graph, file_suffix, qualname, budget):
+    root = load_graph.find(file_suffix, qualname)
+    assert load_graph.calls(root) >= 1200
+    per_call = 1.0 + load_graph.beneath(root)
+    assert per_call <= budget, (
+        f"{per_call:.2f} calls per {qualname}, budget {budget}; "
+        "per call it calls:\n" + "\n".join(load_graph.callees(root))
     )

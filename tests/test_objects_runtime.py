@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.derby.schema import build_derby_schema
 from repro.errors import DanglingReferenceError, HandleError, ObjectError
 from repro.objects import (
     AttrKind,
@@ -456,6 +457,39 @@ class TestDatabase:
         db.manager.unref(handle)
         assert isinstance(clients, InlineSet)
         assert list(db.iter_set_rids(clients)) == pats
+
+    @pytest.mark.parametrize("n_clients", [419, 420, 425])
+    def test_largest_inline_sets_fit_a_page(self, n_clients):
+        """``INLINE_SET_LIMIT_BYTES`` admits 425 rids inline; an indexed
+        Derby Provider with 420-425 clients is 3.46-3.50 KB -- more than
+        a page less its 15 % growth slack, which once made it unstorable
+        (``PageFullError`` on a fresh page, and the page leaked)."""
+        db = Database(build_derby_schema())
+        providers = db.create_file("providers")
+        db.create_object("Provider", {"upin": 0}, "providers", indexed=True)
+        pats = [Rid(0, i, 0) for i in range(n_clients)]
+        doc = db.create_object(
+            "Provider", {"upin": 1, "clients": pats}, "providers", indexed=True
+        )
+        clients = db.manager.get_attr_at(doc, "clients")
+        assert isinstance(clients, InlineSet) and list(clients.rids) == pats
+        assert (doc.page_no, providers.num_pages) == (1, 2)
+
+    def test_update_set_grows_a_record_to_the_inline_limit(self):
+        db = Database(build_derby_schema())
+        providers = db.create_file("providers")
+        docs = [
+            db.create_object(
+                "Provider", {"upin": i, "clients": [Rid(0, 0, 0)] * 100},
+                "providers", indexed=True,
+            )
+            for i in range(3)
+        ]
+        assert providers.num_pages == 1
+        pats = [Rid(0, i, 0) for i in range(425)]
+        moved = db.manager.update_set(docs[0], "clients", db.prepare_set(pats))
+        assert (moved.page_no, providers.num_pages) == (1, 2)
+        assert list(db.manager.get_attr_at(docs[0], "clients").rids) == pats
 
     def test_large_set_spills_to_collection_file(self):
         db = make_db()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from repro.buffer import BufferCache, ClientServerSystem
 from repro.derby.lrand48 import Lrand48
 from repro.exec.sorter import sort_charged
+from repro.index.btree import BTreeIndex
 from repro.objects import AttributeDef, AttrKind, Database, Schema
-from repro.objects.codec import InlineSet, RecordCodec
+from repro.objects.codec import InlineSet, OverflowSet, RecordCodec
 from repro.objects.header import ObjectHeader
 from repro.simtime import Bucket, CostParams, MemoryModel, SimClock
-from repro.storage import DiskManager, Rid
+from repro.storage import DirectPager, DiskManager, Rid, StorageFile
+from repro.storage.rid import NIL_RID
 from repro.units import PAGE_SIZE
 
 
@@ -158,6 +161,283 @@ class TestCodecProperties:
         assert (full["mrn"], full["flag"], full["friends"]) == (
             values["mrn"], values["flag"], friends,
         )
+
+
+# ------------------------------------------------------------- writer
+
+_RID = struct.Struct("<hih")
+_SET_PREFIX = struct.Struct("<BI")
+_PACK = {AttrKind.INT32: "<i", AttrKind.REAL64: "<d", AttrKind.BOOL: "<?"}
+
+
+def _reference_scalar(attr: AttributeDef, value: object) -> bytes:
+    """The per-attribute encoder the compiled writer replaced, kept here
+    as the reference: slice + ``ljust`` for strings, one ``pack`` per
+    attribute."""
+    kind = attr.kind
+    if kind is AttrKind.STRING:
+        raw = str(value or "").encode("utf-8")[: attr.width]
+        return raw.ljust(attr.width, b"\x00")
+    if kind is AttrKind.CHAR:
+        text = str(value or "\x00")
+        return text.encode("latin-1")[:1] or b"\x00"
+    if kind is AttrKind.REF:
+        rid = value if isinstance(value, Rid) else NIL_RID
+        return _RID.pack(rid.file_id, rid.page_no, rid.slot)
+    if kind is AttrKind.INT32:
+        return struct.pack(_PACK[kind], int(value or 0))
+    if kind is AttrKind.REAL64:
+        return struct.pack(_PACK[kind], float(value or 0.0))
+    return struct.pack(_PACK[kind], bool(value))
+
+
+def _reference_set(value: object) -> bytes:
+    if value is None:
+        value = InlineSet(())
+    if isinstance(value, OverflowSet):
+        head = value.head
+        return _SET_PREFIX.pack(1, value.count) + _RID.pack(
+            head.file_id, head.page_no, head.slot
+        )
+    rids = value.rids if isinstance(value, InlineSet) else tuple(value)
+    body = b"".join(_RID.pack(r.file_id, r.page_no, r.slot) for r in rids)
+    return _SET_PREFIX.pack(0, len(rids)) + body
+
+
+def reference_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
+    parts = [header.encode()]
+    for attr in class_def.scalar_attributes():
+        parts.append(_reference_scalar(attr, values.get(attr.name, attr.default)))
+    for attr in class_def.set_attributes():
+        parts.append(_reference_set(values.get(attr.name)))
+    return b"".join(parts)
+
+
+def _writer_schema() -> tuple[Schema, list]:
+    """A class with every kind, declared defaults, two sets, and an
+    evolved second version; returns the schema and both versions."""
+    schema = Schema()
+    v0 = schema.define(
+        "Everything",
+        [
+            AttributeDef("name", AttrKind.STRING),
+            AttributeDef("tag", AttrKind.STRING, width=5, default="dflt"),
+            AttributeDef("mrn", AttrKind.INT32, default=7),
+            AttributeDef("score", AttrKind.REAL64),
+            AttributeDef("flag", AttrKind.BOOL, default=True),
+            AttributeDef("sex", AttrKind.CHAR, default="F"),
+            AttributeDef("boss", AttrKind.REF),
+            AttributeDef("friends", AttrKind.REF_SET),
+            AttributeDef("foes", AttrKind.REF_SET),
+        ],
+    )
+    v1 = schema.evolve(
+        "Everything",
+        [
+            AttributeDef("ward", AttrKind.STRING, width=8, default="none"),
+            AttributeDef("beds", AttrKind.INT32, default=2),
+            AttributeDef("peer", AttrKind.REF),
+        ],
+    )
+    return schema, [v0, v1]
+
+
+_RIDS = st.builds(
+    Rid,
+    st.integers(min_value=-1, max_value=300),
+    st.integers(min_value=-1, max_value=2**31 - 1),
+    st.integers(min_value=-1, max_value=300),
+)
+_INT32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+_LATIN1 = st.characters(max_codepoint=255)
+_STRINGS = st.one_of(
+    st.none(), st.text(max_size=40), st.integers(), st.just("\x00 inner nul")
+)
+_INTS = st.one_of(
+    st.none(), _INT32, st.booleans(), st.floats(-1e9, 1e9), st.just("12")
+)
+_REALS = st.one_of(
+    st.none(), st.floats(allow_nan=False), _INT32, st.booleans(), st.just("2.5")
+)
+_BOOLS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2))
+_CHARS = st.one_of(
+    st.none(), st.just(""), st.text(_LATIN1, max_size=3), st.integers(0, 9)
+)
+_REFS = st.one_of(
+    st.none(), _RIDS, st.just(NIL_RID), st.just((1, 2, 3)), st.integers()
+)
+_SETS = st.one_of(
+    st.none(),
+    st.lists(_RIDS, max_size=30),
+    st.lists(_RIDS, max_size=30).map(tuple),
+    st.lists(_RIDS, max_size=30).map(lambda r: InlineSet(tuple(r))),
+    st.builds(OverflowSet, _RIDS, st.integers(0, 2**32 - 1)),
+)
+
+_SCALARS = {
+    "name": _STRINGS, "tag": _STRINGS, "mrn": _INTS, "score": _REALS,
+    "flag": _BOOLS, "sex": _CHARS, "boss": _REFS,
+    "ward": _STRINGS, "beds": _INTS, "peer": _REFS,  # the evolved version's
+}
+#: Values as callers may hand them over: any key may be missing or None.
+_LOOSE_VALUES = st.fixed_dictionaries({}, optional={
+    **_SCALARS, "friends": _SETS, "foes": _SETS,
+    "not_an_attribute": st.integers(),
+})
+
+_ASCII = st.characters(min_codepoint=33, max_codepoint=126)
+#: Values the format represents exactly (``decode(encode(v)) == v``).
+_EXACT_VALUES = st.fixed_dictionaries({
+    "name": st.text(_ASCII, max_size=16),
+    "tag": st.text(_ASCII, max_size=5),
+    "mrn": _INT32,
+    "score": st.floats(allow_nan=False),
+    "flag": st.booleans(),
+    "sex": st.text(_LATIN1, min_size=1, max_size=1),
+    "boss": st.one_of(st.none(), _RIDS.filter(lambda r: r != NIL_RID)),
+    "friends": st.lists(_RIDS, max_size=30).map(lambda r: InlineSet(tuple(r))),
+    "foes": st.builds(OverflowSet, _RIDS, st.integers(0, 2**32 - 1)),
+})
+
+_HEADERS = st.builds(
+    lambda slots, ids, flags: (slots, ids[:slots], flags),
+    st.sampled_from([0, 8, 16]),
+    st.lists(st.integers(1, 0xFFFF), max_size=16, unique=True),
+    st.integers(0, 15),
+)
+
+
+class TestWriterProperties:
+    """The compiled record writer against the per-attribute encoder it
+    replaced (kept above as the reference): byte for byte."""
+
+    @given(values=_LOOSE_VALUES, version=st.sampled_from([0, 1]), head=_HEADERS)
+    @settings(max_examples=300, deadline=None)
+    def test_writer_equals_reference_encoder(self, values, version, head):
+        __, versions = _writer_schema()
+        class_def = versions[version]
+        slots, index_ids, flags = head
+        header = ObjectHeader(
+            class_def.class_id, flags, slots, index_ids, class_def.schema_version
+        )
+        assert RecordCodec(class_def).encode(header, values) == reference_encode(
+            class_def, header, values
+        )
+
+    @given(
+        values=_LOOSE_VALUES,
+        name=st.sampled_from(sorted(_SCALARS)),
+        slots=st.sampled_from([0, 8]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_update_scalar_equals_re_encoding(self, values, name, slots, data):
+        __, (___, class_def) = _writer_schema()
+        new_value = data.draw(_SCALARS[name])
+        header = ObjectHeader(
+            class_def.class_id, slot_count=slots,
+            schema_version=class_def.schema_version,
+        )
+        codec = RecordCodec(class_def)
+        updated = codec.update_scalar(codec.encode(header, values), name, new_value)
+        assert updated == reference_encode(
+            class_def, header, {**values, name: new_value}
+        )
+
+    @given(values=_EXACT_VALUES, slots=st.sampled_from([0, 8]))
+    @settings(max_examples=200, deadline=None)
+    def test_decode_inverts_encode(self, values, slots):
+        __, (class_def, ___) = _writer_schema()
+        header = ObjectHeader(class_def.class_id, slot_count=slots)
+        codec = RecordCodec(class_def)
+        assert codec.decode(codec.encode(header, values)) == values
+
+    @given(
+        values=_LOOSE_VALUES,
+        indexed=st.booleans(),
+        index_ids=st.lists(st.integers(1, 0xFFFF), max_size=10, unique=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_created_record_equals_reference(self, values, indexed, index_ids):
+        """``Database.create_object`` takes its header bytes from the
+        prefix cache; the record on the page is still what building the
+        ``ObjectHeader`` and encoding attribute by attribute gives --
+        on the first create (cache miss) and on the second (hit)."""
+        schema, (___, class_def) = _writer_schema()
+        db = Database(schema)
+        sfile = db.create_file("f")
+        header = ObjectHeader.for_new_object(
+            class_def.class_id, indexed or bool(index_ids),
+            schema_version=class_def.schema_version,
+        )
+        for index_id in index_ids:
+            header.add_index(index_id)
+        prepared = {
+            **values,
+            "friends": db.prepare_set(values.get("friends")),
+            "foes": db.prepare_set(values.get("foes")),
+        }
+        expected = reference_encode(class_def, header, prepared)
+        for __ in range(2):
+            rid = db.create_object(
+                "Everything", values, "f", indexed, tuple(index_ids)
+            )
+            assert sfile.read(rid) == expected
+
+
+_LEAF_RIDS = st.builds(
+    Rid, st.integers(0, 300), st.integers(0, 2**31 - 1), st.integers(0, 300)
+)
+
+
+class TestLeafProperties:
+    @staticmethod
+    def make_index(key_type: type) -> BTreeIndex:
+        disk = DiskManager()
+        return BTreeIndex("i", 1, StorageFile(disk, DirectPager(disk)), key_type)
+
+    @given(st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), _LEAF_RIDS), max_size=250
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_int_leaf_roundtrip_and_layout(self, entries):
+        index = self.make_index(int)
+        leaf = index._encode_leaf(entries)
+        # count, then per entry the key and the rid, back to back
+        assert leaf == struct.pack("<I", len(entries)) + b"".join(
+            struct.pack("<q", key) + _RID.pack(*rid) for key, rid in entries
+        )
+        assert index._decode_leaf(leaf) == entries
+        assert all(type(rid) is Rid for __, rid in index._decode_leaf(leaf))
+
+    @given(st.lists(
+        st.tuples(st.text(_ASCII, max_size=16), _LEAF_RIDS), max_size=120
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_str_leaf_roundtrip(self, entries):
+        index = self.make_index(str)
+        assert index._decode_leaf(index._encode_leaf(entries)) == entries
+
+    @given(st.lists(
+        st.tuples(st.one_of(st.text(max_size=30), st.integers()), _LEAF_RIDS),
+        max_size=60,
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_str_leaf_layout(self, entries):
+        """Long and multi-byte keys are cut at 16 bytes, short ones
+        NUL-padded: ``16s`` packs what slice + ``ljust`` built."""
+        leaf = self.make_index(str)._encode_leaf(entries)
+        assert leaf == struct.pack("<I", len(entries)) + b"".join(
+            str(key).encode("utf-8")[:16].ljust(16, b"\x00") + _RID.pack(*rid)
+            for key, rid in entries
+        )
+
+    @pytest.mark.parametrize("key_type", [int, str])
+    def test_truncated_leaf_is_an_error(self, key_type):
+        index = self.make_index(key_type)
+        leaf = index._encode_leaf([(1, Rid(0, 0, 0)), (2, Rid(0, 0, 1))])
+        with pytest.raises(struct.error):
+            index._decode_leaf(leaf[:-1])
 
 
 # ------------------------------------------------------------- collections

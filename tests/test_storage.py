@@ -252,6 +252,32 @@ class TestStorageFile:
             slacked.insert(record)
         assert slacked.num_pages > full.num_pages
 
+    def test_slack_is_not_reserved_on_an_empty_page(self):
+        """A record that fits a page but not page-minus-slack has to go
+        somewhere: an empty page takes it, and no page is leaked."""
+        sfile = make_file()  # 15 % slack: 609 of 4064 bytes
+        sfile.insert(b"first")
+        band = b"x" * 3500  # > 4064 - 609 - 4, < 4064 - 4
+        rid = sfile.insert(band)
+        assert (rid.page_no, sfile.num_pages) == (1, 2)
+        assert sfile.read(rid) == band
+        # Slack still applies beside a record: the next one starts page 2.
+        assert sfile.insert(b"y" * 10).page_no == 2
+
+    def test_first_record_of_a_file_may_fill_the_page(self):
+        sfile = make_file()
+        rid = sfile.insert(b"x" * 4060)  # 4060 + 4 == capacity
+        assert (rid, sfile.num_pages) == (Rid(sfile.file_id, 0, 0), 1)
+
+    def test_update_moves_a_record_grown_past_the_fill_factor(self):
+        sfile = make_file()
+        rids = [sfile.insert(b"a" * 500) for __ in range(6)]
+        assert sfile.num_pages == 1
+        band = b"b" * 3500
+        new_rid = sfile.update(rids[0], band)
+        assert (new_rid.page_no, sfile.num_pages) == (1, 2)
+        assert sfile.read(rids[0]) == band
+
     def test_update_in_place_keeps_rid(self):
         sfile = make_file()
         rid = sfile.insert(b"small")
