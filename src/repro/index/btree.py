@@ -19,6 +19,7 @@ import bisect
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from operator import le
 from typing import Iterable, Iterator
 
@@ -44,14 +45,15 @@ def _field_text(raw: bytes) -> str:
     return raw.rstrip(b"\x00").decode("utf-8", "replace")
 
 
-#: Key type -> (struct of one leaf entry: the fixed-width key, then the
-#: rid's three fields; key -> what the key's code packs; what it unpacks
-#: -> key).  ``16s`` cuts a long string key at 16 bytes and NUL-pads a
-#: short one.  A leaf is its entry count and the entries back to back, so
-#: it packs in one struct call and unpacks in one ``iter_unpack``.
+#: Key type -> (struct codes of one leaf entry: the fixed-width key, then
+#: the rid's three fields; key -> what the key's code packs; what it
+#: unpacks -> key, ``None`` when that already is the key).  ``16s`` cuts
+#: a long string key at 16 bytes and NUL-pads a short one.  A leaf is its
+#: entry count and the entries back to back, so a whole leaf is one
+#: ``pack`` and one ``unpack``.
 _LEAF_FORMATS = {
-    int: (struct.Struct("<qhih"), int, int),
-    str: (struct.Struct(f"<{_STR_KEY_WIDTH}shih"), _text_field, _field_text),
+    int: ("qhih", int, None),
+    str: (f"{_STR_KEY_WIDTH}shih", _text_field, _field_text),
 }
 
 
@@ -80,7 +82,9 @@ class BTreeIndex:
         self.index_id = index_id
         self.file = index_file
         try:
-            self._entry, self._to_field, self._to_key = _LEAF_FORMATS[key_type]
+            self._entry_format, self._to_field, self._to_key = _LEAF_FORMATS[
+                key_type
+            ]
         except KeyError:
             raise IndexError_(
                 f"unsupported index key type: {key_type.__name__}"
@@ -256,23 +260,27 @@ class BTreeIndex:
     # -- internals --------------------------------------------------------
 
     def _encode_leaf(self, entries: list[tuple[object, Rid]]) -> bytes:
-        to_field = self._to_field
+        if not entries:
+            return _COUNT.pack(0)
+        keys, rids = zip(*entries)  # columns, then rows of four fields
+        rows = zip(map(self._to_field, keys), *zip(*rids))
         return struct.pack(
-            "<I" + self._entry.format[1:] * len(entries),
+            "<I" + self._entry_format * len(entries),
             len(entries),
-            *[field for key, rid in entries for field in (to_field(key), *rid)],
+            *chain.from_iterable(rows),
         )
 
     def _decode_leaf(self, record: bytes) -> list[tuple[object, Rid]]:
         (count,) = _COUNT.unpack_from(record, 0)
-        end = _COUNT.size + count * self._entry.size
-        if end > len(record):  # a slice would silently stop short
-            raise struct.error(f"leaf of {count} entries overruns its record")
-        to_key = self._to_key
-        return [
-            (to_key(field), rid_of(rid))
-            for field, *rid in self._entry.iter_unpack(record[_COUNT.size:end])
-        ]
+        # struct.error if the record is shorter than its count says
+        fields = struct.unpack_from(
+            "<" + self._entry_format * count, record, _COUNT.size
+        )
+        keys = fields[0::4]
+        if self._to_key is not None:
+            keys = map(self._to_key, keys)
+        rids = map(rid_of, zip(fields[1::4], fields[2::4], fields[3::4]))
+        return list(zip(keys, rids))
 
     def _read_leaf(self, leaf_no: int) -> list[tuple[object, Rid]]:
         return self._decode_leaf(self.file.read(self._leaf_rids[leaf_no]))
