@@ -2,12 +2,16 @@
 
     make profile WORKLOAD=bulk_load
     python benchmarks/profile_workload.py bulk_load --seed 1997 --top 40
+    python benchmarks/profile_workload.py oql_selection --callers 'dataclasses.*fields'
 
 Runs the workload's set-up, one untimed warm-up pass and then one pass
 under ``cProfile`` -- the same traced pass ``benchmarks/wallclock/worker.py``
 takes its counts from, so ``total calls`` here is that run's
 ``host_calls`` -- and prints the calls per layer and the top functions by
-self time and by call count.  ``cProfile`` taxes every call but not the
+self time and by call count; ``--callers PATTERN`` adds, for every
+function whose label matches, who calls it and how often -- which is how
+a storm of small calls (``fields()`` under every meter snapshot) is
+traced to its source.  ``cProfile`` taxes every call but not the
 work inside native code, so use this to find candidates and the
 benchmark itself (tracing off) to measure them.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "wallclock"))
@@ -72,6 +77,28 @@ def report(entries: list, top: int) -> None:
             print(f"{calls:12,} {seconds:9.3f}  {_label(code)}")
 
 
+def report_callers(entries: list, pattern: str) -> None:
+    """For every function whose label matches ``pattern`` (a regular
+    expression, searched), its callers by call count."""
+    wanted = re.compile(pattern)
+    callers: dict[str, dict[str, int]] = {}
+    for entry in entries:
+        for edge in entry.calls or ():
+            callee = _label(edge.code)
+            if wanted.search(callee):
+                counts = callers.setdefault(callee, {})
+                caller = _label(entry.code)
+                counts[caller] = counts.get(caller, 0) + edge.callcount
+    if not callers:
+        print(f"\nno called function matches {pattern!r}")
+    for callee, counts in sorted(
+        callers.items(), key=lambda kv: -sum(kv[1].values())
+    ):
+        print(f"\ncallers of {callee}  ({sum(counts.values()):,} calls)")
+        for caller, calls in sorted(counts.items(), key=lambda kv: -kv[1]):
+            print(f"{calls:12,}  {caller}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
@@ -79,8 +106,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="a tenth of the scale, as run.py --smoke")
     parser.add_argument("--top", type=int, default=40)
+    parser.add_argument("--callers", metavar="PATTERN",
+                        help="also list the callers of every function "
+                             "whose file:line(qualname) label matches")
     args = parser.parse_args(argv)
-    report(profile_pass(args.workload, args.seed, args.smoke), args.top)
+    entries = profile_pass(args.workload, args.seed, args.smoke)
+    report(entries, args.top)
+    if args.callers:
+        report_callers(entries, args.callers)
     return 0
 
 

@@ -47,16 +47,16 @@ def figure4_rids_vs_handles(
         hash_table = QueryHashTable(
             derby.db.clock, derby.db.params, derby.db.counters, entry_bytes
         )
-        for entry in derby.by_mrn.range_scan(None, k, include_high=False):
+        for __, rid in derby.by_mrn.range_scan(None, k, include_high=False):
             if payload == "Handles":
                 # The handle stays referenced (pinned) inside the table.
-                handle = om.load(entry.rid)
+                handle = om.load(rid)
                 owner = om.get_attr(handle, "primary_care_provider")
                 hash_table.insert(owner, handle)
             else:
-                with om.borrow(entry.rid) as handle:
+                with om.borrow(rid) as handle:
                     owner = om.get_attr(handle, "primary_care_provider")
-                hash_table.insert(owner, entry.rid)
+                hash_table.insert(owner, rid)
         # Use phase: touch every entry once (e.g. to build f(p, pa)).
         for key in list(hash_table._table):
             for item in hash_table.probe_all(key):

@@ -41,8 +41,8 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
     """
     om = derby.db.manager
     providers: list[LogicalProvider] = []
-    for entry in derby.by_upin.range_scan():
-        record, class_def = om.read_record(entry.rid)
+    for __, rid in derby.by_upin.range_scan():
+        record, class_def = om.read_record(rid)
         values = om.codec(class_def).decode(record)
         providers.append(
             LogicalProvider(
@@ -54,8 +54,8 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
             )
         )
     patients: list[LogicalPatient] = []
-    for j, entry in enumerate(derby.by_mrn.range_scan()):
-        record, class_def = om.read_record(entry.rid)
+    for j, (__, rid) in enumerate(derby.by_mrn.range_scan()):
+        record, class_def = om.read_record(rid)
         values = om.codec(class_def).decode(record)
         patient = LogicalPatient(
             mrn=values["mrn"],                       # type: ignore[arg-type]

@@ -29,12 +29,13 @@ charged cost.  Streaming consumers go through the operator package (or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.exec.operators.joins import drain_algorithm
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database
+from repro.storage.rid import Rid
 
 
 @dataclass
@@ -65,23 +66,16 @@ class TreeJoinQuery:
     # key order does not match the physical layout (composition/random
     # organizations).
 
-    def selected_parents(self):
-        entries = list(
-            self.parent_index.range_scan(None, self.parent_high, include_high=False)
-        )
-        entries = sort_charged(
-            entries, self.db.clock, self.db.params, key=lambda e: e.rid
-        )
-        return iter(entries)
+    def selected_parents(self) -> Iterator[Rid]:
+        return self._selected(self.parent_index, self.parent_high)
 
-    def selected_children(self):
-        entries = list(
-            self.child_index.range_scan(None, self.child_high, include_high=False)
-        )
-        entries = sort_charged(
-            entries, self.db.clock, self.db.params, key=lambda e: e.rid
-        )
-        return iter(entries)
+    def selected_children(self) -> Iterator[Rid]:
+        return self._selected(self.child_index, self.child_high)
+
+    def _selected(self, index: BTreeIndex, high: object) -> Iterator[Rid]:
+        """Rids of the objects keyed below ``high``, in physical order."""
+        rids = [rid for __, rid in index.range_scan(None, high, include_high=False)]
+        return iter(sort_charged(rids, self.db.clock, self.db.params))
 
 
 JoinAlgorithm = Callable[[TreeJoinQuery], list[tuple]]

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 from repro.objects.database import Database
 from repro.simtime import Bucket
+from repro.units import US_PER_S
 
 #: Default rows per ``next_batch`` pull.  See docs/pipeline.md for how
 #: to choose: bigger batches amortize per-batch overhead (scheduler
@@ -97,15 +98,23 @@ class PipelineContext:
 
     # -- charging -------------------------------------------------------
 
-    def charge_result(self, transactional: bool = True) -> None:
-        """Charge one emitted result row (the ResultBuilder price)."""
+    def result_s(self, transactional: bool = True) -> float:
+        """Simulated seconds one emitted result row costs (the
+        ResultBuilder price) under the database's current params.  An
+        operator asks once per ``_next`` -- never once per statement
+        tree: a sweep swaps ``db.params`` between runs -- and adds it
+        to ``clock.buckets[Bucket.RESULT]`` row by row."""
         params = self.db.params
         us = (
             params.result_append_txn_us
             if transactional
             else params.result_append_us
         )
-        self.db.clock.charge_us(Bucket.RESULT, us)
+        return us / US_PER_S
+
+    def charge_result(self, transactional: bool = True) -> None:
+        """Charge one emitted result row."""
+        self.db.clock.buckets[Bucket.RESULT] += self.result_s(transactional)
 
     # -- first-row bookkeeping (driven by the Cursor) -------------------
 

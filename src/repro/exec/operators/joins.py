@@ -37,7 +37,7 @@ from repro.exec.operators.base import (
 )
 from repro.exec.sorter import sort_charged
 from repro.simtime import Bucket
-from repro.units import pages_for_bytes
+from repro.units import US_PER_S, pages_for_bytes
 
 if TYPE_CHECKING:  # runtime import would cycle: exec.joins wraps us
     from repro.exec.joins import TreeJoinQuery
@@ -54,9 +54,6 @@ class TreeJoinOperator(Operator):
     def db(self):
         return self.q.db
 
-    def _charge_row(self) -> None:
-        self.ctx.charge_result(self.q.transactional_result)
-
 
 class NavigationParentToChild(TreeJoinOperator):
     """**NL** — parent-to-child pure navigation, streaming."""
@@ -68,24 +65,27 @@ class NavigationParentToChild(TreeJoinOperator):
 
     def _next(self, n: int) -> list:
         q, db, om = self.q, self.db, self.db.manager
+        buckets = db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
+        predicate_s = db.params.predicate_us / US_PER_S
         out: list = []
         while len(out) < n:
             child_rid = next(self._children, None)
             if child_rid is None:
-                entry = next(self._parents, None)
-                if entry is None:
+                parent_rid = next(self._parents, None)
+                if parent_rid is None:
                     break
-                with om.borrow(entry.rid) as parent:
+                with om.borrow(parent_rid) as parent:
                     self._parent_value = om.get_attr(parent, q.parent_project)
                     children = om.get_attr(parent, q.parent_set)
                 self._children = db.iter_set_rids(children)
                 continue
             with om.borrow(child_rid) as child:
                 key = om.get_attr(child, q.child_key)
-                db.clock.charge_us(Bucket.CPU, db.params.predicate_us)
+                buckets[Bucket.CPU] += predicate_s
                 if key < q.child_high:  # type: ignore[operator]
                     row = (self._parent_value, om.get_attr(child, q.child_project))
-                    self._charge_row()
+                    buckets[Bucket.RESULT] += row_s
                     out.append(row)
         return out
 
@@ -102,23 +102,26 @@ class NavigationChildToParent(TreeJoinOperator):
 
     def _next(self, n: int) -> list:
         q, db, om = self.q, self.db, self.db.manager
+        buckets = db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
+        predicate_s = db.params.predicate_us / US_PER_S
         out: list = []
         while len(out) < n:
-            entry = next(self._children, None)
-            if entry is None:
+            child_rid = next(self._children, None)
+            if child_rid is None:
                 break
-            with om.borrow(entry.rid) as child:
+            with om.borrow(child_rid) as child:
                 parent_rid = om.get_attr(child, q.child_ref)
                 if parent_rid is not None:
                     with om.borrow(parent_rid) as parent:
                         key = om.get_attr(parent, q.parent_key)
-                        db.clock.charge_us(Bucket.CPU, db.params.predicate_us)
+                        buckets[Bucket.CPU] += predicate_s
                         if key < q.parent_high:  # type: ignore[operator]
                             row = (
                                 om.get_attr(parent, q.parent_project),
                                 om.get_attr(child, q.child_project),
                             )
-                            self._charge_row()
+                            buckets[Bucket.RESULT] += row_s
                             out.append(row)
         return out
 
@@ -135,24 +138,26 @@ class HashParentsJoin(TreeJoinOperator):
         self._table = QueryHashTable(
             db.clock, db.params, db.counters, entry_bytes=phj_table_bytes(1)
         )
-        for entry in q.selected_parents():
-            with om.borrow(entry.rid) as parent:
-                self._table.insert(entry.rid, om.get_attr(parent, q.parent_project))
+        for rid in q.selected_parents():
+            with om.borrow(rid) as parent:
+                self._table.insert(rid, om.get_attr(parent, q.parent_project))
         self._children = q.selected_children()
 
     def _next(self, n: int) -> list:
         q, om = self.q, self.db.manager
+        buckets = self.db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
         out: list = []
         while len(out) < n:
-            entry = next(self._children, None)
-            if entry is None:
+            child_rid = next(self._children, None)
+            if child_rid is None:
                 break
-            with om.borrow(entry.rid) as child:
+            with om.borrow(child_rid) as child:
                 parent_rid = om.get_attr(child, q.child_ref)
                 info = self._table.probe(parent_rid)
                 if info is not None:
                     row = (info, om.get_attr(child, q.child_project))
-                    self._charge_row()
+                    buckets[Bucket.RESULT] += row_s
                     out.append(row)
         return out
 
@@ -181,8 +186,8 @@ class HashChildrenJoin(TreeJoinOperator):
             entry_bytes=CHJ_CHILD_BYTES,
             bucket_bytes=CHJ_BUCKET_BYTES,
         )
-        for entry in q.selected_children():
-            with om.borrow(entry.rid) as child:
+        for rid in q.selected_children():
+            with om.borrow(rid) as child:
                 self._table.insert(
                     om.get_attr(child, q.child_ref),
                     om.get_attr(child, q.child_project),
@@ -192,21 +197,23 @@ class HashChildrenJoin(TreeJoinOperator):
 
     def _next(self, n: int) -> list:
         q, om = self.q, self.db.manager
+        buckets = self.db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
         out: list = []
         while len(out) < n:
             if self._pending:
                 row = self._pending.popleft()
                 self.ctx.note_released(1)
-                self._charge_row()
+                buckets[Bucket.RESULT] += row_s
                 out.append(row)
                 continue
-            entry = next(self._parents, None)
-            if entry is None:
+            parent_rid = next(self._parents, None)
+            if parent_rid is None:
                 break
-            matches = self._table.probe_all(entry.rid)
+            matches = self._table.probe_all(parent_rid)
             if not matches:
                 continue
-            with om.borrow(entry.rid) as parent:
+            with om.borrow(parent_rid) as parent:
                 parent_value = om.get_attr(parent, q.parent_project)
             for child_value in matches:
                 self._pending.append((parent_value, child_value))
@@ -225,15 +232,16 @@ class SortMergeJoin(TreeJoinOperator):
     ``open`` (the algorithm is blocking by nature), merge streamed.
 
     The child-pairs buffer carries projected values and counts against
-    ``peak_rows``; the parent side is ``(rid, key)`` index entries —
-    bookkeeping, like a rid table, and not counted.
+    ``peak_rows``; the parent side is index entries (16 bytes each to
+    the sort's memory model) — bookkeeping, like a rid table, and not
+    counted.
     """
 
     def _open(self) -> None:
         db, om, q = self.db, self.db.manager, self.q
         child_pairs = []
-        for entry in q.selected_children():
-            with om.borrow(entry.rid) as child:
+        for rid in q.selected_children():
+            with om.borrow(rid) as child:
                 parent_rid = om.get_attr(child, q.child_ref)
                 if parent_rid is not None:
                     child_pairs.append(
@@ -244,9 +252,8 @@ class SortMergeJoin(TreeJoinOperator):
         )
         self.ctx.note_buffered(len(self._child_pairs))
 
-        parent_entries = [(entry.rid, entry.key) for entry in q.selected_parents()]
-        self._parent_entries = sort_charged(
-            parent_entries, db.clock, db.params, key=lambda p: p[0], bytes_per_item=16
+        self._parent_rids = sort_charged(
+            list(q.selected_parents()), db.clock, db.params, bytes_per_item=16
         )
         self._p = 0          # next parent entry
         self._i = 0          # merge frontier in child_pairs
@@ -254,15 +261,18 @@ class SortMergeJoin(TreeJoinOperator):
 
     def _next(self, n: int) -> list:
         db, om, q = self.db, self.db.manager, self.q
-        pairs, parents = self._child_pairs, self._parent_entries
+        pairs, parents = self._child_pairs, self._parent_rids
+        buckets = db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
+        compare_s = db.params.compare_us / US_PER_S
         out: list = []
         while len(out) < n:
             if self._group is not None:
                 parent_rid, parent_value, j = self._group
                 if j < len(pairs) and pairs[j][0] == parent_rid:
-                    db.clock.charge_us(Bucket.CPU, db.params.compare_us)
+                    buckets[Bucket.CPU] += compare_s
                     row = (parent_value, pairs[j][1])
-                    self._charge_row()
+                    buckets[Bucket.RESULT] += row_s
                     out.append(row)
                     self._group = (parent_rid, parent_value, j + 1)
                     continue
@@ -270,10 +280,10 @@ class SortMergeJoin(TreeJoinOperator):
                 self._group = None
             if self._p >= len(parents):
                 break
-            parent_rid = parents[self._p][0]
+            parent_rid = parents[self._p]
             self._p += 1
             while self._i < len(pairs) and pairs[self._i][0] < parent_rid:
-                db.clock.charge_us(Bucket.CPU, db.params.compare_us)
+                buckets[Bucket.CPU] += compare_s
                 self._i += 1
             if self._i >= len(pairs):
                 self._p = len(parents)
@@ -288,7 +298,7 @@ class SortMergeJoin(TreeJoinOperator):
     def _close(self) -> None:
         self.ctx.note_released(len(self._child_pairs))
         self._child_pairs = []
-        self._parent_entries = []
+        self._parent_rids = []
 
 
 class HybridHashParentsJoin(TreeJoinOperator):
@@ -304,9 +314,9 @@ class HybridHashParentsJoin(TreeJoinOperator):
         budget = db.params.memory.query_memory_bytes
 
         parents = []
-        for entry in q.selected_parents():
-            with om.borrow(entry.rid) as parent:
-                parents.append((entry.rid, om.get_attr(parent, q.parent_project)))
+        for rid in q.selected_parents():
+            with om.borrow(rid) as parent:
+                parents.append((rid, om.get_attr(parent, q.parent_project)))
         table_bytes = phj_table_bytes(len(parents))
         self._spill_fraction = 0.0
         if budget and table_bytes > budget:
@@ -347,19 +357,21 @@ class HybridHashParentsJoin(TreeJoinOperator):
 
     def _next(self, n: int) -> list:
         q, om = self.q, self.db.manager
+        buckets = self.db.clock.buckets
+        row_s = self.ctx.result_s(q.transactional_result)
         out: list = []
         while len(out) < n:
-            entry = next(self._children, None)
-            if entry is None:
+            child_rid = next(self._children, None)
+            if child_rid is None:
                 self._charge_probe_spill()
                 break
-            with om.borrow(entry.rid) as child:
+            with om.borrow(child_rid) as child:
                 parent_rid = om.get_attr(child, q.child_ref)
                 self._probe_bytes += int(16 * self._spill_fraction)
                 info = self._table.probe(parent_rid)
                 if info is not None:
                     row = (info, om.get_attr(child, q.child_project))
-                    self._charge_row()
+                    buckets[Bucket.RESULT] += row_s
                     out.append(row)
         return out
 

@@ -19,6 +19,7 @@ from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database, PersistentCollection
 from repro.simtime import Bucket
+from repro.units import US_PER_S
 
 
 class CollectionScan(Operator):
@@ -73,8 +74,8 @@ class IndexScan(Operator):
     def _open(self) -> None:
         db = self.ctx.db
         self._rids = [
-            entry.rid
-            for entry in self.index.range_scan(
+            rid
+            for __, rid in self.index.range_scan(
                 self.low, self.high, self.include_low, self.include_high
             )
         ]
@@ -115,33 +116,40 @@ class Fetch(Operator):
         #: Rids with no version visible at the reader's snapshot (objects
         #: created after an MVCC snapshot began) — skipped, not errors.
         self.not_visible = 0
-        self._rids: list = []
-        self._pos = 0
+        #: What is left of the source's last batch.
+        self._rids = iter(())
 
     def children(self) -> tuple[Operator, ...]:
         return (self.source,)
 
     def _next(self, n: int) -> list:
-        om = self.ctx.db.manager
+        db = self.ctx.db
+        om = db.manager
+        borrow, row_fn = om.borrow, self.row_fn
+        buckets = db.clock.buckets
+        row_s = self.ctx.result_s(self.transactional)
         out: list = []
-        while len(out) < n:
-            if self._pos >= len(self._rids):
-                self._rids = self.source.next_batch(n)
-                self._pos = 0
-                if not self._rids:
+        room = n
+        while room:
+            for rid in self._rids:
+                self.scanned += 1
+                try:
+                    with borrow(rid) as handle:
+                        row = row_fn(om, handle)
+                except RecordNotVisibleError:
+                    self.not_visible += 1
+                    continue
+                if row is not SKIP:
+                    buckets[Bucket.RESULT] += row_s
+                    out.append(row)
+                    room -= 1
+                    if not room:
+                        break
+            else:
+                batch = self.source.next_batch(n)
+                if not batch:
                     break
-            rid = self._rids[self._pos]
-            self._pos += 1
-            self.scanned += 1
-            try:
-                with om.borrow(rid) as handle:
-                    row = self.row_fn(om, handle)
-            except RecordNotVisibleError:
-                self.not_visible += 1
-                continue
-            if row is not SKIP:
-                self.ctx.charge_result(self.transactional)
-                out.append(row)
+                self._rids = iter(batch)
         return out
 
 
@@ -161,7 +169,7 @@ def build_select_scan(
 
     def row_fn(om, handle):
         value = om.get_attr(handle, attr)
-        db.clock.charge_us(Bucket.CPU, db.params.predicate_us)
+        db.clock.buckets[Bucket.CPU] += db.params.predicate_us / US_PER_S
         if not predicate(value):
             return SKIP
         return om.get_attr(handle, project)

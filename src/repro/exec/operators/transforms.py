@@ -21,6 +21,7 @@ from repro.exec.operators.base import (
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.simtime import Bucket
+from repro.units import US_PER_S
 
 
 class Filter(Operator):
@@ -239,17 +240,18 @@ class IndexOnlyAggregate(Operator):
             return []
         self._done = True
         db = self.ctx.db
+        buckets = db.clock.buckets
+        compare_s = db.params.compare_us / US_PER_S
         count = 0
         total = 0.0
         lo: object | None = None
         hi: object | None = None
-        for entry in self.index.range_scan(
+        for key, __ in self.index.range_scan(
             self.low, self.high, self.include_low, self.include_high
         ):
-            db.clock.charge_us(Bucket.CPU, db.params.compare_us)
+            buckets[Bucket.CPU] += compare_s
             count += 1
             if self.func != "count":
-                key = entry.key
                 total += key  # type: ignore[operator]
                 lo = key if lo is None or key < lo else lo  # type: ignore[operator]
                 hi = key if hi is None or key > hi else hi  # type: ignore[operator]
@@ -260,7 +262,8 @@ class FetchingAggregate(Operator):
     """Aggregate that must look at the objects.
 
     Pulls rids from its source, borrows each object, applies the accept
-    function (residual predicates, exists filters), and accumulates.
+    function (residual predicates, exists filters; ``None`` when every
+    object the source emits counts), and accumulates.
     Emits exactly one row.  No result-append charge — the legacy engine
     returned the scalar without a ResultBuilder, and so do we.
     """
@@ -269,7 +272,7 @@ class FetchingAggregate(Operator):
         self,
         ctx: PipelineContext,
         source: Operator,
-        accept_fn: Callable,
+        accept_fn: Callable | None,
         func: str,
         attr: str | None,
     ):
@@ -288,6 +291,7 @@ class FetchingAggregate(Operator):
             return []
         self._done = True
         om = self.ctx.db.manager
+        accept_fn = self.accept_fn
         count = 0
         total = 0.0
         lo: object | None = None
@@ -298,7 +302,7 @@ class FetchingAggregate(Operator):
                 break
             for rid in batch:
                 with om.borrow(rid) as handle:
-                    if not self.accept_fn(om, handle):
+                    if accept_fn is not None and not accept_fn(om, handle):
                         continue
                     count += 1
                     if self.func != "count":

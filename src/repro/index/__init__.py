@@ -14,7 +14,7 @@ member objects' headers — paying the reallocation when headers must grow
 — and registers the index with the database.
 """
 
-from repro.index.btree import BTreeIndex, IndexEntry
+from repro.index.btree import BTreeIndex
 from repro.index.manager import IndexBuildReport, IndexManager
 
-__all__ = ["BTreeIndex", "IndexEntry", "IndexManager", "IndexBuildReport"]
+__all__ = ["BTreeIndex", "IndexManager", "IndexBuildReport"]

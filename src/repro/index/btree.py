@@ -18,9 +18,8 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
-from operator import le
+from operator import itemgetter, le
 from typing import Iterable, Iterator
 
 from repro.errors import IndexError_
@@ -57,12 +56,8 @@ _LEAF_FORMATS = {
 }
 
 
-@dataclass(frozen=True)
-class IndexEntry:
-    """One (key, rid) pair returned by scans."""
-
-    key: object
-    rid: Rid
+#: The key of a leaf's ``(key, rid)`` entry, for bisecting the leaf.
+_ENTRY_KEY = itemgetter(0)
 
 
 class BTreeIndex:
@@ -132,7 +127,7 @@ class BTreeIndex:
 
     def lookup(self, key: object) -> list[Rid]:
         """All rids filed under ``key`` (keys need not be unique)."""
-        return [entry.rid for entry in self.range_scan(key, key)]
+        return [rid for __, rid in self.range_scan(key, key)]
 
     def range_scan(
         self,
@@ -140,9 +135,24 @@ class BTreeIndex:
         high: object | None = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[IndexEntry]:
-        """Yield entries with ``low <= key <= high`` in key order,
-        reading each visited leaf through the page caches."""
+    ) -> Iterator[tuple[object, Rid]]:
+        """The ``(key, rid)`` entries with ``low <= key <= high`` in key
+        order, reading each visited leaf through the page caches -- and
+        only once the entries of the leaf before it are consumed."""
+        return chain.from_iterable(
+            self._leaf_runs(low, high, include_low, include_high)
+        )
+
+    def _leaf_runs(
+        self,
+        low: object | None,
+        high: object | None,
+        include_low: bool,
+        include_high: bool,
+    ) -> Iterator[list[tuple[object, Rid]]]:
+        """The matching run of each leaf a range scan visits.  A leaf is
+        sorted, so its run is one slice between two bisections; the scan
+        ends at the first leaf holding an entry past ``high``."""
         if not self._leaf_rids:
             return
         start_leaf = 0
@@ -152,18 +162,18 @@ class BTreeIndex:
             # at the tail of the leaf before them.
             start_leaf = max(0, bisect.bisect_left(self._first_keys, low) - 1)
             self._charge_directory_search()
+        cut_low = bisect.bisect_left if include_low else bisect.bisect_right
+        cut_high = bisect.bisect_right if include_high else bisect.bisect_left
         for leaf_no in range(start_leaf, len(self._leaf_rids)):
             entries = self._read_leaf(leaf_no)
-            if low is not None and entries and entries[-1][0] < low:
+            start = 0 if low is None else cut_low(entries, low, key=_ENTRY_KEY)
+            if high is None:
+                yield entries[start:]
                 continue
-            for key, rid in entries:
-                if low is not None:
-                    if key < low or (not include_low and key == low):
-                        continue
-                if high is not None:
-                    if key > high or (not include_high and key == high):
-                        return
-                yield IndexEntry(key, rid)
+            stop = cut_high(entries, high, start, key=_ENTRY_KEY)
+            yield entries[start:stop]
+            if stop < len(entries):
+                return
 
     # -- maintenance -----------------------------------------------------------
 

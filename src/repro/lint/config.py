@@ -68,9 +68,10 @@ DEFAULT_TOUCH_METHODS = (
 #: touching raw storage/handle state directly.
 DEFAULT_TOUCH_ATTRS = ("_durable", "_live", "_parked")
 
-#: The charging idiom: these calls (SimClock) or any assignment through
-#: an attribute chain containing ``counters`` (CounterSet) discharge the
-#: CHARGE obligation.
+#: The charging idiom: these calls (SimClock), an in-place add into its
+#: bucket map (``<map>[Bucket.X] += seconds``, recognised by its key) or
+#: any assignment through an attribute chain containing ``counters``
+#: (CounterSet) discharge the CHARGE obligation.
 DEFAULT_CHARGE_CALLS = ("charge_ms", "charge_us", "charge_s")
 DEFAULT_COUNTER_NAMES = ("counters",)
 

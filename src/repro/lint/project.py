@@ -143,12 +143,27 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_counter_target(node.target)
+        if _adds_into_bucket(node):
+            self.info.charges_directly = True
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             self._check_counter_target(target)
         self.generic_visit(node)
+
+
+def _adds_into_bucket(node: ast.AugAssign) -> bool:
+    """``<map>[Bucket.CPU] += seconds``: ``charge_s`` without the call,
+    an add into ``SimClock.buckets`` -- whatever name the map goes by
+    where it was bound ahead of a loop, its key is a ``Bucket`` member."""
+    target = node.target
+    return (
+        isinstance(node.op, ast.Add)
+        and isinstance(target, ast.Subscript)
+        and len(key := _dotted(target.slice)) == 2
+        and key[0] == "Bucket"
+    )
 
 
 def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -10,8 +10,10 @@ default), asks two questions of the name-resolved call graph:
 1. does the function *touch* a costed resource (calls a page/handle
    method from ``charge_touch_methods``, or reads raw storage state
    from ``charge_touch_attrs``), directly or through project callees?
-2. can it *reach* a ``charge_ms``/``charge_us``/``charge_s`` call or a
-   ``counters.<field> += ...`` bump the same way?
+2. can it *reach* a ``charge_ms``/``charge_us``/``charge_s`` call, an
+   in-place add into the clock's bucket map (``<map>[Bucket.CPU] +=
+   seconds``, how the per-row sites charge) or a ``counters.<field> +=
+   ...`` bump the same way?
 
 and flags functions where (1) holds but (2) does not.  Because calls
 are resolved by bare name to every project function with that name,
@@ -56,7 +58,8 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
                 col=info.node.col_offset,
                 message=(
                     f"{info.qualname}() {reason} but cannot reach "
-                    "charge_ms/charge_us/charge_s or a CounterSet bump; "
+                    "charge_ms/charge_us/charge_s, an add into the "
+                    "clock's bucket map or a CounterSet bump; "
                     "either charge the cost or justify with "
                     "`# simlint: ok[CHARGE] <why it is free>`"
                 ),

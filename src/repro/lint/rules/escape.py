@@ -49,7 +49,7 @@ def _units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
     return out
 
 
-def _own_nodes(node: ast.AST) -> list[ast.AST]:
+def own_nodes(node: ast.AST) -> list[ast.AST]:
     out: list[ast.AST] = []
 
     def walk(n: ast.AST, top: bool) -> None:
@@ -65,21 +65,21 @@ def _own_nodes(node: ast.AST) -> list[ast.AST]:
     return out
 
 
-def _mentions_handle(value: ast.AST, handle: str) -> bool:
+def mentions_handle(value: ast.AST, handle: str) -> bool:
     """Is the value the handle itself, or a literal container holding
     it?  A call *consuming* the handle does not count — its result is a
     derived value, produced while the handle is still pinned."""
     if isinstance(value, ast.Name):
         return value.id == handle
     if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-        return any(_mentions_handle(e, handle) for e in value.elts)
+        return any(mentions_handle(e, handle) for e in value.elts)
     if isinstance(value, ast.Dict):
         return any(
-            v is not None and _mentions_handle(v, handle)
+            v is not None and mentions_handle(v, handle)
             for v in [*value.keys, *value.values]
         )
     if isinstance(value, ast.Starred):
-        return _mentions_handle(value.value, handle)
+        return mentions_handle(value.value, handle)
     return False
 
 
@@ -112,19 +112,19 @@ def _check_block(
         )
 
     for stmt in block.body:
-        for node in _own_nodes(stmt):
+        for node in own_nodes(stmt):
             if isinstance(node, ast.Return):
-                if node.value is not None and _mentions_handle(
+                if node.value is not None and mentions_handle(
                     node.value, handle
                 ):
                     flag(node, "is returned out of its with block")
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-                if node.value is not None and _mentions_handle(
+                if node.value is not None and mentions_handle(
                     node.value, handle
                 ):
                     flag(node, "is yielded out of its with block")
             elif isinstance(node, ast.Assign):
-                if _mentions_handle(node.value, handle) and any(
+                if mentions_handle(node.value, handle) and any(
                     isinstance(t, (ast.Attribute, ast.Subscript))
                     for t in node.targets
                 ):
@@ -132,7 +132,7 @@ def _check_block(
             elif isinstance(node, ast.Call):
                 name = call_name(node)
                 if name in sinks and any(
-                    _mentions_handle(arg, handle) for arg in node.args
+                    mentions_handle(arg, handle) for arg in node.args
                 ):
                     flag(node, f"is stored via {name}() into a container")
 
@@ -143,7 +143,7 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
     for info, qualname, unit in _units(project):
         symbol = f"{info.module.name}:{qualname}"
         body = getattr(unit, "body", [])
-        nodes = _own_nodes(unit)
+        nodes = own_nodes(unit)
         for node in nodes:
             if not isinstance(node, (ast.With, ast.AsyncWith)):
                 continue

@@ -13,9 +13,13 @@ this rule does an intra-function analysis:
   the close.
 
 Open calls with no close in the same function are ownership transfers
-(e.g. a constructor storing the handle) and are not flagged — the PAIR
-rule is about functions that *intend* to clean up but can be skipped
-past, not about escape analysis.
+(e.g. a constructor storing the handle) and are not flagged — unless
+the function provably keeps the resource to itself: ``h = om.load(rid)``
+where ``h`` is never returned, yielded, stored (attribute, subscript,
+``escape_sinks`` container call), rebound to another name nor entered as
+a ``with`` block is a reference dropped on the floor, and is flagged.
+That check runs in the measured substrates only (``charge_packages``,
+the operators among them): elsewhere ``load`` is as likely ``json.load``.
 
 Separately, ``cleanup_calls`` (default ``release_all``) must be
 unskippable wherever they appear: an unprotected ``release_all`` with
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Project, call_name
+from repro.lint.rules.escape import mentions_handle, own_nodes
 
 NAME = "PAIR"
 
@@ -96,9 +101,44 @@ def _nested_defs(node: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
     ]
 
 
+def _dropped_opens(
+    unit: ast.AST, open_name: str, sinks: set[str]
+) -> list[tuple[ast.Call, str]]:
+    """``name = <...>.open_name(...)`` calls whose ``name`` never leaves
+    the function (the module docstring lists the ways out)."""
+    nodes = own_nodes(unit)
+    bound = [
+        (node.value, node.targets[0].id)
+        for node in nodes
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and call_name(node.value) == open_name
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ]
+
+    def leaves(node: ast.AST, name: str) -> bool:
+        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom, ast.Assign)):
+            return node.value is not None and mentions_handle(node.value, name)
+        if isinstance(node, ast.Call):
+            return call_name(node) in sinks and any(
+                mentions_handle(arg, name) for arg in node.args
+            )
+        if isinstance(node, ast.withitem):
+            return mentions_handle(node.context_expr, name)
+        return False
+
+    return [
+        (call, name)
+        for call, name in bound
+        if not any(leaves(node, name) for node in nodes)
+    ]
+
+
 def check(project: Project, config: LintConfig) -> list[Finding]:
     findings: list[Finding] = []
     cleanup = set(config.cleanup_calls)
+    sinks = set(config.escape_sinks)
     units: list[tuple] = []
     for info in project.functions:
         units.append((info, info.qualname, info.node))
@@ -111,10 +151,29 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
         _collect_events(node.body, False, events)
         events.sort(key=lambda e: (e.line, e.col))
         symbol = f"{info.module.name}:{qualname}"
+        measured = info.module.package in config.charge_packages
 
         for open_name, close_name in config.pair_pairs:
             opens = [e for e in events if e.name == open_name]
             closes = [e for e in events if e.name == close_name]
+            if opens and not closes and measured:
+                for call, name in _dropped_opens(node, open_name, sinks):
+                    findings.append(
+                        Finding(
+                            rule=NAME,
+                            path=info.module.path,
+                            line=call.lineno,
+                            col=call.col_offset,
+                            message=(
+                                f"{open_name}() here is never paired with "
+                                f"{close_name}(): `{name}` does not leave "
+                                "the function, so the reference is dropped "
+                                "while still held; close it in try/finally "
+                                "(or use a context manager)"
+                            ),
+                            symbol=symbol,
+                        )
+                    )
             if not opens or not closes:
                 continue
             ignore = {open_name, close_name}

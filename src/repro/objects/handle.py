@@ -24,6 +24,7 @@ from repro.errors import HandleError
 from repro.objects.model import ClassDef
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.rid import Rid
+from repro.units import US_PER_S
 
 #: Bytes of a full O2 handle (paper, Section 4.4).
 FULL_HANDLE_BYTES = 60
@@ -59,7 +60,11 @@ class HandleMode(enum.Enum):
 
 
 class Handle:
-    """One in-memory object representative."""
+    """One in-memory object representative.
+
+    A handle is its own Figure 8 bracket: ``with om.borrow(rid) as
+    handle:`` enters with the reference ``borrow`` took and drops it on
+    the way out, body raised or not, through the table that made it."""
 
     __slots__ = (
         "rid",
@@ -70,9 +75,12 @@ class Handle:
         "index_ids",
         "version",
         "schema_history",
+        "table",
     )
 
-    def __init__(self, rid: Rid, record: bytes, class_def: ClassDef):
+    def __init__(
+        self, rid: Rid, record: bytes, class_def: ClassDef, table: "HandleTable"
+    ):
         self.rid = rid
         self.record = record
         self.class_def = class_def
@@ -81,6 +89,13 @@ class Handle:
         self.index_ids: tuple[int, ...] = ()
         self.version = None
         self.schema_history = None
+        self.table = table
+
+    def __enter__(self) -> "Handle":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.table.unreference(self)
 
     @property
     def memory_bytes(self) -> int:
@@ -120,6 +135,10 @@ class HandleTable:
         if delayed_free_capacity < 0:
             raise ValueError("delayed_free_capacity must be >= 0")
         self.clock = clock
+        #: The clock's live bucket map: a handle operation is a dict
+        #: update or two and one in-place add of a price worked out in
+        #: the ``mode`` setter.
+        self._buckets = clock.buckets
         self.params = params
         self.counters = counters
         self.mode = mode
@@ -141,12 +160,13 @@ class HandleTable:
     def mode(self, mode: HandleMode) -> None:
         """Switch regime (the Section 4.4 ablation flips it between
         runs) and work out, once, what each handle operation costs
-        under it: the charges are constants of ``(params, mode)``."""
+        under it, in seconds: the charges are constants of ``(params,
+        mode)``."""
         self._mode = mode
         params = self.params
-        self._alloc_us = params.handle_get_us
-        self._touch_us = params.handle_get_us * _TOUCH_FRACTION
-        self._unref_us = params.handle_unref_us
+        alloc_us = params.handle_get_us
+        touch_us = params.handle_get_us * _TOUCH_FRACTION
+        unref_us = params.handle_unref_us
         full_pair = params.handle_get_us + params.handle_unref_us
         compact_pair = (
             params.compact_handle_get_us + params.compact_handle_unref_us
@@ -159,13 +179,19 @@ class HandleTable:
             # Fixed-size literals are embedded in their owner's tuple.
             fixed, variable = None, compact_pair
         else:  # BULK
-            self._alloc_us *= params.bulk_handle_factor
-            self._touch_us *= params.bulk_handle_factor
-            self._unref_us *= params.bulk_handle_factor
+            alloc_us *= params.bulk_handle_factor
+            touch_us *= params.bulk_handle_factor
+            unref_us *= params.bulk_handle_factor
             fixed = variable = full_pair * params.bulk_handle_factor
-        #: ``fixed_size`` -> microseconds for a literal's handle get +
+        self._alloc_s = alloc_us / US_PER_S
+        self._touch_s = touch_us / US_PER_S
+        self._unref_s = unref_us / US_PER_S
+        #: ``fixed_size`` -> seconds for a literal's handle get +
         #: unreference pair; ``None``: the literal gets no handle.
-        self._literal_us = {True: fixed, False: variable}
+        self._literal_s = {
+            True: None if fixed is None else fixed / US_PER_S,
+            False: variable / US_PER_S,
+        }
 
     # -- object handles -------------------------------------------------
 
@@ -203,18 +229,18 @@ class HandleTable:
             handle.refcount = 1
         else:
             return None
-        self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+        self._buckets[Bucket.HANDLE] += self._touch_s
         return handle
 
     def allocate(self, rid: Rid, record: bytes, class_def: ClassDef) -> Handle:
         """The miss path of :meth:`get`: a fresh handle, referenced once."""
-        handle = Handle(rid, record, class_def)
+        handle = Handle(rid, record, class_def, self)
         self._live[rid] = handle
         live_now = len(self._live)
         if live_now > self.peak_live:
             self.peak_live = live_now
         self.counters.handles_allocated += 1
-        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
+        self._buckets[Bucket.HANDLE] += self._alloc_s
         return handle
 
     def _get_versioned(
@@ -227,14 +253,14 @@ class HandleTable:
         handle = self._versioned.get(key)
         if handle is not None:
             handle.refcount += 1
-            self.clock.charge_us(Bucket.HANDLE, self._touch_us)
+            self._buckets[Bucket.HANDLE] += self._touch_s
             return handle
         record, class_def = loader()
-        handle = Handle(rid, record, class_def)
+        handle = Handle(rid, record, class_def, self)
         handle.version = version
         self._versioned[key] = handle
         self.counters.handles_allocated += 1
-        self.clock.charge_us(Bucket.HANDLE, self._alloc_us)
+        self._buckets[Bucket.HANDLE] += self._alloc_s
         return handle
 
     def unreference(self, handle: Handle) -> None:
@@ -245,13 +271,17 @@ class HandleTable:
             raise HandleError(f"double unreference of {handle!r}")
         handle.refcount -= 1
         self.counters.handles_unreferenced += 1
-        self.clock.charge_us(Bucket.HANDLE, self._unref_us)
+        self._buckets[Bucket.HANDLE] += self._unref_s
         if handle.refcount == 0:
             if handle.version is not None:
                 self._versioned.pop((handle.rid, handle.version), None)
-            else:
-                del self._live[handle.rid]
-                self._park(handle)
+                return
+            del self._live[handle.rid]
+            if self.delayed_free_capacity:
+                parked = self._parked
+                parked[handle.rid] = handle
+                while len(parked) > self.delayed_free_capacity:
+                    parked.popitem(last=False)
 
     # -- literal handles ----------------------------------------------------
 
@@ -265,12 +295,12 @@ class HandleTable:
         and the compact pair for variable-size ones; BULK pays the
         amortized full pair.
         """
-        us = self._literal_us[fixed_size]
-        if us is None:
+        seconds = self._literal_s[fixed_size]
+        if seconds is None:
             return
         self.counters.handles_allocated += 1
         self.counters.handles_unreferenced += 1
-        self.clock.charge_us(Bucket.HANDLE, us)
+        self._buckets[Bucket.HANDLE] += seconds
 
     # -- introspection ----------------------------------------------------
 
@@ -314,12 +344,3 @@ class HandleTable:
         ]
         for key in stale_versions:
             del self._versioned[key]
-
-    # -- internals -------------------------------------------------------
-
-    def _park(self, handle: Handle) -> None:
-        if self.delayed_free_capacity == 0:
-            return
-        self._parked[handle.rid] = handle
-        while len(self._parked) > self.delayed_free_capacity:
-            self._parked.popitem(last=False)

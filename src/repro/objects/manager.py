@@ -18,28 +18,12 @@ from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
+from repro.units import US_PER_S
 
 
 #: Attribute kinds O2 materializes as separate literals with handles of
 #: their own (Section 4.4), mapped to ``charge_literal``'s ``fixed_size``.
 _LITERAL_FIXED_SIZE = {AttrKind.STRING: True, AttrKind.REF_SET: False}
-
-
-class _Borrow:
-    """The ``with`` bracket :meth:`ObjectManager.borrow` returns."""
-
-    __slots__ = ("_manager", "_rid", "_handle")
-
-    def __init__(self, manager: "ObjectManager", rid: Rid):
-        self._manager = manager
-        self._rid = rid
-
-    def __enter__(self) -> Handle:
-        self._handle = handle = self._manager.load(self._rid)
-        return handle
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._manager.unref(self._handle)
 
 
 class ObjectManager:
@@ -106,11 +90,18 @@ class ObjectManager:
             ObjectHeader.peek_schema_version(record),
         )
 
-    def load(self, rid: Rid) -> Handle:
+    def borrow(self, rid: Rid) -> Handle:
         """Get a referenced handle for the object at ``rid`` ("get Handle
         h" in the paper's Figure 8 pseudo-code).  Under an installed
         snapshot view the handle represents the snapshot-visible
-        *version* of the object, which may differ from the live record."""
+        *version* of the object, which may differ from the live record.
+
+        The handle is its own bracket: ``with om.borrow(rid) as
+        handle:`` is Figure 8's get-handle/unreference pair, the
+        unreference guaranteed, so a predicate or projection raising
+        mid-bracket (transaction abort, injected crash) cannot leak the
+        handle and pin its page frame.  Outside a ``with`` the caller
+        owes the :meth:`unref`."""
         if self.read_view is not None:
             return self.read_view.load(self, rid)
         handle = self.handles.reference(rid)
@@ -118,18 +109,13 @@ class ObjectManager:
             handle = self.handles.allocate(rid, *self.read_record(rid))
         return handle
 
+    #: The bracket-less spelling, for a caller that keeps the handle
+    #: (a proxy, a hash table of handles) and calls :meth:`unref` itself.
+    load = borrow
+
     def unref(self, handle: Handle) -> None:
         """"unreference h" in Figure 8."""
         self.handles.unreference(handle)
-
-    def borrow(self, rid: Rid) -> _Borrow:
-        """``load`` + guaranteed ``unref``: the exception-safe form of
-        Figure 8's get-handle/unreference bracket, used as ``with
-        om.borrow(rid) as handle:``.  Charges exactly what the
-        load/unref pair charges; exists so a predicate or projection
-        raising mid-bracket (transaction abort, injected crash) cannot
-        leak the handle and pin its page frame."""
-        return _Borrow(self, rid)
 
     # -- attribute access -------------------------------------------------------
 
@@ -142,7 +128,9 @@ class ObjectManager:
         written, the attribute's declared default is returned.
         """
         handles = self.handles
-        handles.clock.charge_us(Bucket.CPU, handles.params.attr_decode_us)
+        handles.clock.buckets[Bucket.CPU] += (
+            handles.params.attr_decode_us / US_PER_S
+        )
         class_def = handle.class_def
         key = (class_def.class_id, class_def.schema_version)
         try:
@@ -169,12 +157,9 @@ class ObjectManager:
         }
 
     def get_attr_at(self, rid: Rid, name: str) -> object:
-        """Convenience: load, read one attribute, unreference."""
-        handle = self.load(rid)
-        try:
+        """Convenience: one bracket around one attribute read."""
+        with self.borrow(rid) as handle:
             return self.get_attr(handle, name)
-        finally:
-            self.unref(handle)
 
     def header_of(self, handle: Handle) -> ObjectHeader:
         return ObjectHeader.decode(handle.record)

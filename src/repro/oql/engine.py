@@ -18,6 +18,10 @@ machinery (Figure 8 scan shapes, the Section 5 join algorithms).
 
 from __future__ import annotations
 
+import operator
+from functools import partial
+from typing import Callable, Iterable
+
 from repro.errors import PlanError
 from repro.exec.joins import TreeJoinQuery
 from repro.exec.operators.base import (
@@ -38,6 +42,7 @@ from repro.exec.operators.transforms import (
     Map,
     Sort,
 )
+from repro.objects.database import Database
 from repro.oql.ast_nodes import AnalyzeStmt, ExplainStmt, Query, Statement
 from repro.oql.catalog import Catalog
 from repro.oql.explain import AnalyzeOperator, ExplainOperator
@@ -49,15 +54,103 @@ from repro.oql.optimizer import (
 )
 from repro.oql.parser import parse, parse_statement
 from repro.simtime import Bucket
+from repro.units import US_PER_S
 
 _OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "!=": operator.ne,
 }
+
+#: A residual predicate ready to run: (attribute, comparison, bound).
+_Test = tuple[str, Callable[[object, object], bool], object]
+
+
+def _tests(predicates: Iterable[SargablePredicate]) -> tuple[_Test, ...]:
+    return tuple((pred.attr, _OPS[pred.op], pred.value) for pred in predicates)
+
+
+def _passes(db: Database, tests: tuple[_Test, ...], om, handle) -> bool:
+    """Do all ``tests`` hold on the object?  One attribute read and one
+    predicate charge per test tried; the first failure ends it."""
+    buckets = db.clock.buckets
+    predicate_s = db.params.predicate_us / US_PER_S
+    for attr, compare, bound in tests:
+        value = om.get_attr(handle, attr)
+        buckets[Bucket.CPU] += predicate_s
+        if not compare(value, bound):
+            return False
+    return True
+
+
+def _passes_exists(
+    db: Database, filters: tuple[tuple[str, tuple[_Test, ...]], ...], om, handle
+) -> bool:
+    """Evaluate existential semijoin filters -- (set attribute, child
+    tests) pairs -- by navigating the set attribute until a matching
+    child is found (short-circuit)."""
+    for set_attr, child_tests in filters:
+        set_value = om.get_attr(handle, set_attr)
+        for child_rid in db.iter_set_rids(set_value):
+            with om.borrow(child_rid) as child:
+                matched = _passes(db, child_tests, om, child)
+            if matched:
+                break
+        else:
+            return False
+    return True
+
+
+def _compile_accept(db: Database, plan: SelectionPlan) -> Callable | None:
+    """The plan's residual predicates and exists filters as one
+    ``(om, handle) -> bool`` -- ``None`` when it has neither, so that a
+    selection the index range answers whole tests nothing per row."""
+    tests = _tests(plan.residuals)
+    filters = tuple(
+        (filt.set_attr, _tests((filt.child_pred,)))
+        for filt in plan.exists_filters
+    )
+    if tests and filters:
+        return lambda om, handle: (
+            _passes(db, tests, om, handle)
+            and _passes_exists(db, filters, om, handle)
+        )
+    if tests:
+        return partial(_passes, db, tests)
+    if filters:
+        return partial(_passes_exists, db, filters)
+    return None
+
+
+def _compile_projection(plan: SelectionPlan) -> Callable:
+    """``(om, handle) -> row`` for the plan's select clause: the bare
+    value of a single projected attribute, else a tuple in select-clause
+    order; under an ``order by``, ``(sort key tuple, row)``.  Every
+    attribute is read, and so charged, once per mention in the select
+    clause plus once per order-by attribute it lacks."""
+    project = plan.project
+    fetch_attrs = list(project)
+    for attr, __ in plan.order_by:
+        if attr not in fetch_attrs:
+            fetch_attrs.append(attr)
+    if len(fetch_attrs) == 1 and not plan.order_by:
+        (only,) = fetch_attrs
+        return lambda om, handle: om.get_attr(handle, only)
+    width = len(project)
+    sort_at = [fetch_attrs.index(attr) for attr, __ in plan.order_by]
+
+    def row_fn(om, handle):
+        get_attr = om.get_attr
+        values = [get_attr(handle, attr) for attr in fetch_attrs]
+        row = tuple(values[:width]) if width > 1 else values[0]
+        if sort_at:
+            return tuple([values[at] for at in sort_at]), row
+        return row
+
+    return row_fn
 
 
 class OQLEngine:
@@ -157,67 +250,23 @@ class OQLEngine:
                 sorted_rids=plan.sorted_rids,
             )
 
+        accept = _compile_accept(self.catalog.db, plan)
         if plan.aggregate is not None:
             func, attr = plan.aggregate
+            return FetchingAggregate(ctx, rid_source, accept, func, attr)
 
-            def accept_fn(om, handle):
-                return self._passes(om, handle, plan.residuals) and (
-                    self._passes_exists(om, handle, plan.exists_filters)
-                )
+        project = _compile_projection(plan)
+        if accept is None:
+            row_fn = project
+        else:
 
-            return FetchingAggregate(ctx, rid_source, accept_fn, func, attr)
-
-        fetch_attrs = list(plan.project)
-        sort_attrs = [attr for attr, __ in plan.order_by]
-        for attr in sort_attrs:
-            if attr not in fetch_attrs:
-                fetch_attrs.append(attr)
-
-        def row_fn(om, handle):
-            if not (
-                self._passes(om, handle, plan.residuals)
-                and self._passes_exists(om, handle, plan.exists_filters)
-            ):
-                return SKIP
-            values = {attr: om.get_attr(handle, attr) for attr in fetch_attrs}
-            row = tuple(values[attr] for attr in plan.project)
-            out = row if len(plan.project) > 1 else row[0]
-            if sort_attrs:
-                return (tuple(values[attr] for attr in sort_attrs), out)
-            return out
+            def row_fn(om, handle):
+                return project(om, handle) if accept(om, handle) else SKIP
 
         fetched: Operator = Fetch(ctx, rid_source, row_fn)
         if plan.order_by:
             fetched = Sort(ctx, fetched, plan.order_by)
         return fetched
-
-    def _passes(
-        self, om, handle, predicates: tuple[SargablePredicate, ...]
-    ) -> bool:
-        db = self.catalog.db
-        for pred in predicates:
-            value = om.get_attr(handle, pred.attr)
-            db.clock.charge_us(Bucket.CPU, db.params.predicate_us)
-            if not _OPS[pred.op](value, pred.value):
-                return False
-        return True
-
-    def _passes_exists(self, om, handle, filters) -> bool:
-        """Evaluate existential semijoin filters by navigating the set
-        attribute until a matching child is found (short-circuit)."""
-        db = self.catalog.db
-        for filt in filters:
-            set_value = om.get_attr(handle, filt.set_attr)
-            matched = False
-            for child_rid in db.iter_set_rids(set_value):
-                with om.borrow(child_rid) as child:
-                    ok = self._passes(om, child, (filt.child_pred,))
-                if ok:
-                    matched = True
-                    break
-            if not matched:
-                return False
-        return True
 
     # -- tree joins --------------------------------------------------------
 

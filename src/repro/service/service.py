@@ -20,7 +20,7 @@ single-timeline cost model the single-client benchmarks use.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.buffer import BufferCache, LRUPolicy
@@ -36,12 +36,6 @@ from repro.txn import Transaction, TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.loader import DerbyDatabase
-
-
-def _add_meters(a: MeterSnapshot, b: MeterSnapshot) -> MeterSnapshot:
-    return MeterSnapshot(
-        **{f.name: getattr(a, f.name) + getattr(b, f.name) for f in fields(a)}
-    )
 
 
 @dataclass
@@ -537,7 +531,7 @@ class QueryService:
         if self._active is not None:
             m = self._active.metrics
             m.busy_s += now_s - self._last_s
-            m.meters = _add_meters(m.meters, meters - self._last_meters)
+            m.meters += meters - self._last_meters
         self._last_s = now_s
         self._last_meters = meters
 

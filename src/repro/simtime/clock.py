@@ -48,14 +48,21 @@ class SimClock:
     The clock is deliberately dumb: it never decides *what* costs, only
     adds up what components charge.  All mutating methods return ``None``.
 
-    ``_buckets`` holds buckets in the order they were first charged, and
+    ``buckets`` holds buckets in the order they were first charged, and
     ``elapsed_s`` sums in that order: float addition does not associate,
     so the order is part of every pinned simulated output.  It is a
     ``defaultdict`` so that a charge is one in-place add, first charge
     or not; everything else reads it with ``get`` and inserts nothing.
     """
 
-    _buckets: defaultdict[Bucket, float] = field(
+    #: The live bucket map, seconds per bucket.  A per-row charge site
+    #: adds into it directly -- ``clock.buckets[Bucket.CPU] += seconds``
+    #: is exactly what ``charge_s`` does, without the call -- so it may
+    #: be bound ahead of a loop: ``reset`` empties this very object, it
+    #: never replaces it.  ``charge_*`` reject a negative amount; an
+    #: in-place add does not, so it adds only prices taken from a
+    #: :class:`~repro.simtime.params.CostParams`, which holds none.
+    buckets: defaultdict[Bucket, float] = field(
         default_factory=lambda: defaultdict(float)
     )
 
@@ -63,40 +70,40 @@ class SimClock:
         """Add ``ms`` milliseconds of simulated time to ``bucket``."""
         if ms < 0:
             raise ValueError(f"negative charge: {ms} ms")
-        self._buckets[bucket] += ms / MS_PER_S
+        self.buckets[bucket] += ms / MS_PER_S
 
     def charge_us(self, bucket: Bucket, us: float) -> None:
         """Add ``us`` microseconds of simulated time to ``bucket``."""
         if us < 0:
             raise ValueError(f"negative charge: {us} us")
-        self._buckets[bucket] += us / US_PER_S
+        self.buckets[bucket] += us / US_PER_S
 
     def charge_s(self, bucket: Bucket, seconds: float) -> None:
         """Add ``seconds`` of simulated time to ``bucket``."""
         if seconds < 0:
             raise ValueError(f"negative charge: {seconds} s")
-        self._buckets[bucket] += seconds
+        self.buckets[bucket] += seconds
 
     @property
     def elapsed_s(self) -> float:
         """Total simulated seconds across all buckets."""
-        return sum(self._buckets.values())
+        return sum(self.buckets.values())
 
     def bucket_s(self, bucket: Bucket) -> float:
         """Simulated seconds accumulated in one bucket."""
-        return self._buckets.get(bucket, 0.0)
+        return self.buckets.get(bucket, 0.0)
 
     def breakdown(self) -> dict[str, float]:
         """Mapping of bucket name to seconds, for reports."""
-        return {bucket.value: seconds for bucket, seconds in self._buckets.items()}
+        return {bucket.value: seconds for bucket, seconds in self.buckets.items()}
 
     def reset(self) -> None:
         """Zero every bucket (start of a fresh, cold experiment)."""
-        self._buckets.clear()
+        self.buckets.clear()
 
     def snapshot(self) -> dict[Bucket, float]:
         """Copy of the current per-bucket totals."""
-        return dict(self._buckets)
+        return dict(self.buckets)
 
     def since(self, earlier: dict[Bucket, float]) -> dict[Bucket, float]:
         """Per-bucket difference between now and a prior :meth:`snapshot`.
@@ -104,8 +111,8 @@ class SimClock:
         Buckets are emitted in name order: this dict flows into Stat
         rows and reports, so its iteration order must not depend on set
         hashing."""
-        buckets = sorted(set(self._buckets) | set(earlier), key=lambda b: b.value)
+        buckets = sorted(set(self.buckets) | set(earlier), key=lambda b: b.value)
         return {
-            bucket: self._buckets.get(bucket, 0.0) - earlier.get(bucket, 0.0)
+            bucket: self.buckets.get(bucket, 0.0) - earlier.get(bucket, 0.0)
             for bucket in buckets
         }

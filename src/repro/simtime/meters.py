@@ -11,6 +11,7 @@ points in time that gets stored in a ``Stat`` row.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import add, attrgetter, sub
 
 
 @dataclass
@@ -34,13 +35,10 @@ class CounterSet:
     io_failures: int = 0         # reads escalated to PermanentIOError
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        vars(self).update(_ZEROED)
 
     def snapshot(self) -> "MeterSnapshot":
-        return MeterSnapshot(
-            **{f.name: getattr(self, f.name) for f in fields(self)}
-        )
+        return MeterSnapshot(*_values(self))
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,10 @@ class MeterSnapshot:
     io_failures: int = 0
 
     def __sub__(self, other: "MeterSnapshot") -> "MeterSnapshot":
-        return MeterSnapshot(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
+        return MeterSnapshot(*map(sub, _values(self), _values(other)))
+
+    def __add__(self, other: "MeterSnapshot") -> "MeterSnapshot":
+        return MeterSnapshot(*map(add, _values(self), _values(other)))
 
     @property
     def client_miss_rate(self) -> float:
@@ -86,3 +82,14 @@ class MeterSnapshot:
         if accesses == 0:
             return 0.0
         return self.server_faults / accesses
+
+
+#: The meters, in declaration order -- the positional order of
+#: ``MeterSnapshot(...)`` -- and the one getter that reads them all off a
+#: :class:`CounterSet` or a :class:`MeterSnapshot`.  Every statement
+#: snapshots and subtracts the meters, so neither walks ``fields()``.
+_NAMES = tuple(f.name for f in fields(MeterSnapshot))
+if _NAMES != tuple(f.name for f in fields(CounterSet)):
+    raise TypeError("CounterSet and MeterSnapshot declare different meters")
+_values = attrgetter(*_NAMES)
+_ZEROED = dict.fromkeys(_NAMES, 0)

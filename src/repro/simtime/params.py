@@ -21,7 +21,7 @@ same mechanism the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.units import MB, PAGE_SIZE
 
@@ -168,6 +168,16 @@ class CostParams:
     version_gc_us: float = 1.0
 
     memory: MemoryModel = field(default_factory=MemoryModel)
+
+    def __post_init__(self) -> None:
+        """No price is negative.  Checked here, once per (frozen)
+        instance, because the per-row charge sites add these prices
+        into ``SimClock.buckets`` in place, past ``charge_us``'s own
+        sign check."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "memory" and value < 0:
+                raise ValueError(f"negative charge: {f.name} = {value}")
 
     def scaled(self, scale: float) -> "CostParams":
         """Return a copy whose memory model is scaled; time constants are

@@ -61,9 +61,7 @@ class BTreeMachine(RuleBasedStateMachine):
         if low > high:
             low, high = high, low
         expected = [(k, r) for k, r in self.model if low <= k <= high]
-        scanned = [
-            (e.key, e.rid) for e in self.index.range_scan(low, high)
-        ]
+        scanned = list(self.index.range_scan(low, high))
         assert scanned == expected
 
     @invariant()
@@ -74,7 +72,7 @@ class BTreeMachine(RuleBasedStateMachine):
     @invariant()
     def full_scan_is_sorted_model(self):
         if hasattr(self, "model"):
-            scanned = [(e.key, e.rid) for e in self.index.range_scan()]
+            scanned = list(self.index.range_scan())
             assert scanned == self.model
 
 

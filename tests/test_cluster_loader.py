@@ -221,8 +221,8 @@ class TestLoadingModes:
         def ages(derby: DerbyDatabase) -> list[int]:
             om = derby.db.manager
             out = []
-            for entry in derby.by_mrn.range_scan(None, 50):
-                out.append(om.get_attr_at(entry.rid, "age"))
+            for __, rid in derby.by_mrn.range_scan(None, 50):
+                out.append(om.get_attr_at(rid, "age"))
             return out
 
         assert ages(class_db) == ages(comp_db) == ages(random_db)

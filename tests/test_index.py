@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 
 import pytest
@@ -34,9 +36,11 @@ def make_db() -> Database:
     return db
 
 
-def make_index(db: Database, name: str = "idx", key_type: type = int) -> BTreeIndex:
+def make_index(
+    db: Database, name: str = "idx", key_type: type = int, **kwargs
+) -> BTreeIndex:
     index_file = db.create_file(f"__file_{name}__")
-    return BTreeIndex(name, 1, index_file, key_type)
+    return BTreeIndex(name, 1, index_file, key_type, **kwargs)
 
 
 # ------------------------------------------------------------- BTreeIndex
@@ -63,7 +67,7 @@ class TestBTreeBulk:
         shuffled = list(range(500))
         random.Random(3).shuffle(shuffled)
         index.bulk_build([(k, Rid(0, k, 0)) for k in shuffled])
-        keys = [e.key for e in index.range_scan(100, 199)]
+        keys = [key for key, __ in index.range_scan(100, 199)]
         assert keys == list(range(100, 200))
 
     def test_range_scan_exclusive_bounds(self):
@@ -71,8 +75,10 @@ class TestBTreeBulk:
         index = make_index(db)
         index.bulk_build([(k, Rid(0, k, 0)) for k in range(10)])
         keys = [
-            e.key
-            for e in index.range_scan(2, 5, include_low=False, include_high=False)
+            key
+            for key, __ in index.range_scan(
+                2, 5, include_low=False, include_high=False
+            )
         ]
         assert keys == [3, 4]
 
@@ -98,7 +104,7 @@ class TestBTreeBulk:
         index = make_index(db, "byname", str)
         index.bulk_build([("bob", Rid(0, 0, 0)), ("alice", Rid(0, 0, 1))])
         assert index.lookup("alice") == [Rid(0, 0, 1)]
-        assert [e.key for e in index.range_scan()] == ["alice", "bob"]
+        assert [key for key, __ in index.range_scan()] == ["alice", "bob"]
 
     def test_bad_key_type_rejected(self):
         db = make_db()
@@ -139,14 +145,14 @@ class TestBTreeIncremental:
         index = make_index(db)
         for k in [5, 1, 9, 3, 7]:
             index.insert(k, Rid(0, k, 0))
-        assert [e.key for e in index.range_scan()] == [1, 3, 5, 7, 9]
+        assert [key for key, __ in index.range_scan()] == [1, 3, 5, 7, 9]
 
     def test_insert_below_current_minimum(self):
         db = make_db()
         index = make_index(db)
         index.bulk_build([(k, Rid(0, k, 0)) for k in range(10, 20)])
         index.insert(1, Rid(0, 1, 0))
-        assert [e.key for e in index.range_scan()][0] == 1
+        assert [key for key, __ in index.range_scan()][0] == 1
 
     def test_splits_keep_order(self):
         db = make_db()
@@ -155,7 +161,7 @@ class TestBTreeIncremental:
         random.Random(5).shuffle(keys)
         for k in keys:
             index.insert(k, Rid(0, k, 0))
-        assert [e.key for e in index.range_scan()] == list(range(1000))
+        assert [key for key, __ in index.range_scan()] == list(range(1000))
         assert index.leaf_count > 1
 
     def test_remove(self):
@@ -178,8 +184,115 @@ class TestBTreeIncremental:
             index.insert(k, rid)
             reference.append((k, rid))
         reference.sort()
-        scanned = [(e.key, e.rid) for e in index.range_scan()]
+        scanned = list(index.range_scan())
         assert scanned == reference
+
+
+# ------------------------------------------- range scan == brute force
+
+def brute_force_scan(first_keys, leaves, low, high, include_low, include_high):
+    """The per-entry filter the bisected scan replaced, over leaves
+    decoded beforehand: the matching pairs and how many leaves it looked
+    at before an entry past ``high`` ended it."""
+    pairs: list = []
+    visited = 0
+    start = 0
+    if low is not None:
+        start = max(0, bisect.bisect_left(first_keys, low) - 1)
+    for entries in leaves[start:]:
+        visited += 1
+        for key, rid in entries:
+            if low is not None and (
+                key < low or (key == low and not include_low)
+            ):
+                continue
+            if high is not None and (
+                key > high or (key == high and not include_high)
+            ):
+                return pairs, visited
+            pairs.append((key, rid))
+    return pairs, visited
+
+
+def assert_scans_like_brute_force(db, index, bounds) -> None:
+    """Every ``(low, high)`` drawn from ``bounds`` (and absent), under
+    every inclusion pair: same pairs, same number of leaves read."""
+    leaves = [index._read_leaf(n) for n in range(index.leaf_count)]
+    counters = db.counters
+    for low, high, include_low, include_high in itertools.product(
+        [None, *bounds], [None, *bounds], (True, False), (True, False)
+    ):
+        expected, visited = brute_force_scan(
+            index._first_keys, leaves, low, high, include_low, include_high
+        )
+        before = counters.client_hits + counters.client_faults
+        scanned = list(index.range_scan(low, high, include_low, include_high))
+        leaf_reads = counters.client_hits + counters.client_faults - before
+        where = (low, high, include_low, include_high)
+        assert scanned == expected, where
+        assert leaf_reads == visited, where
+
+
+class TestRangeScanEquivalence:
+    def test_duplicate_runs_spanning_three_leaves(self):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        keys = [1, 1, 3] + [5] * 11 + [7, 7, 8, 9, 9, 9]
+        index.bulk_build([(k, Rid(0, i, 0)) for i, k in enumerate(keys)])
+        runs = [leaf for leaf in range(index.leaf_count)
+                if {k for k, __ in index._read_leaf(leaf)} == {5}]
+        assert len(runs) >= 2 and index._first_keys.count(5) >= 2
+        assert_scans_like_brute_force(db, index, range(0, 11))
+
+    def test_a_bound_equal_to_a_leafs_last_key(self):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        index.bulk_build([(k, Rid(0, k, 0)) for k in range(0, 40, 2)])
+        last_keys = [index._read_leaf(n)[-1][0] for n in range(index.leaf_count)]
+        assert last_keys[:2] == [6, 14]
+        assert_scans_like_brute_force(db, index, [5, 6, 7, 8, 14, 15, 38, 39])
+        # The scan that ends exactly on a leaf's last key must look at
+        # the next leaf to know it is over; one short of it need not.
+        before = db.counters.client_hits + db.counters.client_faults
+        assert [k for k, __ in index.range_scan(None, 6)] == [0, 2, 4, 6]
+        assert [k for k, __ in index.range_scan(None, 6, include_high=False)] == [0, 2, 4]
+        reads = db.counters.client_hits + db.counters.client_faults - before
+        assert reads == 2 + 1
+
+    def test_string_keys(self):
+        db = make_db()
+        index = make_index(db, key_type=str, leaf_capacity=3)
+        names = ["ann", "bob", "bob", "bob", "bob", "cy", "dee", "dee", "eve"]
+        index.bulk_build([(n, Rid(0, i, 0)) for i, n in enumerate(names)])
+        assert_scans_like_brute_force(
+            db, index, ["", "ann", "b", "bob", "bobby", "dee", "eve", "zed"]
+        )
+
+    def test_leaves_emptied_by_remove(self):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        pairs = [(k, Rid(0, k, 0)) for k in range(16)]
+        index.bulk_build(pairs)
+        for key, rid in pairs[:4] + pairs[8:12]:  # the first and third leaf
+            assert index.remove(key, rid)
+        assert index._leaf_counts == [0, 4, 0, 4]
+        assert_scans_like_brute_force(db, index, range(-1, 17))
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=60),
+        st.lists(st.integers(min_value=0, max_value=59), max_size=30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_after_inserts_and_removes(self, keys, removals):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        pairs = [(k, Rid(0, i, 0)) for i, k in enumerate(keys)]
+        for key, rid in pairs:
+            index.insert(key, rid)
+        for position in removals:
+            if position < len(pairs):
+                index.remove(*pairs[position])  # a second removal is a no-op
+        assert_scans_like_brute_force(db, index, range(-1, 14))
 
 
 # ------------------------------------------------------------- IndexManager
@@ -282,7 +395,7 @@ class TestIndexManager:
         index, report = manager.create_index("by_mrn", coll, "mrn")
         assert report.records_moved > 0
         # Every indexed rid must resolve to a record with the right key.
-        for entry in index.range_scan():
-            record, class_def = db.manager.read_record(entry.rid)
+        for key, rid in index.range_scan():
+            record, class_def = db.manager.read_record(rid)
             codec = db.manager.codec(class_def)
-            assert codec.decode_attr(record, "mrn") == entry.key
+            assert codec.decode_attr(record, "mrn") == key

@@ -171,6 +171,85 @@ def test_escape_good_is_clean():
     assert lint_fixture("escape/escape_good.py", ("ESCAPE",)) == []
 
 
+# -- seeded bugs in copies of the real read path ---------------------------
+
+
+def lint_seeded(tmp_path, source: str, old: str, new: str, rule: str):
+    """Findings of ``rule`` on a copy of ``src/repro/<source>`` -- kept
+    at the same place under a ``repro`` package, which is what names its
+    layer -- with ``old`` replaced by ``new``."""
+    text = (REPO_ROOT / "src" / "repro" / source).read_text()
+    assert text.count(old) == 1, f"{source} no longer has {old!r}"
+    copy = tmp_path / "repro" / source
+    copy.parent.mkdir(parents=True)
+    copy.write_text(text.replace(old, new))
+    return lint_paths((str(copy),), LintConfig(select=(rule,))).findings
+
+
+REFERENCE_CHARGE = "        self._buckets[Bucket.HANDLE] += self._touch_s\n        return handle"
+FETCH_BRACKET = (
+    "                    with borrow(rid) as handle:\n"
+    "                        row = row_fn(om, handle)\n"
+)
+
+
+def test_charge_is_discharged_by_an_in_place_bucket_add(tmp_path):
+    """``HandleTable.reference`` touches ``_live`` and bumps no counter:
+    its add into the clock's bucket map is all that charges it."""
+    source = "objects/handle.py"
+    intact = lint_seeded(
+        tmp_path / "intact", source, REFERENCE_CHARGE, REFERENCE_CHARGE,
+        "CHARGE",
+    )
+    assert intact == []
+    seeded = lint_seeded(
+        tmp_path / "seeded", source, REFERENCE_CHARGE, "        return handle",
+        "CHARGE",
+    )
+    assert [f.symbol for f in seeded] == [
+        "repro.objects.handle:HandleTable.reference"
+    ]
+
+
+def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):
+    """``Fetch._next`` with its bracket replaced by a bare ``load``: the
+    handle goes nowhere, so nobody else can be the one to release it."""
+    source = "exec/operators/scans.py"
+    assert lint_seeded(
+        tmp_path / "intact", source, FETCH_BRACKET, FETCH_BRACKET, "PAIR"
+    ) == []
+    seeded = lint_seeded(
+        tmp_path / "seeded", source, FETCH_BRACKET,
+        "                    handle = om.load(rid)\n"
+        "                    row = row_fn(om, handle)\n",
+        "PAIR",
+    )
+    assert [f.symbol for f in seeded] == ["repro.exec.operators.scans:Fetch._next"]
+    assert "never paired with unref()" in seeded[0].message
+
+
+def test_pair_lets_a_kept_handle_go(tmp_path):
+    """A bare ``load`` whose handle is stored, returned or entered as
+    its own bracket is an ownership transfer, not a leak."""
+    src = tmp_path / "repro" / "exec" / "kept.py"
+    src.parent.mkdir(parents=True)
+    src.write_text(
+        "def stored(om, rid, table):\n"
+        "    handle = om.load(rid)\n"
+        "    table.insert(rid, handle)\n"
+        "\n"
+        "def returned(om, rid):\n"
+        "    handle = om.load(rid)\n"
+        "    return handle\n"
+        "\n"
+        "def bracketed(om, rid):\n"
+        "    handle = om.load(rid)\n"
+        "    with handle:\n"
+        "        return om.get_attr(handle, 'age')\n"
+    )
+    assert lint_paths((str(src),), LintConfig(select=("PAIR",))).findings == []
+
+
 def test_callgraph_may_yield_closure(tmp_path):
     src = tmp_path / "chain.py"
     src.write_text(
