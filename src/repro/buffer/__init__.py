@@ -13,12 +13,5 @@ mechanism: a page found in either tier never reaches the disk.
 
 from repro.buffer.cache import BufferCache
 from repro.buffer.client_server import ClientServerSystem
-from repro.buffer.replacement import ClockPolicy, LRUPolicy, ReplacementPolicy
 
-__all__ = [
-    "BufferCache",
-    "ClientServerSystem",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "ClockPolicy",
-]
+__all__ = ["BufferCache", "ClientServerSystem"]

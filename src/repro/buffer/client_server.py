@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.buffer.cache import BufferCache
-from repro.buffer.replacement import LRUPolicy, ReplacementPolicy
 from repro.simtime import Bucket, MemoryModel
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
@@ -42,19 +41,15 @@ class ClientServerSystem:
         self,
         disk: DiskManager,
         memory: MemoryModel | None = None,
-        client_policy: ReplacementPolicy | None = None,
-        server_policy: ReplacementPolicy | None = None,
     ):
         self.disk = disk
         self.memory = memory or disk.params.memory
         self.server_cache = BufferCache(
             self.memory.server_cache_pages,
-            server_policy or LRUPolicy(),
             on_evict_dirty=self._write_back_to_disk,
         )
         self.client_cache = BufferCache(
             self.memory.client_cache_pages,
-            client_policy or LRUPolicy(),
             on_evict_dirty=self._write_back_to_server,
         )
         #: Invoked on every client page fault, *before* the RPC is
@@ -63,15 +58,10 @@ class ClientServerSystem:
 
     # -- client-tier management -------------------------------------------
 
-    def new_client_tier(
-        self,
-        capacity_pages: int | None = None,
-        policy: ReplacementPolicy | None = None,
-    ) -> BufferCache:
+    def new_client_tier(self, capacity_pages: int | None = None) -> BufferCache:
         """A fresh client cache wired for write-back to this server."""
         return BufferCache(
             capacity_pages or self.memory.client_cache_pages,
-            policy or LRUPolicy(),
             on_evict_dirty=self._write_back_to_server,
         )
 

@@ -20,31 +20,22 @@ but never tested, plus the Section 4 selection scans (standard scan,
 unclustered index scan, *sorted* unclustered index scan — Figure 8).
 
 Execution is pipelined: every algorithm is a pull-based batched
-operator in :mod:`repro.exec.operators`, and the list-returning
-functions here are drain wrappers kept for the benchmark harnesses.
+operator in :mod:`repro.exec.operators`.  :data:`ALGORITHMS`,
+:func:`select_scan` and :func:`select_indexed` drain those same
+operators into full row lists for the figures and the benchmark
+harnesses.
 """
 
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
-from repro.exec.joins import (
-    ALGORITHMS,
-    TreeJoinQuery,
-    hash_children_join,
-    hash_parents_join,
-    hybrid_hash_parents_join,
-    navigation_child_to_parent,
-    navigation_parent_to_child,
-    sort_merge_join,
-)
 from repro.exec.operators import (
+    ALGORITHMS,
     DEFAULT_BATCH_SIZE,
     Cursor,
     Operator,
     PipelineContext,
     PipelineStats,
-)
-from repro.exec.results import ResultBuilder
-from repro.exec.scans import (
     SelectionResult,
+    TreeJoinQuery,
     select_indexed,
     select_scan,
 )
@@ -59,17 +50,10 @@ __all__ = [
     "QueryHashTable",
     "phj_table_bytes",
     "chj_table_bytes",
-    "ResultBuilder",
     "sort_charged",
     "SelectionResult",
     "select_scan",
     "select_indexed",
     "TreeJoinQuery",
     "ALGORITHMS",
-    "navigation_parent_to_child",
-    "navigation_child_to_parent",
-    "hash_parents_join",
-    "hash_children_join",
-    "sort_merge_join",
-    "hybrid_hash_parents_join",
 ]

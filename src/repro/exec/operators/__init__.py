@@ -15,6 +15,7 @@ from repro.exec.operators.base import (
     PipelineStats,
 )
 from repro.exec.operators.joins import (
+    ALGORITHMS,
     JOIN_OPERATORS,
     HashChildrenJoin,
     HashParentsJoin,
@@ -23,6 +24,7 @@ from repro.exec.operators.joins import (
     NavigationParentToChild,
     SortMergeJoin,
     TreeJoinOperator,
+    TreeJoinQuery,
     build_join,
     drain_algorithm,
 )
@@ -30,13 +32,13 @@ from repro.exec.operators.scans import (
     CollectionScan,
     Fetch,
     IndexScan,
-    build_select_indexed,
-    build_select_scan,
+    SelectionResult,
+    select_indexed,
+    select_scan,
 )
 from repro.exec.operators.transforms import (
     Distinct,
     FetchingAggregate,
-    Filter,
     IndexOnlyAggregate,
     Limit,
     Map,
@@ -54,9 +56,9 @@ __all__ = [
     "CollectionScan",
     "IndexScan",
     "Fetch",
-    "build_select_scan",
-    "build_select_indexed",
-    "Filter",
+    "SelectionResult",
+    "select_scan",
+    "select_indexed",
     "Map",
     "Limit",
     "Distinct",
@@ -64,6 +66,7 @@ __all__ = [
     "IndexOnlyAggregate",
     "FetchingAggregate",
     "finish_aggregate",
+    "TreeJoinQuery",
     "TreeJoinOperator",
     "NavigationParentToChild",
     "NavigationChildToParent",
@@ -72,6 +75,7 @@ __all__ = [
     "SortMergeJoin",
     "HybridHashParentsJoin",
     "JOIN_OPERATORS",
+    "ALGORITHMS",
     "build_join",
     "drain_algorithm",
 ]

@@ -19,23 +19,27 @@ materializing executors):
 * **No handle crosses a batch boundary.**  Every
   :meth:`~repro.objects.manager.ObjectManager.borrow` bracket completes
   within the production of a single row (or within ``open()``), so an
-  early ``close()`` can never leak a handle — the simlint PAIR rule
-  holds by construction.
-* **Result rows are charged as they are emitted** (the
-  :class:`~repro.exec.results.ResultBuilder` per-element price), so a
-  drained pipeline charges exactly what the list builders charged, and
-  an abandoned one charges less.
+  early ``close()`` can never leak a handle.  A row generator therefore
+  never ``yield``s inside a bracket (simlint ESCAPE checks it): it
+  builds and charges the row inside, and yields after.
+* **Result rows are charged as they are emitted**
+  (:meth:`PipelineContext.result_s`), so a drained pipeline charges
+  exactly what the list builders charged, and an abandoned one charges
+  less.
 
 Memory accounting: :class:`PipelineStats.peak_rows` is the high-water
 mark of *rows* alive in the pipeline — completed batches in flight plus
-explicitly registered row buffers (a sort's input, CHJ's pending
-matches).  Rid tables and join-side index entries are not rows; their
-memory pressure is already modeled by the sort/spill charges.
+explicitly registered row buffers (a sort's input, SMJ's child pairs).
+Rid tables, hash tables and join-side index entries are not rows; their
+memory pressure is already modeled by the sort/spill/swap charges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from types import GeneratorType
+from typing import Iterator
 
 from repro.objects.database import Database
 from repro.simtime import Bucket
@@ -49,6 +53,9 @@ DEFAULT_BATCH_SIZE = 256
 
 #: Sentinel a row function returns to drop the current input.
 SKIP = object()
+
+#: What an operator without a row generator iterates: nothing.
+_NO_ROWS: Iterator = iter(())
 
 
 @dataclass
@@ -99,11 +106,17 @@ class PipelineContext:
     # -- charging -------------------------------------------------------
 
     def result_s(self, transactional: bool = True) -> float:
-        """Simulated seconds one emitted result row costs (the
-        ResultBuilder price) under the database's current params.  An
-        operator asks once per ``_next`` -- never once per statement
-        tree: a sweep swaps ``db.params`` between runs -- and adds it
-        to ``clock.buckets[Bucket.RESULT]`` row by row."""
+        """Simulated seconds one emitted result row costs under the
+        database's current params.  The paper measures result building
+        explicitly: constructing a collection of 1.8 million integers
+        under standard transaction mode took ~1100 seconds (Section 4.2)
+        -- about 0.6 ms per element, because the result is built "as if
+        it could become persistent"; ``transactional=False`` is the cheap
+        transient price.  An operator asks once per statement -- when
+        its row generator starts, or per ``_next`` -- never once per
+        operator tree kept across statements: a sweep swaps ``db.params``
+        between runs -- and adds it to ``clock.buckets[Bucket.RESULT]``
+        row by row."""
         params = self.db.params
         us = (
             params.result_append_txn_us
@@ -133,16 +146,27 @@ class PipelineContext:
 class Operator:
     """One node of a pull-based operator tree.
 
-    Subclasses implement ``_open`` / ``_next`` / ``_close`` and
-    ``children``; the public methods add idempotent state handling and
-    live-row accounting.  ``next_batch(n)`` returns at most ``n`` rows;
-    an empty list means the operator is exhausted (operators keep
-    pulling internally until they have at least one row or their inputs
-    are dry, so a non-empty pipeline never yields a spurious ``[]``).
+    A subclass states how it produces rows in one of two ways: a
+    **row generator** (``_rows``: the paper's straight-line loop with a
+    ``yield`` where it says "add to the result"), which the default
+    ``_next`` slices ``n`` rows at a time, or -- for an operator that is
+    batch-native (maps or clamps its source's batch, emits one row) --
+    its own ``_next``.  Blocking prefixes go in ``_open``, never before
+    the first ``yield``: ``open()`` is where they are charged.  The
+    public methods add idempotent state handling and live-row
+    accounting.  ``next_batch(n)`` returns at most ``n`` rows; an empty
+    list means the operator is exhausted (operators keep pulling
+    internally until they have at least one row or their inputs are
+    dry, so a non-empty pipeline never yields a spurious ``[]``).
     """
 
     def __init__(self, ctx: PipelineContext):
         self.ctx = ctx
+        #: The ``n`` of the pull under way.  A generator that pulls from
+        #: a source asks it for this many: a ``Limit`` above clamps
+        #: ``n``, and the source must not read past it.
+        self.asked = 0
+        self._iter: Iterator = _NO_ROWS  # _rows(), from open() to close()
         self._emitted = 0       # rows of our last batch, still live
         self._opened = False
         self._closed = False
@@ -156,6 +180,7 @@ class Operator:
         for child in self.children():
             child.open()
         self._open()
+        self._iter = self._rows()
 
     def next_batch(self, n: int) -> list:
         if not self._opened or self._closed:
@@ -165,6 +190,7 @@ class Operator:
         # The consumer asking for more is done with our previous batch.
         self.ctx.note_released(self._emitted)
         self._emitted = 0
+        self.asked = n
         batch = self._next(n)
         self._emitted = len(batch)
         self.ctx.note_buffered(self._emitted)
@@ -176,7 +202,12 @@ class Operator:
         self._closed = True
         self.ctx.note_released(self._emitted)
         self._emitted = 0
+        rows, self._iter = self._iter, _NO_ROWS
         try:
+            # A suspended generator finishes first (its ``finally``
+            # clauses run), then the operator's own clean-up.
+            if isinstance(rows, GeneratorType):
+                rows.close()
             self._close()
         finally:
             for child in self.children():
@@ -190,8 +221,13 @@ class Operator:
     def _open(self) -> None:
         pass
 
+    def _rows(self) -> Iterator:
+        """The rows, one at a time; called once, at the end of
+        ``open()``.  Never ``yield`` inside a ``borrow`` bracket."""
+        return _NO_ROWS
+
     def _next(self, n: int) -> list:
-        raise NotImplementedError
+        return list(islice(self._iter, n))
 
     def _close(self) -> None:
         pass

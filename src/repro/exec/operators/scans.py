@@ -1,24 +1,51 @@
-"""Scan-side operators: rid sources and the fetch that dereferences them.
+"""Scan-side operators and the selection scans built from them — the
+pseudo-code of the paper's Figure 8.
 
-These are the Figure 8 access paths as operators.  A rid source
-(:class:`CollectionScan` or :class:`IndexScan`) emits record ids; a
-:class:`Fetch` above it borrows one handle per rid, applies a row
-function, and emits the surviving rows.  The module-level builders
-assemble the same trees the legacy ``select_scan`` / ``select_indexed``
-list builders hard-coded, with identical charge order.
+Left algorithm (standard scan)::
+
+    open scan on Patients
+    for each Rid r returned by the scan
+        get Handle h
+        if get_att(h, num) > k
+            add get_att(h, age) to the result
+        unreference h
+
+Right algorithm (sorted index scan)::
+
+    open index scan on (Patients, num > k)
+    for each Rid r returned by the index scan
+        add r to Table T
+    sort T on Rids
+    for each r in T
+        get Handle h
+        add get_att(h, age) to the result
+        unreference h
+
+The unsorted variant (``sorted_rids=False``) fetches objects in key
+order, which on an unclustered key means random page accesses — the
+regime where Figure 6 shows the index reading *more* pages than a full
+scan beyond a few percent selectivity.
+
+As operators: a rid source (:class:`CollectionScan` or
+:class:`IndexScan`) emits record ids; a :class:`Fetch` above it borrows
+one handle per rid, applies a row function, and emits the surviving
+rows.  :func:`select_scan` and :func:`select_indexed` assemble the two
+trees and drain them into a :class:`SelectionResult` for the figures;
+the OQL engine builds the same trees with compiled row functions.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.errors import RecordNotVisibleError
-from repro.exec.operators.base import SKIP, Operator, PipelineContext
+from repro.exec.operators.base import SKIP, Cursor, Operator, PipelineContext
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database, PersistentCollection
 from repro.simtime import Bucket
+from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
 
@@ -28,16 +55,9 @@ class CollectionScan(Operator):
     def __init__(self, ctx: PipelineContext, collection: PersistentCollection):
         super().__init__(ctx)
         self.collection = collection
-        self._iter = iter(())
 
-    def _open(self) -> None:
-        self._iter = iter(self.collection.iter_rids())
-
-    def _next(self, n: int) -> list:
-        return list(islice(self._iter, n))
-
-    def _close(self) -> None:
-        self._iter = iter(())
+    def _rows(self) -> Iterator[Rid]:
+        return self.collection.iter_rids()
 
 
 class IndexScan(Operator):
@@ -68,8 +88,6 @@ class IndexScan(Operator):
         self.include_low = include_low
         self.include_high = include_high
         self.sorted_rids = sorted_rids
-        self._rids: list = []
-        self._pos = 0
 
     def _open(self) -> None:
         db = self.ctx.db
@@ -82,13 +100,8 @@ class IndexScan(Operator):
         if self.sorted_rids:
             self._rids = sort_charged(self._rids, db.clock, db.params)
 
-    def _next(self, n: int) -> list:
-        batch = self._rids[self._pos : self._pos + n]
-        self._pos += len(batch)
-        return batch
-
-    def _close(self) -> None:
-        self._rids = []
+    def _rows(self) -> Iterator[Rid]:
+        return iter(self._rids)
 
 
 class Fetch(Operator):
@@ -153,18 +166,38 @@ class Fetch(Operator):
         return out
 
 
-# -- builders matching the legacy list executors --------------------------
+# -- the Figure 8 selections, drained --------------------------------------
 
 
-def build_select_scan(
+@dataclass
+class SelectionResult:
+    """Outcome of a selection."""
+
+    rows: list[object]
+    scanned: int     # objects visited (whole collection for a scan)
+    selected: int    # objects satisfying the predicate
+
+    def __post_init__(self) -> None:
+        if self.selected != len(self.rows):
+            raise ValueError("selected count must match collected rows")
+
+
+def _drain(fetch: Fetch) -> SelectionResult:
+    with Cursor(fetch.ctx, fetch) as cursor:
+        rows = cursor.drain()
+    return SelectionResult(rows, fetch.scanned, len(rows))
+
+
+def select_scan(
     db: Database,
     collection: PersistentCollection,
     attr: str,
     predicate: Callable[[object], bool],
     project: str,
     transactional: bool = True,
-) -> Fetch:
-    """Figure 8, left, as an operator tree: CollectionScan → Fetch."""
+) -> SelectionResult:
+    """Figure 8, left: full collection scan, one handle per element
+    (CollectionScan → Fetch)."""
     ctx = PipelineContext(db)
 
     def row_fn(om, handle):
@@ -174,10 +207,10 @@ def build_select_scan(
             return SKIP
         return om.get_attr(handle, project)
 
-    return Fetch(ctx, CollectionScan(ctx, collection), row_fn, transactional)
+    return _drain(Fetch(ctx, CollectionScan(ctx, collection), row_fn, transactional))
 
 
-def build_select_indexed(
+def select_indexed(
     db: Database,
     index: BTreeIndex,
     low: object | None,
@@ -187,8 +220,9 @@ def build_select_indexed(
     include_low: bool = True,
     include_high: bool = True,
     transactional: bool = True,
-) -> Fetch:
-    """Figure 8, right (or the plain index scan): IndexScan → Fetch."""
+) -> SelectionResult:
+    """Figure 8, right (with ``sorted_rids=True``) or the plain
+    unclustered index scan (``sorted_rids=False``): IndexScan → Fetch."""
     ctx = PipelineContext(db)
 
     def row_fn(om, handle):
@@ -197,4 +231,4 @@ def build_select_indexed(
     source = IndexScan(
         ctx, index, low, high, include_low, include_high, sorted_rids
     )
-    return Fetch(ctx, source, row_fn, transactional)
+    return _drain(Fetch(ctx, source, row_fn, transactional))

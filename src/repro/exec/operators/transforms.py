@@ -1,5 +1,4 @@
-"""Row-transforming operators: filter, map, limit, distinct, sort,
-aggregates.
+"""Row-transforming operators: map, limit, distinct, sort, aggregates.
 
 ``Sort`` is the one *blocking* operator here: it drains its input into a
 buffer (registered against the pipeline's live-row high-water mark),
@@ -11,7 +10,7 @@ is what makes ``limit`` / first-row queries early-exit for free.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.exec.operators.base import (
     DEFAULT_BATCH_SIZE,
@@ -22,41 +21,6 @@ from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.simtime import Bucket
 from repro.units import US_PER_S
-
-
-class Filter(Operator):
-    """Keep rows satisfying a predicate, optionally charging CPU per
-    row tested (0 by default — engine predicates charge inside their
-    row functions, where the legacy code charged them)."""
-
-    def __init__(
-        self,
-        ctx: PipelineContext,
-        source: Operator,
-        predicate: Callable[[object], bool],
-        charge_us: float = 0.0,
-    ):
-        super().__init__(ctx)
-        self.source = source
-        self.predicate = predicate
-        self.charge_us = charge_us
-
-    def children(self) -> tuple[Operator, ...]:
-        return (self.source,)
-
-    def _next(self, n: int) -> list:
-        db = self.ctx.db
-        out: list = []
-        while len(out) < n:
-            batch = self.source.next_batch(n)
-            if not batch:
-                break
-            for row in batch:
-                if self.charge_us:
-                    db.clock.charge_us(Bucket.CPU, self.charge_us)
-                if self.predicate(row):
-                    out.append(row)
-        return out
 
 
 class Map(Operator):
@@ -104,30 +68,27 @@ class Limit(Operator):
 
 class Distinct(Operator):
     """Drop duplicate rows, keeping first-seen order (the semantics of
-    the legacy ``dict.fromkeys`` pass, charged identically: free)."""
+    the legacy ``dict.fromkeys`` pass, charged identically: free).
+
+    Pulls ``asked`` rows at a time from its source -- what the pull
+    under way asked of *it*, which a ``Limit`` above has clamped -- and
+    what a source batch holds beyond that stays in the suspended loop
+    for the next pull."""
 
     def __init__(self, ctx: PipelineContext, source: Operator):
         super().__init__(ctx)
         self.source = source
-        self._seen: set = set()
 
     def children(self) -> tuple[Operator, ...]:
         return (self.source,)
 
-    def _next(self, n: int) -> list:
-        out: list = []
-        while len(out) < n:
-            batch = self.source.next_batch(n)
-            if not batch:
-                break
+    def _rows(self) -> Iterator:
+        seen: set = set()
+        while batch := self.source.next_batch(self.asked):
             for row in batch:
-                if row not in self._seen:
-                    self._seen.add(row)
-                    out.append(row)
-        return out
-
-    def _close(self) -> None:
-        self._seen = set()
+                if row not in seen:
+                    seen.add(row)
+                    yield row
 
 
 class Sort(Operator):
@@ -149,7 +110,7 @@ class Sort(Operator):
         super().__init__(ctx)
         self.source = source
         self.order_by = order_by
-        self._rows: list = []
+        self._buffer: list = []
         self._pos = 0
         self._sorted = False
 
@@ -176,20 +137,20 @@ class Sort(Operator):
             )
             if descending:
                 rows = rows[::-1]
-        self._rows = [row for __, row in rows]
+        self._buffer = [row for __, row in rows]
         self._sorted = True
 
     def _next(self, n: int) -> list:
         if not self._sorted:
             self._drain_and_sort()
-        batch = self._rows[self._pos : self._pos + n]
+        batch = self._buffer[self._pos : self._pos + n]
         self._pos += len(batch)
         self.ctx.note_released(len(batch))
         return batch
 
     def _close(self) -> None:
-        self.ctx.note_released(len(self._rows) - self._pos)
-        self._rows = []
+        self.ctx.note_released(len(self._buffer) - self._pos)
+        self._buffer = []
         self._pos = 0
 
 

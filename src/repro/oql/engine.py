@@ -23,7 +23,6 @@ from functools import partial
 from typing import Callable, Iterable
 
 from repro.errors import PlanError
-from repro.exec.joins import TreeJoinQuery
 from repro.exec.operators.base import (
     DEFAULT_BATCH_SIZE,
     SKIP,
@@ -32,7 +31,7 @@ from repro.exec.operators.base import (
     PipelineContext,
     PipelineStats,
 )
-from repro.exec.operators.joins import JOIN_OPERATORS
+from repro.exec.operators.joins import JOIN_OPERATORS, TreeJoinQuery
 from repro.exec.operators.scans import CollectionScan, Fetch, IndexScan
 from repro.exec.operators.transforms import (
     Distinct,

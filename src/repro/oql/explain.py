@@ -21,6 +21,8 @@ and emits one summary row per analyzed extent/association.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.exec.operators.base import Cursor, Operator, PipelineContext
 from repro.oql.ast_nodes import AnalyzeStmt, ExplainStmt
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
@@ -145,20 +147,16 @@ def render_explain(
 
 
 class _TextRows(Operator):
-    """Shared tail: emit precomputed text rows, charging the result
-    price per row like any other root operator."""
+    """Shared tail: emit the text rows the subclass's ``_open`` left in
+    ``_lines``, charging the result price per row like any other root
+    operator."""
 
-    def __init__(self, ctx: PipelineContext):
-        super().__init__(ctx)
-        self._lines: list[str] = []
-        self._pos = 0
+    _lines: list[str]
 
-    def _next(self, n: int) -> list:
-        batch = self._lines[self._pos : self._pos + n]
-        self._pos += len(batch)
-        for __ in batch:
+    def _rows(self) -> Iterator[str]:
+        for line in self._lines:
             self.ctx.charge_result(transactional=False)
-        return batch
+            yield line
 
 
 class ExplainOperator(_TextRows):

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.buffer import BufferCache, LRUPolicy
+from repro.buffer import BufferCache
 from repro.errors import ServiceError
 from repro.objects.handle import HandleTable
 from repro.opt import CostBasedOptimizer
@@ -371,7 +371,6 @@ class QueryService:
             self._base_server_cache = self.db.system.server_cache
             self.db.system.server_cache = BufferCache(
                 server_cache_pages,
-                LRUPolicy(),
                 on_evict_dirty=self.db.system._write_back_to_disk,
             )
 

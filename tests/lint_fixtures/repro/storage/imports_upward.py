@@ -1,7 +1,7 @@
 """Fixture: exactly one LAYER violation — storage importing exec."""
 
-from repro.exec.joins import hash_parents_join  # the violation
+from repro.exec import ALGORITHMS  # the violation
 
 
 def delegate(q):
-    return hash_parents_join(q)
+    return ALGORITHMS["PHJ"](q)

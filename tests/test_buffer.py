@@ -1,4 +1,4 @@
-"""Unit tests for the buffer substrate (policies, caches, client/server)."""
+"""Unit tests for the buffer substrate (the LRU cache, client/server)."""
 
 from __future__ import annotations
 
@@ -6,56 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffer import BufferCache, ClientServerSystem, ClockPolicy, LRUPolicy
+from repro.buffer import BufferCache, ClientServerSystem
 from repro.simtime import MemoryModel
 from repro.storage import DiskManager, StorageFile
 from repro.storage.page import Page
 from repro.units import PAGE_SIZE
-
-
-# ---------------------------------------------------------- policies
-
-class TestLRUPolicy:
-    def test_evicts_least_recent(self):
-        lru = LRUPolicy()
-        lru.touch((0, 0))
-        lru.touch((0, 1))
-        lru.touch((0, 0))  # refresh
-        assert lru.evict() == (0, 1)
-        assert lru.evict() == (0, 0)
-
-    def test_discard(self):
-        lru = LRUPolicy()
-        lru.touch((0, 0))
-        lru.discard((0, 0))
-        assert len(lru) == 0
-        lru.discard((9, 9))  # absent: no error
-
-    def test_empty_evict_raises(self):
-        with pytest.raises(KeyError):
-            LRUPolicy().evict()
-
-
-class TestClockPolicy:
-    def test_second_chance(self):
-        clock = ClockPolicy()
-        clock.touch((0, 0))
-        clock.touch((0, 1))
-        clock.touch((0, 0))  # referenced bit set
-        # (0,0) gets a second chance; (0,1) is the victim.
-        assert clock.evict() == (0, 1)
-        assert clock.evict() == (0, 0)
-
-    @given(st.lists(st.integers(min_value=0, max_value=5), max_size=50))
-    @settings(max_examples=50)
-    def test_property_never_loses_pages(self, accesses):
-        clock = ClockPolicy()
-        for page_no in accesses:
-            clock.touch((0, page_no))
-        distinct = len({(0, p) for p in accesses})
-        assert len(clock) == distinct
-        evicted = {clock.evict() for __ in range(distinct)}
-        assert len(evicted) == distinct
 
 
 # ---------------------------------------------------------- BufferCache
@@ -114,6 +69,118 @@ class TestBufferCache:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             BufferCache(0)
+
+
+class TestLRUPolicy:
+    """The replacement policy is LRU, kept in the cache's one ordered
+    map: the cases the separate policy class used to answer to."""
+
+    def test_evicts_least_recent(self):
+        evicted = []
+        cache = BufferCache(2, on_evict_dirty=evicted.append)
+        first, second = page(0, dirty=True), page(1, dirty=True)
+        cache.insert(first)
+        cache.insert(second)
+        cache.insert(first)  # refresh: the victim is now 1
+        cache.insert(page(2, dirty=True))
+        assert evicted == [second]
+        cache.insert(page(3, dirty=True))
+        assert evicted == [second, first]
+
+    def test_discard(self):
+        evicted = []
+        cache = BufferCache(1, on_evict_dirty=evicted.append)
+        cache.insert(page(0, dirty=True))
+        cache.drop((0, 0))
+        assert len(cache) == 0
+        cache.drop((9, 9))  # absent: no error
+        cache.insert(page(1))  # the dropped page holds no frame ...
+        assert len(cache) == 1
+        assert evicted == []   # ... and is never written back
+
+    def test_empty_cache_evicts_nothing(self):
+        evicted = []
+        cache = BufferCache(1, on_evict_dirty=evicted.append)
+        cache.drop((0, 0))
+        cache.clear()
+        assert cache.lookup((0, 0)) is None
+        assert cache.dirty_pages() == []
+        cache.insert(page(0, dirty=True))
+        assert evicted == [] and len(cache) == 1
+
+
+class ListLRU:
+    """The reference: a plain list of keys, least recently used first."""
+
+    def __init__(self, capacity: int):
+        self.capacity, self.keys, self.evicted = capacity, [], []
+
+    def lookup(self, key) -> bool:
+        hit = key in self.keys
+        if hit:
+            self.keys.remove(key)
+            self.keys.append(key)
+        return hit
+
+    def insert(self, key) -> None:
+        if key in self.keys:
+            self.keys.remove(key)
+        elif len(self.keys) >= self.capacity:
+            self.evicted.append(self.keys.pop(0))
+        self.keys.append(key)
+
+    def drop(self, key) -> None:
+        if key in self.keys:
+            self.keys.remove(key)
+
+
+_CACHE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("lookup", "insert", "insert-dirty", "drop")),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=80,
+)
+
+
+class TestLRUModel:
+    @given(st.integers(min_value=1, max_value=5), _CACHE_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_ops_match_the_list_reference(self, capacity, ops):
+        """Same residents after every operation, same victims in the
+        same order, the same dirty call-backs."""
+        written = []
+        cache = BufferCache(capacity, on_evict_dirty=written.append)
+        model = ListLRU(capacity)
+        pages = {no: page(no) for no in range(8)}
+        expect_written = []
+        for op, no in ops:
+            key = (0, no)
+            if op == "lookup":
+                assert (cache.lookup(key) is not None) == model.lookup(key)
+            elif op == "drop":
+                cache.drop(key)
+                model.drop(key)
+            else:
+                pages[no].dirty = op == "insert-dirty"
+                before = len(model.evicted)
+                model.insert(key)
+                expect_written += [
+                    pages[victim[1]] for victim in model.evicted[before:]
+                    if pages[victim[1]].dirty
+                ]
+                cache.insert(pages[no])
+            assert len(cache) == len(model.keys)
+            assert all(cache.contains(key) for key in model.keys)
+            assert written == expect_written
+        # Flush the cache with fresh pages: what is left leaves in the
+        # model's recency order.
+        for resident in model.keys:
+            pages[resident[1]].dirty = True
+        del written[:]
+        for no in range(100, 100 + capacity):
+            cache.insert(page(no))
+        assert [(p.file_id, p.page_no) for p in written] == model.keys
 
 
 # ---------------------------------------------------------- MemoryModel

@@ -11,7 +11,6 @@ from repro.derby.config import Clustering
 from repro.exec import (
     ALGORITHMS,
     QueryHashTable,
-    ResultBuilder,
     TreeJoinQuery,
     chj_table_bytes,
     phj_table_bytes,
@@ -238,11 +237,6 @@ class TestJoinAlgorithms:
         derby.start_cold_run()
         rows = ALGORITHMS[algo](make_query(derby, k1, k2))
         assert sorted(rows) == reference_join(derby, logical, k1, k2)
-
-    def test_result_builder_counts(self, derby):
-        builder = ResultBuilder(derby.db)
-        builder.append(("x", 1))
-        assert len(builder) == 1
 
     def test_every_algorithm_charges_time(self, derby):
         k1 = derby.config.mrn_threshold(50)

@@ -24,7 +24,7 @@ from repro.exec.operators import (
     PipelineContext,
 )
 from repro.exec.operators.joins import build_join
-from repro.exec.operators.transforms import Distinct, Filter, Limit, Sort
+from repro.exec.operators.transforms import Distinct, Limit, Sort
 from repro.oql import Catalog, OQLEngine
 from repro.oql.parser import parse
 from repro.oql.printer import print_query
@@ -291,12 +291,13 @@ class TestOperatorUnits:
         with pytest.raises(RuntimeError):
             op.next_batch(2)
 
-    def test_filter_never_emits_a_spurious_empty_batch(self, ctx):
-        source = ListSource(ctx, list(range(100)))
-        op = Filter(ctx, source, lambda v: v >= 99)
+    def test_distinct_never_emits_a_spurious_empty_batch(self, ctx):
+        source = ListSource(ctx, [7] * 99 + [8])
+        op = Distinct(ctx, source)
         op.open()
-        # 99 consecutive rejects must not surface as an empty batch.
-        assert op.next_batch(10) == [99]
+        assert op.next_batch(1) == [7]
+        # 98 consecutive duplicates must not surface as an empty batch.
+        assert op.next_batch(10) == [8]
         assert op.next_batch(10) == []
         op.close()
 
@@ -332,7 +333,7 @@ class TestOperatorUnits:
     def test_depth_counts_tree_height(self, ctx):
         source = ListSource(ctx, [1])
         assert source.depth == 1
-        assert Limit(ctx, Filter(ctx, source, bool), 1).depth == 3
+        assert Limit(ctx, Distinct(ctx, source), 1).depth == 3
 
     def test_live_row_accounting_peaks_and_drains(self, ctx):
         op = ListSource(ctx, list(range(40)))
