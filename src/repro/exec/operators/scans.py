@@ -109,7 +109,7 @@ class Fetch(Operator):
 
     ``row_fn(om, handle)`` returns the output row, or :data:`SKIP` to
     drop the object (a failed predicate).  Each surviving row is charged
-    the ResultBuilder append price as it is emitted.  The handle bracket
+    the result-append price as it is emitted.  The handle bracket
     closes before the row leaves the operator — nothing is held across a
     batch boundary.
     """

@@ -226,7 +226,8 @@ class FetchingAggregate(Operator):
     function (residual predicates, exists filters; ``None`` when every
     object the source emits counts), and accumulates.
     Emits exactly one row.  No result-append charge — the legacy engine
-    returned the scalar without a ResultBuilder, and so do we.
+    returned the scalar without building a result collection, and so
+    do we.
     """
 
     def __init__(

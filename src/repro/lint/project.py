@@ -41,7 +41,7 @@ class Module:
     """One file under lint."""
 
     path: str                 # as reported in findings
-    name: str                 # dotted module name, e.g. "repro.exec.joins"
+    name: str                 # dotted module name, e.g. "repro.exec.sorter"
     package: str              # layer key: first component under the root
     source: str
     tree: ast.Module

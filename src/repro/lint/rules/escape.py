@@ -22,6 +22,13 @@ block:
 
 and, after the block, any read of ``h`` before it is rebound.
 
+In the measured substrates (``charge_packages``) a generator must also
+not *suspend* inside the bracket: any ``yield`` / ``yield from``
+lexically inside the block, whatever it yields, leaves the handle
+referenced while the consumer runs -- for an operator's row generator,
+across a batch boundary, where the scheduler hands the baton to other
+sessions.  Build (and charge) the row inside the block, yield after it.
+
 Suppressions carry ``# simlint: ok[ESCAPE] <why>``.
 """
 
@@ -92,6 +99,7 @@ def _check_block(
     findings: list[Finding],
 ) -> None:
     sinks = set(config.escape_sinks)
+    measured = info.module.package in config.charge_packages
 
     def flag(node: ast.AST, how: str) -> None:
         findings.append(
@@ -123,6 +131,24 @@ def _check_block(
                     node.value, handle
                 ):
                     flag(node, "is yielded out of its with block")
+                elif measured:
+                    findings.append(
+                        Finding(
+                            rule=NAME,
+                            path=info.module.path,
+                            line=node.lineno,
+                            col=node.col_offset,
+                            message=(
+                                f"yield inside the borrow bracket of "
+                                f"`{handle}`: the generator suspends with "
+                                "the handle still referenced, so it "
+                                "crosses a batch boundary (and an early "
+                                "close leaks it) — build and charge the "
+                                "row inside the block and yield after it"
+                            ),
+                            symbol=symbol,
+                        )
+                    )
             elif isinstance(node, ast.Assign):
                 if mentions_handle(node.value, handle) and any(
                     isinstance(t, (ast.Attribute, ast.Subscript))

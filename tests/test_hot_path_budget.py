@@ -12,6 +12,12 @@ above what they measure today.  A count is exact and repeats, so a
 failure here is a real regression, not noise -- and the message lists
 the callees that grew.
 
+The same profile holds the joins' row loops to their shape: each is a
+generator resumed once per row it emits, so what the loop itself costs
+-- beyond the brackets, reads and probes that are the algorithm -- is
+under one call per child scanned, and nothing in ``joins.py`` counts its
+batch with ``len``, ``next`` and ``append``.
+
 The warm read path has the same contract: everything a statement cannot
 change -- prices, the row function's shape, the bracket -- is resolved
 before the row loop, so a row fetched through a warm handle is a dozen
@@ -78,9 +84,24 @@ CREATE_OBJECT_BUDGET = 45.0
 #: two cache probes and the slack computed twice per insert).
 INSERT_BUDGET = 17.2
 
+#: Calls a join's row loop makes per child it scans that are not the
+#: algorithm's own work: resumes of its generator, plus any ``len`` /
+#: ``next`` / ``append`` out of ``joins.py`` (measured: 0.54 at 50/50,
+#: where every second child emits a row -- it cannot pass rows emitted
+#: per child; 2.54 when each loop counted its batch with ``len``, pulled
+#: with ``next`` and collected with ``append``).
+LOOP_OVERHEAD_BUDGET = 0.6
+
 MANAGER = "repro/objects/manager.py"
 HANDLE = "repro/objects/handle.py"
 BTREE = "repro/index/btree.py"
+JOINS = "repro/exec/operators/joins.py"
+JOIN_LOOPS = ("NavigationChildToParent._rows", "HashParentsJoin._rows")
+LOOP_BUILTINS = (
+    "<built-in method builtins.len>",
+    "<built-in method builtins.next>",
+    "<method 'append' of 'list' objects>",
+)
 BRACKET_ROOTS = (
     (MANAGER, "ObjectManager.borrow"),
     (HANDLE, "Handle.__enter__"),
@@ -161,13 +182,17 @@ class CallGraph:
 def graph() -> CallGraph:
     runner = ExperimentRunner(load_derby(DerbyConfig.db_1to3(scale=0.0003)))
     runner.run_join("NOJOIN", 50, 50)  # classes compiled, codecs built
+    children = sum(1 for __ in runner.tree_query(50, 50).selected_children())
     profile = cProfile.Profile()
     profile.enable()
     nojoin = runner.run_join("NOJOIN", 50, 50)
     phj = runner.run_join("PHJ", 50, 50)
     profile.disable()
     assert nojoin.rows == phj.rows > 0
-    return CallGraph(profile.getstats())
+    graph = CallGraph(profile.getstats())
+    #: What each of the two joins emitted and scanned.
+    graph.rows, graph.children = nojoin.rows, children
+    return graph
 
 
 def test_no_charge_or_read_hashes_an_enum_in_python(graph):
@@ -213,6 +238,31 @@ def test_calls_per_borrow_bracket(graph):
     assert per_bracket <= BRACKET_BUDGET, (
         f"{per_bracket:.2f} calls per borrow bracket, budget "
         f"{BRACKET_BUDGET}; per bracket it calls:\n{subtree}"
+    )
+
+
+def test_join_loops_are_generators(graph):
+    """No ``len`` / ``next`` / ``append`` out of ``joins.py``, one
+    generator resume per emitted row (and the one that ends it), and so
+    under one loop-overhead call per scanned child."""
+    edges = {
+        (_name(code).rsplit("/", 1)[-1], _name(edge.code)): edge.callcount
+        for code, entry in graph.by_code.items()
+        if not isinstance(code, str) and code.co_filename.endswith(JOINS)
+        for edge in entry.calls or ()
+    }
+    counted = {edge: n for edge, n in edges.items() if edge[1] in LOOP_BUILTINS}
+    assert not counted, f"a join loop counts its batch by hand: {counted}"
+    loops = [graph.find(JOINS, qualname) for qualname in JOIN_LOOPS]
+    assert None not in loops, f"the joins are no longer {JOIN_LOOPS}"
+    resumes = [graph.calls(loop) for loop in loops]
+    assert all(0 < n <= graph.rows + 1 for n in resumes), (
+        f"{resumes} generator resumes for {graph.rows} rows emitted"
+    )
+    per_child = (sum(resumes) + sum(counted.values())) / (2 * graph.children)
+    assert per_child <= LOOP_OVERHEAD_BUDGET, (
+        f"{per_child:.2f} loop-overhead calls per scanned child, budget "
+        f"{LOOP_OVERHEAD_BUDGET}"
     )
 
 

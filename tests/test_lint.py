@@ -171,6 +171,25 @@ def test_escape_good_is_clean():
     assert lint_fixture("escape/escape_good.py", ("ESCAPE",)) == []
 
 
+def test_escape_flags_a_yield_inside_the_bracket(tmp_path):
+    """In a measured package a generator may not suspend inside a
+    ``borrow`` bracket, whatever it yields; elsewhere only a yielded
+    *handle* is an escape."""
+    bad = "escape/repro/exec/yield_in_bracket_bad.py"
+    findings = lint_fixture(bad, ("ESCAPE",))
+    assert [f.line for f in findings] == [8, 14]
+    assert all("yield inside the borrow bracket" in f.message for f in findings)
+    assert lint_fixture(
+        "escape/repro/exec/yield_in_bracket_good.py", ("ESCAPE",)
+    ) == []
+    unmeasured = tmp_path / "repro" / "service" / "rows.py"
+    unmeasured.parent.mkdir(parents=True)
+    unmeasured.write_text((FIXTURES / bad).read_text())
+    assert lint_paths(
+        (str(unmeasured),), LintConfig(select=("ESCAPE",))
+    ).findings == []
+
+
 # -- seeded bugs in copies of the real read path ---------------------------
 
 
@@ -226,6 +245,34 @@ def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):
     )
     assert [f.symbol for f in seeded] == ["repro.exec.operators.scans:Fetch._next"]
     assert "never paired with unref()" in seeded[0].message
+
+
+NOJOIN_YIELD = (
+    "                            buckets[Bucket.RESULT] += row_s\n"
+    "            if row is not None:\n"
+    "                yield row\n"
+)
+
+
+def test_escape_flags_a_join_that_yields_inside_its_bracket(tmp_path):
+    """NOJOIN with its ``yield row`` moved one indent in, under the
+    child's bracket: the child handle would stay referenced across the
+    batch boundary."""
+    source = "exec/operators/joins.py"
+    assert lint_seeded(
+        tmp_path / "intact", source, NOJOIN_YIELD, NOJOIN_YIELD, "ESCAPE"
+    ) == []
+    seeded = lint_seeded(
+        tmp_path / "seeded", source, NOJOIN_YIELD,
+        "                            buckets[Bucket.RESULT] += row_s\n"
+        "                if row is not None:\n"
+        "                    yield row\n",
+        "ESCAPE",
+    )
+    assert [f.symbol for f in seeded] == [
+        "repro.exec.operators.joins:NavigationChildToParent._rows"
+    ]
+    assert "bracket of `child`" in seeded[0].message
 
 
 def test_pair_lets_a_kept_handle_go(tmp_path):

@@ -10,6 +10,8 @@ peak-live-row bounds, the batch-boundary scheduler yields, and the
 
 from __future__ import annotations
 
+from types import GeneratorType
+
 import pytest
 
 from repro.cluster import load_derby
@@ -30,6 +32,7 @@ from repro.oql.parser import parse
 from repro.oql.printer import print_query
 from repro.service import MixConfig, QueryService, WorkloadMixer
 from repro.simtime import Bucket, CostParams
+from repro.units import pages_for_bytes
 
 SECTION5_ALGORITHMS = ("NL", "NOJOIN", "PHJ", "CHJ")
 EXTENSION_ALGORITHMS = ("SMJ", "PHJ-HYBRID")
@@ -224,6 +227,54 @@ class TestEarlyExit:
         assert derby.db.handles.live_count == 0
 
 
+class TestJoinEarlyExit:
+    """Every join is a suspended generator between pulls: closing it
+    mid-stream leaks nothing and charges what is owed exactly once."""
+
+    def open_join(self, derby_cache, algorithm):
+        derby = derby_cache("1:3", Clustering.CLASS)
+        derby.start_cold_run()
+        op = build_join(make_query(derby, 90, 90), algorithm)
+        op.open()
+        if algorithm == "PHJ-HYBRID":
+            assert op._spill_fraction > 0, "test setup must force a spill"
+        return derby.db, op
+
+    @pytest.mark.parametrize("batch_size", (1, 3))
+    @pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
+    def test_close_after_one_batch(self, derby_cache, algorithm, batch_size):
+        db, op = self.open_join(derby_cache, algorithm)
+        rows = op._iter
+        assert len(op.next_batch(batch_size)) == batch_size
+        reads = db.counters.disk_reads
+        op.close()
+        if algorithm == "PHJ-HYBRID":
+            # The probes made so far are charged their spill, once.
+            owed = pages_for_bytes(op._probe_bytes)
+            assert db.counters.disk_reads - reads == owed > 0
+        assert db.handles.live_count == 0
+        assert op.ctx.live_rows == 0
+        assert isinstance(rows, GeneratorType) and rows.gi_frame is None
+        after_close = cost_snapshot(db)
+        op.close()  # a no-op
+        assert cost_snapshot(db) == after_close
+        with pytest.raises(RuntimeError):
+            op.next_batch(batch_size)
+
+    @pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
+    def test_close_after_exhaustion_charges_nothing(
+        self, derby_cache, algorithm
+    ):
+        db, op = self.open_join(derby_cache, algorithm)
+        while op.next_batch(DEFAULT_BATCH_SIZE):
+            pass
+        exhausted = cost_snapshot(db)
+        op.close()
+        assert cost_snapshot(db) == exhausted
+        assert db.handles.live_count == 0
+        assert op.ctx.live_rows == 0
+
+
 # ------------------------------------------------------ peak live rows
 
 class TestPeakRows:
@@ -241,7 +292,7 @@ class TestPeakRows:
         assert cursor.stats.peak_rows <= batch_size * root.depth
         assert cursor.ctx.live_rows == 0
 
-    @pytest.mark.parametrize("algorithm", ("NL", "NOJOIN", "PHJ"))
+    @pytest.mark.parametrize("algorithm", SECTION5_ALGORITHMS)
     @pytest.mark.parametrize("relationship", ("1:3", "1:1000"))
     def test_streaming_joins_bounded(
         self, derby_cache, relationship, algorithm
@@ -319,6 +370,22 @@ class TestOperatorUnits:
         op.open()
         assert op.next_batch(10) == [3, 1, 2, 4]
         op.close()
+
+    @pytest.mark.parametrize("n", (1, 4, 7))
+    def test_distinct_returns_at_most_n_rows_per_pull(self, ctx, n):
+        """A whole source batch used to be appended whenever the output
+        was short: 7 rows for ``n = 4`` here, and 11 live rows."""
+        rows = [1, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+        op = Distinct(ctx, ListSource(ctx, rows))
+        op.open()
+        pulls = []
+        while batch := op.next_batch(n):
+            pulls.append(batch)
+        op.close()
+        assert all(len(batch) <= n for batch in pulls), pulls
+        assert [row for batch in pulls for row in batch] == list(range(1, 10))
+        assert ctx.stats.peak_rows <= n * op.depth
+        assert ctx.live_rows == 0
 
     def test_sort_orders_and_charges_sort_bucket(self, ctx):
         rows = [((30,), "c"), ((10,), "a"), ((20,), "b")]
