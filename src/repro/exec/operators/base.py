@@ -112,11 +112,11 @@ class PipelineContext:
         under standard transaction mode took ~1100 seconds (Section 4.2)
         -- about 0.6 ms per element, because the result is built "as if
         it could become persistent"; ``transactional=False`` is the cheap
-        transient price.  An operator asks once per statement -- when
-        its row generator starts, or per ``_next`` -- never once per
-        operator tree kept across statements: a sweep swaps ``db.params``
-        between runs -- and adds it to ``clock.buckets[Bucket.RESULT]``
-        row by row."""
+        transient price.  An operator asks when its row generator starts
+        (or once per ``_next``) and adds the price to
+        ``clock.buckets[Bucket.RESULT]`` row by row; it is never kept
+        across statements, because a sweep swaps ``db.params`` between
+        runs."""
         params = self.db.params
         us = (
             params.result_append_txn_us

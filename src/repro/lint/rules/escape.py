@@ -101,22 +101,25 @@ def _check_block(
     sinks = set(config.escape_sinks)
     measured = info.module.package in config.charge_packages
 
-    def flag(node: ast.AST, how: str) -> None:
+    def flag(node: ast.AST, message: str) -> None:
         findings.append(
             Finding(
                 rule=NAME,
                 path=info.module.path,
                 line=node.lineno,
                 col=node.col_offset,
-                message=(
-                    f"borrowed handle `{handle}` {how}; the handle is "
-                    "unpinned when the with block exits, so any later "
-                    "use reads an evictable frame — extract the value "
-                    "inside the block instead, or justify with "
-                    "`# simlint: ok[ESCAPE] <why>`"
-                ),
+                message=message,
                 symbol=symbol,
             )
+        )
+
+    def escapes(how: str) -> str:
+        return (
+            f"borrowed handle `{handle}` {how}; the handle is "
+            "unpinned when the with block exits, so any later "
+            "use reads an evictable frame — extract the value "
+            "inside the block instead, or justify with "
+            "`# simlint: ok[ESCAPE] <why>`"
         )
 
     for stmt in block.body:
@@ -125,42 +128,36 @@ def _check_block(
                 if node.value is not None and mentions_handle(
                     node.value, handle
                 ):
-                    flag(node, "is returned out of its with block")
+                    flag(node, escapes("is returned out of its with block"))
             elif isinstance(node, (ast.Yield, ast.YieldFrom)):
                 if node.value is not None and mentions_handle(
                     node.value, handle
                 ):
-                    flag(node, "is yielded out of its with block")
+                    flag(node, escapes("is yielded out of its with block"))
                 elif measured:
-                    findings.append(
-                        Finding(
-                            rule=NAME,
-                            path=info.module.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            message=(
-                                f"yield inside the borrow bracket of "
-                                f"`{handle}`: the generator suspends with "
-                                "the handle still referenced, so it "
-                                "crosses a batch boundary (and an early "
-                                "close leaks it) — build and charge the "
-                                "row inside the block and yield after it"
-                            ),
-                            symbol=symbol,
-                        )
+                    flag(
+                        node,
+                        f"yield inside the borrow bracket of `{handle}`: "
+                        "the generator suspends with the handle still "
+                        "referenced, so it crosses a batch boundary (and "
+                        "an early close leaks it) — build and charge the "
+                        "row inside the block and yield after it",
                     )
             elif isinstance(node, ast.Assign):
                 if mentions_handle(node.value, handle) and any(
                     isinstance(t, (ast.Attribute, ast.Subscript))
                     for t in node.targets
                 ):
-                    flag(node, "is stored into longer-lived state")
+                    flag(node, escapes("is stored into longer-lived state"))
             elif isinstance(node, ast.Call):
                 name = call_name(node)
                 if name in sinks and any(
                     mentions_handle(arg, handle) for arg in node.args
                 ):
-                    flag(node, f"is stored via {name}() into a container")
+                    flag(
+                        node,
+                        escapes(f"is stored via {name}() into a container"),
+                    )
 
 
 def check(project: Project, config: LintConfig) -> list[Finding]:

@@ -9,7 +9,7 @@ cell, small enough to run in tier-1.  ``exec_pins.json`` keeps, for both
 Derby databases under all four clusterings, each run cold:
 
 * every ``ALGORITHMS`` key at every ``SELECTIVITY_GRID`` pair
-  (``ExperimentRunner.run_join``);
+  (over ``ExperimentRunner.tree_query``);
 * ``ExperimentRunner.run_selection`` by scan / index / sorted-index at
   10 % and 90 %;
 * nine OQL texts -- ``distinct``, ``distinct ... limit 7``, a scan under
@@ -102,6 +102,15 @@ def _checksums(rows: list) -> tuple[str, str]:
     )
 
 
+def _cost(elapsed_s: float, breakdown: dict, meters) -> dict:
+    """The simulated cost of one run: the non-zero meters only."""
+    return {
+        "elapsed_s": elapsed_s,
+        "breakdown": breakdown,
+        "meters": {name: n for name, n in asdict(meters).items() if n},
+    }
+
+
 def _cell(db, rows: list) -> dict:
     """What is pinned of one cold run that just ended on ``db``."""
     unordered, ordered = _checksums(rows)
@@ -109,13 +118,7 @@ def _cell(db, rows: list) -> dict:
         "rows": len(rows),
         "checksum": unordered,
         "ordered": ordered,
-        "elapsed_s": db.clock.elapsed_s,
-        "breakdown": db.clock.breakdown(),
-        "meters": {
-            name: value
-            for name, value in asdict(db.counters.snapshot()).items()
-            if value
-        },
+        **_cost(db.clock.elapsed_s, db.clock.breakdown(), db.counters.snapshot()),
     }
 
 
@@ -142,13 +145,7 @@ def measure_group(database: str, clustering: Clustering) -> dict[str, dict]:
             measured = runner.run_selection(method, pct)
             cells[f"select/{method}/{pct}"] = {
                 "rows": measured.rows,
-                "elapsed_s": measured.elapsed_s,
-                "breakdown": measured.breakdown,
-                "meters": {
-                    name: value
-                    for name, value in asdict(measured.meters).items()
-                    if value
-                },
+                **_cost(measured.elapsed_s, measured.breakdown, measured.meters),
             }
 
     engine = OQLEngine(Catalog.from_derby(derby))
@@ -179,12 +176,10 @@ def differences(actual: dict[str, dict], pinned: dict[str, dict]) -> list[str]:
         got, want = actual[key], pinned[key]
         for field in sorted(set(got) | set(want)):
             a, b = got.get(field), want.get(field)
-            if field == "breakdown" and a is not None and b is not None:
-                if list(a) != list(b):
-                    lines.append(
-                        f"{key}: bucket order {list(a)} != pinned {list(b)}"
-                    )
-                a, b = dict(a), dict(b)
+            if field == "breakdown" and a and b and list(a) != list(b):
+                lines.append(
+                    f"{key}: bucket order {list(a)} != pinned {list(b)}"
+                )
             if isinstance(a, dict) and isinstance(b, dict):
                 for name in sorted(set(a) | set(b)):
                     if a.get(name) != b.get(name):
