@@ -267,7 +267,8 @@ def _one_availability(
     post = _windowed_ops_s(workload.op_times, recovery_t, window_s)
     digest = (
         tuple(
-            (s.name, s.committed, s.aborted, s.retries, s.unavailable)
+            (s.name, s.metrics.committed, s.metrics.aborted,
+             s.metrics.retries, s.metrics.unavailable)
             for s in report.sessions
         ),
         round(report.elapsed_s, 9),

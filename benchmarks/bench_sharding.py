@@ -196,7 +196,7 @@ def _measure_cluster(
         runs.append(QueryRun(
             label=label,
             n_shards=cluster.n_shards,
-            strategy=coordinator.last_plan.strategy,
+            strategy="query",
             rows=len(rows),
             elapsed_s=elapsed,
             total_busy_s=cluster.total_busy_s,
@@ -227,8 +227,8 @@ def _run_mix(cluster) -> MixRun:
         gave_up=report.gave_up,
         elapsed_s=report.elapsed_s,
         throughput_ops_s=report.throughput_ops_s,
-        msgs=report.msgs,
-        lock_wait_s=sum(s.lock_wait_s for s in report.sessions),
+        msgs=cluster.msgs,
+        lock_wait_s=sum(s.metrics.lock_wait_s for s in report.sessions),
     )
 
 

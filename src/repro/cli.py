@@ -49,8 +49,14 @@ Commands
 ``lint``
     Run simlint, the AST invariant linter, over ``src/repro``: checks
     determinism (DET), cost charging (CHARGE), the layering DAG
-    (LAYER), paired resource release (PAIR) and over-broad excepts
-    (EXC).  See ``docs/lint.md``.
+    (LAYER), paired resource release (PAIR), over-broad excepts (EXC)
+    and, over the may-yield call graph, atomic sections (ATOM),
+    protocol order (PROTO) and resources held across a yield (ESCAPE).
+    See ``docs/lint.md``.
+
+Any :class:`~repro.errors.ReproError` a command lets escape — a mix
+with no clients, a cluster with no shards — is printed as ``error: …``
+on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -346,18 +352,14 @@ def cmd_mix(args: argparse.Namespace) -> int:
     from repro.service import MixConfig, WorkloadMixer
     from repro.stats import StatsDatabase, mix_to_csv, to_csv
 
-    try:
-        if args.navigators or args.scanners or args.updaters:
-            mix_config = MixConfig(
-                navigators=args.navigators,
-                scanners=args.scanners,
-                updaters=args.updaters,
-            )
-        else:
-            mix_config = MixConfig.from_clients(args.clients)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.navigators or args.scanners or args.updaters:
+        mix_config = MixConfig(
+            navigators=args.navigators,
+            scanners=args.scanners,
+            updaters=args.updaters,
+        )
+    else:
+        mix_config = MixConfig.from_clients(args.clients)
     from dataclasses import replace as _replace
     mix_config = _replace(
         mix_config,
@@ -492,7 +494,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_shard_demo(args: argparse.Namespace) -> int:
     """Partition a database, run a distributed query and a mix."""
     from repro.bench.report import Table
-    from repro.dist import Coordinator, ShardedMixConfig, ShardedWorkload, load_sharded
+    from repro.dist import (
+        Coordinator,
+        ShardedMixConfig,
+        ShardedWorkload,
+        load_sharded,
+        sharded_table,
+    )
 
     config = _make_config(args)
     cluster = load_sharded(
@@ -506,7 +514,7 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
     cluster.start_cold()
     threshold = config.num_threshold(args.selectivity)
     query = f"select p.age from p in Patients where p.num > {threshold}"
-    rows = coordinator.execute(query, strategy=args.strategy)
+    rows = coordinator.execute(query)
     plan = coordinator.last_plan
     assert plan is not None
     print(f"> {query}")
@@ -536,7 +544,7 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
         args.clients, ops_per_client=args.ops, seed=args.seed
     )
     report = ShardedWorkload(cluster, mix).run()
-    print(report.table())
+    print(sharded_table(report, cluster))
     if cluster.links:
         ship = Table(
             f"WAL shipping ({args.ship_mode})",
@@ -558,7 +566,12 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
 
 def cmd_failover_demo(args: argparse.Namespace) -> int:
     """Kill a primary under load and narrate the failover."""
-    from repro.dist import ShardedMixConfig, ShardedWorkload, load_sharded
+    from repro.dist import (
+        ShardedMixConfig,
+        ShardedWorkload,
+        load_sharded,
+        sharded_table,
+    )
 
     config = _make_config(args)
     cluster = load_sharded(
@@ -582,7 +595,7 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
         args.clients, ops_per_client=args.ops, seed=args.seed
     )
     report = ShardedWorkload(cluster, mix).run()
-    print(report.table())
+    print(sharded_table(report, cluster))
     print()
     print(f"kills {cluster.kills}, failovers {cluster.route.failovers}, "
           f"epochs {cluster.route.epochs}")
@@ -629,11 +642,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     catalog = Catalog.from_derby(derby)
     start_s = derby.db.clock.elapsed_s
     collector = StatsCollector(catalog, buckets=args.buckets)
-    try:
-        stats = collector.collect(args.collections or None)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = collector.collect(args.collections or None)
     spent_s = derby.db.clock.elapsed_s - start_s
     for line in summarize(stats):
         print(line)
@@ -847,9 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="number of shard nodes")
     shard_demo.add_argument("--scheme", choices=("hash", "range"),
                             default="hash", help="partitioning scheme")
-    shard_demo.add_argument("--strategy", choices=("auto", "query", "data"),
-                            default="auto",
-                            help="shipping strategy for the demo query")
     shard_demo.add_argument("--selectivity", type=float, default=10.0,
                             help="selectivity (%%) of the demo selection")
     shard_demo.add_argument("--clients", type=int, default=4,
@@ -937,7 +943,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

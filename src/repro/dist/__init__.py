@@ -15,15 +15,16 @@ transactions on its own timeline:
 * :class:`ExchangeOperator` — a Volcano operator merging per-shard
   cursors with virtual parallelism (a drain costs the *slowest* shard,
   not the sum);
-* :class:`Coordinator` — query-shipping vs data-shipping plans,
-  aggregate decomposition, order-by / distinct / limit recombination;
+* :class:`Coordinator` — query-shipping plans: aggregate
+  decomposition, order-by / distinct / limit recombination;
 * :class:`DistTransaction` — presumed-abort two-phase commit on the
   per-shard WALs, with in-doubt branches resolved against the
   coordinator's durable decision records at recovery;
 * :class:`GlobalLockTable` — cross-shard deadlock detection by unioning
   the per-shard waits-for graphs;
 * :class:`ShardedWorkload` — deterministic multi-client mixes over the
-  cluster;
+  cluster, driven by the same session loop and reported in the same
+  :class:`~repro.service.MixReport` as the single-server mixer;
 * :mod:`repro.dist.chaos` — the :data:`TWOPC` (cluster crash at all
   five protocol points) and :data:`FAILOVER` (primary kills under
   replication) chaos suites, run by the shared harness in
@@ -41,7 +42,7 @@ from repro.dist.chaos import (
     point_coverage,
 )
 from repro.dist.cluster import ShardedCluster, load_sharded
-from repro.dist.coordinator import SHIP_STRATEGIES, Coordinator, DistPlan
+from repro.dist.coordinator import Coordinator, DistPlan
 from repro.dist.deadlock import GlobalLockTable
 from repro.dist.exchange import ExchangeOperator, coordinator_context
 from repro.dist.failure import HEALTH_STATES, FailureDetector, NodeHealth
@@ -66,11 +67,9 @@ from repro.dist.twopc import (
     TwoPCInjector,
 )
 from repro.dist.workload import (
-    DIST_PROFILES,
     ShardedMixConfig,
-    ShardedMixReport,
-    ShardedSessionReport,
     ShardedWorkload,
+    sharded_table,
 )
 
 __all__ = [
@@ -88,14 +87,11 @@ __all__ = [
     "TwoPCInjector",
     "ExchangeOperator",
     "coordinator_context",
-    "SHIP_STRATEGIES",
     "Coordinator",
     "DistPlan",
-    "DIST_PROFILES",
     "ShardedMixConfig",
-    "ShardedMixReport",
-    "ShardedSessionReport",
     "ShardedWorkload",
+    "sharded_table",
     "TWOPC",
     "TwoPCChaosResult",
     "point_coverage",

@@ -154,8 +154,9 @@ def _last_writer(ev) -> list[str]:
 def _session_digest(report, last_field: str) -> tuple:
     return tuple(
         (
-            s.name, s.committed, s.aborted, s.retries, s.deadlocks,
-            s.timeouts, s.gave_up, getattr(s, last_field),
+            s.name, s.metrics.committed, s.metrics.aborted,
+            s.metrics.retries, s.metrics.deadlocks, s.metrics.timeouts,
+            s.metrics.gave_up, getattr(s.metrics, last_field),
         )
         for s in report.sessions
     )

@@ -459,7 +459,6 @@ def load_sharded(
     scheme: str = "hash",
     logical: LogicalDatabase | None = None,
     lock_timeout_s: float | None = None,
-    cost_optimizer: bool = False,
     replicas: int = 0,
     ship_mode: str = "sync",
     max_lag_records: int = 64,
@@ -491,7 +490,6 @@ def load_sharded(
             load_derby(view.config, logical=view),
             clock,
             lock_timeout_s=lock_timeout_s,
-            cost_optimizer=cost_optimizer,
         )
 
     nodes = [build(shard_id, view) for shard_id, view in enumerate(views)]

@@ -1,12 +1,11 @@
 """The distributed query coordinator.
 
 Given one OQL query and a :class:`~repro.dist.cluster.ShardedCluster`,
-the coordinator picks a *shipping strategy*, rewrites the query into
-per-shard work, and recombines the shard streams into the single-node
-answer:
+the coordinator rewrites the query into per-shard work and recombines
+the shard streams into the single-node answer.
 
-**Query shipping** (the default) sends OQL text to every shard; each
-shard plans and runs it with its own cost-based machinery over its own
+Every query is **query-shipped**: the OQL text goes to every shard, and
+each shard plans and runs it with its own heuristic planner over its own
 slice.  Because patients are co-located with their providers
 (:mod:`repro.dist.partition`), selections, navigation joins and
 ``exists`` semijoins are all *shard-local*: the distributed answer is
@@ -27,15 +26,6 @@ the coordinator:
 * **limit** is pushed down (no shard needs to send more than the limit)
   and re-applied to the merged stream.
 
-**Data shipping** sends no predicate at all: shards stream bare
-projection tuples of every row and the coordinator evaluates the
-``where`` clause itself.  It is supported only for flat selections
-(one ``from`` clause over a named collection, no ``exists``, no
-navigation) — and it ships the whole extent, which is why the
-cost-based choice below essentially always prefers query shipping; the
-strategy exists to *measure* that gap (``DistPlan`` records both byte
-estimates, and ``bench_sharding`` reports them).
-
 Rows travel through :class:`~repro.dist.exchange.ExchangeOperator`, so
 elapsed time reflects shards working in parallel, and every batch pays
 RPC + page-transfer costs on the coordinator's timeline.
@@ -44,7 +34,7 @@ RPC + page-transfer costs on the coordinator's timeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dist.cluster import ShardedCluster
 from repro.dist.exchange import (
@@ -57,42 +47,21 @@ from repro.exec.operators.base import Cursor
 from repro.exec.operators.transforms import finish_aggregate
 from repro.oql.ast_nodes import (
     AggregateExpr,
-    BinOp,
-    BoolOp,
-    CollectionRef,
-    ExistsExpr,
     Expr,
-    Literal,
     Path,
     Query,
     TupleExpr,
-    conjuncts,
 )
-from repro.oql.optimizer import Optimizer
 from repro.oql.parser import parse
 from repro.oql.printer import print_query
-from repro.opt import CardinalityEstimator
 from repro.simtime import Bucket
-
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
-
-#: The shipping strategies (plus ``"auto"``, which picks by estimate).
-SHIP_STRATEGIES = ("query", "data")
 
 
 @dataclass
 class DistPlan:
-    """One distributed execution recipe, with its cost estimates."""
+    """One distributed execution recipe."""
 
     query: Query
-    strategy: str                       # "query" | "data"
     #: OQL text shipped to every shard (two entries for a decomposed avg).
     shard_texts: tuple[str, ...]
     merge: str                          # "rows" | "aggregate"
@@ -107,29 +76,9 @@ class DistPlan:
     sort_cols: tuple[tuple[int, bool], ...] = ()
     distinct: bool = False
     limit: int | None = None
-    # -- data shipping only --
-    #: Attribute behind each shipped column.
-    ship_attrs: tuple[str, ...] = ()
-    #: Shipped-column index of each output column.
-    select_cols: tuple[int, ...] = ()
-    #: Shipped-column index the aggregate reads (None for count(*)).
-    agg_col: int | None = None
-    #: The where clause the coordinator evaluates centrally.
-    where: Expr | None = None
-    # -- estimates (recorded for both strategies, whichever runs) --
-    est_rows_total: int = 0
-    est_rows_out: float = 0.0
-    est_query_ship_bytes: float = 0.0
-    est_data_ship_bytes: float = 0.0
-    notes: list[str] = field(default_factory=list)
 
     def description(self) -> str:
-        ship = (
-            f"~{self.est_query_ship_bytes / 1e3:.0f}kB shipped"
-            if self.strategy == "query"
-            else f"~{self.est_data_ship_bytes / 1e3:.0f}kB shipped"
-        )
-        return f"{self.strategy}-ship {self.merge} merge, {ship}"
+        return f"query-ship {self.merge} merge"
 
 
 class Coordinator:
@@ -143,37 +92,13 @@ class Coordinator:
 
     # -- planning -------------------------------------------------------
 
-    def plan(self, source: str | Query, strategy: str = "auto") -> DistPlan:
+    def plan(self, source: str | Query) -> DistPlan:
         query = parse(source) if isinstance(source, str) else source
-        if strategy not in ("auto",) + SHIP_STRATEGIES:
-            raise DistPlanError(
-                f"unknown strategy {strategy!r}; choose from "
-                f"{('auto',) + SHIP_STRATEGIES}"
-            )
-        est = self._estimate(query)
-        if strategy == "auto":
-            # Query shipping moves only matching rows; data shipping
-            # moves the extent.  The estimate can only tie (empty
-            # where), so auto always resolves to query shipping — the
-            # point of recording both numbers is to show the margin.
-            strategy = (
-                "data"
-                if est["data_bytes"] < est["query_bytes"]
-                else "query"
-            )
-        if strategy == "query":
-            plan = self._plan_query_ship(query)
-        else:
-            plan = self._plan_data_ship(query)
-        plan.est_rows_total = est["rows_total"]
-        plan.est_rows_out = est["rows_out"]
-        plan.est_query_ship_bytes = est["query_bytes"]
-        plan.est_data_ship_bytes = est["data_bytes"]
-        return plan
-
-    def _plan_query_ship(self, query: Query) -> DistPlan:
         if isinstance(query.select, AggregateExpr):
             return self._plan_aggregate(query)
+        return self._plan_rows(query)
+
+    def _plan_rows(self, query: Query) -> DistPlan:
         select_paths, scalar = _select_paths(query)
         n_select = len(select_paths)
         sort_cols: list[tuple[int, bool]] = []
@@ -216,7 +141,6 @@ class Coordinator:
         )
         return DistPlan(
             query=query,
-            strategy="query",
             shard_texts=(print_query(shard_query),),
             merge="rows",
             n_select=n_select,
@@ -250,82 +174,9 @@ class Coordinator:
             texts = (print_query(query),)
         return DistPlan(
             query=query,
-            strategy="query",
             shard_texts=texts,
             merge="aggregate",
             agg_func=agg.func,
-        )
-
-    def _plan_data_ship(self, query: Query) -> DistPlan:
-        var, coll = _flat_source(query)
-        if isinstance(query.select, AggregateExpr):
-            agg = query.select
-            if agg.arg is not None and not _is_attr(agg.arg, var):
-                raise DistPlanError(
-                    f"data shipping needs a plain {var}.attr aggregate "
-                    f"argument, got {agg.arg}"
-                )
-            select_paths: list[Path] = [agg.arg] if agg.arg is not None else []
-            agg_func = agg.func
-            scalar = True
-        else:
-            select_paths, scalar = _select_paths(query)
-            agg_func = None
-            for p in select_paths:
-                if not _is_attr(p, var):
-                    raise DistPlanError(
-                        f"data shipping needs plain {var}.attr select "
-                        f"columns, got {p}"
-                    )
-        needed: list[str] = []
-
-        def note(path: Path) -> int:
-            attr = path.attrs[0]
-            if attr not in needed:
-                needed.append(attr)
-            return needed.index(attr)
-
-        select_cols = tuple(note(p) for p in select_paths)
-        for term in _where_paths(query.where, var):
-            note(term)
-        sort_cols = []
-        for term in query.order_by:
-            if not _is_attr(term.key, var):
-                raise DistPlanError(
-                    f"data shipping needs plain {var}.attr sort keys, "
-                    f"got {term.key}"
-                )
-            sort_cols.append((note(term.key), term.descending))
-        if not needed:
-            # count(*) with no predicate still has to ship *something*
-            # to count; ship the cheapest attribute: an indexed key.
-            attrs = self.cluster.nodes[0].catalog.indexed_attrs(coll)
-            if not attrs:
-                raise DistPlanError(
-                    f"nothing to ship for {coll}: no attributes referenced"
-                )
-            needed.append(attrs[0])
-        shard_query = Query(
-            select=TupleExpr(
-                tuple((a, Path(var, (a,))) for a in needed)
-            ),
-            from_clauses=query.from_clauses,
-        )
-        return DistPlan(
-            query=query,
-            strategy="data",
-            shard_texts=(print_query(shard_query),),
-            merge="aggregate" if agg_func else "rows",
-            agg_func=agg_func,
-            n_select=len(select_cols),
-            scalar_select=scalar and agg_func is None,
-            sort_cols=tuple(sort_cols),
-            distinct=query.distinct,
-            limit=query.limit,
-            ship_attrs=tuple(needed),
-            select_cols=select_cols,
-            agg_col=select_cols[0] if agg_func and select_paths else None,
-            where=query.where,
         )
 
     # -- execution ------------------------------------------------------
@@ -333,22 +184,17 @@ class Coordinator:
     def execute(
         self,
         source: str | Query,
-        strategy: str = "auto",
         on_batch=None,
         batch_size: int | None = None,
     ) -> list:
         """Run the query across every shard; returns the merged rows,
         shaped exactly like the single-node engine's answer."""
         self.cluster.tick()
-        plan = self.plan(source, strategy)
+        plan = self.plan(source)
         self.last_plan = plan
-        if plan.strategy == "query" and plan.merge == "aggregate":
+        if plan.merge == "aggregate":
             return self._merge_aggregate(plan)
-        rows = self._gather(plan, on_batch, batch_size)
-        if plan.strategy == "data":
-            rows = self._apply_central(plan, rows)
-            if plan.merge == "aggregate":
-                return rows
+        rows = self._open_exchange(plan, on_batch, batch_size).drain()
         return self._finish_rows(plan, rows)
 
     def execute_iter(
@@ -359,7 +205,7 @@ class Coordinator:
     ) -> Cursor:
         """A streaming cursor over the raw (pre-merge) exchange — only
         for plain row queries with no central work to do."""
-        plan = self.plan(source, "query")
+        plan = self.plan(source)
         if plan.merge != "rows" or plan.sort_cols or plan.distinct:
             raise DistPlanError(
                 "execute_iter streams only plain row queries; use "
@@ -398,9 +244,6 @@ class Coordinator:
         )
         return Cursor(ctx, exchange, batch_size or self.batch_size)
 
-    def _gather(self, plan, on_batch, batch_size) -> list:
-        return self._open_exchange(plan, on_batch, batch_size).drain()
-
     def _merge_aggregate(self, plan) -> list:
         cluster = self.cluster
         if plan.agg_func == "avg":
@@ -433,32 +276,6 @@ class Coordinator:
         if not values:
             return [None]
         return [min(values) if plan.agg_func == "min" else max(values)]
-
-    def _apply_central(self, plan, rows: list) -> list:
-        """The data-shipping coordinator-side work: evaluate the where
-        clause on every shipped tuple, then project (or aggregate)."""
-        clock = self.cluster.clock
-        params = self.cluster.params
-        env_attrs = plan.ship_attrs
-        kept = []
-        for row in rows:
-            env = dict(zip(env_attrs, row))
-            if plan.where is None or _eval_pred(
-                plan.where, env, clock, params
-            ):
-                kept.append(row)
-        if plan.merge == "aggregate":
-            count = len(kept)
-            if plan.agg_func == "count":
-                return [count]
-            values = [row[plan.agg_col] for row in kept]
-            total = float(sum(values))
-            lo = min(values) if values else None
-            hi = max(values) if values else None
-            return [finish_aggregate(plan.agg_func, count, total, lo, hi)]
-        if plan.scalar_select:
-            return [row[plan.select_cols[0]] for row in kept]
-        return [tuple(row[c] for c in plan.select_cols) for row in kept]
 
     def _finish_rows(self, plan, rows: list) -> list:
         """Central recombination: re-dedupe, re-sort, strip, re-limit."""
@@ -497,34 +314,6 @@ class Coordinator:
             rows = rows[: plan.limit]
         return rows
 
-    def _estimate(self, query: Query) -> dict:
-        """Byte estimates for both strategies, from per-shard catalogs
-        (sizes are shard-local; selectivity is scale-free)."""
-        rows_total = 0
-        sel = 1.0
-        first = query.from_clauses[0].source
-        coll = first.name if isinstance(first, CollectionRef) else None
-        variables = {c.var for c in query.from_clauses}
-        for node in self.cluster.nodes:
-            estimator = CardinalityEstimator(node.catalog)
-            if coll is not None:
-                rows_total += estimator.collection_rows(coll)
-        if coll is not None:
-            estimator = CardinalityEstimator(self.cluster.nodes[0].catalog)
-            for term in conjuncts(query.where):
-                pred = Optimizer._as_sargable(term, variables)
-                if pred is not None and pred.var == query.from_clauses[0].var:
-                    sel *= estimator.selectivity(coll, pred)
-        rows_out = rows_total * sel
-        if query.limit is not None:
-            rows_out = min(rows_out, query.limit * self.cluster.n_shards)
-        return {
-            "rows_total": rows_total,
-            "rows_out": rows_out,
-            "query_bytes": rows_out * ROW_WIRE_BYTES,
-            "data_bytes": rows_total * ROW_WIRE_BYTES,
-        }
-
 
 # -- query-shape helpers ------------------------------------------------
 
@@ -547,79 +336,3 @@ def _select_paths(query: Query) -> tuple[list[Path], bool]:
     raise DistPlanError(
         f"cannot distribute select expression {select!r}"
     )
-
-
-def _flat_source(query: Query) -> tuple[str, str]:
-    """Validate the query is a flat selection; returns (var, collection)."""
-    if len(query.from_clauses) != 1:
-        raise DistPlanError("data shipping supports a single from clause")
-    clause = query.from_clauses[0]
-    if not isinstance(clause.source, CollectionRef):
-        raise DistPlanError(
-            "data shipping supports named collections only (no navigation)"
-        )
-    for term in conjuncts(query.where):
-        if _contains_exists(term):
-            raise DistPlanError(
-                "data shipping cannot evaluate exists centrally"
-            )
-    return clause.var, clause.source.name
-
-
-def _is_attr(path: Path, var: str) -> bool:
-    return path.var == var and len(path.attrs) == 1
-
-
-def _contains_exists(expr: Expr) -> bool:
-    if isinstance(expr, ExistsExpr):
-        return True
-    if isinstance(expr, BoolOp):
-        return any(_contains_exists(op) for op in expr.operands)
-    if isinstance(expr, BinOp):
-        return _contains_exists(expr.left) or _contains_exists(expr.right)
-    return False
-
-
-def _where_paths(expr: Expr | None, var: str) -> list[Path]:
-    """Every ``var.attr`` path a where clause reads (validated flat)."""
-    if expr is None:
-        return []
-    if isinstance(expr, Path):
-        if not _is_attr(expr, var):
-            raise DistPlanError(
-                f"data shipping needs plain {var}.attr predicates, got {expr}"
-            )
-        return [expr]
-    if isinstance(expr, Literal):
-        return []
-    if isinstance(expr, BinOp):
-        return _where_paths(expr.left, var) + _where_paths(expr.right, var)
-    if isinstance(expr, BoolOp):
-        out: list[Path] = []
-        for op in expr.operands:
-            out.extend(_where_paths(op, var))
-        return out
-    raise DistPlanError(f"data shipping cannot evaluate {expr!r} centrally")
-
-
-def _eval_pred(expr: Expr, env: dict, clock, params) -> bool:
-    """Evaluate a where clause against one shipped row, charging the
-    same per-predicate CPU the shard-side filter charges."""
-    if isinstance(expr, BinOp):
-        clock.charge_us(Bucket.CPU, params.predicate_us)
-        return _OPS[expr.op](_eval_value(expr.left, env), _eval_value(expr.right, env))
-    if isinstance(expr, BoolOp):
-        if expr.op == "and":
-            return all(_eval_pred(op, env, clock, params) for op in expr.operands)
-        if expr.op == "or":
-            return any(_eval_pred(op, env, clock, params) for op in expr.operands)
-        return not _eval_pred(expr.operands[0], env, clock, params)
-    raise DistPlanError(f"cannot evaluate {expr!r} centrally")
-
-
-def _eval_value(expr: Expr, env: dict):
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Path):
-        return env[expr.attrs[0]]
-    raise DistPlanError(f"cannot evaluate {expr!r} centrally")

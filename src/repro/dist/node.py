@@ -3,8 +3,9 @@
 A :class:`ShardNode` owns everything a standalone deployment owns — its
 own :class:`~repro.storage.disk.DiskManager`, server buffer, handle
 table, :class:`~repro.txn.locks.LockManager`, write-ahead log and OQL
-engine — built by the ordinary loader over the shard's logical slice.
-Nothing inside the single-node stack knows it is sharded.
+engine (the heuristic planner, extensions on) — built by the ordinary
+loader over the shard's logical slice.  Nothing inside the single-node
+stack knows it is sharded.
 
 Two deliberate deviations from a plain single-node build:
 
@@ -41,7 +42,6 @@ class ShardNode:
         derby: DerbyDatabase,
         coord_clock: SimClock,
         lock_timeout_s: float | None = None,
-        cost_optimizer: bool = False,
     ):
         self.shard_id = shard_id
         self.derby = derby
@@ -53,15 +53,10 @@ class ShardNode:
             coord_clock, self.db.params, timeout_s=lock_timeout_s
         )
         self.catalog = Catalog.from_derby(derby)
-        if cost_optimizer:
-            # Imported lazily: repro.opt sits above repro.oql but below
-            # dist, and only this optional path needs it.
-            from repro.opt import CostBasedOptimizer
-
-            optimizer: Optimizer = CostBasedOptimizer(self.catalog)
-        else:
-            optimizer = Optimizer(self.catalog, include_extensions=True)
-        self.engine = OQLEngine(self.catalog, optimizer=optimizer)
+        self.engine = OQLEngine(
+            self.catalog,
+            optimizer=Optimizer(self.catalog, include_extensions=True),
+        )
         #: Cross-node messages addressed to this shard.
         self.msgs = 0
         #: Payload bytes of those messages (both directions).

@@ -6,7 +6,12 @@ by the same round-robin scheduler the query service uses — except the
 scheduler's lock manager is the cluster's
 :class:`~repro.dist.deadlock.GlobalLockTable`, so a waits-for cycle that
 spans shards is detected (and its youngest distributed transaction
-aborted) exactly like a local one.
+aborted) exactly like a local one.  Clients are spawned, driven and
+reported by the mixer's own machinery
+(:func:`~repro.service.workload.spawn_clients`,
+:func:`~repro.service.workload.session_loop`,
+:class:`~repro.service.workload.MixReport`); only the operations, and
+what a run sets up and tears down, are this module's.
 
 Two profiles:
 
@@ -29,178 +34,72 @@ recovery **must** make durable even though no client heard the commit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import TYPE_CHECKING
 
 from repro.bench.report import Table
 from repro.errors import (
-    DeadlockError,
     DistError,
     LockConflictError,
-    LockTimeoutError,
-    PermanentIOError,
     ShardUnavailableError,
     SimulatedCrashError,
 )
-from repro.service.governor import RetryPolicy
 from repro.service.scheduler import CooperativeScheduler
-from repro.simtime import Bucket
+from repro.service.service import SessionMetrics
+from repro.service.workload import (
+    ClientMix,
+    MixReport,
+    SessionReport,
+    session_loop,
+    spawn_clients,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.cluster import ShardedCluster
     from repro.recovery.transient import TransientFaultInjector
     from repro.storage.rid import Rid
 
-#: Profile names, in the order ``ShardedMixConfig.from_clients`` deals.
-DIST_PROFILES = ("scanner", "updater")
-
 
 @dataclass(frozen=True)
-class ShardedMixConfig:
-    """Shape of one multi-client mix over a sharded cluster."""
+class ShardedMixConfig(ClientMix):
+    """Shape of one multi-client mix over a sharded cluster: the shared
+    client/retry fields, dealt over scanners and updaters.  (The
+    lock-wait bound is a *cluster* property — see the ``lock_timeout_s``
+    argument of ``load_sharded`` — and ``hot_set`` counts *global*
+    patient indices.)"""
 
-    scanners: int = 1
     updaters: int = 2
-    #: Operations (distributed transactions / queries) per client.
-    ops_per_client: int = 4
-    seed: int = 1
-    #: Retries after a deadlock/timeout abort before giving up on an op.
-    #: (The lock-wait bound itself is a *cluster* property — see the
-    #: ``lock_timeout_s`` argument of ``load_sharded``.)
-    max_retries: int = 2
-    #: Retries after :class:`~repro.errors.ShardUnavailableError` — a
-    #: separate, larger allowance: unlike a deadlock, unavailability
-    #: heals on its own once failover promotes the standby, so patience
-    #: (with the same exponential backoff) is the right policy.
-    unavailable_retries: int = 12
-    #: Backoff before the first retry (simulated seconds; doubles per
-    #: retry, jittered from the session's seeded stream).
-    retry_backoff_s: float = 0.02
-    retry_jitter: float = 0.5
-    #: Updaters draw both patients from the first ``hot_set`` *global*
-    #: patient indices — small enough that write/write conflicts occur.
-    hot_set: int = 16
-    #: Selectivity (percent) of the scanner's OQL selection.
-    scan_selectivity_pct: float = 10.0
-    #: Shipping strategy for scanner queries (see ``Coordinator.plan``).
-    strategy: str = "auto"
-    #: Rows per exchange batch (``None``: the coordinator default).
-    batch_size: int | None = None
 
-    @property
-    def total_clients(self) -> int:
-        return self.scanners + self.updaters
 
-    @classmethod
-    def from_clients(
-        cls, n_clients: int, **overrides: object
-    ) -> "ShardedMixConfig":
-        """Deal ``n_clients`` round-robin over scanner/updater."""
-        if n_clients < 1:
-            raise DistError("a sharded mix needs at least one client")
-        counts = {p: 0 for p in DIST_PROFILES}
-        for i in range(n_clients):
-            counts[DIST_PROFILES[i % len(DIST_PROFILES)]] += 1
-        return replace(
-            cls(scanners=counts["scanner"], updaters=counts["updater"]),
-            **overrides,  # type: ignore[arg-type]
+def sharded_table(report: MixReport, cluster: "ShardedCluster") -> Table:
+    """The per-session table of a sharded run.  Its own view, not
+    :meth:`MixReport.table`: coordinator-side sessions have no busy time
+    of their own, and what a cluster adds is messages."""
+    config = report.config
+    table = Table(
+        f"Sharded mix ({cluster.n_shards} shards): "
+        f"{config.scanners} scanner(s) + "
+        f"{config.updaters} updater(s), "
+        f"{config.ops_per_client} ops each",
+        ["Session", "Profile", "Committed", "Aborted", "Retries",
+         "Deadlocks", "Timeouts", "Rows", "Wait (s)"],
+    )
+    for s in report.sessions:
+        m = s.metrics
+        table.add(
+            s.name, s.profile, m.committed, m.aborted, m.retries,
+            m.deadlocks, m.timeouts, m.rows, m.lock_wait_s,
         )
-
-
-@dataclass
-class ShardedSessionReport:
-    """One session's outcome."""
-
-    name: str
-    profile: str
-    committed: int = 0
-    aborted: int = 0
-    deadlocks: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    gave_up: int = 0
-    io_failures: int = 0
-    #: Operations that hit a shard with no serving node (each is also
-    #: either retried or counted in ``gave_up``).
-    unavailable: int = 0
-    rows: int = 0
-    lock_wait_s: float = 0.0
-
-
-@dataclass
-class ShardedMixReport:
-    """Aggregate outcome of one sharded mix run."""
-
-    config: ShardedMixConfig
-    sessions: list[ShardedSessionReport]
-    n_shards: int
-    #: Simulated seconds on the coordinator's timeline.
-    elapsed_s: float
-    context_switches: int
-    #: Cross-node messages / bytes the run sent.
-    msgs: int
-    msg_bytes: int
-    #: ``True`` when a :class:`~repro.dist.twopc.TwoPCInjector` killed
-    #: the run; the cluster is left crashed, awaiting ``recover()``.
-    crashed: bool = False
-
-    @property
-    def committed(self) -> int:
-        return sum(s.committed for s in self.sessions)
-
-    @property
-    def aborted(self) -> int:
-        return sum(s.aborted for s in self.sessions)
-
-    @property
-    def deadlocks(self) -> int:
-        return sum(s.deadlocks for s in self.sessions)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(s.timeouts for s in self.sessions)
-
-    @property
-    def retries(self) -> int:
-        return sum(s.retries for s in self.sessions)
-
-    @property
-    def gave_up(self) -> int:
-        return sum(s.gave_up for s in self.sessions)
-
-    @property
-    def unavailable(self) -> int:
-        return sum(s.unavailable for s in self.sessions)
-
-    @property
-    def throughput_ops_s(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.committed / self.elapsed_s
-
-    def table(self) -> Table:
-        table = Table(
-            f"Sharded mix ({self.n_shards} shards): "
-            f"{self.config.scanners} scanner(s) + "
-            f"{self.config.updaters} updater(s), "
-            f"{self.config.ops_per_client} ops each",
-            ["Session", "Profile", "Committed", "Aborted", "Retries",
-             "Deadlocks", "Timeouts", "Rows", "Wait (s)"],
-        )
-        for s in self.sessions:
-            table.add(
-                s.name, s.profile, s.committed, s.aborted, s.retries,
-                s.deadlocks, s.timeouts, s.rows, s.lock_wait_s,
-            )
-        table.note(
-            f"aggregate: {self.committed} committed, {self.aborted} "
-            f"aborted ({self.retries} retried, {self.gave_up} gave up) "
-            f"in {self.elapsed_s:.2f} simulated s -> "
-            f"{self.throughput_ops_s:.3f} txn/s; "
-            f"{self.msgs} messages, {self.context_switches} switches"
-        )
-        return table
+    table.note(
+        f"aggregate: {report.committed} committed, {report.aborted} "
+        f"aborted ({report.retries} retried, {report.gave_up} gave up) "
+        f"in {report.elapsed_s:.2f} simulated s -> "
+        f"{report.throughput_ops_s:.3f} txn/s; "
+        f"{cluster.msgs} messages, {report.context_switches} switches"
+    )
+    return table
 
 
 class ShardedWorkload:
@@ -251,11 +150,9 @@ class ShardedWorkload:
 
     # -- the run --------------------------------------------------------
 
-    def run(self, cold: bool = True) -> ShardedMixReport:
+    def run(self, cold: bool = True) -> MixReport:
         cluster = self.cluster
         config = self.config
-        if config.total_clients < 1:
-            raise DistError("a sharded mix needs at least one client")
         if cold:
             cluster.start_cold()
         self.write_log = []
@@ -277,27 +174,53 @@ class ShardedWorkload:
             ]
             for node, child in self._armed:
                 child.arm(node.db, node.locks)
-        reports: list[ShardedSessionReport] = []
+        policy = config.retry_policy()
         start_s = cluster.elapsed_s
-        spawned = 0
-        for profile, count in (
-            ("scanner", config.scanners),
-            ("updater", config.updaters),
-        ):
-            for i in range(count):
-                name = f"{profile}{i}"
-                report = ShardedSessionReport(name, profile)
-                rng = Random(config.seed * 10_007 + spawned)
-                scheduler.spawn(name, self._session_body(report, profile, rng))
-                reports.append(report)
-                spawned += 1
+
+        def spawn(
+            name: str, profile: str, rng: Random, client_index: int
+        ) -> SessionReport:
+            metrics = SessionMetrics()
+            op = {
+                "scanner": self._scanner_op,
+                "updater": self._updater_op,
+            }[profile]
+
+            def attempt() -> None:
+                try:
+                    # Drive failure handling forward on every attempt:
+                    # due kills land, async links drain, leases expire
+                    # and dead shards fail over.  Inside the ``try``: an
+                    # injected kill firing mid-ship must surface as a
+                    # retryable ShardUnavailableError like any other op.
+                    cluster.tick()
+                    op(metrics, rng)
+                except (LockConflictError, ShardUnavailableError):
+                    # One ``aborted`` per attempt that failed this way,
+                    # scanners included — they have no transaction whose
+                    # abort could count it.  The retry decision is the
+                    # shared loop's.
+                    metrics.aborted += 1
+                    raise
+
+            scheduler.spawn(
+                name,
+                partial(
+                    session_loop, [attempt] * config.ops_per_client,
+                    metrics, policy, rng, cluster.clock, scheduler,
+                ),
+            )
+            return SessionReport(name, profile, metrics)
+
+        reports = spawn_clients(config, spawn)
         try:
             tasks = scheduler.run()
             crashed = any(
                 isinstance(t.error, SimulatedCrashError) for t in tasks
             )
             for report, task in zip(reports, tasks):
-                report.lock_wait_s = task.lock_wait_s
+                report.metrics.lock_wait_s = task.lock_wait_s
+                report.metrics.lock_waits = task.lock_waits
             if crashed:
                 # Volatile state is meaningless past the crash point;
                 # leave the cluster as the injector froze it — the chaos
@@ -314,94 +237,17 @@ class ShardedWorkload:
             for node, child in self._armed:
                 child.disarm(node.db, node.locks)
             self._armed = []
-        return ShardedMixReport(
+        return MixReport(
             config=config,
             sessions=reports,
-            n_shards=cluster.n_shards,
             elapsed_s=cluster.elapsed_s - start_s,
             context_switches=scheduler.context_switches,
-            msgs=cluster.msgs,
-            msg_bytes=cluster.msg_bytes,
             crashed=crashed,
         )
 
-    # -- session bodies -------------------------------------------------
+    # -- the operations -------------------------------------------------
 
-    def _session_body(
-        self, report: ShardedSessionReport, profile: str, rng: Random
-    ):
-        op = {
-            "scanner": self._scanner_op,
-            "updater": self._updater_op,
-        }[profile]
-        cluster = self.cluster
-        config = self.config
-        assert self.scheduler is not None
-        scheduler = self.scheduler
-        policy = RetryPolicy(
-            max_retries=config.max_retries,
-            base_backoff_s=config.retry_backoff_s,
-            jitter=config.retry_jitter,
-        )
-
-        def backoff(seconds: float) -> None:
-            if seconds > 0:
-                cluster.clock.charge_s(Bucket.BACKOFF, seconds)
-            scheduler.yield_point()
-
-        def body() -> None:
-            for __ in range(config.ops_per_client):
-                attempt = 0
-                unavailable_attempt = 0
-                while True:
-                    try:
-                        # Drive failure handling forward on every
-                        # attempt: due kills land, async links drain,
-                        # leases expire and dead shards fail over.  An
-                        # injected kill firing mid-ship surfaces here
-                        # as ShardUnavailableError like any other op.
-                        cluster.tick()
-                        op(report, rng)
-                    except LockConflictError as exc:
-                        # Transient: the victim of a deadlock or a lock
-                        # timeout retries with seeded backoff + jitter.
-                        if isinstance(exc, DeadlockError):
-                            report.deadlocks += 1
-                        elif isinstance(exc, LockTimeoutError):
-                            report.timeouts += 1
-                        report.aborted += 1
-                        if attempt >= policy.max_retries:
-                            report.gave_up += 1
-                            break
-                        report.retries += 1
-                        backoff(policy.backoff_s(attempt, rng))
-                        attempt += 1
-                    except ShardUnavailableError:
-                        # The shard is between primaries.  Separate,
-                        # larger retry allowance: backoff spans the
-                        # detection + promotion window, after which the
-                        # op succeeds against the new primary.
-                        report.unavailable += 1
-                        report.aborted += 1
-                        if unavailable_attempt >= config.unavailable_retries:
-                            report.gave_up += 1
-                            break
-                        report.retries += 1
-                        backoff(policy.backoff_s(unavailable_attempt, rng))
-                        unavailable_attempt += 1
-                    except PermanentIOError:
-                        # A read fault that out-lasted the disk's retry
-                        # budget: the op is lost, not retried.
-                        report.io_failures += 1
-                        report.gave_up += 1
-                        break
-                    else:
-                        break
-                scheduler.yield_point()  # think time between operations
-
-        return body
-
-    def _scanner_op(self, report: ShardedSessionReport, rng: Random) -> None:
+    def _scanner_op(self, metrics: SessionMetrics, rng: Random) -> None:
         config = self.config
         threshold = self.cluster.config.num_threshold(
             config.scan_selectivity_pct
@@ -409,14 +255,13 @@ class ShardedWorkload:
         assert self.scheduler is not None
         rows = self.coordinator.execute(
             f"select p.age from p in Patients where p.num > {threshold}",
-            strategy=config.strategy,
             on_batch=self.scheduler.batch_point,
         )
-        report.rows += len(rows)
-        report.committed += 1
+        metrics.rows += len(rows)
+        metrics.committed += 1
         self.op_times.append(self.cluster.elapsed_s)
 
-    def _updater_op(self, report: ShardedSessionReport, rng: Random) -> None:
+    def _updater_op(self, metrics: SessionMetrics, rng: Random) -> None:
         cluster = self.cluster
         part = cluster.part
         hot = min(self.config.hot_set, len(part.patient_shard))
@@ -477,5 +322,5 @@ class ShardedWorkload:
         # order == commit order — the chaos checker's primary oracle.
         self.acked_globals.add(dtx.global_id)
         self.write_log.extend(writes)
-        report.committed += 1
+        metrics.committed += 1
         self.op_times.append(cluster.elapsed_s)

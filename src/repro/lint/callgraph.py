@@ -17,7 +17,7 @@ introduced.  Two resolution modes coexist on purpose:
 cooperative suspension point: the scheduler primitives
 (:meth:`~repro.service.scheduler.CooperativeScheduler.yield_point`,
 ``batch_point``, ``wait_for_lock``, ``wait_for_admission``, voluntary
-``pause``/``backoff``) or an indirect wait — the pager path (a client
+``pause``) or an indirect wait — the pager path (a client
 page fault hands the baton over via the ``on_fault`` hook) and lock
 acquisition (an incompatible ``acquire`` suspends the caller).  Every
 function in the closure carries a human-readable call chain down to its

@@ -94,7 +94,6 @@ DEFAULT_YIELD_CALLS = (
     "wait_for_lock",
     "wait_for_admission",
     "pause",
-    "backoff",
 )
 
 #: Calls that can suspend the caller *indirectly*: the pager path (a

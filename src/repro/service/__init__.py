@@ -12,8 +12,11 @@ scenario:
 * a lock *wait* protocol (FIFO queues, timeouts, waits-for deadlock
   detection) living in :class:`repro.txn.locks.LockManager`;
 * :class:`WorkloadMixer` — parameterized navigator/scanner/updater mixes
-  with per-session and aggregate throughput/latency/abort metrics;
-* :class:`ResourceGovernor` — per-query/per-session budgets, cooperative
+  with per-session and aggregate throughput/latency/abort metrics
+  (:class:`MixReport`), every client driven by
+  :func:`~repro.service.workload.session_loop` — as the sharded mixes of
+  :mod:`repro.dist` are;
+* :class:`ResourceGovernor` — per-query budgets, cooperative
   cancellation, seeded retry backoff (:class:`RetryPolicy`) and FIFO
   admission control (:class:`AdmissionGate`);
 * :mod:`repro.service.chaos` — the seeded chaos checker that runs mixes

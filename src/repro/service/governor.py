@@ -6,10 +6,10 @@ lock waits.  The :class:`ResourceGovernor` piggybacks on exactly those
 points to give the service the reaction half of a multi-client
 benchmark:
 
-* **budgets** (:class:`QueryBudget`) bound what one statement or one
-  whole session may consume — client-cache page faults, simulated busy
-  seconds, peak live pipeline rows, statement wall time on the shared
-  timeline.  Exceeding a bound raises
+* **budgets** (:class:`QueryBudget`) bound what one statement may
+  consume — client-cache page faults, simulated busy seconds, peak live
+  pipeline rows, statement wall time on the shared timeline.  Exceeding
+  a bound raises
   :class:`~repro.errors.BudgetExceededError` (or its subclass
   :class:`~repro.errors.StatementTimeoutError`); a budget *exactly*
   exhausted on the final batch completes normally.
@@ -20,10 +20,9 @@ benchmark:
   (:meth:`~repro.service.scheduler.CooperativeScheduler.interrupt`), so
   cancellation never waits for a lock to clear.
 * **retry policy** (:class:`RetryPolicy`) — seeded exponential backoff
-  with jitter for deadlock / lock-timeout victims.  Backoff is charged
-  to :attr:`~repro.simtime.Bucket.BACKOFF` on the shared simulated
-  clock: on a single deterministic timeline, "sleeping" means letting
-  the other sessions spend that time.
+  with jitter.  *Which* failures are retried, and how often, is the
+  business of the one driver that applies it,
+  :func:`repro.service.workload.session_loop`.
 * **admission control** (:class:`AdmissionGate`) — at most
   ``max_active`` sessions run operations concurrently; the rest queue
   FIFO in a real scheduler ``BLOCKED`` state.  Waiters hold no locks
@@ -44,10 +43,8 @@ from typing import TYPE_CHECKING
 
 from repro.errors import (
     BudgetExceededError,
-    LockConflictError,
     QueryCancelledError,
     ServiceError,
-    ShardUnavailableError,
     StatementTimeoutError,
 )
 
@@ -58,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass(frozen=True)
 class QueryBudget:
-    """Resource bounds for one statement (or one whole session).
+    """Resource bounds for one statement.
 
     ``None`` disarms a bound.  Bounds trip only when *strictly*
     exceeded, so a query that lands exactly on its budget with its last
@@ -73,7 +70,7 @@ class QueryBudget:
     max_live_rows: int | None = None
     #: Statement bound on the *shared* timeline (includes time consumed
     #: by other sessions while this statement was in flight) — the
-    #: classic statement timeout.  Meaningful per statement only.
+    #: classic statement timeout.
     statement_timeout_s: float | None = None
 
     @property
@@ -91,7 +88,7 @@ class QueryBudget:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Seeded exponential backoff with jitter for retryable aborts."""
+    """Seeded exponential backoff with jitter for retried attempts."""
 
     #: Retries after a deadlock / lock-timeout abort before giving up.
     max_retries: int = 2
@@ -117,19 +114,6 @@ class RetryPolicy:
         if self.jitter <= 0.0:
             return raw
         return raw * (1.0 - self.jitter * rng.random())
-
-    @staticmethod
-    def retryable(exc: BaseException) -> bool:
-        """Is this failure transient — worth backing off and retrying?
-
-        Lock-conflict aborts (deadlock victims, timeouts, SI
-        first-committer-wins) always were; a
-        :class:`~repro.errors.ShardUnavailableError` joins them with
-        replication: a shard whose primary just died fails fast while
-        the coordinator detects the death and promotes the replica, so
-        the right client reaction is exactly a backed-off retry.
-        Governor interventions stay non-retryable on purpose."""
-        return isinstance(exc, (LockConflictError, ShardUnavailableError))
 
 
 @dataclass
@@ -239,17 +223,11 @@ class ResourceGovernor:
         self,
         service: "QueryService",
         query_budget: QueryBudget | None = None,
-        session_budget: QueryBudget | None = None,
         max_active: int | None = None,
     ):
         self.service = service
         self.query_budget = (
             query_budget if query_budget is not None and query_budget.armed
-            else None
-        )
-        self.session_budget = (
-            session_budget
-            if session_budget is not None and session_budget.armed
             else None
         )
         self.gate = (
@@ -344,23 +322,17 @@ class ResourceGovernor:
         if reason is not None:
             session.metrics.cancelled += 1
             raise QueryCancelledError(f"session {session.name!r}: {reason}")
-        if self.query_budget is None and self.session_budget is None:
+        if self.query_budget is None:
             return
+        # Accrue whether or not a statement is open: how ``busy_s`` is
+        # split into additions decides its last bits.
         self.service._accrue()
         m = session.metrics
-        if self.session_budget is not None:
-            self._enforce(
-                session, self.session_budget, "session",
-                pages=m.meters.client_faults,
-                busy_s=m.busy_s,
-                live_rows=m.peak_rows,
-                running_s=None,
-            )
         guard = self._guards.get(session.session_id)
-        if self.query_budget is not None and guard is not None:
+        if guard is not None:
             stats = getattr(guard.cursor, "stats", None)
             self._enforce(
-                session, self.query_budget, "statement",
+                session, self.query_budget,
                 pages=m.meters.client_faults - guard.faults0,
                 busy_s=m.busy_s - guard.busy0_s,
                 live_rows=stats.peak_rows if stats is not None else 0,
@@ -371,23 +343,22 @@ class ResourceGovernor:
         self,
         session: "Session",
         budget: QueryBudget,
-        scope: str,
         pages: int,
         busy_s: float,
         live_rows: int,
-        running_s: float | None,
+        running_s: float,
     ) -> None:
         name = session.name
         if budget.max_pages is not None and pages > budget.max_pages:
             session.metrics.over_budget += 1
             raise BudgetExceededError(
-                f"session {name!r}: {scope} read {pages} pages "
+                f"session {name!r}: statement read {pages} pages "
                 f"(budget {budget.max_pages})"
             )
         if budget.max_busy_s is not None and busy_s > budget.max_busy_s:
             session.metrics.over_budget += 1
             raise BudgetExceededError(
-                f"session {name!r}: {scope} used {busy_s:.6f} busy s "
+                f"session {name!r}: statement used {busy_s:.6f} busy s "
                 f"(budget {budget.max_busy_s:g})"
             )
         if (
@@ -396,12 +367,11 @@ class ResourceGovernor:
         ):
             session.metrics.over_budget += 1
             raise BudgetExceededError(
-                f"session {name!r}: {scope} buffered {live_rows} live rows "
+                f"session {name!r}: statement buffered {live_rows} live rows "
                 f"(budget {budget.max_live_rows})"
             )
         if (
             budget.statement_timeout_s is not None
-            and running_s is not None
             and running_s > budget.statement_timeout_s
         ):
             session.metrics.over_budget += 1

@@ -30,7 +30,7 @@ from repro.opt import CostBasedOptimizer
 from repro.oql import Catalog, OQLEngine
 from repro.service.governor import QueryBudget, ResourceGovernor
 from repro.service.scheduler import CooperativeScheduler, Task
-from repro.simtime import Bucket, MeterSnapshot
+from repro.simtime import MeterSnapshot
 from repro.storage.rid import Rid
 from repro.txn import Transaction, TransactionManager
 
@@ -64,6 +64,9 @@ class SessionMetrics:
     over_budget: int = 0
     #: Operations lost to an escalated (permanent) I/O failure.
     io_failures: int = 0
+    #: Attempts that hit a shard with no serving node (sharded mixes
+    #: only; each is also either retried or counted in ``gave_up``).
+    unavailable: int = 0
     queries: int = 0
     updates: int = 0
     rows: int = 0
@@ -113,7 +116,6 @@ class Session:
         service: "QueryService",
         session_id: int,
         name: str,
-        client_cache_pages: int | None = None,
         isolation: str | None = None,
     ):
         self.service = service
@@ -123,9 +125,7 @@ class Session:
         #: to the service-wide setting).
         self.isolation = isolation or service.isolation
         db = service.db
-        self.cache: BufferCache = db.system.new_client_tier(
-            client_cache_pages or service.client_cache_pages
-        )
+        self.cache: BufferCache = db.system.new_client_tier()
         self.handles = HandleTable(
             db.clock, db.params, db.counters, db.handles.mode
         )
@@ -255,15 +255,6 @@ class Session:
         """Voluntarily yield to the other sessions ("think time")."""
         self.service.scheduler.yield_point()
 
-    def backoff(self, seconds: float) -> None:
-        """Back off before a retry: charges ``seconds`` to the BACKOFF
-        bucket on the shared clock — on a single deterministic timeline,
-        sleeping means letting the other sessions spend that time — and
-        yields the baton."""
-        if seconds > 0:
-            self.service.db.clock.charge_s(Bucket.BACKOFF, seconds)
-        self.service.scheduler.yield_point()
-
     def cancel(self, reason: str = "cancelled") -> None:
         """Cancel this session's current operation (callable from any
         other session, or from outside the run).  Cooperative: the
@@ -306,10 +297,8 @@ class QueryService:
         derby: "DerbyDatabase",
         lock_timeout_s: float | None = None,
         server_cache_pages: int | None = None,
-        client_cache_pages: int | None = None,
         recovery: bool = False,
         query_budget: QueryBudget | None = None,
-        session_budget: QueryBudget | None = None,
         max_active: int | None = None,
         optimizer: str = "heuristic",
         isolation: str = "2pl",
@@ -353,12 +342,8 @@ class QueryService:
         #: Budgets, cancellation and (with ``max_active``) admission
         #: control — see :mod:`repro.service.governor`.
         self.governor = ResourceGovernor(
-            self,
-            query_budget=query_budget,
-            session_budget=session_budget,
-            max_active=max_active,
+            self, query_budget=query_budget, max_active=max_active
         )
-        self.client_cache_pages = client_cache_pages
         self.sessions: list[Session] = []
         self._task_session: dict[int, Session] = {}
         self._active: Session | None = None
@@ -379,7 +364,6 @@ class QueryService:
     def open_session(
         self,
         name: str | None = None,
-        client_cache_pages: int | None = None,
         isolation: str | None = None,
     ) -> Session:
         """Open a client connection.  ``isolation`` overrides the
@@ -399,7 +383,6 @@ class QueryService:
             self,
             len(self.sessions),
             name or f"s{len(self.sessions)}",
-            client_cache_pages,
             isolation=isolation,
         )
         self.sessions.append(session)

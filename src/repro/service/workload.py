@@ -17,13 +17,21 @@ All randomness is drawn from per-session ``random.Random`` instances
 seeded from ``MixConfig.seed``, and the scheduler interleaves
 deterministically, so a given mix on a given database always produces
 the same commits, aborts, deadlocks and simulated times.
+
+This module also holds what the single-server mixer shares with the
+sharded one (:mod:`repro.dist.workload`): the client/retry half of the
+configuration (:class:`ClientMix`), the client spawner
+(:func:`spawn_clients`), the report (:class:`MixReport`) and the one
+driver, :func:`session_loop` — the only place that says what a failed
+attempt means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 from repro.bench.report import Table
 from repro.errors import (
@@ -32,44 +40,111 @@ from repro.errors import (
     LockConflictError,
     LockTimeoutError,
     PermanentIOError,
-    QueryCancelledError,
     ServiceError,
+    ShardUnavailableError,
     SimulatedCrashError,
     WriteConflictError,
 )
 from repro.service.governor import QueryBudget, RetryPolicy
 from repro.service.service import QueryService, Session, SessionMetrics
+from repro.simtime import Bucket
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.loader import DerbyDatabase
     from repro.recovery import CrashInjector, TransientFaultInjector
+    from repro.service.scheduler import CooperativeScheduler
+    from repro.simtime import SimClock
     from repro.stats.store import StatsDatabase
 
 #: Profile names, in the order ``MixConfig.from_clients`` deals them.
 PROFILES = ("navigator", "scanner", "updater")
 
+#: Jitter fraction of every retry backoff (see ``RetryPolicy.jitter``).
+RETRY_JITTER = 0.5
+#: Retries after :class:`~repro.errors.ShardUnavailableError` — a
+#: separate, larger allowance than ``max_retries``: unlike a deadlock,
+#: unavailability heals on its own once failover promotes the standby,
+#: so patience (with the same exponential backoff) is the right policy.
+UNAVAILABLE_RETRIES = 12
+#: Children a navigator visits per provider.
+NAVIGATOR_FANOUT = 8
+#: Shared locks a scanner takes on hot-set patients per op.
+SCANNER_LOCK_SAMPLES = 2
+
 
 @dataclass(frozen=True)
-class MixConfig:
-    """Shape of one multi-client mix."""
+class ClientMix:
+    """The client and retry half of a mix, shared by the single-server
+    and the sharded configuration: who runs, how often, and how a
+    failed attempt is retried."""
 
-    navigators: int = 1
+    #: Profile names in dealing (and spawning) order; each names the
+    #: count field ``<profile>s``.
+    profiles: ClassVar[tuple[str, ...]] = ("scanner", "updater")
+
     scanners: int = 1
     updaters: int = 1
-    #: Operations (transactions) each client attempts.
+    #: Operations (transactions / queries) each client attempts.
     ops_per_client: int = 4
     seed: int = 1
-    #: Lock wait bound in simulated seconds (``None``: no timeout,
-    #: deadlock detection only).
-    lock_timeout_s: float | None = None
     #: Retries after a deadlock/timeout abort before giving up on an op.
     max_retries: int = 2
     #: Backoff before the first retry (simulated seconds; doubles per
     #: retry, jittered from the session's seeded stream).
     retry_backoff_s: float = 0.02
-    #: Jitter fraction of the retry backoff (see ``RetryPolicy``).
-    retry_jitter: float = 0.5
+    #: Updaters (and scanner samples) draw from the first ``hot_set``
+    #: patients — small enough that write/write conflicts actually occur.
+    hot_set: int = 16
+    #: Selectivity (percent) of the scanner's OQL selection.
+    scan_selectivity_pct: float = 10.0
+    #: Rows per operator / exchange batch for every session's queries
+    #: (``None``: the engine default).  Smaller batches yield the
+    #: scheduler baton more often (see
+    #: ``CooperativeScheduler.batch_point``).
+    batch_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.total_clients < 1:
+            raise ServiceError("a mix needs at least one client")
+
+    @property
+    def clients(self) -> list[tuple[str, int]]:
+        """``(profile, count)`` in spawning order."""
+        return [(p, getattr(self, f"{p}s")) for p in self.profiles]
+
+    @property
+    def total_clients(self) -> int:
+        return sum(count for __, count in self.clients)
+
+    @classmethod
+    def from_clients(cls, n_clients: int, **overrides: object):
+        """Deal ``n_clients`` round-robin over :attr:`profiles`;
+        ``overrides`` set any other field (or win over a dealt count)."""
+        dealt = {
+            f"{p}s": len(range(i, n_clients, len(cls.profiles)))
+            for i, p in enumerate(cls.profiles)
+        }
+        return cls(**{**dealt, **overrides})  # type: ignore[arg-type]
+
+    def retry_policy(self) -> RetryPolicy:
+        return RetryPolicy(
+            max_retries=self.max_retries,
+            base_backoff_s=self.retry_backoff_s,
+            jitter=RETRY_JITTER,
+        )
+
+
+@dataclass(frozen=True)
+class MixConfig(ClientMix):
+    """Shape of one multi-client mix over a single server."""
+
+    profiles: ClassVar[tuple[str, ...]] = PROFILES
+
+    navigators: int = 1
+    #: Lock wait bound in simulated seconds (``None``: no timeout,
+    #: deadlock detection only).
+    lock_timeout_s: float | None = None
     #: Per-statement budgets (``None``: unbounded) — see ``QueryBudget``.
     budget_pages: int | None = None
     budget_busy_s: float | None = None
@@ -94,48 +169,118 @@ class MixConfig:
     #: an si run of the same config commit the identical end state (the
     #: cross-isolation digest gate of ``benchmarks/bench_mvcc.py``).
     update_values: str = "age"
-    #: Children a navigator visits per provider.
-    navigator_fanout: int = 8
-    #: Selectivity (percent) of the scanner's OQL selection.
-    scan_selectivity_pct: float = 10.0
-    #: Shared locks a scanner takes on hot-set patients per op.
-    scanner_lock_samples: int = 2
-    #: Updaters (and scanner samples) draw from the first ``hot_set``
-    #: patients — small enough that write/write conflicts actually occur.
-    hot_set: int = 16
-    #: Overrides for the shared server tier / per-session client tiers.
+    #: Override for the shared server tier's size.
     server_cache_pages: int | None = None
-    client_cache_pages: int | None = None
-    #: Rows per operator batch for every session's queries (``None``:
-    #: the engine default).  Smaller batches yield the scheduler baton
-    #: more often (see ``CooperativeScheduler.batch_point``).
-    batch_size: int | None = None
     #: Planner every session uses: ``"heuristic"`` (the default
     #: rule-plus-cost planner) or ``"cost"`` (the statistics-driven
     #: :class:`repro.opt.CostBasedOptimizer`; the mixer bootstraps it by
     #: running one governed ``analyze`` statement before the mix).
     optimizer: str = "heuristic"
 
-    @property
-    def total_clients(self) -> int:
-        return self.navigators + self.scanners + self.updaters
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.update_values not in ("age", "keyed"):
+            raise ServiceError(
+                f"unknown update_values {self.update_values!r} "
+                "(expected 'age' or 'keyed')"
+            )
 
-    @classmethod
-    def from_clients(cls, n_clients: int, **overrides: object) -> "MixConfig":
-        """Deal ``n_clients`` round-robin over navigator/scanner/updater."""
-        if n_clients < 1:
-            raise ServiceError("a mix needs at least one client")
-        counts = {p: 0 for p in PROFILES}
-        for i in range(n_clients):
-            counts[PROFILES[i % len(PROFILES)]] += 1
-        return replace(
-            cls(
-                navigators=counts["navigator"],
-                scanners=counts["scanner"],
-                updaters=counts["updater"],
-            ),
-            **overrides,  # type: ignore[arg-type]
-        )
+
+def spawn_clients(config: ClientMix, spawn: Callable) -> list:
+    """Call ``spawn(name, profile, rng, client_index)`` once per client,
+    profile by profile in :attr:`ClientMix.clients` order, and return
+    what the calls returned.  The names (``scanner0``, ``scanner1``,
+    ``updater0``, …) and each client's private stream — a function of
+    ``(seed, client_index)`` alone — are the same for every backend."""
+    out = []
+    for profile, count in config.clients:
+        for i in range(count):
+            index = len(out)
+            rng = Random(config.seed * 10_007 + index)
+            out.append(spawn(f"{profile}{i}", profile, rng, index))
+    return out
+
+
+def session_loop(
+    ops: Iterable[Callable[[], object]],
+    metrics: SessionMetrics,
+    policy: RetryPolicy,
+    rng: Random,
+    clock: "SimClock",
+    scheduler: "CooperativeScheduler",
+) -> None:
+    """Drive one client through ``ops``: attempt each operation until it
+    succeeds or is given up on, then yield once ("think time").
+
+    What a failed attempt means is decided here and nowhere else:
+
+    * :class:`~repro.errors.LockConflictError` — a deadlock victim, a
+      lock timeout or a first-committer-wins conflict, counted by kind.
+      Transient: retried up to ``policy.max_retries`` times.
+    * :class:`~repro.errors.ShardUnavailableError` — the shard is
+      between primaries.  Transient too, but on its own counter, up to
+      :data:`UNAVAILABLE_RETRIES`: the backoffs span the detection +
+      promotion window, after which the op succeeds against the new
+      primary.  Conflict retries neither use up nor shorten it.
+    * :class:`~repro.errors.PermanentIOError` — a read fault that
+      out-lasted the disk's own retry budget.  The op is lost, not
+      retried (the page is "broken", trying again changes nothing).
+    * :class:`~repro.errors.GovernorError` — cancelled or over budget:
+      stopped on purpose, never retried, and already counted by the
+      governor (``cancelled`` / ``over_budget``).
+
+    Anything else propagates and ends the session.  An op must leave
+    nothing open when it raises (``Session.transaction()`` and the
+    distributed updater's ``except`` both abort), and ``aborted`` is the
+    op's to count — this loop never touches it.
+
+    Every retry consumes the session's stream in a fixed order — count
+    the retry, draw the jittered backoff from ``rng``, charge it to
+    :attr:`~repro.simtime.Bucket.BACKOFF` (on a single deterministic
+    timeline, sleeping means letting the other sessions spend that
+    time), yield — so ops must draw what has to survive a retry from
+    something other than ``rng``.
+    """
+    for op in ops:
+        started_s = clock.elapsed_s
+        conflict_retries = unavailable_retries = 0
+        while True:
+            try:
+                op()
+            except LockConflictError as exc:
+                if isinstance(exc, WriteConflictError):
+                    metrics.conflicts += 1
+                elif isinstance(exc, DeadlockError):
+                    metrics.deadlocks += 1
+                elif isinstance(exc, LockTimeoutError):
+                    metrics.timeouts += 1
+                attempt = conflict_retries
+                if attempt >= policy.max_retries:
+                    metrics.gave_up += 1
+                    break
+                conflict_retries += 1
+            except ShardUnavailableError:
+                metrics.unavailable += 1
+                attempt = unavailable_retries
+                if attempt >= UNAVAILABLE_RETRIES:
+                    metrics.gave_up += 1
+                    break
+                unavailable_retries += 1
+            except PermanentIOError:
+                metrics.io_failures += 1
+                metrics.gave_up += 1
+                break
+            except GovernorError:
+                break
+            else:
+                metrics.latencies_s.append(clock.elapsed_s - started_s)
+                break
+            metrics.retries += 1
+            backoff_s = policy.backoff_s(attempt, rng)
+            if backoff_s > 0:
+                clock.charge_s(Bucket.BACKOFF, backoff_s)
+            scheduler.yield_point()
+        scheduler.yield_point()  # think time between operations
 
 
 @dataclass
@@ -156,15 +301,15 @@ class SessionReport:
 
 @dataclass
 class MixReport:
-    """Aggregate outcome of one mix run."""
+    """Aggregate outcome of one mix run, single-server or sharded."""
 
-    config: MixConfig
+    config: ClientMix
     sessions: list[SessionReport]
     #: Simulated seconds for the whole mix (the shared timeline).
     elapsed_s: float
     context_switches: int
-    #: ``True`` when a :class:`~repro.recovery.CrashInjector` killed the
-    #: run; the mixer's service is left crashed, awaiting ``recover()``.
+    #: ``True`` when a crash injector killed the run; the mixer's
+    #: service (or the cluster) is left crashed, awaiting ``recover()``.
     crashed: bool = False
     #: Deepest the admission gate's FIFO queue ever got (0 without
     #: admission control).
@@ -217,6 +362,10 @@ class MixReport:
         return sum(s.metrics.io_failures for s in self.sessions)
 
     @property
+    def unavailable(self) -> int:
+        return sum(s.metrics.unavailable for s in self.sessions)
+
+    @property
     def queue_wait_s(self) -> float:
         return sum(s.metrics.queue_wait_s for s in self.sessions)
 
@@ -228,6 +377,8 @@ class MixReport:
         return self.committed / self.elapsed_s
 
     def table(self) -> Table:
+        """The single-server view (sharded runs print
+        :func:`repro.dist.workload.sharded_table`)."""
         table = Table(
             f"Mix: {self.config.navigators} navigator(s) + "
             f"{self.config.scanners} scanner(s) + "
@@ -300,8 +451,6 @@ class WorkloadMixer:
 
     def run(self, cold: bool = True) -> MixReport:
         config = self.config
-        if config.total_clients < 1:
-            raise ServiceError("a mix needs at least one client")
         if cold:
             self.derby.start_cold_run()
         self.write_log = []
@@ -315,7 +464,6 @@ class WorkloadMixer:
             self.derby,
             lock_timeout_s=config.lock_timeout_s,
             server_cache_pages=config.server_cache_pages,
-            client_cache_pages=config.client_cache_pages,
             recovery=(
                 config.recovery
                 or config.isolation == "si"
@@ -340,26 +488,27 @@ class WorkloadMixer:
             self.injector.arm(service.db, service.txm.log)
         if self.faults is not None:
             self.faults.arm(service.db, service.txm.locks)
-        reports: list[SessionReport] = []
-        start_s = self.derby.db.clock.elapsed_s
-        spawned = 0
-        for profile, count in (
-            ("navigator", config.navigators),
-            ("scanner", config.scanners),
-            ("updater", config.updaters),
-        ):
-            for i in range(count):
-                session = service.open_session(f"{profile}{i}")
-                if config.batch_size is not None:
-                    session.batch_size = config.batch_size
-                rng = Random(config.seed * 10_007 + spawned)
-                service.spawn(
-                    session,
-                    self._session_body(session, profile, rng, spawned),
-                )
-                reports.append(SessionReport(session.name, profile,
-                                             session.metrics))
-                spawned += 1
+        clock = self.derby.db.clock
+        policy = config.retry_policy()
+        start_s = clock.elapsed_s
+
+        def spawn(
+            name: str, profile: str, rng: Random, client_index: int
+        ) -> SessionReport:
+            session = service.open_session(name)
+            if config.batch_size is not None:
+                session.batch_size = config.batch_size
+            ops = self._client_ops(session, profile, rng, client_index)
+            service.spawn(
+                session,
+                partial(
+                    session_loop, ops, session.metrics, policy, rng,
+                    clock, service.scheduler,
+                ),
+            )
+            return SessionReport(name, profile, session.metrics)
+
+        reports = spawn_clients(config, spawn)
         try:
             tasks = service.run()
             crashed = any(
@@ -389,7 +538,7 @@ class WorkloadMixer:
         report = MixReport(
             config=config,
             sessions=reports,
-            elapsed_s=self.derby.db.clock.elapsed_s - start_s,
+            elapsed_s=clock.elapsed_s - start_s,
             context_switches=service.scheduler.context_switches,
             crashed=crashed,
             max_queue_depth=gate.max_queue_depth if gate is not None else 0,
@@ -398,84 +547,37 @@ class WorkloadMixer:
             self._record(report)
         return report
 
-    # -- session bodies ------------------------------------------------------
+    # -- the operations ------------------------------------------------------
 
-    def _session_body(
+    def _client_ops(
         self, session: Session, profile: str, rng: Random, client_index: int
-    ):
+    ) -> list[Callable[[], None]]:
+        """One client's operations for :func:`session_loop`.  Each runs
+        inside an admission slot and wholly inside
+        ``session.transaction()``, which aborts on any exception — so a
+        failed attempt hands the loop a session with no open transaction
+        and no locks."""
         op = {
             "navigator": self._navigator_op,
             "scanner": self._scanner_op,
             "updater": self._updater_op,
         }[profile]
-        clock = self.derby.db.clock
         config = self.config
-        policy = RetryPolicy(
-            max_retries=config.max_retries,
-            base_backoff_s=config.retry_backoff_s,
-            jitter=config.retry_jitter,
-        )
 
-        def abort_open_txn() -> None:
-            if session.txn is not None and session.txn.state == "active":
-                session.abort()
+        def attempt(op_seed: int) -> None:
+            with session.admitted():
+                op(session, rng, op_seed)
 
-        def body() -> None:
-            metrics = session.metrics
-            for op_index in range(config.ops_per_client):
-                # Stable per-op key: a function of (seed, client, op)
-                # only, so retries (which consume the session rng for
-                # backoff jitter) never shift what later ops do.
-                op_seed = (
-                    config.seed * 1_000_003
-                    + client_index * 8_191
-                    + op_index
-                )
-                started_s = clock.elapsed_s
-                attempt = 0
-                while True:
-                    try:
-                        with session.admitted():
-                            op(session, rng, op_seed)
-                    except LockConflictError as exc:
-                        # Transient: the victim of a deadlock, a lock
-                        # timeout, or a first-committer-wins conflict
-                        # retries with seeded backoff + jitter.
-                        abort_open_txn()
-                        if isinstance(exc, WriteConflictError):
-                            metrics.conflicts += 1
-                        elif isinstance(exc, DeadlockError):
-                            metrics.deadlocks += 1
-                        elif isinstance(exc, LockTimeoutError):
-                            metrics.timeouts += 1
-                        if attempt >= policy.max_retries:
-                            metrics.gave_up += 1
-                            break
-                        metrics.retries += 1
-                        session.backoff(policy.backoff_s(attempt, rng))
-                        attempt += 1
-                    except PermanentIOError:
-                        # A read fault that out-lasted the disk's own
-                        # retry budget: the op is lost, not retried (the
-                        # page is "broken", trying again changes nothing).
-                        abort_open_txn()
-                        metrics.io_failures += 1
-                        metrics.gave_up += 1
-                        break
-                    except GovernorError:
-                        # Cancelled or over budget: stopped on purpose,
-                        # never retried.  The governor already counted
-                        # the outcome (cancelled / over_budget).
-                        abort_open_txn()
-                        break
-                    else:
-                        metrics.latencies_s.append(
-                            clock.elapsed_s - started_s
-                        )
-                        break
-                session.pause()  # think time between operations
-
-        return body
+        # Stable per-op key: a function of (seed, client, op) only, so
+        # retries (which consume the session rng for backoff jitter)
+        # never shift what later ops do.
+        return [
+            partial(
+                attempt,
+                config.seed * 1_000_003 + client_index * 8_191 + op_index,
+            )
+            for op_index in range(config.ops_per_client)
+        ]
 
     def _navigator_op(
         self, session: Session, rng: Random, op_seed: int
@@ -490,7 +592,7 @@ class WorkloadMixer:
             child_rids = []
             for rid in derby.db.iter_set_rids(clients):
                 child_rids.append(rid)
-                if len(child_rids) >= self.config.navigator_fanout:
+                if len(child_rids) >= NAVIGATOR_FANOUT:
                     break
             for rid in child_rids:
                 session.read_lock(rid)
@@ -504,7 +606,7 @@ class WorkloadMixer:
         hot = min(self.config.hot_set, len(derby.patient_rids))
         threshold = derby.config.num_threshold(self.config.scan_selectivity_pct)
         with session.transaction():
-            for __ in range(self.config.scanner_lock_samples):
+            for __ in range(SCANNER_LOCK_SAMPLES):
                 session.read_lock(derby.patient_rids[rng.randrange(hot)])
             session.execute(
                 f"select p.age from p in Patients where p.num > {threshold}"
@@ -555,11 +657,6 @@ class WorkloadMixer:
             if self.config.server_cache_pages is not None
             else memory.server_cache_bytes
         )
-        client_bytes = (
-            self.config.client_cache_pages * page
-            if self.config.client_cache_pages is not None
-            else memory.client_cache_bytes
-        )
         for s in report.sessions:
             self.stats.record_experiment(
                 algo=f"mix-{s.profile}",
@@ -574,7 +671,7 @@ class WorkloadMixer:
                 selectivity=round(self.config.scan_selectivity_pct),
                 cold=True,
                 server_cache_bytes=server_bytes,
-                client_cache_bytes=client_bytes,
+                client_cache_bytes=memory.client_cache_bytes,
                 first_row_ms=s.metrics.mean_first_row_ms,
                 peak_rows=s.metrics.peak_rows,
                 retries=s.metrics.retries,

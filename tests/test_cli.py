@@ -142,6 +142,34 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mix", "--clients", "0"], "at least one client"),
+        (["shard", "demo", "--clients", "0"], "at least one client"),
+        (["failover", "demo", "--clients", "0"], "at least one client"),
+        (["crash", "demo", "--clients", "0"], "at least one client"),
+        (["failover", "demo", "--shards", "0"], "at least one shard"),
+    ])
+    def test_a_repro_error_is_a_message_and_exit_2(
+        self, capsys, argv, message
+    ):
+        """One handler in ``main()``: no command dies with a traceback
+        on input the library itself rejects."""
+        assert main(argv + ["--db", "1to3", "--scale", "0.00001"]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and message in last
+
+    def test_shard_demo_has_one_strategy(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard", "demo", "--strategy", "data"])
+        capsys.readouterr()
+        assert main(
+            ["shard", "demo", "--shards", "2", "--db", "1to3",
+             "--scale", "0.00001", "--clients", "2", "--ops", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "  query-ship rows merge\n" in out
+        assert "Sharded mix (2 shards): 1 scanner(s) + 1 updater(s)" in out
+
     def test_calibrate(self, capsys):
         assert main(["calibrate", "--db", "1to3", "--scale", "0.001"]) == 0
         out = capsys.readouterr().out

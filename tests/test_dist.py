@@ -154,40 +154,6 @@ def test_distributed_answers_match_single_node(
             assert sorted(rows, key=repr) == sorted(base, key=repr), query
 
 
-def test_data_ship_matches_query_ship(small_logical):
-    config = small_logical.config
-    cluster = load_sharded(config, 3, logical=small_logical)
-    coordinator = Coordinator(cluster)
-    thr = config.num_threshold(25.0)
-    query = f"select p.age from p in Patients where p.num > {thr}"
-    by_query = coordinator.execute(query, strategy="query")
-    assert coordinator.last_plan.strategy == "query"
-    by_data = coordinator.execute(query, strategy="data")
-    assert coordinator.last_plan.strategy == "data"
-    assert sorted(by_query) == sorted(by_data)
-    # Query shipping moves only matching rows; data shipping moves the
-    # referenced columns of *every* row.  The estimates must agree.
-    plan = coordinator.last_plan
-    assert plan.est_data_ship_bytes > plan.est_query_ship_bytes
-
-
-def test_auto_strategy_prefers_query_shipping(small_logical):
-    cluster = load_sharded(small_logical.config, 2, logical=small_logical)
-    coordinator = Coordinator(cluster)
-    coordinator.execute("select p.age from p in Patients", strategy="auto")
-    assert coordinator.last_plan.strategy == "query"
-
-
-def test_data_ship_rejects_joins(small_logical):
-    cluster = load_sharded(small_logical.config, 2, logical=small_logical)
-    coordinator = Coordinator(cluster)
-    with pytest.raises(DistPlanError):
-        coordinator.plan(
-            "select p.age from d in Providers, p in d.clients",
-            strategy="data",
-        )
-
-
 def test_exchange_scales_elapsed_below_single_shard(small_logical):
     config = small_logical.config
     thr = config.num_threshold(50.0)
@@ -434,15 +400,16 @@ def test_in_doubt_branches_follow_the_resolver():
 # -- sharded workloads ---------------------------------------------------
 
 
-def _mix_digest(report):
+def _mix_digest(report, cluster):
     return (
         tuple(
-            (s.name, s.committed, s.aborted, s.retries, s.deadlocks)
+            (s.name, s.metrics.committed, s.metrics.aborted,
+             s.metrics.retries, s.metrics.deadlocks)
             for s in report.sessions
         ),
         round(report.elapsed_s, 9),
         report.context_switches,
-        report.msgs,
+        cluster.msgs,
     )
 
 
@@ -458,7 +425,7 @@ def test_sharded_workload_runs_and_is_deterministic():
         assert report.committed > 0
         assert cluster.lock_table.lock_count == 0
         assert cluster.active_count == 0
-        digests.append(_mix_digest(report))
+        digests.append(_mix_digest(report, cluster))
     assert digests[0] == digests[1]
 
 

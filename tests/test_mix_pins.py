@@ -205,8 +205,8 @@ def measure_sharded(
     for s in report.sessions:
         cell[f"{s.name}"] = {
             "profile": s.profile,
-            **{name: getattr(s, name) for name in SHARDED_COUNTERS},
-            "lock_wait_s": repr(s.lock_wait_s),
+            **{name: getattr(s.metrics, name) for name in SHARDED_COUNTERS},
+            "lock_wait_s": repr(s.metrics.lock_wait_s),
         }
     return cell
 

@@ -23,7 +23,6 @@ from repro.errors import (
     StaleEpochError,
 )
 from repro.recovery import TransientFaultInjector, run_case
-from repro.service.governor import RetryPolicy
 from repro.simtime import Bucket
 from repro.txn.log import COMMIT_RECORD_BYTES
 
@@ -359,12 +358,6 @@ def test_async_kill_reports_bounded_loss_window():
 # -- retries and the workload --------------------------------------------
 
 
-def test_shard_unavailable_is_retryable():
-    assert RetryPolicy.retryable(ShardUnavailableError("x"))
-    assert not RetryPolicy.retryable(ReplicationError("x"))
-    assert not RetryPolicy.retryable(StaleEpochError("x"))
-
-
 def test_workload_rides_through_a_primary_kill():
     cluster = make_replicated(n_shards=2)
     cluster.schedule_kill(0, at_s=0.05)
@@ -397,7 +390,6 @@ def test_double_failure_fails_fast_with_clean_accounting():
         updaters=2,
         ops_per_client=3,
         seed=13,
-        unavailable_retries=3,
     )
     report = ShardedWorkload(cluster, config).run()
     assert injector.fired

@@ -3,17 +3,35 @@ the lock wait/deadlock protocol, sessions and workload mixes."""
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
+from random import Random
+
 import pytest
 
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
-from repro.errors import DeadlockError, LockTimeoutError
+from repro.dist import ShardedMixConfig
+from repro.errors import (
+    DeadlockError,
+    LockTimeoutError,
+    PermanentIOError,
+    QueryCancelledError,
+    ReplicationError,
+    ServiceError,
+    ShardUnavailableError,
+    StaleEpochError,
+    WriteConflictError,
+)
 from repro.service import (
     CooperativeScheduler,
     MixConfig,
     QueryService,
+    RetryPolicy,
+    SessionMetrics,
     WorkloadMixer,
 )
+from repro.service.workload import UNAVAILABLE_RETRIES, session_loop
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.rid import Rid
 from repro.txn import LockManager, LockMode
@@ -332,8 +350,199 @@ class TestWorkloadMixer:
         assert (config.navigators, config.scanners, config.updaters) == (
             3, 3, 2
         )
-        with pytest.raises(Exception):
-            MixConfig.from_clients(0)
+        assert config.clients == [
+            ("navigator", 3), ("scanner", 3), ("updater", 2)
+        ]
+        sharded = ShardedMixConfig.from_clients(5, seed=4)
+        assert (sharded.scanners, sharded.updaters, sharded.seed) == (3, 2, 4)
+        assert sharded.clients == [("scanner", 3), ("updater", 2)]
+        # An override wins over the dealt count.
+        assert MixConfig.from_clients(6, updaters=3).total_clients == 7
+        assert ShardedMixConfig.from_clients(2, scanners=0).total_clients == 1
+        for cls in (MixConfig, ShardedMixConfig):
+            with pytest.raises(ServiceError, match="at least one client"):
+                cls.from_clients(0)
+
+    def test_unknown_update_values_is_rejected(self):
+        """``"keyd"`` used to run the ``"age"`` read-modify-write
+        silently — and ``bench_mvcc``'s cross-isolation digest gate
+        rests on ``"keyed"`` meaning keyed."""
+        with pytest.raises(ServiceError, match="update_values"):
+            MixConfig(update_values="keyd")
+        with pytest.raises(ServiceError, match="update_values"):
+            MixConfig.from_clients(3, update_values="keyd")
+        assert MixConfig(update_values="keyed").update_values == "keyed"
+
+
+# ---------------------------------------------------------------- the loop
+
+
+class Script:
+    """A zero-argument op that raises its scripted outcomes in turn and
+    succeeds once they run out; ``calls`` counts attempts."""
+
+    def __init__(self, *outcomes: BaseException, clock=None, cost_s=0.0):
+        self.outcomes = iter(outcomes)
+        self.calls = 0
+        self.clock = clock
+        self.cost_s = cost_s
+
+    def __call__(self) -> None:
+        self.calls += 1
+        if self.clock is not None:
+            self.clock.charge_s(Bucket.CPU, self.cost_s)
+        exc = next(self.outcomes, None)
+        if exc is not None:
+            raise exc
+
+
+def always(exc_type) -> Script:
+    op = Script()
+    op.outcomes = repeat(exc_type("scripted"))
+    return op
+
+
+def drive(*ops, max_retries=2, seed=1):
+    """Run ``session_loop`` over scripted ops on a bare scheduler (no
+    database, no other task: every yield is a no-op)."""
+    clock = SimClock()
+    metrics = SessionMetrics()
+    session_loop(
+        ops, metrics, RetryPolicy(max_retries=max_retries), Random(seed),
+        clock, CooperativeScheduler(clock),
+    )
+    return metrics, clock
+
+
+class TestSessionLoop:
+    def test_conflicts_are_retried_counted_by_kind_then_succeed(self):
+        clock = SimClock()
+        op = Script(
+            DeadlockError("d"), LockTimeoutError("t"), WriteConflictError("w"),
+            clock=clock, cost_s=0.25,
+        )
+        metrics = SessionMetrics()
+        session_loop(
+            [op], metrics, RetryPolicy(max_retries=3), Random(1), clock,
+            CooperativeScheduler(clock),
+        )
+        assert op.calls == 4
+        assert (metrics.deadlocks, metrics.timeouts, metrics.conflicts) == (
+            1, 1, 1
+        )
+        assert (metrics.retries, metrics.gave_up) == (3, 0)
+        backoff_s = clock.breakdown()[Bucket.BACKOFF.value]
+        assert backoff_s > 0
+        # One latency, submit -> success: four attempts and three sleeps.
+        assert metrics.latencies_s == [pytest.approx(4 * 0.25 + backoff_s)]
+        # The loop never counts aborts; that is the op's business.
+        assert (metrics.aborted, metrics.committed) == (0, 0)
+
+    def test_backoff_draws_once_per_retry_from_the_session_stream(self):
+        """The stream order the digests pin: one ``rng.random()`` per
+        retry and nothing else."""
+        policy = RetryPolicy(max_retries=2)
+        expect = Random(7)
+        sleeps = [policy.backoff_s(attempt, expect) for attempt in (0, 1)]
+        rng = Random(7)
+        clock = SimClock()
+        session_loop(
+            [Script(DeadlockError("d"), DeadlockError("d"))],
+            SessionMetrics(), policy, rng, clock, CooperativeScheduler(clock),
+        )
+        assert clock.breakdown() == {Bucket.BACKOFF.value: sum(sleeps)}
+        assert rng.random() == expect.random()
+
+    def test_retry_budget_exhausts_into_exactly_one_gave_up(self):
+        stuck, after = always(DeadlockError), Script()
+        metrics, __ = drive(stuck, after, max_retries=2)
+        assert stuck.calls == 3  # the attempt and two retries
+        assert (metrics.deadlocks, metrics.retries, metrics.gave_up) == (
+            3, 2, 1
+        )
+        # The client moves on to its next op; only that one has a latency.
+        assert after.calls == 1
+        assert len(metrics.latencies_s) == 1
+
+    def test_unavailable_has_its_own_larger_allowance(self):
+        down = ShardUnavailableError
+        # Conflict retries are not used up by unavailable attempts ...
+        op = Script(
+            down("u"), down("u"), down("u"), DeadlockError("d"),
+            down("u"), DeadlockError("d"),
+        )
+        metrics, __ = drive(op, max_retries=2)
+        assert op.calls == 7
+        assert (metrics.unavailable, metrics.deadlocks) == (4, 2)
+        assert (metrics.retries, metrics.gave_up) == (6, 0)
+        assert len(metrics.latencies_s) == 1
+        # ... and the unavailable allowance is not shortened by a small
+        # ``max_retries``: it is the constant, then one ``gave_up``.
+        dead = always(down)
+        metrics, __ = drive(dead, max_retries=1)
+        assert dead.calls == UNAVAILABLE_RETRIES + 1 == 13
+        assert (metrics.unavailable, metrics.retries, metrics.gave_up) == (
+            13, 12, 1
+        )
+        assert metrics.latencies_s == []
+
+    def test_permanent_io_and_cancellation_are_not_retried(self):
+        broken = Script(PermanentIOError("page is gone"))
+        cancelled = Script(QueryCancelledError("stop"))
+        metrics, clock = drive(broken, cancelled, Script())
+        assert (broken.calls, cancelled.calls) == (1, 1)
+        assert (metrics.io_failures, metrics.gave_up) == (1, 1)
+        # The governor counts its own interventions; the loop only stops.
+        assert (metrics.cancelled, metrics.retries) == (0, 0)
+        assert len(metrics.latencies_s) == 1  # the third op's
+        assert Bucket.BACKOFF.value not in clock.breakdown()
+
+    @pytest.mark.parametrize(
+        "exc_type", [StaleEpochError, ReplicationError, KeyError]
+    )
+    def test_anything_else_propagates_and_ends_the_session(self, exc_type):
+        first, second = Script(exc_type("not transient")), Script()
+        clock = SimClock()
+        scheduler = CooperativeScheduler(clock)
+        metrics = SessionMetrics()
+        scheduler.spawn("client", partial(
+            session_loop, [first, second], metrics, RetryPolicy(),
+            Random(1), clock, scheduler,
+        ))
+        (task,) = scheduler.run()
+        assert isinstance(task.error, exc_type)
+        assert (first.calls, second.calls) == (1, 0)
+        assert (metrics.retries, metrics.gave_up) == (0, 0)
+
+    def test_an_op_that_raises_in_a_transaction_leaves_nothing_open(
+        self, tiny_derby
+    ):
+        """What lets the loop retry without cleaning up: the bracket
+        every service op runs in aborts on any exception."""
+        derby = tiny_derby
+        derby.start_cold_run()
+        service = QueryService(derby)
+        session = service.open_session("s")
+
+        def op() -> None:
+            with session.transaction():
+                session.write_lock(derby.patient_rids[0])
+                session.update_scalar(derby.patient_rids[0], "age", 77)
+                raise DeadlockError("scripted victim")
+
+        service.spawn(session, partial(
+            session_loop, [op], session.metrics, RetryPolicy(max_retries=1),
+            Random(1), derby.db.clock, service.scheduler,
+        ))
+        tasks = service.run()
+        service.close()
+        assert [t.error for t in tasks] == [None]
+        assert session.txn.state == "aborted"
+        assert service.txm.active_count == 0
+        assert service.txm.locks.lock_count == 0
+        # Session.abort counted both attempts; the loop counted the rest.
+        m = session.metrics
+        assert (m.aborted, m.deadlocks, m.retries, m.gave_up) == (2, 2, 1, 1)
 
 
 # ---------------------------------------------------------------- CLI
