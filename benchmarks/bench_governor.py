@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     print(text)
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
-    out.write_text(text + "\n")
+    out.write_text(text)  # str(table) already ends in a newline
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
