@@ -176,7 +176,7 @@ def measure_service(config: MixConfig, extras: dict) -> dict:
     cell["max_queue_depth"] = report.max_queue_depth
     for s in report.sessions:
         m = s.metrics
-        cell[f"{s.name}"] = {
+        cell[s.name] = {
             "profile": s.profile,
             **{name: getattr(m, name) for name in SERVICE_COUNTERS},
             "busy_s": repr(m.busy_s),
@@ -203,7 +203,7 @@ def measure_sharded(
     cell["msg_bytes"] = cluster.msg_bytes
     cell["failovers"] = list(cluster.route.failovers)
     for s in report.sessions:
-        cell[f"{s.name}"] = {
+        cell[s.name] = {
             "profile": s.profile,
             **{name: getattr(s.metrics, name) for name in SHARDED_COUNTERS},
             "lock_wait_s": repr(s.metrics.lock_wait_s),

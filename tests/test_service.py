@@ -402,13 +402,13 @@ def always(exc_type) -> Script:
     return op
 
 
-def drive(*ops, max_retries=2, seed=1):
+def drive(*ops, max_retries=2, rng=None, clock=None):
     """Run ``session_loop`` over scripted ops on a bare scheduler (no
     database, no other task: every yield is a no-op)."""
-    clock = SimClock()
+    clock = clock or SimClock()
     metrics = SessionMetrics()
     session_loop(
-        ops, metrics, RetryPolicy(max_retries=max_retries), Random(seed),
+        ops, metrics, RetryPolicy(max_retries=max_retries), rng or Random(1),
         clock, CooperativeScheduler(clock),
     )
     return metrics, clock
@@ -421,11 +421,7 @@ class TestSessionLoop:
             DeadlockError("d"), LockTimeoutError("t"), WriteConflictError("w"),
             clock=clock, cost_s=0.25,
         )
-        metrics = SessionMetrics()
-        session_loop(
-            [op], metrics, RetryPolicy(max_retries=3), Random(1), clock,
-            CooperativeScheduler(clock),
-        )
+        metrics, __ = drive(op, max_retries=3, clock=clock)
         assert op.calls == 4
         assert (metrics.deadlocks, metrics.timeouts, metrics.conflicts) == (
             1, 1, 1
@@ -445,10 +441,8 @@ class TestSessionLoop:
         expect = Random(7)
         sleeps = [policy.backoff_s(attempt, expect) for attempt in (0, 1)]
         rng = Random(7)
-        clock = SimClock()
-        session_loop(
-            [Script(DeadlockError("d"), DeadlockError("d"))],
-            SessionMetrics(), policy, rng, clock, CooperativeScheduler(clock),
+        __, clock = drive(
+            Script(DeadlockError("d"), DeadlockError("d")), rng=rng
         )
         assert clock.breakdown() == {Bucket.BACKOFF.value: sum(sleeps)}
         assert rng.random() == expect.random()
