@@ -36,10 +36,12 @@ class BufferCache:
 
     def lookup(self, key: PageKey) -> Page | None:
         """Return the cached page and refresh its recency, or ``None``."""
-        page = self._pages.get(key)
-        if page is not None:
-            self._pages.move_to_end(key)
-        return page
+        pages = self._pages
+        try:
+            pages.move_to_end(key)
+        except KeyError:
+            return None
+        return pages[key]
 
     def insert(self, page: Page) -> None:
         """Admit ``page``, evicting (with write-back) as needed."""

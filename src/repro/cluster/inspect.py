@@ -20,7 +20,6 @@ from repro.cluster.loader import DerbyDatabase
 from repro.errors import SchemaError
 from repro.objects.codec import InlineSet, OverflowSet
 from repro.objects.database import Database
-from repro.objects.header import ObjectHeader
 from repro.storage.rid import Rid
 
 
@@ -70,10 +69,7 @@ def describe_derby_layout(derby: DerbyDatabase, max_records: int = 8) -> str:
 
 def _describe_record(db: Database, record: bytes) -> str:
     try:
-        class_def = db.schema.class_version(
-            ObjectHeader.peek_class_id(record),
-            ObjectHeader.peek_schema_version(record),
-        )
+        class_def = db.manager.class_of(record)
     except (SchemaError, struct.error, IndexError):
         # Not a decodable object record (free space, torn bytes): show
         # it opaquely.  Anything else — aborts, lock errors — must

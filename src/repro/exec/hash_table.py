@@ -16,6 +16,13 @@ subsequent insert or probe touches a random table page, so the *expected*
 penalty per operation is ``swap_fault_ms`` times the swapped-out
 fraction.  That expected cost is charged deterministically — no RNG in
 the measured path.
+
+The running table keeps its size as a running integer rather than
+re-deriving it per touch: the fixed part at construction, the entry's
+bytes added *before* an insert is charged, a new key's bucket bytes
+*after* it.  That is the order the size formula sees -- the entry being
+inserted counted, the bucket it is about to materialize not yet -- so
+every swap charge is the one the formula would give.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
+from repro.units import MS_PER_S, US_PER_S
 
 #: Bytes per selected parent in a PHJ table (key + information).
 PHJ_ENTRY_BYTES = 64
@@ -76,6 +84,8 @@ class QueryHashTable:
         )
         self._table: dict[object, list[object]] = {}
         self._entries = 0
+        #: ``table_bytes``, kept current by :meth:`insert`.
+        self._bytes = fixed_bytes
         self._swap_accum = 0.0
 
     # -- size / swap model ------------------------------------------------
@@ -84,11 +94,7 @@ class QueryHashTable:
     def table_bytes(self) -> int:
         """Fixed part + per-entry payload + one bucket header per
         *distinct* key (buckets materialize lazily)."""
-        return (
-            self.fixed_bytes
-            + self._entries * self.entry_bytes
-            + len(self._table) * self.bucket_bytes
-        )
+        return self._bytes
 
     @property
     def entries(self) -> int:
@@ -97,16 +103,23 @@ class QueryHashTable:
     @property
     def swapped_fraction(self) -> float:
         """Fraction of the table currently paged out."""
-        size = self.table_bytes
+        size = self._bytes
         if size <= self.budget_bytes or size == 0:
             return 0.0
         return (size - self.budget_bytes) / size
 
     def _charge_touch(self, base_us: float) -> None:
-        self.clock.charge_us(Bucket.CPU, base_us)
-        fraction = self.swapped_fraction
-        if fraction > 0.0:
-            self.clock.charge_ms(Bucket.SWAP, self.params.swap_fault_ms * fraction)
+        """One insert or probe: its CPU price, plus the expected fault on
+        the swapped-out fraction of the table (``swapped_fraction``,
+        inline -- a table that fits pays one add)."""
+        buckets = self.clock.buckets
+        buckets[Bucket.CPU] += base_us / US_PER_S
+        size = self._bytes
+        if size > self.budget_bytes and size:
+            fraction = (size - self.budget_bytes) / size
+            buckets[Bucket.SWAP] += (
+                self.params.swap_fault_ms * fraction / MS_PER_S
+            )
             self._swap_accum += fraction
             faults = int(self._swap_accum)
             if faults:
@@ -117,10 +130,12 @@ class QueryHashTable:
 
     def insert(self, key: object, payload: object) -> None:
         self._entries += 1
+        self._bytes += self.entry_bytes
         self._charge_touch(self.params.hash_insert_us)
         bucket = self._table.get(key)
         if bucket is None:
             self._table[key] = [payload]
+            self._bytes += self.bucket_bytes
         else:
             bucket.append(payload)
 

@@ -150,7 +150,6 @@ class HandleTable:
         #: distinct representatives of the same object.  Dropped at
         #: refcount zero — the delayed-free list is for live records.
         self._versioned: dict[tuple[Rid, int], Handle] = {}
-        self.peak_live = 0
 
     @property
     def mode(self) -> HandleMode:
@@ -236,9 +235,6 @@ class HandleTable:
         """The miss path of :meth:`get`: a fresh handle, referenced once."""
         handle = Handle(rid, record, class_def, self)
         self._live[rid] = handle
-        live_now = len(self._live)
-        if live_now > self.peak_live:
-            self.peak_live = live_now
         self.counters.handles_allocated += 1
         self._buckets[Bucket.HANDLE] += self._alloc_s
         return handle

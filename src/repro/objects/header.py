@@ -41,6 +41,11 @@ _FIXED = struct.Struct("<BHBB")
 FIXED_SIZE = _FIXED.size
 SLOT_BYTES = 2
 SLOT_COUNT_BYTE = 3
+#: The header bytes that decide a record's class at the version it was
+#: written under -- class id, slot count (which does not, but sits
+#: between them), schema version -- as one slice, for the object
+#: manager's table of classes by header.
+CLASS_KEY = slice(1, FIXED_SIZE)
 
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02

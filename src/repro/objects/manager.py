@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.errors import DanglingReferenceError, ObjectError
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
-from repro.objects.header import ObjectHeader
+from repro.objects.header import CLASS_KEY, ObjectHeader
 from repro.objects.model import AttrKind, ClassDef, Schema
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
@@ -44,6 +44,13 @@ class ObjectManager:
         self._attr_tables: dict[
             tuple[int, int], dict[str, tuple[Reader, bool | None]]
         ] = {}
+        #: ``record[CLASS_KEY]`` (class id, index-slot count, schema
+        #: version: one slice, a handful of keys per database) -> the
+        #: record's class at that version; :meth:`class_of` fills it.  Never
+        #: invalidated, by the argument above: ``Schema``'s version
+        #: history is append-only and ``evolve`` makes a new version
+        #: byte, hence a new key.
+        self._classes: dict[bytes, ClassDef] = {}
         #: Duck-typed MVCC hook (``objects`` sits below ``txn`` in the
         #: layer order, so the type is never imported): while a
         #: snapshot-isolation transaction is the active session, the
@@ -81,14 +88,33 @@ class ObjectManager:
     def read_record(self, rid: Rid) -> tuple[bytes, ClassDef]:
         """Raw record + exact class *at the record's schema version*,
         through the page caches, no handle."""
-        record, __ = self.file_for(rid).read_resolving(rid)
-        return record, self._class_of(record)
+        try:
+            sfile = self._files[rid[0]]
+        except KeyError:
+            sfile = self.file_for(rid)  # raises
+        record, __ = sfile.read_resolving(rid)
+        try:
+            return record, self._classes[record[CLASS_KEY]]
+        except KeyError:
+            pass  # first record with this header, or not a record at all
+        return record, self.class_of(record)
 
-    def _class_of(self, record: bytes) -> ClassDef:
-        return self.schema.class_version(
+    def class_of(self, record: bytes) -> ClassDef:
+        """The exact class of ``record`` at the schema version it was
+        written under, resolved through the schema once per distinct
+        header.  A record too short to carry a header, an unknown class
+        id or version raises (``struct.error`` / ``IndexError`` /
+        :class:`~repro.errors.SchemaError`) and is not remembered."""
+        key = record[CLASS_KEY]
+        try:
+            return self._classes[key]
+        except KeyError:
+            pass  # resolved outside the handler: its errors stand alone
+        class_def = self._classes[key] = self.schema.class_version(
             ObjectHeader.peek_class_id(record),
             ObjectHeader.peek_schema_version(record),
         )
+        return class_def
 
     def borrow(self, rid: Rid) -> Handle:
         """Get a referenced handle for the object at ``rid`` ("get Handle
@@ -171,18 +197,18 @@ class ObjectManager:
         rid where the record lives."""
         sfile = self.file_for(rid)
         record, actual = sfile.read_resolving(rid)
-        class_def = self._class_of(record)
+        class_def = self.class_of(record)
         new_record = self.codec(class_def).update_scalar(record, name, value)
-        self._invalidate_handle(rid, actual, new_record)
+        self._invalidate_handle(rid, actual, new_record, class_def)
         return sfile.update(actual, new_record)
 
     def update_set(self, rid: Rid, name: str, value: InlineSet | OverflowSet) -> Rid:
         """Rewrite one set attribute; the record may grow and move."""
         sfile = self.file_for(rid)
         record, actual = sfile.read_resolving(rid)
-        class_def = self._class_of(record)
+        class_def = self.class_of(record)
         new_record = self.codec(class_def).update_set(record, name, value)
-        self._invalidate_handle(rid, actual, new_record)
+        self._invalidate_handle(rid, actual, new_record, class_def)
         return sfile.update(actual, new_record)
 
     def upgrade_record(self, rid: Rid) -> Rid:
@@ -195,7 +221,7 @@ class ObjectManager:
         """
         sfile = self.file_for(rid)
         record, actual = sfile.read_resolving(rid)
-        old_class = self._class_of(record)
+        old_class = self.class_of(record)
         latest = self.schema.by_id(old_class.class_id)
         if latest.schema_version == old_class.schema_version:
             return actual
@@ -206,14 +232,8 @@ class ObjectManager:
         self.handles.clock.charge_us(
             Bucket.LOAD, self.handles.params.object_create_us
         )
-        self._invalidate_handle(rid, actual, new_record)
-        new_rid = sfile.update(actual, new_record)
-        # A parked handle for the old layout is stale: drop it.
-        self.handles._parked.pop(rid, None)
-        live = self.handles._live.get(rid)
-        if live is not None:
-            live.class_def = latest
-        return new_rid
+        self._invalidate_handle(rid, actual, new_record, latest)
+        return sfile.update(actual, new_record)
 
     def rewrite_header(self, rid: Rid, header: ObjectHeader) -> Rid:
         """Replace an object's header (index-slot growth); the record
@@ -223,18 +243,30 @@ class ObjectManager:
         record, actual = sfile.read_resolving(rid)
         old_size = ObjectHeader.peek_size(record)
         new_record = header.encode() + record[old_size:]
-        self._invalidate_handle(rid, actual, new_record)
+        self._invalidate_handle(rid, actual, new_record, self.class_of(new_record))
         return sfile.update(actual, new_record)
 
-    def _invalidate_handle(self, rid: Rid, actual: Rid, new_record: bytes) -> None:
-        """Keep any cached handle's record in sync after a write — both
-        live handles and parked ones (which :meth:`HandleTable.get`
-        revives without reloading the record)."""
+    def _invalidate_handle(
+        self, rid: Rid, actual: Rid, new_record: bytes, class_def: ClassDef
+    ) -> None:
+        """Keep any cached handle's record *and class* in step with a
+        write, under the address the caller used and under the one the
+        record lives at.  A live handle takes both; a parked one (which
+        :meth:`HandleTable.reference` revives without reloading) takes
+        the record, or is dropped when the write changed the layout
+        under it (``upgrade_record``; restoring an older snapshot)."""
+        handles = self.handles
         for key in (rid, actual):
-            for table in (self.handles._live, self.handles._parked):
-                handle = table.get(key)
-                if handle is not None:
-                    handle.record = new_record
+            live = handles._live.get(key)
+            if live is not None:
+                live.record = new_record
+                live.class_def = class_def
+            parked = handles._parked.get(key)
+            if parked is not None:
+                if parked.class_def is class_def:
+                    parked.record = new_record
+                else:
+                    del handles._parked[key]
 
 
 def require_class(schema: Schema, name: str) -> ClassDef:

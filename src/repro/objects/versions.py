@@ -134,11 +134,8 @@ class VersionManager:
         """Decode one snapshot's attribute values."""
         info = self._find(rid, version_no)
         record = self._file().read(info.snapshot_rid)
-        class_def = self.db.schema.class_version(
-            ObjectHeader.peek_class_id(record),
-            ObjectHeader.peek_schema_version(record),
-        )
-        return self.db.manager.codec(class_def).decode(record)
+        manager = self.db.manager
+        return manager.codec(manager.class_of(record)).decode(record)
 
     def restore(self, rid: Rid, version_no: int) -> Rid:
         """Overwrite the live object with a snapshot's state.
@@ -148,10 +145,13 @@ class VersionManager:
         """
         info = self._find(rid, version_no)
         snapshot = self._file().read(info.snapshot_rid)
-        sfile = self.db.manager.file_for(rid)
+        manager = self.db.manager
+        sfile = manager.file_for(rid)
         __, actual = sfile.read_resolving(rid)
         new_rid = sfile.update(actual, snapshot)
-        self.db.manager._invalidate_handle(rid, actual, snapshot)
+        manager._invalidate_handle(
+            rid, actual, snapshot, manager.class_of(snapshot)
+        )
         return new_rid
 
     # -- persistence -----------------------------------------------------

@@ -77,17 +77,20 @@ class StorageFile:
     def read_resolving(self, rid: Rid) -> tuple[bytes, Rid]:
         """Like :meth:`read` but also returns the rid where the record
         actually lives, so callers can repair stale references."""
-        self._check_file(rid)
-        page = self.pager.get_page(rid.file_id, rid.page_no)
-        target = page.forward_target(rid.slot)
-        if target is None:
-            return page.read(rid.slot), rid
-        fpage = self.pager.get_page(target.file_id, target.page_no)
-        if fpage.forward_target(target.slot) is not None:
+        file_id, page_no, slot = rid
+        if file_id != self.file_id:
+            self._check_file(rid)  # raises
+        found = self.pager.get_page(file_id, page_no).resolve(slot)
+        if found.__class__ is bytes:
+            return found, rid
+        record = self.pager.get_page(found.file_id, found.page_no).resolve(
+            found.slot
+        )
+        if record.__class__ is not bytes:
             raise RecordNotFoundError(
-                f"forwarding chain longer than one hop at {rid} -> {target}"
+                f"forwarding chain longer than one hop at {rid} -> {found}"
             )
-        return fpage.read(target.slot), target
+        return record, found
 
     def update(self, rid: Rid, record: bytes) -> Rid:
         """Replace the record at ``rid``.

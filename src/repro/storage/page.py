@@ -120,20 +120,46 @@ class Page:
         self.dirty = True
         return len(slots) - 1
 
+    def resolve(self, slot: int) -> bytes | Rid:
+        """The one probe of the slot directory: the record at ``slot``
+        (``bytes``), or the rid its forwarding entry points at.
+
+        Raises :class:`RecordNotFoundError` for a slot the page never
+        had and for a deleted one.  Every other record operation reaches
+        those checks through here.  A negative slot is refused before
+        the list is indexed (``NIL_RID``'s slot is -1, and a Python list
+        would wrap it to the last record).
+        """
+        try:
+            if slot < 0:
+                raise IndexError(slot)
+            entry = self._slots[slot]
+        except IndexError:
+            raise RecordNotFoundError(
+                f"no slot {slot} on page {self.file_id}:{self.page_no}"
+            ) from None
+        if entry.__class__ is bytes:
+            return entry
+        if entry is None:
+            raise RecordNotFoundError(
+                f"slot {slot} of page {self.file_id}:{self.page_no} was deleted"
+            )
+        return entry.target
+
     def read(self, slot: int) -> bytes:
         """Return the record at ``slot``.
 
         Raises :class:`RecordNotFoundError` for deleted slots; raises a
         forwarding-aware error for moved records (callers resolve moves
-        through :meth:`forward_target`).
+        through :meth:`resolve` or :meth:`forward_target`).
         """
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        found = self.resolve(slot)
+        if found.__class__ is not bytes:
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} was "
-                f"forwarded to {entry.target}; resolve via forward_target()"
+                f"forwarded to {found}; resolve via forward_target()"
             )
-        return entry
+        return found
 
     def update(self, slot: int, record: bytes) -> bool:
         """Replace the record at ``slot`` in place.
@@ -141,13 +167,13 @@ class Page:
         Returns ``True`` on success, ``False`` when the new record does
         not fit (the caller must then move the record to another page).
         """
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        found = self.resolve(slot)
+        if found.__class__ is not bytes:
             raise RecordNotFoundError(
                 f"cannot update forwarded slot {slot} of page "
                 f"{self.file_id}:{self.page_no}"
             )
-        delta = len(record) - len(entry)
+        delta = len(record) - len(found)
         if delta > self.free_bytes:
             return False
         self._slots[slot] = record
@@ -157,8 +183,8 @@ class Page:
 
     def delete(self, slot: int) -> None:
         """Drop the record at ``slot``; its space becomes reusable."""
-        entry = self._entry(slot)
-        size = entry.target.DISK_SIZE if isinstance(entry, _Forward) else len(entry)
+        found = self.resolve(slot)
+        size = len(found) if found.__class__ is bytes else Rid.DISK_SIZE
         self._slots[slot] = None
         self.used_bytes -= size + SLOT_OVERHEAD
         self.dirty = True
@@ -166,13 +192,13 @@ class Page:
     def forward(self, slot: int, target: Rid) -> None:
         """Replace the record at ``slot`` with a forwarding entry to
         ``target`` (the record was reallocated on another page)."""
-        entry = self._entry(slot)
-        if isinstance(entry, _Forward):
+        found = self.resolve(slot)
+        if found.__class__ is not bytes:
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} is "
                 "already forwarded"
             )
-        self.used_bytes -= len(entry) + SLOT_OVERHEAD
+        self.used_bytes -= len(found) + SLOT_OVERHEAD
         self.used_bytes += Rid.DISK_SIZE + SLOT_OVERHEAD
         self._slots[slot] = _Forward(target)
         self.dirty = True
@@ -180,19 +206,18 @@ class Page:
     def forward_target(self, slot: int) -> Rid | None:
         """The rid a forwarded slot points at, or ``None`` if the slot
         holds a live record."""
-        entry = self._entry(slot)
-        return entry.target if isinstance(entry, _Forward) else None
+        found = self.resolve(slot)
+        return None if found.__class__ is bytes else found
 
     def repoint(self, slot: int, target: Rid) -> None:
         """Re-aim an existing forwarding entry (chain collapse when a
         moved record moves again)."""
-        entry = self._entry(slot)
-        if not isinstance(entry, _Forward):
+        if self.resolve(slot).__class__ is bytes:
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} is not "
                 "forwarded"
             )
-        entry.target = target
+        self._slots[slot].target = target
         self.dirty = True
 
     def slots(self) -> list[int]:
@@ -254,20 +279,6 @@ class Page:
             elif isinstance(s, _Forward):
                 used += Rid.DISK_SIZE + SLOT_OVERHEAD
         self.used_bytes = used
-
-    # -- internals -----------------------------------------------------
-
-    def _entry(self, slot: int) -> bytes | _Forward:
-        if not 0 <= slot < len(self._slots):
-            raise RecordNotFoundError(
-                f"no slot {slot} on page {self.file_id}:{self.page_no}"
-            )
-        entry = self._slots[slot]
-        if entry is None:
-            raise RecordNotFoundError(
-                f"slot {slot} of page {self.file_id}:{self.page_no} was deleted"
-            )
-        return entry
 
     def __repr__(self) -> str:
         return (

@@ -261,7 +261,7 @@ class SnapshotView:
             self.store.clock.charge_us(
                 Bucket.LOAD, self.store.params.version_read_us
             )
-            return tag.record, om._class_of(tag.record)
+            return tag.record, om.class_of(tag.record)
 
         self.version_reads += 1
         return om.handles.get(rid, load_version, version=tag.ts)

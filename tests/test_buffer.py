@@ -44,6 +44,18 @@ class TestBufferCache:
         assert cache.contains((0, 0))
         assert not cache.contains((0, 1))
 
+    def test_lookup_miss_leaves_the_eviction_order_alone(self):
+        evicted = []
+        cache = BufferCache(3, on_evict_dirty=evicted.append)
+        for no in range(3):
+            cache.insert(page(no, dirty=True))
+        assert cache.lookup((0, 7)) is None
+        assert cache.lookup((1, 0)) is None
+        assert len(cache) == 3  # a miss admits nothing
+        for no in range(3, 6):
+            cache.insert(page(no))
+        assert [p.page_no for p in evicted] == [0, 1, 2]
+
     def test_dirty_eviction_callback(self):
         written = []
         cache = BufferCache(1, on_evict_dirty=written.append)

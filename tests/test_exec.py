@@ -4,6 +4,8 @@ algorithms (correctness against a pure-Python reference)."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
@@ -103,6 +105,125 @@ class TestQueryHashTable:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             self.make(entry_bytes=-1)
+
+
+class ReferenceHashTable:
+    """The size model and the touch charge as they were written before
+    the table kept a running byte count: the three-term formula derived
+    afresh on every touch, the charges made through ``charge_us`` /
+    ``charge_ms``.  Kept as the reference the table is replayed
+    against."""
+
+    def __init__(self, entry_bytes, fixed_bytes, bucket_bytes, budget_bytes):
+        self.clock, self.counters, self.params = SimClock(), CounterSet(), CostParams()
+        self.entry_bytes, self.fixed_bytes = entry_bytes, fixed_bytes
+        self.bucket_bytes, self.budget_bytes = bucket_bytes, budget_bytes
+        self.keys: set = set()
+        self.entries = 0
+        self.swap_accum = 0.0
+
+    @property
+    def table_bytes(self) -> int:
+        return (
+            self.fixed_bytes
+            + self.entries * self.entry_bytes
+            + len(self.keys) * self.bucket_bytes
+        )
+
+    @property
+    def swapped_fraction(self) -> float:
+        size = self.table_bytes
+        if size <= self.budget_bytes or size == 0:
+            return 0.0
+        return (size - self.budget_bytes) / size
+
+    def charge_touch(self, base_us: float) -> None:
+        self.clock.charge_us(Bucket.CPU, base_us)
+        fraction = self.swapped_fraction
+        if fraction > 0.0:
+            self.clock.charge_ms(Bucket.SWAP, self.params.swap_fault_ms * fraction)
+            self.swap_accum += fraction
+            faults = int(self.swap_accum)
+            if faults:
+                self.counters.swap_faults += faults
+                self.swap_accum -= faults
+
+    def insert(self, key) -> None:
+        self.entries += 1
+        self.charge_touch(self.params.hash_insert_us)
+        self.keys.add(key)
+
+    def probe(self, key) -> None:
+        self.charge_touch(self.params.hash_probe_us)
+
+
+class TestHashTableAgainstReference:
+    """``table_bytes`` is a running count and the touch charge is made
+    in place; both must be, to the bit, what the formula and the
+    ``charge_*`` calls gave."""
+
+    @given(
+        sizes=st.tuples(
+            st.sampled_from([0, 8, 64]),     # entry_bytes
+            st.sampled_from([0, 1000]),      # fixed_bytes
+            st.sampled_from([0, 60]),        # bucket_bytes
+            st.integers(0, 2500),            # budget_bytes
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "insert", "probe", "probe_all"]),
+                st.integers(0, 12),          # few keys: buckets repeat
+            ),
+            max_size=60,
+        ),
+    )
+    @example(  # the budget is crossed mid-build, between two buckets
+        sizes=(8, 0, 60, 200),
+        ops=[("insert", k % 3) for k in range(12)] + [("probe", 1)],
+    )
+    @example(sizes=(64, 0, 0, 0), ops=[("probe", 0), ("insert", 0), ("probe", 0)])
+    @example(  # the fixed part alone is over budget: the first touch swaps
+        sizes=(8, 1000, 60, 500),
+        ops=[("probe_all", 0), ("insert", 0), ("insert", 0), ("insert", 1)],
+    )
+    @example(sizes=(0, 0, 0, 0), ops=[("insert", 0), ("probe", 0)])  # size 0
+    @settings(max_examples=150, deadline=None)
+    def test_replay_matches_the_formula_and_the_charge_calls(self, sizes, ops):
+        entry, fixed, bucket, budget = sizes
+        clock, counters = SimClock(), CounterSet()
+        table = QueryHashTable(
+            clock, CostParams(), counters, entry,
+            fixed_bytes=fixed, bucket_bytes=bucket, budget_bytes=budget,
+        )
+        reference = ReferenceHashTable(entry, fixed, bucket, budget)
+        assert table.table_bytes == reference.table_bytes == fixed
+        for op, key in ops:
+            if op == "insert":
+                table.insert(key, key)
+                reference.insert(key)
+            else:
+                getattr(table, op)(key)
+                reference.probe(key)
+            assert table.table_bytes == reference.table_bytes == (
+                fixed + table.entries * entry + len(table) * bucket
+            )
+            assert table.swapped_fraction == reference.swapped_fraction
+            assert clock.breakdown() == reference.clock.breakdown()
+            assert counters.swap_faults == reference.counters.swap_faults
+
+    def test_the_bucket_is_counted_after_the_touch_that_makes_it(self):
+        """An insert is charged on the size with its entry counted and
+        its new bucket not yet: 8 + 0 fits a budget of 8, 8 + 60 would
+        not."""
+        clock, counters = SimClock(), CounterSet()
+        table = QueryHashTable(
+            clock, CostParams(), counters, 8, bucket_bytes=60, budget_bytes=8
+        )
+        table.insert("parent", 1)
+        assert clock.bucket_s(Bucket.SWAP) == 0.0
+        assert table.table_bytes == 68
+        table.probe("parent")
+        assert clock.bucket_s(Bucket.SWAP) > 0.0
 
 
 # ------------------------------------------------------------- fixtures

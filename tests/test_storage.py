@@ -13,7 +13,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage import DirectPager, DiskManager, Page, Rid, StorageFile
-from repro.storage.page import PAGE_HEADER_SIZE, SLOT_OVERHEAD
+from repro.storage.page import PAGE_HEADER_SIZE, SLOT_OVERHEAD, _Forward
 from repro.storage.rid import NIL_RID, is_nil
 from repro.units import PAGE_SIZE, pages_for_bytes
 
@@ -156,6 +156,102 @@ class TestPage:
             if page.fits(rec):
                 page.insert(rec)
         assert page.used_bytes + page.free_bytes == page.capacity
+
+
+def _reference_resolve(page: Page, slot: int):
+    """What the slot probe answered before ``Page.resolve``: the bounds
+    check by ``len``, then ``forward_target`` and ``read`` telling a
+    forwarding entry from a record by ``isinstance``.  Kept as the
+    reference ``resolve`` is compared against."""
+    where = f"{page.file_id}:{page.page_no}"
+    if not 0 <= slot < len(page._slots):
+        raise RecordNotFoundError(f"no slot {slot} on page {where}")
+    entry = page._slots[slot]
+    if entry is None:
+        raise RecordNotFoundError(f"slot {slot} of page {where} was deleted")
+    return entry.target if isinstance(entry, _Forward) else entry
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except RecordNotFoundError as exc:
+        return f"RecordNotFoundError: {exc}"
+
+
+class TestPageResolve:
+    """One probe of the slot directory, the checks written once."""
+
+    LIVE, DELETED, FORWARDED, LAST = range(4)
+    TARGET = Rid(0, 9, 2)
+
+    def page(self) -> Page:
+        page = Page(3, 7)
+        for record in (b"live", b"doomed", b"moved away", b"last"):
+            page.insert(record)
+        page.delete(self.DELETED)
+        page.forward(self.FORWARDED, self.TARGET)
+        return page
+
+    def test_equals_the_reference_on_every_slot_state(self):
+        page = self.page()
+        # -1 and -len are the slots a bare list index would wrap onto
+        # the last and the first record; 4 is one past the end.
+        for slot in (0, 1, 2, 3, 4, 5, -1, -2, -4, -5):
+            assert _outcome(page.resolve, slot) == _outcome(
+                _reference_resolve, page, slot
+            ), slot
+        assert page.resolve(self.LIVE) == b"live"
+        assert page.resolve(self.FORWARDED) == self.TARGET
+        assert page.resolve(self.LAST) == b"last"
+
+    @pytest.mark.parametrize("slot", [-1, -4, 4], ids=["nil", "-len", "past"])
+    def test_a_slot_the_page_never_had_is_not_found(self, slot):
+        page = self.page()
+        with pytest.raises(RecordNotFoundError, match=f"no slot {slot} on"):
+            page.resolve(slot)
+
+    def test_an_empty_page_has_no_slot(self):
+        for slot in (0, -1):
+            with pytest.raises(RecordNotFoundError, match="no slot"):
+                Page(0, 0).resolve(slot)
+
+    @pytest.mark.parametrize("operation", [
+        lambda page, slot: page.read(slot),
+        lambda page, slot: page.update(slot, b"new"),
+        lambda page, slot: page.delete(slot),
+        lambda page, slot: page.forward(slot, Rid(0, 1, 1)),
+        lambda page, slot: page.forward_target(slot),
+        lambda page, slot: page.repoint(slot, Rid(0, 1, 1)),
+    ], ids=["read", "update", "delete", "forward", "forward_target", "repoint"])
+    def test_every_operation_reaches_the_checks(self, operation):
+        page = self.page()
+        before = page.capture()
+        for slot, message in (
+            (-1, "no slot -1 on"), (-4, "no slot -4 on"), (4, "no slot 4 on"),
+            (self.DELETED, "slot 1 of page 3:7 was deleted"),
+        ):
+            with pytest.raises(RecordNotFoundError, match=message):
+                operation(page, slot)
+        assert page.capture() == before  # refused, nothing written
+
+    def test_operations_tell_a_record_from_a_forwarding_entry(self):
+        page = self.page()
+        assert page.forward_target(self.LIVE) is None
+        assert page.forward_target(self.FORWARDED) == self.TARGET
+        with pytest.raises(RecordNotFoundError, match="forwarded to @0:9.2"):
+            page.read(self.FORWARDED)
+        with pytest.raises(RecordNotFoundError, match="cannot update forwarded"):
+            page.update(self.FORWARDED, b"x")
+        with pytest.raises(RecordNotFoundError, match="already forwarded"):
+            page.forward(self.FORWARDED, Rid(0, 1, 1))
+        with pytest.raises(RecordNotFoundError, match="is not forwarded"):
+            page.repoint(self.LIVE, Rid(0, 1, 1))
+        page.repoint(self.FORWARDED, Rid(0, 1, 1))
+        assert page.resolve(self.FORWARDED) == Rid(0, 1, 1)
+        used = page.used_bytes
+        page.delete(self.FORWARDED)  # a forwarding entry is one rid wide
+        assert page.used_bytes == used - Rid.DISK_SIZE - SLOT_OVERHEAD
 
 
 # ---------------------------------------------------------------- Disk
@@ -324,8 +420,44 @@ class TestStorageFile:
 
     def test_foreign_rid_rejected(self):
         sfile = make_file()
-        with pytest.raises(RecordNotFoundError):
-            sfile.read(Rid(sfile.file_id + 1, 0, 0))
+        sfile.insert(b"mine")
+        for read in (sfile.read, sfile.read_resolving):
+            for rid in (Rid(sfile.file_id + 1, 0, 0), NIL_RID):
+                with pytest.raises(
+                    RecordNotFoundError, match="does not belong to file"
+                ):
+                    read(rid)
+
+    def test_negative_slot_does_not_wrap_to_the_last_record(self):
+        sfile = make_file()
+        for record in (b"first", b"last"):
+            sfile.insert(record)
+        for slot in (-1, -2, 2):
+            with pytest.raises(RecordNotFoundError, match=f"no slot {slot} on"):
+                sfile.read_resolving(Rid(sfile.file_id, 0, slot))
+
+    def test_read_resolving_follows_one_hop_and_refuses_two(self):
+        sfile = make_file(fill_factor=1.0)
+        rids = [sfile.insert(b"a" * 500) for __ in range(8)]
+        moved = sfile.update(rids[0], b"b" * 3000)
+        assert sfile.read_resolving(rids[0]) == (b"b" * 3000, moved)
+        assert sfile.read_resolving(moved) == (b"b" * 3000, moved)
+        # ``update`` collapses chains, so a second hop is built by hand.
+        further = sfile.insert(b"c" * 3000)
+        sfile.pager.get_page(moved.file_id, moved.page_no).forward(
+            moved.slot, further
+        )
+        with pytest.raises(
+            RecordNotFoundError, match="chain longer than one hop"
+        ):
+            sfile.read_resolving(rids[0])
+        assert sfile.read_resolving(moved) == (b"c" * 3000, further)
+        # A hop onto a deleted slot is the slot's own error.
+        sfile.pager.get_page(further.file_id, further.page_no).delete(
+            further.slot
+        )
+        with pytest.raises(RecordNotFoundError, match="was deleted"):
+            sfile.read_resolving(moved)
 
     def test_scan_charges_one_read_per_page(self):
         sfile = make_file()
