@@ -152,10 +152,14 @@ def test_pipeline_batch_sweep(benchmark, pipeline_derby, save_table):
         iterations=1,
     )
     query_table, mix_table = tables
-    save_table(
-        "pipeline_batch_sweep", f"{query_table}\n\n{mix_table}"
-    )
+    save_table("pipeline_batch_sweep", _render(query_table, mix_table))
     _check_tables(query_table, mix_table, BATCH_SIZES)
+
+
+def _render(query_table: Table, mix_table: Table) -> str:
+    """The bytes of results/pipeline_batch_sweep.txt, whichever entry
+    point writes it."""
+    return f"{query_table}\n\n{mix_table}\n"
 
 
 def _check_tables(query_table: Table, mix_table: Table, batch_sizes) -> None:
@@ -199,11 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     query_table = run_query_sweep(derby, batch_sizes)
     mix_table = run_mix_sweep(derby, batch_sizes)
     _check_tables(query_table, mix_table, batch_sizes)
-    text = f"{query_table}\n\n{mix_table}"
-    print(text)
+    text = _render(query_table, mix_table)
+    print(text, end="")
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
-    out.write_text(text + "\n")
+    out.write_text(text)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
