@@ -31,9 +31,11 @@ lint-graph:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Regenerate every paper figure into results/ and print them.
+# Regenerate every paper figure into results/ (results/scale_<s>/ when
+# REPRO_SCALE is not 0.01), assert its shape and score it against the
+# paper.  `python -m repro figures all` only prints them.
 figures:
-	$(PYTHON) -m repro figures all
+	$(PYTHON) -m pytest benchmarks/bench_figures.py benchmarks/bench_paper_agreement.py
 
 # Multi-client workload mix through the query service.
 mix:
@@ -120,5 +122,5 @@ artifacts: ## the final run the reproduction ships with
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
-	rm -rf results/*.txt .pytest_cache .hypothesis
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -9,15 +9,8 @@ EXPERIMENTS.md's comparison, executed and asserted.
 from __future__ import annotations
 
 from repro.bench.paper_data import PAPER_FIG15_WINNERS, score_against_paper
-from repro.bench.figures import cell_times
+from repro.bench.figures import FIGURES, cell_times
 from repro.bench.report import Table
-
-_FIGS = {
-    "fig11": ("1:1000", "class"),
-    "fig12": ("1:3", "class"),
-    "fig13": ("1:1000", "composition"),
-    "fig14": ("1:3", "composition"),
-}
 
 #: Per-figure thresholds; fig13 is dominated by near-tie cells in the
 #: paper itself (ratios 1.12-1.20), so its rank correlation is noisier.
@@ -28,8 +21,10 @@ _MIN_SPEARMAN = {"fig11": 0.6, "fig12": 0.7, "fig13": 0.3, "fig14": 0.7}
 def test_figures_11_to_14_shape_agreement(benchmark, join_measurements, save_table):
     def gather():
         return {
-            fig: score_against_paper(fig, join_measurements(rel, org))
-            for fig, (rel, org) in _FIGS.items()
+            fig: score_against_paper(
+                fig, join_measurements(*FIGURES[fig].database)
+            )
+            for fig in _MIN_WINNERS
         }
 
     results = benchmark.pedantic(gather, rounds=1, iterations=1)

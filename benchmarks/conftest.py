@@ -1,13 +1,17 @@
 """Shared fixtures for the figure benchmarks.
 
-Databases are expensive to build, so they are loaded once per session
-and shared; each measured run starts from a cold cache anyway
-(``start_cold_run``), exactly as the paper ran its experiments.
+Databases are expensive to build and large, so the session shares one
+:class:`~repro.bench.figures.FigureDriver`: it holds the database asked
+for last and nothing else (the paper's authors "kept deleting and
+re-creating databases" for the same reason), and keeps each database's
+sixteen grid measurements.  Each measured run starts from a cold cache
+anyway (``start_cold_run``), exactly as the paper ran its experiments.
 
 Scale defaults to 1/100 of the paper's databases and can be overridden
-with the ``REPRO_SCALE`` environment variable (e.g. ``REPRO_SCALE=0.05``
-for a closer-to-paper run).  Every figure table is also written to
-``results/`` for inspection.
+with the ``REPRO_SCALE`` environment variable.  Every table is written
+to ``results/`` at the default scale and to ``results/scale_<s>/`` at
+any other, so the committed scale-0.01 files are never overwritten by a
+run at another scale.
 """
 
 from __future__ import annotations
@@ -16,70 +20,46 @@ import pathlib
 
 import pytest
 
-from repro.bench import ExperimentRunner
-from repro.bench.runner import JoinMeasurement
-from repro.cluster import DerbyDatabase, load_derby
-from repro.derby import DerbyConfig
-from repro.derby.config import Clustering
+from repro.bench.figures import FigureDriver
+from repro.derby.config import DEFAULT_SCALE, default_scale
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
-_CLUSTERINGS = {
-    "class": Clustering.CLASS,
-    "random": Clustering.RANDOM,
-    "composition": Clustering.COMPOSITION,
-    "association": Clustering.ASSOCIATION,
-}
+
+@pytest.fixture(scope="session")
+def figure_driver():
+    return FigureDriver()
 
 
 @pytest.fixture(scope="session")
-def derby_cache():
-    """Lazily build and cache one database per (relationship, org)."""
-    cache: dict[tuple[str, str], DerbyDatabase] = {}
-
-    def get(relationship: str, clustering: str) -> DerbyDatabase:
-        key = (relationship, clustering)
-        if key not in cache:
-            maker = (
-                DerbyConfig.db_1to1000
-                if relationship == "1:1000"
-                else DerbyConfig.db_1to3
-            )
-            config = maker(clustering=_CLUSTERINGS[clustering])
-            cache[key] = load_derby(config)
-        return cache[key]
-
-    return get
+def derby_cache(figure_driver):
+    """``get(relationship, organization)``: that database, loaded; the
+    one handed out before it is no longer held."""
+    return figure_driver.derby
 
 
 @pytest.fixture(scope="session")
-def join_measurements(derby_cache):
-    """Cache of full selectivity-grid measurements per (rel, org), so
-    Figure 15 reuses what Figures 11-14 already ran."""
-    from repro.bench.figures import PAPER_ALGORITHMS
-    from repro.bench.workloads import SELECTIVITY_GRID
+def join_measurements(figure_driver):
+    """``get(relationship, organization)``: the full selectivity-grid
+    measurements, run once per session."""
+    return figure_driver.grid
 
-    cache: dict[tuple[str, str], list[JoinMeasurement]] = {}
 
-    def get(relationship: str, clustering: str) -> list[JoinMeasurement]:
-        key = (relationship, clustering)
-        if key not in cache:
-            runner = ExperimentRunner(derby_cache(relationship, clustering))
-            cache[key] = runner.run_join_grid(PAPER_ALGORITHMS, SELECTIVITY_GRID)
-        return cache[key]
-
-    return get
+def write_table(name: str, table) -> str:
+    """Write a rendered table under results/ (scale_<s>/ below it when
+    ``REPRO_SCALE`` is not the default)."""
+    scale = default_scale()
+    directory = (
+        RESULTS_DIR if scale == DEFAULT_SCALE
+        else RESULTS_DIR / f"scale_{scale:g}"
+    )
+    directory.mkdir(parents=True, exist_ok=True)
+    text = str(table)
+    (directory / f"{name}.txt").write_text(text)
+    print("\n" + text)
+    return text
 
 
 @pytest.fixture(scope="session")
 def save_table():
-    """Write a rendered figure table under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def save(name: str, table) -> str:
-        text = str(table)
-        (RESULTS_DIR / f"{name}.txt").write_text(text)
-        print("\n" + text)
-        return text
-
-    return save
+    return write_table

@@ -1,13 +1,25 @@
-"""One builder per paper figure.
+"""One builder per paper figure, one registry that says what each
+figure is, one driver that builds them.
 
 Each builder runs the experiments it needs through an
 :class:`~repro.bench.runner.ExperimentRunner` (always cold, as in the
 paper) and renders a :class:`~repro.bench.report.Table` in the layout of
 the corresponding figure.  Simulated times at scale *s* correspond to
 roughly *s* x the paper's seconds; the ratio columns are scale-free.
+
+:data:`FIGURES` is the only place that names a figure's database and its
+file under ``results/``; :class:`FigureDriver` builds its entries holding
+one database at a time, as the paper's authors had to (Section 3: one
+disk could not hold them all).  ``python -m repro figures`` and
+``benchmarks/`` are callers of the two.
 """
 
 from __future__ import annotations
+
+import gc
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.bench.report import Table
 from repro.bench.runner import ExperimentRunner, JoinMeasurement
@@ -16,6 +28,8 @@ from repro.bench.workloads import (
     figure6_selectivities,
     figure7_selectivities,
 )
+from repro.cluster import DerbyDatabase, load_derby
+from repro.derby import DerbyConfig
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
 from repro.objects.handle import HandleMode
 from repro.simtime import Bucket
@@ -23,6 +37,10 @@ from repro.units import MB
 
 #: The four algorithms of the paper's Section 5 figures.
 PAPER_ALGORITHMS = ("NL", "NOJOIN", "PHJ", "CHJ")
+
+#: Figure 15's rows and column groups.
+RELATIONSHIPS = ("1:1000", "1:3")
+ORGANIZATIONS = ("random", "class", "composition")
 
 
 # ------------------------------------------------------------------ fig 4/5
@@ -211,52 +229,18 @@ def join_figure(
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS,
     grid: tuple[tuple[int, int], ...] = SELECTIVITY_GRID,
 ) -> tuple[Table, list[JoinMeasurement]]:
-    """The shared shape of Figures 11-14: for each selectivity pair run
-    every algorithm, rank by elapsed time, report time ratios."""
+    """Run every algorithm at each selectivity pair (cell by cell, every
+    run cold) and rank the cells under a title that names the database."""
     config = runner.derby.config
-    table = Table(
+    measurements = runner.run_join_grid(algorithms, grid)
+    table = rank_table(
+        measurements,
         f"{title} ({config.n_providers} providers, {config.n_patients} "
         f"patients, {config.clustering.value} clustering, "
         f"scale {config.scale:g})",
-        [
-            "Sel. patients %",
-            "Sel. providers %",
-            "Algorithm",
-            "Time ratio",
-            "Time (sec)",
-        ],
+        grid,
     )
-    all_measurements: list[JoinMeasurement] = []
-    for sel_pat, sel_prov in grid:
-        cell = [runner.run_join(a, sel_pat, sel_prov) for a in algorithms]
-        cell.sort(key=lambda m: m.elapsed_s)
-        best = cell[0].elapsed_s
-        for m in cell:
-            table.add(
-                sel_pat,
-                sel_prov,
-                m.algo,
-                m.elapsed_s / best if best else 1.0,
-                m.elapsed_s,
-            )
-        all_measurements.extend(cell)
-    return table, all_measurements
-
-
-def figure11(runner: ExperimentRunner) -> tuple[Table, list[JoinMeasurement]]:
-    return join_figure(runner, "Figure 11 — One file per Class, 1:1000")
-
-
-def figure12(runner: ExperimentRunner) -> tuple[Table, list[JoinMeasurement]]:
-    return join_figure(runner, "Figure 12 — One file per Class, 1:3")
-
-
-def figure13(runner: ExperimentRunner) -> tuple[Table, list[JoinMeasurement]]:
-    return join_figure(runner, "Figure 13 — Composition Cluster, 1:1000")
-
-
-def figure14(runner: ExperimentRunner) -> tuple[Table, list[JoinMeasurement]]:
-    return join_figure(runner, "Figure 14 — Composition Cluster, 1:3")
+    return table, measurements
 
 
 def rank_table(
@@ -264,8 +248,8 @@ def rank_table(
     title: str,
     grid: tuple[tuple[int, int], ...] = SELECTIVITY_GRID,
 ) -> Table:
-    """Render already-run grid measurements in the Figures 11-14 layout
-    (per-cell ranking with time ratios)."""
+    """The shared shape of Figures 11-14: for each selectivity pair rank
+    the measured algorithms by elapsed time and report time ratios."""
     table = Table(
         title,
         [
@@ -336,11 +320,11 @@ def figure15(
             "Time (comp.)",
         ],
     )
-    for rel in ("1:1000", "1:3"):
+    for rel in RELATIONSHIPS:
         by_org = results.get(rel, {})
         for sel_pat, sel_prov in SELECTIVITY_GRID:
             row: list[object] = [rel, sel_pat, sel_prov]
-            for org in ("random", "class", "composition"):
+            for org in ORGANIZATIONS:
                 best = _best_for_cell(by_org.get(org, []), sel_pat, sel_prov)
                 if best is None:
                     row.extend(["-", "-"])
@@ -445,3 +429,117 @@ def extensions_figure(runner: ExperimentRunner) -> tuple[Table, list[JoinMeasure
         "Extensions — SMJ (dropped) and hybrid hashing (untested) included",
         algorithms=PAPER_ALGORITHMS + ("SMJ", "PHJ-HYBRID"),
     )
+
+
+# ------------------------------------------------------- registry and driver
+
+@dataclass(frozen=True)
+class Figure:
+    """What one table of the paper is."""
+
+    #: File name under ``results/``, without the ``.txt``.
+    stem: str
+    #: ``(relationship, organization)`` of the database it is measured
+    #: on; ``None`` when it needs none or, with ``grid``, all of them.
+    database: tuple[str, str] | None
+    #: Builder: over no argument, an :class:`ExperimentRunner` or, with
+    #: ``grid``, the Section 5 grid measurements.
+    build: Callable[..., Table]
+    #: Consumes the sixteen cold runs of ``PAPER_ALGORITHMS`` x
+    #: ``SELECTIVITY_GRID`` in place of a live database.
+    grid: bool = False
+
+
+_CLASS_1TO1000 = ("1:1000", "class")
+
+#: Every table of the paper we regenerate, ordered so that figures
+#: measured on one database are adjacent (Figure 10 needs none).
+FIGURES: dict[str, Figure] = {
+    "fig04": Figure(
+        "figure04_rids_vs_handles", _CLASS_1TO1000,
+        partial(figure4_rids_vs_handles, selectivity_pct=90),
+    ),
+    "fig06": Figure("figure06_selection_index", _CLASS_1TO1000, figure6),
+    "fig07": Figure("figure07_sorted_index", _CLASS_1TO1000, figure7),
+    "fig09": Figure("figure09_cost_decomposition", _CLASS_1TO1000, figure9),
+    "fig10": Figure("figure10_hash_sizes", None, figure10),
+    "fig11": Figure(
+        "figure11_class_1to1000", _CLASS_1TO1000,
+        partial(rank_table, title="Figure 11 — One file per Class, 1:1000"),
+        grid=True,
+    ),
+    "handles": Figure(
+        "ablation_handle_modes", _CLASS_1TO1000, handle_modes_figure
+    ),
+    "fig12": Figure(
+        "figure12_class_1to3", ("1:3", "class"),
+        partial(rank_table, title="Figure 12 — One file per Class, 1:3"),
+        grid=True,
+    ),
+    "fig13": Figure(
+        "figure13_comp_1to1000", ("1:1000", "composition"),
+        partial(rank_table, title="Figure 13 — Composition Cluster, 1:1000"),
+        grid=True,
+    ),
+    "fig14": Figure(
+        "figure14_comp_1to3", ("1:3", "composition"),
+        partial(rank_table, title="Figure 14 — Composition Cluster, 1:3"),
+        grid=True,
+    ),
+    "fig15": Figure("figure15_summary", None, figure15, grid=True),
+}
+
+
+class FigureDriver:
+    """Builds :data:`FIGURES` entries with one database alive at a time.
+
+    The database asked for last is the only one held; it is dropped
+    before the next is loaded.  What outlives a database is its grid of
+    sixteen measurements, which Figures 11-15 and the paper-agreement
+    scores share.
+    """
+
+    def __init__(self, scale: float | None = None):
+        self.scale = scale
+        self._slot: tuple[tuple[str, str], DerbyDatabase] | None = None
+        self._grids: dict[tuple[str, str], list[JoinMeasurement]] = {}
+
+    def derby(self, relationship: str, organization: str) -> DerbyDatabase:
+        """The loaded database; whichever was held before is let go."""
+        key = (relationship, organization)
+        if self._slot is None or self._slot[0] != key:
+            # Free the old one before building the next; its object graph
+            # is cyclic, so dropping the reference alone frees nothing.
+            self._slot = None
+            gc.collect()
+            config = DerbyConfig.paper_db(relationship, organization, self.scale)
+            self._slot = (key, load_derby(config))
+        return self._slot[1]
+
+    def grid(self, relationship: str, organization: str) -> list[JoinMeasurement]:
+        """The Section 5 grid on that database, run once and kept."""
+        key = (relationship, organization)
+        if key not in self._grids:
+            runner = ExperimentRunner(self.derby(relationship, organization))
+            self._grids[key] = runner.run_join_grid(
+                PAPER_ALGORITHMS, SELECTIVITY_GRID
+            )
+        return self._grids[key]
+
+    def build(self, name: str) -> tuple[Table, object]:
+        """Build one figure: its table and, for the figures made from
+        grids, the measurements the table was ranked from."""
+        figure = FIGURES[name]
+        if figure.grid:
+            if figure.database is not None:
+                measured = self.grid(*figure.database)
+            else:
+                measured = {
+                    rel: {org: self.grid(rel, org) for org in ORGANIZATIONS}
+                    for rel in RELATIONSHIPS
+                }
+            return figure.build(measured), measured
+        if figure.database is None:
+            return figure.build(), None
+        runner = ExperimentRunner(self.derby(*figure.database))
+        return figure.build(runner), None

@@ -4,7 +4,9 @@ Commands
 --------
 
 ``figures``
-    Regenerate one (or all) of the paper's tables and print it.
+    Build one (or all) of the paper's tables and print it: the names
+    are the keys of :data:`repro.bench.figures.FIGURES`, and ``all``
+    loads each database once, one at a time.
 ``load``
     Build a Derby database and print the loading report (the Section
     3.2 numbers).
@@ -63,21 +65,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.bench import ExperimentRunner
-from repro.bench.figures import (
-    figure4_rids_vs_handles,
-    figure6,
-    figure7,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    handle_modes_figure,
-)
+from repro.bench.figures import FIGURES, FigureDriver
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
@@ -85,16 +76,10 @@ from repro.oql import Catalog, OQLEngine, Query, parse_statement
 from repro.errors import ReproError
 from repro.units import MB
 
-_CLUSTERING = {c.value: c for c in Clustering}
-_DB_MAKERS = {
-    "1to1000": DerbyConfig.db_1to1000,
-    "1to3": DerbyConfig.db_1to3,
-}
-
-
 def _make_config(args: argparse.Namespace) -> DerbyConfig:
-    maker = _DB_MAKERS[args.db]
-    return maker(scale=args.scale, clustering=_CLUSTERING[args.clustering])
+    return DerbyConfig.paper_db(
+        args.db.replace("to", ":"), args.clustering, args.scale
+    )
 
 
 def _add_optimizer_option(parser: argparse.ArgumentParser) -> None:
@@ -118,11 +103,12 @@ def _make_plan_optimizer(args: argparse.Namespace, catalog: Catalog):
 
 def _add_db_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--db", choices=sorted(_DB_MAKERS), default="1to1000",
+        "--db", choices=("1to1000", "1to3"), default="1to1000",
         help="which of the paper's two databases to build",
     )
     parser.add_argument(
-        "--clustering", choices=sorted(_CLUSTERING), default="class",
+        "--clustering", choices=sorted(c.value for c in Clustering),
+        default="class",
         help="physical organization (paper, Figure 2)",
     )
     parser.add_argument(
@@ -133,42 +119,11 @@ def _add_db_options(parser: argparse.ArgumentParser) -> None:
 
 # ------------------------------------------------------------------ figures
 
-_SIMPLE_FIGURES: dict[str, tuple[str, str, Callable]] = {
-    # name -> (db, clustering, builder over an ExperimentRunner)
-    "fig04": ("1to1000", "class", lambda r: figure4_rids_vs_handles(r)),
-    "fig06": ("1to1000", "class", figure6),
-    "fig07": ("1to1000", "class", figure7),
-    "fig09": ("1to1000", "class", figure9),
-    "fig11": ("1to1000", "class", lambda r: figure11(r)[0]),
-    "fig12": ("1to3", "class", lambda r: figure12(r)[0]),
-    "fig13": ("1to1000", "composition", lambda r: figure13(r)[0]),
-    "fig14": ("1to3", "composition", lambda r: figure14(r)[0]),
-    "handles": ("1to1000", "class", handle_modes_figure),
-}
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
-    names = (
-        sorted(_SIMPLE_FIGURES) + ["fig10"]
-        if args.figure == "all"
-        else [args.figure]
-    )
-    for name in names:
-        if name == "fig10":
-            print(figure10())
-            continue
-        db_name, clustering, builder = _SIMPLE_FIGURES[name]
-        maker = _DB_MAKERS[db_name]
-        config = maker(
-            scale=args.scale, clustering=_CLUSTERING[clustering]
-        )
-        print(
-            f"building {db_name} / {clustering} at scale "
-            f"{config.scale:g} ...",
-            file=sys.stderr,
-        )
-        runner = ExperimentRunner(load_derby(config))
-        print(builder(runner))
+    driver = FigureDriver(args.scale)
+    for name in FIGURES if args.figure == "all" else [args.figure]:
+        print(f"building {name} ...", file=sys.stderr)
+        print(driver.build(name)[0])
     return 0
 
 
@@ -736,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="regenerate a paper figure")
     figures.add_argument(
         "figure",
-        choices=sorted(_SIMPLE_FIGURES) + ["fig10", "all"],
+        choices=[*FIGURES, "all"],
         help="which figure to build",
     )
     figures.add_argument("--scale", type=float, default=None)

@@ -101,6 +101,18 @@ class DerbyConfig:
             **overrides,
         )
 
+    @classmethod
+    def paper_db(
+        cls, relationship: str, organization: str, scale: float | None = None
+    ) -> "DerbyConfig":
+        """One of the two databases by the name the paper gives it
+        ("1:1000" / "1:3") under a physical organization named by its
+        :class:`Clustering` value."""
+        makers = {"1:1000": cls.db_1to1000, "1:3": cls.db_1to3}
+        return makers[relationship](
+            scale=scale, clustering=Clustering(organization)
+        )
+
     def with_clustering(self, clustering: Clustering) -> "DerbyConfig":
         return replace(self, clustering=clustering)
 

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+import re
+import weakref
+
 import pytest
 
+import repro.bench.figures as figures_module
 from repro.bench import ExperimentRunner, Table
 from repro.bench.figures import (
+    FIGURES,
     PAPER_ALGORITHMS,
+    FigureDriver,
+    cell_times,
     extensions_figure,
     figure4_rids_vs_handles,
     figure6,
@@ -16,8 +25,10 @@ from repro.bench.figures import (
     figure15,
     handle_modes_figure,
     join_figure,
+    rank_table,
 )
 from repro.bench.workloads import SELECTIVITY_GRID, tree_query_text
+from repro.cli import main
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
@@ -184,3 +195,137 @@ class TestFigures:
         table, __ = extensions_figure(runner)
         algos = {row[2] for row in table.rows}
         assert {"SMJ", "PHJ-HYBRID"} <= algos
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+TINY = 0.001
+
+
+class TestFigureRegistry:
+    def test_every_stem_is_committed_and_every_figure_file_has_an_entry(self):
+        stems = {figure.stem for figure in FIGURES.values()}
+        assert len(stems) == len(FIGURES)
+        committed = {p.stem for p in (REPO / "results").glob("*.txt")}
+        assert stems <= committed
+        assert {s for s in committed if s.startswith("figure")} <= stems
+
+    def test_docs_index_names_exactly_the_registry_figure_files(self):
+        text = (REPO / "docs" / "figures.md").read_text()
+        documented = set(re.findall(r"^\| `(figure\w+)\.txt`", text, re.M))
+        assert documented == {
+            f.stem for f in FIGURES.values() if f.stem.startswith("figure")
+        }
+        assert "`ablation_handle_modes.txt`" in text
+
+    def test_fig04_is_pinned_at_90_percent(self):
+        table, __ = FigureDriver(TINY).build("fig04")
+        assert "selectivity 90%" in table.title
+
+    def test_databases_are_adjacent_in_registry_order(self):
+        seen = [f.database for f in FIGURES.values() if f.database]
+        runs = [db for i, db in enumerate(seen) if i == 0 or seen[i - 1] != db]
+        assert len(runs) == len(set(runs))
+
+
+class TestFigureDriver:
+    def test_all_figures_load_each_database_once_and_hold_one(self, monkeypatch):
+        loaded = []   # (relationship, organization, weakref to its pages)
+
+        def counting_load(config):
+            # The database handed out before this one must be gone by now.
+            assert all(ref() is None for *__, ref in loaded), loaded
+            derby = load_derby(config)
+            rel = "1:1000" if config.avg_children > 100 else "1:3"
+            loaded.append((rel, config.clustering.value, weakref.ref(derby.db)))
+            return derby
+
+        monkeypatch.setattr(figures_module, "load_derby", counting_load)
+        driver = FigureDriver(TINY)
+        tables = {name: driver.build(name) for name in FIGURES}
+
+        assert [key[:2] for key in loaded] == [
+            ("1:1000", "class"), ("1:3", "class"),
+            ("1:1000", "composition"), ("1:3", "composition"),
+            ("1:1000", "random"), ("1:3", "random"),
+        ]
+        assert sum(ref() is not None for *__, ref in loaded) == 1
+
+        # Figure 15 is built from the six grids, four of them the very
+        # lists Figures 11-14 were ranked from.
+        table15, results = tables["fig15"]
+        assert {rel: set(by_org) for rel, by_org in results.items()} == {
+            rel: {"random", "class", "composition"} for rel in ("1:1000", "1:3")
+        }
+        assert results["1:3"]["composition"] is tables["fig14"][1]
+        assert str(table15) == str(figure15(results))
+
+    def test_fig11_is_rank_table_over_a_grid_run_by_hand(self):
+        table, measured = FigureDriver(TINY).build("fig11")
+        derby = load_derby(DerbyConfig.db_1to1000(scale=TINY))
+        by_hand = ExperimentRunner(derby).run_join_grid(
+            PAPER_ALGORITHMS, SELECTIVITY_GRID
+        )
+        assert measured == by_hand
+        assert str(table) == str(
+            rank_table(by_hand, "Figure 11 — One file per Class, 1:1000")
+        )
+
+    def test_cli_fig15_equals_figure15_over_grids_run_by_hand(self, capsys):
+        assert main(["figures", "fig15", "--scale", str(TINY)]) == 0
+        by_hand = {
+            rel: {
+                org.value: ExperimentRunner(
+                    load_derby(maker(scale=TINY, clustering=org))
+                ).run_join_grid(PAPER_ALGORITHMS, SELECTIVITY_GRID)
+                for org in (
+                    Clustering.RANDOM, Clustering.CLASS, Clustering.COMPOSITION
+                )
+            }
+            for rel, maker in (
+                ("1:1000", DerbyConfig.db_1to1000), ("1:3", DerbyConfig.db_1to3)
+            )
+        }
+        assert capsys.readouterr().out == f"{figure15(by_hand)}\n"
+
+    def test_join_figure_is_the_grid_then_the_ranking(self, runner):
+        table, measurements = join_figure(
+            runner, "t", algorithms=("PHJ", "NL", "CHJ"), grid=((90, 90), (10, 10))
+        )
+        # Run order: cell by cell, algorithms in the order given.
+        assert [(m.sel_patients, m.algo) for m in measurements] == [
+            (90, "PHJ"), (90, "NL"), (90, "CHJ"),
+            (10, "PHJ"), (10, "NL"), (10, "CHJ"),
+        ]
+        for sel in ((90, 90), (10, 10)):
+            times = cell_times(measurements, *sel)
+            rows = [r for r in table.rows if (r[0], r[1]) == sel]
+            assert [r[2] for r in rows] == sorted(times, key=times.get)
+            assert [r[4] for r in rows] == sorted(times.values())
+
+
+class TestSaveTable:
+    @pytest.fixture()
+    def bench_conftest(self, monkeypatch, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest", REPO / "benchmarks" / "conftest.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+        return module
+
+    def test_default_scale_writes_results(self, bench_conftest, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        bench_conftest.write_table("t", "text\n")
+        assert (tmp_path / "t.txt").read_text() == "text\n"
+        monkeypatch.setenv("REPRO_SCALE", "0.01")
+        bench_conftest.write_table("u", "text\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt", "u.txt"]
+
+    def test_another_scale_writes_its_own_directory(
+        self, bench_conftest, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        bench_conftest.write_table("t", "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["scale_0.05"]
+        assert (tmp_path / "scale_0.05" / "t.txt").read_text() == "text\n"
