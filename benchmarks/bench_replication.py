@@ -69,7 +69,7 @@ from repro.dist import (
     failover_coverage,
     load_sharded,
 )
-from repro.recovery import run_suite
+from repro.recovery import run_suite, suite_fingerprint
 from repro.stats import replication_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -371,8 +371,12 @@ def summarize(
         "chaos_sync_acked_loss": sum(
             c.loss_window or 0 for c in chaos_sync
         ),
+        "chaos_sync_failed_seeds": [c.seed for c in chaos_sync if not c.ok],
+        "chaos_sync_sha256": suite_fingerprint(chaos_sync),
         "chaos_async_cases": len(chaos_async),
         "chaos_async_ok": sum(1 for c in chaos_async if c.ok),
+        "chaos_async_failed_seeds": [c.seed for c in chaos_async if not c.ok],
+        "chaos_async_sha256": suite_fingerprint(chaos_async),
         "chaos_kinds": failover_coverage(chaos_sync + chaos_async),
         "chaos_points": {
             point: sum(
@@ -561,8 +565,6 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
         "equivalence": [asdict(r) for r in equiv],
         "availability": [asdict(a) for a in avail],
-        "chaos_sync": [asdict(c) for c in chaos_sync],
-        "chaos_async": [asdict(c) for c in chaos_async],
     }
     pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)

@@ -64,7 +64,7 @@ from repro.dist import (
 )
 from repro.dist.exchange import ROW_WIRE_BYTES
 from repro.oql import Catalog, OQLEngine
-from repro.recovery import run_suite
+from repro.recovery import run_suite, suite_fingerprint
 from repro.stats import sharding_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -107,7 +107,6 @@ class QueryRun:
 
     label: str
     n_shards: int
-    strategy: str
     rows: int
     elapsed_s: float
     total_busy_s: float
@@ -196,7 +195,6 @@ def _measure_cluster(
         runs.append(QueryRun(
             label=label,
             n_shards=cluster.n_shards,
-            strategy="query",
             rows=len(rows),
             elapsed_s=elapsed,
             total_busy_s=cluster.total_busy_s,
@@ -300,6 +298,8 @@ def summarize(
         "mix_gave_up": sum(m.gave_up for m in mix_runs),
         "chaos_cases": len(chaos),
         "chaos_ok": sum(1 for c in chaos if c.ok),
+        "chaos_failed_seeds": [c.seed for c in chaos if not c.ok],
+        "chaos_sha256": suite_fingerprint(chaos),
         "chaos_points": point_coverage(chaos),
     }
 
@@ -313,12 +313,12 @@ def build_table(
     table = Table(
         "Sharded scaling: distributed queries vs single node "
         "(cold, hash-partitioned, validated)",
-        ["Query", "Shards", "Strategy", "Rows", "Elapsed (s)",
+        ["Query", "Shards", "Rows", "Elapsed (s)",
          "Busy (s)", "Msgs", "Speedup", "Valid"],
     )
     for r in query_runs:
         table.add(
-            r.label, r.n_shards, r.strategy, r.rows,
+            r.label, r.n_shards, r.rows,
             r.elapsed_s, r.total_busy_s, r.msgs, r.speedup,
             "ok" if r.equivalent else "MISMATCH",
         )
@@ -434,7 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
         "queries": [asdict(r) for r in query_runs],
         "mixes": [asdict(m) for m in mix_runs],
-        "chaos": [asdict(c) for c in chaos],
     }
     pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)

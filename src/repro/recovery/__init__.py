@@ -43,6 +43,7 @@ from repro.recovery.harness import (
     check_last_writer,
     run_case,
     run_suite,
+    suite_fingerprint,
 )
 from repro.recovery.transient import TransientFaultInjector
 
@@ -61,5 +62,6 @@ __all__ = [
     "restart",
     "run_case",
     "run_suite",
+    "suite_fingerprint",
     "take_checkpoint",
 ]

@@ -25,6 +25,7 @@ it downward.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -88,6 +89,15 @@ def run_suite(
         for variant in suite.variants
         for i in range(cases)
     ]
+
+
+def suite_fingerprint(results: Iterable) -> str:
+    """One sha256 over the cases' ``repr(digest)`` in run order: what a
+    report keeps of a suite run in place of every case record."""
+    sha = hashlib.sha256()
+    for result in results:
+        sha.update(repr(result.digest).encode())
+    return sha.hexdigest()
 
 
 def check_last_writer(
