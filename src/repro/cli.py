@@ -77,6 +77,7 @@ from repro.errors import ReproError
 from repro.units import MB
 
 def _make_config(args: argparse.Namespace) -> DerbyConfig:
+    # --db spells the paper's "1:1000" / "1:3" without the colon.
     return DerbyConfig.paper_db(
         args.db.replace("to", ":"), args.clustering, args.scale
     )

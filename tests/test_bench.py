@@ -9,7 +9,6 @@ import weakref
 
 import pytest
 
-import repro.bench.figures as figures_module
 from repro.bench import ExperimentRunner, Table
 from repro.bench.figures import (
     FIGURES,
@@ -239,7 +238,7 @@ class TestFigureDriver:
             loaded.append((rel, config.clustering.value, weakref.ref(derby.db)))
             return derby
 
-        monkeypatch.setattr(figures_module, "load_derby", counting_load)
+        monkeypatch.setattr("repro.bench.figures.load_derby", counting_load)
         driver = FigureDriver(TINY)
         tables = {name: driver.build(name) for name in FIGURES}
 
