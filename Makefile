@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke profile artifacts clean
+.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke scale profile artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -102,6 +102,19 @@ wallclock:
 wallclock-smoke:
 	$(PYTHON) benchmarks/wallclock/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/wallclock -q
+	$(PYTHON) benchmarks/bench_scale.py --smoke
+
+# Load at scale: generate + load_derby of the 1:3 / class database at
+# scale 0.01, 0.05 and 0.2, one process per scale (~40 s): raw seconds,
+# peak RSS, cyclic collections by generation and the simulated seconds
+# that must not move -> the `change` rows of BENCH_scale.json.  The
+# `parent` rows beside them come from a clone of the parent commit:
+#   PYTHONPATH=<clone>/src python benchmarks/bench_scale.py --label parent
+# Exits nonzero if simulated seconds differ between the two, a full
+# collection ran inside a load, peak RSS grew by more than 2 % or the
+# largest scale got no faster.
+scale:
+	$(PYTHON) benchmarks/bench_scale.py
 
 # One warmed pass of a wall-clock workload (bulk_load, tree_join,
 # oql_selection, client_mix) under cProfile: total calls -- that run's

@@ -16,7 +16,6 @@ disk could not hold them all).  ``python -m repro figures`` and
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -33,6 +32,7 @@ from repro.derby import DerbyConfig
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
 from repro.objects.handle import HandleMode
 from repro.simtime import Bucket
+from repro.simtime.host import collect_garbage
 from repro.units import MB
 
 #: The four algorithms of the paper's Section 5 figures.
@@ -511,7 +511,7 @@ class FigureDriver:
             # Free the old one before building the next; its object graph
             # is cyclic, so dropping the reference alone frees nothing.
             self._slot = None
-            gc.collect()
+            collect_garbage()
             config = DerbyConfig.paper_db(relationship, organization, self.scale)
             self._slot = (key, load_derby(config))
         return self._slot[1]

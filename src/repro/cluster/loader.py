@@ -37,6 +37,7 @@ from repro.index import BTreeIndex, IndexBuildReport, IndexManager
 from repro.objects.codec import INLINE_SET_LIMIT_BYTES, InlineSet
 from repro.objects.database import Database, PersistentCollection
 from repro.objects.handle import HandleMode
+from repro.simtime.host import collector_paused
 from repro.storage.rid import NIL_RID, Rid
 from repro.txn import TransactionManager
 
@@ -89,6 +90,7 @@ class DerbyDatabase:
         self.db.reset_meters()
 
 
+@collector_paused()  # every object a load allocates, it keeps
 def load_derby(
     config: DerbyConfig,
     logical: LogicalDatabase | None = None,

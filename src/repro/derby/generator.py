@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from repro.derby.config import DerbyConfig
 from repro.derby.lrand48 import Lrand48
 from repro.derby.schema import character_name
+from repro.simtime.host import collector_paused
 
 
 @dataclass
@@ -66,6 +67,7 @@ class LogicalDatabase:
 _SPECIALTIES = ("cardiology", "oncology", "pediatrics", "surgery", "gp")
 
 
+@collector_paused()  # a million live objects and no garbage
 def generate(config: DerbyConfig) -> LogicalDatabase:
     """Generate the logical database for ``config`` deterministically."""
     rng = Lrand48(config.seed)

@@ -12,6 +12,10 @@ it silently.  This rule flags:
   no-argument ``Random()``) — seeded ``random.Random(seed)`` is the
   sanctioned idiom;
 * ``id()`` used as a sort key;
+* the cyclic collector's switches (``disable``, ``enable``, ``freeze``,
+  ``collect`` of the ``gc`` module) anywhere but the host module,
+  ``repro.simtime.host``: a pause that is not restored on every path, or
+  a process-global freeze, changes what the next measurement costs;
 * iterating a set (literal, ``set()`` call, set algebra) into ordered
   output without ``sorted()`` — ``for``/comprehensions and
   order-preserving consumers (``list``, ``tuple``, ``enumerate``,
@@ -44,6 +48,20 @@ _WALL_CLOCK = {
     ("uuid", "uuid1"): "OS entropy",
     ("uuid", "uuid4"): "OS entropy",
 }
+
+#: The cyclic collector's switches, and the one module that may throw
+#: them (behind ``collector_paused`` / ``collect_garbage``).
+_COLLECTOR = {
+    ("gc", "disable"),
+    ("gc", "enable"),
+    ("gc", "freeze"),
+    ("gc", "collect"),
+}
+_HOST_MODULE = "repro.simtime.host"
+_COLLECTOR_ADVICE = (
+    "switches the process's cyclic collector; only "
+    f"{_HOST_MODULE} may (use its collector_paused / collect_garbage)"
+)
 
 #: module-level ``random.X`` functions that use the shared, unseeded
 #: global generator.
@@ -137,9 +155,16 @@ class _DetVisitor(ast.NodeVisitor):
 
     # -- imports -----------------------------------------------------------
 
+    def _collector_switch(self, pair: tuple) -> bool:
+        return pair in _COLLECTOR and self.module.name != _HOST_MODULE
+
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
-            if (node.module, alias.name) in _BAD_IMPORTS:
+            if self._collector_switch((node.module, alias.name)):
+                self._flag(
+                    node, f"import of {node.module}.{alias.name} {_COLLECTOR_ADVICE}"
+                )
+            elif (node.module, alias.name) in _BAD_IMPORTS:
                 self._flag(
                     node,
                     f"import of {node.module}.{alias.name} brings a "
@@ -168,6 +193,8 @@ class _DetVisitor(ast.NodeVisitor):
                 f"random.{suffix[1]}() uses the global unseeded generator; "
                 "use a random.Random(seed) instance",
             )
+        elif self._collector_switch(suffix):
+            self._flag(node, f"{'.'.join(suffix)}() {_COLLECTOR_ADVICE}")
         elif chain and chain[-1] == "Random" and not node.args and not node.keywords:
             self._flag(
                 node,

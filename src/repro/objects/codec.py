@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.objects.header import (
@@ -68,6 +68,14 @@ def encode_rids(rids: Sequence[Rid]) -> bytes:
 
 def decode_rid(buf: bytes, offset: int = 0) -> Rid:
     return rid_of(_RID.unpack_from(buf, offset))
+
+
+def decode_rids(buf: bytes) -> Iterator[Rid]:
+    """The rids packed back to back in ``buf`` (a whole number of them),
+    in one pass of the struct: what :func:`encode_rids` wrote.  (An
+    inline set decodes the same way, spelled out in ``_decode_set`` to
+    spare a set read the call.)"""
+    return map(rid_of, _RID.iter_unpack(buf))
 
 
 @dataclass(frozen=True)
@@ -135,23 +143,33 @@ def _set_reader(position: int, at: int) -> Reader:
     def read(record: bytes) -> object:
         offset = at + SLOT_BYTES * record[SLOT_COUNT_BYTE]
         for __ in range(position):
-            offset = _decode_set(record, offset)[1]
+            offset = _set_end(record, offset)
         return _decode_set(record, offset)[0]
 
     return read
 
 
-def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, int]:
-    """The set at ``offset`` and the offset just past it."""
+def _set_end(record: bytes, offset: int) -> int:
+    """The offset just past the set at ``offset``, from its prefix
+    alone.  The one place the set layout's extent is written:
+    ``[tag, count]`` then one head rid (overflow) or ``count`` rids."""
     tag, count = _SET_PREFIX.unpack_from(record, offset)
-    offset += _SET_PREFIX.size
     if tag == 1:
-        return OverflowSet(decode_rid(record, offset), count), offset + _RID.size
-    end = offset + count * _RID.size
+        return offset + _SET_PREFIX.size + _RID.size
+    end = offset + _SET_PREFIX.size + count * _RID.size
     if end > len(record):  # a slice would silently stop short
         raise struct.error(f"inline set of {count} rids overruns its record")
-    rids = tuple(map(rid_of, _RID.iter_unpack(record[offset:end])))
-    return InlineSet(rids), end
+    return end
+
+
+def _decode_set(record: bytes, offset: int) -> tuple[InlineSet | OverflowSet, int]:
+    """The set at ``offset`` and the offset just past it."""
+    end = _set_end(record, offset)
+    body = offset + _SET_PREFIX.size
+    if record[offset] == 1:  # the tag: overflow
+        count = _SET_PREFIX.unpack_from(record, offset)[1]
+        return OverflowSet(decode_rid(record, body), count), end
+    return InlineSet(tuple(map(rid_of, _RID.iter_unpack(record[body:end])))), end
 
 
 def _encode_set(name: str, value: object) -> bytes:
@@ -306,7 +324,7 @@ class RecordCodec:
         offset = base + self.scalar_size
         for set_name in self.set_names:
             start = offset
-            __, offset = _decode_set(record, offset)
+            offset = _set_end(record, offset)
             if set_name == name:
                 return record[:start] + _encode_set(name, value) + record[offset:]
         raise SchemaError(f"class {self.class_def.name!r} has no set {name!r}")

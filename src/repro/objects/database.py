@@ -24,6 +24,7 @@ from repro.objects.codec import (
     OverflowSet,
     RecordCodec,
     decode_rid,
+    decode_rids,
     encode_rid,
     encode_rids,
 )
@@ -35,6 +36,7 @@ from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
 from repro.storage.rid import NIL_RID, Rid
+from repro.units import US_PER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.btree import BTreeIndex
@@ -90,11 +92,7 @@ class PersistentCollection:
         self.flush()
         sfile = self._db.collections_file
         for chunk_rid in self._chunk_rids:
-            record = sfile.read(chunk_rid)
-            (count,) = _CHUNK_PREFIX.unpack_from(record, 0)
-            base = _CHUNK_PREFIX.size + Rid.DISK_SIZE  # skip next-ptr
-            for i in range(count):
-                yield decode_rid(record, base + i * Rid.DISK_SIZE)
+            yield from _decode_chunk(sfile.read(chunk_rid))[0]
 
     def _flush_chunk(self) -> None:
         chunk = _encode_chunk(self._pending, NIL_RID)
@@ -110,8 +108,10 @@ def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
     (count,) = _CHUNK_PREFIX.unpack_from(record, 0)
     next_rid = decode_rid(record, _CHUNK_PREFIX.size)
     base = _CHUNK_PREFIX.size + Rid.DISK_SIZE
-    rids = [decode_rid(record, base + i * Rid.DISK_SIZE) for i in range(count)]
-    return rids, next_rid
+    end = base + count * Rid.DISK_SIZE
+    if end > len(record):  # a slice would silently stop short
+        raise struct.error(f"chunk of {count} rids overruns its record")
+    return list(decode_rids(record[base:end])), next_rid
 
 
 def _new_object_header(
@@ -150,12 +150,15 @@ class Database:
         self.version_manager = None
         self._files: dict[str, StorageFile] = {}
         self._names: dict[str, PersistentCollection] = {}
-        #: ``(codec, indexed, index_ids)`` -> encoded header of a new
-        #: object: the codec stands for the class version (id and schema
-        #: version), the rest for the slots reserved and stamped.  Built
-        #: (and range-checked) once through :class:`ObjectHeader`.
-        self._new_headers: dict[
-            tuple[RecordCodec, bool, tuple[int, ...]], bytes
+        #: ``(schema revision, class name, file name, indexed,
+        #: index_ids)`` -> everything :meth:`create_object` resolves
+        #: from its arguments: the class version's codec, the encoded
+        #: header of a new object (built and range-checked once through
+        #: :class:`ObjectHeader`) and the file.  A load creates its
+        #: objects under a handful of keys.
+        self._creates: dict[
+            tuple[int, str, str, bool, tuple[int, ...]],
+            tuple[RecordCodec, bytes, StorageFile],
         ] = {}
 
     # -- files ---------------------------------------------------------------
@@ -223,23 +226,26 @@ class Database:
         memberships directly into the fresh header (the create-index-
         before-loading workflow).
         """
-        class_def = self.schema.cls(class_name)
-        codec = self.manager.codec(class_def)
-        indexed = bool(indexed or index_ids)
-        key = (codec, indexed, index_ids)
+        key = (self.schema.revision, class_name, file_name, indexed, index_ids)
         try:
-            header = self._new_headers[key]
+            codec, header, sfile = self._creates[key]
         except KeyError:
-            header = self._new_headers[key] = _new_object_header(
-                class_def, indexed, index_ids
+            class_def = self.schema.cls(class_name)
+            codec, header, sfile = self._creates[key] = (
+                self.manager.codec(class_def),
+                _new_object_header(
+                    class_def, bool(indexed or index_ids), index_ids
+                ),
+                self.file(file_name),
             )
         if codec.set_names:
             values = dict(values)
             for name in codec.set_names:
                 values[name] = self.prepare_set(values.get(name))
         record = header + codec.encode_body(values)
-        self.clock.charge_us(Bucket.LOAD, self.params.object_create_us)
-        return self.file(file_name).insert(record)
+        # charge_us(LOAD, object_create_us), without the call
+        self.clock.buckets[Bucket.LOAD] += self.params.object_create_us / US_PER_S
+        return sfile.insert(record)
 
     def prepare_set(self, value: object) -> InlineSet | OverflowSet:
         """Normalize a set value: small sequences stay inline, large ones

@@ -199,8 +199,7 @@ class ObjectManager:
         record, actual = sfile.read_resolving(rid)
         class_def = self.class_of(record)
         new_record = self.codec(class_def).update_scalar(record, name, value)
-        self._invalidate_handle(rid, actual, new_record, class_def)
-        return sfile.update(actual, new_record)
+        return self._write_back(sfile, rid, actual, record, new_record, class_def)
 
     def update_set(self, rid: Rid, name: str, value: InlineSet | OverflowSet) -> Rid:
         """Rewrite one set attribute; the record may grow and move."""
@@ -208,8 +207,7 @@ class ObjectManager:
         record, actual = sfile.read_resolving(rid)
         class_def = self.class_of(record)
         new_record = self.codec(class_def).update_set(record, name, value)
-        self._invalidate_handle(rid, actual, new_record, class_def)
-        return sfile.update(actual, new_record)
+        return self._write_back(sfile, rid, actual, record, new_record, class_def)
 
     def upgrade_record(self, rid: Rid) -> Rid:
         """Rewrite an object at its class's latest schema version.
@@ -232,8 +230,7 @@ class ObjectManager:
         self.handles.clock.charge_us(
             Bucket.LOAD, self.handles.params.object_create_us
         )
-        self._invalidate_handle(rid, actual, new_record, latest)
-        return sfile.update(actual, new_record)
+        return self._write_back(sfile, rid, actual, record, new_record, latest)
 
     def rewrite_header(self, rid: Rid, header: ObjectHeader) -> Rid:
         """Replace an object's header (index-slot growth); the record
@@ -243,30 +240,45 @@ class ObjectManager:
         record, actual = sfile.read_resolving(rid)
         old_size = ObjectHeader.peek_size(record)
         new_record = header.encode() + record[old_size:]
-        self._invalidate_handle(rid, actual, new_record, self.class_of(new_record))
-        return sfile.update(actual, new_record)
+        return self._write_back(
+            sfile, rid, actual, record, new_record, self.class_of(new_record)
+        )
 
-    def _invalidate_handle(
-        self, rid: Rid, actual: Rid, new_record: bytes, class_def: ClassDef
-    ) -> None:
-        """Keep any cached handle's record *and class* in step with a
+    def _write_back(
+        self,
+        sfile: StorageFile,
+        rid: Rid,
+        actual: Rid,
+        record: bytes,
+        new_record: bytes,
+        class_def: ClassDef,
+    ) -> Rid:
+        """The second half of every mutation: ``record``, which
+        ``read_resolving(rid)`` found at ``actual``, becomes
+        ``new_record`` -- in the handle table first, then on its page.
+        Returns the rid where the record now lives.
+
+        Any cached handle's record *and class* are kept in step with the
         write, under the address the caller used and under the one the
         record lives at.  A live handle takes both; a parked one (which
         :meth:`HandleTable.reference` revives without reloading) takes
         the record, or is dropped when the write changed the layout
-        under it (``upgrade_record``; restoring an older snapshot)."""
+        under it (``upgrade_record``; restoring an older snapshot).  A
+        bulk load holds no handle at all, and probes nothing."""
         handles = self.handles
-        for key in (rid, actual):
-            live = handles._live.get(key)
-            if live is not None:
-                live.record = new_record
-                live.class_def = class_def
-            parked = handles._parked.get(key)
-            if parked is not None:
-                if parked.class_def is class_def:
-                    parked.record = new_record
-                else:
-                    del handles._parked[key]
+        if handles._live or handles._parked:
+            for key in (rid,) if actual == rid else (rid, actual):
+                live = handles._live.get(key)
+                if live is not None:
+                    live.record = new_record
+                    live.class_def = class_def
+                parked = handles._parked.get(key)
+                if parked is not None:
+                    if parked.class_def is class_def:
+                        parked.record = new_record
+                    else:
+                        del handles._parked[key]
+        return sfile.replace(actual, record, new_record)
 
 
 def require_class(schema: Schema, name: str) -> ClassDef:

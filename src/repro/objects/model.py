@@ -147,6 +147,11 @@ class Schema:
         #: class_id -> every version of the class, oldest first.
         self._history: dict[int, list[ClassDef]] = {}
         self._next_id = 1
+        #: Bumped by every :meth:`define` and :meth:`evolve`: a class
+        #: name means one class version for as long as this stands
+        #: still, so a cache keyed on (revision, name) is keyed on the
+        #: class version and is never invalidated.
+        self.revision = 0
 
     def define(
         self,
@@ -167,6 +172,7 @@ class Schema:
         self._by_name[name] = cls
         self._by_id[cls.class_id] = cls
         self._history[cls.class_id] = [cls]
+        self.revision += 1
         return cls
 
     def evolve(self, name: str, new_attributes: list[AttributeDef]) -> ClassDef:
@@ -201,6 +207,7 @@ class Schema:
         self._by_name[name] = evolved
         self._by_id[current.class_id] = evolved
         self._history[current.class_id].append(evolved)
+        self.revision += 1
         return evolved
 
     def class_version(self, class_id: int, version: int) -> ClassDef:

@@ -147,12 +147,10 @@ class VersionManager:
         snapshot = self._file().read(info.snapshot_rid)
         manager = self.db.manager
         sfile = manager.file_for(rid)
-        __, actual = sfile.read_resolving(rid)
-        new_rid = sfile.update(actual, snapshot)
-        manager._invalidate_handle(
-            rid, actual, snapshot, manager.class_of(snapshot)
+        record, actual = sfile.read_resolving(rid)
+        return manager._write_back(
+            sfile, rid, actual, record, snapshot, manager.class_of(snapshot)
         )
-        return new_rid
 
     # -- persistence -----------------------------------------------------
 

@@ -188,7 +188,9 @@ class DiskManager:
 
         No I/O is charged — a power cut is free.  Bookkeeping such as
         file ids and page counts of *written* pages survives, exactly as
-        a real volume's metadata would.
+        a real volume's metadata would.  Each file's page list is
+        refilled in place: a :class:`~repro.storage.file.StorageFile`
+        holds on to it across the crash.
         """
         durable_tail: dict[int, int] = {}
         for file_id, page_no in self._durable:
@@ -203,7 +205,7 @@ class DiskManager:
                 if image is not None:
                     page.restore(image)
                 pages.append(page)
-            self._files[file_id] = pages
+            self._files[file_id][:] = pages
 
     # -- internals ---------------------------------------------------------
 

@@ -44,6 +44,10 @@ class StorageFile:
             (disk.page_size - PAGE_HEADER_SIZE) * (1.0 - fill_factor)
         )
         self._record_count = 0
+        #: The disk's own page list for this file (one object for the
+        #: life of the file: a crash refills it in place), so the tail
+        #: an append goes to is a list index, not a catalog call.
+        self._pages = disk._file(self.file_id)
 
     # -- sizing ----------------------------------------------------------
 
@@ -105,14 +109,15 @@ class StorageFile:
         """
         self._check_file(rid)
         origin = rid
-        origin_page = self.pager.get_page(rid.file_id, rid.page_no)
-        page = origin_page
-        target = origin_page.forward_target(rid.slot)
-        if target is not None:
-            page = self.pager.get_page(target.file_id, target.page_no)
-            rid = target
-        if page.update(rid.slot, record):
-            self.pager.mark_dirty(rid.file_id, rid.page_no)
+        origin_page = page = self.pager.get_page(rid.file_id, rid.page_no)
+        old = origin_page.resolve(rid.slot)
+        if old.__class__ is not bytes:  # forwarded: the record is one hop on
+            rid = old
+            page = self.pager.get_page(rid.file_id, rid.page_no)
+            old = page.read(rid.slot)
+        if page.replace(rid.slot, old, record):
+            if not self.pager.write_back:  # else fetched last: resident
+                self.pager.mark_dirty(rid.file_id, rid.page_no)
             return rid
         new_rid = self._move(rid, page, record)
         if origin != rid:
@@ -121,6 +126,21 @@ class StorageFile:
             page.delete(rid.slot)
             self.pager.mark_dirty(origin.file_id, origin.page_no)
         return new_rid
+
+    def replace(self, rid: Rid, old: bytes, record: bytes) -> Rid:
+        """:meth:`update` for a caller that holds what
+        :meth:`read_resolving` has just returned: ``old`` is the record
+        and ``rid`` where it lives, so no slot is probed a second time.
+        The page is still fetched through the pager -- that access is a
+        counted cache hit and an LRU touch, both part of every pinned
+        output."""
+        file_id, page_no, slot = rid
+        page = self.pager.get_page(file_id, page_no)
+        if page.replace(slot, old, record):
+            if not self.pager.write_back:  # else fetched last: resident
+                self.pager.mark_dirty(file_id, page_no)
+            return rid
+        return self._move(rid, page, record)
 
     def delete(self, rid: Rid) -> None:
         """Remove the record at ``rid`` (following a forwarding hop)."""
@@ -166,11 +186,12 @@ class StorageFile:
         it, or a record between ``fill_factor`` and a full page could be
         stored nowhere.
         """
-        n = self.disk.num_pages(self.file_id)
-        if n:
-            page = self.pager.get_page(self.file_id, n - 1)
+        pages = self._pages
+        if pages:
+            last = pages[-1].page_no
+            page = self.pager.get_page(self.file_id, last)
             used = page.used_bytes
-            if n - 1 != avoid and (
+            if last != avoid and (
                 not used or need + self._slack <= page.capacity - used
             ):
                 return page, True

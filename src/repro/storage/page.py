@@ -173,8 +173,19 @@ class Page:
                 f"cannot update forwarded slot {slot} of page "
                 f"{self.file_id}:{self.page_no}"
             )
-        delta = len(record) - len(found)
-        if delta > self.free_bytes:
+        return self.replace(slot, found, record)
+
+    def replace(self, slot: int, old: bytes, record: bytes) -> bool:
+        """:meth:`update` for a caller that holds ``old``, the record it
+        has just read from ``slot``: the slot directory is not probed
+        again, only checked to hold that very object."""
+        if self._slots[slot] is not old:
+            raise RecordNotFoundError(
+                f"slot {slot} of page {self.file_id}:{self.page_no} no "
+                "longer holds the record that was read from it"
+            )
+        delta = len(record) - len(old)
+        if delta > self.capacity - self.used_bytes:
             return False
         self._slots[slot] = record
         self.used_bytes += delta

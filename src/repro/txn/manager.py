@@ -79,10 +79,9 @@ class Transaction:
         self._view: SnapshotView | None = None
         self._write_set: set[Rid] = set()
         self._created: list[Rid] = []
-
-    @property
-    def _physical(self) -> bool:
-        return self.logged and self.manager.recovery
+        #: Whether this transaction writes page images to the log: fixed
+        #: at ``begin`` (a manager is built in recovery mode or not).
+        self._physical = logged and manager.recovery
 
     @property
     def view(self) -> SnapshotView | None:
@@ -106,7 +105,8 @@ class Transaction:
     ) -> Rid:
         """Create an object inside this transaction, enforcing the
         object budget and paying log + lock overhead when logged."""
-        self._require_active()
+        if self.state != "active":
+            self._require_active()  # raises
         if self.objects_created >= self.manager.object_budget:
             raise TransactionMemoryError(
                 f"transaction {self.txn_id} created "

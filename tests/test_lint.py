@@ -39,6 +39,17 @@ def test_det_flags_set_iteration():
     assert "sorted()" in findings[0].message
 
 
+def test_det_flags_a_collector_switch_outside_the_host_module():
+    findings = lint_fixture("det_collector.py", ("DET",))
+    assert [f.rule for f in findings] == ["DET"]
+    assert findings[0].line == 8
+    assert "repro.simtime.host" in findings[0].message
+
+
+def test_det_lets_the_host_module_switch_the_collector():
+    assert lint_fixture("repro/simtime/host.py", ("DET",)) == []
+
+
 def test_pair_flags_unguarded_release():
     findings = lint_fixture("pair_leak.py", ("PAIR",))
     assert [f.rule for f in findings] == ["PAIR"]

@@ -14,7 +14,16 @@ from repro.derby.lrand48 import Lrand48
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects import AttributeDef, AttrKind, Database, Schema
-from repro.objects.codec import InlineSet, OverflowSet, RecordCodec
+from repro.objects.codec import (
+    InlineSet,
+    OverflowSet,
+    RecordCodec,
+    _decode_set,
+    _encode_set,
+    _set_end,
+    decode_rid,
+)
+from repro.objects.database import CHUNK_RIDS, _decode_chunk, _encode_chunk
 from repro.objects.header import ObjectHeader
 from repro.simtime import Bucket, CostParams, MemoryModel, SimClock
 from repro.storage import DirectPager, DiskManager, Rid, StorageFile
@@ -160,6 +169,70 @@ class TestCodecProperties:
             assert read(record) == full[name] == codec.decode_attr(record, name)
         assert (full["mrn"], full["flag"], full["friends"]) == (
             values["mrn"], values["flag"], friends,
+        )
+
+
+_RID_STRATEGY = st.builds(
+    Rid,
+    st.integers(min_value=-1, max_value=2**15 - 1),
+    st.integers(min_value=-1, max_value=2**31 - 1),
+    st.integers(min_value=-1, max_value=2**15 - 1),
+)
+_SET_STRATEGY = st.one_of(
+    st.builds(InlineSet, st.lists(_RID_STRATEGY, max_size=12).map(tuple)),
+    st.builds(OverflowSet, _RID_STRATEGY, st.integers(0, 2**32 - 1)),
+)
+
+
+class TestSetExtentProperties:
+    """``_set_end`` finds where a set ends from its prefix alone; it is
+    the bounds of ``_decode_set`` and how ``update_set`` and the set
+    readers walk past the sets they do not want."""
+
+    @given(sets=st.lists(_SET_STRATEGY, min_size=1, max_size=4),
+           lead=st.binary(max_size=9), tail=st.binary(max_size=9))
+    @settings(max_examples=100)
+    def test_end_is_where_the_decoder_stops_and_the_next_set_starts(
+        self, sets, lead, tail
+    ):
+        encoded = [_encode_set("s", value) for value in sets]
+        record = lead + b"".join(encoded) + tail
+        offset = len(lead)
+        for value, raw in zip(sets, encoded):
+            end = _set_end(record, offset)
+            assert end == offset + len(raw)
+            assert _decode_set(record, offset) == (value, end)
+            offset = end
+        assert record[offset:] == tail
+
+    @given(rids=st.lists(_RID_STRATEGY, min_size=1, max_size=12),
+           cut=st.integers(min_value=1, max_value=8))
+    @settings(max_examples=50)
+    def test_an_inline_set_that_overruns_its_record_is_an_error(self, rids, cut):
+        record = _encode_set("s", InlineSet(tuple(rids)))
+        for walk in (_set_end, _decode_set):
+            with pytest.raises(struct.error, match="overruns its record"):
+                walk(record[:-cut], 0)
+
+    @given(first=_SET_STRATEGY, second=_SET_STRATEGY, new=_SET_STRATEGY,
+           which=st.sampled_from(["a", "b"]))
+    @settings(max_examples=100)
+    def test_update_set_replaces_one_set_and_only_that(
+        self, first, second, new, which
+    ):
+        schema = Schema()
+        cls = schema.define("Two", [
+            AttributeDef("x", AttrKind.INT32),
+            AttributeDef("a", AttrKind.REF_SET),
+            AttributeDef("b", AttrKind.REF_SET),
+        ])
+        codec = RecordCodec(cls)
+        values = {"x": 7, "a": first, "b": second}
+        record = codec.encode(ObjectHeader(cls.class_id, slot_count=1), values)
+        updated = codec.update_set(record, which, new)
+        assert codec.decode(updated) == {**values, which: new}
+        assert updated == codec.encode(
+            ObjectHeader(cls.class_id, slot_count=1), {**values, which: new}
         )
 
 
@@ -456,6 +529,63 @@ class TestCollectionProperties:
         coll.extend(rids)
         assert list(coll.iter_rids()) == rids
         assert len(coll) == n
+
+    @staticmethod
+    def reference_decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
+        """One ``decode_rid`` per rid: the decoder this file replaced."""
+        (count,) = struct.unpack_from("<I", record, 0)
+        return (
+            [decode_rid(record, 12 + 8 * i) for i in range(count)],
+            decode_rid(record, 4),
+        )
+
+    @given(
+        rids=st.one_of(
+            st.lists(_RID_STRATEGY, max_size=5),
+            st.lists(_RID_STRATEGY, min_size=CHUNK_RIDS, max_size=CHUNK_RIDS),
+        ),
+        next_rid=st.one_of(st.just(NIL_RID), _RID_STRATEGY),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_roundtrip_matches_the_per_rid_reference(self, rids, next_rid):
+        record = _encode_chunk(rids, next_rid)
+        assert len(record) == 12 + 8 * len(rids)
+        decoded = _decode_chunk(record)
+        assert decoded == (rids, next_rid) == self.reference_decode_chunk(record)
+        assert all(type(rid) is Rid for rid in decoded[0])
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_RIDS])
+    @pytest.mark.parametrize("next_rid", [NIL_RID, Rid(3, 70_000, 12)])
+    def test_chunk_roundtrip_at_the_boundaries(self, n, next_rid):
+        rids = [Rid(1, 40_000 + i, i % 90) for i in range(n)]
+        record = _encode_chunk(rids, next_rid)
+        assert _decode_chunk(record) == (rids, next_rid)
+        assert _decode_chunk(record) == self.reference_decode_chunk(record)
+
+    def test_truncated_chunk_is_an_error(self):
+        record = _encode_chunk([Rid(0, 1, 2), Rid(0, 1, 3)], NIL_RID)
+        with pytest.raises(struct.error, match="overruns its record"):
+            _decode_chunk(record[:-1])
+
+    def test_iter_rids_and_iter_set_rids_share_the_chunk_decoder(self, monkeypatch):
+        from repro.objects import database
+
+        seen = []
+        real = database._decode_chunk
+        monkeypatch.setattr(
+            database, "_decode_chunk",
+            lambda record: seen.append(len(record)) or real(record),
+        )
+        schema = Schema()
+        schema.define("T", [AttributeDef("x", AttrKind.INT32)])
+        db = Database(schema)
+        db.create_file("t")
+        rids = [db.create_object("T", {"x": i}, "t") for i in range(CHUNK_RIDS + 3)]
+        coll = db.new_collection()
+        coll.extend(rids)
+        assert list(coll.iter_rids()) == rids
+        assert list(db.iter_set_rids(db.spill_set(rids))) == rids
+        assert seen == [12 + 8 * CHUNK_RIDS, 12 + 8 * 3] * 2
 
 
 # ------------------------------------------------------------- clock / sort

@@ -394,6 +394,47 @@ class TestStorageFile:
         assert record == big
         assert actual == new_rid
 
+    def test_replace_is_update_for_a_reader_that_holds_the_record(self):
+        """Same outcomes as ``update(actual, ...)`` -- in place, moved --
+        from what ``read_resolving`` returned, and one page fetch."""
+        sfile = make_file(fill_factor=1.0)
+        rids = [sfile.insert(b"a" * 500) for __ in range(8)]
+        record, actual = sfile.read_resolving(rids[1])
+        reads = sfile.disk.counters.disk_reads
+        assert sfile.replace(actual, record, b"c" * 400) == rids[1]
+        assert sfile.disk.counters.disk_reads == reads + 1  # DirectPager
+        assert sfile.read(rids[1]) == b"c" * 400
+        record, actual = sfile.read_resolving(rids[0])
+        moved = sfile.replace(actual, record, b"b" * 3000)
+        assert moved != rids[0] and sfile.disk.counters.records_moved == 1
+        assert sfile.read_resolving(rids[0]) == (b"b" * 3000, moved)
+
+    def test_replace_refuses_a_record_that_is_no_longer_there(self):
+        sfile = make_file()
+        rid = sfile.insert(b"first")
+        stale = sfile.read(rid)
+        sfile.update(rid, b"second")
+        with pytest.raises(RecordNotFoundError, match="no longer holds"):
+            sfile.replace(rid, stale, b"third")
+        assert sfile.read(rid) == b"second"
+
+    def test_append_finds_the_tail_the_crash_left(self):
+        """A crash drops the pages that were never written; the file's
+        next append goes to the durable tail, not to a page that is
+        gone."""
+        sfile = make_file()  # DirectPager: every mark_dirty is a write
+        disk = sfile.disk
+        for __ in range(3):
+            sfile.insert(b"x" * 3000)  # one per page, written
+        lost = disk.allocate_page(sfile.file_id)  # allocated, never written
+        assert (lost.page_no, sfile.num_pages) == (3, 4)
+        disk.crash()
+        assert sfile.num_pages == 3
+        rid = sfile.insert(b"y" * 3000)
+        assert (rid.page_no, sfile.num_pages) == (3, 4)
+        assert sfile.read(rid) == b"y" * 3000
+        assert sfile.insert(b"z").page_no == 3  # and keeps filling it
+
     def test_scan_yields_each_live_record_once(self):
         sfile = make_file()
         payloads = [f"rec-{i}".encode() for i in range(200)]
