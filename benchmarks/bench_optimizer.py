@@ -57,7 +57,7 @@ from repro.derby.config import Clustering
 from repro.opt import CostBasedOptimizer
 from repro.oql import Catalog, OQLEngine
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
-from repro.stats import optimizer_to_csv
+from repro.stats import records_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
@@ -77,7 +77,8 @@ CLUSTERINGS = (
 
 @dataclass
 class Cell:
-    """One leaderboard row (the ``optimizer_to_csv`` column contract)."""
+    """One leaderboard row; its fields minus ``query`` are the CSV
+    columns."""
 
     family: str           # "selection" | "tree-join"
     database: str
@@ -360,7 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
     out.write_text(str(table))
-    pathlib.Path(args.csv).write_text(optimizer_to_csv(cells))
+    pathlib.Path(args.csv).write_text(
+        records_to_csv(Cell, cells, exclude=("query",))
+    )
     payload = {
         "benchmark": "optimizer_leaderboard",
         "scale": scale,

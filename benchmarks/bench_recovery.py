@@ -22,6 +22,7 @@ and ``results/recovery_runs.csv``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from random import Random
 
 import pytest
@@ -29,7 +30,7 @@ import pytest
 from repro.bench.report import Table
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery import crash_database, restart, take_checkpoint
-from repro.stats import StatsDatabase, recovery_to_csv
+from repro.stats import StatsDatabase, records_to_csv
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
 
@@ -106,9 +107,26 @@ def _update_run(
     }
 
 
+@dataclass
 class _CsvRow:
-    def __init__(self, **kw):
-        self.__dict__.update(kw)
+    """One recovery run; its fields are the columns of
+    ``results/recovery_runs.csv``."""
+
+    label: str
+    crash_point: str
+    checkpoint_every: int
+    txns: int
+    updates: int
+    committed: int
+    lost: int
+    recovery_s: float
+    log_records_scanned: int
+    log_pages_read: int
+    pages_redone: int
+    records_redone: int
+    txns_undone: int
+    records_undone: int
+    durability_ok: int
 
 
 def _csv_row(label, crash_point, checkpoint_every, txns, updates, run) -> _CsvRow:
@@ -173,7 +191,9 @@ def test_recovery_vs_checkpoint_interval(benchmark, save_table):
                "(see recovery_loading.txt for the transaction-off half "
                "of the trade)")
     save_table("recovery_checkpoint_sweep", table)
-    (RESULTS_DIR / "recovery_runs.csv").write_text(recovery_to_csv(csv_rows))
+    (RESULTS_DIR / "recovery_runs.csv").write_text(
+        records_to_csv(_CsvRow, csv_rows)
+    )
 
     seconds = [runs[c]["report"].seconds for c in CHECKPOINT_POLICIES]
     # CHECKPOINT_POLICIES orders checkpoints least->most frequent, so

@@ -70,7 +70,7 @@ from repro.dist import (
     load_sharded,
 )
 from repro.recovery import run_suite, suite_fingerprint
-from repro.stats import replication_to_csv
+from repro.stats import records_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
@@ -163,7 +163,7 @@ class AvailabilityRun:
 
 @dataclass
 class ShardCsvRow:
-    """One shard's replication meters (``replication_to_csv``)."""
+    """One shard's replication meters; its fields are the CSV columns."""
 
     label: str
     n_shards: int
@@ -552,7 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(
         str(table) + "\n" + str(FAILOVER.summarize(chaos_sync + chaos_async))
     )
-    pathlib.Path(args.csv).write_text(replication_to_csv(csv_rows))
+    pathlib.Path(args.csv).write_text(
+        records_to_csv(ShardCsvRow, csv_rows)
+    )
     payload = {
         "benchmark": "replication_availability",
         "scale": scale,

@@ -65,7 +65,7 @@ from repro.dist import (
 from repro.dist.exchange import ROW_WIRE_BYTES
 from repro.oql import Catalog, OQLEngine
 from repro.recovery import run_suite, suite_fingerprint
-from repro.stats import sharding_to_csv
+from repro.stats import records_to_csv
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
@@ -117,7 +117,7 @@ class QueryRun:
 
 @dataclass
 class ShardRow:
-    """One shard's meters for one cell (``sharding_to_csv`` contract)."""
+    """One shard's meters for one cell; its fields are the CSV columns."""
 
     label: str
     n_shards: int
@@ -424,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True)
     out.write_text(str(table) + "\n" + str(TWOPC.summarize(chaos)))
-    pathlib.Path(args.csv).write_text(sharding_to_csv(csv_rows))
+    pathlib.Path(args.csv).write_text(records_to_csv(ShardRow, csv_rows))
     payload = {
         "benchmark": "sharding_scaling",
         "scale": scale,

@@ -85,10 +85,6 @@ class ShapeScore:
     mean_spearman: float          # rank correlation of algorithm order
     mean_log_ratio_error: float   # |log10(our ratio / paper ratio)| avg
 
-    @property
-    def winner_rate(self) -> float:
-        return self.winners_matched / self.cells if self.cells else 0.0
-
 
 def score_against_paper(
     figure: str, measurements: list[JoinMeasurement]

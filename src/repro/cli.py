@@ -10,6 +10,8 @@ Commands
 ``load``
     Build a Derby database and print the loading report (the Section
     3.2 numbers).
+``layout``
+    Print the Figure 2 view of a freshly built database's files.
 ``shell``
     An interactive OQL shell over a freshly loaded Derby database:
     shows the optimizer's plan and the simulated meters for every query.
@@ -53,8 +55,8 @@ Commands
     determinism (DET), cost charging (CHARGE), the layering DAG
     (LAYER), paired resource release (PAIR), over-broad excepts (EXC)
     and, over the may-yield call graph, atomic sections (ATOM),
-    protocol order (PROTO) and resources held across a yield (ESCAPE).
-    See ``docs/lint.md``.
+    protocol order (PROTO) and borrowed handles escaping their bracket
+    (ESCAPE).  See ``docs/lint.md``.
 
 Any :class:`~repro.errors.ReproError` a command lets escape — a mix
 with no clients, a cluster with no shards — is printed as ``error: …``
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from repro.bench import ExperimentRunner
 from repro.bench.figures import FIGURES, FigureDriver
@@ -81,6 +83,33 @@ def _make_config(args: argparse.Namespace) -> DerbyConfig:
     return DerbyConfig.paper_db(
         args.db.replace("to", ":"), args.clustering, args.scale
     )
+
+
+def _load(args: argparse.Namespace, announce: TextIO | None = None):
+    """Build the database the ``--db`` options name, first saying so on
+    ``announce`` (``None``: silently)."""
+    config = _make_config(args)
+    if announce is not None:
+        print(f"loading {config.n_providers} providers / "
+              f"{config.n_patients} patients "
+              f"({config.clustering.value} clustering) ...", file=announce)
+    return load_derby(config)
+
+
+def _positive(convert: type) -> Callable[[str], float]:
+    """An argparse ``type=``: ``convert`` (``int`` or ``float``) the
+    text, then insist the number is above zero."""
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+            if value > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a positive {convert.__name__}, not {text!r}"
+        )
+    return parse
 
 
 def _add_optimizer_option(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +142,7 @@ def _add_db_options(parser: argparse.ArgumentParser) -> None:
         help="physical organization (paper, Figure 2)",
     )
     parser.add_argument(
-        "--scale", type=float, default=None,
+        "--scale", type=_positive(float), default=None,
         help="database scale factor (default: REPRO_SCALE or 0.01)",
     )
 
@@ -131,8 +160,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ load
 
 def cmd_load(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    derby = load_derby(config)
+    derby = _load(args)
+    config = derby.config
     report = derby.load_report
     print(f"database        : {config.n_providers} providers, "
           f"{config.n_patients} patients")
@@ -151,11 +180,7 @@ def cmd_load(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ shell
 
 def cmd_shell(args: argparse.Namespace) -> int:
-    config = _make_config(args)
-    print(f"loading {config.n_providers} providers / "
-          f"{config.n_patients} patients "
-          f"({config.clustering.value} clustering) ...")
-    derby = load_derby(config)
+    derby = _load(args, sys.stdout)
     catalog = Catalog.from_derby(derby)
     engine = OQLEngine(
         catalog, optimizer=_make_plan_optimizer(args, catalog)
@@ -205,11 +230,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Multi-session shell: several clients against one shared server."""
     from repro.service import QueryService
 
-    config = _make_config(args)
-    print(f"loading {config.n_providers} providers / "
-          f"{config.n_patients} patients "
-          f"({config.clustering.value} clustering) ...")
-    derby = load_derby(config)
+    derby = _load(args, sys.stdout)
     service = QueryService(derby, optimizer=args.optimizer)
     current = service.open_session("main")
     print("Multi-session shell — one server cache, one lock table, a")
@@ -308,35 +329,18 @@ def cmd_mix(args: argparse.Namespace) -> int:
     from repro.service import MixConfig, WorkloadMixer
     from repro.stats import StatsDatabase, mix_to_csv, to_csv
 
-    if args.navigators or args.scanners or args.updaters:
-        mix_config = MixConfig(
-            navigators=args.navigators,
-            scanners=args.scanners,
-            updaters=args.updaters,
-        )
-    else:
-        mix_config = MixConfig.from_clients(args.clients)
-    from dataclasses import replace as _replace
-    mix_config = _replace(
-        mix_config,
+    mix_config = MixConfig.from_clients(
+        args.clients,
         ops_per_client=args.ops,
         seed=args.seed,
         lock_timeout_s=args.lock_timeout,
         batch_size=args.batch_size,
-        max_retries=args.max_retries,
         budget_pages=args.budget_pages,
-        budget_busy_s=args.budget_busy,
-        budget_rows=args.budget_rows,
-        statement_timeout_s=args.statement_timeout,
         max_active=args.max_active,
         optimizer=args.optimizer,
         isolation=args.isolation,
     )
-    config = _make_config(args)
-    print(f"loading {config.n_providers} providers / "
-          f"{config.n_patients} patients "
-          f"({config.clustering.value} clustering) ...", file=sys.stderr)
-    derby = load_derby(config)
+    derby = _load(args, sys.stderr)
     stats = StatsDatabase()
     mixer = WorkloadMixer(derby, mix_config, stats=stats)
     report = mixer.run()
@@ -355,17 +359,19 @@ def cmd_mix(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ crash
 
+#: ``crash demo`` arms this named crash point and fires it the n-th
+#: time it is reached (the chaos suites sweep every point and seed).
+_DEMO_CRASH_POINT = "mix-run"
+_DEMO_CRASH_OCCURRENCE = 12
+
+
 def cmd_crash_demo(args: argparse.Namespace) -> int:
     """Crash a workload mix at a named point, then recover it."""
     from repro.recovery import CrashInjector
     from repro.service import MixConfig, WorkloadMixer
 
-    config = _make_config(args)
-    print(f"loading {config.n_providers} providers / "
-          f"{config.n_patients} patients "
-          f"({config.clustering.value} clustering) ...", file=sys.stderr)
-    derby = load_derby(config)
-    injector = CrashInjector(args.point, args.occurrence)
+    derby = _load(args, sys.stderr)
+    injector = CrashInjector(_DEMO_CRASH_POINT, _DEMO_CRASH_OCCURRENCE)
     mix_config = MixConfig.from_clients(
         args.clients, ops_per_client=args.ops, seed=args.seed
     )
@@ -374,15 +380,15 @@ def cmd_crash_demo(args: argparse.Namespace) -> int:
     service = mixer.service
     assert service is not None
     if not report.crashed:
-        print(f"mix finished cleanly: crash point {args.point!r} was "
-              f"reached {injector.seen} time(s), needed "
-              f"{args.occurrence}.  Try --occurrence "
-              f"{max(1, injector.seen // 2)} or more --ops.")
+        print(f"mix finished cleanly: crash point {_DEMO_CRASH_POINT!r} "
+              f"was reached {injector.seen} time(s), needed "
+              f"{_DEMO_CRASH_OCCURRENCE}.  Try more --ops.")
         return 1
     wal = service.txm.log
     durable = [r for r in wal.records]
     committed = [r.txn_id for r in durable if r.kind == "commit"]
-    print(f"\ncrash: {args.point} fired on occurrence {injector.seen}")
+    print(f"\ncrash: {_DEMO_CRASH_POINT} fired on occurrence "
+          f"{injector.seen}")
     print(f"  durable log: {len(durable)} records, LSN <= {wal.durable_lsn}")
     print(f"  acked commits before the crash: "
           f"{sum(s.metrics.committed for s in service.sessions)}")
@@ -431,7 +437,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         suite,
         args.cases,
         base_seed=args.seed,
-        check_determinism=not args.no_determinism,
         **params,
     )
     print(suite.summarize(results))
@@ -468,7 +473,7 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
     )
     coordinator = Coordinator(cluster)
     cluster.start_cold()
-    threshold = config.num_threshold(args.selectivity)
+    threshold = config.num_threshold(10.0)  # a 10 % selection
     query = f"select p.age from p in Patients where p.num > {threshold}"
     rows = coordinator.execute(query)
     plan = coordinator.last_plan
@@ -540,7 +545,7 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
     cluster.start_cold()
     detector = cluster.detector
     assert detector is not None
-    victim = args.victim % args.shards
+    victim = 0  # the shard whose primary dies
     cluster.schedule_kill(victim, at_s=args.kill_at)
     print(
         f"{cluster!r}: killing shard {victim}'s primary at "
@@ -575,9 +580,7 @@ def cmd_layout(args: argparse.Namespace) -> int:
     """Print the paper's Figure 2 for a freshly built database."""
     from repro.cluster.inspect import describe_derby_layout
 
-    config = _make_config(args)
-    derby = load_derby(config)
-    print(describe_derby_layout(derby, max_records=args.records))
+    print(describe_derby_layout(_load(args), max_records=args.records))
     return 0
 
 
@@ -588,17 +591,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.opt import StatsCollector, save_table_stats, summarize
     from repro.stats import StatsDatabase
 
-    config = _make_config(args)
-    print(
-        f"building {config.n_providers} providers / {config.n_patients} "
-        f"patients ({config.clustering.value}) ...",
-        file=sys.stderr,
-    )
-    derby = load_derby(config)
+    derby = _load(args, sys.stderr)
     catalog = Catalog.from_derby(derby)
     start_s = derby.db.clock.elapsed_s
-    collector = StatsCollector(catalog, buckets=args.buckets)
-    stats = collector.collect(args.collections or None)
+    stats = StatsCollector(catalog).collect(args.collections or None)
     spent_s = derby.db.clock.elapsed_s - start_s
     for line in summarize(stats):
         print(line)
@@ -617,13 +613,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     from repro.bench.figures import PAPER_ALGORITHMS
     from repro.bench.workloads import SELECTIVITY_GRID
 
-    config = _make_config(args)
-    print(
-        f"building {config.n_providers} providers / {config.n_patients} "
-        f"patients ({config.clustering.value}) ...",
-        file=sys.stderr,
-    )
-    derby = load_derby(config)
+    derby = _load(args, sys.stderr)
     runner = ExperimentRunner(derby)
     runs = runner.run_join_grid(PAPER_ALGORITHMS, SELECTIVITY_GRID)
 
@@ -695,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*FIGURES, "all"],
         help="which figure to build",
     )
-    figures.add_argument("--scale", type=float, default=None)
+    figures.add_argument("--scale", type=_positive(float), default=None)
     figures.set_defaults(func=cmd_figures)
 
     load_cmd = sub.add_parser("load", help="build a database, report costs")
@@ -721,9 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--clients", type=int, default=4,
                      help="client count, dealt round-robin over "
                      "navigator/scanner/updater profiles")
-    mix.add_argument("--navigators", type=int, default=0)
-    mix.add_argument("--scanners", type=int, default=0)
-    mix.add_argument("--updaters", type=int, default=0)
     mix.add_argument("--ops", type=int, default=4,
                      help="operations (transactions) per client")
     mix.add_argument("--seed", type=int, default=1)
@@ -733,17 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--lock-timeout", type=float, default=None,
                      help="lock wait bound in simulated seconds "
                      "(default: none, deadlock detection only)")
-    mix.add_argument("--max-retries", type=int, default=2,
-                     help="retries after a deadlock/lock-timeout abort "
-                          "before an op gives up (default 2)")
     mix.add_argument("--budget-pages", type=int, default=None,
                      help="per-statement client page-fault budget")
-    mix.add_argument("--budget-busy", type=float, default=None,
-                     help="per-statement simulated busy-time budget (s)")
-    mix.add_argument("--budget-rows", type=int, default=None,
-                     help="per-statement peak live-row budget")
-    mix.add_argument("--statement-timeout", type=float, default=None,
-                     help="per-statement elapsed-time limit (simulated s)")
     mix.add_argument("--max-active", type=int, default=None,
                      help="admission control: sessions allowed to run an "
                           "op concurrently (others queue FIFO)")
@@ -769,11 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         "demo", help="crash a mix at a named point, then recover"
     )
     _add_db_options(demo)
-    from repro.recovery import CRASH_POINTS as _POINTS
-    demo.add_argument("--point", choices=_POINTS, default="mix-run",
-                      help="which named crash point to arm")
-    demo.add_argument("--occurrence", type=int, default=12,
-                      help="fire the n-th time the point is reached")
     demo.add_argument("--clients", type=int, default=4)
     demo.add_argument("--ops", type=int, default=4,
                       help="operations (transactions) per client")
@@ -788,15 +761,14 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--suite", choices=CHAOS_SUITES, required=True,
                        help="which suite's cases and invariants to run "
                             "(recovery runs every seed at each crash point)")
-    chaos.add_argument("--cases", type=int, default=25,
-                       help="seeded cases to run")
+    chaos.add_argument("--cases", type=_positive(int), default=25,
+                       help="seeded cases to run (at least one: a run "
+                            "that checked nothing must not pass)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed (case i uses seed base+i)")
     chaos.add_argument("--ship-mode", choices=("sync", "async"), default=None,
                        help="WAL shipping mode of the failover suite "
                             "(default: sync)")
-    chaos.add_argument("--no-determinism", action="store_true",
-                       help="skip the double-run determinism check")
     chaos.set_defaults(func=cmd_chaos)
 
     shard = sub.add_parser(
@@ -812,15 +784,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="number of shard nodes")
     shard_demo.add_argument("--scheme", choices=("hash", "range"),
                             default="hash", help="partitioning scheme")
-    shard_demo.add_argument("--selectivity", type=float, default=10.0,
-                            help="selectivity (%%) of the demo selection")
     shard_demo.add_argument("--clients", type=int, default=4,
                             help="clients in the sharded mix")
     shard_demo.add_argument("--ops", type=int, default=4,
                             help="operations per client")
     shard_demo.add_argument("--seed", type=int, default=1)
-    shard_demo.add_argument("--replicas", type=int, default=0,
-                            help="warm standbys per shard (0 or 1)")
+    shard_demo.add_argument("--replicas", type=int, choices=(0, 1),
+                            default=0, help="warm standbys per shard")
     shard_demo.add_argument("--ship-mode", choices=("sync", "async"),
                             default="sync",
                             help="WAL shipping mode when replicated")
@@ -843,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                                default="hash", help="partitioning scheme")
     failover_demo.add_argument("--ship-mode", choices=("sync", "async"),
                                default="sync", help="WAL shipping mode")
-    failover_demo.add_argument("--victim", type=int, default=0,
-                               help="shard whose primary dies")
     failover_demo.add_argument("--kill-at", type=float, default=0.05,
                                help="kill time on the simulated clock (s)")
     failover_demo.add_argument("--clients", type=int, default=4,
@@ -870,9 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_db_options(analyze)
     analyze.add_argument("collections", nargs="*",
                          help="collections to analyze (default: all)")
-    from repro.opt import DEFAULT_BUCKETS as _BUCKETS
-    analyze.add_argument("--buckets", type=int, default=_BUCKETS,
-                         help="equi-depth histogram buckets per attribute")
     analyze.set_defaults(func=cmd_analyze)
 
     calibrate = sub.add_parser(
@@ -890,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run simlint, the invariant linter (determinism, cost "
-        "charging, layering, pairing, exceptions)",
+        "charging, layering, pairing, exceptions, atomicity, protocols, "
+        "handle escape)",
     )
     add_lint_arguments(lint)
     lint.set_defaults(func=cmd_lint)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.storage.rid import Rid
+from repro.txn.locks import youngest_in_cycle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.node import ShardNode
@@ -88,13 +89,7 @@ class GlobalLockTable:
         self._wait = wait
         self._wake = wake
         for node in self.nodes:
-            sid = node.shard_id
-            node.locks.attach(
-                lambda txn_id, rid, sid=sid: wait(
-                    self.global_of(sid, txn_id), rid
-                ),
-                lambda txn_id, sid=sid: wake(self.global_of(sid, txn_id)),
-            )
+            self.attach_node(node)
 
     def detach(self) -> None:
         self._wait = None
@@ -103,10 +98,11 @@ class GlobalLockTable:
             node.locks.detach()
 
     def attach_node(self, node: "ShardNode") -> None:
-        """Wire one late-arriving node (a promoted replica) into an
-        already-attached table.  Its lock manager never saw the original
-        :meth:`attach` — it was a standby then — so it would run
-        fail-fast and break the scheduler's wait protocol."""
+        """Wire one node's lock manager to the attached scheduler.
+        Also called for a late-arriving node (a promoted replica): its
+        lock manager never saw the original :meth:`attach` — it was a
+        standby then — so it would run fail-fast and break the
+        scheduler's wait protocol."""
         if self._wait is None or self._wake is None:
             return
         sid = node.shard_id
@@ -169,7 +165,7 @@ class GlobalLockTable:
                     g_holder = self.global_of(sid, holder)
                     if g_holder != g_waiter:
                         edges.add(g_holder)
-        victim = _youngest_in_cycle(graph)
+        victim = youngest_in_cycle(graph)
         if victim is not None and victim < 0:
             return None  # a cycle of unregistered branches: not ours
         return victim
@@ -183,36 +179,3 @@ class GlobalLockTable:
     @property
     def waiting_count(self) -> int:
         return sum(n.locks.waiting_count for n in self.nodes)
-
-
-def _youngest_in_cycle(graph: dict[int, set[int]]) -> int | None:
-    """DFS cycle detection over a waits-for graph; returns the maximum
-    id in the first cycle found (deterministic: sorted visit order) or
-    ``None``.  Same policy as ``LockManager.find_deadlock_victim``, over
-    the merged graph."""
-    visiting: set[int] = set()
-    done: set[int] = set()
-    stack: list[int] = []
-
-    def visit(node: int) -> list[int] | None:
-        visiting.add(node)
-        stack.append(node)
-        for succ in sorted(graph.get(node, ())):
-            if succ in visiting:
-                return stack[stack.index(succ):]
-            if succ not in done:
-                cycle = visit(succ)
-                if cycle is not None:
-                    return cycle
-        visiting.discard(node)
-        done.add(node)
-        stack.pop()
-        return None
-
-    for start in sorted(graph):
-        if start in done:
-            continue
-        cycle = visit(start)
-        if cycle is not None:
-            return max(cycle)
-    return None

@@ -23,7 +23,7 @@ with one shard the model degenerates to the single-node timeline
 **Wire costs.**  Every pull is one message: a fixed ``Bucket.RPC``
 overhead plus ``Bucket.TRANSFER`` for the batch's pages at the same
 page-transfer price the client/server wire always charged
-(``rows × row_wire_bytes`` rounded up to pages).
+(``rows × ROW_WIRE_BYTES`` rounded up to pages).
 """
 
 from __future__ import annotations
@@ -75,13 +75,11 @@ class ExchangeOperator(Operator):
         ctx: PipelineContext,
         cluster: "ShardedCluster",
         streams: "list[tuple[ShardNode, Cursor]]",
-        row_wire_bytes: int = ROW_WIRE_BYTES,
         on_batch=None,
     ):
         super().__init__(ctx)
         self.cluster = cluster
         self.streams = streams
-        self.row_wire_bytes = row_wire_bytes
         #: Optional hook fired after every shard pull (the sharded
         #: workload passes the scheduler's ``batch_point`` so shard
         #: streams interleave deterministically with other sessions).
@@ -177,7 +175,7 @@ class ExchangeOperator(Operator):
         clock = self.ctx.db.clock
         params = self.ctx.db.params
         clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
-        nbytes = len(batch) * self.row_wire_bytes
+        nbytes = len(batch) * ROW_WIRE_BYTES
         if batch:
             pages = pages_for_bytes(nbytes, PAGE_SIZE)
             clock.charge_ms(Bucket.TRANSFER, pages * params.page_transfer_ms)

@@ -90,9 +90,6 @@ class PartitionMap:
     #: Global patient index -> index within the shard's patient list.
     patient_local: tuple[int, ...]
 
-    def provider_home(self, global_idx: int) -> tuple[int, int]:
-        return self.provider_shard[global_idx], self.provider_local[global_idx]
-
     def patient_home(self, global_idx: int) -> tuple[int, int]:
         return self.patient_shard[global_idx], self.patient_local[global_idx]
 

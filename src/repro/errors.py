@@ -38,15 +38,6 @@ class PermanentIOError(StorageError):
     the operation aborts."""
 
 
-class BufferError_(ReproError):
-    """Base class for buffer-manager failures (trailing underscore avoids
-    shadowing the builtin :class:`BufferError`)."""
-
-
-class CachePinnedError(BufferError_):
-    """All buffer frames are pinned; no frame can be evicted."""
-
-
 class ObjectError(ReproError):
     """Base class for object-layer failures."""
 
@@ -173,11 +164,6 @@ class QueryError(ReproError):
 
 class OQLSyntaxError(QueryError):
     """The OQL text could not be parsed."""
-
-
-class OQLTypeError(QueryError):
-    """The OQL query is syntactically valid but ill-typed against the
-    schema (unknown name, bad attribute, non-collection in ``from``...)."""
 
 
 class PlanError(QueryError):

@@ -83,7 +83,6 @@ class TreeJoinQuery:
     parent_set: str = "clients"
     parent_project: str = "name"
     child_project: str = "age"
-    transactional_result: bool = True
 
     # -- index scans both sides share ------------------------------------
     #
@@ -134,7 +133,7 @@ class NavigationParentToChild(TreeJoinOperator):
     def _rows(self) -> Iterator[tuple]:
         q, db, om = self.q, self.db, self.db.manager
         buckets = db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         predicate_s = db.params.predicate_us / US_PER_S
         for parent_rid in self._parents:
             with om.borrow(parent_rid) as parent:
@@ -166,7 +165,7 @@ class NavigationChildToParent(TreeJoinOperator):
     def _rows(self) -> Iterator[tuple]:
         q, db, om = self.q, self.db, self.db.manager
         buckets = db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         predicate_s = db.params.predicate_us / US_PER_S
         for child_rid in self._children:
             row = None
@@ -207,7 +206,7 @@ class HashParentsJoin(TreeJoinOperator):
     def _rows(self) -> Iterator[tuple]:
         q, om = self.q, self.db.manager
         buckets = self.db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         for child_rid in self._children:
             row = None
             with om.borrow(child_rid) as child:
@@ -255,7 +254,7 @@ class HashChildrenJoin(TreeJoinOperator):
     def _rows(self) -> Iterator[tuple]:
         q, om = self.q, self.db.manager
         buckets = self.db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         for parent_rid in self._parents:
             matches = self._table.probe_all(parent_rid)
             if not matches:
@@ -307,7 +306,7 @@ class SortMergeJoin(TreeJoinOperator):
         db, om, q = self.db, self.db.manager, self.q
         pairs = self._child_pairs
         buckets = db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         compare_s = db.params.compare_us / US_PER_S
         i, end = 0, len(pairs)  # the merge frontier in ``pairs``
         for parent_rid in self._parent_rids:
@@ -387,7 +386,7 @@ class HybridHashParentsJoin(TreeJoinOperator):
     def _rows(self) -> Iterator[tuple]:
         q, om = self.q, self.db.manager
         buckets = self.db.clock.buckets
-        row_s = self.ctx.result_s(q.transactional_result)
+        row_s = self.ctx.result_s()
         probe_spill = int(16 * self._spill_fraction)
         try:
             for child_rid in self._children:

@@ -221,11 +221,6 @@ class BTreeIndex:
     def leaf_count(self) -> int:
         return len(self._leaf_rids)
 
-    def min_key(self) -> object | None:
-        if not self._leaf_rids:
-            return None
-        return self._first_keys[0]
-
     def selectivity(self, low: object | None, high: object | None) -> float:
         """Estimated fraction of entries in [low, high], from the leaf
         directory (no I/O).

@@ -19,6 +19,14 @@ exhaustively, so this package checks them statically, as AST rules over
     are released on every exit path.
 ``EXC``
     No over-broad ``except`` that can swallow ``repro.errors`` types.
+``ATOM``
+    No read-modify-write of shared server-tier state across a
+    may-yield call without a critical bracket.
+``PROTO``
+    Protocol state machines: transaction lifecycle, the WAL force rule,
+    the 2PC decision-log discipline.
+``ESCAPE``
+    A borrowed handle does not outlive its ``with`` block.
 
 Run it as ``python -m repro lint`` (or ``make lint``); configuration
 lives in ``pyproject.toml`` under ``[tool.simlint]``.  Findings can be
@@ -29,14 +37,12 @@ This package deliberately imports nothing from the rest of ``repro``
 (the linter must not depend on the code it judges).
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding
 from repro.lint.report import render_json, render_text
 from repro.lint.runner import LintResult, lint_paths
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintConfig",
     "LintResult",

@@ -106,10 +106,6 @@ class CallGraph:
             return ()
         return tuple(self.defs_by_name.get(site.name, ()))
 
-    def resolve_name(self, name: str) -> tuple[FunctionInfo, ...]:
-        """Pure name resolution (the CHARGE over-approximation)."""
-        return tuple(self.defs_by_name.get(name, ()))
-
     # -- may-yield ----------------------------------------------------------
 
     def _direct_yield(self, info: FunctionInfo) -> str | None:

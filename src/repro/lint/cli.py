@@ -9,9 +9,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, load_config
-from repro.lint.report import render_json, render_sarif, render_text
+from repro.lint.report import render_json, render_text
 from repro.lint.runner import lint_paths
 
 EXIT_CLEAN = 0
@@ -28,22 +27,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
         "--rules",
         help="comma-separated rule subset, e.g. DET,LAYER (default: all configured)",
-    )
-    parser.add_argument(
-        "--baseline",
-        help="baseline file to tolerate (overrides [tool.simlint] baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write current findings to PATH as a baseline and exit 0",
     )
     parser.add_argument(
         "--no-config",
@@ -91,7 +81,16 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"simlint: bad configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    result = lint_paths(tuple(args.paths) or None, config)
+    # A gate that checked nothing must not pass: a renamed package
+    # would otherwise turn CI's path-scoped runs green for good.
+    try:
+        result = lint_paths(tuple(args.paths) or None, config)
+    except FileNotFoundError as exc:
+        print(f"simlint: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not result.files_checked:
+        print("simlint: no Python files to check", file=sys.stderr)
+        return EXIT_USAGE
 
     if getattr(args, "dump_graph", None):
         assert result.project is not None
@@ -105,36 +104,9 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"  {name:10s} {spent * 1000.0:8.1f} ms", file=sys.stderr)
         print(f"  {'total':10s} {total * 1000.0:8.1f} ms", file=sys.stderr)
 
-    baseline_path = args.baseline or config.baseline
-    baselined = 0
     findings = result.findings
-    if args.write_baseline:
-        Baseline.from_findings(findings).save(args.write_baseline)
-        print(
-            f"simlint: wrote baseline with {len(findings)} "
-            f"finding(s) to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
-    if baseline_path:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except FileNotFoundError:
-            print(
-                f"simlint: baseline file not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        except ValueError as exc:
-            print(f"simlint: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        findings, baselined = baseline.filter(findings)
-
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
-    print(render(findings, result.files_checked, baselined), end="")
+    render = render_json if args.format == "json" else render_text
+    print(render(findings, result.files_checked), end="")
     if args.format == "text":
         print()
         if args.show_suppressed and result.suppressed_findings:
@@ -148,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="simlint",
         description="AST invariant linter for the repro codebase "
-        "(determinism, cost charging, layering, pairing, exceptions)",
+        "(determinism, cost charging, layering, pairing, exceptions, "
+        "atomicity, protocols, handle escape)",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

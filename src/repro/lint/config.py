@@ -213,7 +213,6 @@ class LintConfig:
         "PROTO",
         "ESCAPE",
     )
-    baseline: str | None = None
     #: Root package whose first path component names the layer.
     root_package: str = "repro"
     layer_order: tuple[str, ...] = DEFAULT_LAYER_ORDER
@@ -283,7 +282,6 @@ def config_from_mapping(data: dict, root: str = ".") -> LintConfig:
         "proto_promote_calls": _tuple,
         "escape_calls": _tuple,
         "escape_sinks": _tuple,
-        "baseline": str,
         "root_package": str,
     }
     updates: dict = {}

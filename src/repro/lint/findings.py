@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 
@@ -15,15 +14,7 @@ class Finding:
     line: int      # 1-based line of the offending statement
     col: int       # 0-based column
     message: str   # human explanation, specific to the site
-    symbol: str = ""  # enclosing function/import, for stable fingerprints
-
-    @property
-    def fingerprint(self) -> str:
-        """Identity that survives unrelated edits (no line numbers):
-        two findings with the same rule, file, enclosing symbol and
-        message are the same finding for baseline purposes."""
-        key = f"{self.rule}|{self.path}|{self.symbol}|{self.message}"
-        return hashlib.sha1(key.encode()).hexdigest()[:16]
+    symbol: str = ""  # enclosing function/import
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"

@@ -242,12 +242,15 @@ _SKIP_DIRS = {"__pycache__"}
 
 def iter_python_files(paths: tuple[str, ...], root: str) -> list[Path]:
     """Every ``.py`` file under the given paths (files or directories),
-    deterministic order."""
+    deterministic order.  A path that does not exist raises
+    :class:`FileNotFoundError`."""
     out: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if not path.is_absolute():
             path = Path(root) / path
+        if not path.exists():
+            raise FileNotFoundError(f"no such file or directory: {raw}")
         if path.is_file() and path.suffix == ".py":
             out.append(path)
             continue

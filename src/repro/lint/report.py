@@ -1,4 +1,4 @@
-"""Reporters: text for humans, JSON for tooling, SARIF for CI."""
+"""Reporters: text for humans, JSON for tooling."""
 
 from __future__ import annotations
 
@@ -6,47 +6,21 @@ import json
 
 from repro.lint.findings import Finding
 
-#: One-line rule descriptions for the SARIF rule metadata.
-_RULE_DESCRIPTIONS = {
-    "SYNTAX": "File must parse as Python.",
-    "DET": "No wall-clock, OS entropy or hash-order nondeterminism.",
-    "CHARGE": "Measured paths must charge the simulated clock/counters.",
-    "LAYER": "Module imports must follow the architecture layer DAG.",
-    "PAIR": "Paired resources must be released on every exit path.",
-    "EXC": "No swallowed exceptions on measured paths.",
-    "ATOM": (
-        "No read-modify-write of shared server-tier state across a "
-        "may-yield call without a critical bracket."
-    ),
-    "PROTO": (
-        "Protocol state machines: txn lifecycle, WAL force rule, "
-        "2PC decision-log discipline."
-    ),
-    "ESCAPE": "Borrowed handles must not escape their with block.",
-}
 
-
-def render_text(
-    findings: list[Finding], files_checked: int, baselined: int = 0
-) -> str:
+def render_text(findings: list[Finding], files_checked: int) -> str:
     """One finding per line, compiler style, plus a summary line."""
     lines = [finding.render() for finding in findings]
     summary = (
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
         f"in {files_checked} file{'s' if files_checked != 1 else ''}"
     )
-    if baselined:
-        summary += f" ({baselined} baselined)"
     lines.append(summary)
     return "\n".join(lines)
 
 
-def render_json(
-    findings: list[Finding], files_checked: int, baselined: int = 0
-) -> str:
+def render_json(findings: list[Finding], files_checked: int) -> str:
     payload = {
         "files_checked": files_checked,
-        "baselined": baselined,
         "findings": [
             {
                 "rule": f.rule,
@@ -55,79 +29,8 @@ def render_json(
                 "col": f.col,
                 "message": f.message,
                 "symbol": f.symbol,
-                "fingerprint": f.fingerprint,
             }
             for f in findings
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def render_sarif(
-    findings: list[Finding], files_checked: int, baselined: int = 0
-) -> str:
-    """SARIF 2.1.0, the format CI annotation uploaders consume.  One
-    run, one result per finding; the simlint fingerprint rides along as
-    a partial fingerprint so re-runs dedupe."""
-    rule_ids = sorted({f.rule for f in findings} | set(_RULE_DESCRIPTIONS))
-    rules = [
-        {
-            "id": rule_id,
-            "shortDescription": {
-                "text": _RULE_DESCRIPTIONS.get(rule_id, rule_id)
-            },
-        }
-        for rule_id in rule_ids
-    ]
-    results = [
-        {
-            "ruleId": f.rule,
-            "ruleIndex": rule_ids.index(f.rule),
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    },
-                    "logicalLocations": (
-                        [{"fullyQualifiedName": f.symbol}] if f.symbol else []
-                    ),
-                }
-            ],
-            "partialFingerprints": {"simlint/v1": f.fingerprint},
-        }
-        for f in findings
-    ]
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "simlint",
-                        "informationUri": "https://example.invalid/simlint",
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "properties": {
-                    "filesChecked": files_checked,
-                    "baselined": baselined,
-                },
-                "results": results,
-            }
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

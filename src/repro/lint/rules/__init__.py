@@ -3,7 +3,7 @@
 Every rule is a module exposing ``NAME`` (the code that appears in
 findings and suppressions) and ``check(project, config)`` returning a
 list of :class:`~repro.lint.findings.Finding`.  Rules never see
-suppressions or baselines — the runner filters their output.
+suppressions — the runner filters their output.
 """
 
 from __future__ import annotations

@@ -103,10 +103,6 @@ class ObjectHeader:
     def is_indexed(self) -> bool:
         return bool(self.flags & FLAG_INDEXED)
 
-    @property
-    def is_deleted(self) -> bool:
-        return bool(self.flags & FLAG_DELETED)
-
     # -- index membership ---------------------------------------------
 
     def add_index(self, index_id: int, allow_extend: bool = True) -> bool:

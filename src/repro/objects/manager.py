@@ -9,7 +9,7 @@ strings and complex values (Section 4.4).
 
 from __future__ import annotations
 
-from repro.errors import DanglingReferenceError, ObjectError
+from repro.errors import DanglingReferenceError
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
 from repro.objects.header import CLASS_KEY, ObjectHeader
@@ -279,10 +279,3 @@ class ObjectManager:
                     else:
                         del handles._parked[key]
         return sfile.replace(actual, record, new_record)
-
-
-def require_class(schema: Schema, name: str) -> ClassDef:
-    """Lookup helper that turns a missing class into an ObjectError."""
-    if name not in schema:
-        raise ObjectError(f"class {name!r} is not defined in this schema")
-    return schema.cls(name)

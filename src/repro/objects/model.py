@@ -234,8 +234,5 @@ class Schema:
         except KeyError:
             raise SchemaError(f"unknown class id {class_id}") from None
 
-    def class_names(self) -> list[str]:
-        return sorted(self._by_name)
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

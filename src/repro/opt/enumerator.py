@@ -25,19 +25,20 @@ seconds live on one scale — that is what ``explain`` prints and what
 Plans come out as ordinary :class:`SelectionPlan` / :class:`TreeJoinPlan`
 objects; the engine compiles them with no knowledge of which planner
 chose them.
+
+There is one enumeration and one plan builder, in
+:meth:`Optimizer._plan_selection` / ``_plan_tree_join``; this class is
+the hooks it calls — three that swap the source of statistics
+(``_predicate_selectivity``, ``_output_selectivity``, ``_join_stats``)
+and three that widen the search (``_drivers``, ``_label``,
+``_index_only_estimate``).
 """
 
 from __future__ import annotations
 
 from repro.index.btree import BTreeIndex
 from repro.oql.catalog import Catalog
-from repro.oql.optimizer import (
-    Optimizer,
-    SargablePredicate,
-    SelectionParts,
-    SelectionPlan,
-)
-from repro.oql.ast_nodes import Query
+from repro.oql.optimizer import Optimizer, SargablePredicate
 from repro.opt.collector import TableStats
 from repro.opt.estimator import CardinalityEstimator
 
@@ -62,8 +63,6 @@ class CostBasedOptimizer(Optimizer):
         return self.estimator.stats
 
     def install_stats(self, stats: TableStats) -> None:
-        """Adopt the result of an ANALYZE pass (the ``analyze``
-        statement calls this on the session's planner)."""
         self.estimator.install(stats)
 
     # -- hook overrides ---------------------------------------------------
@@ -79,99 +78,22 @@ class CostBasedOptimizer(Optimizer):
             collection_name, parts.predicates
         )
 
+    def _drivers(self, candidates, best):
+        """Every indexed sargable conjunct, not just the best."""
+        return candidates
+
+    def _label(self, kind: str, pred: SargablePredicate) -> str:
+        return f"{kind}({pred.attr})"
+
+    def _index_only_estimate(self, n, driver, index_scan):
+        pred, index, sel = driver
+        return (
+            self._label("index-only", pred),
+            self.cost.selection_index_only(n, index.leaf_count, sel),
+        )
+
     def _join_stats(self, rel, parent_index, child_index,
                     parent_pred, child_pred):
         return self.estimator.join_stats(
             rel, parent_index, child_index, parent_pred, child_pred
-        )
-
-    # -- selection enumeration -------------------------------------------
-
-    def _choose_selection(
-        self, query: Query, parts: SelectionParts
-    ) -> SelectionPlan:
-        name = parts.collection_name
-        n = self.catalog.collection_size(name)
-        pages = self.catalog.file_pages(name)
-        extent_pages = self.catalog.extent_pages(name)
-        sel_out = self.estimator.conjunct_selectivity(name, parts.predicates)
-
-        # Every indexed sargable predicate is a candidate driver.
-        candidates: list[tuple[SargablePredicate, BTreeIndex, float]] = []
-        for pred in parts.predicates:
-            index = self.catalog.index_for(name, pred.attr)
-            if index is None or pred.op == "!=":
-                continue
-            sel = self.estimator.selectivity(name, pred)
-            candidates.append((pred, index, sel))
-
-        alternatives = {
-            "scan": self.cost.selection_scan(n, pages, extent_pages, sel_out)
-        }
-        by_label: dict[str, tuple[SargablePredicate, BTreeIndex, bool]] = {}
-        for pred, index, sel in candidates:
-            for sorted_rids in (False, True):
-                kind = "sorted-index" if sorted_rids else "index"
-                label = f"{kind}({pred.attr})"
-                alternatives[label] = self.cost.selection_index(
-                    n, pages, index.leaf_count, sel,
-                    index.clustering_ratio, sorted_rids=sorted_rids,
-                )
-                by_label[label] = (pred, index, sorted_rids)
-
-        best = min(candidates, key=lambda c: c[2]) if candidates else None
-        index_only_estimate = None
-        if best is not None:
-            index_only_estimate = self.cost.selection_index_only(
-                n, best[1].leaf_count, best[2]
-            )
-            alternatives[f"index-only({best[0].attr})"] = index_only_estimate
-        plan = self._index_only_aggregate(
-            query, parts, best, alternatives, index_only_estimate
-        )
-        if plan is not None:
-            return plan
-        if best is not None:
-            # Not an index-only-answerable query after all; the entry
-            # would only clutter the alternatives table.
-            del alternatives[f"index-only({best[0].attr})"]
-
-        est_rows = 1.0 if parts.aggregate is not None else n * sel_out
-        choice = min(alternatives, key=lambda k: alternatives[k].seconds)
-        if choice == "scan":
-            return SelectionPlan(
-                collection_name=name,
-                project=tuple(path.attrs[0] for __, path in parts.projection),
-                columns=tuple(label for label, __ in parts.projection),
-                predicate=None,
-                residuals=parts.predicates,
-                index=None,
-                sorted_rids=False,
-                estimate=alternatives[choice],
-                alternatives=alternatives,
-                distinct=query.distinct,
-                aggregate=parts.aggregate,
-                order_by=parts.order_by,
-                exists_filters=parts.exists_filters,
-                limit=query.limit,
-                est_rows=est_rows,
-            )
-        pred, index, sorted_rids = by_label[choice]
-        residuals = tuple(p for p in parts.predicates if p != pred)
-        return SelectionPlan(
-            collection_name=name,
-            project=tuple(path.attrs[0] for __, path in parts.projection),
-            columns=tuple(label for label, __ in parts.projection),
-            predicate=pred,
-            residuals=residuals,
-            index=index,
-            sorted_rids=sorted_rids,
-            estimate=alternatives[choice],
-            alternatives=alternatives,
-            distinct=query.distinct,
-            aggregate=parts.aggregate,
-            order_by=parts.order_by,
-            exists_filters=parts.exists_filters,
-            limit=query.limit,
-            est_rows=est_rows,
         )

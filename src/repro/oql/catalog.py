@@ -81,9 +81,6 @@ class Catalog:
         except KeyError:
             raise PlanError(f"unknown collection {name!r}") from None
 
-    def has_collection(self, name: str) -> bool:
-        return name in self._collections
-
     def collection_names(self) -> tuple[str, ...]:
         """Every registered collection name, sorted (deterministic
         iteration order for ANALYZE passes and explain output)."""
@@ -92,13 +89,6 @@ class Catalog:
     def relationships(self) -> tuple[RelationshipInfo, ...]:
         """Every registered relationship, in registration order."""
         return tuple(self._relationships)
-
-    def indexed_attrs(self, collection_name: str) -> tuple[str, ...]:
-        """Attributes of ``collection_name`` with an index, sorted."""
-        return tuple(sorted(
-            attr for (name, attr) in self._indexes
-            if name == collection_name
-        ))
 
     def index_for(self, collection_name: str, attr: str) -> BTreeIndex | None:
         return self._indexes.get((collection_name, attr))

@@ -108,21 +108,6 @@ class CostModel:
         miss = 1.0 - self.cache_pages / file_pages
         return distinct + retouches * miss
 
-    def clustered_fetch_pages(
-        self, accesses: float, total_objects: float, file_pages: int,
-        clustering: float,
-    ) -> float:
-        """Page reads for fetching ``accesses`` objects whose order is
-        ``clustering``-correlated with physical placement: blend the
-        sequential cost (fraction of the file) with the random cost."""
-        if total_objects <= 0:
-            return 0.0
-        sequential = (accesses / total_objects) * file_pages
-        random = self.random_fetch_pages(accesses, file_pages)
-        # Map clustering ratio (0.5 = random, 1.0 = sequential) to a blend.
-        weight = max(0.0, min(1.0, (clustering - 0.5) / 0.5))
-        return weight * sequential + (1 - weight) * random
-
     def sorted_fetch_pages(
         self, accesses: float, total_objects: float, file_pages: int,
         clustering: float,

@@ -28,17 +28,6 @@ from repro.oql.ast_nodes import AnalyzeStmt, ExplainStmt
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
 from repro.oql.printer import print_query
 
-#: Estimated-rows / estimated-cost placeholder for planners predating
-#: the est_rows field (never the shipped ones; belt and braces).
-_UNKNOWN = "?"
-
-
-def _fmt_rows(value: float | None) -> str:
-    if value is None:
-        return _UNKNOWN
-    return f"{value:.1f}"
-
-
 def plan_tree_lines(plan: SelectionPlan | TreeJoinPlan) -> list[str]:
     """The operator tree the engine compiles for ``plan``, one line per
     operator, children indented under parents — mirrors
@@ -126,7 +115,7 @@ def render_explain(
     lines = [f"query: {query_text}", f"plan: {plan.description}"]
     lines += ["  " + line for line in plan_tree_lines(plan)]
     lines.append(
-        f"rows: estimated {_fmt_rows(plan.est_rows)}, actual {actual_rows}"
+        f"rows: estimated {plan.est_rows:.1f}, actual {actual_rows}"
     )
     lines.append(
         f"cost: estimated {plan.estimate.seconds:.6f} s, "
@@ -203,7 +192,5 @@ class AnalyzeOperator(_TextRows):
         collector = StatsCollector(engine.catalog)
         stats = collector.collect(self.stmt.collections or None)
         engine.table_stats = stats
-        install = getattr(engine.optimizer, "install_stats", None)
-        if install is not None:
-            install(stats)
+        engine.optimizer.install_stats(stats)
         self._lines = summarize(stats)

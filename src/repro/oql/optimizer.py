@@ -62,6 +62,11 @@ class SargablePredicate:
         raise PlanError(f"operator {self.op!r} is not sargable")
 
 
+#: A conjunct that can drive an index scan: (predicate, its index, its
+#: estimated selectivity).
+_Driver = tuple[SargablePredicate, BTreeIndex, float]
+
+
 @dataclass(frozen=True)
 class ExistsFilter:
     """``exists child in var.set_attr : child.attr op literal`` — applied
@@ -110,9 +115,9 @@ class SelectionPlan:
     exists_filters: tuple[ExistsFilter, ...] = ()
     #: Emit at most this many rows (early-exits the pipeline).
     limit: int | None = None
-    #: Estimated output rows (filled by the planner; ``explain``
-    #: compares it to the actual row count).
-    est_rows: float | None = None
+    #: Estimated output rows (``explain`` compares it to the actual
+    #: row count).
+    est_rows: float = field(kw_only=True)
 
     @property
     def description(self) -> str:
@@ -138,9 +143,9 @@ class TreeJoinPlan:
     distinct: bool = False
     #: Emit at most this many rows (early-exits the pipeline).
     limit: int | None = None
-    #: Estimated output rows (filled by the planner; ``explain``
-    #: compares it to the actual row count).
-    est_rows: float | None = None
+    #: Estimated output rows (``explain`` compares it to the actual
+    #: row count).
+    est_rows: float = field(kw_only=True)
 
     @property
     def description(self) -> str:
@@ -156,6 +161,12 @@ class Optimizer:
         self.include_extensions = include_extensions
 
     # -- entry point ------------------------------------------------------
+
+    def install_stats(self, stats: object) -> None:
+        """Adopt the result of an ANALYZE pass (the ``analyze``
+        statement calls this on the session's planner).  This planner
+        reads no statistics; :class:`repro.opt.CostBasedOptimizer`
+        does."""
 
     def plan(self, query: Query) -> SelectionPlan | TreeJoinPlan:
         if len(query.from_clauses) == 1:
@@ -218,9 +229,6 @@ class Optimizer:
 
     # -- selections ---------------------------------------------------------
 
-    def _plan_selection(self, query: Query) -> SelectionPlan:
-        return self._choose_selection(query, self._selection_parts(query))
-
     def _selection_parts(self, query: Query) -> SelectionParts:
         """Validate the logical shape; raises PlanError outside the
         supported subset.  Shared by every planner."""
@@ -273,14 +281,16 @@ class Optimizer:
             exists_filters=tuple(exists_filters),
         )
 
+    # The hooks the statistics planner
+    # (:class:`repro.opt.CostBasedOptimizer`) overrides; everything
+    # else about planning a selection is :meth:`_plan_selection`.
+
     def _predicate_selectivity(
         self, collection_name: str, pred: SargablePredicate,
         index: BTreeIndex,
     ) -> float:
-        """Selectivity of one sargable predicate.  The heuristic planner
-        interpolates over the index's leaf directory; the cost-based
-        planner (:class:`repro.opt.CostBasedOptimizer`) overrides this
-        with histogram estimates."""
+        """Selectivity of one sargable predicate: interpolated over the
+        index's leaf directory."""
         low, high, __, ___ = pred.bounds()
         return index.selectivity(low, high)
 
@@ -288,139 +298,117 @@ class Optimizer:
         self,
         collection_name: str,
         parts: SelectionParts,
-        best: tuple[SargablePredicate, BTreeIndex, float] | None,
+        best: _Driver | None,
     ) -> float:
-        """Estimated fraction of the extent the query emits.  The
-        heuristic only knows the best indexed predicate; subclasses with
-        statistics combine every conjunct."""
+        """Estimated fraction of the extent the query emits: all this
+        planner knows is the best indexed predicate."""
         return best[2] if best else 1.0
 
-    def _choose_selection(
-        self, query: Query, parts: SelectionParts
-    ) -> SelectionPlan:
+    def _drivers(
+        self, candidates: list[_Driver], best: _Driver | None
+    ) -> list[_Driver]:
+        """The candidates whose index scans get costed: only the most
+        selective one."""
+        return [best] if best else []
+
+    def _label(self, kind: str, pred: SargablePredicate) -> str:
+        """Key of an access path in ``SelectionPlan.alternatives``; with
+        one driver the kind alone is unambiguous."""
+        return kind
+
+    def _index_only_estimate(
+        self, n: int, driver: _Driver, index_scan: PlanEstimate
+    ) -> tuple[str, PlanEstimate]:
+        """(label, estimate) of answering an aggregate from ``driver``'s
+        index entries alone; ``index_scan`` is the unsorted index scan
+        already costed for it, which stands in here."""
+        return self._label("index", driver[0]), index_scan
+
+    def _plan_selection(self, query: Query) -> SelectionPlan:
+        """The Section 4 enumeration: full scan against an unsorted and
+        a rid-sorted index scan per driver, cheapest estimate wins."""
+        parts = self._selection_parts(query)
         name = parts.collection_name
         predicates = parts.predicates
+        aggregate = parts.aggregate
         n = self.catalog.collection_size(name)
         pages = self.catalog.file_pages(name)
-        extent_pages = self.catalog.extent_pages(name)
 
-        # Pick the indexed predicate with the best (lowest) selectivity.
-        best: tuple[SargablePredicate, BTreeIndex, float] | None = None
+        # Every indexed sargable conjunct could drive an index scan;
+        # the best has the lowest selectivity (first among equals).
+        candidates: list[_Driver] = []
         for pred in predicates:
             index = self.catalog.index_for(name, pred.attr)
             if index is None or pred.op == "!=":
                 continue
             sel = self._predicate_selectivity(name, pred, index)
-            if best is None or sel < best[2]:
-                best = (pred, index, sel)
+            candidates.append((pred, index, sel))
+        best = min(candidates, key=lambda c: c[2]) if candidates else None
+        sel_out = self._output_selectivity(name, parts, best)
+        est_rows = 1.0 if aggregate is not None else n * sel_out
 
-        sel_any = best[2] if best else 1.0
         alternatives = {
-            "scan": self.cost.selection_scan(n, pages, extent_pages, sel_any)
+            "scan": self.cost.selection_scan(
+                n, pages, self.catalog.extent_pages(name), sel_out
+            )
         }
-        if best is not None:
-            pred, index, sel = best
-            alternatives["index"] = self.cost.selection_index(
-                n, pages, index.leaf_count, sel, index.clustering_ratio,
-                sorted_rids=False,
-            )
-            alternatives["sorted-index"] = self.cost.selection_index(
-                n, pages, index.leaf_count, sel, index.clustering_ratio,
-                sorted_rids=True,
-            )
-        est_rows = (
-            1.0 if parts.aggregate is not None
-            else n * self._output_selectivity(name, parts, best)
-        )
-        # An aggregate whose answer lives entirely in the index (counts,
-        # or aggregates over the indexed key itself) never fetches an
-        # object: always prefer the index when one applies.
-        plan = self._index_only_aggregate(
-            query, parts, best, alternatives, alternatives.get("index")
-        )
-        if plan is not None:
-            return plan
+        access: dict[str, tuple[_Driver | None, bool]] = {"scan": (None, False)}
+        for driver in self._drivers(candidates, best):
+            pred, index, sel = driver
+            for sorted_rids in (False, True):
+                label = self._label(
+                    "sorted-index" if sorted_rids else "index", pred
+                )
+                alternatives[label] = self.cost.selection_index(
+                    n, pages, index.leaf_count, sel, index.clustering_ratio,
+                    sorted_rids=sorted_rids,
+                )
+                access[label] = (driver, sorted_rids)
 
-        choice = min(alternatives, key=lambda k: alternatives[k].seconds)
-
-        residuals = tuple(p for p in predicates if best is None or p != best[0])
-        if choice == "scan" or best is None:
+        def build(
+            driver: _Driver | None, sorted_rids: bool,
+            estimate: PlanEstimate, index_only: bool = False,
+        ) -> SelectionPlan:
+            predicate, index = driver[:2] if driver else (None, None)
             return SelectionPlan(
                 collection_name=name,
                 project=tuple(path.attrs[0] for __, path in parts.projection),
-                columns=tuple(label for label, __ in parts.projection),
-                predicate=None,
-                residuals=tuple(predicates),
-                index=None,
-                sorted_rids=False,
-                estimate=alternatives[choice],
+                columns=(
+                    (aggregate[0],) if index_only
+                    else tuple(label for label, __ in parts.projection)
+                ),
+                predicate=predicate,
+                residuals=tuple(p for p in predicates if p != predicate),
+                index=index,
+                sorted_rids=sorted_rids,
+                estimate=estimate,
                 alternatives=alternatives,
                 distinct=query.distinct,
-                aggregate=parts.aggregate,
+                aggregate=aggregate,
+                index_only=index_only,
                 order_by=parts.order_by,
                 exists_filters=parts.exists_filters,
                 limit=query.limit,
                 est_rows=est_rows,
             )
 
-        return SelectionPlan(
-            collection_name=name,
-            project=tuple(path.attrs[0] for __, path in parts.projection),
-            columns=tuple(label for label, __ in parts.projection),
-            predicate=best[0],
-            residuals=residuals,
-            index=best[1],
-            sorted_rids=(choice == "sorted-index"),
-            estimate=alternatives[choice],
-            alternatives=alternatives,
-            distinct=query.distinct,
-            aggregate=parts.aggregate,
-            order_by=parts.order_by,
-            exists_filters=parts.exists_filters,
-            limit=query.limit,
-            est_rows=est_rows,
-        )
-
-    def _index_only_aggregate(
-        self,
-        query: Query,
-        parts: SelectionParts,
-        best: tuple[SargablePredicate, BTreeIndex, float] | None,
-        alternatives: dict[str, PlanEstimate],
-        estimate: PlanEstimate | None,
-    ) -> SelectionPlan | None:
-        """The index-only aggregate fast path, when it applies.
-
-        ``estimate`` is the caller's cost of the unsorted index scan
-        driven by ``best`` (label conventions differ between planners).
-        """
-        aggregate = parts.aggregate
+        # An aggregate whose answer lives entirely in the index (counts,
+        # or aggregates over the indexed key itself) never fetches an
+        # object: always prefer the index when one applies.
         if (
-            aggregate is None or best is None or estimate is None
-            or parts.exists_filters
+            aggregate is not None and best is not None
+            and not parts.exists_filters
+            and all(p == best[0] for p in predicates)
+            and aggregate[1] in (None, best[0].attr)
         ):
-            return None
-        agg_residuals = tuple(p for p in parts.predicates if p != best[0])
-        if agg_residuals or not (
-            aggregate[1] is None or aggregate[1] == best[0].attr
-        ):
-            return None
-        return SelectionPlan(
-            collection_name=parts.collection_name,
-            project=(),
-            columns=(aggregate[0],),
-            predicate=best[0],
-            residuals=(),
-            index=best[1],
-            sorted_rids=False,
-            estimate=estimate,
-            alternatives=alternatives,
-            distinct=query.distinct,
-            aggregate=aggregate,
-            index_only=True,
-            limit=query.limit,
-            est_rows=1.0,
-        )
+            label, estimate = self._index_only_estimate(
+                n, best, alternatives[self._label("index", best[0])]
+            )
+            alternatives[label] = estimate
+            return build(best, False, estimate, index_only=True)
+
+        choice = min(alternatives, key=lambda k: alternatives[k].seconds)
+        return build(*access[choice], alternatives[choice])
 
     # -- tree joins -----------------------------------------------------------
 

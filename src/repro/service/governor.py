@@ -307,9 +307,6 @@ class ResourceGovernor:
             session.metrics.cancelled += 1
             self.interrupts += 1
 
-    def cancel_pending(self, session: "Session") -> bool:
-        return session.session_id in self._cancelled
-
     # -- the check point -------------------------------------------------
 
     def checkpoint(self, session: "Session | None") -> None:

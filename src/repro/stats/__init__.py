@@ -10,10 +10,7 @@ export tools (CSV, gnuplot) the paper built around its results database.
 
 from repro.stats.export import (
     mix_to_csv,
-    optimizer_to_csv,
-    recovery_to_csv,
-    replication_to_csv,
-    sharding_to_csv,
+    records_to_csv,
     to_csv,
     to_gnuplot,
 )
@@ -27,8 +24,5 @@ __all__ = [
     "to_csv",
     "to_gnuplot",
     "mix_to_csv",
-    "optimizer_to_csv",
-    "recovery_to_csv",
-    "replication_to_csv",
-    "sharding_to_csv",
+    "records_to_csv",
 ]

@@ -6,6 +6,7 @@ straight to CSV and gnuplot ``.dat`` text from :class:`StatRow` lists.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from typing import Iterable, Sequence
 
@@ -25,14 +26,6 @@ def _csv(columns: Sequence[str], value_rows: Iterable[Sequence]) -> str:
             + "\n"
         )
     return out.getvalue()
-
-
-def _attrs_csv(columns: Sequence[str], rows: Iterable) -> str:
-    """Duck-typed rows: any object carrying the column attributes works,
-    missing ones render empty."""
-    return _csv(
-        columns, ([getattr(row, col, "") for col in columns] for row in rows)
-    )
 
 
 _CSV_COLUMNS = (
@@ -130,111 +123,20 @@ def mix_to_csv(report) -> str:
     return _csv(_MIX_COLUMNS, map(flatten, report.sessions))
 
 
-_RECOVERY_COLUMNS = (
-    "label",
-    "crash_point",
-    "checkpoint_every",
-    "txns",
-    "updates",
-    "committed",
-    "lost",
-    "recovery_s",
-    "log_records_scanned",
-    "log_pages_read",
-    "pages_redone",
-    "records_redone",
-    "txns_undone",
-    "records_undone",
-    "durability_ok",
-)
-
-
-def recovery_to_csv(rows) -> str:
-    """Render recovery-run rows as CSV in the same spirit as the Figure 3
-    stats schema (duck-typed like :func:`mix_to_csv`: any object carrying
-    the column attributes works — missing attributes render empty)."""
-    return _attrs_csv(_RECOVERY_COLUMNS, rows)
-
-
-_OPTIMIZER_COLUMNS = (
-    "family",
-    "database",
-    "clustering",
-    "label",
-    "heuristic_plan",
-    "cost_plan",
-    "est_rows",
-    "actual_rows",
-    "rows_qerror",
-    "est_cost_s",
-    "actual_cost_s",
-    "cost_qerror",
-    "heuristic_s",
-    "cost_s",
-    "speedup",
-    "validated",
-)
-
-
-def optimizer_to_csv(rows) -> str:
-    """Render optimizer-leaderboard cells (``bench_optimizer``'s
-    per-query records) as CSV — duck-typed like :func:`mix_to_csv`:
-    any object carrying the column attributes works, missing ones
-    render empty."""
-    return _attrs_csv(_OPTIMIZER_COLUMNS, rows)
-
-
-_SHARDING_COLUMNS = (
-    "label",
-    "n_shards",
-    "scheme",
-    "shard",
-    "providers",
-    "patients",
-    "busy_s",
-    "remote_wait_s",
-    "msgs",
-    "msg_bytes",
-    "pages_read",
-    "pages_written",
-    "rows_shipped",
-    "lock_wait_s",
-)
-
-
-def sharding_to_csv(rows) -> str:
-    """Render per-shard benchmark records (``bench_sharding``'s rows:
-    one line per shard per configuration — pages, messages, queue
-    waits) as CSV.  Duck-typed like :func:`mix_to_csv` so this module
-    never imports ``repro.dist``; any object carrying the column
-    attributes works, missing ones render empty."""
-    return _attrs_csv(_SHARDING_COLUMNS, rows)
-
-
-_REPLICATION_COLUMNS = (
-    "label",
-    "n_shards",
-    "ship_mode",
-    "shard",
-    "ship_msgs",
-    "shipped_records",
-    "shipped_bytes",
-    "ship_lag_records",
-    "ack_wait_s",
-    "failovers",
-    "epoch",
-    "unavailable_s",
-    "loss_window_records",
-)
-
-
-def replication_to_csv(rows) -> str:
-    """Render per-shard replication records (``bench_replication``'s
-    rows: one line per shard per configuration — ship traffic and lag,
-    ack latency, failover counts, downtime, acked-loss windows) as CSV.
-    Duck-typed like :func:`sharding_to_csv`; any object carrying the
-    column attributes works, missing ones render empty."""
-    return _attrs_csv(_REPLICATION_COLUMNS, rows)
+def records_to_csv(
+    record_type: type, rows: Iterable, exclude: Sequence[str] = ()
+) -> str:
+    """Render dataclass rows as CSV.  The row class is its own column
+    contract: one column per field of ``record_type``, in declaration
+    order, minus ``exclude`` — so this module knows no benchmark
+    script's row shape."""
+    columns = [
+        f.name for f in dataclasses.fields(record_type)
+        if f.name not in exclude
+    ]
+    return _csv(
+        columns, ([getattr(row, col) for col in columns] for row in rows)
+    )
 
 
 def to_gnuplot(

@@ -254,33 +254,7 @@ class LockManager:
     def find_deadlock_victim(self) -> int | None:
         """Detect a waits-for cycle; return the youngest (highest-id)
         transaction in it, or ``None`` when there is no cycle."""
-        graph = self.waits_for()
-        visiting: set[int] = set()
-        done: set[int] = set()
-        stack: list[int] = []
-
-        def visit(node: int) -> list[int] | None:
-            visiting.add(node)
-            stack.append(node)
-            for succ in sorted(graph.get(node, ())):
-                if succ in visiting:
-                    return stack[stack.index(succ):]
-                if succ not in done:
-                    cycle = visit(succ)
-                    if cycle is not None:
-                        return cycle
-            visiting.discard(node)
-            done.add(node)
-            stack.pop()
-            return None
-
-        for start in sorted(graph):
-            if start in done:
-                continue
-            cycle = visit(start)
-            if cycle is not None:
-                return max(cycle)
-        return None
+        return youngest_in_cycle(self.waits_for())
 
     def expired_waiters(self) -> list[int]:
         """Txns whose queued request has waited past the effective
@@ -337,3 +311,37 @@ class LockManager:
         if LockMode.EXCLUSIVE in (a, b):
             return LockMode.EXCLUSIVE
         return LockMode.SHARED
+
+
+def youngest_in_cycle(graph: dict[int, set[int]]) -> int | None:
+    """DFS cycle detection over a waits-for graph; returns the maximum
+    id in the first cycle found (deterministic: sorted visit order) or
+    ``None``.  One shard's graph and the coordinator's merged graph
+    (:mod:`repro.dist.deadlock`) share the victim policy by sharing
+    this function."""
+    visiting: set[int] = set()
+    done: set[int] = set()
+    stack: list[int] = []
+
+    def visit(node: int) -> list[int] | None:
+        visiting.add(node)
+        stack.append(node)
+        for succ in sorted(graph.get(node, ())):
+            if succ in visiting:
+                return stack[stack.index(succ):]
+            if succ not in done:
+                cycle = visit(succ)
+                if cycle is not None:
+                    return cycle
+        visiting.discard(node)
+        done.add(node)
+        stack.pop()
+        return None
+
+    for start in sorted(graph):
+        if start in done:
+            continue
+        cycle = visit(start)
+        if cycle is not None:
+            return max(cycle)
+    return None

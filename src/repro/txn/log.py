@@ -246,16 +246,6 @@ class WriteAheadLog:
 
     # -- replication shipping -------------------------------------------
 
-    def ship_records(self, after_lsn: int) -> list[LogRecord]:
-        """The ship cursor: every *durable* record past ``after_lsn``,
-        in LSN order — what a replication shipper still owes a replica
-        whose acknowledged prefix ends at ``after_lsn``.  Only durable
-        records ship (a record that could still be lost by a primary
-        crash must not outlive the primary on its replica)."""
-        return [
-            r for r in self.records if after_lsn < r.lsn <= self.durable_lsn
-        ]
-
     def append_shipped(self, record: LogRecord) -> LogRecord:
         """Append a record shipped from a replication primary,
         *preserving its LSN*: the replica's log must stay an identical

@@ -128,9 +128,6 @@ class VersionStore:
         (0 = preloaded / never written under MVCC)."""
         return self._committed_ts.get(rid, 0)
 
-    def writer_of(self, rid: Rid) -> int | None:
-        return self._writers.get(rid)
-
     def commit(self, txn_id: int, ts: int) -> None:
         """Make ``txn_id``'s writes the committed versions at ``ts``."""
         for rid in self._pending.pop(txn_id, ()):

@@ -113,6 +113,15 @@ class TestCommands:
         )
         assert "--seed 4" not in captured.err
 
+    def test_chaos_that_checked_nothing_is_a_usage_error(self, capsys):
+        """``--cases 0`` used to print ``0/0 cases clean`` and exit 0."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--suite", "service", "--cases", "0"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--cases: expected a positive int" in captured.err
+        assert "cases clean" not in captured.out
+
     def test_old_chaos_entries_are_gone(self):
         for argv in (["crash", "fuzz"], ["shard", "chaos"],
                      ["failover", "chaos"], ["chaos"]):
@@ -157,6 +166,26 @@ class TestCommands:
         assert main(argv + ["--db", "1to3", "--scale", "0.00001"]) == 2
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: ") and message in last
+
+    @pytest.mark.parametrize("argv, message", [
+        (["load", "--scale", "0"], "--scale: expected a positive float"),
+        (["load", "--scale", "-1"], "--scale: expected a positive float"),
+        (["figures", "fig10", "--scale", "0"],
+         "--scale: expected a positive float"),
+        (["shard", "demo", "--replicas", "2"], "--replicas: invalid choice"),
+    ])
+    def test_outside_input_is_a_usage_error_not_a_traceback(
+        self, capsys, argv, message
+    ):
+        """Values the library would reject with a bare ``ValueError``
+        (a scale that is not positive, a second standby) stop in the
+        parser: a message on stderr and exit 2."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_shard_demo_has_one_strategy(self, capsys):
         with pytest.raises(SystemExit):

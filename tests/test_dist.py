@@ -474,28 +474,3 @@ def test_2pc_chaos_pinned_digests_do_not_move():
             for s in range(25)
         },
     )
-
-
-# -- stats export --------------------------------------------------------
-
-
-def test_sharding_to_csv_renders_per_shard_rows():
-    from types import SimpleNamespace
-
-    from repro.stats import sharding_to_csv
-
-    rows = [
-        SimpleNamespace(
-            label="scan-10pct", n_shards=2, scheme="hash", shard=i,
-            providers=5, patients=15, busy_s=0.25 * (i + 1),
-            remote_wait_s=0.1, msgs=4, msg_bytes=4096,
-            pages_read=12, pages_written=0, rows_shipped=30,
-            lock_wait_s=0.0,
-        )
-        for i in range(2)
-    ]
-    text = sharding_to_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("label,n_shards,scheme,shard")
-    assert len(lines) == 3
-    assert "scan-10pct,2,hash,0" in lines[1]

@@ -494,24 +494,3 @@ class TestFuzz:
     def test_pinned_digests_do_not_move(self):
         results = run_suite(RECOVERY, 5, check_determinism=False)
         assert_pinned("recovery", {f"{r.seed}/{r.point}": r for r in results})
-
-    def test_recovery_csv_shape(self):
-        from types import SimpleNamespace
-
-        from repro.stats import recovery_to_csv
-
-        rows = [
-            SimpleNamespace(
-                label="case", crash_point="log-append", checkpoint_every=3,
-                txns=5, updates=9, committed=3, lost=2, recovery_s=0.25,
-                log_records_scanned=17, log_pages_read=1, pages_redone=2,
-                records_redone=4, txns_undone=2, records_undone=3,
-                durability_ok=1,
-            )
-        ]
-        text = recovery_to_csv(rows)
-        header, line = text.strip().splitlines()
-        assert header.startswith("label,crash_point,checkpoint_every")
-        assert line.split(",")[0] == "case"
-        assert "0.2500" in line
-        assert len(line.split(",")) == len(header.split(","))

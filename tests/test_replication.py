@@ -434,34 +434,6 @@ def test_failover_chaos_pinned_digests_do_not_move(ship_mode):
     )
 
 
-# -- stats export --------------------------------------------------------
-
-
-def test_replication_to_csv_renders_per_shard_rows():
-    from types import SimpleNamespace
-
-    from repro.stats import replication_to_csv
-
-    rows = [
-        SimpleNamespace(
-            label="mix-sync", n_shards=2, ship_mode="sync", shard=i,
-            ship_msgs=10 + i, shipped_records=20, shipped_bytes=1440,
-            ship_lag_records=0, ack_wait_s=0.25, failovers=i,
-            epoch=i, unavailable_s=0.1 * i, loss_window_records=0,
-        )
-        for i in range(2)
-    ]
-    csv = replication_to_csv(rows)
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("label,n_shards,ship_mode,shard,")
-    assert len(lines) == 3
-    assert lines[1].startswith("mix-sync,2,sync,0,10,20,1440,0,0.2500,0,0,")
-    assert lines[2].endswith("0.1000,0")
-    # Duck typing: missing attributes render empty, not crash.
-    sparse = replication_to_csv([SimpleNamespace(label="x")])
-    assert sparse.strip().splitlines()[1].startswith("x,,")
-
-
 # -- satellite regressions -----------------------------------------------
 
 

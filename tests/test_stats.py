@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.simtime import CounterSet, MeterSnapshot
-from repro.stats import StatsDatabase, build_stats_schema, to_csv, to_gnuplot
+from repro.stats import (
+    StatsDatabase,
+    build_stats_schema,
+    records_to_csv,
+    to_csv,
+    to_gnuplot,
+)
 
 
 def snapshot(**overrides) -> MeterSnapshot:
@@ -154,6 +160,30 @@ class TestExport:
         assert lines[0].startswith("numtest,algo,cluster")
         assert len(lines) == 4
         assert "PHJ" in lines[1]
+
+    def test_records_to_csv_takes_its_columns_from_the_row_class(self):
+        """One generic exporter for every benchmark's dataclass rows:
+        header = the fields in declaration order minus ``exclude``,
+        floats at four decimals, everything else ``str()``."""
+        from dataclasses import dataclass
+
+        @dataclass
+        class Row:
+            label: str
+            shard: int
+            note: str
+            busy_s: float
+            ok: bool
+
+        rows = [Row("mix-sync", i, "unexported", 0.25 * (i + 1), i == 0)
+                for i in range(2)]
+        text = records_to_csv(Row, rows, exclude=("note",))
+        assert text.splitlines() == [
+            "label,shard,busy_s,ok",
+            "mix-sync,0,0.2500,True",
+            "mix-sync,1,0.5000,False",
+        ]
+        assert records_to_csv(Row, []) == "label,shard,note,busy_s,ok\n"
 
     def test_gnuplot(self):
         dat = to_gnuplot(self.make_rows())
