@@ -28,8 +28,11 @@ lint-graph:
 	$(PYTHON) -m repro lint --dump-graph lint-graph.dot || true
 	@echo "wrote lint-graph.dot (render with: dot -Tsvg lint-graph.dot)"
 
+# Every bench at its one scale: figures, ablations, paper agreement and
+# the gated benches; rewrites results/ and BENCH_*.json byte for byte
+# (~90 s; CI's `benches` job fails on any `git diff`).
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/wallclock
 
 # Regenerate every paper figure into results/ (results/scale_<s>/ when
 # REPRO_SCALE is not 0.01), assert its shape and score it against the
@@ -44,7 +47,7 @@ mix:
 # Batch-size sweep over the operator pipeline (TTFR, peak rows,
 # limit early exit, mix interleaving) -> results/pipeline_batch_sweep.txt.
 pipeline:
-	$(PYTHON) benchmarks/bench_pipeline.py
+	$(PYTHON) -m pytest benchmarks/bench_pipeline.py
 
 # One seeded chaos suite through the shared harness, every case
 # double-run for determinism; exits nonzero on any contract violation.
@@ -58,7 +61,7 @@ chaos:
 
 # Admission control under overload -> results/governor_overload.txt.
 governor:
-	$(PYTHON) benchmarks/bench_governor.py
+	$(PYTHON) -m pytest benchmarks/bench_governor.py
 
 # Collect optimizer statistics (ANALYZE) and persist them through the
 # self-hosted statistics database.
@@ -67,15 +70,16 @@ analyze:
 
 # Cost-based vs. heuristic planner leaderboard over the Figure 10-15
 # matrix -> BENCH_optimizer.json + results/optimizer_leaderboard.txt;
-# exits nonzero on any semantic mismatch or plan regression.
+# fails on any semantic mismatch or plan regression.
 optimizer:
-	$(PYTHON) benchmarks/bench_optimizer.py
+	$(PYTHON) -m pytest benchmarks/bench_optimizer.py
 
 # Sharded scaling benchmark (1..32 shards, gated on semantic
 # equivalence + >=4x scan speedup at 8 shards, 2PC chaos cases clean)
-# -> results/sharding_scaling.txt.  The chaos CLI: make chaos SUITE=2pc.
+# -> BENCH_sharding.json + results/sharding_scaling.txt.  The chaos
+# CLI: make chaos SUITE=2pc.
 shard:
-	$(PYTHON) benchmarks/bench_sharding.py
+	$(PYTHON) -m pytest benchmarks/bench_sharding.py
 
 # Replication availability benchmark (13-query semantic equivalence vs
 # an unreplicated cluster, windowed throughput through a primary kill,
@@ -83,13 +87,13 @@ shard:
 # -> BENCH_replication.json + results/replication_availability.txt.
 # The chaos CLI: make chaos SUITE=failover.
 failover:
-	$(PYTHON) benchmarks/bench_replication.py
+	$(PYTHON) -m pytest benchmarks/bench_replication.py
 
 # Snapshot isolation vs strict 2PL on the same contended mix, gated on
 # zero reader lock waits, SI throughput > 2PL and identical committed
 # end states -> BENCH_mvcc.json + results/mvcc_mix.txt.
 mvcc:
-	$(PYTHON) benchmarks/bench_mvcc.py
+	$(PYTHON) -m pytest benchmarks/bench_mvcc.py
 
 # The two-clock benchmark (BENCHMARK.json; benchmarks/wallclock/README.md):
 # four workloads, calibrated host seconds and exact call counts beside
@@ -132,7 +136,7 @@ serve:
 
 artifacts: ## the final run the reproduction ships with
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/wallclock 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf .pytest_cache .hypothesis

@@ -14,13 +14,9 @@ from repro.bench import ExperimentRunner
 from repro.bench.figures import cell_times, extensions_figure, rank_table
 
 
-def test_extended_algorithms(benchmark, derby_cache, save_table):
+def test_extended_algorithms(derby_cache, save_table):
     derby = derby_cache("1:3", "class")
-    runner = ExperimentRunner(derby)
-
-    table, ms = benchmark.pedantic(
-        lambda: extensions_figure(runner), rounds=1, iterations=1
-    )
+    table, ms = extensions_figure(ExperimentRunner(derby))
     save_table("ablation_extensions_algorithms", table)
 
     # Hybrid hashing fixes PHJ exactly where the paper predicts: the
@@ -40,19 +36,13 @@ def test_extended_algorithms(benchmark, derby_cache, save_table):
         assert min(cell, key=cell.get) != "SMJ"
 
 
-def test_association_organization(benchmark, derby_cache, save_table):
+def test_association_organization(derby_cache, save_table):
     """Carey & Lapis [4]: navigation stays composition-fast while the
     child-only scans stay class-fast."""
     assoc = ExperimentRunner(derby_cache("1:3", "association"))
     comp = ExperimentRunner(derby_cache("1:3", "composition"))
-
-    def run():
-        return (
-            assoc.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90))),
-            comp.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90))),
-        )
-
-    assoc_ms, comp_ms = benchmark.pedantic(run, rounds=1, iterations=1)
+    assoc_ms = assoc.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
+    comp_ms = comp.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
     save_table(
         "ablation_association_clustering",
         rank_table(

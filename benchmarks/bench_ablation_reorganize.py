@@ -15,26 +15,17 @@ from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 
 
-def test_churn_then_reorganize(benchmark, save_table):
+def test_churn_then_reorganize(save_table):
     config = DerbyConfig.db_1to1000(
         scale=0.005, clustering=Clustering.COMPOSITION
     )
-
-    def run():
-        derby = load_derby(config)
-        runner = ExperimentRunner(derby)
-        pristine = runner.run_join("NL", 90, 90)
-        churn = register_new_patients(
-            derby, round(config.n_patients * 0.5)
-        )
-        fragmented = runner.run_join("NL", 90, 90)
-        fresh, reorg = dump_and_reload(derby)
-        restored = ExperimentRunner(fresh).run_join("NL", 90, 90)
-        return pristine, churn, fragmented, reorg, restored
-
-    pristine, churn, fragmented, reorg, restored = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    derby = load_derby(config)
+    runner = ExperimentRunner(derby)
+    pristine = runner.run_join("NL", 90, 90)
+    churn = register_new_patients(derby, round(config.n_patients * 0.5))
+    fragmented = runner.run_join("NL", 90, 90)
+    fresh, reorg = dump_and_reload(derby)
+    restored = ExperimentRunner(fresh).run_join("NL", 90, 90)
 
     table = Table(
         "Composition clustering under churn, then dump-and-reload "
@@ -61,5 +52,3 @@ def test_churn_then_reorganize(benchmark, save_table):
     per_row = lambda m: m.elapsed_s / max(1, m.rows)  # noqa: E731
     assert per_row(fragmented) > 1.1 * per_row(pristine)
     assert per_row(restored) < 0.9 * per_row(fragmented)
-    benchmark.extra_info["decay"] = per_row(fragmented) / per_row(pristine)
-    benchmark.extra_info["recovery"] = per_row(fragmented) / per_row(restored)

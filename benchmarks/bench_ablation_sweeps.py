@@ -13,14 +13,9 @@ from repro.bench.report import Table
 from repro.bench.sweeps import find_crossover, memory_pressure_sweep
 
 
-def test_figure6_crossover(benchmark, derby_cache, save_table):
+def test_figure6_crossover(derby_cache, save_table):
     runner = ExperimentRunner(derby_cache("1:1000", "class"))
-
-    crossover = benchmark.pedantic(
-        lambda: find_crossover(runner, "index", "scan", 0.2, 20.0),
-        rounds=1,
-        iterations=1,
-    )
+    crossover = find_crossover(runner, "index", "scan", 0.2, 20.0)
     table = Table(
         "Figure 6 crossover — where the unclustered index stops winning",
         ["Quantity", "Value"],
@@ -30,18 +25,12 @@ def test_figure6_crossover(benchmark, derby_cache, save_table):
     save_table("sweep_fig6_crossover", table)
 
     assert 0.5 < crossover < 6.0
-    benchmark.extra_info["crossover_pct"] = crossover
 
 
-def test_memory_pressure_curve(benchmark, derby_cache, save_table):
+def test_memory_pressure_curve(derby_cache, save_table):
     runner = ExperimentRunner(derby_cache("1:3", "class"))
     fractions = (1.0, 0.5, 0.2, 0.1, 0.02)
-
-    points = benchmark.pedantic(
-        lambda: memory_pressure_sweep(runner, fractions, algo="PHJ"),
-        rounds=1,
-        iterations=1,
-    )
+    points = memory_pressure_sweep(runner, fractions, algo="PHJ")
     table = Table(
         "PHJ at 90/90 vs query memory budget (1:3, class clustering)",
         ["Budget fraction", "Elapsed (sec)", "Swap faults"],
@@ -54,4 +43,3 @@ def test_memory_pressure_curve(benchmark, derby_cache, save_table):
     # Monotone: less memory can only hurt, and deep pressure hurts a lot.
     assert times[0.02] > times[1.0]
     assert times[0.1] >= times[0.5] >= times[1.0] * 0.999
-    benchmark.extra_info["slowdown_at_2pct"] = times[0.02] / times[1.0]

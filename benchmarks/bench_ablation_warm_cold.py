@@ -16,11 +16,9 @@ from repro.bench import ExperimentRunner
 from repro.bench.figures import join_cost_breakdown, warm_vs_cold_figure
 
 
-def test_warm_vs_cold(benchmark, derby_cache, save_table):
+def test_warm_vs_cold(derby_cache, save_table):
     runner = ExperimentRunner(derby_cache("1:1000", "class"))
-    table = benchmark.pedantic(
-        lambda: warm_vs_cold_figure(runner, 10, 10), rounds=1, iterations=1
-    )
+    table = warm_vs_cold_figure(runner, 10, 10)
     save_table("ablation_warm_vs_cold", table)
 
     for row in table.rows:
@@ -31,14 +29,11 @@ def test_warm_vs_cold(benchmark, derby_cache, save_table):
     # what object systems optimize for).
     ratios = {row[0]: row[3] for row in table.rows}
     assert ratios["NL"] > 1.5
-    benchmark.extra_info["nl_cold_over_warm"] = ratios["NL"]
 
 
-def test_join_cost_breakdown(benchmark, derby_cache, save_table):
+def test_join_cost_breakdown(derby_cache, save_table):
     runner = ExperimentRunner(derby_cache("1:1000", "class"))
-    table = benchmark.pedantic(
-        lambda: join_cost_breakdown(runner, 90, 90), rounds=1, iterations=1
-    )
+    table = join_cost_breakdown(runner, 90, 90)
     save_table("ablation_join_breakdown", table)
 
     headers = table.headers

@@ -18,15 +18,12 @@ from repro.analysis import fit_cost_model, score_optimizer
 from repro.bench.report import Table
 
 
-def test_cost_model_regression(benchmark, join_measurements, save_table):
-    def gather():
-        runs = []
-        for rel in ("1:1000", "1:3"):
-            for org in ("class", "composition"):
-                runs.extend(join_measurements(rel, org))
-        return runs, fit_cost_model(runs)
-
-    runs, fit = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_cost_model_regression(join_measurements, save_table):
+    runs = []
+    for rel in ("1:1000", "1:3"):
+        for org in ("class", "composition"):
+            runs.extend(join_measurements(rel, org))
+    fit = fit_cost_model(runs)
 
     table = Table(
         f"Cost-model regression over {fit.n_runs} measured runs "
@@ -58,22 +55,16 @@ def test_cost_model_regression(benchmark, join_measurements, save_table):
     assert per_page_ms == pytest.approx(11.2, rel=0.25)
     assert 300 < fit.result_us < 900
     assert fit.coefficients["swap_faults"] * 1e3 == pytest.approx(40.0, rel=0.2)
-    benchmark.extra_info["r_squared"] = fit.r_squared
-    benchmark.extra_info["per_page_ms"] = per_page_ms
 
 
-def test_optimizer_choice_quality(benchmark, derby_cache, join_measurements, save_table):
-    def gather():
-        scores = {}
-        for rel in ("1:1000", "1:3"):
-            for org in ("class", "composition"):
-                derby = derby_cache(rel, org)
-                scores[(rel, org)] = score_optimizer(
-                    derby, join_measurements(rel, org)
-                )
-        return scores
-
-    scores = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_optimizer_choice_quality(derby_cache, join_measurements):
+    scores = {}
+    for rel in ("1:1000", "1:3"):
+        for org in ("class", "composition"):
+            derby = derby_cache(rel, org)
+            scores[(rel, org)] = score_optimizer(
+                derby, join_measurements(rel, org)
+            )
 
     table = Table(
         "Optimizer validation: cost-based choice vs measured winner",
@@ -98,5 +89,3 @@ def test_optimizer_choice_quality(benchmark, derby_cache, join_measurements, sav
     assert max(v.regret for v in all_verdicts) < 4.0
     assert wins >= len(all_verdicts) // 2
     assert mean_regret < 1.6
-    benchmark.extra_info["wins"] = wins
-    benchmark.extra_info["mean_regret"] = mean_regret

@@ -16,10 +16,8 @@ from repro.bench.figures import FIGURES, cell_times
 
 
 @pytest.mark.parametrize("name", FIGURES)
-def test_figure(name, benchmark, figure_driver, save_table):
-    table, measured = benchmark.pedantic(
-        lambda: figure_driver.build(name), rounds=1, iterations=1
-    )
+def test_figure(name, figure_driver, save_table):
+    table, measured = figure_driver.build(name)
     save_table(FIGURES[name].stem, table)
     globals()[f"check_{name}"](table, measured)
 

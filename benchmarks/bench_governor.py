@@ -18,39 +18,27 @@ The sweep runs the same seeded mix per client count, ungoverned and
 governed, and asserts exactly that: ungoverned in-service latency
 degrades with offered load; governed stays bounded.
 
-Results land in ``results/governor_overload.txt``.  Run standalone with
-``python benchmarks/bench_governor.py [--smoke]`` or through pytest.
+Results land in ``results/governor_overload.txt``.  Run with
+``python -m pytest benchmarks/bench_governor.py``.
 """
 
 from __future__ import annotations
-
-import argparse
-import pathlib
-import sys
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.bench.report import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.service import MixConfig, WorkloadMixer
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
 CLIENTS = (3, 6, 12)
-SMOKE_CLIENTS = (3, 9)
 SCALE = 0.0001
-SMOKE_SCALE = 0.00005
 MAX_ACTIVE = 3
 OPS = 3
 SEED = 11
 
 
-def _run_cell(clients: int, max_active: int | None, scale: float):
+def _run_cell(clients: int, max_active: int | None):
     """One (offered load, gate) cell on a fresh database."""
-    derby = load_derby(DerbyConfig.db_1to3(scale=scale))
+    derby = load_derby(DerbyConfig.db_1to3(scale=SCALE))
     config = MixConfig.from_clients(
         clients,
         ops_per_client=OPS,
@@ -84,7 +72,7 @@ def _run_cell(clients: int, max_active: int | None, scale: float):
     }
 
 
-def run_overload_sweep(client_counts, scale: float) -> tuple[Table, list]:
+def run_overload_sweep() -> tuple[Table, list]:
     """The same seeded mix per client count, ungoverned and governed."""
     table = Table(
         f"Offered load vs admission control (max_active={MAX_ACTIVE}, "
@@ -94,9 +82,9 @@ def run_overload_sweep(client_counts, scale: float) -> tuple[Table, list]:
          "Txn/s"],
     )
     cells = []
-    for clients in client_counts:
+    for clients in CLIENTS:
         for max_active in (None, MAX_ACTIVE):
-            cell = _run_cell(clients, max_active, scale)
+            cell = _run_cell(clients, max_active)
             cells.append(cell)
             table.add(
                 clients,
@@ -114,9 +102,11 @@ def run_overload_sweep(client_counts, scale: float) -> tuple[Table, list]:
     return table, cells
 
 
-def _check_cells(cells: list, client_counts) -> None:
+def test_governor_overload_sweep(save_table):
+    table, cells = run_overload_sweep()
+    save_table("governor_overload", table)
     by = {(c["clients"], c["gate"]): c for c in cells}
-    low, high = client_counts[0], client_counts[-1]
+    low, high = CLIENTS[0], CLIENTS[-1]
     ungoverned_low = by[(low, None)]["run_lat_s"]
     ungoverned_high = by[(high, None)]["run_lat_s"]
     governed_high = by[(high, MAX_ACTIVE)]["run_lat_s"]
@@ -136,45 +126,3 @@ def _check_cells(cells: list, client_counts) -> None:
     assert (
         by[(high, MAX_ACTIVE)]["committed"] >= by[(high, None)]["committed"]
     )
-
-
-# -- pytest harness ---------------------------------------------------------
-
-def test_governor_overload_sweep(benchmark, save_table):
-    table, cells = benchmark.pedantic(
-        lambda: run_overload_sweep(CLIENTS, SCALE), rounds=1, iterations=1
-    )
-    save_table("governor_overload", str(table))
-    _check_cells(cells, CLIENTS)
-
-
-# -- standalone entry point -------------------------------------------------
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny database + reduced client grid (CI)",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "governor_overload.txt"),
-        help="output path for the rendered table",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    client_counts = SMOKE_CLIENTS if args.smoke else CLIENTS
-    print(f"loading 1:3 databases at scale {scale} ...", file=sys.stderr)
-    table, cells = run_overload_sweep(client_counts, scale)
-    _check_cells(cells, client_counts)
-    text = str(table)
-    print(text)
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(text)  # str(table) already ends in a newline
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -27,17 +27,13 @@ def _load(scale: float, logged: bool, index_first: bool):
     return load_derby(config).load_report
 
 
-def test_loading_ablation(benchmark, save_table):
+def test_loading_ablation(save_table):
     scale = 0.002  # smaller than the figures: four full loads
-
-    def run():
-        return {
-            (logged, index_first): _load(scale, logged, index_first)
-            for logged in (False, True)
-            for index_first in (True, False)
-        }
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
+    reports = {
+        (logged, index_first): _load(scale, logged, index_first)
+        for logged in (False, True)
+        for index_first in (True, False)
+    }
 
     table = Table(
         f"Section 3.2 — Loading ablation (1:3 database, scale {scale:g})",
@@ -66,4 +62,3 @@ def test_loading_ablation(benchmark, save_table):
     assert reports[(False, False)].records_moved > fast.records_moved
     # Transaction-off alone is a clear win at fixed index strategy.
     assert reports[(False, True)].seconds < reports[(True, True)].seconds
-    benchmark.extra_info["speedup"] = slow.seconds / fast.seconds

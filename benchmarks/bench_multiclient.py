@@ -49,12 +49,8 @@ def _run_mix(derby, clients: int, server_cache_pages: int | None):
     return WorkloadMixer(derby, config).run()
 
 
-def test_throughput_vs_client_count(benchmark, mix_derby, save_table):
-    reports = benchmark.pedantic(
-        lambda: {n: _run_mix(mix_derby, n, None) for n in CLIENT_COUNTS},
-        rounds=1,
-        iterations=1,
-    )
+def test_throughput_vs_client_count(mix_derby, save_table):
+    reports = {n: _run_mix(mix_derby, n, None) for n in CLIENT_COUNTS}
 
     table = Table(
         "Aggregate throughput vs client count "
@@ -81,21 +77,14 @@ def test_throughput_vs_client_count(benchmark, mix_derby, save_table):
     # for the shared tiers is visible, not hidden by perfect scaling.
     rates = [reports[n].throughput_ops_s for n in CLIENT_COUNTS]
     assert max(rates) / min(rates) > 1.05
-    benchmark.extra_info["throughput_txn_s"] = {
-        n: round(reports[n].throughput_ops_s, 3) for n in CLIENT_COUNTS
-    }
 
 
-def test_throughput_vs_server_cache(benchmark, mix_derby, save_table):
+def test_throughput_vs_server_cache(mix_derby, save_table):
     clients = 8
-    reports = benchmark.pedantic(
-        lambda: {
-            pages: _run_mix(mix_derby, clients, pages)
-            for pages in SERVER_CACHE_PAGES
-        },
-        rounds=1,
-        iterations=1,
-    )
+    reports = {
+        pages: _run_mix(mix_derby, clients, pages)
+        for pages in SERVER_CACHE_PAGES
+    }
 
     table = Table(
         f"Aggregate throughput vs server-cache size ({clients} clients)",
@@ -119,7 +108,3 @@ def test_throughput_vs_server_cache(benchmark, mix_derby, save_table):
     assert (
         reports[large].throughput_ops_s > reports[small].throughput_ops_s
     )
-    benchmark.extra_info["throughput_txn_s"] = {
-        pages: round(reports[pages].throughput_ops_s, 3)
-        for pages in SERVER_CACHE_PAGES
-    }

@@ -9,7 +9,7 @@ strict two-phase locking, once under snapshot isolation.  Updaters use
 of the op set — retries and commit order cannot change it — which makes
 the two isolation levels directly comparable, digest for digest.
 
-Hard gates — the script exits nonzero if any fails:
+Hard gates — the test fails on any of them:
 
 * **zero read locks**: under SI no navigator or scanner session ever
   blocks on a lock (``lock_waits == 0`` for every non-updater);
@@ -24,32 +24,20 @@ Hard gates — the script exits nonzero if any fails:
 
 Outputs: ``BENCH_mvcc.json`` (repo root), ``results/mvcc_mix.txt`` and
 ``results/mvcc_mix.csv`` (per-session metrics for both isolations).
-Run standalone with ``python benchmarks/bench_mvcc.py [--smoke]``.
+Run with ``python -m pytest benchmarks/bench_mvcc.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import pathlib
-import sys
 from dataclasses import asdict, dataclass, replace
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.service import MixConfig, WorkloadMixer
 from repro.stats import mix_to_csv
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
-
 SCALE = 0.005         # 5_000 providers / 15_000 patients
-SMOKE_SCALE = 0.0005  # 500 providers / 1_500 patients (CI)
 ISOLATIONS = ("2pl", "si")
 
 #: The shared mix both isolation levels run: enough updaters that the
@@ -69,11 +57,6 @@ BASE_CONFIG = MixConfig(
     # mode ("si" would force recovery on anyway).
     recovery=True,
 )
-SMOKE_OPS = 3
-#: Smoke transactions are short (tiny scans), so a long lock timeout
-#: lets 2PL simply wait out all contention; the tighter bound keeps the
-#: abort/retry dynamics the full run exhibits.
-SMOKE_LOCK_TIMEOUT_S = 0.5
 
 
 @dataclass
@@ -102,14 +85,11 @@ def _digest(values: list[int]) -> str:
     ).hexdigest()[:16]
 
 
-def run_isolation(
-    isolation: str, config: MixConfig, scale: float
-) -> tuple[IsolationRun, object]:
-    print(f"running {isolation} mix at scale {scale} ...", file=sys.stderr)
-    derby = load_derby(DerbyConfig.db_1to3(scale=scale))
-    mixer = WorkloadMixer(derby, replace(config, isolation=isolation))
+def run_isolation(isolation: str) -> tuple[IsolationRun, object]:
+    derby = load_derby(DerbyConfig.db_1to3(scale=SCALE))
+    mixer = WorkloadMixer(derby, replace(BASE_CONFIG, isolation=isolation))
     report = mixer.run()
-    hot = derby.patient_rids[: config.hot_set]
+    hot = derby.patient_rids[: BASE_CONFIG.hot_set]
     om = derby.db.manager
     end_state = [int(om.get_attr_at(rid, "age")) for rid in hot]
     reader_waits = sum(
@@ -165,40 +145,12 @@ def check(runs: dict[str, IsolationRun]) -> list[str]:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny database and fewer ops (CI); same gates",
-    )
-    parser.add_argument(
-        "--json", default=str(REPO_ROOT / "BENCH_mvcc.json"),
-        help="output path for the machine-readable results",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "mvcc_mix.txt"),
-        help="output path for the rendered tables",
-    )
-    parser.add_argument(
-        "--csv", default=str(RESULTS_DIR / "mvcc_mix.csv"),
-        help="output path for the per-session CSV export",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    config = BASE_CONFIG
-    if args.smoke:
-        config = replace(
-            config,
-            ops_per_client=SMOKE_OPS,
-            lock_timeout_s=SMOKE_LOCK_TIMEOUT_S,
-        )
-
+def test_mvcc_mix(save_table, save_json):
     runs: dict[str, IsolationRun] = {}
     tables: list[str] = []
     csv_lines: list[str] = []
     for isolation in ISOLATIONS:
-        run, report = run_isolation(isolation, config, scale)
+        run, report = run_isolation(isolation)
         runs[isolation] = run
         tables.append(f"=== isolation={isolation} ===\n{report.table()}")
         header, *rows = mix_to_csv(report).splitlines()
@@ -218,24 +170,18 @@ def main(argv: list[str] | None = None) -> int:
         f"end-state digests: 2pl {tpl.end_state_digest} / "
         f"si {si.end_state_digest}\n"
     )
-    body = "\n\n".join(tables) + "\n\n" + verdict
-    print(body)
-
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(body)
-    pathlib.Path(args.csv).write_text("\n".join(csv_lines) + "\n")
-    payload = {
+    save_table("mvcc_mix", "\n\n".join(tables) + "\n\n" + verdict)
+    save_table("mvcc_mix.csv", "\n".join(csv_lines) + "\n")
+    save_json("mvcc", {
         "benchmark": "mvcc_mix",
-        "scale": scale,
-        "smoke": args.smoke,
+        "scale": SCALE,
         "config": {
-            "clients": config.total_clients,
-            "ops_per_client": config.ops_per_client,
-            "seed": config.seed,
-            "hot_set": config.hot_set,
-            "lock_timeout_s": config.lock_timeout_s,
-            "update_values": config.update_values,
+            "clients": BASE_CONFIG.total_clients,
+            "ops_per_client": BASE_CONFIG.ops_per_client,
+            "seed": BASE_CONFIG.seed,
+            "hot_set": BASE_CONFIG.hot_set,
+            "lock_timeout_s": BASE_CONFIG.lock_timeout_s,
+            "update_values": BASE_CONFIG.update_values,
         },
         "runs": {k: asdict(v) for k, v in runs.items()},
         "speedup": (
@@ -244,23 +190,6 @@ def main(argv: list[str] | None = None) -> int:
             else None
         ),
         "digest_match": si.end_state_digest == tpl.end_state_digest,
-    }
-    pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)
-
+    })
     failures = check(runs)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"PASS: si {si.throughput_ops_s:.3f} txn/s vs 2pl "
-            f"{tpl.throughput_ops_s:.3f} txn/s "
-            f"({si.throughput_ops_s / tpl.throughput_ops_s:.2f}x), "
-            "0 reader lock waits, identical end state",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert not failures, "\n".join(failures)

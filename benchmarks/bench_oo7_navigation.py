@@ -23,27 +23,23 @@ from repro.objects.handle import HandleMode
 from repro.oo7 import OO7Config, build_oo7, traversal_t1
 
 
-def test_cures_help_associative_not_navigation(benchmark, save_table):
-    def run():
-        rows = {}
-        for mode in HandleMode:
-            # Warm OO7 navigation.
-            oo7 = build_oo7(OO7Config(), handle_mode=mode)
-            oo7.start_cold_run()
-            traversal_t1(oo7)
-            warm_before = oo7.db.clock.elapsed_s
-            traversal_t1(oo7)
-            warm_t1 = oo7.db.clock.elapsed_s - warm_before
-            # Cold associative selection.
-            derby = load_derby(
-                DerbyConfig.db_1to1000(scale=0.005), handle_mode=mode
-            )
-            runner = ExperimentRunner(derby)
-            cold = runner.run_selection("scan", 90, project="name").elapsed_s
-            rows[mode] = (warm_t1, cold)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_cures_help_associative_not_navigation(save_table):
+    rows = {}
+    for mode in HandleMode:
+        # Warm OO7 navigation.
+        oo7 = build_oo7(OO7Config(), handle_mode=mode)
+        oo7.start_cold_run()
+        traversal_t1(oo7)
+        warm_before = oo7.db.clock.elapsed_s
+        traversal_t1(oo7)
+        warm_t1 = oo7.db.clock.elapsed_s - warm_before
+        # Cold associative selection.
+        derby = load_derby(
+            DerbyConfig.db_1to1000(scale=0.005), handle_mode=mode
+        )
+        runner = ExperimentRunner(derby)
+        cold = runner.run_selection("scan", 90, project="name").elapsed_s
+        rows[mode] = (warm_t1, cold)
 
     table = Table(
         "Handle regimes: warm OO7 T1 navigation vs cold 90% selection (sec)",
@@ -63,4 +59,3 @@ def test_cures_help_associative_not_navigation(benchmark, save_table):
         assert cold < full_cold, f"{mode} did not help associative access"
     # Bulk allocation is the biggest associative win.
     assert rows[HandleMode.BULK][1] < full_cold * 0.95
-    benchmark.extra_info["bulk_gain"] = full_cold / rows[HandleMode.BULK][1]

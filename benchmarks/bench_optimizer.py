@@ -17,7 +17,7 @@ both clusterings, plus the Figure 7 selection sweep) this benchmark:
    as smoothed q-errors) and performance (per-cell speedup over the
    heuristic plan, geometric mean across the matrix).
 
-Hard gates — the script exits nonzero if any fails:
+Hard gates — the test fails on any of them:
 
 * every cell validates (100% semantic agreement);
 * **zero plan regressions**: no cell where the cost plan is slower than
@@ -27,22 +27,14 @@ Hard gates — the script exits nonzero if any fails:
 
 Outputs: ``BENCH_optimizer.json`` (repo root),
 ``results/optimizer_leaderboard.txt`` and
-``results/optimizer_leaderboard.csv``.  Run standalone with
-``python benchmarks/bench_optimizer.py [--smoke]``.
+``results/optimizer_leaderboard.csv``.  Run with
+``python -m pytest benchmarks/bench_optimizer.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import pathlib
-import sys
 from dataclasses import asdict, dataclass, replace
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.bench.report import Table
 from repro.bench.workloads import (
@@ -56,14 +48,11 @@ from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 from repro.opt import CostBasedOptimizer
 from repro.oql import Catalog, OQLEngine
+from repro.oql.explain import chosen_key
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
 from repro.stats import records_to_csv
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
-
 SCALE = 0.01
-SMOKE_SCALE = 0.002
 
 DATABASES = (
     ("1:1000", DerbyConfig.db_1to1000),
@@ -141,15 +130,6 @@ def _force_nl(plan: TreeJoinPlan) -> TreeJoinPlan:
     return replace(plan, algorithm="NL", estimate=plan.alternatives["NL"])
 
 
-def _chosen_label(plan) -> str:
-    if isinstance(plan, TreeJoinPlan):
-        return plan.algorithm
-    for key, estimate in plan.alternatives.items():
-        if estimate is plan.estimate:
-            return key
-    return plan.description
-
-
 def _measure_cell(
     derby,
     heuristic: OQLEngine,
@@ -176,18 +156,17 @@ def _measure_cell(
         len(rows_c) == len(rows_h) == len(rows_u)
         and _checksum(rows_c) == _checksum(rows_h) == _checksum(rows_u)
     )
-    est_rows = plan_c.est_rows if plan_c.est_rows is not None else -1.0
     return Cell(
         family=family,
         database=database,
         clustering=clustering,
         label=label,
         query=query,
-        heuristic_plan=_chosen_label(plan_h),
-        cost_plan=_chosen_label(plan_c),
-        est_rows=est_rows,
+        heuristic_plan=chosen_key(plan_h),
+        cost_plan=chosen_key(plan_c),
+        est_rows=plan_c.est_rows,
         actual_rows=len(rows_c),
-        rows_qerror=_qerror(est_rows, len(rows_c)),
+        rows_qerror=_qerror(plan_c.est_rows, len(rows_c)),
         est_cost_s=plan_c.estimate.seconds,
         actual_cost_s=s_c,
         cost_qerror=_qerror(plan_c.estimate.seconds, s_c),
@@ -198,16 +177,12 @@ def _measure_cell(
     )
 
 
-def run_leaderboard(scale: float) -> tuple[list[Cell], dict[str, float]]:
+def run_leaderboard() -> tuple[list[Cell], dict[str, float]]:
     cells: list[Cell] = []
     analyze_s: dict[str, float] = {}
     for db_name, maker in DATABASES:
         for org_name, org in CLUSTERINGS:
-            config = maker(scale=scale, clustering=org)
-            print(
-                f"loading {db_name} / {org_name} at scale {scale} ...",
-                file=sys.stderr,
-            )
+            config = maker(scale=SCALE, clustering=org)
             derby = load_derby(config)
             catalog = Catalog.from_derby(derby)
             heuristic = OQLEngine(catalog)
@@ -332,61 +307,20 @@ def check(cells: list[Cell], summary: dict) -> list[str]:
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny databases (CI); same matrix, same gates",
-    )
-    parser.add_argument(
-        "--json", default=str(REPO_ROOT / "BENCH_optimizer.json"),
-        help="output path for the machine-readable leaderboard",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "optimizer_leaderboard.txt"),
-        help="output path for the rendered leaderboard",
-    )
-    parser.add_argument(
-        "--csv", default=str(RESULTS_DIR / "optimizer_leaderboard.csv"),
-        help="output path for the CSV export",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    cells, analyze_s = run_leaderboard(scale)
+def test_optimizer_leaderboard(save_table, save_json):
+    cells, analyze_s = run_leaderboard()
     summary = summarize(cells)
-    table = build_table(cells, summary, analyze_s)
-    print(table)
-
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(str(table))
-    pathlib.Path(args.csv).write_text(
-        records_to_csv(Cell, cells, exclude=("query",))
+    save_table("optimizer_leaderboard", build_table(cells, summary, analyze_s))
+    save_table(
+        "optimizer_leaderboard.csv",
+        records_to_csv(Cell, cells, exclude=("query",)),
     )
-    payload = {
+    save_json("optimizer", {
         "benchmark": "optimizer_leaderboard",
-        "scale": scale,
-        "smoke": args.smoke,
+        "scale": SCALE,
         "analyze_s": analyze_s,
         "summary": summary,
         "cells": [asdict(c) for c in cells],
-    }
-    pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)
-
+    })
     failures = check(cells, summary)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"PASS: {summary['queries']} queries, 100% validated, "
-            f"0 regressions, geomean speedup "
-            f"{summary['geomean_speedup']:.3f}x",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert not failures, "\n".join(failures)

@@ -18,51 +18,38 @@ _MIN_WINNERS = {"fig11": 3, "fig12": 3, "fig13": 2, "fig14": 3}
 _MIN_SPEARMAN = {"fig11": 0.6, "fig12": 0.7, "fig13": 0.3, "fig14": 0.7}
 
 
-def test_figures_11_to_14_shape_agreement(benchmark, join_measurements, save_table):
-    def gather():
-        return {
-            fig: score_against_paper(
-                fig, join_measurements(*FIGURES[fig].database)
-            )
-            for fig in _MIN_WINNERS
-        }
-
-    results = benchmark.pedantic(gather, rounds=1, iterations=1)
-
+def test_figures_11_to_14_shape_agreement(join_measurements, save_table):
     total_winners = 0
-    for fig, (table, score) in results.items():
+    for fig in _MIN_WINNERS:
+        table, score = score_against_paper(
+            fig, join_measurements(*FIGURES[fig].database)
+        )
         save_table(f"paper_agreement_{fig}", table)
         assert score.winners_matched >= _MIN_WINNERS[fig], fig
         assert score.mean_spearman >= _MIN_SPEARMAN[fig], fig
         assert score.mean_log_ratio_error < 0.35, fig
         total_winners += score.winners_matched
-        benchmark.extra_info[f"{fig}_spearman"] = round(score.mean_spearman, 3)
     assert total_winners >= 12  # out of 16 cells
-    benchmark.extra_info["winners_total"] = total_winners
 
 
-def test_figure15_winner_agreement(benchmark, join_measurements, save_table):
-    def gather():
-        agreements = []
-        for rel, cells in PAPER_FIG15_WINNERS.items():
-            for cell, by_org in cells.items():
-                for org, paper_winner in by_org.items():
-                    ms = join_measurements(rel, org)
-                    ours = cell_times(ms, *cell)
-                    our_winner = min(ours, key=ours.get)
-                    # Treat within-5% finishes as ties (the paper's own
-                    # PHJ/CHJ cells are photo-finishes).
-                    tied_with_paper = (
-                        paper_winner in ours
-                        and ours[paper_winner] <= 1.05 * ours[our_winner]
-                    )
-                    agreements.append(
-                        (rel, cell, org, paper_winner, our_winner,
-                         our_winner == paper_winner or tied_with_paper)
-                    )
-        return agreements
-
-    agreements = benchmark.pedantic(gather, rounds=1, iterations=1)
+def test_figure15_winner_agreement(join_measurements, save_table):
+    agreements = []
+    for rel, cells in PAPER_FIG15_WINNERS.items():
+        for cell, by_org in cells.items():
+            for org, paper_winner in by_org.items():
+                ms = join_measurements(rel, org)
+                ours = cell_times(ms, *cell)
+                our_winner = min(ours, key=ours.get)
+                # Treat within-5% finishes as ties (the paper's own
+                # PHJ/CHJ cells are photo-finishes).
+                tied_with_paper = (
+                    paper_winner in ours
+                    and ours[paper_winner] <= 1.05 * ours[our_winner]
+                )
+                agreements.append(
+                    (rel, cell, org, paper_winner, our_winner,
+                     our_winner == paper_winner or tied_with_paper)
+                )
 
     table = Table(
         "Figure 15 winner agreement (ties within 5% count as agreement)",
@@ -75,4 +62,3 @@ def test_figure15_winner_agreement(benchmark, join_measurements, save_table):
 
     agreed = sum(1 for *__, ok in agreements if ok)
     assert agreed >= 19, f"only {agreed}/24 Figure 15 winners agree"
-    benchmark.extra_info["fig15_agreement"] = f"{agreed}/24"

@@ -22,20 +22,11 @@ Two sweeps, both deterministic:
   size — commits/aborts stay identical while batch yields rise as
   batches shrink.
 
-Results land in ``results/pipeline_batch_sweep.txt``.  Run standalone
-with ``python benchmarks/bench_pipeline.py [--smoke]`` (no pytest
-needed) or through pytest for the benchmark harness.
+Results land in ``results/pipeline_batch_sweep.txt``.  Run with
+``python -m pytest benchmarks/bench_pipeline.py``.
 """
 
 from __future__ import annotations
-
-import argparse
-import pathlib
-import sys
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.bench.report import Table
 from repro.cluster import load_derby
@@ -43,26 +34,16 @@ from repro.derby import DerbyConfig
 from repro.oql import Catalog, OQLEngine
 from repro.service import MixConfig, WorkloadMixer
 
-import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
 BATCH_SIZES = (8, 32, 128, 512)
-SMOKE_BATCH_SIZES = (8, 128)
 SCALE = 0.01
-SMOKE_SCALE = 0.002
 MIX_CLIENTS = 6
 MIX_OPS = 2
 MIX_SEED = 7
 
 
-def _fresh_derby(scale: float):
-    return load_derby(DerbyConfig.db_1to1000(scale=scale))
-
-
 # -- single-client sweep: TTFR and early exit -------------------------------
 
-def run_query_sweep(derby, batch_sizes) -> Table:
+def run_query_sweep(derby) -> Table:
     """Drain vs ``limit 10`` for one selection, per batch size."""
     catalog = Catalog.from_derby(derby)
     threshold = derby.config.num_threshold(50)
@@ -75,7 +56,7 @@ def run_query_sweep(derby, batch_sizes) -> Table:
         ["Batch", "Query", "Rows", "Elapsed (s)", "First row (ms)",
          "Peak rows", "Disk reads"],
     )
-    for batch_size in batch_sizes:
+    for batch_size in BATCH_SIZES:
         engine = OQLEngine(catalog, batch_size=batch_size)
         for label, q in (("full", full_q), ("limit 10", limit_q)):
             derby.start_cold_run()
@@ -99,7 +80,7 @@ def run_query_sweep(derby, batch_sizes) -> Table:
 
 # -- mix sweep: interleaving at batch boundaries ----------------------------
 
-def run_mix_sweep(derby, batch_sizes) -> Table:
+def run_mix_sweep(derby) -> Table:
     """The same deterministic mix per batch size."""
     table = Table(
         f"Batch size vs mix interleaving ({MIX_CLIENTS} clients, "
@@ -108,7 +89,7 @@ def run_mix_sweep(derby, batch_sizes) -> Table:
          "Batch yields", "Ctx switches", "Scan first row (ms)",
          "Peak rows"],
     )
-    for batch_size in batch_sizes:
+    for batch_size in BATCH_SIZES:
         config = MixConfig.from_clients(
             MIX_CLIENTS,
             ops_per_client=MIX_OPS,
@@ -135,82 +116,26 @@ def run_mix_sweep(derby, batch_sizes) -> Table:
     return table
 
 
-# -- pytest harness ---------------------------------------------------------
+def test_pipeline_batch_sweep(save_table):
+    derby = load_derby(DerbyConfig.db_1to1000(scale=SCALE))
+    query_table = run_query_sweep(derby)
+    mix_table = run_mix_sweep(derby)
+    save_table("pipeline_batch_sweep", f"{query_table}\n\n{mix_table}\n")
 
-@pytest.fixture(scope="module")
-def pipeline_derby():
-    return _fresh_derby(SCALE)
-
-
-def test_pipeline_batch_sweep(benchmark, pipeline_derby, save_table):
-    tables = benchmark.pedantic(
-        lambda: (
-            run_query_sweep(pipeline_derby, BATCH_SIZES),
-            run_mix_sweep(pipeline_derby, BATCH_SIZES),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    query_table, mix_table = tables
-    save_table("pipeline_batch_sweep", _render(query_table, mix_table))
-    _check_tables(query_table, mix_table, BATCH_SIZES)
-
-
-def _render(query_table: Table, mix_table: Table) -> str:
-    """The bytes of results/pipeline_batch_sweep.txt, whichever entry
-    point writes it."""
-    return f"{query_table}\n\n{mix_table}\n"
-
-
-def _check_tables(query_table: Table, mix_table: Table, batch_sizes) -> None:
     rows = query_table.rows
     full = {r[0]: r for r in rows if r[1] == "full"}
     limited = {r[0]: r for r in rows if r[1] == "limit 10"}
     # Full-drain cost is batch-size invariant (the equivalence guarantee).
-    elapsed = {f"{full[b][3]:.9f}" for b in batch_sizes}
+    elapsed = {f"{full[b][3]:.9f}" for b in BATCH_SIZES}
     assert len(elapsed) == 1, f"full-drain elapsed varied: {elapsed}"
-    for b in batch_sizes:
+    for b in BATCH_SIZES:
         # limit 10 exits early: strictly cheaper than the full drain.
         assert limited[b][3] < full[b][3]
         assert limited[b][6] < full[b][6]
     # Smaller batches buffer fewer live rows at the high-water mark.
-    assert full[batch_sizes[0]][5] < full[batch_sizes[-1]][5]
+    assert full[BATCH_SIZES[0]][5] < full[BATCH_SIZES[-1]][5]
     # The mix interleaves more finely as batches shrink, with the same
     # transactional outcome.
     mix = {r[0]: r for r in mix_table.rows}
-    assert mix[batch_sizes[0]][5] > mix[batch_sizes[-1]][5]
-    assert len({mix[b][1] for b in batch_sizes}) == 1
-
-
-# -- standalone entry point -------------------------------------------------
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny database + reduced batch grid (CI)",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "pipeline_batch_sweep.txt"),
-        help="output path for the rendered tables",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    batch_sizes = SMOKE_BATCH_SIZES if args.smoke else BATCH_SIZES
-    print(f"loading 1:1000 database at scale {scale} ...", file=sys.stderr)
-    derby = _fresh_derby(scale)
-    query_table = run_query_sweep(derby, batch_sizes)
-    mix_table = run_mix_sweep(derby, batch_sizes)
-    _check_tables(query_table, mix_table, batch_sizes)
-    text = _render(query_table, mix_table)
-    print(text, end="")
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(text)
-    print(f"wrote {out}", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert mix[BATCH_SIZES[0]][5] > mix[BATCH_SIZES[-1]][5]
+    assert len({mix[b][1] for b in BATCH_SIZES}) == 1

@@ -25,16 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-import pytest
-
 from repro.bench.report import Table
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery import crash_database, restart, take_checkpoint
 from repro.stats import StatsDatabase, records_to_csv
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
-
-from conftest import RESULTS_DIR
 
 _PAD = "x" * 96
 SEED = 7
@@ -150,15 +146,11 @@ def _csv_row(label, crash_point, checkpoint_every, txns, updates, run) -> _CsvRo
     )
 
 
-def test_recovery_vs_checkpoint_interval(benchmark, save_table):
-    runs = benchmark.pedantic(
-        lambda: {
-            c: _update_run(SWEEP_TXNS, SWEEP_UPDATES_PER_TXN, c)
-            for c in CHECKPOINT_POLICIES
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_recovery_vs_checkpoint_interval(save_table):
+    runs = {
+        c: _update_run(SWEEP_TXNS, SWEEP_UPDATES_PER_TXN, c)
+        for c in CHECKPOINT_POLICIES
+    }
 
     table = Table(
         f"Restart time vs checkpoint interval ({SWEEP_TXNS} txns x "
@@ -191,9 +183,7 @@ def test_recovery_vs_checkpoint_interval(benchmark, save_table):
                "(see recovery_loading.txt for the transaction-off half "
                "of the trade)")
     save_table("recovery_checkpoint_sweep", table)
-    (RESULTS_DIR / "recovery_runs.csv").write_text(
-        records_to_csv(_CsvRow, csv_rows)
-    )
+    save_table("recovery_runs.csv", records_to_csv(_CsvRow, csv_rows))
 
     seconds = [runs[c]["report"].seconds for c in CHECKPOINT_POLICIES]
     # CHECKPOINT_POLICIES orders checkpoints least->most frequent, so
@@ -204,21 +194,13 @@ def test_recovery_vs_checkpoint_interval(benchmark, save_table):
     # Recovery is correct at every policy, not just fast.
     assert all(runs[c]["durable_ok"] for c in CHECKPOINT_POLICIES)
     assert len(stats) == len(CHECKPOINT_POLICIES)
-    benchmark.extra_info["recovery_s"] = {
-        ("never" if c == 0 else c): round(runs[c]["report"].seconds, 4)
-        for c in CHECKPOINT_POLICIES
+
+
+def test_recovery_vs_update_rate(save_table):
+    runs = {
+        u: _update_run(RATE_TXNS, u, RATE_CHECKPOINT_EVERY)
+        for u in UPDATE_RATES
     }
-
-
-def test_recovery_vs_update_rate(benchmark, save_table):
-    runs = benchmark.pedantic(
-        lambda: {
-            u: _update_run(RATE_TXNS, u, RATE_CHECKPOINT_EVERY)
-            for u in UPDATE_RATES
-        },
-        rounds=1,
-        iterations=1,
-    )
 
     table = Table(
         f"Restart time vs update rate ({RATE_TXNS} txns, checkpoint "
@@ -240,9 +222,6 @@ def test_recovery_vs_update_rate(benchmark, save_table):
     seconds = [runs[u]["report"].seconds for u in UPDATE_RATES]
     assert all(a < b for a, b in zip(seconds, seconds[1:])), seconds
     assert all(runs[u]["durable_ok"] for u in UPDATE_RATES)
-    benchmark.extra_info["recovery_s"] = {
-        u: round(runs[u]["report"].seconds, 4) for u in UPDATE_RATES
-    }
 
 
 def _loading_run(logged: bool) -> dict:
@@ -284,14 +263,8 @@ def _loading_run(logged: bool) -> dict:
     }
 
 
-def test_transaction_off_loading_is_fast_but_unrecoverable(
-    benchmark, save_table
-):
-    runs = benchmark.pedantic(
-        lambda: {logged: _loading_run(logged) for logged in (True, False)},
-        rounds=1,
-        iterations=1,
-    )
+def test_transaction_off_loading_is_fast_but_unrecoverable(save_table):
+    runs = {logged: _loading_run(logged) for logged in (True, False)}
 
     table = Table(
         f"Mid-load crash: logged vs transaction-off loading "
@@ -324,7 +297,3 @@ def test_transaction_off_loading_is_fast_but_unrecoverable(
     assert logged_run["survivors"] == LOAD_BATCHES * LOAD_BATCH_SIZE
     assert not off_run["durable_ok"]
     assert off_run["survivors"] < off_run["committed"]
-    benchmark.extra_info["load_s"] = {
-        "logged": round(logged_run["load_s"], 3),
-        "transaction_off": round(off_run["load_s"], 3),
-    }

@@ -25,11 +25,11 @@ reuses it.
    committed-visible / uncommitted-gone oracle extended with
    decided-but-unacked writes.
 
-Hard gates — the script exits nonzero if any fails:
+Hard gates — the test fails on any of them:
 
 * 100% semantic equivalence for every query on the replicated cluster;
 * zero acked-write loss in **sync** mode across every seeded
-  primary-kill chaos case (the full run uses >= 200 cases), zero
+  primary-kill chaos case (200 of them), zero
   leaked locks/sessions, every kill kind and crash point exercised;
 * the sync availability run rides through the kill (nothing gives
   up), the outage stays within the gated simulated window, and
@@ -41,20 +41,12 @@ Outputs: ``BENCH_replication.json`` (repo root),
 ``results/replication_availability.txt`` and
 ``results/replication_availability.csv`` (per-shard rows: ship lag,
 ack latency, failover count, downtime, loss windows).
-Run standalone with ``python benchmarks/bench_replication.py [--smoke]``.
+Run with ``python -m pytest benchmarks/bench_replication.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
 from dataclasses import asdict, dataclass
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.bench.report import Table
 from repro.bench.workloads import selection_query_text, tree_query_text
@@ -72,17 +64,13 @@ from repro.dist import (
 from repro.recovery import run_suite, suite_fingerprint
 from repro.stats import records_to_csv
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
+from conftest import same_rows
 
 SCALE = 0.005         # 5_000 providers / 15_000 patients
-SMOKE_SCALE = 0.0005  # 500 providers / 1_500 patients (CI)
 N_SHARDS = 2
 SCHEME = "hash"
 CHAOS_CASES_SYNC = 200
 CHAOS_CASES_ASYNC = 50
-SMOKE_CHAOS_SYNC = 50
-SMOKE_CHAOS_ASYNC = 12
 #: Gate: post-recovery throughput >= RECOVERY_FLOOR x pre-kill.
 RECOVERY_FLOOR = 0.8
 #: Gate: a single failover may not black out the shard longer than
@@ -180,19 +168,11 @@ class ShardCsvRow:
     loss_window_records: int
 
 
-def _match(base: list, rows: list, ordered: bool) -> bool:
-    if ordered:
-        return rows == base
-    return sorted(map(repr, rows)) == sorted(map(repr, base))
-
-
 # -- equivalence ------------------------------------------------------------
 
 def run_equivalence(config: DerbyConfig, logical) -> list[EquivRun]:
     queries = query_suite(config)
-    print("loading unreplicated baseline cluster ...", file=sys.stderr)
     plain = load_sharded(config, N_SHARDS, scheme=SCHEME, logical=logical)
-    print("loading replicated cluster ...", file=sys.stderr)
     repl = load_sharded(
         config, N_SHARDS, scheme=SCHEME, logical=logical, replicas=1,
         ship_mode="sync",
@@ -214,7 +194,7 @@ def run_equivalence(config: DerbyConfig, logical) -> list[EquivRun]:
             overhead_pct=(
                 (repl_s - base_s) / base_s * 100.0 if base_s > 0 else 0.0
             ),
-            equivalent=_match(base_rows, rows, "order by" in text),
+            equivalent=same_rows(base_rows, rows, "order by" in text),
         ))
     return runs
 
@@ -326,11 +306,7 @@ def run_availability(
     runs, csv_rows = [], []
     for ship_mode in ("sync", "async"):
         kill_at = _calibrate(config, logical, ship_mode)
-        print(
-            f"availability run ({ship_mode} shipping, calibrated kill "
-            f"at t={kill_at:.2f}s), twice for determinism ...",
-            file=sys.stderr,
-        )
+        # Twice, for determinism.
         digest, run, rows = _one_availability(
             config, logical, ship_mode, kill_at
         )
@@ -502,63 +478,28 @@ def check(
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny database and fewer chaos cases (CI); same gates "
-        "except the 200-case floor",
-    )
-    parser.add_argument(
-        "--json", default=str(REPO_ROOT / "BENCH_replication.json"),
-        help="output path for the machine-readable results",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "replication_availability.txt"),
-        help="output path for the rendered table",
-    )
-    parser.add_argument(
-        "--csv", default=str(RESULTS_DIR / "replication_availability.csv"),
-        help="output path for the per-shard CSV export",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    n_sync = SMOKE_CHAOS_SYNC if args.smoke else CHAOS_CASES_SYNC
-    n_async = SMOKE_CHAOS_ASYNC if args.smoke else CHAOS_CASES_ASYNC
-    config = DerbyConfig.db_1to3(scale=scale)
-    print(
-        f"generating 1:3 logical database at scale {scale} ...",
-        file=sys.stderr,
-    )
+def test_replication_availability(save_table, save_json):
+    config = DerbyConfig.db_1to3(scale=SCALE)
     logical = generate(config)
-
     equiv = run_equivalence(config, logical)
     avail, csv_rows = run_availability(config, logical)
-    print(f"running {n_sync} sync chaos cases ...", file=sys.stderr)
-    chaos_sync = run_suite(FAILOVER, n_sync, ship_mode="sync")
-    print(f"running {n_async} async chaos cases ...", file=sys.stderr)
+    chaos_sync = run_suite(FAILOVER, CHAOS_CASES_SYNC, ship_mode="sync")
     chaos_async = run_suite(
-        FAILOVER, n_async, base_seed=10_000, ship_mode="async"
+        FAILOVER, CHAOS_CASES_ASYNC, base_seed=10_000, ship_mode="async"
     )
 
     summary = summarize(equiv, avail, chaos_sync, chaos_async)
     table = build_table(equiv, avail, summary)
-    print(table)
-    print(FAILOVER.summarize(chaos_sync + chaos_async))
-
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(
-        str(table) + "\n" + str(FAILOVER.summarize(chaos_sync + chaos_async))
+    save_table(
+        "replication_availability",
+        str(table) + "\n" + str(FAILOVER.summarize(chaos_sync + chaos_async)),
     )
-    pathlib.Path(args.csv).write_text(
-        records_to_csv(ShardCsvRow, csv_rows)
+    save_table(
+        "replication_availability.csv", records_to_csv(ShardCsvRow, csv_rows)
     )
-    payload = {
+    save_json("replication", {
         "benchmark": "replication_availability",
-        "scale": scale,
-        "smoke": args.smoke,
+        "scale": SCALE,
         "n_shards": N_SHARDS,
         "scheme": SCHEME,
         "kill_fraction": KILL_FRACTION,
@@ -567,24 +508,6 @@ def main(argv: list[str] | None = None) -> int:
         "summary": summary,
         "equivalence": [asdict(r) for r in equiv],
         "availability": [asdict(a) for a in avail],
-    }
-    pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)
-
+    })
     failures = check(equiv, avail, chaos_sync, chaos_async, summary)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        sync = next(r for r in avail if r.ship_mode == "sync")
-        print(
-            f"PASS: {summary['cells']} queries equivalent, sync outage "
-            f"{sync.unavailable_s:.3f}s with {sync.recovery_ratio:.0%} "
-            f"throughput recovery and zero acked loss across "
-            f"{summary['chaos_sync_cases']} sync chaos cases",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert not failures, "\n".join(failures)

@@ -201,10 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         help="whose rows these are in the JSON: 'parent' when PYTHONPATH "
              "points at a clone of the parent commit (default: change)",
     )
-    parser.add_argument(
-        "--json", default=str(REPO_ROOT / "BENCH_scale.json"),
-        help="output path for the machine-readable results",
-    )
     parser.add_argument("--one", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
@@ -212,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure(args.one)))
         return 0
 
-    path = pathlib.Path(args.json)
+    path = REPO_ROOT / "BENCH_scale.json"
     payload = json.loads(path.read_text()) if path.exists() else {"rows": {}}
     rows_by_label: dict[str, list[dict]] = payload["rows"]
     scales = SMOKE_SCALES if args.smoke else SCALES

@@ -20,7 +20,7 @@ count this benchmark:
    uncommitted-gone oracle, each case executed twice for digest
    determinism.
 
-Hard gates — the script exits nonzero if any fails:
+Hard gates — the test fails on any of them:
 
 * 100% semantic equivalence for every (query, shard count) cell;
 * the 8-shard 10% scan runs at least **4x** faster than 1-shard
@@ -33,20 +33,12 @@ Hard gates — the script exits nonzero if any fails:
 Outputs: ``BENCH_sharding.json`` (repo root),
 ``results/sharding_scaling.txt`` and ``results/sharding_scaling.csv``
 (per-shard rows: pages, messages, shipped rows, busy/wait seconds).
-Run standalone with ``python benchmarks/bench_sharding.py [--smoke]``.
+Run with ``python -m pytest benchmarks/bench_sharding.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
 from dataclasses import asdict, dataclass
-
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
 
 from repro.bench.report import Table
 from repro.bench.workloads import selection_query_text, tree_query_text
@@ -67,13 +59,10 @@ from repro.oql import Catalog, OQLEngine
 from repro.recovery import run_suite, suite_fingerprint
 from repro.stats import records_to_csv
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
+from conftest import same_rows
 
 SCALE = 0.01          # 10_000 providers / 30_000 patients
-SMOKE_SCALE = 0.001   # 1_000 providers / 3_000 patients (CI)
 SHARD_COUNTS = (1, 2, 4, 8, 16, 32)
-SMOKE_SHARD_COUNTS = (1, 2, 8)
 SCHEME = "hash"
 CHAOS_CASES = 20
 #: The gate pair: the 10% scan must scale at least SPEEDUP_FLOOR x
@@ -152,12 +141,6 @@ class MixRun:
     lock_wait_s: float
 
 
-def _match(base: list, rows: list, ordered: bool) -> bool:
-    if ordered:
-        return rows == base
-    return sorted(map(repr, rows)) == sorted(map(repr, base))
-
-
 def _measure_cluster(
     cluster,
     queries: list[tuple[str, str]],
@@ -204,7 +187,7 @@ def _measure_cluster(
                 if elapsed > 0 and label in one_shard_s
                 else 1.0
             ),
-            equivalent=_match(baseline[label], rows, "order by" in text),
+            equivalent=same_rows(baseline[label], rows, "order by" in text),
         ))
     return runs
 
@@ -230,18 +213,13 @@ def _run_mix(cluster) -> MixRun:
     )
 
 
-def run_benchmark(
-    scale: float, shard_counts: tuple[int, ...]
-) -> tuple[list[QueryRun], list[MixRun], list[ShardRow], list]:
-    config = DerbyConfig.db_1to3(scale=scale)
-    print(
-        f"generating 1:3 logical database at scale {scale} ...",
-        file=sys.stderr,
-    )
+def run_benchmark() -> tuple[
+    list[QueryRun], list[MixRun], list[ShardRow], list
+]:
+    config = DerbyConfig.db_1to3(scale=SCALE)
     logical = generate(config)
     queries = query_suite(config)
 
-    print("loading single-node baseline ...", file=sys.stderr)
     derby = load_derby(config, logical=logical)
     engine = OQLEngine(Catalog.from_derby(derby))
     baseline = {}
@@ -253,8 +231,7 @@ def run_benchmark(
     mix_runs: list[MixRun] = []
     csv_rows: list[ShardRow] = []
     one_shard_s: dict[str, float] = {}
-    for n in shard_counts:
-        print(f"loading {n}-shard cluster ...", file=sys.stderr)
+    for n in SHARD_COUNTS:
         cluster = load_sharded(config, n, scheme=SCHEME, logical=logical)
         query_runs.extend(_measure_cluster(
             cluster, queries, baseline, one_shard_s, csv_rows
@@ -264,7 +241,6 @@ def run_benchmark(
         # count gets a freshly loaded cluster.
         mix_runs.append(_run_mix(cluster))
 
-    print(f"running {CHAOS_CASES} seeded 2PC chaos cases ...", file=sys.stderr)
     chaos = run_suite(TWOPC, CHAOS_CASES)
     return query_runs, mix_runs, csv_rows, chaos
 
@@ -308,7 +284,6 @@ def build_table(
     query_runs: list[QueryRun],
     mix_runs: list[MixRun],
     summary: dict,
-    shard_counts: tuple[int, ...],
 ) -> Table:
     table = Table(
         "Sharded scaling: distributed queries vs single node "
@@ -389,68 +364,22 @@ def check(
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny database and fewer shard counts (CI); same gates",
-    )
-    parser.add_argument(
-        "--json", default=str(REPO_ROOT / "BENCH_sharding.json"),
-        help="output path for the machine-readable results",
-    )
-    parser.add_argument(
-        "--out", default=str(RESULTS_DIR / "sharding_scaling.txt"),
-        help="output path for the rendered table",
-    )
-    parser.add_argument(
-        "--csv", default=str(RESULTS_DIR / "sharding_scaling.csv"),
-        help="output path for the per-shard CSV export",
-    )
-    args = parser.parse_args(argv)
-
-    scale = SMOKE_SCALE if args.smoke else SCALE
-    shard_counts = SMOKE_SHARD_COUNTS if args.smoke else SHARD_COUNTS
-    if GATE_SHARDS not in shard_counts:
-        shard_counts = tuple(sorted(set(shard_counts) | {GATE_SHARDS}))
-    query_runs, mix_runs, csv_rows, chaos = run_benchmark(
-        scale, shard_counts
-    )
+def test_sharding_scaling(save_table, save_json):
+    query_runs, mix_runs, csv_rows, chaos = run_benchmark()
     summary = summarize(query_runs, mix_runs, chaos)
-    table = build_table(query_runs, mix_runs, summary, shard_counts)
-    print(table)
-    print(TWOPC.summarize(chaos))
-
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(str(table) + "\n" + str(TWOPC.summarize(chaos)))
-    pathlib.Path(args.csv).write_text(records_to_csv(ShardRow, csv_rows))
-    payload = {
+    table = build_table(query_runs, mix_runs, summary)
+    save_table(
+        "sharding_scaling", str(table) + "\n" + str(TWOPC.summarize(chaos))
+    )
+    save_table("sharding_scaling.csv", records_to_csv(ShardRow, csv_rows))
+    save_json("sharding", {
         "benchmark": "sharding_scaling",
-        "scale": scale,
-        "smoke": args.smoke,
+        "scale": SCALE,
         "scheme": SCHEME,
-        "shard_counts": list(shard_counts),
+        "shard_counts": list(SHARD_COUNTS),
         "summary": summary,
         "queries": [asdict(r) for r in query_runs],
         "mixes": [asdict(m) for m in mix_runs],
-    }
-    pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}, {args.csv}, {args.json}", file=sys.stderr)
-
+    })
     failures = check(query_runs, mix_runs, chaos, summary)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print(
-            f"PASS: {summary['cells']} cells 100% equivalent, "
-            f"{GATE_QUERY} {summary['gate_speedup']:.2f}x at "
-            f"{GATE_SHARDS} shards, "
-            f"{summary['chaos_ok']}/{summary['chaos_cases']} chaos ok",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    assert not failures, "\n".join(failures)

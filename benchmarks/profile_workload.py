@@ -1,7 +1,7 @@
 """Profile one warmed pass of a wall-clock workload.
 
     make profile WORKLOAD=bulk_load
-    python benchmarks/profile_workload.py bulk_load --seed 1997 --top 40
+    python benchmarks/profile_workload.py bulk_load --top 40
     python benchmarks/profile_workload.py oql_selection --callers 'dataclasses.*fields'
 
 Runs the workload's set-up, one untimed warm-up pass and then one pass
@@ -41,10 +41,10 @@ def _label(code) -> str:
     return f"{short}:{code.co_firstlineno}({code.co_qualname})"
 
 
-def profile_pass(name: str, seed: int, smoke: bool) -> list:
-    """``getstats()`` rows of one pass of workload ``name``, after its
-    set-up and one warm-up pass."""
-    workload = workloads.WORKLOADS[name](seed, smoke)
+def profile_pass(name: str, smoke: bool) -> list:
+    """``getstats()`` rows of one pass of workload ``name`` at the
+    driver's default seed, after its set-up and one warm-up pass."""
+    workload = workloads.WORKLOADS[name](worker.DEFAULT_SEED, smoke)
     workload.setup(lambda _name, _klass, fn: fn())
     timer = HostTimer()
     worker.run_pass(workload, timer)
@@ -102,7 +102,6 @@ def report_callers(entries: list, pattern: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=worker.DEFAULT_SEED)
     parser.add_argument("--smoke", action="store_true",
                         help="a tenth of the scale, as run.py --smoke")
     parser.add_argument("--top", type=int, default=40)
@@ -110,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="also list the callers of every function "
                              "whose file:line(qualname) label matches")
     args = parser.parse_args(argv)
-    entries = profile_pass(args.workload, args.seed, args.smoke)
+    entries = profile_pass(args.workload, args.smoke)
     report(entries, args.top)
     if args.callers:
         report_callers(entries, args.callers)

@@ -96,13 +96,15 @@ def _tree_join_lines(plan: TreeJoinPlan) -> list[str]:
     return lines
 
 
-def _chosen_key(plan: SelectionPlan | TreeJoinPlan) -> str | None:
+def chosen_key(plan: SelectionPlan | TreeJoinPlan) -> str:
+    """The key of ``plan.alternatives`` the planner chose: every
+    estimate a plan carries is one of its alternatives."""
     if isinstance(plan, TreeJoinPlan):
         return plan.algorithm
     for key, estimate in plan.alternatives.items():
         if estimate is plan.estimate:
-            return key
-    return None
+            break
+    return key
 
 
 def render_explain(
@@ -121,7 +123,7 @@ def render_explain(
         f"cost: estimated {plan.estimate.seconds:.6f} s, "
         f"actual {actual_s:.6f} s"
     )
-    chosen = _chosen_key(plan)
+    chosen = chosen_key(plan)
     lines.append("alternatives:")
     width = max(len(key) for key in plan.alternatives)
     for key in sorted(

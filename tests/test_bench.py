@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import pathlib
 import re
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -300,6 +302,87 @@ class TestFigureDriver:
             rows = [r for r in table.rows if (r[0], r[1]) == sel]
             assert [r[2] for r in rows] == sorted(times, key=times.get)
             assert [r[4] for r in rows] == sorted(times.values())
+
+
+BENCHES = sorted((REPO / "benchmarks").glob("bench_*.py"))
+#: The host-clock script: it runs outside pytest and owns its file.
+HOST_SCRIPT = "bench_scale.py"
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _written(func: str) -> list[str]:
+    """The name of every ``func(name, ...)`` call in a bench, once per
+    call; a figure's stem resolves through ``FIGURES`` and a
+    paper-agreement table through ``bench_paper_agreement``."""
+    names = []
+    for path in BENCHES:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == func):
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.Constant):
+                names.append(arg.value)
+            elif path.name == "bench_figures.py":
+                names += [figure.stem for figure in FIGURES.values()]
+            elif path.name == "bench_paper_agreement.py":
+                figs = next(
+                    ast.literal_eval(n.value) for n in tree.body
+                    if isinstance(n, ast.Assign)
+                    and ast.unparse(n.targets[0]) == "_MIN_WINNERS"
+                )
+                names += [f"paper_agreement_{fig}" for fig in figs]
+            else:
+                raise AssertionError(
+                    f"{path.name}: {func}({ast.unparse(arg)}) names no file"
+                )
+    return names
+
+
+class TestOneWriter:
+    """One command, ``pytest benchmarks/ --ignore=benchmarks/wallclock``,
+    regenerates every committed result, and each from one place."""
+
+    def test_every_committed_result_has_exactly_one_writer(self):
+        written = Counter(
+            name if name.endswith(".csv") else f"{name}.txt"
+            for name in _written("save_table")
+        )
+        committed = {
+            p.name for p in (REPO / "results").iterdir()
+            if p.suffix in (".txt", ".csv")
+        }
+        assert set(written) == committed
+        assert [name for name, n in written.items() if n > 1] == []
+
+    def test_every_bench_json_has_exactly_one_writer(self):
+        written = Counter(f"BENCH_{name}.json" for name in _written("save_json"))
+        committed = {p.name for p in REPO.glob("BENCH_*.json")}
+        assert set(written) == committed - {"BENCH_scale.json"}
+        assert [name for name, n in written.items() if n > 1] == []
+
+    def test_benches_have_no_script_entry_and_write_only_through_fixtures(self):
+        for path in BENCHES:
+            if path.name == HOST_SCRIPT:
+                continue
+            for node in ast.walk(_tree(path)):
+                assert not (
+                    isinstance(node, ast.FunctionDef) and node.name == "main"
+                ), path.name
+                assert not (
+                    isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "argparse" in ast.unparse(node)
+                ), path.name
+                assert not (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("write_text", "write_bytes", "open")
+                    or isinstance(node, ast.Name) and node.id == "open"
+                ), f"{path.name} writes a file itself"
 
 
 class TestSaveTable:
