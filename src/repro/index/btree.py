@@ -19,7 +19,7 @@ import bisect
 import math
 import struct
 from itertools import chain
-from operator import itemgetter, le
+from operator import le
 from typing import Iterable, Iterator
 
 from repro.errors import IndexError_
@@ -44,20 +44,18 @@ def _field_text(raw: bytes) -> str:
     return raw.rstrip(b"\x00").decode("utf-8", "replace")
 
 
-#: Key type -> (struct codes of one leaf entry: the fixed-width key, then
-#: the rid's three fields; key -> what the key's code packs; what it
-#: unpacks -> key, ``None`` when that already is the key).  ``16s`` cuts
-#: a long string key at 16 bytes and NUL-pads a short one.  A leaf is its
+#: Key type -> (struct code of the fixed-width key; key -> what that code
+#: packs; what it unpacks -> key, ``None`` when that already is the key).
+#: ``16s`` cuts a long string key at 16 bytes and NUL-pads a short one.
+#: A leaf entry is the key, then the rid's three fields; a leaf is its
 #: entry count and the entries back to back, so a whole leaf is one
 #: ``pack`` and one ``unpack``.
 _LEAF_FORMATS = {
-    int: ("qhih", int, None),
-    str: (f"{_STR_KEY_WIDTH}shih", _text_field, _field_text),
+    int: ("q", int, None),
+    str: (f"{_STR_KEY_WIDTH}s", _text_field, _field_text),
 }
-
-
-#: The key of a leaf's ``(key, rid)`` entry, for bisecting the leaf.
-_ENTRY_KEY = itemgetter(0)
+#: The struct codes of a rid in a leaf entry: file, page, slot.
+_RID_CODES = "hih"
 
 
 class BTreeIndex:
@@ -77,13 +75,16 @@ class BTreeIndex:
         self.index_id = index_id
         self.file = index_file
         try:
-            self._entry_format, self._to_field, self._to_key = _LEAF_FORMATS[
-                key_type
-            ]
+            key_code, self._to_field, self._to_key = _LEAF_FORMATS[key_type]
         except KeyError:
             raise IndexError_(
                 f"unsupported index key type: {key_type.__name__}"
             ) from None
+        self._entry_format = key_code + _RID_CODES
+        self._entry_size = struct.calcsize("<" + self._entry_format)
+        #: One entry read for its key alone, or for its rid alone.
+        self._key_format = f"{key_code}{struct.calcsize('<' + _RID_CODES)}x"
+        self._rid_format = f"{struct.calcsize('<' + key_code)}x{_RID_CODES}"
         self.leaf_capacity = leaf_capacity
         #: Parallel arrays: first key of each leaf / (first key, first
         #: rid) pair of each leaf (placement among duplicate keys) / rid
@@ -151,8 +152,9 @@ class BTreeIndex:
         include_high: bool,
     ) -> Iterator[list[tuple[object, Rid]]]:
         """The matching run of each leaf a range scan visits.  A leaf is
-        sorted, so its run is one slice between two bisections; the scan
-        ends at the first leaf holding an entry past ``high``."""
+        sorted, so its run is one slice between two bisections of its
+        keys, and only the run's rids are decoded; the scan ends at the
+        first leaf holding an entry past ``high``."""
         if not self._leaf_rids:
             return
         start_leaf = 0
@@ -164,15 +166,30 @@ class BTreeIndex:
             self._charge_directory_search()
         cut_low = bisect.bisect_left if include_low else bisect.bisect_right
         cut_high = bisect.bisect_right if include_high else bisect.bisect_left
+        key_format, rid_format = self._key_format, self._rid_format
+        entry_size, to_key = self._entry_size, self._to_key
         for leaf_no in range(start_leaf, len(self._leaf_rids)):
-            entries = self._read_leaf(leaf_no)
-            start = 0 if low is None else cut_low(entries, low, key=_ENTRY_KEY)
-            if high is None:
-                yield entries[start:]
-                continue
-            stop = cut_high(entries, high, start, key=_ENTRY_KEY)
-            yield entries[start:stop]
-            if stop < len(entries):
+            record = self.file.read(self._leaf_rids[leaf_no])
+            (count,) = _COUNT.unpack_from(record)
+            keys = struct.unpack_from(
+                "<" + key_format * count, record, _COUNT.size
+            )
+            start = 0 if low is None else cut_low(keys, low, key=to_key)
+            stop = (
+                count if high is None
+                else cut_high(keys, high, start, key=to_key)
+            )
+            fields = struct.unpack_from(
+                "<" + rid_format * (stop - start),
+                record,
+                _COUNT.size + start * entry_size,
+            )
+            run_keys = keys[start:stop]
+            if to_key is not None:
+                run_keys = map(to_key, run_keys)
+            rids = map(rid_of, zip(fields[0::3], fields[1::3], fields[2::3]))
+            yield list(zip(run_keys, rids))
+            if stop < count:
                 return
 
     # -- maintenance -----------------------------------------------------------

@@ -23,6 +23,8 @@ Grammar (informal)::
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import OQLSyntaxError
 from repro.oql.ast_nodes import (
     AggregateExpr,
@@ -312,12 +314,26 @@ class _Parser:
         )
 
 
+#: Distinct statement texts whose parse is kept.  Parsing charges no
+#: simulated time and every AST node is frozen, so one tree can serve
+#: every execution of a text; plans are not kept, because the planners
+#: read index selectivity, collection sizes and installed statistics,
+#: all of which change under inserts and ``analyze``.
+STATEMENT_CACHE_SIZE = 1024
+
+
 def parse(source: str) -> Query:
     """Parse OQL text into a :class:`Query`."""
-    return _Parser(tokenize(source)).query()
+    stmt = parse_statement(source)
+    if isinstance(stmt, Query):
+        return stmt
+    return _Parser(tokenize(source)).query()  # raises: not a query
 
 
+@lru_cache(maxsize=STATEMENT_CACHE_SIZE)
 def parse_statement(source: str) -> Statement:
     """Parse one statement: a query, ``explain <query>``, or
-    ``analyze [collections]``."""
+    ``analyze [collections]``.  The tree of each text is kept (least
+    recently used first out); a syntax error is raised on every call and
+    kept nowhere."""
     return _Parser(tokenize(source)).statement()

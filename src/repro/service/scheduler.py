@@ -10,6 +10,9 @@ waits, operator batch boundaries (:meth:`batch_point`, reached every
 :meth:`yield_point` calls.  Switch order is strict
 round-robin over ready tasks, so a given workload on a given database
 interleaves — and therefore costs — exactly the same way every run.
+A hand-off wakes one thread, the one it hands the baton to: each task
+waits on its own condition over the scheduler's one lock, and
+:meth:`CooperativeScheduler.run` is woken once, when no task is left.
 
 Lock waiting plugs in through :meth:`wait_for_lock` / ``notify_granted``
 (the :meth:`repro.txn.locks.LockManager.attach` contract).  When every
@@ -51,10 +54,18 @@ class TaskState(enum.Enum):
 class Task:
     """One schedulable session body."""
 
-    def __init__(self, task_id: int, name: str, fn: Callable[[], object]):
+    def __init__(
+        self,
+        task_id: int,
+        name: str,
+        fn: Callable[[], object],
+        wake: threading.Condition,
+    ):
         self.task_id = task_id
         self.name = name
         self.fn = fn
+        #: Notified when the baton is handed to this task, and only then.
+        self.wake = wake
         self.state = TaskState.NEW
         self.thread: threading.Thread | None = None
         self.result: object = None
@@ -86,7 +97,10 @@ class CooperativeScheduler:
         #: Called (by the handing-over thread) whenever a new task is
         #: about to run — the query service swaps client caches here.
         self.on_switch = on_switch
-        self._cv = threading.Condition()
+        #: One lock under every condition: ``_cv``, on which ``run``
+        #: waits until no task is left, and each task's ``wake``.
+        self._lock = threading.RLock()
+        self._cv = threading.Condition(self._lock)
         self._tasks: list[Task] = []
         self._current: Task | None = None
         self._rr_next = 0  # round-robin cursor
@@ -103,7 +117,9 @@ class CooperativeScheduler:
 
     def spawn(self, name: str, fn: Callable[[], object]) -> Task:
         """Register a task; it starts running only inside :meth:`run`."""
-        task = Task(len(self._tasks), name, fn)
+        task = Task(
+            len(self._tasks), name, fn, threading.Condition(self._lock)
+        )
         self._tasks.append(task)
         return task
 
@@ -142,7 +158,7 @@ class CooperativeScheduler:
     def _task_body(self, task: Task) -> None:
         with self._cv:
             while self._current is not task:
-                self._cv.wait()
+                task.wake.wait()
         try:
             task.result = task.fn()
         # The trampoline boundary: a session's failure (abort, deadlock,
@@ -157,7 +173,6 @@ class CooperativeScheduler:
                 task.state = TaskState.DONE
                 self._current = None
                 self._schedule_next()
-                self._cv.notify_all()
 
     # -- yield points -------------------------------------------------------
 
@@ -172,7 +187,7 @@ class CooperativeScheduler:
             self._current = None
             self._schedule_next()
             while self._current is not me:
-                self._cv.wait()
+                me.wake.wait()
 
     def batch_point(self) -> None:
         """Yield point taken between operator batches of a pipelined
@@ -207,7 +222,7 @@ class CooperativeScheduler:
             self._current = None
             self._schedule_next()
             while self._current is not me:
-                self._cv.wait()
+                me.wake.wait()
             self._blocked_txns.pop(txn_id, None)
             me.lock_wait_s += self.clock.elapsed_s - started_s
             if me.abort_exc is not None:
@@ -238,7 +253,7 @@ class CooperativeScheduler:
             self._current = None
             self._schedule_next()
             while self._current is not me:
-                self._cv.wait()
+                me.wake.wait()
             self._blocked_admission.pop(session_id, None)
             if me.abort_exc is not None:
                 exc, me.abort_exc = me.abort_exc, None
@@ -288,7 +303,7 @@ class CooperativeScheduler:
             self._resolve_stall()
             task = self._next_ready()
         if task is None:
-            self._cv.notify_all()  # all done (or main should re-check)
+            self._cv.notify()  # every task is done: wake run()
             return
         task.state = TaskState.RUNNING
         task.switches += 1
@@ -296,7 +311,7 @@ class CooperativeScheduler:
         self._current = task
         if self.on_switch is not None:
             self.on_switch(task)
-        self._cv.notify_all()
+        task.wake.notify()
 
     def _next_ready(self) -> Task | None:
         n = len(self._tasks)

@@ -32,7 +32,7 @@ from repro.bench.workloads import SELECTIVITY_GRID, tree_query_text
 from repro.cli import main
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
-from repro.derby.config import Clustering
+from repro.derby.config import DEFAULT_SCALE, Clustering
 from repro.errors import BenchError
 from repro.simtime import CostParams
 from repro.stats import StatsDatabase
@@ -313,12 +313,12 @@ def _tree(path: pathlib.Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _written(func: str) -> list[str]:
+def _written(func: str, benches=BENCHES) -> list[str]:
     """The name of every ``func(name, ...)`` call in a bench, once per
     call; a figure's stem resolves through ``FIGURES`` and a
     paper-agreement table through ``bench_paper_agreement``."""
     names = []
-    for path in BENCHES:
+    for path in benches:
         tree = _tree(path)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
@@ -359,6 +359,27 @@ class TestOneWriter:
         }
         assert set(written) == committed
         assert [name for name, n in written.items() if n > 1] == []
+
+    def test_every_scale_directory_is_what_the_figure_benches_write(self):
+        """``results/scale_<s>/`` holds what ``REPRO_SCALE=<s>`` makes the
+        figure and agreement benches write through ``write_table``: each
+        file has one writer, and none is left from a table no bench
+        writes any more, nor missing one a bench does."""
+        written = Counter(
+            f"{name}.txt" for name in _written("save_table", [
+                REPO / "benchmarks" / "bench_figures.py",
+                REPO / "benchmarks" / "bench_paper_agreement.py",
+            ])
+        )
+        assert [name for name, n in written.items() if n > 1] == []
+        scales = sorted((REPO / "results").glob("scale_*"))
+        assert scales, "no results/scale_*/ is committed"
+        for directory in scales:
+            scale = float(directory.name.removeprefix("scale_"))
+            # a name write_table gives, at a scale it does not write to results/
+            assert directory.name == f"scale_{scale:g}" and scale != DEFAULT_SCALE
+            committed = {p.name for p in directory.iterdir()}
+            assert committed == set(written), directory.name
 
     def test_every_bench_json_has_exactly_one_writer(self):
         written = Counter(f"BENCH_{name}.json" for name in _written("save_json"))

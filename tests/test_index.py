@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
+import struct
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,97 @@ class TestRangeScanEquivalence:
             if position < len(pairs):
                 index.remove(*pairs[position])  # a second removal is a no-op
         assert_scans_like_brute_force(db, index, range(-1, 14))
+
+    # The scan decodes a leaf's keys, then only the rids of its run, at
+    # an offset into the record: the cases below put a run's ends where
+    # that offset arithmetic could slip.
+
+    def test_a_duplicate_run_crossing_an_emptied_leaf(self):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        keys = [1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 4, 5]
+        pairs = [(k, Rid(0, i, 0)) for i, k in enumerate(keys)]
+        index.bulk_build(pairs)
+        for pair in pairs[4:8]:  # the middle leaf: all 3s
+            assert index.remove(*pair)
+        assert index._leaf_counts == [4, 0, 4]
+        assert [rid.page_no for rid in index.lookup(3)] == [2, 3, 8, 9]
+        assert_scans_like_brute_force(db, index, range(0, 7))
+
+    def test_a_run_from_mid_leaf_to_its_last_entry(self):
+        db = make_db()
+        index = make_index(db, leaf_capacity=5)
+        pairs = [(k, Rid(1, 100 + k, k % 3)) for k in range(15)]
+        index.bulk_build(pairs)
+        # Keys 2-4 close the first leaf, 7-9 the second: the run starts
+        # inside the record and ends at its last byte.
+        assert list(index.range_scan(2, 4)) == pairs[2:5]
+        assert list(index.range_scan(6, 9, include_low=False)) == pairs[7:10]
+        assert list(index.range_scan(12, None)) == pairs[12:]
+        assert_scans_like_brute_force(db, index, [1, 2, 4, 5, 6, 9, 10, 14])
+
+    @pytest.mark.parametrize("include_low", (True, False))
+    @pytest.mark.parametrize("include_high", (True, False))
+    def test_a_duplicate_run_over_three_leaves(self, include_low, include_high):
+        db = make_db()
+        index = make_index(db, leaf_capacity=4)
+        # 7 starts mid-leaf in the first leaf, fills the second and ends
+        # mid-leaf in the third.
+        keys = [5, 6, 7, 7, 7, 7, 7, 7, 7, 8, 9, 9]
+        pairs = [(k, Rid(2, i, i)) for i, k in enumerate(keys)]
+        index.bulk_build(pairs)
+        assert [k for k, __ in index._first_pairs] == [5, 7, 7]
+        sevens = pairs[2:9]
+        both = include_low and include_high
+        assert list(index.range_scan(
+            7, 7, include_low, include_high
+        )) == (sevens if both else [])
+        assert list(index.range_scan(
+            6, 8, include_low, include_high
+        )) == pairs[1 if include_low else 2:10 if include_high else 9]
+        assert_scans_like_brute_force(db, index, range(4, 11))
+
+    def test_string_keys_longer_than_the_key_field(self):
+        db = make_db()
+        index = make_index(db, key_type=str, leaf_capacity=3)
+        # Stored keys are cut at 16 bytes: the first two collide, and the
+        # multi-byte character straddles the cut.
+        names = [
+            "abcdefghijklmnopXX", "abcdefghijklmnopYY", "abcdefghijklmnoq",
+            "short", "x" * 15 + "é", "zzzzzzzzzzzzzzzzzzzz",
+        ]
+        index.bulk_build([(n, Rid(0, i, 0)) for i, n in enumerate(names)])
+        assert [k for k, __ in index.range_scan(
+            "abcdefghijklmnop", "abcdefghijklmnop"
+        )] == ["abcdefghijklmnop"] * 2
+        assert_scans_like_brute_force(db, index, [
+            "abcdefghijklmnop", "abcdefghijklmnopXX", "abcdefghijklmnoq",
+            "short", "x" * 15, "x" * 15 + "é", "z" * 16, "z" * 20,
+        ])
+
+
+def test_a_range_scan_decodes_only_the_rids_it_returns(monkeypatch):
+    """A 10-entry range inside a full leaf unpacks 10 rids, not 200."""
+    import repro.index.btree as btree
+
+    db = make_db()
+    index = make_index(db)
+    index.bulk_build([(k, Rid(0, k, 0)) for k in range(200)])
+    assert index.leaf_count == 1
+    rids_unpacked = []
+
+    def unpack_from(fmt, buffer, offset=0):
+        fields = struct.unpack_from(fmt, buffer, offset)
+        rids_unpacked.append(fmt.count("hih"))
+        return fields
+
+    monkeypatch.setattr(btree, "struct", SimpleNamespace(
+        unpack_from=unpack_from, pack=struct.pack, calcsize=struct.calcsize
+    ))
+    assert index.lookup(50) == [Rid(0, 50, 0)]
+    assert [k for k, __ in index.range_scan(100, 110, include_high=False)] \
+        == list(range(100, 110))
+    assert sum(rids_unpacked) == 1 + 10
 
 
 # ------------------------------------------------------------- IndexManager

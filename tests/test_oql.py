@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.errors import OQLSyntaxError, PlanError
+from repro.opt import CostBasedOptimizer, StatsCollector
 from repro.oql import (
+    AnalyzeStmt,
     BinOp,
     BoolOp,
     Catalog,
+    ExplainStmt,
     Literal,
     OQLEngine,
     Path,
     TupleExpr,
     parse,
+    parse_statement,
     run_oql,
     tokenize,
 )
@@ -314,3 +320,99 @@ class TestEngine:
         derby.start_cold_run()
         run_oql(catalog, "select p.age from p in Patients where p.mrn < 100")
         assert derby.db.clock.elapsed_s > 0
+
+
+# ------------------------------------------------------- statement cache
+
+class TestStatementCache:
+    """``parse_statement`` and ``parse`` keep one tree per statement
+    text; nothing downstream may change a tree they hand out."""
+
+    def test_a_text_parses_to_the_identical_object(self):
+        text = "select p.age from p in Patients where p.mrn < 41"
+        first = parse_statement(text)
+        assert parse_statement(text) is first
+        assert parse(text) is first
+        assert parse_statement(f" {text}") is not first  # keyed on the text
+
+    def test_a_syntax_error_raises_every_time_and_is_not_kept(self):
+        text = "select p.age where p.num > 5"
+        size = parse_statement.cache_info().currsize
+        for __ in range(2):
+            with pytest.raises(OQLSyntaxError):
+                parse_statement(text)
+            with pytest.raises(OQLSyntaxError):
+                parse(text)
+        assert parse_statement.cache_info().currsize == size
+
+    @pytest.mark.parametrize("text", [
+        "explain select p.age from p in Patients where p.mrn < 42",
+        "analyze Patients, Providers",
+        "analyze",
+    ])
+    def test_explain_and_analyze_are_kept_too(self, text):
+        stmt = parse_statement(text)
+        assert isinstance(stmt, (ExplainStmt, AnalyzeStmt))
+        assert parse_statement(text) is stmt
+        with pytest.raises(OQLSyntaxError, match="expected 'select'"):
+            parse(text)  # not a query, however often asked
+
+    def test_the_bound_is_a_constant(self):
+        assert parse_statement.cache_info().maxsize == 1024
+
+
+@st.composite
+def statements(draw):
+    """A selection over Patients, or the Providers x clients tree join
+    (whose predicates are one ``<`` per variable on an indexed key)."""
+    if draw(st.booleans()):
+        conjuncts = " and ".join(
+            f"p.{attr} {draw(st.sampled_from(('<', '<=', '>', '>=', '=')))} "
+            f"{draw(st.integers(min_value=-1, max_value=1300))}"
+            for attr in draw(st.lists(st.sampled_from(("mrn", "num", "age")),
+                                      min_size=1, max_size=2, unique=True))
+        )
+        head = draw(st.sampled_from(
+            ("select p.age", "select count(p)", "select avg(p.age)",
+             "select distinct p.sex")
+        ))
+        text = f"{head} from p in Patients where {conjuncts}"
+        if head == "select p.age" and draw(st.booleans()):
+            text += " order by p.age desc"
+    else:
+        text = (
+            "select tuple(n: q.name, a: p.age) from q in Providers, "
+            f"p in q.clients where p.mrn < {draw(st.integers(0, 1300))} "
+            f"and q.upin < {draw(st.integers(0, 41))}"
+        )
+    if draw(st.booleans()):
+        text += f" limit {draw(st.integers(min_value=1, max_value=9))}"
+    return text
+
+
+class TestSharedTreesStayUnchanged:
+    @pytest.fixture(scope="class")
+    def engines(self, catalog):
+        cost = CostBasedOptimizer(catalog, include_extensions=True)
+        cost.install_stats(StatsCollector(catalog).collect())
+        return OQLEngine(catalog), OQLEngine(catalog, optimizer=cost)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=statements())
+    def test_planning_and_explaining_leave_the_tree_as_parsed(
+        self, engines, text
+    ):
+        fresh = parse_statement.__wrapped__  # the parser, cache bypassed
+        stmt = parse_statement(text)
+        explained = parse_statement(f"explain {text}")
+        for engine in engines:
+            for use in (
+                lambda: engine.execute(text),
+                lambda: engine.execute(f"explain {text}"),
+                lambda: engine.optimizer.plan(stmt),
+            ):
+                use()  # checked after each: two in-place changes could cancel
+                assert parse_statement(text) is stmt
+                assert stmt == fresh(text)
+                assert explained == fresh(f"explain {text}")

@@ -3,6 +3,8 @@ the lock wait/deadlock protocol, sessions and workload mixes."""
 
 from __future__ import annotations
 
+import sys
+import threading
 from functools import partial
 from itertools import repeat
 from random import Random
@@ -44,6 +46,37 @@ def make_lock_world(timeout_s: float | None = None):
     locks = LockManager(clock, CostParams(), timeout_s=timeout_s)
     scheduler = CooperativeScheduler(clock, locks)
     return clock, locks, scheduler
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts the waits it ends."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.wakes = 0
+
+    def wait(self, timeout=None):
+        woken = super().wait(timeout)
+        self.wakes += 1
+        return woken
+
+
+def count_wakes(scheduler: CooperativeScheduler) -> None:
+    """Give every spawned task, and ``run``, a counting condition over
+    the scheduler's lock."""
+    for task in scheduler.tasks:
+        task.wake = CountingCondition(scheduler._lock)
+    scheduler._cv = CountingCondition(scheduler._lock)
+
+
+def assert_one_wake_per_hand_off(scheduler, tasks) -> None:
+    """Each task woke once per slice it was handed, bar the first when
+    its thread found the baton already its own; ``run`` woke once."""
+    for task in tasks:
+        assert task.switches - 1 <= task.wake.wakes <= task.switches, (
+            task.name, task.switches, task.wake.wakes
+        )
+    assert scheduler._cv.wakes == 1
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +125,33 @@ class TestScheduler:
         tasks = scheduler.run()
         assert isinstance(tasks[0].error, RuntimeError)
         assert tasks[1].result == "ok"
+
+    @pytest.mark.parametrize("n_tasks, yields", [(2, 1), (8, 5)])
+    def test_a_hand_off_wakes_only_the_task_it_picks(self, n_tasks, yields):
+        """A ring of tasks that each yield ``yields`` times: every task is
+        handed the baton ``yields + 1`` times and wakes once for each."""
+        __, __, scheduler = make_lock_world()
+
+        def ring():
+            for __ in range(yields):
+                scheduler.yield_point()
+
+        for i in range(n_tasks):
+            scheduler.spawn(f"t{i}", ring)
+        count_wakes(scheduler)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt the session threads often
+        try:
+            runner = threading.Thread(target=scheduler.run, daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        tasks = scheduler.tasks
+        assert [t.error for t in tasks] == [None] * n_tasks
+        assert [t.switches for t in tasks] == [yields + 1] * n_tasks
+        assert_one_wake_per_hand_off(scheduler, tasks)
 
 
 # ---------------------------------------------------------------- lock waits
@@ -171,9 +231,11 @@ class TestLockWaitProtocol:
 
         scheduler.spawn("t1", body(1))
         scheduler.spawn("t2", body(2))
+        count_wakes(scheduler)
         tasks = scheduler.run()
         assert [t.error for t in tasks] == [None, None]
         assert outcome == {1: "upgraded", 2: "victim"}
+        assert_one_wake_per_hand_off(scheduler, tasks)
 
     def test_lock_timeout_aborts_waiter(self):
         clock, locks, scheduler = make_lock_world(timeout_s=1.0)
@@ -196,10 +258,12 @@ class TestLockWaitProtocol:
 
         scheduler.spawn("holder", holder)
         scheduler.spawn("waiter", waiter)
+        count_wakes(scheduler)
         tasks = scheduler.run()
         assert [t.error for t in tasks] == [None, None]
         assert outcome == {2: "timeout"}
         assert locks.waiting_count == 0
+        assert_one_wake_per_hand_off(scheduler, tasks)
 
     def test_three_session_deadlock_cycle(self):
         """T1:A T2:B T3:C, then T1->B, T2->C, T3->A: a 3-cycle.  The
