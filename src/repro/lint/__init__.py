@@ -28,26 +28,24 @@ exhaustively, so this package checks them statically, as AST rules over
 ``ESCAPE``
     A borrowed handle does not outlive its ``with`` block.
 
-Run it as ``python -m repro lint`` (or ``make lint``); configuration
-lives in ``pyproject.toml`` under ``[tool.simlint]``.  Findings can be
-suppressed line-by-line with ``# simlint: ok[RULE] justification``.
+Run it as ``python -m repro lint`` (or ``make lint``).  There are no
+settings: the names each rule looks for (layer order, charging calls,
+protocol calls, ...) are constants in ``repro.lint.vocab``.  Findings
+can be suppressed line-by-line with ``# simlint: ok[RULE] justification``.
 See ``docs/lint.md`` for the rules and the invariants they protect.
 
 This package deliberately imports nothing from the rest of ``repro``
 (the linter must not depend on the code it judges).
 """
 
-from repro.lint.config import LintConfig, load_config
 from repro.lint.findings import Finding
 from repro.lint.report import render_json, render_text
 from repro.lint.runner import LintResult, lint_paths
 
 __all__ = [
     "Finding",
-    "LintConfig",
     "LintResult",
     "lint_paths",
-    "load_config",
     "render_json",
     "render_text",
 ]

@@ -30,8 +30,8 @@ for the CI ``lint-graph`` artifact.
 
 from __future__ import annotations
 
-from repro.lint.config import LintConfig
 from repro.lint.project import CallSite, FunctionInfo, Project
+from repro.lint.vocab import FAULT_CALLS, TOUCH_ATTRS, TOUCH_METHODS, YIELD_CALLS
 
 #: Cap on the rendered suspension-chain text in findings.
 _CHAIN_LIMIT = 160
@@ -70,9 +70,8 @@ _CONTAINER_METHODS = frozenset(
 class CallGraph:
     """Resolved calls, charge/touch reachability and may-yield summaries."""
 
-    def __init__(self, project: Project, config: LintConfig):
+    def __init__(self, project: Project):
         self.project = project
-        self.config = config
         self.functions: list[FunctionInfo] = project.functions
         self.defs_by_name = project.defs_by_name
         #: index of each function in ``functions`` (identity key).
@@ -111,12 +110,10 @@ class CallGraph:
     def _direct_yield(self, info: FunctionInfo) -> str | None:
         """The first (source-order) suspension primitive this function
         calls directly, or None."""
-        yield_calls = set(self.config.yield_calls)
-        fault_calls = set(self.config.fault_calls)
         for site in info.call_sites:
-            if site.name in yield_calls:
+            if site.name in YIELD_CALLS:
                 return f"{site.name}() [scheduler yield point]"
-            if site.name in fault_calls:
+            if site.name in FAULT_CALLS:
                 return f"{site.name}() [page fault / lock wait]"
         return None
 
@@ -170,9 +167,9 @@ class CallGraph:
         """Can this *call site* suspend the caller?  Returns the chain
         text, or None.  A call is suspending when its bare name is a
         suspension primitive or any attributed resolution may yield."""
-        if site.name in self.config.yield_calls:
+        if site.name in YIELD_CALLS:
             return f"{site.name}() [scheduler yield point]"
-        if site.name in self.config.fault_calls:
+        if site.name in FAULT_CALLS:
             return f"{site.name}() [page fault / lock wait]"
         for callee in self.resolve_site(caller, site):
             if callee is caller:
@@ -218,16 +215,13 @@ class CallGraph:
         """function index -> why it touches a costed resource (directly
         or through a name-resolved callee)."""
         if self._touch_reasons is None:
-            config = self.config
             reasons: dict[int, str] = {}
             for i, info in enumerate(self.functions):
-                direct_calls = info.called_names & set(
-                    config.charge_touch_methods
-                )
+                direct_calls = info.called_names.intersection(TOUCH_METHODS)
                 if direct_calls:
                     reasons[i] = f"calls {sorted(direct_calls)[0]}()"
                     continue
-                direct_attrs = info.attr_names & set(config.charge_touch_attrs)
+                direct_attrs = info.attr_names.intersection(TOUCH_ATTRS)
                 if direct_attrs:
                     reasons[i] = f"accesses .{sorted(direct_attrs)[0]}"
             changed = True

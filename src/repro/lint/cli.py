@@ -1,15 +1,13 @@
-"""Command-line front end: ``python -m repro lint`` / ``python -m repro.lint``.
+"""Command-line front end: ``python -m repro lint``.
 
-Exit codes: 0 clean, 1 findings, 2 usage or configuration error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from repro.lint.config import LintConfig, load_config
 from repro.lint.report import render_json, render_text
 from repro.lint.runner import lint_paths
 
@@ -19,11 +17,11 @@ EXIT_USAGE = 2
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Mountable on a standalone parser or a ``repro`` subparser."""
+    """The ``repro lint`` subcommand's arguments."""
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: [tool.simlint] paths)",
+        help="files or directories to lint (default: the repro package)",
     )
     parser.add_argument(
         "--format",
@@ -33,12 +31,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--rules",
-        help="comma-separated rule subset, e.g. DET,LAYER (default: all configured)",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore pyproject.toml; run with built-in defaults",
+        help="comma-separated rule subset, e.g. DET,LAYER (default: all)",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -58,33 +51,26 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_lint(args: argparse.Namespace) -> int:
-    """Shared implementation for both entry points."""
-    try:
-        config: LintConfig = (
-            LintConfig() if args.no_config else load_config(".")
-        )
-        if args.rules:
-            from repro.lint.rules import ALL_RULES
+    """``repro lint``: run, report, and map the outcome to an exit code."""
+    wanted: tuple[str, ...] | None = None
+    if args.rules:
+        from repro.lint.rules import ALL_RULES
 
-            wanted = tuple(
-                rule.strip().upper() for rule in args.rules.split(",") if rule.strip()
+        wanted = tuple(
+            rule.strip().upper() for rule in args.rules.split(",") if rule.strip()
+        )
+        unknown = [rule for rule in wanted if rule not in ALL_RULES]
+        if unknown:
+            print(
+                f"simlint: unknown rule(s): {', '.join(unknown)}",
+                file=sys.stderr,
             )
-            unknown = [rule for rule in wanted if rule not in ALL_RULES]
-            if unknown:
-                print(
-                    f"simlint: unknown rule(s): {', '.join(unknown)}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            config = replace(config, select=wanted)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"simlint: bad configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            return EXIT_USAGE
 
     # A gate that checked nothing must not pass: a renamed package
     # would otherwise turn CI's path-scoped runs green for good.
     try:
-        result = lint_paths(tuple(args.paths) or None, config)
+        result = lint_paths(tuple(args.paths) or None, wanted)
     except FileNotFoundError as exc:
         print(f"simlint: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -92,12 +78,12 @@ def run_lint(args: argparse.Namespace) -> int:
         print("simlint: no Python files to check", file=sys.stderr)
         return EXIT_USAGE
 
-    if getattr(args, "dump_graph", None):
+    if args.dump_graph:
         assert result.project is not None
         with open(args.dump_graph, "w", encoding="utf-8") as fh:
             fh.write(result.project.callgraph.to_dot())
         print(f"simlint: call graph written to {args.dump_graph}", file=sys.stderr)
-    if getattr(args, "timing", False):
+    if args.timing:
         total = sum(result.timings.values())
         print("simlint: timing", file=sys.stderr)
         for name, spent in result.timings.items():
@@ -114,18 +100,3 @@ def run_lint(args: argparse.Namespace) -> int:
             for finding in result.suppressed_findings:
                 print(f"{finding.render()}  [suppressed]")
     return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="simlint",
-        description="AST invariant linter for the repro codebase "
-        "(determinism, cost charging, layering, pairing, exceptions, "
-        "atomicity, protocols, handle escape)",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.config import LintConfig
+from repro.lint.vocab import CHARGE_CALLS, COUNTER_NAMES, ROOT_PACKAGE
 
 #: ``# simlint: ok[DET]``, ``# simlint: ok[DET,PAIR] free by design``
 _SUPPRESSION = re.compile(r"#\s*simlint:\s*ok\[([A-Za-z*,\s]+)\]")
@@ -116,9 +116,8 @@ def call_name(call: ast.Call) -> str | None:
 class _FunctionScanner(ast.NodeVisitor):
     """Fills a FunctionInfo from a def's whole subtree."""
 
-    def __init__(self, info: FunctionInfo, config: LintConfig):
+    def __init__(self, info: FunctionInfo):
         self.info = info
-        self.config = config
 
     def visit_Call(self, node: ast.Call) -> None:
         name = call_name(node)
@@ -128,7 +127,7 @@ class _FunctionScanner(ast.NodeVisitor):
             self.info.call_sites.append(
                 CallSite(name, chain[:-1], node.lineno, node.col_offset)
             )
-            if name in self.config.charge_calls:
+            if name in CHARGE_CALLS:
                 self.info.charges_directly = True
         self.generic_visit(node)
 
@@ -138,7 +137,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def _check_counter_target(self, target: ast.AST) -> None:
         chain = _dotted(target)
-        if any(part in self.config.counter_names for part in chain[:-1]):
+        if any(part in COUNTER_NAMES for part in chain[:-1]):
             self.info.charges_directly = True
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
@@ -177,9 +176,8 @@ def _is_property(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
 class Project:
     """All modules plus the name-resolved call graph."""
 
-    def __init__(self, modules: list[Module], config: LintConfig):
+    def __init__(self, modules: list[Module]):
         self.modules = modules
-        self.config = config
         self.functions: list[FunctionInfo] = []
         #: bare name -> every project function with that name.
         self.defs_by_name: dict[str, list[FunctionInfo]] = {}
@@ -194,7 +192,7 @@ class Project:
         if self._callgraph is None:
             from repro.lint.callgraph import CallGraph
 
-            self._callgraph = CallGraph(self, self.config)
+            self._callgraph = CallGraph(self)
         return self._callgraph
 
     # -- indexing ---------------------------------------------------------
@@ -208,7 +206,7 @@ class Project:
                 owner_class=owner,
                 is_property=_is_property(node),
             )
-            _FunctionScanner(info, self.config).visit(node)
+            _FunctionScanner(info).visit(node)
             self.functions.append(info)
             self.defs_by_name.setdefault(node.name, []).append(info)
 
@@ -240,15 +238,13 @@ class Project:
 _SKIP_DIRS = {"__pycache__"}
 
 
-def iter_python_files(paths: tuple[str, ...], root: str) -> list[Path]:
+def iter_python_files(paths: tuple[str, ...]) -> list[Path]:
     """Every ``.py`` file under the given paths (files or directories),
     deterministic order.  A path that does not exist raises
     :class:`FileNotFoundError`."""
     out: list[Path] = []
     for raw in paths:
         path = Path(raw)
-        if not path.is_absolute():
-            path = Path(root) / path
         if not path.exists():
             raise FileNotFoundError(f"no such file or directory: {raw}")
         if path.is_file() and path.suffix == ".py":
@@ -264,39 +260,38 @@ def iter_python_files(paths: tuple[str, ...], root: str) -> list[Path]:
     return out
 
 
-def module_name_for(path: Path, root_package: str) -> tuple[str, str]:
+def module_name_for(path: Path) -> tuple[str, str]:
     """(dotted module name, layer package) for a file.
 
     The layer package is the first path component under the root
     package; files directly in the root package use their own stem
     (``repro/cli.py`` -> layer ``cli``).  Files outside any
-    ``root_package`` directory get layer "" (LAYER skips them).
+    ``ROOT_PACKAGE`` directory get layer "" (LAYER skips them).
     """
     parts = list(path.with_suffix("").parts)
-    if root_package in parts:
-        idx = len(parts) - 1 - parts[::-1].index(root_package)
+    if ROOT_PACKAGE in parts:
+        idx = len(parts) - 1 - parts[::-1].index(ROOT_PACKAGE)
         tail = parts[idx:]
         name = ".".join(tail)
-        package = tail[1] if len(tail) > 1 else root_package
+        package = tail[1] if len(tail) > 1 else ROOT_PACKAGE
         if package.endswith("__init__"):
-            package = root_package
+            package = ROOT_PACKAGE
         return name, package
     return path.stem, ""
 
 
-def build_project(
-    files: list[Path], config: LintConfig
-) -> tuple[Project, list]:
+def build_project(files: list[Path]) -> tuple[Project, list]:
     """Parse every file; returns the project and a list of findings for
-    files that do not parse (rule ``SYNTAX``)."""
+    files that do not parse (rule ``SYNTAX``).  Findings name a file
+    relative to the working directory when it lies below it."""
     from repro.lint.findings import Finding
 
     modules: list[Module] = []
     errors: list[Finding] = []
-    root = Path(config.root)
+    cwd = Path.cwd()
     for path in files:
         try:
-            display = str(path.relative_to(root))
+            display = str(path.relative_to(cwd))
         except ValueError:
             display = str(path)
         source = path.read_text(encoding="utf-8")
@@ -313,7 +308,7 @@ def build_project(
                 )
             )
             continue
-        name, package = module_name_for(path, config.root_package)
+        name, package = module_name_for(path)
         modules.append(
             Module(
                 path=display,
@@ -324,4 +319,4 @@ def build_project(
                 suppressions=parse_suppressions(source),
             )
         )
-    return Project(modules, config), errors
+    return Project(modules), errors

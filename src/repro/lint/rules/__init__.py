@@ -1,7 +1,7 @@
 """The rule registry.
 
 Every rule is a module exposing ``NAME`` (the code that appears in
-findings and suppressions) and ``check(project, config)`` returning a
+findings and suppressions) and ``check(project)`` returning a
 list of :class:`~repro.lint.findings.Finding`.  Rules never see
 suppressions — the runner filters their output.
 """

@@ -14,15 +14,15 @@ between.  A sequence
 is a lost update waiting for the next workload mix.  This rule uses the
 shared call graph's may-yield closure (``repro.lint.callgraph``) to
 flag exactly that shape in the server-tier packages
-(``atom_packages``): a read and a later write of the same shared-state
+(``ATOM_PACKAGES``): a read and a later write of the same shared-state
 attribute chain with a may-yield call strictly between them, when the
 write is not protected by
 
 * an enclosing ``with`` whose context names a guard
-  (``atom_guards``: ``_cv``, ``lock``, ...) — the documented critical
+  (``ATOM_GUARDS``: ``_cv``, ``lock``, ...) — the documented critical
   bracket, or
 * an earlier explicit lock acquisition in the same function
-  (``atom_lock_calls``) — strict-2PL paths own their records once the
+  (``ATOM_LOCK_CALLS``) — strict-2PL paths own their records once the
   lock is granted.
 
 An augmented assignment whose right-hand side can itself yield
@@ -36,9 +36,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import CallSite, FunctionInfo, Project, _dotted, call_name
+from repro.lint.vocab import (
+    ATOM_GUARDS,
+    ATOM_LOCK_CALLS,
+    ATOM_PACKAGES,
+    ATOM_STATE_ATTRS,
+)
 
 NAME = "ATOM"
 
@@ -73,26 +78,16 @@ class _Event:
     detail: str = ""          # yield chain text for "yield" events
 
 
-def _is_guard(expr: ast.AST, guards: frozenset[str]) -> bool:
-    return any(part in guards for part in _dotted(expr))
+def _is_guard(expr: ast.AST) -> bool:
+    return any(part in ATOM_GUARDS for part in _dotted(expr))
 
 
 class _Scanner:
     """Collects state accesses and suspension points for one unit."""
 
-    def __init__(
-        self,
-        info: FunctionInfo,
-        graph,
-        state_attrs: frozenset[str],
-        guards: frozenset[str],
-        lock_calls: frozenset[str],
-    ):
+    def __init__(self, info: FunctionInfo, graph):
         self.info = info
         self.graph = graph
-        self.state_attrs = state_attrs
-        self.guards = guards
-        self.lock_calls = lock_calls
         self.events: list[_Event] = []
 
     def _chain_of(self, node: ast.AST) -> tuple[str, ...] | None:
@@ -101,7 +96,7 @@ class _Scanner:
         while isinstance(node, ast.Subscript):
             node = node.value
         chain = tuple(_dotted(node))
-        if chain and chain[-1] in self.state_attrs:
+        if chain and chain[-1] in ATOM_STATE_ATTRS:
             return chain
         return None
 
@@ -123,7 +118,7 @@ class _Scanner:
             return  # separate execution unit
         if isinstance(node, (ast.With, ast.AsyncWith)):
             inner = guarded or any(
-                _is_guard(item.context_expr, self.guards)
+                _is_guard(item.context_expr)
                 for item in node.items
             )
             for item in node.items:
@@ -164,7 +159,7 @@ class _Scanner:
                             guarded, reason,
                         )
                     )
-                if name in self.lock_calls:
+                if name in ATOM_LOCK_CALLS:
                     self.events.append(
                         _Event(
                             "acquire", (), node.lineno, node.col_offset,
@@ -174,7 +169,7 @@ class _Scanner:
                 if (
                     name in _MUTATORS
                     and len(chain) >= 2
-                    and chain[-2] in self.state_attrs
+                    and chain[-2] in ATOM_STATE_ATTRS
                 ):
                     # ``self._queue.append(x)`` writes ``self._queue``
                     self.events.append(
@@ -208,18 +203,14 @@ def _units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
     return out
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    packages = set(config.atom_packages)
-    state_attrs = frozenset(config.atom_state_attrs)
-    guards = frozenset(config.atom_guards)
-    lock_calls = frozenset(config.atom_lock_calls)
     graph = project.callgraph
 
     for info, qualname, node in _units(project):
-        if info.module.package not in packages:
+        if info.module.package not in ATOM_PACKAGES:
             continue
-        scanner = _Scanner(info, graph, state_attrs, guards, lock_calls)
+        scanner = _Scanner(info, graph)
         scanner.scan(node.body, False)
         events = sorted(scanner.events, key=lambda e: (e.line, e.col))
         symbol = f"{info.module.name}:{qualname}"

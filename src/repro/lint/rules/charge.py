@@ -8,8 +8,8 @@ charge packages (``storage``, ``buffer``, ``exec``, ``objects`` by
 default), asks two questions of the name-resolved call graph:
 
 1. does the function *touch* a costed resource (calls a page/handle
-   method from ``charge_touch_methods``, or reads raw storage state
-   from ``charge_touch_attrs``), directly or through project callees?
+   method from ``TOUCH_METHODS``, or reads raw storage state from
+   ``TOUCH_ATTRS``), directly or through project callees?
 2. can it *reach* a ``charge_ms``/``charge_us``/``charge_s`` call, an
    in-place add into the clock's bucket map (``<map>[Bucket.CPU] +=
    seconds``, how the per-row sites charge) or a ``counters.<field> +=
@@ -29,18 +29,17 @@ that call them.
 
 from __future__ import annotations
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Project
+from repro.lint.vocab import CHARGE_PACKAGES
 
 NAME = "CHARGE"
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    charge_packages = set(config.charge_packages)
     for info in project.functions:
-        if info.module.package not in charge_packages:
+        if info.module.package not in CHARGE_PACKAGES:
             continue
         name = info.node.name
         if name.startswith("_") or info.is_property:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Module, Project, _dotted, call_name
 
@@ -265,7 +264,7 @@ class _DetVisitor(ast.NodeVisitor):
     visit_GeneratorExp = _visit_comprehension
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for module in project.modules:
         visitor = _DetVisitor(module)

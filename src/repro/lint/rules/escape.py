@@ -17,12 +17,12 @@ block:
 * ``<container-or-attribute> = h`` (or a literal containing ``h``)
   where the target is an attribute or subscript — the store outlives
   the block;
-* ``xs.append(h)`` and friends (``escape_sinks``) with ``h`` as a
+* ``xs.append(h)`` and friends (``ESCAPE_SINKS``) with ``h`` as a
   direct argument;
 
 and, after the block, any read of ``h`` before it is rebound.
 
-In the measured substrates (``charge_packages``) a generator must also
+In the measured substrates (``CHARGE_PACKAGES``) a generator must also
 not *suspend* inside the bracket: any ``yield`` / ``yield from``
 lexically inside the block, whatever it yields, leaves the handle
 referenced while the consumer runs -- for an operator's row generator,
@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import FunctionInfo, Project, call_name
+from repro.lint.vocab import CHARGE_PACKAGES, ESCAPE_CALLS, ESCAPE_SINKS
 
 NAME = "ESCAPE"
 
@@ -95,11 +95,9 @@ def _check_block(
     symbol: str,
     handle: str,
     block: ast.With | ast.AsyncWith,
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
-    sinks = set(config.escape_sinks)
-    measured = info.module.package in config.charge_packages
+    measured = info.module.package in CHARGE_PACKAGES
 
     def flag(node: ast.AST, message: str) -> None:
         findings.append(
@@ -151,7 +149,7 @@ def _check_block(
                     flag(node, escapes("is stored into longer-lived state"))
             elif isinstance(node, ast.Call):
                 name = call_name(node)
-                if name in sinks and any(
+                if name in ESCAPE_SINKS and any(
                     mentions_handle(arg, handle) for arg in node.args
                 ):
                     flag(
@@ -160,9 +158,8 @@ def _check_block(
                     )
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    borrow_names = set(config.escape_calls)
     for info, qualname, unit in _units(project):
         symbol = f"{info.module.name}:{qualname}"
         body = getattr(unit, "body", [])
@@ -174,13 +171,13 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
                 ctx = item.context_expr
                 if not (
                     isinstance(ctx, ast.Call)
-                    and call_name(ctx) in borrow_names
+                    and call_name(ctx) in ESCAPE_CALLS
                 ):
                     continue
                 if not isinstance(item.optional_vars, ast.Name):
                     continue
                 handle = item.optional_vars.id
-                _check_block(info, symbol, handle, node, config, findings)
+                _check_block(info, symbol, handle, node, findings)
 
                 # use after the block: first mention of the handle past
                 # the block's end, unless it is a rebinding

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Module, Project
 
@@ -103,7 +102,7 @@ class _ExcVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for module in project.modules:
         visitor = _ExcVisitor(module)

@@ -14,18 +14,17 @@ deliberate and free:
   restart hook looking up the service) is allowed because it cannot
   create an import cycle at module load.
 
-Additional allowed upward edges can be granted per package with
-``layer_allow`` in ``[tool.simlint]``; packages missing from
-``layer_order`` are themselves flagged so the config cannot rot.
+The order is ``LAYER_ORDER`` in ``repro.lint.vocab``; a package
+missing from it is itself flagged, so the order cannot rot.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Module, Project
+from repro.lint.vocab import LAYER_ORDER, ROOT_PACKAGE
 
 NAME = "LAYER"
 
@@ -105,10 +104,10 @@ def _target_packages(
     return [dotted[1]] if len(dotted) > 1 else []
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    order = {package: i for i, package in enumerate(config.layer_order)}
-    root = config.root_package
+    order = {package: i for i, package in enumerate(LAYER_ORDER)}
+    root = ROOT_PACKAGE
     for module in project.modules:
         package = module.package
         if not package:
@@ -124,17 +123,16 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
                     line=1,
                     col=0,
                     message=(
-                        f"package '{package}' is not in layer_order; add it "
-                        "to [tool.simlint] so its imports are checked"
+                        f"package '{package}' is not in LAYER_ORDER; add it "
+                        "to repro.lint.vocab so its imports are checked"
                     ),
                     symbol=module.name,
                 )
             )
             continue
-        allow = set(config.layer_allow.get(package, ()))
         for node, spec in collector.imports:
             for target in _target_packages(module, node, spec, root):
-                if target == package or target in allow:
+                if target == package:
                     continue
                 target_idx = order.get(target)
                 if target_idx is None:
@@ -149,7 +147,7 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
                             col=node.col_offset,
                             message=(
                                 f"import target '{root}.{target}' is not in "
-                                "layer_order; add it to [tool.simlint]"
+                                "LAYER_ORDER; add it to repro.lint.vocab"
                             ),
                             symbol=f"{module.name} -> {target}",
                         )

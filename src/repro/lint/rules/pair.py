@@ -2,7 +2,7 @@
 
 A leaked object handle pins a page frame and skews every later fault
 count; a lock that survives its transaction deadlocks the next client.
-For each configured (open, close) method-name pair — by default
+For each (open, close) method-name pair in ``PAIRS`` —
 ``load``/``unref``, ``acquire``/``release_all``, ``pin``/``unpin`` —
 this rule does an intra-function analysis:
 
@@ -16,12 +16,12 @@ Open calls with no close in the same function are ownership transfers
 (e.g. a constructor storing the handle) and are not flagged — unless
 the function provably keeps the resource to itself: ``h = om.load(rid)``
 where ``h`` is never returned, yielded, stored (attribute, subscript,
-``escape_sinks`` container call), rebound to another name nor entered as
+``ESCAPE_SINKS`` container call), rebound to another name nor entered as
 a ``with`` block is a reference dropped on the floor, and is flagged.
-That check runs in the measured substrates only (``charge_packages``,
+That check runs in the measured substrates only (``CHARGE_PACKAGES``,
 the operators among them): elsewhere ``load`` is as likely ``json.load``.
 
-Separately, ``cleanup_calls`` (default ``release_all``) must be
+Separately, ``CLEANUP_CALLS`` (``release_all``) must be
 unskippable wherever they appear: an unprotected ``release_all`` with
 any raising call before it in the function is flagged even with no
 matching ``acquire`` in sight, because lock lifetimes span functions.
@@ -32,10 +32,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import Project, call_name
 from repro.lint.rules.escape import mentions_handle, own_nodes
+from repro.lint.vocab import CHARGE_PACKAGES, CLEANUP_CALLS, ESCAPE_SINKS, PAIRS
 
 NAME = "PAIR"
 
@@ -101,9 +101,7 @@ def _nested_defs(node: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
     ]
 
 
-def _dropped_opens(
-    unit: ast.AST, open_name: str, sinks: set[str]
-) -> list[tuple[ast.Call, str]]:
+def _dropped_opens(unit: ast.AST, open_name: str) -> list[tuple[ast.Call, str]]:
     """``name = <...>.open_name(...)`` calls whose ``name`` never leaves
     the function (the module docstring lists the ways out)."""
     nodes = own_nodes(unit)
@@ -121,7 +119,7 @@ def _dropped_opens(
         if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom, ast.Assign)):
             return node.value is not None and mentions_handle(node.value, name)
         if isinstance(node, ast.Call):
-            return call_name(node) in sinks and any(
+            return call_name(node) in ESCAPE_SINKS and any(
                 mentions_handle(arg, name) for arg in node.args
             )
         if isinstance(node, ast.withitem):
@@ -135,10 +133,8 @@ def _dropped_opens(
     ]
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    cleanup = set(config.cleanup_calls)
-    sinks = set(config.escape_sinks)
     units: list[tuple] = []
     for info in project.functions:
         units.append((info, info.qualname, info.node))
@@ -151,13 +147,13 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
         _collect_events(node.body, False, events)
         events.sort(key=lambda e: (e.line, e.col))
         symbol = f"{info.module.name}:{qualname}"
-        measured = info.module.package in config.charge_packages
+        measured = info.module.package in CHARGE_PACKAGES
 
-        for open_name, close_name in config.pair_pairs:
+        for open_name, close_name in PAIRS:
             opens = [e for e in events if e.name == open_name]
             closes = [e for e in events if e.name == close_name]
             if opens and not closes and measured:
-                for call, name in _dropped_opens(node, open_name, sinks):
+                for call, name in _dropped_opens(node, open_name):
                     findings.append(
                         Finding(
                             rule=NAME,
@@ -204,7 +200,7 @@ def check(project: Project, config: LintConfig) -> list[Finding]:
                         )
                     )
 
-        for close_name in sorted(cleanup):
+        for close_name in sorted(CLEANUP_CALLS):
             for close_event in events:
                 if close_event.name != close_name or close_event.protected:
                     continue

@@ -30,7 +30,7 @@ write-ahead protocol.  ``release_all`` before that flush gives away
 locks while the commit record is still volatile and is flagged too.
 
 **2PC discipline.**  On any path that stages a prepare round
-(``proto_prepare_calls`` or an append of a ``"prepare"`` record), a
+(``PROTO_PREPARE_CALLS`` or an append of a ``"prepare"`` record), a
 decision-log write (append/flush through a ``decision_log`` chain)
 must happen before any branch ``commit`` — the decision log *is* the
 commit point of presumed-abort 2PC.  And ``resolve_in_doubt=`` may
@@ -38,7 +38,7 @@ only be passed to ``restart()``: in-doubt transactions are resolved by
 recovery, never ad hoc.
 
 **Failover fencing.**  A promotion application
-(``proto_promote_calls``, i.e. the route rewrite installing a new
+(``PROTO_PROMOTE_CALLS``, i.e. the route rewrite installing a new
 primary) must be fenced: earlier in the same function an ``"epoch"``
 record is appended through a decision-log chain *and* that log is
 flushed before the rewrite.  Once the epoch record is durable the old
@@ -53,9 +53,19 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
 from repro.lint.project import FunctionInfo, Project, _dotted, call_name
+from repro.lint.vocab import (
+    CLEANUP_CALLS,
+    PROTO_ABORT_CALLS,
+    PROTO_BEGIN_CALLS,
+    PROTO_COMMIT_CALLS,
+    PROTO_DECISION_CHAINS,
+    PROTO_FORCED_KINDS,
+    PROTO_PREPARE_CALLS,
+    PROTO_PROMOTE_CALLS,
+    PROTO_RESTART_CALLS,
+)
 
 NAME = "PROTO"
 
@@ -111,9 +121,8 @@ class _TxnAnalysis:
     """State walk for one begin site: tracks {open, closed} along
     normal paths, records exits and double completions."""
 
-    def __init__(self, site: _BeginSite, config: LintConfig):
+    def __init__(self, site: _BeginSite):
         self.site = site
-        self.config = config
         self.exit_states: set[str] = set()
         self.double: list[ast.Call] = []
         self._seen_begin = False
@@ -122,10 +131,7 @@ class _TxnAnalysis:
 
     def _is_completion(self, node: ast.Call) -> bool:
         name = call_name(node)
-        if name not in (
-            *self.config.proto_commit_calls,
-            *self.config.proto_abort_calls,
-        ):
+        if name not in PROTO_COMMIT_CALLS and name not in PROTO_ABORT_CALLS:
             return False
         recv = tuple(_dotted(node.func))[:-1]
         if self.site.var is not None and recv == (self.site.var,):
@@ -251,12 +257,9 @@ class _TxnAnalysis:
         return self._apply_completions(stmt, state)
 
 
-def _find_begin_sites(
-    unit: ast.AST, config: LintConfig
-) -> list[_BeginSite]:
+def _find_begin_sites(unit: ast.AST) -> list[_BeginSite]:
     """Begin calls in this unit whose result stays local (others are
     ownership transfers and exempt)."""
-    begin_names = set(config.proto_begin_calls)
     with_contexts: set[int] = set()
     for node in _own_nodes(unit):
         if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -272,7 +275,7 @@ def _find_begin_sites(
             value = node.value
             if (
                 isinstance(value, ast.Call)
-                and call_name(value) in begin_names
+                and call_name(value) in PROTO_BEGIN_CALLS
             ):
                 if len(node.targets) == 1 and isinstance(
                     node.targets[0], ast.Name
@@ -281,7 +284,7 @@ def _find_begin_sites(
                 else:
                     assigned[id(value)] = "\0escape"  # attribute/tuple target
     for node in _own_nodes(unit):
-        if isinstance(node, ast.Call) and call_name(node) in begin_names:
+        if isinstance(node, ast.Call) and call_name(node) in PROTO_BEGIN_CALLS:
             if id(node) in with_contexts:
                 continue
             var = assigned.get(id(node))
@@ -336,13 +339,12 @@ def _check_txn(
     info: FunctionInfo,
     qualname: str,
     unit: ast.AST,
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
     symbol = f"{info.module.name}:{qualname}"
     body = getattr(unit, "body", [])
-    for site in _find_begin_sites(unit, config):
-        analysis = _TxnAnalysis(site, config)
+    for site in _find_begin_sites(unit):
+        analysis = _TxnAnalysis(site)
         fall = analysis.run(body, frozenset())
         if fall is not None:
             analysis.exit_states |= fall
@@ -382,7 +384,7 @@ def _check_txn(
             )
         elif completions:
             _check_txn_hazards(
-                info, symbol, unit, site, completions, config, findings
+                info, symbol, unit, site, completions, findings
             )
 
         for comp in analysis.double:
@@ -410,12 +412,11 @@ def _check_txn_hazards(
     unit: ast.AST,
     site: _BeginSite,
     completions: list[ast.Call],
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
     """Exception-leak check: a raising call between begin and the first
     completion with no enclosing try that completes on failure."""
-    analysis = _TxnAnalysis(site, config)
+    analysis = _TxnAnalysis(site)
     first_completion = completions[0].lineno
 
     protected_spans: list[tuple[int, int]] = []
@@ -430,10 +431,7 @@ def _check_txn_hazards(
             end = max(s.end_lineno or s.lineno for s in node.body)
             protected_spans.append((start, end))
 
-    exempt = set(config.proto_begin_calls) | {
-        c
-        for c in (*config.proto_commit_calls, *config.proto_abort_calls)
-    }
+    exempt = {*PROTO_BEGIN_CALLS, *PROTO_COMMIT_CALLS, *PROTO_ABORT_CALLS}
     for node in _own_nodes(unit):
         if not isinstance(node, ast.Call):
             continue
@@ -479,11 +477,9 @@ def _check_wal(
     info: FunctionInfo,
     qualname: str,
     unit: ast.AST,
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
     symbol = f"{info.module.name}:{qualname}"
-    forced = set(config.proto_forced_kinds)
     calls = [
         n
         for n in _own_nodes(unit)
@@ -493,7 +489,7 @@ def _check_wal(
     for call in calls:
         if call_name(call) != "append":
             continue
-        kinds = [s for s in _string_args(call) if s in forced]
+        kinds = [s for s in _string_args(call) if s in PROTO_FORCED_KINDS]
         if not kinds:
             continue
         recv = tuple(_dotted(call.func))[:-1]
@@ -533,7 +529,7 @@ def _check_wal(
             (
                 c
                 for c in calls
-                if call_name(c) in config.cleanup_calls
+                if call_name(c) in CLEANUP_CALLS
                 and call.lineno < c.lineno < flush.lineno
             ),
             None,
@@ -564,14 +560,9 @@ def _check_twopc(
     info: FunctionInfo,
     qualname: str,
     unit: ast.AST,
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
     symbol = f"{info.module.name}:{qualname}"
-    prepare_names = set(config.proto_prepare_calls)
-    decision_chains = set(config.proto_decision_chains)
-    commit_names = set(config.proto_commit_calls)
-    restart_names = set(config.proto_restart_calls)
 
     prepare_lines: list[int] = []
     decision_lines: list[int] = []
@@ -583,20 +574,20 @@ def _check_twopc(
             call_funcs.add(id(node.func))
             name = call_name(node)
             recv = tuple(_dotted(node.func))[:-1]
-            if name in prepare_names or (
+            if name in PROTO_PREPARE_CALLS or (
                 name == "append" and "prepare" in _string_args(node)
             ):
                 prepare_lines.append(node.lineno)
             if name in ("append", "flush") and any(
-                part in decision_chains for part in recv
+                part in PROTO_DECISION_CHAINS for part in recv
             ):
                 decision_lines.append(node.lineno)
-            if name in commit_names:
+            if name in PROTO_COMMIT_CALLS:
                 commit_refs.append((node.lineno, node.col_offset, "call"))
             for kw in node.keywords:
                 if (
                     kw.arg == "resolve_in_doubt"
-                    and name not in restart_names
+                    and name not in PROTO_RESTART_CALLS
                 ):
                     findings.append(
                         Finding(
@@ -620,7 +611,7 @@ def _check_twopc(
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)
-            and node.attr in commit_names
+            and node.attr in PROTO_COMMIT_CALLS
             and id(node) not in call_funcs
         ):
             commit_refs.append((node.lineno, node.col_offset, "ref"))
@@ -659,12 +650,9 @@ def _check_failover(
     info: FunctionInfo,
     qualname: str,
     unit: ast.AST,
-    config: LintConfig,
     findings: list[Finding],
 ) -> None:
     symbol = f"{info.module.name}:{qualname}"
-    promote_names = set(config.proto_promote_calls)
-    decision_chains = set(config.proto_decision_chains)
 
     promote_calls: list[tuple[int, int, str]] = []
     epoch_lines: list[int] = []
@@ -674,9 +662,9 @@ def _check_failover(
             continue
         name = call_name(node)
         recv = tuple(_dotted(node.func))[:-1]
-        if name in promote_names:
+        if name in PROTO_PROMOTE_CALLS:
             promote_calls.append((node.lineno, node.col_offset, name))
-        on_decision_log = any(part in decision_chains for part in recv)
+        on_decision_log = any(part in PROTO_DECISION_CHAINS for part in recv)
         if name == "append" and on_decision_log and (
             "epoch" in _string_args(node)
         ):
@@ -713,11 +701,11 @@ def _check_failover(
         )
 
 
-def check(project: Project, config: LintConfig) -> list[Finding]:
+def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     for info, qualname, unit in _units(project):
-        _check_txn(info, qualname, unit, config, findings)
-        _check_wal(info, qualname, unit, config, findings)
-        _check_twopc(info, qualname, unit, config, findings)
-        _check_failover(info, qualname, unit, config, findings)
+        _check_txn(info, qualname, unit, findings)
+        _check_wal(info, qualname, unit, findings)
+        _check_twopc(info, qualname, unit, findings)
+        _check_failover(info, qualname, unit, findings)
     return findings

@@ -5,8 +5,8 @@ from __future__ import annotations
 # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, sort_findings
 from repro.lint.project import Project, build_project, iter_python_files
 
@@ -29,19 +29,18 @@ class LintResult:
 
 def lint_paths(
     paths: tuple[str, ...] | None = None,
-    config: LintConfig | None = None,
+    rules: tuple[str, ...] | None = None,
 ) -> LintResult:
-    """Run the selected rules over the configured (or given) paths."""
+    """Run ``rules`` (default: every rule) over ``paths`` (default: the
+    ``repro`` package this linter ships in, wherever it is run from)."""
     from repro.lint.rules import ALL_RULES
 
-    config = config or LintConfig()
-    target_paths = tuple(paths) if paths else config.paths
-    files = iter_python_files(target_paths, config.root)
+    files = iter_python_files(paths or (str(Path(__file__).parents[1]),))
 
     timings: dict[str, float] = {}
     # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
     t0 = time.perf_counter()
-    project, syntax_findings = build_project(files, config)
+    project, syntax_findings = build_project(files)
     # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
     timings["parse"] = time.perf_counter() - t0
 
@@ -56,12 +55,15 @@ def lint_paths(
     # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
     timings["callgraph"] = time.perf_counter() - t0
 
-    selected = [name for name in config.select if name in ALL_RULES]
+    selected = (
+        list(ALL_RULES) if rules is None
+        else [name for name in rules if name in ALL_RULES]
+    )
     raw: list[Finding] = list(syntax_findings)
     for name in selected:
         # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
         t0 = time.perf_counter()
-        raw.extend(ALL_RULES[name].check(project, config))
+        raw.extend(ALL_RULES[name].check(project))
         # simlint: ok[DET] analyzer wall time is reporting, not simulated cost
         timings[name] = time.perf_counter() - t0
 

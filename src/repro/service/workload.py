@@ -147,8 +147,6 @@ class MixConfig(ClientMix):
     lock_timeout_s: float | None = None
     #: Per-statement budgets (``None``: unbounded) — see ``QueryBudget``.
     budget_pages: int | None = None
-    budget_busy_s: float | None = None
-    budget_rows: int | None = None
     statement_timeout_s: float | None = None
     #: Admission control: sessions running an operation concurrently
     #: (``None``: no gate).  The rest queue FIFO.
@@ -456,8 +454,6 @@ class WorkloadMixer:
         self.write_log = []
         query_budget = QueryBudget(
             max_pages=config.budget_pages,
-            max_busy_s=config.budget_busy_s,
-            max_live_rows=config.budget_rows,
             statement_timeout_s=config.statement_timeout_s,
         )
         service = QueryService(

@@ -100,7 +100,6 @@ class Transaction:
         class_name: str,
         values: dict[str, object],
         file_name: str,
-        indexed: bool = False,
         index_ids: tuple[int, ...] = (),
     ) -> Rid:
         """Create an object inside this transaction, enforcing the
@@ -120,7 +119,7 @@ class Transaction:
                 "create",
                 self._tail_keys(sfile.file_id),
                 lambda: db.create_object(
-                    class_name, values, file_name, indexed, index_ids
+                    class_name, values, file_name, index_ids=index_ids
                 ),
             )
             self._created.append(rid)
@@ -129,7 +128,7 @@ class Transaction:
             self._si_note_create(rid)
             return rid
         rid = self.manager.db.create_object(
-            class_name, values, file_name, indexed, index_ids
+            class_name, values, file_name, index_ids=index_ids
         )
         self.objects_created += 1
         if self.logged:
@@ -158,26 +157,6 @@ class Transaction:
             "update",
             self._update_keys(rid),
             lambda: db.manager.update_scalar(rid, attr_name, value),
-        )
-
-    def update_set(self, rid: Rid, attr_name: str, value: object) -> Rid:
-        """Like :meth:`update_scalar` for set-valued attributes (these
-        can grow the record and move it to another page, so the physical
-        log may carry several page images)."""
-        self._require_active()
-        if not self._physical:
-            self.write_lock(rid)
-            self._si_prepare_write(rid)
-            new_rid = self.manager.db.manager.update_set(rid, attr_name, value)
-            self.log_update(16)
-            return new_rid
-        self.manager.locks.acquire(self.txn_id, rid, LockMode.EXCLUSIVE)
-        self._si_prepare_write(rid)
-        db = self.manager.db
-        return self._physical_op(
-            "update",
-            self._update_keys(rid),
-            lambda: db.manager.update_set(rid, attr_name, value),
         )
 
     def read_lock(self, rid: Rid) -> None:

@@ -301,6 +301,25 @@ class TestBudgets:
         assert isinstance(exc, BudgetExceededError)
         assert "live rows" in str(exc)
 
+    def test_busy_time_budget_trips_on_the_sessions_own_time(self):
+        # The scan's busy time ungoverned; half of it is a strict exceed.
+        derby = fresh_derby()
+        __, session, task = run_single_scan(derby)
+        assert task.result[0] == "done"
+        busy_s = session.metrics.busy_s
+        assert busy_s > 0
+
+        derby2 = fresh_derby()
+        service, session2, task2 = run_single_scan(
+            derby2, query_budget=QueryBudget(max_busy_s=busy_s / 2)
+        )
+        kind, exc = task2.result
+        assert kind == "stopped"
+        assert type(exc) is BudgetExceededError
+        assert "busy s" in str(exc)
+        assert session2.metrics.over_budget == 1
+        assert service.txm.active_count == 0
+
     def test_governor_errors_are_not_lock_conflicts(self):
         # Governed stops must never be auto-retried by the lock-conflict
         # retry machinery.

@@ -1,23 +1,25 @@
 """simlint: fixtures trigger each rule, suppressions work,
-and — the point of the whole exercise — ``src/repro`` is clean under the
-shipped configuration."""
+and — the point of the whole exercise — ``src/repro`` is clean."""
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-from repro.lint import Finding, LintConfig, lint_paths, load_config
-from repro.lint.cli import main as lint_main
-from repro.lint.config import config_from_mapping
+import repro.lint.vocab as vocab
+from repro.cli import main
+from repro.lint import Finding, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 
-def lint_fixture(name: str, select: tuple[str, ...]) -> list[Finding]:
-    config = LintConfig(select=select)
-    return lint_paths((str(FIXTURES / name),), config).findings
+def lint_fixture(name: str, rules: tuple[str, ...]) -> list[Finding]:
+    return lint_paths((str(FIXTURES / name),), rules).findings
 
 
 # -- one known violation per rule ------------------------------------------
@@ -194,9 +196,7 @@ def test_escape_flags_a_yield_inside_the_bracket(tmp_path):
     unmeasured = tmp_path / "repro" / "service" / "rows.py"
     unmeasured.parent.mkdir(parents=True)
     unmeasured.write_text((FIXTURES / bad).read_text())
-    assert lint_paths(
-        (str(unmeasured),), LintConfig(select=("ESCAPE",))
-    ).findings == []
+    assert lint_paths((str(unmeasured),), ("ESCAPE",)).findings == []
 
 
 # -- seeded bugs in copies of the real read path ---------------------------
@@ -211,7 +211,7 @@ def lint_seeded(tmp_path, source: str, old: str, new: str, rule: str):
     copy = tmp_path / "repro" / source
     copy.parent.mkdir(parents=True)
     copy.write_text(text.replace(old, new))
-    return lint_paths((str(copy),), LintConfig(select=(rule,))).findings
+    return lint_paths((str(copy),), (rule,)).findings
 
 
 REFERENCE_CHARGE = "        self._buckets[Bucket.HANDLE] += self._touch_s\n        return handle"
@@ -303,7 +303,7 @@ def test_pair_lets_a_kept_handle_go(tmp_path):
         "    with handle:\n"
         "        return om.get_attr(handle, 'age')\n"
     )
-    assert lint_paths((str(src),), LintConfig(select=("PAIR",))).findings == []
+    assert lint_paths((str(src),), ("PAIR",)).findings == []
 
 
 def test_callgraph_may_yield_closure(tmp_path):
@@ -321,7 +321,7 @@ def test_callgraph_may_yield_closure(tmp_path):
         "def pure(x):\n"
         "    return x + 1\n"
     )
-    result = lint_paths((str(src),), LintConfig(select=("ATOM",)))
+    result = lint_paths((str(src),), ("ATOM",))
     graph = result.project.callgraph
     funcs = {info.qualname: info for info in result.project.functions}
     assert graph.may_yield(funcs["leaf"])
@@ -338,8 +338,7 @@ def test_callgraph_may_yield_closure(tmp_path):
 
 
 def test_suppression_on_line_and_line_above():
-    config = LintConfig(select=("DET",))
-    result = lint_paths((str(FIXTURES / "suppressed_det.py"),), config)
+    result = lint_paths((str(FIXTURES / "suppressed_det.py"),), ("DET",))
     assert result.findings == []
     assert result.suppressed == 2
     assert [f.rule for f in result.suppressed_findings] == ["DET", "DET"]
@@ -349,8 +348,7 @@ def test_suppression_is_rule_specific(tmp_path):
     source = FIXTURES.joinpath("det_wallclock.py").read_text()
     bad = tmp_path / "wrong_rule.py"
     bad.write_text(source.replace("# the violation", "# simlint: ok[PAIR] wrong rule"))
-    config = LintConfig(select=("DET",))
-    result = lint_paths((str(bad),), config)
+    result = lint_paths((str(bad),), ("DET",))
     assert [f.rule for f in result.findings] == ["DET"]
 
 
@@ -358,43 +356,32 @@ def test_wildcard_suppression(tmp_path):
     source = FIXTURES.joinpath("det_wallclock.py").read_text()
     bad = tmp_path / "wildcard.py"
     bad.write_text(source.replace("# the violation", "# simlint: ok[*] anything goes"))
-    config = LintConfig(select=("DET",))
-    assert lint_paths((str(bad),), config).findings == []
+    assert lint_paths((str(bad),), ("DET",)).findings == []
 
 
-# -- configuration ----------------------------------------------------------
+# -- the vocabulary ---------------------------------------------------------
 
 
-def test_config_from_mapping_overrides():
-    config = config_from_mapping(
-        {
-            "paths": ["src/other"],
-            "select": ["DET"],
-            "layer_allow": {"storage": ["exec"]},
-            "pair_pairs": [["open", "close"]],
-        },
-        root="/somewhere",
+def test_every_vocab_name_is_read_by_a_rule():
+    """Every public name of ``repro.lint.vocab`` is read by another
+    module of ``repro.lint``: an entry nothing looks for checks nothing."""
+    names = [name for name in vars(vocab) if not name.startswith("_")]
+    assert "LAYER_ORDER" in names
+    lint_dir = Path(vocab.__file__).parent
+    readers = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(lint_dir.rglob("*.py"))
+        if path.name != "vocab.py"
     )
-    assert config.paths == ("src/other",)
-    assert config.select == ("DET",)
-    assert config.layer_allow == {"storage": ("exec",)}
-    assert config.pair_pairs == (("open", "close"),)
-    assert config.root == "/somewhere"
-
-
-def test_layer_allow_grants_upward_edge():
-    config = LintConfig(select=("LAYER",), layer_allow={"storage": ("exec",)})
-    findings = lint_paths(
-        (str(FIXTURES / "repro/storage/imports_upward.py"),), config
-    ).findings
-    assert findings == []
+    unread = [name for name in names if not re.search(rf"\b{name}\b", readers)]
+    assert not unread, f"repro.lint.vocab names no rule reads: {unread}"
 
 
 # -- command line -----------------------------------------------------------
 
 
 def test_cli_exits_nonzero_on_fixtures(capsys):
-    code = lint_main(["--no-config", str(FIXTURES)])
+    code = main(["lint", str(FIXTURES)])
     out = capsys.readouterr().out
     assert code == 1
     for rule in (
@@ -404,13 +391,13 @@ def test_cli_exits_nonzero_on_fixtures(capsys):
 
 
 def test_cli_exits_zero_on_clean_file(capsys):
-    assert lint_main(["--no-config", str(FIXTURES / "clean.py")]) == 0
+    assert main(["lint", str(FIXTURES / "clean.py")]) == 0
     assert "0 findings" in capsys.readouterr().out
 
 
 def test_cli_json_format(capsys):
-    code = lint_main(
-        ["--no-config", "--format", "json", str(FIXTURES / "det_wallclock.py")]
+    code = main(
+        ["lint", "--format", "json", str(FIXTURES / "det_wallclock.py")]
     )
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -420,7 +407,7 @@ def test_cli_json_format(capsys):
 
 
 def test_cli_timing_reports_per_rule(capsys):
-    code = lint_main(["--no-config", "--timing", str(FIXTURES / "clean.py")])
+    code = main(["lint", "--timing", str(FIXTURES / "clean.py")])
     assert code == 0
     err = capsys.readouterr().err
     assert "simlint: timing" in err
@@ -430,8 +417,8 @@ def test_cli_timing_reports_per_rule(capsys):
 
 def test_cli_dump_graph(tmp_path, capsys):
     dot = tmp_path / "graph.dot"
-    code = lint_main(
-        ["--no-config", "--dump-graph", str(dot), str(FIXTURES / "atom")]
+    code = main(
+        ["lint", "--dump-graph", str(dot), str(FIXTURES / "atom")]
     )
     assert code == 1
     assert f"call graph written to {dot}" in capsys.readouterr().err
@@ -442,14 +429,14 @@ def test_cli_dump_graph(tmp_path, capsys):
 
 
 def test_cli_unknown_rule_is_usage_error(capsys):
-    code = lint_main(["--no-config", "--rules", "NOPE", str(FIXTURES / "clean.py")])
+    code = main(["lint", "--rules", "NOPE", str(FIXTURES / "clean.py")])
     assert code == 2
     assert "unknown rule" in capsys.readouterr().err
 
 
 def test_cli_rules_subset(capsys):
-    code = lint_main(
-        ["--no-config", "--rules", "EXC", str(FIXTURES / "det_wallclock.py")]
+    code = main(
+        ["lint", "--rules", "EXC", str(FIXTURES / "det_wallclock.py")]
     )
     assert code == 0
 
@@ -458,24 +445,34 @@ def test_cli_checked_nothing_is_usage_error(tmp_path, capsys):
     """A gate that checked nothing must not pass: a missing path (a
     renamed package under CI's path-scoped run) and a directory without
     a single Python file both exit 2, not ``0 findings in 0 files``."""
-    assert lint_main(["--no-config", str(tmp_path / "no" / "such" / "dir")]) == 2
+    assert main(["lint", str(tmp_path / "no" / "such" / "dir")]) == 2
     captured = capsys.readouterr()
     assert "no such file or directory" in captured.err
     assert "0 findings" not in captured.out
     (tmp_path / "notes.txt").write_text("not python\n")
-    assert lint_main(["--no-config", str(tmp_path)]) == 2
+    assert main(["lint", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert "no Python files" in captured.err
     assert "0 findings" not in captured.out
+
+
+def test_lint_runs_from_any_directory(tmp_path):
+    """The default path is the package itself, not a path relative to
+    the repository root."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "lint"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "0 findings" in proc.stdout
 
 
 # -- the meta-test: this repository is clean --------------------------------
 
 
 def test_src_repro_is_clean_under_shipped_config():
-    config = load_config(REPO_ROOT)
-    assert config.paths == ("src/repro",)
-    result = lint_paths(None, config)
+    result = lint_paths()
     assert result.findings == [], "\n".join(
         f.render() for f in result.findings
     )

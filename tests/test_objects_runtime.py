@@ -438,13 +438,12 @@ class TestBorrow:
         implementation must still be clean."""
         from pathlib import Path
 
-        from repro.lint import LintConfig, lint_paths
+        from repro.lint import lint_paths
 
         here = Path(__file__).resolve().parent
 
         def lint(path, rule):
-            config = LintConfig(select=(rule,))
-            return lint_paths((str(path),), config).findings
+            return lint_paths((str(path),), (rule,)).findings
 
         fixtures = here / "lint_fixtures"
         assert len(lint(fixtures / "escape" / "escape_bad.py", "ESCAPE")) == 5
