@@ -22,9 +22,6 @@ Commands
     Run a deterministic multi-client workload mix (navigators +
     scanners + updaters) through the query service and print
     per-session latency/throughput plus the aggregate.
-``crash``
-    ``crash demo`` kills a running mix at a named crash point and
-    restarts it through ARIES-lite.
 ``shard``
     ``shard demo`` partitions a database across N simulated nodes, runs
     a distributed query through the coordinator and a sharded workload
@@ -43,15 +40,11 @@ Commands
     histograms, association fan-out) over a freshly built database,
     print the summary and the simulated cost, and persist the rows
     through the statistics database (``repro.stats``).
-``calibrate``
-    Run a measurement grid, fit the cost model coefficients by least
-    squares, and score the heuristic optimizer against the measured
-    winners (the old ``analyze`` command, renamed: ANALYZE now means
-    what it means in a database).
 ``info``
     Print the cost model and memory budgets in use.
 ``lint``
-    Run simlint, the AST invariant linter, over ``src/repro``: checks
+    Run simlint, the AST invariant linter, over the given paths
+    (default: the installed ``repro`` package): checks
     determinism (DET), cost charging (CHARGE), the layering DAG
     (LAYER), paired resource release (PAIR), over-broad excepts (EXC)
     and, over the may-yield call graph, atomic sections (ATOM),
@@ -69,7 +62,6 @@ import argparse
 import sys
 from typing import Callable, Sequence, TextIO
 
-from repro.bench import ExperimentRunner
 from repro.bench.figures import FIGURES, FigureDriver
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
@@ -357,60 +349,6 @@ def cmd_mix(args: argparse.Namespace) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ crash
-
-#: ``crash demo`` arms this named crash point and fires it the n-th
-#: time it is reached (the chaos suites sweep every point and seed).
-_DEMO_CRASH_POINT = "mix-run"
-_DEMO_CRASH_OCCURRENCE = 12
-
-
-def cmd_crash_demo(args: argparse.Namespace) -> int:
-    """Crash a workload mix at a named point, then recover it."""
-    from repro.recovery import CrashInjector
-    from repro.service import MixConfig, WorkloadMixer
-
-    derby = _load(args, sys.stderr)
-    injector = CrashInjector(_DEMO_CRASH_POINT, _DEMO_CRASH_OCCURRENCE)
-    mix_config = MixConfig.from_clients(
-        args.clients, ops_per_client=args.ops, seed=args.seed
-    )
-    mixer = WorkloadMixer(derby, mix_config, injector=injector)
-    report = mixer.run()
-    service = mixer.service
-    assert service is not None
-    if not report.crashed:
-        print(f"mix finished cleanly: crash point {_DEMO_CRASH_POINT!r} "
-              f"was reached {injector.seen} time(s), needed "
-              f"{_DEMO_CRASH_OCCURRENCE}.  Try more --ops.")
-        return 1
-    wal = service.txm.log
-    durable = [r for r in wal.records]
-    committed = [r.txn_id for r in durable if r.kind == "commit"]
-    print(f"\ncrash: {_DEMO_CRASH_POINT} fired on occurrence "
-          f"{injector.seen}")
-    print(f"  durable log: {len(durable)} records, LSN <= {wal.durable_lsn}")
-    print(f"  acked commits before the crash: "
-          f"{sum(s.metrics.committed for s in service.sessions)}")
-    recovery = service.recover()
-    print(f"recovery: {recovery.seconds:.4f} simulated s")
-    print(f"  analysis scanned {recovery.log_records_scanned} records "
-          f"({recovery.log_pages_read} log pages) from checkpoint "
-          f"LSN {recovery.checkpoint_lsn}")
-    print(f"  redo reapplied {recovery.records_redone} records on "
-          f"{recovery.pages_redone} pages from LSN "
-          f"{recovery.redo_start_lsn}")
-    print(f"  undo rolled back {recovery.records_undone} records in "
-          f"{recovery.txns_undone} loser transaction(s)")
-    print(f"recovered transactions (durably committed): "
-          f"{sorted(committed) or 'none'}")
-    print(f"lost transactions (in flight, rolled back) : "
-          f"{sorted(recovery.losers) or 'none'}")
-    age = derby.db.manager.get_attr_at(derby.patient_rids[0], "age")
-    print(f"post-recovery sanity read: patient[0].age = {age}")
-    return 0
-
-
 # ------------------------------------------------------------------ chaos
 
 #: The seeded fault suites ``chaos --suite`` can run.
@@ -605,36 +543,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-# ------------------------------------------------------------------ calibrate
-
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Run a measurement grid, fit the cost model, score the optimizer."""
-    from repro.analysis import fit_cost_model, score_optimizer
-    from repro.bench.figures import PAPER_ALGORITHMS
-    from repro.bench.workloads import SELECTIVITY_GRID
-
-    derby = _load(args, sys.stderr)
-    runner = ExperimentRunner(derby)
-    runs = runner.run_join_grid(PAPER_ALGORITHMS, SELECTIVITY_GRID)
-
-    fit = fit_cost_model(runs)
-    print(f"cost model fitted over {fit.n_runs} runs "
-          f"(R^2 = {fit.r_squared:.4f})")
-    for name, coef in fit.coefficients.items():
-        print(f"  {name:16s} {coef * 1e6:12.2f} us/event")
-
-    score = score_optimizer(derby, runs)
-    print(f"\noptimizer: picked the measured winner in {score.wins}/"
-          f"{len(score.verdicts)} cells, mean regret "
-          f"{score.mean_regret:.2f}, max {score.max_regret:.2f}")
-    for v in score.verdicts:
-        mark = "==" if v.chosen == v.best else "!="
-        print(f"  {v.sel_patients:2d}/{v.sel_providers:2d}: chose "
-              f"{v.chosen:7s} {mark} best {v.best:7s} "
-              f"(regret {v.regret:.2f})")
-    return 0
-
-
 # ------------------------------------------------------------------ info
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -738,21 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "to this path")
     mix.set_defaults(func=cmd_mix)
 
-    crash = sub.add_parser(
-        "crash", help="crash-recovery demo"
-    )
-    crash_sub = crash.add_subparsers(dest="action", required=True)
-
-    demo = crash_sub.add_parser(
-        "demo", help="crash a mix at a named point, then recover"
-    )
-    _add_db_options(demo)
-    demo.add_argument("--clients", type=int, default=4)
-    demo.add_argument("--ops", type=int, default=4,
-                      help="operations (transactions) per client")
-    demo.add_argument("--seed", type=int, default=1)
-    demo.set_defaults(func=cmd_crash_demo)
-
     chaos = sub.add_parser(
         "chaos",
         help="seeded chaos suites: crash-recovery fuzz, transient-fault "
@@ -839,12 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("collections", nargs="*",
                          help="collections to analyze (default: all)")
     analyze.set_defaults(func=cmd_analyze)
-
-    calibrate = sub.add_parser(
-        "calibrate", help="fit the cost model, score the heuristic optimizer"
-    )
-    _add_db_options(calibrate)
-    calibrate.set_defaults(func=cmd_calibrate)
 
     info = sub.add_parser("info", help="print cost model and budgets")
     _add_db_options(info)

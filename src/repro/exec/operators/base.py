@@ -162,6 +162,10 @@ class Operator:
 
     def __init__(self, ctx: PipelineContext):
         self.ctx = ctx
+        #: What ``explain`` prints for this node; more than one line only
+        #: for input it reads itself, not through a child (an index
+        #: range).  Whoever builds a node with more to say sets it.
+        self.label = type(self).__name__
         #: The ``n`` of the pull under way.  A generator that pulls from
         #: a source asks it for this many: a ``Limit`` above clamps
         #: ``n``, and the source must not read past it.
@@ -238,6 +242,14 @@ class Operator:
     def depth(self) -> int:
         """Height of this operator tree (1 for a leaf)."""
         return 1 + max((c.depth for c in self.children()), default=0)
+
+    def explain(self) -> list[str]:
+        """This tree as text: each node's label, children indented two
+        spaces under their parent."""
+        lines = self.label.split("\n")
+        for child in self.children():
+            lines += ["  " + line for line in child.explain()]
+        return lines
 
 
 class Cursor:

@@ -55,6 +55,7 @@ class CollectionScan(Operator):
     def __init__(self, ctx: PipelineContext, collection: PersistentCollection):
         super().__init__(ctx)
         self.collection = collection
+        self.label = f"CollectionScan({collection.name})"
 
     def _rows(self) -> Iterator[Rid]:
         return self.collection.iter_rids()

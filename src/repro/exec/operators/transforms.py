@@ -53,6 +53,7 @@ class Limit(Operator):
         self.source = source
         self.limit = limit
         self._remaining = limit
+        self.label = f"Limit({limit})"
 
     def children(self) -> tuple[Operator, ...]:
         return (self.source,)
@@ -110,6 +111,11 @@ class Sort(Operator):
         super().__init__(ctx)
         self.source = source
         self.order_by = order_by
+        terms = [
+            attr + " desc" if descending else attr
+            for attr, descending in order_by
+        ]
+        self.label = f"Sort({', '.join(terms)})"
         self._buffer: list = []
         self._pos = 0
         self._sorted = False

@@ -1,4 +1,4 @@
-"""Index creation and maintenance.
+"""Index creation.
 
 Two workflows, with very different costs (paper, Section 3.2):
 
@@ -13,6 +13,10 @@ Two workflows, with very different costs (paper, Section 3.2):
 "We have always heard that it is more efficient to create an index once
 the collection is populated ... This is often true, but not for the
 first index."
+
+Entries added after creation go straight into the tree
+(:meth:`BTreeIndex.bulk_build` in the loaders, :meth:`BTreeIndex.insert`
+in the churn workload).
 """
 
 from __future__ import annotations
@@ -38,15 +42,11 @@ class IndexBuildReport:
 
 
 class IndexManager:
-    """Creates and maintains B+-tree indexes for one database."""
+    """Creates B+-tree indexes for one database."""
 
     def __init__(self, db: Database):
         self.db = db
         self._next_index_id = 1
-        self._collections: dict[str, PersistentCollection] = {}
-        self._key_attrs: dict[str, str] = {}
-
-    # -- creation ------------------------------------------------------------
 
     def create_index(
         self,
@@ -90,8 +90,6 @@ class IndexManager:
 
         self.db.indexes[name] = index
         collection.indexed = True
-        self._collections[name] = collection
-        self._key_attrs[name] = key_attr
         report = IndexBuildReport(
             name=name,
             entries=len(pairs),
@@ -101,26 +99,3 @@ class IndexManager:
             build_seconds=self.db.clock.elapsed_s - start,
         )
         return index, report
-
-    # -- maintenance -----------------------------------------------------
-
-    def key_attr(self, name: str) -> str:
-        return self._key_attrs[name]
-
-    def on_member_added(self, index_name: str, rid, key: object) -> None:
-        """A new object entered an indexed collection.
-
-        Objects created with ``index_ids`` already carry the membership
-        in their header (no rewrite); this inserts the tree entry.
-        """
-        self.db.indexes[index_name].insert(key, rid)
-
-    def on_member_removed(self, index_name: str, rid, key: object) -> None:
-        self.db.indexes[index_name].remove(key, rid)
-
-    def on_key_updated(
-        self, index_name: str, rid, old_key: object, new_key: object
-    ) -> None:
-        index = self.db.indexes[index_name]
-        index.remove(old_key, rid)
-        index.insert(new_key, rid)

@@ -32,7 +32,6 @@ from repro.objects.model import (
     ClassDef,
     Schema,
 )
-from repro.objects.proxy import ObjectProxy, SetProxy, proxies
 from repro.objects.versions import VersionInfo, VersionManager
 
 __all__ = [
@@ -50,7 +49,4 @@ __all__ = [
     "PersistentCollection",
     "VersionManager",
     "VersionInfo",
-    "proxies",
-    "ObjectProxy",
-    "SetProxy",
 ]

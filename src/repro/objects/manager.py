@@ -136,7 +136,7 @@ class ObjectManager:
         return handle
 
     #: The bracket-less spelling, for a caller that keeps the handle
-    #: (a proxy, a hash table of handles) and calls :meth:`unref` itself.
+    #: (Figure 4's hash table of handles) and calls :meth:`unref` itself.
     load = borrow
 
     def unref(self, handle: Handle) -> None:

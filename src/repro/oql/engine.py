@@ -72,6 +72,23 @@ def _tests(predicates: Iterable[SargablePredicate]) -> tuple[_Test, ...]:
     return tuple((pred.attr, _OPS[pred.op], pred.value) for pred in predicates)
 
 
+def _pred_text(pred: SargablePredicate) -> str:
+    return f"{pred.attr} {pred.op} {pred.value!r}"
+
+
+def _filter_text(plan: SelectionPlan) -> str:
+    """The ``explain`` suffix naming what a plan tests per object: its
+    residual predicates and exists filters, or nothing."""
+    if not (plan.residuals or plan.exists_filters):
+        return ""
+    filters = [_pred_text(pred) for pred in plan.residuals]
+    filters += [
+        f"exists {filt.set_attr}: {_pred_text(filt.child_pred)}"
+        for filt in plan.exists_filters
+    ]
+    return f" [filter: {' and '.join(filters)}]"
+
+
 def _passes(db: Database, tests: tuple[_Test, ...], om, handle) -> bool:
     """Do all ``tests`` hold on the object?  One attribute read and one
     predicate charge per test tried; the first failure ends it."""
@@ -233,26 +250,39 @@ class OQLEngine:
     ) -> Operator:
         info = self.catalog.collection(plan.collection_name)
 
+        if plan.index is not None:
+            low, high, inc_low, inc_high = plan.predicate.bounds()  # type: ignore[union-attr]
+            scan_label = (
+                f"IndexScan({plan.collection_name}."
+                f"{_pred_text(plan.predicate)}"
+                f"{', sorted rids' if plan.sorted_rids else ''})"
+            )
+
         if plan.index_only:
             func, __attr = plan.aggregate  # type: ignore[misc]
-            low, high, inc_low, inc_high = plan.predicate.bounds()  # type: ignore[union-attr]
-            return IndexOnlyAggregate(
+            aggregate: Operator = IndexOnlyAggregate(
                 ctx, plan.index, low, high, inc_low, inc_high, func  # type: ignore[arg-type]
             )
+            aggregate.label = f"IndexOnlyAggregate[{func}]\n  {scan_label}"
+            return aggregate
 
         if plan.index is None:
             rid_source: Operator = CollectionScan(ctx, info.collection)
         else:
-            low, high, inc_low, inc_high = plan.predicate.bounds()  # type: ignore[union-attr]
             rid_source = IndexScan(
                 ctx, plan.index, low, high, inc_low, inc_high,
                 sorted_rids=plan.sorted_rids,
             )
+            rid_source.label = scan_label
 
         accept = _compile_accept(self.catalog.db, plan)
         if plan.aggregate is not None:
             func, attr = plan.aggregate
-            return FetchingAggregate(ctx, rid_source, accept, func, attr)
+            aggregate = FetchingAggregate(ctx, rid_source, accept, func, attr)
+            aggregate.label = (
+                f"FetchingAggregate[{func}({attr or '*'})]{_filter_text(plan)}"
+            )
+            return aggregate
 
         project = _compile_projection(plan)
         if accept is None:
@@ -263,6 +293,7 @@ class OQLEngine:
                 return project(om, handle) if accept(om, handle) else SKIP
 
         fetched: Operator = Fetch(ctx, rid_source, row_fn)
+        fetched.label = f"Fetch({', '.join(plan.project)}){_filter_text(plan)}"
         if plan.order_by:
             fetched = Sort(ctx, fetched, plan.order_by)
         return fetched
@@ -292,13 +323,19 @@ class OQLEngine:
             child_project=plan.child_project,
         )
         join: Operator = JOIN_OPERATORS[plan.algorithm](ctx, query)
+        join.label = (
+            f"TreeJoin[{plan.algorithm}]({rel.parent_collection}."
+            f"{rel.set_attr} -> {rel.child_collection})\n"
+            f"  parent: {rel.parent_collection}.{plan.parent_key}"
+            f" < {plan.parent_high!r} via index\n"
+            f"  child:  {rel.child_collection}.{plan.child_key}"
+            f" < {plan.child_high!r} via index"
+        )
         if plan.parent_first:
             return join
-        return Map(
-            ctx,
-            join,
-            lambda row: (row[1], row[0]),
-        )
+        flip = Map(ctx, join, lambda row: (row[1], row[0]))
+        flip.label = "Map(flip columns)"
+        return flip
 
 
 def run_oql(catalog: Catalog, source: str) -> list[tuple]:

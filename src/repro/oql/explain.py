@@ -7,7 +7,9 @@ like any other statement and pays their simulated time.
 
 ``explain <query>`` plans the query with the engine's installed planner
 (heuristic or cost-based), *runs* it against a fresh pipeline, and emits
-text rows: the operator tree the engine would compile, estimated vs.
+text rows: the operator tree it ran (each node's
+:attr:`~repro.exec.operators.base.Operator.label`, printed by
+:meth:`~repro.exec.operators.base.Operator.explain`), estimated vs.
 actual rows and cost, and the full alternatives table with the chosen
 candidate marked.  Running the query is deliberate — the paper's whole
 point is measured truth, and an explain that stopped at estimates could
@@ -28,73 +30,6 @@ from repro.oql.ast_nodes import AnalyzeStmt, ExplainStmt
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
 from repro.oql.printer import print_query
 
-def plan_tree_lines(plan: SelectionPlan | TreeJoinPlan) -> list[str]:
-    """The operator tree the engine compiles for ``plan``, one line per
-    operator, children indented under parents — mirrors
-    :meth:`OQLEngine.compile` exactly."""
-    if isinstance(plan, SelectionPlan):
-        core = _selection_lines(plan)
-    else:
-        core = _tree_join_lines(plan)
-    for wrapper in ("Distinct" if plan.distinct else None,
-                    f"Limit({plan.limit})" if plan.limit is not None else None):
-        if wrapper is not None:
-            core = [wrapper] + ["  " + line for line in core]
-    return core
-
-
-def _pred_text(pred) -> str:
-    return f"{pred.attr} {pred.op} {pred.value!r}"
-
-
-def _selection_lines(plan: SelectionPlan) -> list[str]:
-    if plan.index is None:
-        source = f"CollectionScan({plan.collection_name})"
-    else:
-        sorted_txt = ", sorted rids" if plan.sorted_rids else ""
-        source = (
-            f"IndexScan({plan.collection_name}.{_pred_text(plan.predicate)}"
-            f"{sorted_txt})"
-        )
-    if plan.index_only:
-        func = plan.aggregate[0] if plan.aggregate else "count"
-        return [f"IndexOnlyAggregate[{func}]", "  " + source]
-    filters = [_pred_text(p) for p in plan.residuals]
-    filters += [
-        f"exists {f.set_attr}: {_pred_text(f.child_pred)}"
-        for f in plan.exists_filters
-    ]
-    suffix = f" [filter: {' and '.join(filters)}]" if filters else ""
-    if plan.aggregate is not None:
-        func, attr = plan.aggregate
-        label = f"FetchingAggregate[{func}({attr or '*'})]{suffix}"
-        return [label, "  " + source]
-    fetch = f"Fetch({', '.join(plan.project)}){suffix}"
-    lines = [fetch, "  " + source]
-    if plan.order_by:
-        terms = ", ".join(
-            f"{attr}{' desc' if descending else ''}"
-            for attr, descending in plan.order_by
-        )
-        lines = [f"Sort({terms})"] + ["  " + line for line in lines]
-    return lines
-
-
-def _tree_join_lines(plan: TreeJoinPlan) -> list[str]:
-    rel = plan.relationship
-    lines = [
-        f"TreeJoin[{plan.algorithm}]"
-        f"({rel.parent_collection}.{rel.set_attr} -> "
-        f"{rel.child_collection})",
-        f"  parent: {rel.parent_collection}.{plan.parent_key}"
-        f" < {plan.parent_high!r} via index",
-        f"  child:  {rel.child_collection}.{plan.child_key}"
-        f" < {plan.child_high!r} via index",
-    ]
-    if not plan.parent_first:
-        lines = ["Map(flip columns)"] + ["  " + line for line in lines]
-    return lines
-
 
 def chosen_key(plan: SelectionPlan | TreeJoinPlan) -> str:
     """The key of ``plan.alternatives`` the planner chose: every
@@ -109,13 +44,15 @@ def chosen_key(plan: SelectionPlan | TreeJoinPlan) -> str:
 
 def render_explain(
     plan: SelectionPlan | TreeJoinPlan,
+    tree: Operator,
     actual_rows: int,
     actual_s: float,
     query_text: str,
 ) -> list[str]:
-    """The text rows an ``explain`` statement emits."""
+    """The text rows an ``explain`` statement emits; ``tree`` is the
+    operator tree the engine compiled for ``plan`` and ran."""
     lines = [f"query: {query_text}", f"plan: {plan.description}"]
-    lines += ["  " + line for line in plan_tree_lines(plan)]
+    lines += ["  " + line for line in tree.explain()]
     lines.append(
         f"rows: estimated {plan.est_rows:.1f}, actual {actual_rows}"
     )
@@ -167,6 +104,7 @@ class ExplainOperator(_TextRows):
         rows = Cursor(inner.ctx, inner, engine.batch_size).drain()
         self._lines = render_explain(
             plan,
+            inner,
             actual_rows=len(rows),
             actual_s=clock.elapsed_s - start_s,
             query_text=print_query(self.stmt.query),

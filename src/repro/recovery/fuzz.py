@@ -8,9 +8,10 @@ simulated system:
 
 * every transaction whose ``commit()`` returned (the ack) has a durable
   commit record — no lost acks;
-* the recovered value of every record equals the last write of the
-  durably-committed transactions, applied in commit-LSN order;
-* every object created by a loser transaction is gone;
+* every record — base or created, a created one preloaded as gone —
+  holds the last write of the durably-committed transactions in
+  commit-LSN order, so loser-created objects are gone (the harness's
+  :func:`~repro.recovery.harness.check_last_writer`);
 * recovery is deterministic: re-running the same (seed, crash point)
   case reproduces the identical recovered state and report (the
   harness's double run, :func:`repro.recovery.harness.run_case`);
@@ -43,7 +44,7 @@ from repro.errors import (
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery.aries import RecoveryReport, restart, take_checkpoint
 from repro.recovery.crash import CRASH_POINTS, CrashInjector, crash_database
-from repro.recovery.harness import Suite
+from repro.recovery.harness import Suite, check_last_writer
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
 
@@ -151,19 +152,16 @@ def _execute(seed: int, point: str, txns: int = 10):
     report = restart(db, txm)
 
     durable = set(commit_order)
-    expected = dict(base)
-    for txn_id in commit_order:
-        expected.update(txn_writes.get(txn_id, {}))
-    loser_creates = [
-        rid
-        for txn_id, created in txn_creates.items()
-        if txn_id not in durable
-        for rid in created
+    # Created records are watched too, preloaded as gone (``None``).
+    preload = dict(base)
+    for created in txn_creates.values():
+        preload.update(dict.fromkeys(created))
+    writes = [
+        write
+        for txn_id in commit_order
+        for write in txn_writes.get(txn_id, {}).items()
     ]
-    found = {
-        rid: _read_x(db, rid)
-        for rid in sorted(set(expected) | set(loser_creates))
-    }
+    found = {rid: _read_x(db, rid) for rid in sorted(preload)}
     digest = tuple((tuple(rid), value) for rid, value in found.items()) + (
         report.log_records_scanned,
         report.records_redone,
@@ -187,8 +185,8 @@ def _execute(seed: int, point: str, txns: int = 10):
         snapshot_failures=snapshot_failures,
         acked=acked,
         durable=durable,
-        expected=expected,
-        loser_creates=loser_creates,
+        preload=preload,
+        writes=writes,
         found=found,
     )
     return result, evidence
@@ -210,20 +208,11 @@ def _acks_durable(ev) -> list[str]:
     ]
 
 
-def _committed_visible(ev) -> list[str]:
-    return [
-        f"rid {tuple(rid)}: expected {ev.expected[rid]}, found {ev.found[rid]}"
-        for rid in sorted(ev.expected)
-        if ev.found[rid] != ev.expected[rid]
-    ]
-
-
-def _losers_gone(ev) -> list[str]:
-    return [
-        f"rid {tuple(rid)}: loser-created object survived ({ev.found[rid]})"
-        for rid in sorted(ev.loser_creates)
-        if ev.found[rid] is not None
-    ]
+def _last_writer(ev) -> list[str]:
+    return check_last_writer(
+        ev.preload, ev.writes, ev.found,
+        describe=lambda rid: f"rid {tuple(rid)}",
+    )
 
 
 def _two_slot_workload(
@@ -413,9 +402,7 @@ def summarize(results) -> str:
 RECOVERY = Suite(
     name="recovery",
     execute=_execute,
-    invariants=[
-        _snapshot_consistent, _acks_durable, _committed_visible, _losers_gone,
-    ],
+    invariants=[_snapshot_consistent, _acks_durable, _last_writer],
     summarize=summarize,
     variants=tuple((point,) for point in CRASH_POINTS),
 )

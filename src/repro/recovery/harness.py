@@ -110,7 +110,9 @@ def check_last_writer(
 ) -> list[str]:
     """The committed-visible / uncommitted-gone oracle.
 
-    ``preload`` is every watched record's value before the run;
+    ``preload`` is every watched record's value before the run (the
+    recovery suite watches the records its workload creates as ``None``,
+    the value of a record that is gone);
     ``write_log`` the acked writes ``(key, value)`` in ack order — the
     single deterministic timeline totally orders commits, so the last
     write per key is the value that must be durable; ``staged`` the

@@ -28,35 +28,10 @@ def _csv(columns: Sequence[str], value_rows: Iterable[Sequence]) -> str:
     return out.getvalue()
 
 
-_CSV_COLUMNS = (
-    "numtest",
-    "algo",
-    "cluster",
-    "selectivity",
-    "selectivity_parents",
-    "cold",
-    "elapsed_s",
-    "rpcs",
-    "rpc_mb",
-    "d2sc_pages",
-    "sc2cc_pages",
-    "cc_faults",
-    "cc_missrate",
-    "sc_missrate",
-    "first_row_ms",
-    "peak_rows",
-    "retries",
-    "cancelled",
-    "over_budget",
-)
-
-
 def to_csv(rows: Iterable[StatRow]) -> str:
-    """Render rows as CSV text (header + one line per Stat)."""
-    return _csv(
-        _CSV_COLUMNS,
-        ([getattr(row, col) for col in _CSV_COLUMNS] for row in rows),
-    )
+    """Render rows as CSV text (header + one line per Stat): every
+    ``StatRow`` field but the query's projection type and text."""
+    return records_to_csv(StatRow, rows, exclude=("projectiontype", "text"))
 
 
 _MIX_COLUMNS = (

@@ -130,6 +130,17 @@ class TestLastWriterOracle:
             in failures
         )
 
+    def test_created_record_that_should_be_gone(self):
+        # The recovery suite watches every record its workload created,
+        # preloaded as None (gone): a loser's create that survived
+        # recovery reads back a value nobody committed.
+        assert check_last_writer(
+            {"a": 10, "c": None}, [("a", 11)], final={"a": 11, "c": 7}
+        ) == [
+            "'c': expected None, durable value 7 (lost update)",
+            "'c': durable value 7 was never committed (dirty write survived)",
+        ]
+
     def test_missing_decided_but_unacked_write(self):
         assert check_last_writer(
             self.PRELOAD, [], final={"a": 10, "b": 20}, staged=[("b", 21)]

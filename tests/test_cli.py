@@ -123,8 +123,11 @@ class TestCommands:
         assert "cases clean" not in captured.out
 
     def test_old_chaos_entries_are_gone(self):
+        # ``crash demo`` repeated examples/crash_recovery.py, and
+        # ``calibrate`` repeated benchmarks/bench_cost_model_validation.py.
         for argv in (["crash", "fuzz"], ["shard", "chaos"],
-                     ["failover", "chaos"], ["chaos"]):
+                     ["failover", "chaos"], ["chaos"], ["crash", "demo"],
+                     ["calibrate"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -155,7 +158,6 @@ class TestCommands:
         (["mix", "--clients", "0"], "at least one client"),
         (["shard", "demo", "--clients", "0"], "at least one client"),
         (["failover", "demo", "--clients", "0"], "at least one client"),
-        (["crash", "demo", "--clients", "0"], "at least one client"),
         (["failover", "demo", "--shards", "0"], "at least one shard"),
     ])
     def test_a_repro_error_is_a_message_and_exit_2(
@@ -198,12 +200,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "  query-ship rows merge\n" in out
         assert "Sharded mix (2 shards): 1 scanner(s) + 1 updater(s)" in out
-
-    def test_calibrate(self, capsys):
-        assert main(["calibrate", "--db", "1to3", "--scale", "0.001"]) == 0
-        out = capsys.readouterr().out
-        assert "cost model fitted" in out
-        assert "optimizer: picked the measured winner" in out
 
     def test_shell_cost_optimizer(self, capsys, monkeypatch):
         inputs = iter([

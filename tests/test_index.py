@@ -461,26 +461,6 @@ class TestIndexManager:
         assert report.headers_grown == 0
         assert db.counters.records_moved == moved_before
 
-    def test_incremental_maintenance(self):
-        db = make_db()
-        coll = populate(db, n=20)
-        manager = IndexManager(db)
-        index, __ = manager.create_index("by_mrn", coll, "mrn")
-        rid = db.create_object(
-            "Patient",
-            {"name": "new", "mrn": 999, "num": 1},
-            "patients",
-            index_ids=(index.index_id,),
-        )
-        coll.append(rid)
-        manager.on_member_added("by_mrn", rid, 999)
-        assert index.lookup(999) == [rid]
-        manager.on_key_updated("by_mrn", rid, 999, 1000)
-        assert index.lookup(999) == []
-        assert index.lookup(1000) == [rid]
-        manager.on_member_removed("by_mrn", rid, 1000)
-        assert index.lookup(1000) == []
-
     def test_moved_records_are_indexed_at_new_rid(self):
         db = make_db()
         coll = populate(db, n=200, indexed=False)

@@ -121,6 +121,80 @@ class TestExplainExecution:
         assert derby.db.clock.elapsed_s > before
 
 
+#: The tree lines ``explain`` prints for each plan shape, byte for byte:
+#: ``benchmarks/wallclock/expected.json`` digests ``explain`` rows, so no
+#: operator label may drift.
+PLAN_TREES = {
+    "scan": (
+        "select p.age from p in Patients where p.age > 60",
+        ["Fetch(age) [filter: age > 60]",
+         "  CollectionScan(Patients)"],
+    ),
+    "index": (
+        "select p.age from p in Patients where p.mrn < 20",
+        ["Fetch(age)",
+         "  IndexScan(Patients.mrn < 20)"],
+    ),
+    "sorted-index": (
+        SELECTION,
+        ["Fetch(age)",
+         "  IndexScan(Patients.num > 600, sorted rids)"],
+    ),
+    "index-only count": (
+        "select count(p) from p in Patients where p.mrn < 300",
+        ["IndexOnlyAggregate[count]",
+         "  IndexScan(Patients.mrn < 300)"],
+    ),
+    "fetching aggregate, residual and exists": (
+        "select count(p) from p in Providers where p.upin < 30 and "
+        "p.name != 'x' and exists pa in p.clients : pa.age > 50",
+        ["FetchingAggregate[count(*)] "
+         "[filter: name != 'x' and exists clients: age > 50]",
+         "  IndexScan(Providers.upin < 30)"],
+    ),
+    "two-key order by desc": (
+        "select tuple(a: p.age, m: p.mrn) from p in Patients "
+        "where p.mrn < 30 order by p.age desc, p.mrn desc",
+        ["Sort(age desc, mrn desc)",
+         "  Fetch(age, mrn)",
+         "    IndexScan(Patients.mrn < 30)"],
+    ),
+    "distinct limit": (
+        "select distinct p.sex from p in Patients where p.mrn < 400 limit 2",
+        ["Limit(2)",
+         "  Distinct",
+         "    Fetch(sex)",
+         "      IndexScan(Patients.mrn < 400)"],
+    ),
+    "tree join": (
+        TREE,
+        ["TreeJoin[PHJ](Providers.clients -> Patients)",
+         "  parent: Providers.upin < 20 via index",
+         "  child:  Patients.mrn < 100000 via index"],
+    ),
+    "tree join, child column first": (
+        "select tuple(a: pa.age, n: p.name) "
+        "from p in Providers, pa in p.clients "
+        "where pa.mrn < 100000 and p.upin < 20",
+        ["Map(flip columns)",
+         "  TreeJoin[PHJ](Providers.clients -> Patients)",
+         "    parent: Providers.upin < 20 via index",
+         "    child:  Patients.mrn < 100000 via index"],
+    ),
+}
+
+
+class TestExplainTree:
+    """``explain`` prints the operator tree the statement ran."""
+
+    @pytest.mark.parametrize("shape", PLAN_TREES)
+    def test_tree_lines(self, engine, shape):
+        query, tree = PLAN_TREES[shape]
+        rows = engine.execute(f"explain {query}")
+        end = next(i for i, row in enumerate(rows) if row.startswith("rows:"))
+        assert rows[2:end] == ["  " + line for line in tree]
+
+
 class TestAnalyzeExecution:
     def test_installs_stats_on_heuristic_engine(self, engine):
         assert engine.table_stats is None
