@@ -28,8 +28,8 @@ def main() -> None:
         config = DerbyConfig.db_1to3(scale=0.002, clustering=clustering)
         print(f"Loading 1:3 database with {clustering.value} clustering...")
         derby = load_derby(config)
-        stats.record_extent("Provider", config.n_providers)
-        stats.record_extent("Patient", config.n_patients)
+        stats.record("Extent", {"classname": "Provider", "size": config.n_providers})
+        stats.record("Extent", {"classname": "Patient", "size": config.n_patients})
         runner = ExperimentRunner(derby, stats)
         for sel_pat, sel_prov in ((10, 10), (90, 90)):
             for algo in PAPER_ALGORITHMS:

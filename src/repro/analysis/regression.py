@@ -81,18 +81,15 @@ class CostFit:
         return self.coefficients["result_rows"] * 1e6
 
 
-def fit_cost_model(
-    runs: Sequence[MeasuredRun], nonnegative: bool = True
-) -> CostFit:
+def fit_cost_model(runs: Sequence[MeasuredRun]) -> CostFit:
     """Fit per-event costs from measured runs by least squares.
 
     Needs at least as many runs as features, and runs diverse enough to
     make the design matrix well-conditioned (mix selectivities,
     algorithms and organizations, as the paper planned to).
 
-    ``nonnegative=True`` (default) uses a projected fit: negative
-    coefficients — physically meaningless — are clamped to zero and the
-    remaining features refit.
+    The fit is projected: negative coefficients — physically
+    meaningless — are clamped to zero and the remaining features refit.
     """
     if len(runs) < len(FEATURES):
         raise BenchError(
@@ -111,7 +108,7 @@ def fit_cost_model(
     while active:
         sub = design[:, active]
         solution, *_rest = np.linalg.lstsq(sub, target, rcond=None)
-        if not nonnegative or (solution >= 0).all():
+        if (solution >= 0).all():
             for idx, value in zip(active, solution):
                 coef[idx] = value
             break

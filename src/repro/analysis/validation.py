@@ -53,19 +53,17 @@ class OptimizerScore:
 
 
 def score_optimizer(
-    derby: DerbyDatabase,
-    measurements: list[JoinMeasurement],
-    grid: tuple[tuple[int, int], ...] = SELECTIVITY_GRID,
+    derby: DerbyDatabase, measurements: list[JoinMeasurement]
 ) -> OptimizerScore:
     """Score the cost-based plan choice against measured grid results.
 
-    ``measurements`` must cover every cell of ``grid`` for the paper's
-    four algorithms (as produced by
+    ``measurements`` must cover every cell of ``SELECTIVITY_GRID`` for
+    the paper's four algorithms (as produced by
     :meth:`~repro.bench.runner.ExperimentRunner.run_join_grid`).
     """
     engine = OQLEngine(Catalog.from_derby(derby))
     verdicts = []
-    for sel_pat, sel_prov in grid:
+    for sel_pat, sel_prov in SELECTIVITY_GRID:
         plan = engine.plan(tree_query_text(derby.config, sel_pat, sel_prov))
         times = cell_times(measurements, sel_pat, sel_prov)
         best = min(times, key=times.get)

@@ -351,10 +351,9 @@ def join_cost_breakdown(
     runner: ExperimentRunner,
     sel_patients: int,
     sel_providers: int,
-    algorithms: tuple[str, ...] = PAPER_ALGORITHMS,
 ) -> Table:
-    """Per-bucket decomposition of each algorithm at one cell — the
-    Figure 9 treatment applied to the Section 5 joins."""
+    """Per-bucket decomposition of each of the paper's algorithms at one
+    cell — the Figure 9 treatment applied to the Section 5 joins."""
     config = runner.derby.config
     buckets = ("io", "transfer", "rpc", "handle", "sort", "cpu", "swap",
                "result")
@@ -364,7 +363,7 @@ def join_cost_breakdown(
         f"{config.n_patients}c, sec)",
         ["Algorithm", *buckets, "TOTAL"],
     )
-    for algo in algorithms:
+    for algo in PAPER_ALGORITHMS:
         m = runner.run_join(algo, sel_patients, sel_providers)
         table.add(
             algo,
@@ -405,10 +404,11 @@ def handle_modes_figure(
         "(projecting a string attribute; sec)",
         ["Handle mode", "Standard scan", "Sorted index scan"],
     )
-    original = runner.derby.db.handles.mode
+    handles = runner.derby.db.handles
+    original = handles.mode
     try:
         for mode in HandleMode:
-            runner.with_handle_mode(mode)
+            handles.mode = mode
             # Project a string so literal handles matter (strings are
             # separate records carrying handles in O2 — Section 4.4).
             scan = runner.run_selection("scan", selectivity_pct, project="name")
@@ -417,7 +417,7 @@ def handle_modes_figure(
             )
             table.add(mode.value, scan.elapsed_s, sorted_scan.elapsed_s)
     finally:
-        runner.derby.db.handles.mode = original
+        handles.mode = original
     return table
 
 

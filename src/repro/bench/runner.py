@@ -17,7 +17,6 @@ from repro.exec import (
     select_indexed,
     select_scan,
 )
-from repro.objects.handle import HandleMode
 from repro.simtime import MeterSnapshot
 from repro.stats import StatsDatabase
 
@@ -161,16 +160,6 @@ class ExperimentRunner:
             0,
         )
         return measurement
-
-    # -- handle-mode ablation --------------------------------------------------
-
-    def with_handle_mode(self, mode: HandleMode) -> "ExperimentRunner":
-        """A runner over the same database with a different handle
-        regime (Section 4.4 ablation).  Only the handle table changes —
-        the data on disk is shared."""
-        derby = self.derby
-        derby.db.handles.mode = mode
-        return self
 
     # -- internals ----------------------------------------------------------------
 

@@ -37,13 +37,13 @@ def selectivity_sweep(
     runner: ExperimentRunner,
     algorithms: Sequence[str],
     selectivities: Sequence[int],
-    sel_providers: int = 10,
 ) -> list[SweepPoint]:
-    """Elapsed time vs patient selectivity, one curve per algorithm."""
+    """Elapsed time vs patient selectivity at 10% of the providers, one
+    curve per algorithm."""
     points = []
     for algo in algorithms:
         for sel in selectivities:
-            m = runner.run_join(algo, sel, sel_providers)
+            m = runner.run_join(algo, sel, 10)
             points.append(
                 SweepPoint(sel, m.elapsed_s, m.meters.disk_reads, algo)
             )
@@ -70,11 +70,10 @@ def find_crossover(
     method_b: str,
     low: float,
     high: float,
-    tolerance: float = 0.5,
-    max_steps: int = 12,
 ) -> float:
     """Bisect the selectivity (percent) where selection ``method_a``
-    stops beating ``method_b``.
+    stops beating ``method_b``, to within half a percent (at most 12
+    steps).
 
     Requires ``a`` faster at ``low`` and slower at ``high`` (the Figure 6
     setup: the unclustered index wins at 0.1% and loses at 10%+).
@@ -90,8 +89,8 @@ def find_crossover(
             f"no crossover bracketed in [{low}, {high}]%: "
             f"gaps {lo_gap:+.3f} / {hi_gap:+.3f} s"
         )
-    for __ in range(max_steps):
-        if high - low <= tolerance:
+    for __ in range(12):
+        if high - low <= 0.5:
             break
         mid = (low + high) / 2
         if gap(mid) < 0:
@@ -104,11 +103,8 @@ def find_crossover(
 def cache_size_sweep(
     make_runner,
     client_cache_fractions: Sequence[float],
-    algo: str = "NOJOIN",
-    sel_patients: int = 90,
-    sel_providers: int = 10,
 ) -> list[SweepPoint]:
-    """Elapsed time vs client-cache size.
+    """Elapsed time of NOJOIN at 90/10 vs client-cache size.
 
     ``make_runner(cache_fraction)`` must build (or rebuild) a runner
     whose memory model scales the client cache by the given fraction of
@@ -117,9 +113,9 @@ def cache_size_sweep(
     points = []
     for fraction in client_cache_fractions:
         runner = make_runner(fraction)
-        m = runner.run_join(algo, sel_patients, sel_providers)
+        m = runner.run_join("NOJOIN", 90, 10)
         points.append(
-            SweepPoint(fraction, m.elapsed_s, m.meters.disk_reads, algo)
+            SweepPoint(fraction, m.elapsed_s, m.meters.disk_reads, "NOJOIN")
         )
     return points
 
@@ -128,10 +124,9 @@ def memory_pressure_sweep(
     runner: ExperimentRunner,
     budget_fractions: Sequence[float],
     algo: str = "PHJ",
-    sel_patients: int = 90,
-    sel_providers: int = 90,
 ) -> list[SweepPoint]:
-    """Elapsed time of a hash join as the query memory budget shrinks.
+    """Elapsed time of a hash join at 90/90 as the query memory budget
+    shrinks.
 
     Temporarily replaces the database's memory model; restores it after.
     """
@@ -151,7 +146,7 @@ def memory_pressure_sweep(
                 ),
             )
             db.params = replace(original, memory=memory)
-            m = runner.run_join(algo, sel_patients, sel_providers)
+            m = runner.run_join(algo, 90, 90)
             points.append(
                 SweepPoint(fraction, m.elapsed_s, m.meters.swap_faults, algo)
             )

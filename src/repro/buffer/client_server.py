@@ -58,10 +58,10 @@ class ClientServerSystem:
 
     # -- client-tier management -------------------------------------------
 
-    def new_client_tier(self, capacity_pages: int | None = None) -> BufferCache:
+    def new_client_tier(self) -> BufferCache:
         """A fresh client cache wired for write-back to this server."""
         return BufferCache(
-            capacity_pages or self.memory.client_cache_pages,
+            self.memory.client_cache_pages,
             on_evict_dirty=self._write_back_to_server,
         )
 

@@ -28,9 +28,7 @@ class ChurnReport:
     pages_after: int
 
 
-def register_new_patients(
-    derby: DerbyDatabase, count: int, seed: int = 2000
-) -> ChurnReport:
+def register_new_patients(derby: DerbyDatabase, count: int) -> ChurnReport:
     """Register ``count`` new patients with random providers.
 
     Each new patient is appended at the tail of the patient file —
@@ -44,7 +42,7 @@ def register_new_patients(
         raise ValueError(f"negative patient count: {count}")
     db = derby.db
     om = db.manager
-    rng = Lrand48(seed)
+    rng = Lrand48(2000)
     __, patient_file = file_names(derby.config.clustering)
     moved_before = db.counters.records_moved
     pages_before = db.disk.total_pages()

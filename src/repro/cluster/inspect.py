@@ -27,7 +27,6 @@ def describe_layout(
     db: Database,
     file_names: list[str],
     max_records: int = 8,
-    name_attr: str = "name",
 ) -> str:
     """Render the first records of each file in physical order."""
     out = io.StringIO()

@@ -85,8 +85,8 @@ class ShardedCluster:
         #: they are no longer routed to).
         self.retired: list[ShardNode] = []
         self.detector: FailureDetector | None = None
-        #: Scheduled primary kills: (at_s, shard_id, partition), sorted.
-        self._kill_plan: list[tuple[float, int, bool]] = []
+        #: Scheduled primary kills: (at_s, shard_id), sorted.
+        self._kill_plan: list[tuple[float, int]] = []
         self.kills = 0
         #: Downtime already accounted per shard (completed failovers;
         #: use :meth:`shard_unavailable_s` for the live total).
@@ -213,9 +213,6 @@ class ShardedCluster:
         replicas: list[ShardNode],
         mode: str = "sync",
         max_lag_records: int = 64,
-        heartbeat_interval_s: float = 0.05,
-        lease_s: float = 0.15,
-        grace_s: float = 0.1,
     ) -> None:
         """Pair every shard with a warm standby: wire the ship links
         onto the primaries' WALs and start the failure detector."""
@@ -232,12 +229,7 @@ class ShardedCluster:
             link.attach()
             self.standbys[node.shard_id] = node
             self.links[node.shard_id] = link
-        self.detector = FailureDetector(
-            self,
-            heartbeat_interval_s=heartbeat_interval_s,
-            lease_s=lease_s,
-            grace_s=grace_s,
-        )
+        self.detector = FailureDetector(self)
 
     def kill_primary(self, shard_id: int, partition: bool = False) -> None:
         """Stop the shard's serving primary.  ``partition=False`` is a
@@ -275,12 +267,10 @@ class ShardedCluster:
         every call raise :class:`~repro.errors.StaleEpochError`."""
         node.down = False
 
-    def schedule_kill(
-        self, shard_id: int, at_s: float, partition: bool = False
-    ) -> None:
+    def schedule_kill(self, shard_id: int, at_s: float) -> None:
         """Kill the shard's primary at simulated time ``at_s`` (executed
         by the next :meth:`tick` at or after that time)."""
-        self._kill_plan.append((at_s, shard_id, partition))
+        self._kill_plan.append((at_s, shard_id))
         self._kill_plan.sort()
 
     def tick(self) -> None:
@@ -293,8 +283,8 @@ class ShardedCluster:
             return
         now = self.clock.elapsed_s
         while self._kill_plan and self._kill_plan[0][0] <= now:
-            __, sid, partition = self._kill_plan.pop(0)
-            self.kill_primary(sid, partition=partition)
+            __, sid = self._kill_plan.pop(0)
+            self.kill_primary(sid)
         for link in self.links.values():
             link.pump()
         if self.detector is not None:

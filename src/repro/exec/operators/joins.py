@@ -53,12 +53,7 @@ from repro.exec.hash_table import (
     QueryHashTable,
     phj_table_bytes,
 )
-from repro.exec.operators.base import (
-    DEFAULT_BATCH_SIZE,
-    Cursor,
-    Operator,
-    PipelineContext,
-)
+from repro.exec.operators.base import Cursor, Operator, PipelineContext
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database
@@ -422,12 +417,10 @@ def build_join(q: TreeJoinQuery, algorithm: str) -> TreeJoinOperator:
     return JOIN_OPERATORS[algorithm](PipelineContext(q.db), q)
 
 
-def drain_algorithm(
-    q: TreeJoinQuery, algorithm: str, batch_size: int = DEFAULT_BATCH_SIZE
-) -> list[tuple]:
+def drain_algorithm(q: TreeJoinQuery, algorithm: str) -> list[tuple]:
     """Run the named algorithm to completion and return every row."""
     op = build_join(q, algorithm)
-    with Cursor(op.ctx, op, batch_size) as cursor:
+    with Cursor(op.ctx, op) as cursor:
         return cursor.drain()
 
 

@@ -195,7 +195,6 @@ def select_scan(
     attr: str,
     predicate: Callable[[object], bool],
     project: str,
-    transactional: bool = True,
 ) -> SelectionResult:
     """Figure 8, left: full collection scan, one handle per element
     (CollectionScan → Fetch)."""
@@ -208,7 +207,7 @@ def select_scan(
             return SKIP
         return om.get_attr(handle, project)
 
-    return _drain(Fetch(ctx, CollectionScan(ctx, collection), row_fn, transactional))
+    return _drain(Fetch(ctx, CollectionScan(ctx, collection), row_fn))
 
 
 def select_indexed(
@@ -219,7 +218,6 @@ def select_indexed(
     project: str,
     sorted_rids: bool = False,
     include_low: bool = True,
-    include_high: bool = True,
     transactional: bool = True,
 ) -> SelectionResult:
     """Figure 8, right (with ``sorted_rids=True``) or the plain
@@ -230,6 +228,6 @@ def select_indexed(
         return om.get_attr(handle, project)
 
     source = IndexScan(
-        ctx, index, low, high, include_low, include_high, sorted_rids
+        ctx, index, low, high, include_low, sorted_rids=sorted_rids
     )
     return _drain(Fetch(ctx, source, row_fn, transactional))

@@ -53,9 +53,9 @@ class IndexManager:
         name: str,
         collection: PersistentCollection,
         key_attr: str,
-        key_type: type = int,
     ) -> tuple[BTreeIndex, IndexBuildReport]:
-        """Create an index on ``collection`` keyed by ``key_attr``.
+        """Create an integer-keyed index on ``collection`` keyed by
+        ``key_attr``.
 
         Existing members are visited one by one: their key is extracted,
         their header gains the index id (growing — and possibly moving
@@ -67,7 +67,7 @@ class IndexManager:
         index_id = self._next_index_id
         self._next_index_id += 1
         index_file = self.db.create_file(f"__index_{name}__")
-        index = BTreeIndex(name, index_id, index_file, key_type)
+        index = BTreeIndex(name, index_id, index_file)
 
         moved_before = self.db.counters.records_moved
         start = self.db.clock.elapsed_s

@@ -233,6 +233,42 @@ class Project:
         return self.callgraph.touches(info)
 
 
+# -- execution units -----------------------------------------------------------
+
+
+def units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
+    """Every execution unit: each indexed function, then every def
+    nested in it (closures and local helpers run separately, so a rule
+    checks them on their own), as ``(info, qualname, node)``."""
+    out = []
+    for info in project.functions:
+        out.append((info, info.qualname, info.node))
+        for sub in ast.walk(info.node):
+            if (
+                isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and sub is not info.node
+            ):
+                out.append((info, f"{info.qualname}.{sub.name}", sub))
+    return out
+
+
+def own_nodes(node: ast.AST) -> list[ast.AST]:
+    """Every node of this unit, nested defs/lambdas excluded."""
+    out: list[ast.AST] = []
+
+    def walk(n: ast.AST, top: bool) -> None:
+        if not top and isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            return
+        out.append(n)
+        for child in ast.iter_child_nodes(n):
+            walk(child, False)
+
+    walk(node, True)
+    return out
+
+
 # -- building the project ---------------------------------------------------
 
 _SKIP_DIRS = {"__pycache__"}

@@ -37,7 +37,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.project import CallSite, FunctionInfo, Project, _dotted, call_name
+from repro.lint.project import CallSite, FunctionInfo, Project, _dotted, call_name, units
 from repro.lint.vocab import (
     ATOM_GUARDS,
     ATOM_LOCK_CALLS,
@@ -190,24 +190,11 @@ class _Scanner:
             self.visit(child, guarded)
 
 
-def _units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
-    out = []
-    for info in project.functions:
-        out.append((info, info.qualname, info.node))
-        for sub in ast.walk(info.node):
-            if (
-                isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and sub is not info.node
-            ):
-                out.append((info, f"{info.qualname}.{sub.name}", sub))
-    return out
-
-
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
     graph = project.callgraph
 
-    for info, qualname, node in _units(project):
+    for info, qualname, node in units(project):
         if info.module.package not in ATOM_PACKAGES:
             continue
         scanner = _Scanner(info, graph)

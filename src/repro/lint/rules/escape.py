@@ -37,39 +37,10 @@ from __future__ import annotations
 import ast
 
 from repro.lint.findings import Finding
-from repro.lint.project import FunctionInfo, Project, call_name
+from repro.lint.project import FunctionInfo, Project, call_name, own_nodes, units
 from repro.lint.vocab import CHARGE_PACKAGES, ESCAPE_CALLS, ESCAPE_SINKS
 
 NAME = "ESCAPE"
-
-
-def _units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
-    out = []
-    for info in project.functions:
-        out.append((info, info.qualname, info.node))
-        for sub in ast.walk(info.node):
-            if (
-                isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and sub is not info.node
-            ):
-                out.append((info, f"{info.qualname}.{sub.name}", sub))
-    return out
-
-
-def own_nodes(node: ast.AST) -> list[ast.AST]:
-    out: list[ast.AST] = []
-
-    def walk(n: ast.AST, top: bool) -> None:
-        if not top and isinstance(
-            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            return
-        out.append(n)
-        for child in ast.iter_child_nodes(n):
-            walk(child, False)
-
-    walk(node, True)
-    return out
 
 
 def mentions_handle(value: ast.AST, handle: str) -> bool:
@@ -160,7 +131,7 @@ def _check_block(
 
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    for info, qualname, unit in _units(project):
+    for info, qualname, unit in units(project):
         symbol = f"{info.module.name}:{qualname}"
         body = getattr(unit, "body", [])
         nodes = own_nodes(unit)

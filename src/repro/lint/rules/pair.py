@@ -3,8 +3,8 @@
 A leaked object handle pins a page frame and skews every later fault
 count; a lock that survives its transaction deadlocks the next client.
 For each (open, close) method-name pair in ``PAIRS`` —
-``load``/``unref``, ``acquire``/``release_all``, ``pin``/``unpin`` —
-this rule does an intra-function analysis:
+``load``/``unref``, ``acquire``/``release_all`` — this rule does an
+intra-function analysis:
 
 * a close call is **protected** iff it sits in a ``finally`` block or
   an ``except`` handler;
@@ -33,8 +33,8 @@ import ast
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.project import Project, call_name
-from repro.lint.rules.escape import mentions_handle, own_nodes
+from repro.lint.project import Project, call_name, own_nodes, units
+from repro.lint.rules.escape import mentions_handle
 from repro.lint.vocab import CHARGE_PACKAGES, CLEANUP_CALLS, ESCAPE_SINKS, PAIRS
 
 NAME = "PAIR"
@@ -93,14 +93,6 @@ def _hazard_before(events: list[_Event], end: int, ignore: set[str]) -> bool:
     return False
 
 
-def _nested_defs(node: ast.AST) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-    return [
-        sub
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not node
-    ]
-
-
 def _dropped_opens(unit: ast.AST, open_name: str) -> list[tuple[ast.Call, str]]:
     """``name = <...>.open_name(...)`` calls whose ``name`` never leaves
     the function (the module docstring lists the ways out)."""
@@ -135,14 +127,9 @@ def _dropped_opens(unit: ast.AST, open_name: str) -> list[tuple[ast.Call, str]]:
 
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    units: list[tuple] = []
-    for info in project.functions:
-        units.append((info, info.qualname, info.node))
-        # nested defs (closures, local helpers) are separate execution
-        # units: a leak inside one is a leak every time it is called.
-        for nested in _nested_defs(info.node):
-            units.append((info, f"{info.qualname}.{nested.name}", nested))
-    for info, qualname, node in units:
+    # nested defs (closures, local helpers) are separate execution
+    # units: a leak inside one is a leak every time it is called.
+    for info, qualname, node in units(project):
         events: list[_Event] = []
         _collect_events(node.body, False, events)
         events.sort(key=lambda e: (e.line, e.col))

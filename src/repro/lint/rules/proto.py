@@ -54,7 +54,7 @@ import ast
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.project import FunctionInfo, Project, _dotted, call_name
+from repro.lint.project import FunctionInfo, Project, _dotted, call_name, own_nodes, units
 from repro.lint.vocab import (
     CLEANUP_CALLS,
     PROTO_ABORT_CALLS,
@@ -71,36 +71,6 @@ NAME = "PROTO"
 
 _OPEN = "open"
 _CLOSED = "closed"
-
-
-def _units(project: Project) -> list[tuple[FunctionInfo, str, ast.AST]]:
-    out = []
-    for info in project.functions:
-        out.append((info, info.qualname, info.node))
-        for sub in ast.walk(info.node):
-            if (
-                isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and sub is not info.node
-            ):
-                out.append((info, f"{info.qualname}.{sub.name}", sub))
-    return out
-
-
-def _own_nodes(node: ast.AST) -> list[ast.AST]:
-    """Every node of this unit, nested defs/lambdas excluded."""
-    out: list[ast.AST] = []
-
-    def walk(n: ast.AST, top: bool) -> None:
-        if not top and isinstance(
-            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            return
-        out.append(n)
-        for child in ast.iter_child_nodes(n):
-            walk(child, False)
-
-    walk(node, True)
-    return out
 
 
 # -- txn lifecycle -----------------------------------------------------------
@@ -140,7 +110,7 @@ class _TxnAnalysis:
 
     def _completions_in(self, node: ast.AST) -> list[ast.Call]:
         found = []
-        for sub in _own_nodes(node):
+        for sub in own_nodes(node):
             if isinstance(sub, ast.Call) and self._is_completion(sub):
                 found.append(sub)
         found.sort(key=lambda c: (c.lineno, c.col_offset))
@@ -261,7 +231,7 @@ def _find_begin_sites(unit: ast.AST) -> list[_BeginSite]:
     """Begin calls in this unit whose result stays local (others are
     ownership transfers and exempt)."""
     with_contexts: set[int] = set()
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 for sub in ast.walk(item.context_expr):
@@ -270,7 +240,7 @@ def _find_begin_sites(unit: ast.AST) -> list[_BeginSite]:
     sites: list[_BeginSite] = []
     assigned: dict[int, str | None] = {}
     escaped_vars: set[str] = set()
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if isinstance(node, ast.Assign):
             value = node.value
             if (
@@ -283,7 +253,7 @@ def _find_begin_sites(unit: ast.AST) -> list[_BeginSite]:
                     assigned[id(value)] = node.targets[0].id
                 else:
                     assigned[id(value)] = "\0escape"  # attribute/tuple target
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if isinstance(node, ast.Call) and call_name(node) in PROTO_BEGIN_CALLS:
             if id(node) in with_contexts:
                 continue
@@ -306,7 +276,7 @@ def _find_begin_sites(unit: ast.AST) -> list[_BeginSite]:
     # escape analysis on the txn variables
     tracked = {s.var for s in sites if s.var is not None}
     if tracked:
-        for node in _own_nodes(unit):
+        for node in own_nodes(unit):
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
                 value = getattr(node, "value", None)
                 if value is not None:
@@ -420,7 +390,7 @@ def _check_txn_hazards(
     first_completion = completions[0].lineno
 
     protected_spans: list[tuple[int, int]] = []
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if not isinstance(node, ast.Try):
             continue
         guard_nodes = [*node.handlers, *node.finalbody]
@@ -432,7 +402,7 @@ def _check_txn_hazards(
             protected_spans.append((start, end))
 
     exempt = {*PROTO_BEGIN_CALLS, *PROTO_COMMIT_CALLS, *PROTO_ABORT_CALLS}
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if not isinstance(node, ast.Call):
             continue
         if not (site.call.lineno < node.lineno < first_completion):
@@ -482,7 +452,7 @@ def _check_wal(
     symbol = f"{info.module.name}:{qualname}"
     calls = [
         n
-        for n in _own_nodes(unit)
+        for n in own_nodes(unit)
         if isinstance(n, ast.Call) and call_name(n) is not None
     ]
     calls.sort(key=lambda c: (c.lineno, c.col_offset))
@@ -569,7 +539,7 @@ def _check_twopc(
     commit_refs: list[tuple[int, int, str]] = []
     call_funcs: set[int] = set()
 
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if isinstance(node, ast.Call):
             call_funcs.add(id(node.func))
             name = call_name(node)
@@ -604,7 +574,7 @@ def _check_twopc(
                             symbol=symbol,
                         )
                     )
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         # a branch commit handed around as a callback
         # (``cluster.call(node, branch.commit, ...)``) is still a
         # commit reference on this path
@@ -657,7 +627,7 @@ def _check_failover(
     promote_calls: list[tuple[int, int, str]] = []
     epoch_lines: list[int] = []
     flush_lines: list[int] = []
-    for node in _own_nodes(unit):
+    for node in own_nodes(unit):
         if not isinstance(node, ast.Call):
             continue
         name = call_name(node)
@@ -703,7 +673,7 @@ def _check_failover(
 
 def check(project: Project) -> list[Finding]:
     findings: list[Finding] = []
-    for info, qualname, unit in _units(project):
+    for info, qualname, unit in units(project):
         _check_txn(info, qualname, unit, findings)
         _check_wal(info, qualname, unit, findings)
         _check_twopc(info, qualname, unit, findings)

@@ -76,7 +76,6 @@ COUNTER_NAMES = ("counters",)
 PAIRS = (
     ("load", "unref"),
     ("acquire", "release_all"),
-    ("pin", "unpin"),
 )
 
 #: Cleanup calls that must not be skippable by an earlier exception.
@@ -152,7 +151,7 @@ ATOM_STATE_ATTRS = (
 
 #: A ``with`` statement whose context chain contains one of these names
 #: is a critical bracket for ATOM (``with self._cv: ...``).
-ATOM_GUARDS = ("_cv", "lock", "mutex", "_mutex", "guard")
+ATOM_GUARDS = ("_cv", "lock", "guard")
 
 #: An explicit lock acquisition earlier in the function also counts as
 #: holding the bracket (strict-2PL code paths).
@@ -161,7 +160,7 @@ ATOM_LOCK_CALLS = ("acquire",)
 #: PROTO txn-lifecycle vocabulary.
 PROTO_BEGIN_CALLS = ("begin",)
 PROTO_COMMIT_CALLS = ("commit",)
-PROTO_ABORT_CALLS = ("abort", "rollback")
+PROTO_ABORT_CALLS = ("abort",)
 #: WAL record kinds whose append must be followed by a flush on the
 #: same log before the function returns (the force-write points).
 PROTO_FORCED_KINDS = ("commit", "prepare", "checkpoint")
@@ -185,7 +184,5 @@ ESCAPE_SINKS = (
     "add",
     "insert",
     "extend",
-    "appendleft",
     "setdefault",
-    "push",
 )

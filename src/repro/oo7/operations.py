@@ -153,11 +153,11 @@ def traversal_t6(oo7: OO7Database) -> TraversalResult:
     return _traverse(oo7, full=False)
 
 
-def query_q1(oo7: OO7Database, lookups: int = 10, seed: int = 41) -> int:
+def query_q1(oo7: OO7Database, lookups: int = 10) -> int:
     """OO7 Q1: exact-match lookups of random atomic parts by id.
     Returns the number found (== ``lookups`` on a healthy database)."""
     om = oo7.db.manager
-    rng = Lrand48(seed)
+    rng = Lrand48(41)
     found = 0
     for __ in range(lookups):
         part_id = 1 + rng.randrange(oo7.config.n_atomic_parts)

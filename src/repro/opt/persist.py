@@ -9,9 +9,13 @@ per attribute histogram, and one FanoutStat per association;
 ``load_table_stats`` reconstructs an equivalent
 :class:`~repro.opt.collector.TableStats` bundle, so a planner can be
 warmed from a previous run's statistics without re-scanning anything.
+The schema names each class's attributes after the dataclass fields, so
+both directions are plain dicts.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from repro.opt.collector import (
     AttributeStats,
@@ -20,7 +24,20 @@ from repro.opt.collector import (
     TableStats,
 )
 from repro.opt.histogram import EquiDepthHistogram
+from repro.stats.schema import (
+    COLUMN_STAT_CLASS,
+    EXTENT_STAT_CLASS,
+    FANOUT_STAT_CLASS,
+    HIST_BUCKET_CLASS,
+)
 from repro.stats.store import StatsDatabase
+
+
+def _values(stats, *skip: str) -> dict[str, object]:
+    """A statistics dataclass's fields, minus ``skip``, as a dict."""
+    return {
+        f.name: getattr(stats, f.name) for f in fields(stats) if f.name not in skip
+    }
 
 
 def save_table_stats(stats_db: StatsDatabase, stats: TableStats) -> int:
@@ -29,37 +46,24 @@ def save_table_stats(stats_db: StatsDatabase, stats: TableStats) -> int:
     written = 0
     for name in sorted(stats.extents):
         extent = stats.extents[name]
-        stats_db.record_extent_stat(
-            collection=extent.collection,
-            n_objects=extent.n_objects,
-            file_pages=extent.file_pages,
-            extent_pages=extent.extent_pages,
-            sampled=extent.sampled,
-        )
+        stats_db.record(EXTENT_STAT_CLASS, _values(extent, "attributes"))
         written += 1
         for attr in extent.attributes:
             histogram = attr.histogram
-            stats_db.record_column_stat(
-                collection=extent.collection,
-                attr=attr.attr,
-                lo=histogram.lo,
-                min_value=attr.min_value,
-                max_value=attr.max_value,
-                n_distinct=histogram.n_distinct,
-                buckets=list(zip(histogram.uppers, histogram.counts)),
-            )
+            buckets = [
+                stats_db.record(HIST_BUCKET_CLASS, {"upper": upper, "count": count})
+                for upper, count in zip(histogram.uppers, histogram.counts)
+            ]
+            stats_db.record(COLUMN_STAT_CLASS, {
+                "collection": extent.collection,
+                **_values(attr, "histogram"),
+                "lo": histogram.lo,
+                "n_distinct": histogram.n_distinct,
+                "buckets": buckets,
+            })
             written += 1
     for key in sorted(stats.fanouts):
-        fanout = stats.fanouts[key]
-        stats_db.record_fanout_stat(
-            parent=fanout.parent_collection,
-            set_attr=fanout.set_attr,
-            child=fanout.child_collection,
-            sampled=fanout.sampled,
-            avg_children=fanout.avg_children,
-            max_children=fanout.max_children,
-            frac_with_children=fanout.frac_with_children,
-        )
+        stats_db.record(FANOUT_STAT_CLASS, _values(stats.fanouts[key]))
         written += 1
     return written
 
@@ -73,43 +77,28 @@ def load_table_stats(stats_db: StatsDatabase) -> TableStats:
     resolves last-wins, i.e. to the most recent save.
     """
     columns: dict[tuple[str, str], AttributeStats] = {}
-    for row in stats_db.column_stat_rows():
-        histogram = EquiDepthHistogram(
-            lo=row.lo,
-            uppers=tuple(upper for upper, __ in row.buckets),
-            counts=tuple(count for __, count in row.buckets),
-            n_distinct=row.n_distinct,
-        )
-        columns[(row.collection, row.attr)] = AttributeStats(
-            attr=row.attr,
-            min_value=row.min_value,
-            max_value=row.max_value,
-            histogram=histogram,
-        )
-    stats = TableStats()
-    for row in stats_db.extent_stat_rows():
-        stats.extents[row.collection] = ExtentStats(
-            collection=row.collection,
-            n_objects=row.n_objects,
-            file_pages=row.file_pages,
-            extent_pages=row.extent_pages,
-            sampled=row.sampled,
-            attributes=tuple(
-                sorted(
-                    (stat for (name, __), stat in columns.items()
-                     if name == row.collection),
-                    key=lambda a: a.attr,
-                )
+    for column in stats_db.objects(COLUMN_STAT_CLASS):
+        buckets = [stats_db.decode(rid) for rid in column["buckets"]]
+        columns[(column["collection"], column["attr"])] = AttributeStats(
+            attr=column["attr"],
+            min_value=column["min_value"],
+            max_value=column["max_value"],
+            histogram=EquiDepthHistogram(
+                lo=column["lo"],
+                uppers=tuple(bucket["upper"] for bucket in buckets),
+                counts=tuple(bucket["count"] for bucket in buckets),
+                n_distinct=column["n_distinct"],
             ),
         )
-    for row in stats_db.fanout_stat_rows():
-        stats.fanouts[(row.parent, row.set_attr)] = FanoutStats(
-            parent_collection=row.parent,
-            set_attr=row.set_attr,
-            child_collection=row.child,
-            sampled=row.sampled,
-            avg_children=row.avg_children,
-            max_children=row.max_children,
-            frac_with_children=row.frac_with_children,
+    stats = TableStats()
+    for extent in stats_db.objects(EXTENT_STAT_CLASS):
+        name = extent["collection"]
+        attributes = (stat for (owner, __), stat in columns.items() if owner == name)
+        stats.extents[name] = ExtentStats(
+            **extent, attributes=tuple(sorted(attributes, key=lambda a: a.attr))
+        )
+    for fanout in stats_db.objects(FANOUT_STAT_CLASS):
+        stats.fanouts[(fanout["parent_collection"], fanout["set_attr"])] = (
+            FanoutStats(**fanout)
         )
     return stats

@@ -90,8 +90,8 @@ class FuzzResult:
         return not self.failures
 
 
-def _make_db(base_records: int = 96) -> tuple[Database, list[Rid]]:
-    """A small Thing database whose base records are durably on disk."""
+def _make_db() -> tuple[Database, list[Rid]]:
+    """A small Thing database whose 96 base records are durably on disk."""
     schema = Schema()
     schema.define(
         "Thing",
@@ -104,7 +104,7 @@ def _make_db(base_records: int = 96) -> tuple[Database, list[Rid]]:
     db.create_file("things")
     rids = [
         db.create_object("Thing", {"x": i * 100, "pad": _PAD}, "things")
-        for i in range(base_records)
+        for i in range(96)
     ]
     db.shutdown()  # flush: the preload is durable before the fuzz starts
     return db, rids

@@ -17,6 +17,12 @@ Classes (attribute comments quote the paper's own annotations)::
     class Query:  cold, projectiontype, selectivity, text
     class Extent: classname, size, associations {[extent, linkratio]}
     class System: servercachesize, clientcachesize, sameworkstation
+
+``Query`` also keeps the selectivity on the parents, which the Section 5
+experiments vary beside the one Figure 3 gives it.  The optimizer's
+statistics classes name their attributes after the fields of
+:mod:`repro.opt.collector`'s dataclasses, so :mod:`repro.opt.persist`
+maps them to and from plain dicts.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ def build_stats_schema() -> Schema:
             AttributeDef("cold", AttrKind.BOOL),
             AttributeDef("projectiontype", AttrKind.STRING, width=32),
             AttributeDef("selectivity", AttrKind.INT32),
+            AttributeDef("selectivityparents", AttrKind.INT32),
             AttributeDef("text", AttrKind.STRING, width=_TEXT_WIDTH),
         ],
     )
@@ -116,12 +123,12 @@ def build_stats_schema() -> Schema:
     schema.define(
         COLUMN_STAT_CLASS,
         [
-            AttributeDef("extentname", AttrKind.STRING, width=32),
-            AttributeDef("attrname", AttrKind.STRING, width=32),
-            AttributeDef("lovalue", AttrKind.REAL64),
-            AttributeDef("minval", AttrKind.REAL64),
-            AttributeDef("maxval", AttrKind.REAL64),
-            AttributeDef("ndistinct", AttrKind.INT32),
+            AttributeDef("collection", AttrKind.STRING, width=32),
+            AttributeDef("attr", AttrKind.STRING, width=32),
+            AttributeDef("lo", AttrKind.REAL64),
+            AttributeDef("min_value", AttrKind.REAL64),
+            AttributeDef("max_value", AttrKind.REAL64),
+            AttributeDef("n_distinct", AttrKind.INT32),
             AttributeDef("buckets", AttrKind.REF_SET, target=HIST_BUCKET_CLASS),
         ],
     )
@@ -129,22 +136,22 @@ def build_stats_schema() -> Schema:
         EXTENT_STAT_CLASS,
         [
             AttributeDef("collection", AttrKind.STRING, width=32),
-            AttributeDef("nobjects", AttrKind.INT32),
-            AttributeDef("filepages", AttrKind.INT32),
-            AttributeDef("extentpages", AttrKind.INT32),
+            AttributeDef("n_objects", AttrKind.INT32),
+            AttributeDef("file_pages", AttrKind.INT32),
+            AttributeDef("extent_pages", AttrKind.INT32),
             AttributeDef("sampled", AttrKind.INT32),
         ],
     )
     schema.define(
         FANOUT_STAT_CLASS,
         [
-            AttributeDef("parent", AttrKind.STRING, width=32),
-            AttributeDef("setattr", AttrKind.STRING, width=32),
-            AttributeDef("child", AttrKind.STRING, width=32),
+            AttributeDef("parent_collection", AttrKind.STRING, width=32),
+            AttributeDef("set_attr", AttrKind.STRING, width=32),
+            AttributeDef("child_collection", AttrKind.STRING, width=32),
             AttributeDef("sampled", AttrKind.INT32),
-            AttributeDef("avgchildren", AttrKind.REAL64),
-            AttributeDef("maxchildren", AttrKind.INT32),
-            AttributeDef("withchildren", AttrKind.REAL64),
+            AttributeDef("avg_children", AttrKind.REAL64),
+            AttributeDef("max_children", AttrKind.INT32),
+            AttributeDef("frac_with_children", AttrKind.REAL64),
         ],
     )
     return schema

@@ -1,25 +1,24 @@
 """The benchmark-results database.
 
 A :class:`StatsDatabase` is an instance of this library's own object
-database holding ``Stat`` objects — the paper's own medicine, taken.
-``record_experiment`` turns one measured run (metadata + meter snapshot +
-elapsed simulated time) into a persistent ``Stat``; the query helpers do
-what the paper praises a real query language for ("a query language can
-be used to extract the information you are looking for").
+database holding the Figure 3 objects — the paper's own medicine, taken.
+It has one writer and one reader: :meth:`~StatsDatabase.record` makes a
+dict of attribute values persistent as an object of a schema class and
+appends it to that class's extent; :meth:`~StatsDatabase.objects`
+decodes an extent in recording order.  ``record_experiment`` turns one
+measured run (metadata + meter snapshot + elapsed simulated time) into a
+``Stat`` with its ``Query`` and ``System``; the query helpers do what the
+paper praises a real query language for ("a query language can be used
+to extract the information you are looking for").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.objects.database import Database
+from repro.objects.database import Database, PersistentCollection
 from repro.simtime import MeterSnapshot
 from repro.stats.schema import (
-    COLUMN_STAT_CLASS,
-    EXTENT_CLASS,
-    EXTENT_STAT_CLASS,
-    FANOUT_STAT_CLASS,
-    HIST_BUCKET_CLASS,
     QUERY_CLASS,
     STAT_CLASS,
     SYSTEM_CLASS,
@@ -64,60 +63,45 @@ class StatRow:
     over_budget: int = 0
 
 
-@dataclass(frozen=True)
-class ExtentStatRow:
-    """One decoded ExtentStat (ANALYZE output), flat for reloading."""
-
-    collection: str
-    n_objects: int
-    file_pages: int
-    extent_pages: int
-    sampled: int
-
-
-@dataclass(frozen=True)
-class ColumnStatRow:
-    """One decoded ColumnStat with its histogram buckets in order."""
-
-    collection: str
-    attr: str
-    lo: float
-    min_value: float
-    max_value: float
-    n_distinct: int
-    buckets: tuple[tuple[float, int], ...]   # (upper, count) per bucket
-
-
-@dataclass(frozen=True)
-class FanoutStatRow:
-    """One decoded FanoutStat (association fan-out)."""
-
-    parent: str
-    set_attr: str
-    child: str
-    sampled: int
-    avg_children: float
-    max_children: int
-    frac_with_children: float
-
-
 class StatsDatabase:
     """Stores and queries experiment results."""
 
     def __init__(self) -> None:
         self.db = Database(build_stats_schema())
         self.db.create_file(_FILE)
-        self.stats = self.db.new_collection("Stats")
-        #: Optimizer-statistics collections, created on first use so
-        #: experiment-only databases pay nothing for them.
-        self._opt_collections: dict[str, object] = {}
-        self._numtest = 0
-        #: (selectivity on children, selectivity on parents) per stat,
-        #: kept alongside because Figure 3's Query has one selectivity
-        #: field while the Section 5 experiments vary two.
-        self._parent_sel: dict[Rid, int] = {}
+        #: class name -> its extent, bound under that name by the class's
+        #: first :meth:`record`.
+        self._extents: dict[str, PersistentCollection] = {}
 
-    # -- recording ----------------------------------------------------------
+    # -- the one writer and the one reader ------------------------------------
+
+    def record(self, class_name: str, values: dict[str, object]) -> Rid:
+        """Persist ``values`` as a new ``class_name`` object and append it
+        to that class's extent.  A set attribute takes a list of rids."""
+        rid = self.db.create_object(class_name, values, _FILE)
+        extent = self._extents.get(class_name)
+        if extent is None:
+            extent = self._extents[class_name] = self.db.new_collection(class_name)
+        extent.append(rid)
+        return rid
+
+    def objects(self, class_name: str) -> list[dict]:
+        """Every recorded ``class_name`` object, decoded, in recording
+        order."""
+        extent = self._extents.get(class_name)
+        return [] if extent is None else [self.decode(rid) for rid in extent.iter_rids()]
+
+    def decode(self, rid: Rid) -> dict:
+        """The object at ``rid`` as the values :meth:`record` took: a ref
+        is a rid, a set the list of its members' rids."""
+        om = self.db.manager
+        record, class_def = om.read_record(rid)
+        values = om.codec(class_def).decode(record)
+        for attr in class_def.set_attributes():
+            values[attr.name] = list(self.db.iter_set_rids(values[attr.name]))
+        return values
+
+    # -- experiments ----------------------------------------------------------
 
     def record_experiment(
         self,
@@ -129,7 +113,6 @@ class StatsDatabase:
         selectivity: int = 0,
         selectivity_parents: int = 0,
         cold: bool = True,
-        projectiontype: str = "tuple",
         server_cache_bytes: int = 0,
         client_cache_bytes: int = 0,
         first_row_ms: float = 0.0,
@@ -139,233 +122,61 @@ class StatsDatabase:
         over_budget: int = 0,
     ) -> Rid:
         """Persist one experiment; returns the Stat's rid."""
-        self._numtest += 1
-        system_rid = self.db.create_object(
-            SYSTEM_CLASS,
-            {
-                "servercachesize": server_cache_bytes,
-                "clientcachesize": client_cache_bytes,
-                "sameworkstation": True,
-            },
-            _FILE,
-        )
-        query_rid = self.db.create_object(
-            QUERY_CLASS,
-            {
-                "cold": cold,
-                "projectiontype": projectiontype,
-                "selectivity": selectivity,
-                "text": text,
-            },
-            _FILE,
-        )
-        stat_rid = self.db.create_object(
-            STAT_CLASS,
-            {
-                "numtest": self._numtest,
-                "query": query_rid,
-                "cluster": cluster,
-                "algo": algo,
-                "system": system_rid,
-                "CCPagefaults": meters.client_faults,
-                "ElapsedTime": elapsed_s,
-                "RPCsnumber": meters.rpcs,
-                "RPCstotalsize": meters.rpc_bytes / MB,
-                "D2SCreadpages": meters.disk_reads,
-                "SC2CCreadpages": meters.server_to_client,
-                "CCMissrate": round(meters.client_miss_rate * 100),
-                "SCMissrate": round(meters.server_miss_rate * 100),
-                "FirstRowTime": first_row_ms,
-                "PeakLiveRows": peak_rows,
-                "Retries": retries,
-                "Cancelled": cancelled,
-                "OverBudget": over_budget,
-            },
-            _FILE,
-        )
-        self.stats.append(stat_rid)
-        self._parent_sel[stat_rid] = selectivity_parents
-        return stat_rid
-
-    def record_extent(self, classname: str, size: int) -> Rid:
-        """Persist an Extent description (database shape metadata)."""
-        return self.db.create_object(
-            EXTENT_CLASS, {"classname": classname, "size": size}, _FILE
-        )
-
-    # -- optimizer statistics (ANALYZE output) ------------------------------
-
-    def _opt_collection(self, name: str):
-        collection = self._opt_collections.get(name)
-        if collection is None:
-            collection = self.db.new_collection(name)
-            self._opt_collections[name] = collection
-        return collection
-
-    def record_extent_stat(
-        self, collection: str, n_objects: int, file_pages: int,
-        extent_pages: int, sampled: int,
-    ) -> Rid:
-        """Persist one extent's ANALYZE cardinalities."""
-        rid = self.db.create_object(
-            EXTENT_STAT_CLASS,
-            {
-                "collection": collection,
-                "nobjects": n_objects,
-                "filepages": file_pages,
-                "extentpages": extent_pages,
-                "sampled": sampled,
-            },
-            _FILE,
-        )
-        self._opt_collection("ExtentStats").append(rid)
-        return rid
-
-    def record_column_stat(
-        self,
-        collection: str,
-        attr: str,
-        lo: float,
-        min_value: float,
-        max_value: float,
-        n_distinct: int,
-        buckets: list[tuple[float, int]],
-    ) -> Rid:
-        """Persist one attribute's equi-depth histogram.  Buckets become
-        HistBucket objects referenced, in order, by the ColumnStat's set
-        (overflow chunks preserve insertion order, so the histogram
-        round-trips exactly)."""
-        bucket_rids = [
-            self.db.create_object(
-                HIST_BUCKET_CLASS,
-                {"upper": upper, "count": count},
-                _FILE,
-            )
-            for upper, count in buckets
-        ]
-        rid = self.db.create_object(
-            COLUMN_STAT_CLASS,
-            {
-                "extentname": collection,
-                "attrname": attr,
-                "lovalue": lo,
-                "minval": min_value,
-                "maxval": max_value,
-                "ndistinct": n_distinct,
-                "buckets": bucket_rids,
-            },
-            _FILE,
-        )
-        self._opt_collection("ColumnStats").append(rid)
-        return rid
-
-    def record_fanout_stat(
-        self,
-        parent: str,
-        set_attr: str,
-        child: str,
-        sampled: int,
-        avg_children: float,
-        max_children: int,
-        frac_with_children: float,
-    ) -> Rid:
-        """Persist one association's fan-out statistics."""
-        rid = self.db.create_object(
-            FANOUT_STAT_CLASS,
-            {
-                "parent": parent,
-                "setattr": set_attr,
-                "child": child,
-                "sampled": sampled,
-                "avgchildren": avg_children,
-                "maxchildren": max_children,
-                "withchildren": frac_with_children,
-            },
-            _FILE,
-        )
-        self._opt_collection("FanoutStats").append(rid)
-        return rid
-
-    def _decode(self, rid: Rid) -> dict:
-        om = self.db.manager
-        record, class_def = om.read_record(rid)
-        return om.codec(class_def).decode(record)
-
-    def extent_stat_rows(self) -> list[ExtentStatRow]:
-        """Decode every stored ExtentStat, in recording order."""
-        out = []
-        for rid in self._opt_collection("ExtentStats").iter_rids():
-            data = self._decode(rid)
-            out.append(ExtentStatRow(
-                collection=data["collection"],
-                n_objects=data["nobjects"],
-                file_pages=data["filepages"],
-                extent_pages=data["extentpages"],
-                sampled=data["sampled"],
-            ))
-        return out
-
-    def column_stat_rows(self) -> list[ColumnStatRow]:
-        """Decode every stored ColumnStat with its buckets, in order."""
-        out = []
-        for rid in self._opt_collection("ColumnStats").iter_rids():
-            data = self._decode(rid)
-            buckets = []
-            for bucket_rid in self.db.iter_set_rids(data["buckets"]):
-                bucket = self._decode(bucket_rid)
-                buckets.append((bucket["upper"], bucket["count"]))
-            out.append(ColumnStatRow(
-                collection=data["extentname"],
-                attr=data["attrname"],
-                lo=data["lovalue"],
-                min_value=data["minval"],
-                max_value=data["maxval"],
-                n_distinct=data["ndistinct"],
-                buckets=tuple(buckets),
-            ))
-        return out
-
-    def fanout_stat_rows(self) -> list[FanoutStatRow]:
-        """Decode every stored FanoutStat, in recording order."""
-        out = []
-        for rid in self._opt_collection("FanoutStats").iter_rids():
-            data = self._decode(rid)
-            out.append(FanoutStatRow(
-                parent=data["parent"],
-                set_attr=data["setattr"],
-                child=data["child"],
-                sampled=data["sampled"],
-                avg_children=data["avgchildren"],
-                max_children=data["maxchildren"],
-                frac_with_children=data["withchildren"],
-            ))
-        return out
-
-    # -- querying -------------------------------------------------------------
+        system = self.record(SYSTEM_CLASS, {
+            "servercachesize": server_cache_bytes,
+            "clientcachesize": client_cache_bytes,
+            "sameworkstation": True,
+        })
+        query = self.record(QUERY_CLASS, {
+            "cold": cold,
+            "projectiontype": "tuple",
+            "selectivity": selectivity,
+            "selectivityparents": selectivity_parents,
+            "text": text,
+        })
+        return self.record(STAT_CLASS, {
+            "numtest": len(self) + 1,
+            "query": query,
+            "cluster": cluster,
+            "algo": algo,
+            "system": system,
+            "CCPagefaults": meters.client_faults,
+            "ElapsedTime": elapsed_s,
+            "RPCsnumber": meters.rpcs,
+            "RPCstotalsize": meters.rpc_bytes / MB,
+            "D2SCreadpages": meters.disk_reads,
+            "SC2CCreadpages": meters.server_to_client,
+            "CCMissrate": round(meters.client_miss_rate * 100),
+            "SCMissrate": round(meters.server_miss_rate * 100),
+            "FirstRowTime": first_row_ms,
+            "PeakLiveRows": peak_rows,
+            "Retries": retries,
+            "Cancelled": cancelled,
+            "OverBudget": over_budget,
+        })
 
     def rows(
         self,
         algo: str | None = None,
         cluster: str | None = None,
         selectivity: int | None = None,
-        cold: bool | None = None,
     ) -> list[StatRow]:
-        """Decode (and filter) every stored Stat."""
-        om = self.db.manager
+        """Decode (and filter) every stored Stat with its Query."""
         out: list[StatRow] = []
-        for rid in self.stats.iter_rids():
-            record, class_def = om.read_record(rid)
-            codec = om.codec(class_def)
-            stat = codec.decode(record)
-            query_rid = stat["query"]
-            qrecord, qclass = om.read_record(query_rid)
-            query = om.codec(qclass).decode(qrecord)
-            row = StatRow(
+        for stat in self.objects(STAT_CLASS):
+            query = self.decode(stat["query"])
+            if (
+                (algo is not None and stat["algo"] != algo)
+                or (cluster is not None and stat["cluster"] != cluster)
+                or (selectivity is not None and query["selectivity"] != selectivity)
+            ):
+                continue
+            out.append(StatRow(
                 numtest=stat["numtest"],
                 algo=stat["algo"],
                 cluster=stat["cluster"],
                 selectivity=query["selectivity"],
-                selectivity_parents=self._parent_sel.get(rid, 0),
+                selectivity_parents=query["selectivityparents"],
                 cold=query["cold"],
                 projectiontype=query["projectiontype"],
                 text=query["text"],
@@ -382,16 +193,7 @@ class StatsDatabase:
                 retries=stat["Retries"],
                 cancelled=stat["Cancelled"],
                 over_budget=stat["OverBudget"],
-            )
-            if algo is not None and row.algo != algo:
-                continue
-            if cluster is not None and row.cluster != cluster:
-                continue
-            if selectivity is not None and row.selectivity != selectivity:
-                continue
-            if cold is not None and row.cold != cold:
-                continue
-            out.append(row)
+            ))
         return out
 
     def best_algorithm(
@@ -408,4 +210,4 @@ class StatsDatabase:
         return min(candidates, key=lambda row: row.elapsed_s)
 
     def __len__(self) -> int:
-        return len(self.stats)
+        return len(self._extents.get(STAT_CLASS, ()))

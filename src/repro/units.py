@@ -26,8 +26,8 @@ def pages_for_bytes(n_bytes: int, page_size: int = PAGE_SIZE) -> int:
     return -(-n_bytes // page_size)
 
 
-def bytes_for_pages(n_pages: int, page_size: int = PAGE_SIZE) -> int:
+def bytes_for_pages(n_pages: int) -> int:
     """Total bytes spanned by ``n_pages``."""
     if n_pages < 0:
         raise ValueError(f"negative page count: {n_pages}")
-    return n_pages * page_size
+    return n_pages * PAGE_SIZE

@@ -3,6 +3,7 @@ and — the point of the whole exercise — ``src/repro`` is clean."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -375,6 +376,51 @@ def test_every_vocab_name_is_read_by_a_rule():
     )
     unread = [name for name in names if not re.search(rf"\b{name}\b", readers)]
     assert not unread, f"repro.lint.vocab names no rule reads: {unread}"
+
+
+def _identifiers(paths) -> set[str]:
+    """Names, attributes, defs, parameters and keywords of the code, plus
+    string literals that spell an identifier (a bucket name, a WAL record
+    kind)."""
+    out: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                out.add(node.name)
+            elif isinstance(node, ast.arg):
+                out.add(node.arg)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                out.add(node.arg)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                out.add(node.value)
+    return out
+
+
+def test_every_vocab_name_names_something():
+    """Every name-valued entry of ``repro.lint.vocab`` (the package
+    lists aside) occurs in ``src/repro`` outside ``lint``, or in the
+    fixtures: a call, attribute or guard nothing spells checks nothing."""
+    src = REPO_ROOT / "src" / "repro"
+    code = [p for p in sorted(src.rglob("*.py"))
+            if p.relative_to(src).parts[0] != "lint"]
+    known = _identifiers([*code, *sorted(FIXTURES.rglob("*.py"))])
+    entries = [
+        (name, entry)
+        for name, value in vars(vocab).items()
+        if isinstance(value, tuple) and "PACKAGE" not in name
+        and name != "LAYER_ORDER"
+        for item in value
+        for entry in (item if isinstance(item, tuple) else (item,))
+    ]
+    assert ("PAIRS", "unref") in entries
+    unknown = [(name, entry) for name, entry in entries if entry not in known]
+    assert not unknown, f"vocabulary entries that name nothing: {unknown}"
 
 
 # -- command line -----------------------------------------------------------

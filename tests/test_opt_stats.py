@@ -19,6 +19,7 @@ from repro.opt import (
     CardinalityEstimator,
     EquiDepthHistogram,
     StatsCollector,
+    TableStats,
     load_table_stats,
     save_table_stats,
     selectivity_error_bound,
@@ -173,6 +174,23 @@ class TestPersist:
         save_table_stats(db, table_stats)
         loaded = load_table_stats(db)
         assert loaded.extents == table_stats.extents
+
+    def test_the_last_save_wins_across_a_cold_restart(self, table_stats):
+        from dataclasses import replace
+
+        newer = TableStats(
+            extents={name: replace(extent, n_objects=extent.n_objects + 1)
+                     for name, extent in table_stats.extents.items()},
+            fanouts={key: replace(fanout, max_children=fanout.max_children + 1)
+                     for key, fanout in table_stats.fanouts.items()},
+        )
+        db = StatsDatabase()
+        save_table_stats(db, table_stats)
+        save_table_stats(db, newer)
+        db.db.restart_cold()
+        loaded = load_table_stats(db)
+        assert loaded.extents == newer.extents
+        assert loaded.fanouts == newer.fanouts
 
 
 class TestEstimator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.objects.database import CHUNK_RIDS
 from repro.simtime import CounterSet, MeterSnapshot
 from repro.stats import (
     StatsDatabase,
@@ -133,11 +134,43 @@ class TestStatsDatabase:
 
     def test_record_extent(self):
         stats = StatsDatabase()
-        rid = stats.record_extent("Patient", 2_000_000)
+        rid = stats.record("Extent", {"classname": "Patient", "size": 2_000_000})
         record, class_def = stats.db.manager.read_record(rid)
         decoded = stats.db.manager.codec(class_def).decode(record)
         assert decoded["classname"] == "Patient"
         assert decoded["size"] == 2_000_000
+
+    def test_objects_give_back_what_record_wrote_in_order(self):
+        """One writer, one reader: ``objects`` decodes a class's extent
+        in recording order, refs as rids and sets as lists of rids, and
+        other classes' objects stay out of it."""
+        stats = StatsDatabase()
+        written = [
+            {"classname": f"C{i}", "size": i * 7, "associations": []}
+            for i in range(CHUNK_RIDS + 5)   # spans a flushed extent chunk
+        ]
+        rids = [stats.record("Extent", values) for values in written]
+        links = [stats.record("Association", {"extent": rid, "linkratio": 3})
+                 for rid in rids[:2]]
+        stats.record("Extent", {"classname": "Owner", "size": 1,
+                                "associations": links})
+        stats.db.restart_cold()
+        extents = stats.objects("Extent")
+        assert extents[:-1] == written
+        assert extents[-1]["associations"] == links
+        assert [stats.decode(rid)["extent"] for rid in links] == rids[:2]
+        assert [a["linkratio"] for a in stats.objects("Association")] == [3, 3]
+        assert stats.objects("System") == []
+
+    def test_selectivity_parents_is_read_from_the_query_record(self):
+        stats = StatsDatabase()
+        for parents in (10, 90):
+            stats.record_experiment("PHJ", "class", 1.0, snapshot(),
+                                    selectivity=10, selectivity_parents=parents)
+        stats.db.restart_cold()
+        assert [r.selectivity_parents for r in stats.rows()] == [10, 90]
+        assert [q["selectivityparents"] for q in stats.objects("Query")] == [10, 90]
+        assert stats.best_algorithm("class", 10, 90).numtest == 2
 
 
 class TestExport:
