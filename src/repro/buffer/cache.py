@@ -35,12 +35,13 @@ class BufferCache:
         self._pages: OrderedDict[PageKey, Page] = OrderedDict()
 
     def lookup(self, key: PageKey) -> Page | None:
-        """Return the cached page and refresh its recency, or ``None``."""
+        """Return the cached page and refresh its recency, or ``None``.
+        A miss is a membership test, not a caught ``KeyError``: raising
+        costs several times the test, and a cold run misses often."""
         pages = self._pages
-        try:
-            pages.move_to_end(key)
-        except KeyError:
+        if key not in pages:
             return None
+        pages.move_to_end(key)
         return pages[key]
 
     def insert(self, page: Page) -> None:

@@ -24,6 +24,9 @@ from repro.simtime import Bucket, MemoryModel
 from repro.storage.disk import DiskManager
 from repro.storage.page import Page
 
+_TRANSFER = Bucket.TRANSFER
+_RPC = Bucket.RPC
+
 
 class ClientServerSystem:
     """Two LRU tiers between the application and the simulated disk.
@@ -93,7 +96,7 @@ class ClientServerSystem:
         counters.rpc_bytes += self.disk.page_size
         clock = self.disk.clock
         params = self.disk.params
-        clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
+        clock.charge_ms(_RPC, params.rpc_overhead_ms)
 
         page = self.server_cache.lookup(key)
         if page is not None:
@@ -104,7 +107,7 @@ class ClientServerSystem:
             self.server_cache.insert(page)
 
         counters.server_to_client += 1
-        clock.charge_ms(Bucket.TRANSFER, params.page_transfer_ms)
+        clock.charge_ms(_TRANSFER, params.page_transfer_ms)
         self.client_cache.insert(page)
         return page
 
@@ -167,8 +170,8 @@ class ClientServerSystem:
         counters = self.disk.counters
         counters.rpcs += 1
         counters.rpc_bytes += self.disk.page_size
-        self.disk.clock.charge_ms(Bucket.RPC, self.disk.params.rpc_overhead_ms)
-        self.disk.clock.charge_ms(Bucket.TRANSFER, self.disk.params.page_transfer_ms)
+        self.disk.clock.charge_ms(_RPC, self.disk.params.rpc_overhead_ms)
+        self.disk.clock.charge_ms(_TRANSFER, self.disk.params.page_transfer_ms)
         self.server_cache.insert(page)
 
     def _write_back_to_disk(self, page: Page) -> None:

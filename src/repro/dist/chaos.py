@@ -66,6 +66,8 @@ from repro.dist.workload import ShardedMixConfig, ShardedWorkload
 from repro.recovery.harness import Suite, check_last_writer
 from repro.simtime import Bucket
 
+_BACKOFF = Bucket.BACKOFF
+
 #: Scale of the per-case database: ~30 patients, loads in milliseconds.
 _SCALE = 0.00001
 
@@ -407,7 +409,7 @@ def _settle_failover(cluster: ShardedCluster) -> None:
         ]
         if not down:
             return
-        cluster.clock.charge_s(Bucket.BACKOFF, step_s)
+        cluster.clock.charge_s(_BACKOFF, step_s)
 
 
 def _execute_failover(seed: int, ship_mode: str = "sync"):

@@ -40,6 +40,9 @@ from repro.recovery.crash import NamedPointInjector, crash_database
 from repro.simtime import Bucket, SimClock
 from repro.txn.log import WriteAheadLog
 
+_RPC = Bucket.RPC
+_REMOTE = Bucket.REMOTE
+
 
 class ShardedCluster:
     """N shards, one coordinator timeline."""
@@ -116,7 +119,7 @@ class ShardedCluster:
         """One round-trip to one shard: fixed RPC overhead, then the
         shard's busy delta charged serially as remote wait."""
         self._check_route(node)
-        self.clock.charge_ms(Bucket.RPC, self.params.rpc_overhead_ms)
+        self.clock.charge_ms(_RPC, self.params.rpc_overhead_ms)
         self._note_msg(node, nbytes)
         before = node.db.clock.elapsed_s
         try:
@@ -124,7 +127,7 @@ class ShardedCluster:
         finally:
             delta = node.db.clock.elapsed_s - before
             if delta > 0:
-                self.clock.charge_s(Bucket.REMOTE, delta)
+                self.clock.charge_s(_REMOTE, delta)
                 node.remote_wait_s += delta
 
     def fanout(self, calls, nbytes: int = 0, after_first=None):
@@ -138,7 +141,7 @@ class ShardedCluster:
         for node, __ in calls:
             self._check_route(node)
         for i, (node, fn) in enumerate(calls):
-            self.clock.charge_ms(Bucket.RPC, self.params.rpc_overhead_ms)
+            self.clock.charge_ms(_RPC, self.params.rpc_overhead_ms)
             self._note_msg(node, nbytes)
             before = node.db.clock.elapsed_s
             results.append(fn())
@@ -148,7 +151,7 @@ class ShardedCluster:
         if deltas:
             slowest, node = max(deltas, key=lambda d: d[0])
             if slowest > 0:
-                self.clock.charge_s(Bucket.REMOTE, slowest)
+                self.clock.charge_s(_REMOTE, slowest)
                 node.remote_wait_s += slowest
         return results
 

@@ -56,6 +56,9 @@ from repro.oql.parser import parse
 from repro.oql.printer import print_query
 from repro.simtime import Bucket
 
+_CPU = Bucket.CPU
+_SORT = Bucket.SORT
+
 
 @dataclass
 class DistPlan:
@@ -285,7 +288,7 @@ class Coordinator:
             seen = set()
             deduped = []
             for row in rows:
-                clock.charge_us(Bucket.CPU, params.hash_probe_us)
+                clock.charge_us(_CPU, params.hash_probe_us)
                 if row not in seen:
                     seen.add(row)
                     deduped.append(row)
@@ -298,7 +301,7 @@ class Coordinator:
             for col, descending in reversed(plan.sort_cols):
                 if n > 1:
                     clock.charge_us(
-                        Bucket.SORT,
+                        _SORT,
                         params.sort_per_element_log_us * n * math.log2(n),
                     )
                 if scalar_rows:

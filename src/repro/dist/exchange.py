@@ -40,6 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.cluster import ShardedCluster
     from repro.dist.node import ShardNode
 
+_TRANSFER = Bucket.TRANSFER
+_RPC = Bucket.RPC
+_REMOTE = Bucket.REMOTE
+
 #: Modeled serialized size of one result row on the wire.  Rows are
 #: small tuples of scalars; one page carries ~64 of them.
 ROW_WIRE_BYTES = 64
@@ -174,11 +178,11 @@ class ExchangeOperator(Operator):
     def _account(self, node: "ShardNode", i: int, batch: list) -> None:
         clock = self.ctx.db.clock
         params = self.ctx.db.params
-        clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
+        clock.charge_ms(_RPC, params.rpc_overhead_ms)
         nbytes = len(batch) * ROW_WIRE_BYTES
         if batch:
             pages = pages_for_bytes(nbytes, PAGE_SIZE)
-            clock.charge_ms(Bucket.TRANSFER, pages * params.page_transfer_ms)
+            clock.charge_ms(_TRANSFER, pages * params.page_transfer_ms)
             self.rows_per_shard[i] += len(batch)
         self.cluster._note_msg(node, nbytes)
         # The batch is ready at t0 + B_i on the shard's virtual timeline;
@@ -186,5 +190,5 @@ class ExchangeOperator(Operator):
         ready_s = self._t0 + self._consumed[i]
         wait_s = ready_s - clock.elapsed_s
         if wait_s > 0:
-            clock.charge_s(Bucket.REMOTE, wait_s)
+            clock.charge_s(_REMOTE, wait_s)
             node.remote_wait_s += wait_s

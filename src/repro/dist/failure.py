@@ -44,6 +44,8 @@ from repro.simtime import Bucket
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.cluster import ShardedCluster
 
+_RPC = Bucket.RPC
+
 #: The health state machine, in order.  ``alive -> suspect`` when the
 #: lease expires, ``suspect -> dead`` after the grace period; promotion
 #: resets the shard's entry to ``alive`` for the new primary.
@@ -156,6 +158,6 @@ class FailureDetector:
         clock = self.cluster.clock
         params = self.cluster.params
         for __ in range(beats):
-            clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
+            clock.charge_ms(_RPC, params.rpc_overhead_ms)
         h.heartbeats += beats
         h.last_heartbeat_s += beats * self.heartbeat_interval_s

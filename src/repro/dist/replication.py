@@ -61,6 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dist.cluster import ShardedCluster
     from repro.dist.node import ShardNode
 
+_TRANSFER = Bucket.TRANSFER
+_RPC = Bucket.RPC
+_REMOTE = Bucket.REMOTE
+
 #: The supported shipping disciplines.
 SHIP_MODES = ("sync", "async")
 
@@ -213,9 +217,9 @@ class ReplicaLink:
         params = cluster.params
         nbytes = SHIP_HEADER_BYTES + sum(r.nbytes for r in records)
         t_ship = clock.elapsed_s
-        clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
+        clock.charge_ms(_RPC, params.rpc_overhead_ms)
         clock.charge_ms(
-            Bucket.TRANSFER,
+            _TRANSFER,
             pages_for_bytes(nbytes, PAGE_SIZE) * params.page_transfer_ms,
         )
         cluster._note_msg(self.replica, nbytes)
@@ -225,11 +229,11 @@ class ReplicaLink:
         self._apply_at_replica(records)
         delta = self.replica.db.clock.elapsed_s - before
         if delta > 0:
-            clock.charge_s(Bucket.REMOTE, delta)
+            clock.charge_s(_REMOTE, delta)
             self.replica.remote_wait_s += delta
         cluster.reached("repl-mid-ship", self.shard_id)
         # The ack.
-        clock.charge_ms(Bucket.RPC, params.rpc_overhead_ms)
+        clock.charge_ms(_RPC, params.rpc_overhead_ms)
         cluster._note_msg(self.primary, SHIP_ACK_BYTES)
         self.acked_lsn = records[-1].lsn
         self._cursor += len(records)

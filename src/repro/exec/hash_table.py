@@ -32,6 +32,9 @@ from typing import Iterable
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.units import MS_PER_S, US_PER_S
 
+_CPU = Bucket.CPU
+_SWAP = Bucket.SWAP
+
 #: Bytes per selected parent in a PHJ table (key + information).
 PHJ_ENTRY_BYTES = 64
 #: Bytes per domain parent in a CHJ table (preallocated bucket).
@@ -113,11 +116,11 @@ class QueryHashTable:
         the swapped-out fraction of the table (``swapped_fraction``,
         inline -- a table that fits pays one add)."""
         buckets = self.clock.buckets
-        buckets[Bucket.CPU] += base_us / US_PER_S
+        buckets[_CPU] += base_us / US_PER_S
         size = self._bytes
         if size > self.budget_bytes and size:
             fraction = (size - self.budget_bytes) / size
-            buckets[Bucket.SWAP] += (
+            buckets[_SWAP] += (
                 self.params.swap_fault_ms * fraction / MS_PER_S
             )
             self._swap_accum += fraction

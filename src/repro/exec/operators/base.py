@@ -45,6 +45,8 @@ from repro.objects.database import Database
 from repro.simtime import Bucket
 from repro.units import US_PER_S
 
+_RESULT = Bucket.RESULT
+
 #: Default rows per ``next_batch`` pull.  See docs/pipeline.md for how
 #: to choose: bigger batches amortize per-batch overhead (scheduler
 #: yields, Python call frames), smaller ones cut time-to-first-row and
@@ -127,7 +129,7 @@ class PipelineContext:
 
     def charge_result(self, transactional: bool = True) -> None:
         """Charge one emitted result row."""
-        self.db.clock.buckets[Bucket.RESULT] += self.result_s(transactional)
+        self.db.clock.buckets[_RESULT] += self.result_s(transactional)
 
     # -- first-row bookkeeping (driven by the Cursor) -------------------
 

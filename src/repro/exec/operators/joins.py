@@ -61,6 +61,10 @@ from repro.simtime import Bucket
 from repro.storage.rid import Rid
 from repro.units import US_PER_S, pages_for_bytes
 
+_IO = Bucket.IO
+_CPU = Bucket.CPU
+_RESULT = Bucket.RESULT
+
 
 @dataclass
 class TreeJoinQuery:
@@ -138,10 +142,10 @@ class NavigationParentToChild(TreeJoinOperator):
                 row = None
                 with om.borrow(child_rid) as child:
                     key = om.get_attr(child, q.child_key)
-                    buckets[Bucket.CPU] += predicate_s
+                    buckets[_CPU] += predicate_s
                     if key < q.child_high:  # type: ignore[operator]
                         row = (parent_value, om.get_attr(child, q.child_project))
-                        buckets[Bucket.RESULT] += row_s
+                        buckets[_RESULT] += row_s
                 if row is not None:
                     yield row
 
@@ -169,13 +173,13 @@ class NavigationChildToParent(TreeJoinOperator):
                 if parent_rid is not None:
                     with om.borrow(parent_rid) as parent:
                         key = om.get_attr(parent, q.parent_key)
-                        buckets[Bucket.CPU] += predicate_s
+                        buckets[_CPU] += predicate_s
                         if key < q.parent_high:  # type: ignore[operator]
                             row = (
                                 om.get_attr(parent, q.parent_project),
                                 om.get_attr(child, q.child_project),
                             )
-                            buckets[Bucket.RESULT] += row_s
+                            buckets[_RESULT] += row_s
             if row is not None:
                 yield row
 
@@ -209,7 +213,7 @@ class HashParentsJoin(TreeJoinOperator):
                 info = self._table.probe(parent_rid)
                 if info is not None:
                     row = (info, om.get_attr(child, q.child_project))
-                    buckets[Bucket.RESULT] += row_s
+                    buckets[_RESULT] += row_s
             if row is not None:
                 yield row
 
@@ -257,7 +261,7 @@ class HashChildrenJoin(TreeJoinOperator):
             with om.borrow(parent_rid) as parent:
                 parent_value = om.get_attr(parent, q.parent_project)
             for child_value in matches:
-                buckets[Bucket.RESULT] += row_s
+                buckets[_RESULT] += row_s
                 yield (parent_value, child_value)
 
 
@@ -306,7 +310,7 @@ class SortMergeJoin(TreeJoinOperator):
         i, end = 0, len(pairs)  # the merge frontier in ``pairs``
         for parent_rid in self._parent_rids:
             while i < end and pairs[i][0] < parent_rid:
-                buckets[Bucket.CPU] += compare_s
+                buckets[_CPU] += compare_s
                 i += 1
             if i == end:
                 return
@@ -315,8 +319,8 @@ class SortMergeJoin(TreeJoinOperator):
             with om.borrow(parent_rid) as parent:
                 parent_value = om.get_attr(parent, q.parent_project)
             while i < end and pairs[i][0] == parent_rid:
-                buckets[Bucket.CPU] += compare_s
-                buckets[Bucket.RESULT] += row_s
+                buckets[_CPU] += compare_s
+                buckets[_RESULT] += row_s
                 yield (parent_value, pairs[i][1])
                 i += 1
 
@@ -373,8 +377,8 @@ class HybridHashParentsJoin(TreeJoinOperator):
     def _charge_spill_pages(self, pages: int) -> None:
         db = self.db
         for __ in range(pages):
-            db.clock.charge_ms(Bucket.IO, db.params.page_write_ms)
-            db.clock.charge_ms(Bucket.IO, db.params.page_read_ms)
+            db.clock.charge_ms(_IO, db.params.page_write_ms)
+            db.clock.charge_ms(_IO, db.params.page_read_ms)
             db.counters.disk_writes += 1
             db.counters.disk_reads += 1
 
@@ -392,7 +396,7 @@ class HybridHashParentsJoin(TreeJoinOperator):
                     info = self._table.probe(parent_rid)
                     if info is not None:
                         row = (info, om.get_attr(child, q.child_project))
-                        buckets[Bucket.RESULT] += row_s
+                        buckets[_RESULT] += row_s
                 if row is not None:
                     yield row
         finally:

@@ -48,6 +48,9 @@ from repro.simtime import Bucket
 from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
+_CPU = Bucket.CPU
+_RESULT = Bucket.RESULT
+
 
 class CollectionScan(Operator):
     """Emit every rid of a collection, in physical (creation) order."""
@@ -154,7 +157,7 @@ class Fetch(Operator):
                     self.not_visible += 1
                     continue
                 if row is not SKIP:
-                    buckets[Bucket.RESULT] += row_s
+                    buckets[_RESULT] += row_s
                     out.append(row)
                     room -= 1
                     if not room:
@@ -202,7 +205,7 @@ def select_scan(
 
     def row_fn(om, handle):
         value = om.get_attr(handle, attr)
-        db.clock.buckets[Bucket.CPU] += db.params.predicate_us / US_PER_S
+        db.clock.buckets[_CPU] += db.params.predicate_us / US_PER_S
         if not predicate(value):
             return SKIP
         return om.get_attr(handle, project)

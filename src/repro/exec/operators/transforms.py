@@ -22,6 +22,8 @@ from repro.index.btree import BTreeIndex
 from repro.simtime import Bucket
 from repro.units import US_PER_S
 
+_CPU = Bucket.CPU
+
 
 class Map(Operator):
     """Apply a function to every row (projection, column flip)."""
@@ -216,7 +218,7 @@ class IndexOnlyAggregate(Operator):
         for key, __ in self.index.range_scan(
             self.low, self.high, self.include_low, self.include_high
         ):
-            buckets[Bucket.CPU] += compare_s
+            buckets[_CPU] += compare_s
             count += 1
             if self.func != "count":
                 total += key  # type: ignore[operator]

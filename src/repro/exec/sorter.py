@@ -13,6 +13,9 @@ from typing import Callable, TypeVar
 
 from repro.simtime import Bucket, CostParams, SimClock
 
+_IO = Bucket.IO
+_SORT = Bucket.SORT
+
 T = TypeVar("T")
 
 
@@ -34,7 +37,7 @@ def sort_charged(
     n = len(items)
     if n > 1:
         clock.charge_us(
-            Bucket.SORT, params.sort_per_element_log_us * n * math.log2(n)
+            _SORT, params.sort_per_element_log_us * n * math.log2(n)
         )
     if bytes_per_item is not None and n > 0:
         total = n * bytes_per_item
@@ -44,7 +47,7 @@ def sort_charged(
 
             spilled_pages = pages_for_bytes(total - budget)
             clock.charge_ms(
-                Bucket.IO,
+                _IO,
                 spilled_pages * (params.page_write_ms + params.page_read_ms),
             )
     return sorted(items, key=key)  # type: ignore[type-var,arg-type]

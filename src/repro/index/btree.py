@@ -27,6 +27,9 @@ from repro.simtime import Bucket
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid, rid_of
 
+_CPU = Bucket.CPU
+_SORT = Bucket.SORT
+
 #: Entries per leaf: 330 * (8 + 8) bytes ~ 5.2 KB... too big for a page;
 #: with int keys an entry is 16 bytes, so 200 entries ~ 3.2 KB fits one
 #: page with slack for splits.
@@ -336,12 +339,12 @@ class BTreeIndex:
         if n < 2:
             return
         us = self.file.disk.params.sort_per_element_log_us * n * math.log2(n)
-        self.file.disk.clock.charge_us(Bucket.SORT, us)
+        self.file.disk.clock.charge_us(_SORT, us)
 
     def _charge_directory_search(self) -> None:
         depth = max(1, math.ceil(math.log2(len(self._first_keys) + 1)))
         self.file.disk.clock.charge_us(
-            Bucket.CPU, self.file.disk.params.compare_us * depth
+            _CPU, self.file.disk.params.compare_us * depth
         )
 
 

@@ -116,8 +116,9 @@ def call_name(call: ast.Call) -> str | None:
 class _FunctionScanner(ast.NodeVisitor):
     """Fills a FunctionInfo from a def's whole subtree."""
 
-    def __init__(self, info: FunctionInfo):
+    def __init__(self, info: FunctionInfo, bucket_names: frozenset[str]):
         self.info = info
+        self.bucket_names = bucket_names
 
     def visit_Call(self, node: ast.Call) -> None:
         name = call_name(node)
@@ -142,7 +143,7 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._check_counter_target(node.target)
-        if _adds_into_bucket(node):
+        if _adds_into_bucket(node, self.bucket_names):
             self.info.charges_directly = True
         self.generic_visit(node)
 
@@ -152,16 +153,30 @@ class _FunctionScanner(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _adds_into_bucket(node: ast.AugAssign) -> bool:
-    """``<map>[Bucket.CPU] += seconds``: ``charge_s`` without the call,
-    an add into ``SimClock.buckets`` -- whatever name the map goes by
-    where it was bound ahead of a loop, its key is a ``Bucket`` member."""
+def _bucket_names(tree: ast.Module) -> frozenset[str]:
+    """Names a module binds to a ``Bucket`` member at its top level
+    (``_CPU = Bucket.CPU``), which is how a charge site spells its key."""
+    return frozenset(
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(value := _dotted(node.value)) == 2 and value[0] == "Bucket"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    )
+
+
+def _adds_into_bucket(node: ast.AugAssign, bucket_names: frozenset[str]) -> bool:
+    """``<map>[_CPU] += seconds``: ``charge_s`` without the call, an add
+    into ``SimClock.buckets`` -- whatever name the map goes by where it
+    was bound ahead of a loop, its key is a ``Bucket`` member, read off
+    the class or through a module-level name bound to one."""
     target = node.target
-    return (
-        isinstance(node.op, ast.Add)
-        and isinstance(target, ast.Subscript)
-        and len(key := _dotted(target.slice)) == 2
-        and key[0] == "Bucket"
+    if not (isinstance(node.op, ast.Add) and isinstance(target, ast.Subscript)):
+        return False
+    key = _dotted(target.slice)
+    return (len(key) == 2 and key[0] == "Bucket") or (
+        len(key) == 1 and key[0] in bucket_names
     )
 
 
@@ -198,6 +213,8 @@ class Project:
     # -- indexing ---------------------------------------------------------
 
     def _index_module(self, module: Module) -> None:
+        bucket_names = _bucket_names(module.tree)
+
         def register(node, qualname: str, owner: str | None = None) -> None:
             info = FunctionInfo(
                 qualname=qualname,
@@ -206,7 +223,7 @@ class Project:
                 owner_class=owner,
                 is_property=_is_property(node),
             )
-            _FunctionScanner(info).visit(node)
+            _FunctionScanner(info, bucket_names).visit(node)
             self.functions.append(info)
             self.defs_by_name.setdefault(node.name, []).append(info)
 

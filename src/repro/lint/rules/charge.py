@@ -11,8 +11,9 @@ default), asks two questions of the name-resolved call graph:
    method from ``TOUCH_METHODS``, or reads raw storage state from
    ``TOUCH_ATTRS``), directly or through project callees?
 2. can it *reach* a ``charge_ms``/``charge_us``/``charge_s`` call, an
-   in-place add into the clock's bucket map (``<map>[Bucket.CPU] +=
-   seconds``, how the per-row sites charge) or a ``counters.<field> +=
+   in-place add into the clock's bucket map (``<map>[_CPU] += seconds``,
+   ``_CPU`` bound to ``Bucket.CPU`` at module level: how the per-row
+   sites charge) or a ``counters.<field> +=
    ...`` bump the same way?
 
 and flags functions where (1) holds but (2) does not.  Because calls

@@ -63,10 +63,11 @@ TOUCH_METHODS = (
 
 #: Reading or writing an attribute with one of these names counts as
 #: touching raw storage/handle state directly.
-TOUCH_ATTRS = ("_durable", "_live", "_parked")
+TOUCH_ATTRS = ("_durable", "_handles")
 
 #: The charging idiom: these calls (SimClock), an in-place add into its
-#: bucket map (``<map>[Bucket.X] += seconds``, recognised by its key) or
+#: bucket map (``<map>[_X] += seconds``, recognised by its key: ``Bucket.X``
+#: or a module-level name bound to it) or
 #: any assignment through an attribute chain containing ``counters``
 #: (CounterSet) discharge the CHARGE obligation.
 CHARGE_CALLS = ("charge_ms", "charge_us", "charge_s")

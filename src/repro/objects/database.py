@@ -41,6 +41,8 @@ from repro.units import US_PER_S
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.btree import BTreeIndex
 
+_LOAD = Bucket.LOAD
+
 #: Rids per collection chunk record (~3.2 KB, one chunk per page).
 CHUNK_RIDS = 400
 
@@ -244,7 +246,7 @@ class Database:
                 values[name] = self.prepare_set(values.get(name))
         record = header + codec.encode_body(values)
         # charge_us(LOAD, object_create_us), without the call
-        self.clock.buckets[Bucket.LOAD] += self.params.object_create_us / US_PER_S
+        self.clock.buckets[_LOAD] += self.params.object_create_us / US_PER_S
         return sfile.insert(record)
 
     def prepare_set(self, value: object) -> InlineSet | OverflowSet:

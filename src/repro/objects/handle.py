@@ -26,6 +26,8 @@ from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
+_HANDLE = Bucket.HANDLE
+
 #: Bytes of a full O2 handle (paper, Section 4.4).
 FULL_HANDLE_BYTES = 60
 #: Bytes of the proposed compact literal handle.
@@ -143,8 +145,13 @@ class HandleTable:
         self.counters = counters
         self.mode = mode
         self.delayed_free_capacity = delayed_free_capacity
-        self._live: dict[Rid, Handle] = {}
-        self._parked: OrderedDict[Rid, Handle] = OrderedDict()
+        #: Every live-record handle, live (``refcount > 0``) or parked
+        #: in the delayed-free list (``refcount == 0``).  Parking moves a
+        #: handle to the end, and nothing else moves a parked one, so the
+        #: parked handles run oldest first: the FIFO is this map's order
+        #: with the live handles skipped.
+        self._handles: OrderedDict[Rid, Handle] = OrderedDict()
+        self._parked_count = 0
         #: Version-tagged handles (MVCC snapshot reads), keyed by
         #: ``(rid, version_ts)`` so readers at different snapshots get
         #: distinct representatives of the same object.  Dropped at
@@ -218,25 +225,24 @@ class HandleTable:
     def reference(self, rid: Rid) -> Handle | None:
         """The hit path of :meth:`get`: re-reference the handle ``rid``
         already has, live or parked; ``None`` when it has none and the
-        caller must read the record and :meth:`allocate`."""
-        live = self._live
-        if rid in live:
-            handle = live[rid]
-            handle.refcount += 1
-        elif rid in self._parked:
-            handle = live[rid] = self._parked.pop(rid)
-            handle.refcount = 1
-        else:
+        caller must read the record and :meth:`allocate`.  A parked
+        handle revives where it stands."""
+        handles = self._handles
+        if rid not in handles:
             return None
-        self._buckets[Bucket.HANDLE] += self._touch_s
+        handle = handles[rid]
+        if not handle.refcount:
+            self._parked_count -= 1
+        handle.refcount += 1
+        self._buckets[_HANDLE] += self._touch_s
         return handle
 
     def allocate(self, rid: Rid, record: bytes, class_def: ClassDef) -> Handle:
         """The miss path of :meth:`get`: a fresh handle, referenced once."""
         handle = Handle(rid, record, class_def, self)
-        self._live[rid] = handle
+        self._handles[rid] = handle
         self.counters.handles_allocated += 1
-        self._buckets[Bucket.HANDLE] += self._alloc_s
+        self._buckets[_HANDLE] += self._alloc_s
         return handle
 
     def _get_versioned(
@@ -249,14 +255,14 @@ class HandleTable:
         handle = self._versioned.get(key)
         if handle is not None:
             handle.refcount += 1
-            self._buckets[Bucket.HANDLE] += self._touch_s
+            self._buckets[_HANDLE] += self._touch_s
             return handle
         record, class_def = loader()
         handle = Handle(rid, record, class_def, self)
         handle.version = version
         self._versioned[key] = handle
         self.counters.handles_allocated += 1
-        self._buckets[Bucket.HANDLE] += self._alloc_s
+        self._buckets[_HANDLE] += self._alloc_s
         return handle
 
     def unreference(self, handle: Handle) -> None:
@@ -267,17 +273,24 @@ class HandleTable:
             raise HandleError(f"double unreference of {handle!r}")
         handle.refcount -= 1
         self.counters.handles_unreferenced += 1
-        self._buckets[Bucket.HANDLE] += self._unref_s
+        self._buckets[_HANDLE] += self._unref_s
         if handle.refcount == 0:
             if handle.version is not None:
                 self._versioned.pop((handle.rid, handle.version), None)
                 return
-            del self._live[handle.rid]
-            if self.delayed_free_capacity:
-                parked = self._parked
-                parked[handle.rid] = handle
-                while len(parked) > self.delayed_free_capacity:
-                    parked.popitem(last=False)
+            handles = self._handles
+            capacity = self.delayed_free_capacity
+            if not capacity:
+                del handles[handle.rid]
+                return
+            handles.move_to_end(handle.rid)
+            self._parked_count += 1
+            while self._parked_count > capacity:
+                rid, oldest = handles.popitem(last=False)
+                if oldest.refcount:
+                    handles[rid] = oldest  # live: its place does not matter
+                else:
+                    self._parked_count -= 1
 
     # -- literal handles ----------------------------------------------------
 
@@ -296,29 +309,28 @@ class HandleTable:
             return
         self.counters.handles_allocated += 1
         self.counters.handles_unreferenced += 1
-        self._buckets[Bucket.HANDLE] += seconds
+        self._buckets[_HANDLE] += seconds
 
     # -- introspection ----------------------------------------------------
 
     @property
     def live_count(self) -> int:
-        return len(self._live) + len(self._versioned)
+        return len(self._handles) - self._parked_count + len(self._versioned)
 
     @property
     def parked_count(self) -> int:
-        return len(self._parked)
+        return self._parked_count
 
     @property
     def memory_bytes(self) -> int:
-        tables = (self._live.values(), self._parked.values(),
-                  self._versioned.values())
+        tables = (self._handles.values(), self._versioned.values())
         return sum(h.memory_bytes for table in tables for h in table)
 
     # simlint: ok[CHARGE] restart discard models no O2 cost; reloads pay on next access
     def clear(self) -> None:
         """Forget every handle (client restart)."""
-        self._live.clear()
-        self._parked.clear()
+        self._handles.clear()
+        self._parked_count = 0
         self._versioned.clear()
 
     # simlint: ok[CHARGE] invalidation is free (see docstring); the reload pays
@@ -327,13 +339,14 @@ class HandleTable:
         the page's content was physically rolled back, so any cached
         decoded copy is stale.  Free, like :meth:`clear`: invalidation
         models no O2 cost, only the reload that follows does."""
-        for table in (self._live, self._parked):
-            stale = [
-                rid for rid in table
-                if rid.file_id == file_id and rid.page_no == page_no
-            ]
-            for rid in stale:
-                del table[rid]
+        handles = self._handles
+        stale = [
+            rid for rid in handles
+            if rid.file_id == file_id and rid.page_no == page_no
+        ]
+        for rid in stale:
+            if not handles.pop(rid).refcount:
+                self._parked_count -= 1
         stale_versions = [
             key for key in self._versioned
             if key[0].file_id == file_id and key[0].page_no == page_no

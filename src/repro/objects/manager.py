@@ -20,6 +20,9 @@ from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
+_CPU = Bucket.CPU
+_LOAD = Bucket.LOAD
+
 
 #: Attribute kinds O2 materializes as separate literals with handles of
 #: their own (Section 4.4), mapped to ``charge_literal``'s ``fixed_size``.
@@ -154,7 +157,7 @@ class ObjectManager:
         written, the attribute's declared default is returned.
         """
         handles = self.handles
-        handles.clock.buckets[Bucket.CPU] += (
+        handles.clock.buckets[_CPU] += (
             handles.params.attr_decode_us / US_PER_S
         )
         class_def = handle.class_def
@@ -228,7 +231,7 @@ class ObjectManager:
         header.schema_version = latest.schema_version
         new_record = self.codec(latest).encode(header, values)
         self.handles.clock.charge_us(
-            Bucket.LOAD, self.handles.params.object_create_us
+            _LOAD, self.handles.params.object_create_us
         )
         return self._write_back(sfile, rid, actual, record, new_record, latest)
 
@@ -266,16 +269,18 @@ class ObjectManager:
         under it (``upgrade_record``; restoring an older snapshot).  A
         bulk load holds no handle at all, and probes nothing."""
         handles = self.handles
-        if handles._live or handles._parked:
+        table = handles._handles
+        if table:
             for key in (rid,) if actual == rid else (rid, actual):
-                live = handles._live.get(key)
-                if live is not None:
-                    live.record = new_record
-                    live.class_def = class_def
-                parked = handles._parked.get(key)
-                if parked is not None:
-                    if parked.class_def is class_def:
-                        parked.record = new_record
-                    else:
-                        del handles._parked[key]
+                handle = table.get(key)
+                if handle is None:
+                    continue
+                if handle.refcount:
+                    handle.record = new_record
+                    handle.class_def = class_def
+                elif handle.class_def is class_def:
+                    handle.record = new_record
+                else:
+                    del table[key]
+                    handles._parked_count -= 1
         return sfile.replace(actual, record, new_record)

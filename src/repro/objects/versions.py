@@ -35,6 +35,9 @@ from repro.objects.header import FLAG_VERSIONED, ObjectHeader
 from repro.simtime import Bucket
 from repro.storage.rid import Rid
 
+_CPU = Bucket.CPU
+_LOAD = Bucket.LOAD
+
 #: File holding version snapshot records.
 VERSIONS_FILE = "__versions__"
 #: File holding the persistent version catalog (one record per snapshot:
@@ -116,7 +119,7 @@ class VersionManager:
         self._ensure_loaded()
         record, __class_def = self.db.manager.read_record(rid)
         snapshot_rid = self._file().insert(record)
-        self.db.clock.charge_us(Bucket.LOAD, self.db.params.object_create_us)
+        self.db.clock.charge_us(_LOAD, self.db.params.object_create_us)
         chain = self._chains.setdefault(rid, [])
         info = VersionInfo(len(chain) + 1, label, snapshot_rid)
         self._catalog_file().insert(_encode_catalog(rid, info))
@@ -174,7 +177,7 @@ class VersionManager:
         entries: list[tuple[Rid, VersionInfo]] = []
         for __, record in self._catalog_file().scan():
             self.db.clock.charge_us(
-                Bucket.CPU, self.db.params.attr_decode_us
+                _CPU, self.db.params.attr_decode_us
             )
             entries.append(_decode_catalog(record))
         entries.sort(key=lambda e: (e[0], e[1].version_no))

@@ -25,6 +25,8 @@ from repro.oql.cost import CostModel
 from repro.opt.histogram import DEFAULT_BUCKETS, EquiDepthHistogram
 from repro.simtime import Bucket
 
+_SORT = Bucket.SORT
+
 #: Attribute kinds that get histograms (orderable numeric scalars).
 _NUMERIC_KINDS = (AttrKind.INT32, AttrKind.REAL64)
 
@@ -171,7 +173,7 @@ class StatsCollector:
             if not sample:
                 continue
             # Building the histogram sorts the sample: pay for it.
-            db.clock.charge_s(Bucket.SORT, self.cost.sort_s(len(sample)))
+            db.clock.charge_s(_SORT, self.cost.sort_s(len(sample)))
             histogram = EquiDepthHistogram.build(sample, self.buckets)
             attribute_stats.append(
                 AttributeStats(

@@ -55,6 +55,8 @@ from repro.oql.parser import parse, parse_statement
 from repro.simtime import Bucket
 from repro.units import US_PER_S
 
+_CPU = Bucket.CPU
+
 _OPS = {
     "<": operator.lt,
     "<=": operator.le,
@@ -96,7 +98,7 @@ def _passes(db: Database, tests: tuple[_Test, ...], om, handle) -> bool:
     predicate_s = db.params.predicate_us / US_PER_S
     for attr, compare, bound in tests:
         value = om.get_attr(handle, attr)
-        buckets[Bucket.CPU] += predicate_s
+        buckets[_CPU] += predicate_s
         if not compare(value, bound):
             return False
     return True

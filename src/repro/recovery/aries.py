@@ -39,6 +39,8 @@ from repro.txn.log import (
 )
 from repro.units import PAGE_SIZE, pages_for_bytes
 
+_LOG = Bucket.LOG
+
 
 @dataclass
 class RecoveryReport:
@@ -124,7 +126,7 @@ def redo_apply(db, records, fetched: set | None = None) -> int:
     for record in records:
         if record.kind not in PHYSICAL_KINDS:
             continue
-        clock.charge_us(Bucket.LOG, params.log_apply_us)
+        clock.charge_us(_LOG, params.log_apply_us)
         page = _recovery_page(disk, fetched, record.page_key)
         if page.page_lsn < record.lsn:
             page.restore(record.after)
@@ -172,7 +174,7 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
     prepared: set[int] = set()
     for record in records[scan_from:]:
         report.log_records_scanned += 1
-        clock.charge_us(Bucket.LOG, params.log_apply_us)
+        clock.charge_us(_LOG, params.log_apply_us)
         if record.kind == "begin":
             att[record.txn_id] = record.lsn
         elif record.kind in PHYSICAL_KINDS:
@@ -221,7 +223,7 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
                 continue
             if record.page_key not in dpt or record.lsn < dpt[record.page_key]:
                 continue
-            clock.charge_us(Bucket.LOG, params.log_apply_us)
+            clock.charge_us(_LOG, params.log_apply_us)
             page = recovery_page(record.page_key)
             if page.page_lsn < record.lsn:
                 page.restore(record.after)
@@ -245,7 +247,7 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
         reverse=True,
     )
     for record in undo_records:
-        clock.charge_us(Bucket.LOG, params.log_apply_us)
+        clock.charge_us(_LOG, params.log_apply_us)
         page = recovery_page(record.page_key)
         before = page.capture()
         page.apply_undo(record.before, record.after)
@@ -297,7 +299,7 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
     log_bytes = sum(r.nbytes for r in records[needed_from:])
     report.log_pages_read = pages_for_bytes(log_bytes, PAGE_SIZE)
     for __ in range(report.log_pages_read):
-        clock.charge_ms(Bucket.LOG, params.page_read_ms)
+        clock.charge_ms(_LOG, params.page_read_ms)
 
     # --- make the recovered state durable ------------------------------
     for key in sorted(fetched):

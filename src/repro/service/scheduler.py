@@ -51,6 +51,13 @@ class TaskState(enum.Enum):
     DONE = "done"
 
 
+_NEW = TaskState.NEW
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
+_DONE = TaskState.DONE
+
+
 class Task:
     """One schedulable session body."""
 
@@ -66,7 +73,7 @@ class Task:
         self.fn = fn
         #: Notified when the baton is handed to this task, and only then.
         self.wake = wake
-        self.state = TaskState.NEW
+        self.state = _NEW
         self.thread: threading.Thread | None = None
         self.result: object = None
         self.error: BaseException | None = None
@@ -139,8 +146,8 @@ class CooperativeScheduler:
         if not self._tasks:
             return []
         for task in self._tasks:
-            if task.state is TaskState.NEW:
-                task.state = TaskState.READY
+            if task.state is _NEW:
+                task.state = _READY
                 task.thread = threading.Thread(
                     target=self._task_body, args=(task,), daemon=True,
                     name=f"repro-session-{task.name}",
@@ -148,7 +155,7 @@ class CooperativeScheduler:
                 task.thread.start()
         with self._cv:
             self._schedule_next()
-            while any(t.state is not TaskState.DONE for t in self._tasks):
+            while any(t.state is not _DONE for t in self._tasks):
                 self._cv.wait()
         for task in self._tasks:
             if task.thread is not None:
@@ -170,7 +177,7 @@ class CooperativeScheduler:
             task.error = exc
         finally:
             with self._cv:
-                task.state = TaskState.DONE
+                task.state = _DONE
                 self._current = None
                 self._schedule_next()
 
@@ -183,7 +190,7 @@ class CooperativeScheduler:
             me = self._current
             if me is None:
                 return  # not inside a scheduled slice (e.g. warm-up I/O)
-            me.state = TaskState.READY
+            me.state = _READY
             self._current = None
             self._schedule_next()
             while self._current is not me:
@@ -215,7 +222,7 @@ class CooperativeScheduler:
                     "session (immediate mode is fail-fast)"
                 )
             started_s = self.clock.elapsed_s
-            me.state = TaskState.BLOCKED
+            me.state = _BLOCKED
             me.abort_exc = None
             me.lock_waits += 1
             self._blocked_txns[txn_id] = me
@@ -233,8 +240,8 @@ class CooperativeScheduler:
         """A queued request was granted: make its task ready again."""
         with self._cv:  # re-entrant (Condition uses an RLock)
             task = self._blocked_txns.get(txn_id)
-            if task is not None and task.state is TaskState.BLOCKED:
-                task.state = TaskState.READY
+            if task is not None and task.state is _BLOCKED:
+                task.state = _READY
 
     def wait_for_admission(self, session_id: int) -> None:
         """Block the current task until the admission gate promotes it
@@ -247,7 +254,7 @@ class CooperativeScheduler:
                 raise ServiceError(
                     "wait_for_admission outside a scheduled slice"
                 )
-            me.state = TaskState.BLOCKED
+            me.state = _BLOCKED
             me.abort_exc = None
             self._blocked_admission[session_id] = me
             self._current = None
@@ -263,8 +270,8 @@ class CooperativeScheduler:
         """A queued session reached the head of the admission queue."""
         with self._cv:
             task = self._blocked_admission.get(session_id)
-            if task is not None and task.state is TaskState.BLOCKED:
-                task.state = TaskState.READY
+            if task is not None and task.state is _BLOCKED:
+                task.state = _READY
 
     def interrupt(
         self,
@@ -277,13 +284,13 @@ class CooperativeScheduler:
         happened.  A running/ready task cannot be interrupted here — its
         flag-based checkpoint will catch it instead."""
         with self._cv:
-            if task is None or task.state is not TaskState.BLOCKED:
+            if task is None or task.state is not _BLOCKED:
                 return False
             if txn_id is not None and self.locks is not None:
                 if self._blocked_txns.get(txn_id) is task:
                     self.locks.cancel_wait(txn_id)
             task.abort_exc = exc
-            task.state = TaskState.READY
+            task.state = _READY
             return True
 
     def in_slice(self) -> bool:
@@ -298,14 +305,14 @@ class CooperativeScheduler:
         self._expire_timeouts()
         task = self._next_ready()
         if task is None and any(
-            t.state is TaskState.BLOCKED for t in self._tasks
+            t.state is _BLOCKED for t in self._tasks
         ):
             self._resolve_stall()
             task = self._next_ready()
         if task is None:
             self._cv.notify()  # every task is done: wake run()
             return
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         task.switches += 1
         self.context_switches += 1
         self._current = task
@@ -317,7 +324,7 @@ class CooperativeScheduler:
         n = len(self._tasks)
         for offset in range(n):
             task = self._tasks[(self._rr_next + offset) % n]
-            if task.state is TaskState.READY:
+            if task.state is _READY:
                 self._rr_next = (task.task_id + 1) % n
                 return task
         return None
@@ -333,14 +340,14 @@ class CooperativeScheduler:
         timeout_s = self.locks.effective_timeout_s()
         for txn_id in expired:
             task = self._blocked_txns.get(txn_id)
-            if task is None or task.state is not TaskState.BLOCKED:
+            if task is None or task.state is not _BLOCKED:
                 continue
             self.locks.cancel_wait(txn_id)
             task.abort_exc = LockTimeoutError(
                 f"txn {txn_id} ({task.name}) waited longer than "
                 f"{timeout_s:g} simulated s for a lock"
             )
-            task.state = TaskState.READY
+            task.state = _READY
 
     def _resolve_stall(self) -> None:
         """Every live task is blocked: break the tie or report a bug."""
@@ -354,18 +361,18 @@ class CooperativeScheduler:
                         f"txn {victim} ({task.name}) chosen as deadlock "
                         "victim (youngest in the waits-for cycle)"
                     )
-                    task.state = TaskState.READY
+                    task.state = _READY
                     return
         # No cycle and no timeout fired: a genuine stall (e.g. a lock
         # holder died without releasing).  Unwind every blocked task
         # with a ServiceError rather than hanging the run.
         blocked = [
-            t.name for t in self._tasks if t.state is TaskState.BLOCKED
+            t.name for t in self._tasks if t.state is _BLOCKED
         ]
         for task in self._tasks:
-            if task.state is TaskState.BLOCKED:
+            if task.state is _BLOCKED:
                 task.abort_exc = ServiceError(
                     f"scheduler stalled: tasks {blocked} blocked with no "
                     "deadlock cycle and no timeout configured"
                 )
-                task.state = TaskState.READY
+                task.state = _READY

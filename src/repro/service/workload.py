@@ -57,6 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simtime import SimClock
     from repro.stats.store import StatsDatabase
 
+_BACKOFF = Bucket.BACKOFF
+
 #: Profile names, in the order ``MixConfig.from_clients`` deals them.
 PROFILES = ("navigator", "scanner", "updater")
 
@@ -276,7 +278,7 @@ def session_loop(
             metrics.retries += 1
             backoff_s = policy.backoff_s(attempt, rng)
             if backoff_s > 0:
-                clock.charge_s(Bucket.BACKOFF, backoff_s)
+                clock.charge_s(_BACKOFF, backoff_s)
             scheduler.yield_point()
         scheduler.yield_point()  # think time between operations
 

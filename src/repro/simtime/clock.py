@@ -22,6 +22,15 @@ class Bucket(enum.Enum):
     call, and every charge keys a dict with a member.  A dict keeps
     insertion order whatever the hash, but a *set* of buckets iterates
     in address order -- sort before iterating one (``SimClock.since``).
+
+    A module that charges binds the members it uses once, at module
+    level (``_CPU = Bucket.CPU``), and never reads one off the class
+    inside a function: on CPython 3.11 ``EnumType`` defines
+    ``__getattr__``, so ``Bucket.CPU`` takes the slow attribute hook,
+    about 110 ns against a few for a global -- no Python frame runs, so
+    no profiler counts it, and a per-row charge site pays it per row.
+    ``LockMode`` and ``TaskState`` are bound the same way, and
+    ``tests/test_hot_path_budget.py`` holds all three to it.
     """
 
     __hash__ = object.__hash__
@@ -41,6 +50,11 @@ class Bucket(enum.Enum):
     REMOTE = "remote"        # waiting on parallel work at remote shards
 
 
+#: Each bucket's name, resolved once: ``Enum.value`` is a property, two
+#: Python calls per read.
+_NAMES = {bucket: bucket.value for bucket in Bucket}
+
+
 @dataclass
 class SimClock:
     """Accumulates simulated seconds, split by :class:`Bucket`.
@@ -56,8 +70,9 @@ class SimClock:
     """
 
     #: The live bucket map, seconds per bucket.  A per-row charge site
-    #: adds into it directly -- ``clock.buckets[Bucket.CPU] += seconds``
-    #: is exactly what ``charge_s`` does, without the call -- so it may
+    #: adds into it directly -- ``clock.buckets[_CPU] += seconds``, with
+    #: ``_CPU = Bucket.CPU`` bound at module level, is exactly what
+    #: ``charge_s`` does, without the call -- so it may
     #: be bound ahead of a loop: ``reset`` empties this very object, it
     #: never replaces it.  ``charge_*`` reject a negative amount; an
     #: in-place add does not, so it adds only prices taken from a
@@ -95,7 +110,7 @@ class SimClock:
 
     def breakdown(self) -> dict[str, float]:
         """Mapping of bucket name to seconds, for reports."""
-        return {bucket.value: seconds for bucket, seconds in self.buckets.items()}
+        return {_NAMES[bucket]: seconds for bucket, seconds in self.buckets.items()}
 
     def reset(self) -> None:
         """Zero every bucket (start of a fresh, cold experiment)."""
@@ -111,7 +126,7 @@ class SimClock:
         Buckets are emitted in name order: this dict flows into Stat
         rows and reports, so its iteration order must not depend on set
         hashing."""
-        buckets = sorted(set(self.buckets) | set(earlier), key=lambda b: b.value)
+        buckets = sorted(set(self.buckets) | set(earlier), key=_NAMES.__getitem__)
         return {
             bucket: self.buckets.get(bucket, 0.0) - earlier.get(bucket, 0.0)
             for bucket in buckets

@@ -21,6 +21,8 @@ from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.page import Page, PageImage
 from repro.units import PAGE_SIZE
 
+_IO = Bucket.IO
+
 
 class Pager(Protocol):
     """What the record layer needs from a page source."""
@@ -120,7 +122,7 @@ class DiskManager:
         """
         page = self._page(file_id, page_no)
         self.counters.disk_reads += 1
-        self.clock.charge_ms(Bucket.IO, self.params.page_read_ms)
+        self.clock.charge_ms(_IO, self.params.page_read_ms)
         if self.faults is not None:
             attempt = 0
             while self.faults.read_fails(file_id, page_no, attempt):
@@ -133,11 +135,11 @@ class DiskManager:
                         f"{attempt} times (transient fault escalated)"
                     )
                 self.clock.charge_ms(
-                    Bucket.IO,
+                    _IO,
                     self.params.io_retry_backoff_ms * (2 ** (attempt - 1)),
                 )
                 self.counters.disk_reads += 1
-                self.clock.charge_ms(Bucket.IO, self.params.page_read_ms)
+                self.clock.charge_ms(_IO, self.params.page_read_ms)
         return page
 
     def write_page(self, file_id: int, page_no: int) -> None:
@@ -155,7 +157,7 @@ class DiskManager:
             self.injector.on_page_write((file_id, page_no))
         page.dirty = False
         self.counters.disk_writes += 1
-        self.clock.charge_ms(Bucket.IO, self.params.page_write_ms)
+        self.clock.charge_ms(_IO, self.params.page_write_ms)
         self._durable[(file_id, page_no)] = page.capture()
         if self.wal is not None:
             self.wal.note_page_written((file_id, page_no))

@@ -18,6 +18,8 @@ from repro.storage.disk import DiskManager, Pager
 from repro.storage.page import PAGE_HEADER_SIZE, SLOT_OVERHEAD, Page
 from repro.storage.rid import Rid, rid_of
 
+_LOAD = Bucket.LOAD
+
 #: Fraction of a page usable by records before growth slack kicks in.
 DEFAULT_FILL_FACTOR = 0.85
 
@@ -205,7 +207,7 @@ class StorageFile:
         self.pager.mark_dirty(rid.file_id, rid.page_no)
         self.pager.mark_dirty(new_rid.file_id, new_rid.page_no)
         self.disk.counters.records_moved += 1
-        self.disk.clock.charge_us(Bucket.LOAD, self.disk.params.record_move_us)
+        self.disk.clock.charge_us(_LOAD, self.disk.params.record_move_us)
         return new_rid
 
     def _check_file(self, rid: Rid) -> None:

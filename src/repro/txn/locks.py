@@ -39,6 +39,11 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
 
+_LOCK = Bucket.LOCK
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
+
+
 @dataclass
 class LockRequest:
     """One queued (not yet granted) lock request."""
@@ -61,9 +66,9 @@ class _LockState:
     @property
     def mode(self) -> LockMode:
         """Strongest granted mode (SHARED when empty)."""
-        if LockMode.EXCLUSIVE in self.granted.values():
-            return LockMode.EXCLUSIVE
-        return LockMode.SHARED
+        if _EXCLUSIVE in self.granted.values():
+            return _EXCLUSIVE
+        return _SHARED
 
 
 class LockManager:
@@ -127,7 +132,7 @@ class LockManager:
     def acquire(self, txn_id: int, rid: Rid, mode: LockMode) -> None:
         """Grant the lock, wait for it, or raise
         :class:`LockConflictError` (fail-fast mode)."""
-        self.clock.charge_us(Bucket.LOCK, self.params.lock_us)
+        self.clock.charge_us(_LOCK, self.params.lock_us)
         state = self._locks.get(rid)
         if state is None:
             state = self._locks[rid] = _LockState()
@@ -162,15 +167,15 @@ class LockManager:
         """Can this fresh request be granted without queueing?"""
         held = state.granted.get(txn_id)
         if held is not None:
-            if held is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
+            if held is _EXCLUSIVE or mode is _SHARED:
                 return True  # re-entrant / already stronger
             # S -> X upgrade: takes precedence over the queue, but only
             # once every other holder is gone.
             return set(state.granted) == {txn_id}
         if state.granted:
             return (
-                mode is LockMode.SHARED
-                and state.mode is LockMode.SHARED
+                mode is _SHARED
+                and state.mode is _SHARED
                 and not state.queue  # FIFO: don't overtake a waiter
             )
         return not state.queue
@@ -187,7 +192,7 @@ class LockManager:
             if txn_id in state.granted:
                 del state.granted[txn_id]
                 released += 1
-                self.clock.charge_us(Bucket.LOCK, self.params.lock_us)
+                self.clock.charge_us(_LOCK, self.params.lock_us)
             self._promote(rid)
         return released
 
@@ -223,8 +228,8 @@ class LockManager:
             elif not state.granted:
                 state.granted[head.txn_id] = head.mode
             elif (
-                head.mode is LockMode.SHARED
-                and state.mode is LockMode.SHARED
+                head.mode is _SHARED
+                and state.mode is _SHARED
             ):
                 state.granted[head.txn_id] = head.mode
             else:
@@ -308,9 +313,9 @@ class LockManager:
 
     @staticmethod
     def _stronger(a: LockMode, b: LockMode) -> LockMode:
-        if LockMode.EXCLUSIVE in (a, b):
-            return LockMode.EXCLUSIVE
-        return LockMode.SHARED
+        if _EXCLUSIVE in (a, b):
+            return _EXCLUSIVE
+        return _SHARED
 
 
 def youngest_in_cycle(graph: dict[int, set[int]]) -> int | None:

@@ -27,6 +27,8 @@ from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.page import PageImage
 from repro.units import PAGE_SIZE, pages_for_bytes
 
+_LOG = Bucket.LOG
+
 #: Serialized sizes (bytes) of the fixed parts of each record kind:
 #: a common header (lsn, prev_lsn, txn id, kind, length) plus, for
 #: physical records, a page key and two image length fields.
@@ -178,7 +180,7 @@ class WriteAheadLog:
         self.records.append(record)
         self._unflushed.append(record)
         self._unflushed_bytes += nbytes
-        self.clock.charge_us(Bucket.LOG, self.params.log_append_us)
+        self.clock.charge_us(_LOG, self.params.log_append_us)
         if self.injector is not None:
             self.injector.on_append(record)
         return record
@@ -220,7 +222,7 @@ class WriteAheadLog:
             budget = min(budget, max_pages)
         pages = min(pages_needed, budget)
         for __ in range(pages):
-            self.clock.charge_ms(Bucket.LOG, self.params.page_write_ms)
+            self.clock.charge_ms(_LOG, self.params.page_write_ms)
         self.flushed_pages += pages
         if pages >= pages_needed:
             if self._unflushed:
@@ -261,7 +263,7 @@ class WriteAheadLog:
         self.records.append(record)
         self._unflushed.append(record)
         self._unflushed_bytes += record.nbytes
-        self.clock.charge_us(Bucket.LOG, self.params.log_append_us)
+        self.clock.charge_us(_LOG, self.params.log_append_us)
         if self.injector is not None:
             self.injector.on_append(record)
         return record

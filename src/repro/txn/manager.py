@@ -42,6 +42,10 @@ from repro.txn.log import (
 )
 from repro.txn.mvcc import Snapshot, SnapshotView, VersionStore
 
+_LOG = Bucket.LOG
+_SHARED = LockMode.SHARED
+_EXCLUSIVE = LockMode.EXCLUSIVE
+
 #: Objects one transaction may create before the simulated client memory
 #: is exhausted (the batch size the paper settled on).
 DEFAULT_OBJECT_BUDGET = 10_000
@@ -124,7 +128,7 @@ class Transaction:
             )
             self._created.append(rid)
             self.objects_created += 1
-            self.manager.locks.acquire(self.txn_id, rid, LockMode.EXCLUSIVE)
+            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
             self._si_note_create(rid)
             return rid
         rid = self.manager.db.create_object(
@@ -134,7 +138,7 @@ class Transaction:
         if self.logged:
             record_len = 64  # header + redo info approximation
             self.manager.log.append(self.txn_id, "create", record_len)
-            self.manager.locks.acquire(self.txn_id, rid, LockMode.EXCLUSIVE)
+            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
             self._si_note_create(rid)
         return rid
 
@@ -150,7 +154,7 @@ class Transaction:
             new_rid = self.manager.db.manager.update_scalar(rid, attr_name, value)
             self.log_update(8)
             return new_rid
-        self.manager.locks.acquire(self.txn_id, rid, LockMode.EXCLUSIVE)
+        self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
         self._si_prepare_write(rid)
         db = self.manager.db
         return self._physical_op(
@@ -165,7 +169,7 @@ class Transaction:
         table (zero read locks, zero lock waits for scans)."""
         self._require_active()
         if self.logged and self.isolation != "si":
-            self.manager.locks.acquire(self.txn_id, rid, LockMode.SHARED)
+            self.manager.locks.acquire(self.txn_id, rid, _SHARED)
 
     def read_attr(self, rid: Rid, name: str) -> object:
         """Read one attribute at this transaction's isolation level:
@@ -186,7 +190,7 @@ class Transaction:
     def write_lock(self, rid: Rid) -> None:
         self._require_active()
         if self.logged:
-            self.manager.locks.acquire(self.txn_id, rid, LockMode.EXCLUSIVE)
+            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
 
     def log_update(self, nbytes: int) -> None:
         self._require_active()
@@ -335,7 +339,7 @@ class Transaction:
             log.stamp(page, clr)
             db.system.mark_dirty(*record.page_key)
             db.handles.forget_page(*record.page_key)
-            db.clock.charge_us(Bucket.LOG, db.params.log_apply_us)
+            db.clock.charge_us(_LOG, db.params.log_apply_us)
         for rid in self._created:
             sfile = db.manager.file_for(rid)
             sfile._record_count -= 1
@@ -372,7 +376,7 @@ class Transaction:
             # simlint: ok[PAIR] locks must outlive an un-flushed commit record
             self.manager.locks.release_all(self.txn_id)
         self.manager.db.clock.charge_ms(
-            Bucket.LOG, self.manager.db.params.commit_ms
+            _LOG, self.manager.db.params.commit_ms
         )
         self.state = "committed"
         self.manager._on_finished(self)

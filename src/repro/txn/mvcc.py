@@ -43,6 +43,8 @@ from repro.errors import RecordNotVisibleError
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.rid import Rid
 
+_LOAD = Bucket.LOAD
+
 #: :meth:`SnapshotView.tag` sentinel — the live record is the visible one.
 LIVE = object()
 #: :meth:`SnapshotView.tag` sentinel — no version is visible (the object
@@ -115,7 +117,7 @@ class VersionStore:
         self._writers[rid] = txn_id
         self._pending.setdefault(txn_id, []).append(rid)
         self.stashed += 1
-        self.clock.charge_us(Bucket.LOAD, self.params.version_stash_us)
+        self.clock.charge_us(_LOAD, self.params.version_stash_us)
 
     def note_create(self, rid: Rid, txn_id: int) -> None:
         """A brand-new object has no pre-image; marking its writer keeps
@@ -164,7 +166,7 @@ class VersionStore:
             chain = self._chains[rid]
             keep: list[RecordVersion] = []
             for i, version in enumerate(chain):
-                self.clock.charge_us(Bucket.LOAD, self.params.version_gc_us)
+                self.clock.charge_us(_LOAD, self.params.version_gc_us)
                 if i + 1 < len(chain):
                     death = chain[i + 1].ts
                 else:
@@ -256,7 +258,7 @@ class SnapshotView:
 
         def load_version():
             self.store.clock.charge_us(
-                Bucket.LOAD, self.store.params.version_read_us
+                _LOAD, self.store.params.version_read_us
             )
             return tag.record, om.class_of(tag.record)
 

@@ -215,7 +215,7 @@ def lint_seeded(tmp_path, source: str, old: str, new: str, rule: str):
     return lint_paths((str(copy),), (rule,)).findings
 
 
-REFERENCE_CHARGE = "        self._buckets[Bucket.HANDLE] += self._touch_s\n        return handle"
+REFERENCE_CHARGE = "        self._buckets[_HANDLE] += self._touch_s\n        return handle"
 FETCH_BRACKET = (
     "                    with borrow(rid) as handle:\n"
     "                        row = row_fn(om, handle)\n"
@@ -223,8 +223,9 @@ FETCH_BRACKET = (
 
 
 def test_charge_is_discharged_by_an_in_place_bucket_add(tmp_path):
-    """``HandleTable.reference`` touches ``_live`` and bumps no counter:
-    its add into the clock's bucket map is all that charges it."""
+    """``HandleTable.reference`` touches ``_handles`` and bumps no
+    counter: its add into the clock's bucket map, keyed by the
+    module-level ``_HANDLE``, is all that charges it."""
     source = "objects/handle.py"
     intact = lint_seeded(
         tmp_path / "intact", source, REFERENCE_CHARGE, REFERENCE_CHARGE,
@@ -258,7 +259,7 @@ def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):
 
 
 NOJOIN_YIELD = (
-    "                            buckets[Bucket.RESULT] += row_s\n"
+    "                            buckets[_RESULT] += row_s\n"
     "            if row is not None:\n"
     "                yield row\n"
 )
@@ -274,7 +275,7 @@ def test_escape_flags_a_join_that_yields_inside_its_bracket(tmp_path):
     ) == []
     seeded = lint_seeded(
         tmp_path / "seeded", source, NOJOIN_YIELD,
-        "                            buckets[Bucket.RESULT] += row_s\n"
+        "                            buckets[_RESULT] += row_s\n"
         "                if row is not None:\n"
         "                    yield row\n",
         "ESCAPE",
