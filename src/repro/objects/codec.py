@@ -9,10 +9,11 @@ offsets precomputed per class, so a query can decode a single attribute
 without materializing the whole object: a :class:`RecordCodec` compiles
 one ``reader(record)`` per attribute when it is built, with the offset,
 width and ``struct`` already bound, and every decode goes through those
-readers.  Beside them it compiles the writer: one ``struct.Struct`` for
-the whole scalar block and one coercer per attribute, so a record body
-is a single ``pack`` and every encode goes through those coercers.  Set
-attributes come last and are
+readers.  Beside them it compiles the writer from one table of what
+each kind packs (``_KINDS``): a generated ``encode_body(values)`` whose
+scalar block is a single ``pack`` with every coercion inline, and one
+field writer per scalar for ``update_scalar`` (``codec.writer_source``
+shows the code).  Set attributes come last and are
 either *inline* (small sets: the rids follow the count) or *overflow*
 (large sets: only a head rid pointing into the large-collection file) —
 O2 stores collections beyond a page threshold in a separate file (paper,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -52,7 +54,6 @@ _SCALAR_STRUCTS = {
 }
 
 _RID_FORMAT = _RID.format[1:]  # without the byte-order mark
-_NIL_RID_BYTES = _RID.pack(*NIL_RID)
 
 
 def encode_rid(rid: Rid) -> bytes:
@@ -187,52 +188,87 @@ def _encode_set(name: str, value: object) -> bytes:
     return _SET_PREFIX.pack(0, len(rids)) + encode_rids(rids)
 
 
-#: ``python value -> what the attribute's struct code packs``.  Each
-#: maps ``None`` (an omitted attribute with no declared default) to the
-#: kind's zero.
-Coercer = Callable[[object], object]
-
-
-def _to_int(value: object) -> int:
-    return int(value or 0)  # type: ignore[call-overload]
-
-
-def _to_real(value: object) -> float:
-    return float(value or 0.0)  # type: ignore[arg-type]
-
-
-def _to_text(value: object) -> bytes:
-    return str(value or "").encode("utf-8")
-
-
-def _to_char(value: object) -> bytes:
-    return str(value or "\x00").encode("latin-1")
-
-
-def _to_rid_bytes(value: object) -> bytes:
-    return _RID.pack(*value) if isinstance(value, Rid) else _NIL_RID_BYTES
-
-
-#: Scalar kind -> (struct code, coercer).  ``Ns`` cuts an over-long
-#: value at ``N`` bytes and NUL-pads a short one, exactly the slice +
-#: ``ljust`` a fixed-width field asks for, so STRING is ``{width}s`` and
-#: CHAR is ``1s`` (an empty one packs as NUL).
-_SCALAR_WRITERS: dict[AttrKind, tuple[str, Coercer]] = {
-    AttrKind.INT32: ("i", _to_int),
-    AttrKind.REAL64: ("d", _to_real),
-    AttrKind.BOOL: ("?", bool),
-    AttrKind.CHAR: ("1s", _to_char),
-    AttrKind.REF: (f"{_RID.size}s", _to_rid_bytes),
+#: Scalar kind -> (struct code, what the code packs for the python value
+#: ``{v}``): the one definition of how each kind is written, spliced into
+#: the writers :func:`_compile_body_writer` and :func:`_scalar_field`
+#: compile.  ``None`` (an omitted attribute with no declared default)
+#: becomes the kind's zero; ``?`` packs any value's truth.  ``Ns`` cuts
+#: an over-long value at ``N`` bytes and NUL-pads a short one, exactly
+#: the slice + ``ljust`` a fixed-width field asks for, so STRING is
+#: ``{width}s`` and CHAR is ``1s`` (an empty one packs as NUL).  A REF
+#: packs its three rid fields in place, NIL's for anything that is not a
+#: :class:`Rid`.
+_KINDS: dict[AttrKind, tuple[str, str]] = {
+    AttrKind.INT32: ("i", "int({v} or 0)"),
+    AttrKind.REAL64: ("d", "float({v} or 0.0)"),
+    AttrKind.BOOL: ("?", "{v}"),
+    AttrKind.CHAR: ("1s", "str({v} or '\\x00').encode('latin-1')"),
+    AttrKind.STRING: ("{width}s", "str({v} or '').encode('utf-8')"),
+    AttrKind.REF: (_RID_FORMAT, "*({v} if isinstance({v}, Rid) else NIL_RID)"),
 }
 
+#: Compiled writers are memoised by layout: every load builds a new
+#: database, hence new codecs, for the same few classes.
+_WRITER_CACHE_SIZE = 128
 
-def _scalar_writer(attr: AttributeDef) -> tuple[str, Coercer]:
-    if attr.kind is AttrKind.STRING:
-        return f"{attr.width}s", _to_text
+#: ``python value -> the field's bytes``.
+FieldWriter = Callable[[object], bytes]
+
+
+def _compile(source: str, name: str, block: str) -> Callable:
+    """``name`` as ``source`` defines it, packing through ``block``."""
+    namespace = {
+        "pack": struct.Struct("<" + block).pack,
+        "Rid": Rid,
+        "NIL_RID": NIL_RID,
+        "encode_set": _encode_set,
+    }
+    exec(compile(source, "<record writer>", "exec"), namespace)
+    return namespace[name]
+
+
+@lru_cache(maxsize=_WRITER_CACHE_SIZE)
+def _scalar_field(kind: AttrKind, width: int) -> tuple[str, str, int, FieldWriter]:
+    """``(struct code, expression over {v}, bytes, compiled writer)`` of
+    a scalar of ``kind`` (``width`` is a STRING's); the writer is what
+    ``update_scalar`` packs."""
     try:
-        return _SCALAR_WRITERS[attr.kind]
+        code, expression = _KINDS[kind]
     except KeyError:
-        raise SchemaError(f"cannot encode attribute kind {attr.kind}") from None
+        raise SchemaError(f"cannot encode attribute kind {kind}") from None
+    code = code.format(width=width)
+    source = f"def write(v):\n    return pack({expression.format(v='v')})\n"
+    write = _compile(source, "write", code)
+    return code, expression, struct.calcsize("<" + code), write
+
+
+@lru_cache(maxsize=_WRITER_CACHE_SIZE)
+def _compile_body_writer(
+    fields: tuple[tuple[str, str, str], ...], set_names: tuple[str, ...]
+) -> tuple[Callable[..., Callable[[dict], bytes]], str]:
+    """``make(*defaults) -> encode_body`` for the scalar ``fields``
+    (name, struct code, expression) and ``set_names`` of one layout, and
+    its source.  ``encode_body(values)`` takes each scalar from
+    ``values`` or, when it is omitted, from its default, packs the block
+    in one call and appends the sets -- the way :mod:`dataclasses` builds
+    an ``__init__``, so no per-attribute frame runs."""
+    defaults = ", ".join(f"d{i}" for i in range(len(fields)))
+    lines = [f"def make({defaults}):", "    def encode_body(values):"]
+    for i, (name, __, ___) in enumerate(fields):
+        lines.append(
+            f"        v{i} = values[{name!r}] if {name!r} in values else d{i}"
+        )
+    lines.append("        return pack(")
+    for i, (__, ___, expression) in enumerate(fields):
+        lines.append(f"            {expression.format(v=f'v{i}')},")
+    lines.append("        )" + "".join(
+        f" + encode_set({name!r}, values[{name!r}] if {name!r} in values else None)"
+        for name in set_names
+    ))
+    lines.append("    return encode_body")
+    source = "\n".join(lines) + "\n"
+    block = "".join(code for __, code, ___ in fields)
+    return _compile(source, "make", block), source
 
 
 class RecordCodec:
@@ -248,29 +284,32 @@ class RecordCodec:
         #: :meth:`decode_attr` and ``ObjectManager.get_attr`` all call
         #: these.
         self.readers: dict[str, Reader] = {}
-        #: Scalar name -> (offset in the scalar block, its one-field
-        #: struct, coercer), in storage order.  The one encoding path:
-        #: :meth:`encode_body` packs the whole block through these
-        #: coercers, :meth:`update_scalar` one field.
-        self._writers: dict[str, tuple[int, struct.Struct, Coercer]] = {}
-        #: What an omitted scalar is encoded from.
-        self._defaults = {a.name: a.default for a in scalar_attrs}
-        #: (name, coercer) per scalar, in the order the block packs them.
-        self._coercers: list[tuple[str, Coercer]] = []
-        codes = []
+        #: Scalar name -> (offset in the scalar block, width, compiled
+        #: writer of the field): what :meth:`update_scalar` packs.
+        self._fields: dict[str, tuple[int, int, FieldWriter]] = {}
+        fields = []
         offset = 0
         for attr in scalar_attrs:
-            code, coerce = _scalar_writer(attr)
-            codes.append(code)
-            field = struct.Struct("<" + code)
-            self._writers[attr.name] = (offset, field, coerce)
-            self._coercers.append((attr.name, coerce))
+            code, expression, width, write = _scalar_field(attr.kind, attr.width)
+            fields.append((attr.name, code, expression))
+            self._fields[attr.name] = (offset, width, write)
             self.readers[attr.name] = _scalar_reader(attr, FIXED_SIZE + offset)
-            offset += field.size
+            offset += width
         self.scalar_size = offset
-        self._scalar_block = struct.Struct("<" + "".join(codes))
         for position, name in enumerate(self.set_names):
             self.readers[name] = _set_reader(position, FIXED_SIZE + offset)
+        make, source = _compile_body_writer(tuple(fields), self.set_names)
+        #: The Python source :attr:`encode_body` was compiled from.
+        self.writer_source = source
+        #: ``values -> bytes``: everything after the object header, the
+        #: scalar block in one ``pack``, then the sets.  An omitted
+        #: scalar takes its declared default.  Set attributes accept an
+        #: :class:`InlineSet`, an :class:`OverflowSet`, or a plain
+        #: sequence of rids (encoded inline; the caller must have
+        #: checked the inline limit).  The one encoding path beside
+        #: :meth:`update_scalar`'s field writers, from the same
+        #: ``_KINDS`` table.
+        self.encode_body = make(*[a.default for a in scalar_attrs])
 
     # -- encoding -----------------------------------------------------------
 
@@ -278,20 +317,6 @@ class RecordCodec:
         """Serialize ``values`` (attribute name -> python value) behind
         ``header``."""
         return header.encode() + self.encode_body(values)
-
-    def encode_body(self, values: dict[str, object]) -> bytes:
-        """Everything after the object header: the scalar block in one
-        ``pack``, then the sets.  An omitted scalar takes its declared
-        default.  Set attributes accept an :class:`InlineSet`, an
-        :class:`OverflowSet`, or a plain sequence of rids (encoded
-        inline; the caller must have checked the inline limit)."""
-        given = {**self._defaults, **values}
-        body = self._scalar_block.pack(
-            *[coerce(given[name]) for name, coerce in self._coercers]
-        )
-        for name in self.set_names:
-            body += _encode_set(name, values.get(name))
-        return body
 
     # -- decoding -------------------------------------------------------------
 
@@ -310,12 +335,9 @@ class RecordCodec:
         attr = self.class_def.attribute(name)
         if attr.is_variable:
             raise SchemaError(f"{name!r} is a set attribute; use update_set")
-        at, field, coerce = self._writers[name]
+        at, width, write = self._fields[name]
         offset = ObjectHeader.peek_size(record) + at
-        return (
-            record[:offset] + field.pack(coerce(value))
-            + record[offset + field.size:]
-        )
+        return record[:offset] + write(value) + record[offset + width:]
 
     def update_set(self, record: bytes, name: str, value: object) -> bytes:
         """Return a copy of ``record`` with one set attribute replaced

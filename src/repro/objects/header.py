@@ -47,6 +47,16 @@ SLOT_COUNT_BYTE = 3
 #: manager's table of classes by header.
 CLASS_KEY = slice(1, FIXED_SIZE)
 
+#: The whole header -- fixed part, then the slots -- as one struct per
+#: slot count (the count is one byte), indexed by that count: an encode
+#: or decode is one ``pack`` or ``unpack_from`` and no format string.
+_HEADERS = tuple(struct.Struct(f"{_FIXED.format}{n}H") for n in range(256))
+#: Enough empty slots to fill any header's free ones.
+_EMPTY_SLOTS = (0,) * 255
+
+#: An ``ObjectHeader`` without ``__init__`` (:meth:`ObjectHeader.decode`).
+_new_header = object.__new__
+
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02
 FLAG_DELETED = 0x04
@@ -141,19 +151,25 @@ class ObjectHeader:
         return FIXED_SIZE + SLOT_BYTES * self.slot_count
 
     def encode(self) -> bytes:
-        slots = self.index_ids + [0] * (self.slot_count - len(self.index_ids))
-        return struct.pack(
-            f"{_FIXED.format}{self.slot_count}H",
-            self.flags, self.class_id, self.slot_count, self.schema_version,
-            *slots,
+        index_ids = self.index_ids
+        slot_count = self.slot_count
+        return _HEADERS[slot_count].pack(
+            self.flags, self.class_id, slot_count, self.schema_version,
+            *index_ids, *_EMPTY_SLOTS[len(index_ids):slot_count],
         )
 
     @classmethod
     def decode(cls, record: bytes, offset: int = 0) -> "ObjectHeader":
-        flags, class_id, slot_count, version = _FIXED.unpack_from(record, offset)
-        raw = struct.unpack_from(f"<{slot_count}H", record, offset + _FIXED.size)
-        index_ids = [i for i in raw if i != 0]
-        return cls(class_id, flags, slot_count, index_ids, version)
+        """The header at ``offset``.  Built without ``__init__``: what
+        one byte and one short can hold is in range, and a decoded
+        header never has more index ids than slots."""
+        header = _new_header(cls)
+        (
+            header.flags, header.class_id, header.slot_count,
+            header.schema_version, *slots,
+        ) = _HEADERS[record[offset + SLOT_COUNT_BYTE]].unpack_from(record, offset)
+        header.index_ids = [*filter(None, slots)]
+        return header
 
     @staticmethod
     def peek_class_id(record: bytes) -> int:

@@ -205,6 +205,8 @@ class LockManager:
         """Remove every queued (ungranted) request of ``txn_id``."""
         for rid in list(self._locks):
             state = self._locks[rid]
+            if not state.queue:
+                continue
             before = len(state.queue)
             state.queue = [
                 req for req in state.queue if req.txn_id != txn_id

@@ -21,7 +21,8 @@ protocol must survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.page import PageImage
@@ -51,14 +52,16 @@ PHYSICAL_KINDS = frozenset({"create", "update", "clr"})
 UNDOABLE_KINDS = frozenset({"create", "update"})
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     """One logged operation.
 
-    The three positional fields are the original cost-model record; the
-    keyword fields carry the physical content recovery needs.  ``nbytes``
+    The three leading fields are the original cost-model record; the
+    defaulted fields carry the physical content recovery needs.  ``nbytes``
     remains the authoritative serialized size used for log-page
     accounting, so cost behavior is unchanged for legacy callers.
+
+    Immutable, because a replica's log holds the very records its
+    primary appended (:meth:`WriteAheadLog.append_shipped`).
     """
 
     txn_id: int
@@ -79,13 +82,18 @@ class LogRecord:
     #: For ``clr`` records: the lsn of the update this record compensates.
     undoes_lsn: int = 0
     #: For ``checkpoint`` records: ``((txn_id, last_lsn), ...)``.
-    att: tuple[tuple[int, int], ...] = field(default=())
+    att: tuple[tuple[int, int], ...] = ()
     #: For ``checkpoint`` records: ``(((file_id, page_no), rec_lsn), ...)``.
-    dpt: tuple[tuple[tuple[int, int], int], ...] = field(default=())
+    dpt: tuple[tuple[tuple[int, int], int], ...] = ()
     #: For ``commit`` records: the monotonic commit timestamp assigned by
     #: the transaction manager (0 = pre-MVCC record / non-commit kind).
     #: Restart reads these to restore the commit-timestamp high-water.
     commit_ts: int = 0
+
+
+#: ``LogRecord`` from a tuple of all its fields, in order, with no
+#: Python-level call (the named tuple's own ``__new__`` is one).
+_log_record = partial(tuple.__new__, LogRecord)
 
 
 def image_delta_bytes(before: PageImage, after: PageImage) -> int:
@@ -162,20 +170,10 @@ class WriteAheadLog:
         """Log one operation (CPU charge; bytes await the next flush)."""
         if nbytes < 0:
             raise ValueError(f"negative log payload: {nbytes}")
-        record = LogRecord(
-            txn_id,
-            kind,
-            nbytes,
-            lsn=self.next_lsn,
-            prev_lsn=prev_lsn,
-            page_key=page_key,
-            before=before,
-            after=after,
-            undoes_lsn=undoes_lsn,
-            att=att,
-            dpt=dpt,
-            commit_ts=commit_ts,
-        )
+        record = _log_record((
+            txn_id, kind, nbytes, self.next_lsn, prev_lsn, page_key,
+            before, after, undoes_lsn, att, dpt, commit_ts,
+        ))
         self.next_lsn += 1
         self.records.append(record)
         self._unflushed.append(record)

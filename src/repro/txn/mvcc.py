@@ -237,6 +237,7 @@ class SnapshotView:
         """Snapshot-visible counterpart of ``ObjectManager.load``:
         returns a referenced handle for the version this snapshot sees,
         or raises :class:`~repro.errors.RecordNotVisibleError`."""
+        handles = om.handles
         while True:
             tag = self.tag(rid)
             if tag is INVISIBLE:
@@ -246,9 +247,12 @@ class SnapshotView:
                 )
             if tag is not LIVE:
                 break
-            handle = om.handles.get(rid, lambda: om.read_record(rid))
-            # Materializing may have faulted and yielded the baton: a
-            # writer can land its in-place update between the visibility
+            handle = handles.reference(rid)
+            if handle is not None:
+                return handle  # a hit reads nothing, so cannot yield
+            handle = handles.allocate(rid, *om.read_record(rid))
+            # The read may have faulted and yielded the baton: a writer
+            # can land its in-place update between the visibility
             # decision above and the page read.  Re-check; the writer
             # stashes the pre-image *before* it writes, so when the tag
             # changed the chain already holds what this snapshot needs.

@@ -37,7 +37,7 @@ scanned rid and the calls of the range scan per entry to budget.
 The write path has the same contract (the paper's Section 3: loading is
 what eats a benchmarking campaign): the record writer, the header bytes
 and the slack arithmetic are resolved once per class version or per
-file, so a create is a few dozen calls however the class is declared.
+file, so a create is about twenty calls however the class is declared.
 One tiny ``load_derby`` under ``cProfile`` holds the calls beneath one
 ``Transaction.create_object`` and one ``StorageFile.insert`` to budget.
 What a load knows once it resolves once: which transaction mode it is
@@ -115,13 +115,15 @@ INDEX_ENTRY_BUDGET = 0.1
 
 #: Calls made by one ``Transaction.create_object`` of an unlogged load,
 #: itself included, down through the record writer, the storage file and
-#: the page caches (measured: 30.26; 38.89 when every create checked the
+#: the page caches (measured: 21.71; 30.26 when the record body merged
+#: the defaults under the values, ran one coercer frame per attribute and
+#: packed each ref on its own; 38.89 when every create checked the
 #: transaction's state and mode through a method and a property, probed
 #: the schema, the codec table, the header cache and the file table,
 #: charged through ``charge_us`` and asked the disk for the file's tail;
 #: 108.56 when it also re-derived the attribute lists, built and encoded
 #: an ``ObjectHeader`` and packed attribute by attribute).
-CREATE_OBJECT_BUDGET = 33.3
+CREATE_OBJECT_BUDGET = 23.9
 #: Calls made by one ``StorageFile.insert``, itself included -- objects,
 #: collection chunks and index leaves alike (measured: 10.98; 13.56 when
 #: the tail page was ``num_pages`` -> ``_file`` -> ``len``, 14.57 when the cache probe was a ``get`` then a

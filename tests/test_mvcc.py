@@ -150,6 +150,35 @@ class TestSnapshotVisibility:
         assert reader.read_attr(rids[0], "x") == 0
         reader.commit()
 
+    def test_writer_inside_the_readers_page_fault_leaves_the_pre_image(self):
+        """A cold snapshot read decides LIVE, then faults; the fault is a
+        context switch, and the writer that runs in it updates and
+        commits the very record.  The reader must re-decide after its
+        read and resolve to the pre-image, not to the bytes it read."""
+        db, txm, rids = make_loaded(2)
+        txm.enable_mvcc()
+        reader = txm.begin(isolation="si")
+        switched = []
+
+        def writer_runs_in_the_fault():
+            if switched:
+                return
+            switched.append(True)
+            with txm.begin() as writer:
+                writer.update_scalar(rids[0], "x", 100)
+
+        db.system.on_fault = writer_runs_in_the_fault
+        try:
+            assert reader.read_attr(rids[0], "x") == 0
+        finally:
+            db.system.on_fault = None
+        assert switched
+        assert reader.view.version_reads == 1
+        reader.commit()
+        late = txm.begin(isolation="si")
+        assert late.read_attr(rids[0], "x") == 100
+        late.commit()
+
     def test_version_handle_is_charged_the_version_pointer(self):
         db, txm, rids = make_loaded(2)
         reader = txm.begin(isolation="si")

@@ -286,6 +286,57 @@ def reference_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
     return b"".join(parts)
 
 
+#: Kind -> (struct code, coercer) of the encoder the compiled writer
+#: replaced: one coercer call per attribute.
+_MERGE_CODERS = {
+    AttrKind.INT32: ("i", lambda v: int(v or 0)),
+    AttrKind.REAL64: ("d", lambda v: float(v or 0.0)),
+    AttrKind.BOOL: ("?", bool),
+    AttrKind.CHAR: ("1s", lambda v: str(v or "\x00").encode("latin-1")),
+    AttrKind.STRING: ("{width}s", lambda v: str(v or "").encode("utf-8")),
+    AttrKind.REF: (
+        "8s", lambda v: _RID.pack(*(v if isinstance(v, Rid) else NIL_RID))
+    ),
+}
+
+
+def format_string_header(header: ObjectHeader) -> bytes:
+    """The header encoder that built a format string per call."""
+    free = header.slot_count - len(header.index_ids)
+    return struct.pack(
+        f"<BHBB{header.slot_count}H", header.flags, header.class_id,
+        header.slot_count, header.schema_version,
+        *header.index_ids, *[0] * free,
+    )
+
+
+def format_string_decode(record: bytes, offset: int = 0) -> tuple:
+    """``(flags, class_id, slot_count, index_ids, schema_version)`` as
+    the per-call format-string decoder read them."""
+    flags, class_id, slot_count, version = struct.unpack_from(
+        "<BHBB", record, offset
+    )
+    raw = struct.unpack_from(f"<{slot_count}H", record, offset + 5)
+    return flags, class_id, slot_count, [i for i in raw if i != 0], version
+
+
+def merge_and_coerce_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
+    """The record encoder the compiled writer replaced, kept as the
+    reference: the declared defaults merged under ``values``, one
+    coercer per scalar, the block in one ``pack``, then the sets."""
+    scalars = class_def.scalar_attributes()
+    given = {**{a.name: a.default for a in scalars}, **values}
+    codes, packed = [], []
+    for attr in scalars:
+        code, coerce = _MERGE_CODERS[attr.kind]
+        codes.append(code.format(width=attr.width))
+        packed.append(coerce(given[attr.name]))
+    body = struct.pack("<" + "".join(codes), *packed)
+    for attr in class_def.set_attributes():
+        body += _reference_set(values.get(attr.name))
+    return format_string_header(header) + body
+
+
 def _writer_schema() -> tuple[Schema, list]:
     """A class with every kind, declared defaults, two sets, and an
     evolved second version; returns the schema and both versions."""
@@ -323,8 +374,14 @@ _RIDS = st.builds(
 )
 _INT32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 _LATIN1 = st.characters(max_codepoint=255)
+#: Non-ASCII text whose UTF-8 a 5-, 8- or 16-byte field cuts mid-codepoint.
+_NON_ASCII = st.text(
+    st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)),
+    min_size=2, max_size=20,
+)
 _STRINGS = st.one_of(
-    st.none(), st.text(max_size=40), st.integers(), st.just("\x00 inner nul")
+    st.none(), st.text(max_size=40), _NON_ASCII, st.integers(),
+    st.just("\x00 inner nul"),
 )
 _INTS = st.one_of(
     st.none(), _INT32, st.booleans(), st.floats(-1e9, 1e9), st.just("12")
@@ -381,8 +438,9 @@ _HEADERS = st.builds(
 
 
 class TestWriterProperties:
-    """The compiled record writer against the per-attribute encoder it
-    replaced (kept above as the reference): byte for byte."""
+    """The compiled record writer against the two encoders before it,
+    kept above as references -- per attribute, then merge-and-coerce:
+    byte for byte."""
 
     @given(values=_LOOSE_VALUES, version=st.sampled_from([0, 1]), head=_HEADERS)
     @settings(max_examples=300, deadline=None)
@@ -395,7 +453,7 @@ class TestWriterProperties:
         )
         assert RecordCodec(class_def).encode(header, values) == reference_encode(
             class_def, header, values
-        )
+        ) == merge_and_coerce_encode(class_def, header, values)
 
     @given(
         values=_LOOSE_VALUES,
@@ -415,7 +473,7 @@ class TestWriterProperties:
         updated = codec.update_scalar(codec.encode(header, values), name, new_value)
         assert updated == reference_encode(
             class_def, header, {**values, name: new_value}
-        )
+        ) == merge_and_coerce_encode(class_def, header, {**values, name: new_value})
 
     @given(values=_EXACT_VALUES, slots=st.sampled_from([0, 8]))
     @settings(max_examples=200, deadline=None)
@@ -456,6 +514,62 @@ class TestWriterProperties:
                 "Everything", values, "f", indexed, tuple(index_ids)
             )
             assert sfile.read(rid) == expected
+
+    def test_one_layout_shares_its_code_and_keeps_its_own_defaults(self):
+        schema = Schema()
+        first, second = (
+            schema.define(name, [
+                AttributeDef("n", AttrKind.INT32, default=default),
+                AttributeDef("s", AttrKind.STRING, width=4, default=str(default)),
+            ])
+            for name, default in (("A", 1), ("B", 2))
+        )
+        a, b = RecordCodec(first), RecordCodec(second)
+        assert a.encode_body.__code__ is b.encode_body.__code__
+        assert a.writer_source == b.writer_source
+        assert "pack(" in a.writer_source
+        assert a.encode_body({}) == struct.pack("<i4s", 1, b"1")
+        assert b.encode_body({}) == struct.pack("<i4s", 2, b"2")
+
+
+_SLOT_IDS = st.lists(st.integers(1, 0xFFFF), max_size=255)
+
+
+class TestHeaderProperties:
+    """``ObjectHeader`` packs and unpacks through one struct per slot
+    count; the per-call format string it replaced is the reference."""
+
+    @given(
+        slot_count=st.integers(0, 255), ids=_SLOT_IDS, flags=st.integers(0, 0xFF),
+        class_id=st.integers(0, 0xFFFF), version=st.integers(0, 0xFF),
+        lead=st.binary(max_size=7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_header_matches_the_format_string_reference(
+        self, slot_count, ids, flags, class_id, version, lead
+    ):
+        header = ObjectHeader(class_id, flags, slot_count, ids[:slot_count], version)
+        encoded = header.encode()
+        assert encoded == format_string_header(header)
+        assert len(encoded) == header.size
+        decoded = ObjectHeader.decode(lead + encoded + b"tail", len(lead))
+        assert (
+            decoded.flags, decoded.class_id, decoded.slot_count,
+            decoded.index_ids, decoded.schema_version,
+        ) == format_string_decode(lead + encoded, len(lead)) == (
+            flags, class_id, slot_count, ids[:slot_count], version,
+        )
+        assert decoded.encode() == encoded
+
+    def test_every_slot_count_round_trips(self):
+        for slot_count in range(256):
+            for used in {0, slot_count // 2, slot_count}:
+                ids = list(range(1, used + 1))
+                header = ObjectHeader(9, 3, slot_count, ids, 4)
+                encoded = header.encode()
+                assert encoded == format_string_header(header)
+                assert format_string_decode(encoded)[3] == ids
+                assert ObjectHeader.decode(encoded).index_ids == ids
 
 
 _LEAF_RIDS = st.builds(
