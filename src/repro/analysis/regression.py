@@ -55,13 +55,6 @@ class CostFit:
     r_squared: float
     n_runs: int
 
-    def predict(self, run: MeasuredRun) -> float:
-        """Predicted elapsed seconds for one run's observables."""
-        return sum(
-            self.coefficients[name] * extract(run)
-            for name, extract in FEATURES.items()
-        )
-
     @property
     def page_read_ms(self) -> float:
         """Fitted milliseconds per disk page (compare to the true

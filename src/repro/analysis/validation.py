@@ -43,10 +43,6 @@ class OptimizerScore:
         return sum(v.regret for v in self.verdicts) / len(self.verdicts)
 
     @property
-    def max_regret(self) -> float:
-        return max(v.regret for v in self.verdicts)
-
-    @property
     def wins(self) -> int:
         """Cells where the optimizer picked the measured winner."""
         return sum(1 for v in self.verdicts if v.chosen == v.best)

@@ -10,11 +10,8 @@ from repro.bench.report import Table
 from repro.bench.runner import ExperimentRunner, JoinMeasurement, SelectionMeasurement
 from repro.bench.sweeps import (
     SweepPoint,
-    cache_size_sweep,
     find_crossover,
     memory_pressure_sweep,
-    selection_method_sweep,
-    selectivity_sweep,
 )
 from repro.bench.workloads import (
     SELECTIVITY_GRID,
@@ -33,9 +30,6 @@ __all__ = [
     "figure7_selectivities",
     "tree_query_text",
     "SweepPoint",
-    "selectivity_sweep",
-    "selection_method_sweep",
     "find_crossover",
-    "cache_size_sweep",
     "memory_pressure_sweep",
 ]

@@ -4,12 +4,8 @@ The paper samples its design space at a handful of selectivities and one
 memory configuration.  These sweeps trace the full curves and locate the
 crossover points its prose talks about:
 
-* :func:`selectivity_sweep` — elapsed time vs selectivity for chosen
-  algorithms (the continuous version of Figures 11-14 rows);
 * :func:`find_crossover` — the selectivity where one algorithm overtakes
   another (e.g. Figure 6's "threshold situated between 1 and 5%");
-* :func:`cache_size_sweep` — elapsed time vs client-cache size (the
-  Section 3.2 cache-sizing discussion, measured);
 * :func:`memory_pressure_sweep` — hash-join time vs query memory budget
   (where Figure 10's swap predictions bite).
 """
@@ -31,37 +27,6 @@ class SweepPoint:
     elapsed_s: float
     page_reads: int
     label: str
-
-
-def selectivity_sweep(
-    runner: ExperimentRunner,
-    algorithms: Sequence[str],
-    selectivities: Sequence[int],
-) -> list[SweepPoint]:
-    """Elapsed time vs patient selectivity at 10% of the providers, one
-    curve per algorithm."""
-    points = []
-    for algo in algorithms:
-        for sel in selectivities:
-            m = runner.run_join(algo, sel, 10)
-            points.append(
-                SweepPoint(sel, m.elapsed_s, m.meters.disk_reads, algo)
-            )
-    return points
-
-
-def selection_method_sweep(
-    runner: ExperimentRunner,
-    methods: Sequence[str],
-    selectivities: Sequence[float],
-) -> list[SweepPoint]:
-    """Elapsed time vs selectivity for the Section 4 selection methods."""
-    points = []
-    for method in methods:
-        for sel in selectivities:
-            m = runner.run_selection(method, sel)
-            points.append(SweepPoint(sel, m.elapsed_s, m.page_reads, method))
-    return points
 
 
 def find_crossover(
@@ -98,26 +63,6 @@ def find_crossover(
         else:
             high = mid
     return (low + high) / 2
-
-
-def cache_size_sweep(
-    make_runner,
-    client_cache_fractions: Sequence[float],
-) -> list[SweepPoint]:
-    """Elapsed time of NOJOIN at 90/10 vs client-cache size.
-
-    ``make_runner(cache_fraction)`` must build (or rebuild) a runner
-    whose memory model scales the client cache by the given fraction of
-    its default — database layouts must be identical across points.
-    """
-    points = []
-    for fraction in client_cache_fractions:
-        runner = make_runner(fraction)
-        m = runner.run_join("NOJOIN", 90, 10)
-        points.append(
-            SweepPoint(fraction, m.elapsed_s, m.meters.disk_reads, "NOJOIN")
-        )
-    return points
 
 
 def memory_pressure_sweep(

@@ -55,10 +55,6 @@ class BufferCache:
         pages[key] = page
         pages.move_to_end(key)
 
-    def contains(self, key: PageKey) -> bool:
-        """Presence test that does *not* refresh recency."""
-        return key in self._pages
-
     def drop(self, key: PageKey) -> None:
         """Remove a page without write-back (caller handled it)."""
         self._pages.pop(key, None)

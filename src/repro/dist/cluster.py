@@ -264,12 +264,6 @@ class ShardedCluster:
             self.detector.note_down(shard_id)
         self.kills += 1
 
-    def rejoin(self, node: ShardNode) -> None:
-        """A partitioned node heals and tries to serve again.  Nothing
-        is rewired: if it was deposed meanwhile, its stale epoch makes
-        every call raise :class:`~repro.errors.StaleEpochError`."""
-        node.down = False
-
     def schedule_kill(self, shard_id: int, at_s: float) -> None:
         """Kill the shard's primary at simulated time ``at_s`` (executed
         by the next :meth:`tick` at or after that time)."""

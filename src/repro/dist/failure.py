@@ -143,9 +143,6 @@ class FailureDetector:
                 newly_dead.append(sid)
         return newly_dead
 
-    def state_of(self, shard_id: int) -> str:
-        return self.health[shard_id].state
-
     def _observe_heartbeats(self, h: NodeHealth, until_s: float) -> None:
         """Deliver (and charge) the heartbeats sent between the last
         observed one and ``until_s``.  Heartbeats are on the interval

@@ -103,18 +103,10 @@ class QueryHashTable:
     def entries(self) -> int:
         return self._entries
 
-    @property
-    def swapped_fraction(self) -> float:
-        """Fraction of the table currently paged out."""
-        size = self._bytes
-        if size <= self.budget_bytes or size == 0:
-            return 0.0
-        return (size - self.budget_bytes) / size
-
     def _charge_touch(self, base_us: float) -> None:
         """One insert or probe: its CPU price, plus the expected fault on
-        the swapped-out fraction of the table (``swapped_fraction``,
-        inline -- a table that fits pays one add)."""
+        the fraction of the table beyond ``budget_bytes``, paged out (a
+        table that fits pays one add)."""
         buckets = self.clock.buckets
         buckets[_CPU] += base_us / US_PER_S
         size = self._bytes

@@ -158,9 +158,6 @@ class CallGraph:
         reach a yield point."""
         return self.yield_chains.get(self._index[id(info)])
 
-    def may_yield(self, info: FunctionInfo) -> bool:
-        return self._index[id(info)] in self.yield_chains
-
     def site_may_yield(
         self, caller: FunctionInfo, site: CallSite
     ) -> str | None:

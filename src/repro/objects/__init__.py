@@ -3,7 +3,7 @@
 This package implements the pieces of O2's object machinery that the
 paper's analysis rests on:
 
-* a class model with inheritance and typed attributes
+* a class model with typed attributes
   (:mod:`~repro.objects.model`),
 * a binary record codec with fixed-offset scalar attributes and
   inline-or-overflow set attributes (:mod:`~repro.objects.codec`) —
@@ -32,7 +32,6 @@ from repro.objects.model import (
     ClassDef,
     Schema,
 )
-from repro.objects.versions import VersionInfo, VersionManager
 
 __all__ = [
     "AttrKind",
@@ -47,6 +46,4 @@ __all__ = [
     "ObjectManager",
     "Database",
     "PersistentCollection",
-    "VersionManager",
-    "VersionInfo",
 ]

@@ -98,7 +98,7 @@ class OverflowSet:
     count: int
 
 
-#: ``record -> value`` of one attribute, compiled per class version.
+#: ``record -> value`` of one attribute, compiled per class.
 Reader = Callable[[bytes], object]
 
 
@@ -272,7 +272,7 @@ def _compile_body_writer(
 
 
 class RecordCodec:
-    """Encodes/decodes instances of one class version."""
+    """Encodes/decodes instances of one class."""
 
     def __init__(self, class_def: ClassDef):
         self.class_def = class_def

@@ -119,9 +119,7 @@ def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
 def _new_object_header(
     class_def: ClassDef, indexed: bool, index_ids: tuple[int, ...]
 ) -> bytes:
-    header = ObjectHeader.for_new_object(
-        class_def.class_id, indexed, schema_version=class_def.schema_version
-    )
+    header = ObjectHeader.for_new_object(class_def.class_id, indexed)
     for index_id in index_ids:
         header.add_index(index_id)
     return header.encode()
@@ -145,21 +143,15 @@ class Database:
         self.handles = HandleTable(self.clock, self.params, self.counters, handle_mode)
         self.manager = ObjectManager(self.schema, self.disk, self.handles)
         self.indexes: dict[str, "BTreeIndex"] = {}
-        #: Set by :class:`~repro.objects.versions.VersionManager` when one
-        #: attaches; restart (:func:`repro.recovery.aries.restart`) calls
-        #: its ``reload()`` so version chains are rebuilt from the durable
-        #: catalog instead of silently vanishing with the process.
-        self.version_manager = None
         self._files: dict[str, StorageFile] = {}
         self._names: dict[str, PersistentCollection] = {}
-        #: ``(schema revision, class name, file name, indexed,
-        #: index_ids)`` -> everything :meth:`create_object` resolves
-        #: from its arguments: the class version's codec, the encoded
-        #: header of a new object (built and range-checked once through
-        #: :class:`ObjectHeader`) and the file.  A load creates its
-        #: objects under a handful of keys.
+        #: ``(class name, file name, indexed, index_ids)`` -> everything
+        #: :meth:`create_object` resolves from its arguments: the class's
+        #: codec, the encoded header of a new object (built and
+        #: range-checked once through :class:`ObjectHeader`) and the
+        #: file.  A load creates its objects under a handful of keys.
         self._creates: dict[
-            tuple[int, str, str, bool, tuple[int, ...]],
+            tuple[str, str, bool, tuple[int, ...]],
             tuple[RecordCodec, bytes, StorageFile],
         ] = {}
 
@@ -204,9 +196,6 @@ class Database:
         except KeyError:
             raise ObjectError(f"no database name {name!r}") from None
 
-    def names(self) -> list[str]:
-        return sorted(self._names)
-
     # -- objects -------------------------------------------------------------
 
     def create_object(
@@ -228,7 +217,7 @@ class Database:
         memberships directly into the fresh header (the create-index-
         before-loading workflow).
         """
-        key = (self.schema.revision, class_name, file_name, indexed, index_ids)
+        key = (class_name, file_name, indexed, index_ids)
         try:
             codec, header, sfile = self._creates[key]
         except KeyError:

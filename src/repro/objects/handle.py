@@ -73,10 +73,7 @@ class Handle:
         "record",
         "class_def",
         "refcount",
-        "is_indexed",
-        "index_ids",
         "version",
-        "schema_history",
         "table",
     )
 
@@ -87,10 +84,7 @@ class Handle:
         self.record = record
         self.class_def = class_def
         self.refcount = 1
-        self.is_indexed = False
-        self.index_ids: tuple[int, ...] = ()
         self.version = None
-        self.schema_history = None
         self.table = table
 
     def __enter__(self) -> "Handle":
@@ -316,10 +310,6 @@ class HandleTable:
     @property
     def live_count(self) -> int:
         return len(self._handles) - self._parked_count + len(self._versioned)
-
-    @property
-    def parked_count(self) -> int:
-        return self._parked_count
 
     @property
     def memory_bytes(self) -> int:

@@ -10,12 +10,13 @@ information."  — paper, Section 3.2.
 
 Layout::
 
-    byte 0      flags (persistent / indexed / deleted / versioned)
-    bytes 1-2   class id (exact type, needed because of inheritance)
+    byte 0      flags (persistent / indexed / deleted)
+    bytes 1-2   class id
     byte 3      number of reserved index slots (0 or 8, 16, 24 ...)
-    byte 4      schema version of the class when the record was written
-                ("some information about the schema update history of
-                the object class" — paper, Section 4.4)
+    byte 4      reserved, always 0 (where O2 keeps "some information
+                about the schema update history of the object class" —
+                paper, Section 4.4; this system has no schema evolution,
+                but the byte keeps every record its measured size)
     then        slot bytes: 2 bytes per slot, 0 = empty, else index id
 
 Adding an index id to an object without a free slot *grows the record*,
@@ -32,8 +33,9 @@ from repro.errors import IndexSlotOverflowError, SchemaError
 #: Slots granted in one extension step.
 INDEX_SLOT_BLOCK = 8
 
-#: Struct for the fixed part: flags, class_id, slot count, schema version.
-_FIXED = struct.Struct("<BHBB")
+#: Struct for the fixed part: flags, class_id, slot count, reserved byte
+#: (a pad byte: packed as 0, skipped on unpack).
+_FIXED = struct.Struct("<BHBx")
 
 #: Where a record's payload starts, for readers compiled once per class
 #: (:mod:`repro.objects.codec`) that cannot afford a call per read:
@@ -41,11 +43,9 @@ _FIXED = struct.Struct("<BHBB")
 FIXED_SIZE = _FIXED.size
 SLOT_BYTES = 2
 SLOT_COUNT_BYTE = 3
-#: The header bytes that decide a record's class at the version it was
-#: written under -- class id, slot count (which does not, but sits
-#: between them), schema version -- as one slice, for the object
-#: manager's table of classes by header.
-CLASS_KEY = slice(1, FIXED_SIZE)
+#: The header bytes that decide a record's class -- its class id -- as
+#: one slice, for the object manager's table of classes by header.
+CLASS_KEY = slice(1, SLOT_COUNT_BYTE)
 
 #: The whole header -- fixed part, then the slots -- as one struct per
 #: slot count (the count is one byte), indexed by that count: an encode
@@ -60,13 +60,12 @@ _new_header = object.__new__
 FLAG_PERSISTENT = 0x01
 FLAG_INDEXED = 0x02
 FLAG_DELETED = 0x04
-FLAG_VERSIONED = 0x08
 
 
 class ObjectHeader:
     """Decoded header; encode back with :meth:`encode`."""
 
-    __slots__ = ("flags", "class_id", "index_ids", "slot_count", "schema_version")
+    __slots__ = ("flags", "class_id", "index_ids", "slot_count")
 
     def __init__(
         self,
@@ -74,17 +73,13 @@ class ObjectHeader:
         flags: int = FLAG_PERSISTENT,
         slot_count: int = 0,
         index_ids: list[int] | None = None,
-        schema_version: int = 0,
     ):
         if not 0 <= class_id <= 0xFFFF:
             raise SchemaError(f"class id out of range: {class_id}")
-        if not 0 <= schema_version <= 0xFF:
-            raise SchemaError(f"schema version out of range: {schema_version}")
         self.class_id = class_id
         self.flags = flags
         self.slot_count = slot_count
         self.index_ids = list(index_ids or [])
-        self.schema_version = schema_version
         if len(self.index_ids) > self.slot_count:
             raise SchemaError("more index ids than reserved slots")
 
@@ -92,26 +87,13 @@ class ObjectHeader:
 
     @classmethod
     def for_new_object(
-        cls,
-        class_id: int,
-        in_indexed_collection: bool,
-        schema_version: int = 0,
+        cls, class_id: int, in_indexed_collection: bool
     ) -> "ObjectHeader":
         """Header for a freshly persistent object.  Members of indexed
         collections get a block of 8 slots up front; others get none."""
         slots = INDEX_SLOT_BLOCK if in_indexed_collection else 0
         flags = FLAG_PERSISTENT | (FLAG_INDEXED if in_indexed_collection else 0)
-        return cls(class_id, flags, slots, schema_version=schema_version)
-
-    # -- flags ----------------------------------------------------------
-
-    @property
-    def is_persistent(self) -> bool:
-        return bool(self.flags & FLAG_PERSISTENT)
-
-    @property
-    def is_indexed(self) -> bool:
-        return bool(self.flags & FLAG_INDEXED)
+        return cls(class_id, flags, slots)
 
     # -- index membership ---------------------------------------------
 
@@ -137,13 +119,6 @@ class ObjectHeader:
         self.flags |= FLAG_INDEXED
         return grew
 
-    def remove_index(self, index_id: int) -> None:
-        """Drop membership (slots stay reserved; headers never shrink)."""
-        if index_id in self.index_ids:
-            self.index_ids.remove(index_id)
-        if not self.index_ids:
-            self.flags &= ~FLAG_INDEXED
-
     # -- wire format -------------------------------------------------------
 
     @property
@@ -154,8 +129,7 @@ class ObjectHeader:
         index_ids = self.index_ids
         slot_count = self.slot_count
         return _HEADERS[slot_count].pack(
-            self.flags, self.class_id, slot_count, self.schema_version,
-            *index_ids, *_EMPTY_SLOTS[len(index_ids):slot_count],
+            self.flags, self.class_id, slot_count, *index_ids, *_EMPTY_SLOTS[len(index_ids):slot_count],
         )
 
     @classmethod
@@ -165,8 +139,7 @@ class ObjectHeader:
         header never has more index ids than slots."""
         header = _new_header(cls)
         (
-            header.flags, header.class_id, header.slot_count,
-            header.schema_version, *slots,
+            header.flags, header.class_id, header.slot_count, *slots,
         ) = _HEADERS[record[offset + SLOT_COUNT_BYTE]].unpack_from(record, offset)
         header.index_ids = [*filter(None, slots)]
         return header
@@ -177,11 +150,6 @@ class ObjectHeader:
         return _FIXED.unpack_from(record, 0)[1]
 
     @staticmethod
-    def peek_schema_version(record: bytes) -> int:
-        """Read only the schema version the record was written under."""
-        return record[4]
-
-    @staticmethod
     def peek_size(record: bytes) -> int:
         """Header size without a full decode (for payload offsets)."""
         return FIXED_SIZE + SLOT_BYTES * record[SLOT_COUNT_BYTE]
@@ -189,6 +157,5 @@ class ObjectHeader:
     def __repr__(self) -> str:
         return (
             f"ObjectHeader(class={self.class_id}, flags={self.flags:#04x}, "
-            f"slots={self.slot_count}, indexes={self.index_ids}, "
-            f"v{self.schema_version})"
+            f"slots={self.slot_count}, indexes={self.index_ids})"
         )

@@ -21,7 +21,6 @@ from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
 _CPU = Bucket.CPU
-_LOAD = Bucket.LOAD
 
 
 #: Attribute kinds O2 materializes as separate literals with handles of
@@ -37,22 +36,17 @@ class ObjectManager:
         self.disk = disk
         self.handles = handles
         self._files: dict[int, StorageFile] = {}
-        self._codecs: dict[tuple[int, int], RecordCodec] = {}
-        #: ``(class_id, schema_version)`` -> attribute name -> (compiled
-        #: reader, literal charge or ``None``): everything ``get_attr``
-        #: needs, resolved once per class version.  Never invalidated: a
-        #: class version is immutable and ``Schema.evolve`` makes a new
-        #: key.  Names a version lacks are *not* entered, so an
-        #: attribute evolved in later is seen by the very next read.
+        #: class id -> the class's codec.
+        self._codecs: dict[int, RecordCodec] = {}
+        #: class id -> attribute name -> (compiled reader, literal charge
+        #: or ``None``): everything ``get_attr`` needs, resolved once per
+        #: class.  Never invalidated: a class never changes once defined.
         self._attr_tables: dict[
-            tuple[int, int], dict[str, tuple[Reader, bool | None]]
+            int, dict[str, tuple[Reader, bool | None]]
         ] = {}
-        #: ``record[CLASS_KEY]`` (class id, index-slot count, schema
-        #: version: one slice, a handful of keys per database) -> the
-        #: record's class at that version; :meth:`class_of` fills it.  Never
-        #: invalidated, by the argument above: ``Schema``'s version
-        #: history is append-only and ``evolve`` makes a new version
-        #: byte, hence a new key.
+        #: ``record[CLASS_KEY]`` (the class id's two bytes, a handful of
+        #: keys per database) -> the record's class; :meth:`class_of`
+        #: fills it.  Never invalidated, by the argument above.
         self._classes: dict[bytes, ClassDef] = {}
         #: Duck-typed MVCC hook (``objects`` sits below ``txn`` in the
         #: layer order, so the type is never imported): while a
@@ -79,7 +73,7 @@ class ObjectManager:
             ) from None
 
     def codec(self, class_def: ClassDef) -> RecordCodec:
-        key = (class_def.class_id, class_def.schema_version)
+        key = class_def.class_id
         try:
             return self._codecs[key]
         except KeyError:
@@ -89,8 +83,8 @@ class ObjectManager:
     # -- loading ----------------------------------------------------------
 
     def read_record(self, rid: Rid) -> tuple[bytes, ClassDef]:
-        """Raw record + exact class *at the record's schema version*,
-        through the page caches, no handle."""
+        """Raw record + exact class, through the page caches, no
+        handle."""
         try:
             sfile = self._files[rid[0]]
         except KeyError:
@@ -103,19 +97,17 @@ class ObjectManager:
         return record, self.class_of(record)
 
     def class_of(self, record: bytes) -> ClassDef:
-        """The exact class of ``record`` at the schema version it was
-        written under, resolved through the schema once per distinct
-        header.  A record too short to carry a header, an unknown class
-        id or version raises (``struct.error`` / ``IndexError`` /
+        """The exact class of ``record``, resolved through the schema
+        once per class id.  A record too short to carry a header or an
+        unknown class id raises (``struct.error`` /
         :class:`~repro.errors.SchemaError`) and is not remembered."""
         key = record[CLASS_KEY]
         try:
             return self._classes[key]
         except KeyError:
             pass  # resolved outside the handler: its errors stand alone
-        class_def = self._classes[key] = self.schema.class_version(
-            ObjectHeader.peek_class_id(record),
-            ObjectHeader.peek_schema_version(record),
+        class_def = self._classes[key] = self.schema.by_id(
+            ObjectHeader.peek_class_id(record)
         )
         return class_def
 
@@ -152,16 +144,15 @@ class ObjectManager:
         """Decode one attribute ("get_att(h, name)" in Figure 8).
 
         Charges the decode CPU and, for string/complex-value attributes,
-        the literal-handle traffic of the current handle mode.  For an
-        attribute added by schema evolution *after* this record was
-        written, the attribute's declared default is returned.
+        the literal-handle traffic of the current handle mode.  A name
+        the class lacks raises its :class:`~repro.errors.SchemaError`.
         """
         handles = self.handles
         handles.clock.buckets[_CPU] += (
             handles.params.attr_decode_us / US_PER_S
         )
         class_def = handle.class_def
-        key = (class_def.class_id, class_def.schema_version)
+        key = class_def.class_id
         try:
             table = self._attr_tables[key]
         except KeyError:
@@ -169,9 +160,8 @@ class ObjectManager:
         try:
             read, literal_fixed_size = table[name]
         except KeyError:
-            # Not in the record's version: the latest one's default, or
-            # its SchemaError when no version has the name.
-            return self.schema.by_id(class_def.class_id).attribute(name).default
+            class_def.attribute(name)  # raises: the table holds every name
+            raise
         if literal_fixed_size is not None:
             handles.charge_literal(literal_fixed_size)
         return read(handle.record)
@@ -182,16 +172,13 @@ class ObjectManager:
         readers = self.codec(class_def).readers
         return {
             attr.name: (readers[attr.name], _LITERAL_FIXED_SIZE.get(attr.kind))
-            for attr in class_def.all_attributes()
+            for attr in class_def.attributes
         }
 
     def get_attr_at(self, rid: Rid, name: str) -> object:
         """Convenience: one bracket around one attribute read."""
         with self.borrow(rid) as handle:
             return self.get_attr(handle, name)
-
-    def header_of(self, handle: Handle) -> ObjectHeader:
-        return ObjectHeader.decode(handle.record)
 
     # -- mutation ------------------------------------------------------
 
@@ -200,40 +187,19 @@ class ObjectManager:
         rid where the record lives."""
         sfile = self.file_for(rid)
         record, actual = sfile.read_resolving(rid)
-        class_def = self.class_of(record)
-        new_record = self.codec(class_def).update_scalar(record, name, value)
-        return self._write_back(sfile, rid, actual, record, new_record, class_def)
+        new_record = self.codec(self.class_of(record)).update_scalar(
+            record, name, value
+        )
+        return self._write_back(sfile, rid, actual, record, new_record)
 
     def update_set(self, rid: Rid, name: str, value: InlineSet | OverflowSet) -> Rid:
         """Rewrite one set attribute; the record may grow and move."""
         sfile = self.file_for(rid)
         record, actual = sfile.read_resolving(rid)
-        class_def = self.class_of(record)
-        new_record = self.codec(class_def).update_set(record, name, value)
-        return self._write_back(sfile, rid, actual, record, new_record, class_def)
-
-    def upgrade_record(self, rid: Rid) -> Rid:
-        """Rewrite an object at its class's latest schema version.
-
-        New attributes get their declared defaults.  The record grows,
-        so it may move — like the post-hoc indexing of Section 3.2,
-        lazy upgrades preserve clustering best when batched with a
-        reload.  Returns the rid where the record now lives.
-        """
-        sfile = self.file_for(rid)
-        record, actual = sfile.read_resolving(rid)
-        old_class = self.class_of(record)
-        latest = self.schema.by_id(old_class.class_id)
-        if latest.schema_version == old_class.schema_version:
-            return actual
-        values = self.codec(old_class).decode(record)
-        header = ObjectHeader.decode(record)
-        header.schema_version = latest.schema_version
-        new_record = self.codec(latest).encode(header, values)
-        self.handles.clock.charge_us(
-            _LOAD, self.handles.params.object_create_us
+        new_record = self.codec(self.class_of(record)).update_set(
+            record, name, value
         )
-        return self._write_back(sfile, rid, actual, record, new_record, latest)
+        return self._write_back(sfile, rid, actual, record, new_record)
 
     def rewrite_header(self, rid: Rid, header: ObjectHeader) -> Rid:
         """Replace an object's header (index-slot growth); the record
@@ -243,9 +209,7 @@ class ObjectManager:
         record, actual = sfile.read_resolving(rid)
         old_size = ObjectHeader.peek_size(record)
         new_record = header.encode() + record[old_size:]
-        return self._write_back(
-            sfile, rid, actual, record, new_record, self.class_of(new_record)
-        )
+        return self._write_back(sfile, rid, actual, record, new_record)
 
     def _write_back(
         self,
@@ -254,33 +218,22 @@ class ObjectManager:
         actual: Rid,
         record: bytes,
         new_record: bytes,
-        class_def: ClassDef,
     ) -> Rid:
         """The second half of every mutation: ``record``, which
         ``read_resolving(rid)`` found at ``actual``, becomes
         ``new_record`` -- in the handle table first, then on its page.
         Returns the rid where the record now lives.
 
-        Any cached handle's record *and class* are kept in step with the
-        write, under the address the caller used and under the one the
-        record lives at.  A live handle takes both; a parked one (which
-        :meth:`HandleTable.reference` revives without reloading) takes
-        the record, or is dropped when the write changed the layout
-        under it (``upgrade_record``; restoring an older snapshot).  A
-        bulk load holds no handle at all, and probes nothing."""
-        handles = self.handles
-        table = handles._handles
+        Any cached handle takes the new record, under the address the
+        caller used and under the one the record lives at: a live one,
+        and a parked one too, which :meth:`HandleTable.reference`
+        revives without reloading.  No rewrite changes a record's class,
+        so the handle's class stands.  A bulk load holds no handle at
+        all, and probes nothing."""
+        table = self.handles._handles
         if table:
             for key in (rid,) if actual == rid else (rid, actual):
                 handle = table.get(key)
-                if handle is None:
-                    continue
-                if handle.refcount:
+                if handle is not None:
                     handle.record = new_record
-                    handle.class_def = class_def
-                elif handle.class_def is class_def:
-                    handle.record = new_record
-                else:
-                    del table[key]
-                    handles._parked_count -= 1
         return sfile.replace(actual, record, new_record)

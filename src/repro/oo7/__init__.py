@@ -19,7 +19,6 @@ from repro.oo7.builder import OO7Config, OO7Database, build_oo7
 from repro.oo7.operations import (
     query_q1,
     traversal_t1,
-    traversal_t2,
     traversal_t6,
 )
 from repro.oo7.schema import build_oo7_schema
@@ -30,7 +29,6 @@ __all__ = [
     "build_oo7",
     "build_oo7_schema",
     "traversal_t1",
-    "traversal_t2",
     "traversal_t6",
     "query_q1",
 ]

@@ -106,48 +106,6 @@ def traversal_t1(oo7: OO7Database) -> TraversalResult:
     return _traverse(oo7, full=True)
 
 
-def traversal_t2(oo7: OO7Database, variant: str = "a") -> TraversalResult:
-    """OO7 T2: like T1 but *updating* parts along the way.
-
-    Variant ``"a"`` swaps x and y on the root atomic part of each
-    composite part; variant ``"b"`` updates every atomic part.  Updates
-    are scalar (same-size), so records never move — the cost is dirtied
-    pages flowing back through the caches at the next flush.
-    """
-    if variant not in ("a", "b"):
-        raise ValueError(f"unknown T2 variant {variant!r}")
-    db = oo7.db
-    om = db.manager
-    updated = 0
-
-    def update_part(rid) -> None:
-        nonlocal updated
-        with om.borrow(rid) as handle:
-            x = om.get_attr(handle, "x")
-            y = om.get_attr(handle, "y")
-        om.update_scalar(rid, "x", y)
-        om.update_scalar(rid, "y", x)
-        updated += 1
-
-    start_reads = db.counters.disk_reads
-    for part_rid in oo7.composite_parts.iter_rids():
-        with om.borrow(part_rid) as part:
-            target = om.get_attr(
-                part, "root_part" if variant == "a" else "parts"
-            )
-        if variant == "a":
-            update_part(target)
-        else:
-            for rid in db.iter_set_rids(target):
-                update_part(rid)
-    return TraversalResult(
-        visited_atomic=updated,
-        visited_assemblies=0,
-        elapsed_s=db.clock.elapsed_s,
-        page_reads=db.counters.disk_reads - start_reads,
-    )
-
-
 def traversal_t6(oo7: OO7Database) -> TraversalResult:
     """OO7 T6: traversal touching only each part's root atomic part."""
     return _traverse(oo7, full=False)

@@ -32,13 +32,12 @@ from repro.opt.collector import (
     FanoutStats,
     StatsCollector,
     TableStats,
-    selectivity_error_bound,
     summarize,
 )
 from repro.opt.enumerator import CostBasedOptimizer
 from repro.opt.estimator import CardinalityEstimator
 from repro.opt.histogram import DEFAULT_BUCKETS, EquiDepthHistogram
-from repro.opt.persist import load_table_stats, save_table_stats
+from repro.opt.persist import save_table_stats
 
 __all__ = [
     "AttributeStats",
@@ -51,8 +50,6 @@ __all__ = [
     "FanoutStats",
     "StatsCollector",
     "TableStats",
-    "load_table_stats",
     "save_table_stats",
-    "selectivity_error_bound",
     "summarize",
 ]

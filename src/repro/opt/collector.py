@@ -265,12 +265,6 @@ def summarize(stats: TableStats) -> list[str]:
     return lines
 
 
-def selectivity_error_bound(buckets: int) -> float:
-    """Worst-case selectivity error of an equi-depth histogram: one
-    bucket's fraction on each boundary."""
-    return 2.0 / max(1, buckets)
-
-
 __all__ = [
     "AttributeStats",
     "ExtentStats",
@@ -278,6 +272,5 @@ __all__ = [
     "TableStats",
     "StatsCollector",
     "summarize",
-    "selectivity_error_bound",
     "DEFAULT_SAMPLE_LIMIT",
 ]

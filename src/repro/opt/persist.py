@@ -1,29 +1,20 @@
-"""Round-trip optimizer statistics through the results database.
+"""Optimizer statistics, stored in the results database.
 
 ANALYZE output is persisted as first-class objects in a
 :class:`~repro.stats.store.StatsDatabase` — the paper's own
 eat-your-own-dogfood discipline, extended from benchmark results to the
 planner's statistics.  ``save_table_stats`` writes one ExtentStat per
 analyzed collection, one ColumnStat (plus ordered HistBucket objects)
-per attribute histogram, and one FanoutStat per association;
-``load_table_stats`` reconstructs an equivalent
-:class:`~repro.opt.collector.TableStats` bundle, so a planner can be
-warmed from a previous run's statistics without re-scanning anything.
-The schema names each class's attributes after the dataclass fields, so
-both directions are plain dicts.
+per attribute histogram, and one FanoutStat per association.  The
+schema names each class's attributes after the dataclass fields, so a
+row is a plain dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 
-from repro.opt.collector import (
-    AttributeStats,
-    ExtentStats,
-    FanoutStats,
-    TableStats,
-)
-from repro.opt.histogram import EquiDepthHistogram
+from repro.opt.collector import TableStats
 from repro.stats.schema import (
     COLUMN_STAT_CLASS,
     EXTENT_STAT_CLASS,
@@ -66,39 +57,3 @@ def save_table_stats(stats_db: StatsDatabase, stats: TableStats) -> int:
         stats_db.record(FANOUT_STAT_CLASS, _values(stats.fanouts[key]))
         written += 1
     return written
-
-
-def load_table_stats(stats_db: StatsDatabase) -> TableStats:
-    """Rebuild a :class:`TableStats` from everything previously saved.
-
-    Stat objects are append-only (the underlying collections have no
-    delete), so a re-run ANALYZE leaves earlier rows behind; every key
-    — extent name, ``(collection, attr)`` column, fan-out association —
-    resolves last-wins, i.e. to the most recent save.
-    """
-    columns: dict[tuple[str, str], AttributeStats] = {}
-    for column in stats_db.objects(COLUMN_STAT_CLASS):
-        buckets = [stats_db.decode(rid) for rid in column["buckets"]]
-        columns[(column["collection"], column["attr"])] = AttributeStats(
-            attr=column["attr"],
-            min_value=column["min_value"],
-            max_value=column["max_value"],
-            histogram=EquiDepthHistogram(
-                lo=column["lo"],
-                uppers=tuple(bucket["upper"] for bucket in buckets),
-                counts=tuple(bucket["count"] for bucket in buckets),
-                n_distinct=column["n_distinct"],
-            ),
-        )
-    stats = TableStats()
-    for extent in stats_db.objects(EXTENT_STAT_CLASS):
-        name = extent["collection"]
-        attributes = (stat for (owner, __), stat in columns.items() if owner == name)
-        stats.extents[name] = ExtentStats(
-            **extent, attributes=tuple(sorted(attributes, key=lambda a: a.attr))
-        )
-    for fanout in stats_db.objects(FANOUT_STAT_CLASS):
-        stats.fanouts[(fanout["parent_collection"], fanout["set_attr"])] = (
-            FanoutStats(**fanout)
-        )
-    return stats

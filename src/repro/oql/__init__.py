@@ -16,7 +16,7 @@ family the paper studied:
   NL, NOJOIN, PHJ and CHJ with the mechanism-derived cost formulas of
   :mod:`repro.oql.cost`.
 
-Entry point: :func:`run_oql` / :class:`OQLEngine`.
+Entry point: :class:`OQLEngine`.
 """
 
 from repro.oql.ast_nodes import (
@@ -34,11 +34,11 @@ from repro.oql.ast_nodes import (
 )
 from repro.oql.catalog import Catalog, RelationshipInfo
 from repro.oql.cost import CostModel, PlanEstimate
-from repro.oql.engine import OQLEngine, run_oql
+from repro.oql.engine import OQLEngine
 from repro.oql.lexer import Token, tokenize
 from repro.oql.optimizer import Optimizer, SelectionPlan, TreeJoinPlan
 from repro.oql.parser import parse, parse_statement
-from repro.oql.printer import print_query, print_statement
+from repro.oql.printer import print_query
 
 __all__ = [
     "tokenize",
@@ -46,7 +46,6 @@ __all__ = [
     "parse",
     "parse_statement",
     "print_query",
-    "print_statement",
     "Query",
     "Statement",
     "ExplainStmt",
@@ -66,5 +65,4 @@ __all__ = [
     "SelectionPlan",
     "TreeJoinPlan",
     "OQLEngine",
-    "run_oql",
 ]

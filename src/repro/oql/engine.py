@@ -338,8 +338,3 @@ class OQLEngine:
         flip = Map(ctx, join, lambda row: (row[1], row[0]))
         flip.label = "Map(flip columns)"
         return flip
-
-
-def run_oql(catalog: Catalog, source: str) -> list[tuple]:
-    """One-shot convenience: parse, optimize, execute."""
-    return OQLEngine(catalog).execute(source)

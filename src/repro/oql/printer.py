@@ -10,32 +10,18 @@ from __future__ import annotations
 from repro.errors import QueryError
 from repro.oql.ast_nodes import (
     AggregateExpr,
-    AnalyzeStmt,
     BinOp,
     BoolOp,
     CollectionRef,
     ExistsExpr,
-    ExplainStmt,
     Expr,
     FromClause,
     Literal,
     OrderBy,
     Path,
     Query,
-    Statement,
     TupleExpr,
 )
-
-
-def print_statement(stmt: Statement) -> str:
-    """Render any statement as parseable OQL text."""
-    if isinstance(stmt, ExplainStmt):
-        return "explain " + print_query(stmt.query)
-    if isinstance(stmt, AnalyzeStmt):
-        if stmt.collections:
-            return "analyze " + ", ".join(stmt.collections)
-        return "analyze"
-    return print_query(stmt)
 
 
 def print_query(query: Query) -> str:

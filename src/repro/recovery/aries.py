@@ -329,11 +329,6 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
         [txm.commit_ts]
         + [r.commit_ts for r in records if r.kind == "commit"]
     )
-    # Persistent object-version chains (repro.objects.versions) are the
-    # opposite: catalog records on durable pages.  Drop the in-memory
-    # cache so the next access rebuilds it from what actually survived.
-    if db.version_manager is not None:
-        db.version_manager.reload()
 
     report.seconds = clock.elapsed_s - start_s
     return report

@@ -432,16 +432,6 @@ class QueryService:
 
     # -- crash and recovery -------------------------------------------------
 
-    def checkpoint(self) -> None:
-        """Flush the dirty-page table and log a checkpoint record.
-
-        Requires ``recovery=True`` (without physical logging there is
-        nothing for a checkpoint to bound)."""
-        self._require_recovery("checkpoint")
-        from repro.recovery import take_checkpoint
-
-        take_checkpoint(self.db, self.txm)
-
     def crash(self) -> None:
         """Kill the server: every session's volatile state (client tier,
         handle table, open transaction) is lost along with the shared

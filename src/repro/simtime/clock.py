@@ -104,10 +104,6 @@ class SimClock:
         """Total simulated seconds across all buckets."""
         return sum(self.buckets.values())
 
-    def bucket_s(self, bucket: Bucket) -> float:
-        """Simulated seconds accumulated in one bucket."""
-        return self.buckets.get(bucket, 0.0)
-
     def breakdown(self) -> dict[str, float]:
         """Mapping of bucket name to seconds, for reports."""
         return {_NAMES[bucket]: seconds for bucket, seconds in self.buckets.items()}

@@ -183,14 +183,3 @@ class CostParams:
         """Return a copy whose memory model is scaled; time constants are
         per-operation and therefore scale-free."""
         return replace(self, memory=self.memory.scaled(scale))
-
-    def remote_workstation(self) -> "CostParams":
-        """Client and server on *different* machines (Figure 3's
-        ``sameworkstation = false``): RPCs cross a LAN instead of a
-        local socket, so per-round-trip overhead and page transfer both
-        grow by an order of magnitude.  Disk and CPU are unchanged."""
-        return replace(
-            self,
-            rpc_overhead_ms=self.rpc_overhead_ms * 10,
-            page_transfer_ms=self.page_transfer_ms * 10,
-        )

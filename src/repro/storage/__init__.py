@@ -13,7 +13,7 @@ This package simulates the disk layer of an O2-style object store:
   with forwarding.
 """
 
-from repro.storage.disk import DiskManager, DirectPager, Pager
+from repro.storage.disk import DiskManager, Pager
 from repro.storage.file import StorageFile
 from repro.storage.page import Page
 from repro.storage.rid import Rid
@@ -23,6 +23,5 @@ __all__ = [
     "Page",
     "DiskManager",
     "Pager",
-    "DirectPager",
     "StorageFile",
 ]

@@ -8,8 +8,6 @@ paper's own assumption) and bumps the shared counters.
 Higher layers never touch the disk directly during query execution; they
 go through a :class:`Pager` (normally the two-tier buffer system of
 :mod:`repro.buffer`), which decides *whether* a disk access happens.
-:class:`DirectPager` is the trivial pager that always hits the disk —
-useful for unit tests and for the no-cache baseline.
 """
 
 from __future__ import annotations
@@ -86,9 +84,6 @@ class DiskManager:
         self._next_file_id += 1
         self._files[file_id] = []
         return file_id
-
-    def file_ids(self) -> list[int]:
-        return sorted(self._files)
 
     # simlint: ok[CHARGE] catalog metadata, not a page access
     def num_pages(self, file_id: int) -> int:
@@ -219,23 +214,3 @@ class DiskManager:
                 f"file {file_id} has {len(pages)} pages, no page {page_no}"
             )
         return pages[page_no]
-
-
-class DirectPager:
-    """A pager with no cache: every access is a disk read.
-
-    Used by unit tests and as the degenerate baseline configuration
-    ("what if O2 had no client cache").
-    """
-
-    #: Write-through: ``mark_dirty`` *is* the disk write.
-    write_back = False
-
-    def __init__(self, disk: DiskManager):
-        self.disk = disk
-
-    def get_page(self, file_id: int, page_no: int) -> Page:
-        return self.disk.read_page(file_id, page_no)
-
-    def mark_dirty(self, file_id: int, page_no: int) -> None:
-        self.disk.write_page(file_id, page_no)

@@ -10,8 +10,6 @@ the paper's warning about indexing collections after loading.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import RecordNotFoundError
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager, Pager
@@ -59,8 +57,8 @@ class StorageFile:
 
     @property
     def record_count(self) -> int:
-        """Live records inserted minus deleted (forwarded records count
-        once, at their new location)."""
+        """Live records inserted (forwarded records count once, at
+        their new location)."""
         return self._record_count
 
     # -- record operations -------------------------------------------------
@@ -143,36 +141,6 @@ class StorageFile:
                 self.pager.mark_dirty(file_id, page_no)
             return rid
         return self._move(rid, page, record)
-
-    def delete(self, rid: Rid) -> None:
-        """Remove the record at ``rid`` (following a forwarding hop)."""
-        self._check_file(rid)
-        page = self.pager.get_page(rid.file_id, rid.page_no)
-        target = page.forward_target(rid.slot)
-        if target is not None:
-            page.delete(rid.slot)
-            self.pager.mark_dirty(rid.file_id, rid.page_no)
-            page = self.pager.get_page(target.file_id, target.page_no)
-            rid = target
-        page.delete(rid.slot)
-        self.pager.mark_dirty(rid.file_id, rid.page_no)
-        self._record_count -= 1
-
-    def scan(self) -> Iterator[tuple[Rid, bytes]]:
-        """Sequential scan in physical order, yielding ``(rid, record)``.
-
-        Forwarded slots are skipped (their record is yielded at its new
-        physical position), so each live record appears exactly once.
-        """
-        for page_no in range(self.num_pages):
-            page = self.pager.get_page(self.file_id, page_no)
-            for slot in page.slots():
-                yield Rid(self.file_id, page_no, slot), page.read(slot)
-
-    def rids(self) -> Iterator[Rid]:
-        """Sequential scan yielding rids only (still reads every page)."""
-        for rid, _record in self.scan():
-            yield rid
 
     # -- internals ---------------------------------------------------------
 

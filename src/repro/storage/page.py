@@ -90,10 +90,6 @@ class Page:
         """Number of live (non-deleted, non-forwarded) records."""
         return sum(1 for s in self._slots if isinstance(s, bytes))
 
-    def fits(self, record: bytes, slack: int = 0) -> bool:
-        """Whether ``record`` fits while leaving ``slack`` bytes free."""
-        return len(record) + SLOT_OVERHEAD + slack <= self.free_bytes
-
     # -- record operations --------------------------------------------
 
     def insert(self, record: bytes, slack: int = 0) -> int:
@@ -161,24 +157,14 @@ class Page:
             )
         return found
 
-    def update(self, slot: int, record: bytes) -> bool:
-        """Replace the record at ``slot`` in place.
+    def replace(self, slot: int, old: bytes, record: bytes) -> bool:
+        """Replace ``old``, the record the caller has just read from
+        ``slot``, with ``record`` in place: the slot directory is not
+        probed again, only checked to hold that very object.
 
         Returns ``True`` on success, ``False`` when the new record does
         not fit (the caller must then move the record to another page).
         """
-        found = self.resolve(slot)
-        if found.__class__ is not bytes:
-            raise RecordNotFoundError(
-                f"cannot update forwarded slot {slot} of page "
-                f"{self.file_id}:{self.page_no}"
-            )
-        return self.replace(slot, found, record)
-
-    def replace(self, slot: int, old: bytes, record: bytes) -> bool:
-        """:meth:`update` for a caller that holds ``old``, the record it
-        has just read from ``slot``: the slot directory is not probed
-        again, only checked to hold that very object."""
         if self._slots[slot] is not old:
             raise RecordNotFoundError(
                 f"slot {slot} of page {self.file_id}:{self.page_no} no "

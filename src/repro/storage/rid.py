@@ -40,8 +40,3 @@ rid_of = partial(tuple.__new__, Rid)
 
 #: A rid that is never allocated; used as the encoding of a nil reference.
 NIL_RID = Rid(-1, -1, -1)
-
-
-def is_nil(rid: Rid) -> bool:
-    """True if ``rid`` encodes a nil reference."""
-    return rid == NIL_RID

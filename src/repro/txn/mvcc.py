@@ -25,14 +25,11 @@ its bytes.  The design follows classic snapshot isolation:
   :meth:`VersionStore.sweep` (driven by the resource governor every few
   commits) drops every chain entry no live snapshot can still reach.
 
-Chains live in transaction-manager memory, unified with the storage
-model of :class:`~repro.objects.versions.VersionManager`: both are
-pre-image copies keyed by rid; the explicit ``VersionManager`` persists
-labeled snapshots durably, while these chains are *volatile by design* —
-restart discards them (uncommitted writers are rolled back by ARIES
-undo, so the post-restart committed state needs no history) and
-restores only the commit-timestamp high-water from durable commit
-records.
+Chains live in transaction-manager memory as pre-image copies keyed by
+rid, and are *volatile by design* — restart discards them (uncommitted
+writers are rolled back by ARIES undo, so the post-restart committed
+state needs no history) and restores only the commit-timestamp
+high-water from durable commit records.
 """
 
 from __future__ import annotations
@@ -186,10 +183,6 @@ class VersionStore:
 
     def chain(self, rid: Rid) -> tuple[RecordVersion, ...]:
         return tuple(self._chains.get(rid, ()))
-
-    @property
-    def version_count(self) -> int:
-        return sum(len(chain) for chain in self._chains.values())
 
     def clear(self) -> None:
         """Lose everything volatile (crash / restart): chains are

@@ -17,6 +17,13 @@ from repro.errors import BenchError
 from repro.simtime import CostParams
 
 
+def predict(fit: CostFit, run) -> float:
+    """The fitted model's elapsed seconds for one run's observables."""
+    return sum(
+        fit.coefficients[name] * extract(run) for name, extract in FEATURES.items()
+    )
+
+
 @pytest.fixture(scope="module")
 def derby():
     cfg = DerbyConfig(
@@ -71,7 +78,7 @@ class TestRegression:
     def test_prediction_close_on_training_data(self, grid_measurements):
         fit = fit_cost_model(grid_measurements)
         worst = max(
-            abs(fit.predict(run) - run.elapsed_s)
+            abs(predict(fit, run) - run.elapsed_s)
             / max(run.elapsed_s, 1e-9)
             for run in grid_measurements
             if run.elapsed_s > 0.5  # ignore tiny runs
@@ -81,7 +88,7 @@ class TestRegression:
     def test_generalizes_to_unseen_cell(self, derby, grid_measurements):
         fit = fit_cost_model(grid_measurements)
         fresh = ExperimentRunner(derby).run_join("PHJ", 50, 50)
-        assert fit.predict(fresh) == pytest.approx(
+        assert predict(fit, fresh) == pytest.approx(
             fresh.elapsed_s, rel=0.35
         )
 
@@ -114,7 +121,7 @@ class TestOptimizerValidation:
         winner, the choice must not be NL-at-90/90-class bad."""
         joins = [m for m in grid_measurements if hasattr(m, "algo")]
         score = score_optimizer(derby, joins)
-        assert score.max_regret < 2.5
+        assert max(v.regret for v in score.verdicts) < 2.5
 
     def test_optimizer_mostly_right(self, derby, grid_measurements):
         joins = [m for m in grid_measurements if hasattr(m, "algo")]

@@ -15,7 +15,9 @@ from hypothesis.stateful import (
 )
 
 from repro.index import BTreeIndex
-from repro.storage import DirectPager, DiskManager, Rid
+from repro.storage import DiskManager, Rid
+
+from .direct_pager import DirectPager
 
 _KEYS = st.integers(min_value=-1000, max_value=1000)
 

@@ -1,9 +1,9 @@
 """The census as a table the machine keeps (ROADMAP item 7).
 
-Three counts, no allow-list: a CLI flag nothing spells is a knob nothing
-sets, a name nothing mentions is dead, and a default no call changes is
-a constant.  Each goes, or gains the caller, the doc line or the test
-that justifies it.
+Four counts, no allow-list: a CLI flag nothing spells is a knob nothing
+sets, a name nothing mentions is dead, a name only tests use serves no
+workload, and a default no call changes is a constant.  Each goes, or
+gains the caller, the doc line or the test that justifies it.
 """
 
 from __future__ import annotations
@@ -48,29 +48,76 @@ def test_every_cli_flag_is_set_somewhere():
     assert not unset, f"CLI flags nothing sets: {unset}"
 
 
-def test_every_name_defined_in_src_is_referenced():
-    """Functions, classes and methods under ``src/repro`` (dunders and
-    ``ast.NodeVisitor`` ``visit_*`` hooks aside) occur somewhere besides
-    their own ``def``."""
-    sources = sorted((ROOT / "src/repro").rglob("*.py"))
+SOURCES = sorted((ROOT / "src/repro").rglob("*.py"))
+CODE = [p for d in ("benchmarks", "examples")
+        for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _defined() -> Counter[str]:
+    """Functions, classes and methods under ``src/repro``, dunders and
+    ``ast.NodeVisitor`` ``visit_*`` hooks aside, by how often each name
+    is defined."""
     defined: Counter[str] = Counter()
-    for path in sources:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and not node.name.startswith("visit_")):
                 defined[node.name] += 1
-    code = [p for d in ("benchmarks", "examples")
-            for p in sorted((ROOT / d).rglob("*.py"))]
+    return defined
+
+
+def _uses(paths) -> Counter[str]:
+    """The identifiers the code in ``paths`` uses: names, attributes and
+    the words of string literals (``getattr`` targets, vocabulary
+    tables).  A comment, a docstring, an import or an ``__all__`` entry
+    mentions a name without using it."""
+    uses: Counter[str] = Counter()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mentions: set[int] = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and node.body and isinstance(node.body[0], ast.Expr)
+                    and isinstance(node.body[0].value, ast.Constant)):
+                mentions.add(id(node.body[0].value))
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                mentions.update(id(n) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in mentions:
+                continue
+            if isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return uses
+
+
+def test_every_name_defined_in_src_is_referenced():
+    """Each name occurs somewhere besides its own ``def``."""
     mentions = Counter(
-        re.findall(r"[A-Za-z_]\w*", _text([*sources, *TESTS, *code, *DOCS]))
+        re.findall(r"[A-Za-z_]\w*", _text([*SOURCES, *TESTS, *CODE, *DOCS]))
     )
     dead = sorted(
-        name for name, n_defs in defined.items()
-        if mentions[name] <= n_defs
-        and not (name.startswith("__") and name.endswith("__"))
-        and not name.startswith("visit_")
+        name for name, n_defs in _defined().items() if mentions[name] <= n_defs
     )
     assert not dead, f"defined under src/repro, referenced nowhere: {dead}"
+
+
+def test_every_name_defined_in_src_is_used_outside_tests():
+    """... and code in ``src``, ``benchmarks`` or ``examples`` uses it: a
+    name only tests use serves no workload, so it goes, or moves into the
+    test that uses it."""
+    uses = _uses([*SOURCES, *CODE])
+    dead = sorted(name for name in _defined() if not uses[name])
+    assert not dead, f"defined under src/repro, used only by tests: {dead}"
 
 
 def _callee(node: ast.AST) -> str | None:
@@ -103,12 +150,9 @@ def test_every_default_is_overridden_somewhere():
     function handed on as a value (``partial(f, ...)``,
     ``Suite(execute=f)``), overrides every parameter.  A default no
     caller changes is a constant with a knob on it."""
-    sources = sorted((ROOT / "src/repro").rglob("*.py"))
-    code = [p for d in ("benchmarks", "examples", "tests")
-            for p in sorted((ROOT / d).rglob("*.py"))]
     calls: dict[str, list[ast.Call]] = {}
     passed_on: set[str] = set()
-    for path in [*sources, *code]:
+    for path in [*SOURCES, *CODE, *TESTS, Path(__file__)]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
@@ -129,7 +173,7 @@ def test_every_default_is_overridden_somewhere():
         return False
 
     fixed = []
-    for path in sources:
+    for path in SOURCES:
         for fn, bound in _defs_with_bound_arg(ast.parse(path.read_text(encoding="utf-8"))):
             if fn.name.startswith("__") and fn.name.endswith("__") or fn.name in passed_on:
                 continue

@@ -60,7 +60,7 @@ def case_key(database, clustering, index_first, logged_load) -> str:
 def disk_fingerprint(disk) -> str:
     """sha256 over every page image of every file, in physical order."""
     sha = hashlib.sha256()
-    for file_id in disk.file_ids():
+    for file_id in sorted(disk._files):
         for page in disk.iter_pages(file_id):
             sha.update(repr((file_id, page.page_no, page.capture())).encode())
     return sha.hexdigest()
@@ -99,10 +99,10 @@ def test_fingerprint_sees_a_single_byte():
     maker, scale = DATABASES["1to3"]
     disk = load_derby(maker(scale=scale)).db.disk
     before = disk_fingerprint(disk)
-    page = disk.peek_page(disk.file_ids()[0], 0)
+    page = disk.peek_page(min(disk._files), 0)
     slot = page.slots()[-1]
     record = page.read(slot)
-    assert page.update(slot, record[:-1] + bytes([record[-1] ^ 1]))
+    assert page.replace(slot, record, record[:-1] + bytes([record[-1] ^ 1]))
     assert disk_fingerprint(disk) != before
 
 

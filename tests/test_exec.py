@@ -83,28 +83,36 @@ class TestQueryHashTable:
         clock, counters, table = self.make(entry_bytes=64, budget=64 * 100)
         for i in range(100):
             table.insert(i, i)
-        assert clock.bucket_s(Bucket.SWAP) == 0.0
+        assert clock.buckets.get(Bucket.SWAP, 0.0) == 0.0
         assert counters.swap_faults == 0
 
     def test_swap_penalty_beyond_budget(self):
         clock, counters, table = self.make(entry_bytes=64, budget=64 * 100)
         for i in range(200):
             table.insert(i, i)
-        assert table.swapped_fraction == pytest.approx(0.5, abs=0.01)
-        assert clock.bucket_s(Bucket.SWAP) > 0.0
+        assert swapped_fraction(table) == pytest.approx(0.5, abs=0.01)
+        assert clock.buckets.get(Bucket.SWAP, 0.0) > 0.0
         assert counters.swap_faults > 0
 
     def test_probe_also_pays_swap(self):
         clock, __, table = self.make(entry_bytes=64, budget=64)
         for i in range(100):
             table.insert(i, i)
-        before = clock.bucket_s(Bucket.SWAP)
+        before = clock.buckets.get(Bucket.SWAP, 0.0)
         table.probe(5)
-        assert clock.bucket_s(Bucket.SWAP) > before
+        assert clock.buckets.get(Bucket.SWAP, 0.0) > before
 
     def test_rejects_negative_sizes(self):
         with pytest.raises(ValueError):
             self.make(entry_bytes=-1)
+
+
+def swapped_fraction(table) -> float:
+    """Fraction of a hash table beyond its budget: paged out."""
+    size = table.table_bytes
+    if size <= table.budget_bytes or size == 0:
+        return 0.0
+    return (size - table.budget_bytes) / size
 
 
 class ReferenceHashTable:
@@ -130,16 +138,9 @@ class ReferenceHashTable:
             + len(self.keys) * self.bucket_bytes
         )
 
-    @property
-    def swapped_fraction(self) -> float:
-        size = self.table_bytes
-        if size <= self.budget_bytes or size == 0:
-            return 0.0
-        return (size - self.budget_bytes) / size
-
     def charge_touch(self, base_us: float) -> None:
         self.clock.charge_us(Bucket.CPU, base_us)
-        fraction = self.swapped_fraction
+        fraction = swapped_fraction(self)
         if fraction > 0.0:
             self.clock.charge_ms(Bucket.SWAP, self.params.swap_fault_ms * fraction)
             self.swap_accum += fraction
@@ -207,7 +208,7 @@ class TestHashTableAgainstReference:
             assert table.table_bytes == reference.table_bytes == (
                 fixed + table.entries * entry + len(table) * bucket
             )
-            assert table.swapped_fraction == reference.swapped_fraction
+            assert swapped_fraction(table) == swapped_fraction(reference)
             assert clock.breakdown() == reference.clock.breakdown()
             assert counters.swap_faults == reference.counters.swap_faults
 
@@ -220,10 +221,10 @@ class TestHashTableAgainstReference:
             clock, CostParams(), counters, 8, bucket_bytes=60, budget_bytes=8
         )
         table.insert("parent", 1)
-        assert clock.bucket_s(Bucket.SWAP) == 0.0
+        assert clock.buckets.get(Bucket.SWAP, 0.0) == 0.0
         assert table.table_bytes == 68
         table.probe("parent")
-        assert clock.bucket_s(Bucket.SWAP) > 0.0
+        assert clock.buckets.get(Bucket.SWAP, 0.0) > 0.0
 
 
 # ------------------------------------------------------------- fixtures
@@ -332,18 +333,18 @@ class TestSelections:
             derby.db, derby.by_num, k, None, "age",
             sorted_rids=True, include_low=False,
         )
-        assert derby.db.clock.bucket_s(Bucket.SORT) > 0
+        assert derby.db.clock.buckets.get(Bucket.SORT, 0.0) > 0
 
     def test_transactional_result_costs_more(self, derby):
         k = derby.config.num_threshold(50)
         derby.start_cold_run()
         select_indexed(derby.db, derby.by_num, k, None, "age",
                        include_low=False, transactional=True)
-        txn_result = derby.db.clock.bucket_s(Bucket.RESULT)
+        txn_result = derby.db.clock.buckets.get(Bucket.RESULT, 0.0)
         derby.start_cold_run()
         select_indexed(derby.db, derby.by_num, k, None, "age",
                        include_low=False, transactional=False)
-        assert derby.db.clock.bucket_s(Bucket.RESULT) < txn_result
+        assert derby.db.clock.buckets.get(Bucket.RESULT, 0.0) < txn_result
 
 
 # ------------------------------------------------------------- joins
@@ -398,10 +399,10 @@ class TestJoinAlgorithms:
         derby.start_cold_run()
         ALGORITHMS["PHJ"](query)
         phj_seconds = derby.db.clock.elapsed_s
-        swap_seconds = derby.db.clock.bucket_s(Bucket.SWAP)
+        swap_seconds = derby.db.clock.buckets.get(Bucket.SWAP, 0.0)
         assert swap_seconds > 0, "test setup must force swapping"
         derby.start_cold_run()
         ALGORITHMS["PHJ-HYBRID"](query)
         hybrid_seconds = derby.db.clock.elapsed_s
-        assert derby.db.clock.bucket_s(Bucket.SWAP) == 0
+        assert derby.db.clock.buckets.get(Bucket.SWAP, 0.0) == 0
         assert hybrid_seconds < phj_seconds

@@ -16,6 +16,8 @@ from repro.errors import (
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.simtime import MemoryModel
 from repro.storage import DiskManager, Rid, StorageFile
+
+from .direct_pager import DirectPager
 from repro.units import PAGE_SIZE
 
 
@@ -34,12 +36,18 @@ def make_db(extra_width: int = 16) -> Database:
     return db
 
 
+
+def delete_record(db: Database, rid: Rid) -> None:
+    """Drop the record at ``rid`` from its page, as a deletion would."""
+    db.file("docs").pager.get_page(rid.file_id, rid.page_no).delete(rid.slot)
+
+
 class TestDanglingReferences:
     def test_deleted_target_raises(self):
         db = make_db()
         victim = db.create_object("Doc", {"n": 1}, "docs")
         owner = db.create_object("Doc", {"n": 2, "parts": [victim]}, "docs")
-        db.file("docs").delete(victim)
+        delete_record(db, victim)
         handle = db.manager.load(owner)
         parts = db.manager.get_attr(handle, "parts")
         db.manager.unref(handle)
@@ -56,7 +64,7 @@ class TestDanglingReferences:
         """A failed load must not leave a half-made handle behind."""
         db = make_db()
         rid = db.create_object("Doc", {"n": 1}, "docs")
-        db.file("docs").delete(rid)
+        delete_record(db, rid)
         with pytest.raises(RecordNotFoundError):
             db.manager.load(rid)
         assert db.handles.live_count == 0
@@ -149,8 +157,6 @@ class TestForwardingChains:
         keep resolving (single-hop forwarding is maintained by always
         re-forwarding from the original slot)."""
         disk = DiskManager()
-        from repro.storage import DirectPager
-
         sfile = StorageFile(disk, DirectPager(disk), fill_factor=1.0)
         filler = [sfile.insert(b"f" * 900) for __ in range(4)]
         del filler
@@ -164,8 +170,6 @@ class TestForwardingChains:
         """Move a record repeatedly *through its original rid*: the
         forwarding pointer must follow it (no multi-hop chains)."""
         disk = DiskManager()
-        from repro.storage import DirectPager
-
         sfile = StorageFile(disk, DirectPager(disk), fill_factor=1.0)
         for __ in range(4):
             sfile.insert(b"f" * 900)

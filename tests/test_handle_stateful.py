@@ -23,7 +23,9 @@ from hypothesis.stateful import (
 )
 
 from repro.objects import AttrKind, AttributeDef, Database, HandleTable, Schema
+from repro.objects.codec import InlineSet
 from repro.objects.handle import _TOUCH_FRACTION
+from repro.objects.header import ObjectHeader
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.rid import Rid
 from repro.units import US_PER_S
@@ -108,7 +110,7 @@ class HandleMachine(RuleBasedStateMachine):
         that allocates nothing hit a handle, and no ``get`` frees one."""
         if not hasattr(self, "table"):
             return
-        assert self.table.parked_count == len(self.parked) <= CAPACITY
+        assert self.table._parked_count == len(self.parked) <= CAPACITY
         probe = copy.deepcopy(self.table)
         held = set()
         for n in range(10):
@@ -125,7 +127,7 @@ class HandleMachine(RuleBasedStateMachine):
         if not hasattr(self, "table"):
             return
         assert self.table.counters.handles_allocated == self.allocated
-        assert self.clock.bucket_s(Bucket.HANDLE) == self.handle_s
+        assert self.clock.buckets.get(Bucket.HANDLE, 0.0) == self.handle_s
 
     @invariant()
     def refcounts_positive_for_live(self):
@@ -142,49 +144,92 @@ HandleMachine.TestCase.settings = settings(
 TestHandleStateful = HandleMachine.TestCase
 
 
-def test_write_back_keeps_cached_handles_in_step():
-    """A mutation's write-back: a live handle takes the new record and
-    class; a parked one of the same class takes the record and is the one
-    the next bracket revives; a parked one whose class changed is freed,
-    and the next bracket allocates afresh."""
+def _write_back_case(db, live_rid, parked_rid, write):
+    """Park a handle for ``parked_rid``, hold one for ``live_rid``, and
+    ``write``: the live handle takes the record now stored, the parked
+    one is the handle the next bracket revives and carries it too, and no
+    handle is allocated."""
+    om = db.manager
+    with om.borrow(parked_rid) as parked:
+        stale = parked.record
+    with om.borrow(live_rid) as live:
+        allocated = db.counters.handles_allocated
+        write()
+        assert live.record == om.read_record(live_rid)[0]
+    with om.borrow(parked_rid) as revived:
+        assert revived is parked
+        assert revived.record == om.read_record(parked_rid)[0] != stale
+    assert db.counters.handles_allocated == allocated
+
+
+def _patients_and_providers() -> Database:
     schema = Schema()
     schema.define(
         "Patient",
         [AttributeDef("name", AttrKind.STRING), AttributeDef("mrn", AttrKind.INT32)],
     )
+    schema.define(
+        "Provider",
+        [
+            AttributeDef("upin", AttrKind.INT32),
+            AttributeDef("clients", AttrKind.REF_SET, target="Patient"),
+        ],
+    )
     db = Database(schema)
     db.create_file("patients")
+    db.create_file("providers")
+    return db
+
+
+def test_write_back_keeps_cached_handles_in_step():
+    """A rewrite in place -- a scalar, index slots added to a header --
+    reaches every cached handle of the record."""
+    db = _patients_and_providers()
     om = db.manager
-    live_rid, same_rid, changed_rid = (
+    a, b, c, d = (
         db.create_object("Patient", {"name": "p", "mrn": mrn}, "patients")
-        for mrn in (1, 2, 3)
-    )
-    with om.borrow(same_rid) as same:
-        assert om.get_attr(same, "mrn") == 2
-    with om.borrow(changed_rid) as changed:
-        assert om.get_attr(changed, "mrn") == 3
-    evolved = schema.evolve(
-        "Patient", [AttributeDef("age", AttrKind.INT32, default=7)]
+        for mrn in range(4)
     )
 
-    with om.borrow(live_rid) as live:
-        allocated = db.counters.handles_allocated
-        where = om.upgrade_record(live_rid)
-        assert live.class_def is evolved
-        assert live.record == om.read_record(where)[0]
-        assert om.get_attr(live, "age") == 7
-    assert db.handles.parked_count == 3
+    def scalars():
+        om.update_scalar(a, "mrn", 10)
+        om.update_scalar(b, "mrn", 20)
 
-    om.update_scalar(same_rid, "mrn", 20)
-    assert db.handles.parked_count == 3
-    with om.borrow(same_rid) as revived:
-        assert revived is same
-        assert om.get_attr(revived, "mrn") == 20
+    _write_back_case(db, a, b, scalars)
+    assert (om.get_attr_at(a, "mrn"), om.get_attr_at(b, "mrn")) == (10, 20)
 
-    om.upgrade_record(changed_rid)
-    assert db.handles.parked_count == 2
-    with om.borrow(changed_rid) as fresh:
-        assert fresh is not changed
-        assert fresh.class_def is evolved
-        assert om.get_attr(fresh, "mrn") == 3
-    assert db.counters.handles_allocated == allocated + 1
+    def slots():
+        for rid in (c, d):
+            header = ObjectHeader.decode(om.read_record(rid)[0])
+            assert header.add_index(1)  # no free slot: the header grows
+            om.rewrite_header(rid, header)
+
+    _write_back_case(db, c, d, slots)
+    for rid in (c, d):
+        assert ObjectHeader.decode(om.read_record(rid)[0]).index_ids == [1]
+    assert (om.get_attr_at(c, "mrn"), om.get_attr_at(d, "mrn")) == (2, 3)
+
+
+def test_write_back_reaches_both_forwarded_addresses():
+    """A record that grew off its page is cached under two addresses: the
+    one its references hold and the one it lives at.  A rewrite through
+    either reaches the handle under the other, so neither reads the set
+    back stale."""
+    db = _patients_and_providers()
+    om = db.manager
+    first, *__ = [
+        db.create_object("Provider", {"upin": i}, "providers") for i in range(120)
+    ]
+    members = tuple(Rid(0, i, 0) for i in range(300))
+    actual = om.update_set(first, "clients", InlineSet(members))
+    assert actual != first  # grew off its page: forwarded
+    for address in (first, actual):  # parks a handle under each
+        assert om.get_attr_at(address, "clients").rids == members
+    others = tuple(Rid(1, i, 0) for i in range(300))
+    _write_back_case(
+        db, first, actual,
+        lambda: om.update_set(first, "clients", InlineSet(others)),
+    )
+    for address in (first, actual):
+        with om.borrow(address) as handle:
+            assert om.get_attr(handle, "clients").rids == others

@@ -326,9 +326,9 @@ def test_callgraph_may_yield_closure(tmp_path):
     result = lint_paths((str(src),), ("ATOM",))
     graph = result.project.callgraph
     funcs = {info.qualname: info for info in result.project.functions}
-    assert graph.may_yield(funcs["leaf"])
-    assert graph.may_yield(funcs["top"])  # transitive, two hops
-    assert not graph.may_yield(funcs["pure"])
+    assert graph.yield_chain(funcs["leaf"]) is not None
+    assert graph.yield_chain(funcs["top"]) is not None  # transitive, two hops
+    assert graph.yield_chain(funcs["pure"]) is None
     chain = graph.yield_chain(funcs["top"])
     assert "middle" in chain and "yield_point" in chain
     dot = graph.to_dot()

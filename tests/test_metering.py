@@ -118,7 +118,7 @@ def test_scripted_sequence_equals_its_charge_us_replay(params, mode):
         # the totals are small, a reordering once they are large.
         assert db.clock.snapshot() == replay.snapshot(), round_no
 
-    assert handle.refcount == 0 and handles.parked_count == 1
+    assert handle.refcount == 0 and handles._parked_count == 1
     assert list(db.clock.breakdown()) == list(replay.breakdown())
     assert db.clock.elapsed_s == replay.elapsed_s
 

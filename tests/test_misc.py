@@ -9,7 +9,7 @@ from repro import errors
 from repro.bench.report import Table, _fmt
 from repro.simtime import MeterSnapshot
 from repro.stats import StatsDatabase, to_gnuplot
-from repro.units import KB, MB, PAGE_SIZE, bytes_for_pages, pages_for_bytes
+from repro.units import KB, MB, PAGE_SIZE, pages_for_bytes
 
 
 class TestTableFormatting:
@@ -37,13 +37,8 @@ class TestUnits:
         assert MB == 1024 * KB
         assert PAGE_SIZE == 4 * KB
 
-    def test_bytes_for_pages(self):
-        assert bytes_for_pages(3) == 3 * PAGE_SIZE
-        with pytest.raises(ValueError):
-            bytes_for_pages(-1)
-
     def test_roundtrip(self):
-        assert pages_for_bytes(bytes_for_pages(7)) == 7
+        assert pages_for_bytes(7 * PAGE_SIZE) == 7
 
 
 class TestErrorHierarchy:

@@ -19,7 +19,6 @@ from repro.objects import (
     AttributeDef,
     Database,
     Schema,
-    VersionManager,
 )
 from repro.objects.handle import FULL_HANDLE_BYTES, VERSION_REF_BYTES
 from repro.recovery import crash_database, restart
@@ -27,6 +26,11 @@ from repro.service import MixConfig, QueryService, WorkloadMixer
 from repro.stats.export import mix_to_csv
 from repro.storage.rid import Rid
 from repro.txn import TransactionManager
+
+
+def chain_versions(txm: TransactionManager) -> int:
+    """Versions held across every MVCC chain."""
+    return sum(len(chain) for chain in txm.mvcc._chains.values())
 
 _PAD = "p" * 40
 
@@ -84,7 +88,7 @@ class TestBeginRules:
         with txm.begin() as txn:
             txn.update_scalar(rids[0], "x", 99)
         assert not txm.mvcc_enabled
-        assert txm.mvcc.version_count == 0
+        assert chain_versions(txm) == 0
         assert txm.commit_ts == 0
 
 
@@ -258,9 +262,9 @@ class TestChainsAndGc:
         txm.enable_mvcc()
         txn = txm.begin(isolation="si")
         txn.update_scalar(rids[0], "x", 50)
-        assert txm.mvcc.version_count == 1
+        assert chain_versions(txm) == 1
         txn.abort()
-        assert txm.mvcc.version_count == 0
+        assert chain_versions(txm) == 0
         assert db.manager.get_attr_at(rids[0], "x") == 0
 
     def test_vacuum_respects_the_oldest_snapshot(self):
@@ -271,7 +275,7 @@ class TestChainsAndGc:
             writer = txm.begin(isolation="si")
             writer.update_scalar(rids[0], "x", value)
             writer.commit()
-        before = txm.mvcc.version_count
+        before = chain_versions(txm)
         assert before >= 3
         txm.vacuum()
         # The open snapshot pins the horizon: its version must survive.
@@ -279,7 +283,7 @@ class TestChainsAndGc:
         reader.commit()
         freed = txm.vacuum()
         assert freed > 0
-        assert txm.mvcc.version_count < before
+        assert chain_versions(txm) < before
         late = txm.begin(isolation="si")
         assert late.read_attr(rids[0], "x") == 30
         late.commit()
@@ -302,7 +306,7 @@ class TestCrashRestart:
         txm.log.flush()  # the loser's update record is durable, it is not
         crash_database(db, txm)
         restart(db, txm)
-        assert txm.mvcc.version_count == 0
+        assert chain_versions(txm) == 0
         assert txm.commit_ts == high_water
         assert txm.oldest_snapshot_ts is None
         # The loser's in-flight update was undone; committed state holds.
@@ -312,25 +316,6 @@ class TestCrashRestart:
         txn.update_scalar(rids[0], "x", 33)
         txn.commit()
         assert txn.commit_ts == high_water + 1
-
-    def test_version_manager_catalog_survives_crash(self):
-        # Regression: VersionManager._chains was a volatile dict that
-        # vanished across crash()/restart(); the catalog is persistent
-        # now and reloads lazily after restart.
-        db, txm, rids = make_loaded(2)
-        txn = txm.begin()
-        txn.update_scalar(rids[0], "x", 5)
-        txn.commit()
-        versions = VersionManager(db)  # registers as db.version_manager
-        info = versions.snapshot(rids[0], label="before-crash")
-        assert info.version_no == 1
-        db.shutdown()  # the version + catalog records reach durable disk
-        crash_database(db, txm)
-        restart(db, txm)
-        versions = db.version_manager.versions(rids[0])
-        assert [v.version_no for v in versions] == [1]
-        assert versions[0].label == "before-crash"
-        assert db.version_manager.read_version(rids[0], 1)["x"] == 5
 
 
 # ------------------------------------------------------------------- service

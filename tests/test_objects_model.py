@@ -73,20 +73,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.cls("Patient").attribute("salary")
 
-    def test_inheritance_prepends_attributes(self):
-        schema = Schema()
-        schema.define("Person", [AttributeDef("name", AttrKind.STRING)])
-        child = schema.define(
-            "Employee", [AttributeDef("salary", AttrKind.INT32)], superclass="Person"
-        )
-        assert [a.name for a in child.all_attributes()] == ["name", "salary"]
-        assert child.is_subclass_of(schema.cls("Person"))
-        assert not schema.cls("Person").is_subclass_of(child)
-
-    def test_unknown_superclass(self):
-        with pytest.raises(SchemaError):
-            Schema().define("X", [], superclass="Ghost")
-
     def test_duplicate_attribute_rejected(self):
         with pytest.raises(SchemaError):
             Schema().define(
@@ -110,14 +96,13 @@ class TestObjectHeader:
         header = ObjectHeader.for_new_object(3, in_indexed_collection=False)
         assert header.slot_count == 0
         assert header.size == 5
-        assert not header.is_indexed
-        assert header.is_persistent
+        assert header.flags == FLAG_PERSISTENT
 
     def test_new_indexed_header_reserves_a_block(self):
         header = ObjectHeader.for_new_object(3, in_indexed_collection=True)
         assert header.slot_count == INDEX_SLOT_BLOCK
         assert header.size == 5 + 2 * INDEX_SLOT_BLOCK
-        assert header.is_indexed
+        assert header.flags == FLAG_PERSISTENT | FLAG_INDEXED
 
     def test_encode_decode_roundtrip(self):
         header = ObjectHeader.for_new_object(7, True)
@@ -154,24 +139,17 @@ class TestObjectHeader:
         with pytest.raises(IndexSlotOverflowError):
             header.add_index(5, allow_extend=False)
 
-    def test_remove_index_keeps_slots(self):
-        header = ObjectHeader.for_new_object(1, True)
-        header.add_index(5)
-        header.remove_index(5)
-        assert header.index_ids == []
-        assert header.slot_count == INDEX_SLOT_BLOCK
-        assert not header.is_indexed
-
     def test_peek_helpers(self):
         header = ObjectHeader.for_new_object(9, True)
         encoded = header.encode() + b"payload"
         assert ObjectHeader.peek_class_id(encoded) == 9
         assert ObjectHeader.peek_size(encoded) == header.size
+        assert encoded[4] == 0  # reserved: always written 0
 
     def test_flags_encoding(self):
         header = ObjectHeader(2, FLAG_PERSISTENT | FLAG_INDEXED, 8)
         decoded = ObjectHeader.decode(header.encode())
-        assert decoded.is_persistent and decoded.is_indexed
+        assert decoded.flags == FLAG_PERSISTENT | FLAG_INDEXED
 
 
 # ------------------------------------------------------------- codec
@@ -391,7 +369,7 @@ class TestCompiledReaders:
     def test_there_is_a_reader_per_attribute_in_storage_order(self):
         codec, __ = self.record(0)
         assert {kind for kind in AttrKind} == {
-            attr.kind for attr in codec.class_def.all_attributes()
+            attr.kind for attr in codec.class_def.attributes
         }
         assert list(codec.readers) == list(EVERYTHING)
 
@@ -454,29 +432,20 @@ class TestCompiledReaders:
 
 
 class TestClassDefLookup:
-    def test_attribute_lookup_covers_inherited_names(self):
-        schema = Schema()
-        schema.define("Person", [AttributeDef("name", AttrKind.STRING)])
-        doctor = schema.define(
-            "Doctor", [AttributeDef("upin", AttrKind.INT32)], superclass="Person"
+    def test_attribute_lookup(self):
+        doctor = Schema().define(
+            "Doctor",
+            [AttributeDef("name", AttrKind.STRING), AttributeDef("upin", AttrKind.INT32)],
         )
-        assert doctor.has_attribute("name") and doctor.has_attribute("upin")
         assert doctor.attribute("name").kind is AttrKind.STRING
-        assert not doctor.has_attribute("age")
+        assert doctor.attribute("upin").kind is AttrKind.INT32
         with pytest.raises(SchemaError, match="'Doctor' has no attribute 'age'"):
             doctor.attribute("age")
 
-    def test_each_version_answers_for_itself(self):
-        schema = patient_schema()
-        v0 = schema.cls("Patient")
-        v1 = schema.evolve("Patient", [AttributeDef("num", AttrKind.INT32)])
-        assert not v0.has_attribute("num")
-        assert v1.attribute("num").kind is AttrKind.INT32
 
-
-class TestGetAttrAcrossVersions:
-    """``get_attr`` resolves a class version's attributes once; what it
-    remembers must never hide a later ``evolve``."""
+class TestGetAttr:
+    """``get_attr`` resolves a class's attributes once; a name the class
+    lacks raises the class's own ``SchemaError`` every time."""
 
     def make(self) -> tuple[Database, Rid]:
         schema = Schema()
@@ -491,65 +460,27 @@ class TestGetAttrAcrossVersions:
         db.create_file("patients")
         return db, db.create_object("Patient", {"name": "a", "mrn": 1}, "patients")
 
-    AGE = [AttributeDef("age", AttrKind.INT32, default=-1)]
-
-    def test_attribute_added_before_the_first_read(self):
+    def test_unknown_attribute_raises(self):
         db, rid = self.make()
-        db.schema.evolve("Patient", self.AGE)
-        assert db.manager.get_attr_at(rid, "age") == -1
-        assert db.manager.get_attr_at(rid, "mrn") == 1
-
-    def test_attribute_added_after_the_first_read(self):
-        db, rid = self.make()
-        assert db.manager.get_attr_at(rid, "mrn") == 1
-        db.schema.evolve("Patient", self.AGE)
-        assert db.manager.get_attr_at(rid, "age") == -1
-        assert db.manager.get_attr_at(rid, "mrn") == 1
+        with pytest.raises(SchemaError, match="'Patient' has no attribute 'nope'"):
+            db.manager.get_attr_at(rid, "nope")
 
     def test_a_miss_is_not_remembered(self):
         db, rid = self.make()
         for __ in range(2):
             with pytest.raises(SchemaError, match="no attribute 'age'"):
                 db.manager.get_attr_at(rid, "age")
-        db.schema.evolve("Patient", self.AGE)
-        assert db.manager.get_attr_at(rid, "age") == -1
-        db.schema.evolve(
-            "Patient", [AttributeDef("ward", AttrKind.STRING, default="none")]
-        )
-        assert db.manager.get_attr_at(rid, "ward") == "none"
+            assert db.manager.get_attr_at(rid, "mrn") == 1
+        (table,) = db.manager._attr_tables.values()
+        assert sorted(table) == ["mrn", "name"]
 
-    def test_upgraded_record_reads_the_stored_value(self):
-        db, rid = self.make()
-        assert db.manager.get_attr_at(rid, "mrn") == 1
-        db.schema.evolve("Patient", self.AGE)
-        assert db.manager.get_attr_at(rid, "age") == -1
-        rid = db.manager.upgrade_record(rid)
-        db.manager.update_scalar(rid, "age", 44)
-        assert db.manager.get_attr_at(rid, "age") == 44
-        assert db.manager.get_attr_at(rid, "name") == "a"
-
-    def test_live_handle_follows_an_upgrade(self):
-        db, rid = self.make()
-        db.schema.evolve("Patient", self.AGE)
-        with db.manager.borrow(rid) as handle:
-            assert db.manager.get_attr(handle, "age") == -1
-            db.manager.upgrade_record(rid)
-            db.manager.update_scalar(rid, "age", 9)
-            assert handle.class_def.schema_version == 1
-            assert db.manager.get_attr(handle, "age") == 9
-
-    def test_a_default_read_still_charges_the_decode(self):
-        db, rid = self.make()
-        db.schema.evolve("Patient", self.AGE)
-        with db.manager.borrow(rid) as handle:
-            before = db.clock.elapsed_s
-            db.manager.get_attr(handle, "age")
-            assert db.clock.elapsed_s - before == pytest.approx(
-                db.params.attr_decode_us / 1e6
-            )
-
-    def test_unknown_attribute_still_raises(self):
-        db, rid = self.make()
-        db.schema.evolve("Patient", self.AGE)
-        with pytest.raises(SchemaError, match="'Patient' has no attribute 'nope'"):
-            db.manager.get_attr_at(rid, "nope")
+    def test_an_omitted_attribute_reads_its_declared_default(self):
+        schema = Schema()
+        schema.define("Patient", [
+            AttributeDef("mrn", AttrKind.INT32),
+            AttributeDef("city", AttrKind.STRING, default="Paris"),
+        ])
+        db = Database(schema)
+        db.create_file("patients")
+        rid = db.create_object("Patient", {"mrn": 2}, "patients")
+        assert db.manager.get_attr_at(rid, "city") == "Paris"

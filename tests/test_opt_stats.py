@@ -20,15 +20,57 @@ from repro.opt import (
     EquiDepthHistogram,
     StatsCollector,
     TableStats,
-    load_table_stats,
     save_table_stats,
-    selectivity_error_bound,
     summarize,
 )
+from repro.opt.collector import AttributeStats, ExtentStats, FanoutStats
 from repro.oql import Catalog
 from repro.oql.optimizer import SargablePredicate
 from repro.simtime import CostParams
 from repro.stats import StatsDatabase
+from repro.stats.schema import COLUMN_STAT_CLASS, EXTENT_STAT_CLASS, FANOUT_STAT_CLASS
+
+
+def selectivity_error_bound(buckets: int) -> float:
+    """Worst-case selectivity error of an equi-depth histogram: one
+    bucket's fraction on each boundary."""
+    return 2.0 / max(1, buckets)
+
+
+def load_table_stats(stats_db: StatsDatabase) -> TableStats:
+    """Rebuild a :class:`TableStats` from everything previously saved.
+
+    Stat objects are append-only (the underlying collections have no
+    delete), so a re-run ANALYZE leaves earlier rows behind; every key
+    — extent name, ``(collection, attr)`` column, fan-out association —
+    resolves last-wins, i.e. to the most recent save.
+    """
+    columns: dict[tuple[str, str], AttributeStats] = {}
+    for column in stats_db.objects(COLUMN_STAT_CLASS):
+        buckets = [stats_db.decode(rid) for rid in column["buckets"]]
+        columns[(column["collection"], column["attr"])] = AttributeStats(
+            attr=column["attr"],
+            min_value=column["min_value"],
+            max_value=column["max_value"],
+            histogram=EquiDepthHistogram(
+                lo=column["lo"],
+                uppers=tuple(bucket["upper"] for bucket in buckets),
+                counts=tuple(bucket["count"] for bucket in buckets),
+                n_distinct=column["n_distinct"],
+            ),
+        )
+    stats = TableStats()
+    for extent in stats_db.objects(EXTENT_STAT_CLASS):
+        name = extent["collection"]
+        attributes = (stat for (owner, __), stat in columns.items() if owner == name)
+        stats.extents[name] = ExtentStats(
+            **extent, attributes=tuple(sorted(attributes, key=lambda a: a.attr))
+        )
+    for fanout in stats_db.objects(FANOUT_STAT_CLASS):
+        stats.fanouts[(fanout["parent_collection"], fanout["set_attr"])] = (
+            FanoutStats(**fanout)
+        )
+    return stats
 
 
 @pytest.fixture(scope="module")

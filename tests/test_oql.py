@@ -23,11 +23,15 @@ from repro.oql import (
     TupleExpr,
     parse,
     parse_statement,
-    run_oql,
     tokenize,
 )
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
 from repro.simtime import CostParams
+
+
+def run_oql(catalog: Catalog, source: str) -> list[tuple]:
+    """One statement on a fresh engine: parse, plan, execute."""
+    return OQLEngine(catalog).execute(source)
 
 
 # ------------------------------------------------------------- lexer

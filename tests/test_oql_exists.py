@@ -8,9 +8,14 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.errors import OQLSyntaxError, PlanError
-from repro.oql import Catalog, OQLEngine, parse, run_oql
+from repro.oql import Catalog, OQLEngine, parse
 from repro.oql.ast_nodes import ExistsExpr, Path
 from repro.simtime import CostParams
+
+
+def run_oql(catalog: Catalog, source: str) -> list[tuple]:
+    """One statement on a fresh engine: parse, plan, execute."""
+    return OQLEngine(catalog).execute(source)
 
 
 @pytest.fixture(scope="module")

@@ -20,11 +20,23 @@ from repro.oql import (
     ExplainStmt,
     OQLEngine,
     Query,
+    Statement,
     parse_statement,
-    print_statement,
+    print_query,
 )
 from repro.service import QueryService
 from repro.simtime import CostParams
+
+
+def print_statement(stmt: Statement) -> str:
+    """Render any statement as parseable OQL text."""
+    if isinstance(stmt, ExplainStmt):
+        return "explain " + print_query(stmt.query)
+    if isinstance(stmt, AnalyzeStmt):
+        if stmt.collections:
+            return "analyze " + ", ".join(stmt.collections)
+        return "analyze"
+    return print_query(stmt)
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,14 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.errors import OQLSyntaxError, PlanError
-from repro.oql import Catalog, OQLEngine, parse, run_oql
+from repro.oql import Catalog, OQLEngine, parse
 from repro.oql.ast_nodes import AggregateExpr, OrderBy, Path
 from repro.simtime import CostParams
+
+
+def run_oql(catalog: Catalog, source: str) -> list[tuple]:
+    """One statement on a fresh engine: parse, plan, execute."""
+    return OQLEngine(catalog).execute(source)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +203,7 @@ class TestOrderBy:
             "select p.age from p in Patients where p.age >= 0 "
             "order by p.age",
         )
-        assert derby.db.clock.bucket_s(Bucket.SORT) > 0
+        assert derby.db.clock.buckets.get(Bucket.SORT, 0.0) > 0
 
     def test_order_by_rejected_on_tree_join(self, derby, catalog):
         k1 = derby.config.mrn_threshold(10)

@@ -391,9 +391,9 @@ class TestOperatorUnits:
         rows = [((30,), "c"), ((10,), "a"), ((20,), "b")]
         op = Sort(ctx, ListSource(ctx, rows), [("age", "desc")])
         op.open()
-        before = ctx.db.clock.bucket_s(Bucket.SORT)
+        before = ctx.db.clock.buckets.get(Bucket.SORT, 0.0)
         assert op.next_batch(10) == ["c", "b", "a"]
-        assert ctx.db.clock.bucket_s(Bucket.SORT) > before
+        assert ctx.db.clock.buckets.get(Bucket.SORT, 0.0) > before
         op.close()
         assert ctx.live_rows == 0
 

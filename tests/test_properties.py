@@ -26,9 +26,11 @@ from repro.objects.codec import (
 from repro.objects.database import CHUNK_RIDS, _decode_chunk, _encode_chunk
 from repro.objects.header import ObjectHeader
 from repro.simtime import Bucket, CostParams, MemoryModel, SimClock
-from repro.storage import DirectPager, DiskManager, Rid, StorageFile
+from repro.storage import DiskManager, Rid, StorageFile
 from repro.storage.rid import NIL_RID
 from repro.units import PAGE_SIZE
+
+from .direct_pager import DirectPager
 
 
 # ------------------------------------------------------------- buffer
@@ -305,19 +307,18 @@ def format_string_header(header: ObjectHeader) -> bytes:
     free = header.slot_count - len(header.index_ids)
     return struct.pack(
         f"<BHBB{header.slot_count}H", header.flags, header.class_id,
-        header.slot_count, header.schema_version,
-        *header.index_ids, *[0] * free,
+        header.slot_count, 0, *header.index_ids, *[0] * free,
     )
 
 
 def format_string_decode(record: bytes, offset: int = 0) -> tuple:
-    """``(flags, class_id, slot_count, index_ids, schema_version)`` as
+    """``(flags, class_id, slot_count, index_ids, reserved byte)`` as
     the per-call format-string decoder read them."""
-    flags, class_id, slot_count, version = struct.unpack_from(
+    flags, class_id, slot_count, reserved = struct.unpack_from(
         "<BHBB", record, offset
     )
     raw = struct.unpack_from(f"<{slot_count}H", record, offset + 5)
-    return flags, class_id, slot_count, [i for i in raw if i != 0], version
+    return flags, class_id, slot_count, [i for i in raw if i != 0], reserved
 
 
 def merge_and_coerce_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
@@ -338,32 +339,28 @@ def merge_and_coerce_encode(class_def, header: ObjectHeader, values: dict) -> by
 
 
 def _writer_schema() -> tuple[Schema, list]:
-    """A class with every kind, declared defaults, two sets, and an
-    evolved second version; returns the schema and both versions."""
+    """Two layouts: a class with every kind, declared defaults and two
+    sets, and ``Everything``, the same with three scalars appended;
+    returns the schema and both classes."""
     schema = Schema()
-    v0 = schema.define(
-        "Everything",
-        [
-            AttributeDef("name", AttrKind.STRING),
-            AttributeDef("tag", AttrKind.STRING, width=5, default="dflt"),
-            AttributeDef("mrn", AttrKind.INT32, default=7),
-            AttributeDef("score", AttrKind.REAL64),
-            AttributeDef("flag", AttrKind.BOOL, default=True),
-            AttributeDef("sex", AttrKind.CHAR, default="F"),
-            AttributeDef("boss", AttrKind.REF),
-            AttributeDef("friends", AttrKind.REF_SET),
-            AttributeDef("foes", AttrKind.REF_SET),
-        ],
-    )
-    v1 = schema.evolve(
-        "Everything",
-        [
-            AttributeDef("ward", AttrKind.STRING, width=8, default="none"),
-            AttributeDef("beds", AttrKind.INT32, default=2),
-            AttributeDef("peer", AttrKind.REF),
-        ],
-    )
-    return schema, [v0, v1]
+    base = [
+        AttributeDef("name", AttrKind.STRING),
+        AttributeDef("tag", AttrKind.STRING, width=5, default="dflt"),
+        AttributeDef("mrn", AttrKind.INT32, default=7),
+        AttributeDef("score", AttrKind.REAL64),
+        AttributeDef("flag", AttrKind.BOOL, default=True),
+        AttributeDef("sex", AttrKind.CHAR, default="F"),
+        AttributeDef("boss", AttrKind.REF),
+        AttributeDef("friends", AttrKind.REF_SET),
+        AttributeDef("foes", AttrKind.REF_SET),
+    ]
+    narrow = schema.define("Narrow", base)
+    wide = schema.define("Everything", base + [
+        AttributeDef("ward", AttrKind.STRING, width=8, default="none"),
+        AttributeDef("beds", AttrKind.INT32, default=2),
+        AttributeDef("peer", AttrKind.REF),
+    ])
+    return schema, [narrow, wide]
 
 
 _RIDS = st.builds(
@@ -442,15 +439,13 @@ class TestWriterProperties:
     kept above as references -- per attribute, then merge-and-coerce:
     byte for byte."""
 
-    @given(values=_LOOSE_VALUES, version=st.sampled_from([0, 1]), head=_HEADERS)
+    @given(values=_LOOSE_VALUES, layout=st.sampled_from([0, 1]), head=_HEADERS)
     @settings(max_examples=300, deadline=None)
-    def test_writer_equals_reference_encoder(self, values, version, head):
-        __, versions = _writer_schema()
-        class_def = versions[version]
+    def test_writer_equals_reference_encoder(self, values, layout, head):
+        __, layouts = _writer_schema()
+        class_def = layouts[layout]
         slots, index_ids, flags = head
-        header = ObjectHeader(
-            class_def.class_id, flags, slots, index_ids, class_def.schema_version
-        )
+        header = ObjectHeader(class_def.class_id, flags, slots, index_ids)
         assert RecordCodec(class_def).encode(header, values) == reference_encode(
             class_def, header, values
         ) == merge_and_coerce_encode(class_def, header, values)
@@ -465,10 +460,7 @@ class TestWriterProperties:
     def test_update_scalar_equals_re_encoding(self, values, name, slots, data):
         __, (___, class_def) = _writer_schema()
         new_value = data.draw(_SCALARS[name])
-        header = ObjectHeader(
-            class_def.class_id, slot_count=slots,
-            schema_version=class_def.schema_version,
-        )
+        header = ObjectHeader(class_def.class_id, slot_count=slots)
         codec = RecordCodec(class_def)
         updated = codec.update_scalar(codec.encode(header, values), name, new_value)
         assert updated == reference_encode(
@@ -498,8 +490,7 @@ class TestWriterProperties:
         db = Database(schema)
         sfile = db.create_file("f")
         header = ObjectHeader.for_new_object(
-            class_def.class_id, indexed or bool(index_ids),
-            schema_version=class_def.schema_version,
+            class_def.class_id, indexed or bool(index_ids)
         )
         for index_id in index_ids:
             header.add_index(index_id)
@@ -541,23 +532,23 @@ class TestHeaderProperties:
 
     @given(
         slot_count=st.integers(0, 255), ids=_SLOT_IDS, flags=st.integers(0, 0xFF),
-        class_id=st.integers(0, 0xFFFF), version=st.integers(0, 0xFF),
-        lead=st.binary(max_size=7),
+        class_id=st.integers(0, 0xFFFF), lead=st.binary(max_size=7),
     )
     @settings(max_examples=300, deadline=None)
     def test_header_matches_the_format_string_reference(
-        self, slot_count, ids, flags, class_id, version, lead
+        self, slot_count, ids, flags, class_id, lead
     ):
-        header = ObjectHeader(class_id, flags, slot_count, ids[:slot_count], version)
+        """... and byte 4, reserved, is always written 0."""
+        header = ObjectHeader(class_id, flags, slot_count, ids[:slot_count])
         encoded = header.encode()
         assert encoded == format_string_header(header)
         assert len(encoded) == header.size
         decoded = ObjectHeader.decode(lead + encoded + b"tail", len(lead))
         assert (
             decoded.flags, decoded.class_id, decoded.slot_count,
-            decoded.index_ids, decoded.schema_version,
+            decoded.index_ids, 0,
         ) == format_string_decode(lead + encoded, len(lead)) == (
-            flags, class_id, slot_count, ids[:slot_count], version,
+            flags, class_id, slot_count, ids[:slot_count], 0,
         )
         assert decoded.encode() == encoded
 
@@ -565,7 +556,7 @@ class TestHeaderProperties:
         for slot_count in range(256):
             for used in {0, slot_count // 2, slot_count}:
                 ids = list(range(1, used + 1))
-                header = ObjectHeader(9, 3, slot_count, ids, 4)
+                header = ObjectHeader(9, 3, slot_count, ids)
                 encoded = header.encode()
                 assert encoded == format_string_header(header)
                 assert format_string_decode(encoded)[3] == ids
@@ -736,7 +727,7 @@ class TestClockProperties:
         result = sort_charged(list(items), clock, CostParams())
         assert result == sorted(items)
         if len(items) > 1:
-            assert clock.bucket_s(Bucket.SORT) > 0
+            assert clock.buckets.get(Bucket.SORT, 0.0) > 0
 
 
 # ------------------------------------------------------------- lrand48

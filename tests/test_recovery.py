@@ -66,7 +66,7 @@ class TestPageImage:
         page.insert(b"beta")
         page.page_lsn = 7
         image = page.capture()
-        page.update(0, b"ALPHA")
+        page.replace(0, page.read(0), b"ALPHA")
         page.delete(1)
         page.restore(image)
         assert page.read(0) == b"alpha"
@@ -92,10 +92,10 @@ class TestPageImage:
         page.insert(b"mine-old")
         page.insert(b"theirs-old")
         before = page.capture()
-        page.update(0, b"mine-new!")
+        page.replace(0, page.read(0), b"mine-new!")
         after = page.capture()
         # Another transaction commits to slot 1 afterwards.
-        page.update(1, b"theirs-new")
+        page.replace(1, page.read(1), b"theirs-new")
         page.apply_undo(before, after)
         assert page.read(0) == b"mine-old"
         assert page.read(1) == b"theirs-new"
@@ -409,8 +409,6 @@ class TestServiceRecovery:
             service.crash()
         with pytest.raises(ServiceError):
             service.recover()
-        with pytest.raises(ServiceError):
-            service.checkpoint()
 
     def test_crash_and_recover_roundtrip(self):
         derby, service = self.make_service()

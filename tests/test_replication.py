@@ -141,16 +141,16 @@ def test_replica_must_match_primary_log_position():
 def test_detector_walks_alive_suspect_dead():
     cluster = make_replicated()
     det = cluster.detector
-    assert det.state_of(0) == "alive"
+    assert det.health[0].state == "alive"
     cluster.kill_primary(0)
-    assert det.state_of(0) == "alive"  # silence not yet observed
+    assert det.health[0].state == "alive"  # silence not yet observed
     _advance(cluster, det.lease_s + det.heartbeat_interval_s)
     assert det.pump() == []
-    assert det.state_of(0) == "suspect"
-    assert det.state_of(1) == "alive"  # the healthy shard keeps beating
+    assert det.health[0].state == "suspect"
+    assert det.health[1].state == "alive"  # the healthy shard keeps beating
     _advance(cluster, det.grace_s + det.heartbeat_interval_s)
     assert det.pump() == [0]
-    assert det.state_of(0) == "dead"
+    assert det.health[0].state == "dead"
     assert det.pump() == []  # dead is declared exactly once
 
 
@@ -231,7 +231,7 @@ def test_zombie_primary_is_fenced_by_epoch():
     assert cluster.route.epoch_of(0) == 1
     # The partitioned old primary heals and tries to serve — its stale
     # epoch makes every coordinator call refuse it.
-    cluster.rejoin(old)
+    old.down = False  # the partition heals; nothing is rewired
     assert old.role == "primary" and old.epoch == 0
     with pytest.raises(StaleEpochError):
         cluster.call(old, lambda: _age(old, rid))

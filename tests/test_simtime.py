@@ -70,8 +70,8 @@ class TestViews:
 
     def test_bucket_s_of_an_uncharged_bucket_is_zero(self):
         clock = charged([(Bucket.IO, A)])
-        assert clock.bucket_s(Bucket.IO) == A
-        assert clock.bucket_s(Bucket.LOG) == 0.0
+        assert clock.buckets.get(Bucket.IO, 0.0) == A
+        assert clock.buckets.get(Bucket.LOG, 0.0) == 0.0
 
     def test_snapshot_is_a_copy(self):
         clock = charged([(Bucket.IO, A)])

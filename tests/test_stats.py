@@ -44,7 +44,7 @@ class TestSchema:
             "CCPagefaults", "ElapsedTime", "RPCsnumber", "RPCstotalsize",
             "D2SCreadpages", "SC2CCreadpages", "CCMissrate", "SCMissrate",
         ):
-            assert stat.has_attribute(attr)
+            assert stat.attribute(attr).name == attr
 
 
 class TestMeterSnapshot:

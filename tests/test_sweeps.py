@@ -3,22 +3,68 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Sequence
 
 import pytest
 
 from repro.bench import ExperimentRunner
-from repro.bench.sweeps import (
-    cache_size_sweep,
-    find_crossover,
-    memory_pressure_sweep,
-    selection_method_sweep,
-    selectivity_sweep,
-)
+from repro.bench.sweeps import SweepPoint, find_crossover, memory_pressure_sweep
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 from repro.errors import BenchError
 from repro.simtime import CostParams
+
+
+def selectivity_sweep(
+    runner: ExperimentRunner,
+    algorithms: Sequence[str],
+    selectivities: Sequence[int],
+) -> list[SweepPoint]:
+    """Elapsed time vs patient selectivity at 10% of the providers, one
+    curve per algorithm."""
+    points = []
+    for algo in algorithms:
+        for sel in selectivities:
+            m = runner.run_join(algo, sel, 10)
+            points.append(
+                SweepPoint(sel, m.elapsed_s, m.meters.disk_reads, algo)
+            )
+    return points
+
+
+def selection_method_sweep(
+    runner: ExperimentRunner,
+    methods: Sequence[str],
+    selectivities: Sequence[float],
+) -> list[SweepPoint]:
+    """Elapsed time vs selectivity for the Section 4 selection methods."""
+    points = []
+    for method in methods:
+        for sel in selectivities:
+            m = runner.run_selection(method, sel)
+            points.append(SweepPoint(sel, m.elapsed_s, m.page_reads, method))
+    return points
+
+
+def cache_size_sweep(
+    make_runner,
+    client_cache_fractions: Sequence[float],
+) -> list[SweepPoint]:
+    """Elapsed time of NOJOIN at 90/10 vs client-cache size.
+
+    ``make_runner(cache_fraction)`` must build (or rebuild) a runner
+    whose memory model scales the client cache by the given fraction of
+    its default — database layouts must be identical across points.
+    """
+    points = []
+    for fraction in client_cache_fractions:
+        runner = make_runner(fraction)
+        m = runner.run_join("NOJOIN", 90, 10)
+        points.append(
+            SweepPoint(fraction, m.elapsed_s, m.meters.disk_reads, "NOJOIN")
+        )
+    return points
 
 
 @pytest.fixture(scope="module")

@@ -33,17 +33,17 @@ class TestWriteAheadLog:
     def test_append_charges_cpu(self):
         clock, log = self.make()
         log.append(1, "create", 64)
-        assert clock.bucket_s(Bucket.LOG) > 0
+        assert clock.buckets.get(Bucket.LOG, 0.0) > 0
         assert log.pending_bytes == 64
 
     def test_flush_charges_page_writes(self):
         clock, log = self.make()
         for __ in range(100):
             log.append(1, "create", 64)
-        before = clock.bucket_s(Bucket.LOG)
+        before = clock.buckets.get(Bucket.LOG, 0.0)
         pages = log.flush()
         assert pages == 2  # 6400 bytes -> 2 pages
-        assert clock.bucket_s(Bucket.LOG) - before == pytest.approx(
+        assert clock.buckets.get(Bucket.LOG, 0.0) - before == pytest.approx(
             2 * CostParams().page_write_ms / 1000
         )
         assert log.pending_bytes == 0
