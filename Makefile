@@ -131,9 +131,6 @@ profile:
 shell:
 	$(PYTHON) -m repro shell
 
-serve:
-	$(PYTHON) -m repro serve
-
 artifacts: ## the final run the reproduction ships with
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/wallclock 2>&1 | tee bench_output.txt

@@ -58,11 +58,11 @@ def test_cost_model_regression(join_measurements, save_table):
 
 
 def test_optimizer_choice_quality(derby_cache, join_measurements):
-    scores = {}
+    verdicts = {}
     for rel in ("1:1000", "1:3"):
         for org in ("class", "composition"):
             derby = derby_cache(rel, org)
-            scores[(rel, org)] = score_optimizer(
+            verdicts[(rel, org)] = score_optimizer(
                 derby, join_measurements(rel, org)
             )
 
@@ -70,8 +70,8 @@ def test_optimizer_choice_quality(derby_cache, join_measurements):
         "Optimizer validation: cost-based choice vs measured winner",
         ["Database", "Organization", "Cell", "Chosen", "Best", "Regret"],
     )
-    for (rel, org), score in sorted(scores.items()):
-        for v in score.verdicts:
+    for (rel, org), cells in sorted(verdicts.items()):
+        for v in cells:
             table.add(
                 rel, org, f"{v.sel_patients}/{v.sel_providers}",
                 v.chosen, v.best, v.regret,
@@ -81,7 +81,7 @@ def test_optimizer_choice_quality(derby_cache, join_measurements):
     # which validates plans semantically and gates on zero regressions.
     print("\n" + str(table))
 
-    all_verdicts = [v for s in scores.values() for v in s.verdicts]
+    all_verdicts = [v for cells in verdicts.values() for v in cells]
     wins = sum(1 for v in all_verdicts if v.chosen == v.best)
     mean_regret = sum(v.regret for v in all_verdicts) / len(all_verdicts)
     # The optimizer must avoid catastrophes everywhere and pick the true

@@ -15,6 +15,6 @@ runs; this package closes the loop on the simulator:
 """
 
 from repro.analysis.regression import CostFit, fit_cost_model
-from repro.analysis.validation import OptimizerScore, score_optimizer
+from repro.analysis.validation import score_optimizer
 
-__all__ = ["fit_cost_model", "CostFit", "score_optimizer", "OptimizerScore"]
+__all__ = ["fit_cost_model", "CostFit", "score_optimizer"]

@@ -32,26 +32,11 @@ class CellVerdict:
     measured_s: float       # what its choice actually took
 
 
-@dataclass(frozen=True)
-class OptimizerScore:
-    """Aggregate verdict across a grid."""
-
-    verdicts: list[CellVerdict]
-
-    @property
-    def mean_regret(self) -> float:
-        return sum(v.regret for v in self.verdicts) / len(self.verdicts)
-
-    @property
-    def wins(self) -> int:
-        """Cells where the optimizer picked the measured winner."""
-        return sum(1 for v in self.verdicts if v.chosen == v.best)
-
-
 def score_optimizer(
     derby: DerbyDatabase, measurements: list[JoinMeasurement]
-) -> OptimizerScore:
-    """Score the cost-based plan choice against measured grid results.
+) -> list[CellVerdict]:
+    """Score the cost-based plan choice against measured grid results:
+    one verdict per cell.
 
     ``measurements`` must cover every cell of ``SELECTIVITY_GRID`` for
     the paper's four algorithms (as produced by
@@ -75,4 +60,4 @@ def score_optimizer(
                 measured_s=times[chosen],
             )
         )
-    return OptimizerScore(verdicts)
+    return verdicts

@@ -67,6 +67,3 @@ class BufferCache:
     def clear(self) -> None:
         """Drop everything (server shutdown / cold restart)."""
         self._pages.clear()
-
-    def __len__(self) -> int:
-        return len(self._pages)

@@ -15,9 +15,6 @@ Commands
 ``shell``
     An interactive OQL shell over a freshly loaded Derby database:
     shows the optimizer's plan and the simulated meters for every query.
-``serve``
-    A multi-session shell over one shared server: open several client
-    sessions, take locks, and watch conflicts happen (fail-fast mode).
 ``mix``
     Run a deterministic multi-client workload mix (navigators +
     scanners + updaters) through the query service and print
@@ -214,104 +211,6 @@ def cmd_shell(args: argparse.Namespace) -> int:
               f"simulated s; {meters.disk_reads} page reads; "
               f"{meters.rpcs} RPCs; client miss "
               f"{meters.client_miss_rate:.0%}\n")
-
-
-# ------------------------------------------------------------------ serve
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Multi-session shell: several clients against one shared server."""
-    from repro.service import QueryService
-
-    derby = _load(args, sys.stdout)
-    service = QueryService(derby, optimizer=args.optimizer)
-    current = service.open_session("main")
-    print("Multi-session shell — one server cache, one lock table, a")
-    print("private client cache per session.  Commands:")
-    print(r"  \open NAME | \use NAME | \sessions")
-    print(r"  \begin | \commit | \abort")
-    print(r"  \lock r|w patients|providers INDEX")
-    print(r"  any other line runs as OQL in the current session")
-    print(r"  \quit to exit" + "\n")
-    by_name = {current.name: current}
-    while True:
-        try:
-            line = input(f"{current.name}> ").strip()
-        except (EOFError, KeyboardInterrupt):
-            print()
-            return 0
-        if not line:
-            continue
-        words = line.split()
-        try:
-            if words[0] in (r"\quit", "quit", "exit"):
-                return 0
-            if words[0] == r"\open":
-                session = service.open_session(words[1])
-                by_name[session.name] = session
-                current = session
-                continue
-            if words[0] == r"\use":
-                current = by_name[words[1]]
-                continue
-            if words[0] == r"\sessions":
-                for name, session in by_name.items():
-                    m = session.metrics
-                    txn = session.txn
-                    state = txn.state if txn is not None else "none"
-                    print(f"  {name:10s} txn={state:9s} "
-                          f"queries={m.queries} updates={m.updates} "
-                          f"committed={m.committed} aborted={m.aborted} "
-                          f"busy={m.busy_s:.3f}s")
-                continue
-            if words[0] == r"\begin":
-                with service.immediate(current):
-                    # simlint: ok[PROTO] interactive txn spans shell commands; \commit / \abort complete it
-                    current.begin()
-                continue
-            if words[0] == r"\commit":
-                with service.immediate(current):
-                    current.commit()
-                continue
-            if words[0] == r"\abort":
-                with service.immediate(current):
-                    current.abort()
-                continue
-            if words[0] == r"\lock":
-                mode, coll, idx = words[1], words[2], int(words[3])
-                if mode not in ("r", "w"):
-                    print(f"error: lock mode must be r or w, not {mode!r}")
-                    continue
-                rids = (derby.patient_rids if coll.startswith("pat")
-                        else derby.provider_rids)
-                if not 0 <= idx < len(rids):
-                    print(f"error: {coll} index must be in "
-                          f"0..{len(rids) - 1}, not {idx}")
-                    continue
-                with service.immediate(current):
-                    if current.txn is None or current.txn.state != "active":
-                        # simlint: ok[PROTO] auto-begin for \lock; the shell's \commit / \abort complete it
-                        current.begin()
-                    if mode == "w":
-                        current.write_lock(rids[idx])
-                    else:
-                        current.read_lock(rids[idx])
-                print(f"  {mode}-lock on {coll}[{idx}] granted")
-                continue
-            # -- OQL ----------------------------------------------------
-            before_s = derby.db.clock.elapsed_s
-            before_m = derby.db.counters.snapshot()
-            with service.immediate(current):
-                rows = current.execute(line)
-            spent_s = derby.db.clock.elapsed_s - before_s
-            delta = derby.db.counters.snapshot() - before_m
-            for row in rows[:10]:
-                print(f"   {row}")
-            if len(rows) > 10:
-                print(f"   ... {len(rows) - 10} more rows")
-            print(f"-- {len(rows)} row(s); {spent_s:.3f} simulated s; "
-                  f"{delta.disk_reads} page reads; {delta.rpcs} RPCs\n")
-        except (ReproError, KeyError, IndexError, ValueError) as exc:
-            print(f"error: {exc}")
 
 
 # ------------------------------------------------------------------ mix
@@ -604,13 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_db_options(shell)
     _add_optimizer_option(shell)
     shell.set_defaults(func=cmd_shell)
-
-    serve = sub.add_parser(
-        "serve", help="multi-session shell over one shared server"
-    )
-    _add_db_options(serve)
-    _add_optimizer_option(serve)
-    serve.set_defaults(func=cmd_serve)
 
     mix = sub.add_parser(
         "mix", help="run a deterministic multi-client workload mix"

@@ -69,10 +69,9 @@ class DistPlan:
     shard_texts: tuple[str, ...]
     merge: str                          # "rows" | "aggregate"
     agg_func: str | None = None
-    #: Columns of the original select (before appended sort keys).
+    #: Columns of the original select (before appended sort keys).  With
+    #: one, the rows are bare values, not tuples, as on a single node.
     n_select: int = 1
-    #: The original select was a bare scalar (rows are values, not tuples).
-    scalar_select: bool = False
     #: Sort-key columns appended to the shard select by the rewrite.
     appended: int = 0
     #: Central sort spec: (column index, descending) per order-by term.
@@ -102,7 +101,7 @@ class Coordinator:
         return self._plan_rows(query)
 
     def _plan_rows(self, query: Query) -> DistPlan:
-        select_paths, scalar = _select_paths(query)
+        select_paths = _select_paths(query)
         n_select = len(select_paths)
         sort_cols: list[tuple[int, bool]] = []
         appended = 0
@@ -126,11 +125,7 @@ class Coordinator:
                 appended += 1
                 fields.append((f"ob{col}", term.key))
             sort_cols.append((col, term.descending))
-        if appended or (not scalar and len(fields) != n_select):
-            shard_select: Expr = TupleExpr(tuple(fields))
-        else:
-            shard_select = query.select
-        scalar_rows = scalar and appended == 0
+        shard_select: Expr = TupleExpr(tuple(fields)) if appended else query.select
         # Shards only sort when their top-k prunes the wire; otherwise
         # their order is wasted work (the coordinator re-sorts anyway).
         keep_shard_order = bool(query.order_by) and query.limit is not None
@@ -147,7 +142,6 @@ class Coordinator:
             shard_texts=(print_query(shard_query),),
             merge="rows",
             n_select=n_select,
-            scalar_select=scalar,
             appended=appended,
             sort_cols=tuple(sort_cols),
             distinct=query.distinct,
@@ -199,23 +193,6 @@ class Coordinator:
             return self._merge_aggregate(plan)
         rows = self._open_exchange(plan, on_batch, batch_size).drain()
         return self._finish_rows(plan, rows)
-
-    def execute_iter(
-        self,
-        source: str | Query,
-        on_batch=None,
-        batch_size: int | None = None,
-    ) -> Cursor:
-        """A streaming cursor over the raw (pre-merge) exchange — only
-        for plain row queries with no central work to do."""
-        plan = self.plan(source)
-        if plan.merge != "rows" or plan.sort_cols or plan.distinct:
-            raise DistPlanError(
-                "execute_iter streams only plain row queries; use "
-                "execute() for aggregates, distinct or order by"
-            )
-        self.last_plan = plan
-        return self._open_exchange(plan, on_batch, batch_size)
 
     # -- helpers --------------------------------------------------------
 
@@ -294,7 +271,7 @@ class Coordinator:
                     deduped.append(row)
             rows = deduped
         if plan.sort_cols:
-            scalar_rows = plan.scalar_select and plan.appended == 0
+            scalar_rows = plan.n_select == 1 and plan.appended == 0
             n = len(rows)
             # Stable multi-pass sort, minor key first, one charged
             # n·log2(n) pass per key (matching the single-node price).
@@ -309,7 +286,7 @@ class Coordinator:
                 else:
                     rows.sort(key=lambda r, c=col: r[c], reverse=descending)
         if plan.appended:
-            if plan.scalar_select:
+            if plan.n_select == 1:
                 rows = [row[0] for row in rows]
             else:
                 rows = [row[: plan.n_select] for row in rows]
@@ -321,9 +298,10 @@ class Coordinator:
 # -- query-shape helpers ------------------------------------------------
 
 
-def _select_paths(query: Query) -> tuple[list[Path], bool]:
-    """The select clause as a list of paths, plus whether the original
-    rows are scalars (a bare path select) rather than tuples."""
+def _select_paths(query: Query) -> list[Path]:
+    """The select clause as a list of paths.  One path means scalar rows,
+    whether it is bare or a one-field tuple: the single-node engine
+    projects a lone attribute as its value."""
     select = query.select
     if isinstance(select, TupleExpr):
         paths = []
@@ -333,9 +311,9 @@ def _select_paths(query: Query) -> tuple[list[Path], bool]:
                     f"distributed select tuples must hold paths, got {value!r}"
                 )
             paths.append(value)
-        return paths, False
+        return paths
     if isinstance(select, Path):
-        return [select], True
+        return [select]
     raise DistPlanError(
         f"cannot distribute select expression {select!r}"
     )

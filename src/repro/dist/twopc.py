@@ -267,17 +267,6 @@ class DistTransaction:
         self.cluster.lock_table.unregister(self.global_id)
         self.cluster._on_dist_finished(self)
 
-    def __enter__(self) -> "DistTransaction":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.state != "active":
-            return
-        if exc_type is None:
-            self.commit()
-        else:
-            self.abort()
-
     def _require_active(self) -> None:
         if self.state != "active":
             raise TwoPCError(

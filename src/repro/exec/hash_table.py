@@ -86,7 +86,6 @@ class QueryHashTable:
             params.memory.query_memory_bytes if budget_bytes is None else budget_bytes
         )
         self._table: dict[object, list[object]] = {}
-        self._entries = 0
         #: ``table_bytes``, kept current by :meth:`insert`.
         self._bytes = fixed_bytes
         self._swap_accum = 0.0
@@ -98,10 +97,6 @@ class QueryHashTable:
         """Fixed part + per-entry payload + one bucket header per
         *distinct* key (buckets materialize lazily)."""
         return self._bytes
-
-    @property
-    def entries(self) -> int:
-        return self._entries
 
     def _charge_touch(self, base_us: float) -> None:
         """One insert or probe: its CPU price, plus the expected fault on
@@ -124,7 +119,6 @@ class QueryHashTable:
     # -- operations -----------------------------------------------------
 
     def insert(self, key: object, payload: object) -> None:
-        self._entries += 1
         self._bytes += self.entry_bytes
         self._charge_touch(self.params.hash_insert_us)
         bucket = self._table.get(key)
@@ -144,9 +138,3 @@ class QueryHashTable:
         """Every payload under ``key`` (CHJ groups children per parent)."""
         self._charge_touch(self.params.hash_probe_us)
         return self._table.get(key, ())
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._table
-
-    def __len__(self) -> int:
-        return len(self._table)

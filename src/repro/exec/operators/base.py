@@ -101,10 +101,6 @@ class PipelineContext:
         """``n`` previously counted rows were consumed or dropped."""
         self._live_rows -= n
 
-    @property
-    def live_rows(self) -> int:
-        return self._live_rows
-
     # -- charging -------------------------------------------------------
 
     def result_s(self, transactional: bool = True) -> float:
@@ -240,11 +236,6 @@ class Operator:
 
     # -- introspection --------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Height of this operator tree (1 for a leaf)."""
-        return 1 + max((c.depth for c in self.children()), default=0)
-
     def explain(self) -> list[str]:
         """This tree as text: each node's label, children indented two
         spaces under their parent."""
@@ -257,8 +248,8 @@ class Operator:
 class Cursor:
     """Consumer facade over a root operator.
 
-    Iterate it for rows, or call :meth:`batches` for batch-at-a-time
-    consumption (the service layer yields the scheduler baton between
+    :meth:`drain` pulls every row; :meth:`batches` yields them a batch
+    at a time (the service layer yields the scheduler baton between
     batches).  Closing is automatic — at exhaustion, on abandonment of
     the generator, or via the context manager — and idempotent.
     """
@@ -297,10 +288,6 @@ class Cursor:
                 yield batch
         finally:
             self.close()
-
-    def __iter__(self):
-        for batch in self.batches():
-            yield from batch
 
     def drain(self) -> list:
         """Pull everything; returns the full row list.  Runs inside

@@ -220,21 +220,6 @@ class BTreeIndex:
         else:
             self._split_leaf(leaf_no, entries)
 
-    def remove(self, key: object, rid: Rid) -> bool:
-        """Remove one (key, rid) entry; returns whether it existed."""
-        if not self._leaf_rids:
-            return False
-        leaf_no = self._placement_leaf(key, rid)
-        entries = self._read_leaf(leaf_no)
-        try:
-            entries.remove((key, rid))
-        except ValueError:
-            return False
-        self.entry_count -= 1
-        self._write_leaf(leaf_no, entries)
-        self._leaf_counts[leaf_no] = len(entries)
-        return True
-
     # -- statistics for the optimizer ----------------------------------
 
     @property

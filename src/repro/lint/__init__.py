@@ -39,13 +39,10 @@ This package deliberately imports nothing from the rest of ``repro``
 """
 
 from repro.lint.findings import Finding
-from repro.lint.report import render_json, render_text
 from repro.lint.runner import LintResult, lint_paths
 
 __all__ = [
     "Finding",
     "LintResult",
     "lint_paths",
-    "render_json",
-    "render_text",
 ]

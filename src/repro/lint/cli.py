@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.lint.report import render_json, render_text
 from repro.lint.runner import lint_paths
 
 EXIT_CLEAN = 0
@@ -22,12 +21,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         help="files or directories to lint (default: the repro package)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
     )
     parser.add_argument(
         "--rules",
@@ -91,12 +84,13 @@ def run_lint(args: argparse.Namespace) -> int:
         print(f"  {'total':10s} {total * 1000.0:8.1f} ms", file=sys.stderr)
 
     findings = result.findings
-    render = render_json if args.format == "json" else render_text
-    print(render(findings, result.files_checked), end="")
-    if args.format == "text":
-        print()
-        if args.show_suppressed and result.suppressed_findings:
-            print(f"-- {result.suppressed} suppressed --")
-            for finding in result.suppressed_findings:
-                print(f"{finding.render()}  [suppressed]")
+    for finding in findings:
+        print(finding.render())
+    files = result.files_checked
+    print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
+          f"in {files} file{'s' if files != 1 else ''}")
+    if args.show_suppressed and result.suppressed_findings:
+        print(f"-- {result.suppressed} suppressed --")
+        for finding in result.suppressed_findings:
+            print(f"{finding.render()}  [suppressed]")
     return EXIT_FINDINGS if findings else EXIT_CLEAN

@@ -13,7 +13,7 @@ from repro.lint.project import Project, build_project, iter_python_files
 
 @dataclass
 class LintResult:
-    """Everything a reporter or exit-code decision needs."""
+    """Everything the report and the exit code need."""
 
     findings: list[Finding]           # post-suppression, sorted
     files_checked: int

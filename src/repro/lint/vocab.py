@@ -129,7 +129,6 @@ ATOM_STATE_ATTRS = (
     "_active",
     # buffer / WAL
     "records",
-    "pending_bytes",
     "dirty_pages",
     "durable_lsn",
     # txn manager / governor

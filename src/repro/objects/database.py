@@ -77,10 +77,6 @@ class PersistentCollection:
         if len(self._pending) >= CHUNK_RIDS:
             self._flush_chunk()
 
-    def extend(self, rids: Iterable[Rid]) -> None:
-        for rid in rids:
-            self.append(rid)
-
     def flush(self) -> None:
         """Write any buffered tail chunk."""
         if self._pending:
@@ -189,12 +185,6 @@ class Database:
                 raise ObjectError(f"name {name!r} already bound")
             self._names[name] = collection
         return collection
-
-    def name(self, name: str) -> PersistentCollection:
-        try:
-            return self._names[name]
-        except KeyError:
-            raise ObjectError(f"no database name {name!r}") from None
 
     # -- objects -------------------------------------------------------------
 

@@ -28,16 +28,6 @@ from repro.units import US_PER_S
 
 _HANDLE = Bucket.HANDLE
 
-#: Bytes of a full O2 handle (paper, Section 4.4).
-FULL_HANDLE_BYTES = 60
-#: Bytes of the proposed compact literal handle.
-COMPACT_HANDLE_BYTES = 16
-#: Extra bytes a handle carries when its Section 4.4 *version pointer*
-#: is populated (an MVCC snapshot read resolved the rid to a version
-#: chain entry instead of the live record): the chain reference plus
-#: the version timestamp.
-VERSION_REF_BYTES = 8
-
 #: Fraction of the allocation cost charged when an existing handle is
 #: merely re-referenced (refcount bump, no allocation).
 _TOUCH_FRACTION = 0.1
@@ -92,12 +82,6 @@ class Handle:
 
     def __exit__(self, *exc_info: object) -> None:
         self.table.unreference(self)
-
-    @property
-    def memory_bytes(self) -> int:
-        if self.version is not None:
-            return FULL_HANDLE_BYTES + VERSION_REF_BYTES
-        return FULL_HANDLE_BYTES
 
     def __repr__(self) -> str:
         version = "" if self.version is None else f", v@{self.version}"
@@ -207,8 +191,7 @@ class HandleTable:
         With ``version`` (a commit timestamp), the handle represents
         that *version chain entry* instead of the live record: its
         ``version`` slot is populated (paper, Section 4.4 — the version
-        pointer), it costs :data:`VERSION_REF_BYTES` extra bytes, and it
-        is cached separately from live-record handles."""
+        pointer), and it is cached separately from live-record handles."""
         if version is not None:
             return self._get_versioned(rid, loader, version)
         handle = self.reference(rid)
@@ -310,11 +293,6 @@ class HandleTable:
     @property
     def live_count(self) -> int:
         return len(self._handles) - self._parked_count + len(self._versioned)
-
-    @property
-    def memory_bytes(self) -> int:
-        tables = (self._handles.values(), self._versioned.values())
-        return sum(h.memory_bytes for table in tables for h in table)
 
     # simlint: ok[CHARGE] restart discard models no O2 cost; reloads pay on next access
     def clear(self) -> None:

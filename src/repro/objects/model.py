@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import SchemaError
-from repro.storage.rid import Rid
 
 
 class AttrKind(enum.Enum):
@@ -32,15 +31,6 @@ class AttrKind(enum.Enum):
     REF = "ref"         # 8-byte rid
     REF_SET = "ref_set"  # set of rids: inline or overflow (variable size)
 
-
-#: Fixed on-disk byte width per scalar kind.
-_SCALAR_WIDTHS = {
-    AttrKind.INT32: 4,
-    AttrKind.REAL64: 8,
-    AttrKind.CHAR: 1,
-    AttrKind.BOOL: 1,
-    AttrKind.REF: Rid.DISK_SIZE,
-}
 
 #: Default fixed width of STRING attributes (paper, Section 2).
 DEFAULT_STRING_WIDTH = 16
@@ -63,13 +53,6 @@ class AttributeDef:
     def __post_init__(self) -> None:
         if self.kind is AttrKind.STRING and self.width < 1:
             raise SchemaError(f"string attribute {self.name!r} needs width >= 1")
-
-    @property
-    def fixed_size(self) -> int | None:
-        """On-disk byte size, or ``None`` for variable-size kinds."""
-        if self.kind is AttrKind.STRING:
-            return self.width
-        return _SCALAR_WIDTHS.get(self.kind)
 
     @property
     def is_variable(self) -> bool:
@@ -141,5 +124,3 @@ class Schema:
         except KeyError:
             raise SchemaError(f"unknown class id {class_id}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name

@@ -44,10 +44,6 @@ class AttributeStats:
     max_value: float
     histogram: EquiDepthHistogram
 
-    @property
-    def n_distinct(self) -> int:
-        return self.histogram.n_distinct
-
 
 @dataclass(frozen=True)
 class ExtentStats:
@@ -94,9 +90,6 @@ class TableStats:
 
     def fanout(self, parent: str, set_attr: str) -> FanoutStats | None:
         return self.fanouts.get((parent, set_attr))
-
-    def __bool__(self) -> bool:
-        return bool(self.extents or self.fanouts)
 
 
 class StatsCollector:

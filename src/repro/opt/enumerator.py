@@ -58,10 +58,6 @@ class CostBasedOptimizer(Optimizer):
 
     # -- statistics lifecycle --------------------------------------------
 
-    @property
-    def table_stats(self) -> TableStats:
-        return self.estimator.stats
-
     def install_stats(self, stats: TableStats) -> None:
         self.estimator.install(stats)
 

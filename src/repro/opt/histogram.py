@@ -43,10 +43,6 @@ class EquiDepthHistogram:
         """Sampled values represented by the histogram."""
         return sum(self.counts)
 
-    @property
-    def hi(self) -> float:
-        return self.uppers[-1] if self.uppers else self.lo
-
     # -- construction ---------------------------------------------------
 
     @classmethod

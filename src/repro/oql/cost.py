@@ -27,9 +27,6 @@ class PlanEstimate:
     description: str
     breakdown: dict[str, float] = field(default_factory=dict)
 
-    def __lt__(self, other: "PlanEstimate") -> bool:
-        return self.seconds < other.seconds
-
 
 @dataclass(frozen=True)
 class JoinStats:

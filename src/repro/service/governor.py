@@ -199,10 +199,6 @@ class AdmissionGate:
             self.scheduler.notify_admitted(head)
 
     @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    @property
     def queue_depth(self) -> int:
         return len(self._queue)
 

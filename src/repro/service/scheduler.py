@@ -130,10 +130,6 @@ class CooperativeScheduler:
         self._tasks.append(task)
         return task
 
-    @property
-    def tasks(self) -> list[Task]:
-        return list(self._tasks)
-
     # -- the main loop ------------------------------------------------------
 
     def run(self) -> list[Task]:
@@ -215,8 +211,8 @@ class CooperativeScheduler:
         with self._cv:
             me = self._current
             if me is None:
-                # Not inside a scheduled slice (e.g. the serve shell's
-                # immediate mode): nobody to wait for, so fail fast.
+                # Not inside a scheduled slice (immediate mode): nobody
+                # to wait for, so fail fast.
                 raise LockConflictError(
                     f"txn {txn_id}: lock on {rid} is held by another "
                     "session (immediate mode is fail-fast)"

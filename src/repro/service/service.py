@@ -417,11 +417,11 @@ class QueryService:
 
     @contextmanager
     def immediate(self, session: Session) -> Iterator[Session]:
-        """Run ``session`` operations *without* the scheduler (the
-        ``serve`` shell's mode): the session's client tier and handle
-        table are attached for the duration and its share of the clock
-        and counters is accrued on exit.  Lock conflicts are fail-fast
-        here — with no scheduler there is nobody to wait for."""
+        """Run ``session`` operations *without* the scheduler: the
+        session's client tier and handle table are attached for the
+        duration and its share of the clock and counters is accrued on
+        exit.  Lock conflicts are fail-fast here — with no scheduler
+        there is nobody to wait for."""
         self._accrue()
         self._activate(session)
         try:

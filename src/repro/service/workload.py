@@ -350,24 +350,8 @@ class MixReport:
         return sum(s.metrics.gave_up for s in self.sessions)
 
     @property
-    def cancelled(self) -> int:
-        return sum(s.metrics.cancelled for s in self.sessions)
-
-    @property
-    def over_budget(self) -> int:
-        return sum(s.metrics.over_budget for s in self.sessions)
-
-    @property
-    def io_failures(self) -> int:
-        return sum(s.metrics.io_failures for s in self.sessions)
-
-    @property
     def unavailable(self) -> int:
         return sum(s.metrics.unavailable for s in self.sessions)
-
-    @property
-    def queue_wait_s(self) -> float:
-        return sum(s.metrics.queue_wait_s for s in self.sessions)
 
     @property
     def throughput_ops_s(self) -> float:

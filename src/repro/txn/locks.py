@@ -287,19 +287,6 @@ class LockManager:
 
     # -- introspection ------------------------------------------------------
 
-    def held(self, rid: Rid) -> tuple[LockMode, set[int]] | None:
-        state = self._locks.get(rid)
-        if state is None or not state.granted:
-            return None
-        return state.mode, set(state.granted)
-
-    def waiters(self, rid: Rid) -> list[tuple[int, LockMode]]:
-        """The FIFO wait queue for one rid, as (txn, mode) pairs."""
-        state = self._locks.get(rid)
-        if state is None:
-            return []
-        return [(req.txn_id, req.mode) for req in state.queue]
-
     @property
     def lock_count(self) -> int:
         return sum(1 for s in self._locks.values() if s.granted)

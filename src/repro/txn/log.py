@@ -201,7 +201,7 @@ class WriteAheadLog:
 
         With no pending records this is free (no I/O is charged).  A
         full flush seals the tail to a page boundary, so the page count
-        is exactly ``pages_for_bytes(pending_bytes)`` as it always was.
+        is exactly ``pages_for_bytes(_unflushed_bytes)`` as it always was.
         ``max_pages`` (or a ``commit-flush`` crash injector) limits how
         many pages reach disk: the durable boundary then advances only
         past the records that fit entirely within those pages, and the
@@ -239,10 +239,6 @@ class WriteAheadLog:
         if self.ship_listener is not None and self.durable_lsn > before_durable:
             self.ship_listener(before_durable, self.durable_lsn)
         return pages
-
-    @property
-    def pending_bytes(self) -> int:
-        return self._unflushed_bytes
 
     # -- replication shipping -------------------------------------------
 

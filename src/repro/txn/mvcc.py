@@ -181,9 +181,6 @@ class VersionStore:
 
     # -- introspection / crash -----------------------------------------
 
-    def chain(self, rid: Rid) -> tuple[RecordVersion, ...]:
-        return tuple(self._chains.get(rid, ()))
-
     def clear(self) -> None:
         """Lose everything volatile (crash / restart): chains are
         rebuilt lazily from future writes, never from the old ones."""

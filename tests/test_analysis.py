@@ -111,19 +111,18 @@ class TestRegression:
 class TestOptimizerValidation:
     def test_score_structure(self, derby, grid_measurements):
         joins = [m for m in grid_measurements if hasattr(m, "algo")]
-        score = score_optimizer(derby, joins)
-        assert len(score.verdicts) == 4
-        assert score.wins >= 0
-        assert score.mean_regret >= 1.0
+        verdicts = score_optimizer(derby, joins)
+        assert len(verdicts) == 4
+        assert all(v.regret >= 1.0 for v in verdicts)
 
     def test_optimizer_is_never_catastrophic(self, derby, grid_measurements):
         """The whole point of a cost model: even when it misses the
         winner, the choice must not be NL-at-90/90-class bad."""
         joins = [m for m in grid_measurements if hasattr(m, "algo")]
-        score = score_optimizer(derby, joins)
-        assert max(v.regret for v in score.verdicts) < 2.5
+        verdicts = score_optimizer(derby, joins)
+        assert max(v.regret for v in verdicts) < 2.5
 
     def test_optimizer_mostly_right(self, derby, grid_measurements):
         joins = [m for m in grid_measurements if hasattr(m, "algo")]
-        score = score_optimizer(derby, joins)
-        assert score.mean_regret < 1.5
+        verdicts = score_optimizer(derby, joins)
+        assert sum(v.regret for v in verdicts) / len(verdicts) < 1.5

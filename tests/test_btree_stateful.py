@@ -18,6 +18,7 @@ from repro.index import BTreeIndex
 from repro.storage import DiskManager, Rid
 
 from .direct_pager import DirectPager
+from .test_index import remove_entry
 
 _KEYS = st.integers(min_value=-1000, max_value=1000)
 
@@ -48,10 +49,10 @@ class BTreeMachine(RuleBasedStateMachine):
     def remove_one(self, key):
         matches = [pair for pair in self.model if pair[0] == key]
         if matches:
-            assert self.index.remove(key, matches[0][1])
+            assert remove_entry(self.index, key, matches[0][1])
             self.model.remove(matches[0])
         else:
-            assert not self.index.remove(key, Rid(0, 999_999, 0))
+            assert not remove_entry(self.index, key, Rid(0, 999_999, 0))
 
     @rule(key=_KEYS)
     def lookup(self, key):

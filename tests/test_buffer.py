@@ -33,7 +33,7 @@ class TestBufferCache:
         cache = BufferCache(2)
         for no in range(5):
             cache.insert(page(no))
-        assert len(cache) == 2
+        assert len(cache._pages) == 2
 
     def test_eviction_is_lru(self):
         cache = BufferCache(2)
@@ -51,7 +51,7 @@ class TestBufferCache:
             cache.insert(page(no, dirty=True))
         assert cache.lookup((0, 7)) is None
         assert cache.lookup((1, 0)) is None
-        assert len(cache) == 3  # a miss admits nothing
+        assert len(cache._pages) == 3  # a miss admits nothing
         for no in range(3, 6):
             cache.insert(page(no))
         assert [p.page_no for p in evicted] == [0, 1, 2]
@@ -76,7 +76,7 @@ class TestBufferCache:
         p = page(0)
         cache.insert(p)
         cache.insert(p)
-        assert len(cache) == 1
+        assert len(cache._pages) == 1
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
@@ -104,10 +104,10 @@ class TestLRUPolicy:
         cache = BufferCache(1, on_evict_dirty=evicted.append)
         cache.insert(page(0, dirty=True))
         cache.drop((0, 0))
-        assert len(cache) == 0
+        assert len(cache._pages) == 0
         cache.drop((9, 9))  # absent: no error
         cache.insert(page(1))  # the dropped page holds no frame ...
-        assert len(cache) == 1
+        assert len(cache._pages) == 1
         assert evicted == []   # ... and is never written back
 
     def test_empty_cache_evicts_nothing(self):
@@ -118,7 +118,7 @@ class TestLRUPolicy:
         assert cache.lookup((0, 0)) is None
         assert cache.dirty_pages() == []
         cache.insert(page(0, dirty=True))
-        assert evicted == [] and len(cache) == 1
+        assert evicted == [] and len(cache._pages) == 1
 
 
 class ListLRU:
@@ -182,7 +182,7 @@ class TestLRUModel:
                     if pages[victim[1]].dirty
                 ]
                 cache.insert(pages[no])
-            assert len(cache) == len(model.keys)
+            assert len(cache._pages) == len(model.keys)
             assert all(key in cache._pages for key in model.keys)
             assert written == expect_written
         # Flush the cache with fresh pages: what is left leaves in the
@@ -309,7 +309,7 @@ class TestClientServerSystem:
         sfile.insert(b"dirty data")
         system.shutdown()
         assert disk.counters.disk_writes >= 1
-        assert len(system.client_cache) == 0
+        assert len(system.client_cache._pages) == 0
         # All pages clean after flush.
         assert not disk.peek_page(fid, 0).dirty
 

@@ -53,31 +53,52 @@ CODE = [p for d in ("benchmarks", "examples")
         for p in sorted((ROOT / d).rglob("*.py"))]
 
 
+def _hooked(name: str) -> bool:
+    """Dunders and ``ast.NodeVisitor`` ``visit_*`` hooks, which the
+    interpreter or ``ast`` call by name."""
+    return name.startswith("__") and name.endswith("__") or name.startswith("visit_")
+
+
 def _defined() -> Counter[str]:
-    """Functions, classes and methods under ``src/repro``, dunders and
-    ``ast.NodeVisitor`` ``visit_*`` hooks aside, by how often each name
-    is defined."""
+    """Functions, classes and methods under ``src/repro``, hooks aside,
+    by how often each name is defined."""
     defined: Counter[str] = Counter()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))
-                    and not (node.name.startswith("__")
-                             and node.name.endswith("__"))
-                    and not node.name.startswith("visit_")):
+                    and not _hooked(node.name)):
                 defined[node.name] += 1
     return defined
 
 
-def _uses(paths) -> Counter[str]:
-    """The identifiers the code in ``paths`` uses: names, attributes and
-    the words of string literals (``getattr`` targets, vocabulary
-    tables).  A comment, a docstring, an import or an ``__all__`` entry
-    mentions a name without using it."""
-    uses: Counter[str] = Counter()
+def _methods() -> set[str]:
+    """The functions defined directly in a class body under
+    ``src/repro``, hooks aside."""
+    return {
+        item.name
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not _hooked(item.name)
+    }
+
+
+def _uses(paths) -> tuple[Counter[str], Counter[str]]:
+    """The identifiers the code in ``paths`` uses, as two counts: bare
+    names, and reads -- attributes, the words of string literals
+    (``getattr`` targets, vocabulary tables) and the names a class body
+    binds to another (``visit_ListComp = _visit_comprehension``).  A
+    comment, a docstring, an import or an ``__all__`` entry mentions a
+    name without using it."""
+    names: Counter[str] = Counter()
+    reads: Counter[str] = Counter()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         mentions: set[int] = set()
+        aliases: set[int] = set()
         for node in ast.walk(tree):
             if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                   ast.AsyncFunctionDef))
@@ -88,16 +109,20 @@ def _uses(paths) -> Counter[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 mentions.update(id(n) for n in ast.walk(node))
+            if isinstance(node, ast.ClassDef):
+                aliases.update(id(item.value) for item in node.body
+                               if isinstance(item, ast.Assign)
+                               and isinstance(item.value, ast.Name))
         for node in ast.walk(tree):
             if id(node) in mentions:
                 continue
             if isinstance(node, ast.Name):
-                uses[node.id] += 1
+                (reads if id(node) in aliases else names)[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                uses[node.attr] += 1
+                reads[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                uses.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return uses
+                reads.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names, reads
 
 
 def test_every_name_defined_in_src_is_referenced():
@@ -115,9 +140,19 @@ def test_every_name_defined_in_src_is_used_outside_tests():
     """... and code in ``src``, ``benchmarks`` or ``examples`` uses it: a
     name only tests use serves no workload, so it goes, or moves into the
     test that uses it."""
-    uses = _uses([*SOURCES, *CODE])
-    dead = sorted(name for name in _defined() if not uses[name])
+    names, reads = _uses([*SOURCES, *CODE])
+    dead = sorted(name for name in _defined() if not (names[name] or reads[name]))
     assert not dead, f"defined under src/repro, used only by tests: {dead}"
+
+
+def test_every_method_is_read_outside_tests():
+    """A method is used only where code in ``src``, ``benchmarks`` or
+    ``examples`` reads it (``x.name``), spells it in a string or aliases
+    it in a class body.  A local variable, parameter or function of the
+    same name (``hi``, ``live_rows``) does not call it."""
+    __, reads = _uses([*SOURCES, *CODE])
+    unread = sorted(name for name in _methods() if not reads[name])
+    assert not unread, f"methods under src/repro no code outside tests reads: {unread}"
 
 
 def _callee(node: ast.AST) -> str | None:

@@ -123,11 +123,12 @@ class TestCommands:
         assert "cases clean" not in captured.out
 
     def test_old_chaos_entries_are_gone(self):
-        # ``crash demo`` repeated examples/crash_recovery.py, and
-        # ``calibrate`` repeated benchmarks/bench_cost_model_validation.py.
+        # ``crash demo`` repeated examples/crash_recovery.py,
+        # ``calibrate`` repeated benchmarks/bench_cost_model_validation.py,
+        # and no gate ran ``serve`` or ``lint --format``.
         for argv in (["crash", "fuzz"], ["shard", "chaos"],
                      ["failover", "chaos"], ["chaos"], ["crash", "demo"],
-                     ["calibrate"]):
+                     ["calibrate"], ["serve"], ["lint", "--format", "json"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

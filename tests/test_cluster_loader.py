@@ -158,7 +158,7 @@ class TestLoadedDatabase:
         class_db.start_cold_run()
         assert class_db.db.clock.elapsed_s == 0.0
         assert class_db.db.counters.disk_reads == 0
-        assert len(class_db.db.system.client_cache) == 0
+        assert len(class_db.db.system.client_cache._pages) == 0
 
 
 class TestSetSpilling:

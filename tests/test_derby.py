@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.derby import DerbyConfig, Lrand48, build_derby_schema, generate
 from repro.derby.config import Clustering
+from repro.objects import AttrKind
 from repro.objects.codec import RecordCodec
 from repro.objects.header import ObjectHeader
 
@@ -63,7 +64,7 @@ class TestDerbySchema:
         patient = schema.cls("Patient")
         assert provider.attribute("clients").is_variable
         assert patient.attribute("primary_care_provider").target == "Provider"
-        assert patient.attribute("sex").fixed_size == 1
+        assert patient.attribute("sex").kind is AttrKind.CHAR
 
     def test_object_sizes_match_paper(self):
         """Paper §2: providers ~120 bytes, patients ~60 bytes."""

@@ -154,6 +154,53 @@ def test_distributed_answers_match_single_node(
             assert sorted(rows, key=repr) == sorted(base, key=repr), query
 
 
+#: One-field tuple selects: the single-node engine projects a lone
+#: attribute as its bare value, so the coordinator must too.
+ONE_FIELD_QUERIES = [
+    "select tuple(a: p.age) from p in Patients where p.num > {thr}",
+    "select tuple(a: p.age) from p in Patients where p.num > {thr} "
+    "order by p.age",
+    "select tuple(a: p.age) from p in Patients where p.num > {thr} "
+    "order by p.mrn",
+    "select distinct tuple(a: p.age) from p in Patients "
+    "where p.num > {thr} order by p.age desc limit 5",
+]
+
+#: Shapes the coordinator cannot distribute, each refused before any
+#: shard runs.
+UNDISTRIBUTABLE_QUERIES = [
+    "select tuple(u: d.upin, a: p.age) from d in Providers, p in d.clients "
+    "where d.upin < {pthr} order by p.mrn",
+    "select distinct p.age from p in Patients order by p.mrn",
+    "select count(*) from p in Patients limit 3",
+    "select tuple(a: p.age, one: 1) from p in Patients",
+    "select 1 from p in Patients",
+]
+
+
+def test_coordinator_rows_have_the_single_node_shape(
+    small_logical, small_single
+):
+    __, engine = small_single
+    config = small_logical.config
+    coordinator = Coordinator(load_sharded(config, 2, logical=small_logical))
+    thr = config.num_threshold(30.0)
+    pthr = config.upin_threshold(50.0)
+    for template in ONE_FIELD_QUERIES:
+        query = template.format(thr=thr)
+        base = engine.execute(query)
+        assert base and not isinstance(base[0], tuple), query
+        rows = coordinator.execute(query)
+        if "order by" in query:
+            assert rows == base, query
+        else:
+            assert sorted(rows) == sorted(base), query
+    for template in UNDISTRIBUTABLE_QUERIES:
+        query = template.format(pthr=pthr)
+        with pytest.raises(DistPlanError):
+            coordinator.execute(query)
+
+
 def test_exchange_scales_elapsed_below_single_shard(small_logical):
     config = small_logical.config
     thr = config.num_threshold(50.0)
@@ -170,28 +217,18 @@ def test_exchange_scales_elapsed_below_single_shard(small_logical):
     assert elapsed[4] < elapsed[1]
 
 
-def test_execute_iter_streams_batches(small_logical):
+def test_exchange_pulls_the_shards_batch_by_batch(small_logical):
     config = small_logical.config
     cluster = load_sharded(config, 2, logical=small_logical)
     coordinator = Coordinator(cluster)
     pulls = []
-    cursor = coordinator.execute_iter(
+    rows = coordinator.execute(
         "select p.age from p in Patients",
         on_batch=lambda: pulls.append(1),
         batch_size=64,
     )
-    rows = []
-    for batch in cursor.batches():
-        rows.extend(batch)
     assert len(rows) == len(small_logical.patients)
     assert len(pulls) > 2  # one per shard pull, not one per drain
-
-
-def test_execute_iter_rejects_aggregates(small_logical):
-    cluster = load_sharded(small_logical.config, 2, logical=small_logical)
-    coordinator = Coordinator(cluster)
-    with pytest.raises(DistPlanError):
-        coordinator.execute_iter("select count(*) from p in Patients")
 
 
 # -- cross-shard deadlocks -----------------------------------------------
@@ -319,19 +356,6 @@ def test_abort_rolls_back_every_branch():
     assert _ages(cluster, targets) == preload
     with pytest.raises(TwoPCError):
         dtx.commit()
-
-
-def test_context_manager_commits_and_aborts():
-    cluster, targets, preload = _cluster_with_write_targets()
-    sid, rid = targets[0]
-    with cluster.begin() as dtx:
-        dtx.update_scalar(sid, rid, "age", 77)
-    assert _ages(cluster, targets[:1]) == {(sid, rid): 77}
-    with pytest.raises(RuntimeError):
-        with cluster.begin() as dtx:
-            dtx.update_scalar(sid, rid, "age", 78)
-            raise RuntimeError("client bug")
-    assert _ages(cluster, targets[:1]) == {(sid, rid): 77}
 
 
 #: Crash point -> do the writes survive recovery?

@@ -4,7 +4,6 @@ and — the point of the whole exercise — ``src/repro`` is clean."""
 from __future__ import annotations
 
 import ast
-import json
 import os
 import re
 import subprocess
@@ -440,17 +439,6 @@ def test_cli_exits_nonzero_on_fixtures(capsys):
 def test_cli_exits_zero_on_clean_file(capsys):
     assert main(["lint", str(FIXTURES / "clean.py")]) == 0
     assert "0 findings" in capsys.readouterr().out
-
-
-def test_cli_json_format(capsys):
-    code = main(
-        ["lint", "--format", "json", str(FIXTURES / "det_wallclock.py")]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["files_checked"] == 1
-    assert [f["rule"] for f in payload["findings"]] == ["DET"]
-    assert payload["findings"][0]["symbol"]
 
 
 def test_cli_timing_reports_per_rule(capsys):

@@ -20,7 +20,6 @@ from repro.objects import (
     Database,
     Schema,
 )
-from repro.objects.handle import FULL_HANDLE_BYTES, VERSION_REF_BYTES
 from repro.recovery import crash_database, restart
 from repro.service import MixConfig, QueryService, WorkloadMixer
 from repro.stats.export import mix_to_csv
@@ -191,8 +190,8 @@ class TestSnapshotVisibility:
         writer.update_scalar(rids[0], "x", 9)
         writer.commit()
         # This load resolves through the version chain: the handle it
-        # materializes carries the Section 4.4 version pointer (and its
-        # extra bytes) for as long as the reference is held.
+        # materializes carries the Section 4.4 version pointer for as
+        # long as the reference is held.
         om = db.manager
         saved = om.read_view
         om.read_view = reader.view
@@ -201,7 +200,6 @@ class TestSnapshotVisibility:
         finally:
             om.read_view = saved
         assert handle.version is not None
-        assert handle.memory_bytes == FULL_HANDLE_BYTES + VERSION_REF_BYTES
         om.unref(handle)
         # Version handles are freed outright at refcount zero.
         assert (rids[0], handle.version) not in db.handles._versioned

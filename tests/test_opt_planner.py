@@ -200,9 +200,9 @@ class TestFallbackWithoutStats:
 
     def test_stats_property_roundtrip(self, catalog, table_stats):
         optimizer = CostBasedOptimizer(catalog)
-        assert not optimizer.table_stats
+        assert not optimizer.estimator.stats.extents
         optimizer.install_stats(table_stats)
-        assert optimizer.table_stats is table_stats
+        assert optimizer.estimator.stats is table_stats
 
 
 # -- one enumeration, two planners ------------------------------------------

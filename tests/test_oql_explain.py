@@ -211,7 +211,6 @@ class TestAnalyzeExecution:
     def test_installs_stats_on_heuristic_engine(self, engine):
         assert engine.table_stats is None
         rows = engine.execute("analyze")
-        assert engine.table_stats
         assert engine.table_stats.extent("Patients") is not None
         assert any("analyzed Patients" in row for row in rows)
 
@@ -221,8 +220,8 @@ class TestAnalyzeExecution:
         optimizer = CostBasedOptimizer(catalog)
         engine = OQLEngine(catalog, optimizer=optimizer)
         engine.execute("analyze Patients")
-        assert optimizer.table_stats.extent("Patients") is not None
-        assert optimizer.table_stats.extent("Providers") is None
+        assert optimizer.estimator.stats.extent("Patients") is not None
+        assert optimizer.estimator.stats.extent("Providers") is None
 
     def test_unknown_collection(self, engine):
         with pytest.raises(PlanError):
@@ -235,7 +234,7 @@ class TestGovernedStatements:
         session = service.open_session("s")
         with service.immediate(session):
             session.execute("analyze")
-        assert service.plan_optimizer.table_stats
+        assert service.plan_optimizer.estimator.stats.extents
         with service.immediate(session):
             rows = session.execute(f"explain {SELECTION}")
         assert any("<- chosen" in row for row in rows)
@@ -247,7 +246,7 @@ class TestGovernedStatements:
         with service.immediate(one):
             one.execute("analyze")
         assert two.engine.optimizer is service.plan_optimizer
-        assert two.engine.optimizer.table_stats
+        assert two.engine.optimizer.estimator.stats.extents
 
     def test_invalid_optimizer_rejected(self, derby):
         with pytest.raises(ServiceError):

@@ -85,6 +85,12 @@ def make_query(derby, sel_children=30, sel_parents=50) -> TreeJoinQuery:
     )
 
 
+def tree_height(op) -> int:
+    """Height of an operator tree (1 for a leaf): a pipeline holds at
+    most one batch per level."""
+    return 1 + max((tree_height(c) for c in op.children()), default=0)
+
+
 def cost_snapshot(db):
     return (
         db.clock.elapsed_s,
@@ -207,7 +213,7 @@ class TestEarlyExit:
         assert len(first) == 16
         assert derby.db.clock.elapsed_s < 0.05 * full_s
         assert derby.db.handles.live_count == 0
-        assert cursor.ctx.live_rows == 0
+        assert cursor.ctx._live_rows == 0
 
     def test_exists_query_streams_first_row_early(self, big_derby):
         derby = big_derby
@@ -221,7 +227,7 @@ class TestEarlyExit:
         full_s = derby.db.clock.elapsed_s
         derby.start_cold_run()
         with engine.execute_iter(oql, batch_size=1) as cursor:
-            row = next(iter(cursor))
+            row = next(cursor.batches())[0]
         assert row is not None
         assert derby.db.clock.elapsed_s < 0.05 * full_s
         assert derby.db.handles.live_count == 0
@@ -253,7 +259,7 @@ class TestJoinEarlyExit:
             owed = pages_for_bytes(op._probe_bytes)
             assert db.counters.disk_reads - reads == owed > 0
         assert db.handles.live_count == 0
-        assert op.ctx.live_rows == 0
+        assert op.ctx._live_rows == 0
         assert isinstance(rows, GeneratorType) and rows.gi_frame is None
         after_close = cost_snapshot(db)
         op.close()  # a no-op
@@ -272,7 +278,7 @@ class TestJoinEarlyExit:
         op.close()
         assert cost_snapshot(db) == exhausted
         assert db.handles.live_count == 0
-        assert op.ctx.live_rows == 0
+        assert op.ctx._live_rows == 0
 
 
 # ------------------------------------------------------ peak live rows
@@ -289,8 +295,8 @@ class TestPeakRows:
         cursor = Cursor(root.ctx, root, batch_size)
         rows = cursor.drain()
         assert rows
-        assert cursor.stats.peak_rows <= batch_size * root.depth
-        assert cursor.ctx.live_rows == 0
+        assert cursor.stats.peak_rows <= batch_size * tree_height(root)
+        assert cursor.ctx._live_rows == 0
 
     @pytest.mark.parametrize("algorithm", SECTION5_ALGORITHMS)
     @pytest.mark.parametrize("relationship", ("1:3", "1:1000"))
@@ -304,8 +310,8 @@ class TestPeakRows:
         cursor = Cursor(op.ctx, op, batch_size)
         rows = cursor.drain()
         assert rows
-        assert cursor.stats.peak_rows <= batch_size * op.depth
-        assert cursor.ctx.live_rows == 0
+        assert cursor.stats.peak_rows <= batch_size * tree_height(op)
+        assert cursor.ctx._live_rows == 0
 
 
 # ------------------------------------------------------ operator units
@@ -384,8 +390,8 @@ class TestOperatorUnits:
         op.close()
         assert all(len(batch) <= n for batch in pulls), pulls
         assert [row for batch in pulls for row in batch] == list(range(1, 10))
-        assert ctx.stats.peak_rows <= n * op.depth
-        assert ctx.live_rows == 0
+        assert ctx.stats.peak_rows <= n * tree_height(op)
+        assert ctx._live_rows == 0
 
     def test_sort_orders_and_charges_sort_bucket(self, ctx):
         rows = [((30,), "c"), ((10,), "a"), ((20,), "b")]
@@ -395,12 +401,14 @@ class TestOperatorUnits:
         assert op.next_batch(10) == ["c", "b", "a"]
         assert ctx.db.clock.buckets.get(Bucket.SORT, 0.0) > before
         op.close()
-        assert ctx.live_rows == 0
+        assert ctx._live_rows == 0
 
     def test_depth_counts_tree_height(self, ctx):
         source = ListSource(ctx, [1])
-        assert source.depth == 1
-        assert Limit(ctx, Distinct(ctx, source), 1).depth == 3
+        assert tree_height(source) == 1
+        tree = Limit(ctx, Distinct(ctx, source), 1)
+        assert tree_height(tree) == 3
+        assert [len(line) - len(line.lstrip()) for line in tree.explain()] == [0, 2, 4]
 
     def test_live_row_accounting_peaks_and_drains(self, ctx):
         op = ListSource(ctx, list(range(40)))
@@ -409,7 +417,7 @@ class TestOperatorUnits:
         assert ctx.stats.peak_rows == 8
         assert ctx.stats.rows == 40
         assert ctx.stats.batches == 5
-        assert ctx.live_rows == 0
+        assert ctx._live_rows == 0
 
     def test_cursor_on_close_fires_exactly_once(self, ctx):
         fired = []

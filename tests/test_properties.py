@@ -85,7 +85,7 @@ class TestBufferModel:
         pages = {no: Page(0, no) for no in set(accesses)}
         for no in accesses:
             cache.insert(pages[no])
-            assert len(cache) <= 7
+            assert len(cache._pages) <= 7
 
 
 # ------------------------------------------------------------- codec
@@ -631,7 +631,8 @@ class TestCollectionProperties:
         db.create_file("t")
         coll = db.new_collection()
         rids = [db.create_object("T", {"x": i}, "t") for i in range(n)]
-        coll.extend(rids)
+        for rid in rids:
+            coll.append(rid)
         assert list(coll.iter_rids()) == rids
         assert len(coll) == n
 
@@ -687,7 +688,8 @@ class TestCollectionProperties:
         db.create_file("t")
         rids = [db.create_object("T", {"x": i}, "t") for i in range(CHUNK_RIDS + 3)]
         coll = db.new_collection()
-        coll.extend(rids)
+        for rid in rids:
+            coll.append(rid)
         assert list(coll.iter_rids()) == rids
         assert list(db.iter_set_rids(db.spill_set(rids))) == rids
         assert seen == [12 + 8 * CHUNK_RIDS, 12 + 8 * 3] * 2

@@ -156,11 +156,11 @@ class TestPhysicalLog:
         pages = log.flush(max_pages=1)
         assert pages == 1
         assert log.durable_lsn == records[1].lsn  # 2 halves fill page 1
-        assert log.pending_bytes == 4 * (PAGE_SIZE // 2)
+        assert log._unflushed_bytes == 4 * (PAGE_SIZE // 2)
         # The next full flush picks up the torn tail.
         log.flush()
         assert log.durable_lsn == records[-1].lsn
-        assert log.pending_bytes == 0
+        assert log._unflushed_bytes == 0
 
     def test_crash_truncates_to_durable(self):
         __, log = self.make()
@@ -170,7 +170,7 @@ class TestPhysicalLog:
         log.append(1, "commit", 16)
         log.crash()
         assert [r.lsn for r in log.records] == [1]
-        assert log.pending_bytes == 0
+        assert log._unflushed_bytes == 0
 
 
 # ------------------------------------------------------------- the WAL rule

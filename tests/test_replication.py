@@ -467,11 +467,8 @@ def test_cancelled_exchange_closes_remote_cursors():
         if pulls >= 2:
             raise QueryCancelledError("governor pulled the plug")
 
-    cursor = coordinator.execute_iter(
-        "select p.age from p in Patients where p.num > 0",
-        on_batch=cancel_after_two,
-        batch_size=4,
-    )
+    plan = coordinator.plan("select p.age from p in Patients where p.num > 0")
+    cursor = coordinator._open_exchange(plan, cancel_after_two, 4)
     exchange = cursor.root
     assert isinstance(exchange, ExchangeOperator)
     with pytest.raises(QueryCancelledError):

@@ -38,6 +38,8 @@ from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.rid import Rid
 from repro.txn import LockManager, LockMode
 
+from .test_txn import held_by, queued_on
+
 A, B, C = Rid(0, 0, 0), Rid(0, 0, 1), Rid(0, 0, 2)
 
 
@@ -64,7 +66,7 @@ class CountingCondition(threading.Condition):
 def count_wakes(scheduler: CooperativeScheduler) -> None:
     """Give every spawned task, and ``run``, a counting condition over
     the scheduler's lock."""
-    for task in scheduler.tasks:
+    for task in scheduler._tasks:
         task.wake = CountingCondition(scheduler._lock)
     scheduler._cv = CountingCondition(scheduler._lock)
 
@@ -148,7 +150,7 @@ class TestScheduler:
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        tasks = scheduler.tasks
+        tasks = scheduler._tasks
         assert [t.error for t in tasks] == [None] * n_tasks
         assert [t.switches for t in tasks] == [yields + 1] * n_tasks
         assert_one_wake_per_hand_off(scheduler, tasks)
@@ -167,7 +169,7 @@ class TestLockWaitProtocol:
         def t1():
             locks.acquire(1, A, LockMode.SHARED)
             scheduler.yield_point()  # let T2 and T3 queue up
-            assert [t for t, __ in locks.waiters(A)] == [2, 3]
+            assert [t for t, __ in queued_on(locks, A)] == [2, 3]
             locks.release_all(1)
 
         def t2():
@@ -196,7 +198,7 @@ class TestLockWaitProtocol:
             scheduler.yield_point()  # T2 takes S too
             locks.acquire(1, A, LockMode.EXCLUSIVE)  # waits for T2
             events.append("upgraded")
-            assert locks.held(A) == (LockMode.EXCLUSIVE, {1})
+            assert held_by(locks, A) == (LockMode.EXCLUSIVE, {1})
             locks.release_all(1)
 
         def reader():

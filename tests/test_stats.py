@@ -34,7 +34,7 @@ class TestSchema:
     def test_figure3_classes_present(self):
         schema = build_stats_schema()
         for name in ("Stat", "Query", "Extent", "System", "Association"):
-            assert name in schema
+            assert schema.cls(name).name == name
 
     def test_stat_attributes(self):
         schema = build_stats_schema()

@@ -15,6 +15,21 @@ from repro.storage.rid import Rid
 from repro.txn import LockManager, LockMode, TransactionManager, WriteAheadLog
 
 
+def held_by(locks: LockManager, rid: Rid):
+    """``(mode, holders)`` of ``rid``'s granted locks, ``None`` when
+    nobody holds one."""
+    state = locks._locks.get(rid)
+    if state is None or not state.granted:
+        return None
+    return state.mode, set(state.granted)
+
+
+def queued_on(locks: LockManager, rid: Rid) -> list:
+    """``rid``'s FIFO wait queue as ``(txn, mode)`` pairs."""
+    state = locks._locks.get(rid)
+    return [] if state is None else [(r.txn_id, r.mode) for r in state.queue]
+
+
 def make_db() -> Database:
     schema = Schema()
     schema.define("Thing", [AttributeDef("x", AttrKind.INT32)])
@@ -34,7 +49,7 @@ class TestWriteAheadLog:
         clock, log = self.make()
         log.append(1, "create", 64)
         assert clock.buckets.get(Bucket.LOG, 0.0) > 0
-        assert log.pending_bytes == 64
+        assert log._unflushed_bytes == 64
 
     def test_flush_charges_page_writes(self):
         clock, log = self.make()
@@ -46,7 +61,7 @@ class TestWriteAheadLog:
         assert clock.buckets.get(Bucket.LOG, 0.0) - before == pytest.approx(
             2 * CostParams().page_write_ms / 1000
         )
-        assert log.pending_bytes == 0
+        assert log._unflushed_bytes == 0
 
     def test_flush_empty_is_free(self):
         """A zero-pending flush must not charge any simulated I/O."""
@@ -80,17 +95,17 @@ class TestWriteAheadLog:
         txm = TransactionManager(db)
         txn = txm.begin()
         txn.create_object("Thing", {"x": 1}, "things")
-        create_bytes = txm.log.pending_bytes
+        create_bytes = txm.log._unflushed_bytes
         assert create_bytes > 0
         txn.abort()
         abort_bytes = txm.log.records[-1].nbytes
         assert txm.log.records[-1].kind == "abort"
-        assert txm.log.pending_bytes == create_bytes + abort_bytes
+        assert txm.log._unflushed_bytes == create_bytes + abort_bytes
         # The next committed transaction flushes the whole backlog.
         txn2 = txm.begin()
         txn2.create_object("Thing", {"x": 2}, "things")
         txn2.commit()
-        assert txm.log.pending_bytes == 0
+        assert txm.log._unflushed_bytes == 0
         assert txm.log.flush() == 0  # nothing left to write
 
 
@@ -105,7 +120,7 @@ class TestLockManager:
         rid = Rid(0, 0, 0)
         locks.acquire(1, rid, LockMode.SHARED)
         locks.acquire(2, rid, LockMode.SHARED)
-        assert locks.held(rid)[1] == {1, 2}
+        assert held_by(locks, rid)[1] == {1, 2}
 
     def test_exclusive_conflicts(self):
         locks = self.make()
@@ -121,7 +136,7 @@ class TestLockManager:
         rid = Rid(0, 0, 0)
         locks.acquire(1, rid, LockMode.SHARED)
         locks.acquire(1, rid, LockMode.EXCLUSIVE)
-        assert locks.held(rid)[0] is LockMode.EXCLUSIVE
+        assert held_by(locks, rid)[0] is LockMode.EXCLUSIVE
 
     def test_shared_upgrade_blocked_by_other_reader(self):
         locks = self.make()
@@ -146,7 +161,7 @@ class TestLockManager:
         with pytest.raises(LockConflictError):
             locks.acquire(2, rid, LockMode.SHARED)
         assert locks.waiting_count == 0
-        assert locks.waiters(rid) == []
+        assert queued_on(locks, rid) == []
 
     def test_wait_mode_grants_after_release(self):
         """With a waiter attached, a conflicting request queues; when the
@@ -157,14 +172,14 @@ class TestLockManager:
         woken = []
 
         def wait(txn_id, waited_rid):
-            assert locks.waiters(waited_rid) == [(2, LockMode.EXCLUSIVE)]
+            assert queued_on(locks, waited_rid) == [(2, LockMode.EXCLUSIVE)]
             assert locks.waits_for() == {2: {1}}
             locks.release_all(1)  # grants + wakes the queued request
 
         locks.attach(wait, woken.append)
         locks.acquire(2, rid, LockMode.EXCLUSIVE)
         assert woken == [2]
-        assert locks.held(rid) == (LockMode.EXCLUSIVE, {2})
+        assert held_by(locks, rid) == (LockMode.EXCLUSIVE, {2})
         assert locks.waiting_count == 0
 
     def test_wait_mode_cancels_request_when_wait_raises(self):
@@ -180,7 +195,7 @@ class TestLockManager:
         with pytest.raises(LockConflictError):
             locks.acquire(2, rid, LockMode.EXCLUSIVE)
         assert locks.waiting_count == 0
-        assert locks.held(rid) == (LockMode.EXCLUSIVE, {1})
+        assert held_by(locks, rid) == (LockMode.EXCLUSIVE, {1})
 
     def test_detach_restores_fail_fast(self):
         locks = self.make()
@@ -240,7 +255,7 @@ class TestTransaction:
         txn = txm.begin(logged=False)
         txn.create_object("Thing", {"x": 1}, "things")
         assert txm.locks.lock_count == 0
-        assert txm.log.pending_bytes == 0
+        assert txm.log._unflushed_bytes == 0
         txn.commit()
         assert txm.log.flushed_pages == 0
 
@@ -292,9 +307,9 @@ class TestTransaction:
         txn = txm.begin()
         rid = Rid(0, 0, 0)
         txn.read_lock(rid)
-        assert txm.locks.held(rid)[0] is LockMode.SHARED
+        assert held_by(txm.locks, rid)[0] is LockMode.SHARED
         txn.write_lock(rid)
-        assert txm.locks.held(rid)[0] is LockMode.EXCLUSIVE
+        assert held_by(txm.locks, rid)[0] is LockMode.EXCLUSIVE
         txn.commit()
 
     def test_bad_budget_rejected(self):
