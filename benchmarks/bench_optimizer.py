@@ -1,16 +1,16 @@
 """Cost-based vs. heuristic planner: the zero-regression leaderboard.
 
-The cost-based optimizer (``repro.opt``) must earn its keep the way the
-paper demanded — against measured truth.  For every cell of the paper's
+The cost-based optimizer (the planner after ``analyze`` has installed
+``repro.opt`` statistics) must earn its keep the way the paper demanded — against measured truth.  For every cell of the paper's
 query matrix (the Figure 10-15 tree-join grid over both databases and
 both clusterings, plus the Figure 7 selection sweep) this benchmark:
 
-1. runs ``analyze`` through a cost-planner engine (the statistics are
+1. runs ``analyze`` through the cost engine (the statistics are
    charged simulated time like any other statement);
 2. plans the cell three ways — **unoptimized** (forced sequential scan
-   / forced NL join), **heuristic** (the default planner) and **cost**
-   (statistics-driven enumeration over every access path and all six
-   join strategies);
+   / forced NL join), **heuristic** (an engine never analyzed) and
+   **cost** (statistics-driven enumeration over every access path and
+   all six join strategies);
 3. executes each plan cold and validates the cost plan **semantically**
    against the others: same row count, same order-insensitive checksum;
 4. scores estimation quality (estimated vs. actual rows and seconds,
@@ -46,7 +46,6 @@ from repro.bench.workloads import (
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
-from repro.opt import CostBasedOptimizer
 from repro.oql import Catalog, OQLEngine
 from repro.oql.explain import chosen_key
 from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
@@ -186,12 +185,7 @@ def run_leaderboard() -> tuple[list[Cell], dict[str, float]]:
             derby = load_derby(config)
             catalog = Catalog.from_derby(derby)
             heuristic = OQLEngine(catalog)
-            cost = OQLEngine(
-                catalog,
-                optimizer=CostBasedOptimizer(
-                    catalog, include_extensions=True
-                ),
-            )
+            cost = OQLEngine(catalog, include_extensions=True)
             # Feed the cost planner: ANALYZE, charged like any statement.
             derby.start_cold_run()
             start_s = derby.db.clock.elapsed_s

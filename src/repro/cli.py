@@ -101,25 +101,6 @@ def _positive(convert: type) -> Callable[[str], float]:
     return parse
 
 
-def _add_optimizer_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--optimizer", choices=("heuristic", "cost"), default="heuristic",
-        help="query planner: the default heuristic planner, or the "
-        "statistics-driven cost-based planner (run 'analyze' in the "
-        "shell to feed it)",
-    )
-
-
-def _make_plan_optimizer(args: argparse.Namespace, catalog: Catalog):
-    """The ``optimizer=`` argument for :class:`OQLEngine` (``None``
-    keeps the engine's own heuristic planner)."""
-    if args.optimizer == "cost":
-        from repro.opt import CostBasedOptimizer
-
-        return CostBasedOptimizer(catalog)
-    return None
-
-
 def _add_db_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--db", choices=("1to1000", "1to3"), default="1to1000",
@@ -171,14 +152,12 @@ def cmd_load(args: argparse.Namespace) -> int:
 def cmd_shell(args: argparse.Namespace) -> int:
     derby = _load(args, sys.stdout)
     catalog = Catalog.from_derby(derby)
-    engine = OQLEngine(
-        catalog, optimizer=_make_plan_optimizer(args, catalog)
-    )
-    print(f"OQL shell ({args.optimizer} planner) — try:")
+    engine = OQLEngine(catalog)
+    print("OQL shell — try:")
     print("  select count(p) from p in Patients where p.mrn < 1000")
     print("  select tuple(n: p.name, a: pa.age) from p in Providers, "
           "pa in p.clients where pa.mrn < 500 and p.upin < 5")
-    print("  analyze              -- collect optimizer statistics")
+    print("  analyze              -- collect statistics, widen the search")
     print("  explain <query>      -- plan, run, compare estimates")
     print("Type 'quit' to exit.\n")
     while True:
@@ -501,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     shell = sub.add_parser("shell", help="interactive OQL shell")
     _add_db_options(shell)
-    _add_optimizer_option(shell)
     shell.set_defaults(func=cmd_shell)
 
     mix = sub.add_parser(
@@ -530,7 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "S locks) or MVCC snapshot isolation (lock-free "
                           "snapshot reads, first-committer-wins writes; "
                           "implies physical logging)")
-    _add_optimizer_option(mix)
+    mix.add_argument(
+        "--optimizer", choices=("heuristic", "cost"), default="heuristic",
+        help="'cost' shares one planner across the sessions and feeds it "
+        "statistics with one governed 'analyze' before the mix; "
+        "'heuristic' gives each session its own planner, never analyzed",
+    )
     mix.add_argument("--csv", default=None,
                      help="also export the Stat rows as CSV to this path")
     mix.add_argument("--sessions-csv", default=None,

@@ -5,8 +5,8 @@ the coordinator rewrites the query into per-shard work and recombines
 the shard streams into the single-node answer.
 
 Every query is **query-shipped**: the OQL text goes to every shard, and
-each shard plans and runs it with its own heuristic planner over its own
-slice.  Because patients are co-located with their providers
+each shard plans and runs it with its own planner (never analyzed) over
+its own slice.  Because patients are co-located with their providers
 (:mod:`repro.dist.partition`), selections, navigation joins and
 ``exists`` semijoins are all *shard-local*: the distributed answer is
 the bag union of the shard answers.  Only the recombination concerns

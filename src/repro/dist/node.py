@@ -3,7 +3,7 @@
 A :class:`ShardNode` owns everything a standalone deployment owns — its
 own :class:`~repro.storage.disk.DiskManager`, server buffer, handle
 table, :class:`~repro.txn.locks.LockManager`, write-ahead log and OQL
-engine (the heuristic planner, extensions on) — built by the ordinary
+engine (a planner never analyzed, extensions on) — built by the ordinary
 loader over the shard's logical slice.  Nothing inside the single-node
 stack knows it is sharded.
 

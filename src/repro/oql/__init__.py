@@ -16,6 +16,11 @@ family the paper studied:
   NL, NOJOIN, PHJ and CHJ with the mechanism-derived cost formulas of
   :mod:`repro.oql.cost`.
 
+One planner (:mod:`repro.oql.optimizer`) makes both choices, with
+selectivities and join shapes from :mod:`repro.oql.estimator`; the
+``analyze`` statement installs :mod:`repro.opt` statistics into it,
+which widens its search to every indexed access path.
+
 Entry point: :class:`OQLEngine`.
 """
 

@@ -182,8 +182,8 @@ class OQLEngine:
         optimizer: Optimizer | None = None,
     ):
         self.catalog = catalog
-        #: The planner; inject a :class:`repro.opt.CostBasedOptimizer`
-        #: (possibly shared across sessions) for cost-based planning.
+        #: The planner; inject one to share it (and what ``analyze``
+        #: installs into it) across engines.
         self.optimizer = (
             optimizer if optimizer is not None
             else Optimizer(catalog, include_extensions)
@@ -191,9 +191,6 @@ class OQLEngine:
         self.batch_size = batch_size
         #: Pipeline stats of the most recent fully-drained ``execute``.
         self.last_stats: PipelineStats | None = None
-        #: Statistics installed by the latest ``analyze`` statement run
-        #: through this engine (whatever the planner does with them).
-        self.table_stats = None
 
     # -- public API ----------------------------------------------------
 

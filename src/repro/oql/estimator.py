@@ -1,4 +1,4 @@
-"""Cardinality and selectivity estimation from collected statistics.
+"""Cardinality and selectivity estimation for the planner.
 
 The estimator is the bridge between ANALYZE output
 (:class:`~repro.opt.collector.TableStats`) and the planner: it answers
@@ -6,37 +6,40 @@ The estimator is the bridge between ANALYZE output
 this parent/child join look like" in the vocabulary the simtime
 :class:`~repro.oql.cost.CostModel` consumes (:class:`JoinStats`).
 
+``stats`` is ``None`` until an ``analyze`` statement installs some.
 Estimates degrade gracefully: with no histogram for an attribute it
-falls back to the index's leaf-directory interpolation (the heuristic
-planner's only source), and with no index either, to textbook default
-selectivities.  Conjunctions multiply under the usual independence
-assumption.
+falls back to the index's leaf-directory interpolation, with no index
+either to textbook default selectivities, and with no fan-out
+statistics to the catalog's children-per-parent ratio.  Conjunctions
+multiply under the usual independence assumption.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.index.btree import BTreeIndex
+from repro.objects.codec import INLINE_SET_LIMIT_BYTES
 from repro.objects.database import CHUNK_RIDS
 from repro.oql.catalog import Catalog, RelationshipInfo
 from repro.oql.cost import JoinStats
-from repro.oql.optimizer import SargablePredicate
-from repro.opt.collector import TableStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.opt.collector import AttributeStats, TableStats
+    from repro.oql.optimizer import SargablePredicate
 
 #: Defaults when neither histogram nor index covers an attribute.
 DEFAULT_EQ_SELECTIVITY = 0.01
 DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 
-#: Rid sets larger than this many bytes overflow to chunk records
-#: (mirrors the inline-set limit in :mod:`repro.objects.database`).
-_INLINE_SET_BYTES = 3400
-
 
 class CardinalityEstimator:
     """Answers row-count and selectivity questions for one catalog."""
 
-    def __init__(self, catalog: Catalog, stats: TableStats | None = None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.stats = stats if stats is not None else TableStats()
+        #: The latest ANALYZE result; ``None`` before the first.
+        self.stats: TableStats | None = None
 
     def install(self, stats: TableStats) -> None:
         """Adopt a fresh ANALYZE result (replaces any previous one)."""
@@ -45,27 +48,35 @@ class CardinalityEstimator:
     # -- row counts -------------------------------------------------------
 
     def collection_rows(self, name: str) -> int:
-        extent = self.stats.extent(name)
+        extent = self.stats.extent(name) if self.stats is not None else None
         if extent is not None:
             return extent.n_objects
         return self.catalog.collection_size(name)
 
     # -- predicate selectivity -------------------------------------------
 
+    def _attribute_stats(
+        self, collection: str, attr: str
+    ) -> AttributeStats | None:
+        """The attribute's statistics, when ANALYZE sampled any value."""
+        if self.stats is None:
+            return None
+        extent = self.stats.extent(collection)
+        stats = extent.attribute(attr) if extent is not None else None
+        return stats if stats is not None and stats.histogram.n else None
+
     def selectivity(self, collection: str, pred: SargablePredicate) -> float:
         """Fraction of ``collection`` satisfying ``pred``."""
         if pred.op == "!=":
             return max(0.0, 1.0 - self._eq_selectivity(collection, pred))
-        extent = self.stats.extent(collection)
-        attr = extent.attribute(pred.attr) if extent is not None else None
-        if attr is None or attr.histogram.n == 0:
+        attr = self._attribute_stats(collection, pred.attr)
+        if attr is None:
             return self._fallback(collection, pred)
         return attr.histogram.selectivity(*pred.bounds())
 
     def _eq_selectivity(self, collection: str, pred: SargablePredicate) -> float:
-        extent = self.stats.extent(collection)
-        attr = extent.attribute(pred.attr) if extent is not None else None
-        if attr is None or attr.histogram.n == 0:
+        attr = self._attribute_stats(collection, pred.attr)
+        if attr is None:
             return DEFAULT_EQ_SELECTIVITY
         return attr.histogram.eq_fraction()
 
@@ -91,7 +102,10 @@ class CardinalityEstimator:
 
     def fanout(self, rel: RelationshipInfo) -> float:
         """Average children per parent along ``rel``."""
-        stats = self.stats.fanout(rel.parent_collection, rel.set_attr)
+        stats = (
+            self.stats.fanout(rel.parent_collection, rel.set_attr)
+            if self.stats is not None else None
+        )
         if stats is not None and stats.sampled:
             return stats.avg_children
         n_parents = self.collection_rows(rel.parent_collection)
@@ -105,14 +119,13 @@ class CardinalityEstimator:
         parent_pred: SargablePredicate,
         child_pred: SargablePredicate,
     ) -> JoinStats:
-        """The cost model's input for a parent/child tree join, with
-        selectivities and fan-out drawn from ANALYZE statistics."""
+        """The cost model's input for a parent/child tree join."""
         n_parents = self.collection_rows(rel.parent_collection)
         n_children = self.collection_rows(rel.child_collection)
         avg_children = self.fanout(rel)
         set_bytes = avg_children * 8
         parent_set_chunks = (
-            0.0 if set_bytes <= _INLINE_SET_BYTES
+            0.0 if set_bytes <= INLINE_SET_LIMIT_BYTES
             else avg_children / CHUNK_RIDS
         )
         return JoinStats(

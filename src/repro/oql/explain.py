@@ -5,8 +5,8 @@ Both are ordinary pull-based operators, so every consumer of the engine
 scheduler batch points, a plain :meth:`OQLEngine.execute` — runs them
 like any other statement and pays their simulated time.
 
-``explain <query>`` plans the query with the engine's installed planner
-(heuristic or cost-based), *runs* it against a fresh pipeline, and emits
+``explain <query>`` plans the query with the engine's planner (searching
+wide once ``analyze`` has fed it statistics), *runs* it against a fresh pipeline, and emits
 text rows: the operator tree it ran (each node's
 :attr:`~repro.exec.operators.base.Operator.label`, printed by
 :meth:`~repro.exec.operators.base.Operator.explain`), estimated vs.
@@ -17,8 +17,7 @@ not report the estimation error.
 
 ``analyze [collections]`` delegates to the statistics collector
 (:mod:`repro.opt.collector`), installs the result into the engine's
-planner when that planner accepts statistics (the cost-based one does),
-and emits one summary row per analyzed extent/association.
+planner, and emits one summary row per analyzed extent/association.
 """
 
 from __future__ import annotations
@@ -131,6 +130,5 @@ class AnalyzeOperator(_TextRows):
             engine.catalog.collection(name)    # unknown name -> PlanError
         collector = StatsCollector(engine.catalog)
         stats = collector.collect(self.stmt.collections or None)
-        engine.table_stats = stats
         engine.optimizer.install_stats(stats)
         self._lines = summarize(stats)

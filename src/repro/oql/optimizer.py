@@ -10,16 +10,20 @@ applicable physical strategy:
 
 Heuristic rewrites come first (normalizing ``literal op path`` to
 ``path op literal``, splitting conjunctions into sargable + residual);
-then the :class:`~repro.oql.cost.CostModel` ranks the candidates.
+then the :class:`~repro.oql.cost.CostModel` ranks the candidates, with
+selectivities and join shapes from the
+:class:`~repro.oql.estimator.CardinalityEstimator`.  How widely a
+selection is searched depends on whether ``analyze`` has installed
+statistics (see :class:`Optimizer`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import PlanError
 from repro.index.btree import BTreeIndex
-from repro.objects.database import CHUNK_RIDS
 from repro.oql.ast_nodes import (
     AggregateExpr,
     BinOp,
@@ -33,7 +37,11 @@ from repro.oql.ast_nodes import (
     conjuncts,
 )
 from repro.oql.catalog import Catalog, RelationshipInfo
-from repro.oql.cost import CostModel, JoinStats, PlanEstimate
+from repro.oql.cost import CostModel, PlanEstimate
+from repro.oql.estimator import CardinalityEstimator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.opt.collector import TableStats
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
@@ -153,20 +161,29 @@ class TreeJoinPlan:
 
 
 class Optimizer:
-    """Chooses physical plans for parsed queries."""
+    """Chooses physical plans for parsed queries.
+
+    One planner whose search widens once an ``analyze`` statement
+    installs statistics (:meth:`install_stats`): before, a selection
+    costs only its most selective indexed conjunct; after, it costs
+    every indexed conjunct as a driver, discounts the result by the
+    whole conjunction, and prices an index-only aggregate as such.
+    Selectivities and join shapes always come from :attr:`estimator`,
+    which falls back to the indexes' leaf directories and the catalog's
+    ratios for whatever ANALYZE has not measured."""
 
     def __init__(self, catalog: Catalog, include_extensions: bool = False):
         self.catalog = catalog
         self.cost = CostModel(catalog.db.params)
         self.include_extensions = include_extensions
+        self.estimator = CardinalityEstimator(catalog)
 
     # -- entry point ------------------------------------------------------
 
-    def install_stats(self, stats: object) -> None:
+    def install_stats(self, stats: TableStats) -> None:
         """Adopt the result of an ANALYZE pass (the ``analyze``
-        statement calls this on the session's planner).  This planner
-        reads no statistics; :class:`repro.opt.CostBasedOptimizer`
-        does."""
+        statement calls this on the session's planner)."""
+        self.estimator.install(stats)
 
     def plan(self, query: Query) -> SelectionPlan | TreeJoinPlan:
         if len(query.from_clauses) == 1:
@@ -231,7 +248,7 @@ class Optimizer:
 
     def _selection_parts(self, query: Query) -> SelectionParts:
         """Validate the logical shape; raises PlanError outside the
-        supported subset.  Shared by every planner."""
+        supported subset."""
         clause = query.from_clauses[0]
         if not isinstance(clause.source, CollectionRef):
             raise PlanError("single-variable queries must range over a name")
@@ -281,49 +298,6 @@ class Optimizer:
             exists_filters=tuple(exists_filters),
         )
 
-    # The hooks the statistics planner
-    # (:class:`repro.opt.CostBasedOptimizer`) overrides; everything
-    # else about planning a selection is :meth:`_plan_selection`.
-
-    def _predicate_selectivity(
-        self, collection_name: str, pred: SargablePredicate,
-        index: BTreeIndex,
-    ) -> float:
-        """Selectivity of one sargable predicate: interpolated over the
-        index's leaf directory."""
-        low, high, __, ___ = pred.bounds()
-        return index.selectivity(low, high)
-
-    def _output_selectivity(
-        self,
-        collection_name: str,
-        parts: SelectionParts,
-        best: _Driver | None,
-    ) -> float:
-        """Estimated fraction of the extent the query emits: all this
-        planner knows is the best indexed predicate."""
-        return best[2] if best else 1.0
-
-    def _drivers(
-        self, candidates: list[_Driver], best: _Driver | None
-    ) -> list[_Driver]:
-        """The candidates whose index scans get costed: only the most
-        selective one."""
-        return [best] if best else []
-
-    def _label(self, kind: str, pred: SargablePredicate) -> str:
-        """Key of an access path in ``SelectionPlan.alternatives``; with
-        one driver the kind alone is unambiguous."""
-        return kind
-
-    def _index_only_estimate(
-        self, n: int, driver: _Driver, index_scan: PlanEstimate
-    ) -> tuple[str, PlanEstimate]:
-        """(label, estimate) of answering an aggregate from ``driver``'s
-        index entries alone; ``index_scan`` is the unsorted index scan
-        already costed for it, which stands in here."""
-        return self._label("index", driver[0]), index_scan
-
     def _plan_selection(self, query: Query) -> SelectionPlan:
         """The Section 4 enumeration: full scan against an unsorted and
         a rid-sorted index scan per driver, cheapest estimate wins."""
@@ -333,6 +307,8 @@ class Optimizer:
         aggregate = parts.aggregate
         n = self.catalog.collection_size(name)
         pages = self.catalog.file_pages(name)
+        estimator = self.estimator
+        analyzed = estimator.stats is not None
 
         # Every indexed sargable conjunct could drive an index scan;
         # the best has the lowest selectivity (first among equals).
@@ -341,10 +317,18 @@ class Optimizer:
             index = self.catalog.index_for(name, pred.attr)
             if index is None or pred.op == "!=":
                 continue
-            sel = self._predicate_selectivity(name, pred, index)
-            candidates.append((pred, index, sel))
+            candidates.append((pred, index, estimator.selectivity(name, pred)))
         best = min(candidates, key=lambda c: c[2]) if candidates else None
-        sel_out = self._output_selectivity(name, parts, best)
+        # Without statistics only the best driver is costed, and all
+        # that is known of the output is its selectivity; with them,
+        # every driver is costed (labelled by its attribute) and the
+        # residuals discount the result too.
+        if analyzed:
+            drivers = candidates
+            sel_out = estimator.conjunct_selectivity(name, predicates)
+        else:
+            drivers = [best] if best else []
+            sel_out = best[2] if best else 1.0
         est_rows = 1.0 if aggregate is not None else n * sel_out
 
         alternatives = {
@@ -353,12 +337,10 @@ class Optimizer:
             )
         }
         access: dict[str, tuple[_Driver | None, bool]] = {"scan": (None, False)}
-        for driver in self._drivers(candidates, best):
+        for driver in drivers:
             pred, index, sel = driver
-            for sorted_rids in (False, True):
-                label = self._label(
-                    "sorted-index" if sorted_rids else "index", pred
-                )
+            for kind, sorted_rids in (("index", False), ("sorted-index", True)):
+                label = f"{kind}({pred.attr})" if analyzed else kind
                 alternatives[label] = self.cost.selection_index(
                     n, pages, index.leaf_count, sel, index.clustering_ratio,
                     sorted_rids=sorted_rids,
@@ -401,11 +383,16 @@ class Optimizer:
             and all(p == best[0] for p in predicates)
             and aggregate[1] in (None, best[0].attr)
         ):
-            label, estimate = self._index_only_estimate(
-                n, best, alternatives[self._label("index", best[0])]
-            )
-            alternatives[label] = estimate
-            return build(best, False, estimate, index_only=True)
+            # Without statistics the unsorted index scan's estimate
+            # stands in for the index-only one.
+            pred, index, sel = best
+            label = "index"
+            if analyzed:
+                label = f"index-only({pred.attr})"
+                alternatives[label] = self.cost.selection_index_only(
+                    n, index.leaf_count, sel
+                )
+            return build(best, False, alternatives[label], index_only=True)
 
         choice = min(alternatives, key=lambda k: alternatives[k].seconds)
         return build(*access[choice], alternatives[choice])
@@ -475,8 +462,9 @@ class Optimizer:
         child_project = by_var[child_clause.var][1].attrs[0]
         parent_first = projection[0][1].var == parent_clause.var
 
-        stats = self._join_stats(rel, parent_index, child_index,
-                                 parent_pred, child_pred)
+        stats = self.estimator.join_stats(
+            rel, parent_index, child_index, parent_pred, child_pred
+        )
         estimates = self.cost.join_estimates(
             stats, include_extensions=self.include_extensions
         )
@@ -497,35 +485,4 @@ class Optimizer:
             distinct=query.distinct,
             limit=query.limit,
             est_rows=stats.sel_parents * stats.sel_children * stats.n_children,
-        )
-
-    def _join_stats(
-        self,
-        rel: RelationshipInfo,
-        parent_index: BTreeIndex,
-        child_index: BTreeIndex,
-        parent_pred: SargablePredicate,
-        child_pred: SargablePredicate,
-    ) -> JoinStats:
-        n_parents = self.catalog.collection_size(rel.parent_collection)
-        n_children = self.catalog.collection_size(rel.child_collection)
-        avg_children = n_children / max(1, n_parents)
-        set_bytes = avg_children * 8
-        parent_set_chunks = (
-            0.0 if set_bytes <= 3400 else avg_children / CHUNK_RIDS
-        )
-        return JoinStats(
-            n_parents=n_parents,
-            n_children=n_children,
-            parent_pages=self.catalog.file_pages(rel.parent_collection),
-            child_pages=self.catalog.file_pages(rel.child_collection),
-            parent_leaves=parent_index.leaf_count,
-            child_leaves=child_index.leaf_count,
-            sel_parents=parent_index.selectivity(*parent_pred.bounds()[:2]),
-            sel_children=child_index.selectivity(*child_pred.bounds()[:2]),
-            avg_children=avg_children,
-            children_with_parents=rel.children_with_parents,
-            child_index_clustering=child_index.clustering_ratio,
-            parent_index_clustering=parent_index.clustering_ratio,
-            parent_set_chunks=parent_set_chunks,
         )

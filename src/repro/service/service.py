@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.buffer import BufferCache
 from repro.errors import ServiceError
 from repro.objects.handle import HandleTable
-from repro.opt import CostBasedOptimizer
-from repro.oql import Catalog, OQLEngine
+from repro.oql import Catalog, OQLEngine, Optimizer
 from repro.service.governor import QueryBudget, ResourceGovernor
 from repro.service.scheduler import CooperativeScheduler, Task
 from repro.simtime import MeterSnapshot
@@ -322,12 +321,12 @@ class QueryService:
         self.db = derby.db
         self.catalog = Catalog.from_derby(derby)
         #: Shared planner for every session when cost-based planning is
-        #: requested; ``None`` keeps each engine's private heuristic
-        #: planner.  Shared on purpose: one ``analyze`` (from any
-        #: session) installs statistics for the whole service, the way
-        #: a real server keeps one catalog of optimizer statistics.
+        #: requested; ``None`` gives each engine a private planner.
+        #: Shared on purpose: one ``analyze`` (from any session)
+        #: installs statistics for the whole service, the way a real
+        #: server keeps one catalog of optimizer statistics.
         self.plan_optimizer = (
-            CostBasedOptimizer(self.catalog) if optimizer == "cost" else None
+            Optimizer(self.catalog) if optimizer == "cost" else None
         )
         self.recovery = recovery
         self.txm = TransactionManager(self.db, recovery=recovery)

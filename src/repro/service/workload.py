@@ -171,10 +171,10 @@ class MixConfig(ClientMix):
     update_values: str = "age"
     #: Override for the shared server tier's size.
     server_cache_pages: int | None = None
-    #: Planner every session uses: ``"heuristic"`` (the default
-    #: rule-plus-cost planner) or ``"cost"`` (the statistics-driven
-    #: :class:`repro.opt.CostBasedOptimizer`; the mixer bootstraps it by
-    #: running one governed ``analyze`` statement before the mix).
+    #: Planner every session uses: ``"heuristic"`` (a private planner
+    #: per session, never analyzed) or ``"cost"`` (one planner shared by
+    #: every session; the mixer feeds it statistics by running one
+    #: governed ``analyze`` statement before the mix).
     optimizer: str = "heuristic"
 
     def __post_init__(self) -> None:

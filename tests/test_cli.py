@@ -125,10 +125,12 @@ class TestCommands:
     def test_old_chaos_entries_are_gone(self):
         # ``crash demo`` repeated examples/crash_recovery.py,
         # ``calibrate`` repeated benchmarks/bench_cost_model_validation.py,
-        # and no gate ran ``serve`` or ``lint --format``.
+        # no gate ran ``serve`` or ``lint --format``, and the shell's
+        # one planner widens on ``analyze`` whatever ``--optimizer`` said.
         for argv in (["crash", "fuzz"], ["shard", "chaos"],
                      ["failover", "chaos"], ["chaos"], ["crash", "demo"],
-                     ["calibrate"], ["serve"], ["lint", "--format", "json"]):
+                     ["calibrate"], ["serve"], ["lint", "--format", "json"],
+                     ["shell", "--optimizer", "cost"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -203,13 +205,13 @@ class TestCommands:
         assert "Sharded mix (2 shards): 1 scanner(s) + 1 updater(s)" in out
 
     def test_shell_cost_optimizer(self, capsys, monkeypatch):
-        inputs = iter([
-            "analyze",
-            "explain select count(p) from p in Patients where p.num < 500",
-            "quit",
-        ])
+        """The shell's one planner searches every access path once the
+        user types ``analyze``."""
+        explain = "explain select count(p) from p in Patients where p.num < 500"
+        inputs = iter([explain, "analyze", explain, "quit"])
         monkeypatch.setattr("builtins.input", lambda prompt="": next(inputs))
-        assert main(["shell", "--scale", "0.001", "--optimizer", "cost"]) == 0
+        assert main(["shell", "--scale", "0.001"]) == 0
         out = capsys.readouterr().out
-        assert "analyzed Patients" in out
-        assert "<- chosen" in out
+        before, after = out.split("analyzed Patients")
+        assert "  index  " in before and "index-only" not in before
+        assert "  index-only(num)  " in after and "<- chosen" in after

@@ -1,15 +1,17 @@
-"""Tests for the cost-based plan enumerator (``repro.opt.enumerator``).
+"""Tests for the planner's statistics-driven search (``repro.oql.optimizer``).
 
-The contract under test: ``CostBasedOptimizer`` explores a superset of
-the heuristic planner's alternatives, labels them distinctly, always
-chooses the minimum-estimate plan, produces semantically identical
-results, and — before ``install_stats`` — degrades to the heuristic
-planner's behavior.  Both planners are one enumeration in
-``Optimizer._plan_selection`` under different hooks
-(``TestOneEnumeration``).
+The contract under test: once ``install_stats`` has run, ``Optimizer``
+explores a superset of the alternatives it costs before, labels them
+distinctly, always chooses the minimum-estimate plan and produces
+semantically identical results; before, it plans narrowly, the way the
+heuristic planner always did.  Both searches are one enumeration in
+``Optimizer._plan_selection`` (``TestOneEnumeration``).
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +21,8 @@ from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
-from repro.opt import CostBasedOptimizer, StatsCollector
+import repro.opt
+from repro.opt import StatsCollector, TableStats
 from repro.oql import Catalog, OQLEngine, parse_statement
 from repro.oql.optimizer import Optimizer
 from repro.simtime import CostParams
@@ -49,7 +52,7 @@ def table_stats(catalog):
 
 @pytest.fixture(scope="module")
 def cost_engine(catalog, table_stats):
-    optimizer = CostBasedOptimizer(catalog, include_extensions=True)
+    optimizer = Optimizer(catalog, include_extensions=True)
     optimizer.install_stats(table_stats)
     return OQLEngine(catalog, optimizer=optimizer)
 
@@ -131,7 +134,7 @@ class TestJoinEnumeration:
         assert plan.algorithm in plan.alternatives
 
     def test_paper_four_without_extensions(self, derby, catalog, table_stats):
-        optimizer = CostBasedOptimizer(catalog)
+        optimizer = Optimizer(catalog)
         optimizer.install_stats(table_stats)
         engine = OQLEngine(catalog, optimizer=optimizer)
         plan = engine.plan(tree_query_text(derby.config, 10, 90))
@@ -184,9 +187,12 @@ class TestSemanticEquivalence:
 class TestFallbackWithoutStats:
     def test_matches_heuristic_choices(self, derby, catalog,
                                        heuristic_engine):
-        engine = OQLEngine(
-            catalog, optimizer=CostBasedOptimizer(catalog)
-        )
+        """Statistics with no histogram fall back to the indexes' own
+        selectivities: one-conjunct selections and tree joins plan as
+        they did before ``analyze``."""
+        optimizer = Optimizer(catalog)
+        optimizer.install_stats(TableStats())
+        engine = OQLEngine(catalog, optimizer=optimizer)
         for pct in (10, 90):
             query = selection_query_text(derby.config, pct)
             cold = engine.plan(query)
@@ -199,10 +205,63 @@ class TestFallbackWithoutStats:
                     == heuristic_engine.plan(query).algorithm)
 
     def test_stats_property_roundtrip(self, catalog, table_stats):
-        optimizer = CostBasedOptimizer(catalog)
-        assert not optimizer.estimator.stats.extents
+        optimizer = Optimizer(catalog)
+        assert optimizer.estimator.stats is None
         optimizer.install_stats(table_stats)
         assert optimizer.estimator.stats is table_stats
+
+
+class TestAnalyzeWidensTheSearch:
+    """The one planner class: ``analyze``, not a subclass, decides how
+    widely a selection is searched."""
+
+    TWO_DRIVERS = (
+        "select p.age from p in Patients "
+        "where p.mrn < 100000 and p.age != 40 and p.num > 600 order by p.age"
+    )
+
+    def test_a_planner_never_analyzed_plans_narrowly(self, catalog):
+        # Whatever name it is built under, a planner costs only the
+        # best driver until ``analyze`` (the heuristic's estimates).
+        assert repro.opt.CostBasedOptimizer is Optimizer
+        plan = repro.opt.CostBasedOptimizer(catalog).plan(
+            parse_statement(self.TWO_DRIVERS)
+        )
+        assert [
+            (label, round(estimate.seconds, 6))
+            for label, estimate in plan.alternatives.items()
+        ] == [("scan", 0.815451), ("index", 2.901304),
+              ("sorted-index", 0.742084)]
+
+    def test_analyze_on_a_default_engine_widens_its_search(self, catalog):
+        # An engine built without a planner argument adopts what its
+        # ``analyze`` collects.
+        engine = OQLEngine(catalog)
+        assert list(engine.plan(self.TWO_DRIVERS).alternatives) == [
+            "scan", "index", "sorted-index",
+        ]
+        engine.execute("analyze Patients")
+        assert engine.optimizer.estimator.stats.extent("Patients")
+        assert list(engine.plan(self.TWO_DRIVERS).alternatives) == [
+            "scan", "index(mrn)", "sorted-index(mrn)",
+            "index(num)", "sorted-index(num)",
+        ]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_join_stats_and_the_inline_set_limit_are_written_once():
+    """The estimator is the one builder of the cost model's join input,
+    and the inline-set limit lives where the record codec spells it."""
+    builders, limits = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        name = path.relative_to(SRC).as_posix()
+        builders += [name] * len(re.findall(r"\bJoinStats\(", text))
+        limits += [name] * len(re.findall(r"\b3400\b", text))
+    assert builders == ["oql/estimator.py"]
+    assert limits == ["objects/codec.py"]
 
 
 # -- one enumeration, two planners ------------------------------------------
@@ -260,7 +319,12 @@ def _check_shape(plan, predicates):
 class TestOneEnumeration:
     @pytest.fixture(scope="class")
     def planners(self, catalog):
-        return Optimizer(catalog), CostBasedOptimizer(catalog)
+        """A planner never analyzed, and one analyzed into statistics
+        that hold no histogram: the second searches every driver with
+        the first one's selectivities."""
+        analyzed = Optimizer(catalog)
+        analyzed.install_stats(TableStats())
+        return Optimizer(catalog), analyzed
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -16,7 +16,6 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 from repro.opt import (
-    CardinalityEstimator,
     EquiDepthHistogram,
     StatsCollector,
     TableStats,
@@ -25,6 +24,7 @@ from repro.opt import (
 )
 from repro.opt.collector import AttributeStats, ExtentStats, FanoutStats
 from repro.oql import Catalog
+from repro.oql.estimator import CardinalityEstimator
 from repro.oql.optimizer import SargablePredicate
 from repro.simtime import CostParams
 from repro.stats import StatsDatabase
@@ -235,9 +235,15 @@ class TestPersist:
         assert loaded.fanouts == newer.fanouts
 
 
+def analyzed(catalog, table_stats) -> CardinalityEstimator:
+    est = CardinalityEstimator(catalog)
+    est.install(table_stats)
+    return est
+
+
 class TestEstimator:
     def test_selectivity_tracks_truth(self, derby, catalog, table_stats):
-        est = CardinalityEstimator(catalog, table_stats)
+        est = analyzed(catalog, table_stats)
         bound = selectivity_error_bound(40)
         for pct in (10, 30, 60, 90):
             threshold = derby.config.num_threshold(pct)
@@ -246,7 +252,7 @@ class TestEstimator:
             assert abs(sel - pct / 100) <= bound + 0.02
 
     def test_conjunction_independence(self, catalog, table_stats):
-        est = CardinalityEstimator(catalog, table_stats)
+        est = analyzed(catalog, table_stats)
         p1 = SargablePredicate("p", "num", "<", 500_000)
         p2 = SargablePredicate("p", "age", "<", 40)
         combined = est.conjunct_selectivity("Patients", [p1, p2])
@@ -256,7 +262,7 @@ class TestEstimator:
         assert combined == pytest.approx(product)
 
     def test_collection_rows(self, catalog, table_stats):
-        est = CardinalityEstimator(catalog, table_stats)
+        est = analyzed(catalog, table_stats)
         assert est.collection_rows("Patients") == catalog.collection_size(
             "Patients"
         )

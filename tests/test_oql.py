@@ -10,7 +10,7 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.errors import OQLSyntaxError, PlanError
-from repro.opt import CostBasedOptimizer, StatsCollector
+from repro.opt import StatsCollector
 from repro.oql import (
     AnalyzeStmt,
     BinOp,
@@ -25,7 +25,7 @@ from repro.oql import (
     parse_statement,
     tokenize,
 )
-from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
+from repro.oql.optimizer import Optimizer, SelectionPlan, TreeJoinPlan
 from repro.simtime import CostParams
 
 
@@ -397,7 +397,7 @@ def statements(draw):
 class TestSharedTreesStayUnchanged:
     @pytest.fixture(scope="class")
     def engines(self, catalog):
-        cost = CostBasedOptimizer(catalog, include_extensions=True)
+        cost = Optimizer(catalog, include_extensions=True)
         cost.install_stats(StatsCollector(catalog).collect())
         return OQLEngine(catalog), OQLEngine(catalog, optimizer=cost)
 

@@ -19,6 +19,7 @@ from repro.oql import (
     Catalog,
     ExplainStmt,
     OQLEngine,
+    Optimizer,
     Query,
     Statement,
     parse_statement,
@@ -209,15 +210,13 @@ class TestExplainTree:
 
 class TestAnalyzeExecution:
     def test_installs_stats_on_heuristic_engine(self, engine):
-        assert engine.table_stats is None
+        assert engine.optimizer.estimator.stats is None
         rows = engine.execute("analyze")
-        assert engine.table_stats.extent("Patients") is not None
+        assert engine.optimizer.estimator.stats.extent("Patients") is not None
         assert any("analyzed Patients" in row for row in rows)
 
     def test_installs_into_cost_planner(self, catalog):
-        from repro.opt import CostBasedOptimizer
-
-        optimizer = CostBasedOptimizer(catalog)
+        optimizer = Optimizer(catalog)
         engine = OQLEngine(catalog, optimizer=optimizer)
         engine.execute("analyze Patients")
         assert optimizer.estimator.stats.extent("Patients") is not None
