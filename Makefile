@@ -52,12 +52,11 @@ pipeline:
 # One seeded chaos suite through the shared harness, every case
 # double-run for determinism; exits nonzero on any contract violation.
 # CI's `chaos` matrix job runs: recovery 40 (x 5 crash points),
-# service 100, 2pc 25, failover 50, failover 25 with
-# CHAOS_FLAGS="--ship-mode async".
+# service 100, 2pc 25, failover 50 (x sync, async).
 SUITE ?= service
 CASES ?= 100
 chaos:
-	$(PYTHON) -m repro chaos --suite $(SUITE) --cases $(CASES) $(CHAOS_FLAGS)
+	$(PYTHON) -m repro chaos --suite $(SUITE) --cases $(CASES)
 
 # Admission control under overload -> results/governor_overload.txt.
 governor:

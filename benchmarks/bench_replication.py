@@ -58,10 +58,10 @@ from repro.dist import (
     Coordinator,
     ShardedMixConfig,
     ShardedWorkload,
-    failover_coverage,
     load_sharded,
 )
-from repro.recovery import run_suite, suite_fingerprint
+from repro.dist.chaos import FAILOVER_KILL_KINDS
+from repro.recovery import run_case, suite_fingerprint
 from repro.stats import records_to_csv
 
 from conftest import same_rows
@@ -344,19 +344,23 @@ def summarize(
         ),
         "chaos_sync_cases": len(chaos_sync),
         "chaos_sync_ok": sum(1 for c in chaos_sync if c.ok),
-        "chaos_sync_acked_loss": sum(
-            c.loss_window or 0 for c in chaos_sync
-        ),
+        "chaos_sync_acked_loss": sum(c.row["LossWin"] for c in chaos_sync),
         "chaos_sync_failed_seeds": [c.seed for c in chaos_sync if not c.ok],
         "chaos_sync_sha256": suite_fingerprint(chaos_sync),
         "chaos_async_cases": len(chaos_async),
         "chaos_async_ok": sum(1 for c in chaos_async if c.ok),
         "chaos_async_failed_seeds": [c.seed for c in chaos_async if not c.ok],
         "chaos_async_sha256": suite_fingerprint(chaos_async),
-        "chaos_kinds": failover_coverage(chaos_sync + chaos_async),
+        "chaos_kinds": {
+            kind: sum(
+                1 for c in chaos_sync + chaos_async
+                if c.row["Killed"] and c.row["Kind"] == kind
+            )
+            for kind in FAILOVER_KILL_KINDS
+        },
         "chaos_points": {
             point: sum(
-                1 for c in chaos_sync + chaos_async if c.point == point
+                1 for c in chaos_sync + chaos_async if c.row["Point"] == point
             )
             for point in REPLICATION_KILL_POINTS
         },
@@ -455,18 +459,18 @@ def check(
     for c in chaos_sync:
         if not c.ok:
             failures.append(
-                f"sync chaos seed={c.seed} ({c.kind}/{c.point}): "
+                f"sync chaos seed={c.seed} ({c.row['Kind']}/{c.row['Point']}): "
                 + "; ".join(c.failures)
             )
-        if c.loss_window:
+        if c.row["LossWin"]:
             failures.append(
                 f"sync chaos seed={c.seed} reported a nonzero acked-loss "
-                f"window ({c.loss_window} records)"
+                f"window ({c.row['LossWin']} records)"
             )
     for c in chaos_async:
         if not c.ok:
             failures.append(
-                f"async chaos seed={c.seed} ({c.kind}/{c.point}): "
+                f"async chaos seed={c.seed} ({c.row['Kind']}/{c.row['Point']}): "
                 + "; ".join(c.failures)
             )
     for kind, count in summary["chaos_kinds"].items():
@@ -483,10 +487,13 @@ def test_replication_availability(save_table, save_json):
     logical = generate(config)
     equiv = run_equivalence(config, logical)
     avail, csv_rows = run_availability(config, logical)
-    chaos_sync = run_suite(FAILOVER, CHAOS_CASES_SYNC, ship_mode="sync")
-    chaos_async = run_suite(
-        FAILOVER, CHAOS_CASES_ASYNC, base_seed=10_000, ship_mode="async"
-    )
+    chaos_sync = [
+        run_case(FAILOVER, seed, "sync") for seed in range(CHAOS_CASES_SYNC)
+    ]
+    chaos_async = [
+        run_case(FAILOVER, 10_000 + i, "async")
+        for i in range(CHAOS_CASES_ASYNC)
+    ]
 
     summary = summarize(equiv, avail, chaos_sync, chaos_async)
     table = build_table(equiv, avail, summary)

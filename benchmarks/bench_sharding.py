@@ -52,7 +52,6 @@ from repro.dist import (
     ShardedMixConfig,
     ShardedWorkload,
     load_sharded,
-    point_coverage,
 )
 from repro.dist.exchange import ROW_WIRE_BYTES
 from repro.oql import Catalog, OQLEngine
@@ -276,7 +275,13 @@ def summarize(
         "chaos_ok": sum(1 for c in chaos if c.ok),
         "chaos_failed_seeds": [c.seed for c in chaos if not c.ok],
         "chaos_sha256": suite_fingerprint(chaos),
-        "chaos_points": point_coverage(chaos),
+        "chaos_points": {
+            point: sum(
+                1 for c in chaos
+                if c.row["Crashed"] and c.row["CrashPoint"] == point
+            )
+            for point in TWOPC_CRASH_POINTS
+        },
     }
 
 
@@ -351,7 +356,8 @@ def check(
         if not c.ok:
             failures.append(
                 f"2PC chaos case seed={c.seed} "
-                f"({c.point} x{c.occurrence}): " + "; ".join(c.failures)
+                f"({c.row['CrashPoint']} x{c.row['Occ']}): "
+                + "; ".join(c.failures)
             )
     for point in TWOPC_CRASH_POINTS:
         if summary["chaos_points"].get(point, 0) == 0:

@@ -242,28 +242,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     suite = {
         s.name: s for s in (RECOVERY, SERVICE, TWOPC, FAILOVER)
     }[args.suite]
-    params = {}
-    if args.ship_mode is not None:
-        if args.suite != "failover":
-            print("--ship-mode applies to --suite failover only",
-                  file=sys.stderr)
-            return 2
-        params["ship_mode"] = args.ship_mode
-    results = run_suite(
-        suite,
-        args.cases,
-        base_seed=args.seed,
-        **params,
-    )
-    print(suite.summarize(results))
-    for r in results:
-        for failure in r.failures:
-            print(f"seed {r.seed}: {failure}", file=sys.stderr)
-    mode = f" --ship-mode {args.ship_mode}" if args.ship_mode else ""
-    for seed in sorted({r.seed for r in results if not r.ok}):
+    cases = run_suite(suite, args.cases, base_seed=args.seed)
+    print(suite.summarize(cases))
+    for case in cases:
+        where = "".join(f" {v}" for v in case.variant)
+        for failure in case.failures:
+            print(f"seed {case.seed}{where}: {failure}", file=sys.stderr)
+    for seed in sorted({case.seed for case in cases if not case.ok}):
         print(f"reproduce: python -m repro chaos --suite {args.suite}"
-              f"{mode} --seed {seed} --cases 1", file=sys.stderr)
-    return 0 if all(r.ok for r in results) else 1
+              f" --seed {seed} --cases 1", file=sys.stderr)
+    return 0 if all(case.ok for case in cases) else 1
 
 
 # ------------------------------------------------------------------ shard
@@ -528,15 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--suite", choices=CHAOS_SUITES, required=True,
                        help="which suite's cases and invariants to run "
-                            "(recovery runs every seed at each crash point)")
+                            "(recovery runs every seed at each crash point, "
+                            "failover in each ship mode)")
     chaos.add_argument("--cases", type=_positive(int), default=25,
                        help="seeded cases to run (at least one: a run "
                             "that checked nothing must not pass)")
     chaos.add_argument("--seed", type=int, default=0,
                        help="base seed (case i uses seed base+i)")
-    chaos.add_argument("--ship-mode", choices=("sync", "async"), default=None,
-                       help="WAL shipping mode of the failover suite "
-                            "(default: sync)")
     chaos.set_defaults(func=cmd_chaos)
 
     shard = sub.add_parser(

@@ -27,20 +27,12 @@ transactions on its own timeline:
   :class:`~repro.service.MixReport` as the single-server mixer;
 * :mod:`repro.dist.chaos` — the :data:`TWOPC` (cluster crash at all
   five protocol points) and :data:`FAILOVER` (primary kills under
-  replication) chaos suites, run by the shared harness in
+  sync and async replication) chaos suites, run by the shared harness in
   :mod:`repro.recovery.harness` (``python -m repro chaos --suite
   {2pc,failover}``).
 """
 
-from repro.dist.chaos import (
-    FAILOVER,
-    FAILOVER_KILL_KINDS,
-    TWOPC,
-    FailoverChaosResult,
-    TwoPCChaosResult,
-    failover_coverage,
-    point_coverage,
-)
+from repro.dist.chaos import FAILOVER, TWOPC
 from repro.dist.cluster import ShardedCluster, load_sharded
 from repro.dist.coordinator import Coordinator, DistPlan
 from repro.dist.deadlock import GlobalLockTable
@@ -93,8 +85,6 @@ __all__ = [
     "ShardedWorkload",
     "sharded_table",
     "TWOPC",
-    "TwoPCChaosResult",
-    "point_coverage",
     "RouteTable",
     "HEALTH_STATES",
     "FailureDetector",
@@ -104,7 +94,4 @@ __all__ = [
     "ReplicaLink",
     "ReplicationInjector",
     "FAILOVER",
-    "FAILOVER_KILL_KINDS",
-    "FailoverChaosResult",
-    "failover_coverage",
 ]

@@ -35,8 +35,9 @@ against the same oracle (with an empty decided-but-unacked set).
 **failover** — instead of the cluster, each case kills one shard's
 *primary*: at a drawn simulated time, at a drawn WAL-ship protocol
 point, or as a double failure (primary killed, then the replica killed
-mid promotion).  The failure detector and fenced failover run, and the
-replicated atomic-commitment contract must hold:
+mid promotion).  Every seed runs once per WAL-ship mode (the suite's
+variants, sync then async).  The failure detector and fenced failover
+run, and the replicated atomic-commitment contract must hold:
 
 * sync mode: *zero acknowledged loss* — the post-failover durable
   state matches exactly the last-writer oracle over every acked write
@@ -50,11 +51,9 @@ replicated atomic-commitment contract must hold:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from types import SimpleNamespace
 
-from repro.bench.report import Table
 from repro.derby import DerbyConfig
 from repro.dist.cluster import ShardedCluster, load_sharded
 from repro.dist.replication import (
@@ -171,30 +170,6 @@ def _ages_digest(final: dict) -> tuple:
 # -- the 2pc suite -------------------------------------------------------
 
 
-@dataclass
-class TwoPCChaosResult:
-    """Outcome of one seeded 2PC chaos case."""
-
-    seed: int
-    n_shards: int
-    scheme: str
-    point: str
-    occurrence: int
-    clients: int
-    committed: int
-    aborted: int
-    crashed: bool
-    #: In-doubt branches recovery resolved from the decision log.
-    resolved_commit: int
-    resolved_abort: int
-    failures: list[str] = field(default_factory=list)
-    digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
 def _draw_2pc_case(
     seed: int,
 ) -> tuple[int, str, float | None, ShardedMixConfig, TwoPCInjector]:
@@ -255,22 +230,19 @@ def _execute_2pc(seed: int):
         resolved_abort,
         _ages_digest(final),
     )
-    result = TwoPCChaosResult(
-        seed=seed,
-        n_shards=n_shards,
-        scheme=scheme,
-        point=injector.point,
-        occurrence=injector.occurrence,
-        clients=config.total_clients,
-        committed=report.committed,
-        aborted=report.aborted,
-        crashed=report.crashed,
-        resolved_commit=resolved_commit,
-        resolved_abort=resolved_abort,
-        digest=digest,
-    )
+    row = {
+        "Shards": n_shards,
+        "Scheme": scheme,
+        "CrashPoint": injector.point,
+        "Occ": injector.occurrence,
+        "Committed": report.committed,
+        "Aborted": report.aborted,
+        "Crashed": report.crashed,
+        "ResolvedC": resolved_commit,
+        "ResolvedA": resolved_abort,
+    }
     evidence = SimpleNamespace(
-        result=result,
+        crashed=report.crashed,
         cluster=cluster,
         workload=workload,
         injector=injector,
@@ -279,83 +251,32 @@ def _execute_2pc(seed: int):
         unacked=decided_unacked,
         lossy_shards=frozenset(),
     )
-    return result, evidence
+    return row, digest, evidence
 
 
 def _crash_was_injected(ev) -> list[str]:
-    if ev.result.crashed and not ev.injector.fired:
+    if ev.crashed and not ev.injector.fired:
         return ["run crashed but the 2PC injector never fired"]
-    if ev.injector.fired and not ev.result.crashed:
+    if ev.injector.fired and not ev.crashed:
         return ["injector fired but the run did not crash"]
     return []
 
 
-def point_coverage(results: list[TwoPCChaosResult]) -> dict[str, int]:
-    """How many cases actually crashed at each protocol point."""
-    coverage = {point: 0 for point in TWOPC_CRASH_POINTS}
-    for r in results:
-        if r.crashed:
-            coverage[r.point] += 1
-    return coverage
-
-
-def summarize_2pc(results: list[TwoPCChaosResult]) -> Table:
-    """Render a per-case summary table with an aggregate note."""
-    table = Table(
-        f"2PC chaos: {len(results)} seeded crash-injected sharded runs",
-        ["Seed", "Shards", "Scheme", "CrashPoint", "Occ", "Committed",
-         "Aborted", "Crashed", "ResolvedC", "ResolvedA", "OK"],
-    )
-    for r in results:
-        table.add(
-            r.seed, r.n_shards, r.scheme, r.point, r.occurrence,
-            r.committed, r.aborted, "yes" if r.crashed else "no",
-            r.resolved_commit, r.resolved_abort, "ok" if r.ok else "FAIL",
-        )
-    bad = [r for r in results if not r.ok]
-    crashed = sum(1 for r in results if r.crashed)
-    covered = sum(1 for n in point_coverage(results).values() if n)
-    table.note(
-        f"{len(results) - len(bad)}/{len(results)} cases clean; "
-        f"{crashed} crashed ({covered}/{len(TWOPC_CRASH_POINTS)} protocol "
-        "points covered); invariants: committed-visible (incl. "
+def _note_2pc(cases) -> str:
+    crashed = [c for c in cases if c.row["Crashed"]]
+    covered = len({c.row["CrashPoint"] for c in crashed})
+    return (
+        f"{len(crashed)} crashed ({covered}/{len(TWOPC_CRASH_POINTS)} "
+        "protocol points covered); invariants: committed-visible (incl. "
         "decided-but-unacked), uncommitted-gone, zero leaks, "
         "deterministic re-runs"
     )
-    return table
 
 
 # -- the failover suite --------------------------------------------------
 
 #: How each failover chaos case kills the primary.
 FAILOVER_KILL_KINDS = ("timed", "ship", "double")
-
-
-@dataclass
-class FailoverChaosResult:
-    """Outcome of one seeded primary-kill chaos case."""
-
-    seed: int
-    ship_mode: str
-    n_shards: int
-    scheme: str
-    kind: str
-    #: The replication kill point ("timed" kills have none).
-    point: str
-    victim: int
-    killed: bool
-    failed_over: bool
-    committed: int
-    aborted: int
-    unavailable: int
-    loss_window: int
-    unavailable_s: float
-    failures: list[str] = field(default_factory=list)
-    digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _draw_failover_case(
@@ -412,7 +333,7 @@ def _settle_failover(cluster: ShardedCluster) -> None:
         cluster.clock.charge_s(_BACKOFF, step_s)
 
 
-def _execute_failover(seed: int, ship_mode: str = "sync"):
+def _execute_failover(seed: int, ship_mode: str):
     (
         n_shards, scheme, config, kind, point, victim, occurrence,
         kill_at_s, max_lag,
@@ -480,25 +401,24 @@ def _execute_failover(seed: int, ship_mode: str = "sync"):
         round(total_unavailable_s, 9),
         _ages_digest(final),
     )
-    result = FailoverChaosResult(
-        seed=seed,
+    row = {
+        "Mode": ship_mode,
+        "Shards": n_shards,
+        "Kind": kind,
+        "Point": point,
+        "Killed": killed,
+        "FailedOver": failed_over,
+        "Committed": report.committed,
+        "Unavail": report.unavailable,
+        "LossWin": loss_window,
+        "Down (s)": round(total_unavailable_s, 4),
+    }
+    evidence = SimpleNamespace(
         ship_mode=ship_mode,
-        n_shards=n_shards,
-        scheme=scheme,
         kind=kind,
         point=point,
-        victim=victim,
         killed=killed,
-        failed_over=failed_over,
-        committed=report.committed,
-        aborted=report.aborted,
-        unavailable=report.unavailable,
         loss_window=loss_window,
-        unavailable_s=total_unavailable_s,
-        digest=digest,
-    )
-    evidence = SimpleNamespace(
-        result=result,
         cluster=cluster,
         workload=workload,
         injector=injector,
@@ -513,22 +433,22 @@ def _execute_failover(seed: int, ship_mode: str = "sync"):
             if window and ship_mode == "async"
         ),
     )
-    return result, evidence
+    return row, digest, evidence
 
 
 def _failover_protocol(ev) -> list[str]:
     """Kills land where they were aimed and promotions are fenced."""
-    cluster, injector, case = ev.cluster, ev.injector, ev.result
+    cluster, injector = ev.cluster, ev.injector
     failures: list[str] = []
     fired = injector is not None and injector.fired
-    if case.kind == "ship" and fired and not case.killed:
+    if ev.kind == "ship" and fired and not ev.killed:
         failures.append("ship injector fired but no primary died")
-    if case.kind == "double" and case.killed and fired:
+    if ev.kind == "double" and ev.killed and fired:
         sid = injector.fired_shard
         if sid is not None and cluster.route.failovers[sid]:
             failures.append(
                 f"shard {sid} failed over after its replica was killed "
-                f"at {case.point}"
+                f"at {ev.point}"
             )
     for sid in range(cluster.n_shards):
         if cluster.route.failovers[sid]:
@@ -545,54 +465,28 @@ def _failover_protocol(ev) -> list[str]:
 
 
 def _sync_loses_nothing(ev) -> list[str]:
-    case = ev.result
-    if case.ship_mode == "sync" and case.loss_window:
-        return [f"sync link reported a {case.loss_window}-record loss window"]
+    if ev.ship_mode == "sync" and ev.loss_window:
+        return [f"sync link reported a {ev.loss_window}-record loss window"]
     return []
 
 
-def failover_coverage(results: list[FailoverChaosResult]) -> dict[str, int]:
-    """How many cases actually killed a primary, per kill recipe."""
-    coverage = {kind: 0 for kind in FAILOVER_KILL_KINDS}
-    for r in results:
-        if r.killed:
-            coverage[r.kind] += 1
-    return coverage
-
-
-def summarize_failover(results: list[FailoverChaosResult]) -> Table:
-    """Render a per-case failover chaos summary."""
-    table = Table(
-        f"Failover chaos: {len(results)} seeded primary-kill runs",
-        ["Seed", "Mode", "Shards", "Kind", "Point", "Killed", "FailedOver",
-         "Committed", "Unavail", "LossWin", "Down (s)", "OK"],
-    )
-    for r in results:
-        table.add(
-            r.seed, r.ship_mode, r.n_shards, r.kind, r.point,
-            "yes" if r.killed else "no",
-            "yes" if r.failed_over else "no",
-            r.committed, r.unavailable, r.loss_window,
-            round(r.unavailable_s, 4), "ok" if r.ok else "FAIL",
-        )
-    bad = [r for r in results if not r.ok]
-    killed = sum(1 for r in results if r.killed)
-    promoted = sum(1 for r in results if r.failed_over)
-    table.note(
-        f"{len(results) - len(bad)}/{len(results)} cases clean; "
+def _note_failover(cases) -> str:
+    killed = sum(1 for c in cases if c.row["Killed"])
+    promoted = sum(1 for c in cases if c.row["FailedOver"])
+    return (
         f"{killed} primaries killed, {promoted} failovers completed; "
         "invariants: acked-visible (sync: exactly; async: bounded loss "
         "window), uncommitted-gone, epoch fencing, zero leaks, "
         "deterministic re-runs"
     )
-    return table
 
 
 TWOPC = Suite(
     name="2pc",
     execute=_execute_2pc,
     invariants=[_crash_was_injected, _cluster_leaks, _last_writer],
-    summarize=summarize_2pc,
+    title="2PC chaos: {n} seeded crash-injected sharded runs",
+    note=_note_2pc,
 )
 
 FAILOVER = Suite(
@@ -601,5 +495,7 @@ FAILOVER = Suite(
     invariants=[
         _failover_protocol, _cluster_leaks, _sync_loses_nothing, _last_writer,
     ],
-    summarize=summarize_failover,
+    title="Failover chaos: {n} seeded primary-kill runs",
+    note=_note_failover,
+    variants=(("sync",), ("async",)),
 )

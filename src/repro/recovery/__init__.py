@@ -37,7 +37,7 @@ from repro.recovery.crash import (
     NamedPointInjector,
     crash_database,
 )
-from repro.recovery.fuzz import RECOVERY, FuzzResult
+from repro.recovery.fuzz import RECOVERY
 from repro.recovery.harness import (
     Suite,
     check_last_writer,
@@ -50,7 +50,6 @@ from repro.recovery.transient import TransientFaultInjector
 __all__ = [
     "CRASH_POINTS",
     "CrashInjector",
-    "FuzzResult",
     "NamedPointInjector",
     "RECOVERY",
     "RecoveryReport",

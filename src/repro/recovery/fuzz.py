@@ -30,7 +30,6 @@ interleaved workload over disjoint key pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from types import SimpleNamespace
 
@@ -42,7 +41,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.objects import AttrKind, AttributeDef, Database, Schema
-from repro.recovery.aries import RecoveryReport, restart, take_checkpoint
+from repro.recovery.aries import restart, take_checkpoint
 from repro.recovery.crash import CRASH_POINTS, CrashInjector, crash_database
 from repro.recovery.harness import Suite, check_last_writer
 from repro.storage.rid import Rid
@@ -53,6 +52,9 @@ _PAD = "x" * 96
 
 #: The two-slot workload checkpoints every n-th started transaction.
 _CHECKPOINT_EVERY = 3
+
+#: Transactions the two-slot workload starts per case.
+_TXNS = 10
 
 #: How many times each crash point can plausibly be reached in one case;
 #: the occurrence is drawn from this range so crashes land early, late
@@ -65,29 +67,6 @@ _OCCURRENCE_RANGE = {
     "checkpoint": 4,
     "mix-run": 56,
 }
-
-
-@dataclass
-class FuzzResult:
-    """Outcome of one (seed, crash point) case."""
-
-    seed: int
-    point: str
-    occurrence: int
-    fired: bool
-    txns_started: int
-    acked: int
-    durable_commits: int
-    losers: int
-    failures: list[str] = field(default_factory=list)
-    report: RecoveryReport = field(default_factory=RecoveryReport)
-    #: Canonical recovered state: ``((rid, value | None), ...)`` — used
-    #: by the determinism check.
-    digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _make_db() -> tuple[Database, list[Rid]]:
@@ -118,9 +97,9 @@ def _read_x(db: Database, rid: Rid):
         return None
 
 
-def _execute(seed: int, point: str, txns: int = 10):
+def _execute(seed: int, point: str):
     """Run one seeded workload, crash at ``point`` and recover; returns
-    the case's result and the evidence its invariants inspect."""
+    the case's row, digest and the evidence its invariants inspect."""
     rng = Random(seed * 1_000_003 + CRASH_POINTS.index(point))
     db, rids = _make_db()
     txm = TransactionManager(db, recovery=True)
@@ -142,7 +121,7 @@ def _execute(seed: int, point: str, txns: int = 10):
             )
         else:
             started = _two_slot_workload(
-                db, txm, rids, rng, txn_writes, txn_creates, acked, txns
+                db, txm, rids, rng, txn_writes, txn_creates, acked
             )
     except SimulatedCrashError:
         started = len(txn_writes)
@@ -169,18 +148,15 @@ def _execute(seed: int, point: str, txns: int = 10):
         report.txns_undone,
         round(report.seconds, 9),
     )
-    result = FuzzResult(
-        seed=seed,
-        point=point,
-        occurrence=occurrence,
-        fired=injector.fired,
-        txns_started=started,
-        acked=len(acked),
-        durable_commits=len(durable),
-        losers=report.txns_undone,
-        report=report,
-        digest=digest,
-    )
+    row = {
+        "Point": point,
+        "Occ": occurrence,
+        "Fired": injector.fired,
+        "Txns": started,
+        "Acked": len(acked),
+        "Durable": len(durable),
+        "Losers": report.txns_undone,
+    }
     evidence = SimpleNamespace(
         snapshot_failures=snapshot_failures,
         acked=acked,
@@ -189,7 +165,7 @@ def _execute(seed: int, point: str, txns: int = 10):
         writes=writes,
         found=found,
     )
-    return result, evidence
+    return row, digest, evidence
 
 
 # -- invariants ----------------------------------------------------------
@@ -216,7 +192,7 @@ def _last_writer(ev) -> list[str]:
 
 
 def _two_slot_workload(
-    db, txm, rids, rng, txn_writes, txn_creates, acked, txns
+    db, txm, rids, rng, txn_writes, txn_creates, acked
 ) -> int:
     """Up to two interleaved transactions over disjoint rid pools, so a
     crash can leave several losers and checkpoints see a live ATT."""
@@ -224,10 +200,10 @@ def _two_slot_workload(
     pools = (rids[:half], rids[half:])
     slots: list[dict | None] = [None, None]
     started = 0
-    while started < txns or any(s is not None for s in slots):
+    while started < _TXNS or any(s is not None for s in slots):
         i = rng.randrange(2)
         if slots[i] is None:
-            if started >= txns:
+            if started >= _TXNS:
                 i = next(j for j, s in enumerate(slots) if s is not None)
             else:
                 if started and started % _CHECKPOINT_EVERY == 0:
@@ -372,30 +348,15 @@ def _mix_workload(
     return len(txn_writes)
 
 
-def summarize(results) -> str:
-    """Human-readable per-point summary of a fuzz run."""
-    lines = []
-    by_point: dict[str, list[FuzzResult]] = {}
-    for r in results:
-        by_point.setdefault(r.point, []).append(r)
-    header = (
-        f"{'point':<16} {'cases':>5} {'fired':>5} {'acked':>6} "
-        f"{'durable':>7} {'losers':>6} {'failures':>8}"
+def _note(cases) -> str:
+    fired = [c for c in cases if c.row["Fired"]]
+    points = len({c.row["Point"] for c in fired})
+    return (
+        f"{len(fired)} crashes fired at {points}/{len(CRASH_POINTS)} crash "
+        "points; invariants: acked commits durable, committed-visible, "
+        "uncommitted-gone, snapshot-consistent si reads, deterministic "
+        "re-runs"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for point in sorted(by_point):
-        rs = by_point[point]
-        lines.append(
-            f"{point:<16} {len(rs):>5} {sum(r.fired for r in rs):>5} "
-            f"{sum(r.acked for r in rs):>6} "
-            f"{sum(r.durable_commits for r in rs):>7} "
-            f"{sum(r.losers for r in rs):>6} "
-            f"{sum(len(r.failures) for r in rs):>8}"
-        )
-    bad = sum(1 for r in results if not r.ok)
-    lines.append(f"{len(results)} cases, {bad} failed")
-    return "\n".join(lines)
 
 
 #: The suite: every seed runs once per crash point.
@@ -403,6 +364,7 @@ RECOVERY = Suite(
     name="recovery",
     execute=_execute,
     invariants=[_snapshot_consistent, _acks_durable, _last_writer],
-    summarize=summarize,
+    title="Recovery chaos: {n} seeded crash-recovery cases",
+    note=_note,
     variants=tuple((point,) for point in CRASH_POINTS),
 )

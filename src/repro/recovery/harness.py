@@ -1,20 +1,24 @@
-"""The one chaos harness: suite shape, seeded runner, last-writer oracle.
+"""The one chaos harness: suite shape, case record, seeded runner,
+last-writer oracle.
 
 A chaos **suite** is a seeded case generator plus a list of invariant
 checks.  The generator (:attr:`Suite.execute`) draws one case from its
 seed, drives it through its fault — and through recovery or failover,
-where the fault is fatal — and hands back the suite's result record
-together with the *evidence* the invariants inspect.  Every invariant is
-a function ``evidence -> [failure, ...]`` naming each clause of the
+where the fault is fatal — and hands back the case's summary row, its
+digest and the *evidence* the invariants inspect.  Every invariant is a
+function ``evidence -> [failure, ...]`` naming each clause of the
 contract it found broken; a new fault scenario is one generator plus at
 most one new invariant.
 
 What the four suites (``recovery``, ``service``, ``2pc``, ``failover``)
 used to re-implement lives here once:
 
+* :class:`Case` is the one record of a checked case, whatever the suite;
 * :func:`run_suite` / :func:`run_case` own the ``base_seed + i`` seed
-  walk and the **determinism** clause — every case runs twice on fresh
-  state and the two digests must be identical;
+  walk over every variant and the **determinism** clause — every case
+  runs twice on fresh state, the two digests must be identical and the
+  second run must hold every invariant too;
+* :meth:`Suite.summarize` renders any suite's cases as one table;
 * :func:`check_last_writer` is the **committed-visible /
   uncommitted-gone** oracle over a workload's acked ``write_log``.
 
@@ -31,45 +35,83 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 
 @dataclass
+class Case:
+    """One checked case of any suite."""
+
+    seed: int
+    variant: tuple
+    #: The case's summary columns, header -> value, in table order.
+    row: dict[str, Any]
+    #: The canonical simulated outcome the determinism clause compares.
+    digest: tuple
+    failures: list[str]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+@dataclass
 class Suite:
     """A case generator plus the invariants every case must hold."""
 
     name: str
-    #: ``execute(seed, *variant, **params) -> (result, evidence)``.  The
-    #: result carries at least ``seed``, ``failures`` (a list the
-    #: harness extends) and ``digest`` (the canonical simulated outcome
-    #: the determinism clause compares).
-    execute: Callable[..., tuple[Any, Any]]
+    #: ``execute(seed, *variant) -> (row, digest, evidence)``.
+    execute: Callable[..., tuple[dict[str, Any], tuple, Any]]
     #: ``check(evidence) -> [failure, ...]``, run in order.
     invariants: list[Callable[[Any], list[str]]]
-    #: ``summarize(results)`` renders a run for the terminal.
-    summarize: Callable[[list], object]
+    #: The summary table's title; ``{n}`` is the number of cases.
+    title: str
+    #: ``note(cases)``: the aggregate the table's note adds after
+    #: "k/n cases clean; ".
+    note: Callable[[list[Case]], str]
     #: Extra positional arguments every seed is run under, one case per
     #: entry (the recovery suite runs each seed at every crash point).
     variants: tuple[tuple, ...] = ((),)
 
-    def run_once(self, seed: int, *variant, **params):
+    def run_once(self, seed: int, *variant) -> Case:
         """One execution of one case, checked against every invariant."""
-        result, evidence = self.execute(seed, *variant, **params)
-        for check in self.invariants:
-            result.failures.extend(check(evidence))
-        return result
+        row, digest, evidence = self.execute(seed, *variant)
+        failures = [
+            failure for check in self.invariants for failure in check(evidence)
+        ]
+        return Case(seed, variant, row, digest, failures)
+
+    def summarize(self, cases: list[Case]):
+        """One table row per case (bools as yes/no) and the aggregate."""
+        # ``bench`` sits above ``recovery``: import at call time.
+        from repro.bench.report import Table
+
+        table = Table(
+            self.title.format(n=len(cases)), ["Seed", *cases[0].row, "OK"]
+        )
+        for case in cases:
+            cells = [
+                ("yes" if value else "no") if isinstance(value, bool) else value
+                for value in case.row.values()
+            ]
+            table.add(case.seed, *cells, "ok" if case.ok else "FAIL")
+        clean = sum(case.ok for case in cases)
+        table.note(f"{clean}/{len(cases)} cases clean; {self.note(cases)}")
+        return table
 
 
 def run_case(
-    suite: Suite, seed: int, *variant, check_determinism: bool = True, **params
-):
+    suite: Suite, seed: int, *variant, check_determinism: bool = True
+) -> Case:
     """Run one seeded case; with ``check_determinism`` run it twice, on
-    fresh state each time, and require identical digests."""
-    result = suite.run_once(seed, *variant, **params)
+    fresh state each time, and require identical digests and a clean
+    second run."""
+    case = suite.run_once(seed, *variant)
     if check_determinism:
-        again = suite.run_once(seed, *variant, **params)
-        if again.digest != result.digest:
-            result.failures.append(
+        again = suite.run_once(seed, *variant)
+        case.failures.extend(f"re-run: {failure}" for failure in again.failures)
+        if again.digest != case.digest:
+            case.failures.append(
                 f"seed {seed}: re-run produced a different digest "
                 "(determinism violated)"
             )
-    return result
+    return case
 
 
 def run_suite(
@@ -77,26 +119,25 @@ def run_suite(
     cases: int,
     base_seed: int = 0,
     check_determinism: bool = True,
-    **params,
-) -> list:
+) -> list[Case]:
     """Run seeds ``base_seed .. base_seed + cases - 1`` under every
     variant of the suite; each case is independent."""
     return [
         run_case(
             suite, base_seed + i, *variant,
-            check_determinism=check_determinism, **params,
+            check_determinism=check_determinism,
         )
         for variant in suite.variants
         for i in range(cases)
     ]
 
 
-def suite_fingerprint(results: Iterable) -> str:
+def suite_fingerprint(cases: Iterable[Case]) -> str:
     """One sha256 over the cases' ``repr(digest)`` in run order: what a
     report keeps of a suite run in place of every case record."""
     sha = hashlib.sha256()
-    for result in results:
-        sha.update(repr(result.digest).encode())
+    for case in cases:
+        sha.update(repr(case.digest).encode())
     return sha.hexdigest()
 
 

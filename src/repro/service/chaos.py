@@ -8,8 +8,9 @@ configuration and a :class:`~repro.recovery.TransientFaultInjector`
 mix, and asserts the robustness contract:
 
 * **nothing leaks** — when the run returns, the lock table holds zero
-  locks and zero waiters, no transaction is still open, and every
-  session's handle table is empty (live and parked);
+  locks and zero waiters, no transaction is still open, no session
+  holds a live handle (parked handles are the delayed-free cache, not
+  leaks) and no session is stuck in admission;
 * **committed-visible** — every write whose ``commit()`` ack returned is
   in the durable state; since the single timeline totally orders
   commits, the last acked write per rid must equal the value read back;
@@ -27,11 +28,9 @@ forbids recovery → service imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from random import Random
 from types import SimpleNamespace
 
-from repro.bench.report import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.recovery.harness import Suite, check_last_writer
@@ -40,29 +39,6 @@ from repro.service.workload import MixConfig, WorkloadMixer
 
 #: Scale of the per-case database: ~30 patients, loads in milliseconds.
 _SCALE = 0.00001
-
-
-@dataclass
-class ChaosResult:
-    """Outcome of one seeded chaos case."""
-
-    seed: int
-    clients: int
-    ops_per_client: int
-    read_fault_rate: float
-    storms: bool
-    committed: int
-    aborted: int
-    retries: int
-    io_faults: int
-    isolation: str = "2pl"
-    conflicts: int = 0
-    failures: list[str] = field(default_factory=list)
-    digest: tuple = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
@@ -98,8 +74,8 @@ def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
 
 
 def _execute(seed: int):
-    """Run one seeded fault-injected mix; returns the case's result and
-    the evidence its invariants inspect."""
+    """Run one seeded fault-injected mix; returns the case's row, digest
+    and the evidence its invariants inspect."""
     derby = load_derby(DerbyConfig.db_1to3(scale=_SCALE))
     config, faults = _draw_case(seed)
     # Preload ages *before* the run — the baseline the uncommitted-gone
@@ -141,29 +117,27 @@ def _execute(seed: int):
         report.max_queue_depth,
         tuple(sorted((tuple(r), v) for r, v in final.items())),
     )
-    result = ChaosResult(
-        seed=seed,
-        clients=config.total_clients,
-        ops_per_client=config.ops_per_client,
-        read_fault_rate=faults.read_fault_rate,
-        storms=faults.storm_mean_gap_s is not None,
-        isolation=config.isolation,
-        committed=report.committed,
-        aborted=report.aborted,
-        retries=report.retries,
-        conflicts=report.conflicts,
-        io_faults=faults.faults_injected,
-        digest=digest,
-    )
+    row = {
+        "Clients": config.total_clients,
+        "Ops": config.ops_per_client,
+        "FaultRate": faults.read_fault_rate,
+        "Storms": faults.storm_mean_gap_s is not None,
+        "Iso": config.isolation,
+        "Committed": report.committed,
+        "Aborted": report.aborted,
+        "Retries": report.retries,
+        "Conflicts": report.conflicts,
+        "IOFaults": faults.faults_injected,
+    }
     evidence = SimpleNamespace(
-        result=result,
+        isolation=config.isolation,
         service=mixer.service,
         report=report,
         preload=preload,
         write_log=mixer.write_log,
         final=final,
     )
-    return result, evidence
+    return row, digest, evidence
 
 
 # -- invariants ----------------------------------------------------------
@@ -195,7 +169,7 @@ def _si_reads_lock_free(ev) -> list[str]:
     """Under snapshot isolation the reader profiles resolve version
     chains instead of taking S locks; a single blocked read would
     falsify the MVCC claim, so the contract pins it to zero."""
-    if ev.result.isolation != "si":
+    if ev.isolation != "si":
         return []
     return [
         f"session {s.name} ({s.profile}) blocked on locks "
@@ -213,35 +187,20 @@ def _last_writer(ev) -> list[str]:
     )
 
 
-def summarize(results: list[ChaosResult]) -> Table:
-    """Render a per-case summary table with an aggregate note."""
-    table = Table(
-        f"Chaos: {len(results)} seeded fault-injected mix runs",
-        ["Seed", "Clients", "Ops", "FaultRate", "Storms", "Iso",
-         "Committed", "Aborted", "Retries", "Conflicts", "IOFaults", "OK"],
-    )
-    for r in results:
-        table.add(
-            r.seed, r.clients, r.ops_per_client, r.read_fault_rate,
-            "yes" if r.storms else "no", r.isolation, r.committed,
-            r.aborted, r.retries, r.conflicts, r.io_faults,
-            "ok" if r.ok else "FAIL",
-        )
-    bad = [r for r in results if not r.ok]
-    committed = sum(r.committed for r in results)
-    faults = sum(r.io_faults for r in results)
-    table.note(
-        f"{len(results) - len(bad)}/{len(results)} cases clean; "
+def _note(cases) -> str:
+    committed = sum(c.row["Committed"] for c in cases)
+    faults = sum(c.row["IOFaults"] for c in cases)
+    return (
         f"{committed} commits under {faults} injected read faults; "
         "invariants: zero leaked locks/handles, committed-visible, "
         "uncommitted-gone, lock-free si reads, deterministic re-runs"
     )
-    return table
 
 
 SERVICE = Suite(
     name="service",
     execute=_execute,
     invariants=[_nothing_leaks, _si_reads_lock_free, _last_writer],
-    summarize=summarize,
+    title="Chaos: {n} seeded fault-injected mix runs",
+    note=_note,
 )

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from repro.recovery import Suite, check_last_writer, run_case, run_suite
-from repro.service.chaos import SERVICE, ChaosResult, summarize
+from repro.recovery.harness import Case
+from repro.service.chaos import SERVICE
 
 from .chaos_pins import assert_pinned
 
@@ -20,17 +19,15 @@ class TestChaosChecker:
         for r in results:
             assert r.ok, f"seed {r.seed}: {r.failures}"
         # The grid actually exercised the machinery somewhere.
-        assert sum(r.committed for r in results) > 0
-        assert any(r.storms for r in results)
+        assert sum(r.row["Committed"] for r in results) > 0
+        assert any(r.row["Storms"] for r in results)
 
     def test_case_digest_is_reproducible(self):
         a = run_case(SERVICE, 3, check_determinism=False)
         b = run_case(SERVICE, 3, check_determinism=False)
         assert a.ok and b.ok
         assert a.digest == b.digest
-        assert (a.committed, a.aborted, a.retries, a.io_faults) == (
-            b.committed, b.aborted, b.retries, b.io_faults
-        )
+        assert a.row == b.row
 
     def test_pinned_digests_do_not_move(self):
         assert_pinned(
@@ -43,22 +40,22 @@ class TestChaosChecker:
 
     def test_faults_are_actually_injected_somewhere(self):
         results = run_suite(SERVICE, 8, base_seed=0, check_determinism=False)
-        assert sum(r.io_faults for r in results) >= 1
+        assert sum(r.row["IOFaults"] for r in results) >= 1
 
     def test_summarize_reports_the_aggregate(self):
+        def row(clients, rate, storms, committed, aborted, io_faults):
+            return {
+                "Clients": clients, "Ops": 2, "FaultRate": rate,
+                "Storms": storms, "Iso": "2pl", "Committed": committed,
+                "Aborted": aborted, "Retries": aborted, "Conflicts": 0,
+                "IOFaults": io_faults,
+            }
+
         results = [
-            ChaosResult(
-                seed=0, clients=2, ops_per_client=2, read_fault_rate=0.01,
-                storms=True, committed=4, aborted=0, retries=0,
-                io_faults=1,
-            ),
-            ChaosResult(
-                seed=1, clients=3, ops_per_client=2, read_fault_rate=0.05,
-                storms=False, committed=5, aborted=1, retries=1,
-                io_faults=0, failures=["1 locks leaked"],
-            ),
+            Case(0, (), row(2, 0.01, True, 4, 0, 1), (), []),
+            Case(1, (), row(3, 0.05, False, 5, 1, 0), (), ["1 locks leaked"]),
         ]
-        text = str(summarize(results))
+        text = str(SERVICE.summarize(results))
         assert "1/2 cases clean" in text
         assert "9 commits" in text
         assert "FAIL" in text
@@ -69,10 +66,12 @@ def _toy_suite(digests, invariants=()):
     stream = iter(digests)
 
     def execute(seed):
-        result = SimpleNamespace(seed=seed, failures=[], digest=next(stream))
-        return result, f"evidence-{seed}"
+        return {"Seen": seed}, next(stream), f"evidence-{seed}"
 
-    return Suite("toy", execute, list(invariants), summarize=str)
+    return Suite(
+        "toy", execute, list(invariants),
+        title="Toy: {n} cases", note=lambda cases: "nothing to add",
+    )
 
 
 class TestHarness:
@@ -101,6 +100,29 @@ class TestHarness:
         assert [r.seed for r in results] == [5, 6, 7]
         assert seen == ["evidence-5", "evidence-6", "evidence-7"]
         assert results[1].failures == ["evidence-6 leaked"]
+
+    def test_an_invariant_broken_only_on_the_rerun_fails_the_case(self):
+        runs = []
+
+        def flaky(evidence):
+            runs.append(evidence)
+            return ["stale lock"] if len(runs) == 2 else []
+
+        suite = _toy_suite([(1,), (1,)], invariants=[flaky])
+        case = run_case(suite, 7)
+        assert not case.ok
+        assert case.failures == ["re-run: stale lock"]
+
+    def test_summarize_renders_one_row_per_case(self):
+        suite = _toy_suite([])
+        text = str(suite.summarize([
+            Case(3, (), {"Seen": True}, (), []),
+            Case(4, (), {"Seen": False}, (), ["x"]),
+        ]))
+        assert text.startswith("Toy: 2 cases\n")
+        assert "3    | yes  | ok" in text
+        assert "4    | no   | FAIL" in text
+        assert "1/2 cases clean; nothing to add" in text
 
 
 class TestLastWriterOracle:

@@ -95,9 +95,18 @@ class TestCommands:
     ):
         from repro.service.chaos import SERVICE
 
-        def broken(evidence):
-            return ["seeded bug"] if evidence.result.seed == 5 else []
+        # The evidence carries no seed: note the seed each execution
+        # ran, then break the invariants of seed 5 only.
+        execute, seeds = SERVICE.execute, []
 
+        def noting(seed):
+            seeds.append(seed)
+            return execute(seed)
+
+        def broken(evidence):
+            return ["seeded bug"] if seeds[-1] == 5 else []
+
+        monkeypatch.setattr(SERVICE, "execute", noting)
         monkeypatch.setattr(
             SERVICE, "invariants", [*SERVICE.invariants, broken]
         )
@@ -126,11 +135,13 @@ class TestCommands:
         # ``crash demo`` repeated examples/crash_recovery.py,
         # ``calibrate`` repeated benchmarks/bench_cost_model_validation.py,
         # no gate ran ``serve`` or ``lint --format``, and the shell's
-        # one planner widens on ``analyze`` whatever ``--optimizer`` said.
+        # one planner widens on ``analyze`` whatever ``--optimizer`` said;
+        # the failover suite runs both ship modes as its variants.
         for argv in (["crash", "fuzz"], ["shard", "chaos"],
                      ["failover", "chaos"], ["chaos"], ["crash", "demo"],
                      ["calibrate"], ["serve"], ["lint", "--format", "json"],
-                     ["shell", "--optimizer", "cost"]):
+                     ["shell", "--optimizer", "cost"],
+                     ["chaos", "--suite", "failover", "--ship-mode", "async"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

@@ -484,11 +484,13 @@ class TestFuzz:
         assert result.ok, result.failures
 
     def test_grid_smoke_with_determinism(self):
-        results = run_suite(RECOVERY, 2, txns=6)
+        results = run_suite(RECOVERY, 2)
         assert len(results) == 2 * len(CRASH_POINTS)
         bad = [r for r in results if not r.ok]
         assert not bad, bad[0].failures if bad else None
 
     def test_pinned_digests_do_not_move(self):
         results = run_suite(RECOVERY, 5, check_determinism=False)
-        assert_pinned("recovery", {f"{r.seed}/{r.point}": r for r in results})
+        assert_pinned(
+            "recovery", {f"{r.seed}/{r.variant[0]}": r for r in results}
+        )

@@ -22,7 +22,7 @@ from repro.errors import (
     ShardUnavailableError,
     StaleEpochError,
 )
-from repro.recovery import TransientFaultInjector, run_case
+from repro.recovery import TransientFaultInjector, run_case, run_suite
 from repro.simtime import Bucket
 from repro.txn.log import COMMIT_RECORD_BYTES
 
@@ -410,14 +410,14 @@ def test_double_failure_fails_fast_with_clean_accounting():
 
 @pytest.mark.parametrize("seed", [0, 5, 9])
 def test_failover_chaos_sync_cases_pass(seed):
-    result = run_case(FAILOVER, seed, ship_mode="sync")
+    result = run_case(FAILOVER, seed, "sync")
     assert result.ok, result.failures
-    assert result.loss_window in (None, 0)
+    assert result.row["LossWin"] == 0
 
 
 @pytest.mark.parametrize("seed", [100, 104])
 def test_failover_chaos_async_cases_pass(seed):
-    result = run_case(FAILOVER, seed, ship_mode="async")
+    result = run_case(FAILOVER, seed, "async")
     assert result.ok, result.failures
 
 
@@ -426,12 +426,17 @@ def test_failover_chaos_pinned_digests_do_not_move(ship_mode):
     assert_pinned(
         f"failover-{ship_mode}",
         {
-            str(s): run_case(
-                FAILOVER, s, ship_mode=ship_mode, check_determinism=False
-            )
+            str(s): run_case(FAILOVER, s, ship_mode, check_determinism=False)
             for s in range(25)
         },
     )
+
+
+def test_failover_suite_runs_every_seed_in_both_ship_modes():
+    cases = run_suite(FAILOVER, 1, check_determinism=False)
+    assert [c.variant for c in cases] == [("sync",), ("async",)]
+    assert [c.row["Mode"] for c in cases] == ["sync", "async"]
+    assert [c.seed for c in cases] == [0, 0]
 
 
 # -- satellite regressions -----------------------------------------------
