@@ -101,11 +101,15 @@ def run_case(
 ) -> Case:
     """Run one seeded case; with ``check_determinism`` run it twice, on
     fresh state each time, and require identical digests and a clean
-    second run."""
+    second run; failures the first run already reported are not
+    repeated."""
     case = suite.run_once(seed, *variant)
     if check_determinism:
         again = suite.run_once(seed, *variant)
-        case.failures.extend(f"re-run: {failure}" for failure in again.failures)
+        if again.failures != case.failures:
+            case.failures.extend(
+                f"re-run: {failure}" for failure in again.failures
+            )
         if again.digest != case.digest:
             case.failures.append(
                 f"seed {seed}: re-run produced a different digest "

@@ -113,6 +113,10 @@ class TestHarness:
         assert not case.ok
         assert case.failures == ["re-run: stale lock"]
 
+    def test_a_failure_seen_on_both_runs_is_reported_once(self):
+        suite = _toy_suite([(1,), (1,)], invariants=[lambda ev: ["leak"]])
+        assert run_case(suite, 7).failures == ["leak"]
+
     def test_summarize_renders_one_row_per_case(self):
         suite = _toy_suite([])
         text = str(suite.summarize([
