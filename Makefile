@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke scale profile artifacts clean
+.PHONY: install test lint lint-graph bench figures mix pipeline chaos governor shell analyze optimizer shard failover mvcc wallclock wallclock-smoke scale profile pairs artifacts clean
 
 PYTHON ?= python
 # Run the package from the source tree; `make install` is optional.
@@ -126,6 +126,17 @@ scale:
 WORKLOAD ?= bulk_load
 profile:
 	PYTHONHASHSEED=0 $(PYTHON) benchmarks/profile_workload.py $(WORKLOAD) $(PROFILE_FLAGS)
+
+# A perf claim in alternating pairs: BASE checked out into a temporary
+# git worktree, then run.py --seconds 8 --trace 0 on it and on this tree
+# at seeds 1..PAIRS, alternating which runs first; prints host_s,
+# host_calls, correct and whether the sim_* metrics match per pair, then
+# medians, quartiles and wins (docs/benchmarking-tips.md).  Minutes
+# long, so CI does not run it.
+BASE ?= HEAD
+PAIRS ?= 10
+pairs:
+	$(PYTHON) benchmarks/pairs.py $(BASE) $(WORKLOAD) $(PAIRS)
 
 shell:
 	$(PYTHON) -m repro shell

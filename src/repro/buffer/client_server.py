@@ -84,10 +84,11 @@ class ClientServerSystem:
         """Fetch a page through both cache tiers, charging all traffic."""
         key = (file_id, page_no)
         counters = self.disk.counters
-        page = self.client_cache.lookup(key)
-        if page is not None:
+        pages = self.client_cache._pages  # a hit is BufferCache.lookup, inline
+        if key in pages:
+            pages.move_to_end(key)
             counters.client_hits += 1
-            return page
+            return pages[key]
 
         if self.on_fault is not None:
             self.on_fault()

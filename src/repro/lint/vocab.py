@@ -56,7 +56,7 @@ TOUCH_METHODS = (
     "read_record",
     "load",
     "unref",
-    "unreference",
+    "__exit__",
     "_page",
     "_file",
 )

@@ -55,8 +55,9 @@ class Handle:
     """One in-memory object representative.
 
     A handle is its own Figure 8 bracket: ``with om.borrow(rid) as
-    handle:`` enters with the reference ``borrow`` took and drops it on
-    the way out, body raised or not, through the table that made it."""
+    handle:`` enters with the reference ``borrow`` took, and
+    :meth:`__exit__` is the unreference, body raised or not, on the
+    table that made it."""
 
     __slots__ = (
         "rid",
@@ -80,8 +81,37 @@ class Handle:
     def __enter__(self) -> "Handle":
         return self
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.table.unreference(self)
+    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        """"unreference h": drop one reference; at zero park the handle
+        at the young end of the delayed-free list and free the oldest
+        parked ones beyond its capacity (version handles are freed
+        outright -- the snapshot that needed them is the only plausible
+        re-user)."""
+        refcount = self.refcount
+        if refcount <= 0:
+            raise HandleError(f"double unreference of {self!r}")
+        self.refcount = refcount = refcount - 1
+        table = self.table
+        table.counters.handles_unreferenced += 1
+        table._buckets[_HANDLE] += table._unref_s
+        if refcount:
+            return
+        if self.version is not None:
+            table._versioned.pop((self.rid, self.version), None)
+            return
+        handles = table._handles
+        capacity = table.delayed_free_capacity
+        if not capacity:
+            del handles[self.rid]
+            return
+        handles.move_to_end(self.rid)
+        table._parked_count += 1
+        while table._parked_count > capacity:
+            rid, oldest = handles.popitem(last=False)
+            if oldest.refcount:
+                handles[rid] = oldest  # live: its place does not matter
+            else:
+                table._parked_count -= 1
 
     def __repr__(self) -> str:
         version = "" if self.version is None else f", v@{self.version}"
@@ -92,16 +122,21 @@ class Handle:
 
 
 class HandleTable:
-    """Allocates, shares, and (lazily) frees handles.
+    """The handles of one client, shared and (lazily) freed, and what
+    each handle operation costs.
 
-    * ``get`` returns the existing handle when one is live or parked in
-      the delayed-free list — O2 "allocates only one and keeps a record
-      of the number of pointers to this structure".
-    * ``unreference`` drops a refcount; at zero the handle parks in a
-      bounded FIFO ("the destruction of Handles is delayed as much as
+    * ``ObjectManager.borrow`` returns the existing handle when one is
+      live or parked in the delayed-free list -- O2 "allocates only one
+      and keeps a record of the number of pointers to this structure".
+    * ``Handle.__exit__`` drops a refcount; at zero the handle parks in
+      a bounded FIFO ("the destruction of Handles is delayed as much as
       possible so as to avoid unnecessary free/allocate").
-    * literal handles model the separate records O2 creates for strings
-      and complex values; their cost depends on :class:`HandleMode`.
+    * ``ObjectManager.get_attr`` pays a literal handle for the separate
+      records O2 creates for strings and complex values; its cost
+      depends on :class:`HandleMode`.
+
+    The table holds the state and the prices; the bracket's steps run
+    where they are called, one frame per layer they cross.
     """
 
     def __init__(
@@ -115,9 +150,9 @@ class HandleTable:
         if delayed_free_capacity < 0:
             raise ValueError("delayed_free_capacity must be >= 0")
         self.clock = clock
-        #: The clock's live bucket map: a handle operation is a dict
-        #: update or two and one in-place add of a price worked out in
-        #: the ``mode`` setter.
+        #: The clock's live bucket map: a handle operation or an
+        #: attribute decode is a dict update or two and one in-place add
+        #: of a price worked out in the ``mode`` setter.
         self._buckets = clock.buckets
         self.params = params
         self.counters = counters
@@ -143,9 +178,9 @@ class HandleTable:
     @mode.setter
     def mode(self, mode: HandleMode) -> None:
         """Switch regime (the Section 4.4 ablation flips it between
-        runs) and work out, once, what each handle operation costs
-        under it, in seconds: the charges are constants of ``(params,
-        mode)``."""
+        runs) and work out, once, what each handle operation and each
+        attribute decode costs under it, in seconds: the charges are
+        constants of ``(params, mode)``, and nothing else prices them."""
         self._mode = mode
         params = self.params
         alloc_us = params.handle_get_us
@@ -170,6 +205,7 @@ class HandleTable:
         self._alloc_s = alloc_us / US_PER_S
         self._touch_s = touch_us / US_PER_S
         self._unref_s = unref_us / US_PER_S
+        self._decode_s = params.attr_decode_us / US_PER_S
         #: ``fixed_size`` -> seconds for a literal's handle get +
         #: unreference pair; ``None``: the literal gets no handle.
         self._literal_s = {
@@ -177,57 +213,20 @@ class HandleTable:
             False: variable / US_PER_S,
         }
 
-    # -- object handles -------------------------------------------------
+    # -- version handles ------------------------------------------------
 
-    def get(
+    def get_version(
         self,
         rid: Rid,
-        loader: Callable[[], tuple[bytes, ClassDef]],
-        version: int | None = None,
-    ) -> Handle:
-        """Return a referenced handle for ``rid``, loading the record via
-        ``loader`` only if no handle exists yet.
-
-        With ``version`` (a commit timestamp), the handle represents
-        that *version chain entry* instead of the live record: its
-        ``version`` slot is populated (paper, Section 4.4 — the version
-        pointer), and it is cached separately from live-record handles."""
-        if version is not None:
-            return self._get_versioned(rid, loader, version)
-        handle = self.reference(rid)
-        if handle is None:
-            handle = self.allocate(rid, *loader())
-        return handle
-
-    def reference(self, rid: Rid) -> Handle | None:
-        """The hit path of :meth:`get`: re-reference the handle ``rid``
-        already has, live or parked; ``None`` when it has none and the
-        caller must read the record and :meth:`allocate`.  A parked
-        handle revives where it stands."""
-        handles = self._handles
-        if rid not in handles:
-            return None
-        handle = handles[rid]
-        if not handle.refcount:
-            self._parked_count -= 1
-        handle.refcount += 1
-        self._buckets[_HANDLE] += self._touch_s
-        return handle
-
-    def allocate(self, rid: Rid, record: bytes, class_def: ClassDef) -> Handle:
-        """The miss path of :meth:`get`: a fresh handle, referenced once."""
-        handle = Handle(rid, record, class_def, self)
-        self._handles[rid] = handle
-        self.counters.handles_allocated += 1
-        self._buckets[_HANDLE] += self._alloc_s
-        return handle
-
-    def _get_versioned(
-        self,
-        rid: Rid,
-        loader: Callable[[], tuple[bytes, ClassDef]],
         version: int,
+        loader: Callable[[], tuple[bytes, ClassDef]],
     ) -> Handle:
+        """A referenced handle for the version of ``rid`` committed at
+        ``version`` (a commit timestamp), loading the record via
+        ``loader`` only if no handle for that version exists yet.  Its
+        ``version`` slot is populated (paper, Section 4.4 -- the version
+        pointer), and it is cached apart from the live-record handles
+        ``ObjectManager.borrow`` makes."""
         key = (rid, version)
         handle = self._versioned.get(key)
         if handle is not None:
@@ -241,52 +240,6 @@ class HandleTable:
         self.counters.handles_allocated += 1
         self._buckets[_HANDLE] += self._alloc_s
         return handle
-
-    def unreference(self, handle: Handle) -> None:
-        """Drop one reference; park the handle when none remain (version
-        handles are freed outright — the snapshot that needed them is
-        the only plausible re-user)."""
-        if handle.refcount <= 0:
-            raise HandleError(f"double unreference of {handle!r}")
-        handle.refcount -= 1
-        self.counters.handles_unreferenced += 1
-        self._buckets[_HANDLE] += self._unref_s
-        if handle.refcount == 0:
-            if handle.version is not None:
-                self._versioned.pop((handle.rid, handle.version), None)
-                return
-            handles = self._handles
-            capacity = self.delayed_free_capacity
-            if not capacity:
-                del handles[handle.rid]
-                return
-            handles.move_to_end(handle.rid)
-            self._parked_count += 1
-            while self._parked_count > capacity:
-                rid, oldest = handles.popitem(last=False)
-                if oldest.refcount:
-                    handles[rid] = oldest  # live: its place does not matter
-                else:
-                    self._parked_count -= 1
-
-    # -- literal handles ----------------------------------------------------
-
-    def charge_literal(self, fixed_size: bool = True) -> None:
-        """Account for the handle O2 gives a string/complex-value literal
-        when an attribute of that kind is materialized.
-
-        FULL mode pays the full get+unref pair; COMPACT_LITERALS pays the
-        compact pair; INLINE_TUPLES pays nothing for *fixed-size*
-        literals (they are embedded in their owner's tuple — Section 4.4)
-        and the compact pair for variable-size ones; BULK pays the
-        amortized full pair.
-        """
-        seconds = self._literal_s[fixed_size]
-        if seconds is None:
-            return
-        self.counters.handles_allocated += 1
-        self.counters.handles_unreferenced += 1
-        self._buckets[_HANDLE] += seconds
 
     # -- introspection ----------------------------------------------------
 

@@ -18,13 +18,14 @@ from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
-from repro.units import US_PER_S
 
 _CPU = Bucket.CPU
+_HANDLE = Bucket.HANDLE
 
 
 #: Attribute kinds O2 materializes as separate literals with handles of
-#: their own (Section 4.4), mapped to ``charge_literal``'s ``fixed_size``.
+#: their own (Section 4.4), mapped to whether the literal is fixed-size
+#: (the key of ``HandleTable._literal_s``).
 _LITERAL_FIXED_SIZE = {AttrKind.STRING: True, AttrKind.REF_SET: False}
 
 
@@ -113,9 +114,14 @@ class ObjectManager:
 
     def borrow(self, rid: Rid) -> Handle:
         """Get a referenced handle for the object at ``rid`` ("get Handle
-        h" in the paper's Figure 8 pseudo-code).  Under an installed
-        snapshot view the handle represents the snapshot-visible
-        *version* of the object, which may differ from the live record.
+        h" in the paper's Figure 8 pseudo-code): the handle ``rid``
+        already has, live or parked -- a parked one revives where it
+        stands -- or, on a miss, a fresh one around the record
+        :meth:`read_record` reads.  Under an installed snapshot view
+        (:attr:`read_view`) the view answers instead, and the handle
+        represents the snapshot-visible *version* of the object, which
+        may differ from the live record; the view borrows a visible live
+        record through this same bracket, standing aside for the call.
 
         The handle is its own bracket: ``with om.borrow(rid) as
         handle:`` is Figure 8's get-handle/unreference pair, the
@@ -125,9 +131,19 @@ class ObjectManager:
         owes the :meth:`unref`."""
         if self.read_view is not None:
             return self.read_view.load(self, rid)
-        handle = self.handles.reference(rid)
+        table = self.handles
+        handles = table._handles
+        handle = handles.get(rid)
         if handle is None:
-            handle = self.handles.allocate(rid, *self.read_record(rid))
+            record, class_def = self.read_record(rid)
+            handle = handles[rid] = Handle(rid, record, class_def, table)
+            table.counters.handles_allocated += 1
+            table._buckets[_HANDLE] += table._alloc_s
+            return handle
+        if not handle.refcount:
+            table._parked_count -= 1
+        handle.refcount += 1
+        table._buckets[_HANDLE] += table._touch_s
         return handle
 
     #: The bracket-less spelling, for a caller that keeps the handle
@@ -135,8 +151,8 @@ class ObjectManager:
     load = borrow
 
     def unref(self, handle: Handle) -> None:
-        """"unreference h" in Figure 8."""
-        self.handles.unreference(handle)
+        """"unreference h" in Figure 8: the bracket's way out."""
+        handle.__exit__(None, None, None)
 
     # -- attribute access -------------------------------------------------------
 
@@ -144,13 +160,17 @@ class ObjectManager:
         """Decode one attribute ("get_att(h, name)" in Figure 8).
 
         Charges the decode CPU and, for string/complex-value attributes,
-        the literal-handle traffic of the current handle mode.  A name
-        the class lacks raises its :class:`~repro.errors.SchemaError`.
+        the get + unreference pair of the literal's handle, each at the
+        price the handle table's ``mode`` setter worked out: FULL pays
+        the full pair, COMPACT_LITERALS the compact pair, INLINE_TUPLES
+        nothing for a *fixed-size* literal (embedded in its owner's
+        tuple -- Section 4.4) and the compact pair for a variable-size
+        one, BULK the amortized full pair.  A name the class lacks
+        raises its :class:`~repro.errors.SchemaError`.
         """
         handles = self.handles
-        handles.clock.buckets[_CPU] += (
-            handles.params.attr_decode_us / US_PER_S
-        )
+        buckets = handles._buckets
+        buckets[_CPU] += handles._decode_s
         class_def = handle.class_def
         key = class_def.class_id
         try:
@@ -163,7 +183,12 @@ class ObjectManager:
             class_def.attribute(name)  # raises: the table holds every name
             raise
         if literal_fixed_size is not None:
-            handles.charge_literal(literal_fixed_size)
+            seconds = handles._literal_s[literal_fixed_size]
+            if seconds is not None:
+                counters = handles.counters
+                counters.handles_allocated += 1
+                counters.handles_unreferenced += 1
+                buckets[_HANDLE] += seconds
         return read(handle.record)
 
     def _compile_attr_table(
@@ -226,8 +251,8 @@ class ObjectManager:
 
         Any cached handle takes the new record, under the address the
         caller used and under the one the record lives at: a live one,
-        and a parked one too, which :meth:`HandleTable.reference`
-        revives without reloading.  No rewrite changes a record's class,
+        and a parked one too, which :meth:`borrow` revives without
+        reloading.  No rewrite changes a record's class,
         so the handle's class stands.  A bulk load holds no handle at
         all, and probes nothing."""
         table = self.handles._handles

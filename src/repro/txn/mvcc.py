@@ -226,8 +226,9 @@ class SnapshotView:
     def load(self, om, rid: Rid):
         """Snapshot-visible counterpart of ``ObjectManager.load``:
         returns a referenced handle for the version this snapshot sees,
-        or raises :class:`~repro.errors.RecordNotVisibleError`."""
-        handles = om.handles
+        or raises :class:`~repro.errors.RecordNotVisibleError`.  A
+        visible live record is borrowed through the manager's own
+        ``borrow``, with this view stood aside for the one call."""
         while True:
             tag = self.tag(rid)
             if tag is INVISIBLE:
@@ -237,16 +238,20 @@ class SnapshotView:
                 )
             if tag is not LIVE:
                 break
-            handle = handles.reference(rid)
-            if handle is not None:
-                return handle  # a hit reads nothing, so cannot yield
-            handle = handles.allocate(rid, *om.read_record(rid))
-            # The read may have faulted and yielded the baton: a writer
+            counters = om.handles.counters
+            allocated = counters.handles_allocated
+            om.read_view = None
+            try:
+                handle = om.borrow(rid)
+            finally:
+                om.read_view = self
+            # A miss may have faulted and yielded the baton: a writer
             # can land its in-place update between the visibility
             # decision above and the page read.  Re-check; the writer
             # stashes the pre-image *before* it writes, so when the tag
             # changed the chain already holds what this snapshot needs.
-            if self.tag(rid) is LIVE:
+            # A hit allocates nothing and reads nothing, so cannot yield.
+            if counters.handles_allocated == allocated or self.tag(rid) is LIVE:
                 return handle
             om.unref(handle)
 
@@ -257,4 +262,4 @@ class SnapshotView:
             return tag.record, om.class_of(tag.record)
 
         self.version_reads += 1
-        return om.handles.get(rid, load_version, version=tag.ts)
+        return om.handles.get_version(rid, tag.ts, load_version)

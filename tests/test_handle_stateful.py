@@ -1,12 +1,14 @@
 """Stateful testing of the handle table: refcount and sharing invariants,
-and the delayed-free FIFO, under arbitrary get/unreference interleavings.
+and the delayed-free FIFO, under arbitrary interleavings of the bracket
+that drives it -- ``om.borrow`` (get handle), ``get_attr`` and
+``Handle.__exit__`` (unreference).
 
 The model keeps the parked rids in the order they parked.  After every
 step the table must hold exactly the handles the model says it holds,
 have allocated exactly as often, and have charged exactly the HANDLE
-seconds the model adds up -- so a table that evicts any parked handle
-but the oldest, revives a handle it should have dropped, or drops one it
-should have revived, is caught on the step it happens."""
+and CPU seconds the model adds up -- so a table that evicts any parked
+handle but the oldest, revives a handle it should have dropped, or drops
+one it should have revived, is caught on the step it happens."""
 
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.objects import AttrKind, AttributeDef, Database, HandleTable, Schema
+from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.objects.codec import InlineSet
 from repro.objects.handle import _TOUCH_FRACTION
 from repro.objects.header import ObjectHeader
-from repro.simtime import Bucket, CostParams, CounterSet, SimClock
+from repro.simtime import Bucket, CostParams
 from repro.storage.rid import Rid
 from repro.units import US_PER_S
 
@@ -43,16 +45,27 @@ class HandleMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         schema = Schema()
-        cls = schema.define("T", [AttributeDef("x", AttrKind.INT32)])
-        self.loader = lambda: (b"\x01\x01\x00\x00\x00", cls)
+        schema.define("T", [
+            AttributeDef("x", AttrKind.INT32),
+            AttributeDef("s", AttrKind.STRING),
+        ])
+        self.db = db = Database(schema)
+        db.create_file("t")
+        self.rids = [
+            db.create_object("T", {"x": n, "s": f"s{n}"}, "t") for n in range(10)
+        ]
+        for rid in self.rids:
+            db.manager.read_record(rid)  # pages cached: a miss reads free
+        db.handles.delayed_free_capacity = CAPACITY
+        db.handles.clear()
+        db.reset_meters()
+        self.om, self.table, self.clock = db.manager, db.handles, db.clock
         params = CostParams()
-        self.clock = SimClock()
-        self.table = HandleTable(
-            self.clock, params, CounterSet(), delayed_free_capacity=CAPACITY
-        )
         self.alloc_s = params.handle_get_us / US_PER_S
         self.touch_s = params.handle_get_us * _TOUCH_FRACTION / US_PER_S
         self.unref_s = params.handle_unref_us / US_PER_S
+        self.decode_s = params.attr_decode_us / US_PER_S
+        self.literal_s = (params.handle_get_us + params.handle_unref_us) / US_PER_S
         #: rid -> references, for every rid with a handle (0: parked).
         self.refcounts: dict[int, int] = {}
         self.handles: dict[int, object] = {}
@@ -62,10 +75,11 @@ class HandleMachine(RuleBasedStateMachine):
         self.freed: dict[int, object] = {}
         self.allocated = 0
         self.handle_s = 0.0
+        self.cpu_s = 0.0
 
     @rule(n=_RIDS)
     def get(self, n):
-        handle = self.table.get(Rid(0, n, 0), self.loader)
+        handle = self.om.borrow(self.rids[n])
         if n in self.handles:
             # Live or parked: shared, not duplicated.
             assert handle is self.handles[n]
@@ -83,11 +97,25 @@ class HandleMachine(RuleBasedStateMachine):
         assert handle.refcount == self.refcounts[n]
 
     @precondition(lambda self: any(getattr(self, "refcounts", {}).values()))
+    @rule(data=st.data(), name=st.sampled_from(["x", "s"]))
+    def get_attr(self, data, name):
+        """A read through a live handle: its decode, and for the string
+        the FULL literal handle's get + unreference pair."""
+        live = [n for n, c in self.refcounts.items() if c > 0]
+        n = data.draw(st.sampled_from(live))
+        value = self.om.get_attr(self.handles[n], name)
+        assert value == (n if name == "x" else f"s{n}")
+        self.cpu_s += self.decode_s
+        if name == "s":
+            self.allocated += 1
+            self.handle_s += self.literal_s
+
+    @precondition(lambda self: any(getattr(self, "refcounts", {}).values()))
     @rule(data=st.data())
     def unreference(self, data):
         live = [n for n, c in self.refcounts.items() if c > 0]
         n = data.draw(st.sampled_from(live))
-        self.table.unreference(self.handles[n])
+        self.handles[n].__exit__(None, None, None)
         self.handle_s += self.unref_s
         self.refcounts[n] -= 1
         if self.refcounts[n] == 0:
@@ -106,16 +134,17 @@ class HandleMachine(RuleBasedStateMachine):
 
     @invariant()
     def parked_rids_match_model(self):
-        """Which rids are parked, found on a copy of the table: a ``get``
-        that allocates nothing hit a handle, and no ``get`` frees one."""
+        """Which rids are parked, found on a copy of the database: a
+        ``borrow`` that allocates nothing hit a handle, and no ``borrow``
+        frees one."""
         if not hasattr(self, "table"):
             return
         assert self.table._parked_count == len(self.parked) <= CAPACITY
-        probe = copy.deepcopy(self.table)
+        probe = copy.deepcopy(self.db)
         held = set()
-        for n in range(10):
+        for n, rid in enumerate(self.rids):
             before = probe.counters.handles_allocated
-            probe.get(Rid(0, n, 0), self.loader)
+            probe.manager.borrow(rid)
             if probe.counters.handles_allocated == before:
                 held.add(n)
         live = {n for n, c in self.refcounts.items() if c > 0}
@@ -128,6 +157,7 @@ class HandleMachine(RuleBasedStateMachine):
             return
         assert self.table.counters.handles_allocated == self.allocated
         assert self.clock.buckets.get(Bucket.HANDLE, 0.0) == self.handle_s
+        assert self.clock.buckets.get(Bucket.CPU, 0.0) == self.cpu_s
 
     @invariant()
     def refcounts_positive_for_live(self):

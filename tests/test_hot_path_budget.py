@@ -64,48 +64,53 @@ from repro.derby import DerbyConfig
 from repro.oql import Catalog, OQLEngine
 
 #: Calls made by one ``ObjectManager.get_attr``, itself included,
-#: averaged over the attributes the two joins read (measured: 3.35; 4.53
-#: when the decode and literal charges were ``charge_us`` calls, 29.5
-#: before the per-class-version attribute tables).
-GET_ATTR_BUDGET = 3.7
+#: averaged over the attributes the two joins read (measured: 3.18; 3.35
+#: when a literal's handle was a ``charge_literal`` call; 4.53 when the
+#: decode and literal charges were ``charge_us`` calls, 29.5 before the
+#: per-class-version attribute tables).
+GET_ATTR_BUDGET = 3.5
 #: Calls made by one ``with om.borrow(rid) as h:`` bracket -- ``borrow``
 #: plus ``__enter__`` plus ``__exit__`` and everything beneath them --
 #: not counting the record read on a handle miss.  On the joins, where
-#: 86 % of brackets miss and spend 2 more allocating the handle,
-#: measured: 7.72 (7.86 when a hit popped its handle out of the parked
-#: list; 8.72 when ``allocate`` kept a peak with ``len``;
-#: 14.72 when the bracket was a ``_Borrow`` object around
-#: ``load``/``unref`` and every charge a ``charge_us`` call).
-BRACKET_BUDGET = 8.5
+#: 86 % of brackets miss and spend 1 more in ``Handle.__init__``,
+#: measured: 5.86 (7.72 when ``borrow`` called the table's ``reference``
+#: and ``allocate`` and ``__exit__`` its ``unreference``; 7.86 when a
+#: hit popped its handle out of the parked list; 8.72 when ``allocate``
+#: kept a peak with ``len``; 14.72 when the bracket was a ``_Borrow``
+#: object around ``load``/``unref`` and every charge a ``charge_us``
+#: call).
+BRACKET_BUDGET = 6.4
 #: Calls made by one ``ObjectManager.read_record`` -- what a handle miss
 #: adds to its bracket -- itself included: ``read_resolving``,
-#: ``get_page``, ``lookup`` and its ``move_to_end``, ``Page.resolve``,
+#: ``get_page`` and its ``move_to_end`` on a client hit, ``Page.resolve``,
 #: and on the 19 % of misses that fault, the server probe, the disk read
-#: and the admissions (measured: 8.88, 6 when the page is resident;
+#: and the admissions (measured: 7.88, 5 when the page is resident;
+#: 8.88 when a client hit went through ``BufferCache.lookup``;
 #: 9.26 when a cache miss was a ``move_to_end`` raising ``KeyError``;
 #: 26.07 when the slot was probed twice behind ``len`` and
 #: ``isinstance``, the class looked up through ``peek_*`` and
 #: ``class_version`` per record and ``lookup`` a ``get`` then a
 #: ``move_to_end``).
-MISS_BUDGET = 9.8
+MISS_BUDGET = 8.7
 #: Calls made by one ``QueryHashTable.insert`` or ``probe``, itself
 #: included: the touch charge and the ``dict.get`` (measured: 3.00; 7.00
 #: when the charge went through ``charge_us`` and ``swapped_fraction``
 #: -> ``table_bytes`` -> ``len``).
 HASH_OP_BUDGET = 3.3
 #: The same bracket when the handle is parked, as it is on every row of
-#: a warm selection: ``borrow``, ``reference``, ``__enter__``,
-#: ``__exit__``, ``unreference`` and its ``move_to_end`` back into the
-#: delayed-free order (measured: 6.00; 7.00 when a hit popped the
-#: handle out of the parked list and parking took its ``len``; 13.00
-#: before).
-WARM_BRACKET_BUDGET = 6.6
+#: a warm selection: ``borrow`` and its ``dict.get``, ``__enter__``,
+#: ``__exit__`` and its ``move_to_end`` back into the delayed-free order
+#: (measured: 5.00; 6.00 with the table's ``reference`` and
+#: ``unreference`` frames; 7.00 when a hit popped the handle out of the
+#: parked list and parking took its ``len``; 13.00 before).
+WARM_BRACKET_BUDGET = 5.5
 #: Calls beneath ``Fetch._next`` per rid it scans, on a warm indexed
 #: single-attribute selection: the bracket, the row function, one
-#: ``get_attr``, the result append (measured: 11.03; 12.04 with the
-#: parked ``pop`` and ``len`` in the bracket; 29.03 with the generic row
-#: function, ``charge_result`` and ``len(out)`` per row).
-FETCHED_ROW_BUDGET = 12.1
+#: ``get_attr``, the result append (measured: 10.03; 11.03 with the
+#: table's ``reference`` and ``unreference`` frames in the bracket; 12.04
+#: with the parked ``pop`` and ``len`` in the bracket; 29.03 with the
+#: generic row function, ``charge_result`` and ``len(out)`` per row).
+FETCHED_ROW_BUDGET = 11.0
 #: Calls made by the range scan per ``(key, rid)`` entry it yields, the
 #: leaf reads apart: per 200-entry leaf one generator step, the count,
 #: the keys, the bisections and the run's rids (measured: 0.030; 0.041
@@ -342,12 +347,12 @@ def test_no_function_reads_an_enum_member_off_its_class():
 
 
 def test_the_member_guard_sees_a_read_put_back():
-    """The scan finds a ``Bucket.CPU`` put back into ``get_attr``'s charge
-    and nothing else in the file, so the guard above can fail."""
+    """The scan finds a ``Bucket.CPU`` put back into ``get_attr``'s decode
+    charge and nothing else in the file, so the guard above can fail."""
     text = (SRC / "objects" / "manager.py").read_text(encoding="utf-8")
-    charge = "handles.clock.buckets[_CPU] += ("
-    assert text.count(charge) == 1, "get_attr's charge moved"
-    seeded = text.replace(charge, "handles.clock.buckets[Bucket.CPU] += (")
+    charge = "buckets[_CPU] += handles._decode_s"
+    assert text.count(charge) == 1, "get_attr's decode charge moved"
+    seeded = text.replace(charge, "buckets[Bucket.CPU] += handles._decode_s")
     line = text[:text.index(charge)].count("\n") + 1
     assert _member_reads(text) == []
     assert _member_reads(seeded) == [(line, "Bucket.CPU")]

@@ -214,7 +214,17 @@ def lint_seeded(tmp_path, source: str, old: str, new: str, rule: str):
     return lint_paths((str(copy),), (rule,)).findings
 
 
-REFERENCE_CHARGE = "        self._buckets[_HANDLE] += self._touch_s\n        return handle"
+#: ``ObjectManager.borrow``'s miss branch, then its hit path: a copy
+#: without the miss branch is the hit path alone.
+BORROW_MISS = """\
+        if handle is None:
+            record, class_def = self.read_record(rid)
+            handle = handles[rid] = Handle(rid, record, class_def, table)
+            table.counters.handles_allocated += 1
+            table._buckets[_HANDLE] += table._alloc_s
+            return handle
+"""
+HIT_CHARGE = "        table._buckets[_HANDLE] += table._touch_s\n"
 FETCH_BRACKET = (
     "                    with borrow(rid) as handle:\n"
     "                        row = row_fn(om, handle)\n"
@@ -222,22 +232,27 @@ FETCH_BRACKET = (
 
 
 def test_charge_is_discharged_by_an_in_place_bucket_add(tmp_path):
-    """``HandleTable.reference`` touches ``_handles`` and bumps no
-    counter: its add into the clock's bucket map, keyed by the
-    module-level ``_HANDLE``, is all that charges it."""
-    source = "objects/handle.py"
+    """``ObjectManager.borrow``'s hit path touches ``_handles`` and bumps
+    no counter: its add into the clock's bucket map, keyed by the
+    module-level ``_HANDLE``, is all that charges it.  (Linted alone,
+    the file's mutations cannot see the storage charges they reach; the
+    seed adds exactly the one finding.)"""
+    source = "objects/manager.py"
+    text = (REPO_ROOT / "src" / "repro" / source).read_text()
+    end = "        return handle\n"
+    hit = text[text.index(BORROW_MISS) + len(BORROW_MISS):]
+    hit = hit[:hit.index(end) + len(end)]
+    assert hit.count(HIT_CHARGE) == 1, "borrow's hit path moved"
     intact = lint_seeded(
-        tmp_path / "intact", source, REFERENCE_CHARGE, REFERENCE_CHARGE,
-        "CHARGE",
+        tmp_path / "intact", source, BORROW_MISS + hit, hit, "CHARGE"
     )
-    assert intact == []
     seeded = lint_seeded(
-        tmp_path / "seeded", source, REFERENCE_CHARGE, "        return handle",
-        "CHARGE",
+        tmp_path / "seeded", source, BORROW_MISS + hit,
+        hit.replace(HIT_CHARGE, ""), "CHARGE",
     )
-    assert [f.symbol for f in seeded] == [
-        "repro.objects.handle:HandleTable.reference"
-    ]
+    added = {f.symbol for f in seeded} - {f.symbol for f in intact}
+    assert len(seeded) == len(intact) + 1
+    assert added == {"repro.objects.manager:ObjectManager.borrow"}
 
 
 def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):

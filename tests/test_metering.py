@@ -98,10 +98,10 @@ def test_scripted_sequence_equals_its_charge_us_replay(params, mode):
             replay.charge_us(Bucket.CPU, params.attr_decode_us)
             if kind is not None:
                 literal(kind)
-        handles.charge_literal(fixed_size=True)
-        literal("fixed")
-        handles.charge_literal(fixed_size=False)
-        literal("variable")
+        for name, kind in (("title", "fixed"), ("parts", "variable")):
+            om.get_attr(handle, name)           # a literal read again
+            replay.charge_us(Bucket.CPU, params.attr_decode_us)
+            literal(kind)
         for transactional in (True, False):
             ctx.charge_result(transactional)
             replay.charge_us(
@@ -153,6 +153,38 @@ def test_a_read_or_a_result_row_alone_equals_its_charge_us(params, mode):
     assert costs(ctx.charge_result, (Bucket.RESULT, params.result_append_txn_us))
     assert costs(lambda: ctx.charge_result(False),
                  (Bucket.RESULT, params.result_append_us))
+
+
+@pytest.mark.parametrize("mode", list(HandleMode), ids=lambda m: m.value)
+def test_a_mode_flipped_between_brackets_reprices_the_next_one(mode):
+    """The Section 4.4 ablation flips ``handles.mode`` on a loaded
+    database between runs.  Every price of the next bracket -- the get,
+    each decode, each literal, the unreference -- must be the flipped
+    table's, worked out in its ``mode`` setter: not one cached when the
+    table, the manager or the class's attribute table was built.  The
+    table's ``params`` change with the mode, so a price cached before
+    the flip shows even where the two modes price an operation alike
+    (the decode under every mode)."""
+    before = next(m for m in HandleMode if m is not mode)
+    db, rid = make_db(CostParams(), before)
+    om = db.manager
+    with om.borrow(rid) as handle:             # tables built, old prices
+        for name in ("n", "title", "parts"):
+            om.get_attr(handle, name)
+    db.handles.params = UGLY
+    db.handles.mode = mode
+    db.clock.reset()
+    us = reference_prices(UGLY, mode)
+    replay = SimClock()
+    with om.borrow(rid) as handle:             # a parked hit
+        replay.charge_us(Bucket.HANDLE, us["touch"])
+        for name, kind in (("n", None), ("title", "fixed"), ("parts", "variable")):
+            om.get_attr(handle, name)
+            replay.charge_us(Bucket.CPU, UGLY.attr_decode_us)
+            if kind is not None and us[kind] is not None:
+                replay.charge_us(Bucket.HANDLE, us[kind])
+    replay.charge_us(Bucket.HANDLE, us["unref"])
+    assert db.clock.snapshot() == replay.snapshot()
 
 
 def test_grouping_the_adds_is_not_bit_identical():

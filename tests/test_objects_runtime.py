@@ -18,12 +18,11 @@ from repro.objects import (
     AttributeDef,
     Database,
     HandleMode,
-    HandleTable,
     Schema,
 )
 from repro.objects.codec import InlineSet, OverflowSet
 from repro.objects.header import FLAG_INDEXED, ObjectHeader
-from repro.simtime import Bucket, CostParams, CounterSet, SimClock
+from repro.simtime import Bucket, CostParams
 from repro.storage.rid import Rid
 
 
@@ -59,66 +58,77 @@ def make_db(handle_mode: HandleMode = HandleMode.FULL) -> Database:
 # ------------------------------------------------------------- HandleTable
 
 class TestHandleTable:
-    def make(self, mode=HandleMode.FULL, capacity=4):
-        clock = SimClock()
-        table = HandleTable(clock, CostParams(), CounterSet(), mode, capacity)
-        return clock, table
+    """The handle table, driven through the bracket that runs it:
+    ``om.borrow`` gets a handle, ``Handle.__exit__`` unreferences it and
+    ``get_attr`` pays a literal's handle."""
 
-    def loader(self):
-        schema = derby_like_schema()
-        return lambda: (b"\x01\x01\x00\x00payload", schema.cls("Patient"))
+    def make(self, mode=HandleMode.FULL, capacity=4, patients=1):
+        """A database whose ``patients`` records sit on cached pages, so
+        a handle miss reads its record free, with no handle held and the
+        meters at zero."""
+        db = make_db(mode)
+        db.handles.delayed_free_capacity = capacity
+        rids = [
+            db.create_object("Patient", {"name": "p", "mrn": i}, "patients")
+            for i in range(patients)
+        ]
+        for rid in rids:
+            db.manager.read_record(rid)
+        db.handles.clear()
+        db.reset_meters()
+        return db, rids
 
     def test_get_allocates_once_and_shares(self):
-        clock, table = self.make()
-        rid = Rid(0, 0, 0)
-        h1 = table.get(rid, self.loader())
-        h2 = table.get(rid, self.loader())
+        db, (rid,) = self.make()
+        h1 = db.manager.borrow(rid)
+        h2 = db.manager.borrow(rid)
         assert h1 is h2
         assert h1.refcount == 2
-        assert table.counters.handles_allocated == 1
+        assert db.counters.handles_allocated == 1
 
     def test_unreference_parks_then_revives(self):
-        clock, table = self.make()
-        rid = Rid(0, 0, 0)
-        h = table.get(rid, self.loader())
-        table.unreference(h)
-        assert table.live_count == 0
-        assert table._parked_count == 1
-        revived = table.get(rid, self.loader())
+        db, (rid,) = self.make()
+        h = db.manager.borrow(rid)
+        h.__exit__(None, None, None)
+        assert db.handles.live_count == 0
+        assert db.handles._parked_count == 1
+        revived = db.manager.borrow(rid)
         assert revived is h
-        assert table._parked_count == 0
+        assert db.handles._parked_count == 0
         # Revival must not count as a fresh allocation.
-        assert table.counters.handles_allocated == 1
+        assert db.counters.handles_allocated == 1
 
     def test_double_unreference_rejected(self):
-        clock, table = self.make()
-        h = table.get(Rid(0, 0, 0), self.loader())
-        table.unreference(h)
+        db, (rid,) = self.make()
+        h = db.manager.borrow(rid)
+        h.__exit__(None, None, None)
         with pytest.raises(HandleError):
-            table.unreference(h)
+            h.__exit__(None, None, None)
 
     def test_delayed_free_capacity_bounds_parked(self):
-        clock, table = self.make(capacity=2)
-        for i in range(5):
-            h = table.get(Rid(0, 0, i), self.loader())
-            table.unreference(h)
-        assert table._parked_count == 2
+        db, rids = self.make(capacity=2, patients=5)
+        for rid in rids:
+            with db.manager.borrow(rid):
+                pass
+        assert db.handles._parked_count == 2
 
     def test_full_mode_charges_more_than_bulk(self):
         def cost(mode):
-            clock, table = self.make(mode)
-            for i in range(100):
-                h = table.get(Rid(0, 0, i), self.loader())
-                table.unreference(h)
-            return clock.buckets.get(Bucket.HANDLE, 0.0)
+            db, rids = self.make(mode, patients=100)
+            for rid in rids:
+                with db.manager.borrow(rid):
+                    pass
+            return db.clock.buckets.get(Bucket.HANDLE, 0.0)
 
         assert cost(HandleMode.FULL) > 5 * cost(HandleMode.BULK)
 
     def test_literal_charges_by_mode(self):
         def literal_cost(mode):
-            clock, table = self.make(mode)
-            table.charge_literal(fixed_size=True)
-            return clock.buckets.get(Bucket.HANDLE, 0.0)
+            db, (rid,) = self.make(mode)
+            handle = db.manager.borrow(rid)
+            db.clock.reset()
+            db.manager.get_attr(handle, "name")  # a fixed-size literal
+            return db.clock.buckets.get(Bucket.HANDLE, 0.0)
 
         assert literal_cost(HandleMode.FULL) > literal_cost(
             HandleMode.COMPACT_LITERALS
@@ -126,10 +136,12 @@ class TestHandleTable:
         assert literal_cost(HandleMode.INLINE_TUPLES) == 0.0
 
     def test_inline_tuples_still_charges_variable_literals(self):
-        clock, table = self.make(HandleMode.INLINE_TUPLES)
-        table.charge_literal(fixed_size=False)
-        assert clock.buckets.get(Bucket.HANDLE, 0.0) > 0.0
-
+        db, __ = self.make(HandleMode.INLINE_TUPLES)
+        provider = db.create_object("Provider", {"upin": 2}, "providers")
+        handle = db.manager.borrow(provider)
+        db.clock.reset()
+        db.manager.get_attr(handle, "clients")  # a variable-size literal
+        assert db.clock.buckets.get(Bucket.HANDLE, 0.0) > 0.0
 
     @pytest.mark.parametrize("mode", list(HandleMode))
     def test_charges_are_the_per_mode_formulas_bit_for_bit(self, mode):
@@ -141,23 +153,32 @@ class TestHandleTable:
         def scaled(us):
             return us if factor is None else us * factor
 
-        def charged(step):
-            clock, table = self.make(mode)
-            step(table)
-            return clock.breakdown()
+        def charged(step, provider=False):
+            db, (rid,) = self.make(mode)
+            if provider:
+                rid = db.create_object("Provider", {"upin": 2}, "providers")
+                db.reset_meters()
+            step(db.manager, rid, db.clock)
+            return db.clock.breakdown()
 
-        def hit(table):
-            handle = table.get(Rid(0, 0, 0), self.loader())
-            table.clock.reset()
-            table.get(Rid(0, 0, 0), self.loader())
-            return handle
+        def hit(om, rid, clock):
+            om.borrow(rid)
+            clock.reset()
+            om.borrow(rid)
 
-        def unref(table):
-            handle = table.get(Rid(0, 0, 0), self.loader())
-            table.clock.reset()
-            table.unreference(handle)
+        def unref(om, rid, clock):
+            handle = om.borrow(rid)
+            clock.reset()
+            handle.__exit__(None, None, None)
 
-        miss = charged(lambda t: t.get(Rid(0, 0, 0), self.loader()))
+        def literal(name):
+            def read(om, rid, clock):
+                handle = om.borrow(rid)
+                clock.reset()
+                om.get_attr(handle, name)
+            return read
+
+        miss = charged(lambda om, rid, clock: om.borrow(rid))
         assert miss == {"handle": scaled(p.handle_get_us * 1.0) / 1e6}
         assert charged(hit) == {"handle": scaled(p.handle_get_us * 0.1) / 1e6}
         assert charged(unref) == {"handle": scaled(p.handle_unref_us) / 1e6}
@@ -169,35 +190,40 @@ class TestHandleTable:
             HandleMode.INLINE_TUPLES: (None, compact_pair),
             HandleMode.BULK: (full_pair * factor if factor else None,) * 2,
         }[mode]
-        for fixed_size, us in ((True, fixed), (False, variable)):
-            got = charged(lambda t: t.charge_literal(fixed_size=fixed_size))
-            assert got == ({} if us is None else {"handle": us / 1e6})
+        decode = {"cpu": p.attr_decode_us / 1e6}
+
+        def priced(us):
+            return decode if us is None else {**decode, "handle": us / 1e6}
+
+        assert charged(literal("mrn")) == decode  # no literal
+        assert charged(literal("name")) == priced(fixed)
+        assert charged(literal("clients"), provider=True) == priced(variable)
 
     def test_switching_mode_reprices_an_existing_table(self):
         """The Section 4.4 ablation flips ``mode`` on a loaded database."""
-        clock, table = self.make(HandleMode.FULL)
-        assert table.mode is HandleMode.FULL
-        table.mode = HandleMode.BULK
-        assert table.mode is HandleMode.BULK
-        table.get(Rid(0, 0, 0), self.loader())
+        db, (rid,) = self.make(HandleMode.FULL)
+        assert db.handles.mode is HandleMode.FULL
+        db.handles.mode = HandleMode.BULK
+        assert db.handles.mode is HandleMode.BULK
+        handle = db.manager.borrow(rid)
         p = CostParams()
-        assert clock.breakdown() == {
+        assert db.clock.breakdown() == {
             "handle": p.handle_get_us * 1.0 * p.bulk_handle_factor / 1e6
         }
-        table.mode = HandleMode.INLINE_TUPLES
-        clock.reset()
-        table.charge_literal(fixed_size=True)
-        assert clock.breakdown() == {}
+        db.handles.mode = HandleMode.INLINE_TUPLES
+        db.clock.reset()
+        db.manager.get_attr(handle, "name")
+        assert db.clock.breakdown() == {"cpu": p.attr_decode_us / 1e6}
 
     def test_get_is_reference_or_allocate(self):
-        clock, table = self.make()
-        rid = Rid(0, 0, 0)
-        assert table.reference(rid) is None
-        assert clock.breakdown() == {}  # a miss charges nothing by itself
-        handle = table.allocate(rid, *self.loader()())
-        assert table.reference(rid) is handle and handle.refcount == 2
-        assert table.get(rid, self.loader()) is handle
-        assert table.counters.handles_allocated == 1
+        """Get handle is one decision: a hit re-references the handle and
+        reads nothing; a miss reads the record once and allocates."""
+        db, (rid,) = self.make()
+        handle = db.manager.borrow(rid)
+        assert db.counters.client_hits == 1  # the miss read its record
+        assert db.manager.borrow(rid) is handle and handle.refcount == 2
+        assert db.counters.client_hits == 1  # the hit read nothing
+        assert db.counters.handles_allocated == 1
 
 
 # ------------------------------------------------------------- ObjectManager

@@ -378,6 +378,39 @@ class TestQueryService:
             s1.metrics.meters.server_hits + s2.metrics.meters.server_hits > 0
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: a committed in-place update refreshes only the "
+            "writing session's handle table (ObjectManager._write_back), so "
+            "another session re-reads the pre-update record from its own "
+            "parked handle, and a read-modify-write there loses the update"
+        ),
+    )
+    @pytest.mark.parametrize("isolation", ["2pl", "si"])
+    def test_a_committed_update_reaches_another_sessions_parked_handle(
+        self, isolation
+    ):
+        derby = fresh_tiny_derby()
+        service = QueryService(
+            derby, recovery=isolation == "si", isolation=isolation
+        )
+        writer = service.open_session("writer")
+        reader = service.open_session("reader")
+        rid = derby.patient_rids[0]
+
+        def read_age() -> object:
+            with service.immediate(reader):
+                with reader.transaction():
+                    return reader.get_attr(rid, "age")
+
+        before = read_age()  # parks a handle in the reader's table
+        with service.immediate(writer):
+            with writer.transaction():
+                writer.update_scalar(rid, "age", before + 7)
+        assert read_age() == before + 7
+        service.close()
+
 
 # ---------------------------------------------------------------- workload
 
