@@ -33,7 +33,6 @@ RPC + page-transfer costs on the coordinator's timeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.dist.cluster import ShardedCluster
@@ -277,10 +276,7 @@ class Coordinator:
             # n·log2(n) pass per key (matching the single-node price).
             for col, descending in reversed(plan.sort_cols):
                 if n > 1:
-                    clock.charge_us(
-                        _SORT,
-                        params.sort_per_element_log_us * n * math.log2(n),
-                    )
+                    clock.charge_us(_SORT, params.sort_us(n))
                 if scalar_rows:
                     rows.sort(reverse=descending)
                 else:

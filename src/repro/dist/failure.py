@@ -46,6 +46,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RPC = Bucket.RPC
 
+#: How long a node stays suspect before it is declared dead.
+GRACE_S = 0.1
+
 #: The health state machine, in order.  ``alive -> suspect`` when the
 #: lease expires, ``suspect -> dead`` after the grace period; promotion
 #: resets the shard's entry to ``alive`` for the new primary.
@@ -77,7 +80,6 @@ class FailureDetector:
         cluster: "ShardedCluster",
         heartbeat_interval_s: float = 0.05,
         lease_s: float = 0.15,
-        grace_s: float = 0.1,
     ):
         if lease_s < heartbeat_interval_s:
             raise ReplicationError(
@@ -88,7 +90,7 @@ class FailureDetector:
         self.cluster = cluster
         self.heartbeat_interval_s = heartbeat_interval_s
         self.lease_s = lease_s
-        self.grace_s = grace_s
+        self.grace_s = GRACE_S
         self.health = [NodeHealth() for __ in cluster.nodes]
 
     # -- events ---------------------------------------------------------

@@ -101,7 +101,9 @@ class QueryHashTable:
     def _charge_touch(self, base_us: float) -> None:
         """One insert or probe: its CPU price, plus the expected fault on
         the fraction of the table beyond ``budget_bytes``, paged out (a
-        table that fits pays one add)."""
+        table that fits pays one add).  The fraction is
+        ``swapped_fraction``'s, inlined to save a call per touch;
+        ``tests/test_exec.py`` holds the two equal."""
         buckets = self.clock.buckets
         buckets[_CPU] += base_us / US_PER_S
         size = self._bytes

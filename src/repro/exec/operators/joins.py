@@ -54,10 +54,10 @@ from repro.exec.hash_table import (
     phj_table_bytes,
 )
 from repro.exec.operators.base import Cursor, Operator, PipelineContext
-from repro.exec.sorter import sort_charged
+from repro.exec.sorter import RID_PAIR_BYTES, sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database
-from repro.simtime import Bucket
+from repro.simtime import Bucket, spilled_bytes
 from repro.storage.rid import Rid
 from repro.units import US_PER_S, pages_for_bytes
 
@@ -277,8 +277,8 @@ class SortMergeJoin(TreeJoinOperator):
     merge is streamed.
 
     The child-pairs buffer carries projected values and counts against
-    ``peak_rows``; the parent side is index entries (16 bytes each to
-    the sort's memory model) — bookkeeping, like a rid table, and not
+    ``peak_rows``; the parent side is index entries (rid pairs to the
+    sort's memory model) — bookkeeping, like a rid table, and not
     counted.
     """
 
@@ -293,12 +293,14 @@ class SortMergeJoin(TreeJoinOperator):
                         (parent_rid, om.get_attr(child, q.child_project))
                     )
         self._child_pairs = sort_charged(
-            child_pairs, db.clock, db.params, key=lambda p: p[0], bytes_per_item=16
+            child_pairs, db.clock, db.params, key=lambda p: p[0],
+            bytes_per_item=RID_PAIR_BYTES,
         )
         self.ctx.note_buffered(len(self._child_pairs))
 
         self._parent_rids = sort_charged(
-            list(q.selected_parents()), db.clock, db.params, bytes_per_item=16
+            list(q.selected_parents()), db.clock, db.params,
+            bytes_per_item=RID_PAIR_BYTES,
         )
 
     def _rows(self) -> Iterator[tuple]:
@@ -345,16 +347,13 @@ class HybridHashParentsJoin(TreeJoinOperator):
 
     def _open(self) -> None:
         db, om, q = self.db, self.db.manager, self.q
-        budget = db.params.memory.query_memory_bytes
-
         parents = []
         for rid in q.selected_parents():
             with om.borrow(rid) as parent:
                 parents.append((rid, om.get_attr(parent, q.parent_project)))
         table_bytes = phj_table_bytes(len(parents))
-        self._spill_fraction = 0.0
-        if budget and table_bytes > budget:
-            self._spill_fraction = (table_bytes - budget) / table_bytes
+        spilled = spilled_bytes(table_bytes, db.params.memory.query_memory_bytes)
+        self._spill_fraction = spilled / table_bytes if spilled else 0.0
 
         spilled_build_pages = pages_for_bytes(
             int(table_bytes * self._spill_fraction)
@@ -386,7 +385,7 @@ class HybridHashParentsJoin(TreeJoinOperator):
         q, om = self.q, self.db.manager
         buckets = self.db.clock.buckets
         row_s = self.ctx.result_s()
-        probe_spill = int(16 * self._spill_fraction)
+        probe_spill = int(RID_PAIR_BYTES * self._spill_fraction)
         try:
             for child_rid in self._children:
                 row = None

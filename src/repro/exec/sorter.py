@@ -3,18 +3,22 @@
 The paper's *sorted index scan* (Figure 8) sorts up to 1.8 million rids
 before fetching objects; Figure 9 counts that sort as an explicit CPU
 term.  ``sort_charged`` performs the sort and charges
-``sort_per_element_log_us x n x log2(n)`` to the clock's SORT bucket.
+:meth:`~repro.simtime.CostParams.sort_us` to the clock's SORT bucket.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, TypeVar
 
-from repro.simtime import Bucket, CostParams, SimClock
+from repro.simtime import Bucket, CostParams, SimClock, spilled_bytes
+from repro.units import pages_for_bytes
 
 _IO = Bucket.IO
 _SORT = Bucket.SORT
+
+#: Bytes of one (rid, value) pair in a sort run or a spilled hybrid-hash
+#: partition: the size of an index entry with an integer key.
+RID_PAIR_BYTES = 16
 
 T = TypeVar("T")
 
@@ -36,18 +40,10 @@ def sort_charged(
     """
     n = len(items)
     if n > 1:
-        clock.charge_us(
-            _SORT, params.sort_per_element_log_us * n * math.log2(n)
-        )
+        clock.charge_us(_SORT, params.sort_us(n))
     if bytes_per_item is not None and n > 0:
-        total = n * bytes_per_item
         budget = params.memory.query_memory_bytes
-        if budget and total > budget:
-            from repro.units import pages_for_bytes
-
-            spilled_pages = pages_for_bytes(total - budget)
-            clock.charge_ms(
-                _IO,
-                spilled_pages * (params.page_write_ms + params.page_read_ms),
-            )
+        spilled = spilled_bytes(n * bytes_per_item, budget)
+        if spilled:
+            clock.charge_ms(_IO, params.spill_ms(pages_for_bytes(spilled)))
     return sorted(items, key=key)  # type: ignore[type-var,arg-type]

@@ -323,8 +323,8 @@ class BTreeIndex:
     def _charge_sort(self, n: int) -> None:
         if n < 2:
             return
-        us = self.file.disk.params.sort_per_element_log_us * n * math.log2(n)
-        self.file.disk.clock.charge_us(_SORT, us)
+        disk = self.file.disk
+        disk.clock.charge_us(_SORT, disk.params.sort_us(n))
 
     def _charge_directory_search(self) -> None:
         depth = max(1, math.ceil(math.log2(len(self._first_keys) + 1)))

@@ -29,8 +29,12 @@ from repro.units import US_PER_S
 _HANDLE = Bucket.HANDLE
 
 #: Fraction of the allocation cost charged when an existing handle is
-#: merely re-referenced (refcount bump, no allocation).
-_TOUCH_FRACTION = 0.1
+#: merely re-referenced (refcount bump, no allocation); the planner's
+#: handle price reads it too.
+TOUCH_FRACTION = 0.1
+
+#: Handles the delayed-free list parks before it evicts the oldest.
+DELAYED_FREE_CAPACITY = 4096
 
 
 class HandleMode(enum.Enum):
@@ -145,10 +149,7 @@ class HandleTable:
         params: CostParams,
         counters: CounterSet,
         mode: HandleMode = HandleMode.FULL,
-        delayed_free_capacity: int = 4096,
     ):
-        if delayed_free_capacity < 0:
-            raise ValueError("delayed_free_capacity must be >= 0")
         self.clock = clock
         #: The clock's live bucket map: a handle operation or an
         #: attribute decode is a dict update or two and one in-place add
@@ -157,7 +158,7 @@ class HandleTable:
         self.params = params
         self.counters = counters
         self.mode = mode
-        self.delayed_free_capacity = delayed_free_capacity
+        self.delayed_free_capacity = DELAYED_FREE_CAPACITY
         #: Every live-record handle, live (``refcount > 0``) or parked
         #: in the delayed-free list (``refcount == 0``).  Parking moves a
         #: handle to the end, and nothing else moves a parked one, so the
@@ -184,7 +185,7 @@ class HandleTable:
         self._mode = mode
         params = self.params
         alloc_us = params.handle_get_us
-        touch_us = params.handle_get_us * _TOUCH_FRACTION
+        touch_us = params.handle_get_us * TOUCH_FRACTION
         unref_us = params.handle_unref_us
         full_pair = params.handle_get_us + params.handle_unref_us
         compact_pair = (

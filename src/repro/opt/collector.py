@@ -21,8 +21,7 @@ from random import Random
 
 from repro.objects.model import AttrKind
 from repro.oql.catalog import Catalog, RelationshipInfo
-from repro.oql.cost import CostModel
-from repro.opt.histogram import DEFAULT_BUCKETS, EquiDepthHistogram
+from repro.opt.histogram import EquiDepthHistogram
 from repro.simtime import Bucket
 
 _SORT = Bucket.SORT
@@ -33,6 +32,9 @@ _NUMERIC_KINDS = (AttrKind.INT32, AttrKind.REAL64)
 #: Default cap on objects read per extent; above it the collector
 #: switches to systematic sampling (every k-th object, seeded start).
 DEFAULT_SAMPLE_LIMIT = 4000
+
+#: Seeds each extent's sample offset, with the extent name.
+SAMPLE_SEED = 1
 
 
 @dataclass(frozen=True)
@@ -95,18 +97,9 @@ class TableStats:
 class StatsCollector:
     """Runs ANALYZE passes against one catalog."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        buckets: int = DEFAULT_BUCKETS,
-        sample_limit: int = DEFAULT_SAMPLE_LIMIT,
-        seed: int = 1,
-    ):
+    def __init__(self, catalog: Catalog, sample_limit: int = DEFAULT_SAMPLE_LIMIT):
         self.catalog = catalog
-        self.buckets = buckets
         self.sample_limit = max(1, sample_limit)
-        self.seed = seed
-        self.cost = CostModel(catalog.db.params)
 
     # -- entry point ------------------------------------------------------
 
@@ -131,13 +124,13 @@ class StatsCollector:
     def _sample_step(self, name: str, n: int) -> tuple[int, int]:
         """(step, offset) of the systematic sample over ``n`` objects.
 
-        The offset comes from a generator seeded by ``seed`` and the
+        The offset comes from a generator seeded by ``SAMPLE_SEED`` and the
         extent name — stable across runs, unlike ``hash(str)``.
         """
         step = max(1, -(-n // self.sample_limit))
         if step == 1:
             return 1, 0
-        return step, Random(f"{self.seed}:{name}").randrange(step)
+        return step, Random(f"{SAMPLE_SEED}:{name}").randrange(step)
 
     def _collect_extent(self, name: str) -> ExtentStats:
         catalog = self.catalog
@@ -166,8 +159,8 @@ class StatsCollector:
             if not sample:
                 continue
             # Building the histogram sorts the sample: pay for it.
-            db.clock.charge_s(_SORT, self.cost.sort_s(len(sample)))
-            histogram = EquiDepthHistogram.build(sample, self.buckets)
+            db.clock.charge_us(_SORT, db.params.sort_us(len(sample)))
+            histogram = EquiDepthHistogram.build(sample)
             attribute_stats.append(
                 AttributeStats(
                     attr=attr,

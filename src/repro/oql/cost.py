@@ -4,18 +4,22 @@ Every formula mirrors the mechanism the simulator implements (and the
 paper measured): page reads through a bounded client cache, handle
 get/unreference traffic, hash-table sizes from Figure 10's model with OS
 paging beyond the memory budget, rid sorts, and transactional result
-construction.  The optimizer ranks plans with these estimates; the
-benchmark harness can then compare the estimate against the simulated
-measurement (the validation loop the paper never got to close).
+construction.  Where the simulator has a price or a memory rule (the
+sort price, the swap and spill rules, the spill pass, the handle touch
+fraction, the rid-pair size) the formula calls it, not a copy.  The
+optimizer ranks plans with these estimates; the benchmark harness can
+then compare the estimate against the simulated measurement (the
+validation loop the paper never got to close).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exec.hash_table import chj_table_bytes, phj_table_bytes
-from repro.simtime import CostParams
+from repro.exec.sorter import RID_PAIR_BYTES
+from repro.objects.handle import TOUCH_FRACTION
+from repro.simtime import CostParams, spilled_bytes, swapped_fraction
 from repro.units import MS_PER_S, US_PER_S
 
 
@@ -25,7 +29,6 @@ class PlanEstimate:
 
     seconds: float
     description: str
-    breakdown: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,12 @@ class JoinStats:
     child_index_clustering: float
     parent_index_clustering: float
     parent_set_chunks: float     # overflow chunk records per parent (0 if inline)
+
+
+def distinct_draws(n: float, k: float) -> float:
+    """Cardenas's formula: the expected distinct values among ``k``
+    uniform draws from ``n``."""
+    return n * (1.0 - (1.0 - 1.0 / max(1, n)) ** k)
 
 
 class CostModel:
@@ -67,27 +76,25 @@ class CostModel:
         ``touch_fraction`` of them merely re-reference a live handle."""
         p = self.params
         full = (p.handle_get_us + p.handle_unref_us) / US_PER_S
-        touch = (p.handle_get_us * 0.1 + p.handle_unref_us) / US_PER_S
+        touch = (p.handle_get_us * TOUCH_FRACTION + p.handle_unref_us) / US_PER_S
         return n * ((1 - touch_fraction) * full + touch_fraction * touch)
 
     def result_s(self, rows: float) -> float:
         return max(0.0, rows) * self.params.result_append_txn_us / US_PER_S
 
-    def sort_s(self, n: float) -> float:
-        if n < 2:
-            return 0.0
-        return self.params.sort_per_element_log_us * n * math.log2(n) / US_PER_S
+    def spill_s(self, spilled: float) -> float:
+        """Seconds of one write+read pass over ``spilled`` bytes (a
+        fraction of a page counts as that fraction)."""
+        p = self.params
+        return p.spill_ms(spilled / p.memory.page_size) / MS_PER_S
 
     def hash_s(self, inserts: float, probes: float, table_bytes: float) -> float:
-        """CPU plus expected OS-paging cost of a query hash table."""
+        """CPU plus expected OS-paging cost of a query hash table: every
+        touch pays the fault on the final table's paged-out fraction."""
         p = self.params
         cpu = (inserts * p.hash_insert_us + probes * p.hash_probe_us) / US_PER_S
-        budget = p.memory.query_memory_bytes
-        swap = 0.0
-        if budget and table_bytes > budget:
-            fraction = (table_bytes - budget) / table_bytes
-            swap = (inserts + probes) * fraction * p.swap_fault_ms / MS_PER_S
-        return cpu + swap
+        fraction = swapped_fraction(table_bytes, p.memory.query_memory_bytes)
+        return cpu + (inserts + probes) * fraction * p.swap_fault_ms / MS_PER_S
 
     # -- access-pattern page counts ------------------------------------------
 
@@ -98,7 +105,7 @@ class CostModel:
         steady-state rate 1 - cache/file."""
         if file_pages <= 0 or accesses <= 0:
             return 0.0
-        distinct = file_pages * (1.0 - (1.0 - 1.0 / file_pages) ** accesses)
+        distinct = distinct_draws(file_pages, accesses)
         retouches = max(0.0, accesses - distinct)
         if file_pages <= self.cache_pages:
             return distinct
@@ -117,7 +124,7 @@ class CostModel:
         if total_objects <= 0 or file_pages <= 0 or accesses <= 0:
             return 0.0
         contiguous = (accesses / total_objects) * file_pages
-        spread = file_pages * (1.0 - (1.0 - 1.0 / file_pages) ** accesses)
+        spread = distinct_draws(file_pages, accesses)
         weight = max(0.0, min(1.0, (clustering - 0.5) / 0.5))
         return weight * contiguous + (1 - weight) * spread
 
@@ -131,11 +138,7 @@ class CostModel:
             self.params.attr_decode_us + self.params.predicate_us
         ) / US_PER_S
         res = self.result_s(sel * n_objects)
-        return PlanEstimate(
-            io + cpu + res,
-            "sequential scan",
-            {"io": io, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(io + cpu + res, "sequential scan")
 
     def selection_index(
         self,
@@ -150,19 +153,15 @@ class CostModel:
         leaf_io = self.page_s(sel * leaves)
         if sorted_rids or clustering > 0.9:
             # Fetch in physical order: at most every distinct page, once.
-            distinct = file_pages * (1.0 - (1.0 - 1.0 / max(1, file_pages)) ** k)
+            distinct = distinct_draws(file_pages, k)
             fetch_io = self.page_s(min(distinct, file_pages))
         else:
             fetch_io = self.page_s(self.random_fetch_pages(k, file_pages))
-        sort = self.sort_s(k) if sorted_rids else 0.0
+        sort = self.params.sort_us(k) / US_PER_S if sorted_rids else 0.0
         cpu = self.handle_s(k) + k * self.params.attr_decode_us / US_PER_S
         res = self.result_s(k)
         name = "sorted index scan" if sorted_rids else "index scan"
-        return PlanEstimate(
-            leaf_io + fetch_io + sort + cpu + res,
-            name,
-            {"io": leaf_io + fetch_io, "sort": sort, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(leaf_io + fetch_io + sort + cpu + res, name)
 
     def selection_index_only(
         self, n_objects: int, leaves: int, sel: float
@@ -175,16 +174,20 @@ class CostModel:
         io = self.page_s(sel * leaves)
         cpu = k * self.params.compare_us / US_PER_S
         res = self.result_s(1)
-        return PlanEstimate(
-            io + cpu + res,
-            "index-only aggregate",
-            {"io": io, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(io + cpu + res, "index-only aggregate")
 
     # -- tree-join plans (Section 5) ----------------------------------------
 
     def _result_rows(self, s: JoinStats) -> float:
         return s.sel_parents * s.sel_children * s.n_children
+
+    @staticmethod
+    def _hit_parents(s: JoinStats) -> float:
+        """Selected parents with at least one selected child (prob.
+        ``1 - (1 - sel_c)^avg``): the ones a children-first join loads."""
+        return s.sel_parents * s.n_parents * (
+            1.0 - (1.0 - s.sel_children) ** max(1.0, s.avg_children)
+        )
 
     def join_nl(self, s: JoinStats) -> PlanEstimate:
         k_parents = s.sel_parents * s.n_parents
@@ -205,7 +208,7 @@ class CostModel:
             self.params.attr_decode_us + self.params.predicate_us
         ) / US_PER_S
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(io + cpu + res, "NL", {"io": io, "cpu": cpu, "result": res})
+        return PlanEstimate(io + cpu + res, "NL")
 
     def join_nojoin(self, s: JoinStats) -> PlanEstimate:
         k_children = s.sel_children * s.n_children
@@ -217,9 +220,7 @@ class CostModel:
         )
         if not s.children_with_parents:
             io += self.page_s(self.random_fetch_pages(k_children, s.parent_pages))
-        distinct_parents = s.n_parents * (
-            1.0 - (1.0 - 1.0 / max(1, s.n_parents)) ** k_children
-        )
+        distinct_parents = distinct_draws(s.n_parents, k_children)
         touch_fraction = max(0.0, 1.0 - distinct_parents / max(1.0, k_children))
         cpu = self.handle_s(k_children)
         cpu += self.handle_s(k_children, touch_fraction=touch_fraction)
@@ -227,9 +228,7 @@ class CostModel:
             self.params.attr_decode_us + self.params.predicate_us
         ) / US_PER_S
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(
-            io + cpu + res, "NOJOIN", {"io": io, "cpu": cpu, "result": res}
-        )
+        return PlanEstimate(io + cpu + res, "NOJOIN")
 
     def _both_sides_io(self, s: JoinStats) -> float:
         """Sequential index-driven reads of both selected sides (shared
@@ -263,11 +262,7 @@ class CostModel:
         )
         cpu = self.handle_s(k_parents) + self.handle_s(k_children)
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(
-            io + table + cpu + res,
-            "PHJ",
-            {"io": io, "hash": table, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(io + table + cpu + res, "PHJ")
 
     def join_chj(self, s: JoinStats) -> PlanEstimate:
         k_parents = s.sel_parents * s.n_parents
@@ -275,26 +270,15 @@ class CostModel:
         io = self._both_sides_io(s)
         # Buckets materialize lazily: only parents that actually receive
         # a selected child occupy directory space.
-        touched_buckets = s.n_parents * (
-            1.0 - (1.0 - 1.0 / max(1, s.n_parents)) ** k_children
-        )
+        touched_buckets = distinct_draws(s.n_parents, k_children)
         table = self.hash_s(
             k_children,
             k_parents,
             chj_table_bytes(int(touched_buckets), int(k_children)),
         )
-        # Parents are loaded only when the probe hits: a parent has at
-        # least one selected child with prob. 1 - (1 - sel_c)^avg.
-        hit_parents = k_parents * (
-            1.0 - (1.0 - s.sel_children) ** max(1.0, s.avg_children)
-        )
-        cpu = self.handle_s(k_children) + self.handle_s(hit_parents)
+        cpu = self.handle_s(k_children) + self.handle_s(self._hit_parents(s))
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(
-            io + table + cpu + res,
-            "CHJ",
-            {"io": io, "hash": table, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(io + table + cpu + res, "CHJ")
 
     def join_hybrid(self, s: JoinStats) -> PlanEstimate:
         """Hybrid-hash PHJ: the swap penalty is replaced by one
@@ -304,22 +288,14 @@ class CostModel:
         io = self._both_sides_io(s)
         table_bytes = phj_table_bytes(int(k_parents))
         cpu_table = self.hash_s(k_parents, k_children, 0)  # no thrash
-        budget = self.params.memory.query_memory_bytes
-        spill = 0.0
-        if budget and table_bytes > budget:
-            fraction = (table_bytes - budget) / table_bytes
-            spilled_bytes = table_bytes * fraction + 16 * k_children * fraction
-            pages = spilled_bytes / self.params.memory.page_size
-            spill = pages * (
-                self.params.page_write_ms + self.params.page_read_ms
-            ) / MS_PER_S
+        build = spilled_bytes(table_bytes, self.params.memory.query_memory_bytes)
+        fraction = build / table_bytes if build else 0.0
+        spill = self.spill_s(
+            table_bytes * fraction + RID_PAIR_BYTES * k_children * fraction
+        )
         cpu = self.handle_s(k_parents) + self.handle_s(k_children)
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(
-            io + cpu_table + spill + cpu + res,
-            "PHJ-HYBRID",
-            {"io": io + spill, "hash": cpu_table, "cpu": cpu, "result": res},
-        )
+        return PlanEstimate(io + cpu_table + spill + cpu + res, "PHJ-HYBRID")
 
     def join_smj(self, s: JoinStats) -> PlanEstimate:
         """Sort-merge pointer join: both inputs materialized and sorted
@@ -327,25 +303,17 @@ class CostModel:
         k_parents = s.sel_parents * s.n_parents
         k_children = s.sel_children * s.n_children
         io = self._both_sides_io(s)
-        sort = self.sort_s(k_children) + self.sort_s(k_parents)
-        budget = self.params.memory.query_memory_bytes
-        spill = 0.0
-        total_bytes = 16 * (k_children + k_parents)
-        if budget and total_bytes > budget:
-            pages = (total_bytes - budget) / self.params.memory.page_size
-            spill = pages * (
-                self.params.page_write_ms + self.params.page_read_ms
-            ) / MS_PER_S
-        merge = (k_children + k_parents) * self.params.compare_us / US_PER_S
-        cpu = self.handle_s(k_children) + self.handle_s(
-            k_parents * (1.0 - (1.0 - s.sel_children) ** max(1.0, s.avg_children))
-        )
+        p = self.params
+        sort = p.sort_us(k_children) / US_PER_S + p.sort_us(k_parents) / US_PER_S
+        # One working set for both inputs, unlike the operator's two
+        # sorts (a deliberate approximation).
+        spill = self.spill_s(spilled_bytes(
+            RID_PAIR_BYTES * (k_children + k_parents), p.memory.query_memory_bytes
+        ))
+        merge = (k_children + k_parents) * p.compare_us / US_PER_S
+        cpu = self.handle_s(k_children) + self.handle_s(self._hit_parents(s))
         res = self.result_s(self._result_rows(s))
-        return PlanEstimate(
-            io + sort + spill + merge + cpu + res,
-            "SMJ",
-            {"io": io + spill, "sort": sort, "cpu": cpu + merge, "result": res},
-        )
+        return PlanEstimate(io + sort + spill + merge + cpu + res, "SMJ")
 
     def join_estimates(
         self, s: JoinStats, include_extensions: bool = False

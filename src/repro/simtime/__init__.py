@@ -11,13 +11,17 @@ against the arithmetic the paper itself performs.
 
 from repro.simtime.clock import Bucket, SimClock
 from repro.simtime.meters import CounterSet, MeterSnapshot
-from repro.simtime.params import CostParams, MemoryModel
+from repro.simtime.params import (
+    CostParams, MemoryModel, spilled_bytes, swapped_fraction,
+)
 
 __all__ = [
     "Bucket",
     "SimClock",
     "CostParams",
     "MemoryModel",
+    "spilled_bytes",
+    "swapped_fraction",
     "CounterSet",
     "MeterSnapshot",
 ]

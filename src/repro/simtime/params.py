@@ -21,6 +21,7 @@ same mechanism the paper describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from repro.units import MB, PAGE_SIZE
@@ -81,6 +82,25 @@ class MemoryModel:
             - self.system_reserved_bytes
         )
         return max(0, free)
+
+
+def swapped_fraction(size: float, budget: float) -> float:
+    """Fraction of a ``size``-byte query working set the OS pages out
+    of a ``budget``-byte memory: whatever does not fit.  A zero budget
+    holds nothing."""
+    if size > budget and size:
+        return (size - budget) / size
+    return 0.0
+
+
+def spilled_bytes(size: float, budget: float) -> float:
+    """Bytes of a ``size``-byte sort or hybrid-hash working set written
+    out past a ``budget``-byte memory.  A zero budget spills nothing
+    (unlike :func:`swapped_fraction`'s; making the two agree moves the
+    pinned figures, a cost-model change of its own)."""
+    if budget and size > budget:
+        return size - budget
+    return 0
 
 
 @dataclass(frozen=True)
@@ -178,6 +198,19 @@ class CostParams:
             value = getattr(self, f.name)
             if f.name != "memory" and value < 0:
                 raise ValueError(f"negative charge: {f.name} = {value}")
+
+    def sort_us(self, n: float) -> float:
+        """Microseconds to sort ``n`` elements in memory (Figure 9's
+        rid sort): ``sort_per_element_log_us x n x log2(n)``, nothing
+        below two."""
+        if n < 2:
+            return 0.0
+        return self.sort_per_element_log_us * n * math.log2(n)
+
+    def spill_ms(self, pages: float) -> float:
+        """Milliseconds of one external pass over ``pages`` spilled
+        pages: each is written out and read back."""
+        return pages * (self.page_write_ms + self.page_read_ms)
 
     def scaled(self, scale: float) -> "CostParams":
         """Return a copy whose memory model is scaled; time constants are

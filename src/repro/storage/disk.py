@@ -50,12 +50,11 @@ class DiskManager:
         params: CostParams | None = None,
         clock: SimClock | None = None,
         counters: CounterSet | None = None,
-        page_size: int = PAGE_SIZE,
     ):
         self.params = params or CostParams()
         self.clock = clock or SimClock()
         self.counters = counters or CounterSet()
-        self.page_size = page_size
+        self.page_size = PAGE_SIZE
         self._files: dict[int, list[Page]] = {}
         self._next_file_id = 0
         #: The write-ahead log whose durability the WAL rule must respect

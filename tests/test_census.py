@@ -177,29 +177,65 @@ def _defs_with_bound_arg(tree: ast.Module):
             yield node, int(methods.get(id(node), False))
 
 
+def _constructors(tree: ast.Module) -> dict[int, str]:
+    """The class each ``__init__`` in ``tree`` constructs, by ``id``."""
+    return {
+        id(item): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    }
+
+
 def test_every_default_is_overridden_somewhere():
-    """Every defaulted parameter of a ``def`` under ``src/repro``
-    (``__init__`` and other dunders aside) is passed, by position or by
-    keyword, at some call of that name in ``src``, ``benchmarks``,
-    ``examples`` or ``tests``.  A call through ``*``/``**``, or the
-    function handed on as a value (``partial(f, ...)``,
-    ``Suite(execute=f)``), overrides every parameter.  A default no
-    caller changes is a constant with a knob on it."""
+    """Every defaulted parameter of a ``def`` under ``src/repro`` (the
+    other dunders aside) is passed, by position or by keyword, at some
+    call of that name in ``src``, ``benchmarks``, ``examples`` or
+    ``tests``.  An ``__init__``'s calls are those of its class, of any
+    subclass and a subclass's ``super().__init__``.  A call through
+    ``*``/``**``, or the function or class handed on as a value
+    (``partial(f, ...)``, ``Suite(execute=f)``), overrides every
+    parameter.  A default no caller changes is a constant with a knob
+    on it."""
     calls: dict[str, list[ast.Call]] = {}
     passed_on: set[str] = set()
+    subclasses: dict[str, set[str]] = {}
     for path in [*SOURCES, *CODE, *TESTS, Path(__file__)]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    subclasses.setdefault(_callee(base), set()).add(node.name)
+                # ``super().__init__(...)`` calls each base's constructor.
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call)
+                            and isinstance(call.func, ast.Attribute)
+                            and call.func.attr == "__init__"
+                            and isinstance(call.func.value, ast.Call)
+                            and _callee(call.func.value.func) == "super"):
+                        for base in node.bases:
+                            calls.setdefault(_callee(base), []).append(call)
             if not isinstance(node, ast.Call):
                 continue
             name = _callee(node.func)
-            if name is not None:
+            if name is not None and name != "__init__":
                 calls.setdefault(name, []).append(node)
             passed_on.update(
                 _callee(arg) for arg in [*node.args, *(k.value for k in node.keywords)]
             )
 
-    def overridden(fn: ast.FunctionDef, bound: int, position, param: str) -> bool:
-        for call in calls.get(fn.name, []):
+    def family(name: str) -> set[str]:
+        """``name`` and every class below it."""
+        seen, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            if cls not in seen:
+                seen.add(cls)
+                todo += subclasses.get(cls, ())
+        return seen
+
+    def overridden(name: str, bound: int, position, param: str) -> bool:
+        for call in calls.get(name, []):
             if (any(isinstance(arg, ast.Starred) for arg in call.args)
                     or any(k.arg in (None, param) for k in call.keywords)):
                 return True
@@ -209,8 +245,12 @@ def test_every_default_is_overridden_somewhere():
 
     fixed = []
     for path in SOURCES:
-        for fn, bound in _defs_with_bound_arg(ast.parse(path.read_text(encoding="utf-8"))):
-            if fn.name.startswith("__") and fn.name.endswith("__") or fn.name in passed_on:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constructors = _constructors(tree)
+        for fn, bound in _defs_with_bound_arg(tree):
+            names = family(constructors[id(fn)]) if id(fn) in constructors else {fn.name}
+            if (fn.name.startswith("__") and fn.name.endswith("__")
+                    and id(fn) not in constructors) or names & passed_on:
                 continue
             args = fn.args
             positional = [*args.posonlyargs, *args.args]
@@ -221,6 +261,6 @@ def test_every_default_is_overridden_somewhere():
             fixed += [
                 f"{path.relative_to(ROOT)}:{fn.lineno} {fn.name}({param}=)"
                 for position, param in defaulted
-                if not overridden(fn, bound, position, param)
+                if not any(overridden(name, bound, position, param) for name in names)
             ]
     assert not fixed, f"defaults no caller overrides: {fixed}"

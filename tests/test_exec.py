@@ -19,7 +19,7 @@ from repro.exec import (
     select_indexed,
     select_scan,
 )
-from repro.simtime import Bucket, CostParams, CounterSet, SimClock
+from repro.simtime import Bucket, CostParams, CounterSet, SimClock, swapped_fraction
 from repro.units import MB
 
 
@@ -89,7 +89,7 @@ class TestQueryHashTable:
         clock, counters, table = self.make(entry_bytes=64, budget=64 * 100)
         for i in range(200):
             table.insert(i, i)
-        assert swapped_fraction(table) == pytest.approx(0.5, abs=0.01)
+        assert paged_out(table) == pytest.approx(0.5, abs=0.01)
         assert clock.buckets.get(Bucket.SWAP, 0.0) > 0.0
         assert counters.swap_faults > 0
 
@@ -106,12 +106,10 @@ class TestQueryHashTable:
             self.make(entry_bytes=-1)
 
 
-def swapped_fraction(table) -> float:
-    """Fraction of a hash table beyond its budget: paged out."""
-    size = table.table_bytes
-    if size <= table.budget_bytes or size == 0:
-        return 0.0
-    return (size - table.budget_bytes) / size
+def paged_out(table) -> float:
+    """Fraction of a hash table beyond its budget, by the one swap rule
+    the planner prices it with."""
+    return swapped_fraction(table.table_bytes, table.budget_bytes)
 
 
 class ReferenceHashTable:
@@ -139,7 +137,7 @@ class ReferenceHashTable:
 
     def charge_touch(self, base_us: float) -> None:
         self.clock.charge_us(Bucket.CPU, base_us)
-        fraction = swapped_fraction(self)
+        fraction = paged_out(self)
         if fraction > 0.0:
             self.clock.charge_ms(Bucket.SWAP, self.params.swap_fault_ms * fraction)
             self.swap_accum += fraction
@@ -159,8 +157,10 @@ class ReferenceHashTable:
 
 class TestHashTableAgainstReference:
     """``table_bytes`` is a running count and the touch charge is made
-    in place; both must be, to the bit, what the formula and the
-    ``charge_*`` calls gave."""
+    in place, its swap comparison inline; all must be, to the bit, what
+    the formula, the one swap rule (``swapped_fraction``, which the
+    planner prices with; budgets from 0 up) and the ``charge_*`` calls
+    gave."""
 
     @given(
         sizes=st.tuples(
@@ -209,7 +209,7 @@ class TestHashTableAgainstReference:
                 + sum(map(len, table._table.values())) * entry
                 + len(table._table) * bucket
             )
-            assert swapped_fraction(table) == swapped_fraction(reference)
+            assert paged_out(table) == paged_out(reference)
             assert clock.breakdown() == reference.clock.breakdown()
             assert counters.swap_faults == reference.counters.swap_faults
 

@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.objects.codec import InlineSet
-from repro.objects.handle import _TOUCH_FRACTION
+from repro.objects.handle import TOUCH_FRACTION
 from repro.objects.header import ObjectHeader
 from repro.simtime import Bucket, CostParams
 from repro.storage.rid import Rid
@@ -62,7 +62,7 @@ class HandleMachine(RuleBasedStateMachine):
         self.om, self.table, self.clock = db.manager, db.handles, db.clock
         params = CostParams()
         self.alloc_s = params.handle_get_us / US_PER_S
-        self.touch_s = params.handle_get_us * _TOUCH_FRACTION / US_PER_S
+        self.touch_s = params.handle_get_us * TOUCH_FRACTION / US_PER_S
         self.unref_s = params.handle_unref_us / US_PER_S
         self.decode_s = params.attr_decode_us / US_PER_S
         self.literal_s = (params.handle_get_us + params.handle_unref_us) / US_PER_S

@@ -11,6 +11,7 @@ heuristic planner always did.  Both searches are one enumeration in
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -251,17 +252,75 @@ class TestAnalyzeWidensTheSearch:
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
+def _spellings(pattern: str, paths=None) -> list[str]:
+    """The file (relative to ``src/repro``) of each match of
+    ``pattern`` in ``paths`` (default: every module), in path order."""
+    found = []
+    for path in sorted(paths or SRC.rglob("*.py")):
+        found += [path.relative_to(SRC).as_posix()] * len(
+            re.findall(pattern, path.read_text())
+        )
+    return found
+
+
 def test_join_stats_and_the_inline_set_limit_are_written_once():
     """The estimator is the one builder of the cost model's join input,
     and the inline-set limit lives where the record codec spells it."""
-    builders, limits = [], []
-    for path in sorted(SRC.rglob("*.py")):
-        text = path.read_text()
-        name = path.relative_to(SRC).as_posix()
-        builders += [name] * len(re.findall(r"\bJoinStats\(", text))
-        limits += [name] * len(re.findall(r"\b3400\b", text))
-    assert builders == ["oql/estimator.py"]
-    assert limits == ["objects/codec.py"]
+    assert _spellings(r"\bJoinStats\(") == ["oql/estimator.py"]
+    assert _spellings(r"\b3400\b") == ["objects/codec.py"]
+
+
+def test_the_price_list_is_written_once():
+    """The simulator and the planner price a sort, a spill pass, a
+    handle touch and a rid pair, and decide a swap and a spill, through
+    one definition each."""
+    params = ["simtime/params.py"]
+    assert set(_spellings(r"\bsort_per_element_log_us\b")) == set(params)
+    assert _spellings(
+        r"page_write_ms\s*\+\s*[\w.]*page_read_ms"
+        r"|page_read_ms\s*\+\s*[\w.]*page_write_ms"
+    ) == params
+    # The budget comparisons of the swap and the spill rule, and the
+    # hash table's inline copy of the swap (``test_exec.py`` holds it
+    # to the rule), are the only ones.
+    assert _spellings(r"(?:>|\s-)\s*(?:self\.)?budget(?:_bytes)?\b(?!\.)") == [
+        "exec/hash_table.py", "exec/hash_table.py", *params * 4,
+    ]
+    # A constant is spelled once, where it is defined: no module that
+    # reads it spells its value.
+    for name, value in (("TOUCH_FRACTION", r"0\.1"), ("RID_PAIR_BYTES", "16")):
+        readers = [SRC / f for f in set(_spellings(rf"\b{name}\b"))]
+        assert len(_spellings(rf"\b{name} = ")) == 1
+        assert len(_spellings(rf"(?<![\w.]){value}(?![\w.])", readers)) == 1, name
+
+
+class TestZeroQueryMemory:
+    """Below scale 0.001 no memory is left for query structures, and a
+    hash table is paged out whole: the planner prices it the way
+    ``QueryHashTable`` charges it."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        derby = load_derby(DerbyConfig.db_1to3(scale=0.0001))
+        assert derby.db.params.memory.query_memory_bytes == 0
+        engine = OQLEngine(Catalog.from_derby(derby))
+        engine.execute("analyze")
+        return derby, engine, engine.plan(tree_query_text(derby.config, 90, 10))
+
+    @pytest.mark.parametrize("algorithm", ["PHJ", "CHJ"])
+    def test_a_hash_join_is_priced_with_its_swap(self, tiny, algorithm):
+        derby, engine, plan = tiny
+        derby.start_cold_run()
+        clock = derby.db.clock
+        engine.execute(replace(plan, algorithm=algorithm))
+        swap_s = clock.breakdown()["swap"]
+        assert swap_s > 10 * (clock.elapsed_s - swap_s)
+        assert plan.alternatives[algorithm].seconds == pytest.approx(
+            clock.elapsed_s, rel=0.05
+        )
+
+    def test_the_pick_is_the_join_that_does_not_swap(self, tiny):
+        assert tiny[2].algorithm == "NL"
 
 
 # -- one enumeration, two planners ------------------------------------------
