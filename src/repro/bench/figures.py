@@ -227,18 +227,17 @@ def join_figure(
     runner: ExperimentRunner,
     title: str,
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS,
-    grid: tuple[tuple[int, int], ...] = SELECTIVITY_GRID,
 ) -> tuple[Table, list[JoinMeasurement]]:
-    """Run every algorithm at each selectivity pair (cell by cell, every
-    run cold) and rank the cells under a title that names the database."""
+    """Run every algorithm at each selectivity pair of the paper's grid
+    (cell by cell, every run cold) and rank the cells under a title that
+    names the database."""
     config = runner.derby.config
-    measurements = runner.run_join_grid(algorithms, grid)
+    measurements = runner.run_join_grid(algorithms, SELECTIVITY_GRID)
     table = rank_table(
         measurements,
         f"{title} ({config.n_providers} providers, {config.n_patients} "
         f"patients, {config.clustering.value} clustering, "
         f"scale {config.scale:g})",
-        grid,
     )
     return table, measurements
 

@@ -62,7 +62,7 @@ from typing import Callable, Sequence, TextIO
 from repro.bench.figures import FIGURES, FigureDriver
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
-from repro.derby.config import Clustering
+from repro.derby.config import Clustering, is_positive
 from repro.oql import Catalog, OQLEngine, Query, parse_statement
 from repro.errors import ReproError
 from repro.units import MB
@@ -87,11 +87,11 @@ def _load(args: argparse.Namespace, announce: TextIO | None = None):
 
 def _positive(convert: type) -> Callable[[str], float]:
     """An argparse ``type=``: ``convert`` (``int`` or ``float``) the
-    text, then insist the number is above zero."""
+    text, then insist the number is finite and above zero."""
     def parse(text: str) -> float:
         try:
             value = convert(text)
-            if value > 0:
+            if is_positive(value):
                 return value
         except ValueError:
             pass
@@ -337,6 +337,7 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
         load_sharded,
         sharded_table,
     )
+    from repro.dist.failure import GRACE_S, LEASE_S
 
     config = _make_config(args)
     cluster = load_sharded(
@@ -347,14 +348,12 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
         ship_mode=args.ship_mode,
     )
     cluster.start_cold()
-    detector = cluster.detector
-    assert detector is not None
     victim = 0  # the shard whose primary dies
     cluster.schedule_kill(victim, at_s=args.kill_at)
     print(
         f"{cluster!r}: killing shard {victim}'s primary at "
-        f"t={args.kill_at:.3f}s (lease {detector.lease_s:.3f}s + grace "
-        f"{detector.grace_s:.3f}s, {args.ship_mode} shipping)"
+        f"t={args.kill_at:.3f}s (lease {LEASE_S:.3f}s + grace "
+        f"{GRACE_S:.3f}s, {args.ship_mode} shipping)"
     )
     mix = ShardedMixConfig.from_clients(
         args.clients, ops_per_client=args.ops, seed=args.seed
@@ -611,14 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -40,6 +40,11 @@ from repro.objects.handle import HandleMode
 from repro.simtime.host import collector_paused
 from repro.storage.rid import NIL_RID, Rid
 from repro.txn import TransactionManager
+from repro.txn.manager import DEFAULT_OBJECT_BUDGET
+
+#: Objects per load transaction: the paper's batch of 10,000, exactly
+#: one transaction's object budget.
+COMMIT_BATCH = DEFAULT_OBJECT_BUDGET
 
 #: Index names every loaded Derby database carries.
 INDEX_BY_MRN = "Patients_by_mrn"
@@ -133,13 +138,13 @@ def load_derby(
     else:
         clients_placeholder = InlineSet(())
 
-    txm = TransactionManager(db, config.commit_batch)
+    txm = TransactionManager(db)
     txn = txm.begin(logged=config.logged_load)
     created_in_batch = 0
 
     try:
         for kind, idx, fname in placement_order(logical, config.clustering):
-            if created_in_batch >= config.commit_batch:
+            if created_in_batch >= COMMIT_BATCH:
                 txn.commit()
                 report.commits += 1
                 txn = txm.begin(logged=config.logged_load)

@@ -6,8 +6,8 @@ maintain a reasonable cluster." — paper, Section 2.
 
 :func:`dump_and_reload` reads the logical content back out of a
 (possibly fragmented) database — a full charged scan, the dump's real
-cost — and bulk-loads a pristine replacement under the same (or a
-different) clustering strategy.
+cost — and bulk-loads a pristine replacement under the same clustering
+strategy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cluster.loader import DerbyDatabase, load_derby
-from repro.derby.config import Clustering, DerbyConfig
 from repro.derby.generator import (
     LogicalDatabase,
     LogicalPatient,
@@ -76,25 +75,14 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
     return LogicalDatabase(config, providers, patients)
 
 
-def dump_and_reload(
-    derby: DerbyDatabase, clustering: Clustering | None = None
-) -> tuple[DerbyDatabase, ReorganizeReport]:
-    """Dump ``derby`` and bulk-load a fresh, perfectly clustered copy.
-
-    ``clustering`` defaults to the database's current strategy; passing
-    a different one converts the physical organization — the way the
-    paper built its three representations of the same logical database.
-    """
+def dump_and_reload(derby: DerbyDatabase) -> tuple[DerbyDatabase, ReorganizeReport]:
+    """Dump ``derby`` and bulk-load a fresh, perfectly clustered copy
+    under the database's current strategy."""
     derby.db.reset_meters()
     pages_before = derby.db.disk.total_pages()
     logical = dump_logical(derby)
     dump_seconds = derby.db.clock.elapsed_s
-
-    config: DerbyConfig = logical.config
-    if clustering is not None:
-        config = replace(config, clustering=clustering)
-        logical = LogicalDatabase(config, logical.providers, logical.patients)
-    fresh = load_derby(config, logical=logical)
+    fresh = load_derby(logical.config, logical=logical)
     report = ReorganizeReport(
         dump_seconds=dump_seconds,
         reload_seconds=fresh.load_report.seconds,

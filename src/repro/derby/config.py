@@ -12,9 +12,11 @@ preserved (DESIGN.md §5).
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.errors import BenchError
 from repro.simtime import CostParams
 
 #: Environment variable overriding the default scale for benchmarks.
@@ -34,14 +36,25 @@ class Clustering(enum.Enum):
     ASSOCIATION = "association"  # two files, patients in provider order
 
 
+def is_positive(value: float) -> bool:
+    """Finite and above zero: the one rule for a scale or a count given
+    from outside (``nan`` fails both comparisons)."""
+    return 0 < value < math.inf
+
+
 def default_scale() -> float:
     """Scale factor from ``REPRO_SCALE`` or the library default."""
     raw = os.environ.get(SCALE_ENV_VAR)
     if raw is None:
         return DEFAULT_SCALE
-    scale = float(raw)
-    if scale <= 0:
-        raise ValueError(f"{SCALE_ENV_VAR} must be positive, got {raw}")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not is_positive(scale):
+        raise BenchError(
+            f"{SCALE_ENV_VAR} must be a finite number above zero, not {raw!r}"
+        )
     return scale
 
 
@@ -59,8 +72,6 @@ class DerbyConfig:
     #: Load inside logged transactions (the slow path; the paper loads
     #: with transactions off).
     logged_load: bool = False
-    #: Objects per load transaction (the paper's batch of 10,000).
-    commit_batch: int = 10_000
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:

@@ -56,6 +56,7 @@ from types import SimpleNamespace
 
 from repro.derby import DerbyConfig
 from repro.dist.cluster import ShardedCluster, load_sharded
+from repro.dist.failure import HEARTBEAT_INTERVAL_S
 from repro.dist.replication import (
     REPLICATION_KILL_POINTS,
     ReplicationInjector,
@@ -318,7 +319,6 @@ def _settle_failover(cluster: ShardedCluster) -> None:
     run used."""
     if cluster.detector is None:
         return
-    step_s = cluster.detector.heartbeat_interval_s
     for __ in range(64):
         cluster.tick()
         down = [
@@ -330,7 +330,7 @@ def _settle_failover(cluster: ShardedCluster) -> None:
         ]
         if not down:
             return
-        cluster.clock.charge_s(_BACKOFF, step_s)
+        cluster.clock.charge_s(_BACKOFF, HEARTBEAT_INTERVAL_S)
 
 
 def _execute_failover(seed: int, ship_mode: str):

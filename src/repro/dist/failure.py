@@ -5,24 +5,24 @@ using wall-clock heartbeats; this one runs the same protocol on the
 **simulated** coordinator clock, so detection is deterministic and its
 cost is charged like any other message traffic:
 
-* every serving primary sends a heartbeat each ``heartbeat_interval_s``
+* every serving primary sends a heartbeat each ``HEARTBEAT_INTERVAL_S``
   of simulated time; the coordinator charges one ``Bucket.RPC`` per
   heartbeat it observes (the detector is *pumped* at coordinator
   interaction points — there is no background thread, and no wall
   clock anywhere);
-* a heartbeat renews the node's **lease** for ``lease_s``: the node is
+* a heartbeat renews the node's **lease** for ``LEASE_S``: the node is
   ``alive`` while its lease is current;
 * a node whose lease expired (its last heartbeat is more than
-  ``lease_s`` old) becomes ``suspect``;
-* a node that stays suspect for another ``grace_s`` becomes ``dead``,
+  ``LEASE_S`` old) becomes ``suspect``;
+* a node that stays suspect for another ``GRACE_S`` becomes ``dead``,
   at which point :meth:`pump` reports it and the cluster runs fenced
   failover (:meth:`~repro.dist.cluster.ShardedCluster.failover`).
 
 The lease math bounds the unavailability window: a primary killed at
-time *t* sent its last heartbeat at most ``heartbeat_interval_s``
+time *t* sent its last heartbeat at most ``HEARTBEAT_INTERVAL_S``
 before *t*, so it is declared dead no later than
-``t + lease_s + grace_s`` and no earlier than
-``t + lease_s + grace_s - heartbeat_interval_s``.  Add the promotion
+``t + LEASE_S + GRACE_S`` and no earlier than
+``t + LEASE_S + GRACE_S - HEARTBEAT_INTERVAL_S``.  Add the promotion
 cost (replica restart) and that is the whole window during which the
 shard answers :class:`~repro.errors.ShardUnavailableError`.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ReplicationError
 from repro.simtime import Bucket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _RPC = Bucket.RPC
 
+#: Simulated seconds between two heartbeats of a serving primary.
+HEARTBEAT_INTERVAL_S = 0.05
+#: How long one heartbeat keeps a node alive; it covers three
+#: heartbeats, so a renewal never arrives expired.
+LEASE_S = 0.15
 #: How long a node stays suspect before it is declared dead.
 GRACE_S = 0.1
 
@@ -75,22 +79,8 @@ class NodeHealth:
 class FailureDetector:
     """Per-shard lease state machine over the coordinator clock."""
 
-    def __init__(
-        self,
-        cluster: "ShardedCluster",
-        heartbeat_interval_s: float = 0.05,
-        lease_s: float = 0.15,
-    ):
-        if lease_s < heartbeat_interval_s:
-            raise ReplicationError(
-                f"lease_s ({lease_s}) must cover at least one heartbeat "
-                f"interval ({heartbeat_interval_s}); every renewal would "
-                "otherwise arrive expired"
-            )
+    def __init__(self, cluster: "ShardedCluster"):
         self.cluster = cluster
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.lease_s = lease_s
-        self.grace_s = GRACE_S
         self.health = [NodeHealth() for __ in cluster.nodes]
 
     # -- events ---------------------------------------------------------
@@ -135,11 +125,11 @@ class FailureDetector:
             if h.down_since_s is None:
                 self._observe_heartbeats(h, now)
                 continue
-            lease_expiry = h.last_heartbeat_s + self.lease_s
+            lease_expiry = h.last_heartbeat_s + LEASE_S
             if h.state == "alive" and now >= lease_expiry:
                 h.state = "suspect"
                 h.suspect_since_s = lease_expiry
-            if h.state == "suspect" and now >= lease_expiry + self.grace_s:
+            if h.state == "suspect" and now >= lease_expiry + GRACE_S:
                 h.state = "dead"
                 h.dead_since_s = now
                 newly_dead.append(sid)
@@ -149,9 +139,7 @@ class FailureDetector:
         """Deliver (and charge) the heartbeats sent between the last
         observed one and ``until_s``.  Heartbeats are on the interval
         grid, so the schedule is a function of the clock alone."""
-        beats = int(
-            (until_s - h.last_heartbeat_s) / self.heartbeat_interval_s
-        )
+        beats = int((until_s - h.last_heartbeat_s) / HEARTBEAT_INTERVAL_S)
         if beats <= 0:
             return
         clock = self.cluster.clock
@@ -159,4 +147,4 @@ class FailureDetector:
         for __ in range(beats):
             clock.charge_ms(_RPC, params.rpc_overhead_ms)
         h.heartbeats += beats
-        h.last_heartbeat_s += beats * self.heartbeat_interval_s
+        h.last_heartbeat_s += beats * HEARTBEAT_INTERVAL_S

@@ -70,11 +70,6 @@ class DuplicateIndexError(IndexError_):
     """An equivalent index already exists on the collection/key."""
 
 
-class IndexSlotOverflowError(IndexError_):
-    """An object belongs to more indexes than its header can record and
-    the header could not be extended."""
-
-
 class TransactionError(ReproError):
     """Base class for transaction failures."""
 

@@ -18,11 +18,11 @@ fraction.  That expected cost is charged deterministically — no RNG in
 the measured path.
 
 The running table keeps its size as a running integer rather than
-re-deriving it per touch: the fixed part at construction, the entry's
-bytes added *before* an insert is charged, a new key's bucket bytes
-*after* it.  That is the order the size formula sees -- the entry being
-inserted counted, the bucket it is about to materialize not yet -- so
-every swap charge is the one the formula would give.
+re-deriving it per touch: the entry's bytes added *before* an insert is
+charged, a new key's bucket bytes *after* it.  That is the order the
+size formula sees -- the entry being inserted counted, the bucket it is
+about to materialize not yet -- so every swap charge is the one the
+formula would give.
 """
 
 from __future__ import annotations
@@ -70,32 +70,30 @@ class QueryHashTable:
         params: CostParams,
         counters: CounterSet,
         entry_bytes: int,
-        fixed_bytes: int = 0,
         bucket_bytes: int = 0,
         budget_bytes: int | None = None,
     ):
-        if entry_bytes < 0 or fixed_bytes < 0 or bucket_bytes < 0:
-            raise ValueError("entry/fixed/bucket bytes must be non-negative")
+        if entry_bytes < 0 or bucket_bytes < 0:
+            raise ValueError("entry/bucket bytes must be non-negative")
         self.clock = clock
         self.params = params
         self.counters = counters
         self.entry_bytes = entry_bytes
-        self.fixed_bytes = fixed_bytes
         self.bucket_bytes = bucket_bytes
         self.budget_bytes = (
             params.memory.query_memory_bytes if budget_bytes is None else budget_bytes
         )
         self._table: dict[object, list[object]] = {}
         #: ``table_bytes``, kept current by :meth:`insert`.
-        self._bytes = fixed_bytes
+        self._bytes = 0
         self._swap_accum = 0.0
 
     # -- size / swap model ------------------------------------------------
 
     @property
     def table_bytes(self) -> int:
-        """Fixed part + per-entry payload + one bucket header per
-        *distinct* key (buckets materialize lazily)."""
+        """Per-entry payload + one bucket header per *distinct* key
+        (buckets materialize lazily)."""
         return self._bytes
 
     def _charge_touch(self, base_us: float) -> None:

@@ -113,9 +113,9 @@ class Fetch(Operator):
 
     ``row_fn(om, handle)`` returns the output row, or :data:`SKIP` to
     drop the object (a failed predicate).  Each surviving row is charged
-    the result-append price as it is emitted.  The handle bracket
-    closes before the row leaves the operator — nothing is held across a
-    batch boundary.
+    the transactional result-append price as it is emitted.  The handle
+    bracket closes before the row leaves the operator — nothing is held
+    across a batch boundary.
     """
 
     def __init__(
@@ -123,12 +123,10 @@ class Fetch(Operator):
         ctx: PipelineContext,
         source: Operator,
         row_fn: Callable,
-        transactional: bool = True,
     ):
         super().__init__(ctx)
         self.source = source
         self.row_fn = row_fn
-        self.transactional = transactional
         self.scanned = 0
         #: Rids with no version visible at the reader's snapshot (objects
         #: created after an MVCC snapshot began) — skipped, not errors.
@@ -144,7 +142,7 @@ class Fetch(Operator):
         om = db.manager
         borrow, row_fn = om.borrow, self.row_fn
         buckets = db.clock.buckets
-        row_s = self.ctx.result_s(self.transactional)
+        row_s = self.ctx.result_s()
         out: list = []
         room = n
         while room:
@@ -221,7 +219,6 @@ def select_indexed(
     project: str,
     sorted_rids: bool = False,
     include_low: bool = True,
-    transactional: bool = True,
 ) -> SelectionResult:
     """Figure 8, right (with ``sorted_rids=True``) or the plain
     unclustered index scan (``sorted_rids=False``): IndexScan → Fetch."""
@@ -233,4 +230,4 @@ def select_indexed(
     source = IndexScan(
         ctx, index, low, high, include_low, sorted_rids=sorted_rids
     )
-    return _drain(Fetch(ctx, source, row_fn, transactional))
+    return _drain(Fetch(ctx, source, row_fn))

@@ -7,10 +7,10 @@ term of the paper's Figure 9.  The inner directory (first key of each
 leaf) is kept in memory and charged as CPU compares, matching the paper's
 working assumption that non-leaf levels are cached.
 
-The index stores ``(key, rid)`` pairs; keys are 64-bit integers or
-fixed-width strings.  Leaves only hold object identifiers, never object
-properties — as the paper's indexes do ("store only object identifiers
-in their leaves", Section 5).
+The index stores ``(key, rid)`` pairs; keys are 64-bit integers.
+Leaves only hold object identifiers, never object properties — as the
+paper's indexes do ("store only object identifiers in their leaves",
+Section 5).
 """
 
 from __future__ import annotations
@@ -36,59 +36,29 @@ _SORT = Bucket.SORT
 LEAF_CAPACITY = 200
 
 _COUNT = struct.Struct("<I")
-_STR_KEY_WIDTH = 16
 
-
-def _text_field(key: object) -> bytes:
-    return str(key).encode("utf-8")
-
-
-def _field_text(raw: bytes) -> str:
-    return raw.rstrip(b"\x00").decode("utf-8", "replace")
-
-
-#: Key type -> (struct code of the fixed-width key; key -> what that code
-#: packs; what it unpacks -> key, ``None`` when that already is the key).
-#: ``16s`` cuts a long string key at 16 bytes and NUL-pads a short one.
-#: A leaf entry is the key, then the rid's three fields; a leaf is its
-#: entry count and the entries back to back, so a whole leaf is one
-#: ``pack`` and one ``unpack``.
-_LEAF_FORMATS = {
-    int: ("q", int, None),
-    str: (f"{_STR_KEY_WIDTH}s", _text_field, _field_text),
-}
-#: The struct codes of a rid in a leaf entry: file, page, slot.
+#: A leaf entry is the 64-bit key, then the rid's three fields (file,
+#: page, slot); a leaf is its entry count and the entries back to back,
+#: so a whole leaf is one ``pack`` and one ``unpack``.
+_KEY_CODE = "q"
 _RID_CODES = "hih"
+_ENTRY_FORMAT = _KEY_CODE + _RID_CODES
+_ENTRY_SIZE = struct.calcsize("<" + _ENTRY_FORMAT)
+#: One entry read for its key alone, or for its rid alone.
+_KEY_FORMAT = f"{_KEY_CODE}{struct.calcsize('<' + _RID_CODES)}x"
+_RID_FORMAT = f"{struct.calcsize('<' + _KEY_CODE)}x{_RID_CODES}"
 
 
 class BTreeIndex:
     """B+-tree over one key attribute of one collection."""
 
-    def __init__(
-        self,
-        name: str,
-        index_id: int,
-        index_file: StorageFile,
-        key_type: type = int,
-        leaf_capacity: int = LEAF_CAPACITY,
-    ):
+    def __init__(self, name: str, index_id: int, index_file: StorageFile):
         if index_id < 1:
             raise IndexError_("index ids start at 1 (0 marks an empty slot)")
         self.name = name
         self.index_id = index_id
         self.file = index_file
-        try:
-            key_code, self._to_field, self._to_key = _LEAF_FORMATS[key_type]
-        except KeyError:
-            raise IndexError_(
-                f"unsupported index key type: {key_type.__name__}"
-            ) from None
-        self._entry_format = key_code + _RID_CODES
-        self._entry_size = struct.calcsize("<" + self._entry_format)
-        #: One entry read for its key alone, or for its rid alone.
-        self._key_format = f"{key_code}{struct.calcsize('<' + _RID_CODES)}x"
-        self._rid_format = f"{struct.calcsize('<' + key_code)}x{_RID_CODES}"
-        self.leaf_capacity = leaf_capacity
+        self.leaf_capacity = LEAF_CAPACITY
         #: Parallel arrays: first key of each leaf / (first key, first
         #: rid) pair of each leaf (placement among duplicate keys) / rid
         #: of the leaf record / number of entries in the leaf.
@@ -169,29 +139,21 @@ class BTreeIndex:
             self._charge_directory_search()
         cut_low = bisect.bisect_left if include_low else bisect.bisect_right
         cut_high = bisect.bisect_right if include_high else bisect.bisect_left
-        key_format, rid_format = self._key_format, self._rid_format
-        entry_size, to_key = self._entry_size, self._to_key
         for leaf_no in range(start_leaf, len(self._leaf_rids)):
             record = self.file.read(self._leaf_rids[leaf_no])
             (count,) = _COUNT.unpack_from(record)
             keys = struct.unpack_from(
-                "<" + key_format * count, record, _COUNT.size
+                "<" + _KEY_FORMAT * count, record, _COUNT.size
             )
-            start = 0 if low is None else cut_low(keys, low, key=to_key)
-            stop = (
-                count if high is None
-                else cut_high(keys, high, start, key=to_key)
-            )
+            start = 0 if low is None else cut_low(keys, low)
+            stop = count if high is None else cut_high(keys, high, start)
             fields = struct.unpack_from(
-                "<" + rid_format * (stop - start),
+                "<" + _RID_FORMAT * (stop - start),
                 record,
-                _COUNT.size + start * entry_size,
+                _COUNT.size + start * _ENTRY_SIZE,
             )
-            run_keys = keys[start:stop]
-            if to_key is not None:
-                run_keys = map(to_key, run_keys)
             rids = map(rid_of, zip(fields[0::3], fields[1::3], fields[2::3]))
-            yield list(zip(run_keys, rids))
+            yield list(zip(keys[start:stop], rids))
             if stop < count:
                 return
 
@@ -231,9 +193,8 @@ class BTreeIndex:
         directory (no I/O).
 
         Entry positions are interpolated *within* the boundary leaves
-        using the leaf-boundary keys (numeric keys only; strings fall
-        back to leaf granularity), so the estimate stays useful even for
-        single-leaf indexes.
+        using the leaf-boundary keys, so the estimate stays useful even
+        for single-leaf indexes.
         """
         if self.entry_count == 0:
             return 0.0
@@ -273,9 +234,9 @@ class BTreeIndex:
         if not entries:
             return _COUNT.pack(0)
         keys, rids = zip(*entries)  # columns, then rows of four fields
-        rows = zip(map(self._to_field, keys), *zip(*rids))
+        rows = zip(keys, *zip(*rids))
         return struct.pack(
-            "<I" + self._entry_format * len(entries),
+            "<I" + _ENTRY_FORMAT * len(entries),
             len(entries),
             *chain.from_iterable(rows),
         )
@@ -284,13 +245,10 @@ class BTreeIndex:
         (count,) = _COUNT.unpack_from(record, 0)
         # struct.error if the record is shorter than its count says
         fields = struct.unpack_from(
-            "<" + self._entry_format * count, record, _COUNT.size
+            "<" + _ENTRY_FORMAT * count, record, _COUNT.size
         )
-        keys = fields[0::4]
-        if self._to_key is not None:
-            keys = map(self._to_key, keys)
         rids = map(rid_of, zip(fields[1::4], fields[2::4], fields[3::4]))
-        return list(zip(keys, rids))
+        return list(zip(fields[0::4], rids))
 
     def _read_leaf(self, leaf_no: int) -> list[tuple[object, Rid]]:
         return self._decode_leaf(self.file.read(self._leaf_rids[leaf_no]))

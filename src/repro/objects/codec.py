@@ -191,13 +191,12 @@ def _encode_set(name: str, value: object) -> bytes:
 #: Scalar kind -> (struct code, what the code packs for the python value
 #: ``{v}``): the one definition of how each kind is written, spliced into
 #: the writers :func:`_compile_body_writer` and :func:`_scalar_field`
-#: compile.  ``None`` (an omitted attribute with no declared default)
-#: becomes the kind's zero; ``?`` packs any value's truth.  ``Ns`` cuts
-#: an over-long value at ``N`` bytes and NUL-pads a short one, exactly
-#: the slice + ``ljust`` a fixed-width field asks for, so STRING is
-#: ``{width}s`` and CHAR is ``1s`` (an empty one packs as NUL).  A REF
-#: packs its three rid fields in place, NIL's for anything that is not a
-#: :class:`Rid`.
+#: compile.  ``None`` (an omitted attribute) becomes the kind's zero;
+#: ``?`` packs any value's truth.  ``Ns`` cuts an over-long value at
+#: ``N`` bytes and NUL-pads a short one, exactly the slice + ``ljust`` a
+#: fixed-width field asks for, so STRING is ``{width}s`` and CHAR is
+#: ``1s`` (an empty one packs as NUL).  A REF packs its three rid fields
+#: in place, NIL's for anything that is not a :class:`Rid`.
 _KINDS: dict[AttrKind, tuple[str, str]] = {
     AttrKind.INT32: ("i", "int({v} or 0)"),
     AttrKind.REAL64: ("d", "float({v} or 0.0)"),
@@ -245,30 +244,28 @@ def _scalar_field(kind: AttrKind, width: int) -> tuple[str, str, int, FieldWrite
 @lru_cache(maxsize=_WRITER_CACHE_SIZE)
 def _compile_body_writer(
     fields: tuple[tuple[str, str, str], ...], set_names: tuple[str, ...]
-) -> tuple[Callable[..., Callable[[dict], bytes]], str]:
-    """``make(*defaults) -> encode_body`` for the scalar ``fields``
-    (name, struct code, expression) and ``set_names`` of one layout, and
-    its source.  ``encode_body(values)`` takes each scalar from
-    ``values`` or, when it is omitted, from its default, packs the block
-    in one call and appends the sets -- the way :mod:`dataclasses` builds
-    an ``__init__``, so no per-attribute frame runs."""
-    defaults = ", ".join(f"d{i}" for i in range(len(fields)))
-    lines = [f"def make({defaults}):", "    def encode_body(values):"]
+) -> tuple[Callable[[dict], bytes], str]:
+    """``encode_body`` for the scalar ``fields`` (name, struct code,
+    expression) and ``set_names`` of one layout, and its source.
+    ``encode_body(values)`` takes each attribute from ``values`` (``None``
+    when it is omitted), packs the scalar block in one call and appends
+    the sets -- the way :mod:`dataclasses` builds an ``__init__``, so no
+    per-attribute frame runs."""
+    lines = ["def encode_body(values):"]
     for i, (name, __, ___) in enumerate(fields):
         lines.append(
-            f"        v{i} = values[{name!r}] if {name!r} in values else d{i}"
+            f"    v{i} = values[{name!r}] if {name!r} in values else None"
         )
-    lines.append("        return pack(")
+    lines.append("    return pack(")
     for i, (__, ___, expression) in enumerate(fields):
-        lines.append(f"            {expression.format(v=f'v{i}')},")
-    lines.append("        )" + "".join(
+        lines.append(f"        {expression.format(v=f'v{i}')},")
+    lines.append("    )" + "".join(
         f" + encode_set({name!r}, values[{name!r}] if {name!r} in values else None)"
         for name in set_names
     ))
-    lines.append("    return encode_body")
     source = "\n".join(lines) + "\n"
     block = "".join(code for __, code, ___ in fields)
-    return _compile(source, "make", block), source
+    return _compile(source, "encode_body", block), source
 
 
 class RecordCodec:
@@ -298,18 +295,18 @@ class RecordCodec:
         self.scalar_size = offset
         for position, name in enumerate(self.set_names):
             self.readers[name] = _set_reader(position, FIXED_SIZE + offset)
-        make, source = _compile_body_writer(tuple(fields), self.set_names)
-        #: The Python source :attr:`encode_body` was compiled from.
-        self.writer_source = source
         #: ``values -> bytes``: everything after the object header, the
         #: scalar block in one ``pack``, then the sets.  An omitted
-        #: scalar takes its declared default.  Set attributes accept an
+        #: scalar packs its kind's zero.  Set attributes accept an
         #: :class:`InlineSet`, an :class:`OverflowSet`, or a plain
         #: sequence of rids (encoded inline; the caller must have
         #: checked the inline limit).  The one encoding path beside
         #: :meth:`update_scalar`'s field writers, from the same
-        #: ``_KINDS`` table.
-        self.encode_body = make(*[a.default for a in scalar_attrs])
+        #: ``_KINDS`` table.  :attr:`writer_source` is the Python source
+        #: it was compiled from.
+        self.encode_body, self.writer_source = _compile_body_writer(
+            tuple(fields), self.set_names
+        )
 
     # -- encoding -----------------------------------------------------------
 

@@ -112,10 +112,8 @@ def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
     return list(decode_rids(record[base:end])), next_rid
 
 
-def _new_object_header(
-    class_def: ClassDef, indexed: bool, index_ids: tuple[int, ...]
-) -> bytes:
-    header = ObjectHeader.for_new_object(class_def.class_id, indexed)
+def _new_object_header(class_def: ClassDef, index_ids: tuple[int, ...]) -> bytes:
+    header = ObjectHeader.for_new_object(class_def.class_id, bool(index_ids))
     for index_id in index_ids:
         header.add_index(index_id)
     return header.encode()
@@ -141,13 +139,13 @@ class Database:
         self.indexes: dict[str, "BTreeIndex"] = {}
         self._files: dict[str, StorageFile] = {}
         self._names: dict[str, PersistentCollection] = {}
-        #: ``(class name, file name, indexed, index_ids)`` -> everything
+        #: ``(class name, file name, index_ids)`` -> everything
         #: :meth:`create_object` resolves from its arguments: the class's
         #: codec, the encoded header of a new object (built and
         #: range-checked once through :class:`ObjectHeader`) and the
         #: file.  A load creates its objects under a handful of keys.
         self._creates: dict[
-            tuple[str, str, bool, tuple[int, ...]],
+            tuple[str, str, tuple[int, ...]],
             tuple[RecordCodec, bytes, StorageFile],
         ] = {}
 
@@ -193,30 +191,26 @@ class Database:
         class_name: str,
         values: dict[str, object],
         file_name: str,
-        indexed: bool = False,
         index_ids: tuple[int, ...] = (),
     ) -> Rid:
         """Make ``values`` persistent as a new object of ``class_name`` in
         file ``file_name``.
 
-        ``indexed=True`` (or a non-empty ``index_ids``) reserves eight
-        index slots in the object header — the object is created as a
-        member of an indexed collection; otherwise the header has no
-        index space and indexing the object later forces a record
-        rewrite, possibly a move (Section 3.2).  ``index_ids`` stamps
-        memberships directly into the fresh header (the create-index-
-        before-loading workflow).
+        A non-empty ``index_ids`` stamps memberships directly into the
+        fresh header (the create-index-before-loading workflow), which
+        reserves eight index slots — the object is created as a member
+        of an indexed collection; otherwise the header has no index
+        space and indexing the object later forces a record rewrite,
+        possibly a move (Section 3.2).
         """
-        key = (class_name, file_name, indexed, index_ids)
+        key = (class_name, file_name, index_ids)
         try:
             codec, header, sfile = self._creates[key]
         except KeyError:
             class_def = self.schema.cls(class_name)
             codec, header, sfile = self._creates[key] = (
                 self.manager.codec(class_def),
-                _new_object_header(
-                    class_def, bool(indexed or index_ids), index_ids
-                ),
+                _new_object_header(class_def, index_ids),
                 self.file(file_name),
             )
         if codec.set_names:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.errors import IndexSlotOverflowError, SchemaError
+from repro.errors import SchemaError
 
 #: Slots granted in one extension step.
 INDEX_SLOT_BLOCK = 8
@@ -72,16 +72,14 @@ class ObjectHeader:
         class_id: int,
         flags: int = FLAG_PERSISTENT,
         slot_count: int = 0,
-        index_ids: list[int] | None = None,
     ):
         if not 0 <= class_id <= 0xFFFF:
             raise SchemaError(f"class id out of range: {class_id}")
         self.class_id = class_id
         self.flags = flags
         self.slot_count = slot_count
-        self.index_ids = list(index_ids or [])
-        if len(self.index_ids) > self.slot_count:
-            raise SchemaError("more index ids than reserved slots")
+        #: The indexes the object belongs to (:meth:`add_index`).
+        self.index_ids: list[int] = []
 
     # -- construction -------------------------------------------------
 
@@ -97,22 +95,17 @@ class ObjectHeader:
 
     # -- index membership ---------------------------------------------
 
-    def add_index(self, index_id: int, allow_extend: bool = True) -> bool:
+    def add_index(self, index_id: int) -> bool:
         """Record membership in ``index_id``.
 
         Returns ``True`` if the header *grew* (a new slot block had to be
         reserved) — the caller must then rewrite, and possibly move, the
-        record.  Raises :class:`IndexSlotOverflowError` when extension is
-        disallowed and no slot is free.
+        record.
         """
         if index_id in self.index_ids:
             return False
         grew = False
         if len(self.index_ids) >= self.slot_count:
-            if not allow_extend:
-                raise IndexSlotOverflowError(
-                    f"object header has no free index slot for index {index_id}"
-                )
             self.slot_count += INDEX_SLOT_BLOCK
             grew = True
         self.index_ids.append(index_id)
@@ -133,14 +126,14 @@ class ObjectHeader:
         )
 
     @classmethod
-    def decode(cls, record: bytes, offset: int = 0) -> "ObjectHeader":
-        """The header at ``offset``.  Built without ``__init__``: what
-        one byte and one short can hold is in range, and a decoded
-        header never has more index ids than slots."""
+    def decode(cls, record: bytes) -> "ObjectHeader":
+        """The header ``record`` starts with.  Built without
+        ``__init__``: what one byte and one short can hold is in range,
+        and a decoded header never has more index ids than slots."""
         header = _new_header(cls)
         (
             header.flags, header.class_id, header.slot_count, *slots,
-        ) = _HEADERS[record[offset + SLOT_COUNT_BYTE]].unpack_from(record, offset)
+        ) = _HEADERS[record[SLOT_COUNT_BYTE]].unpack_from(record)
         header.index_ids = [*filter(None, slots)]
         return header
 

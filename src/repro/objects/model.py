@@ -47,8 +47,6 @@ class AttributeDef:
     #: For REF / REF_SET: the class name the reference targets (purely
     #: informational — rids are untyped on disk).
     target: str | None = None
-    #: Value encoded when the caller omits the attribute.
-    default: object = None
 
     def __post_init__(self) -> None:
         if self.kind is AttrKind.STRING and self.width < 1:

@@ -22,9 +22,9 @@ and a zero-regression gate.
 
 from repro.opt.collector import (
     AttributeStats,
-    DEFAULT_SAMPLE_LIMIT,
     ExtentStats,
     FanoutStats,
+    SAMPLE_LIMIT,
     StatsCollector,
     TableStats,
     summarize,
@@ -43,10 +43,10 @@ __all__ = [
     "AttributeStats",
     "CostBasedOptimizer",
     "DEFAULT_BUCKETS",
-    "DEFAULT_SAMPLE_LIMIT",
     "EquiDepthHistogram",
     "ExtentStats",
     "FanoutStats",
+    "SAMPLE_LIMIT",
     "StatsCollector",
     "TableStats",
     "save_table_stats",

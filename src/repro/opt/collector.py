@@ -29,9 +29,9 @@ _SORT = Bucket.SORT
 #: Attribute kinds that get histograms (orderable numeric scalars).
 _NUMERIC_KINDS = (AttrKind.INT32, AttrKind.REAL64)
 
-#: Default cap on objects read per extent; above it the collector
+#: Cap on objects read per extent; above it the collector
 #: switches to systematic sampling (every k-th object, seeded start).
-DEFAULT_SAMPLE_LIMIT = 4000
+SAMPLE_LIMIT = 4000
 
 #: Seeds each extent's sample offset, with the extent name.
 SAMPLE_SEED = 1
@@ -97,9 +97,9 @@ class TableStats:
 class StatsCollector:
     """Runs ANALYZE passes against one catalog."""
 
-    def __init__(self, catalog: Catalog, sample_limit: int = DEFAULT_SAMPLE_LIMIT):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.sample_limit = max(1, sample_limit)
+        self.sample_limit = SAMPLE_LIMIT
 
     # -- entry point ------------------------------------------------------
 
@@ -258,5 +258,5 @@ __all__ = [
     "TableStats",
     "StatsCollector",
     "summarize",
-    "DEFAULT_SAMPLE_LIMIT",
+    "SAMPLE_LIMIT",
 ]

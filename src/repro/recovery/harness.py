@@ -96,41 +96,27 @@ class Suite:
         return table
 
 
-def run_case(
-    suite: Suite, seed: int, *variant, check_determinism: bool = True
-) -> Case:
-    """Run one seeded case; with ``check_determinism`` run it twice, on
-    fresh state each time, and require identical digests and a clean
-    second run; failures the first run already reported are not
-    repeated."""
+def run_case(suite: Suite, seed: int, *variant) -> Case:
+    """Run one seeded case twice, on fresh state each time, and require
+    identical digests and a clean second run; failures the first run
+    already reported are not repeated."""
     case = suite.run_once(seed, *variant)
-    if check_determinism:
-        again = suite.run_once(seed, *variant)
-        if again.failures != case.failures:
-            case.failures.extend(
-                f"re-run: {failure}" for failure in again.failures
-            )
-        if again.digest != case.digest:
-            case.failures.append(
-                f"seed {seed}: re-run produced a different digest "
-                "(determinism violated)"
-            )
+    again = suite.run_once(seed, *variant)
+    if again.failures != case.failures:
+        case.failures.extend(f"re-run: {failure}" for failure in again.failures)
+    if again.digest != case.digest:
+        case.failures.append(
+            f"seed {seed}: re-run produced a different digest "
+            "(determinism violated)"
+        )
     return case
 
 
-def run_suite(
-    suite: Suite,
-    cases: int,
-    base_seed: int = 0,
-    check_determinism: bool = True,
-) -> list[Case]:
+def run_suite(suite: Suite, cases: int, base_seed: int = 0) -> list[Case]:
     """Run seeds ``base_seed .. base_seed + cases - 1`` under every
     variant of the suite; each case is independent."""
     return [
-        run_case(
-            suite, base_seed + i, *variant,
-            check_determinism=check_determinism,
-        )
+        run_case(suite, base_seed + i, *variant)
         for variant in suite.variants
         for i in range(cases)
     ]

@@ -7,9 +7,8 @@ points to give the service the reaction half of a multi-client
 benchmark:
 
 * **budgets** (:class:`QueryBudget`) bound what one statement may
-  consume — client-cache page faults, simulated busy seconds, peak live
-  pipeline rows, statement wall time on the shared timeline.  Exceeding
-  a bound raises
+  consume — client-cache page faults and statement wall time on the
+  shared timeline.  Exceeding a bound raises
   :class:`~repro.errors.BudgetExceededError` (or its subclass
   :class:`~repro.errors.StatementTimeoutError`); a budget *exactly*
   exhausted on the final batch completes normally.
@@ -64,10 +63,6 @@ class QueryBudget:
 
     #: Client-cache page faults (the pages a query actually pulled).
     max_pages: int | None = None
-    #: Simulated seconds charged while the session held the baton.
-    max_busy_s: float | None = None
-    #: Peak live rows buffered across the operator tree.
-    max_live_rows: int | None = None
     #: Statement bound on the *shared* timeline (includes time consumed
     #: by other sessions while this statement was in flight) — the
     #: classic statement timeout.
@@ -75,15 +70,16 @@ class QueryBudget:
 
     @property
     def armed(self) -> bool:
-        return any(
-            v is not None
-            for v in (
-                self.max_pages,
-                self.max_busy_s,
-                self.max_live_rows,
-                self.statement_timeout_s,
-            )
-        )
+        return self.max_pages is not None or self.statement_timeout_s is not None
+
+
+#: Growth factor of the backoff per subsequent retry.
+RETRY_MULTIPLIER = 2.0
+#: Backoff ceiling, simulated seconds.
+MAX_BACKOFF_S = 0.5
+#: Fraction of every backoff randomized away: each backoff is uniform
+#: in [0.5x, 1x] of the nominal value.
+RETRY_JITTER = 0.5
 
 
 @dataclass(frozen=True)
@@ -94,13 +90,6 @@ class RetryPolicy:
     max_retries: int = 2
     #: Backoff before the first retry, simulated seconds.
     base_backoff_s: float = 0.02
-    #: Growth factor per subsequent retry.
-    multiplier: float = 2.0
-    #: Backoff ceiling, simulated seconds.
-    max_backoff_s: float = 0.5
-    #: Fraction of the backoff randomized away (0: fixed; 0.5: each
-    #: backoff is uniform in [0.5x, 1x] of the nominal value).
-    jitter: float = 0.5
 
     def backoff_s(self, attempt: int, rng: Random) -> float:
         """Backoff before retry ``attempt`` (0-based), drawn from
@@ -108,12 +97,9 @@ class RetryPolicy:
         if attempt < 0:
             raise ValueError(f"attempt must be >= 0: {attempt}")
         raw = min(
-            self.base_backoff_s * self.multiplier ** attempt,
-            self.max_backoff_s,
+            self.base_backoff_s * RETRY_MULTIPLIER ** attempt, MAX_BACKOFF_S
         )
-        if self.jitter <= 0.0:
-            return raw
-        return raw * (1.0 - self.jitter * rng.random())
+        return raw * (1.0 - RETRY_JITTER * rng.random())
 
 
 @dataclass
@@ -121,9 +107,7 @@ class _StatementGuard:
     """Baseline consumption at statement start, for per-query bounds."""
 
     started_s: float
-    busy0_s: float
     faults0: int
-    cursor: object | None = None
 
 
 class AdmissionGate:
@@ -264,16 +248,13 @@ class ResourceGovernor:
 
     # -- statements ------------------------------------------------------
 
-    def begin_statement(self, session: "Session", cursor) -> None:
+    def begin_statement(self, session: "Session") -> None:
         if self.query_budget is None:
             return
         self.service._accrue()
-        m = session.metrics
         self._guards[session.session_id] = _StatementGuard(
             started_s=self.service.db.clock.elapsed_s,
-            busy0_s=m.busy_s,
-            faults0=m.meters.client_faults,
-            cursor=cursor,
+            faults0=session.metrics.meters.client_faults,
         )
 
     def end_statement(self, session: "Session") -> None:
@@ -320,15 +301,11 @@ class ResourceGovernor:
         # Accrue whether or not a statement is open: how ``busy_s`` is
         # split into additions decides its last bits.
         self.service._accrue()
-        m = session.metrics
         guard = self._guards.get(session.session_id)
         if guard is not None:
-            stats = getattr(guard.cursor, "stats", None)
             self._enforce(
                 session, self.query_budget,
-                pages=m.meters.client_faults - guard.faults0,
-                busy_s=m.busy_s - guard.busy0_s,
-                live_rows=stats.peak_rows if stats is not None else 0,
+                pages=session.metrics.meters.client_faults - guard.faults0,
                 running_s=self.service.db.clock.elapsed_s - guard.started_s,
             )
 
@@ -337,8 +314,6 @@ class ResourceGovernor:
         session: "Session",
         budget: QueryBudget,
         pages: int,
-        busy_s: float,
-        live_rows: int,
         running_s: float,
     ) -> None:
         name = session.name
@@ -347,21 +322,6 @@ class ResourceGovernor:
             raise BudgetExceededError(
                 f"session {name!r}: statement read {pages} pages "
                 f"(budget {budget.max_pages})"
-            )
-        if budget.max_busy_s is not None and busy_s > budget.max_busy_s:
-            session.metrics.over_budget += 1
-            raise BudgetExceededError(
-                f"session {name!r}: statement used {busy_s:.6f} busy s "
-                f"(budget {budget.max_busy_s:g})"
-            )
-        if (
-            budget.max_live_rows is not None
-            and live_rows > budget.max_live_rows
-        ):
-            session.metrics.over_budget += 1
-            raise BudgetExceededError(
-                f"session {name!r}: statement buffered {live_rows} live rows "
-                f"(budget {budget.max_live_rows})"
             )
         if (
             budget.statement_timeout_s is not None

@@ -110,19 +110,10 @@ class SessionMetrics:
 class Session:
     """One client connection to the query service."""
 
-    def __init__(
-        self,
-        service: "QueryService",
-        session_id: int,
-        name: str,
-        isolation: str | None = None,
-    ):
+    def __init__(self, service: "QueryService", session_id: int, name: str):
         self.service = service
         self.session_id = session_id
         self.name = name
-        #: Isolation level this session's transactions open at (defaults
-        #: to the service-wide setting).
-        self.isolation = isolation or service.isolation
         db = service.db
         self.cache: BufferCache = db.system.new_client_tier()
         self.handles = HandleTable(
@@ -140,13 +131,14 @@ class Session:
 
     # -- transactions -------------------------------------------------------
 
-    def begin(self, isolation: str | None = None) -> Transaction:
+    def begin(self) -> Transaction:
+        """Open a transaction at the service-wide isolation level."""
         if self.txn is not None and self.txn.state == "active":
             raise ServiceError(
                 f"session {self.name!r} already has an open transaction"
             )
         self.txn = self.service.txm.begin(
-            logged=True, isolation=isolation or self.isolation
+            logged=True, isolation=self.service.isolation
         )
         # If this session holds the baton right now, its new snapshot
         # must govern reads immediately (not only after the next switch).
@@ -211,7 +203,7 @@ class Session:
         metrics = self.metrics
         metrics.queries += 1
         governor = self.service.governor
-        governor.begin_statement(self, cursor)
+        governor.begin_statement(self)
 
         def on_close() -> None:
             governor.end_statement(self)
@@ -360,29 +352,11 @@ class QueryService:
 
     # -- sessions -----------------------------------------------------------
 
-    def open_session(
-        self,
-        name: str | None = None,
-        isolation: str | None = None,
-    ) -> Session:
-        """Open a client connection.  ``isolation`` overrides the
-        service-wide default for this session only (e.g. one ``si``
-        reporting session against an otherwise-2pl service; the service
-        must still have been built with ``recovery=True`` for si)."""
-        if isolation is not None and isolation not in ("2pl", "si"):
-            raise ServiceError(
-                f"unknown isolation {isolation!r} (expected '2pl' or 'si')"
-            )
-        if isolation == "si" and not self.recovery:
-            raise ServiceError(
-                "isolation='si' needs a service built with recovery=True "
-                "(SI aborts roll back physically to the stashed pre-images)"
-            )
+    def open_session(self, name: str | None = None) -> Session:
+        """Open a client connection; its transactions open at the
+        service-wide isolation level."""
         session = Session(
-            self,
-            len(self.sessions),
-            name or f"s{len(self.sessions)}",
-            isolation=isolation,
+            self, len(self.sessions), name or f"s{len(self.sessions)}"
         )
         self.sessions.append(session)
         return session

@@ -62,8 +62,6 @@ _BACKOFF = Bucket.BACKOFF
 #: Profile names, in the order ``MixConfig.from_clients`` deals them.
 PROFILES = ("navigator", "scanner", "updater")
 
-#: Jitter fraction of every retry backoff (see ``RetryPolicy.jitter``).
-RETRY_JITTER = 0.5
 #: Retries after :class:`~repro.errors.ShardUnavailableError` — a
 #: separate, larger allowance than ``max_retries``: unlike a deadlock,
 #: unavailability heals on its own once failover promotes the standby,
@@ -131,9 +129,7 @@ class ClientMix:
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
-            max_retries=self.max_retries,
-            base_backoff_s=self.retry_backoff_s,
-            jitter=RETRY_JITTER,
+            max_retries=self.max_retries, base_backoff_s=self.retry_backoff_s
         )
 
 

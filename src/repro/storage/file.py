@@ -29,14 +29,13 @@ class StorageFile:
         self,
         disk: DiskManager,
         pager: Pager,
-        file_id: int | None = None,
         fill_factor: float = DEFAULT_FILL_FACTOR,
     ):
         if not 0.0 < fill_factor <= 1.0:
             raise ValueError(f"fill factor must be in (0, 1], got {fill_factor}")
         self.disk = disk
         self.pager = pager
-        self.file_id = disk.create_file() if file_id is None else file_id
+        self.file_id = disk.create_file()
         self.fill_factor = fill_factor
         #: Bytes of growth slack an append leaves free on a page that
         #: already holds records (every page of a file has one size).

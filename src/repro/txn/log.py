@@ -196,29 +196,25 @@ class WriteAheadLog:
 
     # -- flushing -------------------------------------------------------
 
-    def flush(self, max_pages: int | None = None) -> int:
+    def flush(self) -> int:
         """Force the log to disk; returns pages written.
 
         With no pending records this is free (no I/O is charged).  A
         full flush seals the tail to a page boundary, so the page count
         is exactly ``pages_for_bytes(_unflushed_bytes)`` as it always was.
-        ``max_pages`` (or a ``commit-flush`` crash injector) limits how
-        many pages reach disk: the durable boundary then advances only
-        past the records that fit entirely within those pages, and the
-        torn tail page is rewritten by the next flush.
+        A ``commit-flush`` crash injector limits how many pages reach
+        disk: the durable boundary then advances only past the records
+        that fit entirely within those pages, and the torn tail page is
+        rewritten by the next flush.
         """
-        pages_needed = pages_for_bytes(self._unflushed_bytes, PAGE_SIZE)
-        budget = pages_needed
+        pages_needed = pages = pages_for_bytes(self._unflushed_bytes, PAGE_SIZE)
         before_durable = self.durable_lsn
         crash_detail = None
         if self.injector is not None:
             injector_budget = self.injector.on_flush(pages_needed)
             if injector_budget is not None:
-                budget = min(budget, injector_budget)
-                crash_detail = f"{budget}/{pages_needed} pages written"
-        if max_pages is not None:
-            budget = min(budget, max_pages)
-        pages = min(pages_needed, budget)
+                pages = min(pages, injector_budget)
+                crash_detail = f"{pages}/{pages_needed} pages written"
         for __ in range(pages):
             self.clock.charge_ms(_LOG, self.params.page_write_ms)
         self.flushed_pages += pages

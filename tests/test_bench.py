@@ -163,18 +163,15 @@ class TestFigures:
             assert ours == pytest.approx(theirs, rel=0.001)
 
     def test_join_figure_ranks_each_cell(self, runner):
-        table, measurements = join_figure(
-            runner, "test", algorithms=("PHJ", "NOJOIN"), grid=((10, 10),)
-        )
+        measurements = runner.run_join_grid(("PHJ", "NOJOIN"), ((10, 10),))
+        table = rank_table(measurements, "test", ((10, 10),))
         assert len(table.rows) == 2
         assert table.rows[0][3] == pytest.approx(1.0)  # best ratio is 1
         assert table.rows[1][4] >= table.rows[0][4]
         assert len(measurements) == 2
 
     def test_figure15_picks_winners(self, runner):
-        __, ms = join_figure(
-            runner, "t", algorithms=PAPER_ALGORITHMS, grid=((10, 10),)
-        )
+        ms = runner.run_join_grid(PAPER_ALGORITHMS, ((10, 10),))
         table = figure15({"1:1000": {"class": ms}})
         row = table.rows[0]
         assert row[5] in PAPER_ALGORITHMS      # class winner
@@ -289,15 +286,13 @@ class TestFigureDriver:
         assert capsys.readouterr().out == f"{figure15(by_hand)}\n"
 
     def test_join_figure_is_the_grid_then_the_ranking(self, runner):
-        table, measurements = join_figure(
-            runner, "t", algorithms=("PHJ", "NL", "CHJ"), grid=((90, 90), (10, 10))
-        )
+        algorithms = ("PHJ", "NL", "CHJ")
+        table, measurements = join_figure(runner, "t", algorithms=algorithms)
         # Run order: cell by cell, algorithms in the order given.
-        assert [(m.sel_patients, m.algo) for m in measurements] == [
-            (90, "PHJ"), (90, "NL"), (90, "CHJ"),
-            (10, "PHJ"), (10, "NL"), (10, "CHJ"),
-        ]
-        for sel in ((90, 90), (10, 10)):
+        assert [
+            (m.sel_patients, m.sel_providers, m.algo) for m in measurements
+        ] == [(*cell, algo) for cell in SELECTIVITY_GRID for algo in algorithms]
+        for sel in SELECTIVITY_GRID:
             times = cell_times(measurements, *sel)
             rows = [r for r in table.rows if (r[0], r[1]) == sel]
             assert [r[2] for r in rows] == sorted(times, key=times.get)

@@ -34,7 +34,8 @@ class BTreeMachine(RuleBasedStateMachine):
 
         index_file = StorageFile(disk, DirectPager(disk))
         # A small leaf capacity exercises splits constantly.
-        self.index = BTreeIndex("model", 1, index_file, int, leaf_capacity=8)
+        self.index = BTreeIndex("model", 1, index_file)
+        self.index.leaf_capacity = 8
         self.model: list[tuple[int, Rid]] = []
         self.counter = 0
 

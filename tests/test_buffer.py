@@ -303,9 +303,9 @@ class TestClientServerSystem:
 
     def test_dirty_write_back_on_shutdown(self):
         disk, system = small_system()
-        fid = disk.create_file()
+        sfile = StorageFile(disk, system)
+        fid = sfile.file_id
         disk.allocate_page(fid)
-        sfile = StorageFile(disk, system, file_id=fid)
         sfile.insert(b"dirty data")
         system.shutdown()
         assert disk.counters.disk_writes >= 1
@@ -315,9 +315,9 @@ class TestClientServerSystem:
 
     def test_restart_cold_charges_nothing(self):
         disk, system = small_system()
-        fid = disk.create_file()
+        sfile = StorageFile(disk, system)
+        fid = sfile.file_id
         disk.allocate_page(fid)
-        sfile = StorageFile(disk, system, file_id=fid)
         sfile.insert(b"data")
         disk.counters.reset()
         before = disk.clock.elapsed_s
@@ -330,8 +330,7 @@ class TestClientServerSystem:
 
     def test_dirty_eviction_cascades_to_disk(self):
         disk, system = small_system(client_pages=1, server_pages=1)
-        f0 = disk.create_file()
-        sfile = StorageFile(disk, system, file_id=f0)
+        sfile = StorageFile(disk, system)
         # Fill several pages with dirty data; caches of 1 page force
         # write-back cascades.
         for __ in range(200):
@@ -341,8 +340,7 @@ class TestClientServerSystem:
 
     def test_sequential_scan_reads_each_page_once(self):
         disk, system = small_system(client_pages=4, server_pages=2)
-        fid = disk.create_file()
-        sfile = StorageFile(disk, system, file_id=fid)
+        sfile = StorageFile(disk, system)
         rids = [sfile.insert(b"y" * 100) for __ in range(300)]
         system.restart_cold()
         disk.counters.reset()

@@ -23,8 +23,8 @@ class TestChaosChecker:
         assert any(r.row["Storms"] for r in results)
 
     def test_case_digest_is_reproducible(self):
-        a = run_case(SERVICE, 3, check_determinism=False)
-        b = run_case(SERVICE, 3, check_determinism=False)
+        a = SERVICE.run_once(3)
+        b = SERVICE.run_once(3)
         assert a.ok and b.ok
         assert a.digest == b.digest
         assert a.row == b.row
@@ -33,13 +33,13 @@ class TestChaosChecker:
         assert_pinned(
             "service",
             {
-                str(s): run_case(SERVICE, s, check_determinism=False)
+                str(s): SERVICE.run_once(s)
                 for s in range(25)
             },
         )
 
     def test_faults_are_actually_injected_somewhere(self):
-        results = run_suite(SERVICE, 8, base_seed=0, check_determinism=False)
+        results = [SERVICE.run_once(s) for s in range(8)]
         assert sum(r.row["IOFaults"] for r in results) >= 1
 
     def test_summarize_reports_the_aggregate(self):
@@ -84,9 +84,8 @@ class TestHarness:
 
     def test_identical_rerun_digest_is_clean(self):
         assert run_case(_toy_suite([(1,), (1,)]), 7).failures == []
-        # Without the check the case runs once (one digest suffices).
-        single = run_case(_toy_suite([(1,)]), 7, check_determinism=False)
-        assert single.failures == []
+        # One run alone needs one digest.
+        assert _toy_suite([(1,)]).run_once(7).failures == []
 
     def test_every_invariant_sees_the_evidence_of_every_seed(self):
         seen = []
@@ -95,10 +94,12 @@ class TestHarness:
             seen.append(evidence)
             return [f"{evidence} leaked"]
 
-        suite = _toy_suite([()] * 3, invariants=[leaky, lambda ev: []])
-        results = run_suite(suite, 3, base_seed=5, check_determinism=False)
+        suite = _toy_suite([()] * 6, invariants=[leaky, lambda ev: []])
+        results = run_suite(suite, 3, base_seed=5)
         assert [r.seed for r in results] == [5, 6, 7]
-        assert seen == ["evidence-5", "evidence-6", "evidence-7"]
+        # Each case runs twice; the re-run's identical failure is not
+        # repeated.
+        assert seen == [f"evidence-{s}" for s in (5, 5, 6, 6, 7, 7)]
         assert results[1].failures == ["evidence-6 leaked"]
 
     def test_an_invariant_broken_only_on_the_rerun_fails_the_case(self):

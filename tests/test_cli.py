@@ -189,18 +189,33 @@ class TestCommands:
         (["figures", "fig10", "--scale", "0"],
          "--scale: expected a positive float"),
         (["shard", "demo", "--replicas", "2"], "--replicas: invalid choice"),
+        (["info", "--scale", "inf"], "--scale: expected a positive float"),
     ])
     def test_outside_input_is_a_usage_error_not_a_traceback(
         self, capsys, argv, message
     ):
         """Values the library would reject with a bare ``ValueError``
-        (a scale that is not positive, a second standby) stop in the
-        parser: a message on stderr and exit 2."""
+        or an ``OverflowError`` (a scale that is not finite and above
+        zero, a second standby) stop in the parser: a message on stderr
+        and exit 2."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "abc", "-1"])
+    def test_a_bad_repro_scale_is_a_message_and_exit_2(
+        self, capsys, monkeypatch, raw
+    ):
+        """``REPRO_SCALE`` follows the ``--scale`` rule: finite and
+        above zero, or ``error:`` naming the variable and exit 2."""
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        assert main(["info"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: REPRO_SCALE ")
+        assert repr(raw) in captured.err
         assert captured.out == ""
 
     def test_shard_demo_has_one_strategy(self, capsys):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import DerbyDatabase, load_derby
+from repro.cluster import DerbyDatabase, load_derby, loader
 from repro.cluster.strategies import placement_order
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
@@ -211,8 +211,9 @@ class TestLoadingModes:
             after.load_report.records_moved > first.load_report.records_moved
         )
 
-    def test_commit_batching(self):
-        derby = load_derby(tiny_config(commit_batch=100))
+    def test_commit_batching(self, monkeypatch):
+        monkeypatch.setattr(loader, "COMMIT_BATCH", 100)
+        derby = load_derby(tiny_config())
         assert derby.load_report.commits >= 6
 
     def test_queries_agree_across_clusterings(self, class_db, comp_db, random_db):

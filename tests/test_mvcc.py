@@ -325,22 +325,11 @@ class TestServiceIntegration:
         with pytest.raises(ServiceError):
             QueryService(derby, isolation="si")
 
-    def test_session_isolation_override(self):
-        derby = fresh_tiny_derby()
-        service = QueryService(derby, recovery=True)
-        with pytest.raises(ServiceError):
-            service.open_session(isolation="read-committed")
-        session = service.open_session(isolation="si")
-        txn = session.begin()
-        assert txn.isolation == "si"
-        assert txn.snapshot is not None
-        session.commit()
-
     def test_scan_repeats_identically_while_updater_commits(self):
         derby = fresh_tiny_derby()
         service = QueryService(derby, recovery=True, isolation="si")
         scanner = service.open_session("scanner")
-        updater = service.open_session("updater", isolation="2pl")
+        updater = service.open_session("updater")
         threshold = derby.config.num_threshold(50.0)
         oql = f"select p.age from p in Patients where p.num > {threshold}"
         scans: list[list] = []

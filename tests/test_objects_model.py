@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import IndexSlotOverflowError, SchemaError
+from repro.errors import SchemaError
 from repro.objects import Database
 from repro.objects.codec import (
     InlineSet,
@@ -133,11 +133,6 @@ class TestObjectHeader:
         header.add_index(5)
         assert header.add_index(5) is False
         assert header.index_ids == [5]
-
-    def test_extension_can_be_forbidden(self):
-        header = ObjectHeader.for_new_object(1, False)
-        with pytest.raises(IndexSlotOverflowError):
-            header.add_index(5, allow_extend=False)
 
     def test_peek_helpers(self):
         header = ObjectHeader.for_new_object(9, True)
@@ -358,11 +353,8 @@ class TestCompiledReaders:
 
     def record(self, slot_count: int) -> tuple[RecordCodec, bytes]:
         cls = every_kind_schema().cls("Everything")
-        header = ObjectHeader(
-            cls.class_id,
-            slot_count=slot_count,
-            index_ids=list(range(1, slot_count + 1)),
-        )
+        header = ObjectHeader(cls.class_id, slot_count=slot_count)
+        header.index_ids = list(range(1, slot_count + 1))
         codec = RecordCodec(cls)
         return codec, codec.encode(header, EVERYTHING)
 
@@ -474,13 +466,15 @@ class TestGetAttr:
         (table,) = db.manager._attr_tables.values()
         assert sorted(table) == ["mrn", "name"]
 
-    def test_an_omitted_attribute_reads_its_declared_default(self):
+    def test_an_omitted_attribute_reads_its_kinds_zero(self):
         schema = Schema()
         schema.define("Patient", [
             AttributeDef("mrn", AttrKind.INT32),
-            AttributeDef("city", AttrKind.STRING, default="Paris"),
+            AttributeDef("city", AttrKind.STRING),
         ])
         db = Database(schema)
         db.create_file("patients")
+        rid = db.create_object("Patient", {"city": "Paris"}, "patients")
+        assert db.manager.get_attr_at(rid, "mrn") == 0
         rid = db.create_object("Patient", {"mrn": 2}, "patients")
-        assert db.manager.get_attr_at(rid, "city") == "Paris"
+        assert db.manager.get_attr_at(rid, "city") == ""

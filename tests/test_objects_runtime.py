@@ -272,8 +272,8 @@ class TestObjectManager:
         db = make_db()
         patient = db.schema.cls("Patient")
         bare = db.create_object("Patient", {"mrn": 1}, "patients")
-        indexed = db.create_object("Patient", {"mrn": 2}, "patients", indexed=True)
-        grown = db.create_object("Patient", {"mrn": 3}, "patients", indexed=True)
+        indexed = db.create_object("Patient", {"mrn": 2}, "patients", (1,))
+        grown = db.create_object("Patient", {"mrn": 3}, "patients", (1,))
         header = ObjectHeader.decode(db.manager.read_record(grown)[0])
         for index_id in range(1, 10):
             header.add_index(index_id)
@@ -332,11 +332,12 @@ class TestObjectManager:
 
     def test_indexed_object_header_reserves_slots(self):
         db = make_db()
-        rid = db.create_object("Patient", {"mrn": 1}, "patients", indexed=True)
+        rid = db.create_object("Patient", {"mrn": 1}, "patients", (1,))
         with db.manager.borrow(rid) as handle:
             header = ObjectHeader.decode(handle.record)
         assert header.flags & FLAG_INDEXED
         assert header.slot_count == 8
+        assert header.index_ids == [1]
 
 
 class TestBorrow:
@@ -527,10 +528,10 @@ class TestDatabase:
         (``PageFullError`` on a fresh page, and the page leaked)."""
         db = Database(build_derby_schema())
         providers = db.create_file("providers")
-        db.create_object("Provider", {"upin": 0}, "providers", indexed=True)
+        db.create_object("Provider", {"upin": 0}, "providers", (1,))
         pats = [Rid(0, i, 0) for i in range(n_clients)]
         doc = db.create_object(
-            "Provider", {"upin": 1, "clients": pats}, "providers", indexed=True
+            "Provider", {"upin": 1, "clients": pats}, "providers", (1,)
         )
         clients = db.manager.get_attr_at(doc, "clients")
         assert isinstance(clients, InlineSet) and list(clients.rids) == pats
@@ -542,7 +543,7 @@ class TestDatabase:
         docs = [
             db.create_object(
                 "Provider", {"upin": i, "clients": [Rid(0, 0, 0)] * 100},
-                "providers", indexed=True,
+                "providers", (1,),
             )
             for i in range(3)
         ]

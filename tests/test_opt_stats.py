@@ -182,7 +182,9 @@ class TestCollector:
         assert derby.db.clock.elapsed_s > before
 
     def test_sampling_caps_histogram(self, catalog):
-        stats = StatsCollector(catalog, sample_limit=100).collect(["Patients"])
+        collector = StatsCollector(catalog)
+        collector.sample_limit = 100
+        stats = collector.collect(["Patients"])
         extent = stats.extent("Patients")
         attr = extent.attribute("num")
         assert extent.sampled <= 100 < extent.n_objects

@@ -282,7 +282,7 @@ def _reference_set(value: object) -> bytes:
 def reference_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
     parts = [header.encode()]
     for attr in class_def.scalar_attributes():
-        parts.append(_reference_scalar(attr, values.get(attr.name, attr.default)))
+        parts.append(_reference_scalar(attr, values.get(attr.name)))
     for attr in class_def.set_attributes():
         parts.append(_reference_set(values.get(attr.name)))
     return b"".join(parts)
@@ -311,22 +311,20 @@ def format_string_header(header: ObjectHeader) -> bytes:
     )
 
 
-def format_string_decode(record: bytes, offset: int = 0) -> tuple:
+def format_string_decode(record: bytes) -> tuple:
     """``(flags, class_id, slot_count, index_ids, reserved byte)`` as
     the per-call format-string decoder read them."""
-    flags, class_id, slot_count, reserved = struct.unpack_from(
-        "<BHBB", record, offset
-    )
-    raw = struct.unpack_from(f"<{slot_count}H", record, offset + 5)
+    flags, class_id, slot_count, reserved = struct.unpack_from("<BHBB", record)
+    raw = struct.unpack_from(f"<{slot_count}H", record, 5)
     return flags, class_id, slot_count, [i for i in raw if i != 0], reserved
 
 
 def merge_and_coerce_encode(class_def, header: ObjectHeader, values: dict) -> bytes:
     """The record encoder the compiled writer replaced, kept as the
-    reference: the declared defaults merged under ``values``, one
-    coercer per scalar, the block in one ``pack``, then the sets."""
+    reference: ``values`` over ``None`` for every scalar, one coercer
+    per scalar, the block in one ``pack``, then the sets."""
     scalars = class_def.scalar_attributes()
-    given = {**{a.name: a.default for a in scalars}, **values}
+    given = {**{a.name: None for a in scalars}, **values}
     codes, packed = [], []
     for attr in scalars:
         code, coerce = _MERGE_CODERS[attr.kind]
@@ -339,25 +337,24 @@ def merge_and_coerce_encode(class_def, header: ObjectHeader, values: dict) -> by
 
 
 def _writer_schema() -> tuple[Schema, list]:
-    """Two layouts: a class with every kind, declared defaults and two
-    sets, and ``Everything``, the same with three scalars appended;
+    """Two layouts: a class with every kind and two sets, and ``Everything``, the same with three scalars appended;
     returns the schema and both classes."""
     schema = Schema()
     base = [
         AttributeDef("name", AttrKind.STRING),
-        AttributeDef("tag", AttrKind.STRING, width=5, default="dflt"),
-        AttributeDef("mrn", AttrKind.INT32, default=7),
+        AttributeDef("tag", AttrKind.STRING, width=5),
+        AttributeDef("mrn", AttrKind.INT32),
         AttributeDef("score", AttrKind.REAL64),
-        AttributeDef("flag", AttrKind.BOOL, default=True),
-        AttributeDef("sex", AttrKind.CHAR, default="F"),
+        AttributeDef("flag", AttrKind.BOOL),
+        AttributeDef("sex", AttrKind.CHAR),
         AttributeDef("boss", AttrKind.REF),
         AttributeDef("friends", AttrKind.REF_SET),
         AttributeDef("foes", AttrKind.REF_SET),
     ]
     narrow = schema.define("Narrow", base)
     wide = schema.define("Everything", base + [
-        AttributeDef("ward", AttrKind.STRING, width=8, default="none"),
-        AttributeDef("beds", AttrKind.INT32, default=2),
+        AttributeDef("ward", AttrKind.STRING, width=8),
+        AttributeDef("beds", AttrKind.INT32),
         AttributeDef("peer", AttrKind.REF),
     ])
     return schema, [narrow, wide]
@@ -445,7 +442,8 @@ class TestWriterProperties:
         __, layouts = _writer_schema()
         class_def = layouts[layout]
         slots, index_ids, flags = head
-        header = ObjectHeader(class_def.class_id, flags, slots, index_ids)
+        header = ObjectHeader(class_def.class_id, flags, slots)
+        header.index_ids = index_ids
         assert RecordCodec(class_def).encode(header, values) == reference_encode(
             class_def, header, values
         ) == merge_and_coerce_encode(class_def, header, values)
@@ -477,11 +475,10 @@ class TestWriterProperties:
 
     @given(
         values=_LOOSE_VALUES,
-        indexed=st.booleans(),
         index_ids=st.lists(st.integers(1, 0xFFFF), max_size=10, unique=True),
     )
     @settings(max_examples=100, deadline=None)
-    def test_created_record_equals_reference(self, values, indexed, index_ids):
+    def test_created_record_equals_reference(self, values, index_ids):
         """``Database.create_object`` takes its header bytes from the
         prefix cache; the record on the page is still what building the
         ``ObjectHeader`` and encoding attribute by attribute gives --
@@ -489,9 +486,7 @@ class TestWriterProperties:
         schema, (___, class_def) = _writer_schema()
         db = Database(schema)
         sfile = db.create_file("f")
-        header = ObjectHeader.for_new_object(
-            class_def.class_id, indexed or bool(index_ids)
-        )
+        header = ObjectHeader.for_new_object(class_def.class_id, bool(index_ids))
         for index_id in index_ids:
             header.add_index(index_id)
         prepared = {
@@ -501,26 +496,25 @@ class TestWriterProperties:
         }
         expected = reference_encode(class_def, header, prepared)
         for __ in range(2):
-            rid = db.create_object(
-                "Everything", values, "f", indexed, tuple(index_ids)
-            )
+            rid = db.create_object("Everything", values, "f", tuple(index_ids))
             assert sfile.read(rid) == expected
 
-    def test_one_layout_shares_its_code_and_keeps_its_own_defaults(self):
+    def test_one_layout_shares_one_writer(self):
         schema = Schema()
         first, second = (
             schema.define(name, [
-                AttributeDef("n", AttrKind.INT32, default=default),
-                AttributeDef("s", AttrKind.STRING, width=4, default=str(default)),
+                AttributeDef("n", AttrKind.INT32),
+                AttributeDef("s", AttrKind.STRING, width=4),
             ])
-            for name, default in (("A", 1), ("B", 2))
+            for name in ("A", "B")
         )
         a, b = RecordCodec(first), RecordCodec(second)
-        assert a.encode_body.__code__ is b.encode_body.__code__
+        assert a.encode_body is b.encode_body
         assert a.writer_source == b.writer_source
         assert "pack(" in a.writer_source
-        assert a.encode_body({}) == struct.pack("<i4s", 1, b"1")
-        assert b.encode_body({}) == struct.pack("<i4s", 2, b"2")
+        # An omitted attribute packs its kind's zero.
+        assert a.encode_body({}) == struct.pack("<i4s", 0, b"")
+        assert a.encode_body({"n": 2, "s": "ab"}) == struct.pack("<i4s", 2, b"ab")
 
 
 _SLOT_IDS = st.lists(st.integers(1, 0xFFFF), max_size=255)
@@ -532,22 +526,23 @@ class TestHeaderProperties:
 
     @given(
         slot_count=st.integers(0, 255), ids=_SLOT_IDS, flags=st.integers(0, 0xFF),
-        class_id=st.integers(0, 0xFFFF), lead=st.binary(max_size=7),
+        class_id=st.integers(0, 0xFFFF),
     )
     @settings(max_examples=300, deadline=None)
     def test_header_matches_the_format_string_reference(
-        self, slot_count, ids, flags, class_id, lead
+        self, slot_count, ids, flags, class_id
     ):
         """... and byte 4, reserved, is always written 0."""
-        header = ObjectHeader(class_id, flags, slot_count, ids[:slot_count])
+        header = ObjectHeader(class_id, flags, slot_count)
+        header.index_ids = ids[:slot_count]
         encoded = header.encode()
         assert encoded == format_string_header(header)
         assert len(encoded) == header.size
-        decoded = ObjectHeader.decode(lead + encoded + b"tail", len(lead))
+        decoded = ObjectHeader.decode(encoded + b"tail")
         assert (
             decoded.flags, decoded.class_id, decoded.slot_count,
             decoded.index_ids, 0,
-        ) == format_string_decode(lead + encoded, len(lead)) == (
+        ) == format_string_decode(encoded) == (
             flags, class_id, slot_count, ids[:slot_count], 0,
         )
         assert decoded.encode() == encoded
@@ -556,7 +551,8 @@ class TestHeaderProperties:
         for slot_count in range(256):
             for used in {0, slot_count // 2, slot_count}:
                 ids = list(range(1, used + 1))
-                header = ObjectHeader(9, 3, slot_count, ids)
+                header = ObjectHeader(9, 3, slot_count)
+                header.index_ids = ids
                 encoded = header.encode()
                 assert encoded == format_string_header(header)
                 assert format_string_decode(encoded)[3] == ids
@@ -570,16 +566,16 @@ _LEAF_RIDS = st.builds(
 
 class TestLeafProperties:
     @staticmethod
-    def make_index(key_type: type) -> BTreeIndex:
+    def make_index() -> BTreeIndex:
         disk = DiskManager()
-        return BTreeIndex("i", 1, StorageFile(disk, DirectPager(disk)), key_type)
+        return BTreeIndex("i", 1, StorageFile(disk, DirectPager(disk)))
 
     @given(st.lists(
         st.tuples(st.integers(-(2**63), 2**63 - 1), _LEAF_RIDS), max_size=250
     ))
     @settings(max_examples=100, deadline=None)
     def test_int_leaf_roundtrip_and_layout(self, entries):
-        index = self.make_index(int)
+        index = self.make_index()
         leaf = index._encode_leaf(entries)
         # count, then per entry the key and the rid, back to back
         assert leaf == struct.pack("<I", len(entries)) + b"".join(
@@ -588,31 +584,8 @@ class TestLeafProperties:
         assert index._decode_leaf(leaf) == entries
         assert all(type(rid) is Rid for __, rid in index._decode_leaf(leaf))
 
-    @given(st.lists(
-        st.tuples(st.text(_ASCII, max_size=16), _LEAF_RIDS), max_size=120
-    ))
-    @settings(max_examples=50, deadline=None)
-    def test_str_leaf_roundtrip(self, entries):
-        index = self.make_index(str)
-        assert index._decode_leaf(index._encode_leaf(entries)) == entries
-
-    @given(st.lists(
-        st.tuples(st.one_of(st.text(max_size=30), st.integers()), _LEAF_RIDS),
-        max_size=60,
-    ))
-    @settings(max_examples=50, deadline=None)
-    def test_str_leaf_layout(self, entries):
-        """Long and multi-byte keys are cut at 16 bytes, short ones
-        NUL-padded: ``16s`` packs what slice + ``ljust`` built."""
-        leaf = self.make_index(str)._encode_leaf(entries)
-        assert leaf == struct.pack("<I", len(entries)) + b"".join(
-            str(key).encode("utf-8")[:16].ljust(16, b"\x00") + _RID.pack(*rid)
-            for key, rid in entries
-        )
-
-    @pytest.mark.parametrize("key_type", [int, str])
-    def test_truncated_leaf_is_an_error(self, key_type):
-        index = self.make_index(key_type)
+    def test_truncated_leaf_is_an_error(self):
+        index = self.make_index()
         leaf = index._encode_leaf([(1, Rid(0, 0, 0)), (2, Rid(0, 0, 1))])
         with pytest.raises(struct.error):
             index._decode_leaf(leaf[:-1])
