@@ -65,7 +65,7 @@ def figure4_rids_vs_handles(
         hash_table = QueryHashTable(
             derby.db.clock, derby.db.params, derby.db.counters, entry_bytes
         )
-        for __, rid in derby.by_mrn.range_scan(None, k, include_high=False):
+        for rid in derby.by_mrn.rid_scan(None, k, include_high=False):
             if payload == "Handles":
                 # The handle stays referenced (pinned) inside the table.
                 handle = om.load(rid)

@@ -40,7 +40,7 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
     """
     om = derby.db.manager
     providers: list[LogicalProvider] = []
-    for __, rid in derby.by_upin.range_scan():
+    for rid in derby.by_upin.rid_scan():
         record, class_def = om.read_record(rid)
         values = om.codec(class_def).decode(record)
         providers.append(
@@ -53,7 +53,7 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
             )
         )
     patients: list[LogicalPatient] = []
-    for j, (__, rid) in enumerate(derby.by_mrn.range_scan()):
+    for j, rid in enumerate(derby.by_mrn.rid_scan()):
         record, class_def = om.read_record(rid)
         values = om.codec(class_def).decode(record)
         patient = LogicalPatient(

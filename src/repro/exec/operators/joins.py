@@ -101,7 +101,7 @@ class TreeJoinQuery:
 
     def _selected(self, index: BTreeIndex, high: object) -> Iterator[Rid]:
         """Rids of the objects keyed below ``high``, in physical order."""
-        rids = [rid for __, rid in index.range_scan(None, high, include_high=False)]
+        rids = list(index.rid_scan(None, high, include_high=False))
         return iter(sort_charged(rids, self.db.clock, self.db.params))
 
 

@@ -95,12 +95,11 @@ class IndexScan(Operator):
 
     def _open(self) -> None:
         db = self.ctx.db
-        self._rids = [
-            rid
-            for __, rid in self.index.range_scan(
+        self._rids = list(
+            self.index.rid_scan(
                 self.low, self.high, self.include_low, self.include_high
             )
-        ]
+        )
         if self.sorted_rids:
             self._rids = sort_charged(self._rids, db.clock, db.params)
 

@@ -11,6 +11,15 @@ The index stores ``(key, rid)`` pairs; keys are 64-bit integers.
 Leaves only hold object identifiers, never object properties — as the
 paper's indexes do ("store only object identifiers in their leaves",
 Section 5).
+
+Beside each leaf it writes, the index keeps the record object it wrote
+and the tuple of :class:`Rid` objects encoded into it, the leaf's *rid
+column*.  Every leaf is still read through the storage file, but when
+the record read back *is* the one the index wrote, the rids of a run are
+a slice of that column: no rid is decoded or built per entry, and the
+rids handed back are the very objects the index was given.  Any other
+record (an older image a crash restored, a record this index did not
+write) is decoded.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from itertools import chain
-from operator import le
+from itertools import chain, starmap
+from operator import itemgetter, le
 from typing import Iterable, Iterator
 
 from repro.errors import IndexError_
@@ -48,6 +57,10 @@ _ENTRY_SIZE = struct.calcsize("<" + _ENTRY_FORMAT)
 _KEY_FORMAT = f"{_KEY_CODE}{struct.calcsize('<' + _RID_CODES)}x"
 _RID_FORMAT = f"{struct.calcsize('<' + _KEY_CODE)}x{_RID_CODES}"
 
+#: The second field: the rid of a ``(key, rid)`` entry, and the rids of
+#: the ``(keys, rids)`` run :meth:`BTreeIndex._leaf_runs` yields per leaf.
+_SECOND = itemgetter(1)
+
 
 class BTreeIndex:
     """B+-tree over one key attribute of one collection."""
@@ -61,11 +74,14 @@ class BTreeIndex:
         self.leaf_capacity = LEAF_CAPACITY
         #: Parallel arrays: first key of each leaf / (first key, first
         #: rid) pair of each leaf (placement among duplicate keys) / rid
-        #: of the leaf record / number of entries in the leaf.
+        #: of the leaf record / number of entries in the leaf / the
+        #: record last written to the leaf / the rids encoded into it.
         self._first_keys: list[object] = []
         self._first_pairs: list[tuple[object, Rid]] = []
         self._leaf_rids: list[Rid] = []
         self._leaf_counts: list[int] = []
+        self._leaf_records: list[bytes] = []
+        self._leaf_columns: list[tuple[Rid, ...]] = []
         self.entry_count = 0
         self._max_key: object | None = None
         #: Fraction of adjacent key-ordered entries that are also in
@@ -86,22 +102,21 @@ class BTreeIndex:
         self._first_pairs.clear()
         self._leaf_rids.clear()
         self._leaf_counts.clear()
+        self._leaf_records.clear()
+        self._leaf_columns.clear()
         self.entry_count = len(items)
         self._max_key = items[-1][0] if items else None
         for start in range(0, len(items), self.leaf_capacity):
-            chunk = items[start : start + self.leaf_capacity]
-            leaf_rid = self.file.insert(self._encode_leaf(chunk))
-            self._first_keys.append(chunk[0][0])
-            self._first_pairs.append(chunk[0])
-            self._leaf_rids.append(leaf_rid)
-            self._leaf_counts.append(len(chunk))
+            self._add_leaf(
+                len(self._leaf_rids), items[start : start + self.leaf_capacity]
+            )
         self.clustering_ratio = _clustering_ratio(items)
 
     # -- point / range access ------------------------------------------
 
     def lookup(self, key: object) -> list[Rid]:
         """All rids filed under ``key`` (keys need not be unique)."""
-        return [rid for __, rid in self.range_scan(key, key)]
+        return list(self.rid_scan(key, key))
 
     def range_scan(
         self,
@@ -114,7 +129,21 @@ class BTreeIndex:
         order, reading each visited leaf through the page caches -- and
         only once the entries of the leaf before it are consumed."""
         return chain.from_iterable(
-            self._leaf_runs(low, high, include_low, include_high)
+            starmap(zip, self._leaf_runs(low, high, include_low, include_high))
+        )
+
+    def rid_scan(
+        self,
+        low: object | None = None,
+        high: object | None = None,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> Iterator[Rid]:
+        """The rids of :meth:`range_scan`'s entries, in the same order and
+        with the same leaf reads, for a caller that drops the keys: no
+        ``(key, rid)`` pair is built."""
+        return chain.from_iterable(
+            map(_SECOND, self._leaf_runs(low, high, include_low, include_high))
         )
 
     def _leaf_runs(
@@ -123,11 +152,13 @@ class BTreeIndex:
         high: object | None,
         include_low: bool,
         include_high: bool,
-    ) -> Iterator[list[tuple[object, Rid]]]:
-        """The matching run of each leaf a range scan visits.  A leaf is
-        sorted, so its run is one slice between two bisections of its
-        keys, and only the run's rids are decoded; the scan ends at the
-        first leaf holding an entry past ``high``."""
+    ) -> Iterator[tuple[tuple[object, ...], Iterable[Rid]]]:
+        """The matching run of each leaf a range scan visits, as its keys
+        and its rids.  A leaf is sorted, so its run is one slice between
+        two bisections of its keys.  The run's rids are a slice of the
+        leaf's rid column when the record read back is the one this
+        index wrote; otherwise only the run's rids are decoded.  The scan
+        ends at the first leaf holding an entry past ``high``."""
         if not self._leaf_rids:
             return
         start_leaf = 0
@@ -147,13 +178,16 @@ class BTreeIndex:
             )
             start = 0 if low is None else cut_low(keys, low)
             stop = count if high is None else cut_high(keys, high, start)
-            fields = struct.unpack_from(
-                "<" + _RID_FORMAT * (stop - start),
-                record,
-                _COUNT.size + start * _ENTRY_SIZE,
-            )
-            rids = map(rid_of, zip(fields[0::3], fields[1::3], fields[2::3]))
-            yield list(zip(keys[start:stop], rids))
+            if record is self._leaf_records[leaf_no]:
+                rids: Iterable[Rid] = self._leaf_columns[leaf_no][start:stop]
+            else:
+                fields = struct.unpack_from(
+                    "<" + _RID_FORMAT * (stop - start),
+                    record,
+                    _COUNT.size + start * _ENTRY_SIZE,
+                )
+                rids = map(rid_of, zip(fields[0::3], fields[1::3], fields[2::3]))
+            yield keys[start:stop], rids
             if stop < count:
                 return
 
@@ -162,11 +196,7 @@ class BTreeIndex:
     def insert(self, key: object, rid: Rid) -> None:
         """Add one entry (splits the target leaf when full)."""
         if not self._leaf_rids:
-            leaf_rid = self.file.insert(self._encode_leaf([(key, rid)]))
-            self._first_keys.append(key)
-            self._first_pairs.append((key, rid))
-            self._leaf_rids.append(leaf_rid)
-            self._leaf_counts.append(1)
+            self._add_leaf(0, [(key, rid)])
             self.entry_count = 1
             self._max_key = key
             return
@@ -251,7 +281,17 @@ class BTreeIndex:
         return list(zip(fields[0::4], rids))
 
     def _read_leaf(self, leaf_no: int) -> list[tuple[object, Rid]]:
-        return self._decode_leaf(self.file.read(self._leaf_rids[leaf_no]))
+        """The entries of leaf ``leaf_no``, read through the storage
+        file; a record this index wrote pairs its keys with the leaf's
+        rid column, so a rewrite keeps the rids it was given."""
+        record = self.file.read(self._leaf_rids[leaf_no])
+        if record is not self._leaf_records[leaf_no]:
+            return self._decode_leaf(record)
+        (count,) = _COUNT.unpack_from(record)
+        keys = struct.unpack_from(
+            "<" + _KEY_FORMAT * count, record, _COUNT.size
+        )
+        return list(zip(keys, self._leaf_columns[leaf_no]))
 
     def _placement_leaf(self, key: object, rid: Rid) -> int:
         """Leaf where the (key, rid) pair belongs under global
@@ -260,9 +300,22 @@ class BTreeIndex:
         self._charge_directory_search()
         return max(0, bisect.bisect_right(self._first_pairs, (key, rid)) - 1)
 
+    def _add_leaf(self, leaf_no: int, entries: list[tuple[object, Rid]]) -> None:
+        """Append a new leaf record holding ``entries`` (not empty) to the
+        index file and file it as leaf ``leaf_no``."""
+        record = self._encode_leaf(entries)
+        self._leaf_rids.insert(leaf_no, self.file.insert(record))
+        self._leaf_records.insert(leaf_no, record)
+        self._leaf_columns.insert(leaf_no, tuple(map(_SECOND, entries)))
+        self._first_keys.insert(leaf_no, entries[0][0])
+        self._first_pairs.insert(leaf_no, entries[0])
+        self._leaf_counts.insert(leaf_no, len(entries))
+
     def _write_leaf(self, leaf_no: int, entries: list[tuple[object, Rid]]) -> None:
-        new_rid = self.file.update(self._leaf_rids[leaf_no], self._encode_leaf(entries))
-        self._leaf_rids[leaf_no] = new_rid
+        record = self._encode_leaf(entries)
+        self._leaf_rids[leaf_no] = self.file.update(self._leaf_rids[leaf_no], record)
+        self._leaf_records[leaf_no] = record
+        self._leaf_columns[leaf_no] = tuple(map(_SECOND, entries))
         if entries:
             self._first_keys[leaf_no] = entries[0][0]
             self._first_pairs[leaf_no] = entries[0]
@@ -272,11 +325,7 @@ class BTreeIndex:
         left, right = entries[:mid], entries[mid:]
         self._write_leaf(leaf_no, left)
         self._leaf_counts[leaf_no] = len(left)
-        right_rid = self.file.insert(self._encode_leaf(right))
-        self._first_keys.insert(leaf_no + 1, right[0][0])
-        self._first_pairs.insert(leaf_no + 1, right[0])
-        self._leaf_rids.insert(leaf_no + 1, right_rid)
-        self._leaf_counts.insert(leaf_no + 1, len(right))
+        self._add_leaf(leaf_no + 1, right)
 
     def _charge_sort(self, n: int) -> None:
         if n < 2:

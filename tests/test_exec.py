@@ -3,6 +3,8 @@ algorithms (correctness against a pure-Python reference)."""
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.exec import (
     ALGORITHMS,
+    Cursor,
+    PipelineContext,
     QueryHashTable,
     TreeJoinQuery,
     chj_table_bytes,
@@ -19,6 +23,7 @@ from repro.exec import (
     select_indexed,
     select_scan,
 )
+from repro.exec.operators import IndexScan
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock, swapped_fraction
 from repro.units import MB
 
@@ -326,6 +331,16 @@ class TestSelections:
             sorted_rids=True, include_low=False,
         )
         assert derby.db.clock.buckets.get(Bucket.SORT, 0.0) > 0
+
+    def test_an_index_scan_builds_no_rid(self, derby):
+        """The rids a full index scan hands back are the very objects the
+        load filed, not equal copies: each leaf shares the rids it was
+        written from, so the index holds one pointer per entry."""
+        assert derby.config.index_first
+        ctx = PipelineContext(derby.db)
+        scanned = Cursor(ctx, IndexScan(ctx, derby.by_mrn, None, None)).drain()
+        assert len(scanned) == len(derby.patient_rids) == 1200
+        assert all(map(operator.is_, scanned, derby.patient_rids))
 
     def test_transactional_result_costs_more(self, derby):
         """A selection builds its result "as if it could become

@@ -111,11 +111,13 @@ WARM_BRACKET_BUDGET = 5.5
 #: with the parked ``pop`` and ``len`` in the bracket; 29.03 with the
 #: generic row function, ``charge_result`` and ``len(out)`` per row).
 FETCHED_ROW_BUDGET = 11.0
-#: Calls made by the range scan per ``(key, rid)`` entry it yields, the
-#: leaf reads apart: per 200-entry leaf one generator step, the count,
-#: the keys, the bisections and the run's rids (measured: 0.030; 0.041
-#: when each leaf was decoded whole through ``_read_leaf`` and measured
-#: with ``len``; 2.00 with a filter and an ``IndexEntry`` per entry).
+#: Calls made by the rid scan per rid it yields, the leaf reads apart:
+#: per 200-entry leaf one generator step, the count, the keys and the
+#: bisections; the run's rids are a slice of the leaf's rid column
+#: (measured: 0.024; 0.030 when the range scan decoded each run's rids
+#: and paired them with their keys; 0.041 when each leaf was decoded
+#: whole through ``_read_leaf`` and measured with ``len``; 2.00 with a
+#: filter and an ``IndexEntry`` per entry).
 INDEX_ENTRY_BUDGET = 0.1
 
 #: Calls made by one ``Transaction.create_object`` of an unlogged load,
@@ -499,11 +501,12 @@ def test_calls_per_fetched_row(warm_graph):
 def test_calls_per_index_entry(warm_graph):
     roots = [
         warm_graph.find(BTREE, name)
-        for name in ("BTreeIndex.range_scan", "BTreeIndex._leaf_runs")
+        for name in ("BTreeIndex.rid_scan", "BTreeIndex._leaf_runs")
     ]
-    assert None not in roots, "the range scan moved: re-derive this budget"
-    # The scan decodes a run, never a whole leaf: its leaf reads go
-    # straight to the storage file, one per leaf visited.
+    assert None not in roots, "the rid scan moved: re-derive this budget"
+    # The scan decodes no leaf: a leaf the index wrote answers its run
+    # from the rid column kept beside it.  Its leaf reads go straight
+    # to the storage file, one per leaf visited.
     decode_leaf = warm_graph.find(BTREE, "BTreeIndex._decode_leaf")
     assert warm_graph.calls(decode_leaf) == 0
     read_leaf = warm_graph.find("repro/storage/file.py", "StorageFile.read")

@@ -335,8 +335,17 @@ class TestRangeScanEquivalence:
         assert_scans_like_brute_force(db, index, range(4, 11))
 
 
+def leaf_page(index: BTreeIndex, leaf_no: int):
+    """The page holding leaf ``leaf_no``, and the leaf's slot on it."""
+    file_id, page_no, slot = index._leaf_rids[leaf_no]
+    return index.file.disk.peek_page(file_id, page_no), slot
+
+
 def test_a_range_scan_decodes_only_the_rids_it_returns(monkeypatch):
-    """A 10-entry range inside a full leaf unpacks 10 rids, not 200."""
+    """Over leaves the index wrote, a scan unpacks no rid at all: the
+    rids come from the column written beside the leaf.  Over an
+    equal-content copy it did not write, a 10-entry range inside a full
+    leaf unpacks 10 rids, not 200."""
     import repro.index.btree as btree
 
     db = make_db()
@@ -354,9 +363,37 @@ def test_a_range_scan_decodes_only_the_rids_it_returns(monkeypatch):
         unpack_from=unpack_from, pack=struct.pack, calcsize=struct.calcsize
     ))
     assert index.lookup(50) == [Rid(0, 50, 0)]
-    assert [k for k, __ in index.range_scan(100, 110, include_high=False)] \
-        == list(range(100, 110))
-    assert sum(rids_unpacked) == 1 + 10
+    scanned = list(index.range_scan(100, 110, include_high=False))
+    assert [k for k, __ in scanned] == list(range(100, 110))
+    assert sum(rids_unpacked) == 0
+
+    page, slot = leaf_page(index, 0)
+    written = page.read(slot)
+    copy = bytes(bytearray(written))
+    assert copy == written and copy is not written
+    assert page.replace(slot, written, copy)
+    assert list(index.range_scan(100, 110, include_high=False)) == scanned
+    assert sum(rids_unpacked) == 10
+
+
+def test_a_scan_trusts_the_rid_column_only_for_the_record_it_wrote():
+    """A leaf page rolled back to an older record (as a crash restores a
+    durable image) is scanned for what it holds, not for the rid column
+    of the index's later write."""
+    db = make_db()
+    index = make_index(db)
+    pairs = [(k, Rid(0, k, 0)) for k in range(0, 20, 2)]
+    index.bulk_build(pairs)
+    page, slot = leaf_page(index, 0)
+    older = page.capture()
+    written = page.read(slot)
+    index.insert(7, Rid(0, 7, 0))
+    assert page.read(slot) is not written  # the leaf was rewritten
+    assert index.lookup(7) == [Rid(0, 7, 0)]
+    page.restore(older)
+    assert page.read(slot) is written
+    assert list(index.range_scan()) == pairs
+    assert index.lookup(7) == []
 
 
 # ------------------------------------------------------------- IndexManager
