@@ -254,7 +254,7 @@ class ResourceGovernor:
         self.service._accrue()
         self._guards[session.session_id] = _StatementGuard(
             started_s=self.service.db.clock.elapsed_s,
-            faults0=session.metrics.meters.client_faults,
+            faults0=session.metrics.client_faults,
         )
 
     def end_statement(self, session: "Session") -> None:
@@ -305,7 +305,7 @@ class ResourceGovernor:
         if guard is not None:
             self._enforce(
                 session, self.query_budget,
-                pages=session.metrics.meters.client_faults - guard.faults0,
+                pages=session.metrics.client_faults - guard.faults0,
                 running_s=self.service.db.clock.elapsed_s - guard.started_s,
             )
 

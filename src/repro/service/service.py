@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.buffer import BufferCache
@@ -29,12 +30,14 @@ from repro.objects.handle import HandleTable
 from repro.oql import Catalog, OQLEngine, Optimizer
 from repro.service.governor import QueryBudget, ResourceGovernor
 from repro.service.scheduler import CooperativeScheduler, Task
-from repro.simtime import MeterSnapshot
+from repro.simtime import METER_NAMES, MeterSnapshot, meter_values
 from repro.storage.rid import Rid
 from repro.txn import Transaction, TransactionManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.loader import DerbyDatabase
+
+_CLIENT_FAULTS = METER_NAMES.index("client_faults")
 
 
 @dataclass
@@ -88,7 +91,22 @@ class SessionMetrics:
     #: Per-committed-operation response times (submit -> commit, on the
     #: shared timeline, so they include time consumed by other sessions).
     latencies_s: list[float] = field(default_factory=list)
-    meters: MeterSnapshot = field(default_factory=MeterSnapshot)
+    #: This session's share of the shared meters, in ``METER_NAMES``
+    #: order: each context switch adds the change since the last one.
+    meter_share: list[int] = field(
+        default_factory=lambda: [0] * len(METER_NAMES)
+    )
+
+    @property
+    def meters(self) -> MeterSnapshot:
+        """``meter_share`` as a snapshot, built only when read."""
+        return MeterSnapshot(*self.meter_share)
+
+    @property
+    def client_faults(self) -> int:
+        """This session's client page faults, read without a snapshot
+        (the governor's page budget reads it at every check point)."""
+        return self.meter_share[_CLIENT_FAULTS]
 
     @property
     def mean_latency_s(self) -> float:
@@ -339,7 +357,7 @@ class QueryService:
         self._task_session: dict[int, Session] = {}
         self._active: Session | None = None
         self._last_s = 0.0
-        self._last_meters = self.db.counters.snapshot()
+        self._last_meters = meter_values(self.db.counters)
         self._base_client_cache = self.db.system.client_cache
         self._base_handles = self.db.handles
         self._base_server_cache: BufferCache | None = None
@@ -375,7 +393,7 @@ class QueryService:
         system = self.db.system
         system.on_fault = self._fault_point
         self._last_s = self.db.clock.elapsed_s
-        self._last_meters = self.db.counters.snapshot()
+        self._last_meters = meter_values(self.db.counters)
         try:
             tasks = self.scheduler.run()
         finally:
@@ -471,12 +489,17 @@ class QueryService:
         self._activate(self._task_session.get(task.task_id))
 
     def _accrue(self) -> None:
+        """Charge the clock and meter change since the last accrual to
+        the session that held the baton: one reading of the meters and
+        one list of sums, no snapshot built."""
         now_s = self.db.clock.elapsed_s
-        meters = self.db.counters.snapshot()
+        meters = meter_values(self.db.counters)
         if self._active is not None:
             m = self._active.metrics
             m.busy_s += now_s - self._last_s
-            m.meters += meters - self._last_meters
+            m.meter_share = list(
+                map(add, m.meter_share, map(sub, meters, self._last_meters))
+            )
         self._last_s = now_s
         self._last_meters = meters
 

@@ -10,7 +10,9 @@ against the arithmetic the paper itself performs.
 """
 
 from repro.simtime.clock import Bucket, SimClock
-from repro.simtime.meters import CounterSet, MeterSnapshot
+from repro.simtime.meters import (
+    METER_NAMES, CounterSet, MeterSnapshot, meter_values,
+)
 from repro.simtime.params import (
     CostParams, MemoryModel, spilled_bytes, swapped_fraction,
 )
@@ -24,4 +26,6 @@ __all__ = [
     "swapped_fraction",
     "CounterSet",
     "MeterSnapshot",
+    "METER_NAMES",
+    "meter_values",
 ]

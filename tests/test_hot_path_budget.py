@@ -47,6 +47,13 @@ neither probes its slot again nor searches an empty handle table.  The
 same load holds one ``ObjectManager.update_set`` (the association pass)
 to budget, and one with ``index_first=False`` holds one
 ``ObjectManager.rewrite_header`` (the Section 3.2 index-after pass).
+
+A meter is an integer that is added to.  Two costs no call count
+shows are held here by other means: no code under ``src/repro`` asks
+an instance for its dict (which slows every later attribute write on
+it), and a 4-client mix builds no ``MeterSnapshot`` per context
+switch (its constructions counted by a wrapper around the generated
+``__init__``).
 """
 
 from __future__ import annotations
@@ -360,6 +367,62 @@ def test_the_member_guard_sees_a_read_put_back():
     assert _member_reads(seeded) == [(line, "Bucket.CPU")]
 
 
+class _DictReads(ast.NodeVisitor):
+    """``vars(obj)`` calls and ``.__dict__`` reads.  On CPython 3.11 an
+    instance keeps its attributes inline until something asks for its
+    dict; from then on every attribute write goes through that dict, a
+    ``+=`` on a meter several times slower, for the object's whole life
+    (docs/benchmarking-tips.md, "What cProfile cannot see").  No Python
+    frame runs, so no call budget sees it."""
+
+    def __init__(self):
+        self.sites: list[tuple[int, str]] = []
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if (isinstance(node.func, ast.Name) and node.func.id == "vars"
+                and node.args):
+            self.sites.append((node.lineno, ast.unparse(node)))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "__dict__":
+            self.sites.append((node.lineno, ast.unparse(node)))
+        self.generic_visit(node)
+
+
+def _dict_reads(source: str) -> list[tuple[int, str]]:
+    reads = _DictReads()
+    reads.visit(ast.parse(source))
+    return reads.sites
+
+
+def test_no_code_materialises_an_instance_dict():
+    sites = [
+        f"{path.relative_to(SRC)}:{line} {text}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] != "lint"
+        for line, text in _dict_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert not sites, (
+        f"{len(sites)} reads of an instance dict; set the attributes one "
+        "by one (a dataclass can re-run its generated __init__):\n"
+        + "\n".join(sites)
+    )
+
+
+def test_the_dict_guard_sees_a_vars_put_back():
+    """The scan finds the ``vars(self)`` zeroing put back into
+    ``CounterSet.reset`` and nothing else in the file, so the guard
+    above can fail."""
+    text = (SRC / "simtime" / "meters.py").read_text(encoding="utf-8")
+    reset = "CounterSet.__init__(self)"
+    assert text.count(reset) == 1, "CounterSet.reset moved"
+    seeded = text.replace(reset, "vars(self).update(_ZEROED)")
+    line = text[:text.index(reset)].count("\n") + 1
+    assert _dict_reads(text) == []
+    assert _dict_reads(seeded) == [(line, "vars(self)")]
+
+
 def test_calls_per_get_attr(graph):
     get_attr = graph.find(MANAGER, "ObjectManager.get_attr")
     assert graph.calls(get_attr) > 500
@@ -580,4 +643,46 @@ def test_calls_per_rewrite_header(index_after_graph):
     _assert_calls_per(
         index_after_graph, MANAGER, "ObjectManager.rewrite_header", 2100,
         REWRITE_HEADER_BUDGET,
+    )
+
+
+#: ``MeterSnapshot`` constructions a mix may make beyond one per session
+#: (a session's ``meters`` is built when it is read: once per session
+#: when the mix records its stats).
+SNAPSHOTS_BEYOND_SESSIONS = 2
+
+
+def test_a_context_switch_builds_no_meter_snapshot(monkeypatch):
+    """A context switch adds the meters' change into the outgoing
+    session's share; it builds no frozen ``MeterSnapshot`` (2-3 us each,
+    and ``pstats`` files every dataclass ``__init__`` under one key, so
+    no profile summary shows them).  The constructions are counted by
+    wrapping ``MeterSnapshot.__init__``, which sees every thread the
+    mix starts, and held to the sessions plus a constant, however many
+    switches the mix makes."""
+    from repro.service import MixConfig, WorkloadMixer
+    from repro.simtime import MeterSnapshot
+    from repro.stats import StatsDatabase
+
+    built = 0
+    init = MeterSnapshot.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    mixer = WorkloadMixer(
+        load_derby(DerbyConfig.db_1to3(scale=0.00001)),
+        MixConfig.from_clients(4, ops_per_client=3, seed=5),
+        stats=StatsDatabase(),
+    )
+    monkeypatch.setattr(MeterSnapshot, "__init__", counting)
+    report = mixer.run()
+    monkeypatch.undo()
+    budget = len(report.sessions) + SNAPSHOTS_BEYOND_SESSIONS
+    assert report.context_switches > 3 * budget
+    assert built <= budget, (
+        f"{built} MeterSnapshots over {report.context_switches} context "
+        f"switches and {len(report.sessions)} sessions, budget {budget}"
     )

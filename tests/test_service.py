@@ -34,7 +34,7 @@ from repro.service import (
     WorkloadMixer,
 )
 from repro.service.workload import UNAVAILABLE_RETRIES, session_loop
-from repro.simtime import Bucket, CostParams, SimClock
+from repro.simtime import Bucket, CostParams, SimClock, meter_values
 from repro.storage.rid import Rid
 from repro.txn import LockManager, LockMode
 
@@ -461,6 +461,37 @@ class TestWorkloadMixer:
         for cls in (MixConfig, ShardedMixConfig):
             with pytest.raises(ServiceError, match="at least one client"):
                 cls.from_clients(0)
+
+    @pytest.mark.parametrize("isolation", ["2pl", "si"])
+    def test_session_shares_add_up_to_the_run(self, monkeypatch, isolation):
+        """Every meter event and every simulated second of a
+        ``QueryService.run`` is charged to exactly one session: the
+        shares sum, field by field, to the counters' change across the
+        run, and the busy times to the clock's.  The end reading is
+        taken before ``close()``, whose write-backs belong to no
+        session."""
+        readings = []
+        run = QueryService.run
+
+        def measured_run(service):
+            db = service.db
+            readings.append((db.clock.elapsed_s, db.counters.snapshot()))
+            tasks = run(service)
+            readings.append((db.clock.elapsed_s, db.counters.snapshot()))
+            return tasks
+
+        monkeypatch.setattr(QueryService, "run", measured_run)
+        config = MixConfig.from_clients(
+            4, ops_per_client=3, seed=5, isolation=isolation
+        )
+        report = WorkloadMixer(fresh_tiny_derby(), config).run()
+        (start_s, start), (end_s, end) = readings
+        shares = [meter_values(s.metrics.meters) for s in report.sessions]
+        assert list(map(sum, zip(*shares))) == list(meter_values(end - start))
+        assert sum(1 for share in shares if any(share)) == len(shares)
+        busy_s = sum(s.metrics.busy_s for s in report.sessions)
+        assert end_s > start_s
+        assert busy_s == pytest.approx(end_s - start_s, rel=1e-9)
 
     def test_unknown_update_values_is_rejected(self):
         """``"keyd"`` used to run the ``"age"`` read-modify-write
