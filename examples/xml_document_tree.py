@@ -7,7 +7,9 @@ section of one document) or run associative accesses (the titles of a
 large collection of documents).  This example builds a document/section
 hierarchy on the object store — a different schema from Derby — and
 shows that the same four algorithms and the same clustering trade-offs
-apply.
+apply.  A catalog registers the schema's collections, indexes and
+parent/child relationship, so the tree query runs as OQL text, once per
+algorithm with that algorithm forced.
 
 Run:  python examples/xml_document_tree.py
 """
@@ -16,9 +18,10 @@ from __future__ import annotations
 
 import random
 
-from repro.exec import ALGORITHMS, TreeJoinQuery
 from repro.index import IndexManager
 from repro.objects import AttrKind, AttributeDef, Database, Schema
+from repro.oql import Catalog, OQLEngine
+from repro.oql.catalog import RelationshipInfo
 from repro.simtime import CostParams
 
 N_DOCUMENTS = 300
@@ -49,8 +52,9 @@ def build_schema() -> Schema:
     return schema
 
 
-def build_corpus(db: Database):
-    """Documents followed by their sections: composition clustering."""
+def build_corpus(db: Database) -> Catalog:
+    """Documents followed by their sections (composition clustering),
+    registered in a catalog for the query engine."""
     rng = random.Random(42)
     db.create_file("corpus")
     documents = db.new_collection("Documents")
@@ -90,7 +94,20 @@ def build_corpus(db: Database):
     by_docid.bulk_build(doc_pairs)
     by_secid.bulk_build(sec_pairs)
     db.shutdown()
-    return by_docid, by_secid
+
+    catalog = Catalog(db)
+    catalog.register_collection("Documents", documents, "Document", "corpus")
+    catalog.register_collection("Sections", sections, "Section", "corpus")
+    catalog.register_index("Documents", "docid", by_docid)
+    catalog.register_index("Sections", "secid", by_secid)
+    catalog.register_relationship(RelationshipInfo(
+        parent_collection="Documents",
+        set_attr="sections",
+        child_collection="Sections",
+        child_ref="document",
+        children_with_parents=True,
+    ))
+    return catalog
 
 
 def navigation_access(db: Database, by_docid) -> str:
@@ -106,7 +123,7 @@ def navigation_access(db: Database, by_docid) -> str:
 
 def main() -> None:
     db = Database(build_schema(), CostParams().scaled(SCALE))
-    by_docid, by_secid = build_corpus(db)
+    catalog = build_corpus(db)
     print(f"Corpus: {N_DOCUMENTS} documents, "
           f"{N_DOCUMENTS * SECTIONS_PER_DOC} sections, "
           f"{db.disk.total_pages()} pages\n")
@@ -114,32 +131,26 @@ def main() -> None:
     # -- navigation: node-to-node link following --------------------
     db.restart_cold()
     db.reset_meters()
-    title = navigation_access(db, by_docid)
+    title = navigation_access(db, catalog.index_for("Documents", "docid"))
     print(f"Navigation: first section of document 17 is {title!r} "
           f"({db.clock.elapsed_s * 1000:.1f} simulated ms)\n")
 
     # -- associative access: the tree query over the whole corpus ----
-    query = TreeJoinQuery(
-        db=db,
-        parent_index=by_docid,
-        child_index=by_secid,
-        parent_high=N_DOCUMENTS // 2,          # half the documents
-        child_high=N_DOCUMENTS * SECTIONS_PER_DOC // 10 + 1,  # 10% sections
-        n_parents=N_DOCUMENTS,
-        parent_key="docid",
-        child_key="secid",
-        child_ref="document",
-        parent_set="sections",
-        parent_project="title",
-        child_project="title",
+    half_the_documents = N_DOCUMENTS // 2
+    early_sections = N_DOCUMENTS * SECTIONS_PER_DOC // 10 + 1  # 10%
+    text = (
+        "select tuple(d: d.title, s: s.title) "
+        "from d in Documents, s in d.sections "
+        f"where s.secid < {early_sections} and d.docid < {half_the_documents}"
     )
+    engine = OQLEngine(catalog)
     print("Associative: titles of early sections of the first half of "
           "the corpus, by algorithm:")
     timings = {}
     for algo in ("NL", "NOJOIN", "PHJ", "CHJ"):
         db.restart_cold()
         db.reset_meters()
-        rows = ALGORITHMS[algo](query)
+        rows = engine.execute_iter(engine.plan(text, force=algo)).drain()
         timings[algo] = db.clock.elapsed_s
         print(f"  {algo:7s} {db.clock.elapsed_s:8.3f} simulated s, "
               f"{db.counters.disk_reads:5d} page reads, "

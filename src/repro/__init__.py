@@ -13,8 +13,8 @@ Most-used entry points::
     from repro.cluster import load_derby          # build a paper database
     from repro.derby import DerbyConfig           # ... at any scale
     from repro.oql import Catalog, OQLEngine      # run OQL against it
-    from repro.bench import ExperimentRunner      # run measured experiments
-    from repro.exec import ALGORITHMS             # NL / NOJOIN / PHJ / CHJ ...
+    from repro.bench import ExperimentRunner      # run measured cells as OQL
+    from repro.exec import ALGORITHMS             # the join names a plan forces
     from repro.stats import StatsDatabase         # Figure 3 results storage
     from repro.analysis import fit_cost_model     # elicit the cost model
 """

@@ -2,23 +2,26 @@
 
 Executes one measured query the way the paper ran all of its tests:
 **cold** — caches emptied, meters zeroed — and records the outcome as a
-``Stat`` in the Figure 3 results database.
+``Stat`` in the Figure 3 results database.  Every cell is OQL text run
+through the engine's planner with the cell's join algorithm or access
+path forced, so a figure runs the same planned, explainable path as any
+other query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.cluster.loader import DerbyDatabase
 from repro.errors import BenchError
-from repro.exec import (
-    ALGORITHMS,
-    TreeJoinQuery,
-    select_indexed,
-    select_scan,
-)
+from repro.exec import ALGORITHMS
+from repro.oql import Catalog, OQLEngine
 from repro.simtime import MeterSnapshot
 from repro.stats import StatsDatabase
+
+#: The Section 4 access paths, as the planner's alternatives name them.
+_SELECTION_METHODS = ("scan", "index", "sorted-index")
 
 
 @dataclass(frozen=True)
@@ -54,19 +57,9 @@ class ExperimentRunner:
     def __init__(self, derby: DerbyDatabase, stats: StatsDatabase | None = None):
         self.derby = derby
         self.stats = stats
+        self.engine = OQLEngine(Catalog.from_derby(derby))
 
     # -- Section 5: the tree query -------------------------------------------
-
-    def tree_query(self, sel_patients: int, sel_providers: int) -> TreeJoinQuery:
-        config = self.derby.config
-        return TreeJoinQuery(
-            db=self.derby.db,
-            parent_index=self.derby.by_upin,
-            child_index=self.derby.by_mrn,
-            parent_high=config.upin_threshold(sel_providers),
-            child_high=config.mrn_threshold(sel_patients),
-            n_parents=config.n_providers,
-        )
 
     def run_join(
         self, algo: str, sel_patients: int, sel_providers: int,
@@ -84,11 +77,12 @@ class ExperimentRunner:
                 f"unknown algorithm {algo!r}; have {sorted(ALGORITHMS)}"
             )
         derby = self.derby
+        text = tree_query_text(derby.config, sel_patients, sel_providers)
         if cold:
             derby.start_cold_run()
         else:
             derby.db.reset_meters()
-        rows = ALGORITHMS[algo](self.tree_query(sel_patients, sel_providers))
+        rows = self._run(text, algo)
         measurement = JoinMeasurement(
             algo=algo,
             clustering=derby.config.clustering.value,
@@ -101,10 +95,12 @@ class ExperimentRunner:
         )
         self._record(
             algo,
+            text,
             measurement.elapsed_s,
             measurement.meters,
             sel_patients,
             sel_providers,
+            cold=cold,
         )
         return measurement
 
@@ -122,54 +118,50 @@ class ExperimentRunner:
     def run_selection(
         self, method: str, selectivity_pct: float, project: str = "age"
     ) -> SelectionMeasurement:
-        """One cold run of ``select p.<project> from Patients where
-        num > k``."""
-        derby = self.derby
-        k = derby.config.num_threshold(selectivity_pct)
-        derby.start_cold_run()
-        if method == "scan":
-            result = select_scan(
-                derby.db, derby.patients, "num", lambda v: v > k, project
-            )
-        elif method in ("index", "sorted-index"):
-            result = select_indexed(
-                derby.db,
-                derby.by_num,
-                k,
-                None,
-                project,
-                sorted_rids=(method == "sorted-index"),
-                include_low=False,
-            )
-        else:
+        """One cold run of ``select p.<project> from p in Patients where
+        p.num > k`` by ``scan``, ``index`` or ``sorted-index``."""
+        if method not in _SELECTION_METHODS:
             raise BenchError(f"unknown selection method {method!r}")
+        derby = self.derby
+        text = selection_query_text(derby.config, selectivity_pct, project)
+        derby.start_cold_run()
+        rows = self._run(text, method)
         measurement = SelectionMeasurement(
             method=method,
             selectivity_pct=selectivity_pct,
             elapsed_s=derby.db.clock.elapsed_s,
-            rows=result.selected,
+            rows=len(rows),
             page_reads=derby.db.counters.disk_reads,
             meters=derby.db.counters.snapshot(),
             breakdown=derby.db.clock.breakdown(),
         )
         self._record(
             f"select/{method}",
+            text,
             measurement.elapsed_s,
             measurement.meters,
             int(selectivity_pct),
             0,
+            cold=True,
         )
         return measurement
 
     # -- internals ----------------------------------------------------------------
 
+    def _run(self, text: str, force: str) -> list:
+        """Every row of ``text`` under the plan that ``force`` names."""
+        engine = self.engine
+        return engine.execute_iter(engine.plan(text, force=force)).drain()
+
     def _record(
         self,
         algo: str,
+        text: str,
         elapsed_s: float,
         meters: MeterSnapshot,
         selectivity: int,
         selectivity_parents: int,
+        cold: bool,
     ) -> None:
         if self.stats is None:
             return
@@ -179,8 +171,10 @@ class ExperimentRunner:
             cluster=self.derby.config.clustering.value,
             elapsed_s=elapsed_s,
             meters=meters,
+            text=text,
             selectivity=selectivity,
             selectivity_parents=selectivity_parents,
+            cold=cold,
             server_cache_bytes=memory.server_cache_bytes,
             client_cache_bytes=memory.client_cache_bytes,
         )

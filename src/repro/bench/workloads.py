@@ -35,7 +35,9 @@ def tree_query_text(config: DerbyConfig, sel_pat: int, sel_prov: int) -> str:
     )
 
 
-def selection_query_text(config: DerbyConfig, selectivity_pct: float) -> str:
-    """The Section 4 selection, as OQL text."""
+def selection_query_text(
+    config: DerbyConfig, selectivity_pct: float, project: str = "age"
+) -> str:
+    """The Section 4 selection, projecting ``project``, as OQL text."""
     k = config.num_threshold(selectivity_pct)
-    return f"select p.age from p in Patients where p.num > {k}"
+    return f"select p.{project} from p in Patients where p.num > {k}"

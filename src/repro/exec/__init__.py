@@ -20,10 +20,9 @@ but never tested, plus the Section 4 selection scans (standard scan,
 unclustered index scan, *sorted* unclustered index scan — Figure 8).
 
 Execution is pipelined: every algorithm is a pull-based batched
-operator in :mod:`repro.exec.operators`.  :data:`ALGORITHMS`,
-:func:`select_scan` and :func:`select_indexed` drain those same
-operators into full row lists for the figures and the benchmark
-harnesses.
+operator in :mod:`repro.exec.operators`, which the OQL engine compiles
+plans into.  :data:`ALGORITHMS` names the six joins; the figures run
+each one as OQL text under a forced plan.
 """
 
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
@@ -34,10 +33,7 @@ from repro.exec.operators import (
     Operator,
     PipelineContext,
     PipelineStats,
-    SelectionResult,
     TreeJoinQuery,
-    select_indexed,
-    select_scan,
 )
 from repro.exec.sorter import sort_charged
 
@@ -51,9 +47,6 @@ __all__ = [
     "phj_table_bytes",
     "chj_table_bytes",
     "sort_charged",
-    "SelectionResult",
-    "select_scan",
-    "select_indexed",
     "TreeJoinQuery",
     "ALGORITHMS",
 ]

@@ -25,16 +25,11 @@ from repro.exec.operators.joins import (
     SortMergeJoin,
     TreeJoinOperator,
     TreeJoinQuery,
-    build_join,
-    drain_algorithm,
 )
 from repro.exec.operators.scans import (
     CollectionScan,
     Fetch,
     IndexScan,
-    SelectionResult,
-    select_indexed,
-    select_scan,
 )
 from repro.exec.operators.transforms import (
     Distinct,
@@ -56,9 +51,6 @@ __all__ = [
     "CollectionScan",
     "IndexScan",
     "Fetch",
-    "SelectionResult",
-    "select_scan",
-    "select_indexed",
     "Map",
     "Limit",
     "Distinct",
@@ -76,6 +68,4 @@ __all__ = [
     "HybridHashParentsJoin",
     "JOIN_OPERATORS",
     "ALGORITHMS",
-    "build_join",
-    "drain_algorithm",
 ]

@@ -26,10 +26,9 @@ hybrid join's spill bookkeeping — run in ``_open``; the probe/navigate
 side is the operator's row generator, the paper's loop with a ``yield``
 where it adds to the result.  No generator yields inside a ``borrow``
 bracket: the row is built and charged inside, and yielded after, so no
-handle crosses a batch boundary.  :data:`ALGORITHMS` drains an operator
-into the full row list for the figures and the harnesses; streaming
-consumers (``OQLEngine.execute_iter``) pull the same classes batch by
-batch, at identical charged cost.
+handle crosses a batch boundary.  The OQL engine compiles a tree-join
+plan into one of these classes (``JOIN_OPERATORS``); the figures reach
+them through a forced plan.
 
 One deliberate deviation from the paper's pseudo-code, cost-neutral by
 construction: NL reads both parent attributes and *unreferences the
@@ -44,8 +43,7 @@ live-handle high-water mark drops from 2 to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.exec.hash_table import (
     CHJ_BUCKET_BYTES,
@@ -53,7 +51,7 @@ from repro.exec.hash_table import (
     QueryHashTable,
     phj_table_bytes,
 )
-from repro.exec.operators.base import Cursor, Operator, PipelineContext
+from repro.exec.operators.base import Operator, PipelineContext
 from repro.exec.sorter import RID_PAIR_BYTES, sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database
@@ -415,21 +413,5 @@ JOIN_OPERATORS: dict[str, type[TreeJoinOperator]] = {
 }
 
 
-def build_join(q: TreeJoinQuery, algorithm: str) -> TreeJoinOperator:
-    """Instantiate the named join operator over a fresh context."""
-    return JOIN_OPERATORS[algorithm](PipelineContext(q.db), q)
-
-
-def drain_algorithm(q: TreeJoinQuery, algorithm: str) -> list[tuple]:
-    """Run the named algorithm to completion and return every row."""
-    op = build_join(q, algorithm)
-    with Cursor(op.ctx, op) as cursor:
-        return cursor.drain()
-
-
-#: ``name -> (TreeJoinQuery -> rows)`` for the figures, the benchmark
-#: harness and the optimizer's validation: each entry drains the operator
-#: of the same name.  The key order is the harness's op order.
-ALGORITHMS: dict[str, Callable[[TreeJoinQuery], list[tuple]]] = {
-    name: partial(drain_algorithm, algorithm=name) for name in JOIN_OPERATORS
-}
+#: The six algorithm names, in the harness's op order.
+ALGORITHMS: tuple[str, ...] = tuple(JOIN_OPERATORS)

@@ -29,26 +29,23 @@ scan beyond a few percent selectivity.
 As operators: a rid source (:class:`CollectionScan` or
 :class:`IndexScan`) emits record ids; a :class:`Fetch` above it borrows
 one handle per rid, applies a row function, and emits the surviving
-rows.  :func:`select_scan` and :func:`select_indexed` assemble the two
-trees and drain them into a :class:`SelectionResult` for the figures;
-the OQL engine builds the same trees with compiled row functions.
+rows.  The OQL engine builds these trees with compiled row functions;
+the figures reach them through a forced ``scan`` / ``index`` /
+``sorted-index`` plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import RecordNotVisibleError
-from repro.exec.operators.base import SKIP, Cursor, Operator, PipelineContext
+from repro.exec.operators.base import SKIP, Operator, PipelineContext
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
-from repro.objects.database import Database, PersistentCollection
+from repro.objects.database import PersistentCollection
 from repro.simtime import Bucket
 from repro.storage.rid import Rid
-from repro.units import US_PER_S
 
-_CPU = Bucket.CPU
 _RESULT = Bucket.RESULT
 
 
@@ -126,7 +123,6 @@ class Fetch(Operator):
         super().__init__(ctx)
         self.source = source
         self.row_fn = row_fn
-        self.scanned = 0
         #: Rids with no version visible at the reader's snapshot (objects
         #: created after an MVCC snapshot began) — skipped, not errors.
         self.not_visible = 0
@@ -146,7 +142,6 @@ class Fetch(Operator):
         room = n
         while room:
             for rid in self._rids:
-                self.scanned += 1
                 try:
                     with borrow(rid) as handle:
                         row = row_fn(om, handle)
@@ -165,68 +160,3 @@ class Fetch(Operator):
                     break
                 self._rids = iter(batch)
         return out
-
-
-# -- the Figure 8 selections, drained --------------------------------------
-
-
-@dataclass
-class SelectionResult:
-    """Outcome of a selection."""
-
-    rows: list[object]
-    scanned: int     # objects visited (whole collection for a scan)
-    selected: int    # objects satisfying the predicate
-
-    def __post_init__(self) -> None:
-        if self.selected != len(self.rows):
-            raise ValueError("selected count must match collected rows")
-
-
-def _drain(fetch: Fetch) -> SelectionResult:
-    with Cursor(fetch.ctx, fetch) as cursor:
-        rows = cursor.drain()
-    return SelectionResult(rows, fetch.scanned, len(rows))
-
-
-def select_scan(
-    db: Database,
-    collection: PersistentCollection,
-    attr: str,
-    predicate: Callable[[object], bool],
-    project: str,
-) -> SelectionResult:
-    """Figure 8, left: full collection scan, one handle per element
-    (CollectionScan → Fetch)."""
-    ctx = PipelineContext(db)
-
-    def row_fn(om, handle):
-        value = om.get_attr(handle, attr)
-        db.clock.buckets[_CPU] += db.params.predicate_us / US_PER_S
-        if not predicate(value):
-            return SKIP
-        return om.get_attr(handle, project)
-
-    return _drain(Fetch(ctx, CollectionScan(ctx, collection), row_fn))
-
-
-def select_indexed(
-    db: Database,
-    index: BTreeIndex,
-    low: object | None,
-    high: object | None,
-    project: str,
-    sorted_rids: bool = False,
-    include_low: bool = True,
-) -> SelectionResult:
-    """Figure 8, right (with ``sorted_rids=True``) or the plain
-    unclustered index scan (``sorted_rids=False``): IndexScan → Fetch."""
-    ctx = PipelineContext(db)
-
-    def row_fn(om, handle):
-        return om.get_attr(handle, project)
-
-    source = IndexScan(
-        ctx, index, low, high, include_low, sorted_rids=sorted_rids
-    )
-    return _drain(Fetch(ctx, source, row_fn))

@@ -194,9 +194,13 @@ class OQLEngine:
 
     # -- public API ----------------------------------------------------
 
-    def plan(self, source: str | Query) -> SelectionPlan | TreeJoinPlan:
+    def plan(
+        self, source: str | Query, force: str | None = None
+    ) -> SelectionPlan | TreeJoinPlan:
+        """Plan a query; ``force`` names the alternative to take (see
+        :meth:`Optimizer.plan`)."""
         query = parse(source) if isinstance(source, str) else source
-        return self.optimizer.plan(query)
+        return self.optimizer.plan(query, force)
 
     def compile(
         self, source: str | Statement | SelectionPlan | TreeJoinPlan

@@ -46,6 +46,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
+def _forced(alternatives: dict[str, PlanEstimate], force: str) -> str:
+    """``force``, once it is known to name one of the alternatives."""
+    if force not in alternatives:
+        raise PlanError(
+            f"cannot force {force!r}: the alternatives are "
+            f"{', '.join(alternatives)}"
+        )
+    return force
+
+
 @dataclass(frozen=True)
 class SargablePredicate:
     """``var.attr op literal`` — what an index can evaluate."""
@@ -185,11 +195,19 @@ class Optimizer:
         statement calls this on the session's planner)."""
         self.estimator.install(stats)
 
-    def plan(self, query: Query) -> SelectionPlan | TreeJoinPlan:
+    def plan(
+        self, query: Query, force: str | None = None
+    ) -> SelectionPlan | TreeJoinPlan:
+        """The cheapest alternative, or the one named by ``force``: an
+        ``alternatives`` key of a selection (``scan``, ``index``,
+        ``sorted-index``, or the labelled keys once analyzed) or a join
+        algorithm (any of the six; forcing an extension prices the
+        extensions).  The enumeration is the same either way, and
+        ``plan.estimate`` is the chosen alternative's."""
         if len(query.from_clauses) == 1:
-            return self._plan_selection(query)
+            return self._plan_selection(query, force)
         if len(query.from_clauses) == 2:
-            return self._plan_tree_join(query)
+            return self._plan_tree_join(query, force)
         raise PlanError(
             f"queries over {len(query.from_clauses)} variables are outside "
             "the supported subset"
@@ -298,9 +316,10 @@ class Optimizer:
             exists_filters=tuple(exists_filters),
         )
 
-    def _plan_selection(self, query: Query) -> SelectionPlan:
+    def _plan_selection(self, query: Query, force: str | None) -> SelectionPlan:
         """The Section 4 enumeration: full scan against an unsorted and
-        a rid-sorted index scan per driver, cheapest estimate wins."""
+        a rid-sorted index scan per driver, cheapest estimate wins
+        unless one is forced."""
         parts = self._selection_parts(query)
         name = parts.collection_name
         predicates = parts.predicates
@@ -392,14 +411,18 @@ class Optimizer:
                 alternatives[label] = self.cost.selection_index_only(
                     n, index.leaf_count, sel
                 )
-            return build(best, False, alternatives[label], index_only=True)
+            if force in (None, label):
+                return build(best, False, alternatives[label], index_only=True)
 
-        choice = min(alternatives, key=lambda k: alternatives[k].seconds)
+        choice = (
+            min(alternatives, key=lambda k: alternatives[k].seconds)
+            if force is None else _forced(alternatives, force)
+        )
         return build(*access[choice], alternatives[choice])
 
     # -- tree joins -----------------------------------------------------------
 
-    def _plan_tree_join(self, query: Query) -> TreeJoinPlan:
+    def _plan_tree_join(self, query: Query, force: str | None) -> TreeJoinPlan:
         if isinstance(query.select, AggregateExpr):
             raise PlanError("aggregates over tree joins are outside the "
                             "supported subset")
@@ -468,7 +491,13 @@ class Optimizer:
         estimates = self.cost.join_estimates(
             stats, include_extensions=self.include_extensions
         )
-        algorithm = min(estimates, key=lambda k: estimates[k].seconds)
+        if force is not None and force not in estimates:
+            # Any of the six operators can be forced.
+            estimates = self.cost.join_estimates(stats, include_extensions=True)
+        algorithm = (
+            min(estimates, key=lambda k: estimates[k].seconds)
+            if force is None else _forced(estimates, force)
+        )
         return TreeJoinPlan(
             relationship=rel,
             algorithm=algorithm,

@@ -3,5 +3,5 @@
 from repro.exec import ALGORITHMS  # the violation
 
 
-def delegate(q):
-    return ALGORITHMS["PHJ"](q)
+def has_phj():
+    return "PHJ" in ALGORITHMS

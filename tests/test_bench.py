@@ -28,7 +28,11 @@ from repro.bench.figures import (
     join_figure,
     rank_table,
 )
-from repro.bench.workloads import SELECTIVITY_GRID, tree_query_text
+from repro.bench.workloads import (
+    SELECTIVITY_GRID,
+    selection_query_text,
+    tree_query_text,
+)
 from repro.cli import main
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
@@ -107,6 +111,27 @@ class TestRunner:
         rows = stats.rows()
         assert len(rows) == 2
         assert {r.algo for r in rows} == {"PHJ", "select/scan"}
+
+    def test_a_warm_run_is_recorded_warm(self, derby):
+        stats = StatsDatabase()
+        runner = ExperimentRunner(derby, stats)
+        runner.run_join("PHJ", 10, 10)
+        assert stats.rows()[-1].cold is True
+        runner.run_join("PHJ", 10, 10, cold=False)
+        assert stats.rows()[-1].cold is False
+
+    def test_each_stat_records_the_oql_text_it_ran(self, derby):
+        """A 0.1 % selection is stored as ``selectivity = 0``; its text
+        says what ran."""
+        stats = StatsDatabase()
+        runner = ExperimentRunner(derby, stats)
+        runner.run_join("NL", 10, 90)
+        runner.run_selection("sorted-index", 0.1, project="name")
+        join, selection = stats.rows()
+        assert join.text == tree_query_text(derby.config, 10, 90)
+        assert selection.selectivity == 0
+        assert selection.text == selection_query_text(derby.config, 0.1, "name")
+        assert selection.text.startswith("select p.name from p in Patients")
 
     def test_grid_runs_all(self, runner):
         ms = runner.run_join_grid(("PHJ", "CHJ"), ((10, 10), (90, 90)))

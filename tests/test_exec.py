@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import selection_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
@@ -20,10 +21,9 @@ from repro.exec import (
     TreeJoinQuery,
     chj_table_bytes,
     phj_table_bytes,
-    select_indexed,
-    select_scan,
 )
-from repro.exec.operators import IndexScan
+from repro.exec.operators import JOIN_OPERATORS, IndexScan
+from repro.oql import Catalog, OQLEngine
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock, swapped_fraction
 from repro.units import MB
 
@@ -243,6 +243,26 @@ def logical(derby):
     return generate(derby.config)
 
 
+@pytest.fixture(scope="module")
+def engine(derby):
+    return OQLEngine(Catalog.from_derby(derby))
+
+
+def select(derby, engine, method: str, selectivity_pct: float) -> list:
+    """One cold run of the Section 4 selection (``num > k``, projecting
+    ``age``) under the plan ``method`` forces."""
+    text = selection_query_text(derby.config, selectivity_pct)
+    derby.start_cold_run()
+    return engine.execute_iter(engine.plan(text, force=method)).drain()
+
+
+def drain_join(q: TreeJoinQuery, algorithm: str) -> list[tuple]:
+    """Every row of the named join operator, run as the engine runs it."""
+    op = JOIN_OPERATORS[algorithm](PipelineContext(q.db), q)
+    with Cursor(op.ctx, op) as cursor:
+        return cursor.drain()
+
+
 def reference_join(derby, logical, k1: int, k2: int) -> list[tuple]:
     """Ground truth computed from the logical database."""
     out = []
@@ -270,66 +290,36 @@ def make_query(derby, k1: int, k2: int) -> TreeJoinQuery:
 # ------------------------------------------------------------- scans
 
 class TestSelections:
-    def test_select_scan_matches_reference(self, derby, logical):
-        derby.start_cold_run()
+    def test_forced_scan_matches_reference(self, derby, logical, engine):
+        rows = select(derby, engine, "scan", 10)
         k = derby.config.num_threshold(10)
-        result = select_scan(
-            derby.db,
-            derby.patients,
-            "num",
-            lambda v: v > k,
-            "age",
-        )
         expected = sorted(p.age for p in logical.patients if p.num > k)
-        assert sorted(result.rows) == expected
-        assert result.scanned == 1200
+        assert sorted(rows) == expected
 
-    def test_scan_io_independent_of_selectivity(self, derby):
+    def test_scan_io_independent_of_selectivity(self, derby, engine):
         """Paper §4.2: without an index the I/O count does not depend on
         the selectivity."""
         def reads(sel_pct):
-            derby.start_cold_run()
-            k = derby.config.num_threshold(sel_pct)
-            select_scan(derby.db, derby.patients, "num", lambda v: v > k, "age")
+            select(derby, engine, "scan", sel_pct)
             return derby.db.counters.disk_reads
 
         assert reads(0.5) == reads(90)
 
-    def test_select_indexed_matches_scan(self, derby):
-        k = derby.config.num_threshold(30)
-        derby.start_cold_run()
-        by_scan = select_scan(
-            derby.db, derby.patients, "num", lambda v: v > k, "age"
-        )
-        derby.start_cold_run()
-        by_index = select_indexed(
-            derby.db, derby.by_num, k, None, "age", include_low=False
-        )
-        assert sorted(by_index.rows) == sorted(by_scan.rows)
+    def test_forced_index_matches_scan(self, derby, engine):
+        by_scan = select(derby, engine, "scan", 30)
+        by_index = select(derby, engine, "index", 30)
+        assert sorted(by_index) == sorted(by_scan)
 
-    def test_sorted_index_scan_same_rows_less_random_io(self, derby):
-        k = derby.config.num_threshold(60)
-        derby.start_cold_run()
-        unsorted = select_indexed(
-            derby.db, derby.by_num, k, None, "age", include_low=False
-        )
+    def test_sorted_index_scan_same_rows_less_random_io(self, derby, engine):
+        unsorted = select(derby, engine, "index", 60)
         unsorted_reads = derby.db.counters.disk_reads
-        derby.start_cold_run()
-        sorted_scan = select_indexed(
-            derby.db, derby.by_num, k, None, "age",
-            sorted_rids=True, include_low=False,
-        )
+        sorted_scan = select(derby, engine, "sorted-index", 60)
         sorted_reads = derby.db.counters.disk_reads
-        assert sorted(sorted_scan.rows) == sorted(unsorted.rows)
+        assert sorted(sorted_scan) == sorted(unsorted)
         assert sorted_reads < unsorted_reads
 
-    def test_sorted_scan_charges_sort_bucket(self, derby):
-        derby.start_cold_run()
-        k = derby.config.num_threshold(90)
-        select_indexed(
-            derby.db, derby.by_num, k, None, "age",
-            sorted_rids=True, include_low=False,
-        )
+    def test_sorted_scan_charges_sort_bucket(self, derby, engine):
+        select(derby, engine, "sorted-index", 90)
         assert derby.db.clock.buckets.get(Bucket.SORT, 0.0) > 0
 
     def test_an_index_scan_builds_no_rid(self, derby):
@@ -342,18 +332,15 @@ class TestSelections:
         assert len(scanned) == len(derby.patient_rids) == 1200
         assert all(map(operator.is_, scanned, derby.patient_rids))
 
-    def test_transactional_result_costs_more(self, derby):
+    def test_transactional_result_costs_more(self, derby, engine):
         """A selection builds its result "as if it could become
         persistent": each row pays the transactional append price, not
         the cheaper transient one."""
-        k = derby.config.num_threshold(50)
-        derby.start_cold_run()
-        result = select_indexed(derby.db, derby.by_num, k, None, "age",
-                                include_low=False)
+        rows = select(derby, engine, "index", 50)
         params = derby.db.params
         assert params.result_append_txn_us > params.result_append_us
         assert derby.db.clock.buckets.get(Bucket.RESULT, 0.0) == pytest.approx(
-            result.selected * params.result_append_txn_us / 1e6
+            len(rows) * params.result_append_txn_us / 1e6
         )
 
 
@@ -367,15 +354,15 @@ class TestJoinAlgorithms:
         k1 = derby.config.mrn_threshold(sel_pat)
         k2 = derby.config.upin_threshold(sel_prov)
         derby.start_cold_run()
-        rows = ALGORITHMS[algo](make_query(derby, k1, k2))
+        rows = drain_join(make_query(derby, k1, k2), algo)
         assert sorted(rows) == reference_join(derby, logical, k1, k2)
 
     def test_every_algorithm_charges_time(self, derby):
         k1 = derby.config.mrn_threshold(50)
         k2 = derby.config.upin_threshold(50)
-        for algo, fn in ALGORITHMS.items():
+        for algo in ALGORITHMS:
             derby.start_cold_run()
-            fn(make_query(derby, k1, k2))
+            drain_join(make_query(derby, k1, k2), algo)
             assert derby.db.clock.elapsed_s > 0, algo
 
     def test_nl_reads_more_than_phj_at_high_selectivity(self, derby):
@@ -384,10 +371,10 @@ class TestJoinAlgorithms:
         k1 = derby.config.mrn_threshold(90)
         k2 = derby.config.upin_threshold(90)
         derby.start_cold_run()
-        ALGORITHMS["NL"](make_query(derby, k1, k2))
+        drain_join(make_query(derby, k1, k2), "NL")
         nl_seconds = derby.db.clock.elapsed_s
         derby.start_cold_run()
-        ALGORITHMS["PHJ"](make_query(derby, k1, k2))
+        drain_join(make_query(derby, k1, k2), "PHJ")
         phj_seconds = derby.db.clock.elapsed_s
         assert nl_seconds > 2 * phj_seconds
 
@@ -407,12 +394,12 @@ class TestJoinAlgorithms:
             n_parents=cfg.n_providers,
         )
         derby.start_cold_run()
-        ALGORITHMS["PHJ"](query)
+        drain_join(query, "PHJ")
         phj_seconds = derby.db.clock.elapsed_s
         swap_seconds = derby.db.clock.buckets.get(Bucket.SWAP, 0.0)
         assert swap_seconds > 0, "test setup must force swapping"
         derby.start_cold_run()
-        ALGORITHMS["PHJ-HYBRID"](query)
+        drain_join(query, "PHJ-HYBRID")
         hybrid_seconds = derby.db.clock.elapsed_s
         assert derby.db.clock.buckets.get(Bucket.SWAP, 0.0) == 0
         assert hybrid_seconds < phj_seconds

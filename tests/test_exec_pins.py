@@ -8,8 +8,9 @@ for the fault suites; this file holds it for the executor itself, cell by
 cell, small enough to run in tier-1.  ``exec_pins.json`` keeps, for both
 Derby databases under all four clusterings, each run cold:
 
-* every ``ALGORITHMS`` key at every ``SELECTIVITY_GRID`` pair
-  (over ``ExperimentRunner.tree_query``);
+* every ``ALGORITHMS`` name at every ``SELECTIVITY_GRID`` pair: the
+  tree query's OQL text through the runner's engine, with the algorithm
+  forced, as ``ExperimentRunner.run_join`` runs it;
 * ``ExperimentRunner.run_selection`` by scan / index / sorted-index at
   10 % and 90 %;
 * nine OQL texts -- ``distinct``, ``distinct ... limit 7``, a scan under
@@ -41,12 +42,11 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.bench import SELECTIVITY_GRID, ExperimentRunner
+from repro.bench import SELECTIVITY_GRID, ExperimentRunner, tree_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 from repro.exec import ALGORITHMS
-from repro.oql import Catalog, OQLEngine
 
 PINS_PATH = pathlib.Path(__file__).parent / "exec_pins.json"
 
@@ -128,14 +128,15 @@ def measure_group(database: str, clustering: Clustering) -> dict[str, dict]:
     db = derby.db
     config = derby.config
     runner = ExperimentRunner(derby)
+    engine = runner.engine
     cells: dict[str, dict] = {}
 
     for sel_patients, sel_providers in SELECTIVITY_GRID:
+        text = tree_query_text(config, sel_patients, sel_providers)
         for algorithm in ALGORITHMS:
             derby.start_cold_run()
-            rows = ALGORITHMS[algorithm](
-                runner.tree_query(sel_patients, sel_providers)
-            )
+            plan = engine.plan(text, force=algorithm)
+            rows = engine.execute_iter(plan).drain()
             cells[f"join/{algorithm}/{sel_patients}/{sel_providers}"] = _cell(
                 db, rows
             )
@@ -148,7 +149,6 @@ def measure_group(database: str, clustering: Clustering) -> dict[str, dict]:
                 **_cost(measured.elapsed_s, measured.breakdown, measured.meters),
             }
 
-    engine = OQLEngine(Catalog.from_derby(derby))
     bounds = {
         "num30": config.num_threshold(30),
         "mrn30": config.mrn_threshold(30),

@@ -65,7 +65,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import ExperimentRunner
+from repro.bench import ExperimentRunner, tree_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.oql import Catalog, OQLEngine
@@ -266,7 +266,10 @@ class CallGraph:
 def graph() -> CallGraph:
     runner = ExperimentRunner(load_derby(DerbyConfig.db_1to3(scale=0.0003)))
     runner.run_join("NOJOIN", 50, 50)  # classes compiled, codecs built
-    children = sum(1 for __ in runner.tree_query(50, 50).selected_children())
+    engine = runner.engine
+    text = tree_query_text(runner.derby.config, 50, 50)
+    root = engine.compile(engine.plan(text, force="NOJOIN"))
+    children = sum(1 for __ in root.q.selected_children())
     profile = cProfile.Profile()
     profile.enable()
     nojoin = runner.run_join("NOJOIN", 50, 50)

@@ -22,6 +22,7 @@ from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
+from repro.errors import PlanError
 import repro.opt
 from repro.opt import StatsCollector, TableStats
 from repro.oql import Catalog, OQLEngine, parse_statement
@@ -247,6 +248,74 @@ class TestAnalyzeWidensTheSearch:
             "scan", "index(mrn)", "sorted-index(mrn)",
             "index(num)", "sorted-index(num)",
         ]
+
+
+class TestForcedPlans:
+    """``plan(text, force=name)`` takes the named alternative out of the
+    same enumeration: how the figures run each cell."""
+
+    def texts(self, derby):
+        return (
+            selection_query_text(derby.config, 30),
+            tree_query_text(derby.config, 10, 90),
+        )
+
+    @pytest.mark.parametrize("which", ("heuristic", "cost"))
+    def test_forcing_the_unforced_choice_returns_an_equal_plan(
+        self, derby, heuristic_engine, cost_engine, which
+    ):
+        engine = heuristic_engine if which == "heuristic" else cost_engine
+        for text in self.texts(derby):
+            plan = engine.plan(text)
+            assert engine.plan(text, force=_chosen_label(plan)) == plan
+
+    def test_the_estimate_is_the_forced_alternatives(
+        self, derby, heuristic_engine
+    ):
+        for text in self.texts(derby):
+            for name in heuristic_engine.plan(text).alternatives:
+                plan = heuristic_engine.plan(text, force=name)
+                assert plan.estimate == plan.alternatives[name]
+                assert _chosen_label(plan) == name
+
+    def test_an_unknown_name_raises_naming_the_alternatives(
+        self, derby, heuristic_engine
+    ):
+        selection, join = self.texts(derby)
+        with pytest.raises(
+            PlanError, match="'hash': the alternatives are scan, index, sorted-index"
+        ):
+            heuristic_engine.plan(selection, force="hash")
+        with pytest.raises(
+            PlanError,
+            match="'ZIGZAG': the alternatives are NL, NOJOIN, PHJ, CHJ, "
+            "PHJ-HYBRID, SMJ",
+        ):
+            heuristic_engine.plan(join, force="ZIGZAG")
+
+    @pytest.mark.parametrize("algorithm", ("SMJ", "PHJ-HYBRID"))
+    def test_an_extension_can_be_forced_on_a_default_engine(
+        self, derby, catalog, algorithm
+    ):
+        engine = OQLEngine(catalog)
+        assert not engine.optimizer.include_extensions
+        __, join = self.texts(derby)
+        plan = engine.plan(join, force=algorithm)
+        assert plan.algorithm == algorithm
+        assert plan.estimate.description == algorithm
+        assert sorted(engine.execute_iter(plan).drain()) == sorted(
+            engine.execute(join)
+        )
+
+    def test_an_analyzed_engine_forces_a_labelled_index(
+        self, derby, catalog, cost_engine
+    ):
+        selection, __ = self.texts(derby)
+        plan = cost_engine.plan(selection, force="index(num)")
+        assert plan.index is catalog.index_for("Patients", "num")
+        assert not plan.sorted_rids
+        with pytest.raises(PlanError, match="index\\(num\\)"):
+            cost_engine.plan(selection, force="index")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"

@@ -81,7 +81,7 @@ class TestParser:
         assert q.from_clauses[0].var == "p"
         assert q.where == BinOp(">", Path("p", ("num",)), Literal(5))
 
-    def test_tree_query(self):
+    def test_tree_join_query(self):
         q = parse(
             "select tuple(n: p.name, a: pa.age) "
             "from p in Providers, pa in p.clients "

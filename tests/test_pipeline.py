@@ -1,8 +1,8 @@
 """Tests for the pipelined operator execution layer.
 
 Covers the equivalence guarantee (a fully drained pipeline yields the
-same rows and charges the same simulated time as the materializing
-wrappers, at any batch size), early exit (``limit`` / first-batch
+same rows and charges the same simulated time at any batch size), early
+exit (``limit`` / first-batch
 consumers pay a fraction of the full drain and leak nothing),
 peak-live-row bounds, the batch-boundary scheduler yields, and the
 ``first_row_ms`` / ``peak_rows`` stats plumbing through to CSV.
@@ -21,11 +21,11 @@ from repro.errors import OQLSyntaxError
 from repro.exec import ALGORITHMS, TreeJoinQuery
 from repro.exec.operators import (
     DEFAULT_BATCH_SIZE,
+    JOIN_OPERATORS,
     Cursor,
     Operator,
     PipelineContext,
 )
-from repro.exec.operators.joins import build_join
 from repro.exec.operators.transforms import Distinct, Limit, Sort
 from repro.oql import Catalog, OQLEngine
 from repro.oql.parser import parse
@@ -85,6 +85,12 @@ def make_query(derby, sel_children=30, sel_parents=50) -> TreeJoinQuery:
     )
 
 
+def join_op(q: TreeJoinQuery, algorithm: str):
+    """The named join operator over a fresh context, as the engine
+    builds it."""
+    return JOIN_OPERATORS[algorithm](PipelineContext(q.db), q)
+
+
 def tree_height(op) -> int:
     """Height of an operator tree (1 for a leaf): a pipeline holds at
     most one batch per level."""
@@ -102,7 +108,7 @@ def cost_snapshot(db):
 # ------------------------------------------- equivalence (the tentpole)
 
 class TestJoinEquivalence:
-    """Drained pipelines are row- and cost-identical to the wrappers at
+    """Drained pipelines are row- and cost-identical to the default drain at
     every batch size, for every algorithm x database x clustering."""
 
     @pytest.mark.parametrize("clustering", CLUSTERINGS,
@@ -121,11 +127,13 @@ class TestJoinEquivalence:
     def check(self, derby, algorithm):
         q = make_query(derby)
         derby.start_cold_run()
-        expected_rows = ALGORITHMS[algorithm](q)
+        op = join_op(q, algorithm)
+        with Cursor(op.ctx, op) as cursor:
+            expected_rows = cursor.drain()
         expected_cost = cost_snapshot(derby.db)
         for batch_size in (1, 17, DEFAULT_BATCH_SIZE):
             derby.start_cold_run()
-            op = build_join(q, algorithm)
+            op = join_op(q, algorithm)
             rows = Cursor(op.ctx, op, batch_size).drain()
             assert rows == expected_rows, (algorithm, batch_size)
             assert cost_snapshot(derby.db) == expected_cost, (
@@ -240,14 +248,14 @@ class TestJoinEarlyExit:
     def open_join(self, derby_cache, algorithm):
         derby = derby_cache("1:3", Clustering.CLASS)
         derby.start_cold_run()
-        op = build_join(make_query(derby, 90, 90), algorithm)
+        op = join_op(make_query(derby, 90, 90), algorithm)
         op.open()
         if algorithm == "PHJ-HYBRID":
             assert op._spill_fraction > 0, "test setup must force a spill"
         return derby.db, op
 
     @pytest.mark.parametrize("batch_size", (1, 3))
-    @pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_close_after_one_batch(self, derby_cache, algorithm, batch_size):
         db, op = self.open_join(derby_cache, algorithm)
         rows = op._iter
@@ -267,7 +275,7 @@ class TestJoinEarlyExit:
         with pytest.raises(RuntimeError):
             op.next_batch(batch_size)
 
-    @pytest.mark.parametrize("algorithm", tuple(ALGORITHMS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_close_after_exhaustion_charges_nothing(
         self, derby_cache, algorithm
     ):
@@ -306,7 +314,7 @@ class TestPeakRows:
         derby = derby_cache(relationship, Clustering.CLASS)
         derby.start_cold_run()
         batch_size = 8
-        op = build_join(make_query(derby), algorithm)
+        op = join_op(make_query(derby), algorithm)
         cursor = Cursor(op.ctx, op, batch_size)
         rows = cursor.drain()
         assert rows

@@ -737,7 +737,8 @@ class TestJoinEquivalenceProperty:
         from repro.cluster import load_derby
         from repro.derby import DerbyConfig
         from repro.derby.config import Clustering
-        from repro.exec import ALGORITHMS, TreeJoinQuery
+        from repro.exec import Cursor, PipelineContext, TreeJoinQuery
+        from repro.exec.operators import JOIN_OPERATORS
 
         clustering = random.Random(seed).choice(list(Clustering))
         config = DerbyConfig(
@@ -758,9 +759,11 @@ class TestJoinEquivalenceProperty:
             n_parents=n_providers,
         )
         results = {}
-        for name, algo in ALGORITHMS.items():
+        for name, operator_class in JOIN_OPERATORS.items():
             derby.start_cold_run()
-            results[name] = sorted(algo(query))
+            op = operator_class(PipelineContext(derby.db), query)
+            with Cursor(op.ctx, op) as cursor:
+                results[name] = sorted(cursor.drain())
         baseline = results.pop("PHJ")
         for name, rows in results.items():
             assert rows == baseline, f"{name} disagrees with PHJ"
