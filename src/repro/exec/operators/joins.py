@@ -73,7 +73,6 @@ class TreeJoinQuery:
     child_index: BTreeIndex         # children by CHILD_KEY (clustered)
     parent_high: object             # PARENT_KEY < parent_high
     child_high: object              # CHILD_KEY < child_high
-    n_parents: int                  # parent domain size (CHJ directory)
     parent_key: str = "upin"
     child_key: str = "mrn"
     child_ref: str = "primary_care_provider"

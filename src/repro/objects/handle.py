@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
+from sys import getrefcount
 from typing import Callable
 
 from repro.errors import HandleError
@@ -171,6 +172,11 @@ class HandleTable:
         #: distinct representatives of the same object.  Dropped at
         #: refcount zero — the delayed-free list is for live records.
         self._versioned: dict[tuple[Rid, int], Handle] = {}
+        #: Handles :meth:`clear` took from the delayed-free list, for
+        #: ``ObjectManager.borrow``'s next misses to re-initialise
+        #: instead of allocating: host memory only, the miss is counted
+        #: and charged as an allocation either way.
+        self._spare: list[Handle] = []
 
     @property
     def mode(self) -> HandleMode:
@@ -250,8 +256,23 @@ class HandleTable:
 
     # simlint: ok[CHARGE] restart discard models no O2 cost; reloads pay on next access
     def clear(self) -> None:
-        """Forget every handle (client restart)."""
-        self._handles.clear()
+        """Forget every handle (client restart).
+
+        When every handle is parked and nothing outside the table holds
+        one, the parked handles become spares (up to
+        ``DELAYED_FREE_CAPACITY``) rather than garbage.  A handle held
+        only by the map and by ``parked`` reads 3 through
+        ``getrefcount`` mapped over the list; one reference more
+        anywhere -- a caller keeping a handle across the restart --
+        and nothing is recycled, so no handle anybody still holds is
+        ever handed out again."""
+        handles = self._handles
+        if handles and self._parked_count == len(handles):
+            parked = list(handles.values())
+            if sum(map(getrefcount, parked)) == 3 * len(parked):
+                spare = self._spare
+                spare += parked[:DELAYED_FREE_CAPACITY - len(spare)]
+        handles.clear()
         self._parked_count = 0
         self._versioned.clear()
 

@@ -116,12 +116,14 @@ class ObjectManager:
         """Get a referenced handle for the object at ``rid`` ("get Handle
         h" in the paper's Figure 8 pseudo-code): the handle ``rid``
         already has, live or parked -- a parked one revives where it
-        stands -- or, on a miss, a fresh one around the record
-        :meth:`read_record` reads.  Under an installed snapshot view
-        (:attr:`read_view`) the view answers instead, and the handle
-        represents the snapshot-visible *version* of the object, which
-        may differ from the live record; the view borrows a visible live
-        record through this same bracket, standing aside for the call.
+        stands -- or, on a miss, a new one around the record
+        :meth:`read_record` reads: a spare the last restart left
+        (``HandleTable.clear``) re-initialised, else a fresh one.  Under
+        an installed snapshot view (:attr:`read_view`) the view answers
+        instead, and the handle represents the snapshot-visible
+        *version* of the object, which may differ from the live record;
+        the view borrows a visible live record through this same
+        bracket, standing aside for the call.
 
         The handle is its own bracket: ``with om.borrow(rid) as
         handle:`` is Figure 8's get-handle/unreference pair, the
@@ -136,7 +138,15 @@ class ObjectManager:
         handle = handles.get(rid)
         if handle is None:
             record, class_def = self.read_record(rid)
-            handle = handles[rid] = Handle(rid, record, class_def, table)
+            spare = table._spare
+            if spare:
+                handle = handles[rid] = spare.pop()
+                handle.rid = rid
+                handle.record = record
+                handle.class_def = class_def
+                handle.refcount = 1
+            else:
+                handle = handles[rid] = Handle(rid, record, class_def, table)
             table.counters.handles_allocated += 1
             table._buckets[_HANDLE] += table._alloc_s
             return handle

@@ -317,7 +317,6 @@ class OQLEngine:
             child_index=child_index,
             parent_high=plan.parent_high,
             child_high=plan.child_high,
-            n_parents=self.catalog.collection_size(rel.parent_collection),
             parent_key=plan.parent_key,
             child_key=plan.child_key,
             child_ref=rel.child_ref,

@@ -340,10 +340,15 @@ class Optimizer:
         best = min(candidates, key=lambda c: c[2]) if candidates else None
         # Without statistics only the best driver is costed, and all
         # that is known of the output is its selectivity; with them,
-        # every driver is costed (labelled by its attribute) and the
-        # residuals discount the result too.
+        # the best driver on each attribute is costed (labelled by the
+        # attribute) and the residuals discount the result too.
         if analyzed:
-            drivers = candidates
+            by_attr: dict[str, _Driver] = {}
+            for driver in candidates:
+                attr = driver[0].attr
+                if attr not in by_attr or driver[2] < by_attr[attr][2]:
+                    by_attr[attr] = driver
+            drivers = list(by_attr.values())
             sel_out = estimator.conjunct_selectivity(name, predicates)
         else:
             drivers = [best] if best else []

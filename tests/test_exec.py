@@ -283,7 +283,6 @@ def make_query(derby, k1: int, k2: int) -> TreeJoinQuery:
         child_index=derby.by_mrn,
         parent_high=k2,
         child_high=k1,
-        n_parents=len(derby.provider_rids),
     )
 
 
@@ -391,7 +390,6 @@ class TestJoinAlgorithms:
             child_index=derby.by_mrn,
             parent_high=k2,
             child_high=k1,
-            n_parents=cfg.n_providers,
         )
         derby.start_cold_run()
         drain_join(query, "PHJ")

@@ -219,7 +219,15 @@ def lint_seeded(tmp_path, source: str, old: str, new: str, rule: str):
 BORROW_MISS = """\
         if handle is None:
             record, class_def = self.read_record(rid)
-            handle = handles[rid] = Handle(rid, record, class_def, table)
+            spare = table._spare
+            if spare:
+                handle = handles[rid] = spare.pop()
+                handle.rid = rid
+                handle.record = record
+                handle.class_def = class_def
+                handle.refcount = 1
+            else:
+                handle = handles[rid] = Handle(rid, record, class_def, table)
             table.counters.handles_allocated += 1
             table._buckets[_HANDLE] += table._alloc_s
             return handle

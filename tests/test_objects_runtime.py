@@ -6,6 +6,9 @@ import struct
 
 import pytest
 
+from repro.bench import ExperimentRunner
+from repro.cluster import load_derby
+from repro.derby import DerbyConfig
 from repro.derby.schema import build_derby_schema
 from repro.errors import (
     DanglingReferenceError,
@@ -21,6 +24,7 @@ from repro.objects import (
     Schema,
 )
 from repro.objects.codec import InlineSet, OverflowSet
+from repro.objects.handle import DELAYED_FREE_CAPACITY, Handle
 from repro.objects.header import FLAG_INDEXED, ObjectHeader
 from repro.simtime import Bucket, CostParams
 from repro.storage.rid import Rid
@@ -601,3 +605,45 @@ class TestDatabase:
         db.reset_meters()
         db.create_object("Patient", {"mrn": 1}, "patients")
         assert db.clock.buckets.get(Bucket.LOAD, 0.0) > 0
+
+
+# ------------------------------------------------------ restart recycling
+
+class TestRestartRecycling:
+    """A cold restart hands the parked handles it forgets to the next
+    misses instead of to the allocator: host memory only, so a cold
+    cell run twice counts, charges and returns the same either way."""
+
+    @pytest.fixture
+    def runner(self):
+        return ExperimentRunner(load_derby(DerbyConfig.db_1to3(scale=0.0003)))
+
+    def test_a_held_handle_is_never_handed_out_again(self, runner):
+        runner.run_join("NOJOIN", 30, 50)
+        table = runner.derby.db.handles
+        kept = next(iter(table._handles.values()))
+        assert kept.refcount == 0
+        rid = kept.rid
+        runner.run_join("NOJOIN", 30, 50)  # restarts cold first
+        assert all(handle is not kept for handle in table._handles.values())
+        assert (kept.rid, kept.refcount) == (rid, 0)
+
+    def test_a_second_cold_cell_constructs_no_handle(self, runner, monkeypatch):
+        first = runner.run_join("NOJOIN", 30, 50)
+        assert 0 < first.meters.handles_allocated < DELAYED_FREE_CAPACITY
+        built = 0
+        init = Handle.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Handle, "__init__", counting)
+        second = runner.run_join("NOJOIN", 30, 50)
+        monkeypatch.undo()
+        assert built == 0
+        assert second.meters.handles_allocated == first.meters.handles_allocated
+        assert second.breakdown["handle"] == first.breakdown["handle"]
+        assert second.elapsed_s == first.elapsed_s
+        assert second == first

@@ -103,6 +103,29 @@ class TestSelectionEnumeration:
         assert "index(num)" in families or "sorted-index(num)" in families
         assert "index(mrn)" in families or "sorted-index(mrn)" in families
 
+    def test_conjunct_order_does_not_change_the_plan(self, derby, cost_engine):
+        """Two conjuncts on one indexed attribute: the more selective one
+        drives ``index(mrn)`` whichever is written first, so both orders
+        plan, estimate and run alike."""
+        texts = [
+            f"select p.age from p in Patients where p.mrn < {a} and p.mrn < {b}"
+            for a, b in ((50, 5000), (5000, 50))
+        ]
+        plans, seconds = [], []
+        for text in texts:
+            plans.append(cost_engine.plan(text))
+            derby.start_cold_run()
+            cost_engine.execute(text)
+            seconds.append(derby.db.clock.elapsed_s)
+        first, second = plans
+        assert _chosen_label(first) == _chosen_label(second) == "index(mrn)"
+        assert (first.predicate, first.index, first.sorted_rids) == (
+            second.predicate, second.index, second.sorted_rids
+        )
+        assert first.predicate.value == 50
+        assert first.alternatives == second.alternatives
+        assert seconds[0] == seconds[1]
+
     def test_index_only_aggregate(self, cost_engine):
         plan = cost_engine.plan(
             "select count(p) from p in Patients where p.num < 600"

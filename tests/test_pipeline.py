@@ -81,7 +81,6 @@ def make_query(derby, sel_children=30, sel_parents=50) -> TreeJoinQuery:
         child_index=derby.by_mrn,
         parent_high=derby.config.upin_threshold(sel_parents),
         child_high=derby.config.mrn_threshold(sel_children),
-        n_parents=len(derby.provider_rids),
     )
 
 

@@ -756,7 +756,6 @@ class TestJoinEquivalenceProperty:
             child_index=derby.by_mrn,
             parent_high=config.upin_threshold(sel_prov),
             child_high=config.mrn_threshold(sel_pat),
-            n_parents=n_providers,
         )
         results = {}
         for name, operator_class in JOIN_OPERATORS.items():
