@@ -32,7 +32,6 @@ from repro.derby import DerbyConfig
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
 from repro.objects.handle import HandleMode
 from repro.simtime import Bucket
-from repro.simtime.host import collect_garbage
 from repro.units import MB
 
 #: The four algorithms of the paper's Section 5 figures.
@@ -507,10 +506,7 @@ class FigureDriver:
         """The loaded database; whichever was held before is let go."""
         key = (relationship, organization)
         if self._slot is None or self._slot[0] != key:
-            # Free the old one before building the next; its object graph
-            # is cyclic, so dropping the reference alone frees nothing.
-            self._slot = None
-            collect_garbage()
+            self._slot = None  # freed here: a database holds no cycle
             config = DerbyConfig.paper_db(relationship, organization, self.scale)
             self._slot = (key, load_derby(config))
         return self._slot[1]

@@ -19,19 +19,16 @@ class BufferCache:
     the paper observes, where a sequential scan flushes the pages a
     concurrent random access pattern would like to keep.  When inserting
     into a full cache the least recently used page is the victim; if it
-    is dirty the ``on_evict_dirty`` callback is invoked (write-back),
-    after which the page's dirty flag is owned by the next tier.
+    is dirty, the write-back the caller passed with the page is invoked,
+    after which the page's dirty flag is owned by the next tier.  The
+    cache keeps no reference to the next tier: the owner of both tiers
+    passes the write-back on every insert, so no cache holds its owner.
     """
 
-    def __init__(
-        self,
-        capacity_pages: int,
-        on_evict_dirty: Callable[[Page], None] | None = None,
-    ):
+    def __init__(self, capacity_pages: int):
         if capacity_pages < 1:
             raise ValueError(f"cache needs at least one page, got {capacity_pages}")
         self.capacity_pages = capacity_pages
-        self.on_evict_dirty = on_evict_dirty
         self._pages: OrderedDict[PageKey, Page] = OrderedDict()
 
     def lookup(self, key: PageKey) -> Page | None:
@@ -44,14 +41,15 @@ class BufferCache:
         pages.move_to_end(key)
         return pages[key]
 
-    def insert(self, page: Page) -> None:
-        """Admit ``page``, evicting (with write-back) as needed."""
+    def insert(self, page: Page, write_back: Callable[[Page], None]) -> None:
+        """Admit ``page``, evicting as needed; a dirty victim goes to
+        ``write_back`` before ``page`` takes its frame."""
         key = (page.file_id, page.page_no)
         pages = self._pages
         if key not in pages and len(pages) >= self.capacity_pages:
             __, victim = pages.popitem(last=False)
-            if victim.dirty and self.on_evict_dirty is not None:
-                self.on_evict_dirty(victim)
+            if victim.dirty:
+                write_back(victim)
         pages[key] = page
         pages.move_to_end(key)
 

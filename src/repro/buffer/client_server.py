@@ -47,14 +47,8 @@ class ClientServerSystem:
     ):
         self.disk = disk
         self.memory = memory or disk.params.memory
-        self.server_cache = BufferCache(
-            self.memory.server_cache_pages,
-            on_evict_dirty=self._write_back_to_disk,
-        )
-        self.client_cache = BufferCache(
-            self.memory.client_cache_pages,
-            on_evict_dirty=self._write_back_to_server,
-        )
+        self.server_cache = BufferCache(self.memory.server_cache_pages)
+        self.client_cache = BufferCache(self.memory.client_cache_pages)
         #: Invoked on every client page fault, *before* the RPC is
         #: issued — the query service uses it as a context-switch point.
         self.on_fault: Callable[[], None] | None = None
@@ -62,11 +56,9 @@ class ClientServerSystem:
     # -- client-tier management -------------------------------------------
 
     def new_client_tier(self) -> BufferCache:
-        """A fresh client cache wired for write-back to this server."""
-        return BufferCache(
-            self.memory.client_cache_pages,
-            on_evict_dirty=self._write_back_to_server,
-        )
+        """A fresh client cache; while attached, what it evicts dirty is
+        written back to this server."""
+        return BufferCache(self.memory.client_cache_pages)
 
     def attach_client_tier(self, cache: BufferCache) -> BufferCache:
         """Make ``cache`` the active client tier; returns the previous
@@ -105,11 +97,11 @@ class ClientServerSystem:
         else:
             counters.server_faults += 1
             page = self.disk.read_page(file_id, page_no)
-            self.server_cache.insert(page)
+            self.server_cache.insert(page, self._write_back_to_disk)
 
         counters.server_to_client += 1
         clock.charge_ms(_TRANSFER, params.page_transfer_ms)
-        self.client_cache.insert(page)
+        self.client_cache.insert(page, self._write_back_to_server)
         return page
 
     def mark_dirty(self, file_id: int, page_no: int) -> None:
@@ -119,7 +111,7 @@ class ClientServerSystem:
             # Page was modified straight after allocation, before any
             # read.  Admit it so write-back accounting still happens.
             page = self.disk.peek_page(file_id, page_no)
-            self.client_cache.insert(page)
+            self.client_cache.insert(page, self._write_back_to_server)
         page.dirty = True
 
     # -- lifecycle ----------------------------------------------------------
@@ -163,7 +155,11 @@ class ClientServerSystem:
         self.client_cache.clear()
         self.server_cache.clear()
 
-    # -- write-back callbacks -------------------------------------------------
+    # -- write-back --------------------------------------------------------------
+    #
+    # Passed with each insert, never stored in a cache: a cache that held
+    # one of these bound methods would hold the system, and the database
+    # around it would be a cycle only the cyclic collector frees.
 
     def _write_back_to_server(self, page: Page) -> None:
         """A dirty page leaves the client cache: one RPC up, then it is
@@ -173,7 +169,7 @@ class ClientServerSystem:
         counters.rpc_bytes += self.disk.page_size
         self.disk.clock.charge_ms(_RPC, self.disk.params.rpc_overhead_ms)
         self.disk.clock.charge_ms(_TRANSFER, self.disk.params.page_transfer_ms)
-        self.server_cache.insert(page)
+        self.server_cache.insert(page, self._write_back_to_disk)
 
     def _write_back_to_disk(self, page: Page) -> None:
         self.disk.write_page(page.file_id, page.page_no)

@@ -19,7 +19,7 @@ from repro.derby.schema import character_name
 from repro.simtime.host import collector_paused
 
 
-@dataclass
+@dataclass(slots=True)
 class LogicalProvider:
     """One doctor before physical placement."""
 
@@ -31,7 +31,7 @@ class LogicalProvider:
     patient_idxs: list[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class LogicalPatient:
     """One patient before physical placement."""
 

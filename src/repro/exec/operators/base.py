@@ -267,9 +267,9 @@ class Cursor:
         self.batch_size = batch_size
         #: Optional hook fired exactly once when the cursor closes
         #: (exhaustion, abandonment, or explicit close) — consumers
-        #: fold the final stats into their metrics here.
+        #: fold the final stats into their metrics here.  Dropped as it
+        #: fires: a hook that captures the cursor is then no cycle.
         self.on_close = None
-        self._on_close_fired = False
 
     @property
     def stats(self) -> PipelineStats:
@@ -301,9 +301,9 @@ class Cursor:
 
     def close(self) -> None:
         self.root.close()
-        if self.on_close is not None and not self._on_close_fired:
-            self._on_close_fired = True
-            self.on_close()
+        on_close, self.on_close = self.on_close, None
+        if on_close is not None:
+            on_close()
 
     def __enter__(self) -> "Cursor":
         return self

@@ -49,7 +49,7 @@ _WALL_CLOCK = {
 }
 
 #: The cyclic collector's switches, and the one module that may throw
-#: them (behind ``collector_paused`` / ``collect_garbage``).
+#: them (behind ``collector_paused``).
 _COLLECTOR = {
     ("gc", "disable"),
     ("gc", "enable"),
@@ -59,7 +59,8 @@ _COLLECTOR = {
 _HOST_MODULE = "repro.simtime.host"
 _COLLECTOR_ADVICE = (
     "switches the process's cyclic collector; only "
-    f"{_HOST_MODULE} may (use its collector_paused / collect_garbage)"
+    f"{_HOST_MODULE} may (use its collector_paused; a dropped database "
+    "is freed by reference counting, with no collection)"
 )
 
 #: module-level ``random.X`` functions that use the shared, unseeded

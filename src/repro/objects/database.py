@@ -14,6 +14,7 @@ buffer system, handle table, object manager — and owns:
 from __future__ import annotations
 
 import struct
+import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.buffer import ClientServerSystem
@@ -62,7 +63,9 @@ class PersistentCollection:
     """
 
     def __init__(self, db: "Database", name: str | None = None):
-        self._db = db
+        #: Held weakly: the database's name map holds this collection,
+        #: and a strong reference back would make the database a cycle.
+        self._db = weakref.ref(db)
         self.name = name
         #: ``True`` once an index exists on this collection — objects
         #: created into an indexed collection get header slots up front.
@@ -88,13 +91,13 @@ class PersistentCollection:
     def iter_rids(self) -> Iterator[Rid]:
         """Yield every element rid, reading chunks through the caches."""
         self.flush()
-        sfile = self._db.collections_file
+        sfile = self._db().collections_file
         for chunk_rid in self._chunk_rids:
             yield from _decode_chunk(sfile.read(chunk_rid))[0]
 
     def _flush_chunk(self) -> None:
         chunk = _encode_chunk(self._pending, NIL_RID)
-        self._chunk_rids.append(self._db.collections_file.insert(chunk))
+        self._chunk_rids.append(self._db().collections_file.insert(chunk))
         self._pending.clear()
 
 
@@ -135,6 +138,9 @@ class Database:
         self.disk = DiskManager(self.params, self.clock, self.counters)
         self.system = ClientServerSystem(self.disk, self.params.memory)
         self.handles = HandleTable(self.clock, self.params, self.counters, handle_mode)
+        # Each handle holds its table; emptying the table when the
+        # database goes lets reference counting free both.
+        weakref.finalize(self, self.handles.release)
         self.manager = ObjectManager(self.schema, self.disk, self.handles)
         self.indexes: dict[str, "BTreeIndex"] = {}
         self._files: dict[str, StorageFile] = {}

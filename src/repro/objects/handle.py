@@ -276,6 +276,14 @@ class HandleTable:
         self._parked_count = 0
         self._versioned.clear()
 
+    # simlint: ok[CHARGE] the owning database is gone: nothing is left to charge
+    def release(self) -> None:
+        """Let go of every handle, spares included: the database that
+        owned this table is gone.  Each handle's ``table`` points back
+        here, so a table left holding its handles would be a cycle."""
+        self.clear()
+        self._spare.clear()
+
     # simlint: ok[CHARGE] invalidation is free (see docstring); the reload pays
     def forget_page(self, file_id: int, page_no: int) -> None:
         """Drop cached handles for records living on one page — used when

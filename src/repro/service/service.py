@@ -363,10 +363,7 @@ class QueryService:
         self._base_server_cache: BufferCache | None = None
         if server_cache_pages is not None:
             self._base_server_cache = self.db.system.server_cache
-            self.db.system.server_cache = BufferCache(
-                server_cache_pages,
-                on_evict_dirty=self.db.system._write_back_to_disk,
-            )
+            self.db.system.server_cache = BufferCache(server_cache_pages)
 
     # -- sessions -----------------------------------------------------------
 

@@ -40,10 +40,3 @@ def collector_paused() -> Iterator[None]:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def collect_garbage() -> None:
-    """One full collection, now: for a harness that has just dropped a
-    cyclic object graph (a whole database) and wants its memory back
-    before building the next."""
-    gc.collect()

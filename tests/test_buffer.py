@@ -21,61 +21,66 @@ def page(no: int, dirty: bool = False) -> Page:
     return p
 
 
+def no_write_back(victim: Page) -> None:
+    """The write-back for a cache that only ever holds clean pages."""
+    raise AssertionError(f"a clean page was written back: {victim}")
+
+
 class TestBufferCache:
     def test_insert_lookup(self):
         cache = BufferCache(2)
         p = page(0)
-        cache.insert(p)
+        cache.insert(p, no_write_back)
         assert cache.lookup((0, 0)) is p
         assert cache.lookup((0, 1)) is None
 
     def test_capacity_enforced(self):
         cache = BufferCache(2)
         for no in range(5):
-            cache.insert(page(no))
+            cache.insert(page(no), no_write_back)
         assert len(cache._pages) == 2
 
     def test_eviction_is_lru(self):
         cache = BufferCache(2)
-        cache.insert(page(0))
-        cache.insert(page(1))
+        cache.insert(page(0), no_write_back)
+        cache.insert(page(1), no_write_back)
         cache.lookup((0, 0))        # 1 is now the LRU
-        cache.insert(page(2))
+        cache.insert(page(2), no_write_back)
         assert (0, 0) in cache._pages
         assert (0, 1) not in cache._pages
 
     def test_lookup_miss_leaves_the_eviction_order_alone(self):
         evicted = []
-        cache = BufferCache(3, on_evict_dirty=evicted.append)
+        cache = BufferCache(3)
         for no in range(3):
-            cache.insert(page(no, dirty=True))
+            cache.insert(page(no, dirty=True), evicted.append)
         assert cache.lookup((0, 7)) is None
         assert cache.lookup((1, 0)) is None
         assert len(cache._pages) == 3  # a miss admits nothing
         for no in range(3, 6):
-            cache.insert(page(no))
+            cache.insert(page(no), evicted.append)
         assert [p.page_no for p in evicted] == [0, 1, 2]
 
     def test_dirty_eviction_callback(self):
         written = []
-        cache = BufferCache(1, on_evict_dirty=written.append)
+        cache = BufferCache(1)
         dirty = page(0, dirty=True)
-        cache.insert(dirty)
-        cache.insert(page(1))
+        cache.insert(dirty, written.append)
+        cache.insert(page(1), written.append)
         assert written == [dirty]
 
     def test_clean_eviction_no_callback(self):
         written = []
-        cache = BufferCache(1, on_evict_dirty=written.append)
-        cache.insert(page(0))
-        cache.insert(page(1))
+        cache = BufferCache(1)
+        cache.insert(page(0), written.append)
+        cache.insert(page(1), written.append)
         assert written == []
 
     def test_reinsert_same_page_no_evict(self):
         cache = BufferCache(1)
         p = page(0)
-        cache.insert(p)
-        cache.insert(p)
+        cache.insert(p, no_write_back)
+        cache.insert(p, no_write_back)
         assert len(cache._pages) == 1
 
     def test_rejects_zero_capacity(self):
@@ -89,35 +94,35 @@ class TestLRUPolicy:
 
     def test_evicts_least_recent(self):
         evicted = []
-        cache = BufferCache(2, on_evict_dirty=evicted.append)
+        cache = BufferCache(2)
         first, second = page(0, dirty=True), page(1, dirty=True)
-        cache.insert(first)
-        cache.insert(second)
-        cache.insert(first)  # refresh: the victim is now 1
-        cache.insert(page(2, dirty=True))
+        cache.insert(first, evicted.append)
+        cache.insert(second, evicted.append)
+        cache.insert(first, evicted.append)  # refresh: the victim is now 1
+        cache.insert(page(2, dirty=True), evicted.append)
         assert evicted == [second]
-        cache.insert(page(3, dirty=True))
+        cache.insert(page(3, dirty=True), evicted.append)
         assert evicted == [second, first]
 
     def test_discard(self):
         evicted = []
-        cache = BufferCache(1, on_evict_dirty=evicted.append)
-        cache.insert(page(0, dirty=True))
+        cache = BufferCache(1)
+        cache.insert(page(0, dirty=True), evicted.append)
         cache.drop((0, 0))
         assert len(cache._pages) == 0
         cache.drop((9, 9))  # absent: no error
-        cache.insert(page(1))  # the dropped page holds no frame ...
+        cache.insert(page(1), evicted.append)  # the dropped page holds no frame ...
         assert len(cache._pages) == 1
         assert evicted == []   # ... and is never written back
 
     def test_empty_cache_evicts_nothing(self):
         evicted = []
-        cache = BufferCache(1, on_evict_dirty=evicted.append)
+        cache = BufferCache(1)
         cache.drop((0, 0))
         cache.clear()
         assert cache.lookup((0, 0)) is None
         assert cache.dirty_pages() == []
-        cache.insert(page(0, dirty=True))
+        cache.insert(page(0, dirty=True), evicted.append)
         assert evicted == [] and len(cache._pages) == 1
 
 
@@ -160,9 +165,9 @@ class TestLRUModel:
     @settings(max_examples=200, deadline=None)
     def test_random_ops_match_the_list_reference(self, capacity, ops):
         """Same residents after every operation, same victims in the
-        same order, the same dirty call-backs."""
+        same order, the same dirty write-backs."""
         written = []
-        cache = BufferCache(capacity, on_evict_dirty=written.append)
+        cache = BufferCache(capacity)
         model = ListLRU(capacity)
         pages = {no: page(no) for no in range(8)}
         expect_written = []
@@ -181,7 +186,7 @@ class TestLRUModel:
                     pages[victim[1]] for victim in model.evicted[before:]
                     if pages[victim[1]].dirty
                 ]
-                cache.insert(pages[no])
+                cache.insert(pages[no], written.append)
             assert len(cache._pages) == len(model.keys)
             assert all(key in cache._pages for key in model.keys)
             assert written == expect_written
@@ -191,7 +196,7 @@ class TestLRUModel:
             pages[resident[1]].dirty = True
         del written[:]
         for no in range(100, 100 + capacity):
-            cache.insert(page(no))
+            cache.insert(page(no), written.append)
         assert [(p.file_id, p.page_no) for p in written] == model.keys
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate
-from repro.simtime.host import collect_garbage, collector_paused
+from repro.simtime.host import collector_paused
 from repro.storage.file import StorageFile
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -63,18 +63,6 @@ class TestBracket:
         assert gc.isenabled() is collector
         assert probe() is False  # a one-shot generator would raise here
         assert gc.isenabled() is collector
-
-    def test_collect_garbage_frees_a_cycle(self):
-        class Node:
-            pass
-
-        with collector_paused():
-            node = Node()
-            node.me = node
-            witness = gc.get_stats()[2]["collections"]
-            del node
-            collect_garbage()
-            assert gc.get_stats()[2]["collections"] == witness + 1
 
 
 def _tiny() -> DerbyConfig:

@@ -83,9 +83,11 @@ class TestBufferModel:
         from repro.storage.page import Page
 
         pages = {no: Page(0, no) for no in set(accesses)}
+        written: list[Page] = []
         for no in accesses:
-            cache.insert(pages[no])
+            cache.insert(pages[no], written.append)
             assert len(cache._pages) <= 7
+        assert written == []  # every page clean: nothing to write back
 
 
 # ------------------------------------------------------------- codec
