@@ -20,14 +20,14 @@ from repro.bench.report import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.objects.handle import HandleMode
-from repro.oo7 import OO7Config, build_oo7, traversal_t1
+from repro.oo7 import build_oo7, traversal_t1
 
 
 def test_cures_help_associative_not_navigation(save_table):
     rows = {}
     for mode in HandleMode:
         # Warm OO7 navigation.
-        oo7 = build_oo7(OO7Config(), handle_mode=mode)
+        oo7 = build_oo7(handle_mode=mode)
         oo7.start_cold_run()
         traversal_t1(oo7)
         warm_before = oo7.db.clock.elapsed_s

@@ -34,7 +34,7 @@ Outputs: ``BENCH_optimizer.json`` (repo root),
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from repro.bench.report import Table
 from repro.bench.workloads import (
@@ -48,7 +48,7 @@ from repro.derby import DerbyConfig
 from repro.derby.config import Clustering
 from repro.oql import Catalog, OQLEngine
 from repro.oql.explain import chosen_key
-from repro.oql.optimizer import SelectionPlan, TreeJoinPlan
+from repro.oql.optimizer import SelectionPlan
 from repro.stats import records_to_csv
 
 SCALE = 0.01
@@ -110,25 +110,6 @@ def _run_cold(derby, engine: OQLEngine, plan) -> tuple[list, float]:
     return rows, clock.elapsed_s - start_s
 
 
-def _force_scan(plan: SelectionPlan) -> SelectionPlan:
-    """The unoptimized baseline: full scan, every predicate residual."""
-    preds = ((plan.predicate,) if plan.predicate else ()) + plan.residuals
-    return replace(
-        plan,
-        predicate=None,
-        residuals=preds,
-        index=None,
-        sorted_rids=False,
-        index_only=False,
-        estimate=plan.alternatives["scan"],
-    )
-
-
-def _force_nl(plan: TreeJoinPlan) -> TreeJoinPlan:
-    """The unoptimized baseline: naive nested-loop descent."""
-    return replace(plan, algorithm="NL", estimate=plan.alternatives["NL"])
-
-
 def _measure_cell(
     derby,
     heuristic: OQLEngine,
@@ -141,10 +122,10 @@ def _measure_cell(
 ) -> Cell:
     plan_h = heuristic.plan(query)
     plan_c = cost.plan(query)
-    plan_u = (
-        _force_scan(plan_h)
-        if isinstance(plan_h, SelectionPlan)
-        else _force_nl(plan_h)
+    # The unoptimized baseline: a full scan, or the naive nested-loop
+    # descent.
+    plan_u = heuristic.plan(
+        query, force="scan" if isinstance(plan_h, SelectionPlan) else "NL"
     )
 
     rows_u, __s_u = _run_cold(derby, heuristic, plan_u)

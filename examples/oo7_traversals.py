@@ -17,15 +17,19 @@ from repro.bench import ExperimentRunner
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.objects.handle import HandleMode
-from repro.oo7 import OO7Config, build_oo7, query_q1, traversal_t1, traversal_t6
+from repro.oo7 import build_oo7, query_q1, traversal_t1, traversal_t6
+from repro.oo7.builder import (
+    N_ATOMIC_PARTS,
+    N_BASE_ASSEMBLIES,
+    N_COMPOSITE_PARTS,
+)
 
 
 def main() -> None:
-    oo7 = build_oo7(OO7Config())
-    cfg = oo7.config
-    print(f"OO7 module: {cfg.n_base_assemblies} base assemblies, "
-          f"{cfg.n_composite_parts} composite parts, "
-          f"{cfg.n_atomic_parts} atomic parts "
+    oo7 = build_oo7()
+    print(f"OO7 module: {N_BASE_ASSEMBLIES} base assemblies, "
+          f"{N_COMPOSITE_PARTS} composite parts, "
+          f"{N_ATOMIC_PARTS} atomic parts "
           f"({oo7.db.disk.total_pages()} pages)\n")
 
     # -- the classic OO7 operations ------------------------------------
@@ -52,7 +56,7 @@ def main() -> None:
     print("Handle regimes: warm OO7 navigation vs cold associative scan")
     print(f"{'mode':18s} {'warm T1 (s)':>12s} {'cold scan (s)':>14s}")
     for mode in HandleMode:
-        bench = build_oo7(OO7Config(), handle_mode=mode)
+        bench = build_oo7(handle_mode=mode)
         bench.start_cold_run()
         traversal_t1(bench)
         before = bench.db.clock.elapsed_s

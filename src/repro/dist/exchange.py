@@ -2,9 +2,11 @@
 
 :class:`ExchangeOperator` is the coordinator's leaf: a Volcano operator
 whose "children" are cursors running on the shards.  Rows flow through
-the ordinary ``open / next_batch / close`` protocol, so everything above
-it — central predicates, sorts, aggregate recombination, the service
-layer's batch-boundary yields — is the existing single-node machinery.
+the ordinary ``open / next_batch / close`` protocol, so the service
+layer's batch-boundary yields work on it unchanged.  The central work
+above it is the coordinator's own: re-dedupe, the stable multi-key
+sort, strip and re-limit in ``Coordinator._finish_rows``, and aggregate
+recombination in ``Coordinator._merge_aggregate``.
 
 **Virtual parallelism.**  Each shard's clock meters the work its cursor
 performs; the coordinator models all shards working *concurrently* from

@@ -111,8 +111,6 @@ class DistTransaction:
         #: pinned node's death or stale epoch surfaces as a typed error
         #: and the whole distributed transaction retries.
         self.branch_nodes: "dict[int, object]" = {}
-        #: Whether the coordinator's decision record is known durable.
-        self.decision_durable = False
 
     # -- branches -------------------------------------------------------
 
@@ -203,7 +201,6 @@ class DistTransaction:
             att=att,
         )
         cluster.decision_log.flush()
-        self.decision_durable = True
         cluster.reached("2pc-after-decision", f"gtxn {self.global_id}")
 
         # Phase 2: ordinary per-shard commits release the branches.

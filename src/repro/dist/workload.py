@@ -174,7 +174,6 @@ class ShardedWorkload:
             ]
             for node, child in self._armed:
                 child.arm(node.db, node.locks)
-        policy = config.retry_policy()
         start_s = cluster.elapsed_s
 
         def spawn(
@@ -207,7 +206,7 @@ class ShardedWorkload:
                 name,
                 partial(
                     session_loop, [attempt] * config.ops_per_client,
-                    metrics, policy, rng, cluster.clock, scheduler,
+                    metrics, config, rng, cluster.clock, scheduler,
                 ),
             )
             return SessionReport(name, profile, metrics)

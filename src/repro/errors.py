@@ -105,8 +105,9 @@ class WriteConflictError(LockConflictError):
     """First-committer-wins violation under snapshot isolation: another
     transaction committed a version of the record after this
     transaction's snapshot was taken.  Subclasses
-    :class:`LockConflictError` so the mixer's existing retry loop
-    (``RetryPolicy``) treats it as transient and retries."""
+    :class:`LockConflictError` so the mixers' retry loop
+    (:func:`~repro.service.workload.session_loop`) treats it as
+    transient and retries."""
 
 
 class ServiceError(ReproError):
@@ -115,7 +116,8 @@ class ServiceError(ReproError):
 
 
 class GovernorError(ServiceError):
-    """Base class for resource-governor interventions.
+    """Base class for the query service's governed stops (cancellation,
+    budgets).
 
     Deliberately *not* a :class:`LockConflictError`: lock victims are
     transient and worth retrying, a governed query was stopped on
@@ -205,6 +207,6 @@ class ShardUnavailableError(ReplicationError):
     """A shard currently has no serving node: its primary is down and
     no replica has been (or can be) promoted.  Queries and transaction
     branches touching the shard fail fast with this error; the
-    workload mixer's :class:`~repro.service.RetryPolicy` backs off and
-    retries, so sessions ride through the failover window while other
+    workload mixers' :func:`~repro.service.workload.session_loop` backs
+    off and retries, so sessions ride through the failover window while other
     shards keep serving."""

@@ -123,9 +123,6 @@ class Fetch(Operator):
         super().__init__(ctx)
         self.source = source
         self.row_fn = row_fn
-        #: Rids with no version visible at the reader's snapshot (objects
-        #: created after an MVCC snapshot began) — skipped, not errors.
-        self.not_visible = 0
         #: What is left of the source's last batch.
         self._rids = iter(())
 
@@ -146,7 +143,9 @@ class Fetch(Operator):
                     with borrow(rid) as handle:
                         row = row_fn(om, handle)
                 except RecordNotVisibleError:
-                    self.not_visible += 1
+                    # No version visible at the reader's snapshot (an
+                    # object created after it began): skipped, not an
+                    # error.
                     continue
                 if row is not SKIP:
                     buckets[_RESULT] += row_s

@@ -100,8 +100,9 @@ class Sort(Operator):
     Input rows are pairs of a sort-key tuple and the output row.  On the
     first pull the input is drained (the buffer counts against
     ``peak_rows``), then each order-by term is applied from the last to
-    the first with a stable charged sort, reversing for descending
-    terms — byte-identical to the engine's old ``_apply_order``.
+    the first with a stable charged sort (``reverse`` for a descending
+    term, so the order an earlier pass set among ties survives) — the
+    order the coordinator's central sort gives a sharded answer.
     """
 
     def __init__(
@@ -142,9 +143,8 @@ class Sort(Operator):
                 db.clock,
                 db.params,
                 key=lambda item, p=position: item[0][p],
+                reverse=descending,
             )
-            if descending:
-                rows = rows[::-1]
         self._buffer = [row for __, row in rows]
         self._sorted = True
 

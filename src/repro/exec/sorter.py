@@ -29,8 +29,10 @@ def sort_charged(
     params: CostParams,
     key: Callable[[T], object] | None = None,
     bytes_per_item: int | None = None,
+    reverse: bool = False,
 ) -> list[T]:
-    """Return ``sorted(items)``, charging the modeled comparison cost.
+    """Return ``sorted(items, key=key, reverse=reverse)`` — a stable
+    sort either way — charging the modeled comparison cost.
 
     When ``bytes_per_item`` is given, the sort's working set is checked
     against the query memory budget; the overflow is modeled as an
@@ -46,4 +48,4 @@ def sort_charged(
         spilled = spilled_bytes(n * bytes_per_item, budget)
         if spilled:
             clock.charge_ms(_IO, params.spill_ms(pages_for_bytes(spilled)))
-    return sorted(items, key=key)  # type: ignore[type-var,arg-type]
+    return sorted(items, key=key, reverse=reverse)  # type: ignore[type-var,arg-type]

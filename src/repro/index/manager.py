@@ -2,9 +2,10 @@
 
 Two workflows, with very different costs (paper, Section 3.2):
 
-* **index first, then populate** — the collection is marked indexed
-  before loading, so every object is created with eight header slots and
-  the index absorbs one cheap insert per object;
+* **index first, then populate** — the index exists before loading, so
+  every object is created with its index id (``create_object``'s
+  ``index_ids``), which reserves eight header slots, and the index
+  absorbs one cheap insert per object;
 * **populate, then index** — ``create_index`` must visit every member,
   record the membership in its header, and — for objects created without
   slots — *grow* the header, which moves the record and destroys the
@@ -89,7 +90,6 @@ class IndexManager:
         index.bulk_build(pairs)
 
         self.db.indexes[name] = index
-        collection.indexed = True
         report = IndexBuildReport(
             name=name,
             entries=len(pairs),

@@ -131,7 +131,7 @@ ATOM_STATE_ATTRS = (
     "records",
     "dirty_pages",
     "durable_lsn",
-    # txn manager / governor
+    # txn manager / the query service's budgets, cancels and admission
     "_next_txn_id",
     "committed",
     "aborted",

@@ -67,9 +67,6 @@ class PersistentCollection:
         #: and a strong reference back would make the database a cycle.
         self._db = weakref.ref(db)
         self.name = name
-        #: ``True`` once an index exists on this collection — objects
-        #: created into an indexed collection get header slots up front.
-        self.indexed = False
         self._chunk_rids: list[Rid] = []
         self._pending: list[Rid] = []
         self._count = 0

@@ -7,7 +7,7 @@ navigation down hierarchical structures but not alternative join
 evaluation of this navigation" (Sections 2 and 5).
 
 This package implements the OO7 design-database schema (module →
-assembly tree → composite parts → atomic-part graphs), a scaled builder,
+assembly tree → composite parts → atomic-part graphs), a builder,
 and the classic operations — T1 full traversal, T6 root-only traversal,
 Q1 exact-match lookups — on *this* object engine.  Its purpose here is
 to test the paper's closing claim: the proposed handle cures speed up
@@ -15,7 +15,7 @@ cold associative accesses "without hurting those of main memory
 navigation", i.e. without hurting exactly the workload OO7 measures.
 """
 
-from repro.oo7.builder import OO7Config, OO7Database, build_oo7
+from repro.oo7.builder import OO7Database, build_oo7
 from repro.oo7.operations import (
     query_q1,
     traversal_t1,
@@ -24,7 +24,6 @@ from repro.oo7.operations import (
 from repro.oo7.schema import build_oo7_schema
 
 __all__ = [
-    "OO7Config",
     "OO7Database",
     "build_oo7",
     "build_oo7_schema",

@@ -2,7 +2,7 @@
 
 OO7's "small" configuration uses fan-out 3 assemblies over 7 levels,
 3 composite parts per base assembly and 20 atomic parts per composite
-part in a ring with 3 outgoing connections each.  The defaults here
+part in a ring with 3 outgoing connections each.  The constants here
 shrink the tree (the simulator's page mechanics do not need millions of
 parts to show the navigation patterns) but keep every structural ratio.
 
@@ -14,7 +14,7 @@ experiments study from the associative side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.derby.lrand48 import Lrand48
 from repro.index import BTreeIndex, IndexManager
@@ -35,37 +35,24 @@ from repro.storage.rid import Rid
 DESIGN_FILE = "design"
 
 
-@dataclass(frozen=True)
-class OO7Config:
-    """Structural parameters (OO7-small ratios, smaller tree)."""
+#: The structure: OO7-small's ratios over a smaller tree.
+ASSEMBLY_FANOUT = 3
+ASSEMBLY_LEVELS = 4  # OO7-small uses 7
+PARTS_PER_BASE = 3
+ATOMIC_PER_COMPOSITE = 20
+CONNECTIONS_PER_ATOMIC = 3
+#: Seed of the builder's lrand48 stream (ids, coordinates, build dates).
+BUILD_SEED = 7
 
-    assembly_fanout: int = 3
-    assembly_levels: int = 4          # OO7-small uses 7
-    parts_per_base: int = 3
-    atomic_per_composite: int = 20
-    connections_per_atomic: int = 3
-    seed: int = 7
-    scale: float = 0.01               # memory budgets only
-    params: CostParams = field(default_factory=lambda: CostParams().scaled(0.01))
-
-    @property
-    def n_base_assemblies(self) -> int:
-        return self.assembly_fanout ** (self.assembly_levels - 1)
-
-    @property
-    def n_composite_parts(self) -> int:
-        return self.n_base_assemblies * self.parts_per_base
-
-    @property
-    def n_atomic_parts(self) -> int:
-        return self.n_composite_parts * self.atomic_per_composite
+N_BASE_ASSEMBLIES = ASSEMBLY_FANOUT ** (ASSEMBLY_LEVELS - 1)
+N_COMPOSITE_PARTS = N_BASE_ASSEMBLIES * PARTS_PER_BASE
+N_ATOMIC_PARTS = N_COMPOSITE_PARTS * ATOMIC_PER_COMPOSITE
 
 
 @dataclass
 class OO7Database:
     """A built OO7 module."""
 
-    config: OO7Config
     db: Database
     module_rid: Rid
     atomic_parts: PersistentCollection
@@ -78,13 +65,10 @@ class OO7Database:
         self.db.reset_meters()
 
 
-def build_oo7(
-    config: OO7Config | None = None,
-    handle_mode: HandleMode = HandleMode.FULL,
-) -> OO7Database:
+def build_oo7(handle_mode: HandleMode = HandleMode.FULL) -> OO7Database:
     """Construct the module, its assembly tree and all parts."""
-    config = config or OO7Config()
-    db = Database(build_oo7_schema(), config.params, handle_mode)
+    # Memory budgets of scale 0.01.
+    db = Database(build_oo7_schema(), CostParams().scaled(0.01), handle_mode)
     db.create_file(DESIGN_FILE)
     atomic_parts = db.new_collection("AtomicParts")
     composite_parts = db.new_collection("CompositeParts")
@@ -96,7 +80,7 @@ def build_oo7(
         "CompositeParts_by_build_date", composite_parts, "build_date"
     )
 
-    rng = Lrand48(config.seed)
+    rng = Lrand48(BUILD_SEED)
     counters = {"assembly": 0, "part": 0, "atomic": 0}
     atomic_pairs: list[tuple[object, Rid]] = []
     composite_pairs: list[tuple[object, Rid]] = []
@@ -107,7 +91,7 @@ def build_oo7(
         # Atomic parts first (they directly follow... the part record is
         # written after, but all land contiguously in the design file).
         atomic_rids: list[Rid] = []
-        for __i in range(config.atomic_per_composite):
+        for __i in range(ATOMIC_PER_COMPOSITE):
             counters["atomic"] += 1
             rid = db.create_object(
                 ATOMIC_PART_CLASS,
@@ -129,7 +113,7 @@ def build_oo7(
         for i, rid in enumerate(atomic_rids):
             targets = [
                 atomic_rids[(i + 1 + step * 3) % n]
-                for step in range(config.connections_per_atomic)
+                for step in range(CONNECTIONS_PER_ATOMIC)
             ]
             db.manager.update_set(rid, "conn_out", db.prepare_set(targets))
         build_date = rng.randrange(10_000)
@@ -151,9 +135,9 @@ def build_oo7(
     def build_assembly(level: int) -> Rid:
         counters["assembly"] += 1
         assembly_id = counters["assembly"]
-        if level == config.assembly_levels - 1:
+        if level == ASSEMBLY_LEVELS - 1:
             components = [
-                build_composite_part() for __i in range(config.parts_per_base)
+                build_composite_part() for __i in range(PARTS_PER_BASE)
             ]
             return db.create_object(
                 BASE_ASSEMBLY_CLASS,
@@ -161,7 +145,7 @@ def build_oo7(
                 DESIGN_FILE,
             )
         children = [
-            build_assembly(level + 1) for __i in range(config.assembly_fanout)
+            build_assembly(level + 1) for __i in range(ASSEMBLY_FANOUT)
         ]
         return db.create_object(
             COMPLEX_ASSEMBLY_CLASS,
@@ -181,7 +165,6 @@ def build_oo7(
     by_build_date.bulk_build(composite_pairs)
     db.shutdown()
     return OO7Database(
-        config=config,
         db=db,
         module_rid=module_rid,
         atomic_parts=atomic_parts,

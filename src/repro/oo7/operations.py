@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from repro.derby.lrand48 import Lrand48
 from repro.objects.handle import Handle
-from repro.oo7.builder import OO7Database
+from repro.oo7.builder import N_ATOMIC_PARTS, OO7Database
 from repro.oo7.schema import (
     BASE_ASSEMBLY_CLASS,
     COMPLEX_ASSEMBLY_CLASS,
@@ -118,7 +118,7 @@ def query_q1(oo7: OO7Database, lookups: int = 10) -> int:
     rng = Lrand48(41)
     found = 0
     for __ in range(lookups):
-        part_id = 1 + rng.randrange(oo7.config.n_atomic_parts)
+        part_id = 1 + rng.randrange(N_ATOMIC_PARTS)
         for rid in oo7.by_atomic_id.lookup(part_id):
             if om.get_attr_at(rid, "id") == part_id:
                 found += 1

@@ -1,8 +1,8 @@
 """``explain`` and ``analyze`` as first-class, governed statements.
 
 Both are ordinary pull-based operators, so every consumer of the engine
-— the shell, the multi-client service with its resource governor and
-scheduler batch points, a plain :meth:`OQLEngine.execute` — runs them
+— the shell, the multi-client service with its budgets and scheduler
+batch points, a plain :meth:`OQLEngine.execute` — runs them
 like any other statement and pays their simulated time.
 
 ``explain <query>`` plans the query with the engine's planner (searching

@@ -6,7 +6,9 @@ scenario:
 
 * :class:`QueryService` — shared disk/server cache/WAL/lock manager plus
   any number of :class:`Session` objects (private client cache, private
-  handle table, own transactions, own OQL engine);
+  handle table, own transactions, own OQL engine); it also governs them:
+  per-statement budgets, cooperative cancellation, FIFO admission
+  control (:class:`AdmissionGate`) and the MVCC vacuum;
 * :class:`CooperativeScheduler` — deterministic round-robin interleaving
   of session bodies at page-fault, RPC and lock-wait boundaries;
 * a lock *wait* protocol (FIFO queues, timeouts, waits-for deadlock
@@ -14,22 +16,18 @@ scenario:
 * :class:`WorkloadMixer` — parameterized navigator/scanner/updater mixes
   with per-session and aggregate throughput/latency/abort metrics
   (:class:`MixReport`), every client driven by
-  :func:`~repro.service.workload.session_loop` — as the sharded mixes of
-  :mod:`repro.dist` are;
-* :class:`ResourceGovernor` — per-query budgets, cooperative
-  cancellation, seeded retry backoff (:class:`RetryPolicy`) and FIFO
-  admission control (:class:`AdmissionGate`);
+  :func:`~repro.service.workload.session_loop` with seeded retry backoff
+  — as the sharded mixes of :mod:`repro.dist` are;
 * :mod:`repro.service.chaos` — the seeded chaos checker that runs mixes
   under injected transient faults and asserts the robustness contract.
 """
 
-from repro.service.governor import (
+from repro.service.scheduler import (
     AdmissionGate,
-    QueryBudget,
-    ResourceGovernor,
-    RetryPolicy,
+    CooperativeScheduler,
+    Task,
+    TaskState,
 )
-from repro.service.scheduler import CooperativeScheduler, Task, TaskState
 from repro.service.service import QueryService, Session, SessionMetrics
 from repro.service.workload import (
     PROFILES,
@@ -44,10 +42,7 @@ __all__ = [
     "CooperativeScheduler",
     "Task",
     "TaskState",
-    "QueryBudget",
     "QueryService",
-    "ResourceGovernor",
-    "RetryPolicy",
     "Session",
     "SessionMetrics",
     "MixConfig",

@@ -2,8 +2,8 @@
 
 :mod:`repro.recovery.fuzz` crashes random workloads and verifies
 restart; this suite covers the *survivable* fault family.  Each case
-builds a fresh tiny Derby database, draws a mix shape, governor
-configuration and a :class:`~repro.recovery.TransientFaultInjector`
+builds a fresh tiny Derby database, draws a mix shape, budgets,
+admission control and a :class:`~repro.recovery.TransientFaultInjector`
 (flaky page reads, lock-timeout storms) from one seeded stream, runs the
 mix, and asserts the robustness contract:
 
@@ -42,7 +42,7 @@ _SCALE = 0.00001
 
 
 def _draw_case(seed: int) -> tuple[MixConfig, TransientFaultInjector]:
-    """The case generator: mix shape + governor + faults from one seed."""
+    """The case generator: mix shape + budgets + faults from one seed."""
     rng = Random(seed * 99_991 + 17)
     clients = rng.randint(2, 5)
     config = MixConfig.from_clients(
@@ -159,7 +159,7 @@ def _nothing_leaks(ev) -> list[str]:
                 f"session {session.name}: {session.handles.live_count} "
                 "live handles leaked"
             )
-    gate = service.governor.gate
+    gate = service.gate
     if gate is not None and gate.queue_depth:
         failures.append(f"{gate.queue_depth} sessions stuck in admission")
     return failures

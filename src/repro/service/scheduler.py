@@ -22,6 +22,12 @@ waiters whose simulated wait exceeded the lock timeout
 for a waits-for cycle and aborts the youngest transaction in it
 (:class:`~repro.errors.DeadlockError`).  The victim's thread resumes
 with the exception raised at its wait point.
+
+Admission waiting plugs in the same way, through :meth:`wait_for_admission`
+/ ``notify_admitted``: the :class:`AdmissionGate` lets at most
+``max_active`` sessions run operations at once and queues the rest FIFO
+in a real ``BLOCKED`` state.  Waiters hold no locks (admission wraps
+whole operations), so an admission wait never extends a deadlock cycle.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from repro.simtime import SimClock
 from repro.storage.rid import Rid
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.service import Session
     from repro.txn.locks import LockManager
 
 
@@ -372,3 +379,80 @@ class CooperativeScheduler:
                     "deadlock cycle and no timeout configured"
                 )
                 task.state = _READY
+
+
+class AdmissionGate:
+    """Max-concurrent-sessions gate with a FIFO wait queue.
+
+    ``enter`` admits immediately when a slot is free *and* nobody is
+    queued ahead (strict FIFO — late arrivals cannot overtake), else
+    blocks the calling task until ``leave`` promotes it.  Outside a
+    scheduled slice (immediate mode, warm-up) the gate is a no-op
+    pass-through: with no scheduler there is nobody to queue behind.
+    """
+
+    def __init__(self, scheduler: CooperativeScheduler, max_active: int):
+        if max_active < 1:
+            raise ServiceError(f"max_active must be >= 1, got {max_active}")
+        self.scheduler = scheduler
+        self.max_active = max_active
+        self._active: set[int] = set()
+        self._queue: list[int] = []
+        #: Deepest the wait queue ever got.
+        self.max_queue_depth = 0
+        #: Admissions that had to queue first.
+        self.queued_admissions = 0
+        #: Total admissions (queued or not).
+        self.admissions = 0
+
+    def enter(self, session: "Session") -> float:
+        """Admit ``session``; returns simulated seconds spent queued."""
+        sid = session.session_id
+        if sid in self._active:
+            raise ServiceError(
+                f"session {session.name!r} entered the admission gate twice"
+            )
+        if not self.scheduler.in_slice():
+            self._active.add(sid)
+            self.admissions += 1
+            return 0.0
+        if len(self._active) < self.max_active and not self._queue:
+            self._active.add(sid)
+            self.admissions += 1
+            return 0.0
+        self._queue.append(sid)
+        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
+        self.queued_admissions += 1
+        started_s = self.scheduler.clock.elapsed_s
+        try:
+            self.scheduler.wait_for_admission(sid)
+        except BaseException:
+            # Cancelled (or otherwise unwound) while queued: withdraw so
+            # the queue cannot block on a corpse.
+            self.withdraw(sid)
+            raise
+        # leave() moved us from the queue into the active set already.
+        self.admissions += 1
+        return self.scheduler.clock.elapsed_s - started_s
+
+    def leave(self, session: "Session") -> None:
+        self._active.discard(session.session_id)
+        self._promote()
+
+    def withdraw(self, sid: int) -> None:
+        """Remove a session wherever it is (queued or active)."""
+        if sid in self._queue:
+            self._queue.remove(sid)
+        else:
+            self._active.discard(sid)
+        self._promote()
+
+    def _promote(self) -> None:
+        while self._queue and len(self._active) < self.max_active:
+            head = self._queue.pop(0)
+            self._active.add(head)
+            self.scheduler.notify_admitted(head)
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self._queue)

@@ -15,6 +15,30 @@ incoming session's client tier and handle table to the shared
 the outgoing session's share of the global clock and counters — so
 per-session latency, throughput and cache traffic fall out of the same
 single-timeline cost model the single-client benchmarks use.
+
+The service also governs its sessions at those same yield points:
+
+* **budgets** (``budget_pages``, ``statement_timeout_s``) bound what one
+  statement may consume — client-cache page faults and statement time
+  on the shared timeline.  Exceeding a bound raises
+  :class:`~repro.errors.BudgetExceededError` (or its subclass
+  :class:`~repro.errors.StatementTimeoutError`); a budget *exactly*
+  exhausted on the final batch completes normally.
+* **cancellation** — :meth:`QueryService.cancel` flags a session; the
+  flag becomes :class:`~repro.errors.QueryCancelledError` at the
+  victim's next check point.  A victim blocked in a lock or admission
+  wait is interrupted at once
+  (:meth:`~repro.service.scheduler.CooperativeScheduler.interrupt`), so
+  cancellation never waits for a lock to clear.
+* **admission** — with ``max_active``, an
+  :class:`~repro.service.scheduler.AdmissionGate` caps the sessions
+  running operations at once.
+* **vacuum** — every :data:`VACUUM_INTERVAL`-th commit sweeps the MVCC
+  version chains up to the oldest active snapshot.
+
+Every stop raises a :class:`~repro.errors.GovernorError` subclass, which
+deliberately does **not** descend from ``LockConflictError``: a governed
+query was stopped on purpose and must not be auto-retried.
 """
 
 from __future__ import annotations
@@ -25,11 +49,15 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.buffer import BufferCache
-from repro.errors import ServiceError
+from repro.errors import (
+    BudgetExceededError,
+    QueryCancelledError,
+    ServiceError,
+    StatementTimeoutError,
+)
 from repro.objects.handle import HandleTable
 from repro.oql import Catalog, OQLEngine, Optimizer
-from repro.service.governor import QueryBudget, ResourceGovernor
-from repro.service.scheduler import CooperativeScheduler, Task
+from repro.service.scheduler import AdmissionGate, CooperativeScheduler, Task
 from repro.simtime import METER_NAMES, MeterSnapshot, meter_values
 from repro.storage.rid import Rid
 from repro.txn import Transaction, TransactionManager
@@ -38,6 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.loader import DerbyDatabase
 
 _CLIENT_FAULTS = METER_NAMES.index("client_faults")
+
+#: Commits between MVCC vacuum sweeps (see :meth:`QueryService.note_commit`).
+VACUUM_INTERVAL = 8
 
 
 @dataclass
@@ -105,7 +136,7 @@ class SessionMetrics:
     @property
     def client_faults(self) -> int:
         """This session's client page faults, read without a snapshot
-        (the governor's page budget reads it at every check point)."""
+        (the page budget reads it at every check point)."""
         return self.meter_share[_CLIENT_FAULTS]
 
     @property
@@ -167,7 +198,7 @@ class Session:
     def commit(self) -> None:
         self._require_txn().commit()
         self.metrics.committed += 1
-        self.service.governor.note_commit(self)
+        self.service.note_commit()
 
     def abort(self) -> None:
         self._require_txn().abort()
@@ -183,7 +214,7 @@ class Session:
         """Begin a transaction scoped to the ``with`` block: committed on
         normal exit, aborted when the body raises.  The bracketed form
         workload operations use so a lock conflict, I/O failure or
-        governor cancellation mid-operation can never leak an open
+        cancellation mid-operation can never leak an open
         transaction (and its locks) back to the retry loop."""
         txn = self.begin()
         try:
@@ -200,16 +231,16 @@ class Session:
     def execute(self, oql: str) -> list:
         """Run an OQL query through this session's engine (and caches),
         yielding the scheduler baton at every operator batch boundary.
-        The governor checks budgets/cancellation per batch; on any
+        The service checks budgets/cancellation per batch; on any
         failure the cursor's context manager closes the pipeline, so no
         handle or buffer outlives the error."""
-        governor = self.service.governor
+        service = self.service
         rows: list = []
         with self.execute_iter(oql) as cursor:
             for batch in cursor.batches():
                 rows.extend(batch)
-                governor.checkpoint(self)
-                self.service.scheduler.batch_point()
+                service.checkpoint(self)
+                service.scheduler.batch_point()
         return rows
 
     def execute_iter(self, oql: str, batch_size: int | None = None):
@@ -220,11 +251,11 @@ class Session:
         cursor = self.engine.execute_iter(oql, batch_size or self.batch_size)
         metrics = self.metrics
         metrics.queries += 1
-        governor = self.service.governor
-        governor.begin_statement(self)
+        service = self.service
+        service.begin_statement(self)
 
         def on_close() -> None:
-            governor.end_statement(self)
+            service.end_statement(self)
             stats = cursor.stats
             metrics.rows += stats.rows
             metrics.batches += stats.batches
@@ -270,7 +301,7 @@ class Session:
         victim raises :class:`~repro.errors.QueryCancelledError` at its
         next page fault / batch boundary, or immediately at its wait
         point if it is blocked."""
-        self.service.governor.cancel(self, reason)
+        self.service.cancel(self, reason)
 
     @contextmanager
     def admitted(self) -> Iterator["Session"]:
@@ -278,7 +309,7 @@ class Session:
         the service has no admission control).  Enter *before*
         ``begin()`` — admission waiters must hold no locks, which is
         what keeps admission waits out of every deadlock cycle."""
-        gate = self.service.governor.gate
+        gate = self.service.gate
         if gate is None:
             yield self
             return
@@ -299,7 +330,9 @@ class Session:
 
 
 class QueryService:
-    """Shared server tier + session registry + cooperative scheduler."""
+    """Shared server tier + session registry + cooperative scheduler,
+    and the governance of its sessions (budgets, cancellation,
+    admission, vacuum)."""
 
     def __init__(
         self,
@@ -307,7 +340,8 @@ class QueryService:
         lock_timeout_s: float | None = None,
         server_cache_pages: int | None = None,
         recovery: bool = False,
-        query_budget: QueryBudget | None = None,
+        budget_pages: int | None = None,
+        statement_timeout_s: float | None = None,
         max_active: int | None = None,
         optimizer: str = "heuristic",
         isolation: str = "2pl",
@@ -348,11 +382,27 @@ class QueryService:
         self.scheduler = CooperativeScheduler(
             self.db.clock, self.txm.locks, on_switch=self._on_switch
         )
-        #: Budgets, cancellation and (with ``max_active``) admission
-        #: control — see :mod:`repro.service.governor`.
-        self.governor = ResourceGovernor(
-            self, query_budget=query_budget, max_active=max_active
+        #: Per-statement bounds (``None`` disarms one); they trip only
+        #: when *strictly* exceeded.
+        self.budget_pages = budget_pages
+        self.statement_timeout_s = statement_timeout_s
+        self._budgeted = (
+            budget_pages is not None or statement_timeout_s is not None
         )
+        #: Admission control (``None``: every session runs at once).
+        self.gate = (
+            AdmissionGate(self.scheduler, max_active)
+            if max_active is not None
+            else None
+        )
+        #: session id -> ``(started_s, faults0)`` of its open statement.
+        self._guards: dict[int, tuple[float, int]] = {}
+        #: session id -> reason of a cancel not yet delivered.
+        self._cancelled: dict[int, str] = {}
+        #: Cancels delivered by interrupting a blocked wait (the rest
+        #: are delivered at a checkpoint).
+        self.interrupts = 0
+        self._commits_since_vacuum = 0
         self.sessions: list[Session] = []
         self._task_session: dict[int, Session] = {}
         self._active: Session | None = None
@@ -468,18 +518,101 @@ class QueryService:
                 system._write_back_to_disk(page)
             system.server_cache = self._base_server_cache
 
+    # -- governance -----------------------------------------------------------
+
+    def note_commit(self) -> None:
+        """Session commit hook: every :data:`VACUUM_INTERVAL` commits,
+        run a version-chain sweep on the transaction manager.  Free for
+        pure 2PL runs (no MVCC enabled — nothing is counted or charged),
+        so their cost timeline is untouched."""
+        txm = self.txm
+        if not txm.mvcc_enabled:
+            return
+        self._commits_since_vacuum += 1
+        if self._commits_since_vacuum < VACUUM_INTERVAL:
+            return
+        self._commits_since_vacuum = 0
+        txm.vacuum()
+
+    def begin_statement(self, session: Session) -> None:
+        if not self._budgeted:
+            return
+        self._accrue()
+        self._guards[session.session_id] = (
+            self.db.clock.elapsed_s, session.metrics.client_faults
+        )
+
+    def end_statement(self, session: Session) -> None:
+        self._guards.pop(session.session_id, None)
+
+    def cancel(self, session: Session, reason: str = "cancelled") -> None:
+        """Cancel ``session``'s current operation.  Safe from any other
+        session (or from outside the run): the victim observes
+        :class:`~repro.errors.QueryCancelledError` at its next check
+        point, or immediately if it is blocked in a wait."""
+        sid = session.session_id
+        self._cancelled[sid] = reason
+        task = session.task
+        if task is None:
+            return
+        exc = QueryCancelledError(f"session {session.name!r}: {reason}")
+        txn = session.txn
+        txn_id = txn.txn_id if txn is not None else None
+        if self.scheduler.interrupt(task, exc, txn_id=txn_id):
+            # Delivered at the victim's wait point right now; the
+            # checkpoint path won't see it, so count it here.
+            self._cancelled.pop(sid, None)
+            session.metrics.cancelled += 1
+            self.interrupts += 1
+
+    def checkpoint(self, session: Session | None) -> None:
+        """Raise the pending cancel / budget violation for ``session``,
+        if any.  Called at page faults and batch boundaries; cheap when
+        nothing is armed."""
+        if session is None:
+            return
+        reason = self._cancelled.pop(session.session_id, None)
+        if reason is not None:
+            session.metrics.cancelled += 1
+            raise QueryCancelledError(f"session {session.name!r}: {reason}")
+        if not self._budgeted:
+            return
+        # Accrue whether or not a statement is open: how ``busy_s`` is
+        # split into additions decides its last bits.
+        self._accrue()
+        guard = self._guards.get(session.session_id)
+        if guard is None:
+            return
+        started_s, faults0 = guard
+        pages = session.metrics.client_faults - faults0
+        running_s = self.db.clock.elapsed_s - started_s
+        if self.budget_pages is not None and pages > self.budget_pages:
+            session.metrics.over_budget += 1
+            raise BudgetExceededError(
+                f"session {session.name!r}: statement read {pages} pages "
+                f"(budget {self.budget_pages})"
+            )
+        if (
+            self.statement_timeout_s is not None
+            and running_s > self.statement_timeout_s
+        ):
+            session.metrics.over_budget += 1
+            raise StatementTimeoutError(
+                f"session {session.name!r}: statement ran {running_s:.6f} s "
+                f"(timeout {self.statement_timeout_s:g})"
+            )
+
     # -- switch accounting --------------------------------------------------
 
     def _fault_point(self) -> None:
-        """The client-page-fault hook during :meth:`run`: a governor
-        check point on both sides of the scheduler yield.  The check
-        *after* the yield is what caps a cancelled scan's I/O — a cancel
-        flagged while the victim was suspended is raised before the
-        victim charges its next page."""
-        governor = self.governor
-        governor.checkpoint(self._active)
+        """The client-page-fault hook during :meth:`run`: a check point
+        on both sides of the scheduler yield.  The check *after* the
+        yield is what caps a cancelled scan's I/O — a cancel flagged
+        while the victim was suspended is raised before the victim
+        charges its next page."""
+        self.checkpoint(self._active)
         self.scheduler.yield_point()
-        governor.checkpoint(self._active)
+        self.checkpoint(self._active)
 
     def _on_switch(self, task: Task) -> None:
         self._accrue()

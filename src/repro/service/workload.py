@@ -45,7 +45,6 @@ from repro.errors import (
     SimulatedCrashError,
     WriteConflictError,
 )
-from repro.service.governor import QueryBudget, RetryPolicy
 from repro.service.service import QueryService, Session, SessionMetrics
 from repro.simtime import Bucket
 from repro.storage.rid import Rid
@@ -71,6 +70,13 @@ UNAVAILABLE_RETRIES = 12
 NAVIGATOR_FANOUT = 8
 #: Shared locks a scanner takes on hot-set patients per op.
 SCANNER_LOCK_SAMPLES = 2
+#: Growth factor of the backoff per subsequent retry.
+RETRY_MULTIPLIER = 2.0
+#: Backoff ceiling, simulated seconds.
+MAX_BACKOFF_S = 0.5
+#: Fraction of every backoff randomized away: each backoff is uniform
+#: in [0.5x, 1x] of the nominal value.
+RETRY_JITTER = 0.5
 
 
 @dataclass(frozen=True)
@@ -127,10 +133,16 @@ class ClientMix:
         }
         return cls(**{**dealt, **overrides})  # type: ignore[arg-type]
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries, base_backoff_s=self.retry_backoff_s
+    def backoff_s(self, attempt: int, rng: Random) -> float:
+        """Backoff before retry ``attempt`` (0-based): seeded exponential
+        backoff with jitter, drawn from ``rng`` — deterministic for a
+        seeded generator."""
+        if attempt < 0:
+            raise ValueError(f"attempt must be >= 0: {attempt}")
+        raw = min(
+            self.retry_backoff_s * RETRY_MULTIPLIER ** attempt, MAX_BACKOFF_S
         )
+        return raw * (1.0 - RETRY_JITTER * rng.random())
 
 
 @dataclass(frozen=True)
@@ -143,7 +155,9 @@ class MixConfig(ClientMix):
     #: Lock wait bound in simulated seconds (``None``: no timeout,
     #: deadlock detection only).
     lock_timeout_s: float | None = None
-    #: Per-statement budgets (``None``: unbounded) — see ``QueryBudget``.
+    #: Per-statement budgets (``None``: unbounded): client page faults
+    #: and time on the shared timeline, tripped only when strictly
+    #: exceeded.
     budget_pages: int | None = None
     statement_timeout_s: float | None = None
     #: Admission control: sessions running an operation concurrently
@@ -200,7 +214,7 @@ def spawn_clients(config: ClientMix, spawn: Callable) -> list:
 def session_loop(
     ops: Iterable[Callable[[], object]],
     metrics: SessionMetrics,
-    policy: RetryPolicy,
+    config: ClientMix,
     rng: Random,
     clock: "SimClock",
     scheduler: "CooperativeScheduler",
@@ -212,7 +226,7 @@ def session_loop(
 
     * :class:`~repro.errors.LockConflictError` — a deadlock victim, a
       lock timeout or a first-committer-wins conflict, counted by kind.
-      Transient: retried up to ``policy.max_retries`` times.
+      Transient: retried up to ``config.max_retries`` times.
     * :class:`~repro.errors.ShardUnavailableError` — the shard is
       between primaries.  Transient too, but on its own counter, up to
       :data:`UNAVAILABLE_RETRIES`: the backoffs span the detection +
@@ -223,7 +237,7 @@ def session_loop(
       retried (the page is "broken", trying again changes nothing).
     * :class:`~repro.errors.GovernorError` — cancelled or over budget:
       stopped on purpose, never retried, and already counted by the
-      governor (``cancelled`` / ``over_budget``).
+      service (``cancelled`` / ``over_budget``).
 
     Anything else propagates and ends the session.  An op must leave
     nothing open when it raises (``Session.transaction()`` and the
@@ -251,7 +265,7 @@ def session_loop(
                 elif isinstance(exc, LockTimeoutError):
                     metrics.timeouts += 1
                 attempt = conflict_retries
-                if attempt >= policy.max_retries:
+                if attempt >= config.max_retries:
                     metrics.gave_up += 1
                     break
                 conflict_retries += 1
@@ -272,7 +286,7 @@ def session_loop(
                 metrics.latencies_s.append(clock.elapsed_s - started_s)
                 break
             metrics.retries += 1
-            backoff_s = policy.backoff_s(attempt, rng)
+            backoff_s = config.backoff_s(attempt, rng)
             if backoff_s > 0:
                 clock.charge_s(_BACKOFF, backoff_s)
             scheduler.yield_point()
@@ -434,10 +448,6 @@ class WorkloadMixer:
         if cold:
             self.derby.start_cold_run()
         self.write_log = []
-        query_budget = QueryBudget(
-            max_pages=config.budget_pages,
-            statement_timeout_s=config.statement_timeout_s,
-        )
         service = QueryService(
             self.derby,
             lock_timeout_s=config.lock_timeout_s,
@@ -448,7 +458,8 @@ class WorkloadMixer:
                 or self.injector is not None
                 or self.faults is not None
             ),
-            query_budget=query_budget if query_budget.armed else None,
+            budget_pages=config.budget_pages,
+            statement_timeout_s=config.statement_timeout_s,
             max_active=config.max_active,
             optimizer=config.optimizer,
             isolation=config.isolation,
@@ -467,7 +478,6 @@ class WorkloadMixer:
         if self.faults is not None:
             self.faults.arm(service.db, service.txm.locks)
         clock = self.derby.db.clock
-        policy = config.retry_policy()
         start_s = clock.elapsed_s
 
         def spawn(
@@ -480,7 +490,7 @@ class WorkloadMixer:
             service.spawn(
                 session,
                 partial(
-                    session_loop, ops, session.metrics, policy, rng,
+                    session_loop, ops, session.metrics, config, rng,
                     clock, service.scheduler,
                 ),
             )
@@ -512,7 +522,7 @@ class WorkloadMixer:
                 self.injector.disarm(service.db, service.txm.log)
             if self.faults is not None:
                 self.faults.disarm(service.db, service.txm.locks)
-        gate = service.governor.gate
+        gate = service.gate
         report = MixReport(
             config=config,
             sessions=reports,

@@ -57,7 +57,7 @@ class StatRow:
     peak_rows: int = 0
     #: Statements retried after a deadlock/lock-timeout abort.
     retries: int = 0
-    #: Cooperative cancellations delivered by the resource governor.
+    #: Cooperative cancellations delivered by the query service.
     cancelled: int = 0
     #: Statements aborted for exceeding a resource budget.
     over_budget: int = 0

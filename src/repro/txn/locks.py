@@ -107,9 +107,6 @@ class LockManager:
         self._locks: dict[Rid, _LockState] = {}
         self._wait: Callable[[int, Rid], None] | None = None
         self._wake: Callable[[int], None] | None = None
-        #: Requests that could not be granted immediately (queued waits
-        #: in scheduler mode, fail-fast conflicts otherwise).
-        self.waits = 0
 
     # -- scheduler wiring ---------------------------------------------------
 
@@ -142,7 +139,6 @@ class LockManager:
                 mode if held is None else self._stronger(held, mode)
             )
             return
-        self.waits += 1
         if self._wait is None:
             raise LockConflictError(
                 f"txn {txn_id} requests {mode.value} on {rid} held "

@@ -529,7 +529,7 @@ class TransactionManager:
     def vacuum(self) -> int:
         """Sweep version chains: drop every version older than the
         oldest active snapshot.  Returns versions freed.  Driven by the
-        service's resource governor every few commits."""
+        query service every few commits."""
         if not self.mvcc_enabled:
             return 0
         horizon = self.oldest_snapshot_ts

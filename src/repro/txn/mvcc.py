@@ -20,9 +20,9 @@ its bytes.  The design follows classic snapshot isolation:
 * **First-committer-wins**: a write to a record whose newest committed
   version is younger than the writer's snapshot raises
   :class:`~repro.errors.WriteConflictError` — the losing transaction
-  aborts and the service's ``RetryPolicy`` retries it with backoff.
+  aborts and the mixers' ``session_loop`` retries it with backoff.
 * Versions older than the oldest active snapshot are garbage:
-  :meth:`VersionStore.sweep` (driven by the resource governor every few
+  :meth:`VersionStore.sweep` (driven by the query service every few
   commits) drops every chain entry no live snapshot can still reach.
 
 Chains live in transaction-manager memory as pre-image copies keyed by
@@ -97,9 +97,6 @@ class VersionStore:
         self._committed_ts: dict[Rid, int] = {}
         self._writers: dict[Rid, int] = {}
         self._pending: dict[int, list[Rid]] = {}
-        #: Lifetime counters (survive sweeps; cleared by :meth:`clear`).
-        self.stashed = 0
-        self.swept = 0
 
     # -- writer side ----------------------------------------------------
 
@@ -113,7 +110,6 @@ class VersionStore:
         )
         self._writers[rid] = txn_id
         self._pending.setdefault(txn_id, []).append(rid)
-        self.stashed += 1
         self.clock.charge_us(_LOAD, self.params.version_stash_us)
 
     def note_create(self, rid: Rid, txn_id: int) -> None:
@@ -176,7 +172,6 @@ class VersionStore:
                 self._chains[rid] = keep
             else:
                 del self._chains[rid]
-        self.swept += freed
         return freed
 
     # -- introspection / crash -----------------------------------------
@@ -188,8 +183,6 @@ class VersionStore:
         self._committed_ts.clear()
         self._writers.clear()
         self._pending.clear()
-        self.stashed = 0
-        self.swept = 0
 
 
 class SnapshotView:

@@ -123,6 +123,9 @@ EQUIVALENCE_QUERIES = [
     "order by p.age desc limit 10",
     "select tuple(a: p.age, m: p.mrn) from p in Patients "
     "where p.num > {thr} order by p.mrn limit 7",
+    # A descending major key keeps the minor key ascending within ties.
+    "select tuple(a: p.age, m: p.mrn) from p in Patients "
+    "where p.mrn < 200 order by p.age desc, p.mrn",
     "select count(*) from p in Patients",
     "select count(*) from p in Patients where p.num > {thr}",
     "select sum(p.age) from p in Patients where p.num <= {thr}",

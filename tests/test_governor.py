@@ -1,5 +1,6 @@
-"""Tests for the resource governor: budgets, cancellation, retries,
-admission control, and the transient-fault machinery underneath it."""
+"""Tests for the query service's governance: budgets, cancellation,
+retry backoff, admission control, and the transient-fault machinery
+underneath it."""
 
 from __future__ import annotations
 
@@ -22,12 +23,15 @@ from repro.recovery import TransientFaultInjector
 from repro.service import (
     CooperativeScheduler,
     MixConfig,
-    QueryBudget,
     QueryService,
-    RetryPolicy,
     WorkloadMixer,
 )
-from repro.service.governor import MAX_BACKOFF_S, RETRY_JITTER, RETRY_MULTIPLIER
+from repro.service.workload import (
+    MAX_BACKOFF_S,
+    RETRY_JITTER,
+    RETRY_MULTIPLIER,
+    ClientMix,
+)
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.disk import DiskManager
 from repro.storage.rid import Rid
@@ -49,7 +53,7 @@ def make_lock_world(timeout_s: float | None = None):
     return clock, locks, scheduler
 
 
-# ------------------------------------------------------------ retry policy
+# ----------------------------------------------------------- retry backoff
 
 
 class _NoJitter:
@@ -59,37 +63,37 @@ class _NoJitter:
         return 0.0
 
 
-class TestRetryPolicy:
+class TestBackoff:
     def test_backoff_is_deterministic_for_a_seed(self):
-        policy = RetryPolicy()
-        a = [policy.backoff_s(i, Random(42)) for i in range(4)]
-        b = [policy.backoff_s(i, Random(42)) for i in range(4)]
+        mix = ClientMix()
+        a = [mix.backoff_s(i, Random(42)) for i in range(4)]
+        b = [mix.backoff_s(i, Random(42)) for i in range(4)]
         assert a == b
 
     def test_backoff_grows_exponentially_without_jitter(self):
         # A draw of 0.0 randomizes nothing away.
-        policy = RetryPolicy(base_backoff_s=0.01)
-        values = [policy.backoff_s(i, _NoJitter()) for i in range(4)]
+        mix = ClientMix(retry_backoff_s=0.01)
+        values = [mix.backoff_s(i, _NoJitter()) for i in range(4)]
         assert RETRY_MULTIPLIER == 2.0
         assert values == [0.01, 0.02, 0.04, 0.08]
 
     def test_backoff_is_capped(self):
-        policy = RetryPolicy(base_backoff_s=0.1)
+        mix = ClientMix(retry_backoff_s=0.1)
         assert MAX_BACKOFF_S == 0.5
-        assert policy.backoff_s(3, _NoJitter()) == MAX_BACKOFF_S
-        assert policy.backoff_s(9, _NoJitter()) == MAX_BACKOFF_S
+        assert mix.backoff_s(3, _NoJitter()) == MAX_BACKOFF_S
+        assert mix.backoff_s(9, _NoJitter()) == MAX_BACKOFF_S
 
     def test_jitter_stays_within_the_jitter_band(self):
-        policy = RetryPolicy(base_backoff_s=0.1)
+        mix = ClientMix(retry_backoff_s=0.1)
         rng = Random(7)
         for attempt in range(3):
             raw = min(0.1 * 2.0 ** attempt, MAX_BACKOFF_S)
-            value = policy.backoff_s(attempt, rng)
+            value = mix.backoff_s(attempt, rng)
             assert raw * (1.0 - RETRY_JITTER) <= value <= raw
 
     def test_negative_attempt_rejected(self):
         with pytest.raises(ValueError):
-            RetryPolicy().backoff_s(-1, Random(0))
+            ClientMix().backoff_s(-1, Random(0))
 
 
 # ------------------------------------------------- transient fault injector
@@ -251,7 +255,7 @@ class TestBudgets:
     def test_page_budget_exceeded_aborts_statement(self):
         derby = fresh_derby()
         __, session, task = run_single_scan(
-            derby, query_budget=QueryBudget(max_pages=1)
+            derby, budget_pages=1
         )
         kind, exc = task.result
         assert kind == "stopped"
@@ -272,7 +276,7 @@ class TestBudgets:
         # only when strictly exceeded) ...
         derby2 = fresh_derby()
         __, session2, task2 = run_single_scan(
-            derby2, query_budget=QueryBudget(max_pages=pages)
+            derby2, budget_pages=pages
         )
         assert task2.result == ("done", n_rows)
         assert session2.metrics.over_budget == 0
@@ -280,7 +284,7 @@ class TestBudgets:
         # ... while one page less aborts.
         derby3 = fresh_derby()
         __, session3, task3 = run_single_scan(
-            derby3, query_budget=QueryBudget(max_pages=pages - 1)
+            derby3, budget_pages=pages - 1
         )
         assert task3.result[0] == "stopped"
         assert session3.metrics.over_budget == 1
@@ -288,7 +292,7 @@ class TestBudgets:
     def test_statement_timeout_uses_the_shared_timeline(self):
         derby = fresh_derby()
         __, session, task = run_single_scan(
-            derby, query_budget=QueryBudget(statement_timeout_s=1e-9)
+            derby, statement_timeout_s=1e-9
         )
         kind, exc = task.result
         assert kind == "stopped"
@@ -306,7 +310,7 @@ class TestBudgets:
     def test_no_locks_or_handles_leak_after_budget_abort(self):
         derby = fresh_derby()
         service, session, task = run_single_scan(
-            derby, query_budget=QueryBudget(max_pages=1)
+            derby, budget_pages=1
         )
         assert task.result[0] == "stopped"
         assert service.txm.locks.lock_count == 0
@@ -405,7 +409,7 @@ class TestCancellation:
 
         assert [t.result for t in tasks] == ["committed", "cancelled"]
         # Delivered at the wait point, not at a later checkpoint.
-        assert service.governor.interrupts == 1
+        assert service.interrupts == 1
         assert victim.metrics.cancelled == 1
         assert locks.waiting_count == 0
         assert locks.lock_count == 0
@@ -456,7 +460,7 @@ class TestAdmission:
         )
         mixer = WorkloadMixer(derby, config)
         report = mixer.run()
-        gate = mixer.service.governor.gate
+        gate = mixer.service.gate
         assert gate is not None
         assert report.committed == 6  # admission never loses work
         assert report.max_queue_depth >= 1
@@ -469,7 +473,7 @@ class TestAdmission:
     def test_gate_is_fifo_and_bounds_concurrency(self):
         derby = fresh_derby()
         service = QueryService(derby, max_active=1)
-        gate = service.governor.gate
+        gate = service.gate
         order = []
         sessions = [service.open_session(f"s{i}") for i in range(3)]
 
@@ -494,7 +498,7 @@ class TestAdmission:
     def test_a_session_cancelled_in_the_queue_leaves_it(self):
         derby = fresh_derby()
         service = QueryService(derby, max_active=1)
-        gate = service.governor.gate
+        gate = service.gate
         holder, victim, last = (
             service.open_session(name) for name in ("holder", "victim", "last")
         )
@@ -522,7 +526,7 @@ class TestAdmission:
         tasks = service.run()
         service.close()
         assert [t.result for t in tasks] == ["done", "cancelled", "admitted"]
-        assert service.governor.interrupts == 1
+        assert service.interrupts == 1
         assert gate.queued_admissions == 2
         assert gate.admissions == 2  # the cancelled one never got the slot
         assert gate.queue_depth == 0

@@ -429,7 +429,6 @@ class TestIndexManager:
         assert report.headers_rewritten == 300
         assert report.headers_grown == 300  # objects had no slots
         assert index.lookup(42) != []
-        assert coll.indexed
 
     def test_first_index_on_unindexed_objects_moves_records(self):
         """Paper §3.2: indexing after load reallocates objects on disk."""

@@ -6,13 +6,20 @@ import pytest
 
 from repro.objects.handle import HandleMode
 from repro.oo7 import (
-    OO7Config,
     build_oo7,
     query_q1,
     traversal_t1,
     traversal_t6,
 )
-from repro.oo7.builder import OO7Database
+from repro.oo7.builder import (
+    ASSEMBLY_FANOUT,
+    ASSEMBLY_LEVELS,
+    CONNECTIONS_PER_ATOMIC,
+    N_ATOMIC_PARTS,
+    N_BASE_ASSEMBLIES,
+    N_COMPOSITE_PARTS,
+    OO7Database,
+)
 from repro.oo7.operations import TraversalResult
 
 
@@ -60,18 +67,17 @@ def traversal_t2(oo7: OO7Database, variant: str = "a") -> TraversalResult:
 
 @pytest.fixture(scope="module")
 def oo7():
-    return build_oo7(OO7Config())
+    return build_oo7()
 
 
 class TestBuilder:
     def test_structural_counts(self, oo7):
-        cfg = oo7.config
-        assert cfg.n_base_assemblies == 27
-        assert cfg.n_composite_parts == 81
-        assert cfg.n_atomic_parts == 1620
-        assert len(oo7.atomic_parts) == cfg.n_atomic_parts
-        assert len(oo7.composite_parts) == cfg.n_composite_parts
-        assert oo7.by_atomic_id.entry_count == cfg.n_atomic_parts
+        assert N_BASE_ASSEMBLIES == 27
+        assert N_COMPOSITE_PARTS == 81
+        assert N_ATOMIC_PARTS == 1620
+        assert len(oo7.atomic_parts) == N_ATOMIC_PARTS
+        assert len(oo7.composite_parts) == N_COMPOSITE_PARTS
+        assert oo7.by_atomic_id.entry_count == N_ATOMIC_PARTS
 
     def test_every_atomic_part_reachable_by_id(self, oo7):
         om = oo7.db.manager
@@ -86,7 +92,7 @@ class TestBuilder:
         conn = om.get_attr(handle, "conn_out")
         om.unref(handle)
         targets = list(db.iter_set_rids(conn))
-        assert len(targets) == oo7.config.connections_per_atomic
+        assert len(targets) == CONNECTIONS_PER_ATOMIC
         assert rid not in targets
 
 
@@ -94,10 +100,9 @@ class TestTraversals:
     def test_t1_visits_everything(self, oo7):
         oo7.start_cold_run()
         result = traversal_t1(oo7)
-        cfg = oo7.config
-        assert result.visited_atomic == cfg.n_atomic_parts
+        assert result.visited_atomic == N_ATOMIC_PARTS
         expected_assemblies = sum(
-            cfg.assembly_fanout**level for level in range(cfg.assembly_levels)
+            ASSEMBLY_FANOUT**level for level in range(ASSEMBLY_LEVELS)
         )
         assert result.visited_assemblies == expected_assemblies
         assert result.elapsed_s > 0
@@ -106,7 +111,7 @@ class TestTraversals:
     def test_t6_visits_only_roots(self, oo7):
         oo7.start_cold_run()
         result = traversal_t6(oo7)
-        assert result.visited_atomic == oo7.config.n_composite_parts
+        assert result.visited_atomic == N_COMPOSITE_PARTS
 
     def test_warm_t1_does_no_io(self, oo7):
         oo7.start_cold_run()
@@ -121,7 +126,7 @@ class TestTraversals:
         oo7.start_cold_run()
         result = traversal_t1(oo7)
         file_pages = oo7.db.file("design").num_pages
-        hops = result.visited_atomic * oo7.config.connections_per_atomic
+        hops = result.visited_atomic * CONNECTIONS_PER_ATOMIC
         assert result.page_reads < file_pages * 2
         assert result.page_reads < hops / 10
 
@@ -134,7 +139,7 @@ class TestQ1:
 
 class TestT2Updates:
     def test_t2a_swaps_roots(self):
-        oo7 = build_oo7(OO7Config())
+        oo7 = build_oo7()
         om = oo7.db.manager
         part_rid = next(iter(oo7.composite_parts.iter_rids()))
         handle = om.load(part_rid)
@@ -144,18 +149,18 @@ class TestT2Updates:
         y0 = om.get_attr_at(root, "y")
         oo7.start_cold_run()
         result = traversal_t2(oo7, "a")
-        assert result.visited_atomic == oo7.config.n_composite_parts
+        assert result.visited_atomic == N_COMPOSITE_PARTS
         assert om.get_attr_at(root, "x") == y0
         assert om.get_attr_at(root, "y") == x0
 
     def test_t2b_updates_everything(self):
-        oo7 = build_oo7(OO7Config())
+        oo7 = build_oo7()
         oo7.start_cold_run()
         result = traversal_t2(oo7, "b")
-        assert result.visited_atomic == oo7.config.n_atomic_parts
+        assert result.visited_atomic == N_ATOMIC_PARTS
 
     def test_t2_dirties_pages_for_the_next_flush(self):
-        oo7 = build_oo7(OO7Config())
+        oo7 = build_oo7()
         oo7.start_cold_run()
         traversal_t2(oo7, "a")
         writes_before = oo7.db.counters.disk_writes
@@ -163,7 +168,7 @@ class TestT2Updates:
         assert oo7.db.counters.disk_writes > writes_before
 
     def test_t2_twice_restores_original(self):
-        oo7 = build_oo7(OO7Config())
+        oo7 = build_oo7()
         om = oo7.db.manager
         (rid,) = oo7.by_atomic_id.lookup(1)
         x0 = om.get_attr_at(rid, "x")
@@ -183,7 +188,7 @@ class TestHandleModesOnOO7:
         navigation'.  Warm T1 under every cure must cost no more than
         under full handles."""
         def warm_t1_seconds(mode: HandleMode) -> float:
-            oo7 = build_oo7(OO7Config(), handle_mode=mode)
+            oo7 = build_oo7(handle_mode=mode)
             oo7.start_cold_run()
             traversal_t1(oo7)           # warm the caches and handles
             before = oo7.db.clock.elapsed_s

@@ -194,6 +194,17 @@ class TestOrderBy:
         )
         assert rows == sorted(rows, key=lambda r: (r[0], -r[1]))
 
+    def test_multi_term_order_desc_major(self, derby, catalog):
+        # The descending pass must not undo the minor key's order.
+        derby.start_cold_run()
+        rows = run_oql(
+            catalog,
+            "select tuple(a: p.age, m: p.mrn) from p in Patients "
+            "where p.mrn < 200 order by p.age desc, p.mrn",
+        )
+        assert len({r[0] for r in rows}) < len(rows)  # ties exist
+        assert rows == sorted(rows, key=lambda r: (-r[0], r[1]))
+
     def test_order_charges_sort_time(self, derby, catalog):
         from repro.simtime import Bucket
 

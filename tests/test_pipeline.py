@@ -402,7 +402,7 @@ class TestOperatorUnits:
 
     def test_sort_orders_and_charges_sort_bucket(self, ctx):
         rows = [((30,), "c"), ((10,), "a"), ((20,), "b")]
-        op = Sort(ctx, ListSource(ctx, rows), [("age", "desc")])
+        op = Sort(ctx, ListSource(ctx, rows), [("age", True)])
         op.open()
         before = ctx.db.clock.buckets.get(Bucket.SORT, 0.0)
         assert op.next_batch(10) == ["c", "b", "a"]

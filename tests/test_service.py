@@ -29,11 +29,10 @@ from repro.service import (
     CooperativeScheduler,
     MixConfig,
     QueryService,
-    RetryPolicy,
     SessionMetrics,
     WorkloadMixer,
 )
-from repro.service.workload import UNAVAILABLE_RETRIES, session_loop
+from repro.service.workload import UNAVAILABLE_RETRIES, ClientMix, session_loop
 from repro.simtime import Bucket, CostParams, SimClock, meter_values
 from repro.storage.rid import Rid
 from repro.txn import LockManager, LockMode
@@ -538,7 +537,7 @@ def drive(*ops, max_retries=2, rng=None, clock=None):
     clock = clock or SimClock()
     metrics = SessionMetrics()
     session_loop(
-        ops, metrics, RetryPolicy(max_retries=max_retries), rng or Random(1),
+        ops, metrics, ClientMix(max_retries=max_retries), rng or Random(1),
         clock, CooperativeScheduler(clock),
     )
     return metrics, clock
@@ -567,9 +566,9 @@ class TestSessionLoop:
     def test_backoff_draws_once_per_retry_from_the_session_stream(self):
         """The stream order the digests pin: one ``rng.random()`` per
         retry and nothing else."""
-        policy = RetryPolicy(max_retries=2)
+        mix = ClientMix(max_retries=2)
         expect = Random(7)
-        sleeps = [policy.backoff_s(attempt, expect) for attempt in (0, 1)]
+        sleeps = [mix.backoff_s(attempt, expect) for attempt in (0, 1)]
         rng = Random(7)
         __, clock = drive(
             Script(DeadlockError("d"), DeadlockError("d")), rng=rng
@@ -616,7 +615,7 @@ class TestSessionLoop:
         metrics, clock = drive(broken, cancelled, Script())
         assert (broken.calls, cancelled.calls) == (1, 1)
         assert (metrics.io_failures, metrics.gave_up) == (1, 1)
-        # The governor counts its own interventions; the loop only stops.
+        # The service counts its own interventions; the loop only stops.
         assert (metrics.cancelled, metrics.retries) == (0, 0)
         assert len(metrics.latencies_s) == 1  # the third op's
         assert Bucket.BACKOFF.value not in clock.breakdown()
@@ -630,7 +629,7 @@ class TestSessionLoop:
         scheduler = CooperativeScheduler(clock)
         metrics = SessionMetrics()
         scheduler.spawn("client", partial(
-            session_loop, [first, second], metrics, RetryPolicy(),
+            session_loop, [first, second], metrics, ClientMix(),
             Random(1), clock, scheduler,
         ))
         (task,) = scheduler.run()
@@ -655,7 +654,7 @@ class TestSessionLoop:
                 raise DeadlockError("scripted victim")
 
         service.spawn(session, partial(
-            session_loop, [op], session.metrics, RetryPolicy(max_retries=1),
+            session_loop, [op], session.metrics, ClientMix(max_retries=1),
             Random(1), derby.db.clock, service.scheduler,
         ))
         tasks = service.run()
