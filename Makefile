@@ -129,14 +129,16 @@ profile:
 
 # A perf claim in alternating pairs: BASE checked out into a temporary
 # git worktree, then run.py --seconds 8 --trace 0 on it and on this tree
-# at seeds 1..PAIRS, alternating which runs first; prints host_s,
-# host_calls, correct and whether the sim_* metrics match per pair, then
-# medians, quartiles and wins (docs/benchmarking-tips.md).  Minutes
-# long, so CI does not run it.
+# (or on CHANGE, checked out into a worktree of its own: CHANGE=HEAD
+# with BASE=HEAD is an A/A run) at seeds 1..PAIRS, alternating which
+# runs first; prints host_s, host_calls, correct and whether the sim_*
+# metrics match per pair, then medians, quartiles and wins
+# (docs/benchmarking-tips.md).  Minutes long, so CI does not run it.
 BASE ?= HEAD
 PAIRS ?= 10
+CHANGE ?=
 pairs:
-	$(PYTHON) benchmarks/pairs.py $(BASE) $(WORKLOAD) $(PAIRS)
+	$(PYTHON) benchmarks/pairs.py $(BASE) $(WORKLOAD) $(PAIRS) $(CHANGE)
 
 shell:
 	$(PYTHON) -m repro shell

@@ -1,12 +1,15 @@
 """Alternating parent/change pairs of one wall-clock workload.
 
-    make pairs BASE=<rev> WORKLOAD=tree_join PAIRS=10
-    python benchmarks/pairs.py <rev> tree_join 10
+    make pairs BASE=<rev> WORKLOAD=tree_join PAIRS=10 [CHANGE=<rev>]
+    python benchmarks/pairs.py <rev> tree_join 10 [<change rev>]
 
 Checks ``<rev>`` out into a temporary ``git worktree`` and runs
 ``benchmarks/wallclock/run.py --workload W --seed S --seconds 8 --trace 0``
 in it and in this working tree, once each at seeds 1..N, alternating
-which tree runs first (a slow minute then taxes both sides alike).  Per
+which tree runs first (a slow minute then taxes both sides alike).  With
+a change revision, the change side runs in a temporary worktree of its
+own too, so neither side is special: ``pairs.py HEAD W 10 HEAD`` is an
+A/A run, which shows what the rule reads when nothing changed.  Per
 pair it prints ``host_s``, ``host_calls``, ``peak_rss_mb``, ``correct``
 (both runs correct, no failed operation) and ``sim`` (``sim_elapsed_s``,
 ``sim_work_per_s`` and ``sim_disk_ios`` equal on both sides); at the end,
@@ -27,7 +30,9 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import Iterator
 
 HERE = Path(__file__).resolve().parents[1]
 SIM = ("sim_elapsed_s", "sim_work_per_s", "sim_disk_ios")
@@ -50,8 +55,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def pairs(base_tree: Path, workload: str, n: int) -> None:
-    sides = {"base": base_tree, "change": HERE}
+def pairs(base_tree: Path, change_tree: Path, workload: str, n: int) -> None:
+    sides = {"base": base_tree, "change": change_tree}
     values: dict[str, dict[str, list[float]]] = {
         side: {name: [] for name in (*SUMMARY, "host_calls")} for side in sides
     }
@@ -92,21 +97,31 @@ def pairs(base_tree: Path, workload: str, n: int) -> None:
     print(f"host_calls {min(calls_change):+.1%} .. {max(calls_change):+.1%}")
 
 
+@contextmanager
+def worktree(rev: str, tree: Path) -> Iterator[Path]:
+    """``rev`` checked out at ``tree`` for the duration."""
+    subprocess.run(
+        ["git", "worktree", "add", "--detach", str(tree), rev],
+        cwd=HERE, check=True, capture_output=True,
+    )
+    try:
+        yield tree
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(tree)],
+            cwd=HERE, check=True,
+        )
+
+
 def main() -> None:
     base, workload, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
-    with tempfile.TemporaryDirectory() as scratch:
-        tree = Path(scratch) / "base"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(tree), base],
-            cwd=HERE, check=True, capture_output=True,
+    change = sys.argv[4] if len(sys.argv) > 4 else None
+    with tempfile.TemporaryDirectory() as scratch, ExitStack() as trees:
+        base_tree = trees.enter_context(worktree(base, Path(scratch) / "base"))
+        change_tree = HERE if change is None else trees.enter_context(
+            worktree(change, Path(scratch) / "change")
         )
-        try:
-            pairs(tree, workload, n)
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(tree)],
-                cwd=HERE, check=True,
-            )
+        pairs(base_tree, change_tree, workload, n)
 
 
 if __name__ == "__main__":

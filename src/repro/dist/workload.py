@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.bench.report import Table
 from repro.errors import (
@@ -100,6 +100,31 @@ def sharded_table(report: MixReport, cluster: "ShardedCluster") -> Table:
         f"{cluster.msgs} messages, {report.context_switches} switches"
     )
     return table
+
+
+def _attempt(
+    cluster: "ShardedCluster",
+    op: Callable[[SessionMetrics, Random], None],
+    metrics: SessionMetrics,
+    rng: Random,
+) -> None:
+    """One attempt at ``op``.  A function, not a closure: a task error's
+    traceback keeps each frame's function after its locals are cleared,
+    and a closure's cells would keep the workload alive."""
+    try:
+        # Drive failure handling forward on every attempt: due kills
+        # land, async links drain, leases expire and dead shards fail
+        # over.  Inside the ``try``: an injected kill firing mid-ship
+        # must surface as a retryable ShardUnavailableError like any
+        # other op.
+        cluster.tick()
+        op(metrics, rng)
+    except (LockConflictError, ShardUnavailableError):
+        # One ``aborted`` per attempt that failed this way, scanners
+        # included — they have no transaction whose abort could count
+        # it.  The retry decision is the shared loop's.
+        metrics.aborted += 1
+        raise
 
 
 class ShardedWorkload:
@@ -184,24 +209,7 @@ class ShardedWorkload:
                 "scanner": self._scanner_op,
                 "updater": self._updater_op,
             }[profile]
-
-            def attempt() -> None:
-                try:
-                    # Drive failure handling forward on every attempt:
-                    # due kills land, async links drain, leases expire
-                    # and dead shards fail over.  Inside the ``try``: an
-                    # injected kill firing mid-ship must surface as a
-                    # retryable ShardUnavailableError like any other op.
-                    cluster.tick()
-                    op(metrics, rng)
-                except (LockConflictError, ShardUnavailableError):
-                    # One ``aborted`` per attempt that failed this way,
-                    # scanners included — they have no transaction whose
-                    # abort could count it.  The retry decision is the
-                    # shared loop's.
-                    metrics.aborted += 1
-                    raise
-
+            attempt = partial(_attempt, cluster, op, metrics, rng)
             scheduler.spawn(
                 name,
                 partial(
@@ -230,9 +238,9 @@ class ShardedWorkload:
                     if task.error is not None:
                         raise task.error
         finally:
-            # The cluster outlives this workload: leave no scheduler
-            # wiring or transient faults behind to corrupt later runs.
-            cluster.lock_table.detach()
+            # The cluster outlives this workload: leave no transient
+            # faults behind to corrupt later runs (the scheduler's run
+            # already detached its lock waits).
             for node, child in self._armed:
                 child.disarm(node.db, node.locks)
             self._armed = []

@@ -334,7 +334,6 @@ def _mix_workload(
         tasks = scheduler.run()
     finally:
         db.system.on_fault = None
-        txm.locks.detach()
     crashed = False
     for task in tasks:
         if task.error is None:

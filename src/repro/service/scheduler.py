@@ -15,7 +15,8 @@ waits on its own condition over the scheduler's one lock, and
 :meth:`CooperativeScheduler.run` is woken once, when no task is left.
 
 Lock waiting plugs in through :meth:`wait_for_lock` / ``notify_granted``
-(the :meth:`repro.txn.locks.LockManager.attach` contract).  When every
+(the :meth:`repro.txn.locks.LockManager.attach` contract), for the
+duration of :meth:`CooperativeScheduler.run`.  When every
 live task is blocked the scheduler resolves the stall: first it aborts
 waiters whose simulated wait exceeded the lock timeout
 (:class:`~repro.errors.LockTimeoutError`), then it asks the lock manager
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import enum
 import threading
+from traceback import clear_frames
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import (
     DeadlockError,
-    LockConflictError,
     LockTimeoutError,
     ServiceError,
 )
@@ -77,6 +78,7 @@ class Task:
     ):
         self.task_id = task_id
         self.name = name
+        #: The body; deleted once it has run.
         self.fn = fn
         #: Notified when the baton is handed to this task, and only then.
         self.wake = wake
@@ -100,17 +102,11 @@ class Task:
 class CooperativeScheduler:
     """Round-robin baton scheduler over session threads."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        locks: "LockManager | None" = None,
-        on_switch: Callable[[Task], None] | None = None,
-    ):
+    def __init__(self, clock: SimClock, locks: "LockManager | None" = None):
         self.clock = clock
         self.locks = locks
-        #: Called (by the handing-over thread) whenever a new task is
-        #: about to run — the query service swaps client caches here.
-        self.on_switch = on_switch
+        #: ``run``'s ``on_switch``, held only while it runs.
+        self._on_switch: Callable[[Task], None] | None = None
         #: One lock under every condition: ``_cv``, on which ``run``
         #: waits until no task is left, and each task's ``wake``.
         self._lock = threading.RLock()
@@ -124,8 +120,6 @@ class CooperativeScheduler:
         self.context_switches = 0
         #: Yields taken at operator batch boundaries (see batch_point).
         self.batch_yields = 0
-        if locks is not None:
-            locks.attach(self.wait_for_lock, self.notify_granted)
 
     # -- task management ----------------------------------------------------
 
@@ -139,30 +133,56 @@ class CooperativeScheduler:
 
     # -- the main loop ------------------------------------------------------
 
-    def run(self) -> list[Task]:
+    def run(
+        self, on_switch: Callable[[Task], None] | None = None
+    ) -> list[Task]:
         """Run every spawned task to completion; returns the tasks.
+
+        ``on_switch`` is called (by the handing-over thread) whenever a
+        new task is about to run -- the query service swaps client
+        caches there.  It and the lock manager's wait hooks are held
+        only for the duration: whoever owns this scheduler owns them, so
+        keeping them past the run would close a reference cycle
+        (docs/architecture.md, "Who may hold whom").  Outside a run the
+        lock manager is fail-fast.
 
         Task exceptions are captured on ``task.error`` (the scheduler
         itself only raises for scheduler bugs, e.g. an unresolvable
         stall, which :meth:`_resolve_stall` turns into
-        :class:`~repro.errors.ServiceError`)."""
+        :class:`~repro.errors.ServiceError`); once the threads are
+        joined, their tracebacks keep file and line but no frame's
+        locals, which would hold the task."""
         if not self._tasks:
             return []
+        locks = self.locks
+        self._on_switch = on_switch
+        if locks is not None:
+            locks.attach(self.wait_for_lock, self.notify_granted)
+        try:
+            for task in self._tasks:
+                if task.state is _NEW:
+                    task.state = _READY
+                    task.thread = threading.Thread(
+                        target=self._task_body, args=(task,), daemon=True,
+                        name=f"repro-session-{task.name}",
+                    )
+                    task.thread.start()
+            with self._cv:
+                self._schedule_next()
+                while any(t.state is not _DONE for t in self._tasks):
+                    self._cv.wait()
+            for task in self._tasks:
+                if task.thread is not None:
+                    task.thread.join()
+        finally:
+            self._on_switch = None
+            if locks is not None:
+                locks.detach()
         for task in self._tasks:
-            if task.state is _NEW:
-                task.state = _READY
-                task.thread = threading.Thread(
-                    target=self._task_body, args=(task,), daemon=True,
-                    name=f"repro-session-{task.name}",
-                )
-                task.thread.start()
-        with self._cv:
-            self._schedule_next()
-            while any(t.state is not _DONE for t in self._tasks):
-                self._cv.wait()
-        for task in self._tasks:
-            if task.thread is not None:
-                task.thread.join()
+            error = task.error
+            while error is not None:
+                clear_frames(error.__traceback__)
+                error = error.__context__
         return list(self._tasks)
 
     def _task_body(self, task: Task) -> None:
@@ -179,6 +199,9 @@ class CooperativeScheduler:
         except BaseException as exc:  # noqa: BLE001 - reported via .error
             task.error = exc
         finally:
+            # As ``threading.Thread`` deletes its target: the body's
+            # closures reach whoever owns this scheduler.
+            del task.fn
             with self._cv:
                 task.state = _DONE
                 self._current = None
@@ -214,16 +237,10 @@ class CooperativeScheduler:
         """Block the current task until its lock request is granted.
 
         Raises the abort exception when this task is chosen as a
-        deadlock/timeout victim (the ``LockManager.attach`` contract)."""
+        deadlock/timeout victim (the ``LockManager.attach`` contract).
+        Attached only while :meth:`run` runs, so only a task calls it."""
         with self._cv:
             me = self._current
-            if me is None:
-                # Not inside a scheduled slice (immediate mode): nobody
-                # to wait for, so fail fast.
-                raise LockConflictError(
-                    f"txn {txn_id}: lock on {rid} is held by another "
-                    "session (immediate mode is fail-fast)"
-                )
             started_s = self.clock.elapsed_s
             me.state = _BLOCKED
             me.abort_exc = None
@@ -237,7 +254,12 @@ class CooperativeScheduler:
             me.lock_wait_s += self.clock.elapsed_s - started_s
             if me.abort_exc is not None:
                 exc, me.abort_exc = me.abort_exc, None
-                raise exc
+                try:
+                    raise exc
+                finally:
+                    # Its traceback holds this frame: no cycle through
+                    # a local once the caller has handled it.
+                    del exc
 
     def notify_granted(self, txn_id: int) -> None:
         """A queued request was granted: make its task ready again."""
@@ -267,7 +289,10 @@ class CooperativeScheduler:
             self._blocked_admission.pop(session_id, None)
             if me.abort_exc is not None:
                 exc, me.abort_exc = me.abort_exc, None
-                raise exc
+                try:
+                    raise exc
+                finally:
+                    del exc  # as in wait_for_lock
 
     def notify_admitted(self, session_id: int) -> None:
         """A queued session reached the head of the admission queue."""
@@ -319,8 +344,8 @@ class CooperativeScheduler:
         task.switches += 1
         self.context_switches += 1
         self._current = task
-        if self.on_switch is not None:
-            self.on_switch(task)
+        if self._on_switch is not None:
+            self._on_switch(task)
         task.wake.notify()
 
     def _next_ready(self) -> Task | None:

@@ -43,6 +43,7 @@ query was stopped on purpose and must not be auto-retried.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import add, sub
@@ -160,7 +161,8 @@ class Session:
     """One client connection to the query service."""
 
     def __init__(self, service: "QueryService", session_id: int, name: str):
-        self.service = service
+        #: Weak: the service holds this session (``sessions``).
+        self._service = weakref.ref(service)
         self.session_id = session_id
         self.name = name
         db = service.db
@@ -168,6 +170,9 @@ class Session:
         self.handles = HandleTable(
             db.clock, db.params, db.counters, db.handles.mode
         )
+        # Each handle points back at its table: empty the table when
+        # the session goes, as the database does with its own.
+        weakref.finalize(self, self.handles.release)
         self.engine = OQLEngine(
             service.catalog, optimizer=service.plan_optimizer
         )
@@ -178,6 +183,11 @@ class Session:
         self.metrics = SessionMetrics()
         self.task: Task | None = None
 
+    @property
+    def service(self) -> "QueryService":
+        """The service that opened this session; it must outlive it."""
+        return self._service()  # type: ignore[return-value]
+
     # -- transactions -------------------------------------------------------
 
     def begin(self) -> Transaction:
@@ -186,13 +196,12 @@ class Session:
             raise ServiceError(
                 f"session {self.name!r} already has an open transaction"
             )
-        self.txn = self.service.txm.begin(
-            logged=True, isolation=self.service.isolation
-        )
+        service = self.service
+        self.txn = service.txm.begin(logged=True, isolation=service.isolation)
         # If this session holds the baton right now, its new snapshot
         # must govern reads immediately (not only after the next switch).
-        if self.service._active is self:
-            self.service._install_read_view(self)
+        if service._active is self:
+            service._install_read_view(self)
         return self.txn
 
     def commit(self) -> None:
@@ -379,9 +388,7 @@ class QueryService:
             # stashes its pre-image and no snapshot has a blind spot.
             self.txm.enable_mvcc()
         self.txm.locks.timeout_s = lock_timeout_s
-        self.scheduler = CooperativeScheduler(
-            self.db.clock, self.txm.locks, on_switch=self._on_switch
-        )
+        self.scheduler = CooperativeScheduler(self.db.clock, self.txm.locks)
         #: Per-statement bounds (``None`` disarms one); they trip only
         #: when *strictly* exceeded.
         self.budget_pages = budget_pages
@@ -442,7 +449,7 @@ class QueryService:
         self._last_s = self.db.clock.elapsed_s
         self._last_meters = meter_values(self.db.counters)
         try:
-            tasks = self.scheduler.run()
+            tasks = self.scheduler.run(self._on_switch)
         finally:
             system.on_fault = None
             self._accrue()
@@ -483,6 +490,11 @@ class QueryService:
             session.cache.clear()
             session.handles.clear()
             session.txn = None
+        # The override tier is lost with the power, unwritten: the base
+        # tier takes its place, and crashes with the rest.
+        if self._base_server_cache is not None:
+            self.db.system.server_cache = self._base_server_cache
+            self._base_server_cache = None
         crash_database(self.db, self.txm)
         self._activate(None)
 

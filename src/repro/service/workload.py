@@ -293,6 +293,17 @@ def session_loop(
         scheduler.yield_point()  # think time between operations
 
 
+def _admitted(
+    session: Session, op: Callable, rng: Random, op_seed: int
+) -> None:
+    """One attempt at ``op`` inside an admission slot.  A function, not
+    a closure: a task error's traceback keeps each frame's function
+    after its locals are cleared, and a closure's cells would keep the
+    mixer, and so its service, alive."""
+    with session.admitted():
+        op(session, rng, op_seed)
+
+
 @dataclass
 class SessionReport:
     """One session's outcome, flattened for tables and stats rows."""
@@ -551,17 +562,12 @@ class WorkloadMixer:
             "updater": self._updater_op,
         }[profile]
         config = self.config
-
-        def attempt(op_seed: int) -> None:
-            with session.admitted():
-                op(session, rng, op_seed)
-
         # Stable per-op key: a function of (seed, client, op) only, so
         # retries (which consume the session rng for backoff jitter)
         # never shift what later ops do.
         return [
             partial(
-                attempt,
+                _admitted, session, op, rng,
                 config.seed * 1_000_003 + client_index * 8_191 + op_index,
             )
             for op_index in range(config.ops_per_client)

@@ -312,26 +312,35 @@ def youngest_in_cycle(graph: dict[int, set[int]]) -> int | None:
     visiting: set[int] = set()
     done: set[int] = set()
     stack: list[int] = []
-
-    def visit(node: int) -> list[int] | None:
-        visiting.add(node)
-        stack.append(node)
-        for succ in sorted(graph.get(node, ())):
-            if succ in visiting:
-                return stack[stack.index(succ):]
-            if succ not in done:
-                cycle = visit(succ)
-                if cycle is not None:
-                    return cycle
-        visiting.discard(node)
-        done.add(node)
-        stack.pop()
-        return None
-
     for start in sorted(graph):
         if start in done:
             continue
-        cycle = visit(start)
+        cycle = _visit(start, graph, visiting, done, stack)
         if cycle is not None:
             return max(cycle)
+    return None
+
+
+def _visit(
+    node: int,
+    graph: dict[int, set[int]],
+    visiting: set[int],
+    done: set[int],
+    stack: list[int],
+) -> list[int] | None:
+    """One DFS step of :func:`youngest_in_cycle`.  Not a nested
+    function: one that calls itself is a cycle with its own closure
+    cell, left for the collector at every stall."""
+    visiting.add(node)
+    stack.append(node)
+    for succ in sorted(graph.get(node, ())):
+        if succ in visiting:
+            return stack[stack.index(succ):]
+        if succ not in done:
+            cycle = _visit(succ, graph, visiting, done, stack)
+            if cycle is not None:
+                return cycle
+    visiting.discard(node)
+    done.add(node)
+    stack.pop()
     return None

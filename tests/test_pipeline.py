@@ -499,8 +499,8 @@ class TestServiceBatching:
         two = service.open_session("two")
         one.batch_size = two.batch_size = 4
         trace = []
-        inner = service.scheduler.on_switch
-        service.scheduler.on_switch = lambda task: (
+        inner = service._on_switch
+        service._on_switch = lambda task: (
             trace.append(task.name), inner(task)
         )
         service.spawn(one, lambda: one.execute(self.SCAN))

@@ -447,6 +447,46 @@ class TestServiceRecovery:
         age = derby.db.manager.get_attr_at(derby.patient_rids[0], "age")
         assert isinstance(age, int)
 
+    def test_a_crash_loses_the_server_cache_override(self):
+        """``server_cache_pages`` swaps in a tier for the service's
+        life; a crash loses that tier with the rest, so the restart and
+        every later mix run on the database's own."""
+        from repro.cluster import load_derby
+        from repro.derby import DerbyConfig
+        from repro.service import MixConfig, WorkloadMixer
+
+        derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
+        system = derby.db.system
+        base = system.server_cache
+        mixer = WorkloadMixer(
+            derby,
+            MixConfig.from_clients(4, seed=1, server_cache_pages=8),
+            injector=CrashInjector("mix-run", occurrence=12),
+        )
+        assert mixer.run().crashed
+        assert system.server_cache is base
+        mixer.service.recover()
+        assert system.server_cache is base
+        WorkloadMixer(derby, MixConfig.from_clients(4, seed=2)).run()
+        assert system.server_cache is base
+
+    def test_a_crash_writes_no_page_of_the_server_cache_override(self):
+        from repro.cluster import load_derby
+        from repro.derby import DerbyConfig
+        from repro.service import QueryService
+
+        derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
+        service = QueryService(derby, server_cache_pages=8, recovery=True)
+        session = service.open_session("s")
+        with service.immediate(session):
+            with session.transaction():
+                session.write_lock(derby.patient_rids[0])
+                session.update_scalar(derby.patient_rids[0], "age", 33)
+        assert any(derby.db.system.server_cache.dirty_pages())
+        writes = derby.db.counters.disk_writes
+        service.crash()
+        assert derby.db.counters.disk_writes == writes
+
     def test_mixer_without_injector_is_unchanged(self):
         from repro.cluster import load_derby
         from repro.derby import DerbyConfig
