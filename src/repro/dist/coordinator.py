@@ -177,12 +177,7 @@ class Coordinator:
 
     # -- execution ------------------------------------------------------
 
-    def execute(
-        self,
-        source: str | Query,
-        on_batch=None,
-        batch_size: int | None = None,
-    ) -> list:
+    def execute(self, source: str | Query, on_batch=None) -> list:
         """Run the query across every shard; returns the merged rows,
         shaped exactly like the single-node engine's answer."""
         self.cluster.tick()
@@ -190,7 +185,7 @@ class Coordinator:
         self.last_plan = plan
         if plan.merge == "aggregate":
             return self._merge_aggregate(plan)
-        rows = self._open_exchange(plan, on_batch, batch_size).drain()
+        rows = self._open_exchange(plan, on_batch, self.batch_size).drain()
         return self._finish_rows(plan, rows)
 
     # -- helpers --------------------------------------------------------
@@ -221,7 +216,7 @@ class Coordinator:
         exchange = ExchangeOperator(
             ctx, self.cluster, streams, on_batch=on_batch
         )
-        return Cursor(ctx, exchange, batch_size or self.batch_size)
+        return Cursor(ctx, exchange, batch_size)
 
     def _merge_aggregate(self, plan) -> list:
         cluster = self.cluster

@@ -46,7 +46,7 @@ from repro.errors import (
     ShardUnavailableError,
     SimulatedCrashError,
 )
-from repro.service.scheduler import CooperativeScheduler
+from repro.service.scheduler import CooperativeScheduler, ended_by_crash
 from repro.service.service import SessionMetrics
 from repro.service.workload import (
     ClientMix,
@@ -175,11 +175,10 @@ class ShardedWorkload:
 
     # -- the run --------------------------------------------------------
 
-    def run(self, cold: bool = True) -> MixReport:
+    def run(self) -> MixReport:
         cluster = self.cluster
         config = self.config
-        if cold:
-            cluster.start_cold()
+        cluster.start_cold()
         self.write_log = []
         self.staged = {}
         self.acked_globals = set()
@@ -222,21 +221,12 @@ class ShardedWorkload:
         reports = spawn_clients(config, spawn)
         try:
             tasks = scheduler.run()
-            crashed = any(
-                isinstance(t.error, SimulatedCrashError) for t in tasks
-            )
             for report, task in zip(reports, tasks):
                 report.metrics.lock_wait_s = task.lock_wait_s
                 report.metrics.lock_waits = task.lock_waits
-            if crashed:
-                # Volatile state is meaningless past the crash point;
-                # leave the cluster as the injector froze it — the chaos
-                # checker calls cluster.crash() / recover() itself.
-                pass
-            else:
-                for task in tasks:
-                    if task.error is not None:
-                        raise task.error
+            # After a crash the cluster stays as the injector froze it:
+            # the chaos checker calls cluster.crash() / recover() itself.
+            crashed = ended_by_crash(tasks)
         finally:
             # The cluster outlives this workload: leave no transient
             # faults behind to corrupt later runs (the scheduler's run

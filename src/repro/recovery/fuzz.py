@@ -36,7 +36,6 @@ from types import SimpleNamespace
 from repro.errors import (
     LockConflictError,
     ReproError,
-    ServiceError,
     SimulatedCrashError,
     StorageError,
 )
@@ -249,7 +248,7 @@ def _mix_workload(
     maintained at each commit ack (ack order on the single deterministic
     timeline *is* commit order, so the dict at the reader's ``begin()``
     is exactly the committed state at its begin timestamp)."""
-    from repro.service.scheduler import CooperativeScheduler
+    from repro.service.scheduler import CooperativeScheduler, ended_by_crash
 
     scheduler = CooperativeScheduler(db.clock, txm.locks)
     db.system.on_fault = scheduler.yield_point
@@ -334,15 +333,7 @@ def _mix_workload(
         tasks = scheduler.run()
     finally:
         db.system.on_fault = None
-    crashed = False
-    for task in tasks:
-        if task.error is None:
-            continue
-        if isinstance(task.error, SimulatedCrashError):
-            crashed = True
-        elif not isinstance(task.error, (ServiceError, LockConflictError)):
-            raise task.error
-    if crashed:
+    if ended_by_crash(tasks):
         raise SimulatedCrashError("mix-run workload crashed")
     return len(txn_writes)
 

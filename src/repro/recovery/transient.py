@@ -103,16 +103,15 @@ class TransientFaultInjector:
 
     # -- arming ----------------------------------------------------------
 
-    def arm(self, db, locks=None) -> None:
-        """Attach to a database's disk (and optionally a lock table)."""
+    def arm(self, db, locks) -> None:
+        """Attach to a database's disk and its lock table."""
         db.disk.faults = self
-        if locks is not None:
-            locks.injector = self
+        locks.injector = self
 
-    def disarm(self, db, locks=None) -> None:
+    def disarm(self, db, locks) -> None:
         if db.disk.faults is self:
             db.disk.faults = None
-        if locks is not None and locks.injector is self:
+        if locks.injector is self:
             locks.injector = None
 
     # -- transient read faults ------------------------------------------

@@ -29,6 +29,9 @@ Admission waiting plugs in the same way, through :meth:`wait_for_admission`
 ``max_active`` sessions run operations at once and queues the rest FIFO
 in a real ``BLOCKED`` state.  Waiters hold no locks (admission wraps
 whole operations), so an admission wait never extends a deadlock cycle.
+
+How a run ended is decided in one place, :func:`ended_by_crash`, for
+every mix the scheduler runs.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.errors import (
     DeadlockError,
+    LockConflictError,
     LockTimeoutError,
     ServiceError,
+    SimulatedCrashError,
 )
 from repro.simtime import SimClock
 from repro.storage.rid import Rid
@@ -85,6 +90,8 @@ class Task:
         self.state = _NEW
         self.thread: threading.Thread | None = None
         self.result: object = None
+        #: What the body raised; :func:`ended_by_crash` takes off the
+        #: one it raises.
         self.error: BaseException | None = None
         #: Pending exception to raise at the task's lock-wait point
         #: (deadlock / timeout victim).
@@ -102,7 +109,7 @@ class Task:
 class CooperativeScheduler:
     """Round-robin baton scheduler over session threads."""
 
-    def __init__(self, clock: SimClock, locks: "LockManager | None" = None):
+    def __init__(self, clock: SimClock, locks: "LockManager"):
         self.clock = clock
         self.locks = locks
         #: ``run``'s ``on_switch``, held only while it runs.
@@ -156,8 +163,7 @@ class CooperativeScheduler:
             return []
         locks = self.locks
         self._on_switch = on_switch
-        if locks is not None:
-            locks.attach(self.wait_for_lock, self.notify_granted)
+        locks.attach(self.wait_for_lock, self.notify_granted)
         try:
             for task in self._tasks:
                 if task.state is _NEW:
@@ -176,8 +182,7 @@ class CooperativeScheduler:
                     task.thread.join()
         finally:
             self._on_switch = None
-            if locks is not None:
-                locks.detach()
+            locks.detach()
         for task in self._tasks:
             error = task.error
             while error is not None:
@@ -192,10 +197,10 @@ class CooperativeScheduler:
         try:
             task.result = task.fn()
         # The trampoline boundary: a session's failure (abort, deadlock,
-        # injected crash) is the *result* of its task; the workload
-        # driver re-raises ``task.error``, so capturing here is delivery,
-        # not swallowing.
-        # simlint: ok[EXC] task errors are captured and re-raised by the driver
+        # injected crash) is the *result* of its task; ``ended_by_crash``
+        # re-raises ``task.error``, so capturing here is delivery, not
+        # swallowing.
+        # simlint: ok[EXC] task errors are captured and re-raised by ended_by_crash
         except BaseException as exc:  # noqa: BLE001 - reported via .error
             task.error = exc
         finally:
@@ -242,64 +247,28 @@ class CooperativeScheduler:
         with self._cv:
             me = self._current
             started_s = self.clock.elapsed_s
-            me.state = _BLOCKED
-            me.abort_exc = None
             me.lock_waits += 1
-            self._blocked_txns[txn_id] = me
-            self._current = None
-            self._schedule_next()
-            while self._current is not me:
-                me.wake.wait()
-            self._blocked_txns.pop(txn_id, None)
-            me.lock_wait_s += self.clock.elapsed_s - started_s
-            if me.abort_exc is not None:
-                exc, me.abort_exc = me.abort_exc, None
-                try:
-                    raise exc
-                finally:
-                    # Its traceback holds this frame: no cycle through
-                    # a local once the caller has handled it.
-                    del exc
+            try:
+                self._block(me, self._blocked_txns, txn_id)
+            finally:
+                me.lock_wait_s += self.clock.elapsed_s - started_s
 
     def notify_granted(self, txn_id: int) -> None:
         """A queued request was granted: make its task ready again."""
-        with self._cv:  # re-entrant (Condition uses an RLock)
-            task = self._blocked_txns.get(txn_id)
-            if task is not None and task.state is _BLOCKED:
-                task.state = _READY
+        self._unblock(self._blocked_txns, txn_id)
 
     def wait_for_admission(self, session_id: int) -> None:
         """Block the current task until the admission gate promotes it
         (:meth:`notify_admitted`) — the admission-queue analogue of
         :meth:`wait_for_lock`.  Raises the abort exception when the
-        waiter is cancelled while queued."""
+        waiter is cancelled while queued.  The gate calls it only
+        inside a scheduled slice."""
         with self._cv:
-            me = self._current
-            if me is None:
-                raise ServiceError(
-                    "wait_for_admission outside a scheduled slice"
-                )
-            me.state = _BLOCKED
-            me.abort_exc = None
-            self._blocked_admission[session_id] = me
-            self._current = None
-            self._schedule_next()
-            while self._current is not me:
-                me.wake.wait()
-            self._blocked_admission.pop(session_id, None)
-            if me.abort_exc is not None:
-                exc, me.abort_exc = me.abort_exc, None
-                try:
-                    raise exc
-                finally:
-                    del exc  # as in wait_for_lock
+            self._block(self._current, self._blocked_admission, session_id)
 
     def notify_admitted(self, session_id: int) -> None:
         """A queued session reached the head of the admission queue."""
-        with self._cv:
-            task = self._blocked_admission.get(session_id)
-            if task is not None and task.state is _BLOCKED:
-                task.state = _READY
+        self._unblock(self._blocked_admission, session_id)
 
     def interrupt(
         self,
@@ -314,9 +283,8 @@ class CooperativeScheduler:
         with self._cv:
             if task is None or task.state is not _BLOCKED:
                 return False
-            if txn_id is not None and self.locks is not None:
-                if self._blocked_txns.get(txn_id) is task:
-                    self.locks.cancel_wait(txn_id)
+            if txn_id is not None and self._blocked_txns.get(txn_id) is task:
+                self.locks.cancel_wait(txn_id)
             task.abort_exc = exc
             task.state = _READY
             return True
@@ -327,6 +295,35 @@ class CooperativeScheduler:
             return self._current is not None
 
     # -- internals ----------------------------------------------------------
+
+    def _block(self, me: Task, waiting: dict[int, Task], key: int) -> None:
+        """Park ``me`` in ``waiting`` under ``key`` until it is made ready
+        again (caller holds the condition); raise its abort exception,
+        if it was given one meanwhile."""
+        me.state = _BLOCKED
+        me.abort_exc = None
+        waiting[key] = me
+        self._current = None
+        self._schedule_next()
+        while self._current is not me:
+            me.wake.wait()
+        waiting.pop(key, None)
+        if me.abort_exc is not None:
+            exc, me.abort_exc = me.abort_exc, None
+            try:
+                raise exc
+            finally:
+                # Its traceback holds this frame: no cycle through a
+                # local once the caller has handled it.
+                del exc
+
+    def _unblock(self, waiting: dict[int, Task], key: int) -> None:
+        """Make the task parked under ``key`` ready again, if it still
+        waits there."""
+        with self._cv:  # re-entrant (Condition uses an RLock)
+            task = waiting.get(key)
+            if task is not None and task.state is _BLOCKED:
+                task.state = _READY
 
     def _schedule_next(self) -> None:
         """Pick the next task to run (caller holds the condition)."""
@@ -358,8 +355,6 @@ class CooperativeScheduler:
         return None
 
     def _expire_timeouts(self) -> None:
-        if self.locks is None:
-            return
         expired = self.locks.expired_waiters()
         if not expired:
             return
@@ -379,18 +374,17 @@ class CooperativeScheduler:
 
     def _resolve_stall(self) -> None:
         """Every live task is blocked: break the tie or report a bug."""
-        if self.locks is not None:
-            victim = self.locks.find_deadlock_victim()
-            if victim is not None:
-                task = self._blocked_txns.get(victim)
-                if task is not None:
-                    self.locks.cancel_wait(victim)
-                    task.abort_exc = DeadlockError(
-                        f"txn {victim} ({task.name}) chosen as deadlock "
-                        "victim (youngest in the waits-for cycle)"
-                    )
-                    task.state = _READY
-                    return
+        victim = self.locks.find_deadlock_victim()
+        if victim is not None:
+            task = self._blocked_txns.get(victim)
+            if task is not None:
+                self.locks.cancel_wait(victim)
+                task.abort_exc = DeadlockError(
+                    f"txn {victim} ({task.name}) chosen as deadlock "
+                    "victim (youngest in the waits-for cycle)"
+                )
+                task.state = _READY
+                return
         # No cycle and no timeout fired: a genuine stall (e.g. a lock
         # holder died without releasing).  Unwind every blocked task
         # with a ServiceError rather than hanging the run.
@@ -404,6 +398,34 @@ class CooperativeScheduler:
                     "deadlock cycle and no timeout configured"
                 )
                 task.state = _READY
+
+
+#: What else a crashed run's tasks may die of: the crash itself, or a
+#: lock wait behind a holder the crash killed, ended as a stall
+#: (``ServiceError``) or as a timeout or deadlock (``LockConflictError``).
+_CRASH_FALLOUT = (SimulatedCrashError, ServiceError, LockConflictError)
+
+
+def ended_by_crash(tasks: list[Task]) -> bool:
+    """The one outcome rule of a scheduled run: did it end by a crash?
+
+    A run crashed if any task died of
+    :class:`~repro.errors.SimulatedCrashError`; its other tasks may die
+    only of crash fallout (:data:`_CRASH_FALLOUT`).  Any other error of
+    a crashed run, and the first task error of a run that did not crash,
+    is raised -- taken off its task first, so the raised error's frames
+    (this one and its caller's) close no cycle through the task."""
+    crashed = any(isinstance(t.error, SimulatedCrashError) for t in tasks)
+    expected = _CRASH_FALLOUT if crashed else ()
+    for task in tasks:
+        error = task.error
+        if error is not None and not isinstance(error, expected):
+            task.error = None
+            try:
+                raise error
+            finally:
+                del error
+    return crashed
 
 
 class AdmissionGate:

@@ -252,12 +252,12 @@ class Session:
                 service.scheduler.batch_point()
         return rows
 
-    def execute_iter(self, oql: str, batch_size: int | None = None):
+    def execute_iter(self, oql: str):
         """Open a streaming cursor over an OQL query.  The caller pulls
         batches (and decides when to yield); metrics are folded in as
         batches arrive and when the pipeline closes.  The statement
         budget clock starts here and stops when the cursor closes."""
-        cursor = self.engine.execute_iter(oql, batch_size or self.batch_size)
+        cursor = self.engine.execute_iter(oql, self.batch_size)
         metrics = self.metrics
         metrics.queries += 1
         service = self.service

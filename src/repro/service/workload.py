@@ -42,9 +42,9 @@ from repro.errors import (
     PermanentIOError,
     ServiceError,
     ShardUnavailableError,
-    SimulatedCrashError,
     WriteConflictError,
 )
+from repro.service.scheduler import ended_by_crash
 from repro.service.service import QueryService, Session, SessionMetrics
 from repro.simtime import Bucket
 from repro.storage.rid import Rid
@@ -454,10 +454,9 @@ class WorkloadMixer:
 
     # -- the run ------------------------------------------------------------
 
-    def run(self, cold: bool = True) -> MixReport:
+    def run(self) -> MixReport:
         config = self.config
-        if cold:
-            self.derby.start_cold_run()
+        self.derby.start_cold_run()
         self.write_log = []
         service = QueryService(
             self.derby,
@@ -510,10 +509,10 @@ class WorkloadMixer:
         reports = spawn_clients(config, spawn)
         try:
             tasks = service.run()
-            crashed = any(
-                isinstance(t.error, SimulatedCrashError) for t in tasks
-            )
-            if crashed:
+            # The service is settled as the server ended before the
+            # outcome rule may raise, so a failed run, too, gives the
+            # derby back in its own configuration.
+            if self.injector is not None and self.injector.fired:
                 # Volatile state is meaningless past the crash point; do
                 # NOT close() (that would flush post-crash pages to
                 # disk).  Drop everything volatile so only durable state
@@ -521,9 +520,7 @@ class WorkloadMixer:
                 service.crash()
             else:
                 service.close()
-                for task in tasks:
-                    if task.error is not None:
-                        raise task.error
+            crashed = ended_by_crash(tasks)
         finally:
             # The disk and derby outlive this service; leaving either
             # injector armed would corrupt later runs on the same derby

@@ -223,12 +223,11 @@ def test_exchange_scales_elapsed_below_single_shard(small_logical):
 def test_exchange_pulls_the_shards_batch_by_batch(small_logical):
     config = small_logical.config
     cluster = load_sharded(config, 2, logical=small_logical)
-    coordinator = Coordinator(cluster)
+    coordinator = Coordinator(cluster, batch_size=64)
     pulls = []
     rows = coordinator.execute(
         "select p.age from p in Patients",
         on_batch=lambda: pulls.append(1),
-        batch_size=64,
     )
     assert len(rows) == len(small_logical.patients)
     assert len(pulls) > 2  # one per shard pull, not one per drain

@@ -18,7 +18,9 @@ The same holds one layer up, for the service graph a mix builds:
   the scheduler's wait hooks, only while the scheduler runs;
 * a task drops its body once it has run, and the frames of a task's
   error are cleared once its thread is joined (and no task body is a
-  closure over its mixer: a cleared frame still holds its function).
+  closure over its mixer: a cleared frame still holds its function);
+* the error a failed run raises is taken off its task first, so the
+  frames it passes through on the way out hold no task that holds it.
 
 Each case runs with the cyclic collector off.  The weak reference to
 the dropped database, service or workload must be dead right after
@@ -45,7 +47,7 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.dist import ShardedMixConfig, ShardedWorkload, load_sharded
 from repro.dist.twopc import TwoPCInjector
-from repro.errors import ServiceError
+from repro.errors import DistError, ServiceError
 from repro.oql import Catalog, OQLEngine
 from repro.recovery import CrashInjector
 from repro.service import MixConfig, QueryService, WorkloadMixer
@@ -179,6 +181,28 @@ def _sharded_mix():
     return workload
 
 
+def _failed_mix():
+    """An updater with one hot patient fails its first op; the run
+    raises that error, and the caller catches it."""
+    mixer = WorkloadMixer(
+        load_derby(_config()),
+        MixConfig(navigators=0, scanners=0, updaters=1, hot_set=1),
+    )
+    with pytest.raises(ServiceError, match="two hot patients"):
+        mixer.run()
+    return mixer.service
+
+
+def _failed_sharded_mix():
+    workload = ShardedWorkload(
+        load_sharded(_config(), 2),
+        ShardedMixConfig(scanners=0, updaters=1, hot_set=1),
+    )
+    with pytest.raises(DistError, match="two hot patients"):
+        workload.run()
+    return workload
+
+
 def _crashed_sharded_mix():
     cluster = load_sharded(_config(), 2)
     TwoPCInjector("2pc-before-decision", occurrence=1).arm(cluster)
@@ -192,8 +216,9 @@ def _crashed_sharded_mix():
 @pytest.mark.parametrize(
     "make",
     [partial(_mix, "2pl"), partial(_mix, "si"), _crashed_mix, _sharded_mix,
-     _crashed_sharded_mix],
-    ids=["2pl", "si", "crashed-and-recovered", "sharded", "sharded-crashed"],
+     _crashed_sharded_mix, _failed_mix, _failed_sharded_mix],
+    ids=["2pl", "si", "crashed-and-recovered", "sharded", "sharded-crashed",
+         "failed", "sharded-failed"],
 )
 def test_a_finished_mix_leaves_nothing_for_the_collector(make):
     gc.collect()  # what earlier tests left is not this case's

@@ -206,13 +206,14 @@ class TestTransientFaults:
 
     def test_arm_and_disarm_are_identity_checked(self):
         derby = fresh_derby()
+        locks = LockManager(derby.db.clock, CostParams())
         mine = TransientFaultInjector(seed=1)
         other = TransientFaultInjector(seed=2)
-        mine.arm(derby.db)
-        other.disarm(derby.db)  # not armed: must not detach mine
-        assert derby.db.disk.faults is mine
-        mine.disarm(derby.db)
-        assert derby.db.disk.faults is None
+        mine.arm(derby.db, locks)
+        other.disarm(derby.db, locks)  # not armed: must not detach mine
+        assert (derby.db.disk.faults, locks.injector) == (mine, mine)
+        mine.disarm(derby.db, locks)
+        assert (derby.db.disk.faults, locks.injector) == (None, None)
 
     def test_injector_rejects_bad_rates(self):
         with pytest.raises(ValueError):

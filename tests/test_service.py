@@ -22,6 +22,7 @@ from repro.errors import (
     ReplicationError,
     ServiceError,
     ShardUnavailableError,
+    SimulatedCrashError,
     StaleEpochError,
     WriteConflictError,
 )
@@ -32,6 +33,7 @@ from repro.service import (
     SessionMetrics,
     WorkloadMixer,
 )
+from repro.service.scheduler import ended_by_crash
 from repro.service.workload import UNAVAILABLE_RETRIES, ClientMix, session_loop
 from repro.simtime import Bucket, CostParams, SimClock, meter_values
 from repro.storage.rid import Rid
@@ -538,7 +540,7 @@ def drive(*ops, max_retries=2, rng=None, clock=None):
     metrics = SessionMetrics()
     session_loop(
         ops, metrics, ClientMix(max_retries=max_retries), rng or Random(1),
-        clock, CooperativeScheduler(clock),
+        clock, CooperativeScheduler(clock, LockManager(clock, CostParams())),
     )
     return metrics, clock
 
@@ -625,8 +627,7 @@ class TestSessionLoop:
     )
     def test_anything_else_propagates_and_ends_the_session(self, exc_type):
         first, second = Script(exc_type("not transient")), Script()
-        clock = SimClock()
-        scheduler = CooperativeScheduler(clock)
+        clock, __, scheduler = make_lock_world()
         metrics = SessionMetrics()
         scheduler.spawn("client", partial(
             session_loop, [first, second], metrics, ClientMix(),
@@ -666,6 +667,78 @@ class TestSessionLoop:
         # Session.abort counted both attempts; the loop counted the rest.
         m = session.metrics
         assert (m.aborted, m.deadlocks, m.retries, m.gave_up) == (2, 2, 1, 1)
+
+
+
+# ------------------------------------------------------------ outcome rule
+
+
+def dies_of(exc: BaseException):
+    def body():
+        raise exc
+    return body
+
+
+def holds_a(locks, exc: BaseException | None = None):
+    """Takes an exclusive lock on ``A`` and ends (of ``exc``, if given)
+    without releasing it."""
+    def body():
+        locks.acquire(1, A, LockMode.EXCLUSIVE)
+        if exc is not None:
+            raise exc
+    return body
+
+
+def waits_for_a(locks):
+    """Queues behind whoever holds ``A``: with nobody left to release
+    it, the scheduler unwinds the wait as a stall (``ServiceError``)."""
+    return partial(locks.acquire, 2, A, LockMode.EXCLUSIVE)
+
+
+def run_bodies(scheduler, *bodies):
+    for i, body in enumerate(bodies):
+        scheduler.spawn(f"t{i}", body)
+    return scheduler.run()
+
+
+class TestOutcomeRule:
+    def test_a_crash_with_only_fallout_ended_by_crash(self):
+        __, locks, scheduler = make_lock_world()
+        tasks = run_bodies(
+            scheduler, holds_a(locks, SimulatedCrashError("power cut")),
+            waits_for_a(locks), dies_of(DeadlockError("victim")), dict,
+        )
+        assert ended_by_crash(tasks) is True
+        # Fallout is not raised, so it stays where the tasks left it.
+        assert [type(t.error) for t in tasks] == [
+            SimulatedCrashError, ServiceError, DeadlockError, type(None)
+        ]
+
+    def test_a_crash_does_not_hide_an_error_that_is_not_fallout(self):
+        __, __, scheduler = make_lock_world()
+        tasks = run_bodies(
+            scheduler, dies_of(SimulatedCrashError("power cut")),
+            dies_of(KeyError("bug")),
+        )
+        with pytest.raises(KeyError, match="bug"):
+            ended_by_crash(tasks)
+        assert tasks[1].error is None
+
+    def test_a_run_that_did_not_crash_raises_its_first_task_error(self):
+        __, __, scheduler = make_lock_world()
+        first, second = ValueError("first"), KeyError("second")
+        tasks = run_bodies(scheduler, dict, dies_of(first), dies_of(second))
+        with pytest.raises(ValueError) as caught:
+            ended_by_crash(tasks)
+        assert caught.value is first
+        assert (tasks[1].error, tasks[2].error) == (None, second)
+
+    def test_a_stall_in_a_run_that_did_not_crash_is_raised(self):
+        __, locks, scheduler = make_lock_world()
+        tasks = run_bodies(scheduler, holds_a(locks), waits_for_a(locks))
+        with pytest.raises(ServiceError, match="scheduler stalled"):
+            ended_by_crash(tasks)
+        assert [t.error for t in tasks] == [None, None]
 
 
 # ---------------------------------------------------------------- CLI
