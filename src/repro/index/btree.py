@@ -87,6 +87,10 @@ class BTreeIndex:
         #: Fraction of adjacent key-ordered entries that are also in
         #: physical (rid) order; 1.0 means a perfectly clustered index.
         self.clustering_ratio = 0.0
+        #: Calls of :meth:`bulk_build` and :meth:`insert` so far: the
+        #: statistics below move only with them (a planner's plans are
+        #: kept while it stands still).
+        self.mutations = 0
 
     # -- bulk build ----------------------------------------------------
 
@@ -96,6 +100,7 @@ class BTreeIndex:
         Sorting the pairs is charged to the clock; each leaf is written
         once, sequentially, into the index file.
         """
+        self.mutations += 1
         items = sorted(pairs)  # by key, then rid: the pairs are the sort key
         self._charge_sort(len(items))
         self._first_keys.clear()
@@ -195,6 +200,7 @@ class BTreeIndex:
 
     def insert(self, key: object, rid: Rid) -> None:
         """Add one entry (splits the target leaf when full)."""
+        self.mutations += 1
         if not self._leaf_rids:
             self._add_leaf(0, [(key, rid)])
             self.entry_count = 1

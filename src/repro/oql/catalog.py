@@ -120,6 +120,22 @@ class Catalog:
 
         return -(-size // CHUNK_RIDS)
 
+    def stamp(self) -> tuple[object, ...]:
+        """Everything a planner reads here that can change, as one value:
+        each collection's size and file pages, and each registered index
+        (by identity) with its :attr:`~repro.index.btree.BTreeIndex.mutations`
+        (its leaf count, clustering ratio and selectivity move only with
+        them).  Two equal stamps mean the same plans.  Relationships are
+        left out: registering one only appends, and a lookup takes the
+        first match, so no plan already built can change."""
+        files = self.db.file
+        stamp: list[object] = []
+        for info in self._collections.values():
+            stamp += (len(info.collection), files(info.file_name).num_pages)
+        for index in self._indexes.values():
+            stamp += (index, index.mutations)
+        return tuple(stamp)
+
     # -- construction from a loaded Derby database ---------------------------
 
     @classmethod

@@ -39,6 +39,7 @@ from repro.oql.ast_nodes import (
 from repro.oql.catalog import Catalog, RelationshipInfo
 from repro.oql.cost import CostModel, PlanEstimate
 from repro.oql.estimator import CardinalityEstimator
+from repro.oql.parser import STATEMENT_CACHE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.opt.collector import TableStats
@@ -108,7 +109,7 @@ class SelectionParts:
     exists_filters: tuple[ExistsFilter, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionPlan:
     """Physical plan for a single-variable selection."""
 
@@ -142,7 +143,7 @@ class SelectionPlan:
         return self.estimate.description
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeJoinPlan:
     """Physical plan for the parent/child tree query."""
 
@@ -187,6 +188,15 @@ class Optimizer:
         self.cost = CostModel(catalog.db.params)
         self.include_extensions = include_extensions
         self.estimator = CardinalityEstimator(catalog)
+        #: The plans :meth:`plan` returned, keyed by the id of the parsed
+        #: query and ``force``; each entry holds its query, so no id in
+        #: the map can be taken by another object.  Every plan in it was
+        #: built under ``_stats`` and ``_stamp``.
+        self._plans: dict[
+            tuple[int, str | None], tuple[Query, SelectionPlan | TreeJoinPlan]
+        ] = {}
+        self._stats: TableStats | None = None
+        self._stamp: tuple[object, ...] = ()
 
     # -- entry point ------------------------------------------------------
 
@@ -203,7 +213,33 @@ class Optimizer:
         ``sorted-index``, or the labelled keys once analyzed) or a join
         algorithm (any of the six; forcing an extension prices the
         extensions).  The enumeration is the same either way, and
-        ``plan.estimate`` is the chosen alternative's."""
+        ``plan.estimate`` is the chosen alternative's.
+
+        A plan is kept and handed out again for the same query object
+        (the parse cache gives one per text) and ``force``, until the
+        installed statistics or :meth:`Catalog.stamp` change; then every
+        kept plan goes.  At most ``STATEMENT_CACHE_SIZE`` are kept,
+        oldest out first."""
+        plans = self._plans
+        stats = self.estimator.stats
+        stamp = self.catalog.stamp()
+        if stats is not self._stats or stamp != self._stamp:
+            plans.clear()
+            self._stats = stats
+            self._stamp = stamp
+        key = (id(query), force)
+        kept = plans.get(key)
+        if kept is not None:
+            return kept[1]
+        plan = self._plan(query, force)
+        if len(plans) >= STATEMENT_CACHE_SIZE:
+            del plans[next(iter(plans))]
+        plans[key] = (query, plan)
+        return plan
+
+    def _plan(
+        self, query: Query, force: str | None
+    ) -> SelectionPlan | TreeJoinPlan:
         if len(query.from_clauses) == 1:
             return self._plan_selection(query, force)
         if len(query.from_clauses) == 2:

@@ -314,11 +314,12 @@ class _Parser:
         )
 
 
-#: Distinct statement texts whose parse is kept.  Parsing charges no
-#: simulated time and every AST node is frozen, so one tree can serve
-#: every execution of a text; plans are not kept, because the planners
-#: read index selectivity, collection sizes and installed statistics,
-#: all of which change under inserts and ``analyze``.
+#: Distinct statement texts whose parse is kept, and plans each
+#: :class:`~repro.oql.optimizer.Optimizer` keeps.  Parsing and planning
+#: charge no simulated time and every AST node and plan is frozen, so
+#: one tree serves every execution of a text, and one plan every
+#: execution of that tree until something the planner reads changes
+#: (an insert, a rebuilt index, ``analyze``: see ``Optimizer.plan``).
 STATEMENT_CACHE_SIZE = 1024
 
 

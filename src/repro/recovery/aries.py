@@ -329,6 +329,12 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
         [txm.commit_ts]
         + [r.commit_ts for r in records if r.kind == "commit"]
     )
+    # Likewise the transaction-id high-water: a promoted standby never
+    # began a transaction of its own, and a new one must not take an id
+    # the durable log already names (2PC decisions are keyed by it).
+    txm._next_txn_id = max(
+        [txm._next_txn_id] + [r.txn_id + 1 for r in records]
+    )
 
     report.seconds = clock.elapsed_s - start_s
     return report

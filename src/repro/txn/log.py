@@ -21,14 +21,17 @@ protocol must survive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
-from typing import NamedTuple
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
 from repro.simtime import Bucket, CostParams, SimClock
 from repro.storage.page import PageImage
 from repro.units import PAGE_SIZE, pages_for_bytes
 
 _LOG = Bucket.LOG
+_LSN = attrgetter("lsn")
 
 #: Serialized sizes (bytes) of the fixed parts of each record kind:
 #: a common header (lsn, prev_lsn, txn id, kind, length) plus, for
@@ -193,6 +196,18 @@ class WriteAheadLog:
     def note_page_written(self, page_key: tuple[int, int]) -> None:
         """A dirty page reached disk; drop it from the dirty-page table."""
         self.dirty_pages.pop(page_key, None)
+
+    def chain(self, lsn: int) -> Iterator[LogRecord]:
+        """One transaction's records, newest first: the record at
+        ``lsn`` (its ``last_lsn``), then back along ``prev_lsn`` to its
+        first.  ``records`` is in LSN order, so each step is one
+        bisection -- a walk of that transaction alone, which never meets
+        another transaction's records even where an id was used twice."""
+        records = self.records
+        while lsn:
+            record = records[bisect_left(records, lsn, key=_LSN)]
+            yield record
+            lsn = record.prev_lsn
 
     # -- flushing -------------------------------------------------------
 

@@ -29,14 +29,16 @@ from repro.errors import (
 )
 from repro.objects.database import Database
 from repro.simtime import Bucket
-from repro.storage.page import EMPTY_PAGE_IMAGE
+from repro.storage.page import EMPTY_PAGE_IMAGE, PageImage
 from repro.storage.rid import Rid
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.log import (
     ABORT_RECORD_BYTES,
     BEGIN_RECORD_BYTES,
     COMMIT_RECORD_BYTES,
+    UNDOABLE_KINDS,
     UPDATE_HEADER_BYTES,
+    LogRecord,
     WriteAheadLog,
     image_delta_bytes,
 )
@@ -290,52 +292,72 @@ class Transaction:
             before = befores.get(key, EMPTY_PAGE_IMAGE)
             if before == after:
                 continue
-            record = log.append(
-                self.txn_id,
+            record = self._append_image(
                 kind,
                 UPDATE_HEADER_BYTES + image_delta_bytes(before, after),
-                prev_lsn=self.last_lsn,
-                page_key=key,
-                before=before,
-                after=after,
+                key,
+                before,
+                after,
             )
-            self.last_lsn = record.lsn
             log.stamp(page, record)
         return result_rid
+
+    def _append_image(
+        self,
+        kind: str,
+        nbytes: int,
+        page_key: tuple[int, int],
+        before: PageImage,
+        after: PageImage,
+        undoes_lsn: int = 0,
+    ) -> LogRecord:
+        """Append one page-image record to this transaction's chain.
+        ``last_lsn`` moves to it first: an armed crash point fires inside
+        :meth:`WriteAheadLog.append` once the record is in the log, and
+        an abort after that must still find the record on the chain."""
+        log = self.manager.log
+        prev_lsn, self.last_lsn = self.last_lsn, log.next_lsn
+        return log.append(
+            self.txn_id,
+            kind,
+            nbytes,
+            prev_lsn=prev_lsn,
+            page_key=page_key,
+            before=before,
+            after=after,
+            undoes_lsn=undoes_lsn,
+        )
 
     def _rollback_physical(self) -> None:
         """Undo this transaction's page changes, newest first, logging a
         compensation (``clr``) record for each so a crash during or
-        after the rollback replays it rather than repeating it."""
+        after the rollback replays it rather than repeating it.  The
+        changes are found along this transaction's own ``prev_lsn``
+        chain, not by its id: a promoted standby's log holds the old
+        primary's records, whose ids a new transaction may reuse."""
         db = self.manager.db
         log = self.manager.log
-        compensated = {
-            r.undoes_lsn
-            for r in log.records
-            if r.txn_id == self.txn_id and r.kind == "clr"
-        }
-        mine = [
-            r
-            for r in log.records
-            if r.txn_id == self.txn_id
-            and r.kind in ("create", "update")
-            and r.lsn not in compensated
-        ]
-        for record in reversed(mine):
+        # A clr is newer than the record it compensates, so the walk
+        # meets it first.
+        compensated: set[int] = set()
+        undo: list[LogRecord] = []
+        for record in log.chain(self.last_lsn):
+            if record.kind == "clr":
+                compensated.add(record.undoes_lsn)
+            elif record.kind in UNDOABLE_KINDS and record.lsn not in compensated:
+                undo.append(record)
+        for record in undo:
             page = db.system.get_page(*record.page_key)
             before = page.capture()
             page.apply_undo(record.before, record.after)
-            clr = log.append(
-                self.txn_id,
+            clr = self._append_image(
                 "clr",
                 record.nbytes,
-                prev_lsn=self.last_lsn,
-                page_key=record.page_key,
-                before=before,
-                after=page.capture(),
+                record.page_key,
+                before,
+                page.capture(),
                 undoes_lsn=record.lsn,
             )
-            self.last_lsn = clr.lsn
             log.stamp(page, clr)
             db.system.mark_dirty(*record.page_key)
             db.handles.forget_page(*record.page_key)

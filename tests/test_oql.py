@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import load_derby
+from repro.cluster.churn import register_new_patients
+from repro.cluster.strategies import file_names
 from repro.derby import DerbyConfig, generate
 from repro.derby.config import Clustering
 from repro.errors import OQLSyntaxError, PlanError
+from repro.index.btree import BTreeIndex
 from repro.opt import StatsCollector
 from repro.oql import (
     AnalyzeStmt,
@@ -26,6 +31,7 @@ from repro.oql import (
     tokenize,
 )
 from repro.oql.optimizer import Optimizer, SelectionPlan, TreeJoinPlan
+from repro.oql.parser import STATEMENT_CACHE_SIZE
 from repro.simtime import CostParams
 
 
@@ -420,3 +426,137 @@ class TestSharedTreesStayUnchanged:
                 assert parse_statement(text) is stmt
                 assert stmt == fresh(text)
                 assert explained == fresh(f"explain {text}")
+
+
+# ------------------------------------------------------------ plan cache
+
+def _grow_by_churn(derby, catalog, optimizer):
+    register_new_patients(derby, 40)
+
+
+def _grow_the_extent(derby, catalog, optimizer):
+    for rid in derby.patient_rids[:50]:
+        derby.patients.append(rid)
+
+
+def _grow_the_file(derby, catalog, optimizer):
+    patient_file = derby.db.file(file_names(derby.config.clustering)[1])
+    for __ in range(3):
+        derby.db.disk.allocate_page(patient_file.file_id)
+
+
+def _index_insert(derby, catalog, optimizer):
+    for key in range(5):
+        for rid in derby.patient_rids[:40]:
+            derby.by_mrn.insert(key, rid)
+
+
+def _bulk_build(derby, catalog, optimizer):
+    derby.by_mrn.bulk_build(
+        (2 * key, rid) for key, rid in enumerate(derby.patient_rids)
+    )
+
+
+def _analyze(derby, catalog, optimizer):
+    OQLEngine(catalog, optimizer=optimizer).execute("analyze")
+
+
+def _index_on(derby, name, pairs) -> BTreeIndex:
+    index = BTreeIndex(name, 9, derby.db.create_file(f"__index_{name}__"))
+    index.bulk_build(pairs)
+    return index
+
+
+def _register_a_new_index(derby, catalog, optimizer):
+    get_attr = derby.db.manager.get_attr_at
+    catalog.register_index("Patients", "age", _index_on(
+        derby, "by_age", ((get_attr(rid, "age"), rid) for rid in derby.patient_rids)
+    ))
+
+
+def _replace_an_index(derby, catalog, optimizer):
+    """A replacement that has seen as many mutations as the index it
+    replaces: only its identity tells the two apart."""
+    old = derby.by_mrn
+    pairs = [(key, rid) for key, rid in old.range_scan() if key % 2]
+    new = _index_on(derby, "odd_mrn", pairs)
+    while new.mutations < old.mutations:
+        new.bulk_build(pairs)
+    catalog.register_index("Patients", "mrn", new)
+
+
+class TestPlanCache:
+    """``Optimizer.plan`` keeps each plan it returns, per parsed query and
+    ``force``, and empties the map when anything the planner reads
+    changes: the installed statistics, a collection's size or file
+    pages, an index's entries, a registration."""
+
+    TEXTS = (
+        "select p.age from p in Patients where p.mrn < 30",
+        "select tuple(n: q.name, a: p.age) from q in Providers, "
+        "p in q.clients where p.mrn < 30 and q.upin < 20",
+        "select p.name from p in Patients where p.age < 30",
+    )
+
+    def test_a_hit_returns_the_identical_plan(self, catalog):
+        engine = OQLEngine(catalog)
+        for text in self.TEXTS:
+            plan = engine.plan(text)
+            assert engine.plan(text) is plan
+            assert engine.optimizer.plan(parse(text)) is plan
+            with pytest.raises(FrozenInstanceError):
+                plan.limit = 3
+
+    @pytest.mark.parametrize("change", [
+        _grow_by_churn, _grow_the_extent, _grow_the_file, _index_insert,
+        _bulk_build, _analyze, _register_a_new_index, _replace_an_index,
+    ], ids=lambda change: change.__name__.strip("_"))
+    def test_a_change_the_planner_reads_re_plans(self, change):
+        derby = load_derby(DerbyConfig.db_1to3(scale=0.0001))
+        catalog = Catalog.from_derby(derby)
+        optimizer = Optimizer(catalog, include_extensions=True)
+        queries = [parse(text) for text in self.TEXTS]
+        before = [optimizer.plan(query) for query in queries]
+        assert [optimizer.plan(query) for query in queries] == before
+        change(derby, catalog, optimizer)
+        fresh = Optimizer(catalog, include_extensions=True)
+        if optimizer.estimator.stats is not None:
+            fresh.install_stats(optimizer.estimator.stats)
+        expected = [fresh.plan(query) for query in queries]
+        assert expected != before  # the change moved some plan
+        assert [optimizer.plan(query) for query in queries] == expected
+
+    def test_explain_prints_the_literal_of_its_own_text(self, catalog):
+        engine = OQLEngine(catalog)
+        texts = {
+            literal: f"select p.age from p in Patients where p.mrn < {literal}"
+            for literal in ("1", "1.0")
+        }
+        # The two trees compare and hash equal: only their identity
+        # tells the two texts apart.
+        assert parse(texts["1"]) == parse(texts["1.0"])
+        for literal, text in texts.items():
+            assert repr(engine.plan(text).predicate.value) == literal
+            explained = "\n".join(engine.execute(f"explain {text}"))
+            assert f"IndexScan(Patients.mrn < {literal})" in explained
+
+    def test_a_forced_and_an_unforced_plan_are_two_entries(self, catalog):
+        optimizer = Optimizer(catalog)
+        query = parse(self.TEXTS[0])
+        chosen = optimizer.plan(query)
+        forced = optimizer.plan(query, force="scan")
+        assert chosen.description != forced.description
+        assert optimizer.plan(query) is chosen
+        assert optimizer.plan(query, force="scan") is forced
+
+    def test_the_bound_is_the_statement_cache_size(self, catalog):
+        optimizer = Optimizer(catalog)
+        fresh = parse_statement.__wrapped__  # one tree per call
+        queries = [
+            fresh(f"select p.age from p in Patients where p.mrn < {k}")
+            for k in range(STATEMENT_CACHE_SIZE + 1)
+        ]
+        plans = [optimizer.plan(query) for query in queries]
+        assert optimizer.plan(queries[-1]) is plans[-1]
+        assert optimizer.plan(queries[1]) is plans[1]  # the bound is kept
+        assert optimizer.plan(queries[0]) is not plans[0]  # the oldest went

@@ -236,6 +236,20 @@ class TestPhysicalRollback:
         assert read_x(db, rids[0]) == 0
         assert read_x(db, rids[1]) == 1
 
+    def test_a_rollback_undoes_only_its_own_chain(self):
+        """An abort walks its own ``prev_lsn`` chain: a committed
+        transaction that carried the same id stays committed."""
+        db, txm, rids = make_loaded()
+        with txm.begin() as first:
+            first.update_scalar(rids[0], "x", 5)
+        txm._next_txn_id = first.txn_id  # the id a promoted standby reused
+        txn = txm.begin()
+        assert txn.txn_id == first.txn_id
+        txn.update_scalar(rids[1], "x", 6)
+        txn.abort()
+        assert read_x(db, rids[0]) == 5
+        assert read_x(db, rids[1]) == 1
+
 
 # ------------------------------------------------------------- restart
 

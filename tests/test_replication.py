@@ -205,6 +205,33 @@ def test_failover_promotes_standby_and_serves_writes():
     assert cluster.shard_unavailable_s(1) == 0
 
 
+def test_an_abort_on_a_promoted_primary_keeps_committed_writes():
+    cluster = make_replicated()
+    rid = _patient_on(cluster, 0)
+    _commit_age(cluster, 0, rid, 71)
+    _commit_age(cluster, 0, rid, 72)
+    standby = cluster.standbys[0]
+    cluster.kill_primary(0)
+    _settle(cluster)
+    dtx = cluster.begin()
+    dtx.update_scalar(0, rid, "age", 90)
+    dtx.abort()
+    assert _age(standby, rid) == 72
+
+
+def test_a_promoted_primary_reuses_no_transaction_id():
+    cluster = make_replicated()
+    rid = _patient_on(cluster, 0)
+    _commit_age(cluster, 0, rid, 71)
+    standby = cluster.standbys[0]
+    cluster.kill_primary(0)
+    _settle(cluster)
+    named = {record.txn_id for record in standby.txm.log.records}
+    txn = standby.txm.begin()
+    assert txn.txn_id > max(named)
+    txn.abort()
+
+
 def test_epoch_record_is_durable_before_promotion():
     cluster = make_replicated()
     cluster.kill_primary(0)
