@@ -19,7 +19,7 @@ reuses it.
    promotes the standby behind a durable epoch fence, and sessions
    retry through the outage.  Measured: the unavailability window,
    acked-loss windows, and windowed throughput before the kill vs
-   after recovery.  Each run executes twice for digest determinism.
+   after recovery.  Each run is a failover-suite harness case.
 3. **Chaos.**  Seeded primary-kill cases (timed kills, kills at every
    ship point, double failures at every promote point) through the
    committed-visible / uncommitted-gone oracle extended with
@@ -28,14 +28,15 @@ reuses it.
 Hard gates — the test fails on any of them:
 
 * 100% semantic equivalence for every query on the replicated cluster;
-* zero acked-write loss in **sync** mode across every seeded
-  primary-kill chaos case (200 of them), zero
-  leaked locks/sessions, every kill kind and crash point exercised;
-* the sync availability run rides through the kill (nothing gives
-  up), the outage stays within the gated simulated window, and
-  throughput recovers to >= 80% of its pre-kill rate within one
-  measurement window of promotion;
-* double runs are digest-identical (workload and chaos).
+* every seeded chaos case (200 sync, 50 async) and both availability
+  runs hold every failover-suite invariant: acked-visible (zero loss
+  in **sync** mode), uncommitted-gone, epoch fencing, zero leaked
+  locks/sessions, no transaction id begun twice on a serving node,
+  and digest-identical double runs; every kill kind and crash point
+  is exercised;
+* the sync availability run has one kill and one failover, rides
+  through it (nothing gives up), stays within the gated outage, and
+  recovers to >= 80% of its pre-kill throughput within one window.
 
 Outputs: ``BENCH_replication.json`` (repo root),
 ``results/replication_availability.txt`` and
@@ -46,7 +47,8 @@ Run with ``python -m pytest benchmarks/bench_replication.py``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from repro.bench.report import Table
 from repro.bench.workloads import selection_query_text, tree_query_text
@@ -60,7 +62,7 @@ from repro.dist import (
     ShardedWorkload,
     load_sharded,
 )
-from repro.dist.chaos import FAILOVER_KILL_KINDS
+from repro.dist.chaos import FAILOVER_KILL_KINDS, kill_under_load, settle_kill
 from repro.recovery import run_case, suite_fingerprint
 from repro.stats import records_to_csv
 
@@ -82,6 +84,9 @@ OUTAGE_CEILING_S = 0.5
 #: healthy prefix.  Op cost scales with the database, so fixed kill
 #: times would measure empty windows at larger scales.
 KILL_FRACTION = 1 / 3
+#: The availability runs' shard whose primary dies, and their mix seed.
+VICTIM = 0
+MIX_SEED = 7
 
 
 def query_suite(config: DerbyConfig) -> list[tuple[str, str]]:
@@ -207,9 +212,9 @@ def _windowed_ops_s(op_times: list[float], start: float, width: float) -> float:
     return sum(1 for t in op_times if start <= t < start + width) / width
 
 
-def _availability_mix() -> ShardedMixConfig:
+def _availability_mix(seed: int) -> ShardedMixConfig:
     return ShardedMixConfig(
-        scanners=2, updaters=4, ops_per_client=18, seed=7,
+        scanners=2, updaters=4, ops_per_client=18, seed=seed,
         hot_set=12, scan_selectivity_pct=2.0,
     )
 
@@ -221,48 +226,33 @@ def _calibrate(config: DerbyConfig, logical, ship_mode: str) -> float:
         config, N_SHARDS, scheme=SCHEME, logical=logical, replicas=1,
         ship_mode=ship_mode, max_lag_records=8,
     )
-    cluster.start_cold()
-    workload = ShardedWorkload(cluster, _availability_mix())
+    workload = ShardedWorkload(cluster, _availability_mix(MIX_SEED))
     workload.run()
     times = workload.op_times
     return times[int(len(times) * KILL_FRACTION)]
 
 
-def _one_availability(
-    config: DerbyConfig, logical, ship_mode: str, kill_at_s: float
-) -> tuple[tuple, AvailabilityRun, list[ShardCsvRow]]:
+def _availability_case(
+    config: DerbyConfig, logical, seed: int, ship_mode: str, kill_at_s: float
+) -> tuple[dict, tuple, object]:
+    """The failover suite's case shape over one kill-under-load run; its
+    row is the run's :class:`AvailabilityRun` and per-shard CSV rows."""
     cluster = load_sharded(
         config, N_SHARDS, scheme=SCHEME, logical=logical, replicas=1,
         ship_mode=ship_mode, max_lag_records=8,
     )
-    cluster.start_cold()
-    victim = 0
-    cluster.schedule_kill(victim, at_s=kill_at_s)
-    workload = ShardedWorkload(cluster, _availability_mix())
-    report = workload.run()
-    outage = cluster.shard_unavailable_s(victim)
-    recovery_t = kill_at_s + outage
-    window_s = kill_at_s
-    pre = _windowed_ops_s(workload.op_times, 0.0, window_s)
-    post = _windowed_ops_s(workload.op_times, recovery_t, window_s)
-    digest = (
-        tuple(
-            (s.name, s.metrics.committed, s.metrics.aborted,
-             s.metrics.retries, s.metrics.unavailable)
-            for s in report.sessions
-        ),
-        round(report.elapsed_s, 9),
-        report.context_switches,
-        cluster.kills,
-        tuple(cluster.route.epochs),
-        tuple(cluster.route.failovers),
-        tuple(sorted(cluster.loss_windows.items())),
-        round(outage, 9),
-        len(workload.op_times),
+    run = kill_under_load(
+        cluster, _availability_mix(seed), "timed", "timed", VICTIM, kill_at_s, 1
     )
-    run = AvailabilityRun(
+    # Windows and link meters first: the settle ticks the cluster on.
+    report = run.report
+    outage = cluster.shard_unavailable_s(VICTIM)
+    # The window is as wide as the healthy prefix before the kill.
+    pre = _windowed_ops_s(run.workload.op_times, 0.0, kill_at_s)
+    post = _windowed_ops_s(run.workload.op_times, kill_at_s + outage, kill_at_s)
+    availability = AvailabilityRun(
         ship_mode=ship_mode,
-        victim=victim,
+        victim=VICTIM,
         committed=report.committed,
         aborted=report.aborted,
         unavailable_errors=report.unavailable,
@@ -271,52 +261,59 @@ def _one_availability(
         kills=cluster.kills,
         failovers=sum(cluster.route.failovers),
         unavailable_s=outage,
-        loss_window_records=cluster.loss_windows.get(victim, 0),
+        loss_window_records=cluster.loss_windows.get(VICTIM, 0),
         pre_kill_ops_s=pre,
         post_recovery_ops_s=post,
         recovery_ratio=(post / pre if pre > 0 else 0.0),
         kill_at_s=kill_at_s,
-        window_s=window_s,
-        deterministic=False,  # filled by the caller's double run
+        window_s=kill_at_s,
+        deterministic=False,  # the harness's re-run decides
     )
-    csv_rows = []
+    shards = []
     for sid in range(cluster.n_shards):
-        link = cluster.links.get(sid) or cluster.retired_links.get(sid)
-        csv_rows.append(ShardCsvRow(
+        link = cluster.links.get(sid) or cluster.retired_links[sid]
+        shards.append(ShardCsvRow(
             label=f"avail-{ship_mode}",
             n_shards=cluster.n_shards,
             ship_mode=ship_mode,
             shard=sid,
-            ship_msgs=link.ship_msgs if link else 0,
-            shipped_records=link.shipped_records if link else 0,
-            shipped_bytes=link.shipped_bytes if link else 0,
-            ship_lag_records=link.lag_records() if link else 0,
-            ack_wait_s=link.ack_wait_s if link else 0.0,
+            ship_msgs=link.ship_msgs,
+            shipped_records=link.shipped_records,
+            shipped_bytes=link.shipped_bytes,
+            ship_lag_records=link.lag_records(),
+            ack_wait_s=link.ack_wait_s,
             failovers=cluster.route.failovers[sid],
             epoch=cluster.route.epochs[sid],
             unavailable_s=cluster.shard_unavailable_s(sid),
             loss_window_records=cluster.loss_windows.get(sid, 0),
         ))
-    return digest, run, csv_rows
+    __, digest, evidence = settle_kill(run, ship_mode)
+    return {"availability": availability, "shards": shards}, digest, evidence
 
 
 def run_availability(
     config: DerbyConfig, logical
-) -> tuple[list[AvailabilityRun], list[ShardCsvRow]]:
-    runs, csv_rows = [], []
+) -> tuple[list[AvailabilityRun], list[ShardCsvRow], list[str]]:
+    """Each ship mode's kill-under-load run as a harness case: run twice,
+    digests compared, and checked by the failover suite's invariants."""
+    suite = replace(
+        FAILOVER,
+        name="availability",
+        execute=partial(_availability_case, config, logical),
+    )
+    runs, csv_rows, failures = [], [], []
     for ship_mode in ("sync", "async"):
         kill_at = _calibrate(config, logical, ship_mode)
-        # Twice, for determinism.
-        digest, run, rows = _one_availability(
-            config, logical, ship_mode, kill_at
+        case = run_case(suite, MIX_SEED, ship_mode, kill_at)
+        runs.append(replace(
+            case.row["availability"], deterministic=case.deterministic
+        ))
+        csv_rows.extend(case.row["shards"])
+        failures.extend(
+            f"{ship_mode} availability run: {failure}"
+            for failure in case.failures
         )
-        digest2, __, ___ = _one_availability(
-            config, logical, ship_mode, kill_at
-        )
-        run.deterministic = digest == digest2
-        runs.append(run)
-        csv_rows.extend(rows)
-    return runs, csv_rows
+    return runs, csv_rows, failures
 
 
 # -- scoring and reporting --------------------------------------------------
@@ -415,6 +412,7 @@ def build_table(
 def check(
     equiv: list[EquivRun],
     avail: list[AvailabilityRun],
+    avail_failures: list[str],
     chaos_sync: list,
     chaos_async: list,
     summary: dict,
@@ -434,11 +432,6 @@ def check(
             f"sync availability run: {sync.gave_up} op(s) gave up during "
             "a single recoverable failover"
         )
-    if sync.loss_window_records:
-        failures.append(
-            f"sync availability run lost {sync.loss_window_records} "
-            "acked record(s)"
-        )
     if sync.unavailable_s > OUTAGE_CEILING_S:
         failures.append(
             f"sync outage {sync.unavailable_s:.4f}s exceeds the "
@@ -450,28 +443,13 @@ def check(
             f"pre-kill within {sync.window_s:.2f}s "
             f"(floor {RECOVERY_FLOOR:.0%})"
         )
-    for a in avail:
-        if not a.deterministic:
-            failures.append(
-                f"{a.ship_mode} availability run is not digest-identical "
-                "across double runs"
-            )
-    for c in chaos_sync:
+    failures.extend(avail_failures)
+    # A sync case with a loss window fails the suite's own invariant.
+    for c in chaos_sync + chaos_async:
         if not c.ok:
             failures.append(
-                f"sync chaos seed={c.seed} ({c.row['Kind']}/{c.row['Point']}): "
-                + "; ".join(c.failures)
-            )
-        if c.row["LossWin"]:
-            failures.append(
-                f"sync chaos seed={c.seed} reported a nonzero acked-loss "
-                f"window ({c.row['LossWin']} records)"
-            )
-    for c in chaos_async:
-        if not c.ok:
-            failures.append(
-                f"async chaos seed={c.seed} ({c.row['Kind']}/{c.row['Point']}): "
-                + "; ".join(c.failures)
+                f"{c.row['Mode']} chaos seed={c.seed} "
+                f"({c.row['Kind']}/{c.row['Point']}): " + "; ".join(c.failures)
             )
     for kind, count in summary["chaos_kinds"].items():
         if count == 0:
@@ -486,7 +464,7 @@ def test_replication_availability(save_table, save_json):
     config = DerbyConfig.db_1to3(scale=SCALE)
     logical = generate(config)
     equiv = run_equivalence(config, logical)
-    avail, csv_rows = run_availability(config, logical)
+    avail, csv_rows, avail_failures = run_availability(config, logical)
     chaos_sync = [
         run_case(FAILOVER, seed, "sync") for seed in range(CHAOS_CASES_SYNC)
     ]
@@ -516,5 +494,7 @@ def test_replication_availability(save_table, save_json):
         "equivalence": [asdict(r) for r in equiv],
         "availability": [asdict(a) for a in avail],
     })
-    failures = check(equiv, avail, chaos_sync, chaos_async, summary)
+    failures = check(
+        equiv, avail, avail_failures, chaos_sync, chaos_async, summary
+    )
     assert not failures, "\n".join(failures)

@@ -330,26 +330,16 @@ def cmd_shard_demo(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ failover
 
 def cmd_failover_demo(args: argparse.Namespace) -> int:
-    """Kill a primary under load and narrate the failover."""
-    from repro.dist import (
-        ShardedMixConfig,
-        ShardedWorkload,
-        load_sharded,
-        sharded_table,
-    )
+    """Kill a primary under load; narrate and check the failover."""
+    from repro.dist import ShardedMixConfig, load_sharded, sharded_table
+    from repro.dist.chaos import FAILOVER, kill_under_load, settle_kill
     from repro.dist.failure import GRACE_S, LEASE_S
 
-    config = _make_config(args)
     cluster = load_sharded(
-        config,
-        args.shards,
-        scheme=args.scheme,
-        replicas=1,
+        _make_config(args), args.shards, scheme=args.scheme, replicas=1,
         ship_mode=args.ship_mode,
     )
-    cluster.start_cold()
     victim = 0  # the shard whose primary dies
-    cluster.schedule_kill(victim, at_s=args.kill_at)
     print(
         f"{cluster!r}: killing shard {victim}'s primary at "
         f"t={args.kill_at:.3f}s (lease {LEASE_S:.3f}s + grace "
@@ -358,8 +348,10 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
     mix = ShardedMixConfig.from_clients(
         args.clients, ops_per_client=args.ops, seed=args.seed
     )
-    report = ShardedWorkload(cluster, mix).run()
-    print(sharded_table(report, cluster))
+    run = kill_under_load(
+        cluster, mix, "timed", "timed", victim, args.kill_at, 1
+    )
+    print(sharded_table(run.report, cluster))
     print()
     print(f"kills {cluster.kills}, failovers {cluster.route.failovers}, "
           f"epochs {cluster.route.epochs}")
@@ -367,6 +359,10 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
           f"{cluster.shard_unavailable_s(victim):.4f} simulated s, "
           f"acked-loss window {cluster.loss_windows.get(victim, 0)} "
           "records")
+    __, __, evidence = settle_kill(run, args.ship_mode)
+    failures = FAILOVER.check(evidence)
+    for failure in failures:
+        print(f"failover invariant broken: {failure}", file=sys.stderr)
     serving = cluster.route.node_for(victim)
     if serving.down:
         print(f"shard {victim} is still down (no promotable standby)",
@@ -374,7 +370,7 @@ def cmd_failover_demo(args: argparse.Namespace) -> int:
         return 1
     print(f"shard {victim} serving again from the promoted standby "
           f"(epoch {serving.epoch})")
-    return 0
+    return 1 if failures else 0
 
 
 # ------------------------------------------------------------------ layout

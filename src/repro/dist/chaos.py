@@ -3,8 +3,8 @@
 Both are :class:`~repro.recovery.harness.Suite` instances — a seeded
 case generator plus invariants, double-run by the shared harness — and
 share their cluster-level evidence gathering (hot homes, durable ages,
-decided transactions) and two invariants (:func:`_cluster_leaks`,
-:func:`_last_writer`).
+decided transactions) and three invariants (:func:`_cluster_leaks`,
+:func:`_fresh_txn_ids`, :func:`_last_writer`).
 
 **2pc** — crash the *cluster* mid-protocol, recover, verify.  Each case
 draws a shard count, partition scheme, workload shape and a
@@ -25,6 +25,8 @@ atomic-commitment contract **across all shards**:
   voted yes (presumed abort);
 * **nothing leaks** — after recovery no shard holds locks, waiters or
   open transactions, and no distributed transaction is registered;
+* **fresh ids** — no serving node begins a transaction id twice (its
+  durable log names each ``begin`` once);
 * **determinism** — re-running the same seed on a fresh cluster crashes
   at the same point and reproduces an identical digest.
 
@@ -46,11 +48,13 @@ run, and the replicated atomic-commitment contract must hold:
   non-zero loss window (bounded by ``max_lag_records``), and every
   durable value was legally written (no dirty write ever survives);
 * fenced promotion (a promoted node serves, under the route's epoch,
-  with recorded downtime), zero leaks, and digest-identical re-runs.
+  with recorded downtime), zero leaks, fresh ids, and digest-identical
+  re-runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from random import Random
 from types import SimpleNamespace
 
@@ -136,6 +140,25 @@ def _cluster_leaks(ev) -> list[str]:
     return failures
 
 
+def _fresh_txn_ids(ev) -> list[str]:
+    """No serving node begins a transaction id twice: a promoted or
+    restarted node takes its ids past every one its log already names
+    (2PC branches and decisions are keyed by them)."""
+    failures: list[str] = []
+    for node in ev.cluster.all_nodes():
+        if not node.down:
+            begun = Counter(
+                r.txn_id for r in node.txm.log.records if r.kind == "begin"
+            )
+            failures.extend(
+                f"shard {node.shard_id}: transaction id {txn_id} begun "
+                f"{times} times"
+                for txn_id, times in sorted(begun.items())
+                if times > 1
+            )
+    return failures
+
+
 def _last_writer(ev) -> list[str]:
     """Committed-visible / uncommitted-gone over the hot homes, counting
     the writes of every unacked-but-won transaction as committed."""
@@ -201,35 +224,28 @@ def _execute_2pc(seed: int):
         scheme=scheme,
         lock_timeout_s=lock_timeout_s,
     )
-    hot_homes = _hot_homes(cluster, config)
-    # Preload ages *before* the run — the uncommitted-gone baseline.
-    preload = _durable_ages(cluster, hot_homes)
-
-    workload = ShardedWorkload(cluster, config)
-    injector.arm(cluster)
-    report = workload.run()
-
-    resolved_commit = 0
-    resolved_abort = 0
-    decided_unacked: list[int] = []
+    ev = _run_mix(cluster, config, injector)
+    report = ev.report
+    resolved_commit = resolved_abort = 0
+    ev.unacked = []
     if report.crashed:
         cluster.crash()
-        decided_unacked = sorted(
-            _decided_globals(cluster) - workload.acked_globals
+        ev.unacked = sorted(
+            _decided_globals(cluster) - ev.workload.acked_globals
         )
         recovery = cluster.recover()
         resolved_commit = sum(r.txns_resolved_commit for r in recovery)
         resolved_abort = sum(r.txns_resolved_abort for r in recovery)
-    final = _durable_ages(cluster, hot_homes)
+    ev.final = _durable_ages(cluster, ev.hot_homes)
 
     digest = _session_digest(report, "io_failures") + (
         round(report.elapsed_s, 9),
         report.context_switches,
         report.crashed,
-        tuple(decided_unacked),
+        tuple(ev.unacked),
         resolved_commit,
         resolved_abort,
-        _ages_digest(final),
+        _ages_digest(ev.final),
     )
     row = {
         "Shards": n_shards,
@@ -242,23 +258,13 @@ def _execute_2pc(seed: int):
         "ResolvedC": resolved_commit,
         "ResolvedA": resolved_abort,
     }
-    evidence = SimpleNamespace(
-        crashed=report.crashed,
-        cluster=cluster,
-        workload=workload,
-        injector=injector,
-        preload=preload,
-        final=final,
-        unacked=decided_unacked,
-        lossy_shards=frozenset(),
-    )
-    return row, digest, evidence
+    return row, digest, ev
 
 
 def _crash_was_injected(ev) -> list[str]:
-    if ev.crashed and not ev.injector.fired:
+    if ev.report.crashed and not ev.injector.fired:
         return ["run crashed but the 2PC injector never fired"]
-    if ev.injector.fired and not ev.crashed:
+    if ev.injector.fired and not ev.report.crashed:
         return ["injector fired but the run did not crash"]
     return []
 
@@ -274,15 +280,133 @@ def _note_2pc(cases) -> str:
     )
 
 
-# -- the failover suite --------------------------------------------------
+# -- one primary kill under load -----------------------------------------
 
-#: How each failover chaos case kills the primary.
+#: How a primary is killed under load.
 FAILOVER_KILL_KINDS = ("timed", "ship", "double")
+
+
+def _run_mix(
+    cluster: ShardedCluster, config: ShardedMixConfig, injector
+) -> SimpleNamespace:
+    """Read the hot ages (the uncommitted-gone baseline), arm ``injector``
+    if any and run the mix (cold); the namespace grows into evidence."""
+    run = SimpleNamespace(
+        cluster=cluster, injector=injector, lossy_shards=frozenset()
+    )
+    run.hot_homes = _hot_homes(cluster, config)
+    run.preload = _durable_ages(cluster, run.hot_homes)
+    run.workload = ShardedWorkload(cluster, config)
+    if injector is not None:
+        injector.arm(cluster)
+    run.report = run.workload.run()
+    return run
+
+
+def kill_under_load(
+    cluster: ShardedCluster, config: ShardedMixConfig, kind: str, point: str,
+    victim: int, at_s: float, occurrence: int,
+) -> SimpleNamespace:
+    """The one way a primary is killed under load (failover chaos, the
+    replication benchmark, ``repro failover demo``): arm one kill on the
+    replicated ``cluster`` and run the sharded mix ``config`` through
+    it.  ``timed``: shard ``victim``'s primary dies at simulated
+    ``at_s``; ``ship``: the primary reaching ship ``point`` for the
+    ``occurrence``-th time dies; ``double``: a timed kill, then the
+    replica dies at promote ``point``.  Read the run's meters before
+    :func:`settle_kill`, which ticks the cluster on."""
+    if kind != "ship":
+        cluster.schedule_kill(victim, at_s)
+    run = _run_mix(
+        cluster,
+        config,
+        None if kind == "timed" else ReplicationInjector(point, occurrence),
+    )
+    run.kind, run.point = kind, point
+    return run
+
+
+def settle_kill(
+    run: SimpleNamespace, ship_mode: str
+) -> tuple[dict, tuple, SimpleNamespace]:
+    """Settle the failover a :func:`kill_under_load` run left behind:
+    idle the coordinator forward (heartbeat-interval waits, then a tick,
+    so leases expire on the run's own timeline) until every killed shard
+    has failed over or proven unpromotable.  Returns the failover
+    suite's ``(row, digest, evidence)``; the evidence is ``run``."""
+    cluster, workload, report = run.cluster, run.workload, run.report
+    for __ in range(64):
+        cluster.tick()
+        if not any(
+            cluster.route.node_for(sid).down
+            and cluster.standbys.get(sid) is not None
+            and not cluster.standbys[sid].down
+            for sid in range(cluster.n_shards)
+        ):
+            break
+        cluster.clock.charge_s(_BACKOFF, HEARTBEAT_INTERVAL_S)
+
+    # Unacked-but-won commits come from two places: durable decision
+    # records (multi-shard 2PC), and branch commit records that reached
+    # a promoted replica's durable log (one-phase commits whose ack
+    # died with the primary).
+    replica_committed = {
+        workload.branch_globals.get((sid, record.txn_id))
+        for sid in range(cluster.n_shards)
+        if cluster.route.failovers[sid]
+        for record in cluster.route.node_for(sid).txm.log.durable_records()
+        if record.kind == "commit"
+    }
+    run.unacked = sorted(
+        (_decided_globals(cluster) | (replica_committed - {None}))
+        - workload.acked_globals
+    )
+    run.ship_mode = ship_mode
+    run.killed = cluster.kills > 0
+    run.loss_window = max(cluster.loss_windows.values(), default=0)
+    run.final = _durable_ages(cluster, run.hot_homes)
+    # Async shipping may lose acked writes, but only on a shard whose
+    # link reported a loss window; sync never may.
+    run.lossy_shards = frozenset(
+        sid
+        for sid, window in cluster.loss_windows.items()
+        if window and ship_mode == "async"
+    )
+    total_unavailable_s = sum(
+        cluster.shard_unavailable_s(sid) for sid in range(cluster.n_shards)
+    )
+    digest = _session_digest(report, "unavailable") + (
+        round(report.elapsed_s, 9),
+        report.context_switches,
+        run.killed,
+        tuple(cluster.route.epochs),
+        tuple(cluster.route.failovers),
+        tuple(sorted(cluster.loss_windows.items())),
+        tuple(run.unacked),
+        round(total_unavailable_s, 9),
+        _ages_digest(run.final),
+    )
+    row = {
+        "Mode": ship_mode,
+        "Shards": cluster.n_shards,
+        "Kind": run.kind,
+        "Point": run.point,
+        "Killed": run.killed,
+        "FailedOver": any(cluster.route.failovers),
+        "Committed": report.committed,
+        "Unavail": report.unavailable,
+        "LossWin": run.loss_window,
+        "Down (s)": round(total_unavailable_s, 4),
+    }
+    return row, digest, run
+
+
+# -- the failover suite --------------------------------------------------
 
 
 def _draw_failover_case(
     seed: int, ship_mode: str
-) -> tuple[int, str, ShardedMixConfig, str, str, int, int, float, int]:
+) -> tuple[int, str, ShardedMixConfig, tuple, int]:
     """Case generator: cluster shape, mix, kill recipe from one seed."""
     rng = Random(seed * 15_485_863 + 29)
     n_shards = rng.choice([2, 3])
@@ -306,38 +430,14 @@ def _draw_failover_case(
     kill_at_s = rng.uniform(0.01, 0.25)
     occurrence = rng.randint(1, 3)
     max_lag = rng.choice([4, 16]) if ship_mode == "async" else 64
-    return (
-        n_shards, scheme, config, kind, point, victim, occurrence,
-        kill_at_s, max_lag,
-    )
-
-
-def _settle_failover(cluster: ShardedCluster) -> None:
-    """Idle the coordinator forward until every killed shard has either
-    failed over or proven unpromotable: charge heartbeat-interval waits
-    and tick, so leases expire on the same deterministic timeline the
-    run used."""
-    if cluster.detector is None:
-        return
-    for __ in range(64):
-        cluster.tick()
-        down = [
-            sid
-            for sid in range(cluster.n_shards)
-            if cluster.route.node_for(sid).down
-            and cluster.standbys.get(sid) is not None
-            and not cluster.standbys[sid].down
-        ]
-        if not down:
-            return
-        cluster.clock.charge_s(_BACKOFF, HEARTBEAT_INTERVAL_S)
+    kill = (kind, point, victim, kill_at_s, occurrence if kind == "ship" else 1)
+    return n_shards, scheme, config, kill, max_lag
 
 
 def _execute_failover(seed: int, ship_mode: str):
-    (
-        n_shards, scheme, config, kind, point, victim, occurrence,
-        kill_at_s, max_lag,
-    ) = _draw_failover_case(seed, ship_mode)
+    n_shards, scheme, config, kill, max_lag = _draw_failover_case(
+        seed, ship_mode
+    )
     cluster = load_sharded(
         DerbyConfig.db_1to3(scale=_SCALE),
         n_shards,
@@ -346,94 +446,7 @@ def _execute_failover(seed: int, ship_mode: str):
         ship_mode=ship_mode,
         max_lag_records=max_lag,
     )
-    hot_homes = _hot_homes(cluster, config)
-    preload = _durable_ages(cluster, hot_homes)
-
-    workload = ShardedWorkload(cluster, config)
-    injector: ReplicationInjector | None = None
-    if kind == "timed":
-        cluster.schedule_kill(victim, kill_at_s)
-    elif kind == "ship":
-        injector = ReplicationInjector(point, occurrence=occurrence)
-        injector.arm(cluster)
-    else:  # double failure: timed primary kill + replica dies promoting
-        cluster.schedule_kill(victim, kill_at_s)
-        injector = ReplicationInjector(point, occurrence=1)
-        injector.arm(cluster)
-    report = workload.run()
-    _settle_failover(cluster)
-
-    killed = cluster.kills > 0
-    failed_over = any(cluster.route.failovers)
-
-    # Unacked-but-won commits come from two places: durable decision
-    # records (multi-shard 2PC), and branch commit records that reached
-    # a promoted replica's durable log (one-phase commits whose ack
-    # died with the primary).
-    replica_committed: set[int] = set()
-    for sid in range(cluster.n_shards):
-        if not cluster.route.failovers[sid]:
-            continue
-        node = cluster.route.node_for(sid)
-        for record in node.txm.log.durable_records():
-            if record.kind == "commit":
-                global_id = workload.branch_globals.get((sid, record.txn_id))
-                if global_id is not None:
-                    replica_committed.add(global_id)
-    extras = sorted(
-        (_decided_globals(cluster) | replica_committed)
-        - workload.acked_globals
-    )
-
-    loss_window = max(cluster.loss_windows.values(), default=0)
-    final = _durable_ages(cluster, hot_homes)
-    total_unavailable_s = sum(
-        cluster.shard_unavailable_s(sid) for sid in range(cluster.n_shards)
-    )
-    digest = _session_digest(report, "unavailable") + (
-        round(report.elapsed_s, 9),
-        report.context_switches,
-        killed,
-        tuple(cluster.route.epochs),
-        tuple(cluster.route.failovers),
-        tuple(sorted(cluster.loss_windows.items())),
-        tuple(extras),
-        round(total_unavailable_s, 9),
-        _ages_digest(final),
-    )
-    row = {
-        "Mode": ship_mode,
-        "Shards": n_shards,
-        "Kind": kind,
-        "Point": point,
-        "Killed": killed,
-        "FailedOver": failed_over,
-        "Committed": report.committed,
-        "Unavail": report.unavailable,
-        "LossWin": loss_window,
-        "Down (s)": round(total_unavailable_s, 4),
-    }
-    evidence = SimpleNamespace(
-        ship_mode=ship_mode,
-        kind=kind,
-        point=point,
-        killed=killed,
-        loss_window=loss_window,
-        cluster=cluster,
-        workload=workload,
-        injector=injector,
-        preload=preload,
-        final=final,
-        unacked=extras,
-        # Async shipping may lose acked writes, but only on a shard
-        # whose link reported a loss window; sync never may.
-        lossy_shards=frozenset(
-            sid
-            for sid, window in cluster.loss_windows.items()
-            if window and ship_mode == "async"
-        ),
-    )
-    return row, digest, evidence
+    return settle_kill(kill_under_load(cluster, config, *kill), ship_mode)
 
 
 def _failover_protocol(ev) -> list[str]:
@@ -484,7 +497,9 @@ def _note_failover(cases) -> str:
 TWOPC = Suite(
     name="2pc",
     execute=_execute_2pc,
-    invariants=[_crash_was_injected, _cluster_leaks, _last_writer],
+    invariants=[
+        _crash_was_injected, _cluster_leaks, _fresh_txn_ids, _last_writer,
+    ],
     title="2PC chaos: {n} seeded crash-injected sharded runs",
     note=_note_2pc,
 )
@@ -493,7 +508,8 @@ FAILOVER = Suite(
     name="failover",
     execute=_execute_failover,
     invariants=[
-        _failover_protocol, _cluster_leaks, _sync_loses_nothing, _last_writer,
+        _failover_protocol, _cluster_leaks, _fresh_txn_ids,
+        _sync_loses_nothing, _last_writer,
     ],
     title="Failover chaos: {n} seeded primary-kill runs",
     note=_note_failover,

@@ -33,6 +33,9 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
+#: The failure :func:`run_case` reports when a re-run's digest differs.
+_NONDETERMINISTIC = "re-run produced a different digest (determinism violated)"
+
 
 @dataclass
 class Case:
@@ -49,6 +52,11 @@ class Case:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    @property
+    def deterministic(self) -> bool:
+        """The re-run reproduced this case's digest."""
+        return not any(f.endswith(_NONDETERMINISTIC) for f in self.failures)
 
 
 @dataclass
@@ -72,10 +80,11 @@ class Suite:
     def run_once(self, seed: int, *variant) -> Case:
         """One execution of one case, checked against every invariant."""
         row, digest, evidence = self.execute(seed, *variant)
-        failures = [
-            failure for check in self.invariants for failure in check(evidence)
-        ]
-        return Case(seed, variant, row, digest, failures)
+        return Case(seed, variant, row, digest, self.check(evidence))
+
+    def check(self, evidence) -> list[str]:
+        """Every invariant's failures on one case's evidence, in order."""
+        return [f for check in self.invariants for f in check(evidence)]
 
     def summarize(self, cases: list[Case]):
         """One table row per case (bools as yes/no) and the aggregate."""
@@ -105,10 +114,7 @@ def run_case(suite: Suite, seed: int, *variant) -> Case:
     if again.failures != case.failures:
         case.failures.extend(f"re-run: {failure}" for failure in again.failures)
     if again.digest != case.digest:
-        case.failures.append(
-            f"seed {seed}: re-run produced a different digest "
-            "(determinism violated)"
-        )
+        case.failures.append(f"seed {seed}: {_NONDETERMINISTIC}")
     return case
 
 

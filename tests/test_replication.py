@@ -14,6 +14,7 @@ from repro.dist import (
     ShardedWorkload,
     load_sharded,
 )
+from repro.dist.chaos import kill_under_load, settle_kill
 from repro.dist.failure import GRACE_S, HEARTBEAT_INTERVAL_S, LEASE_S
 from repro.errors import (
     QueryCancelledError,
@@ -384,26 +385,58 @@ def test_async_kill_reports_bounded_loss_window():
 # -- retries and the workload --------------------------------------------
 
 
+def _timed_kill(cluster, config, at_s):
+    """A timed kill of shard 0's primary through the one driver."""
+    return kill_under_load(cluster, config, "timed", "timed", 0, at_s, 1)
+
+
 def test_workload_rides_through_a_primary_kill():
     cluster = make_replicated(n_shards=2)
-    cluster.schedule_kill(0, at_s=0.05)
     config = ShardedMixConfig(
         scanners=1, updaters=2, ops_per_client=4, seed=7
     )
-    workload = ShardedWorkload(cluster, config)
-    report = workload.run()
+    run = _timed_kill(cluster, config, 0.05)
+    report = run.report
     assert cluster.kills == 1
     assert cluster.route.failovers[0] == 1
     assert report.unavailable > 0  # sessions saw the outage...
     assert report.gave_up == 0  # ...and retried through it
     assert report.committed > 0
-    # Acked writes survived the failover.
-    last = {}
-    for home, value in workload.write_log:
-        last[home] = value
-    for (sid, rid), value in last.items():
-        node = cluster.route.node_for(sid)
-        assert _age(node, rid) == value
+    # Acked writes survived the failover, and nothing else broke.
+    __, __, evidence = settle_kill(run, "sync")
+    assert FAILOVER.check(evidence) == []
+
+
+@pytest.mark.parametrize("ship_mode", ["sync", "async"])
+def test_a_timed_kill_through_the_driver_holds_every_failover_invariant(
+    ship_mode,
+):
+    cluster = make_replicated(
+        n_shards=2, ship_mode=ship_mode, max_lag_records=4
+    )
+    config = ShardedMixConfig(
+        scanners=1, updaters=3, ops_per_client=5, seed=3, hot_set=6
+    )
+    run = _timed_kill(cluster, config, 0.08)
+    row, __, evidence = settle_kill(run, ship_mode)
+    assert row["Killed"] and row["FailedOver"]
+    assert FAILOVER.check(evidence) == []
+
+
+def test_a_reused_transaction_id_is_named():
+    cluster = make_replicated(n_shards=2)
+    config = ShardedMixConfig(
+        scanners=0, updaters=2, ops_per_client=3, seed=7
+    )
+    __, __, evidence = settle_kill(_timed_kill(cluster, config, 0.05), "sync")
+    assert FAILOVER.check(evidence) == []
+    promoted = cluster.route.node_for(0)
+    reused = max(r.txn_id for r in promoted.txm.log.records)
+    promoted.txm._next_txn_id = reused  # as if restart lost the high-water
+    promoted.txm.begin().abort()
+    assert FAILOVER.check(evidence) == [
+        f"shard 0: transaction id {reused} begun 2 times"
+    ]
 
 
 def test_double_failure_fails_fast_with_clean_accounting():
