@@ -142,6 +142,17 @@ def load_derby(
     txn = txm.begin(logged=config.logged_load)
     created_in_batch = 0
 
+    # The columns the loop reads, bound once.
+    owner = logical.owner
+    patient_name, mrn, age, sex = (
+        logical.patient_name, logical.mrn, logical.age, logical.sex
+    )
+    random_integer, num = logical.random_integer, logical.num
+    provider_name, upin = logical.provider_name, logical.upin
+    address, specialty, office = (
+        logical.address, logical.specialty, logical.office
+    )
+
     try:
         for kind, idx, fname in placement_order(logical, config.clustering):
             if created_in_batch >= COMMIT_BATCH:
@@ -150,20 +161,19 @@ def load_derby(
                 txn = txm.begin(logged=config.logged_load)
                 created_in_batch = 0
             if kind == PATIENT_STEP:
-                patient = logical.patients[idx]
-                owner = provider_rids[patient.provider_idx]
-                if owner is None:
+                provider_rid = provider_rids[owner[idx]]
+                if provider_rid is None:
                     deferred_refs.append(idx)
                 rid = txn.create_object(
                     PATIENT_CLASS,
                     {
-                        "name": patient.name,
-                        "mrn": patient.mrn,
-                        "age": patient.age,
-                        "sex": patient.sex,
-                        "random_integer": patient.random_integer,
-                        "num": patient.num,
-                        "primary_care_provider": owner,
+                        "name": patient_name[idx],
+                        "mrn": mrn[idx],
+                        "age": age[idx],
+                        "sex": sex[idx],
+                        "random_integer": random_integer[idx],
+                        "num": num[idx],
+                        "primary_care_provider": provider_rid,
                     },
                     fname,
                     index_ids=patient_index_ids,
@@ -171,15 +181,14 @@ def load_derby(
                 patient_rids[idx] = rid
                 patients.append(rid)
             else:
-                provider = logical.providers[idx]
                 rid = txn.create_object(
                     PROVIDER_CLASS,
                     {
-                        "name": provider.name,
-                        "upin": provider.upin,
-                        "address": provider.address,
-                        "specialty": provider.specialty,
-                        "office": provider.office,
+                        "name": provider_name[idx],
+                        "upin": upin[idx],
+                        "address": address[idx],
+                        "specialty": specialty[idx],
+                        "office": office[idx],
                         "clients": clients_placeholder,
                     },
                     fname,
@@ -193,16 +202,15 @@ def load_derby(
         # -- the association join (paper, Section 3.2) ---------------------
         # Fix patients created before their provider existed (random order).
         for idx in deferred_refs:
-            patient = logical.patients[idx]
             db.manager.update_scalar(
                 patient_rids[idx],                      # type: ignore[arg-type]
                 "primary_care_provider",
-                provider_rids[patient.provider_idx],
+                provider_rids[owner[idx]],
             )
         # Fill every provider's clients set; large sets spill, growing
         # records may move (the "not always right next to them" effect).
-        for i, provider in enumerate(logical.providers):
-            members = [patient_rids[j] for j in provider.patient_idxs]
+        for i in range(logical.n_providers):
+            members = [patient_rids[j] for j in logical.patients_of(i)]
             new_rid = db.manager.update_set(
                 provider_rids[i],                        # type: ignore[arg-type]
                 "clients",
@@ -224,18 +232,9 @@ def load_derby(
 
     # -- indexes ----------------------------------------------------------
     if config.index_first:
-        db.indexes[INDEX_BY_UPIN].bulk_build(
-            (logical.providers[i].upin, provider_rids[i])
-            for i in range(logical.n_providers)
-        )
-        db.indexes[INDEX_BY_MRN].bulk_build(
-            (logical.patients[j].mrn, patient_rids[j])
-            for j in range(logical.n_patients)
-        )
-        db.indexes[INDEX_BY_NUM].bulk_build(
-            (logical.patients[j].num, patient_rids[j])
-            for j in range(logical.n_patients)
-        )
+        db.indexes[INDEX_BY_UPIN].bulk_build(zip(upin, provider_rids))
+        db.indexes[INDEX_BY_MRN].bulk_build(zip(mrn, patient_rids))
+        db.indexes[INDEX_BY_NUM].bulk_build(zip(num, patient_rids))
     else:
         for name, coll, attr in (
             (INDEX_BY_UPIN, providers, "upin"),

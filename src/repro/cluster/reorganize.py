@@ -12,14 +12,11 @@ strategy.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 from repro.cluster.loader import DerbyDatabase, load_derby
-from repro.derby.generator import (
-    LogicalDatabase,
-    LogicalPatient,
-    LogicalProvider,
-)
+from repro.derby.generator import LogicalDatabase
 
 
 @dataclass(frozen=True)
@@ -39,40 +36,35 @@ def dump_logical(derby: DerbyDatabase) -> LogicalDatabase:
     which is exactly the creation order the loader expects.
     """
     om = derby.db.manager
-    providers: list[LogicalProvider] = []
-    for rid in derby.by_upin.rid_scan():
-        record, class_def = om.read_record(rid)
-        values = om.codec(class_def).decode(record)
-        providers.append(
-            LogicalProvider(
-                upin=values["upin"],        # type: ignore[arg-type]
-                name=values["name"],        # type: ignore[arg-type]
-                address=values["address"],  # type: ignore[arg-type]
-                specialty=values["specialty"],  # type: ignore[arg-type]
-                office=values["office"],    # type: ignore[arg-type]
-            )
-        )
-    patients: list[LogicalPatient] = []
-    for j, rid in enumerate(derby.by_mrn.rid_scan()):
-        record, class_def = om.read_record(rid)
-        values = om.codec(class_def).decode(record)
-        patient = LogicalPatient(
-            mrn=values["mrn"],                       # type: ignore[arg-type]
-            name=values["name"],                     # type: ignore[arg-type]
-            age=values["age"],                       # type: ignore[arg-type]
-            sex=values["sex"],                       # type: ignore[arg-type]
-            random_integer=values["random_integer"],  # type: ignore[arg-type]
-            num=values["num"],                       # type: ignore[arg-type]
-        )
-        patients.append(patient)
-        providers[patient.provider_idx].patient_idxs.append(j)
-
+    providers = [
+        om.codec(class_def).decode(record)
+        for record, class_def in map(om.read_record, derby.by_upin.rid_scan())
+    ]
+    patients = [
+        om.codec(class_def).decode(record)
+        for record, class_def in map(om.read_record, derby.by_mrn.rid_scan())
+    ]
+    random_integer = array("i", [p["random_integer"] for p in patients])
     config = replace(
         derby.config,
         n_providers=len(providers),
         n_patients=len(patients),
     )
-    return LogicalDatabase(config, providers, patients)
+    return LogicalDatabase(
+        config,
+        upin=array("i", [p["upin"] for p in providers]),
+        provider_name=[p["name"] for p in providers],
+        address=[p["address"] for p in providers],
+        specialty=[p["specialty"] for p in providers],
+        office=[p["office"] for p in providers],
+        mrn=array("i", [p["mrn"] for p in patients]),
+        patient_name=[p["name"] for p in patients],
+        age=array("i", [p["age"] for p in patients]),
+        sex=[p["sex"] for p in patients],
+        random_integer=random_integer,
+        num=array("i", [p["num"] for p in patients]),
+        owner=array("i", [r - 1 for r in random_integer]),
+    )
 
 
 def dump_and_reload(derby: DerbyDatabase) -> tuple[DerbyDatabase, ReorganizeReport]:

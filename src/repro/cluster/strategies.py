@@ -65,9 +65,9 @@ def placement_order(
     # (a shuffled order here; without this, an mrn range would select a
     # neat prefix of every group and composition would look unrealistically
     # friendly to index scans).
-    for i, provider in enumerate(logical.providers):
+    for i in range(logical.n_providers):
         yield PROVIDER_STEP, i, provider_file
-        group = list(provider.patient_idxs)
+        group = logical.patients_of(i).tolist()
         random.Random(logical.config.seed * 31 + i).shuffle(group)
         for j in group:
             yield PATIENT_STEP, j, patient_file

@@ -8,7 +8,7 @@ reimplemented bit-exactly in :mod:`repro.derby.lrand48`.
 """
 
 from repro.derby.config import DerbyConfig
-from repro.derby.generator import LogicalDatabase, LogicalPatient, LogicalProvider, generate
+from repro.derby.generator import LogicalDatabase, generate
 from repro.derby.lrand48 import Lrand48
 from repro.derby.schema import build_derby_schema
 
@@ -18,6 +18,4 @@ __all__ = [
     "build_derby_schema",
     "generate",
     "LogicalDatabase",
-    "LogicalProvider",
-    "LogicalPatient",
 ]

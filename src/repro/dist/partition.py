@@ -21,7 +21,7 @@ Splitting is *logical*: the global :class:`~repro.derby.generator.
 LogicalDatabase` is generated once, then each shard gets a per-shard
 ``LogicalDatabase`` view with **global attribute values preserved**
 (``upin``, ``mrn``, ``num``, ``random_integer`` are untouched) and only
-the provider/patient index wiring localized.  Each view is then loaded
+the ``owner`` column localized.  Each view is then loaded
 through the ordinary single-node loader, so every shard is a complete,
 self-consistent Derby database with its own files, indexes and
 association sets.
@@ -29,14 +29,10 @@ association sets.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
-from repro.derby.config import DerbyConfig
-from repro.derby.generator import (
-    LogicalDatabase,
-    LogicalPatient,
-    LogicalProvider,
-)
+from repro.derby.generator import LogicalDatabase
 from repro.errors import PartitionError, ReplicationError
 
 #: The supported partitioning schemes.
@@ -56,23 +52,6 @@ def range_shard(upin: int, n_providers: int, n_shards: int) -> int:
     """Contiguous upin blocks: shard k owns upins in
     ``(k * n / shards, (k+1) * n / shards]``."""
     return min(n_shards - 1, (upin - 1) * n_shards // n_providers)
-
-
-@dataclass
-class _ShardPatient(LogicalPatient):
-    """A patient inside one shard's logical view.
-
-    ``random_integer`` still holds the *global* provider upin (queries
-    and the association semantics depend on it); ``provider_idx`` is
-    overridden to point at the provider's position in the *shard's*
-    provider list, which is what the loader navigates.
-    """
-
-    local_provider_idx: int = 0
-
-    @property
-    def provider_idx(self) -> int:
-        return self.local_provider_idx
 
 
 @dataclass(frozen=True)
@@ -154,7 +133,8 @@ def split_logical(
     their provider.  Within a shard, providers keep global upin order
     and patients keep global mrn order, so a 1-shard split reproduces
     the original placement exactly (the equivalence baseline the tests
-    pin down).
+    pin down).  A view's ``owner`` column holds the shard-local provider
+    index; every other column keeps its global value.
     """
     if scheme not in PARTITION_SCHEMES:
         raise PartitionError(
@@ -165,59 +145,28 @@ def split_logical(
         raise PartitionError(f"need at least one shard, got {n_shards}")
 
     n_providers = logical.n_providers
-    provider_shard: list[int] = []
-    for provider in logical.providers:
-        if scheme == "hash":
-            shard = hash_shard(provider.upin, n_shards)
-        else:
-            shard = range_shard(provider.upin, n_providers, n_shards)
-        provider_shard.append(shard)
-
-    shard_providers: list[list[LogicalProvider]] = [[] for __ in range(n_shards)]
-    shard_patients: list[list[_ShardPatient]] = [[] for __ in range(n_shards)]
+    if scheme == "hash":
+        provider_shard = [hash_shard(upin, n_shards) for upin in logical.upin]
+    else:
+        provider_shard = [
+            range_shard(upin, n_providers, n_shards) for upin in logical.upin
+        ]
+    shard_providers: list[list[int]] = [[] for __ in range(n_shards)]
     provider_local: list[int] = []
+    for i, shard in enumerate(provider_shard):
+        provider_local.append(len(shard_providers[shard]))
+        shard_providers[shard].append(i)
+    shard_patients: list[list[int]] = [[] for __ in range(n_shards)]
     patient_shard: list[int] = []
     patient_local: list[int] = []
-
-    for i, provider in enumerate(logical.providers):
+    for j, i in enumerate(logical.owner):
         shard = provider_shard[i]
-        provider_local.append(len(shard_providers[shard]))
-        shard_providers[shard].append(
-            LogicalProvider(
-                upin=provider.upin,
-                name=provider.name,
-                address=provider.address,
-                specialty=provider.specialty,
-                office=provider.office,
-                patient_idxs=[],
-            )
-        )
-    for patient in logical.patients:
-        owner_global = patient.random_integer - 1
-        shard = provider_shard[owner_global]
-        local_owner = provider_local[owner_global]
-        local_idx = len(shard_patients[shard])
         patient_shard.append(shard)
-        patient_local.append(local_idx)
-        shard_patients[shard].append(
-            _ShardPatient(
-                mrn=patient.mrn,
-                name=patient.name,
-                age=patient.age,
-                sex=patient.sex,
-                random_integer=patient.random_integer,
-                num=patient.num,
-                local_provider_idx=local_owner,
-            )
-        )
-        shard_providers[shard][local_owner].patient_idxs.append(local_idx)
+        patient_local.append(len(shard_patients[shard]))
+        shard_patients[shard].append(j)
 
     views = [
-        LogicalDatabase(
-            config=_shard_config(logical.config, providers, patients),
-            providers=providers,
-            patients=patients,
-        )
+        _view(logical, providers, patients, provider_local)
         for providers, patients in zip(shard_providers, shard_patients)
     ]
     part = PartitionMap(
@@ -231,16 +180,35 @@ def split_logical(
     return part, views
 
 
-def _shard_config(
-    config: DerbyConfig,
-    providers: list[LogicalProvider],
-    patients: list[_ShardPatient],
-) -> DerbyConfig:
-    """A shard's build recipe: the global config with the counts of this
-    slice (floored at 1 — DerbyConfig validates counts, but an empty
-    shard's loader iterates the empty lists, not these numbers)."""
-    return replace(
-        config,
-        n_providers=max(1, len(providers)),
-        n_patients=max(1, len(patients)),
+def _view(
+    logical: LogicalDatabase,
+    providers: list[int],
+    patients: list[int],
+    provider_local: list[int],
+) -> LogicalDatabase:
+    """The shard view of ``logical`` holding the providers and patients
+    at these global indices.  Its build recipe is the global config with
+    the counts of this slice, floored at 1: ``DerbyConfig`` validates
+    counts, but an empty shard's loader iterates the empty columns, not
+    these numbers."""
+    return LogicalDatabase(
+        config=replace(
+            logical.config,
+            n_providers=max(1, len(providers)),
+            n_patients=max(1, len(patients)),
+        ),
+        upin=array("i", [logical.upin[i] for i in providers]),
+        provider_name=[logical.provider_name[i] for i in providers],
+        address=[logical.address[i] for i in providers],
+        specialty=[logical.specialty[i] for i in providers],
+        office=[logical.office[i] for i in providers],
+        mrn=array("i", [logical.mrn[j] for j in patients]),
+        patient_name=[logical.patient_name[j] for j in patients],
+        age=array("i", [logical.age[j] for j in patients]),
+        sex=[logical.sex[j] for j in patients],
+        random_integer=array("i", [logical.random_integer[j] for j in patients]),
+        num=array("i", [logical.num[j] for j in patients]),
+        owner=array(
+            "i", [provider_local[logical.owner[j]] for j in patients]
+        ),
     )

@@ -9,6 +9,8 @@ strings and complex values (Section 4.4).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.errors import DanglingReferenceError
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
@@ -58,6 +60,11 @@ class ObjectManager:
         #: ``None`` (the default, and always under 2PL) means reads see
         #: the live record, byte-for-byte the pre-MVCC behavior.
         self.read_view = None
+        #: Duck-typed like :attr:`read_view`: a weak reference to the
+        #: query service most recently opened on this database, whose
+        #: ``sessions`` each have a handle table of their own (see
+        #: :meth:`_publish`).  ``None`` while no service was opened.
+        self.service = None
 
     # -- registry ---------------------------------------------------------
 
@@ -272,3 +279,35 @@ class ObjectManager:
                 if handle is not None:
                     handle.record = new_record
         return sfile.replace(actual, record, new_record)
+
+    def _publish(self, rids: Iterable[Rid]) -> None:
+        """A committed in-place update reaches every client: the parked
+        handle of each of ``rids`` in any session's table takes the
+        record the rid holds now, so :meth:`borrow` revives it with the
+        committed value.  The writer's own table took the new record at
+        the write (:meth:`_write_back`); the other tables wait for the
+        commit, so an aborted write never reaches them.  A live handle
+        is left alone: its holder is still reading what it borrowed
+        (under SI, its snapshot's version).
+
+        Called by the committing transaction.  Free, like
+        ``HandleTable.forget_page``: refreshing a cached copy models no
+        O2 cost, so the record is read off the page uncharged."""
+        service = self.service() if self.service is not None else None
+        if service is None:
+            return
+        tables = [session.handles._handles for session in service.sessions]
+        for rid in rids:
+            record = None
+            for handles in tables:
+                handle = handles.get(rid)
+                if handle is None or handle.refcount:
+                    continue
+                if record is None:
+                    found = self.disk.peek_page(rid[0], rid[1]).resolve(rid[2])
+                    if found.__class__ is not bytes:  # forwarded
+                        found = self.disk.peek_page(
+                            found[0], found[1]
+                        ).resolve(found[2])
+                    record = found
+                handle.record = record

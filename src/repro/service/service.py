@@ -411,6 +411,10 @@ class QueryService:
         self.interrupts = 0
         self._commits_since_vacuum = 0
         self.sessions: list[Session] = []
+        # Weak: the database must not hold its service (architecture.md,
+        # "Who may hold whom").  A commit reaches every session's
+        # handle table through it.
+        self.db.manager.service = weakref.ref(self)
         self._task_session: dict[int, Session] = {}
         self._active: Session | None = None
         self._last_s = 0.0

@@ -18,6 +18,10 @@ The lock manager therefore supports two modes:
   (simulated seconds) bounds any wait
   (:class:`~repro.errors.LockTimeoutError`).
 
+The state is two tables, a rid's holders and a rid's waiters, and a rid
+has an entry in the second only while somebody waits for it (see
+:class:`LockManager`).
+
 Every acquisition and release still charges
 :attr:`~repro.simtime.CostParams.lock_us` of bookkeeping — the overhead
 the transaction-off loading mode removes.
@@ -26,7 +30,7 @@ the transaction-off loading mode removes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.errors import LockConflictError
@@ -55,24 +59,23 @@ class LockRequest:
     granted: bool = False
 
 
-@dataclass
-class _LockState:
-    """Grant table + wait queue for one rid."""
-
-    #: txn id -> strongest mode granted to that transaction.
-    granted: dict[int, LockMode] = field(default_factory=dict)
-    queue: list[LockRequest] = field(default_factory=list)
-
-    @property
-    def mode(self) -> LockMode:
-        """Strongest granted mode (SHARED when empty)."""
-        if _EXCLUSIVE in self.granted.values():
-            return _EXCLUSIVE
-        return _SHARED
+#: A rid's holders: ``(txn_id, mode)`` pairs in grant order, each
+#: transaction once, at the strongest mode granted to it.
+Holders = tuple[tuple[int, LockMode], ...]
 
 
 class LockManager:
     """Per-rid shared/exclusive locks with optional waiting.
+
+    Two tables hold the state.  :attr:`granted` maps a rid to its
+    holders and has an entry only while somebody holds the rid, so an
+    uncontended lock is one dict entry and one small tuple; its order is
+    the order the rids were first locked in, which is the order
+    :meth:`release_all` charges and promotes in.  :attr:`queues` maps a
+    rid to its FIFO of waiting :class:`LockRequest` objects and has an entry
+    only while the rid has a waiter.  A rid with a waiter always has a
+    holder: a request queues only behind one, and a promotion grants the
+    head of the queue whenever nobody holds the rid.
 
     ``attach(wait, wake)`` plugs in a cooperative scheduler: ``wait`` is
     called with ``(txn_id, rid)`` and must suspend the caller until the
@@ -104,7 +107,10 @@ class LockManager:
         #: abort in bursts (the transient-fault analogue of a congested
         #: lock service).
         self.injector = None
-        self._locks: dict[Rid, _LockState] = {}
+        #: rid -> its holders (see the class docstring).
+        self.granted: dict[Rid, Holders] = {}
+        #: rid -> its waiting requests, oldest first.
+        self.queues: dict[Rid, list[LockRequest]] = {}
         self._wait: Callable[[int, Rid], None] | None = None
         self._wake: Callable[[int], None] | None = None
 
@@ -130,22 +136,34 @@ class LockManager:
         """Grant the lock, wait for it, or raise
         :class:`LockConflictError` (fail-fast mode)."""
         self.clock.charge_us(_LOCK, self.params.lock_us)
-        state = self._locks.get(rid)
-        if state is None:
-            state = self._locks[rid] = _LockState()
-        if self._grantable_now(state, txn_id, mode):
-            held = state.granted.get(txn_id)
-            state.granted[txn_id] = (
-                mode if held is None else self._stronger(held, mode)
-            )
+        mine = ((txn_id, mode),)
+        holders = self.granted.setdefault(rid, mine)
+        if holders is mine:
+            return  # nobody held it, so nobody waits for it
+        held = _mode_of(holders, txn_id)
+        if held is not None:
+            if held is _EXCLUSIVE or mode is _SHARED:
+                return  # re-entrant / already stronger
+            if len(holders) == 1:
+                # S -> X upgrade: takes precedence over the queue, but
+                # only once every other holder is gone.
+                self.granted[rid] = mine
+                return
+        elif (
+            mode is _SHARED
+            and _all_shared(holders)
+            and rid not in self.queues  # FIFO: don't overtake a waiter
+        ):
+            self.granted[rid] = holders + mine
             return
         if self._wait is None:
             raise LockConflictError(
                 f"txn {txn_id} requests {mode.value} on {rid} held "
-                f"{state.mode.value} by {sorted(state.granted)}"
+                f"{_strongest(holders).value} by "
+                f"{sorted(t for t, __ in holders)}"
             )
         request = LockRequest(txn_id, mode, rid, self.clock.elapsed_s)
-        state.queue.append(request)
+        self.queues.setdefault(rid, []).append(request)
         try:
             self._wait(txn_id, rid)
         except BaseException:
@@ -157,87 +175,84 @@ class LockManager:
                 f"txn {txn_id} resumed without a grant on {rid}"
             )
 
-    def _grantable_now(
-        self, state: _LockState, txn_id: int, mode: LockMode
-    ) -> bool:
-        """Can this fresh request be granted without queueing?"""
-        held = state.granted.get(txn_id)
-        if held is not None:
-            if held is _EXCLUSIVE or mode is _SHARED:
-                return True  # re-entrant / already stronger
-            # S -> X upgrade: takes precedence over the queue, but only
-            # once every other holder is gone.
-            return set(state.granted) == {txn_id}
-        if state.granted:
-            return (
-                mode is _SHARED
-                and state.mode is _SHARED
-                and not state.queue  # FIFO: don't overtake a waiter
-            )
-        return not state.queue
-
     # -- release / promotion -----------------------------------------------
 
     def release_all(self, txn_id: int) -> int:
         """Drop every lock held by ``txn_id`` (and any of its queued
-        requests); promotes waiters.  Returns how many locks dropped."""
-        self.cancel_wait(txn_id)
+        requests); promotes the waiters of each rid it held, in the
+        order the rids were locked.  Returns how many locks dropped."""
+        if self.queues:
+            self.cancel_wait(txn_id)
+        granted = self.granted
+        queues = self.queues
+        charge_us = self.clock.charge_us
+        lock_us = self.params.lock_us
+        emptied: list[Rid] = []
         released = 0
-        for rid in list(self._locks):
-            state = self._locks[rid]
-            if txn_id in state.granted:
-                del state.granted[txn_id]
-                released += 1
-                self.clock.charge_us(_LOCK, self.params.lock_us)
-            self._promote(rid)
+        # Values are replaced in place as the loop goes; keys are
+        # deleted only after it, so each rid keeps its position.
+        for rid, holders in granted.items():
+            if len(holders) == 1:
+                if holders[0][0] != txn_id:
+                    continue
+                rest: Holders = ()
+            else:
+                rest = tuple(h for h in holders if h[0] != txn_id)
+                if len(rest) == len(holders):
+                    continue
+            released += 1
+            charge_us(_LOCK, lock_us)
+            granted[rid] = rest
+            if rid in queues:
+                self._promote(rid)
+            elif not rest:
+                emptied.append(rid)
+        for rid in emptied:
+            del granted[rid]
         return released
 
     def clear(self) -> None:
         """Drop all lock state without promotion or charges — the lock
         table is volatile and a simulated crash simply loses it."""
-        self._locks.clear()
+        self.granted.clear()
+        self.queues.clear()
 
     def cancel_wait(self, txn_id: int) -> None:
         """Remove every queued (ungranted) request of ``txn_id``."""
-        for rid in list(self._locks):
-            state = self._locks[rid]
-            if not state.queue:
-                continue
-            before = len(state.queue)
-            state.queue = [
-                req for req in state.queue if req.txn_id != txn_id
-            ]
-            if len(state.queue) != before:
+        for rid, queue in list(self.queues.items()):
+            kept = [req for req in queue if req.txn_id != txn_id]
+            if len(kept) != len(queue):
+                self.queues[rid] = kept
                 self._promote(rid)
 
     def _promote(self, rid: Rid) -> None:
-        """Grant the longest grantable FIFO prefix of the wait queue."""
-        state = self._locks.get(rid)
-        if state is None:
-            return
-        while state.queue:
-            head = state.queue[0]
-            held = state.granted.get(head.txn_id)
+        """Grant the longest grantable FIFO prefix of ``rid``'s wait
+        queue (a rid nobody holds any more grants its head at least),
+        and drop the queue once it is empty."""
+        queue = self.queues[rid]
+        granted = self.granted
+        holders = granted[rid]
+        while queue:
+            head = queue[0]
+            held = _mode_of(holders, head.txn_id)
             if held is not None:
                 # Waiting upgrade: needs to be the sole holder.
-                if set(state.granted) != {head.txn_id}:
+                if len(holders) != 1:
                     break
-                state.granted[head.txn_id] = self._stronger(held, head.mode)
-            elif not state.granted:
-                state.granted[head.txn_id] = head.mode
-            elif (
-                head.mode is _SHARED
-                and state.mode is _SHARED
-            ):
-                state.granted[head.txn_id] = head.mode
+                holders = ((head.txn_id, _stronger(held, head.mode)),)
+            elif not holders:
+                holders = ((head.txn_id, head.mode),)
+            elif head.mode is _SHARED and _all_shared(holders):
+                holders += ((head.txn_id, head.mode),)
             else:
                 break
+            granted[rid] = holders
             head.granted = True
-            state.queue.pop(0)
+            queue.pop(0)
             if self._wake is not None:
                 self._wake(head.txn_id)
-        if not state.granted and not state.queue:
-            del self._locks[rid]
+        if not queue:
+            del self.queues[rid]
 
     # -- deadlock / timeout -------------------------------------------------
 
@@ -245,11 +260,12 @@ class LockManager:
         """The waits-for graph: waiter txn -> txns it waits on (current
         holders plus earlier waiters on the same rid)."""
         graph: dict[int, set[int]] = {}
-        for state in self._locks.values():
+        for rid, queue in self.queues.items():
+            holders = self.granted.get(rid, ())
             ahead: list[int] = []
-            for req in state.queue:
+            for req in queue:
                 edges = graph.setdefault(req.txn_id, set())
-                edges.update(t for t in state.granted if t != req.txn_id)
+                edges.update(t for t, __ in holders if t != req.txn_id)
                 edges.update(t for t in ahead if t != req.txn_id)
                 ahead.append(req.txn_id)
         return graph
@@ -266,12 +282,12 @@ class LockManager:
         if timeout_s is None:
             return []
         now = self.clock.elapsed_s
-        out: list[int] = []
-        for state in self._locks.values():
-            for req in state.queue:
-                if now - req.enqueued_s >= timeout_s:
-                    out.append(req.txn_id)
-        return sorted(set(out))
+        return sorted({
+            req.txn_id
+            for queue in self.queues.values()
+            for req in queue
+            if now - req.enqueued_s >= timeout_s
+        })
 
     def effective_timeout_s(self) -> float | None:
         """``timeout_s``, tightened by an active lock-timeout storm."""
@@ -285,22 +301,39 @@ class LockManager:
 
     @property
     def lock_count(self) -> int:
-        return sum(1 for s in self._locks.values() if s.granted)
+        return len(self.granted)
 
     @property
     def waiting_count(self) -> int:
-        return sum(len(s.queue) for s in self._locks.values())
+        return sum(map(len, self.queues.values()))
 
     def waiting_txns(self) -> Iterable[int]:
-        for state in self._locks.values():
-            for req in state.queue:
+        for queue in self.queues.values():
+            for req in queue:
                 yield req.txn_id
 
-    @staticmethod
-    def _stronger(a: LockMode, b: LockMode) -> LockMode:
-        if _EXCLUSIVE in (a, b):
-            return _EXCLUSIVE
-        return _SHARED
+
+def _mode_of(holders: Holders, txn_id: int) -> LockMode | None:
+    """The mode ``txn_id`` holds among ``holders``, or ``None``."""
+    for holder, mode in holders:
+        if holder == txn_id:
+            return mode
+    return None
+
+
+def _all_shared(holders: Holders) -> bool:
+    return all(mode is _SHARED for __, mode in holders)
+
+
+def _strongest(holders: Holders) -> LockMode:
+    """The strongest mode granted on a rid (SHARED when none is)."""
+    return _SHARED if _all_shared(holders) else _EXCLUSIVE
+
+
+def _stronger(a: LockMode, b: LockMode) -> LockMode:
+    if _EXCLUSIVE in (a, b):
+        return _EXCLUSIVE
+    return _SHARED
 
 
 def youngest_in_cycle(graph: dict[int, set[int]]) -> int | None:

@@ -85,6 +85,9 @@ class Transaction:
         self._view: SnapshotView | None = None
         self._write_set: set[Rid] = set()
         self._created: list[Rid] = []
+        #: Every address an in-place update wrote, for the commit to
+        #: publish to the other sessions' parked handles.
+        self._updated: list[Rid] = []
         #: Whether this transaction writes page images to the log: fixed
         #: at ``begin`` (a manager is built in recovery mode or not).
         self._physical = logged and manager.recovery
@@ -155,15 +158,19 @@ class Transaction:
             self._si_prepare_write(rid)
             new_rid = self.manager.db.manager.update_scalar(rid, attr_name, value)
             self.log_update(8)
-            return new_rid
-        self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
-        self._si_prepare_write(rid)
-        db = self.manager.db
-        return self._physical_op(
-            "update",
-            self._update_keys(rid),
-            lambda: db.manager.update_scalar(rid, attr_name, value),
-        )
+        else:
+            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
+            self._si_prepare_write(rid)
+            db = self.manager.db
+            new_rid = self._physical_op(
+                "update",
+                self._update_keys(rid),
+                lambda: db.manager.update_scalar(rid, attr_name, value),
+            )
+        self._updated.append(rid)
+        if new_rid != rid:  # forwarded: a handle may sit under either
+            self._updated.append(new_rid)
+        return new_rid
 
     def read_lock(self, rid: Rid) -> None:
         """Shared-lock ``rid`` — a no-op under snapshot isolation, where
@@ -397,6 +404,8 @@ class Transaction:
             # (a crash clears the volatile lock table anyway).
             # simlint: ok[PAIR] locks must outlive an un-flushed commit record
             self.manager.locks.release_all(self.txn_id)
+        if self._updated:
+            self.manager.db.manager._publish(self._updated)
         self.manager.db.clock.charge_ms(
             _LOG, self.manager.db.params.commit_ms
         )

@@ -79,18 +79,12 @@ class TestDumpReload:
         derby = load_derby(config)
         logical = generate(config)
         dumped = dump_logical(derby)
-        assert [p.upin for p in dumped.providers] == [
-            p.upin for p in logical.providers
-        ]
-        assert [p.mrn for p in dumped.patients] == [
-            p.mrn for p in logical.patients
-        ]
-        assert [p.random_integer for p in dumped.patients] == [
-            p.random_integer for p in logical.patients
-        ]
-        assert [p.patient_idxs for p in dumped.providers] == [
-            p.patient_idxs for p in logical.providers
-        ]
+        assert list(dumped.upin) == list(logical.upin)
+        assert list(dumped.mrn) == list(logical.mrn)
+        assert dumped.random_integer == logical.random_integer
+        assert [
+            dumped.patients_of(i) for i in range(dumped.n_providers)
+        ] == [logical.patients_of(i) for i in range(logical.n_providers)]
 
     def test_dump_charges_io(self):
         derby = load_derby(comp_config())

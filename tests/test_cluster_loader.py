@@ -58,7 +58,7 @@ class TestPlacementOrder:
             if kind == "P":
                 owner = idx
             else:
-                assert logical.patients[idx].provider_idx == owner
+                assert logical.owner[idx] == owner
 
     def test_random_order_is_shuffled_but_complete(self):
         logical = generate(tiny_config())
@@ -90,7 +90,7 @@ class TestLoadedDatabase:
         for j, prid in enumerate(class_db.patient_rids):
             owner_rid = om.get_attr_at(prid, "primary_care_provider")
             owner_upin = om.get_attr_at(owner_rid, "upin")
-            assert owner_upin == logical.patients[j].random_integer
+            assert owner_upin == logical.random_integer[j]
 
     def test_clients_sets_match_association(self, class_db):
         logical = generate(class_db.config)
@@ -103,7 +103,7 @@ class TestLoadedDatabase:
             members = set(db.iter_set_rids(clients))
             expected = {
                 class_db.patient_rids[j]
-                for j in logical.providers[i].patient_idxs
+                for j in logical.patients_of(i)
             }
             assert members == expected
 

@@ -111,39 +111,37 @@ class TestGenerator:
     def test_deterministic(self):
         cfg = DerbyConfig(n_providers=10, n_patients=30, scale=1.0)
         a, b = generate(cfg), generate(cfg)
-        assert [p.random_integer for p in a.patients] == [
-            p.random_integer for p in b.patients
-        ]
+        assert a.random_integer == b.random_integer
 
     def test_ranks_are_creation_order(self):
         cfg = DerbyConfig(n_providers=5, n_patients=20, scale=1.0)
         logical = generate(cfg)
-        assert [p.upin for p in logical.providers] == [1, 2, 3, 4, 5]
-        assert [p.mrn for p in logical.patients] == list(range(1, 21))
+        assert list(logical.upin) == [1, 2, 3, 4, 5]
+        assert list(logical.mrn) == list(range(1, 21))
 
     def test_assignment_consistency(self):
         cfg = DerbyConfig(n_providers=7, n_patients=50, scale=1.0)
         logical = generate(cfg)
-        for i, provider in enumerate(logical.providers):
-            for j in provider.patient_idxs:
-                assert logical.patients[j].provider_idx == i
-        total = sum(len(p.patient_idxs) for p in logical.providers)
+        for i in range(logical.n_providers):
+            for j in logical.patients_of(i):
+                assert logical.owner[j] == i
+        total = sum(len(logical.patients_of(i)) for i in range(logical.n_providers))
         assert total == 50
 
     def test_random_integer_in_provider_range(self):
         cfg = DerbyConfig(n_providers=9, n_patients=200, scale=1.0)
         logical = generate(cfg)
-        assert all(1 <= p.random_integer <= 9 for p in logical.patients)
+        assert all(1 <= r <= 9 for r in logical.random_integer)
 
     def test_num_in_patient_range(self):
         cfg = DerbyConfig(n_providers=3, n_patients=100, scale=1.0)
         logical = generate(cfg)
-        assert all(0 <= p.num < 100 for p in logical.patients)
+        assert all(0 <= num < 100 for num in logical.num)
 
     def test_average_children_close_to_ratio(self):
         cfg = DerbyConfig(n_providers=50, n_patients=5000, scale=1.0)
         logical = generate(cfg)
-        sizes = [len(p.patient_idxs) for p in logical.providers]
+        sizes = [len(logical.patients_of(i)) for i in range(logical.n_providers)]
         assert sum(sizes) / len(sizes) == pytest.approx(100.0)
         # lrand48 is uniform: no provider should be wildly off.
         assert min(sizes) > 50

@@ -75,31 +75,28 @@ def test_split_assigns_every_object_once(scheme):
     logical = generate(DerbyConfig.db_1to3(scale=TINY))
     part, views = split_logical(logical, 3, scheme)
     sizes = part.shard_sizes()
-    assert sum(p for p, __ in sizes) == len(logical.providers)
-    assert sum(q for __, q in sizes) == len(logical.patients)
+    assert sum(p for p, __ in sizes) == logical.n_providers
+    assert sum(q for __, q in sizes) == logical.n_patients
     for shard_id, view in enumerate(views):
-        assert len(view.providers) == sizes[shard_id][0]
-        assert len(view.patients) == sizes[shard_id][1]
+        assert view.n_providers == sizes[shard_id][0]
+        assert view.n_patients == sizes[shard_id][1]
 
 
 def test_patients_are_colocated_with_their_provider():
     logical = generate(DerbyConfig.db_1to3(scale=TINY))
     part, __ = split_logical(logical, 4, "hash")
-    for idx, patient in enumerate(logical.patients):
-        provider_idx = patient.random_integer - 1
+    for idx, random_integer in enumerate(logical.random_integer):
+        provider_idx = random_integer - 1
         assert part.patient_shard[idx] == part.provider_shard[provider_idx]
 
 
 def test_one_shard_split_reproduces_original_placement():
     logical = generate(DerbyConfig.db_1to3(scale=TINY))
     part, views = split_logical(logical, 1, "hash")
-    assert part.shard_sizes() == [(len(logical.providers),
-                                   len(logical.patients))]
+    assert part.shard_sizes() == [(logical.n_providers, logical.n_patients)]
     view = views[0]
-    assert [p.upin for p in view.providers] == [
-        p.upin for p in logical.providers
-    ]
-    assert [q.mrn for q in view.patients] == [q.mrn for q in logical.patients]
+    assert list(view.upin) == list(logical.upin)
+    assert list(view.mrn) == list(logical.mrn)
 
 
 def test_split_rejects_bad_scheme_and_shard_count():
@@ -229,7 +226,7 @@ def test_exchange_pulls_the_shards_batch_by_batch(small_logical):
         "select p.age from p in Patients",
         on_batch=lambda: pulls.append(1),
     )
-    assert len(rows) == len(small_logical.patients)
+    assert len(rows) == small_logical.n_patients
     assert len(pulls) > 2  # one per shard pull, not one per drain
 
 

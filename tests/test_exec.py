@@ -266,13 +266,12 @@ def drain_join(q: TreeJoinQuery, algorithm: str) -> list[tuple]:
 def reference_join(derby, logical, k1: int, k2: int) -> list[tuple]:
     """Ground truth computed from the logical database."""
     out = []
-    for provider in logical.providers:
-        if provider.upin >= k2:
+    for i in range(logical.n_providers):
+        if logical.upin[i] >= k2:
             continue
-        for j in provider.patient_idxs:
-            patient = logical.patients[j]
-            if patient.mrn < k1:
-                out.append((provider.name, patient.age))
+        for j in logical.patients_of(i):
+            if logical.mrn[j] < k1:
+                out.append((logical.provider_name[i], logical.age[j]))
     return sorted(out)
 
 
@@ -292,7 +291,9 @@ class TestSelections:
     def test_forced_scan_matches_reference(self, derby, logical, engine):
         rows = select(derby, engine, "scan", 10)
         k = derby.config.num_threshold(10)
-        expected = sorted(p.age for p in logical.patients if p.num > k)
+        expected = sorted(
+            age for age, num in zip(logical.age, logical.num) if num > k
+        )
         assert sorted(rows) == expected
 
     def test_scan_io_independent_of_selectivity(self, derby, engine):

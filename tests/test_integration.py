@@ -57,11 +57,11 @@ class TestFullPipeline:
             f"where pa.mrn < {k1} and p.upin < {k2}"
         )
         expected = sorted(
-            (prov.name, logical.patients[j].age)
-            for prov in logical.providers
-            if prov.upin < k2
-            for j in prov.patient_idxs
-            if logical.patients[j].mrn < k1
+            (logical.provider_name[i], logical.age[j])
+            for i in range(logical.n_providers)
+            if logical.upin[i] < k2
+            for j in logical.patients_of(i)
+            if logical.mrn[j] < k1
         )
         assert sorted(rows) == expected
 
@@ -79,7 +79,9 @@ class TestFullPipeline:
     ):
         runner = ExperimentRunner(derby)
         k = derby.config.num_threshold(40)
-        expected = sorted(p.age for p in logical.patients if p.num > k)
+        expected = sorted(
+            age for age, num in zip(logical.age, logical.num) if num > k
+        )
         for method in ("scan", "index", "sorted-index"):
             m = runner.run_selection(method, 40)
             assert m.rows == len(expected), method

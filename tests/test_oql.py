@@ -245,7 +245,9 @@ class TestEngine:
         rows = run_oql(
             catalog, f"select p.age from p in Patients where p.num > {k}"
         )
-        expected = sorted(p.age for p in logical.patients if p.num > k)
+        expected = sorted(
+            age for age, num in zip(logical.age, logical.num) if num > k
+        )
         assert sorted(rows) == expected
 
     def test_selection_with_residual_predicate(self, derby, catalog, logical):
@@ -257,7 +259,8 @@ class TestEngine:
             f"where p.num > {k} and p.age < 40",
         )
         expected = sorted(
-            p.age for p in logical.patients if p.num > k and p.age < 40
+            age for age, num in zip(logical.age, logical.num)
+            if num > k and age < 40
         )
         assert sorted(rows) == expected
 
@@ -266,7 +269,10 @@ class TestEngine:
         rows = run_oql(
             catalog, "select p.name from p in Patients where p.age >= 99"
         )
-        expected = sorted(p.name for p in logical.patients if p.age >= 99)
+        expected = sorted(
+            name for name, age in zip(logical.patient_name, logical.age)
+            if age >= 99
+        )
         assert sorted(rows) == expected
 
     def test_multi_attribute_projection(self, derby, catalog, logical):
@@ -277,7 +283,11 @@ class TestEngine:
             "where p.mrn <= 5",
         )
         expected = sorted(
-            (p.name, p.age) for p in logical.patients if p.mrn <= 5
+            (name, age)
+            for name, age, mrn in zip(
+                logical.patient_name, logical.age, logical.mrn
+            )
+            if mrn <= 5
         )
         assert sorted(rows) == expected
 
@@ -291,11 +301,11 @@ class TestEngine:
             f"pa in p.clients where pa.mrn < {k1} and p.upin < {k2}",
         )
         expected = sorted(
-            (prov.name, logical.patients[j].age)
-            for prov in logical.providers
-            if prov.upin < k2
-            for j in prov.patient_idxs
-            if logical.patients[j].mrn < k1
+            (logical.provider_name[i], logical.age[j])
+            for i in range(logical.n_providers)
+            if logical.upin[i] < k2
+            for j in logical.patients_of(i)
+            if logical.mrn[j] < k1
         )
         assert sorted(rows) == expected
 
@@ -319,7 +329,7 @@ class TestEngine:
 
     def test_string_equality(self, derby, catalog, logical):
         derby.start_cold_run()
-        name = logical.patients[0].name
+        name = logical.patient_name[0]
         rows = run_oql(
             catalog,
             f"select p.mrn from p in Patients where p.name = '{name}'",

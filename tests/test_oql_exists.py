@@ -79,9 +79,9 @@ class TestExistsExecution:
             f"where exists pa in p.clients : pa.mrn < {k}",
         )
         expected = sorted(
-            prov.name
-            for prov in logical.providers
-            if any(logical.patients[j].mrn < k for j in prov.patient_idxs)
+            logical.provider_name[i]
+            for i in range(logical.n_providers)
+            if any(logical.mrn[j] < k for j in logical.patients_of(i))
         )
         assert sorted(rows) == expected
 
@@ -94,10 +94,10 @@ class TestExistsExecution:
             "and exists pa in p.clients : pa.age > 95",
         )
         expected = sorted(
-            prov.name
-            for prov in logical.providers
-            if prov.upin < k2
-            and any(logical.patients[j].age > 95 for j in prov.patient_idxs)
+            logical.provider_name[i]
+            for i in range(logical.n_providers)
+            if logical.upin[i] < k2
+            and any(logical.age[j] > 95 for j in logical.patients_of(i))
         )
         assert sorted(rows) == expected
 
@@ -119,8 +119,8 @@ class TestExistsExecution:
         )
         expected = sum(
             1
-            for prov in logical.providers
-            if any(logical.patients[j].age < 3 for j in prov.patient_idxs)
+            for i in range(logical.n_providers)
+            if any(logical.age[j] < 3 for j in logical.patients_of(i))
         )
         assert n == expected
 

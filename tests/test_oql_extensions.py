@@ -79,7 +79,7 @@ class TestAggregateExecution:
         (n,) = run_oql(
             catalog, f"select count(p) from p in Patients where p.mrn < {k}"
         )
-        assert n == sum(1 for p in logical.patients if p.mrn < k)
+        assert n == sum(1 for mrn in logical.mrn if mrn < k)
 
     def test_count_is_index_only(self, derby, catalog):
         """Counting over an indexed predicate must never fetch a data
@@ -120,7 +120,9 @@ class TestAggregateExecution:
         (mean,) = run_oql(
             catalog, f"select avg(p.age) from p in Patients where p.mrn < {k}"
         )
-        ages = [p.age for p in logical.patients if p.mrn < k]
+        ages = [
+            age for age, mrn in zip(logical.age, logical.mrn) if mrn < k
+        ]
         assert total == sum(ages)
         assert mean == pytest.approx(sum(ages) / len(ages))
 
@@ -133,7 +135,8 @@ class TestAggregateExecution:
             f"where p.mrn < {k} and p.age < 50",
         )
         assert n == sum(
-            1 for p in logical.patients if p.mrn < k and p.age < 50
+            1 for mrn, age in zip(logical.mrn, logical.age)
+            if mrn < k and age < 50
         )
 
     def test_count_without_any_index_scans(self, derby, catalog, logical):
@@ -141,7 +144,7 @@ class TestAggregateExecution:
         (n,) = run_oql(
             catalog, "select count(p) from p in Patients where p.age >= 90"
         )
-        assert n == sum(1 for p in logical.patients if p.age >= 90)
+        assert n == sum(1 for age in logical.age if age >= 90)
 
     def test_avg_of_empty_selection_is_none(self, derby, catalog):
         derby.start_cold_run()
@@ -180,8 +183,8 @@ class TestOrderBy:
             "order by p.mrn",
         )
         expected = [
-            p.name for p in sorted(logical.patients, key=lambda p: p.mrn)
-            if p.mrn < 50
+            name for mrn, name in sorted(zip(logical.mrn, logical.patient_name))
+            if mrn < 50
         ]
         assert rows == expected
 

@@ -379,15 +379,6 @@ class TestQueryService:
             s1.metrics.meters.server_hits + s2.metrics.meters.server_hits > 0
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known defect: a committed in-place update refreshes only the "
-            "writing session's handle table (ObjectManager._write_back), so "
-            "another session re-reads the pre-update record from its own "
-            "parked handle, and a read-modify-write there loses the update"
-        ),
-    )
     @pytest.mark.parametrize("isolation", ["2pl", "si"])
     def test_a_committed_update_reaches_another_sessions_parked_handle(
         self, isolation

@@ -18,16 +18,17 @@ from repro.txn import LockManager, LockMode, TransactionManager, WriteAheadLog
 def held_by(locks: LockManager, rid: Rid):
     """``(mode, holders)`` of ``rid``'s granted locks, ``None`` when
     nobody holds one."""
-    state = locks._locks.get(rid)
-    if state is None or not state.granted:
+    holders = locks.granted.get(rid)
+    if not holders:
         return None
-    return state.mode, set(state.granted)
+    modes = {mode for __, mode in holders}
+    mode = LockMode.EXCLUSIVE if LockMode.EXCLUSIVE in modes else LockMode.SHARED
+    return mode, {txn for txn, __ in holders}
 
 
 def queued_on(locks: LockManager, rid: Rid) -> list:
     """``rid``'s FIFO wait queue as ``(txn, mode)`` pairs."""
-    state = locks._locks.get(rid)
-    return [] if state is None else [(r.txn_id, r.mode) for r in state.queue]
+    return [(r.txn_id, r.mode) for r in locks.queues.get(rid, [])]
 
 
 def make_db() -> Database:
