@@ -28,17 +28,18 @@ lint-graph:
 	$(PYTHON) -m repro lint --dump-graph lint-graph.dot || true
 	@echo "wrote lint-graph.dot (render with: dot -Tsvg lint-graph.dot)"
 
-# Every bench at its one scale: figures, ablations, paper agreement and
+# Every bench at its one scale: figures and their claims, ablations and
 # the gated benches; rewrites results/ and BENCH_*.json byte for byte
 # (~90 s; CI's `benches` job fails on any `git diff`).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/wallclock
 
 # Regenerate every paper figure into results/ (results/scale_<s>/ when
-# REPRO_SCALE is not 0.01), assert its shape and score it against the
-# paper.  `python -m repro figures all` only prints them.
+# REPRO_SCALE is not 0.01) and score every claim of the paper into
+# paper_claims.txt beside them; fails on a gated row that does not pass.
+# `python -m repro figures all` only prints the figures.
 figures:
-	$(PYTHON) -m pytest benchmarks/bench_figures.py benchmarks/bench_paper_agreement.py
+	$(PYTHON) -m pytest benchmarks/bench_figures.py
 
 # Multi-client workload mix through the query service.
 mix:

@@ -14,8 +14,8 @@ from repro.bench import ExperimentRunner
 from repro.bench.figures import cell_times, extensions_figure, rank_table
 
 
-def test_extended_algorithms(derby_cache, save_table):
-    derby = derby_cache("1:3", "class")
+def test_extended_algorithms(figure_driver, save_table):
+    derby = figure_driver.derby("1:3", "class")
     table, ms = extensions_figure(ExperimentRunner(derby))
     save_table("ablation_extensions_algorithms", table)
 
@@ -36,11 +36,11 @@ def test_extended_algorithms(derby_cache, save_table):
         assert min(cell, key=cell.get) != "SMJ"
 
 
-def test_association_organization(derby_cache, save_table):
+def test_association_organization(figure_driver, save_table):
     """Carey & Lapis [4]: navigation stays composition-fast while the
     child-only scans stay class-fast."""
-    assoc = ExperimentRunner(derby_cache("1:3", "association"))
-    comp = ExperimentRunner(derby_cache("1:3", "composition"))
+    assoc = ExperimentRunner(figure_driver.derby("1:3", "association"))
+    comp = ExperimentRunner(figure_driver.derby("1:3", "composition"))
     assoc_ms = assoc.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
     comp_ms = comp.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
     save_table(

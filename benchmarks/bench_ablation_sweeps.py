@@ -13,8 +13,8 @@ from repro.bench.report import Table
 from repro.bench.sweeps import find_crossover, memory_pressure_sweep
 
 
-def test_figure6_crossover(derby_cache, save_table):
-    runner = ExperimentRunner(derby_cache("1:1000", "class"))
+def test_figure6_crossover(figure_driver, save_table):
+    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
     crossover = find_crossover(runner, "index", "scan", 0.2, 20.0)
     table = Table(
         "Figure 6 crossover — where the unclustered index stops winning",
@@ -27,8 +27,8 @@ def test_figure6_crossover(derby_cache, save_table):
     assert 0.5 < crossover < 6.0
 
 
-def test_memory_pressure_curve(derby_cache, save_table):
-    runner = ExperimentRunner(derby_cache("1:3", "class"))
+def test_memory_pressure_curve(figure_driver, save_table):
+    runner = ExperimentRunner(figure_driver.derby("1:3", "class"))
     fractions = (1.0, 0.5, 0.2, 0.1, 0.02)
     points = memory_pressure_sweep(runner, fractions, algo="PHJ")
     table = Table(

@@ -16,8 +16,8 @@ from repro.bench import ExperimentRunner
 from repro.bench.figures import join_cost_breakdown, warm_vs_cold_figure
 
 
-def test_warm_vs_cold(derby_cache, save_table):
-    runner = ExperimentRunner(derby_cache("1:1000", "class"))
+def test_warm_vs_cold(figure_driver, save_table):
+    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
     table = warm_vs_cold_figure(runner, 10, 10)
     save_table("ablation_warm_vs_cold", table)
 
@@ -31,8 +31,8 @@ def test_warm_vs_cold(derby_cache, save_table):
     assert ratios["NL"] > 1.5
 
 
-def test_join_cost_breakdown(derby_cache, save_table):
-    runner = ExperimentRunner(derby_cache("1:1000", "class"))
+def test_join_cost_breakdown(figure_driver, save_table):
+    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
     table = join_cost_breakdown(runner, 90, 90)
     save_table("ablation_join_breakdown", table)
 

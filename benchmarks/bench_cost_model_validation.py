@@ -18,11 +18,11 @@ from repro.analysis import fit_cost_model, score_optimizer
 from repro.bench.report import Table
 
 
-def test_cost_model_regression(join_measurements, save_table):
+def test_cost_model_regression(figure_driver, save_table):
     runs = []
     for rel in ("1:1000", "1:3"):
         for org in ("class", "composition"):
-            runs.extend(join_measurements(rel, org))
+            runs.extend(figure_driver.grid(rel, org))
     fit = fit_cost_model(runs)
 
     table = Table(
@@ -57,13 +57,13 @@ def test_cost_model_regression(join_measurements, save_table):
     assert fit.coefficients["swap_faults"] * 1e3 == pytest.approx(40.0, rel=0.2)
 
 
-def test_optimizer_choice_quality(derby_cache, join_measurements):
+def test_optimizer_choice_quality(figure_driver):
     verdicts = {}
     for rel in ("1:1000", "1:3"):
         for org in ("class", "composition"):
-            derby = derby_cache(rel, org)
+            derby = figure_driver.derby(rel, org)
             verdicts[(rel, org)] = score_optimizer(
-                derby, join_measurements(rel, org)
+                derby, figure_driver.grid(rel, org)
             )
 
     table = Table(

@@ -35,20 +35,6 @@ def figure_driver():
     return FigureDriver()
 
 
-@pytest.fixture(scope="session")
-def derby_cache(figure_driver):
-    """``get(relationship, organization)``: that database, loaded; the
-    one handed out before it is no longer held."""
-    return figure_driver.derby
-
-
-@pytest.fixture(scope="session")
-def join_measurements(figure_driver):
-    """``get(relationship, organization)``: the full selectivity-grid
-    measurements, run once per session."""
-    return figure_driver.grid
-
-
 def write_table(name: str, table) -> str:
     """Write a rendered table under results/ (scale_<s>/ below it when
     ``REPRO_SCALE`` is not the default): ``<name>.txt``, or ``<name>``

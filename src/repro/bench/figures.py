@@ -323,26 +323,11 @@ def figure15(
         for sel_pat, sel_prov in SELECTIVITY_GRID:
             row: list[object] = [rel, sel_pat, sel_prov]
             for org in ORGANIZATIONS:
-                best = _best_for_cell(by_org.get(org, []), sel_pat, sel_prov)
-                if best is None:
-                    row.extend(["-", "-"])
-                else:
-                    row.extend([best.algo, best.elapsed_s])
+                times = cell_times(by_org.get(org, []), sel_pat, sel_prov)
+                best = min(times, key=times.get, default=None)
+                row += [best, times[best]] if best else ["-", "-"]
             table.add(*row)
     return table
-
-
-def _best_for_cell(
-    measurements: list[JoinMeasurement], sel_pat: int, sel_prov: int
-) -> JoinMeasurement | None:
-    cell = [
-        m
-        for m in measurements
-        if m.sel_patients == sel_pat and m.sel_providers == sel_prov
-    ]
-    if not cell:
-        return None
-    return min(cell, key=lambda m: m.elapsed_s)
 
 
 def join_cost_breakdown(
@@ -493,8 +478,8 @@ class FigureDriver:
 
     The database asked for last is the only one held; it is dropped
     before the next is loaded.  What outlives a database is its grid of
-    sixteen measurements, which Figures 11-15 and the paper-agreement
-    scores share.
+    sixteen measurements, which Figures 11-15 and the claims scored on
+    them share.
     """
 
     def __init__(self, scale: float | None = None):

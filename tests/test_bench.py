@@ -28,6 +28,7 @@ from repro.bench.figures import (
     join_figure,
     rank_table,
 )
+from repro.bench.paper_data import CLAIMS
 from repro.bench.workloads import (
     SELECTIVITY_GRID,
     selection_query_text,
@@ -240,6 +241,17 @@ class TestFigureRegistry:
         }
         assert "`ablation_handle_modes.txt`" in text
 
+    def test_experiments_md_cites_only_claim_rows_that_exist(self):
+        rows = {f"{claim.figure} · {claim.statement}" for claim in CLAIMS}
+        text = " ".join((REPO / "EXPERIMENTS.md").read_text().split())
+        cited = re.findall(r"`((?:fig\d\d|handles) · [^`]+)`", text)
+        assert cited and {c for c in cited if not re.search("<[a-z]+>", c)} <= rows
+
+    def test_every_figure_has_a_claim_and_every_claim_names_a_figure(self):
+        assert {claim.figure for claim in CLAIMS} == set(FIGURES)
+        rows = {(claim.figure, claim.statement) for claim in CLAIMS}
+        assert len(rows) == len(CLAIMS)  # a row is cited by these two
+
     def test_fig04_is_pinned_at_90_percent(self):
         table, __ = FigureDriver(TINY).build("fig04")
         assert "selectivity 90%" in table.title
@@ -335,12 +347,10 @@ def _tree(path: pathlib.Path) -> ast.Module:
 
 def _written(func: str, benches=BENCHES) -> list[str]:
     """The name of every ``func(name, ...)`` call in a bench, once per
-    call; a figure's stem resolves through ``FIGURES`` and a
-    paper-agreement table through ``bench_paper_agreement``."""
+    call; a figure's stem resolves through ``FIGURES``."""
     names = []
     for path in benches:
-        tree = _tree(path)
-        for node in ast.walk(tree):
+        for node in ast.walk(_tree(path)):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == func):
@@ -350,13 +360,6 @@ def _written(func: str, benches=BENCHES) -> list[str]:
                 names.append(arg.value)
             elif path.name == "bench_figures.py":
                 names += [figure.stem for figure in FIGURES.values()]
-            elif path.name == "bench_paper_agreement.py":
-                figs = next(
-                    ast.literal_eval(n.value) for n in tree.body
-                    if isinstance(n, ast.Assign)
-                    and ast.unparse(n.targets[0]) == "_MIN_WINNERS"
-                )
-                names += [f"paper_agreement_{fig}" for fig in figs]
             else:
                 raise AssertionError(
                     f"{path.name}: {func}({ast.unparse(arg)}) names no file"
@@ -382,14 +385,12 @@ class TestOneWriter:
 
     def test_every_scale_directory_is_what_the_figure_benches_write(self):
         """``results/scale_<s>/`` holds what ``REPRO_SCALE=<s>`` makes the
-        figure and agreement benches write through ``write_table``: each
-        file has one writer, and none is left from a table no bench
-        writes any more, nor missing one a bench does."""
+        figure bench write through ``write_table``: each file has one
+        writer, and none is left from a table no bench writes any more,
+        nor missing one a bench does."""
         written = Counter(
-            f"{name}.txt" for name in _written("save_table", [
-                REPO / "benchmarks" / "bench_figures.py",
-                REPO / "benchmarks" / "bench_paper_agreement.py",
-            ])
+            f"{name}.txt"
+            for name in _written("save_table", [REPO / "benchmarks" / "bench_figures.py"])
         )
         assert [name for name, n in written.items() if n > 1] == []
         scales = sorted((REPO / "results").glob("scale_*"))
