@@ -38,15 +38,11 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.errors import RecordNotVisibleError
 from repro.exec.operators.base import SKIP, Operator, PipelineContext
 from repro.exec.sorter import sort_charged
 from repro.index.btree import BTreeIndex
 from repro.objects.database import PersistentCollection
-from repro.simtime import Bucket
 from repro.storage.rid import Rid
-
-_RESULT = Bucket.RESULT
 
 
 class CollectionScan(Operator):
@@ -110,8 +106,8 @@ class Fetch(Operator):
     ``row_fn(om, handle)`` returns the output row, or :data:`SKIP` to
     drop the object (a failed predicate).  Each surviving row is charged
     the transactional result-append price as it is emitted.  The handle
-    bracket closes before the row leaves the operator — nothing is held
-    across a batch boundary.
+    brackets run in ``ObjectManager.fetch`` and close before the row
+    leaves the operator — nothing is held across a batch boundary.
     """
 
     def __init__(
@@ -130,30 +126,15 @@ class Fetch(Operator):
         return (self.source,)
 
     def _next(self, n: int) -> list:
-        db = self.ctx.db
-        om = db.manager
-        borrow, row_fn = om.borrow, self.row_fn
-        buckets = db.clock.buckets
+        fetch, row_fn = self.ctx.db.manager.fetch, self.row_fn
         row_s = self.ctx.result_s()
         out: list = []
         room = n
         while room:
-            for rid in self._rids:
-                try:
-                    with borrow(rid) as handle:
-                        row = row_fn(om, handle)
-                except RecordNotVisibleError:
-                    # No version visible at the reader's snapshot (an
-                    # object created after it began): skipped, not an
-                    # error.
-                    continue
-                if row is not SKIP:
-                    buckets[_RESULT] += row_s
-                    out.append(row)
-                    room -= 1
-                    if not room:
-                        break
-            else:
+            # An object with no version visible at the reader's snapshot
+            # (created after it began) is skipped, not an error.
+            room = fetch(self._rids, row_fn, out, room, SKIP, row_s, True)
+            if room:
                 batch = self.source.next_batch(n)
                 if not batch:
                     break

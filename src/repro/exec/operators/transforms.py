@@ -14,6 +14,7 @@ from typing import Callable, Iterator
 
 from repro.exec.operators.base import (
     DEFAULT_BATCH_SIZE,
+    SKIP,
     Operator,
     PipelineContext,
 )
@@ -230,9 +231,10 @@ class IndexOnlyAggregate(Operator):
 class FetchingAggregate(Operator):
     """Aggregate that must look at the objects.
 
-    Pulls rids from its source, borrows each object, applies the accept
-    function (residual predicates, exists filters; ``None`` when every
-    object the source emits counts), and accumulates.
+    Pulls rids from its source, borrows each object through
+    ``ObjectManager.fetch``, applies the accept function (residual
+    predicates, exists filters; ``None`` when every object the source
+    emits counts), and accumulates.
     Emits exactly one row.  No result-append charge — the legacy engine
     returned the scalar without building a result collection, and so
     do we.
@@ -260,24 +262,45 @@ class FetchingAggregate(Operator):
         if self._done:
             return []
         self._done = True
-        om = self.ctx.db.manager
-        accept_fn = self.accept_fn
+        fetch = self.ctx.db.manager.fetch
+        row_fn, skip = self._row_fn()
+        fold = self.func != "count"
         count = 0
         total = 0.0
         lo: object | None = None
         hi: object | None = None
+        values: list = []
         while True:
             batch = self.source.next_batch(n)
             if not batch:
                 break
-            for rid in batch:
-                with om.borrow(rid) as handle:
-                    if accept_fn is not None and not accept_fn(om, handle):
-                        continue
-                    count += 1
-                    if self.func != "count":
-                        value = om.get_attr(handle, self.attr)  # type: ignore[arg-type]
-                        total += value  # type: ignore[operator]
-                        lo = value if lo is None or value < lo else lo  # type: ignore[operator]
-                        hi = value if hi is None or value > hi else hi  # type: ignore[operator]
+            fetch(batch, row_fn, values, -1, skip)
+            count += len(values)
+            if fold:
+                for value in values:
+                    total += value  # type: ignore[operator]
+                    lo = value if lo is None or value < lo else lo  # type: ignore[operator]
+                    hi = value if hi is None or value > hi else hi  # type: ignore[operator]
+            values.clear()
         return [finish_aggregate(self.func, count, total, lo, hi)]
+
+    def _row_fn(self) -> tuple[Callable, object]:
+        """The row function ``ObjectManager.fetch`` applies, and the row
+        it drops: an accepted object's attribute value (or ``True``
+        under ``count``), :data:`SKIP` for a rejected one.  An accept
+        function answers a bool, so under ``count`` it is the row
+        function itself."""
+        accept_fn, attr = self.accept_fn, self.attr
+        if self.func == "count":
+            return (_counted if accept_fn is None else accept_fn), False
+        if accept_fn is None:
+            return lambda om, handle: om.get_attr(handle, attr), SKIP
+        return (
+            lambda om, handle: om.get_attr(handle, attr)
+            if accept_fn(om, handle) else SKIP
+        ), SKIP
+
+
+def _counted(om: object, handle: object) -> bool:
+    """Every object the source emits counts."""
+    return True

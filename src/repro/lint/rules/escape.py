@@ -22,6 +22,11 @@ block:
 
 and, after the block, any read of ``h`` before it is rebound.
 
+``ObjectManager.fetch(rids, row_fn, out, ...)`` runs the same bracket
+over a batch and appends what ``row_fn(om, h)`` returns to ``out``
+after the unreference, so a ``lambda om, h: h`` row function (or one
+that may answer ``h``) stores the handle past its bracket: flagged too.
+
 In the measured substrates (``CHARGE_PACKAGES``) a generator must also
 not *suspend* inside the bracket: any ``yield`` / ``yield from``
 lexically inside the block, whatever it yields, leaves the handle
@@ -38,7 +43,12 @@ import ast
 
 from repro.lint.findings import Finding
 from repro.lint.project import FunctionInfo, Project, call_name, own_nodes, units
-from repro.lint.vocab import CHARGE_PACKAGES, ESCAPE_CALLS, ESCAPE_SINKS
+from repro.lint.vocab import (
+    CHARGE_PACKAGES,
+    ESCAPE_CALLS,
+    ESCAPE_KERNELS,
+    ESCAPE_SINKS,
+)
 
 NAME = "ESCAPE"
 
@@ -58,7 +68,20 @@ def mentions_handle(value: ast.AST, handle: str) -> bool:
         )
     if isinstance(value, ast.Starred):
         return mentions_handle(value.value, handle)
+    if isinstance(value, ast.IfExp):
+        return mentions_handle(value.body, handle) or mentions_handle(
+            value.orelse, handle
+        )
     return False
+
+
+def _row_fn(call: ast.Call) -> ast.Lambda | None:
+    """The lambda a kernel call brackets, passed second or as
+    ``row_fn=``."""
+    row_fn = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "row_fn"), None
+    )
+    return row_fn if isinstance(row_fn, ast.Lambda) else None
 
 
 def _check_block(
@@ -136,6 +159,29 @@ def check(project: Project) -> list[Finding]:
         body = getattr(unit, "body", [])
         nodes = own_nodes(unit)
         for node in nodes:
+            if isinstance(node, ast.Call) and call_name(node) in ESCAPE_KERNELS:
+                row_fn = _row_fn(node)
+                params = row_fn.args.args if row_fn is not None else ()
+                if len(params) > 1 and mentions_handle(
+                    row_fn.body, params[1].arg
+                ):
+                    findings.append(
+                        Finding(
+                            rule=NAME,
+                            path=info.module.path,
+                            line=node.lineno,
+                            col=node.col_offset,
+                            message=(
+                                f"the row function of {call_name(node)}() "
+                                f"answers its handle `{params[1].arg}`, "
+                                "which is kept as a row after its "
+                                "unreference — answer a value read from "
+                                "it instead"
+                            ),
+                            symbol=symbol,
+                        )
+                    )
+                continue
             if not isinstance(node, (ast.With, ast.AsyncWith)):
                 continue
             for item in node.items:

@@ -178,6 +178,9 @@ PROTO_PROMOTE_CALLS = ("rewrite",)
 #: Calls returning scoped handles that must not escape their ``with``
 #: block (the ESCAPE rule).
 ESCAPE_CALLS = ("borrow",)
+#: Calls that bracket each handle they borrow around a row function
+#: and keep what it answers (``ObjectManager.fetch``).
+ESCAPE_KERNELS = ("fetch",)
 #: Container-mutation method names that count as storing the handle.
 ESCAPE_SINKS = (
     "append",

@@ -62,7 +62,8 @@ class Handle:
     A handle is its own Figure 8 bracket: ``with om.borrow(rid) as
     handle:`` enters with the reference ``borrow`` took, and
     :meth:`__exit__` is the unreference, body raised or not, on the
-    table that made it."""
+    table that made it.  ``ObjectManager.fetch`` runs the same bracket
+    by hand over a batch of rids."""
 
     __slots__ = (
         "rid",
@@ -71,6 +72,7 @@ class Handle:
         "refcount",
         "version",
         "table",
+        "published",
     )
 
     def __init__(
@@ -82,16 +84,21 @@ class Handle:
         self.refcount = 1
         self.version = None
         self.table = table
+        #: The record another session committed while this handle was
+        #: live (``ObjectManager._publish``), taken when it parks; its
+        #: holder reads what it borrowed until then.
+        self.published: bytes | None = None
 
     def __enter__(self) -> "Handle":
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         """"unreference h": drop one reference; at zero park the handle
-        at the young end of the delayed-free list and free the oldest
-        parked ones beyond its capacity (version handles are freed
-        outright -- the snapshot that needed them is the only plausible
-        re-user)."""
+        at the young end of the delayed-free list, with the record a
+        commit published while it was live, and free the oldest parked
+        ones beyond its capacity (version handles are freed outright --
+        the snapshot that needed them is the only plausible re-user).
+        ``ObjectManager.fetch`` parks a handle the same way."""
         refcount = self.refcount
         if refcount <= 0:
             raise HandleError(f"double unreference of {self!r}")
@@ -104,6 +111,8 @@ class Handle:
         if self.version is not None:
             table._versioned.pop((self.rid, self.version), None)
             return
+        if self.published is not None:
+            self.record, self.published = self.published, None
         handles = table._handles
         capacity = table.delayed_free_capacity
         if not capacity:

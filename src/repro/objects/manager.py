@@ -9,9 +9,9 @@ strings and complex values (Section 4.4).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
-from repro.errors import DanglingReferenceError
+from repro.errors import DanglingReferenceError, RecordNotVisibleError
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
 from repro.objects.header import CLASS_KEY, ObjectHeader
@@ -23,6 +23,7 @@ from repro.storage.rid import Rid
 
 _CPU = Bucket.CPU
 _HANDLE = Bucket.HANDLE
+_RESULT = Bucket.RESULT
 
 
 #: Attribute kinds O2 materializes as separate literals with handles of
@@ -171,6 +172,90 @@ class ObjectManager:
         """"unreference h" in Figure 8: the bracket's way out."""
         handle.__exit__(None, None, None)
 
+    def fetch(
+        self,
+        rids: Iterable[Rid],
+        row_fn: Callable[["ObjectManager", Handle], object],
+        out: list,
+        room: int = -1,
+        skip: object = None,
+        row_s: float = 0.0,
+        skip_invisible: bool = False,
+    ) -> int:
+        """Figure 8's loop body over a batch: for each of ``rids`` get
+        the handle, apply ``row_fn(self, handle)``, unreference it, and
+        append the row to ``out`` unless it is ``skip``, charging
+        ``row_s`` of result time per appended row.  Stops once ``room``
+        rows are appended (a negative ``room`` never fills), leaving
+        the rest of an iterator unread; returns the room left.  With
+        ``skip_invisible`` an object with no version visible at the
+        reader's snapshot is passed over, not raised.
+
+        The bracket is :meth:`borrow` plus ``Handle.__exit__``, charge
+        for charge: a handle hit is bracketed here, on the handle
+        table's state read once per call, and a miss -- it may fault
+        and hand the baton over -- or any rid under a snapshot view
+        goes through ``with self.borrow(rid)``.  The unreference runs
+        whatever ``row_fn`` raises.  A session resumes with its own
+        table and view in place, so the state read here stands across
+        a hand-off."""
+        table = self.handles
+        handles = table._handles
+        get = handles.get
+        move_to_end = handles.move_to_end
+        counters = table.counters
+        buckets = table._buckets
+        touch_s = table._touch_s
+        unref_s = table._unref_s
+        capacity = table.delayed_free_capacity
+        for rid in rids:
+            handle = get(rid) if self.read_view is None else None
+            try:
+                if handle is not None:
+                    refcount = handle.refcount
+                    if not refcount:
+                        table._parked_count -= 1
+                    handle.refcount = refcount + 1
+                    buckets[_HANDLE] += touch_s
+                    try:
+                        row = row_fn(self, handle)
+                    finally:
+                        # Handle.__exit__, on a handle of this table
+                        # that is never a version handle.
+                        handle.refcount = refcount = handle.refcount - 1
+                        counters.handles_unreferenced += 1
+                        buckets[_HANDLE] += unref_s
+                        if not refcount:
+                            if handle.published is not None:
+                                handle.record = handle.published
+                                handle.published = None
+                            if not capacity:
+                                del handles[rid]
+                            else:
+                                move_to_end(rid)
+                                table._parked_count += 1
+                                while table._parked_count > capacity:
+                                    old, oldest = handles.popitem(last=False)
+                                    if oldest.refcount:
+                                        handles[old] = oldest
+                                    else:
+                                        table._parked_count -= 1
+                else:
+                    with self.borrow(rid) as borrowed:
+                        row = row_fn(self, borrowed)
+            except RecordNotVisibleError:
+                if not skip_invisible:
+                    raise
+                continue
+            if row is not skip:
+                if row_s:
+                    buckets[_RESULT] += row_s
+                out.append(row)
+                room -= 1
+                if not room:
+                    break
+        return room
+
     # -- attribute access -------------------------------------------------------
 
     def get_attr(self, handle: Handle, name: str) -> object:
@@ -278,17 +363,20 @@ class ObjectManager:
                 handle = table.get(key)
                 if handle is not None:
                     handle.record = new_record
+                    handle.published = None  # this write supersedes it
         return sfile.replace(actual, record, new_record)
 
     def _publish(self, rids: Iterable[Rid]) -> None:
-        """A committed in-place update reaches every client: the parked
-        handle of each of ``rids`` in any session's table takes the
-        record the rid holds now, so :meth:`borrow` revives it with the
-        committed value.  The writer's own table took the new record at
-        the write (:meth:`_write_back`); the other tables wait for the
-        commit, so an aborted write never reaches them.  A live handle
-        is left alone: its holder is still reading what it borrowed
-        (under SI, its snapshot's version).
+        """A committed in-place update reaches every client: the handle
+        of each of ``rids`` in any session's table takes the record the
+        rid holds now, so :meth:`borrow` revives it with the committed
+        value.  The writer's own table took the new record at the write
+        (:meth:`_write_back`); the other tables wait for the commit, so
+        an aborted write never reaches them.  A live handle keeps its
+        record while its holder reads what it borrowed (under SI, its
+        snapshot's version) and takes the committed one as
+        ``published`` when it parks (``Handle.__exit__``,
+        :meth:`fetch`).
 
         Called by the committing transaction.  Free, like
         ``HandleTable.forget_page``: refreshing a cached copy models no
@@ -301,7 +389,7 @@ class ObjectManager:
             record = None
             for handles in tables:
                 handle = handles.get(rid)
-                if handle is None or handle.refcount:
+                if handle is None:
                     continue
                 if record is None:
                     found = self.disk.peek_page(rid[0], rid[1]).resolve(rid[2])
@@ -310,4 +398,7 @@ class ObjectManager:
                             found[0], found[1]
                         ).resolve(found[2])
                     record = found
-                handle.record = record
+                if handle.refcount:
+                    handle.published = record
+                else:
+                    handle.record = record

@@ -105,20 +105,15 @@ def _passes(db: Database, tests: tuple[_Test, ...], om, handle) -> bool:
 
 
 def _passes_exists(
-    db: Database, filters: tuple[tuple[str, tuple[_Test, ...]], ...], om, handle
+    db: Database, filters: tuple[tuple[str, Callable], ...], om, handle
 ) -> bool:
     """Evaluate existential semijoin filters -- (set attribute, child
-    tests) pairs -- by navigating the set attribute until a matching
+    test) pairs -- by navigating the set attribute until a matching
     child is found (short-circuit)."""
-    for set_attr, child_tests in filters:
-        set_value = om.get_attr(handle, set_attr)
-        for child_rid in db.iter_set_rids(set_value):
-            with om.borrow(child_rid) as child:
-                matched = _passes(db, child_tests, om, child)
-            if matched:
-                break
-        else:
-            return False
+    for set_attr, child_passes in filters:
+        children = db.iter_set_rids(om.get_attr(handle, set_attr))
+        if om.fetch(children, child_passes, [], 1, False):
+            return False  # room left: no child matched
     return True
 
 
@@ -128,7 +123,7 @@ def _compile_accept(db: Database, plan: SelectionPlan) -> Callable | None:
     selection the index range answers whole tests nothing per row."""
     tests = _tests(plan.residuals)
     filters = tuple(
-        (filt.set_attr, _tests((filt.child_pred,)))
+        (filt.set_attr, partial(_passes, db, _tests((filt.child_pred,))))
         for filt in plan.exists_filters
     )
     if tests and filters:

@@ -10,9 +10,20 @@ waits, operator batch boundaries (:meth:`batch_point`, reached every
 :meth:`yield_point` calls.  Switch order is strict
 round-robin over ready tasks, so a given workload on a given database
 interleaves — and therefore costs — exactly the same way every run.
-A hand-off wakes one thread, the one it hands the baton to: each task
-waits on its own condition over the scheduler's one lock, and
-:meth:`CooperativeScheduler.run` is woken once, when no task is left.
+A hand-off is one lock release: each task waits on a lock of its own,
+held from its spawn, and handing the baton to it releases that lock;
+the handing-over thread then waits on its own.
+:meth:`CooperativeScheduler.run` waits the same way on a "done" lock,
+released once, when no task is left.
+
+No mutex guards the scheduler's state, by one invariant: *only the
+baton holder touches scheduler state* -- the thread of the running
+task, or ``run``'s thread while no task runs.  A thread touches the
+state only between acquiring its lock and releasing the next one, and
+the release is the last thing a hand-off does, so no two threads are
+ever inside the scheduler at once.  Everything that reaches it -- yield
+points, lock and admission waits, grants, cancels -- runs in session
+code, that is, on the baton holder's thread.
 
 Lock waiting plugs in through :meth:`wait_for_lock` / ``notify_granted``
 (the :meth:`repro.txn.locks.LockManager.attach` contract), for the
@@ -79,14 +90,15 @@ class Task:
         task_id: int,
         name: str,
         fn: Callable[[], object],
-        wake: threading.Condition,
     ):
         self.task_id = task_id
         self.name = name
         #: The body; deleted once it has run.
         self.fn = fn
-        #: Notified when the baton is handed to this task, and only then.
-        self.wake = wake
+        #: Held while the task does not have the baton: released when
+        #: the baton is handed to it, and only then.
+        self.baton = threading.Lock()
+        self.baton.acquire()
         self.state = _NEW
         self.thread: threading.Thread | None = None
         self.result: object = None
@@ -114,10 +126,10 @@ class CooperativeScheduler:
         self.locks = locks
         #: ``run``'s ``on_switch``, held only while it runs.
         self._on_switch: Callable[[Task], None] | None = None
-        #: One lock under every condition: ``_cv``, on which ``run``
-        #: waits until no task is left, and each task's ``wake``.
-        self._lock = threading.RLock()
-        self._cv = threading.Condition(self._lock)
+        #: Held, but for the moment the last task's hand-off releases
+        #: it to the waiting ``run``.
+        self._done = threading.Lock()
+        self._done.acquire()
         self._tasks: list[Task] = []
         self._current: Task | None = None
         self._rr_next = 0  # round-robin cursor
@@ -132,9 +144,7 @@ class CooperativeScheduler:
 
     def spawn(self, name: str, fn: Callable[[], object]) -> Task:
         """Register a task; it starts running only inside :meth:`run`."""
-        task = Task(
-            len(self._tasks), name, fn, threading.Condition(self._lock)
-        )
+        task = Task(len(self._tasks), name, fn)
         self._tasks.append(task)
         return task
 
@@ -173,10 +183,8 @@ class CooperativeScheduler:
                         name=f"repro-session-{task.name}",
                     )
                     task.thread.start()
-            with self._cv:
-                self._schedule_next()
-                while any(t.state is not _DONE for t in self._tasks):
-                    self._cv.wait()
+            self._schedule_next()
+            self._done.acquire()  # every task is done
             for task in self._tasks:
                 if task.thread is not None:
                     task.thread.join()
@@ -191,9 +199,7 @@ class CooperativeScheduler:
         return list(self._tasks)
 
     def _task_body(self, task: Task) -> None:
-        with self._cv:
-            while self._current is not task:
-                task.wake.wait()
+        task.baton.acquire()
         try:
             task.result = task.fn()
         # The trampoline boundary: a session's failure (abort, deadlock,
@@ -207,34 +213,30 @@ class CooperativeScheduler:
             # As ``threading.Thread`` deletes its target: the body's
             # closures reach whoever owns this scheduler.
             del task.fn
-            with self._cv:
-                task.state = _DONE
-                self._current = None
-                self._schedule_next()
+            task.state = _DONE
+            self._current = None
+            self._schedule_next()
 
     # -- yield points -------------------------------------------------------
 
     def yield_point(self) -> None:
         """Hand the baton to the next ready task (no-op when this is the
         only live task).  Safe to call from any depth of session code."""
-        with self._cv:
-            me = self._current
-            if me is None:
-                return  # not inside a scheduled slice (e.g. warm-up I/O)
-            me.state = _READY
-            self._current = None
-            self._schedule_next()
-            while self._current is not me:
-                me.wake.wait()
+        me = self._current
+        if me is None:
+            return  # not inside a scheduled slice (e.g. warm-up I/O)
+        me.state = _READY
+        self._current = None
+        self._schedule_next()
+        me.baton.acquire()
 
     def batch_point(self) -> None:
         """Yield point taken between operator batches of a pipelined
         query, so a long scan hands the baton over every ``batch_size``
         rows instead of only at page faults.  A no-op outside a
         scheduled slice (immediate mode, warm-up)."""
-        with self._cv:
-            if self._current is None:
-                return
+        if self._current is None:
+            return
         self.batch_yields += 1
         self.yield_point()
 
@@ -244,14 +246,13 @@ class CooperativeScheduler:
         Raises the abort exception when this task is chosen as a
         deadlock/timeout victim (the ``LockManager.attach`` contract).
         Attached only while :meth:`run` runs, so only a task calls it."""
-        with self._cv:
-            me = self._current
-            started_s = self.clock.elapsed_s
-            me.lock_waits += 1
-            try:
-                self._block(me, self._blocked_txns, txn_id)
-            finally:
-                me.lock_wait_s += self.clock.elapsed_s - started_s
+        me = self._current
+        started_s = self.clock.elapsed_s
+        me.lock_waits += 1
+        try:
+            self._block(me, self._blocked_txns, txn_id)
+        finally:
+            me.lock_wait_s += self.clock.elapsed_s - started_s
 
     def notify_granted(self, txn_id: int) -> None:
         """A queued request was granted: make its task ready again."""
@@ -263,8 +264,7 @@ class CooperativeScheduler:
         :meth:`wait_for_lock`.  Raises the abort exception when the
         waiter is cancelled while queued.  The gate calls it only
         inside a scheduled slice."""
-        with self._cv:
-            self._block(self._current, self._blocked_admission, session_id)
+        self._block(self._current, self._blocked_admission, session_id)
 
     def notify_admitted(self, session_id: int) -> None:
         """A queued session reached the head of the admission queue."""
@@ -280,33 +280,30 @@ class CooperativeScheduler:
         blocked (lock wait or admission wait); returns whether delivery
         happened.  A running/ready task cannot be interrupted here — its
         flag-based checkpoint will catch it instead."""
-        with self._cv:
-            if task is None or task.state is not _BLOCKED:
-                return False
-            if txn_id is not None and self._blocked_txns.get(txn_id) is task:
-                self.locks.cancel_wait(txn_id)
-            task.abort_exc = exc
-            task.state = _READY
-            return True
+        if task is None or task.state is not _BLOCKED:
+            return False
+        if txn_id is not None and self._blocked_txns.get(txn_id) is task:
+            self.locks.cancel_wait(txn_id)
+        task.abort_exc = exc
+        task.state = _READY
+        return True
 
     def in_slice(self) -> bool:
         """Is the calling code running inside a scheduled slice?"""
-        with self._cv:
-            return self._current is not None
+        return self._current is not None
 
     # -- internals ----------------------------------------------------------
 
     def _block(self, me: Task, waiting: dict[int, Task], key: int) -> None:
         """Park ``me`` in ``waiting`` under ``key`` until it is made ready
-        again (caller holds the condition); raise its abort exception,
-        if it was given one meanwhile."""
+        again and handed the baton; raise its abort exception, if it was
+        given one meanwhile."""
         me.state = _BLOCKED
         me.abort_exc = None
         waiting[key] = me
         self._current = None
         self._schedule_next()
-        while self._current is not me:
-            me.wake.wait()
+        me.baton.acquire()
         waiting.pop(key, None)
         if me.abort_exc is not None:
             exc, me.abort_exc = me.abort_exc, None
@@ -320,13 +317,15 @@ class CooperativeScheduler:
     def _unblock(self, waiting: dict[int, Task], key: int) -> None:
         """Make the task parked under ``key`` ready again, if it still
         waits there."""
-        with self._cv:  # re-entrant (Condition uses an RLock)
-            task = waiting.get(key)
-            if task is not None and task.state is _BLOCKED:
-                task.state = _READY
+        task = waiting.get(key)
+        if task is not None and task.state is _BLOCKED:
+            task.state = _READY
 
     def _schedule_next(self) -> None:
-        """Pick the next task to run (caller holds the condition)."""
+        """Pick the next task to run and hand it the baton; the caller
+        holds the baton and gave it up (``_current`` is ``None``).  The
+        release is the last thing it does: from there on the task it
+        picked -- or ``run``, when no task is left -- holds it."""
         self._expire_timeouts()
         task = self._next_ready()
         if task is None and any(
@@ -335,7 +334,7 @@ class CooperativeScheduler:
             self._resolve_stall()
             task = self._next_ready()
         if task is None:
-            self._cv.notify()  # every task is done: wake run()
+            self._done.release()  # every task is done: hand run() the end
             return
         task.state = _RUNNING
         task.switches += 1
@@ -343,7 +342,7 @@ class CooperativeScheduler:
         self._current = task
         if self._on_switch is not None:
             self._on_switch(task)
-        task.wake.notify()
+        task.baton.release()
 
     def _next_ready(self) -> Task | None:
         n = len(self._tasks)

@@ -18,3 +18,7 @@ def accumulates(om, rids):
         with om.borrow(rid) as handle:
             total += om.get_attr(handle, "size")
     return total
+
+
+def fetches_values(om, rids, out):
+    om.fetch(rids, lambda om, handle: om.get_attr(handle, "name"), out)

@@ -178,6 +178,14 @@ def test_escape_flags_leaking_handles():
     assert "after its with block" in findings[4].message
 
 
+def test_escape_flags_a_row_function_that_answers_its_handle():
+    """``ObjectManager.fetch`` keeps what its row function answers after
+    the unreference: a handle answered there escapes its bracket."""
+    findings = lint_fixture("escape/fetch_bad.py", ("ESCAPE",))
+    assert [f.line for f in findings] == [5, 9]
+    assert all("row function of fetch()" in f.message for f in findings)
+
+
 def test_escape_good_is_clean():
     assert lint_fixture("escape/escape_good.py", ("ESCAPE",)) == []
 
@@ -234,8 +242,8 @@ BORROW_MISS = """\
 """
 HIT_CHARGE = "        table._buckets[_HANDLE] += table._touch_s\n"
 FETCH_BRACKET = (
-    "                    with borrow(rid) as handle:\n"
-    "                        row = row_fn(om, handle)\n"
+    "                    with self.borrow(rid) as borrowed:\n"
+    "                        row = row_fn(self, borrowed)\n"
 )
 
 
@@ -264,19 +272,22 @@ def test_charge_is_discharged_by_an_in_place_bucket_add(tmp_path):
 
 
 def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):
-    """``Fetch._next`` with its bracket replaced by a bare ``load``: the
-    handle goes nowhere, so nobody else can be the one to release it."""
-    source = "exec/operators/scans.py"
+    """``ObjectManager.fetch`` with its miss bracket replaced by a bare
+    ``load``: the handle goes nowhere, so nobody else can be the one to
+    release it."""
+    source = "objects/manager.py"
     assert lint_seeded(
         tmp_path / "intact", source, FETCH_BRACKET, FETCH_BRACKET, "PAIR"
     ) == []
     seeded = lint_seeded(
         tmp_path / "seeded", source, FETCH_BRACKET,
-        "                    handle = om.load(rid)\n"
-        "                    row = row_fn(om, handle)\n",
+        "                    borrowed = self.load(rid)\n"
+        "                    row = row_fn(self, borrowed)\n",
         "PAIR",
     )
-    assert [f.symbol for f in seeded] == ["repro.exec.operators.scans:Fetch._next"]
+    assert [f.symbol for f in seeded] == [
+        "repro.objects.manager:ObjectManager.fetch"
+    ]
     assert "never paired with unref()" in seeded[0].message
 
 

@@ -51,35 +51,65 @@ def make_lock_world(timeout_s: float | None = None):
     return clock, locks, scheduler
 
 
-class CountingCondition(threading.Condition):
-    """A condition that counts the waits it ends."""
+class CountingBaton:
+    """A scheduler lock, held from the start, that counts its releases
+    and notes the thread each acquire hands the baton to."""
 
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.wakes = 0
+    def __init__(self, holder: list):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._holder = holder
+        self.releases = 0
 
-    def wait(self, timeout=None):
-        woken = super().wait(timeout)
-        self.wakes += 1
-        return woken
+    def acquire(self) -> bool:
+        self._lock.acquire()
+        self._holder[0] = threading.current_thread()
+        return True
+
+    def release(self) -> None:
+        self.releases += 1
+        self._lock.release()
 
 
-def count_wakes(scheduler: CooperativeScheduler) -> None:
-    """Give every spawned task, and ``run``, a counting condition over
-    the scheduler's lock."""
+def count_hand_offs(scheduler: CooperativeScheduler) -> list:
+    """Give every spawned task, and ``run``, a counting baton, and check
+    the invariant that stands in for a mutex: whoever enters
+    ``_schedule_next`` or ``_unblock`` is the thread holding the baton
+    (``run``'s, until its first hand-off).  Returns the list the
+    breaches are noted in."""
+    holder: list = [None]
+    breaches: list = []
     for task in scheduler._tasks:
-        task.wake = CountingCondition(scheduler._lock)
-    scheduler._cv = CountingCondition(scheduler._lock)
+        task.baton = CountingBaton(holder)
+    scheduler._done = CountingBaton(holder)
+    run = scheduler.run
+
+    def holding_run(*args):
+        holder[0] = threading.current_thread()
+        return run(*args)
+
+    def checked(method):
+        def call(*args):
+            if threading.current_thread() is not holder[0]:
+                breaches.append((method.__name__, threading.current_thread()))
+            return method(*args)
+        return call
+
+    scheduler.run = holding_run
+    scheduler._schedule_next = checked(scheduler._schedule_next)
+    scheduler._unblock = checked(scheduler._unblock)
+    return breaches
 
 
-def assert_one_wake_per_hand_off(scheduler, tasks) -> None:
-    """Each task woke once per slice it was handed, bar the first when
-    its thread found the baton already its own; ``run`` woke once."""
-    for task in tasks:
-        assert task.switches - 1 <= task.wake.wakes <= task.switches, (
-            task.name, task.switches, task.wake.wakes
-        )
-    assert scheduler._cv.wakes == 1
+def assert_one_wake_per_hand_off(scheduler, tasks, breaches) -> None:
+    """Each hand-off released the lock of the task it picked, once, and
+    nothing else did; ``run``'s was released once; and only the baton
+    holder entered the scheduler."""
+    assert [task.baton.releases for task in tasks] == [
+        task.switches for task in tasks
+    ]
+    assert scheduler._done.releases == 1
+    assert breaches == []
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +162,8 @@ class TestScheduler:
     @pytest.mark.parametrize("n_tasks, yields", [(2, 1), (8, 5)])
     def test_a_hand_off_wakes_only_the_task_it_picks(self, n_tasks, yields):
         """A ring of tasks that each yield ``yields`` times: every task is
-        handed the baton ``yields + 1`` times and wakes once for each."""
+        handed the baton ``yields + 1`` times, each a release of its
+        lock and nothing more."""
         __, __, scheduler = make_lock_world()
 
         def ring():
@@ -141,7 +172,7 @@ class TestScheduler:
 
         for i in range(n_tasks):
             scheduler.spawn(f"t{i}", ring)
-        count_wakes(scheduler)
+        breaches = count_hand_offs(scheduler)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # preempt the session threads often
         try:
@@ -154,7 +185,7 @@ class TestScheduler:
         tasks = scheduler._tasks
         assert [t.error for t in tasks] == [None] * n_tasks
         assert [t.switches for t in tasks] == [yields + 1] * n_tasks
-        assert_one_wake_per_hand_off(scheduler, tasks)
+        assert_one_wake_per_hand_off(scheduler, tasks, breaches)
 
 
 # ---------------------------------------------------------------- lock waits
@@ -234,11 +265,11 @@ class TestLockWaitProtocol:
 
         scheduler.spawn("t1", body(1))
         scheduler.spawn("t2", body(2))
-        count_wakes(scheduler)
+        breaches = count_hand_offs(scheduler)
         tasks = scheduler.run()
         assert [t.error for t in tasks] == [None, None]
         assert outcome == {1: "upgraded", 2: "victim"}
-        assert_one_wake_per_hand_off(scheduler, tasks)
+        assert_one_wake_per_hand_off(scheduler, tasks, breaches)
 
     def test_lock_timeout_aborts_waiter(self):
         clock, locks, scheduler = make_lock_world(timeout_s=1.0)
@@ -261,12 +292,12 @@ class TestLockWaitProtocol:
 
         scheduler.spawn("holder", holder)
         scheduler.spawn("waiter", waiter)
-        count_wakes(scheduler)
+        breaches = count_hand_offs(scheduler)
         tasks = scheduler.run()
         assert [t.error for t in tasks] == [None, None]
         assert outcome == {2: "timeout"}
         assert locks.waiting_count == 0
-        assert_one_wake_per_hand_off(scheduler, tasks)
+        assert_one_wake_per_hand_off(scheduler, tasks, breaches)
 
     def test_three_session_deadlock_cycle(self):
         """T1:A T2:B T3:C, then T1->B, T2->C, T3->A: a 3-cycle.  The
@@ -401,6 +432,35 @@ class TestQueryService:
             with writer.transaction():
                 writer.update_scalar(rid, "age", before + 7)
         assert read_age() == before + 7
+        service.close()
+
+    @pytest.mark.parametrize("isolation", ["2pl", "si"])
+    def test_a_committed_update_reaches_a_handle_held_across_the_commit(
+        self, isolation
+    ):
+        """The reader still holds its handle when the writer commits, so
+        the commit cannot refresh it; it takes the committed record when
+        it parks, and the reader's next transaction reads that."""
+        derby = fresh_tiny_derby()
+        service = QueryService(
+            derby, recovery=isolation == "si", isolation=isolation
+        )
+        writer = service.open_session("writer")
+        reader = service.open_session("reader")
+        om = derby.db.manager
+        rid = derby.patient_rids[0]
+        with service.immediate(reader):
+            with reader.transaction():
+                held = om.borrow(rid)
+                before = om.get_attr(held, "age")
+        with service.immediate(writer):
+            with writer.transaction():
+                writer.update_scalar(rid, "age", before + 7)
+        with service.immediate(reader):
+            assert om.get_attr(held, "age") == before  # what it borrowed
+            om.unref(held)
+            with reader.transaction():
+                assert reader.get_attr(rid, "age") == before + 7
         service.close()
 
 
