@@ -10,13 +10,11 @@
 
 from __future__ import annotations
 
-from repro.bench import ExperimentRunner
 from repro.bench.figures import cell_times, extensions_figure, rank_table
 
 
 def test_extended_algorithms(figure_driver, save_table):
-    derby = figure_driver.derby("1:3", "class")
-    table, ms = extensions_figure(ExperimentRunner(derby))
+    table, ms = extensions_figure(figure_driver.runner("1:3", "class"))
     save_table("ablation_extensions_algorithms", table)
 
     # Hybrid hashing fixes PHJ exactly where the paper predicts: the
@@ -39,8 +37,8 @@ def test_extended_algorithms(figure_driver, save_table):
 def test_association_organization(figure_driver, save_table):
     """Carey & Lapis [4]: navigation stays composition-fast while the
     child-only scans stay class-fast."""
-    assoc = ExperimentRunner(figure_driver.derby("1:3", "association"))
-    comp = ExperimentRunner(figure_driver.derby("1:3", "composition"))
+    assoc = figure_driver.runner("1:3", "association")
+    comp = figure_driver.runner("1:3", "composition")
     assoc_ms = assoc.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
     comp_ms = comp.run_join_grid(("NL", "PHJ"), ((10, 10), (90, 90)))
     save_table(

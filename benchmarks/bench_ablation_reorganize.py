@@ -9,7 +9,7 @@ maintain a reasonable cluster."
 from __future__ import annotations
 
 from repro.bench import ExperimentRunner
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.cluster import dump_and_reload, load_derby, register_new_patients
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering

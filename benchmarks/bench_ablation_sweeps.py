@@ -8,13 +8,12 @@
 
 from __future__ import annotations
 
-from repro.bench import ExperimentRunner
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.bench.sweeps import find_crossover, memory_pressure_sweep
 
 
 def test_figure6_crossover(figure_driver, save_table):
-    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
+    runner = figure_driver.runner("1:1000", "class")
     crossover = find_crossover(runner, "index", "scan", 0.2, 20.0)
     table = Table(
         "Figure 6 crossover — where the unclustered index stops winning",
@@ -28,7 +27,7 @@ def test_figure6_crossover(figure_driver, save_table):
 
 
 def test_memory_pressure_curve(figure_driver, save_table):
-    runner = ExperimentRunner(figure_driver.derby("1:3", "class"))
+    runner = figure_driver.runner("1:3", "class")
     fractions = (1.0, 0.5, 0.2, 0.1, 0.02)
     points = memory_pressure_sweep(runner, fractions, algo="PHJ")
     table = Table(

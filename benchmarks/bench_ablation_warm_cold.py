@@ -12,12 +12,11 @@ quantifies both claims:
 
 from __future__ import annotations
 
-from repro.bench import ExperimentRunner
 from repro.bench.figures import join_cost_breakdown, warm_vs_cold_figure
 
 
 def test_warm_vs_cold(figure_driver, save_table):
-    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
+    runner = figure_driver.runner("1:1000", "class")
     table = warm_vs_cold_figure(runner, 10, 10)
     save_table("ablation_warm_vs_cold", table)
 
@@ -32,7 +31,7 @@ def test_warm_vs_cold(figure_driver, save_table):
 
 
 def test_join_cost_breakdown(figure_driver, save_table):
-    runner = ExperimentRunner(figure_driver.derby("1:1000", "class"))
+    runner = figure_driver.runner("1:1000", "class")
     table = join_cost_breakdown(runner, 90, 90)
     save_table("ablation_join_breakdown", table)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import fit_cost_model, score_optimizer
-from repro.bench.report import Table
+from repro.stats import Table
 
 
 def test_cost_model_regression(figure_driver, save_table):

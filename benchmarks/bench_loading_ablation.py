@@ -11,7 +11,7 @@ Compares bulk-load configurations on the same logical database:
 
 from __future__ import annotations
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering

@@ -18,7 +18,7 @@ Results land in ``results/multiclient_throughput.txt``.
 
 from __future__ import annotations
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.service import MixConfig, WorkloadMixer

@@ -16,7 +16,7 @@ second.
 from __future__ import annotations
 
 from repro.bench import ExperimentRunner
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.objects.handle import HandleMode

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.bench.workloads import (
     SELECTIVITY_GRID,
     figure7_selectivities,

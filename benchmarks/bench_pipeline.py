@@ -28,7 +28,7 @@ Results land in ``results/pipeline_batch_sweep.txt``.  Run with
 
 from __future__ import annotations
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.oql import Catalog, OQLEngine

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery import crash_database, restart, take_checkpoint
 from repro.stats import StatsDatabase, records_to_csv

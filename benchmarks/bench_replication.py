@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig

@@ -2,7 +2,7 @@
 
 Databases are expensive to build and large, so the session shares one
 :class:`~repro.bench.figures.FigureDriver`: it holds the database asked
-for last and nothing else (the paper's authors "kept deleting and
+for last, with the one runner over it, and nothing else (the paper's authors "kept deleting and
 re-creating databases" for the same reason), and keeps each database's
 sixteen grid measurements.  Each measured run starts from a cold cache
 anyway (``start_cold_run``), exactly as the paper ran its experiments.

@@ -2,11 +2,10 @@
 
 One builder per figure (:mod:`repro.bench.figures`), an experiment runner
 that executes cold queries and records each run in the Figure 3 stats
-database (:mod:`repro.bench.runner`), and plain-text table rendering in
-the paper's layout (:mod:`repro.bench.report`).
+database (:mod:`repro.bench.runner`); the tables render through
+:class:`repro.stats.Table`.
 """
 
-from repro.bench.report import Table
 from repro.bench.runner import ExperimentRunner, JoinMeasurement, SelectionMeasurement
 from repro.bench.sweeps import (
     SweepPoint,
@@ -21,7 +20,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "Table",
     "ExperimentRunner",
     "JoinMeasurement",
     "SelectionMeasurement",

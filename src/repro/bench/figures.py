@@ -3,7 +3,7 @@ figure is, one driver that builds them.
 
 Each builder runs the experiments it needs through an
 :class:`~repro.bench.runner.ExperimentRunner` (always cold, as in the
-paper) and renders a :class:`~repro.bench.report.Table` in the layout of
+paper) and renders a :class:`~repro.stats.Table` in the layout of
 the corresponding figure.  Simulated times at scale *s* correspond to
 roughly *s* x the paper's seconds; the ratio columns are scale-free.
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from repro.bench.report import Table
 from repro.bench.runner import ExperimentRunner, JoinMeasurement
 from repro.bench.workloads import (
     SELECTIVITY_GRID,
@@ -32,6 +31,7 @@ from repro.derby import DerbyConfig
 from repro.exec.hash_table import QueryHashTable, chj_table_bytes, phj_table_bytes
 from repro.objects.handle import HandleMode
 from repro.simtime import Bucket
+from repro.stats import Table
 from repro.units import MB
 
 #: The four algorithms of the paper's Section 5 figures.
@@ -476,32 +476,35 @@ FIGURES: dict[str, Figure] = {
 class FigureDriver:
     """Builds :data:`FIGURES` entries with one database alive at a time.
 
-    The database asked for last is the only one held; it is dropped
-    before the next is loaded.  What outlives a database is its grid of
-    sixteen measurements, which Figures 11-15 and the claims scored on
-    them share.
+    The database asked for last is the only one held, with the one
+    runner over it; both are dropped before the next is loaded.  What
+    outlives a database is its grid of sixteen measurements, which
+    Figures 11-15 and the claims scored on them share.
     """
 
     def __init__(self, scale: float | None = None):
         self.scale = scale
-        self._slot: tuple[tuple[str, str], DerbyDatabase] | None = None
+        self._slot: tuple[tuple[str, str], ExperimentRunner] | None = None
         self._grids: dict[tuple[str, str], list[JoinMeasurement]] = {}
 
-    def derby(self, relationship: str, organization: str) -> DerbyDatabase:
-        """The loaded database; whichever was held before is let go."""
+    def runner(self, relationship: str, organization: str) -> ExperimentRunner:
+        """The runner over the loaded database; the one held before goes."""
         key = (relationship, organization)
         if self._slot is None or self._slot[0] != key:
-            self._slot = None  # freed here: a database holds no cycle
+            self._slot = None  # freed here: a runner's graph holds no cycle
             config = DerbyConfig.paper_db(relationship, organization, self.scale)
-            self._slot = (key, load_derby(config))
+            self._slot = (key, ExperimentRunner(load_derby(config)))
         return self._slot[1]
+
+    def derby(self, relationship: str, organization: str) -> DerbyDatabase:
+        """The loaded database (see :meth:`runner`)."""
+        return self.runner(relationship, organization).derby
 
     def grid(self, relationship: str, organization: str) -> list[JoinMeasurement]:
         """The Section 5 grid on that database, run once and kept."""
         key = (relationship, organization)
         if key not in self._grids:
-            runner = ExperimentRunner(self.derby(relationship, organization))
-            self._grids[key] = runner.run_join_grid(
+            self._grids[key] = self.runner(*key).run_join_grid(
                 PAPER_ALGORITHMS, SELECTIVITY_GRID
             )
         return self._grids[key]
@@ -521,5 +524,4 @@ class FigureDriver:
             return figure.build(measured), measured
         if figure.database is None:
             return figure.build(), None
-        runner = ExperimentRunner(self.derby(*figure.database))
-        return figure.build(runner), None
+        return figure.build(self.runner(*figure.database)), None

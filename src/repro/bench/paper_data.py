@@ -18,9 +18,9 @@ from typing import Callable
 from scipy import stats as scipy_stats
 
 from repro.bench.figures import FIGURES, RELATIONSHIPS, cell_times
-from repro.bench.report import Table, _fmt
 from repro.bench.runner import JoinMeasurement
 from repro.bench.workloads import SELECTIVITY_GRID
+from repro.stats.report import Table, _fmt
 
 Cell = tuple[int, int]  # (selectivity on patients, on providers)
 

@@ -2,10 +2,11 @@
 
 Executes one measured query the way the paper ran all of its tests:
 **cold** — caches emptied, meters zeroed — and records the outcome as a
-``Stat`` in the Figure 3 results database.  Every cell is OQL text run
-through the engine's planner with the cell's join algorithm or access
-path forced, so a figure runs the same planned, explainable path as any
-other query.
+``Stat`` in the Figure 3 results database.  Every cell is OQL text
+planned with the cell's join algorithm or access path forced and run as
+a statement of one :class:`~repro.service.Session`, attached for the
+runner's whole life: the statement path of every mix, and the tier that
+a cold restart made from outside the runner empties.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.bench.workloads import selection_query_text, tree_query_text
 from repro.cluster.loader import DerbyDatabase
 from repro.errors import BenchError
 from repro.exec import ALGORITHMS
-from repro.oql import Catalog, OQLEngine
+from repro.service import QueryService
 from repro.simtime import MeterSnapshot
 from repro.stats import StatsDatabase
 
@@ -57,7 +58,9 @@ class ExperimentRunner:
     def __init__(self, derby: DerbyDatabase, stats: StatsDatabase | None = None):
         self.derby = derby
         self.stats = stats
-        self.engine = OQLEngine(Catalog.from_derby(derby))
+        self.service = QueryService(derby)
+        self.session = self.service.open_session()
+        self.service.attach(self.session)
 
     # -- Section 5: the tree query -------------------------------------------
 
@@ -150,8 +153,7 @@ class ExperimentRunner:
 
     def _run(self, text: str, force: str) -> list:
         """Every row of ``text`` under the plan that ``force`` names."""
-        engine = self.engine
-        return engine.execute_iter(engine.plan(text, force=force)).drain()
+        return self.session.execute(self.session.engine.plan(text, force=force))
 
     def _record(
         self,

@@ -63,8 +63,10 @@ from repro.bench.figures import FIGURES, FigureDriver
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.config import Clustering, is_positive
-from repro.oql import Catalog, OQLEngine, Query, parse_statement
+from repro.oql import Catalog, Query, parse_statement
 from repro.errors import ReproError
+from repro.service import MixConfig, QueryService, WorkloadMixer
+from repro.stats import StatsDatabase, Table, mix_to_csv, to_csv
 from repro.units import MB
 
 def _make_config(args: argparse.Namespace) -> DerbyConfig:
@@ -151,8 +153,9 @@ def cmd_load(args: argparse.Namespace) -> int:
 
 def cmd_shell(args: argparse.Namespace) -> int:
     derby = _load(args, sys.stdout)
-    catalog = Catalog.from_derby(derby)
-    engine = OQLEngine(catalog)
+    service = QueryService(derby)
+    session = service.open_session()
+    service.attach(session)
     print("OQL shell — try:")
     print("  select count(p) from p in Patients where p.mrn < 1000")
     print("  select tuple(n: p.name, a: pa.age) from p in Providers, "
@@ -172,9 +175,9 @@ def cmd_shell(args: argparse.Namespace) -> int:
             return 0
         try:
             stmt = parse_statement(line)
-            plan = engine.plan(stmt) if isinstance(stmt, Query) else None
+            plan = session.engine.plan(stmt) if isinstance(stmt, Query) else None
             derby.start_cold_run()
-            rows = engine.execute(stmt)
+            rows = session.execute(stmt)
         except ReproError as exc:
             print(f"error: {exc}")
             continue
@@ -196,9 +199,6 @@ def cmd_shell(args: argparse.Namespace) -> int:
 
 def cmd_mix(args: argparse.Namespace) -> int:
     """Run a multi-client mix and report per-session + aggregate costs."""
-    from repro.service import MixConfig, WorkloadMixer
-    from repro.stats import StatsDatabase, mix_to_csv, to_csv
-
     mix_config = MixConfig.from_clients(
         args.clients,
         ops_per_client=args.ops,
@@ -258,7 +258,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_shard_demo(args: argparse.Namespace) -> int:
     """Partition a database, run a distributed query and a mix."""
-    from repro.bench.report import Table
     from repro.dist import (
         Coordinator,
         ShardedMixConfig,
@@ -388,7 +387,6 @@ def cmd_layout(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     """Collect optimizer statistics and persist them (ANALYZE)."""
     from repro.opt import StatsCollector, save_table_stats, summarize
-    from repro.stats import StatsDatabase
 
     derby = _load(args, sys.stderr)
     catalog = Catalog.from_derby(derby)

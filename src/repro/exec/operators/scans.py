@@ -131,9 +131,7 @@ class Fetch(Operator):
         out: list = []
         room = n
         while room:
-            # An object with no version visible at the reader's snapshot
-            # (created after it began) is skipped, not an error.
-            room = fetch(self._rids, row_fn, out, room, SKIP, row_s, True)
+            room = fetch(self._rids, row_fn, out, room, SKIP, row_s)
             if room:
                 batch = self.source.next_batch(n)
                 if not batch:

@@ -30,9 +30,9 @@ LAYER_ORDER = (
     "oql",
     "opt",
     "recovery",
-    "bench",
     "service",
     "dist",
+    "bench",
     "analysis",
     "lint",
     "cli",

@@ -180,16 +180,16 @@ class ObjectManager:
         room: int = -1,
         skip: object = None,
         row_s: float = 0.0,
-        skip_invisible: bool = False,
     ) -> int:
         """Figure 8's loop body over a batch: for each of ``rids`` get
         the handle, apply ``row_fn(self, handle)``, unreference it, and
         append the row to ``out`` unless it is ``skip``, charging
         ``row_s`` of result time per appended row.  Stops once ``room``
         rows are appended (a negative ``room`` never fills), leaving
-        the rest of an iterator unread; returns the room left.  With
-        ``skip_invisible`` an object with no version visible at the
-        reader's snapshot is passed over, not raised.
+        the rest of an iterator unread; returns the room left.  An
+        object with no version visible at the reader's snapshot (created
+        after it began) is passed over, not raised, whatever reads it: a
+        projection, an aggregate or an exists filter.
 
         The bracket is :meth:`borrow` plus ``Handle.__exit__``, charge
         for charge: a handle hit is bracketed here, on the handle
@@ -244,8 +244,6 @@ class ObjectManager:
                     with self.borrow(rid) as borrowed:
                         row = row_fn(self, borrowed)
             except RecordNotVisibleError:
-                if not skip_invisible:
-                    raise
                 continue
             if row is not skip:
                 if row_s:

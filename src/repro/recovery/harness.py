@@ -33,6 +33,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
+from repro.stats import Table
+
 #: The failure :func:`run_case` reports when a re-run's digest differs.
 _NONDETERMINISTIC = "re-run produced a different digest (determinism violated)"
 
@@ -88,9 +90,6 @@ class Suite:
 
     def summarize(self, cases: list[Case]):
         """One table row per case (bools as yes/no) and the aggregate."""
-        # ``bench`` sits above ``recovery``: import at call time.
-        from repro.bench.report import Table
-
         table = Table(
             self.title.format(n=len(cases)), ["Seed", *cases[0].row, "OK"]
         )

@@ -57,7 +57,7 @@ from repro.errors import (
     StatementTimeoutError,
 )
 from repro.objects.handle import HandleTable
-from repro.oql import Catalog, OQLEngine, Optimizer
+from repro.oql import Catalog, OQLEngine, Optimizer, SelectionPlan, Statement, TreeJoinPlan
 from repro.service.scheduler import AdmissionGate, CooperativeScheduler, Task
 from repro.simtime import METER_NAMES, MeterSnapshot, meter_values
 from repro.storage.rid import Rid
@@ -237,12 +237,12 @@ class Session:
 
     # -- operations ---------------------------------------------------------
 
-    def execute(self, oql: str) -> list:
-        """Run an OQL query through this session's engine (and caches),
-        yielding the scheduler baton at every operator batch boundary.
-        The service checks budgets/cancellation per batch; on any
-        failure the cursor's context manager closes the pipeline, so no
-        handle or buffer outlives the error."""
+    def execute(self, oql: str | Statement | SelectionPlan | TreeJoinPlan) -> list:
+        """Run an OQL statement or plan through this session's engine
+        (and caches), yielding the scheduler baton at every operator
+        batch boundary.  The service checks budgets/cancellation per
+        batch; on any failure the cursor's context manager closes the
+        pipeline, so no handle or buffer outlives the error."""
         service = self.service
         rows: list = []
         with self.execute_iter(oql) as cursor:
@@ -252,11 +252,11 @@ class Session:
                 service.scheduler.batch_point()
         return rows
 
-    def execute_iter(self, oql: str):
-        """Open a streaming cursor over an OQL query.  The caller pulls
-        batches (and decides when to yield); metrics are folded in as
-        batches arrive and when the pipeline closes.  The statement
-        budget clock starts here and stops when the cursor closes."""
+    def execute_iter(self, oql: str | Statement | SelectionPlan | TreeJoinPlan):
+        """Open a streaming cursor over an OQL statement or plan.  The
+        caller pulls batches (and decides when to yield); metrics are
+        folded in as batches arrive and when the pipeline closes.  The
+        statement budget clock starts here, stops when the cursor closes."""
         cursor = self.engine.execute_iter(oql, self.batch_size)
         metrics = self.metrics
         metrics.queries += 1
@@ -456,8 +456,7 @@ class QueryService:
             tasks = self.scheduler.run(self._on_switch)
         finally:
             system.on_fault = None
-            self._accrue()
-            self._activate(None)
+            self.attach(None)
         for session in self.sessions:
             if session.task is not None:
                 session.metrics.lock_wait_s = session.task.lock_wait_s
@@ -471,13 +470,18 @@ class QueryService:
         duration and its share of the clock and counters is accrued on
         exit.  Lock conflicts are fail-fast here — with no scheduler
         there is nobody to wait for."""
-        self._accrue()
-        self._activate(session)
+        self.attach(session)
         try:
             yield session
         finally:
-            self._accrue()
-            self._activate(None)
+            self.attach(None)
+
+    def attach(self, session: Session | None) -> None:
+        """Accrue the clock and meters to the session that had the
+        database, then give ``session`` its client tier, handle table and
+        read view (``None``: the base tier).  Every switch is one."""
+        self._accrue()
+        self._activate(session)
 
     # -- crash and recovery -------------------------------------------------
 
@@ -631,8 +635,7 @@ class QueryService:
         self.checkpoint(self._active)
 
     def _on_switch(self, task: Task) -> None:
-        self._accrue()
-        self._activate(self._task_session.get(task.task_id))
+        self.attach(self._task_session.get(task.task_id))
 
     def _accrue(self) -> None:
         """Charge the clock and meter change since the last accrual to

@@ -33,7 +33,7 @@ from functools import partial
 from random import Random
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
-from repro.bench.report import Table
+from repro.stats import Table
 from repro.errors import (
     DeadlockError,
     GovernorError,

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from repro.bench import ExperimentRunner, Table
+from repro.bench import ExperimentRunner
 from repro.bench.figures import (
     FIGURES,
     PAPER_ALGORITHMS,
@@ -40,7 +40,7 @@ from repro.derby import DerbyConfig
 from repro.derby.config import DEFAULT_SCALE, Clustering
 from repro.errors import BenchError
 from repro.simtime import CostParams
-from repro.stats import StatsDatabase
+from repro.stats import StatsDatabase, Table
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,25 @@ class TestRunner:
         assert selection.selectivity == 0
         assert selection.text == selection_query_text(derby.config, 0.1, "name")
         assert selection.text.startswith("select p.name from p in Patients")
+
+    def test_a_cold_restart_from_outside_is_the_runners_own(self, runner):
+        """The two-clock harness empties the caches itself and then runs
+        the cell with ``cold=False``.  The cells are statements of the
+        runner's one session, which stays attached, so that restart
+        empties the tier they read through: each such cell costs, bit
+        for bit, what the runner's own cold cell costs."""
+        derby = runner.derby
+        sel_patients, sel_providers = SELECTIVITY_GRID[0]
+        for algo in PAPER_ALGORITHMS:
+            derby.start_cold_run()
+            outside = runner.run_join(algo, sel_patients, sel_providers, cold=False)
+            inside = runner.run_join(algo, sel_patients, sel_providers)
+            assert outside.elapsed_s.hex() == inside.elapsed_s.hex(), algo
+            assert outside.meters == inside.meters, algo
+            assert {k: v.hex() for k, v in outside.breakdown.items()} == {
+                k: v.hex() for k, v in inside.breakdown.items()
+            }, algo
+        assert runner.session.metrics.queries == 2 * len(PAPER_ALGORITHMS)
 
     def test_grid_runs_all(self, runner):
         ms = runner.run_join_grid(("PHJ", "CHJ"), ((10, 10), (90, 90)))

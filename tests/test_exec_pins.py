@@ -128,7 +128,7 @@ def measure_group(database: str, clustering: Clustering) -> dict[str, dict]:
     db = derby.db
     config = derby.config
     runner = ExperimentRunner(derby)
-    engine = runner.engine
+    engine = runner.session.engine
     cells: dict[str, dict] = {}
 
     for sel_patients, sel_providers in SELECTIVITY_GRID:

@@ -9,7 +9,7 @@ parked count, the same meters and every bucket bit for bit -- warm,
 cold and mixed; with the delayed-free list overflowing and with no list
 at all; with nested brackets; with a row function that raises; and
 under a snapshot view, with a version read and an object the snapshot
-cannot see.
+cannot see, which the kernel passes over.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ _RESULT = Bucket.RESULT
 ROW_S = 3.7e-5
 
 
-def bracketed(om, rids, row_fn, out, room=-1, skip=None, row_s=0.0,
-              skip_invisible=False) -> int:
+def bracketed(om, rids, row_fn, out, room=-1, skip=None, row_s=0.0) -> int:
     """The kernel's contract spelled with ``with om.borrow`` brackets."""
     buckets = om.handles._buckets
     for rid in rids:
@@ -37,8 +36,6 @@ def bracketed(om, rids, row_fn, out, room=-1, skip=None, row_s=0.0,
             with om.borrow(rid) as handle:
                 row = row_fn(om, handle)
         except RecordNotVisibleError:
-            if not skip_invisible:
-                raise
             continue
         if row is not skip:
             if row_s:
@@ -191,8 +188,7 @@ def snapshot_world():
     return db, reader, rids
 
 
-@pytest.mark.parametrize("skip_invisible", [True, False])
-def test_the_kernel_reads_a_snapshot_as_the_brackets_do(skip_invisible):
+def test_the_kernel_reads_a_snapshot_as_the_brackets_do():
     answers, states = [], []
     for fetch in (kernel, bracketed):
         db, reader, rids = snapshot_world()
@@ -203,9 +199,7 @@ def test_the_kernel_reads_a_snapshot_as_the_brackets_do(skip_invisible):
         om.read_view = reader.view
         try:
             room = fetch(om, iter(order), lambda o, h: o.get_attr(h, "x"),
-                         out, -1, None, ROW_S, skip_invisible)
-        except RecordNotVisibleError:
-            room = "raised"
+                         out, -1, None, ROW_S)
         finally:
             om.read_view = None
         answers.append((room, out))
@@ -213,10 +207,7 @@ def test_the_kernel_reads_a_snapshot_as_the_brackets_do(skip_invisible):
         reader.commit()
     assert answers[0] == answers[1]
     assert states[0] == states[1]
-    if skip_invisible:
-        assert answers[0][1] == [0, 1, 2, 3, 4, 5, 6, 7, 0]
-    else:
-        assert answers[0] == ("raised", [])
+    assert answers[0][1] == [0, 1, 2, 3, 4, 5, 6, 7, 0]
 
 
 def test_a_handle_held_across_a_commit_parks_with_the_published_record():

@@ -273,7 +273,7 @@ class CallGraph:
 def graph() -> CallGraph:
     runner = ExperimentRunner(load_derby(DerbyConfig.db_1to3(scale=0.0003)))
     runner.run_join("NOJOIN", 50, 50)  # classes compiled, codecs built
-    engine = runner.engine
+    engine = runner.session.engine
     text = tree_query_text(runner.derby.config, 50, 50)
     root = engine.compile(engine.plan(text, force="NOJOIN"))
     children = sum(1 for __ in root.q.selected_children())

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
-from repro.bench.report import Table, _fmt
+from repro.stats.report import Table, _fmt
 from repro.simtime import MeterSnapshot
 from repro.stats import StatsDatabase, to_gnuplot
 from repro.units import KB, MB, PAGE_SIZE, pages_for_bytes

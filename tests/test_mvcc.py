@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import load_derby
+from repro.cluster.strategies import file_names
 from repro.derby import DerbyConfig
 from repro.errors import (
     RecordNotVisibleError,
@@ -405,6 +406,30 @@ class TestServiceIntegration:
             return [om.get_attr_at(rid, "age") for rid in hot]
 
         assert end_state("2pl") == end_state("si")
+
+    def test_aggregates_pass_over_a_patient_the_snapshot_cannot_see(self):
+        """A patient created and committed behind a reader's snapshot is
+        not in it: ``sum`` and ``count`` fold exactly the rows that
+        ``select p.age`` returns, as the exists filter and the
+        projection do."""
+        derby = fresh_tiny_derby()
+        service = QueryService(derby, recovery=True, isolation="si")
+        reader = service.open_session("reader")
+        writer = service.open_session("writer")
+        patient_file = file_names(derby.config.clustering)[1]
+        with service.immediate(reader):
+            reader.begin()
+        with service.immediate(writer), writer.transaction() as txn:
+            derby.patients.append(
+                txn.create_object("Patient", {"age": 200}, patient_file)
+            )
+        with service.immediate(reader):
+            ages = reader.execute("select p.age from p in Patients")
+            total = reader.execute("select sum(p.age) from p in Patients")
+            count = reader.execute("select count(p) from p in Patients")
+            reader.commit()
+        assert len(ages) == len(derby.patient_rids)
+        assert (total, count) == ([sum(ages)], [len(ages)])
 
     def test_mix_csv_carries_conflict_columns(self):
         config = MixConfig.from_clients(
