@@ -7,7 +7,8 @@ quantifies both claims:
 
 * warm runs drop all page I/O and most handle allocation;
 * the per-bucket breakdown shows NL is I/O-bound while the hash joins
-  split between I/O and result construction (class clustering).
+  split between I/O and result construction (class clustering);
+* at 1:3 10/10 it shows which buckets give CHJ its lead over PHJ.
 """
 
 from __future__ import annotations
@@ -42,3 +43,14 @@ def test_join_cost_breakdown(figure_driver, save_table):
     assert rows["NL"][io_col] > 0.5 * rows["NL"][-1]
     # The hash joins all pay the same result construction.
     assert rows["PHJ"][result_col] == rows["CHJ"][result_col]
+
+    # The 1:3 10/10 cell, where CHJ beats the paper's PHJ (EXPERIMENTS.md
+    # caveat 6), under both clusterings that score it.
+    tables = [
+        join_cost_breakdown(figure_driver.runner("1:3", org), 10, 10)
+        for org in ("class", "random")
+    ]
+    save_table("ablation_join_breakdown_1to3", "\n".join(map(str, tables)))
+    # Under class clustering both hash joins read the same pages.
+    rows = {row[0]: row for row in tables[0].rows}
+    assert rows["PHJ"][io_col] == rows["CHJ"][io_col]

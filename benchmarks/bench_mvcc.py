@@ -52,10 +52,6 @@ BASE_CONFIG = MixConfig(
     max_retries=10,
     hot_set=8,
     update_values="keyed",
-    # 2PL pays physical logging too, so the comparison is isolation
-    # level against isolation level — not logging mode against logging
-    # mode ("si" would force recovery on anyway).
-    recovery=True,
 )
 
 

@@ -283,11 +283,9 @@ class Session:
         self._require_txn().write_lock(rid)
 
     def update_scalar(self, rid: Rid, attr: str, value: object) -> Rid:
-        """Write-lock, update and log one scalar attribute.
-
-        The transaction decides what "log" means: the legacy 8-byte cost
-        record, or — when the service runs with ``recovery=True`` — a
-        physical record with page images that a crash can be recovered
+        """Write-lock, update and log one scalar attribute: the
+        transaction logs the touched pages' before and after images, so
+        an abort rolls the update back and a crash can be recovered
         from."""
         new_rid = self._require_txn().update_scalar(rid, attr, value)
         self.metrics.updates += 1
@@ -348,7 +346,6 @@ class QueryService:
         derby: "DerbyDatabase",
         lock_timeout_s: float | None = None,
         server_cache_pages: int | None = None,
-        recovery: bool = False,
         budget_pages: int | None = None,
         statement_timeout_s: float | None = None,
         max_active: int | None = None,
@@ -364,11 +361,6 @@ class QueryService:
             raise ServiceError(
                 f"unknown isolation {isolation!r} (expected '2pl' or 'si')"
             )
-        if isolation == "si" and not recovery:
-            raise ServiceError(
-                "isolation='si' needs a service built with recovery=True "
-                "(SI aborts roll back physically to the stashed pre-images)"
-            )
         self.isolation = isolation
         self.derby = derby
         self.db = derby.db
@@ -381,8 +373,8 @@ class QueryService:
         self.plan_optimizer = (
             Optimizer(self.catalog) if optimizer == "cost" else None
         )
-        self.recovery = recovery
-        self.txm = TransactionManager(self.db, recovery=recovery)
+        # Every session logs physically, so an abort always undoes.
+        self.txm = TransactionManager(self.db, recovery=True)
         if isolation == "si":
             # Enable MVCC before any client runs, so every logged write
             # stashes its pre-image and no snapshot has a blind spot.
@@ -491,7 +483,6 @@ class QueryService:
         caches, lock table and unflushed log; the disk reverts to its
         durable page images.  Call :meth:`recover` before using the
         service again."""
-        self._require_recovery("crash")
         from repro.recovery import crash_database
 
         for session in self.sessions:
@@ -510,17 +501,9 @@ class QueryService:
         """Run ARIES-lite restart (analysis/redo/undo) after
         :meth:`crash`; returns the
         :class:`~repro.recovery.RecoveryReport`."""
-        self._require_recovery("recover")
         from repro.recovery import restart
 
         return restart(self.db, self.txm)
-
-    def _require_recovery(self, op: str) -> None:
-        if not self.recovery:
-            raise ServiceError(
-                f"{op}() needs a service built with recovery=True "
-                "(physical logging is off)"
-            )
 
     def close(self) -> None:
         """Flush every session's client tier and restore the database's

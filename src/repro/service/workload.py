@@ -163,14 +163,16 @@ class MixConfig(ClientMix):
     #: Admission control: sessions running an operation concurrently
     #: (``None``: no gate).  The rest queue FIFO.
     max_active: int | None = None
-    #: Force physical logging even without a crash/fault injector.
+    #: Inert: every service logs physically.  Kept because
+    #: ``benchmarks/wallclock/workloads.py`` still passes
+    #: ``recovery=True``, and that benchmark's code changes only together
+    #: with its expected digests; drop it there and this field goes.
     recovery: bool = False
     #: Concurrency control every session runs under: ``"2pl"`` (strict
     #: two-phase locking, readers take S locks) or ``"si"`` (MVCC
     #: snapshot isolation: readers resolve version chains lock-free,
     #: writers keep X locks and abort on first-committer-wins
-    #: conflicts).  ``"si"`` forces ``recovery=True`` — aborts must
-    #: physically restore pre-images or snapshots would see them.
+    #: conflicts).
     isolation: str = "2pl"
     #: What updaters write: ``"age"`` derives the new value from the age
     #: just read (the classic read-modify-write), ``"keyed"`` derives
@@ -435,12 +437,10 @@ class WorkloadMixer:
         self.derby = derby
         self.config = config
         self.stats = stats
-        #: Arming an injector switches the service to ``recovery=True``
-        #: (physical logging) so a mid-mix crash is recoverable.
+        #: Crash point armed on the service's disk and log for the run.
         self.injector = injector
         #: Transient faults (flaky reads, lock-timeout storms) the run
-        #: is expected to *survive*; also forces ``recovery=True`` so
-        #: fault-driven aborts roll back physically.
+        #: is expected to *survive*.
         self.faults = faults
         #: The service of the last :meth:`run` — after a crash, call
         #: ``self.service.recover()`` on it.
@@ -462,12 +462,6 @@ class WorkloadMixer:
             self.derby,
             lock_timeout_s=config.lock_timeout_s,
             server_cache_pages=config.server_cache_pages,
-            recovery=(
-                config.recovery
-                or config.isolation == "si"
-                or self.injector is not None
-                or self.faults is not None
-            ),
             budget_pages=config.budget_pages,
             statement_timeout_s=config.statement_timeout_s,
             max_active=config.max_active,

@@ -9,10 +9,12 @@ Section 3.2 of the paper is a tour of exactly these mechanisms:
   "allowing to load large databases faster" — used for loading only,
   never for measured queries.
 
-With ``TransactionManager(db, recovery=True)`` the WAL carries physical
-page images and :mod:`repro.recovery` can crash and restart the system,
-which is what makes the transaction-off trade-off demonstrable rather
-than merely priced.
+One logging mode per purpose: the loader's ``TransactionManager(db)``
+logs cost-only, and every session, shard and fuzz runs on
+``TransactionManager(db, recovery=True)``, whose WAL carries physical
+page images, so an abort always undoes and :mod:`repro.recovery` can
+crash and restart the system — which is what makes the transaction-off
+trade-off demonstrable rather than merely priced.
 
 ``begin(isolation="si")`` opens a *snapshot-isolation* transaction on
 top of the same machinery: reads resolve through per-record version

@@ -58,10 +58,10 @@ UNDOABLE_KINDS = frozenset({"create", "update"})
 class LogRecord(NamedTuple):
     """One logged operation.
 
-    The three leading fields are the original cost-model record; the
-    defaulted fields carry the physical content recovery needs.  ``nbytes``
-    remains the authoritative serialized size used for log-page
-    accounting, so cost behavior is unchanged for legacy callers.
+    The three leading fields are what every record costs; the defaulted
+    fields carry the physical content recovery needs, and stay empty in
+    the loader's cost-only records.  ``nbytes`` is the authoritative
+    serialized size used for log-page accounting.
 
     Immutable, because a replica's log holds the very records its
     primary appended (:meth:`WriteAheadLog.append_shipped`).
@@ -71,8 +71,7 @@ class LogRecord(NamedTuple):
     kind: str      # "begin" | "create" | "update" | "clr" | "delete"
     #              # | "prepare" | "commit" | "abort" | "checkpoint"
     nbytes: int
-    #: Log sequence number (1-based, assigned at append; 0 = unassigned,
-    #: e.g. records from legacy cost-only callers predating recovery).
+    #: Log sequence number (1-based, assigned at append).
     lsn: int = 0
     #: Previous record of the same transaction (0 = none) — the undo chain.
     prev_lsn: int = 0

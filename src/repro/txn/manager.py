@@ -11,12 +11,16 @@ stories revolve around (Section 3.2):
   is how large databases load fastest ("we used this mode only for
   loading, not for running our tests").
 
-With ``recovery=True`` the manager additionally makes those trade-offs
-*demonstrable*: logged transactions write physical records (page-level
-before/after images chained by ``prev_lsn``), aborts roll the pages back
-through compensation records, and :mod:`repro.recovery` can crash the
-system and restart it.  Transaction-off work writes nothing to the log,
-so after a crash it is simply gone — the durability half of the paper's
+There is one logging mode per purpose.  The loader's manager
+(``TransactionManager(db)``) logs cost-only: a logged create charges a
+64-byte record and nothing can be undone.  Every other manager — each
+query service's, each shard's, the recovery fuzz's — is built with
+``recovery=True``: logged transactions write physical records
+(page-level before/after images chained by ``prev_lsn``), aborts roll
+the pages back through compensation records, and :mod:`repro.recovery`
+can crash the system and restart it.  Only such a transaction may update
+a record in place.  Transaction-off work writes nothing to the log, so
+after a crash it is simply gone — the durability half of the paper's
 loading trade-off.
 """
 
@@ -149,24 +153,24 @@ class Transaction:
 
     def update_scalar(self, rid: Rid, attr_name: str, value: object) -> Rid:
         """Write-lock ``rid`` and update one scalar attribute through the
-        object manager.  In recovery mode the touched pages' before and
-        after images are logged; otherwise only the legacy 8-byte cost
-        record is charged (identical to the historical Session path)."""
+        object manager, logging the touched pages' before and after
+        images so an abort rolls the update back.  A transaction that
+        does not log physically (transaction-off, or the loader's
+        cost-only manager) cannot undo an update and may not make one."""
         self._require_active()
         if not self._physical:
-            self.write_lock(rid)
-            self._si_prepare_write(rid)
-            new_rid = self.manager.db.manager.update_scalar(rid, attr_name, value)
-            self.log_update(8)
-        else:
-            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
-            self._si_prepare_write(rid)
-            db = self.manager.db
-            new_rid = self._physical_op(
-                "update",
-                self._update_keys(rid),
-                lambda: db.manager.update_scalar(rid, attr_name, value),
+            raise TransactionStateError(
+                f"transaction {self.txn_id} does not log physically, so it "
+                "could not undo an in-place update"
             )
+        self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
+        self._si_prepare_write(rid)
+        db = self.manager.db
+        new_rid = self._physical_op(
+            "update",
+            self._update_keys(rid),
+            lambda: db.manager.update_scalar(rid, attr_name, value),
+        )
         self._updated.append(rid)
         if new_rid != rid:  # forwarded: a handle may sit under either
             self._updated.append(new_rid)
@@ -201,11 +205,6 @@ class Transaction:
         if self.logged:
             self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
 
-    def log_update(self, nbytes: int) -> None:
-        self._require_active()
-        if self.logged:
-            self.manager.log.append(self.txn_id, "update", nbytes)
-
     # -- MVCC write-side hooks ----------------------------------------------
 
     def _si_prepare_write(self, rid: Rid) -> None:
@@ -218,7 +217,7 @@ class Transaction:
         snapshot must be able to see the pre-image of a 2PL writer's
         update too."""
         manager = self.manager
-        if not manager.mvcc_enabled or not self.logged:
+        if not manager.mvcc_enabled:
             return
         if rid in self._write_set:
             return
@@ -416,7 +415,7 @@ class Transaction:
         self._require_active()
         if self.logged:
             try:
-                if self.manager.recovery:
+                if self._physical:
                     self._rollback_physical()
                 self.manager.log.append(
                     self.txn_id,
@@ -459,11 +458,10 @@ class Transaction:
 class TransactionManager:
     """Opens transactions against one database.
 
-    ``recovery=True`` switches logged transactions to physical logging
-    (page images, begin records, rollback on abort) and registers the
-    log with the disk so the WAL rule is enforced on page writes.  The
-    default stays the historical cost-only mode, whose charges are
-    byte-for-byte unchanged.
+    ``recovery=True`` (every service, shard and fuzz) logs logged
+    transactions physically and registers the log with the disk so the
+    WAL rule is enforced on page writes; the default is the loader's
+    cost-only mode (see the module docstring).
     """
 
     def __init__(

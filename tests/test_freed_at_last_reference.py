@@ -153,7 +153,7 @@ def test_the_figure_driver_frees_the_database_it_lets_go():
 #: isolations, a deadlock victim raised at its wait point.
 MIX = MixConfig(
     navigators=1, scanners=1, updaters=3, ops_per_client=3, seed=7,
-    recovery=True, max_retries=8, hot_set=4,
+    max_retries=8, hot_set=4,
 )
 #: A cross-shard deadlock victim too.
 SHARDED_MIX = ShardedMixConfig(

@@ -11,7 +11,6 @@ from repro.cluster.strategies import file_names
 from repro.derby import DerbyConfig
 from repro.errors import (
     RecordNotVisibleError,
-    ServiceError,
     TransactionStateError,
     WriteConflictError,
 )
@@ -321,14 +320,9 @@ class TestCrashRestart:
 
 
 class TestServiceIntegration:
-    def test_service_si_requires_recovery(self):
-        derby = fresh_tiny_derby()
-        with pytest.raises(ServiceError):
-            QueryService(derby, isolation="si")
-
     def test_scan_repeats_identically_while_updater_commits(self):
         derby = fresh_tiny_derby()
-        service = QueryService(derby, recovery=True, isolation="si")
+        service = QueryService(derby, isolation="si")
         scanner = service.open_session("scanner")
         updater = service.open_session("updater")
         threshold = derby.config.num_threshold(50.0)
@@ -389,7 +383,6 @@ class TestServiceIntegration:
             max_retries=8,
             hot_set=4,
             update_values="keyed",
-            recovery=True,
         )
 
         def end_state(isolation: str):
@@ -413,7 +406,7 @@ class TestServiceIntegration:
         ``select p.age`` returns, as the exists filter and the
         projection do."""
         derby = fresh_tiny_derby()
-        service = QueryService(derby, recovery=True, isolation="si")
+        service = QueryService(derby, isolation="si")
         reader = service.open_session("reader")
         writer = service.open_session("writer")
         patient_file = file_names(derby.config.clustering)[1]

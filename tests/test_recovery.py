@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RecoveryError, ServiceError, SimulatedCrashError
+from repro.errors import RecoveryError, SimulatedCrashError
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.recovery import (
     CRASH_POINTS,
@@ -413,20 +413,13 @@ class TestCrashInjector:
 # ------------------------------------------------------------- service
 
 class TestServiceRecovery:
-    def make_service(self, recovery: bool = True):
+    def make_service(self):
         from repro.cluster import load_derby
         from repro.derby import DerbyConfig
         from repro.service import QueryService
 
         derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
-        return derby, QueryService(derby, recovery=recovery)
-
-    def test_crash_requires_recovery_mode(self):
-        __, service = self.make_service(recovery=False)
-        with pytest.raises(ServiceError):
-            service.crash()
-        with pytest.raises(ServiceError):
-            service.recover()
+        return derby, QueryService(derby)
 
     def test_crash_and_recover_roundtrip(self):
         derby, service = self.make_service()
@@ -490,7 +483,7 @@ class TestServiceRecovery:
         from repro.service import QueryService
 
         derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
-        service = QueryService(derby, server_cache_pages=8, recovery=True)
+        service = QueryService(derby, server_cache_pages=8)
         session = service.open_session("s")
         with service.immediate(session):
             with session.transaction():
@@ -500,17 +493,6 @@ class TestServiceRecovery:
         writes = derby.db.counters.disk_writes
         service.crash()
         assert derby.db.counters.disk_writes == writes
-
-    def test_mixer_without_injector_is_unchanged(self):
-        from repro.cluster import load_derby
-        from repro.derby import DerbyConfig
-        from repro.service import MixConfig, WorkloadMixer
-
-        derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
-        mixer = WorkloadMixer(derby, MixConfig.from_clients(3, seed=1))
-        report = mixer.run()
-        assert not report.crashed
-        assert mixer.service.recovery is False
 
     def test_unreached_crash_point_does_not_outlive_the_run(self):
         """The derby's disk outlives the service: an injector whose

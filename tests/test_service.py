@@ -415,9 +415,7 @@ class TestQueryService:
         self, isolation
     ):
         derby = fresh_tiny_derby()
-        service = QueryService(
-            derby, recovery=isolation == "si", isolation=isolation
-        )
+        service = QueryService(derby, isolation=isolation)
         writer = service.open_session("writer")
         reader = service.open_session("reader")
         rid = derby.patient_rids[0]
@@ -435,6 +433,27 @@ class TestQueryService:
         service.close()
 
     @pytest.mark.parametrize("isolation", ["2pl", "si"])
+    def test_an_aborted_update_is_seen_by_no_session(self, isolation):
+        """Every service logs physically, so an abort puts the page
+        back: neither another session nor the record itself keeps the
+        aborted value."""
+        derby = fresh_tiny_derby()
+        service = QueryService(derby, isolation=isolation)
+        a = service.open_session("a")
+        b = service.open_session("b")
+        rid = derby.patient_rids[0]
+        with service.immediate(a):
+            a.begin()
+            before = a.get_attr(rid, "age")
+            a.update_scalar(rid, "age", before + 5)
+            a.abort()
+        with service.immediate(b):
+            with b.transaction():
+                assert b.get_attr(rid, "age") == before
+        service.close()
+        assert derby.db.manager.get_attr_at(rid, "age") == before
+
+    @pytest.mark.parametrize("isolation", ["2pl", "si"])
     def test_a_committed_update_reaches_a_handle_held_across_the_commit(
         self, isolation
     ):
@@ -442,9 +461,7 @@ class TestQueryService:
         the commit cannot refresh it; it takes the committed record when
         it parks, and the reader's next transaction reads that."""
         derby = fresh_tiny_derby()
-        service = QueryService(
-            derby, recovery=isolation == "si", isolation=isolation
-        )
+        service = QueryService(derby, isolation=isolation)
         writer = service.open_session("writer")
         reader = service.open_session("reader")
         om = derby.db.manager

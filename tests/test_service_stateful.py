@@ -69,9 +69,7 @@ class SerialModelMachine(RuleBasedStateMachine):
     def setup(self):
         self.derby = load_derby(DerbyConfig.db_1to3(scale=0.00001))
         self.rids = self.derby.patient_rids[:N_PATIENTS]
-        self.service = QueryService(
-            self.derby, recovery=True, isolation=self.isolation
-        )
+        self.service = QueryService(self.derby, isolation=self.isolation)
         self.sessions = [
             self.service.open_session(f"s{n}") for n in range(N_SESSIONS)
         ]

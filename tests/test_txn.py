@@ -260,6 +260,24 @@ class TestTransaction:
         txn.commit()
         assert txm.log.flushed_pages == 0
 
+    @pytest.mark.parametrize(
+        "recovery, logged", [(False, True), (False, False), (True, False)]
+    )
+    def test_an_update_that_could_not_be_undone_is_refused(
+        self, recovery, logged
+    ):
+        """Only physical logging can undo an in-place update, so a
+        cost-only or transaction-off transaction may not make one."""
+        db = make_db()
+        rid = db.create_object("Thing", {"x": 1}, "things")
+        txm = TransactionManager(db, recovery=recovery)
+        txn = txm.begin(logged=logged)
+        with pytest.raises(TransactionStateError):
+            txn.update_scalar(rid, "x", 2)
+        assert db.manager.get_attr_at(rid, "x") == 1
+        assert txm.locks.lock_count == 0
+        txn.abort()
+
     def test_transaction_off_loads_cheaper(self):
         def load_cost(logged: bool) -> float:
             db = make_db()
