@@ -21,7 +21,9 @@ materializing executors):
   within the production of a single row (or within ``open()``), so an
   early ``close()`` can never leak a handle.  A row generator therefore
   never ``yield``s inside a bracket (simlint ESCAPE checks it): it
-  builds and charges the row inside, and yields after.
+  builds and charges the row inside, and yields after.  Through
+  :meth:`~repro.objects.manager.ObjectManager.fetch` the row is built
+  inside the kernel and leaves it with the handle unreferenced.
 * **Result rows are charged as they are emitted**
   (:meth:`PipelineContext.result_s`), so a drained pipeline charges
   exactly what the list builders charged, and an abandoned one charges

@@ -23,12 +23,24 @@ Conventions shared by all algorithms, following Section 5:
 Each operator emits ``(parent_value, child_value)`` rows.  Blocking
 prefixes — the rid-sorted index scans, hash builds, SMJ's sorts, the
 hybrid join's spill bookkeeping — run in ``_open``; the probe/navigate
-side is the operator's row generator, the paper's loop with a ``yield``
-where it adds to the result.  No generator yields inside a ``borrow``
-bracket: the row is built and charged inside, and yielded after, so no
-handle crosses a batch boundary.  The OQL engine compiles a tree-join
-plan into one of these classes (``JOIN_OPERATORS``); the figures reach
-them through a forced plan.
+side is the operator's ``_next(n)``, or for CHJ and SMJ, whose matches
+span batches, a row generator.  Every per-object loop over a rid stream
+-- builds, probes, NL's children, NOJOIN's children -- is one call of
+``ObjectManager.fetch`` with a row function: rows are built inside the
+kernel and leave it with the handle unreferenced, and a ``_next(n)``
+passes ``room = n``, so it reads no rid past the rows asked for and no
+handle crosses a batch boundary.  A row function captures what it reads
+(the query, the table, the prices), never its operator, so no operator
+is a cycle.  The OQL engine compiles a tree-join plan into one of these
+classes (``JOIN_OPERATORS``); the figures reach them through a forced
+plan.
+
+Under a snapshot (snapshot isolation), an object with no version the
+snapshot can see -- created after the reader began -- is passed over,
+as ``Fetch`` and ``FetchingAggregate`` pass it over: the kernel drops
+the build entry, the probe or the child it would have read.  A parent
+NOJOIN borrows inside a child's row function is passed over the same
+way, and takes the child with it.
 
 One deliberate deviation from the paper's pseudo-code, cost-neutral by
 construction: NL reads both parent attributes and *unreferences the
@@ -125,26 +137,49 @@ class NavigationParentToChild(TreeJoinOperator):
 
     def _open(self) -> None:
         self._parents = self.q.selected_parents()
+        #: The children of the parent under navigation, and the row
+        #: function that pairs each with that parent's value.
+        self._children: Iterator[Rid] = iter(())
+        self._child_row = None
 
-    def _rows(self) -> Iterator[tuple]:
-        q, db, om = self.q, self.db, self.db.manager
-        buckets = db.clock.buckets
+    def _next(self, n: int) -> list:
+        q, db = self.q, self.db
+        om = db.manager
         row_s = self.ctx.result_s()
-        predicate_s = db.params.predicate_us / US_PER_S
-        for parent_rid in self._parents:
-            with om.borrow(parent_rid) as parent:
-                parent_value = om.get_attr(parent, q.parent_project)
-                children = om.get_attr(parent, q.parent_set)
-            for child_rid in db.iter_set_rids(children):
-                row = None
-                with om.borrow(child_rid) as child:
-                    key = om.get_attr(child, q.child_key)
-                    buckets[_CPU] += predicate_s
-                    if key < q.child_high:  # type: ignore[operator]
-                        row = (parent_value, om.get_attr(child, q.child_project))
-                        buckets[_RESULT] += row_s
-                if row is not None:
-                    yield row
+        out: list = []
+        room = om.fetch(self._children, self._child_row, out, n, None, row_s)
+        if room:
+            predicate_s = db.params.predicate_us / US_PER_S
+            for parent_rid in self._parents:
+                with om.borrow(parent_rid) as parent:
+                    parent_value = om.get_attr(parent, q.parent_project)
+                    children = om.get_attr(parent, q.parent_set)
+                self._children = db.iter_set_rids(children)
+                self._child_row = _child_row(
+                    q, db.clock.buckets, predicate_s, parent_value
+                )
+                room = om.fetch(
+                    self._children, self._child_row, out, room, None, row_s
+                )
+                if not room:
+                    break
+        return out
+
+
+def _child_row(q: TreeJoinQuery, buckets, predicate_s: float, parent_value):
+    """NL's row function over one parent's children: the child
+    predicate, then the pair.  Built per parent, and apart from the
+    operator, which keeps it across batches."""
+    key_name, high, project = q.child_key, q.child_high, q.child_project
+
+    def child_row(om, child):
+        key = om.get_attr(child, key_name)
+        buckets[_CPU] += predicate_s
+        if key < high:  # type: ignore[operator]
+            return (parent_value, om.get_attr(child, project))
+        return None
+
+    return child_row
 
 
 class NavigationChildToParent(TreeJoinOperator):
@@ -158,27 +193,29 @@ class NavigationChildToParent(TreeJoinOperator):
     def _open(self) -> None:
         self._children = self.q.selected_children()
 
-    def _rows(self) -> Iterator[tuple]:
-        q, db, om = self.q, self.db, self.db.manager
+    def _next(self, n: int) -> list:
+        q, db = self.q, self.db
         buckets = db.clock.buckets
-        row_s = self.ctx.result_s()
         predicate_s = db.params.predicate_us / US_PER_S
-        for child_rid in self._children:
-            row = None
-            with om.borrow(child_rid) as child:
-                parent_rid = om.get_attr(child, q.child_ref)
-                if parent_rid is not None:
-                    with om.borrow(parent_rid) as parent:
-                        key = om.get_attr(parent, q.parent_key)
-                        buckets[_CPU] += predicate_s
-                        if key < q.parent_high:  # type: ignore[operator]
-                            row = (
-                                om.get_attr(parent, q.parent_project),
-                                om.get_attr(child, q.child_project),
-                            )
-                            buckets[_RESULT] += row_s
-            if row is not None:
-                yield row
+        child_ref, child_project = q.child_ref, q.child_project
+        key_name, high, project = q.parent_key, q.parent_high, q.parent_project
+
+        def row(om, child):
+            parent_rid = om.get_attr(child, child_ref)
+            if parent_rid is not None:
+                with om.borrow(parent_rid) as parent:
+                    key = om.get_attr(parent, key_name)
+                    buckets[_CPU] += predicate_s
+                    if key < high:  # type: ignore[operator]
+                        return (
+                            om.get_attr(parent, project),
+                            om.get_attr(child, child_project),
+                        )
+            return None
+
+        out: list = []
+        db.manager.fetch(self._children, row, out, n, None, self.ctx.result_s())
+        return out
 
 
 class HashParentsJoin(TreeJoinOperator):
@@ -194,25 +231,29 @@ class HashParentsJoin(TreeJoinOperator):
         self._table = QueryHashTable(
             db.clock, db.params, db.counters, entry_bytes=phj_table_bytes(1)
         )
-        for rid in q.selected_parents():
-            with om.borrow(rid) as parent:
-                self._table.insert(rid, om.get_attr(parent, q.parent_project))
+        insert, project = self._table.insert, q.parent_project
+        om.fetch(
+            q.selected_parents(),
+            lambda om, parent: insert(parent.rid, om.get_attr(parent, project)),
+            [],
+        )
         self._children = q.selected_children()
 
-    def _rows(self) -> Iterator[tuple]:
-        q, om = self.q, self.db.manager
-        buckets = self.db.clock.buckets
-        row_s = self.ctx.result_s()
-        for child_rid in self._children:
-            row = None
-            with om.borrow(child_rid) as child:
-                parent_rid = om.get_attr(child, q.child_ref)
-                info = self._table.probe(parent_rid)
-                if info is not None:
-                    row = (info, om.get_attr(child, q.child_project))
-                    buckets[_RESULT] += row_s
-            if row is not None:
-                yield row
+    def _next(self, n: int) -> list:
+        q = self.q
+        probe, child_ref, project = self._table.probe, q.child_ref, q.child_project
+
+        def row(om, child):
+            info = probe(om.get_attr(child, child_ref))
+            if info is not None:
+                return (info, om.get_attr(child, project))
+            return None
+
+        out: list = []
+        self.db.manager.fetch(
+            self._children, row, out, n, None, self.ctx.result_s()
+        )
+        return out
 
 
 class HashChildrenJoin(TreeJoinOperator):
@@ -239,12 +280,14 @@ class HashChildrenJoin(TreeJoinOperator):
             entry_bytes=CHJ_CHILD_BYTES,
             bucket_bytes=CHJ_BUCKET_BYTES,
         )
-        for rid in q.selected_children():
-            with om.borrow(rid) as child:
-                self._table.insert(
-                    om.get_attr(child, q.child_ref),
-                    om.get_attr(child, q.child_project),
-                )
+        insert, child_ref, project = self._table.insert, q.child_ref, q.child_project
+        om.fetch(
+            q.selected_children(),
+            lambda om, child: insert(
+                om.get_attr(child, child_ref), om.get_attr(child, project)
+            ),
+            [],
+        )
         self._parents = q.selected_parents()
 
     def _rows(self) -> Iterator[tuple]:
@@ -281,14 +324,16 @@ class SortMergeJoin(TreeJoinOperator):
 
     def _open(self) -> None:
         db, om, q = self.db, self.db.manager, self.q
-        child_pairs = []
-        for rid in q.selected_children():
-            with om.borrow(rid) as child:
-                parent_rid = om.get_attr(child, q.child_ref)
-                if parent_rid is not None:
-                    child_pairs.append(
-                        (parent_rid, om.get_attr(child, q.child_project))
-                    )
+        child_ref, project = q.child_ref, q.child_project
+
+        def pair(om, child):
+            parent_rid = om.get_attr(child, child_ref)
+            if parent_rid is not None:
+                return (parent_rid, om.get_attr(child, project))
+            return None
+
+        child_pairs: list = []
+        om.fetch(q.selected_children(), pair, child_pairs)
         self._child_pairs = sort_charged(
             child_pairs, db.clock, db.params, key=lambda p: p[0],
             bytes_per_item=RID_PAIR_BYTES,
@@ -342,12 +387,19 @@ class HybridHashParentsJoin(TreeJoinOperator):
     early close for the probes already made.
     """
 
+    #: Probe bytes spilled so far, and whether their pages are charged.
+    _probe_bytes = 0
+    _probe_charged = False
+
     def _open(self) -> None:
         db, om, q = self.db, self.db.manager, self.q
-        parents = []
-        for rid in q.selected_parents():
-            with om.borrow(rid) as parent:
-                parents.append((rid, om.get_attr(parent, q.parent_project)))
+        project = q.parent_project
+        parents: list = []
+        om.fetch(
+            q.selected_parents(),
+            lambda om, parent: (parent.rid, om.get_attr(parent, project)),
+            parents,
+        )
         table_bytes = phj_table_bytes(len(parents))
         spilled = spilled_bytes(table_bytes, db.params.memory.query_memory_bytes)
         self._spill_fraction = spilled / table_bytes if spilled else 0.0
@@ -368,7 +420,6 @@ class HybridHashParentsJoin(TreeJoinOperator):
             self._table.insert(parent_rid, value)
 
         self._children = q.selected_children()
-        self._probe_bytes = 0
 
     def _charge_spill_pages(self, pages: int) -> None:
         db = self.db
@@ -378,27 +429,43 @@ class HybridHashParentsJoin(TreeJoinOperator):
             db.counters.disk_writes += 1
             db.counters.disk_reads += 1
 
-    def _rows(self) -> Iterator[tuple]:
-        q, om = self.q, self.db.manager
-        buckets = self.db.clock.buckets
-        row_s = self.ctx.result_s()
-        probe_spill = int(RID_PAIR_BYTES * self._spill_fraction)
+    def _next(self, n: int) -> list:
+        q = self.q
+        probe, child_ref, project = self._table.probe, q.child_ref, q.child_project
+        probes = 0
+
+        def row(om, child):
+            nonlocal probes
+            parent_rid = om.get_attr(child, child_ref)
+            probes += 1
+            info = probe(parent_rid)
+            if info is not None:
+                return (info, om.get_attr(child, project))
+            return None
+
+        out: list = []
+        room = n
         try:
-            for child_rid in self._children:
-                row = None
-                with om.borrow(child_rid) as child:
-                    parent_rid = om.get_attr(child, q.child_ref)
-                    self._probe_bytes += probe_spill
-                    info = self._table.probe(parent_rid)
-                    if info is not None:
-                        row = (info, om.get_attr(child, q.child_project))
-                        buckets[_RESULT] += row_s
-                if row is not None:
-                    yield row
+            room = self.db.manager.fetch(
+                self._children, row, out, n, None, self.ctx.result_s()
+            )
         finally:
-            # Exactly once: here at exhaustion, or when ``close()``
-            # closes the suspended generator after an early exit.
+            self._probe_bytes += probes * int(
+                RID_PAIR_BYTES * self._spill_fraction
+            )
+            if room:  # the probe side ended: exhausted, or raised
+                self._charge_probe_spill()
+        return out
+
+    def _charge_probe_spill(self) -> None:
+        """Exactly once: when the probe side ends, or at ``close()``
+        after an early exit, for the probes made so far."""
+        if not self._probe_charged:
+            self._probe_charged = True
             self._charge_spill_pages(pages_for_bytes(self._probe_bytes))
+
+    def _close(self) -> None:
+        self._charge_probe_spill()
 
 
 #: The one registry: operator classes by the paper's algorithm names.

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.errors import DanglingReferenceError, RecordNotVisibleError
+from repro.buffer import ClientServerSystem
+from repro.errors import (
+    DanglingReferenceError,
+    RecordNotFoundError,
+    RecordNotVisibleError,
+)
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
 from repro.objects.header import CLASS_KEY, ObjectHeader
@@ -189,16 +194,22 @@ class ObjectManager:
         the rest of an iterator unread; returns the room left.  An
         object with no version visible at the reader's snapshot (created
         after it began) is passed over, not raised, whatever reads it: a
-        projection, an aggregate or an exists filter.
+        projection, an aggregate, an exists filter or a tree join.
 
         The bracket is :meth:`borrow` plus ``Handle.__exit__``, charge
-        for charge: a handle hit is bracketed here, on the handle
-        table's state read once per call, and a miss -- it may fault
-        and hand the baton over -- or any rid under a snapshot view
-        goes through ``with self.borrow(rid)``.  The unreference runs
+        for charge, on the handle table's state read once per call.  It
+        runs here by hand for a handle hit, and for a miss whose page is
+        resident in the attached client tier: the client hit, the slot
+        probe, the one forwarding hop ``read_resolving`` allows, the
+        class lookup and the spare-or-new handle, each in the order
+        :meth:`read_record` and :meth:`borrow` make them.  A miss whose
+        page would fault -- the fault may hand the baton over -- a rid
+        in an unregistered file or behind a pager that is not a
+        ``ClientServerSystem``, and any rid under a snapshot view go
+        through ``with self.borrow(rid)``.  The unreference runs
         whatever ``row_fn`` raises.  A session resumes with its own
-        table and view in place, so the state read here stands across
-        a hand-off."""
+        table, client tier and view in place, so the state read here
+        stands across a hand-off."""
         table = self.handles
         handles = table._handles
         get = handles.get
@@ -206,17 +217,63 @@ class ObjectManager:
         counters = table.counters
         buckets = table._buckets
         touch_s = table._touch_s
+        alloc_s = table._alloc_s
         unref_s = table._unref_s
         capacity = table.delayed_free_capacity
+        spare = table._spare
+        files = self._files
+        classes = self._classes
         for rid in rids:
-            handle = get(rid) if self.read_view is None else None
-            try:
+            handle = None
+            if self.read_view is None:
+                handle = get(rid)
                 if handle is not None:
                     refcount = handle.refcount
                     if not refcount:
                         table._parked_count -= 1
                     handle.refcount = refcount + 1
                     buckets[_HANDLE] += touch_s
+                else:
+                    # read_record, inline while the page is resident.
+                    file_id = rid[0]
+                    pager = files[file_id].pager if file_id in files else None
+                    if pager.__class__ is ClientServerSystem:
+                        pages = pager.client_cache._pages
+                        key = rid[:2]
+                        if key in pages:  # get_page's client hit
+                            pages.move_to_end(key)
+                            pager.disk.counters.client_hits += 1
+                            record = pages[key].resolve(rid[2])
+                            if record.__class__ is not bytes:  # forwarded
+                                found = record
+                                record = pager.get_page(
+                                    found[0], found[1]
+                                ).resolve(found[2])
+                                if record.__class__ is not bytes:
+                                    raise RecordNotFoundError(
+                                        "forwarding chain longer than one "
+                                        f"hop at {rid} -> {found}"
+                                    )
+                            class_key = record[CLASS_KEY]
+                            if class_key in classes:
+                                class_def = classes[class_key]
+                            else:
+                                class_def = self.class_of(record)
+                            # borrow's miss, from here on.
+                            if spare:
+                                handle = handles[rid] = spare.pop()
+                                handle.rid = rid
+                                handle.record = record
+                                handle.class_def = class_def
+                                handle.refcount = 1
+                            else:
+                                handle = handles[rid] = Handle(
+                                    rid, record, class_def, table
+                                )
+                            counters.handles_allocated += 1
+                            buckets[_HANDLE] += alloc_s
+            try:
+                if handle is not None:
                     try:
                         row = row_fn(self, handle)
                     finally:

@@ -1,18 +1,23 @@
 """``ObjectManager.fetch`` against the bracket it replaces.
 
 The kernel runs Figure 8's get-handle / row function / unreference over
-a batch of rids, with a handle hit bracketed by hand.  Its contract is
-that nothing simulated can tell: the same rid sequence run through the
-kernel and through ``with om.borrow(rid)`` brackets, on two databases
-built alike, leaves the same handle-map order and refcounts, the same
-parked count, the same meters and every bucket bit for bit -- warm,
-cold and mixed; with the delayed-free list overflowing and with no list
-at all; with nested brackets; with a row function that raises; and
-under a snapshot view, with a version read and an object the snapshot
-cannot see, which the kernel passes over.
+a batch of rids, with a handle hit and a miss on a resident page
+bracketed by hand.  Its contract is that nothing simulated can tell: the
+same rid sequence run through the kernel and through ``with
+om.borrow(rid)`` brackets, on two databases built alike, leaves the same
+handle-map order and refcounts, the same parked count, the same order
+of both cache tiers, the same meters and every bucket bit for bit --
+warm, cold and mixed; on misses whose pages are resident, and on misses
+that all fault; on forwarded records; with the delayed-free list
+overflowing and with no list at all; with nested brackets; with a row
+function that raises, on a hit and on an inline miss; and under a
+snapshot view, with a version read and an object the snapshot cannot
+see, which the kernel passes over.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +61,8 @@ def state(db) -> tuple:
     table = db.handles
     return (
         [(rid, h.refcount, h.record) for rid, h in table._handles.items()],
+        list(db.system.client_cache._pages),
+        list(db.system.server_cache._pages),
         table._parked_count,
         sorted((key, h.refcount) for key, h in table._versioned.items()),
         meter_values(db.counters),
@@ -63,9 +70,9 @@ def state(db) -> tuple:
     )
 
 
-def derbies():
+def derbies(**changes):
     """Two databases built alike."""
-    config = DerbyConfig.db_1to3(scale=0.0001)
+    config = replace(DerbyConfig.db_1to3(scale=0.0001), **changes)
     return load_derby(config), load_derby(config)
 
 
@@ -81,6 +88,12 @@ def compare(worlds, body) -> object:
     return answers[0]
 
 
+def age_or_upin(om, handle):
+    """A patient's age or a provider's upin: one read per class."""
+    name = "age" if handle.class_def.name == "Patient" else "upin"
+    return om.get_attr(handle, name)
+
+
 def age_over(limit):
     def row_fn(om, handle):
         age = om.get_attr(handle, "age")
@@ -92,6 +105,40 @@ def warm_up(derby, rids, capacity=None) -> None:
     if capacity is not None:
         derby.db.handles.delayed_free_capacity = capacity
     bracketed(derby.db.manager, rids, lambda om, handle: None, [])
+
+
+#: A client tier that holds every page of the tiny database (its own
+#: memory model gives it one).
+CLIENT_PAGES = 16
+
+
+def resident(derby, rids) -> None:
+    """The pages of ``rids`` in a client tier that holds them all, read
+    last to first so that a forward pass reorders the LRU, and no handle
+    for any."""
+    derby.db.system.client_cache.capacity_pages = CLIENT_PAGES
+    warm_up(derby, rids[::-1])
+    derby.db.handles.clear()
+
+
+def counting_borrows(om) -> list:
+    """Count the kernel's ``borrow`` fallbacks on ``om``."""
+    borrowed: list = []
+    borrow = om.borrow
+
+    def counted(rid):
+        borrowed.append(rid)
+        return borrow(rid)
+
+    om.borrow = counted
+    return borrowed
+
+
+def one_per_page(rids) -> list:
+    pages: dict = {}
+    for rid in rids:
+        pages.setdefault(rid[:2], rid)
+    return list(pages.values())
 
 
 @pytest.mark.parametrize("warm", ["cold", "warm", "mixed"])
@@ -108,6 +155,76 @@ def test_the_kernel_charges_and_parks_as_the_brackets_do(warm, capacity):
 
     room, out = compare(derbies(), body)
     assert out and room == -1 - len(out)
+
+
+@pytest.mark.parametrize("capacity", [None, 0])
+def test_misses_on_resident_pages_run_in_the_kernel(capacity):
+    """Every rid misses the handle table and finds its page in the client
+    tier: the kernel takes each miss itself, moving the page to the
+    young end of the LRU as ``get_page`` does, and borrows nothing."""
+    def body(derby, fetch):
+        rids = derby.patient_rids[:120] + derby.provider_rids[:40]
+        resident(derby, rids)
+        if capacity is not None:
+            derby.db.handles.delayed_free_capacity = capacity
+        counters = derby.db.counters
+        faults, allocated = counters.client_faults, counters.handles_allocated
+        borrowed = counting_borrows(derby.db.manager)
+        out: list = []
+        room = fetch(derby.db.manager, rids, age_or_upin, out, -1, SKIP,
+                     ROW_S)
+        assert counters.client_faults == faults
+        assert counters.handles_allocated == allocated + len(rids)
+        assert borrowed == ([] if fetch is kernel else rids)
+        return room, out
+
+    room, out = compare(derbies(), body)
+    assert len(out) == 160
+
+
+def test_misses_after_a_cold_restart_fault_through_borrow():
+    """One rid per page after ``restart_cold``: every miss faults, and
+    the kernel hands each to ``borrow``, which may yield the baton."""
+    def body(derby, fetch):
+        rids = one_per_page(derby.patient_rids + derby.provider_rids)
+        derby.db.restart_cold()
+        borrowed = counting_borrows(derby.db.manager)
+        out: list = []
+        room = fetch(derby.db.manager, rids, age_or_upin, out, -1, SKIP,
+                     ROW_S)
+        assert borrowed == rids
+        return room, out
+
+    room, out = compare(derbies(), body)
+    assert len(out) > 2
+
+
+@pytest.mark.parametrize("target", ["resident", "faulting"])
+def test_a_forwarded_record_is_read_one_hop_on(target):
+    """An ``index_first=False`` load grows every header after its record
+    is written, and some records move, leaving a forwarding stub: the
+    kernel's miss follows the one hop ``read_resolving`` allows, through
+    the pager, to a target page that is resident or that faults."""
+    def body(derby, fetch):
+        db = derby.db
+        moved = [
+            rid for rid in derby.patient_rids + derby.provider_rids
+            if db.disk.peek_page(*rid[:2]).resolve(rid[2]).__class__
+            is not bytes
+        ]
+        resident(derby, moved)
+        if target == "faulting":
+            db.restart_cold()
+            for page in {rid[:2] for rid in moved}:  # the stubs' pages
+                db.system.get_page(*page)
+        faults = db.counters.client_faults
+        out: list = []
+        room = fetch(db.manager, moved, age_or_upin, out, -1, SKIP, ROW_S)
+        assert (db.counters.client_faults > faults) == (target == "faulting")
+        return room, out
+
+    room, out = compare(derbies(index_first=False), body)
+    assert len(out) > 10
 
 
 def test_the_kernel_stops_when_the_room_fills():
@@ -148,9 +265,11 @@ def test_nested_kernels_evict_around_the_live_outer_handle():
     assert out
 
 
-def test_a_raising_row_function_releases_its_handle():
+def raise_on_third(prepare) -> None:
+    """A row function that raises on the third of ten rids, after
+    ``prepare`` warmed them: the kernel unreferences the handle."""
     def body(derby, fetch):
-        warm_up(derby, derby.patient_rids[:10])
+        prepare(derby, derby.patient_rids[:10])
         calls = 0
 
         def boom_on_third(om, handle):
@@ -168,6 +287,14 @@ def test_a_raising_row_function_releases_its_handle():
         return out
 
     assert len(compare(derbies(), body)) == 2
+
+
+def test_a_raising_row_function_releases_its_handle():
+    raise_on_third(warm_up)
+
+
+def test_a_raising_row_function_releases_its_inline_miss():
+    raise_on_third(resident)
 
 
 def snapshot_world():

@@ -291,32 +291,38 @@ def test_pair_flags_a_load_an_operator_never_unrefs(tmp_path):
     assert "never paired with unref()" in seeded[0].message
 
 
-NOJOIN_YIELD = (
-    "                            buckets[_RESULT] += row_s\n"
-    "            if row is not None:\n"
-    "                yield row\n"
+#: CHJ's probe of one parent: the parent's bracket closes before its
+#: matches are yielded, which may span batches.
+CHJ_YIELD = (
+    "            with om.borrow(parent_rid) as parent:\n"
+    "                parent_value = om.get_attr(parent, q.parent_project)\n"
+    "            for child_value in matches:\n"
+    "                buckets[_RESULT] += row_s\n"
+    "                yield (parent_value, child_value)\n"
 )
 
 
 def test_escape_flags_a_join_that_yields_inside_its_bracket(tmp_path):
-    """NOJOIN with its ``yield row`` moved one indent in, under the
-    child's bracket: the child handle would stay referenced across the
-    batch boundary."""
+    """CHJ with its match loop moved one indent in, under the parent's
+    bracket: the parent handle would stay referenced across the batch
+    boundary."""
     source = "exec/operators/joins.py"
     assert lint_seeded(
-        tmp_path / "intact", source, NOJOIN_YIELD, NOJOIN_YIELD, "ESCAPE"
+        tmp_path / "intact", source, CHJ_YIELD, CHJ_YIELD, "ESCAPE"
     ) == []
     seeded = lint_seeded(
-        tmp_path / "seeded", source, NOJOIN_YIELD,
-        "                            buckets[_RESULT] += row_s\n"
-        "                if row is not None:\n"
-        "                    yield row\n",
+        tmp_path / "seeded", source, CHJ_YIELD,
+        "            with om.borrow(parent_rid) as parent:\n"
+        "                parent_value = om.get_attr(parent, q.parent_project)\n"
+        "                for child_value in matches:\n"
+        "                    buckets[_RESULT] += row_s\n"
+        "                    yield (parent_value, child_value)\n",
         "ESCAPE",
     )
     assert [f.symbol for f in seeded] == [
-        "repro.exec.operators.joins:NavigationChildToParent._rows"
+        "repro.exec.operators.joins:HashChildrenJoin._rows"
     ]
-    assert "bracket of `child`" in seeded[0].message
+    assert "bracket of `parent`" in seeded[0].message
 
 
 def test_pair_lets_a_kept_handle_go(tmp_path):

@@ -10,8 +10,6 @@ peak-live-row bounds, the batch-boundary scheduler yields, and the
 
 from __future__ import annotations
 
-from types import GeneratorType
-
 import pytest
 
 from repro.cluster import load_derby
@@ -26,6 +24,7 @@ from repro.exec.operators import (
     Operator,
     PipelineContext,
 )
+from repro.exec.operators.base import _NO_ROWS
 from repro.exec.operators.transforms import Distinct, Limit, Sort
 from repro.oql import Catalog, OQLEngine
 from repro.oql.parser import parse
@@ -241,8 +240,9 @@ class TestEarlyExit:
 
 
 class TestJoinEarlyExit:
-    """Every join is a suspended generator between pulls: closing it
-    mid-stream leaks nothing and charges what is owed exactly once."""
+    """Every join is suspended between pulls -- in its ``_next`` state or
+    in a row generator: closing it mid-stream leaks nothing and charges
+    what is owed exactly once."""
 
     def open_join(self, derby_cache, algorithm):
         derby = derby_cache("1:3", Clustering.CLASS)
@@ -257,7 +257,6 @@ class TestJoinEarlyExit:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_close_after_one_batch(self, derby_cache, algorithm, batch_size):
         db, op = self.open_join(derby_cache, algorithm)
-        rows = op._iter
         assert len(op.next_batch(batch_size)) == batch_size
         reads = db.counters.disk_reads
         op.close()
@@ -267,7 +266,8 @@ class TestJoinEarlyExit:
             assert db.counters.disk_reads - reads == owed > 0
         assert db.handles.live_count == 0
         assert op.ctx._live_rows == 0
-        assert isinstance(rows, GeneratorType) and rows.gi_frame is None
+        # Closed, and holding no row generator to resume.
+        assert op._closed and op._iter is _NO_ROWS
         after_close = cost_snapshot(db)
         op.close()  # a no-op
         assert cost_snapshot(db) == after_close
