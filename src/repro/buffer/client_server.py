@@ -77,6 +77,8 @@ class ClientServerSystem:
         key = (file_id, page_no)
         counters = self.disk.counters
         pages = self.client_cache._pages  # a hit is BufferCache.lookup, inline
+        # ObjectManager.fetch makes this hit inline for a handle miss;
+        # tests/test_fetch_kernel.py holds the two copies equal.
         if key in pages:
             pages.move_to_end(key)
             counters.client_hits += 1

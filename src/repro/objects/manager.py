@@ -199,12 +199,13 @@ class ObjectManager:
         The bracket is :meth:`borrow` plus ``Handle.__exit__``, charge
         for charge, on the handle table's state read once per call.  It
         runs here by hand for a handle hit, and for a miss whose page is
-        resident in the attached client tier: the client hit, the slot
-        probe, the one forwarding hop ``read_resolving`` allows, the
-        class lookup and the spare-or-new handle, each in the order
-        :meth:`read_record` and :meth:`borrow` make them.  A miss whose
-        page would fault -- the fault may hand the baton over -- a rid
-        in an unregistered file or behind a pager that is not a
+        resident in the attached client tier and whose slot holds the
+        record itself: the client hit, the class lookup and the
+        spare-or-new handle, each in the order :meth:`read_record` and
+        :meth:`borrow` make them (the slot probe has no effect, so it
+        runs first).  A miss whose page would fault -- the fault may
+        hand the baton over -- a forwarded or missing slot, a rid in an
+        unregistered file or behind a pager that is not a
         ``ClientServerSystem``, and any rid under a snapshot view go
         through ``with self.borrow(rid)``.  The unreference runs
         whatever ``row_fn`` raises.  A session resumes with its own
@@ -240,20 +241,18 @@ class ObjectManager:
                     if pager.__class__ is ClientServerSystem:
                         pages = pager.client_cache._pages
                         key = rid[:2]
-                        if key in pages:  # get_page's client hit
+                        record = None
+                        if key in pages:
+                            try:
+                                record = pages[key].resolve(rid[2])
+                            except RecordNotFoundError:
+                                pass  # borrow makes the hit, then raises
+                        # A forwarding stub or a missing slot is
+                        # borrow's, hop and error alike.
+                        if record.__class__ is bytes:
+                            # get_page's client hit.
                             pages.move_to_end(key)
                             pager.disk.counters.client_hits += 1
-                            record = pages[key].resolve(rid[2])
-                            if record.__class__ is not bytes:  # forwarded
-                                found = record
-                                record = pager.get_page(
-                                    found[0], found[1]
-                                ).resolve(found[2])
-                                if record.__class__ is not bytes:
-                                    raise RecordNotFoundError(
-                                        "forwarding chain longer than one "
-                                        f"hop at {rid} -> {found}"
-                                    )
                             class_key = record[CLASS_KEY]
                             if class_key in classes:
                                 class_def = classes[class_key]

@@ -8,7 +8,7 @@ om.borrow(rid)`` brackets, on two databases built alike, leaves the same
 handle-map order and refcounts, the same parked count, the same order
 of both cache tiers, the same meters and every bucket bit for bit --
 warm, cold and mixed; on misses whose pages are resident, and on misses
-that all fault; on forwarded records; with the delayed-free list
+that all fault; on forwarded records and a missing slot; with the delayed-free list
 overflowing and with no list at all; with nested brackets; with a row
 function that raises, on a hit and on an inline miss; and under a
 snapshot view, with a version read and an object the snapshot cannot
@@ -23,7 +23,7 @@ import pytest
 
 from repro.cluster import load_derby
 from repro.derby import DerbyConfig
-from repro.errors import RecordNotVisibleError
+from repro.errors import RecordNotFoundError, RecordNotVisibleError
 from repro.objects import AttrKind, AttributeDef, Database, Schema
 from repro.simtime import Bucket, meter_values
 from repro.txn import TransactionManager
@@ -203,8 +203,9 @@ def test_misses_after_a_cold_restart_fault_through_borrow():
 def test_a_forwarded_record_is_read_one_hop_on(target):
     """An ``index_first=False`` load grows every header after its record
     is written, and some records move, leaving a forwarding stub: the
-    kernel's miss follows the one hop ``read_resolving`` allows, through
-    the pager, to a target page that is resident or that faults."""
+    kernel hands each such miss to ``borrow``, which follows the one hop
+    ``read_resolving`` allows to a target page that is resident or that
+    faults."""
     def body(derby, fetch):
         db = derby.db
         moved = [
@@ -218,13 +219,31 @@ def test_a_forwarded_record_is_read_one_hop_on(target):
             for page in {rid[:2] for rid in moved}:  # the stubs' pages
                 db.system.get_page(*page)
         faults = db.counters.client_faults
+        borrowed = counting_borrows(db.manager)
         out: list = []
         room = fetch(db.manager, moved, age_or_upin, out, -1, SKIP, ROW_S)
         assert (db.counters.client_faults > faults) == (target == "faulting")
+        assert borrowed == moved
         return room, out
 
     room, out = compare(derbies(index_first=False), body)
     assert len(out) > 10
+
+
+def test_a_missing_slot_on_a_resident_page_raises_as_borrow_does():
+    """A rid past its page's last slot: the page is resident, but the
+    kernel leaves the miss to ``borrow``, which makes the client hit
+    and then raises."""
+    def body(derby, fetch):
+        rids = derby.patient_rids[:3]
+        resident(derby, rids)
+        missing = type(rids[0])(rids[0][0], rids[0][1], 10_000)
+        out: list = []
+        with pytest.raises(RecordNotFoundError):
+            fetch(derby.db.manager, rids + [missing], age_or_upin, out)
+        return out
+
+    assert len(compare(derbies(), body)) == 3
 
 
 def test_the_kernel_stops_when_the_room_fills():

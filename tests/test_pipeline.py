@@ -10,6 +10,8 @@ peak-live-row bounds, the batch-boundary scheduler yields, and the
 
 from __future__ import annotations
 
+from types import GeneratorType
+
 import pytest
 
 from repro.cluster import load_derby
@@ -259,15 +261,23 @@ class TestJoinEarlyExit:
         db, op = self.open_join(derby_cache, algorithm)
         assert len(op.next_batch(batch_size)) == batch_size
         reads = db.counters.disk_reads
+        # CHJ and SMJ suspend in a row generator; the others in their
+        # ``_next`` state, holding none.
+        rows = op._iter
+        if algorithm in ("CHJ", "SMJ"):
+            assert isinstance(rows, GeneratorType)
+        else:
+            assert rows is _NO_ROWS
         op.close()
         if algorithm == "PHJ-HYBRID":
             # The probes made so far are charged their spill, once.
             owed = pages_for_bytes(op._probe_bytes)
             assert db.counters.disk_reads - reads == owed > 0
+            assert op._probe_charged
+        if isinstance(rows, GeneratorType):
+            assert rows.gi_frame is None  # finalised, its brackets exited
         assert db.handles.live_count == 0
         assert op.ctx._live_rows == 0
-        # Closed, and holding no row generator to resume.
-        assert op._closed and op._iter is _NO_ROWS
         after_close = cost_snapshot(db)
         op.close()  # a no-op
         assert cost_snapshot(db) == after_close
