@@ -61,8 +61,9 @@ class ObjectManager:
         #: layer order, so the type is never imported): while a
         #: snapshot-isolation transaction is the active session, the
         #: transaction manager installs its
-        #: :class:`~repro.txn.mvcc.SnapshotView` here and every read-path
-        #: ``load``/``borrow`` resolves rids through the version chains.
+        #: :class:`~repro.txn.mvcc.SnapshotView` here: every read-path
+        #: ``load``/``borrow`` resolves rids through the version chains,
+        #: and :meth:`fetch` asks it which rids read the live record.
         #: ``None`` (the default, and always under 2PL) means reads see
         #: the live record, byte-for-byte the pre-MVCC behavior.
         self.read_view = None
@@ -203,14 +204,18 @@ class ObjectManager:
         record itself: the client hit, the class lookup and the
         spare-or-new handle, each in the order :meth:`read_record` and
         :meth:`borrow` make them (the slot probe has no effect, so it
-        runs first).  A miss whose page would fault -- the fault may
-        hand the baton over -- a forwarded or missing slot, a rid in an
-        unregistered file or behind a pager that is not a
-        ``ClientServerSystem``, and any rid under a snapshot view go
-        through ``with self.borrow(rid)``.  The unreference runs
-        whatever ``row_fn`` raises.  A session resumes with its own
-        table, client tier and view in place, so the state read here
-        stands across a hand-off."""
+        runs first).  Under a snapshot view (:attr:`read_view`) the
+        view's ``live(rid)`` decides first: a rid whose live record is
+        the visible one takes the same hit and miss, which cannot yield,
+        so no writer can slip in between the decision and the read.  A
+        miss whose page would fault -- the fault may hand the baton
+        over -- a forwarded or missing slot, a rid in an unregistered
+        file or behind a pager that is not a ``ClientServerSystem``, and
+        a rid the snapshot reads as a version or cannot see go through
+        ``with self.borrow(rid)``, where the view decides again after a
+        fault.  The unreference runs whatever ``row_fn`` raises.  A
+        session resumes with its own table, client tier and view in
+        place, so the state read here stands across a hand-off."""
         table = self.handles
         handles = table._handles
         get = handles.get
@@ -224,9 +229,10 @@ class ObjectManager:
         spare = table._spare
         files = self._files
         classes = self._classes
+        view = self.read_view
         for rid in rids:
             handle = None
-            if self.read_view is None:
+            if view is None or view.live(rid):
                 handle = get(rid)
                 if handle is not None:
                     refcount = handle.refcount

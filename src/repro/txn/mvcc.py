@@ -189,9 +189,12 @@ class SnapshotView:
     """Resolves rids against one :class:`Snapshot`.
 
     Installed (duck-typed) as ``ObjectManager.read_view`` while an SI
-    transaction is the active session, so every ``load``/``borrow`` on
-    the read path — point lookups, Fetch operators, navigations — goes
-    through :meth:`load` without the object layer importing ``txn``."""
+    transaction is the active session, without the object layer
+    importing ``txn``.  ``ObjectManager.fetch`` -- Fetch operators, the
+    joins, exists and aggregates -- asks :meth:`live` once per rid and
+    brackets a live record itself; every other read of the path, and a
+    rid the kernel does not take, goes through ``borrow`` to
+    :meth:`load`."""
 
     def __init__(self, store: VersionStore, snapshot: Snapshot):
         self.store = store
@@ -199,20 +202,30 @@ class SnapshotView:
         #: Reads that resolved to a chain entry instead of the live record.
         self.version_reads = 0
 
+    def live(self, rid: Rid) -> bool:
+        """Whether the live record of ``rid`` is the one this snapshot
+        sees: the reader's own write, or a record no active transaction
+        is writing whose newest commit is no younger than the snapshot.
+        Pure bookkeeping -- charges nothing.  ``ObjectManager.fetch``
+        asks it once per rid, and brackets a live rid itself."""
+        store = self.store
+        writers = store._writers
+        if rid in writers:
+            return writers[rid] == self.snapshot.txn_id  # read-your-own-writes
+        committed = store._committed_ts
+        return rid not in committed or committed[rid] <= self.snapshot.begin_ts
+
     def tag(self, rid: Rid):
-        """Visibility decision for ``rid``: :data:`LIVE`, a
-        :class:`RecordVersion`, or :data:`INVISIBLE`.  Pure bookkeeping —
+        """Visibility decision for ``rid``: :data:`LIVE` (:meth:`live`),
+        else the newest :class:`RecordVersion` committed by the
+        snapshot, else :data:`INVISIBLE`.  Pure bookkeeping --
         charges nothing; the charged work happens when a version is
         actually materialized in :meth:`load`."""
-        store = self.store
-        snap = self.snapshot
-        writer = store._writers.get(rid)
-        if writer == snap.txn_id:
-            return LIVE  # read-your-own-writes
-        if writer is None and store._committed_ts.get(rid, 0) <= snap.begin_ts:
+        if self.live(rid):
             return LIVE
-        for version in reversed(store._chains.get(rid, ())):
-            if version.ts <= snap.begin_ts:
+        begin_ts = self.snapshot.begin_ts
+        for version in reversed(self.store._chains.get(rid, ())):
+            if version.ts <= begin_ts:
                 return version
         return INVISIBLE
 
@@ -244,7 +257,7 @@ class SnapshotView:
             # stashes the pre-image *before* it writes, so when the tag
             # changed the chain already holds what this snapshot needs.
             # A hit allocates nothing and reads nothing, so cannot yield.
-            if counters.handles_allocated == allocated or self.tag(rid) is LIVE:
+            if counters.handles_allocated == allocated or self.live(rid):
                 return handle
             om.unref(handle)
 

@@ -11,8 +11,9 @@ warm, cold and mixed; on misses whose pages are resident, and on misses
 that all fault; on forwarded records and a missing slot; with the delayed-free list
 overflowing and with no list at all; with nested brackets; with a row
 function that raises, on a hit and on an inline miss; and under a
-snapshot view, with a version read and an object the snapshot cannot
-see, which the kernel passes over.
+snapshot view, where the kernel takes the live hits and misses itself,
+the reader's own write among them, and leaves to ``borrow`` the version
+reads and an object the snapshot cannot see, which it passes over.
 """
 
 from __future__ import annotations
@@ -317,30 +318,48 @@ def test_a_raising_row_function_releases_its_inline_miss():
 
 
 def snapshot_world():
-    """Eight records; a snapshot taken, then record 0 updated and a ninth
-    created and committed behind it."""
+    """Twelve records on one page, and a snapshot reader that updated
+    record 1 itself; behind it a writer that updated record 2, created a
+    thirteenth and committed, and a writer still active on record 3.
+    Records 4-6 have parked handles and the rest none, on a page in a
+    client tier that holds every page."""
     schema = Schema()
     schema.define("Thing", [AttributeDef("x", AttrKind.INT32)])
     db = Database(schema)
     db.create_file("things")
-    rids = [db.create_object("Thing", {"x": i}, "things") for i in range(8)]
+    rids = [db.create_object("Thing", {"x": i}, "things") for i in range(12)]
     db.shutdown()
     txm = TransactionManager(db, recovery=True)
     reader = txm.begin(isolation="si")
+    reader.update_scalar(rids[1], "x", 101)
     writer = txm.begin()
-    writer.update_scalar(rids[0], "x", 100)
-    rids.append(writer.create_object("Thing", {"x": 8}, "things"))
+    writer.update_scalar(rids[2], "x", 102)
+    rids.append(writer.create_object("Thing", {"x": 12}, "things"))
     writer.commit()
-    return db, reader, rids
+    active = txm.begin()
+    active.update_scalar(rids[3], "x", 103)
+    db.system.client_cache.capacity_pages = CLIENT_PAGES
+    bracketed(db.manager, rids, lambda om, handle: None, [])
+    db.handles.clear()
+    bracketed(db.manager, rids[4:7], lambda om, handle: None, [])
+    return db, reader, active, rids
 
 
 def test_the_kernel_reads_a_snapshot_as_the_brackets_do():
+    """Live hits (4-6, then 4 and 7 again) and live misses on a resident
+    page (0, 7-11), the reader's own write (1, a miss), a version
+    stashed by an active writer (3) and one committed after the snapshot
+    (2), and an object created after it (12, passed over): the kernel
+    takes every live rid itself and hands the other three to
+    ``borrow``."""
     answers, states = [], []
     for fetch in (kernel, bracketed):
-        db, reader, rids = snapshot_world()
+        db, reader, active, rids = snapshot_world()
         om = db.manager
-        bracketed(om, rids[1:5], lambda o, h: None, [])  # parked handles
-        order = [rids[8], *rids[:8], rids[0]]
+        counters = db.counters
+        faults, allocated = counters.client_faults, counters.handles_allocated
+        borrowed = counting_borrows(om)
+        order = [rids[12], *rids[:12], rids[4], rids[7]]
         out: list = []
         om.read_view = reader.view
         try:
@@ -348,12 +367,19 @@ def test_the_kernel_reads_a_snapshot_as_the_brackets_do():
                          out, -1, None, ROW_S)
         finally:
             om.read_view = None
+        assert counters.client_faults == faults
+        # Seven live misses, and a version handle for each of 2 and 3.
+        assert counters.handles_allocated == allocated + 7 + 2
+        assert reader.view.version_reads == 2
+        if fetch is kernel:
+            assert borrowed == [rids[12], rids[2], rids[3]]
         answers.append((room, out))
         states.append(state(db))
+        active.abort()
         reader.commit()
     assert answers[0] == answers[1]
     assert states[0] == states[1]
-    assert answers[0][1] == [0, 1, 2, 3, 4, 5, 6, 7, 0]
+    assert answers[0][1] == [0, 101, 2, 3, *range(4, 12), 4, 7]
 
 
 def test_a_handle_held_across_a_commit_parks_with_the_published_record():

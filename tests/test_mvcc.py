@@ -182,6 +182,38 @@ class TestSnapshotVisibility:
         assert late.read_attr(rids[0], "x") == 100
         late.commit()
 
+    def test_writer_inside_the_kernels_page_fault_leaves_the_pre_image(self):
+        """The same race through ``ObjectManager.fetch``: the kernel asks
+        the view, finds the record live and its page not resident, and
+        hands the rid to ``borrow``; the fault runs the writer, and the
+        view's re-check after the read resolves to the pre-image."""
+        db, txm, rids = make_loaded(2)
+        txm.enable_mvcc()
+        reader = txm.begin(isolation="si")
+        switched = []
+
+        def writer_runs_in_the_fault():
+            if switched:
+                return
+            switched.append(True)
+            with txm.begin() as writer:
+                writer.update_scalar(rids[0], "x", 100)
+
+        om = db.manager
+        assert reader.view.live(rids[0])
+        db.system.on_fault = writer_runs_in_the_fault
+        om.read_view = reader.view
+        rows: list = []
+        try:
+            om.fetch([rids[0]], lambda om, h: om.get_attr(h, "x"), rows)
+        finally:
+            om.read_view = None
+            db.system.on_fault = None
+        assert switched
+        assert rows == [0]
+        assert reader.view.version_reads == 1
+        reader.commit()
+
     def test_version_handle_is_charged_the_version_pointer(self):
         db, txm, rids = make_loaded(2)
         reader = txm.begin(isolation="si")
