@@ -190,8 +190,8 @@ class SnapshotView:
 
     Installed (duck-typed) as ``ObjectManager.read_view`` while an SI
     transaction is the active session, without the object layer
-    importing ``txn``.  ``ObjectManager.fetch`` -- Fetch operators, the
-    joins, exists and aggregates -- asks :meth:`live` once per rid and
+    importing ``txn``.  ``ObjectManager.fetch`` — Fetch operators, the
+    joins, exists and aggregates — asks :meth:`live` once per rid and
     brackets a live record itself; every other read of the path, and a
     rid the kernel does not take, goes through ``borrow`` to
     :meth:`load`."""
@@ -206,7 +206,7 @@ class SnapshotView:
         """Whether the live record of ``rid`` is the one this snapshot
         sees: the reader's own write, or a record no active transaction
         is writing whose newest commit is no younger than the snapshot.
-        Pure bookkeeping -- charges nothing.  ``ObjectManager.fetch``
+        Pure bookkeeping — charges nothing.  ``ObjectManager.fetch``
         asks it once per rid, and brackets a live rid itself."""
         store = self.store
         writers = store._writers
@@ -217,8 +217,8 @@ class SnapshotView:
 
     def tag(self, rid: Rid):
         """Visibility decision for ``rid``: :data:`LIVE` (:meth:`live`),
-        else the newest :class:`RecordVersion` committed by the
-        snapshot, else :data:`INVISIBLE`.  Pure bookkeeping --
+        else the newest :class:`RecordVersion` committed at or before
+        the snapshot, else :data:`INVISIBLE`.  Pure bookkeeping —
         charges nothing; the charged work happens when a version is
         actually materialized in :meth:`load`."""
         if self.live(rid):
