@@ -18,6 +18,8 @@ The loader applies the lessons of the paper's Section 3.2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Iterator
 
 from repro.cluster.strategies import (
     PATIENT_STEP,
@@ -35,7 +37,7 @@ from repro.derby.schema import (
 )
 from repro.index import BTreeIndex, IndexBuildReport, IndexManager
 from repro.objects.codec import INLINE_SET_LIMIT_BYTES, InlineSet
-from repro.objects.database import Database, PersistentCollection
+from repro.objects.database import CreateStep, Database, PersistentCollection
 from repro.objects.handle import HandleMode
 from repro.simtime.host import collector_paused
 from repro.storage.rid import NIL_RID, Rid
@@ -140,9 +142,8 @@ def load_derby(
 
     txm = TransactionManager(db)
     txn = txm.begin(logged=config.logged_load)
-    created_in_batch = 0
 
-    # The columns the loop reads, bound once.
+    # The columns the steps read, bound once.
     owner = logical.owner
     patient_name, mrn, age, sex = (
         logical.patient_name, logical.mrn, logical.age, logical.sex
@@ -152,20 +153,19 @@ def load_derby(
     address, specialty, office = (
         logical.address, logical.specialty, logical.office
     )
+    patient_key = (PATIENT_CLASS, patient_file, patient_index_ids)
+    provider_key = (PROVIDER_CLASS, provider_file, provider_index_ids)
 
-    try:
-        for kind, idx, fname in placement_order(logical, config.clustering):
-            if created_in_batch >= COMMIT_BATCH:
-                txn.commit()
-                report.commits += 1
-                txn = txm.begin(logged=config.logged_load)
-                created_in_batch = 0
+    def steps() -> Iterator[CreateStep]:
+        """What to create, in placement order, read as it is created:
+        a patient's provider may be an object of the same batch."""
+        for kind, idx, __ in placement_order(logical, config.clustering):
             if kind == PATIENT_STEP:
                 provider_rid = provider_rids[owner[idx]]
                 if provider_rid is None:
                     deferred_refs.append(idx)
-                rid = txn.create_object(
-                    PATIENT_CLASS,
+                yield (
+                    patient_key,
                     {
                         "name": patient_name[idx],
                         "mrn": mrn[idx],
@@ -175,14 +175,13 @@ def load_derby(
                         "num": num[idx],
                         "primary_care_provider": provider_rid,
                     },
-                    fname,
-                    index_ids=patient_index_ids,
+                    patient_rids,
+                    idx,
+                    patients,
                 )
-                patient_rids[idx] = rid
-                patients.append(rid)
             else:
-                rid = txn.create_object(
-                    PROVIDER_CLASS,
+                yield (
+                    provider_key,
                     {
                         "name": provider_name[idx],
                         "upin": upin[idx],
@@ -191,13 +190,24 @@ def load_derby(
                         "office": office[idx],
                         "clients": clients_placeholder,
                     },
-                    fname,
-                    index_ids=provider_index_ids,
+                    provider_rids,
+                    idx,
+                    providers,
                 )
-                provider_rids[idx] = rid
-                providers.append(rid)
-            created_in_batch += 1
-            report.objects_created += 1
+
+    try:
+        # One kernel call per commit batch.  The loop reads each batch's
+        # first step itself, so a batch is committed only once a step
+        # follows it; the last one stays open for the association pass.
+        pending = steps()
+        for first in pending:
+            if txn.objects_created:  # a full batch came before this step
+                txn.commit()
+                report.commits += 1
+                txn = txm.begin(logged=config.logged_load)
+            report.objects_created += txn.create_objects(
+                chain((first,), islice(pending, COMMIT_BATCH - 1))
+            )
 
         # -- the association join (paper, Section 3.2) ---------------------
         # Fix patients created before their provider existed (random order).

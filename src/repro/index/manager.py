@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from repro.errors import DuplicateIndexError
 from repro.index.btree import BTreeIndex
 from repro.objects.database import Database, PersistentCollection
-from repro.objects.header import ObjectHeader
 
 
 @dataclass(frozen=True)
@@ -72,21 +71,10 @@ class IndexManager:
 
         moved_before = self.db.counters.records_moved
         start = self.db.clock.elapsed_s
-        pairs = []
-        rewritten = grown = 0
-        for rid in collection.iter_rids():
-            record, class_def = self.db.manager.read_record(rid)
-            key = self.db.manager.codec(class_def).decode_attr(record, key_attr)
-            header = ObjectHeader.decode(record)
-            if index_id not in header.index_ids:
-                if header.add_index(index_id):
-                    grown += 1
-                actual = self.db.manager.rewrite_header(rid, header)
-                if actual != rid:
-                    # The record moved: its rid changed, index the new one.
-                    rid = actual
-                rewritten += 1
-            pairs.append((key, rid))
+        pairs: list = []
+        rewritten, grown = self.db.manager.stamp_index(
+            collection.iter_rids(), index_id, key_attr, pairs
+        )
         index.bulk_build(pairs)
 
         self.db.indexes[name] = index

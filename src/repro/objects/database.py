@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 import weakref
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.buffer import ClientServerSystem
 from repro.errors import ObjectError, SchemaError
@@ -36,7 +36,8 @@ from repro.objects.model import ClassDef, Schema
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
-from repro.storage.rid import NIL_RID, Rid
+from repro.storage.page import SLOT_OVERHEAD
+from repro.storage.rid import NIL_RID, Rid, rid_of
 from repro.units import US_PER_S
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,6 +111,18 @@ def _decode_chunk(record: bytes) -> tuple[list[Rid], Rid]:
     if end > len(record):  # a slice would silently stop short
         raise struct.error(f"chunk of {count} rids overruns its record")
     return list(decode_rids(record[base:end])), next_rid
+
+
+#: The ``(class name, file name, index_ids)`` of a create: what
+#: :meth:`Database.create_object` takes as three arguments.
+CreateKey = tuple[str, str, tuple[int, ...]]
+
+#: One object of a commit batch, as :meth:`Database.create_objects` reads
+#: it: its key, its attribute values, the list and position its new rid
+#: is stored at, and the collection that rid is appended to.
+CreateStep = tuple[
+    CreateKey, dict[str, object], list, int, "PersistentCollection"
+]
 
 
 def _new_object_header(class_def: ClassDef, index_ids: tuple[int, ...]) -> bytes:
@@ -210,12 +223,7 @@ class Database:
         try:
             codec, header, sfile = self._creates[key]
         except KeyError:
-            class_def = self.schema.cls(class_name)
-            codec, header, sfile = self._creates[key] = (
-                self.manager.codec(class_def),
-                _new_object_header(class_def, index_ids),
-                self.file(file_name),
-            )
+            codec, header, sfile = self._create_target(key)
         if codec.set_names:
             values = dict(values)
             for name in codec.set_names:
@@ -224,6 +232,120 @@ class Database:
         # charge_us(LOAD, object_create_us), without the call
         self.clock.buckets[_LOAD] += self.params.object_create_us / US_PER_S
         return sfile.insert(record)
+
+    def create_objects(
+        self,
+        steps: Iterable[CreateStep],
+        room: int,
+        owner: object,
+        note: Callable[[Rid], None] | None,
+    ) -> int:
+        """:meth:`create_object` over a commit batch, with the state it
+        reads bound once per call: for each of ``steps`` create the
+        object, add one to ``owner.objects_created`` (duck-typed, as
+        :attr:`ObjectManager.read_view` is: ``objects`` sits below
+        ``txn``), call ``note(rid)`` unless ``note`` is ``None``, store
+        the rid at its list position and append it to its collection.
+        Stops once ``room`` objects are created, reading no step past
+        the last; returns the room left.  Steps are read one at a time,
+        after the rid of the one before is stored, so a step may name an
+        object created earlier in the same batch.
+
+        Charge for charge and meter for meter this is ``create_object``
+        then ``PersistentCollection.append``: the codec, the new-object
+        header and the file of each key, the client tier and the prices
+        are read once, and while the file's last page is resident in the
+        client tier of a ``ClientServerSystem`` and has room for the
+        record and the growth slack beside it, ``StorageFile.insert`` runs
+        here -- ``get_page``'s client hit (``move_to_end``,
+        ``client_hits += 1``), the slot append, ``used_bytes``, the dirty
+        flag and the file's record count, in their order.  A record that
+        needs a new page or does not fit (``RecordTooLargeError`` stays
+        ``Page.insert``'s), a tail page that would fault, and a pager
+        that is not a ``ClientServerSystem`` go through
+        ``StorageFile.insert`` unchanged."""
+        if room <= 0:
+            return room
+        system = self.system
+        client = system.client_cache._pages
+        counters = self.counters
+        buckets = self.clock.buckets
+        create_s = self.params.object_create_us / US_PER_S
+        prepare_set = self.prepare_set
+        # key -> (body writer, set names, header bytes, file, the file's
+        # page list, file id, growth slack, whether the pager is the
+        # client/server system)
+        targets: dict[CreateKey, tuple] = {}
+        for key, values, rids, idx, collection in steps:
+            try:
+                encode, set_names, header, sfile, pages, file_id, slack, inline = (
+                    targets[key]
+                )
+            except KeyError:
+                try:
+                    codec, header, sfile = self._creates[key]
+                except KeyError:
+                    codec, header, sfile = self._create_target(key)
+                encode, set_names, header, sfile, pages, file_id, slack, inline = (
+                    targets[key]
+                ) = (
+                    codec.encode_body, codec.set_names, header, sfile,
+                    sfile._pages, sfile.file_id, sfile._slack,
+                    sfile.pager is system,
+                )
+            if set_names:
+                values = dict(values)
+                for name in set_names:
+                    values[name] = prepare_set(values.get(name))
+            record = header + encode(values)
+            buckets[_LOAD] += create_s
+            rid = None
+            if inline and pages:
+                # StorageFile.insert, inline while the tail is resident
+                # and has room: _append_page's client hit, Page.insert.
+                page_no = pages[-1].page_no
+                tail = (file_id, page_no)
+                if tail in client:
+                    page = client[tail]
+                    used = page.used_bytes
+                    need = len(record) + SLOT_OVERHEAD
+                    if used and need + slack <= page.capacity - used:
+                        client.move_to_end(tail)
+                        counters.client_hits += 1
+                        slots = page._slots
+                        rid = rid_of((file_id, page_no, len(slots)))
+                        slots.append(record)
+                        page.used_bytes = used + need
+                        page.dirty = True
+                        sfile._record_count += 1
+            if rid is None:
+                rid = sfile.insert(record)
+                # the fallback may fault, and a fault may attach another
+                # client tier (a service hands its sessions over there)
+                client = system.client_cache._pages
+            owner.objects_created += 1  # type: ignore[attr-defined]
+            if note is not None:
+                note(rid)
+            rids[idx] = rid
+            collection.append(rid)
+            room -= 1
+            if not room:
+                break
+        return room
+
+    def _create_target(
+        self, key: CreateKey
+    ) -> tuple[RecordCodec, bytes, StorageFile]:
+        """Resolve and remember what a create under ``key`` needs: the
+        class's codec, the encoded header of a new object and the file."""
+        class_name, file_name, index_ids = key
+        class_def = self.schema.cls(class_name)
+        target = self._creates[key] = (
+            self.manager.codec(class_def),
+            _new_object_header(class_def, index_ids),
+            self.file(file_name),
+        )
+        return target
 
     def prepare_set(self, value: object) -> InlineSet | OverflowSet:
         """Normalize a set value: small sequences stay inline, large ones

@@ -19,7 +19,13 @@ from repro.errors import (
 )
 from repro.objects.codec import InlineSet, OverflowSet, Reader, RecordCodec
 from repro.objects.handle import Handle, HandleTable
-from repro.objects.header import CLASS_KEY, ObjectHeader
+from repro.objects.header import (
+    CLASS_KEY,
+    FIXED_SIZE,
+    SLOT_BYTES,
+    SLOT_COUNT_BYTE,
+    ObjectHeader,
+)
 from repro.objects.model import AttrKind, ClassDef, Schema
 from repro.simtime import Bucket
 from repro.storage.disk import DiskManager
@@ -316,6 +322,111 @@ class ObjectManager:
                     break
         return room
 
+    def stamp_index(
+        self,
+        rids: Iterable[Rid],
+        index_id: int,
+        key_attr: str,
+        pairs: list,
+    ) -> tuple[int, int]:
+        """The member pass of ``IndexManager.create_index`` on a
+        populated collection: for each of ``rids`` read the record,
+        decode ``key_attr``, add ``index_id`` to the header -- growing
+        it when no slot is free, which may move the record (Section
+        3.2) -- and append ``(key, rid)`` to ``pairs``, ``rid`` being
+        where the record now lives.  Returns ``(headers rewritten,
+        headers grown)``.  ``rids`` is read one at a time, as the
+        member pass reads its collection's chunks.
+
+        Each member costs what :meth:`read_record`, a re-read of the
+        record and :meth:`_write_back` cost, charge for charge: three
+        accesses to the record's page, the last two made only when the
+        header changes.  While the handle table is empty (a load holds
+        no handle) and the slot holds the record on a page of a
+        ``ClientServerSystem`` pager, they run here on one slot probe:
+        the three client hits are one ``move_to_end`` (three accesses
+        in a row to one key leave the LRU order one leaves) and
+        ``client_hits`` counted per access, a first access that would
+        fault goes through ``get_page`` and the other two are then
+        hits, and the record is replaced in place by ``Page.replace``
+        or moved by ``StorageFile._move`` where ``StorageFile.replace``
+        would move it.  A forwarded or missing slot, a rid in an
+        unregistered file or behind another pager, and any member while
+        a handle is cached take those three calls unchanged."""
+        files = self._files
+        classes = self._classes
+        handles = self.handles._handles
+        counters = self.disk.counters
+        # class id -> the key's reader, checked once per class as
+        # RecordCodec.decode_attr checks it per call
+        readers: dict[int, Reader] = {}
+        rewritten = grown = 0
+        for rid in rids:
+            file_id, page_no, slot = rid
+            page = None
+            sfile = files[file_id] if file_id in files else None
+            if sfile is not None and not handles:
+                pager = sfile.pager
+                if pager.__class__ is ClientServerSystem:
+                    client = pager.client_cache._pages
+                    key = (file_id, page_no)
+                    resident = key in client
+                    if resident:
+                        page = client[key]
+                    elif 0 <= page_no < len(sfile._pages):
+                        page = sfile._pages[page_no]  # what a fault reads
+                    if page is not None:
+                        try:
+                            record = page.resolve(slot)
+                        except RecordNotFoundError:
+                            record = None
+                        if record.__class__ is not bytes:
+                            page = None  # the hop or the error is read_record's
+            if page is None:
+                record, class_def = self.read_record(rid)
+            else:
+                # read_record's access, then its class lookup
+                if resident:
+                    client.move_to_end(key)
+                    counters.client_hits += 1
+                else:
+                    page = pager.get_page(file_id, page_no)
+                class_key = record[CLASS_KEY]
+                if class_key in classes:
+                    class_def = classes[class_key]
+                else:
+                    class_def = self.class_of(record)
+            try:
+                read = readers[class_def.class_id]
+            except KeyError:
+                class_def.attribute(key_attr)  # SchemaError for an unknown name
+                read = readers[class_def.class_id] = (
+                    self.codec(class_def).readers[key_attr]
+                )
+            value = read(record)
+            header = ObjectHeader.decode(record)
+            if index_id not in header.index_ids:
+                if header.add_index(index_id):
+                    grown += 1
+                size = FIXED_SIZE + SLOT_BYTES * record[SLOT_COUNT_BYTE]
+                if page is None:
+                    sfile = self.file_for(rid)
+                    record, actual = sfile.read_resolving(rid)
+                    rid = self._write_back(
+                        sfile, rid, actual, record,
+                        header.encode() + record[size:],
+                    )
+                else:
+                    # the re-read's and StorageFile.replace's hits on
+                    # the page the first access left most recent
+                    counters.client_hits += 2
+                    new_record = header.encode() + record[size:]
+                    if not page.replace(slot, record, new_record):
+                        rid = sfile._move(rid, page, new_record)
+                rewritten += 1
+            pairs.append((value, rid))
+        return rewritten, grown
+
     # -- attribute access -------------------------------------------------------
 
     def get_attr(self, handle: Handle, name: str) -> object:
@@ -386,16 +497,6 @@ class ObjectManager:
         new_record = self.codec(self.class_of(record)).update_set(
             record, name, value
         )
-        return self._write_back(sfile, rid, actual, record, new_record)
-
-    def rewrite_header(self, rid: Rid, header: ObjectHeader) -> Rid:
-        """Replace an object's header (index-slot growth); the record
-        grows when slots are added, possibly moving the object — the
-        Section 3.2 reallocation."""
-        sfile = self.file_for(rid)
-        record, actual = sfile.read_resolving(rid)
-        old_size = ObjectHeader.peek_size(record)
-        new_record = header.encode() + record[old_size:]
         return self._write_back(sfile, rid, actual, record, new_record)
 
     def _write_back(

@@ -26,12 +26,14 @@ loading trade-off.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.errors import (
     TransactionMemoryError,
     TransactionStateError,
     WriteConflictError,
 )
-from repro.objects.database import Database
+from repro.objects.database import CreateStep, Database
 from repro.simtime import Bucket
 from repro.storage.page import EMPTY_PAGE_IMAGE, PageImage
 from repro.storage.rid import Rid
@@ -120,11 +122,7 @@ class Transaction:
         if self.state != "active":
             self._require_active()  # raises
         if self.objects_created >= self.manager.object_budget:
-            raise TransactionMemoryError(
-                f"transaction {self.txn_id} created "
-                f"{self.objects_created} objects; commit before creating "
-                "more (the paper's 'out of memory')"
-            )
+            raise self._out_of_memory()
         if self._physical:
             db = self.manager.db
             sfile = db.file(file_name)
@@ -145,11 +143,49 @@ class Transaction:
         )
         self.objects_created += 1
         if self.logged:
-            record_len = 64  # header + redo info approximation
-            self.manager.log.append(self.txn_id, "create", record_len)
-            self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
-            self._si_note_create(rid)
+            self._note_create(rid)
         return rid
+
+    def create_objects(self, steps: Iterable[CreateStep]) -> int:
+        """:meth:`create_object` for each of ``steps`` in one call -- a
+        load's commit batch, run by ``Database.create_objects``: the same
+        object budget, ``TransactionMemoryError`` raised at the first
+        step past it, and for a logged transaction the same log record
+        and write lock per object, in the same order.  Returns how many
+        objects it created.  A transaction that logs physically creates
+        one object at a time (:meth:`create_object`)."""
+        if self.state != "active":
+            self._require_active()  # raises
+        if self._physical:
+            raise TransactionStateError(
+                f"transaction {self.txn_id} logs physically; it creates "
+                "one object at a time"
+            )
+        steps = iter(steps)
+        before = self.objects_created
+        if not self.manager.db.create_objects(
+            steps,
+            self.manager.object_budget - before,
+            self,
+            self._note_create if self.logged else None,
+        ):
+            for __ in steps:  # a step past the budget
+                raise self._out_of_memory()
+        return self.objects_created - before
+
+    def _out_of_memory(self) -> TransactionMemoryError:
+        return TransactionMemoryError(
+            f"transaction {self.txn_id} created "
+            f"{self.objects_created} objects; commit before creating "
+            "more (the paper's 'out of memory')"
+        )
+
+    def _note_create(self, rid: Rid) -> None:
+        """A logged create's log record and write lock, cost-only."""
+        record_len = 64  # header + redo info approximation
+        self.manager.log.append(self.txn_id, "create", record_len)
+        self.manager.locks.acquire(self.txn_id, rid, _EXCLUSIVE)
+        self._si_note_create(rid)
 
     def update_scalar(self, rid: Rid, attr_name: str, value: object) -> Rid:
         """Write-lock ``rid`` and update one scalar attribute through the

@@ -229,10 +229,9 @@ def test_write_back_keeps_cached_handles_in_step():
     assert (om.get_attr_at(a, "mrn"), om.get_attr_at(b, "mrn")) == (10, 20)
 
     def slots():
-        for rid in (c, d):
-            header = ObjectHeader.decode(om.read_record(rid)[0])
-            assert header.add_index(1)  # no free slot: the header grows
-            om.rewrite_header(rid, header)
+        # the header pass of an index on the two: no free slot, so each
+        # header grows, and a cached handle sends it down the write-back
+        assert om.stamp_index((c, d), 1, "mrn", []) == (2, 2)
 
     _write_back_case(db, c, d, slots)
     for rid in (c, d):

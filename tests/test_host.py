@@ -19,7 +19,7 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.derby.generator import generate
 from repro.simtime.host import collector_paused
-from repro.storage.file import StorageFile
+from repro.objects.database import PersistentCollection
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -80,16 +80,18 @@ class TestLoadAndGenerate:
 
     def test_a_load_that_raises_mid_batch_does_too(self, collector, monkeypatch):
         """The existing abort path: the open batch transaction is
-        aborted, the error propagates, the collector is back."""
-        insert, calls = StorageFile.insert, []
+        aborted, the error propagates, the collector is back.  The
+        error is raised where the create kernel hands the 100th object's
+        rid to its collection, a call it makes once per object."""
+        append, calls = PersistentCollection.append, []
 
-        def failing_insert(self, record):
+        def failing_append(self, rid):
             calls.append(1)
             if len(calls) == 100:
                 raise RuntimeError("disk on fire")
-            return insert(self, record)
+            return append(self, rid)
 
-        monkeypatch.setattr(StorageFile, "insert", failing_insert)
+        monkeypatch.setattr(PersistentCollection, "append", failing_append)
         with pytest.raises(RuntimeError, match="disk on fire"):
             load_derby(_tiny())
         assert gc.isenabled() is collector

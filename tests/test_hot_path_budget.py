@@ -45,15 +45,20 @@ The write path has the same contract (the paper's Section 3: loading is
 what eats a benchmarking campaign): the record writer, the header bytes
 and the slack arithmetic are resolved once per class version or per
 file, so a create is about twenty calls however the class is declared.
-One tiny ``load_derby`` under ``cProfile`` holds the calls beneath one
-``Transaction.create_object`` and one ``StorageFile.insert`` to budget.
-What a load knows once it resolves once: which transaction mode it is
-in, the codec, header bytes and file of the class it creates into, the
-tail page of the file -- and a mutation that has just read a record
-neither probes its slot again nor searches an empty handle table.  The
-same load holds one ``ObjectManager.update_set`` (the association pass)
-to budget, and one with ``index_first=False`` holds one
-``ObjectManager.rewrite_header`` (the Section 3.2 index-after pass).
+A load hands each commit batch to one kernel, ``Database.create_objects``,
+which binds that state once per batch and appends to a resident tail
+page inline; one tiny ``load_derby`` under ``cProfile`` holds its calls
+per object created to budget.  The same load run object by object (the
+path the fuzz, churn, OO7 and stats callers still take) holds the calls
+beneath one ``Transaction.create_object`` and one ``StorageFile.insert``
+to budget.  What a load knows once it resolves once: which transaction
+mode it is in, the codec, header bytes and file of the class it creates
+into, the tail page of the file -- and a mutation that has just read a
+record neither probes its slot again nor searches an empty handle table.
+The same load holds one ``ObjectManager.update_set`` (the association
+pass) to budget, and one with ``index_first=False`` holds the header
+pass, ``ObjectManager.stamp_index``, per member (the Section 3.2
+index-after pass).
 
 A meter is an integer that is added to.  Two costs no call count
 shows are held here by other means: no code under ``src/repro`` asks
@@ -77,6 +82,9 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.oql import Catalog, OQLEngine
 from repro.txn import TransactionManager
+from repro.txn.manager import Transaction
+
+from .test_load_kernel import create_each
 
 #: Calls made by one ``ObjectManager.get_attr``, itself included,
 #: averaged over the attributes the two joins read (measured: 3.18; 3.35
@@ -159,9 +167,17 @@ SNAPSHOT_ROW_BUDGET = 8.8
 #: filter and an ``IndexEntry`` per entry).
 INDEX_ENTRY_BUDGET = 0.1
 
-#: Calls made by one ``Transaction.create_object`` of an unlogged load,
-#: itself included, down through the record writer, the storage file and
-#: the page caches (measured: 21.71; 30.26 when the record body merged
+#: Calls the create kernel makes per object of an unlogged load, itself
+#: and the loader's step generator included, down through the record
+#: writer, the inline append, the collection append and the fallbacks
+#: to ``StorageFile.insert`` (a new page, a tail that would fault)
+#: (measured: 18.51; 21.71 beneath ``Transaction.create_object`` alone
+#: when the loader created object by object).
+CREATE_KERNEL_BUDGET = 20.4
+#: Calls made by one ``Transaction.create_object`` of an unlogged load
+#: run object by object, itself included, down through the record
+#: writer, the storage file and the page caches (measured: 20.71;
+#: 30.26 when the record body merged
 #: the defaults under the values, ran one coercer frame per attribute and
 #: packed each ref on its own; 38.89 when every create checked the
 #: transaction's state and mode through a method and a property, probed
@@ -171,7 +187,7 @@ INDEX_ENTRY_BUDGET = 0.1
 #: an ``ObjectHeader`` and packed attribute by attribute).
 CREATE_OBJECT_BUDGET = 23.9
 #: Calls made by one ``StorageFile.insert``, itself included -- objects,
-#: collection chunks and index leaves alike (measured: 10.98; 13.56 when
+#: collection chunks and index leaves alike (measured: 9.93; 13.56 when
 #: the tail page was ``num_pages`` -> ``_file`` -> ``len``, 14.57 when the cache probe was a ``get`` then a
 #: ``move_to_end``, 31.91 with two cache probes and the slack computed
 #: twice per insert).
@@ -183,10 +199,13 @@ INSERT_BUDGET = 12.1
 #: ``read_resolving`` and marked dirty the page it had just fetched, and
 #: four probes searched a handle table a load leaves empty).
 UPDATE_SET_BUDGET = 36.0
-#: Calls made by one ``ObjectManager.rewrite_header``, itself included,
-#: on an ``index_first=False`` load (measured: 21.94; 34.02 with the
-#: same second and third slot probes, ``mark_dirty`` and handle probes).
-REWRITE_HEADER_BUDGET = 24.1
+#: Calls the header pass (``ObjectManager.stamp_index``) makes per
+#: member of an ``index_first=False`` load, the chunk reads of the
+#: collection and the moves of grown records included (measured: 20.93;
+#: 21.94 beneath the header rewrite alone, with ``read_record`` apart,
+#: when each member made three ``get_page`` calls; 34.02 with second and
+#: third slot probes, ``mark_dirty`` and handle probes).
+HEADER_PASS_BUDGET = 23.0
 
 #: Calls a join's probe loop makes per child it scans that are not the
 #: algorithm's own work: the row function the kernel calls per child and
@@ -790,6 +809,16 @@ def load_graph() -> CallGraph:
 
 
 @pytest.fixture(scope="module")
+def per_object_load_graph() -> CallGraph:
+    """The same load, each object created by ``Transaction.create_object``
+    and stored by ``StorageFile.insert``, as the loader did before the
+    create kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Transaction, "create_objects", create_each)
+        return _profiled_load(DerbyConfig.db_1to3(scale=0.0003))
+
+
+@pytest.fixture(scope="module")
 def index_after_graph() -> CallGraph:
     """The Section 3.2 order: load, then index -- every object's header
     is rewritten once per index, and the first rewrite grows it."""
@@ -808,21 +837,48 @@ def _assert_calls_per(graph, file_suffix, qualname, at_least, budget):
     )
 
 
-@pytest.mark.parametrize("file_suffix, qualname, at_least, budget", [
-    ("repro/txn/manager.py", "Transaction.create_object", 1200,
-     CREATE_OBJECT_BUDGET),
-    ("repro/storage/file.py", "StorageFile.insert", 1200, INSERT_BUDGET),
-    (MANAGER, "ObjectManager.update_set", 300, UPDATE_SET_BUDGET),
+def _assert_calls_per_object(graph, file_suffix, qualname, objects, budget):
+    """A kernel's calls, its own and everything beneath, per object it
+    handles: ``objects`` of them over all its calls."""
+    root = graph.find(file_suffix, qualname)
+    assert graph.calls(root) >= 1
+    per_object = graph.calls(root) * (1.0 + graph.beneath(root)) / objects
+    assert per_object <= budget, (
+        f"{per_object:.2f} calls per object of {qualname}, budget {budget}; "
+        "per call it calls:\n" + "\n".join(graph.callees(root))
+    )
+
+
+@pytest.mark.parametrize("graph_name, file_suffix, qualname, at_least, budget", [
+    ("per_object_load_graph", "repro/txn/manager.py",
+     "Transaction.create_object", 1200, CREATE_OBJECT_BUDGET),
+    ("per_object_load_graph", "repro/storage/file.py", "StorageFile.insert",
+     1200, INSERT_BUDGET),
+    ("load_graph", MANAGER, "ObjectManager.update_set", 300, UPDATE_SET_BUDGET),
 ], ids=["create_object", "insert", "update_set"])  # no budget in a test's name
-def test_calls_per_write(load_graph, file_suffix, qualname, at_least, budget):
-    _assert_calls_per(load_graph, file_suffix, qualname, at_least, budget)
+def test_calls_per_write(
+    request, graph_name, file_suffix, qualname, at_least, budget
+):
+    _assert_calls_per(
+        request.getfixturevalue(graph_name), file_suffix, qualname, at_least,
+        budget,
+    )
+
+
+def test_calls_per_object_created(load_graph):
+    """The load's 300 providers and 900 patients, through the kernel."""
+    _assert_calls_per_object(
+        load_graph, "repro/objects/database.py", "Database.create_objects",
+        1200, CREATE_KERNEL_BUDGET,
+    )
 
 
 def test_calls_per_rewrite_header(index_after_graph):
-    """Three indexes over 300 providers and 900 + 900 patient entries."""
-    _assert_calls_per(
-        index_after_graph, MANAGER, "ObjectManager.rewrite_header", 2100,
-        REWRITE_HEADER_BUDGET,
+    """Three indexes over 300 providers and 900 + 900 patient entries:
+    the header pass per member."""
+    _assert_calls_per_object(
+        index_after_graph, MANAGER, "ObjectManager.stamp_index", 2100,
+        HEADER_PASS_BUDGET,
     )
 
 

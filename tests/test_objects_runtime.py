@@ -278,10 +278,10 @@ class TestObjectManager:
         bare = db.create_object("Patient", {"mrn": 1}, "patients")
         indexed = db.create_object("Patient", {"mrn": 2}, "patients", (1,))
         grown = db.create_object("Patient", {"mrn": 3}, "patients", (1,))
-        header = ObjectHeader.decode(db.manager.read_record(grown)[0])
-        for index_id in range(1, 10):
-            header.add_index(index_id)
-        grown = db.manager.rewrite_header(grown, header)
+        for index_id in range(2, 10):  # the ninth index grows the header
+            pairs: list = []
+            db.manager.stamp_index((grown,), index_id, "mrn", pairs)
+            [(__, grown)] = pairs
         provider = db.create_object("Provider", {"upin": 1}, "providers")
         for rid, slots, class_def in (
             (bare, 0, patient), (indexed, 8, patient), (grown, 16, patient),
