@@ -45,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _LOAD = Bucket.LOAD
 
+#: Set values the record writer encodes as they stand; any other value
+#: but ``None`` goes through :meth:`Database.prepare_set`, which may
+#: spill it.
+_PREPARED = (InlineSet, OverflowSet)
+
 #: Rids per collection chunk record (~3.2 KB, one chunk per page).
 CHUNK_RIDS = 400
 
@@ -151,7 +156,7 @@ class Database:
         # Each handle holds its table; emptying the table when the
         # database goes lets reference counting free both.
         weakref.finalize(self, self.handles.release)
-        self.manager = ObjectManager(self.schema, self.disk, self.handles)
+        self.manager = ObjectManager(self.schema, self.system, self.handles)
         self.indexes: dict[str, "BTreeIndex"] = {}
         self._files: dict[str, StorageFile] = {}
         self._names: dict[str, PersistentCollection] = {}
@@ -170,9 +175,7 @@ class Database:
     def create_file(self, name: str, fill_factor: float = 0.85) -> StorageFile:
         if name in self._files:
             raise ObjectError(f"file {name!r} already exists")
-        sfile = StorageFile(self.disk, self.system, fill_factor=fill_factor)
-        self._files[name] = sfile
-        self.manager.register_file(sfile)
+        sfile = self._files[name] = self.manager.new_file(fill_factor)
         return sfile
 
     def file(self, name: str) -> StorageFile:
@@ -224,10 +227,10 @@ class Database:
             codec, header, sfile = self._creates[key]
         except KeyError:
             codec, header, sfile = self._create_target(key)
-        if codec.set_names:
-            values = dict(values)
-            for name in codec.set_names:
-                values[name] = self.prepare_set(values.get(name))
+        for name in codec.set_names:
+            value = values.get(name)
+            if value is not None and value.__class__ not in _PREPARED:
+                values = {**values, name: self.prepare_set(value)}
         record = header + codec.encode_body(values)
         # charge_us(LOAD, object_create_us), without the call
         self.clock.buckets[_LOAD] += self.params.object_create_us / US_PER_S
@@ -255,30 +258,28 @@ class Database:
         then ``PersistentCollection.append``: the codec, the new-object
         header and the file of each key, the client tier and the prices
         are read once, and while the file's last page is resident in the
-        client tier of a ``ClientServerSystem`` and has room for the
-        record and the growth slack beside it, ``StorageFile.insert`` runs
-        here -- ``get_page``'s client hit (``move_to_end``,
-        ``client_hits += 1``), the slot append, ``used_bytes``, the dirty
-        flag and the file's record count, in their order.  A record that
-        needs a new page or does not fit (``RecordTooLargeError`` stays
-        ``Page.insert``'s), a tail page that would fault, and a pager
-        that is not a ``ClientServerSystem`` go through
-        ``StorageFile.insert`` unchanged."""
+        client tier and has room for the record and the growth slack
+        beside it, ``StorageFile.insert`` runs here -- ``get_page``'s
+        client hit (``move_to_end``, ``client_hits += 1``), the slot
+        append, ``used_bytes``, the dirty flag and the file's record
+        count, in their order.  A record that needs a new page or does
+        not fit (``RecordTooLargeError`` stays ``Page.insert``'s) and a
+        tail page that would fault go through ``StorageFile.insert``
+        unchanged; a fault may hand the baton over, and a session
+        resumes with its own client tier in place."""
         if room <= 0:
             return room
-        system = self.system
-        client = system.client_cache._pages
+        client = self.system.client_cache._pages
         counters = self.counters
         buckets = self.clock.buckets
         create_s = self.params.object_create_us / US_PER_S
         prepare_set = self.prepare_set
         # key -> (body writer, set names, header bytes, file, the file's
-        # page list, file id, growth slack, whether the pager is the
-        # client/server system)
+        # page list, file id, growth slack)
         targets: dict[CreateKey, tuple] = {}
         for key, values, rids, idx, collection in steps:
             try:
-                encode, set_names, header, sfile, pages, file_id, slack, inline = (
+                encode, set_names, header, sfile, pages, file_id, slack = (
                     targets[key]
                 )
             except KeyError:
@@ -286,21 +287,20 @@ class Database:
                     codec, header, sfile = self._creates[key]
                 except KeyError:
                     codec, header, sfile = self._create_target(key)
-                encode, set_names, header, sfile, pages, file_id, slack, inline = (
+                encode, set_names, header, sfile, pages, file_id, slack = (
                     targets[key]
                 ) = (
                     codec.encode_body, codec.set_names, header, sfile,
                     sfile._pages, sfile.file_id, sfile._slack,
-                    sfile.pager is system,
                 )
-            if set_names:
-                values = dict(values)
-                for name in set_names:
-                    values[name] = prepare_set(values.get(name))
+            for name in set_names:
+                value = values.get(name)
+                if value is not None and value.__class__ not in _PREPARED:
+                    values = {**values, name: prepare_set(value)}
             record = header + encode(values)
             buckets[_LOAD] += create_s
             rid = None
-            if inline and pages:
+            if pages:
                 # StorageFile.insert, inline while the tail is resident
                 # and has room: _append_page's client hit, Page.insert.
                 page_no = pages[-1].page_no
@@ -320,9 +320,6 @@ class Database:
                         sfile._record_count += 1
             if rid is None:
                 rid = sfile.insert(record)
-                # the fallback may fault, and a fault may attach another
-                # client tier (a service hands its sessions over there)
-                client = system.client_cache._pages
             owner.objects_created += 1  # type: ignore[attr-defined]
             if note is not None:
                 note(rid)

@@ -28,7 +28,6 @@ from repro.objects.header import (
 )
 from repro.objects.model import AttrKind, ClassDef, Schema
 from repro.simtime import Bucket
-from repro.storage.disk import DiskManager
 from repro.storage.file import StorageFile
 from repro.storage.rid import Rid
 
@@ -46,9 +45,13 @@ _LITERAL_FIXED_SIZE = {AttrKind.STRING: True, AttrKind.REF_SET: False}
 class ObjectManager:
     """Loads objects as handles and decodes their attributes."""
 
-    def __init__(self, schema: Schema, disk: DiskManager, handles: HandleTable):
+    def __init__(
+        self, schema: Schema, system: ClientServerSystem, handles: HandleTable
+    ):
         self.schema = schema
-        self.disk = disk
+        #: The pager of every file :meth:`new_file` builds.
+        self.system = system
+        self.disk = system.disk
         self.handles = handles
         self._files: dict[int, StorageFile] = {}
         #: class id -> the class's codec.
@@ -81,7 +84,9 @@ class ObjectManager:
 
     # -- registry ---------------------------------------------------------
 
-    def register_file(self, sfile: StorageFile) -> StorageFile:
+    def new_file(self, fill_factor: float) -> StorageFile:
+        """A new file, registered, paging through :attr:`system`."""
+        sfile = StorageFile(self.disk, self.system, fill_factor=fill_factor)
         self._files[sfile.file_id] = sfile
         return sfile
 
@@ -215,11 +220,11 @@ class ObjectManager:
         the visible one takes the same hit and miss, which cannot yield,
         so no writer can slip in between the decision and the read.  A
         miss whose page would fault -- the fault may hand the baton
-        over -- a forwarded or missing slot, a rid in an unregistered
-        file or behind a pager that is not a ``ClientServerSystem``, and
-        a rid the snapshot reads as a version or cannot see go through
-        ``with self.borrow(rid)``, where the view decides again after a
-        fault.  The unreference runs whatever ``row_fn`` raises.  A
+        over -- a forwarded or missing slot, and a rid the snapshot
+        reads as a version or cannot see go through ``with
+        self.borrow(rid)``, where the view decides again after a fault;
+        so does a rid in an unregistered file, whose page is never
+        resident.  The unreference runs whatever ``row_fn`` raises.  A
         session resumes with its own table, client tier and view in
         place, so the state read here stands across a hand-off."""
         table = self.handles
@@ -233,7 +238,7 @@ class ObjectManager:
         unref_s = table._unref_s
         capacity = table.delayed_free_capacity
         spare = table._spare
-        files = self._files
+        pages = self.system.client_cache._pages
         classes = self._classes
         view = self.read_view
         for rid in rids:
@@ -248,41 +253,38 @@ class ObjectManager:
                     buckets[_HANDLE] += touch_s
                 else:
                     # read_record, inline while the page is resident.
-                    file_id = rid[0]
-                    pager = files[file_id].pager if file_id in files else None
-                    if pager.__class__ is ClientServerSystem:
-                        pages = pager.client_cache._pages
-                        key = rid[:2]
-                        record = None
-                        if key in pages:
-                            try:
-                                record = pages[key].resolve(rid[2])
-                            except RecordNotFoundError:
-                                pass  # borrow makes the hit, then raises
-                        # A forwarding stub or a missing slot is
-                        # borrow's, hop and error alike.
-                        if record.__class__ is bytes:
-                            # get_page's client hit.
-                            pages.move_to_end(key)
-                            pager.disk.counters.client_hits += 1
-                            class_key = record[CLASS_KEY]
-                            if class_key in classes:
-                                class_def = classes[class_key]
-                            else:
-                                class_def = self.class_of(record)
-                            # borrow's miss, from here on.
-                            if spare:
-                                handle = handles[rid] = spare.pop()
-                                handle.rid = rid
-                                handle.record = record
-                                handle.class_def = class_def
-                                handle.refcount = 1
-                            else:
-                                handle = handles[rid] = Handle(
-                                    rid, record, class_def, table
-                                )
-                            counters.handles_allocated += 1
-                            buckets[_HANDLE] += alloc_s
+                    key = rid[:2]
+                    record = None
+                    if key in pages:
+                        try:
+                            record = pages[key].resolve(rid[2])
+                        except RecordNotFoundError:
+                            pass  # borrow makes the hit, then raises
+                    # A forwarding stub or a missing slot is borrow's,
+                    # hop and error alike.
+                    if record.__class__ is bytes:
+                        # get_page's client hit (on the database's
+                        # counters, which every handle table shares).
+                        pages.move_to_end(key)
+                        counters.client_hits += 1
+                        class_key = record[CLASS_KEY]
+                        if class_key in classes:
+                            class_def = classes[class_key]
+                        else:
+                            class_def = self.class_of(record)
+                        # borrow's miss, from here on.
+                        if spare:
+                            handle = handles[rid] = spare.pop()
+                            handle.rid = rid
+                            handle.record = record
+                            handle.class_def = class_def
+                            handle.refcount = 1
+                        else:
+                            handle = handles[rid] = Handle(
+                                rid, record, class_def, table
+                            )
+                        counters.handles_allocated += 1
+                        buckets[_HANDLE] += alloc_s
             try:
                 if handle is not None:
                     try:
@@ -342,20 +344,21 @@ class ObjectManager:
         record and :meth:`_write_back` cost, charge for charge: three
         accesses to the record's page, the last two made only when the
         header changes.  While the handle table is empty (a load holds
-        no handle) and the slot holds the record on a page of a
-        ``ClientServerSystem`` pager, they run here on one slot probe:
-        the three client hits are one ``move_to_end`` (three accesses
-        in a row to one key leave the LRU order one leaves) and
-        ``client_hits`` counted per access, a first access that would
-        fault goes through ``get_page`` and the other two are then
-        hits, and the record is replaced in place by ``Page.replace``
-        or moved by ``StorageFile._move`` where ``StorageFile.replace``
-        would move it.  A forwarded or missing slot, a rid in an
-        unregistered file or behind another pager, and any member while
-        a handle is cached take those three calls unchanged."""
+        no handle) and the slot holds the record, they run here on one
+        slot probe: the three client hits are one ``move_to_end``
+        (three accesses in a row to one key leave the LRU order one
+        leaves) and ``client_hits`` counted per access, a first access
+        that would fault goes through ``get_page`` and the other two
+        are then hits, and the record is replaced in place by
+        ``Page.replace`` or moved by ``StorageFile._move`` where
+        ``StorageFile.replace`` would move it.  A forwarded or missing
+        slot, a rid in an unregistered file, and any member while a
+        handle is cached take those three calls unchanged."""
         files = self._files
         classes = self._classes
         handles = self.handles._handles
+        system = self.system
+        client = system.client_cache._pages
         counters = self.disk.counters
         # class id -> the key's reader, checked once per class as
         # RecordCodec.decode_attr checks it per call
@@ -366,22 +369,19 @@ class ObjectManager:
             page = None
             sfile = files[file_id] if file_id in files else None
             if sfile is not None and not handles:
-                pager = sfile.pager
-                if pager.__class__ is ClientServerSystem:
-                    client = pager.client_cache._pages
-                    key = (file_id, page_no)
-                    resident = key in client
-                    if resident:
-                        page = client[key]
-                    elif 0 <= page_no < len(sfile._pages):
-                        page = sfile._pages[page_no]  # what a fault reads
-                    if page is not None:
-                        try:
-                            record = page.resolve(slot)
-                        except RecordNotFoundError:
-                            record = None
-                        if record.__class__ is not bytes:
-                            page = None  # the hop or the error is read_record's
+                key = (file_id, page_no)
+                resident = key in client
+                if resident:
+                    page = client[key]
+                elif 0 <= page_no < len(sfile._pages):
+                    page = sfile._pages[page_no]  # what a fault reads
+                if page is not None:
+                    try:
+                        record = page.resolve(slot)
+                    except RecordNotFoundError:
+                        record = None
+                    if record.__class__ is not bytes:
+                        page = None  # the hop or the error is read_record's
             if page is None:
                 record, class_def = self.read_record(rid)
             else:
@@ -390,7 +390,7 @@ class ObjectManager:
                     client.move_to_end(key)
                     counters.client_hits += 1
                 else:
-                    page = pager.get_page(file_id, page_no)
+                    page = system.get_page(file_id, page_no)
                 class_key = record[CLASS_KEY]
                 if class_key in classes:
                     class_def = classes[class_key]

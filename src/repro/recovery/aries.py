@@ -108,21 +108,20 @@ def _recovery_page(disk, fetched: set, key: tuple[int, int]):
     return disk.read_page(file_id, page_no)
 
 
-def redo_apply(db, records, fetched: set | None = None) -> int:
+def redo_apply(db, records, fetched: set) -> list[tuple[int, int]]:
     """Repeat history: apply physical log records to the database's
     pages, oldest first, skipping anything a page already reflects
-    (``page_lsn >= lsn``) — the redo half of :func:`restart`, packaged
-    as its own entry point so a replication replica can apply shipped
-    records *continuously* as they arrive instead of all at once after
-    a crash.  Charges per-record apply CPU and first-touch page reads;
-    returns the number of records applied.  Idempotent: re-applying a
-    shipped batch after a partial apply is a no-op."""
+    (``page_lsn >= lsn``) — the redo pass of :func:`restart`, and the
+    entry point a replication replica applies shipped records through
+    *continuously* as they arrive instead of all at once after a crash.
+    Charges per-record apply CPU and first-touch page reads (``fetched``
+    holds the pages touched so far); returns the page key of each
+    record applied, in order.  Idempotent: re-applying a shipped batch
+    after a partial apply is a no-op."""
     clock = db.clock
     params = db.params
     disk = db.disk
-    if fetched is None:
-        fetched = set()
-    applied = 0
+    applied = []
     for record in records:
         if record.kind not in PHYSICAL_KINDS:
             continue
@@ -132,7 +131,7 @@ def redo_apply(db, records, fetched: set | None = None) -> int:
             page.restore(record.after)
             page.page_lsn = record.lsn
             page.dirty = True
-            applied += 1
+            applied.append(record.page_key)
     return applied
 
 
@@ -209,29 +208,14 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
 
     # --- redo: repeat history from the oldest rec_lsn -----------------
     fetched: set[tuple[int, int]] = set()
-
-    def recovery_page(key: tuple[int, int]):
-        return _recovery_page(disk, fetched, key)
-
-    redone_pages: set[tuple[int, int]] = set()
     if dpt:
         report.redo_start_lsn = min(dpt.values())
-        for record in records:
-            if record.lsn < report.redo_start_lsn:
-                continue
-            if record.kind not in PHYSICAL_KINDS:
-                continue
-            if record.page_key not in dpt or record.lsn < dpt[record.page_key]:
-                continue
-            clock.charge_us(_LOG, params.log_apply_us)
-            page = recovery_page(record.page_key)
-            if page.page_lsn < record.lsn:
-                page.restore(record.after)
-                page.page_lsn = record.lsn
-                page.dirty = True
-                redone_pages.add(record.page_key)
-                report.records_redone += 1
-    report.pages_redone = len(redone_pages)
+        redone = redo_apply(db, [
+            r for r in records
+            if r.page_key in dpt and r.lsn >= dpt[r.page_key]
+        ], fetched)
+        report.records_redone = len(redone)
+        report.pages_redone = len(set(redone))
 
     # --- undo the losers, newest change first -------------------------
     compensated = {r.undoes_lsn for r in records if r.kind == "clr"}
@@ -248,7 +232,7 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
     )
     for record in undo_records:
         clock.charge_us(_LOG, params.log_apply_us)
-        page = recovery_page(record.page_key)
+        page = _recovery_page(disk, fetched, record.page_key)
         before = page.capture()
         page.apply_undo(record.before, record.after)
         clr = wal.append(

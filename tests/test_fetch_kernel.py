@@ -10,10 +10,12 @@ of both cache tiers, the same meters and every bucket bit for bit --
 warm, cold and mixed; on misses whose pages are resident, and on misses
 that all fault; on forwarded records and a missing slot; with the delayed-free list
 overflowing and with no list at all; with nested brackets; with a row
-function that raises, on a hit and on an inline miss; and under a
+function that raises, on a hit and on an inline miss; under a
 snapshot view, where the kernel takes the live hits and misses itself,
 the reader's own write among them, and leaves to ``borrow`` the version
-reads and an object the snapshot cannot see, which it passes over.
+reads and an object the snapshot cannot see, which it passes over; and
+across a hand-off between two sessions of a query service, each with a
+client tier of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.cluster import load_derby
 from repro.derby import DerbyConfig
 from repro.errors import RecordNotFoundError, RecordNotVisibleError
 from repro.objects import AttrKind, AttributeDef, Database, Schema
+from repro.service import QueryService
 from repro.simtime import Bucket, meter_values
 from repro.txn import TransactionManager
 
@@ -403,3 +406,69 @@ def test_a_handle_held_across_a_commit_parks_with_the_published_record():
         return borrowed
 
     assert b"committed" not in b"".join(compare(derbies(), body))
+
+
+def test_the_client_tier_bound_per_call_holds_across_a_hand_off():
+    """Two sessions of one 2PL query service, each with a client tier of
+    its own, the database's base tier behind them holding every page (a
+    kernel that read the base tier would take a's first miss as a hit,
+    and never hand over).  Session a's fetch begins on a rid whose page its tier lacks: the miss
+    goes to ``borrow`` and faults, and the fault hands the baton to b,
+    which reads the providers' pages into b's tier and faults in turn.
+    a resumes with its own tier attached and takes every other rid as a
+    miss on a page that tier holds.  Tiers, handle tables, meters and
+    buckets end as the brackets leave them."""
+    answers, states = [], []
+    for derby, fetch in zip(derbies(), (kernel, bracketed)):
+        db = derby.db
+        om = db.manager
+        patients = derby.patient_rids
+        first = patients[0]
+        a_rids = [rid for rid in patients if rid[:2] != first[:2]][:40]
+        b_rids = one_per_page(derby.provider_rids)
+        resident(derby, patients + derby.provider_rids)  # the base tier
+        service = QueryService(derby)
+        a, b = service.open_session("a"), service.open_session("b")
+        for session in (a, b):
+            session.cache.capacity_pages = CLIENT_PAGES
+        with service.immediate(a):
+            warm_up(derby, a_rids)
+            a.handles.clear()
+        events: list = []
+        borrow = om.borrow
+
+        def counted(rid):
+            events.append(("borrow", rid))
+            return borrow(rid)
+
+        om.borrow = counted
+
+        def reading(name):
+            def row_fn(o, handle):
+                events.append((name, handle.rid))
+                return age_or_upin(o, handle)
+            return row_fn
+
+        outs: dict = {"a": [], "b": []}
+        service.spawn(a, lambda: fetch(om, [first, *a_rids], reading("a"),
+                                       outs["a"], -1, SKIP, ROW_S))
+        service.spawn(b, lambda: fetch(om, b_rids, reading("b"), outs["b"],
+                                       -1, SKIP, ROW_S))
+        tasks = service.run()
+        assert [task.error for task in tasks] == [None, None]
+        # b began between a's faulting miss and a's first row
+        assert events[:3] == [
+            ("borrow", first), ("borrow", b_rids[0]), ("a", first)
+        ]
+        if fetch is kernel:
+            assert all(("borrow", rid) not in events for rid in a_rids)
+        answers.append(outs)
+        states.append((
+            state(db),
+            [list(s.cache._pages) for s in (a, b)],
+            [[(rid, h.refcount) for rid, h in s.handles._handles.items()]
+             for s in (a, b)],
+        ))
+    assert answers[0] == answers[1]
+    assert states[0] == states[1]
+    assert len(answers[0]["a"]) == 41 and answers[0]["b"]

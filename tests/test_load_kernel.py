@@ -15,9 +15,8 @@ clustering, index first and after, logged and not, with the default
 client tier, with a one-page tier (so that the tail faults, a member's
 first access faults and a new page is allocated through the fallback)
 and with a small tier that evicts mid-batch.  The error paths hold the
-same: a record larger than a page, an object budget smaller than the
-batch, and a pager that is not the client/server system; a transaction
-that logs page images is refused the batch.
+same: a record larger than a page and an object budget smaller than
+the batch; a transaction that logs page images is refused the batch.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from repro.txn import TransactionManager
 from repro.txn.manager import Transaction
 from repro.units import PAGE_SIZE
 
-from .direct_pager import DirectPager
 from .test_disk_format_pins import disk_fingerprint
 
 
@@ -248,7 +246,7 @@ def test_a_budget_smaller_than_the_batch_raises_at_the_same_object(
     assert db_state(kernel.dbs[-1]) == db_state(per_object.dbs[-1])
 
 
-def doc_db(pages: int | None = None) -> Database:
+def doc_db() -> Database:
     """A ``Doc`` of about 400 bytes with a set, and a ``Big`` that no
     page holds."""
     schema = Schema()
@@ -269,12 +267,10 @@ def doc_db(pages: int | None = None) -> Database:
     )
     db = Database(schema)
     db.create_file("docs")
-    if pages is not None:
-        db.system.client_cache.capacity_pages = pages
     return db
 
 
-def doc_steps(db, rids, classes, file_of=lambda i: "docs"):
+def doc_steps(db, rids, classes):
     """A step per class name, every third ``Doc`` with a set that
     spills to the collection file."""
     docs = db.new_collection("Docs")
@@ -282,7 +278,7 @@ def doc_steps(db, rids, classes, file_of=lambda i: "docs"):
         values = {"title": "t", "n": i}
         if class_name == "Doc" and i % 3 == 2:
             values["parts"] = [rid for rid in rids[:i] if rid is not None] * 70
-        yield (class_name, file_of(i), ()), values, rids, i, docs
+        yield (class_name, "docs", ()), values, rids, i, docs
 
 
 @pytest.mark.parametrize("at", [0, 1, 9], ids=["first", "second", "tenth"])
@@ -308,34 +304,6 @@ def test_a_record_larger_than_a_page_raises_and_leaves_what_create_object_leaves
             )
     assert states[0] == states[1]
     assert states[0][3] == at
-
-
-@pytest.mark.parametrize("pages", [None, 1], ids=["own-tier", "1-page"])
-def test_a_pager_that_is_not_the_client_server_system_takes_the_file_path(
-    monkeypatch, pages
-):
-    """No inline append and no inline header pass behind another pager:
-    those creates go through ``StorageFile.insert`` and those members
-    through ``read_record`` and the write-back, interleaved with a file
-    that keeps the client/server system."""
-
-    def run():
-        db = doc_db(pages)
-        db.file("docs").pager = DirectPager(db.disk)
-        db.create_file("cached")
-        txn = TransactionManager(db).begin(logged=False)
-        rids = [None] * 30
-        txn.create_objects(doc_steps(
-            db, rids, ["Doc"] * 30, lambda i: "docs" if i % 4 else "cached"
-        ))
-        txn.commit()
-        __, report = IndexManager(db).create_index("by_n", db._names["Docs"], "n")
-        return db_state(db), rids, report
-
-    kernel, per_object = both(monkeypatch, run)
-    assert kernel.outcome == per_object.outcome
-    assert kernel.snapshots == per_object.snapshots
-    assert kernel.outcome[2].headers_grown == 30
 
 
 def test_a_physically_logged_transaction_creates_one_object_at_a_time():

@@ -263,7 +263,13 @@ class TestObjectManager:
 
     def test_unregistered_file_raises(self):
         db = make_db()
-        for read in (db.manager.load, db.manager.read_record, db.manager.file_for):
+
+        def fetch(rid):  # no page of the file is resident: borrow's miss
+            return db.manager.fetch([rid], lambda om, handle: None, [])
+
+        for read in (
+            db.manager.load, db.manager.read_record, db.manager.file_for, fetch
+        ):
             with pytest.raises(
                 DanglingReferenceError,
                 match="rid @99:0.0 points into an unregistered file",
