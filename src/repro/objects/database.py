@@ -35,7 +35,7 @@ from repro.objects.manager import ObjectManager
 from repro.objects.model import ClassDef, Schema
 from repro.simtime import Bucket, CostParams, CounterSet, SimClock
 from repro.storage.disk import DiskManager
-from repro.storage.file import StorageFile
+from repro.storage.file import DEFAULT_FILL_FACTOR, StorageFile
 from repro.storage.page import SLOT_OVERHEAD
 from repro.storage.rid import NIL_RID, Rid, rid_of
 from repro.units import US_PER_S
@@ -172,7 +172,7 @@ class Database:
 
     # -- files ---------------------------------------------------------------
 
-    def create_file(self, name: str, fill_factor: float = 0.85) -> StorageFile:
+    def create_file(self, name: str, fill_factor: float = DEFAULT_FILL_FACTOR) -> StorageFile:
         if name in self._files:
             raise ObjectError(f"file {name!r} already exists")
         sfile = self._files[name] = self.manager.new_file(fill_factor)

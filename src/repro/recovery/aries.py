@@ -11,9 +11,9 @@ prefix — following the shape of ARIES (Mohan et al., PAPERS.md):
   table: every physical record — winner, loser or compensation — whose
   LSN is newer than the page's durable ``page_lsn`` is reapplied;
 * **undo** rolls back the losers newest-first through their ``prev_lsn``
-  chains, writing compensation (``clr``) records exactly like a live
-  abort does, then an ``abort`` record per loser, so recovery itself is
-  recoverable and idempotent.
+  chains in :meth:`~repro.txn.log.WriteAheadLog.undo`, the rollback a
+  live abort runs, then logs an ``abort`` record per loser, so recovery
+  itself is recoverable and idempotent.
 
 Everything charges simulated time: log pages read at disk read latency
 (``Bucket.LOG``), per-record scan/apply CPU (``log_apply_us``), data
@@ -25,6 +25,7 @@ against checkpoint interval and update rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.simtime import Bucket
 from repro.txn.log import (
@@ -34,7 +35,6 @@ from repro.txn.log import (
     CHECKPOINT_DPT_ENTRY_BYTES,
     CHECKPOINT_HEADER_BYTES,
     PHYSICAL_KINDS,
-    UNDOABLE_KINDS,
     LogRecord,
 )
 from repro.units import PAGE_SIZE, pages_for_bytes
@@ -95,11 +95,11 @@ def take_checkpoint(db, txm, flush_pages: bool = True) -> LogRecord:
     return record
 
 
-def _recovery_page(disk, fetched: set, key: tuple[int, int]):
-    """Fetch a page for redo, allocating anything missing (a crash may
-    predate the durable allocation) and paying the read cost only on
-    first touch per pass."""
-    file_id, page_no = key
+def _recovery_page(disk, fetched: set, file_id: int, page_no: int):
+    """Fetch a page for redo or undo, allocating anything missing (a
+    crash may predate the durable allocation) and paying the read cost
+    only on first touch per pass."""
+    key = (file_id, page_no)
     while disk.num_pages(file_id) <= page_no:
         disk.allocate_page(file_id)
     if key in fetched:
@@ -126,7 +126,7 @@ def redo_apply(db, records, fetched: set) -> list[tuple[int, int]]:
         if record.kind not in PHYSICAL_KINDS:
             continue
         clock.charge_us(_LOG, params.log_apply_us)
-        page = _recovery_page(disk, fetched, record.page_key)
+        page = _recovery_page(disk, fetched, *record.page_key)
         if page.page_lsn < record.lsn:
             page.restore(record.after)
             page.page_lsn = record.lsn
@@ -218,37 +218,8 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
         report.pages_redone = len(set(redone))
 
     # --- undo the losers, newest change first -------------------------
-    compensated = {r.undoes_lsn for r in records if r.kind == "clr"}
-    undo_records = sorted(
-        (
-            r
-            for r in records
-            if r.txn_id in att
-            and r.kind in UNDOABLE_KINDS
-            and r.lsn not in compensated
-        ),
-        key=lambda r: r.lsn,
-        reverse=True,
-    )
-    for record in undo_records:
-        clock.charge_us(_LOG, params.log_apply_us)
-        page = _recovery_page(disk, fetched, record.page_key)
-        before = page.capture()
-        page.apply_undo(record.before, record.after)
-        clr = wal.append(
-            record.txn_id,
-            "clr",
-            record.nbytes,
-            prev_lsn=att[record.txn_id],
-            page_key=record.page_key,
-            before=before,
-            after=page.capture(),
-            undoes_lsn=record.lsn,
-        )
-        att[record.txn_id] = clr.lsn
-        wal.stamp(page, clr)
-        page.dirty = True
-        report.records_undone += 1
+    undone = list(wal.undo(att, partial(_recovery_page, disk, fetched)))
+    report.records_undone = len(undone)
     for txn_id in losers:
         wal.append(txn_id, "abort", ABORT_RECORD_BYTES, prev_lsn=att[txn_id])
     report.txns_undone = len(losers)
@@ -261,12 +232,12 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
             COMMIT_RECORD_BYTES,
             prev_lsn=resolved_commit[txn_id],
         )
-    if losers or undo_records or resolved_commit:
+    if losers or undone or resolved_commit:
         wal.flush()
 
     # --- charge the log read (pages covering everything we consulted) --
     needed_from = len(records)
-    if report.log_records_scanned or report.records_redone or undo_records:
+    if report.log_records_scanned or report.records_redone or undone:
         candidates = []
         if cp_idx is not None:
             candidates.append(cp_idx)
@@ -276,8 +247,8 @@ def restart(db, txm, resolve_in_doubt=None) -> RecoveryReport:
             candidates.append(
                 next(i for i, r in enumerate(records) if r.lsn >= report.redo_start_lsn)
             )
-        if undo_records:
-            oldest = min(r.lsn for r in undo_records)
+        if undone:
+            oldest = undone[-1].lsn
             candidates.append(next(i for i, r in enumerate(records) if r.lsn == oldest))
         needed_from = min(candidates)
     log_bytes = sum(r.nbytes for r in records[needed_from:])

@@ -50,8 +50,8 @@ CHECKPOINT_DPT_ENTRY_BYTES = 24
 #: Record kinds that carry page images and participate in redo.
 PHYSICAL_KINDS = frozenset({"create", "update", "clr"})
 
-#: Physical kinds that restart-undo may need to revert ("clr" records
-#: are compensations and are never themselves undone).
+#: Physical kinds that :meth:`WriteAheadLog.undo` may need to revert
+#: ("clr" records are compensations and are never themselves undone).
 UNDOABLE_KINDS = frozenset({"create", "update"})
 
 
@@ -207,6 +207,48 @@ class WriteAheadLog:
             record = records[bisect_left(records, lsn, key=_LSN)]
             yield record
             lsn = record.prev_lsn
+
+    def undo(self, heads: dict[int, int], page_of) -> Iterator[LogRecord]:
+        """Roll back each transaction in ``heads`` (txn id -> lsn of its
+        newest record) along its own :meth:`chain`, newest change first
+        across all of them: a live abort and restart's loser pass.  A
+        ``clr`` on a chain marks the change it undid as done.  The list
+        is picked before the first ``page_of(file_id, page_no)``, which
+        may hand the CPU to another session.  Per change: undo it, move
+        the head to the ``clr`` *before* appending it (a crash point
+        firing inside :meth:`append` must find the record on the chain),
+        stamp the page, charge the apply, yield the undone record."""
+        undo: list[LogRecord] = []
+        for lsn in heads.values():
+            # A clr is newer than the record it compensates, so the walk
+            # meets it first.
+            compensated: set[int] = set()
+            for record in self.chain(lsn):
+                if record.kind == "clr":
+                    compensated.add(record.undoes_lsn)
+                elif record.kind in UNDOABLE_KINDS and record.lsn not in compensated:
+                    undo.append(record)
+        undo.sort(key=_LSN, reverse=True)
+        for record in undo:
+            page_key = record.page_key
+            page = page_of(*page_key)
+            before = page.capture()
+            page.apply_undo(record.before, record.after)
+            txn_id = record.txn_id
+            prev_lsn, heads[txn_id] = heads[txn_id], self.next_lsn
+            clr = self.append(
+                txn_id,
+                "clr",
+                record.nbytes,
+                prev_lsn=prev_lsn,
+                page_key=page_key,
+                before=before,
+                after=page.capture(),
+                undoes_lsn=record.lsn,
+            )
+            self.stamp(page, clr)
+            self.clock.charge_us(_LOG, self.params.log_apply_us)
+            yield record
 
     # -- flushing -------------------------------------------------------
 

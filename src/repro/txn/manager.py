@@ -18,7 +18,9 @@ query service's, each shard's, the recovery fuzz's — is built with
 ``recovery=True``: logged transactions write physical records
 (page-level before/after images chained by ``prev_lsn``), aborts roll
 the pages back through compensation records, and :mod:`repro.recovery`
-can crash the system and restart it.  Only such a transaction may update
+can crash the system and restart it.  An abort and restart's undo of
+the losers are one rollback, :meth:`WriteAheadLog.undo`, each along
+its own ``prev_lsn`` chain.  Only such a transaction may update
 a record in place.  Transaction-off work writes nothing to the log, so
 after a crash it is simply gone — the durability half of the paper's
 loading trade-off.
@@ -42,7 +44,6 @@ from repro.txn.log import (
     ABORT_RECORD_BYTES,
     BEGIN_RECORD_BYTES,
     COMMIT_RECORD_BYTES,
-    UNDOABLE_KINDS,
     UPDATE_HEADER_BYTES,
     LogRecord,
     WriteAheadLog,
@@ -351,7 +352,6 @@ class Transaction:
         page_key: tuple[int, int],
         before: PageImage,
         after: PageImage,
-        undoes_lsn: int = 0,
     ) -> LogRecord:
         """Append one page-image record to this transaction's chain.
         ``last_lsn`` moves to it first: an armed crash point fires inside
@@ -367,43 +367,24 @@ class Transaction:
             page_key=page_key,
             before=before,
             after=after,
-            undoes_lsn=undoes_lsn,
         )
 
     def _rollback_physical(self) -> None:
-        """Undo this transaction's page changes, newest first, logging a
-        compensation (``clr``) record for each so a crash during or
-        after the rollback replays it rather than repeating it.  The
-        changes are found along this transaction's own ``prev_lsn``
-        chain, not by its id: a promoted standby's log holds the old
-        primary's records, whose ids a new transaction may reuse."""
+        """Undo this transaction's page changes through
+        :meth:`WriteAheadLog.undo`, which walks its own ``prev_lsn``
+        chain (a promoted standby's log holds the old primary's records,
+        whose ids a new transaction may reuse) and logs a compensation
+        record per change.  Each undone page's cached handles are
+        dropped as it is undone: the next page fetch may hand the CPU to
+        another session."""
         db = self.manager.db
-        log = self.manager.log
-        # A clr is newer than the record it compensates, so the walk
-        # meets it first.
-        compensated: set[int] = set()
-        undo: list[LogRecord] = []
-        for record in log.chain(self.last_lsn):
-            if record.kind == "clr":
-                compensated.add(record.undoes_lsn)
-            elif record.kind in UNDOABLE_KINDS and record.lsn not in compensated:
-                undo.append(record)
-        for record in undo:
-            page = db.system.get_page(*record.page_key)
-            before = page.capture()
-            page.apply_undo(record.before, record.after)
-            clr = self._append_image(
-                "clr",
-                record.nbytes,
-                record.page_key,
-                before,
-                page.capture(),
-                undoes_lsn=record.lsn,
-            )
-            log.stamp(page, clr)
-            db.system.mark_dirty(*record.page_key)
-            db.handles.forget_page(*record.page_key)
-            db.clock.charge_us(_LOG, db.params.log_apply_us)
+        forget_page = db.handles.forget_page
+        heads = {self.txn_id: self.last_lsn}
+        try:
+            for record in self.manager.log.undo(heads, db.system.get_page):
+                forget_page(*record.page_key)
+        finally:
+            self.last_lsn = heads[self.txn_id]
         for rid in self._created:
             sfile = db.manager.file_for(rid)
             sfile._record_count -= 1

@@ -250,6 +250,21 @@ class TestPhysicalRollback:
         assert read_x(db, rids[0]) == 5
         assert read_x(db, rids[1]) == 1
 
+    def test_a_crash_inside_a_clr_append_leaves_the_head_on_the_clr(self):
+        """The head moves to a compensation record before it is
+        appended: a crash point firing inside the append finds the
+        record in the log, and the transaction's chain already starts
+        there."""
+        db, txm, rids = make_loaded()
+        txn = txm.begin()
+        txn.update_scalar(rids[0], "x", 7)
+        CrashInjector("log-append", occurrence=1).arm(db, txm.log)
+        with pytest.raises(SimulatedCrashError):
+            txn.abort()  # the rollback's first append is its first clr
+        clr = txm.log.records[-1]
+        assert clr.kind == "clr"
+        assert txn.last_lsn == clr.lsn
+
 
 # ------------------------------------------------------------- restart
 
@@ -279,6 +294,57 @@ class TestRestart:
         assert report.records_undone >= 1
         kinds = [r.kind for r in txm.log.records]
         assert "clr" in kinds and "abort" in kinds
+
+    def test_a_restart_undoes_only_a_losers_own_chain(self):
+        """Restart walks each loser's own ``prev_lsn`` chain: a
+        committed transaction that carried the same id stays committed."""
+        db, txm, rids = make_loaded()
+        with txm.begin() as first:
+            first.update_scalar(rids[0], "x", 5)
+        txm._next_txn_id = first.txn_id  # the id a promoted standby reused
+        loser = txm.begin()
+        assert loser.txn_id == first.txn_id
+        loser.update_scalar(rids[1], "x", 6)
+        txm.log.flush()
+        crash_database(db, txm)
+        report = restart(db, txm)
+        assert read_x(db, rids[0]) == 5
+        assert read_x(db, rids[1]) == 1
+        assert report.records_undone == 1
+
+    def test_a_live_abort_and_restart_undo_one_loser_alike(self):
+        """One loser, two undos: rolled back by a live abort on one
+        database and by restart on its twin, it leaves the same
+        compensation records and the same page slots."""
+
+        def abort(db, txm, txn):
+            txn.abort()
+
+        def crash_and_restart(db, txm, txn):
+            txm.log.flush()
+            crash_database(db, txm)
+            restart(db, txm)
+
+        outcomes = []
+        for undo in (abort, crash_and_restart):
+            db, txm, rids = make_loaded()
+            txn = txm.begin()
+            txn.update_scalar(rids[0], "x", 10)
+            txn.update_scalar(rids[1], "x", 11)
+            txn.create_object("Thing", {"x": 12, "pad": _PAD}, "things")
+            txn.update_scalar(rids[0], "x", 13)
+            undo(db, txm, txn)
+            clrs = [
+                (r.page_key, r.undoes_lsn)
+                for r in txm.log.records if r.kind == "clr"
+            ]
+            file_id = db.file("things").file_id
+            slots = [p.capture().slots for p in db.disk.iter_pages(file_id)]
+            outcomes.append((clrs, slots))
+        (live_clrs, live_slots), (restart_clrs, restart_slots) = outcomes
+        assert len(live_clrs) == 4
+        assert live_clrs == restart_clrs
+        assert live_slots == restart_slots
 
     def test_unflushed_loser_leaves_no_trace(self):
         db, txm, rids = make_loaded()
